@@ -109,9 +109,8 @@ fn main() {
         batch_size: 512,
         ..TrainingConfig::default()
     };
-    // A dedicated 2-thread dm-exec pool so the parallel pipeline stages —
-    // including the stage-2/3 prefetch overlap — engage regardless of host
-    // core count; the prefetch counters below are the observable.
+    // A dedicated 2-thread dm-exec pool so the parallel pipeline stages engage
+    // regardless of host core count.
     let dm = Arc::new(
         DeepMappingBuilder::dm_z()
             .memory_budget(machine.memory_budget_bytes)
@@ -202,19 +201,6 @@ fn main() {
         if threads > 1 {
             records.push(record);
         }
-    }
-
-    // Stage-2/3 overlap: the high-correlation dataset above leaves the aux
-    // table nearly empty, so demonstrate the prefetch on a partition-dominated
-    // low-correlation store instead — a cold batch spanning every partition
-    // must show its loads overlapping inference via the prefetch counters.
-    report::banner(
-        "BENCH_lookup (stage-2/3 overlap)",
-        "cold partition loads prefetched during inference (low-correlation store)",
-    );
-    match run_overlap_probe(&scale) {
-        Ok(line) => println!("{line}"),
-        Err(err) => eprintln!("overlap section failed: {err}"),
     }
 
     // Inference micro-kernels: ns/row per dense layer shape through the
@@ -871,41 +857,6 @@ fn run_chunk_sweep(dm: &dm_core::DeepMapping, keys: &[u64]) {
             ],
         );
     }
-}
-
-/// Builds a partition-dominated low-correlation store on a 2-thread dm-exec
-/// pool, runs one cold batch spanning every partition, and reports how much of
-/// the partition loading hid behind stage-2 inference.
-fn run_overlap_probe(scale: &BenchScale) -> Result<String, Box<dyn std::error::Error>> {
-    let rows = SyntheticConfig::multi_low(scale.rows(2_000_000).max(30_000))
-        .generate()
-        .rows();
-    let max_key = rows.last().map(|r| r.key).unwrap_or(0);
-    let dm = DeepMappingBuilder::dm_z()
-        .training(TrainingConfig {
-            epochs: 4,
-            batch_size: 4096,
-            ..TrainingConfig::default()
-        })
-        .partition_bytes(32 * 1024)
-        .exec_threads(2)
-        .build(&rows)?;
-    let keys: Vec<u64> = (0..=max_key).step_by((max_key as usize / 8_192).max(1)).collect();
-    dm.metrics().reset();
-    let start = Instant::now();
-    dm.lookup_batch(&keys)?;
-    let wall = start.elapsed();
-    let snap = dm.metrics().snapshot();
-    Ok(format!(
-        "cold batch of {} keys over {} partitions in {:.2} ms: {} prefetch tasks / {} hits, {:.2} ms of loads overlapped with inference\n  {}",
-        keys.len(),
-        dm.aux_table().partition_count(),
-        wall.as_secs_f64() * 1e3,
-        snap.prefetch_tasks,
-        snap.prefetch_hits,
-        snap.prefetch_overlap_nanos as f64 / 1e6,
-        report::pool_counters_line(&snap),
-    ))
 }
 
 /// Builds the cold-start store: low-correlation rows (the auxiliary table holds

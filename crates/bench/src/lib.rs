@@ -965,16 +965,13 @@ pub mod report {
     /// from its metrics snapshot.
     pub fn pool_counters_line(snapshot: &dm_storage::LatencyBreakdown) -> String {
         format!(
-            "pool: {} hits / {} misses / {} evictions / {} single-flight waits; exec: {} tasks / {} steals; prefetch: {} tasks / {} hits / {:.2} ms overlapped",
+            "pool: {} hits / {} misses / {} evictions / {} single-flight waits; exec: {} tasks / {} steals",
             snapshot.pool_hits,
             snapshot.pool_misses,
             snapshot.pool_evictions,
             snapshot.pool_single_flight_waits,
             snapshot.exec_tasks,
             snapshot.exec_steals,
-            snapshot.prefetch_tasks,
-            snapshot.prefetch_hits,
-            snapshot.prefetch_overlap_nanos as f64 / 1e6,
         )
     }
 }
@@ -1232,14 +1229,12 @@ mod tests {
         metrics.add_pool_miss();
         metrics.add_pool_single_flight_wait();
         metrics.add_exec(5, 2, 100);
-        metrics.add_prefetch(3, 2, 1_500_000);
         let line = report::pool_counters_line(&metrics.snapshot());
         assert!(line.contains("1 hits"));
         assert!(line.contains("1 misses"));
         assert!(line.contains("1 single-flight waits"));
         assert!(line.contains("5 tasks"));
         assert!(line.contains("2 steals"));
-        assert!(line.contains("3 tasks / 2 hits / 1.50 ms overlapped"));
     }
 
     /// The multi-threaded record must keep per-op latency and aggregate

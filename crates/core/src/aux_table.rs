@@ -116,20 +116,11 @@ impl Backing {
 
 /// One batch's auxiliary probe plan (see [`AuxTable::plan_probes`]).
 #[derive(Debug, Default)]
-pub(crate) struct ProbePlan {
+struct ProbePlan {
     /// Query indices the delta overlay answers without touching disk.
-    pub resolved: Vec<usize>,
+    resolved: Vec<usize>,
     /// Partition index → query indices that must be checked inside that partition.
-    pub groups: BTreeMap<usize, Vec<usize>>,
-}
-
-impl ProbePlan {
-    /// Number of distinct partitions this batch will touch — the number of
-    /// load+decompress cycles a cold buffer pool would pay for the batch.
-    #[cfg_attr(not(test), allow(dead_code))]
-    pub(crate) fn partitions_touched(&self) -> usize {
-        self.groups.len()
-    }
+    groups: BTreeMap<usize, Vec<usize>>,
 }
 
 /// One partition group's probe results, collected by a pool task: hit query
@@ -345,9 +336,9 @@ impl AuxTable {
     /// Loads partition `idx` through the single-flight buffer pool, recording
     /// pool wait/load spans on `trace` when the caller carries one.  Keeps the
     /// raw [`dm_storage::StorageError`] so degradation-aware callers
-    /// ([`probe_planned`](Self::probe_planned)) can attach the typed error to
+    /// ([`probe_batch`](Self::probe_batch)) can attach the typed error to
     /// exactly the keys it affects.
-    fn load_partition_raw(
+    fn load_partition(
         &self,
         idx: usize,
         trace: Option<&Trace>,
@@ -366,13 +357,6 @@ impl AuxTable {
             let bytes = partition.len() * Row::fixed_width(partition.iter().next().map(|r| r.values.len()).unwrap_or(0));
             Ok((partition, bytes.max(64)))
         })
-    }
-
-    /// [`load_partition_raw`](Self::load_partition_raw) with the error lifted
-    /// into the crate taxonomy — the strict (fail-the-call) load used by the
-    /// single-key and scan paths.
-    fn load_partition(&self, idx: usize, trace: Option<&Trace>) -> Result<Arc<ArrayPartition>> {
-        self.load_partition_raw(idx, trace).map_err(crate::CoreError::from)
     }
 
     /// Looks up a key in the auxiliary table (Algorithm 1, lines 6–8).
@@ -398,93 +382,34 @@ impl AuxTable {
 
     /// Looks up many keys, visiting each partition at most once (the query keys are
     /// processed grouped by partition, mirroring the batch-sorting optimization of
-    /// Section IV-B2).  This is the plan/probe machinery the `pipeline` module drives;
-    /// callers that already have a batch should prefer `QueryPipeline`.
+    /// Section IV-B2).  Answers any key list; the query pipeline asks only for
+    /// the keys `Vaux` routes here.
+    ///
+    /// Runs on the shared [`dm_exec::global`] pool.  The owned shape has no
+    /// per-key error channel, so it keeps the strict contract: any failed
+    /// partition fails the whole call.
     pub fn get_batch(&self, keys: &[u64]) -> Result<Vec<Option<Vec<u32>>>> {
         let mut results: Vec<Option<Vec<u32>>> = vec![None; keys.len()];
-        self.get_batch_with(keys, &mut |qi, values| results[qi] = Some(values.to_vec()))?;
-        Ok(results)
+        let degraded = self.probe_batch(keys, dm_exec::global(), None, &mut |qi, values| {
+            results[qi] = Some(values.to_vec())
+        });
+        match degraded.into_iter().next() {
+            Some((_, err)) => Err(crate::CoreError::from(err)),
+            None => Ok(results),
+        }
     }
 
-    /// Allocation-aware batch lookup: calls `sink(query_index, values)` once for every
-    /// key the auxiliary table answers, handing out borrowed slices (from the delta
-    /// overlay or the pooled decompressed partitions) instead of allocating per hit.
-    /// Partition grouping is identical to [`get_batch`](Self::get_batch): each
-    /// compressed partition is loaded and decompressed at most once per batch.
-    ///
-    /// Runs on the shared [`dm_exec::global`] pool; the query pipeline pins its
-    /// store's pool via the crate-internal `get_batch_with_exec`.
-    pub fn get_batch_with(
-        &self,
-        keys: &[u64],
-        sink: &mut dyn FnMut(usize, &[u32]),
-    ) -> Result<()> {
-        self.get_batch_with_exec(keys, dm_exec::global(), sink)
-    }
-
-    /// [`get_batch_with`](Self::get_batch_with) on an explicit execution pool.
+    /// Plans and probes one batch: calls `sink(query_index, values)` once for
+    /// every key the table answers, handing out borrowed slices (from the delta
+    /// overlay or the pooled decompressed partitions) instead of allocating per
+    /// hit.  Each compressed partition is loaded and decompressed at most once
+    /// per batch.
     ///
     /// With a parallel pool and at least two partition groups, the groups are
-    /// probed as independent pool tasks — safe because the PR-2 read path is
+    /// probed as independent pool tasks — safe because the read path is
     /// `&self + Sync` and the buffer pool's single-flight sharding keeps racing
     /// cold loads deduplicated.  `sink` is always invoked serially on the calling
     /// thread, after the parallel section, so it needs no synchronization.
-    pub(crate) fn get_batch_with_exec(
-        &self,
-        keys: &[u64],
-        exec: &ThreadPool,
-        sink: &mut dyn FnMut(usize, &[u32]),
-    ) -> Result<()> {
-        let plan = self.plan_probes(keys);
-        let degraded = self.probe_planned(plan, keys, exec, None, sink)?;
-        // The owned-batch API has no per-key error channel, so it keeps the
-        // strict contract: any failed partition fails the whole call.
-        if let Some((_, err)) = degraded.into_iter().next() {
-            return Err(crate::CoreError::from(err));
-        }
-        Ok(())
-    }
-
-    /// Whether partition `idx` is decoded and resident in the buffer pool right
-    /// now (no LRU touch, no blocking) — how the pipeline decides which of a
-    /// plan's partitions are worth prefetching and which prefetches landed.
-    pub(crate) fn partition_resident(&self, idx: usize) -> bool {
-        self.pool.contains(self.directory[idx].disk_id)
-    }
-
-    /// Loads partition `idx` into the buffer pool through the normal
-    /// single-flight path and drops the handle — the stage-2/3 overlap prefetch
-    /// body.  Errors are swallowed: a failed prefetch leaves the partition
-    /// cold, and the stage-3 probe retries the load and surfaces the error
-    /// through the lookup path.
-    pub(crate) fn prefetch_partition(&self, idx: usize, trace: Option<&Trace>) {
-        let _ = self.load_partition(idx, trace);
-    }
-
-    /// Decoded (pool-resident) size estimate of partition `idx`, matching what
-    /// `load_partition` charges the buffer pool on insert.
-    fn partition_resident_bytes(&self, idx: usize) -> usize {
-        (self.directory[idx].rows * Row::fixed_width(self.value_columns)).max(64)
-    }
-
-    /// Truncates a prospective prefetch set to the prefix whose decoded bytes
-    /// fit in **half** the buffer-pool budget.  Prefetching past residency is
-    /// strictly worse than the lazy load-at-probe path: the pool evicts the
-    /// early prefetches (or the warm working set) before stage 3 reaches them,
-    /// so the same partition is loaded and decompressed twice in one batch.
-    /// Half the budget leaves the other half for the batch's warm residents.
-    pub(crate) fn clamp_prefetch(&self, indices: &mut Vec<usize>) {
-        let budget = self.pool.capacity_bytes() / 2;
-        let mut used = 0usize;
-        indices.retain(|&idx| {
-            used = used.saturating_add(self.partition_resident_bytes(idx));
-            used <= budget
-        });
-    }
-
-    /// Executes an already-computed [`ProbePlan`] (see
-    /// [`plan_probes`](Self::plan_probes)) — the pipeline plans before stage 2
-    /// so partition prefetch can overlap inference, then probes here.
     ///
     /// **Graceful degradation:** a partition whose load fails (after the
     /// buffer pool's bounded transient retries) does *not* fail the batch.
@@ -492,16 +417,20 @@ impl AuxTable {
     /// [`dm_storage::StorageError`], and every other group is probed and
     /// answered byte-identically to a fault-free run.  Callers decide the
     /// policy: the pipeline marks the affected spans failed in the
-    /// [`LookupBuffer`](dm_storage::LookupBuffer); the legacy batch API
+    /// [`LookupBuffer`](dm_storage::LookupBuffer); [`get_batch`](Self::get_batch)
     /// surfaces the first error for the whole batch.
-    pub(crate) fn probe_planned(
+    pub(crate) fn probe_batch(
         &self,
-        plan: ProbePlan,
         keys: &[u64],
         exec: &ThreadPool,
         trace: Option<&Trace>,
         sink: &mut dyn FnMut(usize, &[u32]),
-    ) -> Result<Vec<(usize, dm_storage::StorageError)>> {
+    ) -> Vec<(usize, dm_storage::StorageError)> {
+        let plan_begin = std::time::Instant::now();
+        let plan = self.plan_probes(keys);
+        if let Some(trace) = trace {
+            trace.record_span(Stage::Plan, plan_begin, plan_begin.elapsed());
+        }
         for qi in plan.resolved {
             if let Some(values) = self.delta.get(&keys[qi]) {
                 sink(qi, values);
@@ -535,7 +464,7 @@ impl AuxTable {
             }
         } else {
             for (idx, query_indices) in &groups {
-                let partition = match self.load_partition_raw(*idx, trace) {
+                let partition = match self.load_partition(*idx, trace) {
                     Ok(partition) => partition,
                     Err(err) => {
                         degrade(query_indices, err);
@@ -555,7 +484,7 @@ impl AuxTable {
                 }
             }
         }
-        Ok(degraded)
+        degraded
     }
 
     /// Probes one partition group (pool task body of the parallel stage-3 path):
@@ -571,7 +500,7 @@ impl AuxTable {
         keys: &[u64],
         trace: Option<&Trace>,
     ) -> dm_storage::Result<GroupHits> {
-        let partition = self.load_partition_raw(idx, trace)?;
+        let partition = self.load_partition(idx, trace)?;
         let mut hits = GroupHits {
             columns: self.value_columns,
             qis: Vec::new(),
@@ -592,66 +521,64 @@ impl AuxTable {
         Ok(hits)
     }
 
-    /// Stage-3 planning for a probe batch: answers whatever the in-memory delta
-    /// overlay / tombstones can resolve immediately and groups the remaining keys by
-    /// the compressed partition that covers them, so each partition is loaded and
+    /// Planning for a probe batch: answers whatever the in-memory delta overlay /
+    /// tombstones can resolve immediately and groups the remaining keys by the
+    /// compressed partition that covers them, so each partition is loaded and
     /// decompressed at most once per batch no matter how the keys interleave.
-    pub(crate) fn plan_probes(&self, keys: &[u64]) -> ProbePlan {
+    fn plan_probes(&self, keys: &[u64]) -> ProbePlan {
         let mut plan = ProbePlan::default();
-        for (qi, &key) in keys.iter().enumerate() {
-            if self.delta.contains_key(&key) {
-                plan.resolved.push(qi);
-                continue;
+        self.metrics.time(Phase::LocatePartition, || {
+            for (qi, &key) in keys.iter().enumerate() {
+                if self.delta.contains_key(&key) {
+                    plan.resolved.push(qi);
+                } else if !self.tombstones.contains(&key) {
+                    if let Some(idx) = self.locate(key) {
+                        plan.groups.entry(idx).or_default().push(qi);
+                    }
+                }
             }
-            if self.tombstones.contains(&key) {
-                continue;
-            }
-            if let Some(idx) = self
-                .metrics
-                .time(Phase::LocatePartition, || self.locate(key))
-            {
-                plan.groups.entry(idx).or_default().push(qi);
-            }
-        }
+        });
         plan
     }
 
-    /// Whether `key` is present in the table.
-    pub fn contains(&self, key: u64) -> Result<bool> {
-        Ok(self.get(key)?.is_some())
-    }
-
     /// Adds (or replaces) a misclassified row — used by `Insert` (Algorithm 3) and
-    /// `Update` (Algorithm 5).
-    pub fn upsert(&mut self, row: Row) {
-        self.tombstones.remove(&row.key);
-        // If the row also lives in a partition, the delta entry shadows it; the
-        // partition copy is reconciled at the next compaction.
-        if self.key_in_partitions(row.key) {
+    /// `Update` (Algorithm 5).  `held` is the caller's `Vaux` bit for the key:
+    /// whether the table answers it right now.  That bit is what spares the
+    /// write path a partition load: a held key outside the overlay is live in a
+    /// partition, and that copy must be shadowed until the next compaction (a
+    /// key already in the overlay had its partition copy tombstoned on entry).
+    pub(crate) fn upsert(&mut self, row: Row, held: bool) {
+        debug_assert!(
+            !held || self.delta.contains_key(&row.key) || self.live_in_a_partition(row.key),
+            "key {} is marked held but neither the overlay nor a partition can hold it",
+            row.key
+        );
+        if held && !self.delta.contains_key(&row.key) {
             self.tombstones.insert(row.key);
         }
         self.delta.insert(row.key, row.values);
     }
 
-    /// Removes a key — used by `Delete` (Algorithm 4) and by `Update` when the model
-    /// turns out to predict the new value correctly (Algorithm 5, line 4).
-    pub fn remove(&mut self, key: u64) {
-        self.delta.remove(&key);
-        if self.key_in_partitions(key) {
+    /// Removes a key the table currently answers (the caller's `Vaux` bit is
+    /// set) — used by `Delete` (Algorithm 4) and by `Update` when the model
+    /// turns out to predict the new value correctly (Algorithm 5, line 4).  A
+    /// key outside the overlay is live in a partition and gets a tombstone; an
+    /// overlay key's partition copy, if any, already has one.
+    pub(crate) fn remove(&mut self, key: u64) {
+        debug_assert!(
+            self.delta.contains_key(&key) || self.live_in_a_partition(key),
+            "key {key} is removed but neither the overlay nor a partition can hold it"
+        );
+        if self.delta.remove(&key).is_none() {
             self.tombstones.insert(key);
-        } else {
-            self.tombstones.remove(&key);
         }
     }
 
-    fn key_in_partitions(&self, key: u64) -> bool {
-        match self.locate(key) {
-            Some(idx) => self
-                .load_partition(idx, None)
-                .map(|p| p.get(key).is_some())
-                .unwrap_or(false),
-            None => false,
-        }
+    /// The cheap half of "a partition holds `key`": not tombstoned, and inside
+    /// some partition's key range.  Checks the callers' `Vaux` contract in
+    /// debug builds without loading anything.
+    fn live_in_a_partition(&self, key: u64) -> bool {
+        !self.tombstones.contains(&key) && self.locate(key).is_some()
     }
 
     /// Decodes partition `idx` for a full-table scan *without* caching it: a
@@ -885,8 +812,6 @@ mod tests {
         assert!(table.size_bytes() > 0);
         assert_eq!(table.get(3).unwrap(), Some(vec![1, 1]));
         assert_eq!(table.get(4).unwrap(), None);
-        assert!(table.contains(0).unwrap());
-        assert!(!table.contains(1).unwrap());
     }
 
     #[test]
@@ -908,39 +833,49 @@ mod tests {
         assert!(table.size_bytes() < raw / 2, "{} vs raw {raw}", table.size_bytes());
     }
 
+    /// `upsert`/`remove` take the caller's word (its `Vaux` bit) for whether the
+    /// table holds the key, and must keep reads and the exact row count right
+    /// without loading a partition to check.
     #[test]
-    fn upsert_and_remove_shadow_partitions() {
+    fn upsert_and_remove_shadow_partitions_without_loading_them() {
         let rows = sample_rows(500);
         let mut table = build_table(&rows);
+        table.metrics().reset();
         // Update an existing partition row.
-        table.upsert(Row::new(3, vec![9, 9]));
-        assert_eq!(table.get(3).unwrap(), Some(vec![9, 9]));
+        table.upsert(Row::new(3, vec![9, 9]), true);
         // Insert a brand-new row.
-        table.upsert(Row::new(1_000_000, vec![5, 5]));
-        assert_eq!(table.get(1_000_000).unwrap(), Some(vec![5, 5]));
+        table.upsert(Row::new(1_000_000, vec![5, 5]), false);
         assert_eq!(table.len(), 501);
         // Remove a partition row.
         table.remove(6);
-        assert_eq!(table.get(6).unwrap(), None);
         assert_eq!(table.len(), 500);
         // Remove a delta row.
         table.remove(1_000_000);
+        assert_eq!(table.len(), 499);
+        // Remove a delta row that shadows a partition row, then resurrect it.
+        table.remove(3);
+        assert_eq!(table.len(), 498);
+        table.upsert(Row::new(3, vec![1, 2]), false);
+        // Replace an overlay row in place.
+        table.upsert(Row::new(3, vec![4, 4]), true);
+        assert_eq!(table.len(), 499);
+        let snap = table.metrics().snapshot();
+        assert_eq!(snap.partition_loads, 0, "writes must not load partitions");
+        assert_eq!(snap.pool_hits + snap.pool_misses, 0);
+
+        assert_eq!(table.get(3).unwrap(), Some(vec![4, 4]));
+        assert_eq!(table.get(6).unwrap(), None);
         assert_eq!(table.get(1_000_000).unwrap(), None);
-        assert_eq!(table.len(), 499);
-        // Removing an absent key changes nothing.
-        table.remove(1);
-        assert_eq!(table.len(), 499);
-        // Upsert after remove resurrects the key.
-        table.upsert(Row::new(6, vec![1, 2]));
-        assert_eq!(table.get(6).unwrap(), Some(vec![1, 2]));
+        assert_eq!(table.get(9).unwrap(), Some(vec![3, 3]));
+        assert_eq!(table.iter_rows().unwrap().len(), 499);
     }
 
     #[test]
     fn compaction_preserves_contents_and_clears_overlay() {
         let rows = sample_rows(1_000);
         let mut table = build_table(&rows);
-        table.upsert(Row::new(3, vec![9, 9]));
-        table.upsert(Row::new(999_999, vec![1, 1]));
+        table.upsert(Row::new(3, vec![9, 9]), true);
+        table.upsert(Row::new(999_999, vec![1, 1]), false);
         table.remove(0);
         let before = table.iter_rows().unwrap();
         assert!(table.overlay_bytes() > 0);
@@ -1009,9 +944,9 @@ mod tests {
     fn iter_rows_merges_interleaved_overlay_rows_in_key_order() {
         let rows = sample_rows(1_000); // keys 0, 3, 6, ..., 2997
         let mut table = build_table(&rows);
-        table.upsert(Row::new(1, vec![7, 7])); // between partition keys
-        table.upsert(Row::new(3, vec![8, 8])); // shadows a partition row
-        table.upsert(Row::new(10_000, vec![9, 9])); // beyond every partition
+        table.upsert(Row::new(1, vec![7, 7]), false); // between partition keys
+        table.upsert(Row::new(3, vec![8, 8]), true); // shadows a partition row
+        table.upsert(Row::new(10_000, vec![9, 9]), false); // beyond every partition
         table.remove(6); // tombstone a partition row
         let merged = table.iter_rows().unwrap();
         assert!(merged.windows(2).all(|w| w[0].key < w[1].key), "key order");
@@ -1046,11 +981,10 @@ mod tests {
         let keys: Vec<u64> = (0..20_000u64).step_by(5).collect();
         let collect = |exec: &ThreadPool| {
             let mut results: Vec<Option<Vec<u32>>> = vec![None; keys.len()];
-            table
-                .get_batch_with_exec(&keys, exec, &mut |qi, values| {
-                    results[qi] = Some(values.to_vec());
-                })
-                .unwrap();
+            let degraded = table.probe_batch(&keys, exec, None, &mut |qi, values| {
+                results[qi] = Some(values.to_vec());
+            });
+            assert!(degraded.is_empty());
             results
         };
         let expected = collect(&serial);
@@ -1107,7 +1041,7 @@ mod tests {
     fn snapshot_round_trip_over_an_external_source() {
         let rows = sample_rows(2_000);
         let mut table = build_table(&rows);
-        table.upsert(Row::new(1, vec![8, 8])); // overlay row between partition keys
+        table.upsert(Row::new(1, vec![8, 8]), false); // overlay row between partition keys
         table.remove(6); // tombstone
         let frames = table.partition_frames().unwrap();
         assert_eq!(frames.len(), table.partition_count());
@@ -1136,43 +1070,8 @@ mod tests {
         reopened.compact().unwrap();
         assert_eq!(reopened.iter_rows().unwrap(), before);
         assert_eq!(reopened.overlay_bytes(), 0);
-        reopened.upsert(Row::new(9_999_999, vec![1, 2]));
+        reopened.upsert(Row::new(9_999_999, vec![1, 2]), false);
         assert_eq!(reopened.get(9_999_999).unwrap(), Some(vec![1, 2]));
-    }
-
-    /// The prefetch clamp must keep only the prefix of partitions whose
-    /// decoded size fits in half the pool budget — prefetching more would
-    /// evict its own loads before the probe stage reaches them.
-    #[test]
-    fn clamp_prefetch_respects_the_pool_budget() {
-        let rows = sample_rows(20_000);
-        // Unconstrained pool: everything survives the clamp.
-        let table = build_table(&rows);
-        let all: Vec<usize> = (0..table.partition_count()).collect();
-        let mut clamped = all.clone();
-        table.clamp_prefetch(&mut clamped);
-        assert_eq!(clamped, all);
-
-        // A pool that holds roughly one decoded partition: the clamp keeps at
-        // most the prefix that fits half of it — never the whole directory.
-        let per_partition = rows.len() / table.partition_count() * Row::fixed_width(2);
-        let tight = AuxTable::build(
-            &rows,
-            2,
-            Codec::Lz,
-            4 * 1024,
-            per_partition * 2,
-            DiskProfile::free(),
-            Metrics::new(),
-        )
-        .unwrap();
-        let mut clamped: Vec<usize> = (0..tight.partition_count()).collect();
-        tight.clamp_prefetch(&mut clamped);
-        assert!(
-            clamped.len() <= 1,
-            "half of a ~2-partition budget holds at most one decoded partition, kept {clamped:?}"
-        );
-        assert_eq!(clamped, (0..clamped.len()).collect::<Vec<_>>(), "clamp keeps a prefix");
     }
 
     #[test]

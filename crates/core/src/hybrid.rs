@@ -34,6 +34,8 @@ pub struct DeepMappingParts {
     pub aux: AuxTable,
     /// The existence bit vector.
     pub exist: BitVec,
+    /// The corrected-key bit vector `Vaux` (see [`DeepMapping::corrected`]).
+    pub vaux: BitVec,
     /// The decode map (`fdecode`).
     pub decode_map: DecodeMap,
     /// Live tuple count.
@@ -53,6 +55,12 @@ pub struct DeepMapping {
     model: MappingModel,
     aux: AuxTable,
     exist: BitVec,
+    /// `Vaux`: bit `k` is set iff key `k` exists and its tuple is held by the
+    /// auxiliary table (partition or delta overlay), i.e.
+    /// `vaux[k] ⇔ exist[k] ∧ aux.get(k).is_some()`.  Every write keeps it in
+    /// step at the place it touches `aux` or `exist`; the lookup pipeline
+    /// routes on it, so it is exact, never a hint.
+    vaux: BitVec,
     decode_map: DecodeMap,
     metrics: Metrics,
     /// The execution pool the store's parallel read paths run on: the shared
@@ -74,6 +82,41 @@ pub struct DeepMapping {
     /// instead of resetting the whole breakdown.
     model_answered_base: u64,
     aux_answered_base: u64,
+}
+
+/// What a build or retrain derives from the trained model and the rows: the
+/// auxiliary table over the misclassified rows, and the two bit vectors.
+struct Assurance {
+    aux: AuxTable,
+    exist: BitVec,
+    vaux: BitVec,
+    memorized: usize,
+}
+
+impl Assurance {
+    fn build(
+        model: &MappingModel,
+        rows: &[Row],
+        config: &DeepMappingConfig,
+        metrics: &Metrics,
+    ) -> Result<Self> {
+        let (memorized, misclassified) = model.split_by_memorization(rows)?;
+        let aux = AuxTable::build(
+            &misclassified,
+            rows[0].values.len(),
+            config.codec,
+            config.partition_bytes,
+            config.memory_budget_bytes,
+            config.disk_profile,
+            metrics.clone(),
+        )?;
+        Ok(Assurance {
+            aux,
+            exist: rows.iter().map(|row| row.key).collect(),
+            vaux: misclassified.iter().map(|row| row.key).collect(),
+            memorized: memorized.len(),
+        })
+    }
 }
 
 /// Per-batch weight of the write-time misprediction EMA (see
@@ -130,21 +173,7 @@ impl DeepMapping {
         if config.quantization == Quantization::Int8 {
             model.quantize_int8()?;
         }
-        let (memorized, misclassified) = model.split_by_memorization(rows)?;
-        let value_columns = rows[0].values.len();
-        let aux = AuxTable::build(
-            &misclassified,
-            value_columns,
-            config.codec,
-            config.partition_bytes,
-            config.memory_budget_bytes,
-            config.disk_profile,
-            metrics.clone(),
-        )?;
-        let mut exist = BitVec::new();
-        for row in rows {
-            exist.set(row.key, true);
-        }
+        let assurance = Assurance::build(&model, rows, config, &metrics)?;
         let exec = match config.exec_threads {
             Some(threads) => ExecHandle::with_threads(threads),
             None => ExecHandle::Global,
@@ -153,13 +182,14 @@ impl DeepMapping {
             config: config.clone(),
             name: config.paper_name(),
             model,
-            aux,
-            exist,
+            aux: assurance.aux,
+            exist: assurance.exist,
+            vaux: assurance.vaux,
             decode_map,
             metrics,
             exec,
             tuple_count: rows.len(),
-            memorized_tuples: memorized.len(),
+            memorized_tuples: assurance.memorized,
             retrain_count: 0,
             mispredict_ema: 0.0,
             exist_churn: 0,
@@ -191,6 +221,13 @@ impl DeepMapping {
     /// The existence bit vector.
     pub fn existence(&self) -> &BitVec {
         &self.exist
+    }
+
+    /// The corrected-key bit vector `Vaux`: bit `k` is set iff key `k` exists
+    /// and the auxiliary table holds its tuple.  Lookups infer the keys whose
+    /// bit is clear and probe the keys whose bit is set — never both.
+    pub fn corrected(&self) -> &BitVec {
+        &self.vaux
     }
 
     /// The decode map (`fdecode`).
@@ -249,6 +286,7 @@ impl DeepMapping {
             model: parts.model,
             aux: parts.aux,
             exist: parts.exist,
+            vaux: parts.vaux,
             decode_map: parts.decode_map,
             metrics,
             exec,
@@ -275,13 +313,15 @@ impl DeepMapping {
     }
 
     /// The staged batch pipeline over this structure's components (Algorithm 1 as a
-    /// dataflow: existence split → vectorized inference → partition-grouped
-    /// auxiliary validation → order-preserving merge).  See [`crate::pipeline`].
+    /// dataflow: three-way split → inference of the predicted keys beside
+    /// partition-grouped probes of the corrected keys → order-preserving
+    /// scatter).  See [`crate::pipeline`].
     pub fn pipeline(&self) -> QueryPipeline<'_> {
         QueryPipeline::new(
             &self.model,
             &self.aux,
             &self.exist,
+            &self.vaux,
             &self.metrics,
             self.exec.get(),
         )
@@ -289,14 +329,15 @@ impl DeepMapping {
 
     /// Algorithm 1: batched key lookup, routed through the [`QueryPipeline`].
     ///
-    /// 1. split the batch by the existence bit vector (non-existing keys return
-    ///    `None` — no hallucinated values — and never reach the model),
-    /// 2. run one vectorized multi-task forward pass over all surviving keys,
-    /// 3. validate surviving keys against the auxiliary table with probes grouped by
-    ///    partition (each compressed partition is loaded at most once per batch) and
-    ///    override the model's prediction when the key was misclassified (or
-    ///    modified after training),
-    /// 4. merge results preserving the input order.
+    /// 1. split the batch by `Vexist` and `Vaux`: non-existing keys return `None`
+    ///    — no hallucinated values — and never reach the model,
+    /// 2. *predicted* keys (`Vaux` bit clear) take one vectorized multi-task
+    ///    forward pass and nothing else: no probe plan, no partition load,
+    /// 3. *corrected* keys (`Vaux` bit set: misclassified, or modified after
+    ///    training) are probed in the auxiliary table, grouped by partition (each
+    ///    compressed partition is loaded at most once per batch), and never
+    ///    inferred,
+    /// 4. both halves land in the result in input order.
     pub fn lookup_batch(&self, keys: &[u64]) -> Result<Vec<Option<Vec<u32>>>> {
         self.pipeline().execute(keys)
     }
@@ -364,33 +405,36 @@ impl DeepMapping {
             .time(Phase::NeuralNetwork, || self.model.predict(&keys))?;
         let mut mispredicts = 0u64;
         for (row, prediction) in rows.iter().zip(predictions.iter()) {
-            let already_present = self.exist.get(row.key);
-            self.exist.set(row.key, true);
-            if !already_present {
+            let predicted = prediction == &row.values;
+            if !self.exist.get(row.key) {
+                self.exist.set(row.key, true);
                 self.tuple_count += 1;
                 self.exist_churn += 1;
-            } else {
-                // Re-inserting an existing key behaves like an update; make sure any
-                // stale auxiliary entry does not survive.
-                self.aux.remove(row.key);
-                if self.memorized_tuples > 0 {
-                    // Conservatively assume the old row was memorized; the counter is
-                    // re-derived exactly at the next retrain.
-                }
-            }
-            if prediction == &row.values {
-                // The model generalizes to the new row: nothing else to store.
-                if !already_present {
+                if predicted {
                     self.memorized_tuples += 1;
                 }
-            } else {
-                mispredicts += 1;
-                self.aux.upsert(row.clone());
             }
+            // Re-inserting an existing key behaves like an update.
+            mispredicts += u64::from(!predicted);
+            self.place(row, predicted);
         }
         self.note_write_checks(rows.len() as u64, mispredicts);
         self.maybe_retrain()?;
         Ok(())
+    }
+
+    /// Puts `row` on the side of the model/auxiliary split its checked prediction
+    /// names, and `Vaux` with it: a predicted row leaves the auxiliary table if
+    /// it was held there, a mispredicted one enters (or is replaced in) it.
+    fn place(&mut self, row: &Row, predicted: bool) {
+        let held = self.vaux.get(row.key);
+        if !predicted {
+            self.aux.upsert(row.clone(), held);
+            self.vaux.set(row.key, true);
+        } else if held {
+            self.aux.remove(row.key);
+            self.vaux.set(row.key, false);
+        }
     }
 
     /// Algorithm 4: delete a collection of keys.
@@ -402,8 +446,9 @@ impl DeepMapping {
             self.exist.set(key, false);
             self.exist_churn += 1;
             self.tuple_count = self.tuple_count.saturating_sub(1);
-            if self.aux.contains(key)? {
+            if self.vaux.get(key) {
                 self.aux.remove(key);
+                self.vaux.set(key, false);
             } else {
                 self.memorized_tuples = self.memorized_tuples.saturating_sub(1);
             }
@@ -429,13 +474,9 @@ impl DeepMapping {
             .time(Phase::NeuralNetwork, || self.model.predict(&keys))?;
         let mut mispredicts = 0u64;
         for (row, prediction) in live.iter().zip(predictions.iter()) {
-            if prediction == &row.values {
-                // The model already predicts the new value: drop any auxiliary entry.
-                self.aux.remove(row.key);
-            } else {
-                mispredicts += 1;
-                self.aux.upsert((*row).clone());
-            }
+            let predicted = prediction == &row.values;
+            mispredicts += u64::from(!predicted);
+            self.place(row, predicted);
         }
         self.note_write_checks(live.len() as u64, mispredicts);
         self.maybe_retrain()?;
@@ -465,26 +506,13 @@ impl DeepMapping {
         if self.config.quantization == Quantization::Int8 {
             model.quantize_int8()?;
         }
-        let (memorized, misclassified) = model.split_by_memorization(&rows)?;
-        let value_columns = rows[0].values.len();
-        let aux = AuxTable::build(
-            &misclassified,
-            value_columns,
-            self.config.codec,
-            self.config.partition_bytes,
-            self.config.memory_budget_bytes,
-            self.config.disk_profile,
-            self.metrics.clone(),
-        )?;
-        let mut exist = BitVec::new();
-        for row in &rows {
-            exist.set(row.key, true);
-        }
+        let assurance = Assurance::build(&model, &rows, &self.config, &self.metrics)?;
         self.model = model;
-        self.aux = aux;
-        self.exist = exist;
+        self.aux = assurance.aux;
+        self.exist = assurance.exist;
+        self.vaux = assurance.vaux;
         self.tuple_count = rows.len();
-        self.memorized_tuples = memorized.len();
+        self.memorized_tuples = assurance.memorized;
         self.retrain_count += 1;
         // A retrain starts a fresh drift epoch: the new model is fit to the
         // current data, so decay is measured from here.
@@ -604,6 +632,7 @@ impl DeepMapping {
             model_bytes: self.model.size_bytes(),
             aux_table_bytes: self.aux.size_bytes(),
             existence_bytes: self.exist.serialized_bytes(),
+            corrected_bytes: self.vaux.serialized_bytes(),
             decode_map_bytes: self.decode_map.size_bytes().max(8),
             uncompressed_bytes: self.tuple_count * Row::fixed_width(value_columns),
             tuple_count: self.tuple_count,
@@ -627,6 +656,7 @@ impl TupleStore for DeepMapping {
             disk_bytes: breakdown.total_bytes(),
             resident_bytes: breakdown.model_bytes
                 + self.exist.resident_bytes()
+                + self.vaux.resident_bytes()
                 + breakdown.decode_map_bytes,
             tuple_count: self.tuple_count,
             partition_count: self.aux.partition_count(),

@@ -15,6 +15,9 @@ pub struct StorageBreakdown {
     pub aux_table_bytes: usize,
     /// Compressed size of the existence bit vector `Vexist`, in bytes.
     pub existence_bytes: usize,
+    /// Compressed size of the corrected-key bit vector `Vaux`, in bytes — the
+    /// bit per key that routes a lookup to the model or to `Taux`, never both.
+    pub corrected_bytes: usize,
     /// Serialized size of the decoding map `fdecode`, in bytes.
     pub decode_map_bytes: usize,
     /// Uncompressed size of the represented data (the `size(D)` denominator of Eq. 1).
@@ -26,9 +29,14 @@ pub struct StorageBreakdown {
 }
 
 impl StorageBreakdown {
-    /// Total hybrid-structure size: `size(M) + size(Taux) + size(Vexist) + size(fdecode)`.
+    /// Total hybrid-structure size:
+    /// `size(M) + size(Taux) + size(Vexist) + size(Vaux) + size(fdecode)`.
     pub fn total_bytes(&self) -> usize {
-        self.model_bytes + self.aux_table_bytes + self.existence_bytes + self.decode_map_bytes
+        self.model_bytes
+            + self.aux_table_bytes
+            + self.existence_bytes
+            + self.corrected_bytes
+            + self.decode_map_bytes
     }
 
     /// The Eq.-1 objective: total hybrid size relative to the uncompressed data
@@ -49,12 +57,12 @@ impl StorageBreakdown {
         self.memorized_tuples as f64 / self.tuple_count as f64
     }
 
-    /// Percentage shares of (existence vector, model, auxiliary table) in the total
-    /// footprint — the stacked bars of Figure 6.
+    /// Percentage shares of (bit vectors `Vexist` + `Vaux`, model, auxiliary table)
+    /// in the total footprint — the stacked bars of Figure 6.
     pub fn share_percentages(&self) -> (f64, f64, f64) {
         let total = self.total_bytes().max(1) as f64;
         (
-            100.0 * self.existence_bytes as f64 / total,
+            100.0 * (self.existence_bytes + self.corrected_bytes) as f64 / total,
             100.0 * self.model_bytes as f64 / total,
             100.0 * self.aux_table_bytes as f64 / total,
         )
@@ -69,7 +77,8 @@ mod tests {
         StorageBreakdown {
             model_bytes: 1_000,
             aux_table_bytes: 8_000,
-            existence_bytes: 500,
+            existence_bytes: 400,
+            corrected_bytes: 100,
             decode_map_bytes: 500,
             uncompressed_bytes: 100_000,
             tuple_count: 1_000,
@@ -100,6 +109,7 @@ mod tests {
             model_bytes: 0,
             aux_table_bytes: 0,
             existence_bytes: 0,
+            corrected_bytes: 0,
             decode_map_bytes: 0,
             uncompressed_bytes: 0,
             tuple_count: 0,

@@ -2,7 +2,7 @@
 //!
 //! A [`Trace`] is a per-batch handle the query pipeline creates at the top of
 //! `execute_into` and threads through its stages: each stage (and each pool
-//! task spawned on its behalf — prefetch loads, sharded probes, single-flight
+//! task spawned on its behalf — inference, sharded probes, single-flight
 //! pool waits) records a span into the trace's fixed-size event array.  Span
 //! recording is an index reservation via one relaxed `fetch_add` plus three
 //! relaxed stores — no locks, safe from any thread inside the batch's
@@ -38,17 +38,15 @@ use std::time::{Duration, Instant};
 /// The pipeline/pool/exec/server stages a span can be charged to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Stage {
-    /// Stage 1: existence bit-vector split.
+    /// Stage 1: the split by the existence and corrected-key bit vectors.
     Existence,
-    /// Probe planning (locate partitions, group keys).
+    /// Probe planning over the corrected keys (locate partitions, group keys).
     Plan,
-    /// Stage 2: vectorized model inference.
+    /// Stage 2: vectorized model inference over the predicted keys.
     Inference,
-    /// Stage-2/3 overlap: a cold-partition prefetch load task.
-    Prefetch,
     /// Stage 3: one partition group's auxiliary probe.
     Probe,
-    /// Stage 4: order-preserving merge of predictions and auxiliary hits.
+    /// Stage 4: order-preserving scatter of the predictions into the result.
     Merge,
     /// Buffer-pool single-flight wait (blocked on another reader's load).
     PoolWait,
@@ -69,7 +67,7 @@ pub enum Stage {
 
 impl Stage {
     /// Number of stages (length of [`Stage::all`]).
-    pub const COUNT: usize = 13;
+    pub const COUNT: usize = 12;
 
     /// All stages, in [`index`](Stage::index) order.
     pub fn all() -> [Stage; Stage::COUNT] {
@@ -77,7 +75,6 @@ impl Stage {
             Stage::Existence,
             Stage::Plan,
             Stage::Inference,
-            Stage::Prefetch,
             Stage::Probe,
             Stage::Merge,
             Stage::PoolWait,
@@ -105,7 +102,6 @@ impl Stage {
             Stage::Existence => "existence",
             Stage::Plan => "plan",
             Stage::Inference => "inference",
-            Stage::Prefetch => "prefetch",
             Stage::Probe => "probe",
             Stage::Merge => "merge",
             Stage::PoolWait => "pool_wait",
@@ -157,7 +153,7 @@ pub fn reset_stage_histograms() {
 
 /// Spans a [`Trace`] can hold before counting overflow instead of recording.
 /// Sized for the pipeline's worst realistic batch: four serial stages plus a
-/// prefetch + probe + pool event per touched partition group.
+/// probe + pool event per touched partition group.
 pub const TRACE_EVENT_CAPACITY: usize = 48;
 
 /// Per-thread ring depth of recent batch summaries.

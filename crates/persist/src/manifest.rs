@@ -4,7 +4,7 @@
 //! store configuration, the mapping schema (key encoder + cardinalities), the
 //! decode labels, the live counters, the auxiliary overlay (delta rows +
 //! tombstones — small by design, so they ride along eagerly) and the section
-//! table: lengths and CRC-32s of the model and existence sections plus the
+//! table: lengths and CRC-32s of the model, existence and `Vaux` sections plus the
 //! per-partition directory (key range, row count, frame length, frame CRC).
 //! Section *offsets* are never stored — they are the cumulative sums of the
 //! recorded lengths in a fixed order, which keeps the encoding single-pass and
@@ -71,6 +71,10 @@ pub struct Manifest {
     pub exist_len: u64,
     /// CRC-32 of the existence section.
     pub exist_crc: u32,
+    /// `Vaux` (corrected-key bit vector) section length.
+    pub vaux_len: u64,
+    /// CRC-32 of the `Vaux` section.
+    pub vaux_crc: u32,
 }
 
 fn rd<T>(res: dm_nn::Result<T>) -> Result<T> {
@@ -222,13 +226,10 @@ fn put_config(w: &mut ByteWriter, config: &DeepMappingConfig) {
         }
     }
     w.put_u64(config.seed);
-    // v3 addition: the arithmetic mode.  v2 decoders never see this byte
-    // (v2 files simply do not contain it); our decoder reads it only when the
-    // header said v3.
     w.put_u8(config.quantization.tag());
 }
 
-fn get_config(r: &mut ByteReader<'_>, version: u16) -> Result<DeepMappingConfig> {
+fn get_config(r: &mut ByteReader<'_>) -> Result<DeepMappingConfig> {
     let codec_tag = rd(r.get_u8())?;
     let record_width = rd(r.get_u32())? as usize;
     let codec = dm_compress::Codec::from_tag(codec_tag, record_width)
@@ -281,16 +282,9 @@ fn get_config(r: &mut ByteReader<'_>, version: u16) -> Result<DeepMappingConfig>
     let exec_flag = rd(r.get_u8())?;
     let exec_threads = rd(r.get_u64())? as usize;
     let seed = rd(r.get_u64())?;
-    // v2 manifests predate quantization; every v2 store is f32 by
-    // construction, so the missing field decodes to `F32` — this is the whole
-    // of the v2 → v3 compatibility shim.
-    let quantization = if version >= 3 {
-        let tag = rd(r.get_u8())?;
-        Quantization::from_tag(tag)
-            .ok_or_else(|| corrupt(format!("unknown quantization tag {tag}")))?
-    } else {
-        Quantization::F32
-    };
+    let tag = rd(r.get_u8())?;
+    let quantization = Quantization::from_tag(tag)
+        .ok_or_else(|| corrupt(format!("unknown quantization tag {tag}")))?;
     Ok(DeepMappingConfig {
         codec,
         partition_bytes,
@@ -403,16 +397,16 @@ impl Manifest {
         w.put_u32(self.model_crc);
         w.put_u64(self.exist_len);
         w.put_u32(self.exist_crc);
+        w.put_u64(self.vaux_len);
+        w.put_u32(self.vaux_crc);
         w.into_bytes()
     }
 
-    /// Decodes a manifest blob (the caller has already verified its CRC).
-    /// `version` is the snapshot header's version — the manifest layout is
-    /// version-dependent (v3 appended the quantization tag to the config),
-    /// so the caller must pass the version it already gated on.
-    pub fn decode(bytes: &[u8], version: u16) -> Result<Self> {
+    /// Decodes a manifest blob (the caller has already verified its CRC and
+    /// gated on the one snapshot version whose layout this is).
+    pub fn decode(bytes: &[u8]) -> Result<Self> {
         let mut r = ByteReader::new(bytes);
-        let config = get_config(&mut r, version)?;
+        let config = get_config(&mut r)?;
         let schema = get_schema(&mut r)?;
         let n_label_cols = rd(r.get_u32())? as usize;
         if n_label_cols > 4096 {
@@ -495,6 +489,8 @@ impl Manifest {
         let model_crc = rd(r.get_u32())?;
         let exist_len = rd(r.get_u64())?;
         let exist_crc = rd(r.get_u32())?;
+        let vaux_len = rd(r.get_u64())?;
+        let vaux_crc = rd(r.get_u32())?;
         if r.remaining() != 0 {
             return Err(corrupt(format!("{} trailing bytes", r.remaining())));
         }
@@ -513,6 +509,8 @@ impl Manifest {
             model_crc,
             exist_len,
             exist_crc,
+            vaux_len,
+            vaux_crc,
         })
     }
 }
@@ -563,12 +561,14 @@ mod tests {
             model_crc: 1,
             exist_len: 128,
             exist_crc: 2,
+            vaux_len: 64,
+            vaux_crc: 3,
         }
     }
 
     fn assert_round_trip(manifest: &Manifest) {
         let bytes = manifest.encode();
-        let decoded = Manifest::decode(&bytes, 3).unwrap();
+        let decoded = Manifest::decode(&bytes).unwrap();
         assert_eq!(decoded.config, manifest.config);
         assert_eq!(decoded.schema, manifest.schema);
         assert_eq!(decoded.decode_labels, manifest.decode_labels);
@@ -583,6 +583,8 @@ mod tests {
         assert_eq!(decoded.model_crc, manifest.model_crc);
         assert_eq!(decoded.exist_len, manifest.exist_len);
         assert_eq!(decoded.exist_crc, manifest.exist_crc);
+        assert_eq!(decoded.vaux_len, manifest.vaux_len);
+        assert_eq!(decoded.vaux_crc, manifest.vaux_crc);
     }
 
     #[test]
@@ -597,24 +599,22 @@ mod tests {
     }
 
     #[test]
-    fn quantized_configs_round_trip_and_v2_manifests_decode_as_f32() {
-        // Int8 survives a v3 round trip.
+    fn quantized_configs_round_trip_and_unknown_tags_are_rejected() {
         let mut manifest = sample_manifest(SearchStrategy::DefaultArchitecture);
         manifest.config.quantization = Quantization::Int8;
         assert_round_trip(&manifest);
 
-        // A v2 manifest is byte-identical to a v3 one minus the quantization
-        // tag.  Locate the tag without hard-coding the config layout: encode
-        // the same manifest under both modes and diff — the single differing
-        // byte *is* the tag.  Pin f32 explicitly — `sample_manifest` inherits
-        // the `DM_QUANTIZATION` env default, and the diff scan needs the two
+        // Locate the tag without hard-coding the config layout: encode the
+        // same manifest under both modes and diff — the single differing byte
+        // *is* the tag.  Pin f32 explicitly — `sample_manifest` inherits the
+        // `DM_QUANTIZATION` env default, and the diff scan needs the two
         // manifests to actually differ.
         let mut f32_manifest = sample_manifest(SearchStrategy::DefaultArchitecture);
         f32_manifest.config.quantization = Quantization::F32;
-        let v3_bytes = f32_manifest.encode();
+        let f32_bytes = f32_manifest.encode();
         let int8_bytes = manifest.encode();
-        assert_eq!(v3_bytes.len(), int8_bytes.len());
-        let diffs: Vec<usize> = v3_bytes
+        assert_eq!(f32_bytes.len(), int8_bytes.len());
+        let diffs: Vec<usize> = f32_bytes
             .iter()
             .zip(&int8_bytes)
             .enumerate()
@@ -623,21 +623,13 @@ mod tests {
             .collect();
         assert_eq!(diffs.len(), 1, "modes must differ in exactly the tag byte");
         let tag_at = diffs[0];
-        assert_eq!(v3_bytes[tag_at], Quantization::F32.tag());
-        let mut v2_bytes = v3_bytes.clone();
-        v2_bytes.remove(tag_at);
-        let decoded = Manifest::decode(&v2_bytes, 2).unwrap();
-        assert_eq!(decoded.config, f32_manifest.config);
-        assert_eq!(decoded.config.quantization, Quantization::F32);
-        // The same bytes misread as v3 must fail (a field short), never
-        // silently half-parse.
-        assert!(Manifest::decode(&v2_bytes, 3).is_err());
+        assert_eq!(f32_bytes[tag_at], Quantization::F32.tag());
 
         // An unknown tag value is rejected, not defaulted.
-        let mut bad = v3_bytes.clone();
+        let mut bad = f32_bytes.clone();
         bad[tag_at] = 0x7F;
         assert!(matches!(
-            Manifest::decode(&bad, 3),
+            Manifest::decode(&bad),
             Err(PersistError::Corrupt { .. })
         ));
     }
@@ -657,13 +649,13 @@ mod tests {
         let mut manifest = sample_manifest(SearchStrategy::DefaultArchitecture);
         manifest.schema.key_encoder = KeyEncoder::from_parts(8, vec![0], &[]);
         assert!(matches!(
-            Manifest::decode(&manifest.encode(), 3),
+            Manifest::decode(&manifest.encode()),
             Err(PersistError::Corrupt { .. })
         ));
         let mut manifest = sample_manifest(SearchStrategy::DefaultArchitecture);
         manifest.schema.key_encoder = KeyEncoder::from_parts(8, vec![1 << 33], &[]);
         assert!(matches!(
-            Manifest::decode(&manifest.encode(), 3),
+            Manifest::decode(&manifest.encode()),
             Err(PersistError::Corrupt { .. })
         ));
         // value_columns is derivable from the schema; a disagreement would
@@ -671,7 +663,7 @@ mod tests {
         let mut manifest = sample_manifest(SearchStrategy::DefaultArchitecture);
         manifest.value_columns = 3; // the sample schema has 2 columns
         assert!(matches!(
-            Manifest::decode(&manifest.encode(), 3),
+            Manifest::decode(&manifest.encode()),
             Err(PersistError::Corrupt { .. })
         ));
     }
@@ -679,12 +671,12 @@ mod tests {
     #[test]
     fn truncated_and_trailing_manifests_are_rejected() {
         let bytes = sample_manifest(SearchStrategy::DefaultArchitecture).encode();
-        assert!(Manifest::decode(&bytes[..bytes.len() / 2], 3).is_err());
-        assert!(Manifest::decode(&[], 3).is_err());
+        assert!(Manifest::decode(&bytes[..bytes.len() / 2]).is_err());
+        assert!(Manifest::decode(&[]).is_err());
         let mut extended = bytes.clone();
         extended.push(0);
         assert!(matches!(
-            Manifest::decode(&extended, 3),
+            Manifest::decode(&extended),
             Err(PersistError::Corrupt { .. })
         ));
     }
@@ -693,6 +685,6 @@ mod tests {
     fn malformed_directory_entries_are_rejected() {
         let mut manifest = sample_manifest(SearchStrategy::DefaultArchitecture);
         manifest.partitions[0].info.min_key = 999; // > max_key
-        assert!(Manifest::decode(&manifest.encode(), 3).is_err());
+        assert!(Manifest::decode(&manifest.encode()).is_err());
     }
 }

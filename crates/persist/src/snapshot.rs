@@ -10,6 +10,7 @@
 //!                             labels, counters, overlay, section table)
 //! then       model section   (dm_nn::serialize bytes, CRC in manifest)
 //! then       existence section (BitVec::to_bytes, CRC in manifest)
+//! then       Vaux section    (BitVec::to_bytes, CRC in manifest)
 //! then       partition frames, one per directory entry, in directory order
 //!            (self-describing dm_compress frames, copied verbatim; per-frame
 //!             CRC in the manifest directory)
@@ -23,7 +24,7 @@
 //! ## Laziness
 //!
 //! [`Snapshot::open`] reads the header, the manifest, the model and the
-//! existence/overlay state eagerly — everything *except* the partition frames,
+//! existence/`Vaux`/overlay state eagerly — everything *except* the partition frames,
 //! which usually dominate the file.  Partitions are served on demand by a
 //! [`FilePartitionSource`] plugged into the store's sharded single-flight
 //! buffer pool: a cold partition costs exactly one positional read plus one
@@ -37,18 +38,18 @@
 //! rejects unknown versions with [`PersistError::UnsupportedVersion`] rather
 //! than guessing.  Additive evolution (new trailing manifest fields) is a new
 //! version too — the manifest decoder intentionally rejects trailing bytes so
-//! mixed-version files cannot half-parse — but *within* that rule an older
-//! version may stay openable when its contents are still servable bit-for-bit:
+//! mixed-version files cannot half-parse.  Exactly one version is readable:
 //!
 //! * **v1 → v2** changed the model's arithmetic recipe (packed-panel fused
 //!   multiply-adds).  A v1 aux table memorizes the mispredictions of the old
-//!   arithmetic, so v1 files are **rejected** — serving them would silently
-//!   return wrong tuples.
+//!   arithmetic; serving one would silently return wrong tuples.
 //! * **v2 → v3** added the quantization descriptor to the manifest config and
-//!   int8 layer support to the model section.  The f32 arithmetic is
-//!   untouched, so v2 files (always f32) are **still opened and served
-//!   unchanged**: the missing descriptor decodes as `Quantization::F32`.
-//!   New snapshots are always written as v3.
+//!   int8 layer support to the model section.
+//! * **v3 → v4** added the `Vaux` section: the exact one-bit-per-key record of
+//!   which keys the auxiliary table answers.  Lookups route on it, and it
+//!   cannot be derived from an older file without decoding every partition, so
+//!   v2 and v3 files are **rejected** with
+//!   [`PersistError::UnsupportedVersion`] like v1 (none were ever deployed).
 
 use crate::error::{PersistError, Result};
 use crate::manifest::{Manifest, PartitionEntry};
@@ -64,17 +65,9 @@ use std::path::Path;
 use std::sync::Arc;
 
 const MAGIC: &[u8; 4] = b"DMSS";
-/// The version written by [`Snapshot::write`].  v3 added the quantization
-/// descriptor to the manifest config (and int8 layers to the model section);
-/// see the module docs for the full version history.
-const VERSION: u16 = 3;
-/// The oldest version [`Snapshot::open`] still accepts.  v2 files predate
-/// quantization but their f32 arithmetic is unchanged, so they serve
-/// bit-identically.  v1 files memorized their aux table under a *different*
-/// arithmetic recipe (pre-packed-panel kernels) and are rejected with
-/// [`PersistError::UnsupportedVersion`] — serving one would silently return
-/// wrong tuples for keys whose prediction drifted.
-const MIN_VERSION: u16 = 2;
+/// The one version [`Snapshot::write`] writes and [`Snapshot::open`] accepts;
+/// see the module docs for the version history.
+const VERSION: u16 = 4;
 /// magic(4) + version(2) + reserved(2) + file_len(8) + manifest_len(8) + manifest_crc(4)
 const HEADER_LEN: u64 = 28;
 
@@ -84,7 +77,7 @@ pub struct SnapshotStats {
     /// Total file size in bytes.
     pub file_bytes: u64,
     /// Bytes a subsequent open will read eagerly (header + manifest + model +
-    /// existence).
+    /// existence + `Vaux`).
     pub eager_bytes: u64,
     /// Bytes held by the lazily served partition frames.
     pub partition_bytes: u64,
@@ -97,7 +90,8 @@ pub struct SnapshotStats {
 pub struct OpenStats {
     /// Total file size in bytes.
     pub file_bytes: u64,
-    /// Bytes read eagerly during open (header + manifest + model + existence);
+    /// Bytes read eagerly during open (header + manifest + model + existence +
+    /// `Vaux`);
     /// everything else is served lazily through the buffer pool.
     pub eager_bytes: u64,
     /// Number of partitions left on disk for lazy serving.
@@ -127,6 +121,7 @@ impl Snapshot {
     pub(crate) fn stage(dm: &DeepMapping, path: &Path) -> Result<StagedSnapshot> {
         let model_bytes = dm.model().to_bytes();
         let exist_bytes = dm.existence().to_bytes();
+        let vaux_bytes = dm.corrected().to_bytes();
         let aux = dm.aux_table().to_snapshot();
         // Pass 1 over the partition frames: directory entries (length + CRC)
         // only, each frame dropped after hashing so checkpointing a large
@@ -157,6 +152,8 @@ impl Snapshot {
             model_crc: dm_compress::crc32(&model_bytes),
             exist_len: exist_bytes.len() as u64,
             exist_crc: dm_compress::crc32(&exist_bytes),
+            vaux_len: vaux_bytes.len() as u64,
+            vaux_crc: dm_compress::crc32(&vaux_bytes),
         };
         let manifest_bytes = manifest.encode();
         let partition_bytes: u64 = manifest.partitions.iter().map(|p| p.frame_len).sum();
@@ -164,6 +161,7 @@ impl Snapshot {
             + manifest_bytes.len() as u64
             + model_bytes.len() as u64
             + exist_bytes.len() as u64
+            + vaux_bytes.len() as u64
             + partition_bytes;
 
         let mut header = ByteWriter::new();
@@ -184,6 +182,7 @@ impl Snapshot {
             file.write_all(&manifest_bytes)?;
             file.write_all(&model_bytes)?;
             file.write_all(&exist_bytes)?;
+            file.write_all(&vaux_bytes)?;
             // Pass 2: stream each frame, re-fetched one at a time.  The store
             // is borrowed shared for the whole write, so the frames cannot
             // have changed since pass 1 — but verify anyway: a length drift
@@ -253,7 +252,7 @@ impl Snapshot {
             return Err(PersistError::BadMagic);
         }
         let version = r.get_u16().expect("header length checked");
-        if !(MIN_VERSION..=VERSION).contains(&version) {
+        if version != VERSION {
             return Err(PersistError::UnsupportedVersion(version));
         }
         let _reserved = r.get_u16().expect("header length checked");
@@ -293,10 +292,10 @@ impl Snapshot {
                 section: "manifest",
             });
         }
-        let manifest = Manifest::decode(&manifest_bytes, version)?;
+        let manifest = Manifest::decode(&manifest_bytes)?;
         // Checked sums: corrupted lengths must not wrap around and accidentally
-        // match `file_len` — and this check runs before `model_len`/`exist_len`
-        // size any allocation, so every section length is bounded by the real
+        // match `file_len` — and this check runs before any section length
+        // sizes an allocation, so every section length is bounded by the real
         // file size by the time it is read.
         let overflow = || PersistError::Corrupt {
             section: "section table",
@@ -307,9 +306,12 @@ impl Snapshot {
             .iter()
             .try_fold(0u64, |acc, p| acc.checked_add(p.frame_len))
             .ok_or_else(overflow)?;
-        let declared_len = [manifest.model_len, manifest.exist_len, partition_bytes]
+        let eager_bytes = [manifest.model_len, manifest.exist_len, manifest.vaux_len]
             .into_iter()
             .try_fold(HEADER_LEN + manifest_len, u64::checked_add)
+            .ok_or_else(overflow)?;
+        let declared_len = eager_bytes
+            .checked_add(partition_bytes)
             .ok_or_else(overflow)?;
         if declared_len != file_len {
             return Err(PersistError::Corrupt {
@@ -320,7 +322,7 @@ impl Snapshot {
             });
         }
 
-        // Eager sections: model, then existence.
+        // Eager sections: model, then existence, then Vaux.
         let model_bytes = read_section(&mut file, manifest.model_len, "model")?;
         if dm_compress::crc32(&model_bytes) != manifest.model_crc {
             return Err(PersistError::ChecksumMismatch { section: "model" });
@@ -331,13 +333,18 @@ impl Snapshot {
                 section: "existence",
             });
         }
+        let vaux_bytes = read_section(&mut file, manifest.vaux_len, "vaux")?;
+        if dm_compress::crc32(&vaux_bytes) != manifest.vaux_crc {
+            return Err(PersistError::ChecksumMismatch { section: "vaux" });
+        }
         let network = dm_nn::serialize::deserialize_multitask(&model_bytes)?;
         let model = MappingModel::from_parts(manifest.schema.clone(), network)?;
         let exist = BitVec::from_bytes(&exist_bytes)?;
+        let vaux = BitVec::from_bytes(&vaux_bytes)?;
 
         // Lazy partitions: extents begin right after the eager sections.
         let mut extents = HashMap::with_capacity(manifest.partitions.len());
-        let mut offset = HEADER_LEN + manifest_len + manifest.model_len + manifest.exist_len;
+        let mut offset = eager_bytes;
         for (id, entry) in manifest.partitions.iter().enumerate() {
             extents.insert(
                 id as u64,
@@ -374,12 +381,12 @@ impl Snapshot {
             model,
             aux,
             exist,
+            vaux,
             decode_map: DecodeMap::from_labels(manifest.decode_labels),
             tuple_count: manifest.tuple_count as usize,
             memorized_tuples: manifest.memorized_tuples as usize,
             retrain_count: manifest.retrain_count as usize,
         });
-        let eager_bytes = HEADER_LEN + manifest_len + manifest.model_len + manifest.exist_len;
         Ok((
             dm,
             OpenStats {

@@ -119,18 +119,6 @@ pub struct LatencyBreakdown {
     pub inference_batches: u64,
     /// Total rows pushed through model inference.
     pub inference_rows: u64,
-    /// Partition loads initiated as stage-2/3 overlap prefetch tasks: the
-    /// partitions a lookup batch's probe plan named that were cold when
-    /// inference started, so their load+decompress ran as `dm-exec` tasks
-    /// concurrently with the model's forward pass.
-    pub prefetch_tasks: u64,
-    /// Prefetched partitions that were resident by the time stage 3 probed
-    /// them (the prefetch fully hid that load behind inference).
-    pub prefetch_hits: u64,
-    /// Conservative estimate of partition-load time hidden behind stage-2
-    /// inference, in nanoseconds: `min(prefetch load time, inference wall)`
-    /// per batch.
-    pub prefetch_overlap_nanos: u64,
     /// Tasks executed on the `dm-exec` runtime on behalf of this store's work
     /// (attribution is approximate when several stores share one pool).
     pub exec_tasks: u64,
@@ -138,13 +126,13 @@ pub struct LatencyBreakdown {
     pub exec_steals: u64,
     /// Time runtime workers spent parked during that work, in nanoseconds.
     pub exec_park_nanos: u64,
-    /// Lookup hits answered by the model alone (prediction trusted — no aux
-    /// overlay/partition hit overrode it).  With `aux_answered` this is the
+    /// Lookup hits answered by the model alone (predicted keys: `Vaux` bit
+    /// clear, inferred, never probed).  With `aux_answered` this is the
     /// model-vs-aux answer mix drift detection watches: a drifting model
     /// shifts answers from this counter to the next one.
     pub model_answered: u64,
-    /// Lookup hits answered by the auxiliary table (overlay or compressed
-    /// partition probe).
+    /// Lookup hits answered by the auxiliary table (corrected keys: overlay or
+    /// compressed partition probe, never inferred).
     pub aux_answered: u64,
     /// Buffer-pool cold loads re-attempted after a transient I/O failure
     /// (one per extra loader invocation, successful or not).  Corruption is
@@ -199,9 +187,6 @@ struct MetricCells {
     pool_single_flight_waits: RelaxedCell,
     inference_batches: RelaxedCell,
     inference_rows: RelaxedCell,
-    prefetch_tasks: RelaxedCell,
-    prefetch_hits: RelaxedCell,
-    prefetch_overlap_nanos: RelaxedCell,
     exec_tasks: RelaxedCell,
     exec_steals: RelaxedCell,
     exec_park_nanos: RelaxedCell,
@@ -228,9 +213,6 @@ impl MetricCells {
         f(&self.pool_single_flight_waits);
         f(&self.inference_batches);
         f(&self.inference_rows);
-        f(&self.prefetch_tasks);
-        f(&self.prefetch_hits);
-        f(&self.prefetch_overlap_nanos);
         f(&self.exec_tasks);
         f(&self.exec_steals);
         f(&self.exec_park_nanos);
@@ -286,9 +268,6 @@ impl Metrics {
             pool_single_flight_waits: cells.pool_single_flight_waits.get(),
             inference_batches: cells.inference_batches.get(),
             inference_rows: cells.inference_rows.get(),
-            prefetch_tasks: cells.prefetch_tasks.get(),
-            prefetch_hits: cells.prefetch_hits.get(),
-            prefetch_overlap_nanos: cells.prefetch_overlap_nanos.get(),
             exec_tasks: cells.exec_tasks.get(),
             exec_steals: cells.exec_steals.get(),
             exec_park_nanos: cells.exec_park_nanos.get(),
@@ -357,15 +336,6 @@ impl Metrics {
         self.inner.pool_single_flight_waits.add(1);
     }
 
-    /// Records one batch's stage-2/3 overlap: `tasks` prefetch loads spawned,
-    /// `hits` of them resident by the time stage 3 probed, and the estimated
-    /// load time hidden behind inference.
-    pub fn add_prefetch(&self, tasks: u64, hits: u64, overlap_nanos: u64) {
-        self.inner.prefetch_tasks.add(tasks);
-        self.inner.prefetch_hits.add(hits);
-        self.inner.prefetch_overlap_nanos.add(overlap_nanos);
-    }
-
     /// Records execution-runtime activity (a `dm_exec::ExecStats` delta) observed
     /// while serving this store's work.
     pub fn add_exec(&self, tasks: u64, steals: u64, park_nanos: u64) {
@@ -432,7 +402,6 @@ mod tests {
         metrics.add_pool_miss();
         metrics.add_pool_eviction();
         metrics.add_pool_single_flight_wait();
-        metrics.add_prefetch(4, 3, 2_500);
         metrics.add_exec(12, 3, 450);
         metrics.add_inference_batch(128);
         metrics.add_answer_mix(90, 10);
@@ -449,9 +418,6 @@ mod tests {
         assert_eq!(snap.pool_misses, 1);
         assert_eq!(snap.pool_evictions, 1);
         assert_eq!(snap.pool_single_flight_waits, 1);
-        assert_eq!(snap.prefetch_tasks, 4);
-        assert_eq!(snap.prefetch_hits, 3);
-        assert_eq!(snap.prefetch_overlap_nanos, 2_500);
         assert_eq!(snap.exec_tasks, 12);
         assert_eq!(snap.exec_steals, 3);
         assert_eq!(snap.exec_park_nanos, 450);
@@ -503,7 +469,6 @@ mod tests {
                         metrics.add_pool_hit();
                         metrics.add_pool_miss();
                         metrics.add_read(2, Duration::from_nanos(1));
-                        metrics.add_prefetch(1, 1, 5);
                         metrics.add_exec(2, 1, 4);
                         metrics.add_inference_batch(16);
                     }
@@ -519,9 +484,6 @@ mod tests {
         assert_eq!(snap.bytes_read, 2 * n);
         assert_eq!(snap.partition_loads, n);
         assert_eq!(snap.simulated_io_nanos, n);
-        assert_eq!(snap.prefetch_tasks, n);
-        assert_eq!(snap.prefetch_hits, n);
-        assert_eq!(snap.prefetch_overlap_nanos, 5 * n);
         assert_eq!(snap.exec_tasks, 2 * n);
         assert_eq!(snap.exec_steals, n);
         assert_eq!(snap.exec_park_nanos, 4 * n);

@@ -351,16 +351,6 @@ impl<V> BufferPool<V> {
             .collect()
     }
 
-    /// Whether `id` is resident (fully loaded) right now, without touching the
-    /// LRU order or blocking on in-flight loads.  The query pipeline uses this
-    /// to decide which partitions its stage-2/3 overlap should prefetch and to
-    /// count how many prefetches completed in time.
-    pub fn contains(&self, id: u64) -> bool {
-        let shard = self.shard_for(id);
-        let inner = shard.inner.lock();
-        matches!(inner.entries.get(&id), Some(Slot::Resident(_)))
-    }
-
     /// Returns the cached partition if fully loaded (marking it recently used)
     /// without invoking the loader.  An in-flight load counts as absent: `peek`
     /// never blocks.

@@ -96,7 +96,7 @@
 //! │                                       wrapper, crash-site observer for
 //! │                                       kill-point torture tests
 //! ├── crates/core            dm-core      DeepMapping hybrid + DeepMappingBuilder,
-//! │                                       QueryPipeline (parallel stage 3), AuxTable,
+//! │                                       QueryPipeline (Vexist/Vaux routing), AuxTable,
 //! │                                       schema/encoders, MHAS
 //! ├── crates/persist         dm-persist   single-file snapshots (lazy partition
 //! │                                       serving via FilePartitionSource), delta
@@ -126,10 +126,12 @@
 //! ```
 //!
 //! Lookups flow facade → `TupleStore::lookup_batch_into` →
-//! `dm_core::pipeline::QueryPipeline::execute_into` (existence split → one vectorized
-//! flat forward pass → partition-grouped auxiliary probes through the shared buffer
-//! pool, each partition loaded at most once per batch → order-preserving merge into
-//! the caller's `LookupBuffer` arena), with every stage charged to a
+//! `dm_core::pipeline::QueryPipeline::execute_into` (three-way split on the existence
+//! and corrected-key bit vectors → one vectorized flat forward pass over the
+//! *predicted* keys, beside partition-grouped auxiliary probes of the *corrected*
+//! keys through the shared buffer pool, each partition loaded at most once per batch →
+//! order-preserving scatter into the caller's `LookupBuffer` arena — every key pays
+//! for the model or the auxiliary table, never both), with every stage charged to a
 //! `dm_storage::Metrics` phase.  Because the pipeline only reads, batches from
 //! different threads interleave freely over one store instance.
 //!
@@ -138,16 +140,15 @@
 //! The read path runs on [`dm-exec`](dm_exec), the workspace's vendored
 //! work-stealing runtime:
 //!
-//! * **Stage 2** splits large inference batches into row chunks executed as pool
+//! * **The two halves of a batch run one after the other** on the calling
+//!   thread (probes of the corrected keys, then inference of the predicted
+//!   keys); each fans out by itself, so a small batch never pays for a task.
+//! * **Inference** splits large batches into row chunks executed as pool
 //!   tasks (`MultiTaskModel::forward_batch_flat`, serial below
 //!   `dm_nn::PARALLEL_ROW_CROSSOVER` rows), each chunk running the packed-panel
 //!   SIMD kernels of [`dm_nn::kernel`].
-//! * **Stages 2 and 3 overlap**: the probe plan is computed before inference
-//!   starts, and on a parallel pool the plan's cold partitions load+decompress
-//!   as pool tasks *while* the model infers — observable via
-//!   `LatencyBreakdown::prefetch_{tasks,hits,overlap_nanos}`.
-//! * **Stage 3** probes independent auxiliary partition groups as parallel pool
-//!   tasks; the order-preserving merge is unchanged.
+//! * **Probing** visits independent auxiliary partition groups as parallel pool
+//!   tasks; hits are folded into the result serially, in batch order.
 //! * **`dm_storage::BufferPool`** is mutex-sharded with *single-flight* cold
 //!   loads: racing readers (pipeline tasks or external threads) trigger exactly
 //!   one load + decompress per partition, the losers wait on a per-entry latch
@@ -172,29 +173,26 @@
 //!                           | file_len u64 | manifest_len u64 | manifest_crc u32
 //! then       manifest   — CRC-32-protected: config, schema (key encoder +
 //!                         cardinalities), decode labels, counters, aux delta
-//!                         overlay + tombstones, section table (model/existence
-//!                         lengths + CRCs), partition directory (key range,
+//!                         overlay + tombstones, section table (model/existence/
+//!                         Vaux lengths + CRCs), partition directory (key range,
 //!                         rows, frame length, frame CRC per partition)
 //! then       model      — dm_nn::serialize bytes          (eager, CRC-checked)
 //! then       existence  — BitVec RLE bytes                (eager, CRC-checked)
+//! then       Vaux       — BitVec RLE bytes                (eager, CRC-checked)
 //! then       partitions — dm_compress frames, verbatim    (LAZY, CRC on touch)
 //! ```
 //!
-//! Opening reads only header + manifest + model + existence; the partition
+//! Opening reads only header + manifest + model + existence + Vaux; the partition
 //! frames — typically most of the file — stay on disk and are served on demand
 //! by a `dm_storage::FilePartitionSource` behind the sharded single-flight
 //! buffer pool (one `pread` + one decompression per cold partition, parallel
 //! under `dm-exec`).  Versioning is strict: an unknown header version or any
 //! failed CRC is a typed [`dm_persist::PersistError`], never a guess.  The
 //! compatibility policy is bump-on-any-layout-change; the manifest decoder
-//! rejects trailing bytes so mixed-version files cannot half-parse.  Within
-//! that rule, older versions stay openable only when their contents are still
-//! servable bit-for-bit: v1 files are rejected (the v2 kernels changed the f32
-//! arithmetic recipe the v1 aux table was memorized against), while v2 files —
-//! always f32 — still open and serve unchanged under v3, which merely added
-//! the per-store quantization descriptor
-//! ([`DeepMappingBuilder::quantization`](dm_core::DeepMappingBuilder::quantization))
-//! and int8 model layers.  New snapshots are always written as v3.
+//! rejects trailing bytes so mixed-version files cannot half-parse.  Exactly
+//! one version opens: v4, which added the `Vaux` section lookups route on.
+//! v1 (a different f32 arithmetic recipe), v2 (no quantization descriptor) and
+//! v3 (no `Vaux`) are rejected as `UnsupportedVersion`.
 //!
 //! Mutations persist through [`dm_persist::PersistentStore`]: each
 //! insert/delete/update batch is applied and then appended + fsynced to
@@ -208,8 +206,8 @@
 //!
 //! The serving stack classifies every storage failure into one of four shapes
 //! and answers each with a different, *typed* response — never a silently
-//! wrong tuple (the hybrid contract: a key whose auxiliary partition cannot be
-//! read gets an error, not a bare model prediction that might be a
+//! wrong tuple (the hybrid contract: a corrected key whose auxiliary partition
+//! cannot be read gets an error, not the model prediction `Vaux` says is a
 //! misprediction):
 //!
 //! * **Transient read faults** (`StorageError::Io` with
@@ -219,10 +217,14 @@
 //!   Callers see nothing but latency; `LatencyBreakdown::load_retries` and the
 //!   `dm_pool_load_retries_total` counter see everything.
 //! * **Persistent read faults** (corruption, CRC mismatches, exhausted
-//!   retries): degrade *per key, not per batch*.  The query pipeline marks
-//!   only the spans owned by the unreadable partition as failed in the
+//!   retries): degrade *per key, not per batch*, and only the keys that needed
+//!   the partition.  The query pipeline marks the spans of the *corrected*
+//!   keys held by the unreadable partition as failed in the
 //!   [`LookupBuffer`](dm_storage::LookupBuffer); every other key in the batch
-//!   is answered byte-identically to a fault-free run.  `dm-server`'s
+//!   — including predicted keys inside that partition's key range, which never
+//!   touch it — is answered byte-identically to a fault-free run.  A corrected
+//!   key the table turns out not to hold (a broken `Vaux` invariant) surfaces
+//!   the same way, as a per-key `StorageError::Corrupt`.  `dm-server`'s
 //!   coalescing demux then fails only the *requests* whose keys touch a
 //!   failed span ([`ServerError::PartialFailure`](dm_server::ServerError)).
 //! * **Write-side faults** (failed WAL append/fsync, torn record):

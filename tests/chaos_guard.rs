@@ -7,10 +7,12 @@
 //!    bounded retries absorb almost everything, every successfully answered
 //!    key is byte-identical to the fault-free run, and the rare request that
 //!    still fails gets a typed error — never a wrong tuple.
-//! 2. A partition-targeted persistent plan: only requests whose keys live in
-//!    the faulted partition degrade; the circuit breaker opens under the
-//!    sustained failures, half-open probes after the cooldown, and closes the
-//!    moment the "disk" is repaired.  The health advisor sees the episode.
+//! 2. A partition-targeted persistent plan: only requests with *corrected*
+//!    keys held by the faulted partition degrade, and only those keys fail
+//!    (predicted keys in its key range never touch it); the circuit breaker
+//!    opens under the sustained failures, half-open probes after the cooldown,
+//!    and closes the moment the "disk" is repaired.  The health advisor sees
+//!    the episode.
 //! 3. An installed-but-disabled injector is functionally free: byte-identical
 //!    answers, zero injected faults, zero retries, zero degraded keys.  (The
 //!    faults-off *throughput* cost on the committed DM-Z B=25000 row is
@@ -119,6 +121,9 @@ fn targeted_partition_faults_degrade_trip_the_breaker_and_recover() {
     assert!(dm.aux_table().partition_count() >= 2, "need partitions to target");
     let directory = dm.aux_table().partition_directory();
     let faulted: Vec<u64> = (directory[0].min_key..=directory[0].max_key).take(24).collect();
+    // Only the keys the partition actually holds depend on it.
+    let corrected_in_faulted = faulted.iter().filter(|&&k| dm.corrected().get(k)).count();
+    assert!(corrected_in_faulted > 0);
     let last = directory.last().unwrap();
     let untouched: Vec<u64> = (last.min_key..=last.max_key).take(24).collect();
     let probe: Vec<u64> = (0..4_000u64).collect();
@@ -148,7 +153,8 @@ fn targeted_partition_faults_degrade_trip_the_breaker_and_recover() {
     for _ in 0..2 {
         match client.lookup_batch(tenant, &faulted) {
             Err(ServerError::PartialFailure { failed_keys, total_keys, .. }) => {
-                assert!(failed_keys > 0 && failed_keys <= total_keys);
+                assert_eq!(failed_keys, corrected_in_faulted);
+                assert_eq!(total_keys, faulted.len());
             }
             other => panic!("faulted-partition request must partially fail, got {other:?}"),
         }

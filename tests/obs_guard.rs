@@ -5,7 +5,7 @@
 //! *behaves*.  The kill-switch test runs the identical workload with tracing
 //! off and on and proves (a) byte-identical lookup results and (b) identical
 //! `LatencyBreakdown` discrete counters — partition loads, pool traffic,
-//! inference batches, prefetch tasks, the model-vs-aux answer mix — i.e. the
+//! inference batches, the model-vs-aux answer mix — i.e. the
 //! pipeline took the same path.  (Timing fields are excluded: nanosecond
 //! totals legitimately vary run to run whether or not tracing is on.)
 //!
@@ -38,7 +38,6 @@ struct DiscreteCounters {
     pool_evictions: u64,
     inference_batches: u64,
     inference_rows: u64,
-    prefetch_tasks: u64,
     model_answered: u64,
     aux_answered: u64,
 }
@@ -54,7 +53,6 @@ impl DiscreteCounters {
             pool_evictions: snapshot.pool_evictions,
             inference_batches: snapshot.inference_batches,
             inference_rows: snapshot.inference_rows,
-            prefetch_tasks: snapshot.prefetch_tasks,
             model_answered: snapshot.model_answered,
             aux_answered: snapshot.aux_answered,
         }

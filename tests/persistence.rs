@@ -168,12 +168,15 @@ fn corruption_returns_typed_errors_not_garbage() {
         "{err}"
     );
 
-    // A flipped byte in the last eager section (existence) fails its CRC.
+    // A flipped byte in the last eager section (`Vaux`) fails its CRC.
     let err = open_after(&path, &pristine, |bytes| {
         let idx = stats.eager_bytes as usize - 3;
         bytes[idx] ^= 0x01;
     });
-    assert!(matches!(err, PersistError::ChecksumMismatch { .. }), "{err}");
+    assert!(
+        matches!(err, PersistError::ChecksumMismatch { section: "vaux" }),
+        "{err}"
+    );
 
     // A mangled manifest length in the header (bytes 16..24) is rejected
     // against the file size BEFORE it can size an allocation — a corrupt
@@ -267,6 +270,62 @@ fn wal_replay_restores_mutations_after_a_simulated_crash() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// `Vaux` is not logged: the WAL is logical and replays through the same write
+/// methods that keep the bit vector in step.  A store re-opened with replay must
+/// therefore hold the very bits of the store that never closed.
+#[test]
+fn wal_replay_rebuilds_vaux_bit_for_bit() {
+    let dir = temp_dir("wal-vaux");
+    let path = dir.join("vaux.dmss");
+    let rows = noisy_rows(1_200);
+    let mut store = PersistentStore::create(quick_build(&rows), &path).expect("create");
+    let at_snapshot = store.store().corrected().clone();
+    let corrected: Vec<u64> = at_snapshot.iter_ones().take(40).collect();
+    let predictions = store.store().model().predict(&corrected).unwrap();
+
+    // Every way a write moves a key across the model/aux split: corrected keys
+    // updated to what the model predicts (bit clears), inserts on and off the
+    // model's guess, noise updates of anything, deletes, a re-insert.
+    let on_pattern: Vec<Row> = corrected[..20]
+        .iter()
+        .zip(&predictions)
+        .map(|(&key, values)| Row::new(key, values.clone()))
+        .collect();
+    store.update(&on_pattern).unwrap();
+    let fresh: Vec<u64> = (5_000..5_030).collect();
+    let guesses = store.store().model().predict(&fresh).unwrap();
+    let inserts: Vec<Row> = fresh
+        .iter()
+        .zip(&guesses)
+        .map(|(&key, guess)| {
+            let values = if key % 2 == 0 { guess.clone() } else { vec![(guess[0] + 1) % 4, guess[1]] };
+            Row::new(key, values)
+        })
+        .collect();
+    store.insert(&inserts).unwrap();
+    let noise: Vec<Row> = (100..140u64).map(|k| Row::new(k, vec![((k / 16 + 1) % 4) as u32, 4])).collect();
+    store.update(&noise).unwrap();
+    store.delete(&[corrected[25], corrected[30], 5_001, 5_002, 110]).unwrap();
+    store.insert(&[Row::new(5_001, vec![3, 3])]).unwrap();
+
+    let live = store.store().corrected().clone();
+    assert_ne!(live, at_snapshot, "the writes must have moved bits");
+    let live_exist = store.store().existence().clone();
+    // Crash: no checkpoint, no clean shutdown.
+    drop(store);
+
+    let restarted = PersistentStore::open(&path).expect("open after crash");
+    assert_eq!(restarted.last_replay().records, 5);
+    assert_eq!(restarted.store().existence(), &live_exist);
+    assert_eq!(restarted.store().corrected(), &live, "replayed Vaux differs");
+    let dm = restarted.store();
+    for key in 0..5_100u64 {
+        let held = dm.aux_table().get(key).unwrap().is_some();
+        assert_eq!(dm.corrected().get(key), dm.existence().get(key) && held, "key {key}");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// A mutation batch the store rejects (wrong column count) must error out
 /// WITHOUT entering the WAL — otherwise replay would hit the same rejection on
 /// every subsequent open and the store could never be reopened.
@@ -336,85 +395,30 @@ fn write_once_open_twice_never_touches_the_file() {
 }
 
 #[test]
-fn v2_snapshots_still_serve_while_v1_and_future_versions_are_rejected() {
-    use deepmapping::compress::crc32;
-    use deepmapping::persist::Manifest;
-
+fn only_the_current_snapshot_version_opens() {
     let dir = temp_dir("version-gate");
     let path = dir.join("versioned.dmss");
     let rows = noisy_rows(1_500);
-    // Pin f32 explicitly (not the `DM_QUANTIZATION` env default): the v2 form
-    // fabricated below only exists for f32 stores, and the tag-byte diff scan
-    // relies on the store starting from `Quantization::F32`.
-    let dm = DeepMappingBuilder::dm_z()
-        .training(TrainingConfig { epochs: 8, batch_size: 1024, ..TrainingConfig::default() })
-        .partition_bytes(4 * 1024)
-        .disk_profile(DiskProfile::free())
-        .quantization(Quantization::F32)
-        .build(&rows)
-        .expect("build DeepMapping");
-    let probe = probe_keys(&rows);
-    let expected = dm.lookup_batch(&probe).unwrap();
-    dm.write_snapshot(&path).expect("write snapshot");
-    drop(dm);
-    let v3 = std::fs::read(&path).unwrap();
-    assert_eq!(u16::from_le_bytes([v3[4], v3[5]]), 3, "snapshots are written as v3");
+    quick_build(&rows).write_snapshot(&path).expect("write snapshot");
+    let current = std::fs::read(&path).unwrap();
+    assert_eq!(
+        u16::from_le_bytes([current[4], current[5]]),
+        4,
+        "snapshots are written as v4"
+    );
+    Snapshot::open(&path).expect("the current version opens");
 
-    // Fabricate the v2 form of the same snapshot: a v2 file is byte-identical
-    // minus the quantization tag inside the manifest config.  Locate that tag
-    // without hardcoding the config layout: re-encode the decoded manifest
-    // under both modes and diff — the single differing byte is the tag.
-    const HEADER_LEN: usize = 28;
-    let manifest_len = u64::from_le_bytes(v3[16..24].try_into().unwrap()) as usize;
-    let manifest_bytes = &v3[HEADER_LEN..HEADER_LEN + manifest_len];
-    let manifest = Manifest::decode(manifest_bytes, 3).expect("decode own manifest");
-    assert_eq!(manifest.encode().as_slice(), manifest_bytes, "re-encode is stable");
-    let mut alt = manifest.clone();
-    alt.config.quantization = Quantization::Int8;
-    let alt_bytes = alt.encode();
-    let diffs: Vec<usize> = manifest_bytes
-        .iter()
-        .zip(&alt_bytes)
-        .enumerate()
-        .filter(|(_, (a, b))| a != b)
-        .map(|(i, _)| i)
-        .collect();
-    assert_eq!(diffs.len(), 1, "modes must differ in exactly the tag byte");
-    let mut v2_manifest = manifest_bytes.to_vec();
-    v2_manifest.remove(diffs[0]);
-    let mut v2 = Vec::with_capacity(v3.len() - 1);
-    v2.extend_from_slice(&v3[..HEADER_LEN]);
-    v2.extend_from_slice(&v2_manifest);
-    v2.extend_from_slice(&v3[HEADER_LEN + manifest_len..]);
-    v2[4..6].copy_from_slice(&2u16.to_le_bytes());
-    v2[8..16].copy_from_slice(&((v3.len() - 1) as u64).to_le_bytes());
-    v2[16..24].copy_from_slice(&((manifest_len - 1) as u64).to_le_bytes());
-    v2[24..28].copy_from_slice(&crc32(&v2_manifest).to_le_bytes());
-    std::fs::write(&path, &v2).unwrap();
-
-    // The v2 compatibility guarantee: f32 stores serve unchanged.
-    let reopened = Snapshot::open(&path).expect("v2 f32 snapshots must still open");
-    assert_eq!(reopened.config().quantization, Quantization::F32);
-    assert_eq!(reopened.lookup_batch(&probe).unwrap(), expected);
-    drop(reopened);
-
-    // v1 stays rejected: its aux table memorized the mispredictions of a
-    // different arithmetic recipe, so serving it would return wrong tuples.
-    let mut v1 = v3.clone();
-    v1[4..6].copy_from_slice(&1u16.to_le_bytes());
-    std::fs::write(&path, &v1).unwrap();
-    match Snapshot::open(&path) {
-        Err(PersistError::UnsupportedVersion(1)) => {}
-        other => panic!("v1 must be UnsupportedVersion(1), got {other:?}"),
-    }
-
-    // Unknown future versions are rejected the same way, never guessed at.
-    let mut v9 = v3.clone();
-    v9[4..6].copy_from_slice(&9u16.to_le_bytes());
-    std::fs::write(&path, &v9).unwrap();
-    match Snapshot::open(&path) {
-        Err(PersistError::UnsupportedVersion(9)) => {}
-        other => panic!("v9 must be UnsupportedVersion(9), got {other:?}"),
+    // v1 memorized its aux table under a different arithmetic recipe; v2 and v3
+    // carry no `Vaux` section, which lookups route on.  Unknown future versions
+    // are rejected the same way, never guessed at.
+    for version in [1u16, 2, 3, 9] {
+        let mut other = current.clone();
+        other[4..6].copy_from_slice(&version.to_le_bytes());
+        std::fs::write(&path, &other).unwrap();
+        match Snapshot::open(&path) {
+            Err(PersistError::UnsupportedVersion(v)) if v == version => {}
+            other => panic!("v{version} must be UnsupportedVersion, got {other:?}"),
+        }
     }
     std::fs::remove_dir_all(&dir).ok();
 }

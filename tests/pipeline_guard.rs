@@ -75,7 +75,10 @@ fn the_batch_amortizes_inference_and_partition_loads() {
         snap.inference_batches, 1,
         "one shuffled batch must run exactly one vectorized forward pass"
     );
-    assert_eq!(snap.inference_rows, keys.len() as u64);
+    // Every key exists; each is answered by the model or the auxiliary table,
+    // and only the model's share is inferred.
+    assert_eq!(snap.inference_rows, snap.model_answered);
+    assert_eq!(snap.model_answered + snap.aux_answered, keys.len() as u64);
     assert!(
         snap.partition_loads <= dm.aux_table().partition_count() as u64,
         "{} partition loads for {} partitions — probes were not grouped",

@@ -9,6 +9,7 @@
 //! replays the identical inputs.
 
 use deepmapping::core::{DeepMapping, DeepMappingConfig, SearchStrategy, TrainingConfig};
+use deepmapping::persist::PersistentStore;
 use deepmapping::prelude::*;
 use dm_nn::{MultiTaskSpec, TaskHeadSpec};
 use dm_storage::row::ReferenceStore;
@@ -139,42 +140,93 @@ fn deepmapping_lookup_is_exact_for_arbitrary_tables() {
     });
 }
 
-/// Random interleavings of insert/delete/update keep DeepMapping equivalent to the
-/// reference map (Algorithms 3–5 as one property).
+/// After any step of a write history, the store answers like the oracle map and
+/// `Vaux` is exact: `vaux[k] ⇔ exist[k] ∧ aux.get(k).is_some()`.  Lookups route
+/// on that bit, so a stale one is a wrong answer waiting for its key.
+fn assert_matches_oracle(store: &PersistentStore, oracle: &BTreeMap<u64, Vec<u32>>) {
+    let probe: Vec<u64> = (0..750u64).collect();
+    let expected: Vec<Option<Vec<u32>>> = probe.iter().map(|k| oracle.get(k).cloned()).collect();
+    assert_eq!(store.lookup_batch(&probe).unwrap(), expected);
+    let dm = store.store();
+    assert_eq!(dm.len(), oracle.len());
+    for &key in &probe {
+        let held = dm.aux_table().get(key).unwrap().is_some();
+        assert_eq!(
+            dm.corrected().get(key),
+            dm.existence().get(key) && held,
+            "Vaux bit of key {key} (exists {}, held {held})",
+            dm.existence().get(key)
+        );
+    }
+}
+
+/// Random histories of insert / update (on the model's guess and off it) /
+/// delete / re-insert / `maintenance()` / checkpoint / reopen keep a persisted
+/// DeepMapping equivalent to a `BTreeMap` (Algorithms 3–5 plus recovery as one
+/// property), with the `Vaux` invariant checked after every step.
 #[test]
-fn modification_sequences_match_reference() {
+fn write_histories_match_a_btreemap_and_keep_vaux_exact() {
     cases(10, |rng| {
         let base = arb_rows(rng);
         let config = untrained_config(&[6, 4], 700);
-        let mut dm = DeepMapping::build(&base, &config).unwrap();
-        let mut reference = ReferenceStore::from_rows(&base);
-        let ops = rng.gen_range(1..60usize);
-        for _ in 0..ops {
-            let op = rng.gen_range(0..3u8);
-            let key = rng.gen_range(0..700u64);
-            let values = vec![rng.gen_range(0..6u32), rng.gen_range(0..4u32)];
-            match op {
-                0 => {
-                    let row = Row::new(key, values);
-                    dm.insert_rows(std::slice::from_ref(&row)).unwrap();
-                    reference.insert(std::slice::from_ref(&row)).unwrap();
+        let dir = std::env::temp_dir().join(format!(
+            "dm-property-history-{}-{:x}",
+            std::process::id(),
+            rng.gen::<u64>()
+        ));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("history.dmss");
+        let mut store =
+            PersistentStore::create(DeepMapping::build(&base, &config).unwrap(), &path).unwrap();
+        let mut oracle: BTreeMap<u64, Vec<u32>> =
+            base.iter().map(|r| (r.key, r.values.clone())).collect();
+        assert_matches_oracle(&store, &oracle);
+        for _ in 0..rng.gen_range(1..60usize) {
+            // Half the time aim at a live key, so updates, deletes and
+            // re-inserts hit; otherwise anywhere in (and past) the key range.
+            let key = match oracle.keys().nth(rng.gen_range(0..oracle.len().max(1))) {
+                Some(&live) if rng.gen_bool(0.5) => live,
+                _ => rng.gen_range(0..700u64),
+            };
+            // On the model's guess the row is predicted, off it corrected.
+            let values = if rng.gen_bool(0.4) {
+                store.store().model().predict(&[key]).unwrap().remove(0)
+            } else {
+                vec![rng.gen_range(0..6u32), rng.gen_range(0..4u32)]
+            };
+            let row = Row::new(key, values);
+            match rng.gen_range(0..9u8) {
+                0 | 1 => {
+                    store.insert(std::slice::from_ref(&row)).unwrap();
+                    oracle.insert(row.key, row.values);
                 }
-                1 => {
-                    dm.delete_keys(&[key]).unwrap();
-                    reference.delete(&[key]).unwrap();
+                2 | 3 => {
+                    store.update(std::slice::from_ref(&row)).unwrap();
+                    if let Some(values) = oracle.get_mut(&row.key) {
+                        *values = row.values;
+                    }
+                }
+                4 => {
+                    store.delete(&[key]).unwrap();
+                    oracle.remove(&key);
+                }
+                5 => {
+                    store.delete(&[key]).unwrap();
+                    store.insert(std::slice::from_ref(&row)).unwrap();
+                    oracle.insert(row.key, row.values);
+                }
+                6 if !oracle.is_empty() => store.maintenance().unwrap(),
+                7 => {
+                    store.checkpoint().unwrap();
                 }
                 _ => {
-                    let row = Row::new(key, values);
-                    dm.update_rows(std::slice::from_ref(&row)).unwrap();
-                    reference.update(std::slice::from_ref(&row)).unwrap();
+                    drop(store);
+                    store = PersistentStore::open(&path).unwrap();
                 }
             }
+            assert_matches_oracle(&store, &oracle);
         }
-        let probe: Vec<u64> = (0..750u64).collect();
-        assert_eq!(
-            DeepMapping::lookup_batch(&dm, &probe).unwrap(),
-            reference.lookup_batch(&probe).unwrap()
-        );
+        std::fs::remove_dir_all(&dir).ok();
     });
 }
 

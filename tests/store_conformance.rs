@@ -336,13 +336,18 @@ fn concurrent_shared_reads_match_sequential_gets() {
         snap.inference_batches, batches,
         "each concurrent batch must run exactly one vectorized forward pass"
     );
-    // Only keys that pass the existence filter reach the model.
+    // Only keys that pass the existence filter are answered, and only those the
+    // auxiliary table does not hold reach the model.
     let hits_per_round: u64 = expected
         .iter()
         .flatten()
         .filter(|result| result.is_some())
         .count() as u64;
-    assert_eq!(snap.inference_rows, hits_per_round * ROUNDS as u64);
+    assert_eq!(snap.inference_rows, snap.model_answered);
+    assert_eq!(
+        snap.model_answered + snap.aux_answered,
+        hits_per_round * ROUNDS as u64
+    );
     assert_eq!(
         snap.partition_loads, 0,
         "warm pool: concurrent batches must not reload partitions"
