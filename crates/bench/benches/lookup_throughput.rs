@@ -741,13 +741,21 @@ fn run_server_sweep(scale: &BenchScale) -> Result<Vec<ServerLoadRecord>, Box<dyn
 fn run_inference_micro() -> Vec<InferenceKernelRecord> {
     const ROWS: usize = 4_096;
     const REPS: usize = 9;
-    // Shapes mirroring the default DM-Z architecture over the bench dataset:
-    // trunk input, trunk interior, head hidden, head output.
-    let shapes: [(usize, usize, Activation); 4] = [
+    // Shapes mirroring the default DM-Z architecture over the bench dataset
+    // (trunk input, trunk interior, head hidden, head output), then the layers
+    // the frozen benchmark's model has — 38 → 141 → 141 → 5 × (35 → c): trunk
+    // input, trunk interior, one head's entry layer, the five entry layers as
+    // the model runs them (one fused 175-column panel), the widest head output.
+    let shapes: [(usize, usize, Activation); 9] = [
         (35, 100, Activation::Relu),
         (100, 100, Activation::Relu),
         (100, 32, Activation::Relu),
         (32, 8, Activation::Linear),
+        (38, 141, Activation::Relu),
+        (141, 141, Activation::Relu),
+        (141, 35, Activation::Relu),
+        (141, 175, Activation::Relu),
+        (35, 64, Activation::Linear),
     ];
     let fill = |rows: usize, cols: usize, salt: u64| {
         let mut m = Matrix::zeros(rows, cols);
@@ -802,9 +810,9 @@ fn run_inference_micro() -> Vec<InferenceKernelRecord> {
             packed_ns_per_row: packed_ns / ROWS as f64,
             reference_ns_per_row: reference_ns / ROWS as f64,
         });
-        // The same shape through the int8 widening path (quantize-once weights,
-        // per-row input quantization inside the kernel), against the same f32
-        // reference so the speedup columns are directly comparable.
+        // The same shape through the int8 path (quantize-once weights, per-row
+        // input quantization inside the call), against the same f32 reference
+        // so the speedup columns are directly comparable.
         let qpanels = kernel::QuantizedPanels::quantize(&w, Some(&b)).expect("quantize");
         let quant_ns = best_of(REPS, || {
             let out = kernel::forward_quantized(&x, 0, ROWS, &qpanels, act).expect("forward");
@@ -835,7 +843,7 @@ fn run_chunk_sweep(dm: &dm_core::DeepMapping, keys: &[u64]) {
     let rows = x.rows();
     let mut out = vec![0u32; rows * network.num_tasks()];
     report::row("chunk rows", &["ns/row".into(), "batch ms".into()]);
-    for &chunk in &[256usize, 512, 1024, 2048, 4096, 8192] {
+    for &chunk in &[24usize, 48, 96, 192, 256, 512, 1024, 4096] {
         let mut best = f64::INFINITY;
         network
             .forward_flat_serial_chunked(&x, chunk, &mut out)

@@ -113,7 +113,7 @@ impl DeepMappingBuilder {
     }
 
     /// Sets the arithmetic mode of the inference path
-    /// ([`Quantization::Int8`] serves through the widening integer kernels
+    /// ([`Quantization::Int8`] serves through the exact-integer int8 kernels
     /// with the auxiliary table memorized under quantized arithmetic, so
     /// lookups stay exact).  Recorded in the snapshot manifest.
     pub fn quantization(mut self, quantization: Quantization) -> Self {

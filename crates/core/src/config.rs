@@ -63,9 +63,11 @@ pub enum Quantization {
     /// f32 weights served through the packed-panel FMA kernels.
     #[default]
     F32,
-    /// Per-output-column symmetric int8 weights served through the widening
-    /// integer kernels — ~4× smaller model bytes in every snapshot and faster
-    /// inference; predictions remain exact (lossless) because the aux table is
+    /// Per-output-column symmetric int8 weights served through the int8
+    /// kernels of `dm_nn::kernel` (`vpdpbusd` on AVX-512-VNNI hosts, a
+    /// sign-transfer `vpmaddubsw` form on AVX2, a scalar dot product
+    /// elsewhere — one exact integer result in all three) — ~4× smaller model
+    /// bytes in every snapshot and faster inference; predictions remain exact (lossless) because the aux table is
     /// built under the same quantized arithmetic.
     Int8,
 }

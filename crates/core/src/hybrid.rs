@@ -99,8 +99,9 @@ impl Assurance {
         rows: &[Row],
         config: &DeepMappingConfig,
         metrics: &Metrics,
+        exec: &dm_exec::ThreadPool,
     ) -> Result<Self> {
-        let (memorized, misclassified) = model.split_by_memorization(rows)?;
+        let (memorized, misclassified) = model.split_by_memorization(exec, rows)?;
         let aux = AuxTable::build(
             &misclassified,
             rows[0].values.len(),
@@ -173,11 +174,11 @@ impl DeepMapping {
         if config.quantization == Quantization::Int8 {
             model.quantize_int8()?;
         }
-        let assurance = Assurance::build(&model, rows, config, &metrics)?;
         let exec = match config.exec_threads {
             Some(threads) => ExecHandle::with_threads(threads),
             None => ExecHandle::Global,
         };
+        let assurance = Assurance::build(&model, rows, config, &metrics, exec.get())?;
         Ok(DeepMapping {
             config: config.clone(),
             name: config.paper_name(),
@@ -400,12 +401,14 @@ impl DeepMapping {
         }
         self.validate_insert(rows)?;
         let keys: Vec<u64> = rows.iter().map(|r| r.key).collect();
-        let predictions = self
-            .metrics
-            .time(Phase::NeuralNetwork, || self.model.predict(&keys))?;
+        let mut predictions = Vec::new();
+        let columns = self.metrics.time(Phase::NeuralNetwork, || {
+            self.model
+                .predict_into_on(self.exec.get(), &keys, &mut predictions)
+        })?;
         let mut mispredicts = 0u64;
-        for (row, prediction) in rows.iter().zip(predictions.iter()) {
-            let predicted = prediction == &row.values;
+        for (row, prediction) in rows.iter().zip(predictions.chunks_exact(columns)) {
+            let predicted = prediction == row.values.as_slice();
             if !self.exist.get(row.key) {
                 self.exist.set(row.key, true);
                 self.tuple_count += 1;
@@ -469,12 +472,14 @@ impl DeepMapping {
             .filter(|r| self.exist.get(r.key))
             .collect();
         let keys: Vec<u64> = live.iter().map(|r| r.key).collect();
-        let predictions = self
-            .metrics
-            .time(Phase::NeuralNetwork, || self.model.predict(&keys))?;
+        let mut predictions = Vec::new();
+        let columns = self.metrics.time(Phase::NeuralNetwork, || {
+            self.model
+                .predict_into_on(self.exec.get(), &keys, &mut predictions)
+        })?;
         let mut mispredicts = 0u64;
-        for (row, prediction) in live.iter().zip(predictions.iter()) {
-            let predicted = prediction == &row.values;
+        for (row, prediction) in live.iter().zip(predictions.chunks_exact(columns)) {
+            let predicted = prediction == row.values.as_slice();
             mispredicts += u64::from(!predicted);
             self.place(row, predicted);
         }
@@ -506,7 +511,8 @@ impl DeepMapping {
         if self.config.quantization == Quantization::Int8 {
             model.quantize_int8()?;
         }
-        let assurance = Assurance::build(&model, &rows, &self.config, &self.metrics)?;
+        let assurance =
+            Assurance::build(&model, &rows, &self.config, &self.metrics, self.exec.get())?;
         self.model = model;
         self.aux = assurance.aux;
         self.exist = assurance.exist;

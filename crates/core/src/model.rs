@@ -197,28 +197,19 @@ impl MappingModel {
     }
 
     /// Batched inference: predicted class codes per query key
-    /// (`predictions[i][c]` = column `c` of query `i`).  The whole batch runs as one
-    /// vectorized [`MultiTaskModel::forward_batch`] pass — one matrix-multiply
-    /// sequence per batch, never per key.
+    /// (`predictions[i][c]` = column `c` of query `i`) — [`predict_into`](Self::predict_into)
+    /// with one `Vec` per key, for callers that want the nested shape.
     pub fn predict(&self, keys: &[u64]) -> Result<Vec<Vec<u32>>> {
-        if keys.is_empty() {
-            return Ok(Vec::new());
-        }
-        let x = self.schema.key_encoder.encode_batch(keys);
-        Ok(self
-            .network
-            .forward_batch(&x)?
-            .into_iter()
-            .map(|row| row.into_iter().map(|class| class as u32).collect())
-            .collect())
+        let mut flat = Vec::new();
+        let columns = self.predict_into(keys, &mut flat)?;
+        Ok(flat.chunks_exact(columns).map(<[u32]>::to_vec).collect())
     }
 
     /// Allocation-aware batched inference: appends row-major predictions to a
     /// caller-owned flat arena (`out[i * columns + c]` = column `c` of query `i`) and
-    /// returns the number of value columns.  Same single vectorized forward pass as
-    /// [`predict`](Self::predict), but with no per-key `Vec` — the layout the
-    /// buffer-reusing query pipeline consumes.  Runs on the shared
-    /// [`dm_exec::global`] pool.
+    /// returns the number of value columns — one vectorized forward pass per batch,
+    /// never per key, with no per-key `Vec`: the layout the buffer-reusing query
+    /// pipeline consumes.  Runs on the shared [`dm_exec::global`] pool.
     pub fn predict_into(&self, keys: &[u64], out: &mut Vec<u32>) -> Result<usize> {
         self.predict_into_on(dm_exec::global(), keys, out)
     }
@@ -244,8 +235,14 @@ impl MappingModel {
 
     /// Runs the model over `rows` and splits them into (memorized, misclassified):
     /// a row is memorized only if *every* column is predicted correctly — the test
-    /// that decides what goes into the auxiliary table (Section IV-B1).
-    pub fn split_by_memorization(&self, rows: &[Row]) -> Result<(Vec<Row>, Vec<Row>)> {
+    /// that decides what goes into the auxiliary table (Section IV-B1).  The
+    /// predictions come from [`predict_into_on`](Self::predict_into_on) on `exec`:
+    /// the very code, on the very pool, that later serves the memorized keys.
+    pub fn split_by_memorization(
+        &self,
+        exec: &dm_exec::ThreadPool,
+        rows: &[Row],
+    ) -> Result<(Vec<Row>, Vec<Row>)> {
         if rows.is_empty() {
             return Ok((Vec::new(), Vec::new()));
         }
@@ -253,11 +250,12 @@ impl MappingModel {
         let mut misclassified = Vec::new();
         // Process in chunks to bound the activation memory of batched inference.
         const CHUNK: usize = 16_384;
+        let mut predictions = Vec::new();
         for chunk in rows.chunks(CHUNK) {
             let keys: Vec<u64> = chunk.iter().map(|r| r.key).collect();
-            let predictions = self.predict(&keys)?;
-            for (row, pred) in chunk.iter().zip(predictions.iter()) {
-                if pred == &row.values {
+            let columns = self.predict_into_on(exec, &keys, &mut predictions)?;
+            for (row, pred) in chunk.iter().zip(predictions.chunks_exact(columns)) {
+                if pred == row.values.as_slice() {
                     memorized.push(row.clone());
                 } else {
                     misclassified.push(row.clone());
@@ -272,7 +270,7 @@ impl MappingModel {
         if rows.is_empty() {
             return Ok(1.0);
         }
-        let (memorized, _) = self.split_by_memorization(rows)?;
+        let (memorized, _) = self.split_by_memorization(dm_exec::global(), rows)?;
         Ok(memorized.len() as f64 / rows.len() as f64)
     }
 
@@ -343,7 +341,9 @@ mod tests {
             .unwrap();
         let rate = model.memorization_rate(&rows).unwrap();
         assert!(rate > 0.8, "memorization rate {rate}");
-        let (memorized, misclassified) = model.split_by_memorization(&rows).unwrap();
+        let (memorized, misclassified) = model
+            .split_by_memorization(dm_exec::global(), &rows)
+            .unwrap();
         assert_eq!(memorized.len() + misclassified.len(), rows.len());
     }
 

@@ -14,8 +14,9 @@
 //!    so the two sets are disjoint and no answer ever overrides another.
 //! 2. **Vectorized inference of the predicted keys** ([`Phase::NeuralNetwork`]) —
 //!    keys whose `Vaux` bit is clear are encoded into one feature matrix and run
-//!    through a single [`forward_batch`](dm_nn::MultiTaskModel::forward_batch)
-//!    pass: one trunk matrix-multiply sequence for the batch plus one per head,
+//!    through a single
+//!    [`forward_batch_flat_on`](dm_nn::MultiTaskModel::forward_batch_flat_on)
+//!    pass: one trunk matrix-multiply sequence for the batch, then the heads,
 //!    never a per-key pass, recorded via [`Metrics::add_inference_batch`].  They
 //!    cause no probe plan, no partition load and no decompression.
 //! 3. **Grouped probes of the corrected keys** ([`Phase::LocatePartition`],

@@ -11,10 +11,18 @@
 //! the same pass over each output tile.
 //!
 //! Alongside the f32 panels there is an int8 path: [`QuantizedPanels`] holds
-//! per-output-column symmetrically quantized weights in k-pair-interleaved
-//! panels so the inner loop is a widening multiply-add (`vpmaddwd`: 32 int8
-//! products per AVX-512 register pair) into exact i32 accumulators, with the
-//! dequantize + bias + activation fused into the tile store.
+//! per-output-column symmetrically quantized weights in k-**quad**-interleaved
+//! panels (one 64-byte block = 16 columns × 4 consecutive `k`) and
+//! [`QuantizedRows`] holds each input row as one byte per `k`, so the inner
+//! loop is one `vpdpbusd` — 64 int8 products per instruction — into exact i32
+//! accumulators, with the dequantize + bias + activation fused into the tile
+//! store.  Both layouts are **derived** state, rebuilt from the row-major
+//! int8 weights a snapshot stores; no stored byte depends on them.
+//!
+//! Every entry point comes in two shapes: `*_into` writes into a caller-owned
+//! buffer with a leading dimension (what the model walk uses, so a batch
+//! allocates its working memory once), and the allocating form returns a fresh
+//! [`Matrix`] by calling it.
 //!
 //! ## Bit-identical kernel selection
 //!
@@ -31,10 +39,18 @@
 //!   16 lanes in half (`s_i = l_i + l_{i+8}`), then
 //!   `((s0+s4)+(s2+s6)) + ((s1+s5)+(s3+s7))` — exactly what the AVX-512
 //!   extract/add plus the AVX2 shuffle sequence computes,
-//! * the int8 path quantizes each input row **once** through a single scalar
-//!   helper, accumulates in exact i32 arithmetic (order-independent), and
-//!   dequantizes through one fixed f32 epilogue — so its scalar, AVX2 and
-//!   AVX-512 forms are structurally identical,
+//! * the int8 path quantizes each input row **once** through one recipe,
+//!   accumulates the integer `Σ qₓ·q_w` exactly, and dequantizes through one
+//!   fixed f32 epilogue.  Its three forms reach that same integer three ways:
+//!   the scalar reference is the plain i32 dot product; AVX-512-VNNI runs
+//!   `vpdpbusd` (unsigned × signed bytes) over `qₓ + 128` with each
+//!   accumulator started at the column's `−128·Σ q_w`, so the bias cancels
+//!   exactly — the instruction does not saturate, a transient wrap mod 2³² is
+//!   harmless and the final sum is bounded by `k · 127²`; AVX2 moves the
+//!   input's sign onto the weight (`vpsignb`), multiplies `|qₓ|` by it with
+//!   `vpmaddubsw` — exact because `|q| ≤ 127` keeps every pair sum
+//!   `≤ 2 · 127² = 32 258 < 2¹⁵`, short of its i16 saturation — and widens
+//!   with `vpmaddwd` against ones,
 //! * rows are computed independently, so chunking, batch size and thread count
 //!   cannot change any row's result.
 //!
@@ -45,7 +61,9 @@
 //! ## Selection
 //!
 //! [`Kernel::selected`] picks the vector kernel when the CPU supports AVX2+FMA
-//! (using the AVX-512 forms when the CPU additionally has AVX-512 F/BW/DQ),
+//! (using the AVX-512 forms when the CPU additionally has AVX-512 F/BW/DQ, and
+//! for int8 the `vpdpbusd` form only when it also has AVX-512-VNNI — an
+//! AVX-512 host without it takes the AVX2 int8 form),
 //! unless `DM_NN_KERNEL=scalar` forces the fallback (CI runs the whole suite
 //! once that way).  [`with_forced`] overrides the choice for the calling thread
 //! — the hook the bit-identity guard tests use to exercise both kernels in one
@@ -119,8 +137,8 @@ pub fn vector_available() -> bool {
 }
 
 /// Whether the AVX-512 forms of the vector kernels are available (F for the
-/// 16-lane f32 panels, BW for `vpmaddwd` over int8 panels, DQ for the 256-bit
-/// extract in the reduction tree).
+/// 16-lane f32 panels, BW for the byte narrowing of the input-row quantizer, DQ
+/// for the 256-bit extract in the reduction tree).
 pub fn avx512_available() -> bool {
     #[cfg(target_arch = "x86_64")]
     {
@@ -134,10 +152,9 @@ pub fn avx512_available() -> bool {
     }
 }
 
-/// Whether `vpdpwssd` (AVX512-VNNI) can fuse the int8 multiply-add pairs into
-/// one instruction.  Purely a speed knob: the fused form accumulates the same
-/// exact i32 values as `vpmaddwd` + `vpaddd`, so kernel output is bit-identical
-/// with or without it.
+/// Whether `vpdpbusd` (AVX512-VNNI) is available — the int8 forward's AVX-512
+/// form needs it; an AVX-512 host without it runs the AVX2 int8 form.  All
+/// forms accumulate the same exact integer, so this only decides speed.
 fn vnni_available() -> bool {
     #[cfg(target_arch = "x86_64")]
     {
@@ -149,24 +166,15 @@ fn vnni_available() -> bool {
     }
 }
 
-#[cfg(all(test, target_arch = "x86_64"))]
 thread_local! {
-    /// Test hook: pretend AVX-512 is absent so the AVX2 forms can be compared
-    /// against it on one machine.
+    static FORCED: Cell<Option<Kernel>> = const { Cell::new(None) };
+    /// See [`with_avx512_disabled`].
     static DISABLE_AVX512: Cell<bool> = const { Cell::new(false) };
 }
 
 /// Whether the vector dispatch should take the AVX-512 forms right now.
 fn avx512_enabled() -> bool {
-    #[cfg(all(test, target_arch = "x86_64"))]
-    if DISABLE_AVX512.with(|c| c.get()) {
-        return false;
-    }
-    avx512_available()
-}
-
-thread_local! {
-    static FORCED: Cell<Option<Kernel>> = const { Cell::new(None) };
+    !DISABLE_AVX512.with(|c| c.get()) && avx512_available()
 }
 
 /// Runs `f` with the calling thread's kernel selection overridden — the test
@@ -176,6 +184,17 @@ pub fn with_forced<T>(kernel: Kernel, f: impl FnOnce() -> T) -> T {
     let previous = FORCED.with(|slot| slot.replace(Some(kernel)));
     let result = f();
     FORCED.with(|slot| slot.set(previous));
+    result
+}
+
+/// Runs `f` with the AVX-512 forms of the vector kernels disabled on the
+/// calling thread, so the AVX2 forms can be bit-compared against them on one
+/// machine — the second test hook of the bit-identity guards, with the same
+/// calling-thread scope as [`with_forced`].
+pub fn with_avx512_disabled<T>(f: impl FnOnce() -> T) -> T {
+    let previous = DISABLE_AVX512.with(|c| c.replace(true));
+    let result = f();
+    DISABLE_AVX512.with(|c| c.set(previous));
     result
 }
 
@@ -271,10 +290,17 @@ impl PackedPanels {
 
 /// A weight matrix (`k × n`) quantized to int8 with one symmetric scale per
 /// output column, packed into [`QLANES`]-column panels interleaved by `k`
-/// pairs: panel `p`, pair `kp` is a 32-byte block whose byte `2c + s` holds
-/// `q[2kp + s][16p + c]` — exactly the operand order `vpmaddwd` consumes
-/// after a widening int8→int16 load.  Odd `k` (and edge columns) are
-/// zero-padded.
+/// quads: panel `p`, quad `g` is a 64-byte block whose byte `4c + s` holds
+/// `q[4g + s][16p + c]` — one `vpdpbusd` lane per column, its four bytes the
+/// four consecutive `k` that instruction multiplies and sums.  `k` that is
+/// not a multiple of four (and edge columns) are zero-padded.  Beside the
+/// weights sits one i32 per column, `−128 · Σₖ q[k][c]`: what the `vpdpbusd`
+/// form starts its accumulators from, because it multiplies by `qₓ + 128`.
+///
+/// The layout is derived state — a snapshot stores the row-major int8 weights
+/// and the scales ([`weights_row_major`](Self::weights_row_major),
+/// [`column_scales`](Self::column_scales)) and [`from_parts`](Self::from_parts)
+/// rebuilds the panels — so it can change without touching a stored byte.
 ///
 /// Quantization is part of the store's arithmetic recipe: the same panels
 /// produce bit-identical predictions under the scalar, AVX2 and AVX-512
@@ -283,16 +309,21 @@ impl PackedPanels {
 pub struct QuantizedPanels {
     k: usize,
     n: usize,
-    /// `k.div_ceil(2)` — number of 32-byte blocks per panel.
-    kpairs: usize,
-    /// `panel_count() * kpairs * 32` bytes (see the struct docs for layout).
+    /// `k.div_ceil(4)` — number of 64-byte blocks per panel.
+    kquads: usize,
+    /// `panel_count() * kquads * 64` bytes (see the struct docs for layout).
     data: Vec<i8>,
+    /// Per-column `−128 · Σₖ q[k][c]`, padded (with zeros) to the panel edge.
+    offsets: Vec<i32>,
     /// Per-output-column dequantization scales (`max_abs / 127`, `1.0` for an
     /// all-zero column), padded to the panel edge.
     scales: Vec<f32>,
     /// f32 bias padded to the panel edge (zeros when the layer has none).
     bias: Vec<f32>,
 }
+
+/// Bytes of one (panel, k-quad) weight block.
+const QBLOCK: usize = 4 * QLANES;
 
 impl QuantizedPanels {
     /// Quantizes a weight matrix (and its optional `1 × n` bias row) with one
@@ -362,19 +393,13 @@ impl QuantizedPanels {
             }
         }
         let panels = n.div_ceil(QLANES);
-        let kpairs = k.div_ceil(2);
-        let mut data = vec![0i8; panels * kpairs * 2 * QLANES];
-        for p in 0..panels {
-            let cols = QLANES.min(n - p * QLANES);
-            for kp in 0..kpairs {
-                let block = &mut data[(p * kpairs + kp) * 2 * QLANES..][..2 * QLANES];
-                for c in 0..cols {
-                    block[2 * c] = q[2 * kp * n + p * QLANES + c];
-                    if 2 * kp + 1 < k {
-                        block[2 * c + 1] = q[(2 * kp + 1) * n + p * QLANES + c];
-                    }
-                }
-            }
+        let kquads = k.div_ceil(4);
+        let mut data = vec![0i8; panels * kquads * QBLOCK];
+        let mut offsets = vec![0i32; panels * QLANES];
+        for (i, &v) in q.iter().enumerate() {
+            let (kk, c) = (i / n, i % n);
+            data[((c / QLANES) * kquads + kk / 4) * QBLOCK + 4 * (c % QLANES) + kk % 4] = v;
+            offsets[c] -= 128 * v as i32;
         }
         let mut padded_scales = vec![1.0f32; panels * QLANES];
         padded_scales[..n].copy_from_slice(scales);
@@ -385,11 +410,42 @@ impl QuantizedPanels {
         Ok(QuantizedPanels {
             k,
             n,
-            kpairs,
+            kquads,
             data,
+            offsets,
             scales: padded_scales,
             bias: padded_bias,
         })
+    }
+
+    /// The panels of several layers that read the same input, side by side:
+    /// columns `[0, n₀)` are `parts[0]`'s, the next `n₁` are `parts[1]`'s, and
+    /// so on.  Output columns are independent in every kernel, so each column
+    /// of the result computes exactly what it computes in its own layer — the
+    /// multi-task model runs all its heads' first layers as one such panel.
+    pub fn concat_columns(parts: &[&QuantizedPanels]) -> crate::Result<Self> {
+        let k = parts.first().map_or(0, |p| p.k);
+        if parts.iter().any(|p| p.k != k) {
+            return Err(NnError::ShapeMismatch {
+                context: "concat_columns: panels disagree on the input dimension".into(),
+            });
+        }
+        let n: usize = parts.iter().map(|p| p.n).sum();
+        let mut q = vec![0i8; k * n];
+        let mut scales = Vec::with_capacity(n);
+        let mut bias = Vec::with_capacity(n);
+        let mut at = 0;
+        for part in parts {
+            let rows = part.weights_row_major();
+            for kk in 0..k {
+                q[kk * n + at..][..part.n].copy_from_slice(&rows[kk * part.n..][..part.n]);
+            }
+            scales.extend_from_slice(part.column_scales());
+            bias.extend_from_slice(&part.bias[..part.n]);
+            at += part.n;
+        }
+        let bias = Matrix::from_vec(1, n, bias)?;
+        Self::from_parts(k, n, &q, &scales, Some(&bias))
     }
 
     /// Input dimension (rows of the original weight).
@@ -409,7 +465,9 @@ impl QuantizedPanels {
 
     /// Resident bytes of the quantized representation.
     pub fn bytes(&self) -> usize {
-        self.data.len() + (self.scales.len() + self.bias.len()) * std::mem::size_of::<f32>()
+        self.data.len()
+            + (self.offsets.len() + self.scales.len() + self.bias.len())
+                * std::mem::size_of::<f32>()
     }
 
     /// Per-output-column dequantization scales (unpadded).
@@ -421,17 +479,9 @@ impl QuantizedPanels {
     /// truth (scales + these bytes reproduce the panels exactly).
     pub fn weights_row_major(&self) -> Vec<i8> {
         let mut q = vec![0i8; self.k * self.n];
-        for p in 0..self.panel_count() {
-            let cols = QLANES.min(self.n - p * QLANES);
-            for kp in 0..self.kpairs {
-                let block = &self.data[(p * self.kpairs + kp) * 2 * QLANES..][..2 * QLANES];
-                for c in 0..cols {
-                    q[2 * kp * self.n + p * QLANES + c] = block[2 * c];
-                    if 2 * kp + 1 < self.k {
-                        q[(2 * kp + 1) * self.n + p * QLANES + c] = block[2 * c + 1];
-                    }
-                }
-            }
+        for (i, v) in q.iter_mut().enumerate() {
+            let (kk, c) = (i / self.n, i % self.n);
+            *v = self.block(c / QLANES, kk / 4)[4 * (c % QLANES) + kk % 4];
         }
         q
     }
@@ -451,31 +501,78 @@ impl QuantizedPanels {
     }
 
     #[inline]
-    fn block(&self, p: usize, kp: usize) -> &[i8] {
-        &self.data[(p * self.kpairs + kp) * 2 * QLANES..][..2 * QLANES]
+    fn block(&self, p: usize, g: usize) -> &[i8] {
+        &self.data[(p * self.kquads + g) * QBLOCK..][..QBLOCK]
     }
 }
 
-/// Quantizes one f32 input row into packed `[x0, x1]` int16 pairs — one i32
-/// word per weight k-pair, exactly the operand every `vpmaddwd` lane
-/// multiplies against, so the vector kernels broadcast it straight from
-/// memory (`vpbroadcastd`) instead of reassembling bytes in the inner loop.
-/// `q = round_ties_even(v · 127 / max_abs)` clamped to `[-127, 127]`;
-/// returns the row's dequantization scale `max_abs / 127` (an all-zero row
-/// quantizes to zeros with scale 1.0).
+/// A borrowed window of f32 rows: row `i` is `data[i * ld ..][.. k]`.  What
+/// the `*_into` entry points read, so a layer takes its input from a matrix's
+/// row window, from a working buffer with a padded leading dimension, or from
+/// a column range of either, without a copy.
+#[derive(Debug, Clone, Copy)]
+pub struct RowsView<'a> {
+    data: &'a [f32],
+    ld: usize,
+    count: usize,
+    k: usize,
+}
+
+impl<'a> RowsView<'a> {
+    /// `count` rows of `k` values, `ld` apart, all inside `data` (checked).
+    pub fn new(data: &'a [f32], ld: usize, count: usize, k: usize) -> crate::Result<Self> {
+        if k > ld || (count > 0 && (count - 1) * ld + k > data.len()) {
+            return Err(NnError::ShapeMismatch {
+                context: format!(
+                    "rows view: {count} rows of {k} values {ld} apart in a buffer of {}",
+                    data.len()
+                ),
+            });
+        }
+        Ok(RowsView { data, ld, count, k })
+    }
+
+    /// Rows `[start, start + count)` of a matrix.
+    pub fn of_matrix(m: &'a Matrix, start: usize, count: usize) -> crate::Result<Self> {
+        if start + count > m.rows() {
+            return Err(NnError::ShapeMismatch {
+                context: format!(
+                    "rows view: rows [{start}, {}) of a matrix with {} rows",
+                    start + count,
+                    m.rows()
+                ),
+            });
+        }
+        let ld = m.cols();
+        Self::new(&m.as_slice()[start * ld..(start + count) * ld], ld, count, ld)
+    }
+
+    /// Number of rows.
+    pub fn count(&self) -> usize {
+        self.count
+    }
+
+    /// Row `i` (panics past [`count`](Self::count)).
+    #[inline]
+    pub fn row(&self, i: usize) -> &'a [f32] {
+        assert!(i < self.count, "row {i} of a {}-row view", self.count);
+        &self.data[i * self.ld..][..self.k]
+    }
+}
+
+/// Quantizes one f32 input row to one byte per `k`: `q + 128` with
+/// `q = round_ties_even(v · 127 / max_abs)` clamped to `[-127, 127]`, so a
+/// byte is never 0.  The bias is what `vpdpbusd` wants for its unsigned
+/// operand; the other forms subtract it again (a flip of the top bit).  `out`
+/// is the row padded to whole k-quads, and the padding is written too (as
+/// `q = 0`), so the buffer can be reused without clearing.  Returns the row's
+/// dequantization scale `max_abs / 127` (an all-zero row quantizes to zeros
+/// with scale 1.0).
 ///
 /// Rounding is ties-to-even — the hardware `vcvtps2dq` mode — so the
-/// AVX-512 form below is bit-identical to this scalar recipe; the guard
-/// tests compare them directly.  `pairs` must arrive zeroed (freshly
-/// allocated), so padding lanes need no explicit writes.
-fn quantize_input_row(kernel: Kernel, row: &[f32], pairs: &mut [i32]) -> f32 {
-    #[cfg(target_arch = "x86_64")]
-    if matches!(kernel, Kernel::Vector) && avx512_enabled() {
-        // Safety: AVX-512 F/BW availability checked at runtime.
-        return unsafe { x86::quantize_input_row_avx512(row, pairs) };
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    let _ = kernel;
+/// AVX-512 form (`x86::quantize_rows_avx512`) is bit-identical to this scalar
+/// recipe; the guard tests compare them directly.
+fn quantize_input_row(row: &[f32], out: &mut [u8]) -> f32 {
     let mut amax = 0.0f32;
     for &v in row {
         let a = v.abs();
@@ -484,98 +581,105 @@ fn quantize_input_row(kernel: Kernel, row: &[f32], pairs: &mut [i32]) -> f32 {
         }
     }
     if amax == 0.0 {
-        pairs.fill(0);
+        out.fill(128);
         return 1.0;
     }
     let inv = 127.0 / amax;
-    let quant = |v: f32| (v * inv).round_ties_even().clamp(-127.0, 127.0) as i8;
-    for (kp, pair) in pairs.iter_mut().enumerate() {
-        let x0 = row.get(2 * kp).copied().map_or(0, quant);
-        let x1 = row.get(2 * kp + 1).copied().map_or(0, quant);
-        *pair = (x0 as i16 as u16 as u32 | ((x1 as i16 as u16 as u32) << 16)) as i32;
+    let (real, padding) = out.split_at_mut(row.len());
+    for (byte, &v) in real.iter_mut().zip(row) {
+        let q = (v * inv).round_ties_even().clamp(-127.0, 127.0) as i8;
+        *byte = q as u8 ^ 0x80;
     }
+    padding.fill(128);
     amax / 127.0
 }
 
-/// A window of input rows quantized once into the packed i16-pair form the
-/// int8 kernels consume (`quantize_input_row`).  Building this is O(k)
-/// scalar work per row, so callers running several quantized layers over the
-/// *same* activation window — the multi-task heads all reading the trunk
-/// output — construct it once and reuse it via [`forward_prequantized`];
-/// the pairs are identical to what [`forward_quantized`] would produce
-/// internally, so sharing never changes a prediction.
-#[derive(Debug, Clone, PartialEq)]
+/// Bytes a [`QuantizedRows`] buffer keeps past its last row, so the AVX-512
+/// quantizer can finish every row with a whole 16-byte store.
+const QROWS_SLACK: usize = 16;
+
+/// A window of input rows quantized into the byte form the int8 kernels
+/// consume (`quantize_input_row`), with the per-row scales.  A value of this
+/// type is a reusable buffer: [`fill`](Self::fill) overwrites it with a new
+/// window and only allocates when the window outgrows it, so a model walk
+/// sizes one for its widest layer and quantizes every layer's input into it.
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct QuantizedRows {
-    kpairs: usize,
+    k: usize,
     count: usize,
-    /// `count * kpairs` packed pairs, row-major.
-    pairs: Vec<i32>,
-    /// Per-row dequantization scales.
+    /// At least `count * k.div_ceil(4) * 4 + QROWS_SLACK` bytes, row-major.
+    bytes: Vec<u8>,
+    /// At least `count` per-row dequantization scales.
     scales: Vec<f32>,
 }
 
 impl QuantizedRows {
-    /// Quantizes rows `[start, start + count)` of `lhs` for panels with the
-    /// given k-pair count (`lhs.cols().div_ceil(2)` — checked), on the
-    /// calling thread's [`active`] kernel.
-    pub fn quantize(
-        lhs: &Matrix,
-        start: usize,
-        count: usize,
-        kpairs: usize,
-    ) -> crate::Result<Self> {
-        Self::quantize_with(active(), lhs, start, count, kpairs)
+    /// An empty buffer that holds `rows` rows of up to `k` values without
+    /// allocating again.
+    pub fn with_capacity(rows: usize, k: usize) -> Self {
+        QuantizedRows {
+            k: 0,
+            count: 0,
+            bytes: vec![0; rows * k.div_ceil(4) * 4 + QROWS_SLACK],
+            scales: vec![0.0; rows],
+        }
     }
 
-    /// [`quantize`](Self::quantize) with an explicit kernel — the row
-    /// quantizer has scalar and AVX-512 forms that produce identical pairs;
-    /// the bit-identity guards pin that by selecting each explicitly.
-    pub fn quantize_with(
-        kernel: Kernel,
-        lhs: &Matrix,
-        start: usize,
-        count: usize,
-        kpairs: usize,
-    ) -> crate::Result<Self> {
-        if kpairs != lhs.cols().div_ceil(2) {
-            return Err(NnError::ShapeMismatch {
-                context: format!(
-                    "quantized rows: {} input columns pack into {} k-pairs, got {kpairs}",
-                    lhs.cols(),
-                    lhs.cols().div_ceil(2)
-                ),
-            });
+    /// Quantizes `rows` on the calling thread's [`active`] kernel into a
+    /// fresh buffer.
+    pub fn quantize(rows: RowsView<'_>) -> Self {
+        let mut quantized = Self::default();
+        quantized.fill(active(), rows);
+        quantized
+    }
+
+    /// Overwrites the buffer with `rows`, quantized by `kernel`'s form of the
+    /// row quantizer — scalar and AVX-512 produce identical bytes; the
+    /// bit-identity guards pin that by selecting each explicitly.
+    pub fn fill(&mut self, kernel: Kernel, rows: RowsView<'_>) {
+        self.k = rows.k;
+        self.count = rows.count;
+        let width = rows.k.div_ceil(4) * 4;
+        if self.bytes.len() < rows.count * width + QROWS_SLACK {
+            self.bytes.resize(rows.count * width + QROWS_SLACK, 0);
         }
-        if start + count > lhs.rows() {
-            return Err(NnError::ShapeMismatch {
-                context: format!(
-                    "quantized rows: rows [{start}, {}) of a matrix with {} rows",
-                    start + count,
-                    lhs.rows()
-                ),
-            });
+        if self.scales.len() < rows.count {
+            self.scales.resize(rows.count, 0.0);
         }
-        let mut pairs = vec![0i32; count * kpairs];
-        let mut scales = vec![0.0f32; count];
-        for i in 0..count {
-            scales[i] = quantize_input_row(
-                kernel,
-                lhs.row(start + i),
-                &mut pairs[i * kpairs..(i + 1) * kpairs],
-            );
+        #[cfg(target_arch = "x86_64")]
+        if matches!(kernel, Kernel::Vector) && avx512_enabled() {
+            // Safety: AVX-512 F/BW availability checked at runtime; the
+            // buffers were sized above (the callee checks them again).
+            unsafe { x86::quantize_rows_avx512(rows, width, &mut self.bytes, &mut self.scales) };
+            return;
         }
-        Ok(QuantizedRows {
-            kpairs,
-            count,
-            pairs,
-            scales,
-        })
+        #[cfg(not(target_arch = "x86_64"))]
+        let _ = kernel;
+        for i in 0..rows.count {
+            self.scales[i] = quantize_input_row(rows.row(i), &mut self.bytes[i * width..][..width]);
+        }
     }
 
     /// Number of quantized rows.
     pub fn count(&self) -> usize {
         self.count
     }
+}
+
+/// Checks what every `*_into` entry point needs of its destination: `ld`
+/// leaves room for the `n` output columns and `out` holds `count` rows of it.
+/// The vector kernels store whole lanes up to `ld`, so this is a memory-safety
+/// check, not a convenience.
+fn check_destination(out: &[f32], ld: usize, count: usize, n: usize) -> crate::Result<()> {
+    if ld < n || out.len() < count * ld {
+        return Err(NnError::ShapeMismatch {
+            context: format!(
+                "forward destination: {count} rows of {n} columns {ld} apart in a buffer of {}",
+                out.len()
+            ),
+        });
+    }
+    Ok(())
 }
 
 /// `act(lhs[start .. start+count] · W + b)` over packed panels, written into a
@@ -589,60 +693,58 @@ pub fn forward_packed(
     panels: &PackedPanels,
     activation: Activation,
 ) -> crate::Result<Matrix> {
-    forward_packed_with(active(), lhs, start, count, panels, activation)
-}
-
-/// [`forward_packed`] with an explicit kernel (tests and micro-benchmarks).
-pub fn forward_packed_with(
-    kernel: Kernel,
-    lhs: &Matrix,
-    start: usize,
-    count: usize,
-    panels: &PackedPanels,
-    activation: Activation,
-) -> crate::Result<Matrix> {
-    if lhs.cols() != panels.k {
-        return Err(NnError::ShapeMismatch {
-            context: format!(
-                "forward_packed: lhs is {}x{}, panels expect k={}",
-                lhs.rows(),
-                lhs.cols(),
-                panels.k
-            ),
-        });
-    }
-    if start + count > lhs.rows() {
-        return Err(NnError::ShapeMismatch {
-            context: format!(
-                "forward_packed: rows [{start}, {}) of a matrix with {} rows",
-                start + count,
-                lhs.rows()
-            ),
-        });
-    }
+    let rows = RowsView::of_matrix(lhs, start, count)?;
     let mut out = Matrix::zeros(count, panels.n);
-    match kernel {
-        #[cfg(target_arch = "x86_64")]
-        Kernel::Vector if avx512_enabled() => unsafe {
-            // Safety: AVX-512 F/BW/DQ availability checked at runtime.
-            x86::forward_avx512(lhs, start, count, panels, activation, out.as_mut_slice());
-        },
-        #[cfg(target_arch = "x86_64")]
-        Kernel::Vector if vector_available() => unsafe {
-            // Safety: AVX2+FMA availability checked at runtime.
-            x86::forward_avx2(lhs, start, count, panels, activation, out.as_mut_slice());
-        },
-        _ => forward_scalar_dispatch(lhs, start, count, panels, activation, out.as_mut_slice()),
-    }
+    forward_packed_into(active(), rows, panels, activation, out.as_mut_slice(), panels.n)?;
     Ok(out)
 }
 
+/// [`forward_packed`] into a caller-owned buffer: output row `i` is
+/// `out[i * ld ..][.. n]`.  With `ld` past `n` the kernels also write the
+/// panel padding up to `ld` (as `act(0)`), which is what lets them store whole
+/// lanes into a buffer whose leading dimension is a multiple of [`LANES`].
+pub fn forward_packed_into(
+    kernel: Kernel,
+    rows: RowsView<'_>,
+    panels: &PackedPanels,
+    activation: Activation,
+    out: &mut [f32],
+    ld: usize,
+) -> crate::Result<()> {
+    if rows.k != panels.k {
+        return Err(NnError::ShapeMismatch {
+            context: format!(
+                "forward_packed: input rows have {} values, panels expect k={}",
+                rows.k, panels.k
+            ),
+        });
+    }
+    check_destination(out, ld, rows.count, panels.n)?;
+    match kernel {
+        #[cfg(target_arch = "x86_64")]
+        Kernel::Vector if avx512_enabled() => unsafe {
+            // Safety: AVX-512 F/BW/DQ availability checked at runtime; the
+            // destination bounds were checked above.
+            x86::forward_avx512(rows, panels, activation, out, ld);
+        },
+        #[cfg(target_arch = "x86_64")]
+        Kernel::Vector if vector_available() => unsafe {
+            // Safety: AVX2+FMA availability checked at runtime; the
+            // destination bounds were checked above.
+            x86::forward_avx2(rows, panels, activation, out, ld);
+        },
+        _ => forward_scalar_dispatch(rows, panels, activation, out, ld),
+    }
+    Ok(())
+}
+
 /// `act((lhs[start .. start+count] quantized) · Q + b)` over int8 panels,
-/// written into a fresh `count × n` matrix.  Each input row is quantized once
-/// (shared scalar helper), accumulated exactly in i32, and dequantized through
-/// the fixed f32 epilogue `y = (acc as f32) · (x_scale · w_scale_c) + bias_c`
-/// with the activation fused into the tile store — bit-identical across
-/// kernel selection, chunking, batch size and thread count.
+/// written into a fresh `count × n` matrix.  Each input row is quantized once,
+/// the integer `Σ qₓ·q_w` is accumulated exactly, and the result is
+/// dequantized through the fixed f32 epilogue
+/// `y = (acc as f32) · (x_scale · w_scale_c) + bias_c` with the activation
+/// fused into the tile store — bit-identical across kernel selection,
+/// chunking, batch size and thread count.
 pub fn forward_quantized(
     lhs: &Matrix,
     start: usize,
@@ -650,120 +752,85 @@ pub fn forward_quantized(
     panels: &QuantizedPanels,
     activation: Activation,
 ) -> crate::Result<Matrix> {
-    forward_quantized_with(active(), lhs, start, count, panels, activation)
+    let rows = RowsView::of_matrix(lhs, start, count)?;
+    let mut qrows = QuantizedRows::default();
+    let mut out = Matrix::zeros(count, panels.n);
+    let (dst, ld) = (out.as_mut_slice(), panels.n);
+    forward_quantized_into(active(), rows, &mut qrows, panels, activation, dst, ld)?;
+    Ok(out)
 }
 
-/// [`forward_quantized`] with an explicit kernel (tests and micro-benchmarks).
-pub fn forward_quantized_with(
+/// [`forward_quantized`] into a caller-owned buffer (see
+/// [`forward_packed_into`] for `out` and `ld`), quantizing `rows` into the
+/// caller's `qrows` on the way — which is left holding them, for
+/// [`forward_prequantized_into`] to run further layers over the same input.
+pub fn forward_quantized_into(
     kernel: Kernel,
-    lhs: &Matrix,
-    start: usize,
-    count: usize,
+    rows: RowsView<'_>,
+    qrows: &mut QuantizedRows,
     panels: &QuantizedPanels,
     activation: Activation,
-) -> crate::Result<Matrix> {
-    if lhs.cols() != panels.k {
-        return Err(NnError::ShapeMismatch {
-            context: format!(
-                "forward_quantized: lhs is {}x{}, panels expect k={}",
-                lhs.rows(),
-                lhs.cols(),
-                panels.k
-            ),
-        });
-    }
-    if start + count > lhs.rows() {
-        return Err(NnError::ShapeMismatch {
-            context: format!(
-                "forward_quantized: rows [{start}, {}) of a matrix with {} rows",
-                start + count,
-                lhs.rows()
-            ),
-        });
-    }
-    // Quantize the whole row window up front; the scalar and AVX-512 row
-    // quantizers produce identical pairs, so every kernel reads the same
-    // operands.
-    let qrows = QuantizedRows::quantize_with(kernel, lhs, start, count, panels.kpairs)?;
-    forward_prequantized_with(kernel, &qrows, panels, activation)
+    out: &mut [f32],
+    ld: usize,
+) -> crate::Result<()> {
+    // The scalar and AVX-512 row quantizers produce identical bytes, so every
+    // kernel reads the same operands.
+    qrows.fill(kernel, rows);
+    forward_prequantized_into(kernel, qrows, panels, activation, out, ld)
 }
 
 /// [`forward_quantized`] over an input window already quantized by
-/// [`QuantizedRows::quantize`] — the multi-task head path, where every head
-/// reads the same trunk output and the per-row input quantization would
-/// otherwise be repeated once per head.
+/// [`QuantizedRows::quantize`], for several layers that read the same input.
 pub fn forward_prequantized(
     qrows: &QuantizedRows,
     panels: &QuantizedPanels,
     activation: Activation,
 ) -> crate::Result<Matrix> {
-    forward_prequantized_with(active(), qrows, panels, activation)
+    let mut out = Matrix::zeros(qrows.count, panels.n);
+    forward_prequantized_into(active(), qrows, panels, activation, out.as_mut_slice(), panels.n)?;
+    Ok(out)
 }
 
-/// [`forward_prequantized`] with an explicit kernel.
-pub fn forward_prequantized_with(
+/// [`forward_prequantized`] with an explicit kernel, into a caller-owned
+/// buffer (see [`forward_packed_into`] for `out` and `ld`).  The one place
+/// the int8 forward picks its form: `vpdpbusd` with AVX-512-VNNI, the
+/// sign-transfer form with AVX2, the scalar dot product otherwise.
+pub fn forward_prequantized_into(
     kernel: Kernel,
     qrows: &QuantizedRows,
     panels: &QuantizedPanels,
     activation: Activation,
-) -> crate::Result<Matrix> {
-    if qrows.kpairs != panels.kpairs {
+    out: &mut [f32],
+    ld: usize,
+) -> crate::Result<()> {
+    if qrows.k != panels.k {
         return Err(NnError::ShapeMismatch {
             context: format!(
-                "forward_prequantized: input rows pack {} k-pairs, panels expect {}",
-                qrows.kpairs, panels.kpairs
+                "forward_prequantized: input rows have {} values, panels expect k={}",
+                qrows.k, panels.k
             ),
         });
     }
+    check_destination(out, ld, qrows.count, panels.n)?;
     let count = qrows.count;
-    let mut out = Matrix::zeros(count, panels.n);
+    let bytes = &qrows.bytes[..count * panels.kquads * 4];
+    let xscales = &qrows.scales[..count];
     match kernel {
         #[cfg(target_arch = "x86_64")]
         Kernel::Vector if avx512_enabled() && vnni_available() => unsafe {
-            // Safety: AVX-512 F/BW/DQ/VNNI availability checked at runtime.
-            x86::forward_quantized_avx512_vnni(
-                &qrows.pairs,
-                &qrows.scales,
-                count,
-                panels,
-                activation,
-                out.as_mut_slice(),
-            );
-        },
-        #[cfg(target_arch = "x86_64")]
-        Kernel::Vector if avx512_enabled() => unsafe {
-            // Safety: AVX-512 F/BW/DQ availability checked at runtime.
-            x86::forward_quantized_avx512(
-                &qrows.pairs,
-                &qrows.scales,
-                count,
-                panels,
-                activation,
-                out.as_mut_slice(),
-            );
+            // Safety: AVX-512 F/BW/DQ/VNNI availability checked at runtime;
+            // the destination bounds were checked above.
+            x86::forward_quantized_vnni(bytes, xscales, panels, activation, out, ld);
         },
         #[cfg(target_arch = "x86_64")]
         Kernel::Vector if vector_available() => unsafe {
-            // Safety: AVX2+FMA availability checked at runtime.
-            x86::forward_quantized_avx2(
-                &qrows.pairs,
-                &qrows.scales,
-                count,
-                panels,
-                activation,
-                out.as_mut_slice(),
-            );
+            // Safety: AVX2+FMA availability checked at runtime; the
+            // destination bounds were checked above.
+            x86::forward_quantized_avx2(bytes, xscales, panels, activation, out, ld);
         },
-        _ => forward_quantized_scalar_dispatch(
-            &qrows.pairs,
-            &qrows.scales,
-            count,
-            panels,
-            activation,
-            out.as_mut_slice(),
-        ),
+        _ => forward_quantized_scalar_dispatch(bytes, xscales, panels, activation, out, ld),
     }
-    Ok(out)
+    Ok(())
 }
 
 /// `lhs (m × n) · Wᵀ (n × k) -> m × k` over packed panels — the backward-pass
@@ -771,15 +838,6 @@ pub fn forward_prequantized_with(
 /// for free").  Each output element is a lane-parallel dot product finished by
 /// the fixed reduction tree.
 pub fn matmul_transpose_packed(lhs: &Matrix, panels: &PackedPanels) -> crate::Result<Matrix> {
-    matmul_transpose_packed_with(active(), lhs, panels)
-}
-
-/// [`matmul_transpose_packed`] with an explicit kernel.
-pub fn matmul_transpose_packed_with(
-    kernel: Kernel,
-    lhs: &Matrix,
-    panels: &PackedPanels,
-) -> crate::Result<Matrix> {
     if lhs.cols() != panels.n {
         return Err(NnError::ShapeMismatch {
             context: format!(
@@ -791,7 +849,7 @@ pub fn matmul_transpose_packed_with(
         });
     }
     let mut out = Matrix::zeros(lhs.rows(), panels.k);
-    match kernel {
+    match active() {
         #[cfg(target_arch = "x86_64")]
         Kernel::Vector if avx512_enabled() => unsafe {
             // Safety: AVX-512 F/BW/DQ availability checked at runtime.
@@ -812,15 +870,6 @@ pub fn matmul_transpose_packed_with(
 /// `rhs` rows.  Operations are element-wise fused multiply-adds, so the scalar
 /// and vector kernels agree bit for bit.
 pub fn transpose_matmul(lhs: &Matrix, rhs: &Matrix) -> crate::Result<Matrix> {
-    transpose_matmul_with(active(), lhs, rhs)
-}
-
-/// [`transpose_matmul`] with an explicit kernel.
-pub fn transpose_matmul_with(
-    kernel: Kernel,
-    lhs: &Matrix,
-    rhs: &Matrix,
-) -> crate::Result<Matrix> {
     if lhs.rows() != rhs.rows() {
         return Err(NnError::ShapeMismatch {
             context: format!(
@@ -833,7 +882,7 @@ pub fn transpose_matmul_with(
         });
     }
     let mut out = Matrix::zeros(lhs.cols(), rhs.cols());
-    match kernel {
+    match active() {
         #[cfg(target_arch = "x86_64")]
         Kernel::Vector if vector_available() => unsafe {
             // Safety: AVX2+FMA availability checked at runtime.  (Element-wise
@@ -901,28 +950,25 @@ fn apply_activation_slice(activation: Activation, out: &mut [f32]) {
 
 #[inline(always)]
 fn forward_scalar_body(
-    lhs: &Matrix,
-    start: usize,
-    count: usize,
+    rows: RowsView<'_>,
     panels: &PackedPanels,
     activation: Activation,
     out: &mut [f32],
+    ld: usize,
 ) {
-    let n = panels.n;
-    let k = panels.k;
-    for i in 0..count {
-        let lhs_row = lhs.row(start + i);
-        let out_row = &mut out[i * n..(i + 1) * n];
+    for i in 0..rows.count {
+        let lhs_row = rows.row(i);
+        let out_row = &mut out[i * ld..(i + 1) * ld];
         for p in 0..panels.panel_count() {
             let panel = panels.panel(p);
             let mut acc: [f32; LANES] = panels.bias_panel(p).try_into().expect("lane width");
-            for (kk, &a) in lhs_row.iter().enumerate().take(k) {
+            for (kk, &a) in lhs_row.iter().enumerate() {
                 let w = &panel[kk * LANES..(kk + 1) * LANES];
                 for (lane, &wl) in acc.iter_mut().zip(w) {
                     *lane = a.mul_add(wl, *lane);
                 }
             }
-            let cols = LANES.min(n - p * LANES);
+            let cols = LANES.min(ld - p * LANES);
             let tile = &mut out_row[p * LANES..p * LANES + cols];
             tile.copy_from_slice(&acc[..cols]);
             apply_activation_slice(activation, tile);
@@ -930,33 +976,32 @@ fn forward_scalar_body(
     }
 }
 
+/// The reference form of the int8 forward: the plain i32 dot product of the
+/// un-biased input bytes with the weights, then the fixed epilogue.
 #[inline(always)]
 fn forward_quantized_scalar_body(
-    qpairs: &[i32],
+    bytes: &[u8],
     xscales: &[f32],
-    count: usize,
     panels: &QuantizedPanels,
     activation: Activation,
     out: &mut [f32],
+    ld: usize,
 ) {
-    let n = panels.n;
-    let kpairs = panels.kpairs;
-    for i in 0..count {
-        let xrow = &qpairs[i * kpairs..(i + 1) * kpairs];
-        let x_scale = xscales[i];
-        let out_row = &mut out[i * n..(i + 1) * n];
+    let width = panels.kquads * 4;
+    for (i, &x_scale) in xscales.iter().enumerate() {
+        let xrow = &bytes[i * width..(i + 1) * width];
+        let out_row = &mut out[i * ld..(i + 1) * ld];
         for p in 0..panels.panel_count() {
             let mut acc = [0i32; QLANES];
-            for (kp, &pair) in xrow.iter().enumerate() {
-                let x0 = pair as i16 as i32;
-                let x1 = (pair >> 16) as i16 as i32;
-                let block = panels.block(p, kp);
+            for (g, quad) in xrow.chunks_exact(4).enumerate() {
+                let block = panels.block(p, g);
                 for (c, lane) in acc.iter_mut().enumerate() {
-                    // The exact i32 form of one `vpmaddwd` lane.
-                    *lane += x0 * block[2 * c] as i32 + x1 * block[2 * c + 1] as i32;
+                    for (s, &byte) in quad.iter().enumerate() {
+                        *lane += (byte as i32 - 128) * block[4 * c + s] as i32;
+                    }
                 }
             }
-            let cols = QLANES.min(n - p * QLANES);
+            let cols = QLANES.min(ld - p * QLANES);
             let tile = &mut out_row[p * QLANES..p * QLANES + cols];
             for (c, t) in tile.iter_mut().enumerate() {
                 let m = x_scale * panels.scales[p * QLANES + c];
@@ -1051,12 +1096,11 @@ scalar_dispatch!(
     forward_scalar_body,
     forward_scalar_fma,
     (
-        lhs: &Matrix,
-        start: usize,
-        count: usize,
+        rows: RowsView<'_>,
         panels: &PackedPanels,
         activation: Activation,
-        out: &mut [f32]
+        out: &mut [f32],
+        ld: usize
     )
 );
 
@@ -1065,12 +1109,12 @@ scalar_dispatch!(
     forward_quantized_scalar_body,
     forward_quantized_scalar_fma,
     (
-        qpairs: &[i32],
+        bytes: &[u8],
         xscales: &[f32],
-        count: usize,
         panels: &QuantizedPanels,
         activation: Activation,
-        out: &mut [f32]
+        out: &mut [f32],
+        ld: usize
     )
 );
 
@@ -1094,7 +1138,9 @@ scalar_dispatch!(
 
 #[cfg(target_arch = "x86_64")]
 mod x86 {
-    use super::{apply_activation_slice, PackedPanels, QuantizedPanels, LANES, QLANES};
+    use super::{
+        apply_activation_slice, PackedPanels, QuantizedPanels, RowsView, LANES, QBLOCK, QLANES,
+    };
     use crate::layer::Activation;
     use crate::tensor::Matrix;
     use std::arch::x86_64::*;
@@ -1107,429 +1153,389 @@ mod x86 {
     /// Half-panel width of the AVX2 forms (one `__m256`).
     const HALF: usize = 8;
 
-    #[target_feature(enable = "avx2", enable = "fma")]
-    pub(super) unsafe fn forward_avx2(
-        lhs: &Matrix,
-        start: usize,
-        count: usize,
+    /// One panel of rows `r..r+MR` in the AVX2 f32 form: `2 × MR` ymm
+    /// accumulators sharing each panel-row load.
+    #[inline(always)]
+    unsafe fn avx2_tile<const MR: usize>(
+        x: RowsView<'_>,
         panels: &PackedPanels,
         activation: Activation,
         out: &mut [f32],
+        ld: usize,
+        r: usize,
+        p: usize,
     ) {
-        let n = panels.n;
-        let k = panels.k;
-        let np = panels.panel_count();
-        let mut r = 0;
-        while r + MR <= count {
-            for p in 0..np {
-                let panel = panels.panel(p);
-                let bias = panels.bias_panel(p);
-                let b_lo = _mm256_loadu_ps(bias.as_ptr());
-                let b_hi = _mm256_loadu_ps(bias.as_ptr().add(HALF));
-                let rows: [&[f32]; MR] = std::array::from_fn(|j| lhs.row(start + r + j));
-                let mut lo = [b_lo; MR];
-                let mut hi = [b_hi; MR];
-                #[allow(clippy::needless_range_loop)] // kk indexes 4 rows + the panel in lockstep
-                for kk in 0..k {
-                    let w_lo = _mm256_loadu_ps(panel.as_ptr().add(kk * LANES));
-                    let w_hi = _mm256_loadu_ps(panel.as_ptr().add(kk * LANES + HALF));
-                    for j in 0..MR {
-                        let a = _mm256_set1_ps(rows[j][kk]);
-                        lo[j] = _mm256_fmadd_ps(a, w_lo, lo[j]);
-                        hi[j] = _mm256_fmadd_ps(a, w_hi, hi[j]);
-                    }
-                }
-                for j in 0..MR {
-                    store_half_tiles(lo[j], hi[j], activation, out, (r + j) * n + p * LANES, n - p * LANES);
-                }
+        let panel = panels.panel(p).as_ptr();
+        let bias = panels.bias_panel(p).as_ptr();
+        let rows: [&[f32]; MR] = std::array::from_fn(|j| x.row(r + j));
+        let mut lo = [_mm256_loadu_ps(bias); MR];
+        let mut hi = [_mm256_loadu_ps(bias.add(HALF)); MR];
+        #[allow(clippy::needless_range_loop)] // kk indexes the rows and the panels in lockstep
+        for kk in 0..panels.k {
+            let w_lo = _mm256_loadu_ps(panel.add(kk * LANES));
+            let w_hi = _mm256_loadu_ps(panel.add(kk * LANES + HALF));
+            for j in 0..MR {
+                let a = _mm256_set1_ps(rows[j][kk]);
+                lo[j] = _mm256_fmadd_ps(a, w_lo, lo[j]);
+                hi[j] = _mm256_fmadd_ps(a, w_hi, hi[j]);
             }
-            r += MR;
         }
-        while r < count {
-            let lhs_row = lhs.row(start + r);
-            for p in 0..np {
-                let panel = panels.panel(p);
-                let bias = panels.bias_panel(p);
-                let mut lo = _mm256_loadu_ps(bias.as_ptr());
-                let mut hi = _mm256_loadu_ps(bias.as_ptr().add(HALF));
-                for (kk, &a) in lhs_row.iter().enumerate().take(k) {
-                    let av = _mm256_set1_ps(a);
-                    let w_lo = _mm256_loadu_ps(panel.as_ptr().add(kk * LANES));
-                    let w_hi = _mm256_loadu_ps(panel.as_ptr().add(kk * LANES + HALF));
-                    lo = _mm256_fmadd_ps(av, w_lo, lo);
-                    hi = _mm256_fmadd_ps(av, w_hi, hi);
-                }
-                store_half_tiles(lo, hi, activation, out, r * n + p * LANES, n - p * LANES);
-            }
-            r += 1;
+        for j in 0..MR {
+            let at = p * LANES;
+            store_half_tiles(lo[j], hi[j], activation, out, (r + j) * ld + at, ld - at);
         }
     }
 
-    /// 2-panel × 4-row register-blocked AVX-512 forward: 8 zmm accumulators
-    /// sharing each pair of panel-row loads.  Each output column is still one
-    /// independent bias-initialized FMA chain over `k` — the identical recipe
-    /// of the scalar and AVX2 forms.
-    #[target_feature(enable = "avx512f", enable = "avx512bw", enable = "avx512dq")]
-    pub(super) unsafe fn forward_avx512(
-        lhs: &Matrix,
-        start: usize,
-        count: usize,
+    #[target_feature(enable = "avx2", enable = "fma")]
+    pub(super) unsafe fn forward_avx2(
+        x: RowsView<'_>,
         panels: &PackedPanels,
         activation: Activation,
         out: &mut [f32],
+        ld: usize,
     ) {
-        let n = panels.n;
-        let k = panels.k;
+        let mut r = 0;
+        while r < x.count {
+            let whole = r + MR <= x.count;
+            for p in 0..panels.panel_count() {
+                if whole {
+                    avx2_tile::<MR>(x, panels, activation, out, ld, r, p);
+                } else {
+                    avx2_tile::<1>(x, panels, activation, out, ld, r, p);
+                }
+            }
+            r += if whole { MR } else { 1 };
+        }
+    }
+
+    /// `NP` panels of rows `r..r+MR` in the AVX-512 f32 form: `NP × MR` zmm
+    /// accumulators sharing each set of panel-row loads.  Each output column is
+    /// still one independent bias-initialized FMA chain over `k` — the
+    /// identical recipe of the scalar and AVX2 forms.
+    #[inline(always)]
+    unsafe fn avx512_tile<const MR: usize, const NP: usize>(
+        x: RowsView<'_>,
+        panels: &PackedPanels,
+        activation: Activation,
+        out: &mut [f32],
+        ld: usize,
+        r: usize,
+        p: usize,
+    ) {
+        let w: [*const f32; NP] = std::array::from_fn(|q| panels.panel(p + q).as_ptr());
+        let rows: [&[f32]; MR] = std::array::from_fn(|j| x.row(r + j));
+        let mut acc: [[__m512; NP]; MR] = [std::array::from_fn(|q| {
+            _mm512_loadu_ps(panels.bias_panel(p + q).as_ptr())
+        }); MR];
+        #[allow(clippy::needless_range_loop)] // kk indexes the rows and the panels in lockstep
+        for kk in 0..panels.k {
+            let wk: [__m512; NP] = std::array::from_fn(|q| _mm512_loadu_ps(w[q].add(kk * LANES)));
+            for j in 0..MR {
+                let a = _mm512_set1_ps(rows[j][kk]);
+                for q in 0..NP {
+                    acc[j][q] = _mm512_fmadd_ps(a, wk[q], acc[j][q]);
+                }
+            }
+        }
+        for (j, row) in acc.iter().enumerate() {
+            for (q, &tile) in row.iter().enumerate() {
+                let at = (p + q) * LANES;
+                store_tile512(tile, activation, out, (r + j) * ld + at, ld - at);
+            }
+        }
+    }
+
+    /// 2-panel × 4-row register-blocked AVX-512 forward (8 zmm accumulators),
+    /// single rows and a single panel at the edges.
+    #[target_feature(enable = "avx512f", enable = "avx512bw", enable = "avx512dq")]
+    pub(super) unsafe fn forward_avx512(
+        x: RowsView<'_>,
+        panels: &PackedPanels,
+        activation: Activation,
+        out: &mut [f32],
+        ld: usize,
+    ) {
         let np = panels.panel_count();
         let mut r = 0;
-        while r + MR <= count {
-            let rows: [&[f32]; MR] = std::array::from_fn(|j| lhs.row(start + r + j));
+        while r < x.count {
+            let whole = r + MR <= x.count;
             let mut p = 0;
-            while p + 2 <= np {
-                let p0 = panels.panel(p);
-                let p1 = panels.panel(p + 1);
-                let b0 = _mm512_loadu_ps(panels.bias_panel(p).as_ptr());
-                let b1 = _mm512_loadu_ps(panels.bias_panel(p + 1).as_ptr());
-                let mut acc0 = [b0; MR];
-                let mut acc1 = [b1; MR];
-                #[allow(clippy::needless_range_loop)] // kk indexes 4 rows + 2 panels in lockstep
-                for kk in 0..k {
-                    let w0 = _mm512_loadu_ps(p0.as_ptr().add(kk * LANES));
-                    let w1 = _mm512_loadu_ps(p1.as_ptr().add(kk * LANES));
-                    for j in 0..MR {
-                        let a = _mm512_set1_ps(rows[j][kk]);
-                        acc0[j] = _mm512_fmadd_ps(a, w0, acc0[j]);
-                        acc1[j] = _mm512_fmadd_ps(a, w1, acc1[j]);
-                    }
-                }
-                for j in 0..MR {
-                    store_tile512(acc0[j], activation, out, (r + j) * n + p * LANES, n - p * LANES);
-                    store_tile512(
-                        acc1[j],
-                        activation,
-                        out,
-                        (r + j) * n + (p + 1) * LANES,
-                        n - (p + 1) * LANES,
-                    );
+            while p < np {
+                match (whole, p + 2 <= np) {
+                    (true, true) => avx512_tile::<MR, 2>(x, panels, activation, out, ld, r, p),
+                    (true, false) => avx512_tile::<MR, 1>(x, panels, activation, out, ld, r, p),
+                    (false, true) => avx512_tile::<1, 2>(x, panels, activation, out, ld, r, p),
+                    (false, false) => avx512_tile::<1, 1>(x, panels, activation, out, ld, r, p),
                 }
                 p += 2;
             }
-            if p < np {
-                let panel = panels.panel(p);
-                let b = _mm512_loadu_ps(panels.bias_panel(p).as_ptr());
-                let mut acc = [b; MR];
-                #[allow(clippy::needless_range_loop)] // kk indexes 4 rows + the panel in lockstep
-                for kk in 0..k {
-                    let w = _mm512_loadu_ps(panel.as_ptr().add(kk * LANES));
-                    for j in 0..MR {
-                        acc[j] = _mm512_fmadd_ps(_mm512_set1_ps(rows[j][kk]), w, acc[j]);
-                    }
-                }
-                for (j, &a) in acc.iter().enumerate() {
-                    store_tile512(a, activation, out, (r + j) * n + p * LANES, n - p * LANES);
-                }
-            }
-            r += MR;
-        }
-        while r < count {
-            let lhs_row = lhs.row(start + r);
-            for p in 0..np {
-                let panel = panels.panel(p);
-                let mut acc = _mm512_loadu_ps(panels.bias_panel(p).as_ptr());
-                for (kk, &a) in lhs_row.iter().enumerate().take(k) {
-                    let w = _mm512_loadu_ps(panel.as_ptr().add(kk * LANES));
-                    acc = _mm512_fmadd_ps(_mm512_set1_ps(a), w, acc);
-                }
-                store_tile512(acc, activation, out, r * n + p * LANES, n - p * LANES);
-            }
-            r += 1;
+            r += if whole { MR } else { 1 };
         }
     }
 
-    /// AVX-512 form of the shared input-row quantizer: `vmaxps` amax scan,
-    /// then `q = clamp(vcvtps2dq(v · 127/amax), -127, 127)` narrowed to i16
-    /// pairs with `vpmovdw`.  Bit-identical to the scalar recipe: the max
-    /// reduction is order-independent, the multiply rounds identically, and
-    /// `vcvtps2dq` is exactly `round_ties_even` (inputs are finite — they are
-    /// activations).  `pairs` must arrive zeroed (padding lanes are never
-    /// stored).
+    /// AVX-512 form of the input-row quantizer, over a whole window: per row a
+    /// `vmaxps` amax scan, then `q = clamp(vcvtps2dq(v · 127/amax), -127, 127)`,
+    /// biased by 128 and narrowed to bytes with `vpmovdb`.  Bit-identical to
+    /// the scalar recipe: the max reduction is order-independent, the multiply
+    /// rounds identically, and `vcvtps2dq` is exactly `round_ties_even` (inputs
+    /// are finite — they are activations).  Lanes past a row's end load as 0.0
+    /// and so write its padding as `q = 0`; every store is a whole 16 bytes,
+    /// running into the next row (quantized after it) or, for the last row,
+    /// into the slack `bytes` must have past `rows.count * width`.
     #[target_feature(enable = "avx512f", enable = "avx512bw")]
-    pub(super) unsafe fn quantize_input_row_avx512(row: &[f32], pairs: &mut [i32]) -> f32 {
-        let k = row.len();
-        let src = row.as_ptr();
-        let mut vmax = _mm512_setzero_ps();
-        let mut i = 0;
-        while i + 16 <= k {
-            vmax = _mm512_max_ps(vmax, _mm512_abs_ps(_mm512_loadu_ps(src.add(i))));
-            i += 16;
-        }
-        if i < k {
-            let mask = (1u16 << (k - i)) - 1;
-            vmax = _mm512_max_ps(vmax, _mm512_abs_ps(_mm512_maskz_loadu_ps(mask, src.add(i))));
-        }
-        let amax = _mm512_reduce_max_ps(vmax);
-        if amax == 0.0 {
-            pairs.fill(0);
-            return 1.0;
-        }
-        let vinv = _mm512_set1_ps(127.0 / amax);
+    pub(super) unsafe fn quantize_rows_avx512(
+        rows: RowsView<'_>,
+        width: usize,
+        bytes: &mut [u8],
+        scales: &mut [f32],
+    ) {
+        assert!(bytes.len() >= rows.count * width + super::QROWS_SLACK);
+        assert!(scales.len() >= rows.count && width == rows.k.div_ceil(4) * 4);
+        let k = rows.k;
+        let whole = k / 16 * 16;
+        let tail = (1u16 << (k - whole)) - 1;
         let lo = _mm512_set1_epi32(-127);
         let hi = _mm512_set1_epi32(127);
-        let dst = pairs.as_mut_ptr() as *mut i16;
-        let mut i = 0;
-        while i < k {
-            let remaining = k - i;
-            let mask = if remaining >= 16 {
-                0xFFFFu16
-            } else {
-                (1u16 << remaining) - 1
-            };
-            let v = _mm512_maskz_loadu_ps(mask, src.add(i));
-            let q = _mm512_min_epi32(
-                _mm512_max_epi32(_mm512_cvtps_epi32(_mm512_mul_ps(v, vinv)), lo),
-                hi,
-            );
-            let w16 = _mm512_cvtepi32_epi16(q);
-            if remaining >= 16 {
-                _mm256_storeu_si256(dst.add(i) as *mut __m256i, w16);
-            } else {
-                let mut tail = [0i16; 16];
-                _mm256_storeu_si256(tail.as_mut_ptr() as *mut __m256i, w16);
-                std::ptr::copy_nonoverlapping(tail.as_ptr(), dst.add(i), remaining);
+        let bias = _mm512_set1_epi32(128);
+        for (r, scale) in scales.iter_mut().enumerate().take(rows.count) {
+            let src = rows.row(r).as_ptr();
+            let dst = bytes.as_mut_ptr().add(r * width);
+            // Two running maxima, so consecutive loads do not wait on each other.
+            let mut vmax = [
+                _mm512_abs_ps(_mm512_maskz_loadu_ps(tail, src.add(whole))),
+                _mm512_setzero_ps(),
+            ];
+            for i in (0..whole).step_by(16) {
+                let v = _mm512_abs_ps(_mm512_loadu_ps(src.add(i)));
+                vmax[i / 16 % 2] = _mm512_max_ps(vmax[i / 16 % 2], v);
             }
-            i += 16;
-        }
-        amax / 127.0
-    }
-
-    /// Row-block size of the int8 forward micro-kernels: 8 rows share each
-    /// widening weight load (8 i32 accumulators + the widened block + the
-    /// broadcast pair stay comfortably inside the 32-register zmm file).
-    const QMR: usize = 8;
-
-    /// One int8 multiply-accumulate step: `acc + Σ_pairs w · x` in exact i32.
-    /// The VNNI form fuses `vpmaddwd` + `vpaddd` into one `vpdpwssd`; both
-    /// forms accumulate identical lane values (no saturation is reachable —
-    /// products of `[-127, 127]` pairs summed into i32), so selection is
-    /// purely a speed knob.
-    #[inline(always)]
-    unsafe fn madd_acc<const VNNI: bool>(acc: __m512i, w: __m512i, x: __m512i) -> __m512i {
-        if VNNI {
-            _mm512_dpwssd_epi32(acc, w, x)
-        } else {
-            _mm512_add_epi32(acc, _mm512_madd_epi16(w, x))
+            let amax = _mm512_reduce_max_ps(_mm512_max_ps(vmax[0], vmax[1]));
+            if amax == 0.0 {
+                std::ptr::write_bytes(dst, 128, width);
+                *scale = 1.0;
+                continue;
+            }
+            let vinv = _mm512_set1_ps(127.0 / amax);
+            for i in (0..width).step_by(16) {
+                // `width` is `k` rounded up to 4, so `i < k` here.
+                let mask = if i < whole { 0xFFFF } else { tail };
+                let v = _mm512_maskz_loadu_ps(mask, src.add(i));
+                let q = _mm512_min_epi32(
+                    _mm512_max_epi32(_mm512_cvtps_epi32(_mm512_mul_ps(v, vinv)), lo),
+                    hi,
+                );
+                let narrow = _mm512_cvtepi32_epi8(_mm512_add_epi32(q, bias));
+                _mm_storeu_si128(dst.add(i) as *mut __m128i, narrow);
+            }
+            *scale = amax / 127.0;
         }
     }
 
-    /// Int8 forward, AVX-512 form: one `vpmovsxbw` widening load per panel
-    /// k-pair feeds `vpmaddwd`/`vpdpwssd` against 8 rows' broadcast input
-    /// pairs (a single `vpbroadcastd` from the prequantized pair words each)
-    /// — 32 int8 products per instruction — accumulated exactly in 16 i32
-    /// lanes, then dequantized through the fixed f32 epilogue.
+    /// Rows per `vpdpbusd` register tile: with [`VNNI_NP`] panels that is
+    /// 24 accumulators + 4 weight blocks + 1 broadcast of the 32 zmm
+    /// registers, so one weight load serves 6 rows and one input broadcast
+    /// serves 4 panels.
+    const VNNI_MR: usize = 6;
+
+    /// Panels per `vpdpbusd` register tile (see [`VNNI_MR`]).
+    const VNNI_NP: usize = 4;
+
+    /// One `MR × NP` register tile of the `vpdpbusd` form, accumulators to
+    /// stored outputs: rows `r..r+MR` of the input bytes against panels
+    /// `p..p+NP`.  `vpdpbusd` multiplies the unsigned `qₓ + 128` bytes by the
+    /// signed weights, four `k` per lane; starting each accumulator at the
+    /// column's `−128·Σ q_w` takes the bias out again, leaving `Σ qₓ·q_w`.
     #[inline(always)]
-    unsafe fn forward_quantized_avx512_body<const VNNI: bool>(
-        qpairs: &[i32],
+    #[allow(clippy::too_many_arguments)]
+    unsafe fn vnni_tile<const MR: usize, const NP: usize>(
+        bytes: &[u8],
         xscales: &[f32],
-        count: usize,
         panels: &QuantizedPanels,
         activation: Activation,
         out: &mut [f32],
+        ld: usize,
+        r: usize,
+        p: usize,
     ) {
-        let n = panels.n;
-        let kpairs = panels.kpairs;
-        let np = panels.panel_count();
-        let data = panels.data.as_ptr();
-        let px = qpairs.as_ptr();
-        let mut r = 0;
-        while r + QMR <= count {
-            for p in 0..np {
-                let mut acc = [_mm512_setzero_si512(); QMR];
-                let mut wp = data.add(p * kpairs * 2 * QLANES);
-                for kp in 0..kpairs {
-                    let w = _mm512_cvtepi8_epi16(_mm256_loadu_si256(wp as *const __m256i));
-                    wp = wp.add(2 * QLANES);
-                    #[allow(clippy::needless_range_loop)] // j indexes rows + accumulators in lockstep
-                    for j in 0..QMR {
-                        let x = _mm512_set1_epi32(*px.add((r + j) * kpairs + kp));
-                        acc[j] = madd_acc::<VNNI>(acc[j], w, x);
-                    }
-                }
-                for (j, &a) in acc.iter().enumerate() {
-                    let m = _mm512_mul_ps(
-                        _mm512_set1_ps(xscales[r + j]),
-                        _mm512_loadu_ps(panels.scales.as_ptr().add(p * QLANES)),
-                    );
-                    let y = _mm512_fmadd_ps(
-                        _mm512_cvtepi32_ps(a),
-                        m,
-                        _mm512_loadu_ps(panels.bias.as_ptr().add(p * QLANES)),
-                    );
-                    store_tile512(y, activation, out, (r + j) * n + p * QLANES, n - p * QLANES);
+        let kquads = panels.kquads;
+        let x = bytes.as_ptr().add(r * kquads * 4) as *const i32;
+        let w = panels.data.as_ptr().add(p * kquads * QBLOCK);
+        let mut acc = [[_mm512_setzero_si512(); NP]; MR];
+        for j in 0..NP {
+            let offset = _mm512_loadu_si512(panels.offsets.as_ptr().add((p + j) * QLANES).cast());
+            for row in acc.iter_mut() {
+                row[j] = offset;
+            }
+        }
+        for g in 0..kquads {
+            let wq: [__m512i; NP] = std::array::from_fn(|j| {
+                _mm512_loadu_si512(w.add((j * kquads + g) * QBLOCK).cast())
+            });
+            for (i, row) in acc.iter_mut().enumerate() {
+                let xq = _mm512_set1_epi32(x.add(i * kquads + g).read_unaligned());
+                for j in 0..NP {
+                    row[j] = _mm512_dpbusd_epi32(row[j], xq, wq[j]);
                 }
             }
-            r += QMR;
         }
-        while r < count {
-            for p in 0..np {
-                let mut acc = _mm512_setzero_si512();
-                let mut wp = data.add(p * kpairs * 2 * QLANES);
-                for kp in 0..kpairs {
-                    let w = _mm512_cvtepi8_epi16(_mm256_loadu_si256(wp as *const __m256i));
-                    wp = wp.add(2 * QLANES);
-                    let x = _mm512_set1_epi32(*px.add(r * kpairs + kp));
-                    acc = madd_acc::<VNNI>(acc, w, x);
-                }
-                let m = _mm512_mul_ps(
-                    _mm512_set1_ps(xscales[r]),
-                    _mm512_loadu_ps(panels.scales.as_ptr().add(p * QLANES)),
-                );
+        for (i, row) in acc.iter().enumerate() {
+            let xs = _mm512_set1_ps(xscales[r + i]);
+            for (j, &a) in row.iter().enumerate() {
+                let at = (p + j) * QLANES;
+                let m = _mm512_mul_ps(xs, _mm512_loadu_ps(panels.scales.as_ptr().add(at)));
                 let y = _mm512_fmadd_ps(
-                    _mm512_cvtepi32_ps(acc),
+                    _mm512_cvtepi32_ps(a),
                     m,
-                    _mm512_loadu_ps(panels.bias.as_ptr().add(p * QLANES)),
+                    _mm512_loadu_ps(panels.bias.as_ptr().add(at)),
                 );
-                store_tile512(y, activation, out, r * n + p * QLANES, n - p * QLANES);
+                store_tile512(y, activation, out, (r + i) * ld + at, ld - at);
             }
-            r += 1;
         }
     }
 
-    #[target_feature(enable = "avx512f", enable = "avx512bw", enable = "avx512dq")]
-    pub(super) unsafe fn forward_quantized_avx512(
-        qpairs: &[i32],
+    /// All panels of rows `r..r+MR`, [`VNNI_NP`] at a time.
+    #[inline(always)]
+    unsafe fn vnni_rows<const MR: usize>(
+        bytes: &[u8],
         xscales: &[f32],
-        count: usize,
         panels: &QuantizedPanels,
         activation: Activation,
         out: &mut [f32],
+        ld: usize,
+        r: usize,
     ) {
-        forward_quantized_avx512_body::<false>(qpairs, xscales, count, panels, activation, out);
+        let np = panels.panel_count();
+        let mut p = 0;
+        while p + VNNI_NP <= np {
+            vnni_tile::<MR, VNNI_NP>(bytes, xscales, panels, activation, out, ld, r, p);
+            p += VNNI_NP;
+        }
+        match np - p {
+            3 => vnni_tile::<MR, 3>(bytes, xscales, panels, activation, out, ld, r, p),
+            2 => vnni_tile::<MR, 2>(bytes, xscales, panels, activation, out, ld, r, p),
+            1 => vnni_tile::<MR, 1>(bytes, xscales, panels, activation, out, ld, r, p),
+            _ => {}
+        }
     }
 
-    /// [`forward_quantized_avx512`] with the fused `vpdpwssd` accumulate —
-    /// bit-identical output (see [`madd_acc`]), fewer inner-loop uops.
+    /// Int8 forward, AVX-512-VNNI form: 64 int8 products per `vpdpbusd`,
+    /// register-blocked [`VNNI_MR`] rows × [`VNNI_NP`] panels, then the fixed
+    /// f32 epilogue.
     #[target_feature(
         enable = "avx512f",
         enable = "avx512bw",
         enable = "avx512dq",
         enable = "avx512vnni"
     )]
-    pub(super) unsafe fn forward_quantized_avx512_vnni(
-        qpairs: &[i32],
+    pub(super) unsafe fn forward_quantized_vnni(
+        bytes: &[u8],
         xscales: &[f32],
-        count: usize,
         panels: &QuantizedPanels,
         activation: Activation,
         out: &mut [f32],
+        ld: usize,
     ) {
-        forward_quantized_avx512_body::<true>(qpairs, xscales, count, panels, activation, out);
-    }
-
-    /// Int8 forward, AVX2 form: the same recipe as the AVX-512 form with each
-    /// 32-byte block processed as two widening 16-byte halves (`vpmaddwd`
-    /// over `__m256i`), so the i32 lane values are identical.  4 rows share
-    /// each widening load (8 + 2 + 1 live ymm registers).
-    #[target_feature(enable = "avx2", enable = "fma")]
-    pub(super) unsafe fn forward_quantized_avx2(
-        qpairs: &[i32],
-        xscales: &[f32],
-        count: usize,
-        panels: &QuantizedPanels,
-        activation: Activation,
-        out: &mut [f32],
-    ) {
-        let n = panels.n;
-        let kpairs = panels.kpairs;
-        let np = panels.panel_count();
-        let data = panels.data.as_ptr();
-        let px = qpairs.as_ptr();
+        let count = xscales.len();
         let mut r = 0;
-        while r + MR <= count {
-            for p in 0..np {
-                let mut acc_lo = [_mm256_setzero_si256(); MR];
-                let mut acc_hi = [_mm256_setzero_si256(); MR];
-                let mut wp = data.add(p * kpairs * 2 * QLANES);
-                for kp in 0..kpairs {
-                    let w_lo = _mm256_cvtepi8_epi16(_mm_loadu_si128(wp as *const __m128i));
-                    let w_hi =
-                        _mm256_cvtepi8_epi16(_mm_loadu_si128(wp.add(QLANES) as *const __m128i));
-                    wp = wp.add(2 * QLANES);
-                    #[allow(clippy::needless_range_loop)] // j indexes rows + accumulators in lockstep
-                    for j in 0..MR {
-                        let x = _mm256_set1_epi32(*px.add((r + j) * kpairs + kp));
-                        acc_lo[j] = _mm256_add_epi32(acc_lo[j], _mm256_madd_epi16(w_lo, x));
-                        acc_hi[j] = _mm256_add_epi32(acc_hi[j], _mm256_madd_epi16(w_hi, x));
-                    }
-                }
-                for j in 0..MR {
-                    store_quantized_avx2_row(
-                        acc_lo[j],
-                        acc_hi[j],
-                        xscales[r + j],
-                        panels,
-                        p,
-                        activation,
-                        out,
-                        (r + j) * n,
-                    );
-                }
-            }
-            r += MR;
+        while r + VNNI_MR <= count {
+            vnni_rows::<VNNI_MR>(bytes, xscales, panels, activation, out, ld, r);
+            r += VNNI_MR;
         }
-        while r < count {
-            for p in 0..np {
-                let mut acc_lo = _mm256_setzero_si256();
-                let mut acc_hi = _mm256_setzero_si256();
-                let mut wp = data.add(p * kpairs * 2 * QLANES);
-                for kp in 0..kpairs {
-                    let w_lo = _mm256_cvtepi8_epi16(_mm_loadu_si128(wp as *const __m128i));
-                    let w_hi =
-                        _mm256_cvtepi8_epi16(_mm_loadu_si128(wp.add(QLANES) as *const __m128i));
-                    wp = wp.add(2 * QLANES);
-                    let x = _mm256_set1_epi32(*px.add(r * kpairs + kp));
-                    acc_lo = _mm256_add_epi32(acc_lo, _mm256_madd_epi16(w_lo, x));
-                    acc_hi = _mm256_add_epi32(acc_hi, _mm256_madd_epi16(w_hi, x));
-                }
-                store_quantized_avx2_row(
-                    acc_lo, acc_hi, xscales[r], panels, p, activation, out, r * n,
-                );
-            }
-            r += 1;
+        match count - r {
+            5 => vnni_rows::<5>(bytes, xscales, panels, activation, out, ld, r),
+            4 => vnni_rows::<4>(bytes, xscales, panels, activation, out, ld, r),
+            3 => vnni_rows::<3>(bytes, xscales, panels, activation, out, ld, r),
+            2 => vnni_rows::<2>(bytes, xscales, panels, activation, out, ld, r),
+            1 => vnni_rows::<1>(bytes, xscales, panels, activation, out, ld, r),
+            _ => {}
         }
     }
 
-    /// Dequantize-and-store epilogue of one AVX2 int8 output tile:
-    /// `y = (acc as f32) · (x_scale · w_scale) + bias`, activation fused.
+    /// One panel of rows `r..r+MR` in the AVX2 form, the 64-byte weight block
+    /// as two 8-column halves.  Per row and quad: un-bias the four input
+    /// bytes (`⊕ 0x80`), split them into `|qₓ|` (`vpabsb`) and a sign that
+    /// `vpsignb` moves onto the weights, multiply unsigned × signed with
+    /// `vpmaddubsw` (pair sums `≤ 2·127²`, inside i16) and widen the pairs to
+    /// the quad's i32 sum with `vpmaddwd` against ones.
     #[inline(always)]
     #[allow(clippy::too_many_arguments)]
-    unsafe fn store_quantized_avx2_row(
-        acc_lo: __m256i,
-        acc_hi: __m256i,
-        x_scale: f32,
+    unsafe fn avx2_quantized_tile<const MR: usize>(
+        bytes: &[u8],
+        xscales: &[f32],
         panels: &QuantizedPanels,
-        p: usize,
         activation: Activation,
         out: &mut [f32],
-        row_base: usize,
+        ld: usize,
+        r: usize,
+        p: usize,
     ) {
-        let n = panels.n;
-        let xs = _mm256_set1_ps(x_scale);
-        let m_lo = _mm256_mul_ps(xs, _mm256_loadu_ps(panels.scales.as_ptr().add(p * QLANES)));
-        let m_hi = _mm256_mul_ps(
-            xs,
-            _mm256_loadu_ps(panels.scales.as_ptr().add(p * QLANES + HALF)),
-        );
-        let y_lo = _mm256_fmadd_ps(
-            _mm256_cvtepi32_ps(acc_lo),
-            m_lo,
-            _mm256_loadu_ps(panels.bias.as_ptr().add(p * QLANES)),
-        );
-        let y_hi = _mm256_fmadd_ps(
-            _mm256_cvtepi32_ps(acc_hi),
-            m_hi,
-            _mm256_loadu_ps(panels.bias.as_ptr().add(p * QLANES + HALF)),
-        );
-        store_half_tiles(y_lo, y_hi, activation, out, row_base + p * QLANES, n - p * QLANES);
+        let kquads = panels.kquads;
+        let x = bytes.as_ptr().add(r * kquads * 4) as *const i32;
+        let w = panels.data.as_ptr().add(p * kquads * QBLOCK);
+        let unbias = _mm256_set1_epi8(-128);
+        let ones = _mm256_set1_epi16(1);
+        let mut lo = [_mm256_setzero_si256(); MR];
+        let mut hi = [_mm256_setzero_si256(); MR];
+        for g in 0..kquads {
+            let w_lo = _mm256_loadu_si256(w.add(g * QBLOCK).cast());
+            let w_hi = _mm256_loadu_si256(w.add(g * QBLOCK + QBLOCK / 2).cast());
+            for i in 0..MR {
+                let xq = _mm256_xor_si256(
+                    _mm256_set1_epi32(x.add(i * kquads + g).read_unaligned()),
+                    unbias,
+                );
+                let magnitude = _mm256_abs_epi8(xq);
+                let pairs_lo = _mm256_maddubs_epi16(magnitude, _mm256_sign_epi8(w_lo, xq));
+                let pairs_hi = _mm256_maddubs_epi16(magnitude, _mm256_sign_epi8(w_hi, xq));
+                lo[i] = _mm256_add_epi32(lo[i], _mm256_madd_epi16(pairs_lo, ones));
+                hi[i] = _mm256_add_epi32(hi[i], _mm256_madd_epi16(pairs_hi, ones));
+            }
+        }
+        let at = p * QLANES;
+        for i in 0..MR {
+            let xs = _mm256_set1_ps(xscales[r + i]);
+            let m_lo = _mm256_mul_ps(xs, _mm256_loadu_ps(panels.scales.as_ptr().add(at)));
+            let m_hi = _mm256_mul_ps(xs, _mm256_loadu_ps(panels.scales.as_ptr().add(at + HALF)));
+            let y_lo = _mm256_fmadd_ps(
+                _mm256_cvtepi32_ps(lo[i]),
+                m_lo,
+                _mm256_loadu_ps(panels.bias.as_ptr().add(at)),
+            );
+            let y_hi = _mm256_fmadd_ps(
+                _mm256_cvtepi32_ps(hi[i]),
+                m_hi,
+                _mm256_loadu_ps(panels.bias.as_ptr().add(at + HALF)),
+            );
+            store_half_tiles(y_lo, y_hi, activation, out, (r + i) * ld + at, ld - at);
+        }
+    }
+
+    /// Int8 forward, AVX2 form (see [`avx2_quantized_tile`]): 4 rows share
+    /// each pair of weight loads (8 accumulators of the 16 ymm registers).
+    /// Also what an AVX-512 host without VNNI runs.
+    #[target_feature(enable = "avx2", enable = "fma")]
+    pub(super) unsafe fn forward_quantized_avx2(
+        bytes: &[u8],
+        xscales: &[f32],
+        panels: &QuantizedPanels,
+        activation: Activation,
+        out: &mut [f32],
+        ld: usize,
+    ) {
+        let count = xscales.len();
+        let mut r = 0;
+        while r < count {
+            let left = (count - r).min(MR);
+            for p in 0..panels.panel_count() {
+                match left {
+                    MR => avx2_quantized_tile::<MR>(bytes, xscales, panels, activation, out, ld, r, p),
+                    3 => avx2_quantized_tile::<3>(bytes, xscales, panels, activation, out, ld, r, p),
+                    2 => avx2_quantized_tile::<2>(bytes, xscales, panels, activation, out, ld, r, p),
+                    _ => avx2_quantized_tile::<1>(bytes, xscales, panels, activation, out, ld, r, p),
+                }
+            }
+            r += left;
+        }
     }
 
     /// Stores a 16-lane tile held as two `__m256` halves, applying the
@@ -1748,18 +1754,8 @@ mod x86 {
     }
 }
 
-/// Runs `f` with the AVX-512 forms of the vector kernels disabled, so the
-/// AVX2 forms can be bit-compared against them on one machine (test-only).
-#[cfg(all(test, target_arch = "x86_64"))]
-pub(crate) fn with_avx512_disabled<T>(f: impl FnOnce() -> T) -> T {
-    let previous = DISABLE_AVX512.with(|c| c.replace(true));
-    let result = f();
-    DISABLE_AVX512.with(|c| c.set(previous));
-    result
-}
-
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
     /// Deterministic pseudo-random fill that exercises signs, zeros and
@@ -1845,7 +1841,7 @@ mod tests {
                             let b = fill(1, n, 5);
                             let panels = PackedPanels::pack(&w, Some(&b)).unwrap();
                             let got =
-                                forward_packed_with(kernel, &x, 0, m, &panels, act).unwrap();
+                                with_forced(kernel, || forward_packed(&x, 0, m, &panels, act)).unwrap();
                             let expected = reference_forward(&x, &w, &b, act);
                             assert_close(&got, &expected);
                         }
@@ -1903,32 +1899,32 @@ mod tests {
                 Activation::Sigmoid,
                 Activation::Tanh,
             ] {
-                let s = forward_packed_with(Kernel::Scalar, &x, 0, m, &panels, act).unwrap();
-                let v = forward_packed_with(Kernel::Vector, &x, 0, m, &panels, act).unwrap();
+                let s = with_forced(Kernel::Scalar, || forward_packed(&x, 0, m, &panels, act)).unwrap();
+                let v = with_forced(Kernel::Vector, || forward_packed(&x, 0, m, &panels, act)).unwrap();
                 assert_eq!(bits(&s), bits(&v), "forward {m}x{k}x{n} {act:?}");
                 #[cfg(target_arch = "x86_64")]
                 if avx512_available() {
                     let v2 = with_avx512_disabled(|| {
-                        forward_packed_with(Kernel::Vector, &x, 0, m, &panels, act).unwrap()
+                        with_forced(Kernel::Vector, || forward_packed(&x, 0, m, &panels, act)).unwrap()
                     });
                     assert_eq!(bits(&s), bits(&v2), "forward avx2 {m}x{k}x{n} {act:?}");
                 }
             }
             let dy = fill(m, n, 14);
-            let s = matmul_transpose_packed_with(Kernel::Scalar, &dy, &panels).unwrap();
-            let v = matmul_transpose_packed_with(Kernel::Vector, &dy, &panels).unwrap();
+            let s = with_forced(Kernel::Scalar, || matmul_transpose_packed(&dy, &panels)).unwrap();
+            let v = with_forced(Kernel::Vector, || matmul_transpose_packed(&dy, &panels)).unwrap();
             assert_eq!(bits(&s), bits(&v), "matmul_wt {m}x{n}x{k}");
             #[cfg(target_arch = "x86_64")]
             if avx512_available() {
                 let v2 = with_avx512_disabled(|| {
-                    matmul_transpose_packed_with(Kernel::Vector, &dy, &panels).unwrap()
+                    with_forced(Kernel::Vector, || matmul_transpose_packed(&dy, &panels)).unwrap()
                 });
                 assert_eq!(bits(&s), bits(&v2), "matmul_wt avx2 {m}x{n}x{k}");
             }
             let xt = fill(k, m, 15);
             let rhs = fill(k, n, 16);
-            let s = transpose_matmul_with(Kernel::Scalar, &xt, &rhs).unwrap();
-            let v = transpose_matmul_with(Kernel::Vector, &xt, &rhs).unwrap();
+            let s = with_forced(Kernel::Scalar, || transpose_matmul(&xt, &rhs)).unwrap();
+            let v = with_forced(Kernel::Vector, || transpose_matmul(&xt, &rhs)).unwrap();
             assert_eq!(bits(&s), bits(&v), "transpose_matmul {k}x{m}x{n}");
         }
     }
@@ -1940,7 +1936,7 @@ mod tests {
                 let lhs = fill(m, n, 21);
                 let w = fill(k, n, 22);
                 let panels = PackedPanels::pack(&w, None).unwrap();
-                let got = matmul_transpose_packed_with(kernel, &lhs, &panels).unwrap();
+                let got = with_forced(kernel, || matmul_transpose_packed(&lhs, &panels)).unwrap();
                 let expected = lhs.matmul(&w.transpose()).unwrap();
                 assert_close(&got, &expected);
             }
@@ -1956,7 +1952,7 @@ mod tests {
             for &(k, m, n) in &[(1usize, 1usize, 1usize), (4, 3, 9), (9, 8, 16), (17, 5, 21)] {
                 let lhs = fill(k, m, 31);
                 let rhs = fill(k, n, 32);
-                let got = transpose_matmul_with(kernel, &lhs, &rhs).unwrap();
+                let got = with_forced(kernel, || transpose_matmul(&lhs, &rhs)).unwrap();
                 let expected = lhs.transpose().matmul(&rhs).unwrap();
                 assert_close(&got, &expected);
             }
@@ -2045,67 +2041,162 @@ mod tests {
         out
     }
 
-    /// Every kernel's quantized forward must agree bit for bit with the
-    /// independent recipe across all lane/panel/k-pair remainder classes.
+    /// Runs `f` with the calling thread forced onto each kernel form this
+    /// machine has — the scalar reference, the vector kernel as selected
+    /// (`vpdpbusd` for int8 on an AVX-512-VNNI host) and the vector kernel with
+    /// AVX-512 off (the AVX2 forms) — passing the form's name.
+    pub(crate) fn under_each_form(mut f: impl FnMut(&str)) {
+        with_forced(Kernel::Scalar, || f("scalar"));
+        with_forced(Kernel::Vector, || f("vector"));
+        with_forced(Kernel::Vector, || with_avx512_disabled(|| f("vector without AVX-512")));
+    }
+
+    /// `fill` with every third row all-zero: the row quantizer's sentinel
+    /// branch, next to rows with negatives and scattered zeros.
+    fn fill_with_zero_rows(rows: usize, cols: usize, salt: u64) -> Matrix {
+        let mut m = fill(rows, cols, salt);
+        for r in (2..rows).step_by(3) {
+            m.row_mut(r).fill(0.0);
+        }
+        m
+    }
+
+    /// Every form's quantized forward must agree bit for bit with the
+    /// independent recipe across all lane/panel/k-quad remainder classes.
     #[test]
     fn quantized_forward_matches_the_recipe_across_remainders() {
-        for kernel in both_kernels() {
-            for &m in &[0usize, 1, 3, 4, 5, 9] {
-                for &k in &[1usize, 2, 7, 16, 17, 33] {
-                    for &n in &[1usize, 8, 15, 16, 17, 33] {
-                        for act in [Activation::Linear, Activation::Relu, Activation::Sigmoid] {
-                            let x = fill(m, k, 43);
-                            let w = fill(k, n, 44);
-                            let b = fill(1, n, 45);
-                            let panels = QuantizedPanels::quantize(&w, Some(&b)).unwrap();
-                            let got =
-                                forward_quantized_with(kernel, &x, 0, m, &panels, act).unwrap();
-                            let expected = naive_quantized_forward(&x, &w, &b, act);
+        for &m in &[0usize, 1, 3, 5, 6, 7, 13] {
+            for &k in &[1usize, 2, 3, 4, 5, 7, 16, 17, 33] {
+                for &n in &[1usize, 8, 15, 16, 17, 33, 65] {
+                    for act in [Activation::Linear, Activation::Relu, Activation::Sigmoid] {
+                        let x = fill_with_zero_rows(m, k, 43);
+                        let w = fill(k, n, 44);
+                        let b = fill(1, n, 45);
+                        let panels = QuantizedPanels::quantize(&w, Some(&b)).unwrap();
+                        let expected = naive_quantized_forward(&x, &w, &b, act);
+                        under_each_form(|form| {
+                            let got = forward_quantized(&x, 0, m, &panels, act).unwrap();
                             assert_eq!(
                                 bits(&got),
                                 bits(&expected),
-                                "{kernel:?} quantized {m}x{k}x{n} {act:?}"
+                                "{form} quantized {m}x{k}x{n} {act:?}"
                             );
-                        }
+                        });
                     }
                 }
             }
         }
     }
 
-    /// Scalar, AVX2 and AVX-512 quantized kernels are bit-identical, and row
-    /// windows (chunking) cannot change any row.
+    /// The three int8 forms produce the same logit bits on the shapes and row
+    /// counts that matter: the benchmark model's dimensions (38, 141, 35 in;
+    /// 35, the fused 175 out) beside the degenerate ones, and row counts on
+    /// both sides of the row tile (6) and of a 256-row window.
     #[test]
-    fn quantized_kernels_are_bit_identical_and_chunk_invariant() {
-        let x = fill(13, 33, 51);
-        let w = fill(33, 37, 52);
-        let b = fill(1, 37, 53);
-        let panels = QuantizedPanels::quantize(&w, Some(&b)).unwrap();
-        let full =
-            forward_quantized_with(Kernel::Scalar, &x, 0, 13, &panels, Activation::Relu).unwrap();
-        let v =
-            forward_quantized_with(Kernel::Vector, &x, 0, 13, &panels, Activation::Relu).unwrap();
-        assert_eq!(bits(&full), bits(&v));
-        #[cfg(target_arch = "x86_64")]
-        if avx512_available() {
-            let v2 = with_avx512_disabled(|| {
-                forward_quantized_with(Kernel::Vector, &x, 0, 13, &panels, Activation::Relu)
-                    .unwrap()
-            });
-            assert_eq!(bits(&full), bits(&v2), "avx2 form");
-        }
-        for start in 0..13 {
-            for count in 0..=(13 - start) {
-                let window =
-                    forward_quantized(&x, start, count, &panels, Activation::Relu).unwrap();
-                for r in 0..count {
-                    assert_eq!(window.row(r), full.row(start + r), "window [{start}; {count})");
+    fn quantized_forms_are_bit_identical_across_shapes_and_row_counts() {
+        for &k in &[1usize, 2, 3, 5, 35, 38, 141] {
+            for &n in &[1usize, 4, 13, 16, 35, 175] {
+                let w = fill(k, n, 52);
+                let b = fill(1, n, 53);
+                let panels = QuantizedPanels::quantize(&w, Some(&b)).unwrap();
+                for &m in &[1usize, 5, 6, 7, 255, 256, 257] {
+                    let x = fill_with_zero_rows(m, k, 51);
+                    let mut reference = None;
+                    under_each_form(|form| {
+                        let got =
+                            bits(&forward_quantized(&x, 0, m, &panels, Activation::Relu).unwrap());
+                        let expected = reference.get_or_insert_with(|| got.clone());
+                        assert_eq!(&got, expected, "{form} {m}x{k}x{n}");
+                    });
                 }
             }
         }
+    }
+
+    /// Row windows (chunking), a padded leading dimension and a reused
+    /// [`QuantizedRows`] buffer cannot change any row.
+    #[test]
+    fn quantized_forward_is_window_and_destination_invariant() {
+        let x = fill_with_zero_rows(13, 33, 51);
+        let w = fill(33, 37, 52);
+        let b = fill(1, 37, 53);
+        let panels = QuantizedPanels::quantize(&w, Some(&b)).unwrap();
+        let full = forward_quantized(&x, 0, 13, &panels, Activation::Relu).unwrap();
+        // One buffer for every window, largest first, so later windows run
+        // over stale bytes of earlier ones.
+        let mut qrows = QuantizedRows::with_capacity(13, 33);
+        under_each_form(|form| {
+            for start in 0..13 {
+                for count in (0..=(13 - start)).rev() {
+                    let rows = RowsView::of_matrix(&x, start, count).unwrap();
+                    let ld = 48;
+                    let mut out = vec![f32::NAN; count * ld];
+                    forward_quantized_into(
+                        active(),
+                        rows,
+                        &mut qrows,
+                        &panels,
+                        Activation::Relu,
+                        &mut out,
+                        ld,
+                    )
+                    .unwrap();
+                    for r in 0..count {
+                        let got = &out[r * ld..(r + 1) * ld];
+                        assert_eq!(&got[..37], full.row(start + r), "{form} [{start}; {count})");
+                        assert!(got[37..].iter().all(|&v| v == 0.0), "{form} padding");
+                    }
+                }
+            }
+        });
         assert!(forward_quantized(&x, 12, 3, &panels, Activation::Relu).is_err());
         let wrong_k = fill(4, 8, 1);
         assert!(forward_quantized(&wrong_k, 0, 4, &panels, Activation::Relu).is_err());
+        // A destination too small for its rows, or a leading dimension short of
+        // the columns, is an error, not an out-of-bounds store.
+        let rows = RowsView::of_matrix(&x, 0, 13).unwrap();
+        for (len, ld) in [(13 * 48 - 1, 48), (13 * 36, 36)] {
+            let mut out = vec![0.0; len];
+            let result = forward_quantized_into(
+                active(),
+                rows,
+                &mut qrows,
+                &panels,
+                Activation::Relu,
+                &mut out,
+                ld,
+            );
+            assert!(result.is_err(), "len {len} ld {ld}");
+        }
+    }
+
+    /// Panels concatenated column-wise compute, in each column range, exactly
+    /// what the part computes alone — the property the fused head panel of the
+    /// multi-task model rests on.
+    #[test]
+    fn concatenated_panels_compute_each_part_in_its_own_columns() {
+        let x = fill_with_zero_rows(9, 21, 81);
+        let parts: Vec<QuantizedPanels> = [(5usize, 82u64), (16, 83), (35, 84)]
+            .iter()
+            .map(|&(n, salt)| {
+                QuantizedPanels::quantize(&fill(21, n, salt), Some(&fill(1, n, salt + 10))).unwrap()
+            })
+            .collect();
+        let fused = QuantizedPanels::concat_columns(&parts.iter().collect::<Vec<_>>()).unwrap();
+        assert_eq!((fused.k(), fused.n()), (21, 56));
+        under_each_form(|form| {
+            let wide = forward_quantized(&x, 0, 9, &fused, Activation::Relu).unwrap();
+            let mut at = 0;
+            for part in &parts {
+                let own = forward_quantized(&x, 0, 9, part, Activation::Relu).unwrap();
+                for r in 0..9 {
+                    assert_eq!(&wide.row(r)[at..at + part.n()], own.row(r), "{form} row {r}");
+                }
+                at += part.n();
+            }
+        });
+        let other_k = QuantizedPanels::quantize(&fill(20, 4, 1), None).unwrap();
+        assert!(QuantizedPanels::concat_columns(&[&parts[0], &other_k]).is_err());
     }
 
     /// Quantization must be a deterministic fixed point: raw parts reproduce
@@ -2150,13 +2241,13 @@ mod tests {
         let dq = qpanels.dequantized_weight();
         let panels = PackedPanels::pack(&dq, Some(&b)).unwrap();
         let dy = fill(9, 21, 73);
-        let s = matmul_transpose_packed_with(Kernel::Scalar, &dy, &panels).unwrap();
-        let v = matmul_transpose_packed_with(Kernel::Vector, &dy, &panels).unwrap();
+        let s = with_forced(Kernel::Scalar, || matmul_transpose_packed(&dy, &panels)).unwrap();
+        let v = with_forced(Kernel::Vector, || matmul_transpose_packed(&dy, &panels)).unwrap();
         assert_eq!(bits(&s), bits(&v), "dy·Wᵀ over dequantized weights");
         let xt = fill(17, 9, 74);
         let rhs = fill(17, 21, 75);
-        let s = transpose_matmul_with(Kernel::Scalar, &xt, &rhs).unwrap();
-        let v = transpose_matmul_with(Kernel::Vector, &xt, &rhs).unwrap();
+        let s = with_forced(Kernel::Scalar, || transpose_matmul(&xt, &rhs)).unwrap();
+        let v = with_forced(Kernel::Vector, || transpose_matmul(&xt, &rhs)).unwrap();
         assert_eq!(bits(&s), bits(&v), "xᵀ·dy");
     }
 

@@ -339,18 +339,27 @@ impl Dense {
         }
     }
 
-    /// Inference-only forward over an input window the caller already
-    /// quantized — the multi-task head path, where every head reads the same
-    /// trunk output and shares one [`kernel::QuantizedRows`] instead of
-    /// re-quantizing it per head.  Returns `None` when this layer serves f32
-    /// weights (the caller falls back to [`forward`](Self::forward)).
-    pub fn forward_prequantized(
+    /// [`forward_rows`](Self::forward_rows) into a caller-owned buffer: output
+    /// row `i` is `out[i * ld ..][.. out_dim]` (see
+    /// [`kernel::forward_packed_into`] for `ld`).  A quantized layer quantizes
+    /// `rows` into `qrows` on the way; an f32 layer leaves it alone.  This is
+    /// the allocation-free form the model walk chains layer to layer.
+    pub fn forward_into(
         &self,
-        qrows: &kernel::QuantizedRows,
-    ) -> Option<crate::Result<Matrix>> {
-        self.quant
-            .as_ref()
-            .map(|quant| kernel::forward_prequantized(qrows, quant, self.activation))
+        rows: kernel::RowsView<'_>,
+        qrows: &mut kernel::QuantizedRows,
+        out: &mut [f32],
+        ld: usize,
+    ) -> crate::Result<()> {
+        let kernel = kernel::active();
+        match &self.quant {
+            Some(quant) => {
+                kernel::forward_quantized_into(kernel, rows, qrows, quant, self.activation, out, ld)
+            }
+            None => {
+                kernel::forward_packed_into(kernel, rows, self.packed(), self.activation, out, ld)
+            }
+        }
     }
 
     /// Backward pass.  `grad_out` is the loss gradient w.r.t. this layer's output;

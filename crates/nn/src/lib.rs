@@ -12,9 +12,10 @@
 //! * [`kernel`] — register-blocked, lane-vectorized micro-kernels over
 //!   pre-packed weight panels (16-lane AVX-512 with an AVX2/FMA form and a
 //!   bit-identical scalar fallback, selectable via `DM_NN_KERNEL`) plus an
-//!   int8 quantized inference path (`vpmaddwd` widening with per-column
-//!   symmetric scales, bit-identical across all kernels), the engine under
-//!   every dense matmul,
+//!   int8 quantized inference path (`vpdpbusd` over k-quad panels on
+//!   AVX-512-VNNI, sign transfer + `vpmaddubsw` on AVX2, per-column symmetric
+//!   scales, bit-identical across all kernels), the engine under every dense
+//!   matmul,
 //! * [`layer`] — dense layers and activations with explicit backward passes,
 //! * [`loss`] — softmax cross-entropy (the paper's training loss),
 //! * [`optimizer`] — SGD (with momentum and decay) and Adam,

@@ -7,11 +7,11 @@
 //! MHAS (in `dm-core`) searches the number and width of both trunk and head layers;
 //! this module only cares about instantiating and training a concrete choice.
 
-use crate::kernel;
+use crate::kernel::{self, QuantizedPanels, QuantizedRows, RowsView, LANES};
 use crate::layer::{Activation, Dense};
 use crate::loss::{accuracy, softmax_cross_entropy};
 use crate::optimizer::Optimizer;
-use crate::tensor::Matrix;
+use crate::tensor::{argmax, Matrix};
 use dm_exec::ThreadPool;
 use rand::Rng;
 use std::sync::Mutex;
@@ -21,20 +21,25 @@ use std::sync::Mutex;
 /// matmul win for small batches.
 pub const PARALLEL_ROW_CROSSOVER: usize = 256;
 
-/// Upper bound on rows per forward chunk, parallel *or* serial.  A 25 k-row
-/// batch through a 100-wide trunk materializes ~10 MB of activations per layer —
-/// far out of cache; bounding chunks keeps each pass's activations resident, so
-/// large batches stop paying per-key latency that small batches don't.
+/// Rows per forward chunk, parallel *or* serial: a walk holds one chunk of
+/// activations (three regions of `chunk × widest layer` f32, plus one byte per
+/// input value of the layer running), so bounding chunks keeps them
+/// cache-resident however large the batch — and keeps the working memory a
+/// pool task allocates for its row window small.
 ///
-/// Retuned against the int8 kernels with the `lookup_throughput` bench's
-/// chunk-sweep section (trained DM-Z network, 25 k-row batch, best-of-7
-/// serial ns/row): 256 → 845, 512 → 858, 1024 → 868, 2048 → 904, 4096 → 909,
-/// 8192 → 935.  Smaller chunks win now that each chunk also carries the
-/// shared head [`crate::kernel::QuantizedRows`]; 256 keeps the trunk output
-/// plus its quantized pairs L2-resident and matches
-/// [`PARALLEL_ROW_CROSSOVER`], the floor of the parallel chunk clamp.
-/// Rerun the sweep when the kernels change.
-pub const CACHE_CHUNK_ROWS: usize = 256;
+/// Retuned against the `vpdpbusd` kernels with the `lookup_throughput` bench's
+/// chunk-sweep section (trained DM-Z network, 25 k-row batch, best-of-7 serial
+/// ns/row, two runs on a loud host): 24 → 533 / 546, 48 → 511 / 526,
+/// 96 → 510 / 532, 192 → 521 / 522, 256 → 597 / 541, 512 → 524 / 560,
+/// 1024 → 533 / 549, 4096 → 647 / 661 — flat up to a few hundred rows and
+/// worse at 4096, where the old kernels preferred 256 (845 against 858–935).
+/// Among the flat ones the parallel path decides: each pool task zeroes its
+/// own working memory, and on a 2-thread pool a 2 200-row batch of the
+/// 38 → 141 → 141 → 5 × (35 → c) model ran at 662–667 ns/row with 256-row
+/// chunks, 464 with 192, 361–434 with 96 and 346 with 48 (scratch harness,
+/// median of ten rounds each).  96 is sixteen whole 6-row register tiles of
+/// the `vpdpbusd` form.  Rerun the sweep when the kernels change.
+pub const CACHE_CHUNK_ROWS: usize = 96;
 
 /// Specification of one private head: hidden widths plus the number of output classes
 /// (the cardinality of the target column).
@@ -145,6 +150,43 @@ pub struct MultiTaskModel {
     spec: MultiTaskSpec,
     trunk: Vec<Dense>,
     heads: Vec<Vec<Dense>>,
+    /// Every head's first layer as one panel (see [`FusedEntry`]); `None`
+    /// whenever the layers it would be built from are not all quantized.
+    fused_entry: Option<FusedEntry>,
+}
+
+/// The heads' first layers concatenated column-wise into one int8 panel: they
+/// all read the trunk output, so one kernel call over the wide panel replaces
+/// one call per head (five 35-column layers are 5 × 3 = 15 panels apart and
+/// 11 together).  Output columns are independent in every kernel, so head
+/// `h` finds in columns `[Σ_{i<h} nᵢ, … + n_h)` exactly what its own layer
+/// computes.  Derived from the layers' quantized panels, never stored.
+#[derive(Debug, Clone)]
+struct FusedEntry {
+    panels: QuantizedPanels,
+    activation: Activation,
+}
+
+impl FusedEntry {
+    /// The fused panel of `heads`, when there is more than one head and
+    /// their first layers are all quantized and share an activation.
+    fn build(heads: &[Vec<Dense>]) -> crate::Result<Option<Self>> {
+        let Some(activation) = heads.first().and_then(|head| head.first()).map(Dense::activation)
+        else {
+            return Ok(None);
+        };
+        let parts: Option<Vec<&QuantizedPanels>> = heads
+            .iter()
+            .map(|head| head.first().filter(|layer| layer.activation() == activation)?.quantized())
+            .collect();
+        match parts {
+            Some(parts) if parts.len() > 1 => Ok(Some(FusedEntry {
+                panels: QuantizedPanels::concat_columns(&parts)?,
+                activation,
+            })),
+            _ => Ok(None),
+        }
+    }
 }
 
 impl MultiTaskModel {
@@ -173,6 +215,7 @@ impl MultiTaskModel {
             spec: spec.clone(),
             trunk,
             heads,
+            fused_entry: None,
         })
     }
 
@@ -190,7 +233,18 @@ impl MultiTaskModel {
                 heads.len()
             )));
         }
-        Ok(MultiTaskModel { spec, trunk, heads })
+        if heads.iter().any(Vec::is_empty) {
+            return Err(crate::NnError::InvalidConfig(
+                "every head needs at least its output layer".into(),
+            ));
+        }
+        let fused_entry = FusedEntry::build(&heads)?;
+        Ok(MultiTaskModel {
+            spec,
+            trunk,
+            heads,
+            fused_entry,
+        })
     }
 
     /// The specification this model was built from.
@@ -276,29 +330,12 @@ impl MultiTaskModel {
     }
 
     /// Vectorized inference for the lookup path: one trunk matrix-multiply sequence
-    /// over the *whole* batch followed by one per head — never a per-key pass —
-    /// returning row-major class predictions (`out[row][task]`), the layout query
-    /// pipelines consume.
-    ///
-    /// This is the entry point `dm-core`'s `QueryPipeline` drives; keeping it a
-    /// single dense pass per batch is what amortizes inference across a lookup batch
-    /// (Section IV-B2 of the paper).
-    pub fn forward_batch(&self, x: &Matrix) -> crate::Result<Vec<Vec<usize>>> {
-        let per_task = self.predict_classes(x)?;
-        let rows = x.rows();
-        let mut out = vec![vec![0usize; per_task.len()]; rows];
-        for (task, preds) in per_task.iter().enumerate() {
-            for (row, &class) in preds.iter().enumerate() {
-                out[row][task] = class;
-            }
-        }
-        Ok(out)
-    }
-
-    /// Like [`forward_batch`](Self::forward_batch), but appends the predictions to a
-    /// caller-owned flat row-major arena (`out[row * tasks + task]`) instead of
-    /// allocating one `Vec` per row — the allocation-free layout `dm-core`'s buffer
-    ///-reusing lookup path consumes.  Returns the number of tasks (columns per row).
+    /// over the batch followed by the heads — never a per-key pass — appending
+    /// row-major class predictions to a caller-owned flat arena
+    /// (`out[row * tasks + task]`), the allocation-free layout `dm-core`'s
+    /// buffer-reusing lookup path consumes.  Returns the number of tasks (columns
+    /// per row).  Keeping it a dense pass per batch is what amortizes inference
+    /// across a lookup batch (Section IV-B2 of the paper).
     ///
     /// Runs on the shared [`dm_exec::global`] pool; use
     /// [`forward_batch_flat_on`](Self::forward_batch_flat_on) to pin a pool.
@@ -322,25 +359,23 @@ impl MultiTaskModel {
         out.clear();
         out.resize(rows * tasks, 0);
         if rows < PARALLEL_ROW_CROSSOVER || exec.threads() <= 1 {
-            // Serial path, cache-blocked: never materialize more than
-            // CACHE_CHUNK_ROWS rows of activations at once.
-            self.forward_flat_serial_chunked(x, CACHE_CHUNK_ROWS, out)?;
+            self.forward_window(x, 0, CACHE_CHUNK_ROWS, out)?;
             return Ok(tasks);
         }
-        // Aim for ~2 chunks per thread so the work steals evenly, but never chunks
-        // so small the scheduling overhead dominates nor so large the activations
-        // fall out of cache.
-        let chunk_rows = rows
+        // Two row windows per thread, so the work steals evenly, but never
+        // windows so small the scheduling overhead dominates.  A window is one
+        // pool task: it owns one working memory and walks its rows through it
+        // in cache-sized chunks, exactly as the serial path walks the batch.
+        let window_rows = rows
             .div_ceil(exec.threads() * 2)
-            .clamp(PARALLEL_ROW_CROSSOVER / 2, CACHE_CHUNK_ROWS);
+            .max(PARALLEL_ROW_CROSSOVER / 2);
         let first_error: Mutex<Option<crate::NnError>> = Mutex::new(None);
         exec.scope(|s| {
-            for (ci, out_chunk) in out.chunks_mut(chunk_rows * tasks).enumerate() {
+            for (wi, window) in out.chunks_mut(window_rows * tasks).enumerate() {
                 let first_error = &first_error;
                 s.spawn(move || {
-                    let start = ci * chunk_rows;
-                    let count = out_chunk.len() / tasks;
-                    if let Err(err) = self.forward_rows_flat(x, start, count, out_chunk) {
+                    let start = wi * window_rows;
+                    if let Err(err) = self.forward_window(x, start, CACHE_CHUNK_ROWS, window) {
                         let mut slot = first_error.lock().unwrap_or_else(|e| e.into_inner());
                         if slot.is_none() {
                             *slot = Some(err);
@@ -357,26 +392,38 @@ impl MultiTaskModel {
 
     /// Serial cache-blocked inference with an explicit chunk size: rows are
     /// processed `chunk_rows` at a time into the caller's pre-sized flat
-    /// prediction buffer (`rows * num_tasks` entries).  This is the body of
-    /// the serial branch of [`forward_batch_flat_on`](Self::forward_batch_flat_on),
-    /// exposed so the bench can sweep chunk sizes against the packed kernels
-    /// when retuning [`CACHE_CHUNK_ROWS`].  Chunking never changes any row's
-    /// prediction (rows are independent in every kernel).
+    /// prediction buffer (`rows * num_tasks` entries), every chunk through the
+    /// same working memory.  This is the body of the serial branch of
+    /// [`forward_batch_flat_on`](Self::forward_batch_flat_on), exposed so the
+    /// bench can sweep chunk sizes against the packed kernels when retuning
+    /// [`CACHE_CHUNK_ROWS`].  Chunking never changes any row's prediction (rows
+    /// are independent in every kernel).
     pub fn forward_flat_serial_chunked(
         &self,
         x: &Matrix,
         chunk_rows: usize,
         out: &mut [u32],
     ) -> crate::Result<()> {
+        debug_assert_eq!(out.len(), x.rows() * self.heads.len());
+        self.forward_window(x, 0, chunk_rows, out)
+    }
+
+    /// Predictions for the `out.len() / num_tasks` rows of `x` from `start` on,
+    /// `chunk_rows` at a time through one working memory sized for a chunk —
+    /// never more than a chunk of activations is live, whatever the window.
+    fn forward_window(
+        &self,
+        x: &Matrix,
+        start: usize,
+        chunk_rows: usize,
+        out: &mut [u32],
+    ) -> crate::Result<()> {
         let tasks = self.heads.len();
-        let rows = x.rows();
-        debug_assert_eq!(out.len(), rows * tasks);
-        if rows <= chunk_rows {
-            return self.forward_rows_flat(x, 0, rows, out);
-        }
-        for (ci, out_chunk) in out.chunks_mut(chunk_rows.max(1) * tasks).enumerate() {
-            let start = ci * chunk_rows;
-            self.forward_rows_flat(x, start, out_chunk.len() / tasks, out_chunk)?;
+        let chunk_rows = chunk_rows.clamp(1, (out.len() / tasks).max(1));
+        let mut scratch = WalkScratch::new(self, chunk_rows);
+        for (ci, out_chunk) in out.chunks_mut(chunk_rows * tasks).enumerate() {
+            let count = out_chunk.len() / tasks;
+            self.forward_rows_flat(x, start + ci * chunk_rows, count, &mut scratch, out_chunk)?;
         }
         Ok(())
     }
@@ -394,6 +441,7 @@ impl MultiTaskModel {
                 layer.quantize_int8()?;
             }
         }
+        self.fused_entry = FusedEntry::build(&self.heads)?;
         Ok(())
     }
 
@@ -405,61 +453,63 @@ impl MultiTaskModel {
 
     /// One serial trunk + heads pass over rows `[start, start + count)` of `x`,
     /// writing row-major argmax predictions into `out` (`count * num_tasks` wide).
-    /// The row window enters the first layer via `Dense::forward_rows`, so
-    /// chunking never copies the input.
+    /// Every layer runs through its `*_into` entry point between the regions of
+    /// `scratch`, so the walk itself allocates nothing, and the predictions are
+    /// read straight off the last layer's region.  It is the per-layer
+    /// [`Dense::forward`] chain with the buffers hoisted out: same kernels, same
+    /// operands, so the same logits bit for bit.
     fn forward_rows_flat(
         &self,
         x: &Matrix,
         start: usize,
         count: usize,
+        scratch: &mut WalkScratch,
         out: &mut [u32],
     ) -> crate::Result<()> {
         let tasks = self.heads.len();
         debug_assert_eq!(out.len(), count * tasks);
-        let trunk_out = match self.trunk.split_first() {
-            Some((first, rest)) => {
-                let mut h = first.forward_rows(x, start, count)?;
-                for layer in rest {
-                    h = layer.forward(&h)?;
-                }
-                Some(h)
+        let input = RowsView::of_matrix(x, start, count)?;
+        let mut trunk_out = None;
+        for layer in &self.trunk {
+            trunk_out = Some(scratch.layer(input, trunk_out, None, layer)?);
+        }
+        let fused = match &self.fused_entry {
+            Some(fused) => {
+                let (panels, activation) = (&fused.panels, fused.activation);
+                Some(scratch.step(input, trunk_out, None, panels.n(), |rows, q, to, ld| {
+                    let kernel = kernel::active();
+                    kernel::forward_quantized_into(kernel, rows, q, panels, activation, to, ld)
+                })?)
             }
             None => None,
         };
-        // Every head reads the same trunk output; when the heads are
-        // int8-quantized, quantize that window once and share the packed
-        // pairs across them.  The shared pairs come from the same recipe the
-        // per-head path runs, so predictions are bit-identical either way —
-        // this only removes the per-head re-quantization cost.
-        let shared_quant = match &trunk_out {
-            Some(h)
-                if !self.heads.is_empty()
-                    && self.heads.iter().all(|head| head[0].is_quantized()) =>
-            {
-                Some(kernel::QuantizedRows::quantize(
-                    h,
-                    0,
-                    h.rows(),
-                    h.cols().div_ceil(2),
-                )?)
-            }
-            _ => None,
-        };
+        let mut fused_columns = 0;
         for (task, head) in self.heads.iter().enumerate() {
-            let (first, rest) = head.split_first().expect("heads have an output layer");
-            // With no trunk, the head reads the input window directly.
-            let mut t = match (&trunk_out, &shared_quant) {
-                (Some(_), Some(q)) => first
-                    .forward_prequantized(q)
-                    .expect("all head entry layers are quantized")?,
-                (Some(h), None) => first.forward(h)?,
-                (None, _) => first.forward_rows(x, start, count)?,
+            // A head starts from its columns of the fused panel's output, one
+            // layer in; without one, from the trunk output (or, with no trunk,
+            // from the input window).  Either is read by every head, so it
+            // stays pinned while this head's layers use the other regions.
+            let (mut at, layers) = match fused {
+                Some(wide) => {
+                    let k = head[0].out_dim();
+                    let mine = Activations {
+                        offset: fused_columns,
+                        k,
+                        ..wide
+                    };
+                    fused_columns += k;
+                    (Some(mine), &head[1..])
+                }
+                None => (trunk_out, &head[..]),
             };
-            for layer in rest {
-                t = layer.forward(&t)?;
+            let pinned = at.map(|a| a.region);
+            for layer in layers {
+                at = Some(scratch.layer(input, at, pinned, layer)?);
             }
-            for row in 0..t.rows() {
-                out[row * tasks + task] = t.argmax_row(row) as u32;
+            let at = at.expect("heads have an output layer");
+            let logits = WalkScratch::view(&scratch.regions, at, count)?;
+            for row in 0..count {
+                out[row * tasks + task] = argmax(logits.row(row)) as u32;
             }
         }
         Ok(())
@@ -483,6 +533,9 @@ impl MultiTaskModel {
                 targets.len()
             )));
         }
+        // The optimizer step below moves every layer back onto its f32 weights;
+        // the fused panel was built from the quantized ones and goes with them.
+        self.fused_entry = None;
         // Trunk forward (cached).  The first layer reads `x` directly — the
         // entry activation is never cloned per step (layers keep their own
         // reusable caches via `forward_train`).
@@ -584,6 +637,93 @@ impl MultiTaskModel {
     }
 }
 
+/// Where a layer's output sits in a [`WalkScratch`]: `k` values per row,
+/// `offset` columns into rows `ld` apart in region `region`.
+#[derive(Debug, Clone, Copy)]
+struct Activations {
+    region: usize,
+    offset: usize,
+    k: usize,
+    ld: usize,
+}
+
+/// The working memory of one [`MultiTaskModel::forward_rows_flat`] walk, owned
+/// by the call that runs it (a pool task, or the serial loop over chunks) and
+/// sized by that call's row window: the quantized input rows of the layer
+/// running now, and three activation regions with a panel-padded leading
+/// dimension, so the kernels store whole lanes.  Three, because a layer writes
+/// a region other than the one it reads, and other than the one every head
+/// reads.
+struct WalkScratch {
+    qrows: QuantizedRows,
+    regions: [Vec<f32>; 3],
+}
+
+impl WalkScratch {
+    fn new(model: &MultiTaskModel, rows: usize) -> Self {
+        let layers = || model.trunk.iter().chain(model.heads.iter().flatten());
+        let widest_in = layers().map(Dense::in_dim).max().unwrap_or(0);
+        let fused_out = model.fused_entry.as_ref().map_or(0, |fused| fused.panels.n());
+        let widest_out = layers().map(Dense::out_dim).max().unwrap_or(0).max(fused_out);
+        let region = rows * widest_out.next_multiple_of(LANES);
+        WalkScratch {
+            qrows: QuantizedRows::with_capacity(rows, widest_in),
+            regions: std::array::from_fn(|_| vec![0.0; region]),
+        }
+    }
+
+    /// The `count` rows `at` describes.  (Takes the regions, not `self`, so
+    /// that [`step`](Self::step) can hold them beside `qrows`.)
+    fn view(regions: &[Vec<f32>; 3], at: Activations, count: usize) -> crate::Result<RowsView<'_>> {
+        RowsView::new(&regions[at.region][at.offset..], at.ld, count, at.k)
+    }
+
+    /// [`step`](Self::step) for a dense layer.
+    fn layer(
+        &mut self,
+        input: RowsView<'_>,
+        from: Option<Activations>,
+        pinned: Option<usize>,
+        layer: &Dense,
+    ) -> crate::Result<Activations> {
+        self.step(input, from, pinned, layer.out_dim(), |rows, q, to, ld| {
+            layer.forward_into(rows, q, to, ld)
+        })
+    }
+
+    /// Runs one layer: `run(rows, qrows, out, ld)` reads `from` (the `input`
+    /// window when `None`) and writes its `n` output columns, `ld` apart, into
+    /// a region that is neither `from`'s nor `pinned`.  Returns where they are.
+    fn step(
+        &mut self,
+        input: RowsView<'_>,
+        from: Option<Activations>,
+        pinned: Option<usize>,
+        n: usize,
+        run: impl FnOnce(RowsView<'_>, &mut QuantizedRows, &mut [f32], usize) -> crate::Result<()>,
+    ) -> crate::Result<Activations> {
+        let busy = [from.map(|a| a.region), pinned];
+        let region = (0..self.regions.len())
+            .find(|&i| !busy.contains(&Some(i)))
+            .expect("three regions, at most two busy");
+        let ld = n.next_multiple_of(LANES);
+        let count = input.count();
+        let mut out = std::mem::take(&mut self.regions[region]);
+        let result = match from {
+            Some(at) => Self::view(&self.regions, at, count),
+            None => Ok(input),
+        }
+        .and_then(|rows| run(rows, &mut self.qrows, &mut out[..count * ld], ld));
+        self.regions[region] = out;
+        result.map(|()| Activations {
+            region,
+            offset: 0,
+            k: n,
+            ld,
+        })
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -642,7 +782,7 @@ mod tests {
     }
 
     #[test]
-    fn forward_batch_is_row_major_and_matches_batches_of_one() {
+    fn forward_batch_flat_is_row_major_and_matches_batches_of_one() {
         let mut rng = StdRng::seed_from_u64(3);
         let model = MultiTaskModel::new(&mut rng, &toy_spec()).unwrap();
         let mut x = Matrix::zeros(9, 6);
@@ -651,24 +791,26 @@ mod tests {
                 x.set(r, c, ((r * 6 + c) % 3) as f32 - 1.0);
             }
         }
-        let batched = model.forward_batch(&x).unwrap();
-        assert_eq!(batched.len(), 9);
-        assert!(batched.iter().all(|row| row.len() == 2));
+        let mut batched = Vec::new();
+        assert_eq!(model.forward_batch_flat(&x, &mut batched).unwrap(), 2);
+        assert_eq!(batched.len(), 9 * 2);
         // One vectorized pass over N rows must agree exactly with N batches of one.
-        for (r, batched_row) in batched.iter().enumerate() {
-            let mut single = Matrix::zeros(1, 6);
-            for c in 0..6 {
-                single.set(0, c, x.get(r, c));
-            }
-            assert_eq!(&model.forward_batch(&single).unwrap()[0], batched_row, "row {r}");
+        let mut one = Vec::new();
+        for r in 0..9 {
+            let single = x.rows_slice(r, 1).unwrap();
+            model.forward_batch_flat(&single, &mut one).unwrap();
+            assert_eq!(one, batched[r * 2..(r + 1) * 2], "row {r}");
         }
         // And with the task-major view from predict_classes.
         let per_task = model.predict_classes(&x).unwrap();
         for (task, preds) in per_task.iter().enumerate() {
             for (row, &class) in preds.iter().enumerate() {
-                assert_eq!(batched[row][task], class);
+                assert_eq!(batched[row * 2 + task] as usize, class);
             }
         }
+        // An empty batch is an empty answer.
+        model.forward_batch_flat(&Matrix::zeros(0, 6), &mut one).unwrap();
+        assert!(one.is_empty());
     }
 
     #[test]
@@ -817,6 +959,122 @@ mod tests {
         let mut threaded = Vec::new();
         model.forward_batch_flat_on(&parallel, &x, &mut threaded).unwrap();
         assert_eq!(scalar, threaded);
+    }
+
+    fn signed_input(rows: usize, cols: usize) -> Matrix {
+        let mut x = Matrix::zeros(rows, cols);
+        for r in 0..rows {
+            for c in 0..cols {
+                // Every fifth row stays all-zero.
+                if r % 5 != 4 {
+                    x.set(r, c, ((r * 11 + c * 5) % 7) as f32 / 3.0 - 1.0);
+                }
+            }
+        }
+        x
+    }
+
+    /// Row-major predictions of the per-layer reference: the allocating
+    /// [`Dense::forward`] chain of [`MultiTaskModel::forward`] plus
+    /// [`Matrix::argmax_row`].
+    fn chain_predictions(model: &MultiTaskModel, x: &Matrix) -> Vec<u32> {
+        let per_task = model.predict_classes(x).unwrap();
+        (0..x.rows())
+            .flat_map(|row| per_task.iter().map(move |task| task[row] as u32))
+            .collect()
+    }
+
+    fn walk_predictions(model: &MultiTaskModel, x: &Matrix) -> Vec<u32> {
+        let mut flat = Vec::new();
+        let serial = dm_exec::ThreadPool::new(1);
+        model.forward_batch_flat_on(&serial, x, &mut flat).unwrap();
+        flat
+    }
+
+    /// The model walk — working memory hoisted, heads entered through the fused
+    /// panel — predicts exactly what the per-layer chain predicts: for int8 and
+    /// f32 models, with and without a trunk, with heads of equal and of mixed
+    /// depth (the latter cannot fuse), under every kernel form.
+    #[test]
+    fn model_walk_matches_the_per_layer_chain() {
+        let heads = |hidden: &[usize]| -> Vec<TaskHeadSpec> {
+            [4usize, 9, 33]
+                .iter()
+                .map(|&classes| TaskHeadSpec::with_hidden(hidden.to_vec(), classes))
+                .collect()
+        };
+        let specs = [
+            ("trunk, one hidden layer per head", vec![20, 37], heads(&[35])),
+            ("trunk, two hidden layers per head", vec![20], heads(&[18, 12])),
+            ("trunk, direct heads", vec![20], heads(&[])),
+            ("no trunk", vec![], heads(&[35])),
+            ("mixed head depth", toy_spec().shared_hidden, toy_spec().heads),
+        ];
+        for (name, shared_hidden, heads) in specs {
+            let spec = MultiTaskSpec {
+                input_dim: 6,
+                shared_hidden,
+                heads,
+            };
+            let f32_model = MultiTaskModel::new(&mut StdRng::seed_from_u64(31), &spec).unwrap();
+            let mut int8_model = f32_model.clone();
+            int8_model.quantize_int8().unwrap();
+            assert_eq!(
+                int8_model.fused_entry.is_some(),
+                name != "mixed head depth",
+                "{name}: fused panel"
+            );
+            assert!(f32_model.fused_entry.is_none());
+            // More rows than one chunk, and not a multiple of the row tile.
+            let x = signed_input(2 * CACHE_CHUNK_ROWS + 7, 6);
+            for (precision, model) in [("f32", &f32_model), ("int8", &int8_model)] {
+                kernel::tests::under_each_form(|form| {
+                    assert_eq!(
+                        walk_predictions(model, &x),
+                        chain_predictions(model, &x),
+                        "{name}, {precision}, {form}"
+                    );
+                });
+            }
+        }
+    }
+
+    /// A training step moves every layer back onto f32 weights, so it must
+    /// take the fused panel — built from the int8 ones — with it: afterwards
+    /// the model predicts what a model freshly built from its weights does.
+    #[test]
+    fn training_after_quantization_drops_the_fused_panel() {
+        let spec = MultiTaskSpec {
+            input_dim: 6,
+            shared_hidden: vec![20],
+            heads: vec![
+                TaskHeadSpec::with_hidden(vec![12], 4),
+                TaskHeadSpec::with_hidden(vec![12], 3),
+            ],
+        };
+        let mut model = MultiTaskModel::new(&mut StdRng::seed_from_u64(33), &spec).unwrap();
+        model.quantize_int8().unwrap();
+        assert!(model.fused_entry.is_some());
+        let x = signed_input(64, 6);
+        let targets = vec![vec![1usize; 64], vec![2usize; 64]];
+        model.train_batch(&x, &targets, &mut Adam::new(0.05)).unwrap();
+        assert!(!model.is_quantized());
+        let rebuild = |layer: &Dense| {
+            Dense::from_parameters(layer.weight().clone(), layer.bias().clone(), layer.activation())
+                .unwrap()
+        };
+        let fresh = MultiTaskModel::from_layers(
+            spec,
+            model.trunk().iter().map(rebuild).collect(),
+            model
+                .heads()
+                .iter()
+                .map(|head| head.iter().map(rebuild).collect())
+                .collect(),
+        )
+        .unwrap();
+        assert_eq!(walk_predictions(&model, &x), walk_predictions(&fresh, &x));
+        assert_eq!(walk_predictions(&model, &x), chain_predictions(&model, &x));
     }
 
     #[test]

@@ -360,16 +360,7 @@ impl Matrix {
 
     /// Index of the maximum element of row `r` (ties resolved to the lowest index).
     pub fn argmax_row(&self, r: usize) -> usize {
-        let row = self.row(r);
-        let mut best = 0usize;
-        let mut best_v = f32::NEG_INFINITY;
-        for (i, &v) in row.iter().enumerate() {
-            if v > best_v {
-                best_v = v;
-                best = i;
-            }
-        }
-        best
+        argmax(self.row(r))
     }
 
     /// Extracts a contiguous block of rows `[start, start + count)` as a new matrix.
@@ -417,6 +408,20 @@ impl Matrix {
         }
         Ok(out)
     }
+}
+
+/// Index of the largest value (ties resolved to the lowest index; 0 for an
+/// empty or all-NaN slice) — the class a logit row predicts.
+pub fn argmax(values: &[f32]) -> usize {
+    let mut best = 0usize;
+    let mut best_v = f32::NEG_INFINITY;
+    for (i, &v) in values.iter().enumerate() {
+        if v > best_v {
+            best_v = v;
+            best = i;
+        }
+    }
+    best
 }
 
 #[cfg(test)]

@@ -73,12 +73,13 @@
 //! │                                       + parking), scope/join/parallel_chunks,
 //! │                                       panic propagation, ExecStats
 //! ├── crates/nn              dm-nn        matrices, dense layers, multi-task model,
-//! │                                       forward_batch / forward_batch_flat
-//! │                                       (vectorized, row-chunked on the pool);
+//! │                                       forward_batch_flat (vectorized,
+//! │                                       row-windowed on the pool);
 //! │                                       kernel: packed-panel micro-kernels —
 //! │                                       16-lane AVX-512 / AVX2+FMA f32 forms,
-//! │                                       an int8 widening (vpmaddwd) quantized
-//! │                                       path, and bit-identical scalar
+//! │                                       an int8 quantized path (vpdpbusd on
+//! │                                       AVX-512-VNNI, sign + vpmaddubsw on
+//! │                                       AVX2), and bit-identical scalar
 //! │                                       fallbacks (DM_NN_KERNEL=scalar)
 //! ├── crates/compress        dm-compress  lz / lz+huffman / deflate-like / dictionary,
 //! │                                       varint, rle, bitpack, framed format

@@ -13,8 +13,11 @@
 //! calling thread, where `kernel::with_forced` applies.
 
 use deepmapping::nn::kernel::{self, Kernel};
+use deepmapping::nn::{Activation, Dense, Matrix, MultiTaskModel, MultiTaskSpec, TaskHeadSpec};
 use deepmapping::persist::{Snapshot, SnapshotExt};
 use deepmapping::prelude::*;
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 use std::path::PathBuf;
 
 fn scratch_dir(tag: &str) -> PathBuf {
@@ -113,10 +116,10 @@ fn snapshot_round_trips_across_kernel_selection() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// The v3 quantized form of the same invariant: an int8 store snapshotted
+/// The quantized form of the same invariant: an int8 store snapshotted
 /// under one kernel must serve byte-identically under the other, in both
-/// directions.  The int8 path has its own arithmetic (widening i32
-/// accumulation + fixed f32 epilogue), so it needs its own guard.
+/// directions.  The int8 path has its own arithmetic (an exact integer dot
+/// product + fixed f32 epilogue), so it needs its own guard.
 #[test]
 fn quantized_snapshot_round_trips_across_kernel_selection() {
     let dir = scratch_dir("quant-roundtrip");
@@ -138,6 +141,15 @@ fn quantized_snapshot_round_trips_across_kernel_selection() {
         reopened.lookup_batch(&probe).unwrap()
     });
     assert_eq!(expected, under_vector, "int8 scalar-written, vector-served");
+    // The vector kernel has two int8 forms; the one above is whatever this
+    // machine selects, this is the AVX2 one.
+    let under_avx2 = kernel::with_forced(Kernel::Vector, || {
+        kernel::with_avx512_disabled(|| {
+            let reopened = DeepMapping::open(&path_s).expect("open snapshot");
+            reopened.lookup_batch(&probe).unwrap()
+        })
+    });
+    assert_eq!(expected, under_avx2, "int8 scalar-written, AVX2-served");
 
     let path_v = dir.join("int8-built-under-vector.dmss");
     let expected = kernel::with_forced(Kernel::Vector, || {
@@ -177,4 +189,117 @@ fn modifications_are_kernel_independent() {
         })
     };
     assert_eq!(run(Kernel::Scalar), run(Kernel::Vector));
+}
+
+// ---------------------------------------------------------------------------
+// Parent-pinned logit digests.
+//
+// The constants below were computed at commit 3498e78 — before the int8
+// kernels were rewritten around `vpdpbusd` quad panels — by the very helpers
+// of this section, under both the scalar and the vector kernel of that commit.
+// A stored int8 snapshot carries an auxiliary table memorized against those
+// exact logits, so any kernel that does not reproduce them bit for bit would
+// silently stop being lossless for files already on disk.
+// ---------------------------------------------------------------------------
+
+/// FNV-1a over the little-endian bytes of each word.
+fn fnv1a(words: impl IntoIterator<Item = u32>) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for w in words {
+        for b in w.to_le_bytes() {
+            h = (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+    h
+}
+
+/// A fixed signed input: values in `[-2, 2)` with scattered exact zeros and
+/// every 17th row all-zero (the row quantizer's sentinel-scale branch).
+fn signed_input(rows: usize, cols: usize, salt: u64) -> Matrix {
+    let mut m = Matrix::zeros(rows, cols);
+    for r in 0..rows {
+        if r % 17 == 16 {
+            continue;
+        }
+        for c in 0..cols {
+            let h = (r as u64 * 131 + c as u64 * 17 + salt).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+            let v = ((h >> 40) % 4000) as f32 / 1000.0 - 2.0;
+            m.set(r, c, if h.is_multiple_of(7) { 0.0 } else { v });
+        }
+    }
+    m
+}
+
+/// The frozen benchmark's network shape, He-initialized from a fixed seed and
+/// quantized: 38 → 141 → 141 → 5 × (35 → c).
+fn benchmark_shape_model() -> MultiTaskModel {
+    let spec = MultiTaskSpec {
+        input_dim: 38,
+        shared_hidden: vec![141, 141],
+        heads: [4usize, 8, 16, 32, 64]
+            .iter()
+            .map(|&c| TaskHeadSpec::with_hidden(vec![35], c))
+            .collect(),
+    };
+    let mut model = MultiTaskModel::new(&mut StdRng::seed_from_u64(14), &spec).expect("model");
+    model.quantize_int8().expect("quantize");
+    model
+}
+
+const PINNED_ROWS: usize = 300;
+
+fn model_logits_digest(model: &MultiTaskModel) -> u64 {
+    let x = signed_input(PINNED_ROWS, 38, 1);
+    let logits = model.forward(&x).expect("forward");
+    fnv1a(
+        logits
+            .iter()
+            .flat_map(|m| m.as_slice().iter().map(|v| v.to_bits())),
+    )
+}
+
+fn model_classes_digest(model: &MultiTaskModel) -> u64 {
+    let x = signed_input(PINNED_ROWS, 38, 1);
+    let mut flat = Vec::new();
+    let serial = deepmapping::exec::ThreadPool::new(1);
+    model
+        .forward_batch_flat_on(&serial, &x, &mut flat)
+        .expect("forward_batch_flat_on");
+    fnv1a(flat)
+}
+
+fn odd_dense_digest() -> u64 {
+    let mut layer = Dense::new(&mut StdRng::seed_from_u64(15), 5, 13, Activation::Relu);
+    layer.quantize_int8().expect("quantize");
+    let y = layer.forward(&signed_input(7, 5, 2)).expect("forward");
+    assert_eq!((y.rows(), y.cols()), (7, 13));
+    fnv1a(y.as_slice().iter().map(|v| v.to_bits()))
+}
+
+/// Digests of the logit bits (per-layer [`Dense::forward`] chain), of the
+/// predictions of the fused model walk, and of one odd-shaped layer, all at
+/// commit 3498e78.
+const PINNED_MODEL_LOGITS: u64 = 0xdde1_da1d_1cba_09a6;
+const PINNED_MODEL_CLASSES: u64 = 0xd82b_393e_476c_577f;
+const PINNED_ODD_DENSE: u64 = 0xd7e3_3636_0028_06e9;
+
+/// Runs `check` under every int8 form this machine has: the scalar reference,
+/// the vector kernel as selected (`vpdpbusd` on an AVX-512-VNNI host), and the
+/// vector kernel with AVX-512 switched off (the AVX2 form).
+fn under_every_kernel(check: impl Fn(&str)) {
+    kernel::with_forced(Kernel::Scalar, || check("scalar"));
+    kernel::with_forced(Kernel::Vector, || check("vector"));
+    kernel::with_forced(Kernel::Vector, || {
+        kernel::with_avx512_disabled(|| check("vector without AVX-512"))
+    });
+}
+
+#[test]
+fn int8_logits_match_the_digests_pinned_at_the_parent_commit() {
+    let model = benchmark_shape_model();
+    under_every_kernel(|form| {
+        assert_eq!(model_logits_digest(&model), PINNED_MODEL_LOGITS, "logits, {form}");
+        assert_eq!(model_classes_digest(&model), PINNED_MODEL_CLASSES, "classes, {form}");
+        assert_eq!(odd_dense_digest(), PINNED_ODD_DENSE, "5x13 layer, {form}");
+    });
 }
