@@ -57,10 +57,10 @@ pub fn pack(values: &[u64], bits: u32) -> crate::Result<Vec<u8>> {
     Ok(out)
 }
 
-/// Unpacks a buffer produced by [`pack`].
-pub fn unpack(buf: &[u8]) -> crate::Result<Vec<u64>> {
+/// Parses and validates the header of a [`pack`] stream: `(count, bits, data)`,
+/// with `data` long enough to hold `count` values of `bits` bits.
+pub fn header(buf: &[u8]) -> crate::Result<(usize, u32, &[u8])> {
     let (count, pos) = varint::read_u64(buf, 0)?;
-    let count = count as usize;
     let bits = *buf
         .get(pos)
         .ok_or_else(|| CompressError::Corrupt("bit width byte missing".into()))? as u32;
@@ -68,34 +68,63 @@ pub fn unpack(buf: &[u8]) -> crate::Result<Vec<u64>> {
         return Err(CompressError::Corrupt(format!("invalid bit width {bits}")));
     }
     let data = &buf[pos + 1..];
-    let needed_bits = count as u64 * bits as u64;
-    if (data.len() as u64) * 8 < needed_bits {
+    if count.checked_mul(bits as u64).is_none_or(|needed| (data.len() as u64) * 8 < needed) {
         return Err(CompressError::Corrupt(format!(
             "bitpacked payload of {} bytes too small for {count} x {bits}-bit values",
             data.len()
         )));
     }
+    Ok((count as usize, bits, data))
+}
+
+/// The `index`-th value of a packed bit stream, given the `bits` and `data` its
+/// [`header`] returned — the per-value half of [`get`], for callers that
+/// validate a stream once and then read it many times.
+///
+/// # Panics
+/// When `index` is not below the stream's count.
+pub fn value_at(data: &[u8], bits: u32, index: usize) -> u64 {
+    let bit_pos = index as u64 * bits as u64;
+    let byte_idx = (bit_pos / 8) as usize;
+    let bit_off = (bit_pos % 8) as u32;
     let mask = if bits == 64 { u64::MAX } else { (1u64 << bits) - 1 };
-    let mut values = Vec::with_capacity(count);
-    let mut bit_pos: u64 = 0;
-    for _ in 0..count {
-        let byte_idx = (bit_pos / 8) as usize;
-        let bit_off = (bit_pos % 8) as u32;
-        // Read up to 9 bytes that cover the value (bits <= 64 so 9 bytes always cover it).
-        let mut chunk = [0u8; 16];
-        let take = (data.len() - byte_idx).min(9);
-        chunk[..take].copy_from_slice(&data[byte_idx..byte_idx + take]);
-        let lo = u64::from_le_bytes(chunk[0..8].try_into().expect("slice of 8"));
-        let hi = chunk[8] as u64;
-        let value = if bit_off == 0 {
-            lo & mask
-        } else {
-            ((lo >> bit_off) | (hi << (64 - bit_off))) & mask
-        };
-        values.push(value);
-        bit_pos += bits as u64;
+    // The common case — a value inside one 8-byte window of the stream — is a
+    // single load; the general one below also covers the last bytes and
+    // values that straddle nine.
+    if bit_off + bits <= 64 {
+        if let Some(window) = data.get(byte_idx..byte_idx + 8) {
+            let lo = u64::from_le_bytes(window.try_into().expect("slice of 8"));
+            return (lo >> bit_off) & mask;
+        }
     }
-    Ok(values)
+    // Up to 9 bytes cover the value (bits <= 64, bit offset <= 7).
+    let mut chunk = [0u8; 9];
+    let take = (data.len() - byte_idx).min(9);
+    chunk[..take].copy_from_slice(&data[byte_idx..byte_idx + take]);
+    let lo = u64::from_le_bytes(chunk[..8].try_into().expect("slice of 8"));
+    if bit_off == 0 {
+        lo & mask
+    } else {
+        ((lo >> bit_off) | ((chunk[8] as u64) << (64 - bit_off))) & mask
+    }
+}
+
+/// Unpacks a buffer produced by [`pack`].
+pub fn unpack(buf: &[u8]) -> crate::Result<Vec<u64>> {
+    let (count, bits, data) = header(buf)?;
+    Ok((0..count).map(|index| value_at(data, bits, index)).collect())
+}
+
+/// Random access into a buffer produced by [`pack`]: the value at `index`,
+/// without unpacking its neighbours.
+pub fn get(buf: &[u8], index: usize) -> crate::Result<u64> {
+    let (count, bits, data) = header(buf)?;
+    if index >= count {
+        return Err(CompressError::Corrupt(format!(
+            "index {index} out of range for {count} bitpacked values"
+        )));
+    }
+    Ok(value_at(data, bits, index))
 }
 
 #[cfg(test)]
@@ -121,6 +150,25 @@ mod tests {
             let unpacked = unpack(&packed).unwrap();
             assert_eq!(unpacked, values, "width {bits}");
         }
+    }
+
+    #[test]
+    fn get_agrees_with_unpack_at_every_width() {
+        for bits in 1..=64u32 {
+            let mask = if bits == 64 { u64::MAX } else { (1u64 << bits) - 1 };
+            let values: Vec<u64> = (0..131u64)
+                .map(|i| i.wrapping_mul(0x9E37_79B9_7F4A_7C15).rotate_left(i as u32) & mask)
+                .collect();
+            let packed = pack(&values, bits).unwrap();
+            let unpacked = unpack(&packed).unwrap();
+            assert_eq!(unpacked, values, "width {bits}");
+            for (index, &value) in unpacked.iter().enumerate() {
+                assert_eq!(get(&packed, index).unwrap(), value, "width {bits} index {index}");
+            }
+            assert!(get(&packed, values.len()).is_err(), "width {bits}: past the end");
+            assert!(get(&packed[..packed.len() - 1], 0).is_err(), "width {bits}: truncated");
+        }
+        assert!(get(&pack(&[], 7).unwrap(), 0).is_err());
     }
 
     #[test]

@@ -15,9 +15,17 @@ use crate::{fnv1a64, CompressError};
 
 const MAGIC: &[u8; 4] = b"DMFR";
 
-/// Compresses `input` with `codec` and wraps it in a frame.
+/// Compresses `input` with `codec` and wraps it in a frame.  A frame never
+/// grows its input: when the codec does not shrink it (bit-packed or otherwise
+/// high-entropy bytes), the raw bytes are framed under [`Codec::None`] instead —
+/// frames are self-describing, so readers need not know.
 pub fn compress_frame(codec: &Codec, input: &[u8]) -> Vec<u8> {
-    let payload = codec.compress(input);
+    let mut codec = codec;
+    let mut payload = codec.compress(input);
+    if payload.len() >= input.len() {
+        codec = &Codec::None;
+        payload = input.to_vec();
+    }
     let record_width = match codec {
         Codec::Dictionary { record_width } => *record_width,
         _ => 0,
@@ -93,6 +101,41 @@ mod tests {
             assert_eq!(decoded_codec.tag(), codec.tag());
             assert_eq!(original, data.len());
             assert!(payload <= frame.len());
+        }
+    }
+
+    /// SplitMix64 noise: what a bit-packed partition looks like to a codec.
+    fn noise(len: usize) -> Vec<u8> {
+        let mut state = 0x5EED_u64;
+        let mut out = Vec::with_capacity(len + 8);
+        while out.len() < len {
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            out.extend_from_slice(&(z ^ (z >> 31)).to_le_bytes());
+        }
+        out.truncate(len);
+        out
+    }
+
+    #[test]
+    fn frames_never_grow_their_input() {
+        let incompressible = noise(800);
+        let compressible = vec![7u8; 800];
+        // magic + tag + three varints (<= 2 bytes each here) + checksum.
+        let header = 4 + 1 + 1 + 2 + 2 + 8;
+        for codec in [Codec::Lz, Codec::Deflate, Codec::LzHuff] {
+            assert!(codec.compress(&incompressible).len() > incompressible.len(), "{codec:?}");
+            let frame = compress_frame(&codec, &incompressible);
+            assert!(frame.len() <= incompressible.len() + header, "{codec:?}: {}", frame.len());
+            assert_eq!(frame_info(&frame).unwrap().0, Codec::None, "{codec:?}");
+            assert_eq!(decompress_frame(&frame).unwrap(), incompressible, "{codec:?}");
+            // Compressible input keeps the codec it was framed with.
+            let frame = compress_frame(&codec, &compressible);
+            assert_eq!(frame_info(&frame).unwrap().0, codec, "{codec:?}");
+            assert!(frame.len() < compressible.len() / 2);
+            assert_eq!(decompress_frame(&frame).unwrap(), compressible);
         }
     }
 

@@ -1,55 +1,59 @@
-//! The auxiliary accuracy-assurance table `Taux` (Section IV-B1).
+//! The auxiliary accuracy-assurance table `Taux` (Section IV-B1), keyless.
 //!
-//! Misclassified key-value pairs are sorted by key, split into equally-sized
-//! partitions, and each partition is compressed (the paper uses Z-Standard or LZMA)
-//! and stored on the simulated disk.  Lookups locate the partition covering a key,
-//! bring it into the LRU buffer pool (paying load + decompression on a miss) and
-//! binary-search inside it — Algorithm 1's validation step.
+//! The paper stores the misclassified key-value pairs sorted by key in compressed
+//! partitions and binary-searches them.  Here membership is answered *before* the
+//! table is touched (`Vaux` routes every lookup), so partitions neither store nor
+//! search keys:
 //!
-//! The same structure absorbs modifications (Section IV-D): inserted/updated rows the
-//! model cannot infer are staged in an in-memory *delta* overlay and deleted keys in a
-//! tombstone set, so modifications never rewrite compressed partitions on the hot
-//! path.  `compact()` folds the overlay back into freshly compressed partitions and is
-//! invoked by the retraining workflow.
+//! * **`base`** is the frozen, rank-indexed bitmap of the keys held in partitions.
+//!   A key's ordinal is `rank(base, key)`, its partition `ordinal / R`, its slot
+//!   `ordinal % R`, with `R` the workspace's one partition-size rule
+//!   ([`rows_per_partition`]).  Partition `i` is id `i` of the
+//!   [`PartitionSource`]; all but the last hold exactly `R` rows.
+//! * **Partitions** are [`PackedPartition`]s — values only, one bit-packed stream
+//!   per column — inside a `dm_compress` frame of the configured codec.  The
+//!   buffer pool holds the packed bytes as they are and a probe reads one value
+//!   per column at the slot.  A partition whose shape disagrees with what the
+//!   ranks address is a typed corruption error, never a shifted answer.
+//!
+//! Modifications (Section IV-D) land in an in-memory *delta* overlay and a
+//! tombstone set, so they never rewrite partitions on the hot path — and never
+//! touch `base`, whose ranks address the rows on disk.  Between compactions the
+//! table answers `(base − tombstones) ∪ delta.keys` ([`AuxTable::held_keys`]),
+//! which is what the owning structure's mutable `Vaux` equals at all times;
+//! `compact()` folds the overlay into freshly packed partitions under a new `base`.
 
 use crate::Result;
 use dm_compress::Codec;
 use dm_exec::ThreadPool;
 use dm_obs::{Stage, Trace};
-use dm_storage::layout::{partition_rows, ArrayPartition};
-use dm_storage::{BufferPool, DiskProfile, Metrics, PartitionSource, Phase, Row, SimulatedDisk};
+use dm_storage::layout::{rows_per_partition, PackedPartition};
+use dm_storage::{
+    BitVec, BufferPool, DiskProfile, Metrics, PartitionSource, Phase, RankedBits, Row,
+    SimulatedDisk, StorageError,
+};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
-/// Directory entry for one compressed auxiliary partition.
-#[derive(Debug, Clone, Copy)]
-struct AuxPartitionMeta {
-    disk_id: u64,
-    min_key: u64,
-    max_key: u64,
-    rows: usize,
-}
-
-/// Public shape of one partition directory entry, in directory (= key) order.
-/// Partition ids are implicit: entry `i` is partition id `i` of whatever
-/// [`PartitionSource`] serves the table.
+/// A derived, diagnostic view of one partition: the key range its ordinals
+/// cover.  Nothing stores or persists it — addressing is by rank alone.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AuxPartitionInfo {
-    /// Smallest key stored in the partition.
+    /// Smallest key whose row lives in the partition.
     pub min_key: u64,
-    /// Largest key stored in the partition.
+    /// Largest key whose row lives in the partition.
     pub max_key: u64,
     /// Number of rows in the partition.
     pub rows: usize,
 }
 
-/// One partition's compressed frame plus its directory entry — what
-/// `dm-persist` copies verbatim into a snapshot file.
+/// One partition's compressed frame plus its row count — what `dm-persist`
+/// copies verbatim into a snapshot file.
 #[derive(Debug, Clone)]
 pub struct PartitionFrame {
-    /// Directory entry of the partition.
-    pub info: AuxPartitionInfo,
-    /// The raw compressed frame bytes (self-describing `dm_compress` frame).
+    /// Number of rows packed in the partition.
+    pub rows: usize,
+    /// The raw frame bytes (self-describing `dm_compress` frame).
     pub frame: Arc<Vec<u8>>,
 }
 
@@ -59,7 +63,7 @@ pub struct PartitionFrame {
 pub struct AuxTableSnapshot {
     /// Codec future compactions will compress with.
     pub codec: Codec,
-    /// Target uncompressed partition size for future compactions.
+    /// Target partition size (at the fixed row width) for future compactions.
     pub partition_bytes: usize,
     /// Buffer-pool byte budget.
     pub memory_budget_bytes: usize,
@@ -67,8 +71,9 @@ pub struct AuxTableSnapshot {
     pub disk_profile: DiskProfile,
     /// Number of value columns per row.
     pub value_columns: usize,
-    /// Partition directory; entry `i` describes partition id `i` of the source.
-    pub partitions: Vec<AuxPartitionInfo>,
+    /// The keys held in the source's partitions; partition `i` of the source
+    /// holds the rows of ordinals `[i·R, (i+1)·R)`.
+    pub base: BitVec,
     /// The delta overlay rows (key order not required).
     pub delta: Vec<Row>,
     /// The tombstoned keys.
@@ -114,22 +119,15 @@ impl Backing {
     }
 }
 
-/// One batch's auxiliary probe plan (see [`AuxTable::plan_probes`]).
-#[derive(Debug, Default)]
-struct ProbePlan {
-    /// Query indices the delta overlay answers without touching disk.
-    resolved: Vec<usize>,
-    /// Partition index → query indices that must be checked inside that partition.
-    groups: BTreeMap<usize, Vec<usize>>,
-}
-
-/// One partition group's probe results, collected by a pool task: hit query
-/// indices plus their values in a flat `columns`-stride arena, so the parallel
-/// path allocates per *group*, never per key.
-struct GroupHits {
-    columns: usize,
-    qis: Vec<usize>,
-    values: Vec<u32>,
+/// One corrected key's address: where its row is, and which query asked.  A
+/// batch's probe plan is a `Vec` of these sorted by `(partition, slot)` (see
+/// [`AuxTable::plan_probes`]).
+#[derive(Debug, Clone, Copy)]
+struct Probe {
+    partition: u32,
+    slot: u32,
+    /// Index of the key in the probed batch.
+    qi: usize,
 }
 
 /// The auxiliary accuracy-assurance table.
@@ -140,11 +138,14 @@ pub struct AuxTable {
     disk_profile: DiskProfile,
     value_columns: usize,
     backing: Backing,
-    pool: BufferPool<ArrayPartition>,
-    directory: Vec<AuxPartitionMeta>,
+    pool: BufferPool<PackedPartition>,
+    /// The keys held in partitions, frozen between compactions.
+    base: RankedBits,
+    /// `R`: rows in every partition but the last.
+    rows_per_partition: usize,
     /// Rows added/updated since the last compaction (key → values).
     delta: BTreeMap<u64, Vec<u32>>,
-    /// Keys removed from the compressed partitions since the last compaction.
+    /// Keys of `base` whose partition row is dead since the last compaction.
     tombstones: BTreeSet<u64>,
     metrics: Metrics,
     /// Decayed per-partition heat, fed by the buffer pool (accesses/misses)
@@ -156,7 +157,7 @@ pub struct AuxTable {
 impl std::fmt::Debug for AuxTable {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("AuxTable")
-            .field("partitions", &self.directory.len())
+            .field("partitions", &self.partition_count())
             .field("delta_rows", &self.delta.len())
             .field("tombstones", &self.tombstones.len())
             .finish()
@@ -164,7 +165,8 @@ impl std::fmt::Debug for AuxTable {
 }
 
 impl AuxTable {
-    /// Builds the table from the misclassified rows of the model evaluation pass.
+    /// Builds the table from the misclassified rows of the model evaluation
+    /// pass (any order; of rows sharing a key the first is kept).
     pub fn build(
         misclassified: &[Row],
         value_columns: usize,
@@ -174,59 +176,54 @@ impl AuxTable {
         disk_profile: DiskProfile,
         metrics: Metrics,
     ) -> Result<Self> {
-        let heat = Arc::new(dm_obs::HeatMap::default());
-        let mut pool = BufferPool::new(memory_budget_bytes, metrics.clone());
-        pool.attach_heat(Arc::clone(&heat));
-        let mut table = AuxTable {
-            codec,
-            partition_bytes,
-            memory_budget_bytes,
-            disk_profile,
-            value_columns,
-            backing: Backing::simulated(SimulatedDisk::new(disk_profile)),
-            pool,
-            directory: Vec::new(),
-            delta: BTreeMap::new(),
-            tombstones: BTreeSet::new(),
+        let mut table = Self::assemble(
+            AuxTableSnapshot {
+                codec,
+                partition_bytes,
+                memory_budget_bytes,
+                disk_profile,
+                value_columns,
+                base: BitVec::new(),
+                delta: Vec::new(),
+                tombstones: Vec::new(),
+            },
+            Backing::simulated(SimulatedDisk::new(disk_profile)),
             metrics,
-            heat,
-        };
+        );
         table.write_partitions(misclassified)?;
         Ok(table)
     }
 
     /// Reconstitutes a table over an external read-only [`PartitionSource`] —
-    /// the lazy-open path of `dm-persist`: only the directory and overlay are
-    /// materialized; partitions stay in the source until a lookup touches them.
+    /// the lazy-open path of `dm-persist`: only `base` (with its rank index,
+    /// derived here) and the overlay are materialized; partitions stay in the
+    /// source until a lookup touches them.
     pub fn open_from_source(
         source: Arc<dyn PartitionSource>,
         snapshot: AuxTableSnapshot,
         metrics: Metrics,
     ) -> Self {
+        Self::assemble(
+            snapshot,
+            Backing::External(dm_faults::wrap_from_env(source)),
+            metrics,
+        )
+    }
+
+    fn assemble(snapshot: AuxTableSnapshot, backing: Backing, metrics: Metrics) -> Self {
         let heat = Arc::new(dm_obs::HeatMap::default());
         let mut pool = BufferPool::new(snapshot.memory_budget_bytes, metrics.clone());
         pool.attach_heat(Arc::clone(&heat));
-        let mut directory: Vec<AuxPartitionMeta> = snapshot
-            .partitions
-            .iter()
-            .enumerate()
-            .map(|(id, info)| AuxPartitionMeta {
-                disk_id: id as u64,
-                min_key: info.min_key,
-                max_key: info.max_key,
-                rows: info.rows,
-            })
-            .collect();
-        directory.sort_by_key(|m| m.min_key);
         AuxTable {
             codec: snapshot.codec,
             partition_bytes: snapshot.partition_bytes,
             memory_budget_bytes: snapshot.memory_budget_bytes,
             disk_profile: snapshot.disk_profile,
             value_columns: snapshot.value_columns,
-            backing: Backing::External(dm_faults::wrap_from_env(source)),
+            backing,
             pool,
-            directory,
+            base: RankedBits::new(snapshot.base),
+            rows_per_partition: rows_per_partition(snapshot.value_columns, snapshot.partition_bytes),
             delta: snapshot
                 .delta
                 .into_iter()
@@ -262,25 +259,23 @@ impl AuxTable {
         self.pool.clear();
     }
 
+    /// Packs `rows` into partitions of `R` rows on the (fresh) simulated disk
+    /// and makes their keys the new `base`.
     fn write_partitions(&mut self, rows: &[Row]) -> Result<()> {
         let Backing::Simulated { disk, .. } = &self.backing else {
             return Err(crate::CoreError::InvalidConfig(
                 "cannot write partitions into a read-only external partition source".into(),
             ));
         };
-        for chunk in partition_rows(rows, self.value_columns, self.partition_bytes) {
-            let partition = ArrayPartition::from_rows(&chunk, self.value_columns)
-                .map_err(crate::CoreError::from)?;
-            let payload = partition.to_bytes();
-            let disk_id = disk.write_partition(&self.codec, &payload, &self.metrics);
-            self.directory.push(AuxPartitionMeta {
-                disk_id,
-                min_key: partition.min_key().expect("chunk not empty"),
-                max_key: partition.max_key().expect("chunk not empty"),
-                rows: partition.len(),
-            });
+        let mut sorted: Vec<&Row> = rows.iter().collect();
+        sorted.sort_by_key(|row| row.key);
+        sorted.dedup_by_key(|row| row.key);
+        for (idx, chunk) in sorted.chunks(self.rows_per_partition).enumerate() {
+            let partition = PackedPartition::from_rows(chunk, self.value_columns)?;
+            let id = disk.write_partition(&self.codec, partition.to_bytes(), &self.metrics);
+            assert_eq!(id, idx as u64, "a fresh disk numbers partitions in write order");
         }
-        self.directory.sort_by_key(|m| m.min_key);
+        self.base = RankedBits::new(sorted.iter().map(|row| row.key).collect());
         Ok(())
     }
 
@@ -291,11 +286,9 @@ impl AuxTable {
 
     /// Number of rows currently represented (partitions + delta − tombstoned rows).
     ///
-    /// Tombstones only count against rows that actually live in a partition, so the
-    /// value is exact, not an estimate.
+    /// Tombstones only ever name keys of `base`, so the value is exact.
     pub fn len(&self) -> usize {
-        let partition_rows: usize = self.directory.iter().map(|m| m.rows).sum();
-        partition_rows + self.delta.len() - self.tombstones.len()
+        self.base.count_ones() as usize + self.delta.len() - self.tombstones.len()
     }
 
     /// Whether the table holds no rows.
@@ -303,16 +296,41 @@ impl AuxTable {
         self.len() == 0
     }
 
-    /// Number of compressed partitions.
+    /// Number of partitions.
     pub fn partition_count(&self) -> usize {
-        self.directory.len()
+        (self.base.count_ones() as usize).div_ceil(self.rows_per_partition)
     }
 
-    /// Compressed on-disk footprint plus the in-memory overlay — the `size(Taux)` term
-    /// of Eq. 1.
+    /// Rows in partition `idx`: `R` for all but the last.
+    pub fn partition_len(&self, idx: usize) -> usize {
+        (self.base.count_ones() as usize)
+            .saturating_sub(idx.saturating_mul(self.rows_per_partition))
+            .min(self.rows_per_partition)
+    }
+
+    /// The frozen bitmap of the keys held in partitions (with its rank index).
+    pub fn base(&self) -> &RankedBits {
+        &self.base
+    }
+
+    /// The keys the table answers right now: `(base − tombstones) ∪ delta.keys`.
+    /// Equal to `base` right after a build or compaction; the owning
+    /// structure's `Vaux` equals this set at all times.
+    pub fn held_keys(&self) -> BitVec {
+        let mut held = self.base.bits().clone();
+        for &key in &self.tombstones {
+            held.set(key, false);
+        }
+        for &key in self.delta.keys() {
+            held.set(key, true);
+        }
+        held
+    }
+
+    /// On-disk footprint of the partition frames plus the in-memory overlay —
+    /// the `size(Taux)` term of Eq. 1 (`base` is accounted with `Vaux`).
     pub fn size_bytes(&self) -> usize {
-        let overlay = self.delta.len() * Row::fixed_width(self.value_columns) + self.tombstones.len() * 8;
-        self.backing.source().total_bytes() + overlay
+        self.backing.source().total_bytes() + self.overlay_bytes()
     }
 
     /// The metrics handle this table charges loads/decompressions to.
@@ -320,70 +338,69 @@ impl AuxTable {
         &self.metrics
     }
 
-    /// Locates the partition whose key range covers `key`.
-    fn locate(&self, key: u64) -> Option<usize> {
-        if self.directory.is_empty() {
-            return None;
+    /// Whether a partition holds a live row for `key`.
+    fn live_in_base(&self, key: u64) -> bool {
+        self.base.get(key) && !self.tombstones.contains(&key)
+    }
+
+    /// The `(partition, slot)` address of a key of `base`.
+    fn address(&self, key: u64) -> (usize, usize) {
+        let ordinal = self.base.rank1(key) as usize;
+        (ordinal / self.rows_per_partition, ordinal % self.rows_per_partition)
+    }
+
+    /// Reads, unframes and validates partition `idx` from the source.  A
+    /// partition that is well-formed but not the `idx`-th one of this table
+    /// (wrong row count or arity) would shift every answer read from it, so it
+    /// is corruption like any other.
+    fn read_partition(&self, idx: usize) -> dm_storage::Result<PackedPartition> {
+        let payload = self.metrics.time(Phase::LoadAndDecompress, || {
+            self.backing.source().read_partition(idx as u64, &self.metrics)
+        })?;
+        let partition = self
+            .metrics
+            .time(Phase::LoadAndDecompress, || PackedPartition::from_bytes(payload))?;
+        if partition.len() != self.partition_len(idx) || partition.columns() != self.value_columns {
+            return Err(StorageError::Corrupt(format!(
+                "partition {idx} holds {} rows x {} columns, the table's ranks address {} x {}",
+                partition.len(),
+                partition.columns(),
+                self.partition_len(idx),
+                self.value_columns
+            )));
         }
-        let idx = match self.directory.binary_search_by_key(&key, |m| m.min_key) {
-            Ok(i) => i,
-            Err(0) => return None,
-            Err(i) => i - 1,
-        };
-        (key <= self.directory[idx].max_key).then_some(idx)
+        Ok(partition)
     }
 
     /// Loads partition `idx` through the single-flight buffer pool, recording
-    /// pool wait/load spans on `trace` when the caller carries one.  Keeps the
-    /// raw [`dm_storage::StorageError`] so degradation-aware callers
+    /// pool wait/load spans on `trace` when the caller carries one.  The pool
+    /// is charged the packed payload's real length.  Keeps the raw
+    /// [`dm_storage::StorageError`] so degradation-aware callers
     /// ([`probe_batch`](Self::probe_batch)) can attach the typed error to
     /// exactly the keys it affects.
     fn load_partition(
         &self,
         idx: usize,
         trace: Option<&Trace>,
-    ) -> dm_storage::Result<Arc<ArrayPartition>> {
-        let meta = self.directory[idx];
-        let source = self.backing.source();
-        let metrics = &self.metrics;
-        let heat = &self.heat;
-        self.pool.get_or_load_observed(meta.disk_id, trace, || {
-            let payload = metrics.time(Phase::LoadAndDecompress, || {
-                source.read_partition(meta.disk_id, metrics)
-            })?;
-            heat.touch(meta.disk_id, dm_obs::Touch::Decompress);
-            let partition = metrics
-                .time(Phase::LoadAndDecompress, || ArrayPartition::from_bytes(&payload))?;
-            let bytes = partition.len() * Row::fixed_width(partition.iter().next().map(|r| r.values.len()).unwrap_or(0));
-            Ok((partition, bytes.max(64)))
+    ) -> dm_storage::Result<Arc<PackedPartition>> {
+        self.pool.get_or_load_observed(idx as u64, trace, || {
+            let partition = self.read_partition(idx)?;
+            self.heat.touch(idx as u64, dm_obs::Touch::Decompress);
+            let bytes = partition.resident_bytes();
+            Ok((partition, bytes))
         })
     }
 
-    /// Looks up a key in the auxiliary table (Algorithm 1, lines 6–8).
+    /// Looks up a key in the auxiliary table (Algorithm 1, lines 6–8): a batch
+    /// of one.
     pub fn get(&self, key: u64) -> Result<Option<Vec<u32>>> {
-        // Overlay first: it reflects the most recent modifications.
-        if let Some(values) = self.delta.get(&key) {
-            return Ok(Some(values.clone()));
-        }
-        if self.tombstones.contains(&key) {
-            return Ok(None);
-        }
-        let Some(idx) = self
-            .metrics
-            .time(Phase::LocatePartition, || self.locate(key))
-        else {
-            return Ok(None);
-        };
-        let partition = self.load_partition(idx, None)?;
-        Ok(self
-            .metrics
-            .time(Phase::AuxiliaryLookup, || partition.get(key).map(|v| v.to_vec())))
+        Ok(self.get_batch(&[key])?.pop().flatten())
     }
 
     /// Looks up many keys, visiting each partition at most once (the query keys are
     /// processed grouped by partition, mirroring the batch-sorting optimization of
-    /// Section IV-B2).  Answers any key list; the query pipeline asks only for
-    /// the keys `Vaux` routes here.
+    /// Section IV-B2).  Answers any key list (`None` for keys the table does
+    /// not hold); the query pipeline asks only for the keys `Vaux` routes here.
     ///
     /// Runs on the shared [`dm_exec::global`] pool.  The owned shape has no
     /// per-key error channel, so it keeps the strict contract: any failed
@@ -401,15 +418,15 @@ impl AuxTable {
 
     /// Plans and probes one batch: calls `sink(query_index, values)` once for
     /// every key the table answers, handing out borrowed slices (from the delta
-    /// overlay or the pooled decompressed partitions) instead of allocating per
-    /// hit.  Each compressed partition is loaded and decompressed at most once
-    /// per batch.
+    /// overlay or a scratch row filled from the pooled packed partition) instead
+    /// of allocating per hit.  Each partition is loaded at most once per batch.
     ///
     /// With a parallel pool and at least two partition groups, the groups are
     /// probed as independent pool tasks — safe because the read path is
     /// `&self + Sync` and the buffer pool's single-flight sharding keeps racing
     /// cold loads deduplicated.  `sink` is always invoked serially on the calling
-    /// thread, after the parallel section, so it needs no synchronization.
+    /// thread (overlay hits while planning, partition hits after the parallel
+    /// section), so it needs no synchronization.
     ///
     /// **Graceful degradation:** a partition whose load fails (after the
     /// buffer pool's bounded transient retries) does *not* fail the batch.
@@ -425,120 +442,108 @@ impl AuxTable {
         exec: &ThreadPool,
         trace: Option<&Trace>,
         sink: &mut dyn FnMut(usize, &[u32]),
-    ) -> Vec<(usize, dm_storage::StorageError)> {
+    ) -> Vec<(usize, StorageError)> {
         let plan_begin = std::time::Instant::now();
-        let plan = self.plan_probes(keys);
+        let probes = self.plan_probes(keys, sink);
         if let Some(trace) = trace {
             trace.record_span(Stage::Plan, plan_begin, plan_begin.elapsed());
         }
-        for qi in plan.resolved {
-            if let Some(values) = self.delta.get(&keys[qi]) {
-                sink(qi, values);
-            }
-        }
-        let mut degraded: Vec<(usize, dm_storage::StorageError)> = Vec::new();
-        let mut degrade = |query_indices: &[usize], err: dm_storage::StorageError| {
-            self.metrics.add_degraded_keys(query_indices.len() as u64);
-            degraded.extend(query_indices.iter().map(|&qi| (qi, err.clone())));
+        let mut degraded: Vec<(usize, StorageError)> = Vec::new();
+        let mut degrade = |group: &[Probe], err: StorageError| {
+            self.metrics.add_degraded_keys(group.len() as u64);
+            degraded.extend(group.iter().map(|probe| (probe.qi, err.clone())));
         };
-        let groups: Vec<(usize, Vec<usize>)> = plan.groups.into_iter().collect();
+        let columns = self.value_columns;
+        let groups: Vec<&[Probe]> =
+            probes.chunk_by(|a, b| a.partition == b.partition).collect();
         if groups.len() >= 2 && exec.threads() > 1 {
-            let mut results: Vec<Option<dm_storage::Result<GroupHits>>> =
+            let mut results: Vec<Option<dm_storage::Result<Vec<u32>>>> =
                 std::iter::repeat_with(|| None).take(groups.len()).collect();
             exec.scope(|s| {
-                for (slot, (idx, query_indices)) in results.iter_mut().zip(groups.iter()) {
+                for (slot, &group) in results.iter_mut().zip(&groups) {
                     s.spawn(move || {
-                        *slot = Some(self.probe_group(*idx, query_indices, keys, trace));
+                        // One flat arena per group, in probe order.
+                        let mut values = Vec::with_capacity(group.len() * columns);
+                        let probed = self.probe_group(group, trace, &mut vec![0; columns], &mut |_, row| {
+                            values.extend_from_slice(row)
+                        });
+                        *slot = Some(probed.map(|()| values));
                     });
                 }
             });
-            for (result, (_, query_indices)) in results.into_iter().zip(groups.iter()) {
+            for (result, group) in results.into_iter().zip(groups) {
                 match result.expect("scope waits for every probe task") {
-                    Ok(hits) => {
-                        for (i, &qi) in hits.qis.iter().enumerate() {
-                            sink(qi, &hits.values[i * hits.columns..(i + 1) * hits.columns]);
+                    Ok(values) => {
+                        for (i, probe) in group.iter().enumerate() {
+                            sink(probe.qi, &values[i * columns..(i + 1) * columns]);
                         }
                     }
-                    Err(err) => degrade(query_indices, err),
+                    Err(err) => degrade(group, err),
                 }
             }
         } else {
-            for (idx, query_indices) in &groups {
-                let partition = match self.load_partition(*idx, trace) {
-                    Ok(partition) => partition,
-                    Err(err) => {
-                        degrade(query_indices, err);
-                        continue;
-                    }
-                };
-                let begin = std::time::Instant::now();
-                self.metrics.time(Phase::AuxiliaryLookup, || {
-                    for &qi in query_indices {
-                        if let Some(values) = partition.get(keys[qi]) {
-                            sink(qi, values);
-                        }
-                    }
-                });
-                if let Some(trace) = trace {
-                    trace.record_span(Stage::Probe, begin, begin.elapsed());
+            let mut row = vec![0; columns];
+            for group in groups {
+                if let Err(err) = self.probe_group(group, trace, &mut row, sink) {
+                    degrade(group, err);
                 }
             }
         }
         degraded
     }
 
-    /// Probes one partition group (pool task body of the parallel stage-3 path):
-    /// loads the partition through the single-flight pool and collects the hits
-    /// into an owned, flat per-group arena.  The probe search records a
-    /// [`Stage::Probe`] span on `trace` (the load records its own pool spans),
-    /// which is safe from a pool worker — trace recording is lock-free and the
-    /// scope barrier orders it before `finish`.
+    /// Probes one partition group: loads the partition through the
+    /// single-flight pool and hands `sink` each probe's row, read at its slot
+    /// into the scratch `row`.  The reads record a [`Stage::Probe`] span on
+    /// `trace` (the load records its own pool spans), which is safe from a pool
+    /// worker — trace recording is lock-free and the scope barrier orders it
+    /// before `finish`.
     fn probe_group(
         &self,
-        idx: usize,
-        query_indices: &[usize],
-        keys: &[u64],
+        group: &[Probe],
         trace: Option<&Trace>,
-    ) -> dm_storage::Result<GroupHits> {
-        let partition = self.load_partition(idx, trace)?;
-        let mut hits = GroupHits {
-            columns: self.value_columns,
-            qis: Vec::new(),
-            values: Vec::new(),
-        };
+        row: &mut [u32],
+        sink: &mut dyn FnMut(usize, &[u32]),
+    ) -> dm_storage::Result<()> {
+        let partition = self.load_partition(group[0].partition as usize, trace)?;
         let begin = std::time::Instant::now();
         self.metrics.time(Phase::AuxiliaryLookup, || {
-            for &qi in query_indices {
-                if let Some(values) = partition.get(keys[qi]) {
-                    hits.qis.push(qi);
-                    hits.values.extend_from_slice(values);
-                }
+            for probe in group {
+                partition.read_row(probe.slot as usize, row);
+                sink(probe.qi, row);
             }
         });
         if let Some(trace) = trace {
             trace.record_span(Stage::Probe, begin, begin.elapsed());
         }
-        Ok(hits)
+        Ok(())
     }
 
-    /// Planning for a probe batch: answers whatever the in-memory delta overlay /
-    /// tombstones can resolve immediately and groups the remaining keys by the
-    /// compressed partition that covers them, so each partition is loaded and
-    /// decompressed at most once per batch no matter how the keys interleave.
-    fn plan_probes(&self, keys: &[u64]) -> ProbePlan {
-        let mut plan = ProbePlan::default();
+    /// Planning for a probe batch: hands `sink` whatever the in-memory delta
+    /// overlay answers on the spot and turns every other held key into its
+    /// `(partition, slot)` address by rank.  Sorting the addresses groups them
+    /// by partition, so each is loaded at most once per batch no matter how the
+    /// keys interleave.
+    fn plan_probes(&self, keys: &[u64], sink: &mut dyn FnMut(usize, &[u32])) -> Vec<Probe> {
+        // The pipeline sends only corrected keys: nearly all become probes.
+        let mut probes = Vec::with_capacity(keys.len());
         self.metrics.time(Phase::LocatePartition, || {
             for (qi, &key) in keys.iter().enumerate() {
-                if self.delta.contains_key(&key) {
-                    plan.resolved.push(qi);
-                } else if !self.tombstones.contains(&key) {
-                    if let Some(idx) = self.locate(key) {
-                        plan.groups.entry(idx).or_default().push(qi);
-                    }
+                if let Some(values) = self.delta.get(&key) {
+                    sink(qi, values);
+                } else if self.live_in_base(key) {
+                    let (partition, slot) = self.address(key);
+                    // Ordinals fit `u32` (the rank index counts in it).
+                    probes.push(Probe {
+                        partition: partition as u32,
+                        slot: slot as u32,
+                        qi,
+                    });
                 }
             }
+            probes.sort_unstable_by_key(|probe| (probe.partition, probe.slot));
         });
-        plan
+        probes
     }
 
     /// Adds (or replaces) a misclassified row — used by `Insert` (Algorithm 3) and
@@ -547,10 +552,11 @@ impl AuxTable {
     /// write path a partition load: a held key outside the overlay is live in a
     /// partition, and that copy must be shadowed until the next compaction (a
     /// key already in the overlay had its partition copy tombstoned on entry).
+    /// `base` is never touched: its ranks address the rows on disk.
     pub(crate) fn upsert(&mut self, row: Row, held: bool) {
         debug_assert!(
-            !held || self.delta.contains_key(&row.key) || self.live_in_a_partition(row.key),
-            "key {} is marked held but neither the overlay nor a partition can hold it",
+            !held || self.delta.contains_key(&row.key) || self.live_in_base(row.key),
+            "key {} is marked held but neither the overlay nor a partition holds it",
             row.key
         );
         if held && !self.delta.contains_key(&row.key) {
@@ -566,74 +572,56 @@ impl AuxTable {
     /// overlay key's partition copy, if any, already has one.
     pub(crate) fn remove(&mut self, key: u64) {
         debug_assert!(
-            self.delta.contains_key(&key) || self.live_in_a_partition(key),
-            "key {key} is removed but neither the overlay nor a partition can hold it"
+            self.delta.contains_key(&key) || self.live_in_base(key),
+            "key {key} is removed but neither the overlay nor a partition holds it"
         );
         if self.delta.remove(&key).is_none() {
             self.tombstones.insert(key);
         }
     }
 
-    /// The cheap half of "a partition holds `key`": not tombstoned, and inside
-    /// some partition's key range.  Checks the callers' `Vaux` contract in
-    /// debug builds without loading anything.
-    fn live_in_a_partition(&self, key: u64) -> bool {
-        !self.tombstones.contains(&key) && self.locate(key).is_some()
-    }
-
-    /// Decodes partition `idx` for a full-table scan *without* caching it: a
-    /// resident copy is reused (via `peek`), but a cold partition is read and
-    /// decompressed straight from disk and dropped after use.  This is what keeps
-    /// retrain-time scans ([`iter_rows`](Self::iter_rows), and
-    /// `DeepMapping::materialize_rows` above it) from evicting the hot working
-    /// set out of the lookup path's buffer pool.
-    fn decode_partition_bypass(&self, idx: usize) -> Result<Arc<ArrayPartition>> {
-        let meta = self.directory[idx];
-        if let Some(resident) = self.pool.peek(meta.disk_id) {
+    /// Partition `idx` for a full-table scan *without* caching it: a resident
+    /// copy is reused (via `peek`), but a cold partition is read straight from
+    /// the source and dropped after use.  This is what keeps retrain-time scans
+    /// ([`iter_rows`](Self::iter_rows), and `DeepMapping::materialize_rows`
+    /// above it) from evicting the hot working set out of the lookup path's
+    /// buffer pool.
+    fn read_partition_bypass(&self, idx: usize) -> Result<Arc<PackedPartition>> {
+        if let Some(resident) = self.pool.peek(idx as u64) {
             return Ok(resident);
         }
-        let payload = self
-            .metrics
-            .time(Phase::LoadAndDecompress, || {
-                self.backing.source().read_partition(meta.disk_id, &self.metrics)
-            })
-            .map_err(crate::CoreError::from)?;
-        let partition = self
-            .metrics
-            .time(Phase::LoadAndDecompress, || ArrayPartition::from_bytes(&payload))
-            .map_err(crate::CoreError::from)?;
-        Ok(Arc::new(partition))
+        Ok(Arc::new(self.read_partition(idx)?))
     }
 
     /// Iterates every live row (partitions merged with the overlay), in key order.
     ///
-    /// Partitions are streamed one at a time through a pool-*bypass* decode (see
-    /// `decode_partition_bypass`) and merge-joined
-    /// with the sorted delta overlay, so a full-table scan neither evicts the hot
-    /// working set nor materializes more than one decoded partition at a time.
+    /// The keys of the partition rows are `base`'s set bits, in order: slot `s`
+    /// of partition `i` belongs to the `(i·R + s)`-th of them.  Partitions are
+    /// streamed one at a time through a pool-*bypass* read and merge-joined
+    /// with the sorted delta overlay, so a full-table scan neither evicts the
+    /// hot working set nor holds more than one partition at a time.
     pub fn iter_rows(&self) -> Result<Vec<Row>> {
         let mut out = Vec::with_capacity(self.len());
         let mut delta = self.delta.iter().peekable();
-        // The directory is sorted by disjoint key ranges and rows are sorted
-        // within each partition, so partition order is global key order.
-        for idx in 0..self.directory.len() {
-            let partition = self.decode_partition_bypass(idx)?;
-            for row in partition.iter() {
+        let mut keys = self.base.iter_ones();
+        let mut values = vec![0; self.value_columns];
+        for idx in 0..self.partition_count() {
+            let partition = self.read_partition_bypass(idx)?;
+            for slot in 0..partition.len() {
+                let key = keys.next().expect("partition rows sum to base's set bits");
                 // Delta rows with smaller keys interleave first.
-                while delta.peek().is_some_and(|(&k, _)| k < row.key) {
+                while delta.peek().is_some_and(|(&k, _)| k < key) {
                     let (&key, values) = delta.next().expect("peeked");
                     out.push(Row::new(key, values.clone()));
                 }
-                if delta.peek().is_some_and(|(&k, _)| k == row.key) {
+                if delta.peek().is_some_and(|(&k, _)| k == key) {
                     // The overlay shadows the partition copy.
                     let (&key, values) = delta.next().expect("peeked");
                     out.push(Row::new(key, values.clone()));
-                    continue;
+                } else if !self.tombstones.contains(&key) {
+                    partition.read_row(slot, &mut values);
+                    out.push(Row::new(key, values.clone()));
                 }
-                if self.tombstones.contains(&row.key) {
-                    continue;
-                }
-                out.push(row);
             }
         }
         for (&key, values) in delta {
@@ -642,7 +630,8 @@ impl AuxTable {
         Ok(out)
     }
 
-    /// Folds the delta overlay and tombstones back into freshly compressed partitions.
+    /// Folds the delta overlay and tombstones back into freshly packed
+    /// partitions under a new `base`.
     ///
     /// The rebuild always lands on a fresh in-memory [`SimulatedDisk`] — this is also
     /// how a read-only snapshot-backed table migrates back to a writable backing
@@ -650,9 +639,8 @@ impl AuxTable {
     pub fn compact(&mut self) -> Result<()> {
         let rows = self.iter_rows()?;
         // The fresh disk reuses partition ids from 0, so drop every cached entry
-        // before the directory switches over.
+        // before the addressing switches over.
         self.pool.clear();
-        self.directory.clear();
         self.delta.clear();
         self.tombstones.clear();
         // Note: a compaction re-derives the read wrapper from the environment
@@ -679,9 +667,9 @@ impl AuxTable {
     }
 
     /// Partition-heat report over this table's buffer pool: top-`top_k`
-    /// hot/cold partitions by decayed score plus resident-vs-budget pressure.
-    /// Partition ids in the report are this table's disk ids.  Empty (all
-    /// zeros) under `DM_OBS=off`, since nothing feeds the tracker.
+    /// hot/cold partitions by decayed score plus resident-vs-budget pressure
+    /// (resident bytes are the packed payloads the pool holds, to the byte).
+    /// Empty (all zeros) under `DM_OBS=off`, since nothing feeds the tracker.
     pub fn heat_report(&self, top_k: usize) -> dm_obs::HeatReport {
         let mut report = self.heat.report(top_k);
         report.resident_bytes = self.pool.used_bytes() as u64;
@@ -704,70 +692,53 @@ impl AuxTable {
         }
     }
 
-    /// The public partition directory, in key order (entry `i` ↔ partition id `i`
-    /// once written to a snapshot in this order).
+    /// The key range each partition's ordinals cover, in partition order — a
+    /// diagnostic view derived by walking `base` (tests and tools use it to aim
+    /// keys at a partition); addressing never consults it.
     pub fn partition_directory(&self) -> Vec<AuxPartitionInfo> {
-        self.directory
-            .iter()
-            .map(|m| AuxPartitionInfo {
-                min_key: m.min_key,
-                max_key: m.max_key,
-                rows: m.rows,
+        let mut keys = self.base.iter_ones();
+        (0..self.partition_count())
+            .map(|idx| {
+                let rows = self.partition_len(idx);
+                let min_key = keys.next().expect("partition rows sum to base's set bits");
+                let max_key = keys.by_ref().take(rows - 1).last().unwrap_or(min_key);
+                AuxPartitionInfo {
+                    min_key,
+                    max_key,
+                    rows,
+                }
             })
             .collect()
     }
 
-    /// Exports one compressed partition frame verbatim, by directory index —
-    /// the snapshot writer streams these straight into the file one at a time,
-    /// bounding its memory at a single frame.  The read is charged to a scratch
-    /// [`Metrics`] so exporting a snapshot does not pollute the store's lookup
-    /// counters, and the frame is fetched source-to-source without touching the
-    /// buffer pool.
+    /// Exports one partition frame verbatim, by partition index — the snapshot
+    /// writer streams these straight into the file one at a time, bounding its
+    /// memory at a single frame.  The read is charged to a scratch [`Metrics`]
+    /// so exporting a snapshot does not pollute the store's lookup counters,
+    /// and the frame is fetched source-to-source without touching the buffer
+    /// pool.
     pub fn partition_frame(&self, idx: usize) -> Result<PartitionFrame> {
-        let meta = self.directory.get(idx).ok_or_else(|| {
-            crate::CoreError::InvalidConfig(format!(
+        if idx >= self.partition_count() {
+            return Err(crate::CoreError::InvalidConfig(format!(
                 "partition index {idx} out of range ({} partitions)",
-                self.directory.len()
-            ))
-        })?;
-        let scratch = Metrics::new();
+                self.partition_count()
+            )));
+        }
         let frame = self
             .backing
             .source()
-            .read_frame(meta.disk_id, &scratch)
+            .read_frame(idx as u64, &Metrics::new())
             .map_err(crate::CoreError::from)?;
         Ok(PartitionFrame {
-            info: AuxPartitionInfo {
-                min_key: meta.min_key,
-                max_key: meta.max_key,
-                rows: meta.rows,
-            },
+            rows: self.partition_len(idx),
             frame,
         })
     }
 
-    /// Every partition frame at once, in directory order (convenience over
-    /// [`partition_frame`](Self::partition_frame); materializes all frames).
-    pub fn partition_frames(&self) -> Result<Vec<PartitionFrame>> {
-        (0..self.directory.len()).map(|idx| self.partition_frame(idx)).collect()
-    }
-
-    /// The delta-overlay rows in key order.
-    pub fn delta_rows(&self) -> Vec<Row> {
-        self.delta
-            .iter()
-            .map(|(&key, values)| Row::new(key, values.clone()))
-            .collect()
-    }
-
-    /// The tombstoned keys in ascending order.
-    pub fn tombstone_keys(&self) -> Vec<u64> {
-        self.tombstones.iter().copied().collect()
-    }
-
-    /// The snapshot description of this table (directory + overlay + rebuild knobs);
-    /// pair it with [`partition_frames`](Self::partition_frames) to persist, and with
-    /// [`open_from_source`](Self::open_from_source) to reconstitute.
+    /// The snapshot description of this table (`base` + overlay in key order +
+    /// rebuild knobs); pair it with every [`partition_frame`](Self::partition_frame)
+    /// to persist, and with [`open_from_source`](Self::open_from_source) to
+    /// reconstitute.
     pub fn to_snapshot(&self) -> AuxTableSnapshot {
         AuxTableSnapshot {
             codec: self.codec,
@@ -775,9 +746,9 @@ impl AuxTable {
             memory_budget_bytes: self.memory_budget_bytes,
             disk_profile: self.disk_profile,
             value_columns: self.value_columns,
-            partitions: self.partition_directory(),
-            delta: self.delta_rows(),
-            tombstones: self.tombstone_keys(),
+            base: self.base.bits().clone(),
+            delta: self.delta.iter().map(|(&k, v)| Row::new(k, v.clone())).collect(),
+            tombstones: self.tombstones.iter().copied().collect(),
         }
     }
 }
@@ -797,6 +768,10 @@ mod tests {
             Metrics::new(),
         )
         .unwrap()
+    }
+
+    fn frames_of(table: &AuxTable) -> Vec<PartitionFrame> {
+        (0..table.partition_count()).map(|idx| table.partition_frame(idx).unwrap()).collect()
     }
 
     fn sample_rows(n: u64) -> Vec<Row> {
@@ -1043,10 +1018,10 @@ mod tests {
         let mut table = build_table(&rows);
         table.upsert(Row::new(1, vec![8, 8]), false); // overlay row between partition keys
         table.remove(6); // tombstone
-        let frames = table.partition_frames().unwrap();
+        let frames = frames_of(&table);
         assert_eq!(frames.len(), table.partition_count());
         let snapshot = table.to_snapshot();
-        assert_eq!(snapshot.partitions.len(), frames.len());
+        assert_eq!(snapshot.base.count_ones(), 2_000);
         assert_eq!(snapshot.delta.len(), 1);
         assert_eq!(snapshot.tombstones, vec![6]);
 
@@ -1072,6 +1047,134 @@ mod tests {
         assert_eq!(reopened.overlay_bytes(), 0);
         reopened.upsert(Row::new(9_999_999, vec![1, 2]), false);
         assert_eq!(reopened.get(9_999_999).unwrap(), Some(vec![1, 2]));
+    }
+
+    /// A partition frame is a `dm_compress` frame around values only: header,
+    /// one offsets array and the packed column streams, to the byte — there is
+    /// no room for a key column.
+    #[test]
+    fn partition_payloads_hold_no_key_bytes() {
+        let rows = sample_rows(1_000); // columns k % 7 (3 bits) and k % 4 (2 bits)
+        let table = build_table(&rows);
+        let per_partition = 4 * 1024 / Row::fixed_width(2);
+        assert_eq!(table.partition_count(), rows.len().div_ceil(per_partition));
+        let mut total_rows = 0;
+        for (idx, frame) in frames_of(&table).into_iter().enumerate() {
+            assert_eq!(frame.rows, table.partition_len(idx));
+            let payload = dm_compress::decompress_frame(&frame.frame).unwrap();
+            let stream = |bits: usize| 2 + 1 + (frame.rows * bits).div_ceil(8);
+            assert_eq!(payload.len(), 2 + 1 + 2 * 4 + stream(3) + stream(2), "partition {idx}");
+            assert!(payload.len() < frame.rows * 8, "smaller than the keys alone would be");
+            total_rows += frame.rows;
+        }
+        assert_eq!(total_rows, rows.len());
+    }
+
+    /// The size claim with no model in it: 8 000 rows of five columns with
+    /// cardinalities 4..64 carry 20 bits each; the table may spend 10 % and
+    /// 64 bytes of framing per partition on top, no more.
+    #[test]
+    fn packed_table_stays_within_a_tenth_of_its_information() {
+        let rows: Vec<Row> = (0..8_000u64)
+            .map(|k| {
+                let h = (k + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+                let values = [4u64, 8, 16, 32, 64]
+                    .iter()
+                    .enumerate()
+                    .map(|(c, card)| ((h >> (11 * c)) % card) as u32)
+                    .collect();
+                Row::new(k * 3 + (h >> 62), values)
+            })
+            .collect();
+        let table = AuxTable::build(
+            &rows,
+            5,
+            Codec::Lz,
+            8 * 1024,
+            usize::MAX,
+            DiskProfile::free(),
+            Metrics::new(),
+        )
+        .unwrap();
+        let bound = rows.len() * 20 / 8 * 11 / 10 + 64 * table.partition_count();
+        assert!(table.size_bytes() <= bound, "{} bytes > bound {bound}", table.size_bytes());
+        let keys: Vec<u64> = rows.iter().map(|r| r.key).collect();
+        let expected: Vec<Option<Vec<u32>>> = rows.iter().map(|r| Some(r.values.clone())).collect();
+        assert_eq!(table.get_batch(&keys).unwrap(), expected);
+    }
+
+    /// The pool is charged what it holds: the packed payloads, to the byte.
+    #[test]
+    fn pool_is_charged_the_resident_payload_lengths() {
+        let rows = sample_rows(3_000);
+        let table = build_table(&rows);
+        assert_eq!(table.heat_report(0).resident_bytes, 0);
+        let keys: Vec<u64> = rows.iter().map(|r| r.key).collect();
+        table.get_batch(&keys).unwrap();
+        let payloads: usize = frames_of(&table)
+            .iter()
+            .map(|f| dm_compress::decompress_frame(&f.frame).unwrap().len())
+            .sum();
+        assert_eq!(table.pool.used_bytes(), payloads);
+        assert_eq!(table.heat_report(0).resident_bytes, payloads as u64);
+        assert_eq!(table.pool_pressure().resident_bytes, payloads as u64);
+    }
+
+    /// With no keys inside, a well-formed frame in the wrong place must not
+    /// answer: the short last partition's frame served as partition 0 (and vice
+    /// versa) has a valid checksum and the wrong row count, and every key
+    /// addressed into either is a typed `Corrupt` — the rest answer exactly.
+    #[test]
+    fn a_misplaced_partition_frame_is_corruption_not_a_shifted_answer() {
+        let rows = sample_rows(1_000);
+        let table = build_table(&rows);
+        let last = table.partition_count() - 1;
+        assert!(last >= 2 && table.partition_len(last) < table.partition_len(0));
+        let mut frames: Vec<Arc<Vec<u8>>> =
+            frames_of(&table).into_iter().map(|f| f.frame).collect();
+        frames.swap(0, last);
+        let swapped = AuxTable::open_from_source(
+            Arc::new(FrameMapSource { frames }),
+            table.to_snapshot(),
+            Metrics::new(),
+        );
+        let directory = swapped.partition_directory();
+        for info in [directory[0], directory[last]] {
+            for key in [info.min_key, info.max_key] {
+                let err = swapped.get(key).unwrap_err();
+                assert!(err.to_string().contains("corrupt"), "{err}");
+            }
+        }
+        let keys: Vec<u64> = rows.iter().map(|r| r.key).collect();
+        let mut answered = 0;
+        let degraded = swapped.probe_batch(&keys, &ThreadPool::new(1), None, &mut |qi, values| {
+            assert_eq!(values, rows[qi].values.as_slice(), "key {}", keys[qi]);
+            answered += 1;
+        });
+        assert!(degraded.iter().all(|(_, err)| matches!(err, StorageError::Corrupt(_))));
+        let affected = directory[0].rows + directory[last].rows;
+        assert_eq!((answered, degraded.len()), (rows.len() - affected, affected));
+        assert!(swapped.iter_rows().is_err(), "scans refuse the misplaced frame too");
+    }
+
+    /// The derived directory names exactly the key ranges the ranks address.
+    #[test]
+    fn partition_directory_is_derived_from_base() {
+        let rows = sample_rows(700); // keys 0, 3, ..., 2097
+        let table = build_table(&rows);
+        let directory = table.partition_directory();
+        assert_eq!(directory.len(), table.partition_count());
+        let mut next = 0u64;
+        for (idx, info) in directory.iter().enumerate() {
+            assert_eq!(info.rows, table.partition_len(idx));
+            assert_eq!(info.min_key, next * 3);
+            next += info.rows as u64;
+            assert_eq!(info.max_key, (next - 1) * 3);
+            assert_eq!(table.address(info.min_key), (idx, 0));
+            assert_eq!(table.address(info.max_key), (idx, info.rows - 1));
+        }
+        assert_eq!(next, 700);
+        assert_eq!(table.held_keys(), *table.base().bits());
     }
 
     #[test]

@@ -34,14 +34,10 @@ pub struct DeepMappingParts {
     pub aux: AuxTable,
     /// The existence bit vector.
     pub exist: BitVec,
-    /// The corrected-key bit vector `Vaux` (see [`DeepMapping::corrected`]).
-    pub vaux: BitVec,
     /// The decode map (`fdecode`).
     pub decode_map: DecodeMap,
     /// Live tuple count.
     pub tuple_count: usize,
-    /// Tuples memorized by the model at the last build/retrain.
-    pub memorized_tuples: usize,
     /// Retrains since the original build.
     pub retrain_count: usize,
 }
@@ -59,7 +55,10 @@ pub struct DeepMapping {
     /// auxiliary table (partition or delta overlay), i.e.
     /// `vaux[k] ⇔ exist[k] ∧ aux.get(k).is_some()`.  Every write keeps it in
     /// step at the place it touches `aux` or `exist`; the lookup pipeline
-    /// routes on it, so it is exact, never a hint.
+    /// routes on it, so it is exact, never a hint.  It always equals
+    /// [`AuxTable::held_keys`] — the table's frozen `base` bitmap right after a
+    /// build or retrain, `(base − tombstones) ∪ delta.keys` in between — which
+    /// is how a snapshot open rebuilds it.
     vaux: BitVec,
     decode_map: DecodeMap,
     metrics: Metrics,
@@ -68,7 +67,6 @@ pub struct DeepMapping {
     /// `DeepMappingConfig::exec_threads` is set.
     exec: ExecHandle,
     tuple_count: usize,
-    memorized_tuples: usize,
     retrain_count: usize,
     /// Write-time misprediction EMA since the last retrain: each
     /// insert/update batch folds its checked-prediction failure rate in with
@@ -90,7 +88,6 @@ struct Assurance {
     aux: AuxTable,
     exist: BitVec,
     vaux: BitVec,
-    memorized: usize,
 }
 
 impl Assurance {
@@ -101,7 +98,7 @@ impl Assurance {
         metrics: &Metrics,
         exec: &dm_exec::ThreadPool,
     ) -> Result<Self> {
-        let (memorized, misclassified) = model.split_by_memorization(exec, rows)?;
+        let (_, misclassified) = model.split_by_memorization(exec, rows)?;
         let aux = AuxTable::build(
             &misclassified,
             rows[0].values.len(),
@@ -112,10 +109,9 @@ impl Assurance {
             metrics.clone(),
         )?;
         Ok(Assurance {
+            vaux: aux.held_keys(),
             aux,
             exist: rows.iter().map(|row| row.key).collect(),
-            vaux: misclassified.iter().map(|row| row.key).collect(),
-            memorized: memorized.len(),
         })
     }
 }
@@ -129,7 +125,7 @@ impl std::fmt::Debug for DeepMapping {
         f.debug_struct("DeepMapping")
             .field("name", &self.config.paper_name())
             .field("tuples", &self.tuple_count)
-            .field("memorized", &self.memorized_tuples)
+            .field("memorized", &self.memorized_tuples())
             .field("aux_partitions", &self.aux.partition_count())
             .finish()
     }
@@ -190,7 +186,6 @@ impl DeepMapping {
             metrics,
             exec,
             tuple_count: rows.len(),
-            memorized_tuples: assurance.memorized,
             retrain_count: 0,
             mispredict_ema: 0.0,
             exist_churn: 0,
@@ -264,10 +259,10 @@ impl DeepMapping {
         self.config.quantization = quantization;
     }
 
-    /// Number of tuples the model memorizes (all columns predicted correctly at
-    /// the last build/retrain; kept approximate between retrains).
+    /// Number of tuples the model answers: the existing keys the auxiliary
+    /// table does not hold (`|Vexist| − |Vaux|`, exact at all times).
     pub fn memorized_tuples(&self) -> usize {
-        self.memorized_tuples
+        self.exist.count_ones().saturating_sub(self.vaux.count_ones()) as usize
     }
 
     /// Reassembles a structure from previously built components — the snapshot
@@ -285,14 +280,13 @@ impl DeepMapping {
             name: parts.config.paper_name(),
             config: parts.config,
             model: parts.model,
+            vaux: parts.aux.held_keys(),
             aux: parts.aux,
             exist: parts.exist,
-            vaux: parts.vaux,
             decode_map: parts.decode_map,
             metrics,
             exec,
             tuple_count: parts.tuple_count,
-            memorized_tuples: parts.memorized_tuples,
             retrain_count: parts.retrain_count,
             // Drift state is runtime-only: a freshly opened snapshot starts a
             // new observation epoch.
@@ -413,9 +407,6 @@ impl DeepMapping {
                 self.exist.set(row.key, true);
                 self.tuple_count += 1;
                 self.exist_churn += 1;
-                if predicted {
-                    self.memorized_tuples += 1;
-                }
             }
             // Re-inserting an existing key behaves like an update.
             mispredicts += u64::from(!predicted);
@@ -452,8 +443,6 @@ impl DeepMapping {
             if self.vaux.get(key) {
                 self.aux.remove(key);
                 self.vaux.set(key, false);
-            } else {
-                self.memorized_tuples = self.memorized_tuples.saturating_sub(1);
             }
         }
         self.maybe_retrain()?;
@@ -518,7 +507,6 @@ impl DeepMapping {
         self.exist = assurance.exist;
         self.vaux = assurance.vaux;
         self.tuple_count = rows.len();
-        self.memorized_tuples = assurance.memorized;
         self.retrain_count += 1;
         // A retrain starts a fresh drift epoch: the new model is fit to the
         // current data, so decay is measured from here.
@@ -560,7 +548,7 @@ impl DeepMapping {
             memorized_fraction: if self.tuple_count == 0 {
                 0.0
             } else {
-                self.memorized_tuples.min(self.tuple_count) as f64 / self.tuple_count as f64
+                self.memorized_tuples() as f64 / self.tuple_count as f64
             },
             retrain_count: self.retrain_count as u64,
         }
@@ -642,7 +630,7 @@ impl DeepMapping {
             decode_map_bytes: self.decode_map.size_bytes().max(8),
             uncompressed_bytes: self.tuple_count * Row::fixed_width(value_columns),
             tuple_count: self.tuple_count,
-            memorized_tuples: self.memorized_tuples.min(self.tuple_count),
+            memorized_tuples: self.memorized_tuples(),
         }
     }
 }
@@ -663,6 +651,7 @@ impl TupleStore for DeepMapping {
             resident_bytes: breakdown.model_bytes
                 + self.exist.resident_bytes()
                 + self.vaux.resident_bytes()
+                + self.aux.base().resident_bytes()
                 + breakdown.decode_map_bytes,
             tuple_count: self.tuple_count,
             partition_count: self.aux.partition_count(),

@@ -6,9 +6,12 @@
 //! * `M` — a compact multi-task neural network that memorizes the key → value mapping
 //!   ([`model::MappingModel`]),
 //! * `Taux` — an auxiliary accuracy-assurance table holding the tuples the model gets
-//!   wrong, sorted by key, partitioned and compressed ([`aux_table::AuxTable`]),
+//!   wrong, in key order, partitioned — values only, bit-packed, addressed by a
+//!   rank over the corrected-key bitmap instead of stored keys
+//!   ([`aux_table::AuxTable`]),
 //! * `Vexist` — an existence bit vector over the key domain
-//!   (`dm_storage::BitVec`), and
+//!   (`dm_storage::BitVec`), beside `Vaux`, the bit per key that routes a lookup
+//!   to `M` or to `Taux`, and
 //! * `fdecode` — the decoding map from predicted class codes back to the original
 //!   categorical values ([`encoder::DecodeMap`]).
 //!

@@ -23,7 +23,7 @@ use crate::model::MappingModel;
 use crate::{CoreError, Result};
 use dm_nn::layer::{Activation, Dense};
 use dm_nn::{Adam, MultiTaskModel, MultiTaskSpec, SequenceController, TaskHeadSpec};
-use dm_storage::layout::ArrayPartition;
+use dm_storage::layout::PackedPartition;
 use dm_storage::Row;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -452,23 +452,24 @@ impl MhasSearch {
                 .enumerate()
                 .all(|(c, &v)| preds[c][i] as u32 == v);
             if !ok {
-                misclassified.push(row.clone());
+                misclassified.push(row);
             }
         }
         let memorization_rate = 1.0 - misclassified.len() as f64 / sample.len().max(1) as f64;
 
         // size(M): serialized model bytes.
         let model_bytes = spec.size_bytes();
-        // size(Taux): extrapolate the sample's misclassified rows to the full dataset
-        // and measure how well the configured codec compresses them.
+        // size(Taux): extrapolate the sample's misclassified rows to the full dataset,
+        // stored the way the auxiliary table stores them — keyless bit-packed
+        // columns in a frame of the configured codec.
         let aux_bytes = if misclassified.is_empty() {
             0
         } else {
-            let partition = ArrayPartition::from_rows(&misclassified, value_columns)
+            let partition = PackedPartition::from_rows(&misclassified, value_columns)
                 .map_err(CoreError::from)?;
-            let compressed = dm_config.codec.compress(&partition.to_bytes()).len();
+            let framed = dm_compress::compress_frame(&dm_config.codec, partition.to_bytes()).len();
             let scale = total_rows as f64 / sample.len().max(1) as f64;
-            (compressed as f64 * scale) as usize
+            (framed as f64 * scale) as usize
         };
         // size(Vexist): dense key domains RLE-compress to almost nothing; charge the
         // worst case of 1 bit per key plus header.
@@ -485,7 +486,7 @@ impl MhasSearch {
 
         // Relative latency: inference cost grows with parameter count, auxiliary
         // traffic with the misclassified fraction (each auxiliary visit pays a
-        // partition load + binary search).
+        // partition load + a rank-addressed read).
         let inference_ms = spec.parameter_count() as f64 * 1e-5;
         let aux_ms = (1.0 - memorization_rate) * 20.0;
         Ok((ratio, memorization_rate, inference_ms + aux_ms))

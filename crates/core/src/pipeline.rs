@@ -21,11 +21,13 @@
 //!    cause no probe plan, no partition load and no decompression.
 //! 3. **Grouped probes of the corrected keys** ([`Phase::LocatePartition`],
 //!    [`Phase::LoadAndDecompress`], [`Phase::AuxiliaryLookup`]) — keys whose bit
-//!    is set are never inferred.  The delta overlay answers what it can in memory,
-//!    and the remaining keys are grouped by the compressed partition covering them
-//!    so each partition is loaded and decompressed **at most once per batch**
-//!    through the LRU [`dm_storage::BufferPool`], no matter how the query keys
-//!    interleave (Section IV-B2's batch-sorting optimization).
+//!    is set are never inferred.  The delta overlay answers what it can in memory;
+//!    every remaining key's address is a rank over the table's key bitmap
+//!    (partition `ordinal / R`, slot `ordinal % R` — no key is stored or
+//!    searched), and sorting the addresses groups them so each partition is
+//!    loaded **at most once per batch** through the LRU
+//!    [`dm_storage::BufferPool`], no matter how the query keys interleave
+//!    (Section IV-B2's batch-sorting optimization).
 //! 4. **Order-preserving scatter** ([`Phase::Other`]) — predictions are copied to
 //!    their keys' positions in the original batch order; probe hits were written
 //!    there directly.
@@ -38,7 +40,7 @@
 //! The whole pipeline writes into a caller-owned [`LookupBuffer`]
 //! ([`QueryPipeline::execute_into`]): predictions land in the buffer's detachable
 //! scratch arena via one row-major [`MappingModel::predict_into_on`] pass and probe
-//! hits are copied straight from the pooled decompressed partitions, so a reused
+//! hits are read straight out of the pooled bit-packed partitions, so a reused
 //! buffer makes the steady-state batch free of per-key heap allocations.
 //! [`QueryPipeline::execute`] materializes the legacy owned shape on top.
 //!

@@ -10,13 +10,16 @@
 pub struct StorageBreakdown {
     /// Serialized size of the learned model `M`, in bytes.
     pub model_bytes: usize,
-    /// Compressed size of the auxiliary table `Taux` (including any un-compacted
-    /// modification overlay), in bytes.
+    /// Size of the auxiliary table `Taux`, in bytes: the framed, bit-packed
+    /// value columns of the corrected rows (no keys) plus any un-compacted
+    /// modification overlay at its in-memory width.
     pub aux_table_bytes: usize,
     /// Compressed size of the existence bit vector `Vexist`, in bytes.
     pub existence_bytes: usize,
     /// Compressed size of the corrected-key bit vector `Vaux`, in bytes — the
-    /// bit per key that routes a lookup to the model or to `Taux`, never both.
+    /// bit per key that routes a lookup to the model or to `Taux`, never both,
+    /// and (as the table's frozen `base`) the only record of which keys the
+    /// auxiliary rows belong to.
     pub corrected_bytes: usize,
     /// Serialized size of the decoding map `fdecode`, in bytes.
     pub decode_map_bytes: usize,
@@ -24,7 +27,8 @@ pub struct StorageBreakdown {
     pub uncompressed_bytes: usize,
     /// Number of tuples represented.
     pub tuple_count: usize,
-    /// Number of tuples the model predicts perfectly (they are *not* in `Taux`).
+    /// Number of tuples the model answers (they are *not* in `Taux`):
+    /// `|Vexist| − |Vaux|`, exact at all times.
     pub memorized_tuples: usize,
 }
 

@@ -1,18 +1,18 @@
 //! # dm-persist — single-file snapshots with lazy partition serving and a delta WAL
 //!
 //! DeepMapping's pitch is that the hybrid structure *is* the storage format: a
-//! compact model plus compressed auxiliary partitions, existence bits and decode
-//! labels.  This crate gives that structure a deployable on-disk form:
+//! compact model plus keyless bit-packed auxiliary partitions, existence and
+//! corrected-key bits and decode labels.  This crate gives that structure a deployable on-disk form:
 //!
 //! * [`Snapshot`] — a versioned single-file format: header + CRC-protected
 //!   manifest (config, schema, decode labels, counters, overlay, per-partition
 //!   directory) + model weights (via `dm_nn::serialize`) + existence bits +
-//!   the compressed auxiliary partition frames copied verbatim.
+//!   the auxiliary table's `base` bitmap + its partition frames copied verbatim.
 //!   [`Snapshot::open`] (or `DeepMapping::open` via [`SnapshotExt`]) loads only
-//!   the manifest/model/existence eagerly; partitions are served lazily through
+//!   the manifest/model/bitmaps eagerly; partitions are served lazily through
 //!   a [`dm_storage::FilePartitionSource`] plugged into the store's sharded
 //!   single-flight buffer pool — a cold partition costs exactly one positional
-//!   read + one decompression, fully parallel under `dm-exec`.
+//!   read + one unframing, fully parallel under `dm-exec`.
 //! * [`DeltaWal`] — an append-only log (`<snapshot>.wal`) of
 //!   insert/delete/update batches, CRC-per-record, torn-tail tolerant.
 //! * [`PersistentStore`] — the two combined behind the standard

@@ -4,16 +4,16 @@
 //! store configuration, the mapping schema (key encoder + cardinalities), the
 //! decode labels, the live counters, the auxiliary overlay (delta rows +
 //! tombstones — small by design, so they ride along eagerly) and the section
-//! table: lengths and CRC-32s of the model, existence and `Vaux` sections plus the
-//! per-partition directory (key range, row count, frame length, frame CRC).
+//! table: lengths and CRC-32s of the model, existence and `base` sections plus the
+//! per-partition directory (row count, frame length, frame CRC — no keys: a
+//! partition's rows are addressed by rank over `base`).
 //! Section *offsets* are never stored — they are the cumulative sums of the
 //! recorded lengths in a fixed order, which keeps the encoding single-pass and
 //! makes an inconsistent length instantly detectable against the file size.
 
 use crate::error::{PersistError, Result};
 use dm_core::{
-    AuxPartitionInfo, DeepMappingConfig, MappingSchema, MhasConfig, Quantization, SearchStrategy,
-    TrainingConfig,
+    DeepMappingConfig, MappingSchema, MhasConfig, Quantization, SearchStrategy, TrainingConfig,
 };
 use dm_nn::serialize::{ByteReader, ByteWriter};
 use dm_nn::{KeyEncoder, MultiTaskSpec, TaskHeadSpec};
@@ -29,12 +29,13 @@ const SEARCH_MHAS: u8 = 2;
 /// agree on "unbounded".
 const UNBOUNDED: u64 = u64::MAX;
 
-/// Directory entry of one compressed partition inside the snapshot file.
+/// Directory entry of one partition frame inside the snapshot file.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PartitionEntry {
-    /// Key range + row count (mirrors [`AuxPartitionInfo`]).
-    pub info: AuxPartitionInfo,
-    /// Compressed frame length in bytes.
+    /// Rows packed in the partition — redundant with `base` by design: open
+    /// cross-checks the two before any rank is trusted.
+    pub rows: u64,
+    /// Frame length in bytes.
     pub frame_len: u64,
     /// CRC-32 of the frame bytes.
     pub frame_crc: u32,
@@ -51,8 +52,6 @@ pub struct Manifest {
     pub decode_labels: Vec<Vec<String>>,
     /// Live tuple count.
     pub tuple_count: u64,
-    /// Tuples memorized by the model.
-    pub memorized_tuples: u64,
     /// Retrains since the original build.
     pub retrain_count: u64,
     /// Value columns per row.
@@ -71,10 +70,10 @@ pub struct Manifest {
     pub exist_len: u64,
     /// CRC-32 of the existence section.
     pub exist_crc: u32,
-    /// `Vaux` (corrected-key bit vector) section length.
-    pub vaux_len: u64,
-    /// CRC-32 of the `Vaux` section.
-    pub vaux_crc: u32,
+    /// `base` (keys held in partitions) section length.
+    pub base_len: u64,
+    /// CRC-32 of the `base` section.
+    pub base_crc: u32,
 }
 
 fn rd<T>(res: dm_nn::Result<T>) -> Result<T> {
@@ -371,14 +370,11 @@ impl Manifest {
             }
         }
         w.put_u64(self.tuple_count);
-        w.put_u64(self.memorized_tuples);
         w.put_u64(self.retrain_count);
         w.put_u32(self.value_columns);
         w.put_u32(self.partitions.len() as u32);
         for entry in &self.partitions {
-            w.put_u64(entry.info.min_key);
-            w.put_u64(entry.info.max_key);
-            w.put_u64(entry.info.rows as u64);
+            w.put_u64(entry.rows);
             w.put_u64(entry.frame_len);
             w.put_u32(entry.frame_crc);
         }
@@ -397,8 +393,8 @@ impl Manifest {
         w.put_u32(self.model_crc);
         w.put_u64(self.exist_len);
         w.put_u32(self.exist_crc);
-        w.put_u64(self.vaux_len);
-        w.put_u32(self.vaux_crc);
+        w.put_u64(self.base_len);
+        w.put_u32(self.base_crc);
         w.into_bytes()
     }
 
@@ -425,7 +421,6 @@ impl Manifest {
             decode_labels.push(column);
         }
         let tuple_count = rd(r.get_u64())?;
-        let memorized_tuples = rd(r.get_u64())?;
         let retrain_count = rd(r.get_u64())?;
         let value_columns = rd(r.get_u32())?;
         if value_columns == 0 || value_columns > 4096 {
@@ -446,20 +441,14 @@ impl Manifest {
         }
         let mut partitions = Vec::with_capacity(n_partitions);
         for _ in 0..n_partitions {
-            let min_key = rd(r.get_u64())?;
-            let max_key = rd(r.get_u64())?;
-            let rows = rd(r.get_u64())? as usize;
+            let rows = rd(r.get_u64())?;
             let frame_len = rd(r.get_u64())?;
             let frame_crc = rd(r.get_u32())?;
-            if min_key > max_key || rows == 0 || frame_len == 0 {
+            if rows == 0 || frame_len == 0 {
                 return Err(corrupt("malformed partition directory entry"));
             }
             partitions.push(PartitionEntry {
-                info: AuxPartitionInfo {
-                    min_key,
-                    max_key,
-                    rows,
-                },
+                rows,
                 frame_len,
                 frame_crc,
             });
@@ -489,8 +478,8 @@ impl Manifest {
         let model_crc = rd(r.get_u32())?;
         let exist_len = rd(r.get_u64())?;
         let exist_crc = rd(r.get_u32())?;
-        let vaux_len = rd(r.get_u64())?;
-        let vaux_crc = rd(r.get_u32())?;
+        let base_len = rd(r.get_u64())?;
+        let base_crc = rd(r.get_u32())?;
         if r.remaining() != 0 {
             return Err(corrupt(format!("{} trailing bytes", r.remaining())));
         }
@@ -499,7 +488,6 @@ impl Manifest {
             schema,
             decode_labels,
             tuple_count,
-            memorized_tuples,
             retrain_count,
             value_columns,
             partitions,
@@ -509,8 +497,8 @@ impl Manifest {
             model_crc,
             exist_len,
             exist_crc,
-            vaux_len,
-            vaux_crc,
+            base_len,
+            base_crc,
         })
     }
 }
@@ -532,25 +520,16 @@ mod tests {
             schema: MappingSchema::infer(&rows, 1 << 10).unwrap(),
             decode_labels: vec![vec!["a".into(), "b\"c\\".into()], Vec::new()],
             tuple_count: 64,
-            memorized_tuples: 60,
             retrain_count: 2,
             value_columns: 2,
             partitions: vec![
                 PartitionEntry {
-                    info: AuxPartitionInfo {
-                        min_key: 0,
-                        max_key: 30,
-                        rows: 10,
-                    },
+                    rows: 10,
                     frame_len: 512,
                     frame_crc: 0xDEAD_BEEF,
                 },
                 PartitionEntry {
-                    info: AuxPartitionInfo {
-                        min_key: 33,
-                        max_key: 63,
-                        rows: 11,
-                    },
+                    rows: 11,
                     frame_len: 600,
                     frame_crc: 42,
                 },
@@ -561,8 +540,8 @@ mod tests {
             model_crc: 1,
             exist_len: 128,
             exist_crc: 2,
-            vaux_len: 64,
-            vaux_crc: 3,
+            base_len: 64,
+            base_crc: 3,
         }
     }
 
@@ -573,7 +552,6 @@ mod tests {
         assert_eq!(decoded.schema, manifest.schema);
         assert_eq!(decoded.decode_labels, manifest.decode_labels);
         assert_eq!(decoded.tuple_count, manifest.tuple_count);
-        assert_eq!(decoded.memorized_tuples, manifest.memorized_tuples);
         assert_eq!(decoded.retrain_count, manifest.retrain_count);
         assert_eq!(decoded.value_columns, manifest.value_columns);
         assert_eq!(decoded.partitions, manifest.partitions);
@@ -583,8 +561,8 @@ mod tests {
         assert_eq!(decoded.model_crc, manifest.model_crc);
         assert_eq!(decoded.exist_len, manifest.exist_len);
         assert_eq!(decoded.exist_crc, manifest.exist_crc);
-        assert_eq!(decoded.vaux_len, manifest.vaux_len);
-        assert_eq!(decoded.vaux_crc, manifest.vaux_crc);
+        assert_eq!(decoded.base_len, manifest.base_len);
+        assert_eq!(decoded.base_crc, manifest.base_crc);
     }
 
     #[test]
@@ -684,7 +662,7 @@ mod tests {
     #[test]
     fn malformed_directory_entries_are_rejected() {
         let mut manifest = sample_manifest(SearchStrategy::DefaultArchitecture);
-        manifest.partitions[0].info.min_key = 999; // > max_key
+        manifest.partitions[0].rows = 0; // an empty partition is never written
         assert!(Manifest::decode(&manifest.encode()).is_err());
     }
 }

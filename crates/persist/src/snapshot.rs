@@ -10,11 +10,18 @@
 //!                             labels, counters, overlay, section table)
 //! then       model section   (dm_nn::serialize bytes, CRC in manifest)
 //! then       existence section (BitVec::to_bytes, CRC in manifest)
-//! then       Vaux section    (BitVec::to_bytes, CRC in manifest)
-//! then       partition frames, one per directory entry, in directory order
-//!            (self-describing dm_compress frames, copied verbatim; per-frame
-//!             CRC in the manifest directory)
+//! then       base section    (BitVec::to_bytes, CRC in manifest): the keys
+//!                             whose rows the partition frames hold
+//! then       partition frames, one per directory entry, in partition order
+//!            (self-describing dm_compress frames around keyless bit-packed
+//!             columns, copied verbatim; per-frame CRC in the manifest directory)
 //! ```
+//!
+//! Partition `i` holds the rows of the keys with ordinals `[i·R, (i+1)·R)` among
+//! `base`'s set bits (`R` follows from the config's `partition_bytes`).  `Vaux`,
+//! which routes lookups, is not a section: open rebuilds it as
+//! `(base − tombstones) ∪ delta.keys` from the overlay the manifest carries, and
+//! WAL replay then moves it like any live write.
 //!
 //! All integers are little-endian.  Offsets are never stored: every section's
 //! position is the cumulative sum of the lengths recorded before it, so a
@@ -23,33 +30,34 @@
 //!
 //! ## Laziness
 //!
-//! [`Snapshot::open`] reads the header, the manifest, the model and the
-//! existence/`Vaux`/overlay state eagerly — everything *except* the partition frames,
-//! which usually dominate the file.  Partitions are served on demand by a
-//! [`FilePartitionSource`] plugged into the store's sharded single-flight
-//! buffer pool: a cold partition costs exactly one positional read plus one
-//! decompression, concurrent misses on different partitions proceed in
-//! parallel, and racing readers of the same partition deduplicate into a
-//! single load.
+//! [`Snapshot::open`] reads everything *except* the partition frames eagerly.
+//! Partitions are served on demand by a [`FilePartitionSource`] plugged into the
+//! store's sharded single-flight buffer pool: a cold partition costs one
+//! positional read plus one unframing, misses on different partitions proceed
+//! in parallel, and racing readers of one partition deduplicate into one load.
+//!
+//! ## Open-time checks
+//!
+//! With no keys in the partitions, a wrong `base` or a misplaced frame would
+//! not fail a search — it would shift answers.  So every section's CRC is
+//! verified before it is parsed (the rank index is only ever built over
+//! verified `base` bytes); the directory's row counts must be exactly the
+//! partitions `base` implies — `R` rows in all but the last, summing to its set
+//! bits — or open fails with [`PersistError::Corrupt`]; and a frame that later
+//! loads with another shape than its directory slot (say, another partition's
+//! valid frame) is a `StorageError::Corrupt` for exactly the keys addressed
+//! into it.
 //!
 //! ## Compatibility policy
 //!
-//! The header version is bumped on any incompatible layout change; `open`
-//! rejects unknown versions with [`PersistError::UnsupportedVersion`] rather
-//! than guessing.  Additive evolution (new trailing manifest fields) is a new
-//! version too — the manifest decoder intentionally rejects trailing bytes so
-//! mixed-version files cannot half-parse.  Exactly one version is readable:
-//!
-//! * **v1 → v2** changed the model's arithmetic recipe (packed-panel fused
-//!   multiply-adds).  A v1 aux table memorizes the mispredictions of the old
-//!   arithmetic; serving one would silently return wrong tuples.
-//! * **v2 → v3** added the quantization descriptor to the manifest config and
-//!   int8 layer support to the model section.
-//! * **v3 → v4** added the `Vaux` section: the exact one-bit-per-key record of
-//!   which keys the auxiliary table answers.  Lookups route on it, and it
-//!   cannot be derived from an older file without decoding every partition, so
-//!   v2 and v3 files are **rejected** with
-//!   [`PersistError::UnsupportedVersion`] like v1 (none were ever deployed).
+//! The header version is bumped on any layout change, additive ones included
+//! (the manifest decoder rejects trailing bytes so mixed-version files cannot
+//! half-parse), and `open` rejects every version but the current one with
+//! [`PersistError::UnsupportedVersion`] rather than guessing.  v1 memorized its
+//! aux table under another arithmetic recipe, v2 had no quantization
+//! descriptor, v3 no corrected-key bitmap, and v4 stored keyed row-array
+//! partitions (plus their key ranges and a `memorized_tuples` counter in the
+//! manifest) that rank addressing cannot read; none was ever deployed.
 
 use crate::error::{PersistError, Result};
 use crate::manifest::{Manifest, PartitionEntry};
@@ -67,7 +75,7 @@ use std::sync::Arc;
 const MAGIC: &[u8; 4] = b"DMSS";
 /// The one version [`Snapshot::write`] writes and [`Snapshot::open`] accepts;
 /// see the module docs for the version history.
-const VERSION: u16 = 4;
+const VERSION: u16 = 5;
 /// magic(4) + version(2) + reserved(2) + file_len(8) + manifest_len(8) + manifest_crc(4)
 const HEADER_LEN: u64 = 28;
 
@@ -77,7 +85,7 @@ pub struct SnapshotStats {
     /// Total file size in bytes.
     pub file_bytes: u64,
     /// Bytes a subsequent open will read eagerly (header + manifest + model +
-    /// existence + `Vaux`).
+    /// existence + `base`).
     pub eager_bytes: u64,
     /// Bytes held by the lazily served partition frames.
     pub partition_bytes: u64,
@@ -91,8 +99,7 @@ pub struct OpenStats {
     /// Total file size in bytes.
     pub file_bytes: u64,
     /// Bytes read eagerly during open (header + manifest + model + existence +
-    /// `Vaux`);
-    /// everything else is served lazily through the buffer pool.
+    /// `base`); everything else is served lazily through the buffer pool.
     pub eager_bytes: u64,
     /// Number of partitions left on disk for lazy serving.
     pub partition_count: usize,
@@ -121,8 +128,8 @@ impl Snapshot {
     pub(crate) fn stage(dm: &DeepMapping, path: &Path) -> Result<StagedSnapshot> {
         let model_bytes = dm.model().to_bytes();
         let exist_bytes = dm.existence().to_bytes();
-        let vaux_bytes = dm.corrected().to_bytes();
         let aux = dm.aux_table().to_snapshot();
+        let base_bytes = aux.base.to_bytes();
         // Pass 1 over the partition frames: directory entries (length + CRC)
         // only, each frame dropped after hashing so checkpointing a large
         // (possibly file-backed) store never holds more than one frame in
@@ -132,7 +139,7 @@ impl Snapshot {
         for idx in 0..partition_count {
             let frame = dm.aux_table().partition_frame(idx)?;
             partitions.push(PartitionEntry {
-                info: frame.info,
+                rows: frame.rows as u64,
                 frame_len: frame.frame.len() as u64,
                 frame_crc: dm_compress::crc32(&frame.frame),
             });
@@ -142,7 +149,6 @@ impl Snapshot {
             schema: dm.model().schema().clone(),
             decode_labels: dm.decode_map().labels().to_vec(),
             tuple_count: dm.len() as u64,
-            memorized_tuples: dm.memorized_tuples() as u64,
             retrain_count: dm.retrain_count() as u64,
             value_columns: aux.value_columns as u32,
             partitions,
@@ -152,8 +158,8 @@ impl Snapshot {
             model_crc: dm_compress::crc32(&model_bytes),
             exist_len: exist_bytes.len() as u64,
             exist_crc: dm_compress::crc32(&exist_bytes),
-            vaux_len: vaux_bytes.len() as u64,
-            vaux_crc: dm_compress::crc32(&vaux_bytes),
+            base_len: base_bytes.len() as u64,
+            base_crc: dm_compress::crc32(&base_bytes),
         };
         let manifest_bytes = manifest.encode();
         let partition_bytes: u64 = manifest.partitions.iter().map(|p| p.frame_len).sum();
@@ -161,7 +167,7 @@ impl Snapshot {
             + manifest_bytes.len() as u64
             + model_bytes.len() as u64
             + exist_bytes.len() as u64
-            + vaux_bytes.len() as u64
+            + base_bytes.len() as u64
             + partition_bytes;
 
         let mut header = ByteWriter::new();
@@ -182,7 +188,7 @@ impl Snapshot {
             file.write_all(&manifest_bytes)?;
             file.write_all(&model_bytes)?;
             file.write_all(&exist_bytes)?;
-            file.write_all(&vaux_bytes)?;
+            file.write_all(&base_bytes)?;
             // Pass 2: stream each frame, re-fetched one at a time.  The store
             // is borrowed shared for the whole write, so the frames cannot
             // have changed since pass 1 — but verify anyway: a length drift
@@ -306,7 +312,7 @@ impl Snapshot {
             .iter()
             .try_fold(0u64, |acc, p| acc.checked_add(p.frame_len))
             .ok_or_else(overflow)?;
-        let eager_bytes = [manifest.model_len, manifest.exist_len, manifest.vaux_len]
+        let eager_bytes = [manifest.model_len, manifest.exist_len, manifest.base_len]
             .into_iter()
             .try_fold(HEADER_LEN + manifest_len, u64::checked_add)
             .ok_or_else(overflow)?;
@@ -322,7 +328,8 @@ impl Snapshot {
             });
         }
 
-        // Eager sections: model, then existence, then Vaux.
+        // Eager sections: model, then existence, then base — each CRC-checked
+        // before it is parsed.
         let model_bytes = read_section(&mut file, manifest.model_len, "model")?;
         if dm_compress::crc32(&model_bytes) != manifest.model_crc {
             return Err(PersistError::ChecksumMismatch { section: "model" });
@@ -333,14 +340,20 @@ impl Snapshot {
                 section: "existence",
             });
         }
-        let vaux_bytes = read_section(&mut file, manifest.vaux_len, "vaux")?;
-        if dm_compress::crc32(&vaux_bytes) != manifest.vaux_crc {
-            return Err(PersistError::ChecksumMismatch { section: "vaux" });
+        let base_bytes = read_section(&mut file, manifest.base_len, "base")?;
+        if dm_compress::crc32(&base_bytes) != manifest.base_crc {
+            return Err(PersistError::ChecksumMismatch { section: "base" });
         }
         let network = dm_nn::serialize::deserialize_multitask(&model_bytes)?;
         let model = MappingModel::from_parts(manifest.schema.clone(), network)?;
         let exist = BitVec::from_bytes(&exist_bytes)?;
-        let vaux = BitVec::from_bytes(&vaux_bytes)?;
+        let base = BitVec::from_bytes(&base_bytes)?;
+        if base.count_ones() > u32::MAX as u64 {
+            return Err(PersistError::Corrupt {
+                section: "base",
+                detail: format!("{} keys exceed what ranks can address", base.count_ones()),
+            });
+        }
 
         // Lazy partitions: extents begin right after the eager sections.
         let mut extents = HashMap::with_capacity(manifest.partitions.len());
@@ -370,21 +383,32 @@ impl Snapshot {
                 memory_budget_bytes: manifest.config.memory_budget_bytes,
                 disk_profile: manifest.config.disk_profile,
                 value_columns: manifest.value_columns as usize,
-                partitions: manifest.partitions.iter().map(|p| p.info).collect(),
+                base,
                 delta: manifest.delta,
                 tombstones: manifest.tombstones,
             },
             metrics,
         );
+        // The directory must describe exactly the partitions `base`'s ranks
+        // address: nothing inside a keyless frame could tell later.
+        let implied = (0..aux.partition_count()).map(|idx| aux.partition_len(idx) as u64);
+        if !manifest.partitions.iter().map(|p| p.rows).eq(implied) {
+            return Err(PersistError::Corrupt {
+                section: "partition directory",
+                detail: format!(
+                    "{} entries do not partition the {} keys of base",
+                    manifest.partitions.len(),
+                    aux.base().count_ones()
+                ),
+            });
+        }
         let dm = DeepMapping::from_parts(DeepMappingParts {
             config: manifest.config,
             model,
             aux,
             exist,
-            vaux,
             decode_map: DecodeMap::from_labels(manifest.decode_labels),
             tuple_count: manifest.tuple_count as usize,
-            memorized_tuples: manifest.memorized_tuples as usize,
             retrain_count: manifest.retrain_count as usize,
         });
         Ok((

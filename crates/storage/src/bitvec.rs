@@ -142,9 +142,16 @@ impl BitVec {
         for chunk in raw[8..].chunks_exact(8) {
             words.push(u64::from_le_bytes(chunk.try_into().expect("8 bytes")));
         }
-        if (words.len() as u64) * 64 < len_bits {
+        // Exactly the words the declared length needs, and no set bit past it:
+        // `count_ones`/`iter_ones` (and every rank derived from them) must agree
+        // with what `get` can see.
+        let stray = match len_bits % 64 {
+            0 => 0,
+            used => words.last().map_or(0, |last| last >> used),
+        };
+        if words.len() as u64 != len_bits.div_ceil(64) || stray != 0 {
             return Err(crate::StorageError::Corrupt(
-                "bit vector words do not cover declared length".into(),
+                "bit vector words do not match the declared length".into(),
             ));
         }
         let ones = words.iter().map(|w| w.count_ones() as u64).sum();
@@ -167,9 +174,137 @@ impl FromIterator<u64> for BitVec {
     }
 }
 
+/// Bits per rank superblock: eight words.
+const RANK_BLOCK_BITS: u64 = 512;
+
+/// The rank index entry of one 512-bit superblock.
+#[derive(Debug, Clone, Copy)]
+struct RankBlock {
+    /// Set bits before the superblock.
+    before: u32,
+    /// Set bits of the superblock before each of its eight words.  The
+    /// portable build has no hardware popcount (x86-64's baseline lacks it), and
+    /// counting up to seven whole words per rank was a quarter of a warm
+    /// auxiliary probe; with these a rank counts one partial word.
+    within: [u16; 8],
+}
+
+/// A frozen bit vector with a rank index: [`rank1`](Self::rank1) turns a member
+/// key into its ordinal among the set bits in constant time.
+///
+/// This is how the auxiliary table addresses a corrected key without storing or
+/// searching keys: the set of keys held in partitions is the bitmap, and
+/// `rank1(key)` is the row's position.  The index — one `RankBlock` per 512
+/// bits — is derived from the bits and never serialized; the type has no
+/// mutators, so the two cannot drift apart.
+#[derive(Debug, Clone)]
+pub struct RankedBits {
+    bits: BitVec,
+    blocks: Vec<RankBlock>,
+}
+
+impl RankedBits {
+    /// Freezes `bits` and builds the rank index over it.
+    ///
+    /// # Panics
+    /// When more than `u32::MAX` bits are set (the index counts in `u32`).
+    pub fn new(bits: BitVec) -> Self {
+        assert!(
+            bits.ones <= u32::MAX as u64,
+            "rank index counts in u32; {} set bits do not fit",
+            bits.ones
+        );
+        let mut blocks = Vec::with_capacity(bits.words.len().div_ceil(8));
+        let mut before = 0u32;
+        for words in bits.words.chunks(8) {
+            let mut block = RankBlock {
+                before,
+                within: [0; 8],
+            };
+            let mut inside = 0u16;
+            for (slot, word) in block.within.iter_mut().zip(words) {
+                *slot = inside;
+                inside += word.count_ones() as u16;
+            }
+            blocks.push(block);
+            before += inside as u32;
+        }
+        RankedBits { bits, blocks }
+    }
+
+    /// The frozen bits (serialization, scans, cloning into a mutable vector).
+    pub fn bits(&self) -> &BitVec {
+        &self.bits
+    }
+
+    /// Reads the bit at `index`; positions beyond the length read as `false`.
+    pub fn get(&self, index: u64) -> bool {
+        self.bits.get(index)
+    }
+
+    /// Number of set bits.
+    pub fn count_ones(&self) -> u64 {
+        self.bits.ones
+    }
+
+    /// Number of set bits strictly below `index` — the ordinal of `index` among
+    /// the set bits when its own bit is set.
+    pub fn rank1(&self, index: u64) -> u64 {
+        if index >= self.bits.len_bits {
+            return self.bits.ones;
+        }
+        let word = (index / 64) as usize;
+        let block = &self.blocks[(index / RANK_BLOCK_BITS) as usize];
+        let partial = (self.bits.words[word] & ((1u64 << (index % 64)) - 1)).count_ones();
+        (block.before + block.within[word % 8] as u32 + partial) as u64
+    }
+
+    /// Iterates over the indices of set bits in increasing order.
+    pub fn iter_ones(&self) -> impl Iterator<Item = u64> + '_ {
+        self.bits.iter_ones()
+    }
+
+    /// In-memory footprint in bytes: the words plus the rank index.
+    pub fn resident_bytes(&self) -> usize {
+        self.bits.resident_bytes() + std::mem::size_of_val(self.blocks.as_slice())
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn rank1_matches_a_naive_count_at_every_index() {
+        for len in [0u64, 1, 511, 512, 513, 65_537] {
+            // A deterministic scatter of set bits, dense and sparse stretches.
+            let mut bits = BitVec::with_capacity(len);
+            let mut state = len ^ 0xA5A5;
+            for index in 0..len {
+                state = state.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
+                let dense = (index / 700) % 2 == 0;
+                if (state >> 60) < if dense { 11 } else { 1 } {
+                    bits.set(index, true);
+                }
+            }
+            let ranked = RankedBits::new(bits.clone());
+            assert_eq!(ranked.count_ones(), bits.count_ones());
+            let mut naive = 0u64;
+            for index in 0..len {
+                assert_eq!(ranked.rank1(index), naive, "len {len} index {index}");
+                assert_eq!(ranked.get(index), bits.get(index));
+                naive += u64::from(bits.get(index));
+            }
+            // At and past the end every set bit is below the index.
+            for index in [len, len + 1, len + 512, u64::MAX] {
+                assert_eq!(ranked.rank1(index), naive, "len {len} index {index}");
+                assert!(!ranked.get(index));
+            }
+            assert!(ranked.iter_ones().eq(bits.iter_ones()));
+            let ordinals: Vec<u64> = ranked.iter_ones().map(|k| ranked.rank1(k)).collect();
+            assert!(ordinals.iter().copied().eq(0..naive), "ordinals are 0..count");
+        }
+    }
 
     #[test]
     fn set_get_and_count() {

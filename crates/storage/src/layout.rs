@@ -1,4 +1,5 @@
-//! Array- and hash-partition layouts.
+//! Partition layouts: the baselines' array and hash forms, and the auxiliary
+//! table's keyless packed columns.
 //!
 //! The paper's baselines store each partition either as a serialized array (rows
 //! sorted by key, looked up by binary search — the `AB`/`ABC-*` systems, mirroring
@@ -11,10 +12,14 @@
 //! * hash partitions are *slower to deserialize* (the table must be rebuilt entry by
 //!   entry on load), which is why HB/HBC lose badly once partitions no longer fit in
 //!   memory (Section V-C, Figure 7).
+//!
+//! DeepMapping's own auxiliary table uses neither: its rows are addressed by
+//! ordinal ([`crate::RankedBits::rank1`]), so a [`PackedPartition`] stores values
+//! only, one bit-packed stream per column, and is probed in its serialized form.
 
 use crate::row::Row;
 use crate::{Result, StorageError};
-use dm_compress::varint;
+use dm_compress::{bitpack, varint};
 use std::collections::HashMap;
 
 /// Which in-memory/on-disk representation a partition uses.
@@ -47,12 +52,179 @@ pub fn partition_rows(rows: &[Row], num_value_columns: usize, target_bytes: usiz
     }
     let mut sorted: Vec<Row> = rows.to_vec();
     sorted.sort_by_key(|r| r.key);
-    let row_width = Row::fixed_width(num_value_columns);
-    let rows_per_partition = (target_bytes / row_width).max(1);
     sorted
-        .chunks(rows_per_partition)
+        .chunks(rows_per_partition(num_value_columns, target_bytes))
         .map(|chunk| chunk.to_vec())
         .collect()
+}
+
+/// How many rows a partition of `target_bytes` holds, counted at the fixed
+/// (uncompressed, keyed) row width — the one partition-size rule every store in
+/// the workspace shares, whatever its partitions actually store.
+pub fn rows_per_partition(num_value_columns: usize, target_bytes: usize) -> usize {
+    (target_bytes / Row::fixed_width(num_value_columns)).max(1)
+}
+
+/// A keyless, columnar, bit-packed partition: `rows` value tuples addressed by
+/// slot, nothing else.  Which key a slot belongs to is the caller's knowledge
+/// (the auxiliary table derives it from a rank over its key bitmap).
+///
+/// The serialized form *is* the in-memory form — loading is one validation
+/// pass, and a probe reads `columns` packed values straight out of the bytes:
+///
+/// ```text
+/// varint rows | varint columns | columns × u32 LE stream end offsets
+/// | column 0 stream | column 1 stream | ...
+/// ```
+///
+/// Each stream is a [`dm_compress::bitpack::pack`] stream of exactly `rows`
+/// values at `bits_for(max value in the column)` bits; offsets are relative to
+/// the first stream.  The length is exactly header + offsets + streams: there
+/// is no room for a key column, padding or trailing bytes.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct PackedPartition {
+    rows: usize,
+    bytes: Vec<u8>,
+    /// Per column: the stream's bit width and where its packed data lies in
+    /// `bytes`, parsed once by `from_bytes`.
+    columns: Vec<(u32, std::ops::Range<usize>)>,
+}
+
+impl PackedPartition {
+    /// Packs `rows` (in slot order; their keys are not stored), each holding
+    /// `value_columns` values.
+    pub fn from_rows(rows: &[&Row], value_columns: usize) -> Result<Self> {
+        let mut columns = vec![Vec::with_capacity(rows.len()); value_columns];
+        for row in rows {
+            if row.values.len() != value_columns {
+                return Err(StorageError::InvalidConfig(format!(
+                    "row {} has {} value columns, partition expects {value_columns}",
+                    row.key,
+                    row.values.len()
+                )));
+            }
+            for (column, &value) in columns.iter_mut().zip(&row.values) {
+                column.push(value);
+            }
+        }
+        Self::from_columns(rows.len(), &columns)
+    }
+
+    /// Packs `columns` (column-major, each `rows` long).
+    pub fn from_columns(rows: usize, columns: &[Vec<u32>]) -> Result<Self> {
+        let mut streams = Vec::with_capacity(columns.len());
+        let mut widened: Vec<u64> = Vec::with_capacity(rows);
+        for (index, column) in columns.iter().enumerate() {
+            if column.len() != rows {
+                return Err(StorageError::InvalidConfig(format!(
+                    "column {index} has {} values, partition expects {rows}",
+                    column.len()
+                )));
+            }
+            widened.clear();
+            widened.extend(column.iter().map(|&v| v as u64));
+            let bits = bitpack::bits_for(widened.iter().copied().max().unwrap_or(0));
+            streams.push(bitpack::pack(&widened, bits)?);
+        }
+        let mut bytes = Vec::with_capacity(
+            20 + 4 * columns.len() + streams.iter().map(Vec::len).sum::<usize>(),
+        );
+        varint::write_u64(&mut bytes, rows as u64);
+        varint::write_u64(&mut bytes, columns.len() as u64);
+        let mut end = 0usize;
+        for stream in &streams {
+            end += stream.len();
+            let end = u32::try_from(end).map_err(|_| {
+                StorageError::InvalidConfig("packed partition exceeds 4 GiB".into())
+            })?;
+            bytes.extend_from_slice(&end.to_le_bytes());
+        }
+        for stream in &streams {
+            bytes.extend_from_slice(stream);
+        }
+        Self::from_bytes(bytes)
+    }
+
+    /// The serialized form (also the resident form).
+    pub fn to_bytes(&self) -> &[u8] {
+        &self.bytes
+    }
+
+    /// Adopts a buffer produced by [`to_bytes`](Self::to_bytes) after checking
+    /// that it is exactly what it declares: monotone offsets ending at the end
+    /// of the buffer, and per column a stream of `rows` values, at most 32 bits
+    /// wide, neither truncated nor padded.  Everything
+    /// [`read_row`](Self::read_row) relies on is established here.
+    pub fn from_bytes(bytes: Vec<u8>) -> Result<Self> {
+        let corrupt = |detail: String| StorageError::Corrupt(format!("packed partition: {detail}"));
+        let (rows, pos) = varint::read_u64(&bytes, 0).map_err(|e| corrupt(e.to_string()))?;
+        let (columns, pos) = varint::read_u64(&bytes, pos).map_err(|e| corrupt(e.to_string()))?;
+        let streams_at = columns
+            .checked_mul(4)
+            .and_then(|table| table.checked_add(pos as u64))
+            .filter(|&at| at <= bytes.len() as u64)
+            .ok_or_else(|| corrupt(format!("{columns} column offsets do not fit")))?
+            as usize;
+        let rows = usize::try_from(rows).map_err(|_| corrupt("row count overflows".into()))?;
+        let mut parsed = Vec::with_capacity(columns as usize);
+        let mut start = streams_at;
+        for (column, entry) in bytes[pos..streams_at].chunks_exact(4).enumerate() {
+            let end = streams_at + u32::from_le_bytes(entry.try_into().expect("4 bytes")) as usize;
+            if end < start || end > bytes.len() {
+                return Err(corrupt("column offsets are not monotone inside the buffer".into()));
+            }
+            let (count, bits, data) =
+                bitpack::header(&bytes[start..end]).map_err(|e| corrupt(e.to_string()))?;
+            if count != rows || bits > 32 || data.len() != (rows * bits as usize).div_ceil(8) {
+                return Err(corrupt(format!(
+                    "column {column} holds {count} x {bits}-bit values in {} bytes, expected {rows} rows",
+                    data.len()
+                )));
+            }
+            parsed.push((bits, end - data.len()..end));
+            start = end;
+        }
+        if start != bytes.len() {
+            return Err(corrupt("bytes past the last column stream".into()));
+        }
+        Ok(PackedPartition {
+            rows,
+            bytes,
+            columns: parsed,
+        })
+    }
+
+    /// Number of rows.
+    pub fn len(&self) -> usize {
+        self.rows
+    }
+
+    /// Whether the partition holds no rows.
+    pub fn is_empty(&self) -> bool {
+        self.rows == 0
+    }
+
+    /// Number of value columns.
+    pub fn columns(&self) -> usize {
+        self.columns.len()
+    }
+
+    /// Bytes the partition pins while resident: its serialized length.
+    pub fn resident_bytes(&self) -> usize {
+        self.bytes.len()
+    }
+
+    /// Reads the values at `slot` into `out` (one entry per column).
+    ///
+    /// # Panics
+    /// When `slot >= len()` or `out.len() != columns()`.
+    pub fn read_row(&self, slot: usize, out: &mut [u32]) {
+        assert!(slot < self.rows, "slot {slot} out of range ({} rows)", self.rows);
+        assert_eq!(out.len(), self.columns(), "one output per column");
+        for (value, (bits, data)) in out.iter_mut().zip(&self.columns) {
+            *value = bitpack::value_at(&self.bytes[data.clone()], *bits, slot) as u32;
+        }
+    }
 }
 
 /// A decoded array partition: keys sorted ascending, values stored row-major.
@@ -416,6 +588,67 @@ mod tests {
         assert!(HashPartition::from_bytes(&bytes[..bytes.len() / 2]).is_err());
         assert!(HashPartition::from_bytes(&[]).is_err());
         assert!(HashPartition::from_rows(&[Row::new(1, vec![1, 2, 3])], 2).is_err());
+    }
+
+    #[test]
+    fn packed_partition_round_trips_at_every_width() {
+        // Width 1 (all zero), small domains, and the full 32 bits.
+        let rows = 293usize;
+        let columns: Vec<Vec<u32>> = vec![
+            vec![0; rows],
+            (0..rows as u32).map(|i| i % 4).collect(),
+            (0..rows as u32).map(|i| i.wrapping_mul(2_654_435_761) % 64).collect(),
+            (0..rows as u32).map(|i| if i == 7 { u32::MAX } else { i }).collect(),
+        ];
+        let packed = PackedPartition::from_columns(rows, &columns).unwrap();
+        assert_eq!((packed.len(), packed.columns()), (rows, 4));
+        assert_eq!(packed.resident_bytes(), packed.to_bytes().len());
+        // Values only: header + offsets + the four streams, to the byte.
+        let stream = |bits: usize| 2 + 1 + (rows * bits).div_ceil(8);
+        assert_eq!(
+            packed.to_bytes().len(),
+            2 + 1 + 4 * 4 + stream(1) + stream(2) + stream(6) + stream(32)
+        );
+        let restored = PackedPartition::from_bytes(packed.to_bytes().to_vec()).unwrap();
+        assert_eq!(restored, packed);
+        let mut row = [0u32; 4];
+        for slot in 0..rows {
+            restored.read_row(slot, &mut row);
+            let expected: Vec<u32> = columns.iter().map(|c| c[slot]).collect();
+            assert_eq!(row.as_slice(), expected.as_slice(), "slot {slot}");
+        }
+        let rows: Vec<Row> =
+            (0..rows).map(|slot| Row::new(0, columns.iter().map(|c| c[slot]).collect())).collect();
+        assert_eq!(PackedPartition::from_rows(&rows.iter().collect::<Vec<_>>(), 4).unwrap(), packed);
+        let empty = PackedPartition::from_columns(0, &[Vec::new(), Vec::new()]).unwrap();
+        assert!(empty.is_empty());
+        assert_eq!(PackedPartition::from_bytes(empty.to_bytes().to_vec()).unwrap(), empty);
+    }
+
+    #[test]
+    fn packed_partition_rejects_anything_but_exactly_its_streams() {
+        let columns = vec![(0..100u32).map(|i| i % 5).collect::<Vec<_>>(), vec![9; 100]];
+        let good = PackedPartition::from_columns(100, &columns).unwrap().to_bytes().to_vec();
+        let is_corrupt = |bytes: Vec<u8>| {
+            matches!(PackedPartition::from_bytes(bytes), Err(StorageError::Corrupt(_)))
+        };
+        for cut in [0, 1, 2, 9, good.len() / 2, good.len() - 1] {
+            assert!(is_corrupt(good[..cut].to_vec()), "truncated to {cut} bytes");
+        }
+        let mut padded = good.clone();
+        padded.push(0);
+        assert!(is_corrupt(padded), "trailing byte");
+        // A stream cut short by moving the boundary between the two columns.
+        let mut shifted = good.clone();
+        shifted[2] -= 1;
+        assert!(is_corrupt(shifted), "first stream one byte short");
+        // A header row count the streams do not hold.
+        let mut miscounted = good.clone();
+        miscounted[0] = 99;
+        assert!(is_corrupt(miscounted), "row count disagrees with the streams");
+        assert!(PackedPartition::from_columns(3, &[vec![1, 2]]).is_err());
+        assert!(PackedPartition::from_rows(&[&Row::new(1, vec![1])], 2).is_err());
+        assert!(PackedPartition::from_bytes(good).is_ok());
     }
 
     #[test]

@@ -14,9 +14,11 @@
 //! * [`store`] — the cross-backend store API: the `&self`-based read trait
 //!   [`TupleStore`] with its reusable [`LookupBuffer`] result arena, and the write
 //!   trait [`MutableStore`] the benchmark harness sweeps over,
-//! * [`bitvec`] — the dynamic existence bit vector (`Vexist`),
+//! * [`bitvec`] — the dynamic existence bit vector (`Vexist`) and its frozen,
+//!   rank-indexed form [`RankedBits`] (a member key's ordinal in constant time),
 //! * [`layout`] — array- and hash-partition serialization (the paper's "array-based"
-//!   and "hash-based" representations, with their asymmetric deserialization costs),
+//!   and "hash-based" representations, with their asymmetric deserialization costs)
+//!   and the keyless bit-packed [`PackedPartition`] of DeepMapping's auxiliary table,
 //! * [`disk`] — a simulated disk: partitions live as compressed frames in byte
 //!   buffers, reads are counted and costed with a configurable bandwidth model,
 //! * [`source`] — the [`PartitionSource`] seam the buffer pool loads through: the
@@ -37,10 +39,10 @@ pub mod row;
 pub mod source;
 pub mod store;
 
-pub use bitvec::BitVec;
+pub use bitvec::{BitVec, RankedBits};
 pub use disk::{DiskProfile, SimulatedDisk};
 pub use source::{FileExtent, FilePartitionSource, PartitionSource};
-pub use layout::{ArrayPartition, HashPartition, PartitionLayout};
+pub use layout::{ArrayPartition, HashPartition, PackedPartition, PartitionLayout};
 pub use metrics::{LatencyBreakdown, Metrics, Phase};
 pub use pool::{BufferPool, PoolShardStats, RetryPolicy, DEFAULT_POOL_SHARDS};
 pub use row::{ReferenceStore, Row, StoreStats};

@@ -5,7 +5,8 @@
 //!
 //! DeepMapping stores a relational table as a *hybrid learned structure*: a compact
 //! multi-task neural network that memorizes the key → value mapping, an auxiliary
-//! table holding the (compressed) tuples the model gets wrong, an existence bit vector
+//! table holding the tuples the model gets wrong (bit-packed values only — a rank
+//! over the corrected-key bitmap is their address), an existence bit vector
 //! that prevents hallucinated answers for non-existing keys, and a decode map back to
 //! the original categorical values.  The result is lossless compression *and* fast
 //! random lookups at the same time, with insert/delete/update absorbed by the
@@ -84,7 +85,9 @@
 //! ├── crates/compress        dm-compress  lz / lz+huffman / deflate-like / dictionary,
 //! │                                       varint, rle, bitpack, framed format
 //! ├── crates/storage         dm-storage   Row, TupleStore/MutableStore + LookupBuffer,
-//! │                                       BitVec (Vexist), partition layouts,
+//! │                                       BitVec (Vexist) + RankedBits (rank index),
+//! │                                       partition layouts (array/hash baselines,
+//! │                                       keyless PackedPartition),
 //! │                                       simulated disk, sharded single-flight
 //! │                                       LRU BufferPool with bounded retry +
 //! │                                       backoff on transient cold-load
@@ -97,7 +100,8 @@
 //! │                                       wrapper, crash-site observer for
 //! │                                       kill-point torture tests
 //! ├── crates/core            dm-core      DeepMapping hybrid + DeepMappingBuilder,
-//! │                                       QueryPipeline (Vexist/Vaux routing), AuxTable,
+//! │                                       QueryPipeline (Vexist/Vaux routing),
+//! │                                       rank-addressed keyless AuxTable,
 //! │                                       schema/encoders, MHAS
 //! ├── crates/persist         dm-persist   single-file snapshots (lazy partition
 //! │                                       serving via FilePartitionSource), delta
@@ -129,8 +133,9 @@
 //! Lookups flow facade → `TupleStore::lookup_batch_into` →
 //! `dm_core::pipeline::QueryPipeline::execute_into` (three-way split on the existence
 //! and corrected-key bit vectors → one vectorized flat forward pass over the
-//! *predicted* keys, beside partition-grouped auxiliary probes of the *corrected*
-//! keys through the shared buffer pool, each partition loaded at most once per batch →
+//! *predicted* keys, beside rank-addressed auxiliary probes of the *corrected*
+//! keys (`rank(base, key)` → partition and slot; packed partitions come through the
+//! shared buffer pool, each loaded at most once per batch) →
 //! order-preserving scatter into the caller's `LookupBuffer` arena — every key pays
 //! for the model or the auxiliary table, never both), with every stage charged to a
 //! `dm_storage::Metrics` phase.  Because the pipeline only reads, batches from
@@ -152,7 +157,7 @@
 //!   tasks; hits are folded into the result serially, in batch order.
 //! * **`dm_storage::BufferPool`** is mutex-sharded with *single-flight* cold
 //!   loads: racing readers (pipeline tasks or external threads) trigger exactly
-//!   one load + decompress per partition, the losers wait on a per-entry latch
+//!   one read + unframe per partition, the losers wait on a per-entry latch
 //!   (observable via `LatencyBreakdown::pool_single_flight_waits`).
 //!
 //! **Sizing:** the shared process-wide pool is sized once from the
@@ -175,25 +180,35 @@
 //! then       manifest   — CRC-32-protected: config, schema (key encoder +
 //!                         cardinalities), decode labels, counters, aux delta
 //!                         overlay + tombstones, section table (model/existence/
-//!                         Vaux lengths + CRCs), partition directory (key range,
-//!                         rows, frame length, frame CRC per partition)
+//!                         base lengths + CRCs), partition directory (rows,
+//!                         frame length, frame CRC per partition — no keys)
 //! then       model      — dm_nn::serialize bytes          (eager, CRC-checked)
 //! then       existence  — BitVec RLE bytes                (eager, CRC-checked)
-//! then       Vaux       — BitVec RLE bytes                (eager, CRC-checked)
-//! then       partitions — dm_compress frames, verbatim    (LAZY, CRC on touch)
+//! then       base       — BitVec RLE bytes: the keys whose rows the
+//!                         partitions hold                 (eager, CRC-checked)
+//! then       partitions — dm_compress frames around keyless bit-packed value
+//!                         columns, verbatim               (LAZY, CRC on touch)
 //! ```
 //!
-//! Opening reads only header + manifest + model + existence + Vaux; the partition
-//! frames — typically most of the file — stay on disk and are served on demand
-//! by a `dm_storage::FilePartitionSource` behind the sharded single-flight
-//! buffer pool (one `pread` + one decompression per cold partition, parallel
-//! under `dm-exec`).  Versioning is strict: an unknown header version or any
-//! failed CRC is a typed [`dm_persist::PersistError`], never a guess.  The
-//! compatibility policy is bump-on-any-layout-change; the manifest decoder
-//! rejects trailing bytes so mixed-version files cannot half-parse.  Exactly
-//! one version opens: v4, which added the `Vaux` section lookups route on.
-//! v1 (a different f32 arithmetic recipe), v2 (no quantization descriptor) and
-//! v3 (no `Vaux`) are rejected as `UnsupportedVersion`.
+//! The auxiliary rows are stored once and their keys not at all: the row of the
+//! `n`-th set bit of `base` is slot `n mod R` of partition `n div R` (`R` rows
+//! per partition, from `partition_bytes`), each column packed at the width its
+//! largest value in that partition needs.  `Vaux` — the bitmap lookups route
+//! on — is rebuilt at open as `(base − tombstones) ∪ delta keys`.
+//!
+//! Opening reads only header + manifest + model + existence + base; the partition
+//! frames stay on disk and are served on demand by a
+//! `dm_storage::FilePartitionSource` behind the sharded single-flight buffer
+//! pool (one `pread` + one unframing per cold partition, parallel under
+//! `dm-exec`).  Versioning is strict: an unknown header version or any failed
+//! CRC is a typed [`dm_persist::PersistError`], never a guess, and so is a
+//! directory whose row counts do not partition `base` or a frame that loads
+//! with another partition's shape.  The compatibility policy is
+//! bump-on-any-layout-change; the manifest decoder rejects trailing bytes so
+//! mixed-version files cannot half-parse.  Exactly one version opens: v5, the
+//! keyless auxiliary table.  v1 (a different f32 arithmetic recipe), v2 (no
+//! quantization descriptor), v3 (no corrected-key bitmap) and v4 (keyed
+//! row-array partitions) are rejected as `UnsupportedVersion`.
 //!
 //! Mutations persist through [`dm_persist::PersistentStore`]: each
 //! insert/delete/update batch is applied and then appended + fsynced to
@@ -224,8 +239,9 @@
 //!   [`LookupBuffer`](dm_storage::LookupBuffer); every other key in the batch
 //!   — including predicted keys inside that partition's key range, which never
 //!   touch it — is answered byte-identically to a fault-free run.  A corrected
-//!   key the table turns out not to hold (a broken `Vaux` invariant) surfaces
-//!   the same way, as a per-key `StorageError::Corrupt`.  `dm-server`'s
+//!   key the table turns out not to hold (a broken `Vaux` invariant), or one
+//!   addressed into a frame that is not its partition's, surfaces the same
+//!   way, as a per-key `StorageError::Corrupt`.  `dm-server`'s
 //!   coalescing demux then fails only the *requests* whose keys touch a
 //!   failed span ([`ServerError::PartialFailure`](dm_server::ServerError)).
 //! * **Write-side faults** (failed WAL append/fsync, torn record):

@@ -168,13 +168,14 @@ fn corruption_returns_typed_errors_not_garbage() {
         "{err}"
     );
 
-    // A flipped byte in the last eager section (`Vaux`) fails its CRC.
+    // A flipped byte in the last eager section (`base`) fails its CRC — before
+    // any rank is derived from it: one moved bit would shift every later row.
     let err = open_after(&path, &pristine, |bytes| {
         let idx = stats.eager_bytes as usize - 3;
         bytes[idx] ^= 0x01;
     });
     assert!(
-        matches!(err, PersistError::ChecksumMismatch { section: "vaux" }),
+        matches!(err, PersistError::ChecksumMismatch { section: "base" }),
         "{err}"
     );
 
@@ -221,6 +222,95 @@ fn corruption_returns_typed_errors_not_garbage() {
             );
         }
     }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Rewrites the manifest of a snapshot image in place (same encoded length)
+/// and re-seals its CRC in the header, so only the edit itself is "wrong".
+fn edit_manifest(image: &mut [u8], edit: impl FnOnce(&mut deepmapping::persist::Manifest)) {
+    let manifest_len = u64::from_le_bytes(image[16..24].try_into().unwrap()) as usize;
+    let mut manifest = deepmapping::persist::Manifest::decode(&image[28..28 + manifest_len]).unwrap();
+    edit(&mut manifest);
+    let encoded = manifest.encode();
+    assert_eq!(encoded.len(), manifest_len, "edits must keep the manifest's length");
+    image[28..28 + manifest_len].copy_from_slice(&encoded);
+    image[24..28].copy_from_slice(&dm_compress::crc32(&encoded).to_le_bytes());
+}
+
+/// Partitions hold no keys, so nothing inside a frame says which keys it
+/// answers.  A directory that does not partition `base` is refused at open; a
+/// well-formed frame in another partition's place (every checksum valid) is a
+/// typed corruption for exactly the keys addressed into it — never their
+/// neighbours' values.
+#[test]
+fn misdescribed_and_misplaced_partitions_are_typed_corruption() {
+    let dir = temp_dir("misplaced");
+    let path = dir.join("misplaced.dmss");
+    let rows = noisy_rows(2_000);
+    let dm = quick_build(&rows);
+    let stats: SnapshotStats = dm.write_snapshot(&path).expect("write snapshot");
+    let directory = dm.aux_table().partition_directory();
+    let last = directory.len() - 1;
+    assert!(last >= 2 && directory[last].rows < directory[0].rows, "need a short last partition");
+    let healthy = dm.lookup_batch(&(0..2_000u64).collect::<Vec<_>>()).unwrap();
+    drop(dm);
+    let pristine = std::fs::read(&path).unwrap();
+
+    // Row counts that do not add up to `base`, or add up in the wrong places.
+    for edit in [
+        (|m| m.partitions[0].rows -= 1) as fn(&mut deepmapping::persist::Manifest),
+        |m| {
+            let last = m.partitions.len() - 1;
+            let (first, short) = (m.partitions[0].rows, m.partitions[last].rows);
+            m.partitions[0].rows = short;
+            m.partitions[last].rows = first;
+        },
+    ] {
+        let err = open_after(&path, &pristine, |bytes| edit_manifest(bytes, edit));
+        assert!(
+            matches!(err, PersistError::Corrupt { section: "partition directory", .. }),
+            "{err}"
+        );
+    }
+
+    // Swap the first and last frames in the file and their extents (length +
+    // CRC) in the directory: every checksum still holds, the row counts in the
+    // directory still partition `base`, and both frames are in the wrong place.
+    let mut image = pristine.clone();
+    let mut frames = Vec::new();
+    edit_manifest(&mut image, |m| {
+        frames = m.partitions.iter().map(|p| p.frame_len as usize).collect();
+        let (a, b) = (m.partitions[0], m.partitions[last]);
+        (m.partitions[0].frame_len, m.partitions[0].frame_crc) = (b.frame_len, b.frame_crc);
+        (m.partitions[last].frame_len, m.partitions[last].frame_crc) = (a.frame_len, a.frame_crc);
+    });
+    let region = stats.eager_bytes as usize;
+    let first = pristine[region..region + frames[0]].to_vec();
+    let tail = pristine[pristine.len() - frames[last]..].to_vec();
+    let middle = pristine[region + frames[0]..pristine.len() - frames[last]].to_vec();
+    image.truncate(region);
+    image.extend_from_slice(&tail);
+    image.extend_from_slice(&middle);
+    image.extend_from_slice(&first);
+    std::fs::write(&path, &image).unwrap();
+    let reopened = Snapshot::open(&path).expect("every open-time check passes");
+    let probe: Vec<u64> = (0..2_000u64).collect();
+    let mut buffer = LookupBuffer::new();
+    reopened.lookup_batch_into(&probe, &mut buffer).unwrap();
+    let mut failed = 0;
+    for (i, &key) in probe.iter().enumerate() {
+        let misplaced = reopened.corrected().get(key)
+            && [0, last].iter().any(|&p| (directory[p].min_key..=directory[p].max_key).contains(&key));
+        assert_eq!(buffer.is_failed(i), misplaced, "key {key}");
+        if misplaced {
+            let err = buffer.error(i).expect("failed spans carry their error");
+            assert!(matches!(err, dm_storage::StorageError::Corrupt(_)), "{err}");
+            failed += 1;
+        } else {
+            assert_eq!(buffer.get(i).map(|v| v.to_vec()), healthy[i], "key {key}");
+        }
+    }
+    assert_eq!(failed, directory[0].rows + directory[last].rows);
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -403,15 +493,16 @@ fn only_the_current_snapshot_version_opens() {
     let current = std::fs::read(&path).unwrap();
     assert_eq!(
         u16::from_le_bytes([current[4], current[5]]),
-        4,
-        "snapshots are written as v4"
+        5,
+        "snapshots are written as v5"
     );
     Snapshot::open(&path).expect("the current version opens");
 
     // v1 memorized its aux table under a different arithmetic recipe; v2 and v3
-    // carry no `Vaux` section, which lookups route on.  Unknown future versions
-    // are rejected the same way, never guessed at.
-    for version in [1u16, 2, 3, 9] {
+    // carry no corrected-key bitmap; v4 partitions are keyed row arrays that
+    // rank addressing cannot read.  Unknown future versions are rejected the
+    // same way, never guessed at.
+    for version in [1u16, 2, 3, 4, 9] {
         let mut other = current.clone();
         other[4..6].copy_from_slice(&version.to_le_bytes());
         std::fs::write(&path, &other).unwrap();

@@ -8,7 +8,7 @@
 //! failures reproducible — a failing case prints its seed, and re-running the test
 //! replays the identical inputs.
 
-use deepmapping::core::{DeepMapping, DeepMappingConfig, SearchStrategy, TrainingConfig};
+use deepmapping::core::{AuxTable, DeepMapping, DeepMappingConfig, SearchStrategy, TrainingConfig};
 use deepmapping::persist::PersistentStore;
 use deepmapping::prelude::*;
 use dm_nn::{MultiTaskSpec, TaskHeadSpec};
@@ -142,7 +142,9 @@ fn deepmapping_lookup_is_exact_for_arbitrary_tables() {
 
 /// After any step of a write history, the store answers like the oracle map and
 /// `Vaux` is exact: `vaux[k] ⇔ exist[k] ∧ aux.get(k).is_some()`.  Lookups route
-/// on that bit, so a stale one is a wrong answer waiting for its key.
+/// on that bit, so a stale one is a wrong answer waiting for its key.  The same
+/// set is what the keyless table derives from its own state —
+/// `(base − tombstones) ∪ delta.keys` — which is how a snapshot open rebuilds it.
 fn assert_matches_oracle(store: &PersistentStore, oracle: &BTreeMap<u64, Vec<u32>>) {
     let probe: Vec<u64> = (0..750u64).collect();
     let expected: Vec<Option<Vec<u32>>> = probe.iter().map(|k| oracle.get(k).cloned()).collect();
@@ -158,6 +160,76 @@ fn assert_matches_oracle(store: &PersistentStore, oracle: &BTreeMap<u64, Vec<u32
             dm.existence().get(key)
         );
     }
+    // Set equality (a live `Vaux` may have addressed keys past the derived one's end).
+    assert!(
+        dm.corrected().iter_ones().eq(dm.aux_table().held_keys().iter_ones()),
+        "Vaux != (base - tombstones) + delta keys"
+    );
+    assert_eq!(
+        dm.memorized_tuples() as u64,
+        dm.existence().count_ones() - dm.corrected().count_ones()
+    );
+}
+
+/// The keyless table by itself (no model, no training): for random key sets and
+/// random columns — including a column that is all zero inside one partition
+/// (width 1), one holding `u32::MAX` (width 32), rows at ordinals `R − 1` and
+/// `R`, and a short last partition — every probe, of held keys and of keys
+/// below, between and above them, equals a `BTreeMap`.
+#[test]
+fn keyless_aux_table_matches_a_btreemap() {
+    cases(24, |rng| {
+        let columns = rng.gen_range(1..5usize);
+        // R rows per partition: small enough that every case spans several.
+        let per_partition = rng.gen_range(2..40usize);
+        let partition_bytes = per_partition * Row::fixed_width(columns);
+        let count = per_partition * rng.gen_range(1..5usize) + rng.gen_range(0..per_partition);
+        let stride = rng.gen_range(1..9u64);
+        let offset = rng.gen_range(1..50u64);
+        let wide = rng.gen_range(0..count);
+        let oracle: BTreeMap<u64, Vec<u32>> = (0..count)
+            .map(|ordinal| {
+                let key = offset + ordinal as u64 * stride + rng.gen_range(0..stride);
+                let values = (0..columns)
+                    .map(|column| match column {
+                        // All zero in partition 0, a small domain elsewhere.
+                        0 if ordinal < per_partition => 0,
+                        1 if ordinal == wide => u32::MAX,
+                        _ => rng.gen::<u32>() >> rng.gen_range(20..32u32),
+                    })
+                    .collect();
+                (key, values)
+            })
+            .collect();
+        let mut rows: Vec<Row> = oracle.iter().map(|(&k, v)| Row::new(k, v.clone())).collect();
+        // Build order must not matter.
+        rows.rotate_left(count / 3);
+        let table = AuxTable::build(
+            &rows,
+            columns,
+            Codec::Lz,
+            partition_bytes,
+            if rng.gen_bool(0.5) { usize::MAX } else { 256 },
+            DiskProfile::free(),
+            Metrics::new(),
+        )
+        .unwrap();
+        assert_eq!(table.len(), count);
+        assert_eq!(table.partition_count(), count.div_ceil(per_partition));
+        assert_eq!(table.partition_len(table.partition_count() - 1), (count - 1) % per_partition + 1);
+        let top = *oracle.keys().next_back().unwrap();
+        let mut probe: Vec<u64> = (0..top + 70).collect();
+        probe.extend([u64::MAX, top, 0, offset]);
+        let expected: Vec<Option<Vec<u32>>> = probe.iter().map(|k| oracle.get(k).cloned()).collect();
+        assert_eq!(table.get_batch(&probe).unwrap(), expected);
+        for (key, expected) in probe.iter().zip(&expected).step_by(7) {
+            assert_eq!(&table.get(*key).unwrap(), expected, "key {key}");
+        }
+        let scanned: BTreeMap<u64, Vec<u32>> =
+            table.iter_rows().unwrap().into_iter().map(|r| (r.key, r.values)).collect();
+        assert_eq!(scanned, oracle);
+        assert!(table.held_keys().iter_ones().eq(oracle.keys().copied()));
+    });
 }
 
 /// Random histories of insert / update (on the model's guess and off it) /
