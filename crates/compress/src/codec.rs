@@ -6,7 +6,7 @@
 //! auxiliary-table partitions with the "Z" and "L" codecs.  Benchmarks sweep over this
 //! enum, so it is the single place where codec naming matches the paper's labels.
 
-use crate::{dictionary, huffman, lz, rle};
+use crate::{dictionary, huffman, lz};
 
 /// Every codec available to partitions and auxiliary structures.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -18,8 +18,6 @@ pub enum Codec {
         /// Fixed record width in bytes used to segment the buffer.
         record_width: usize,
     },
-    /// Byte run-length encoding (building block; not a paper baseline by itself).
-    Rle,
     /// LZSS with a fast, shallow match search — the Z-Standard stand-in ("Z").
     Lz,
     /// LZSS + Huffman with a 32 KiB window — the gzip stand-in ("G").
@@ -34,19 +32,18 @@ impl Codec {
         match self {
             Codec::None => "",
             Codec::Dictionary { .. } => "D",
-            Codec::Rle => "R",
             Codec::Lz => "Z",
             Codec::Deflate => "G",
             Codec::LzHuff => "L",
         }
     }
 
-    /// Stable numeric tag for serialization in frames and partition headers.
+    /// Stable numeric tag for serialization in frames and partition headers
+    /// (2 is retired and stays unassigned).
     pub fn tag(&self) -> u8 {
         match self {
             Codec::None => 0,
             Codec::Dictionary { .. } => 1,
-            Codec::Rle => 2,
             Codec::Lz => 3,
             Codec::Deflate => 4,
             Codec::LzHuff => 5,
@@ -58,7 +55,6 @@ impl Codec {
         match tag {
             0 => Some(Codec::None),
             1 => Some(Codec::Dictionary { record_width }),
-            2 => Some(Codec::Rle),
             3 => Some(Codec::Lz),
             4 => Some(Codec::Deflate),
             5 => Some(Codec::LzHuff),
@@ -71,7 +67,6 @@ impl Codec {
         match self {
             Codec::None => input.to_vec(),
             Codec::Dictionary { record_width } => dictionary::compress(input, *record_width),
-            Codec::Rle => rle::compress(input),
             Codec::Lz => lz::compress(input, &lz::LzConfig::fast()),
             Codec::Deflate => {
                 let stage1 = lz::compress(input, &lz::LzConfig::balanced());
@@ -89,7 +84,6 @@ impl Codec {
         match self {
             Codec::None => Ok(input.to_vec()),
             Codec::Dictionary { .. } => dictionary::decompress(input),
-            Codec::Rle => rle::decompress(input),
             Codec::Lz => lz::decompress(input),
             Codec::Deflate | Codec::LzHuff => {
                 let stage1 = huffman::decompress(input)?;
@@ -158,7 +152,7 @@ mod tests {
     #[test]
     fn all_codecs_round_trip() {
         let data = tabular_payload();
-        for codec in Codec::paper_sweep(4).into_iter().chain([Codec::Rle]) {
+        for codec in Codec::paper_sweep(4) {
             let compressed = codec.compress(&data);
             let restored = codec.decompress(&compressed).unwrap();
             assert_eq!(restored, data, "codec {codec:?}");
@@ -167,7 +161,7 @@ mod tests {
 
     #[test]
     fn empty_input_round_trips_for_all_codecs() {
-        for codec in Codec::paper_sweep(8).into_iter().chain([Codec::Rle]) {
+        for codec in Codec::paper_sweep(8) {
             let compressed = codec.compress(&[]);
             assert_eq!(codec.decompress(&compressed).unwrap(), Vec::<u8>::new());
         }
@@ -194,7 +188,6 @@ mod tests {
         for codec in [
             Codec::None,
             Codec::Dictionary { record_width: 16 },
-            Codec::Rle,
             Codec::Lz,
             Codec::Deflate,
             Codec::LzHuff,
@@ -202,6 +195,8 @@ mod tests {
             assert_eq!(Codec::from_tag(codec.tag(), 16), Some(codec));
         }
         assert_eq!(Codec::from_tag(77, 1), None);
+        // Tag 2 was the retired run-length codec; it is never reassigned.
+        assert_eq!(Codec::from_tag(2, 1), None);
     }
 
     #[test]

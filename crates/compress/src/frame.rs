@@ -162,6 +162,14 @@ mod tests {
     }
 
     #[test]
+    fn retired_codec_tag_is_corruption_not_a_panic() {
+        let mut frame = compress_frame(&Codec::None, &[9u8; 64]);
+        frame[4] = 2;
+        assert!(matches!(decompress_frame(&frame), Err(CompressError::Corrupt(_))));
+        assert!(matches!(frame_info(&frame), Err(CompressError::Corrupt(_))));
+    }
+
+    #[test]
     fn empty_input_frames_round_trip() {
         for codec in Codec::paper_sweep(8) {
             let frame = compress_frame(&codec, &[]);

@@ -443,10 +443,12 @@ impl AuxTable {
         trace: Option<&Trace>,
         sink: &mut dyn FnMut(usize, &[u32]),
     ) -> Vec<(usize, StorageError)> {
-        let plan_begin = std::time::Instant::now();
+        let begin = std::time::Instant::now();
         let probes = self.plan_probes(keys, sink);
+        let elapsed = begin.elapsed();
+        self.metrics.add_time(Phase::LocatePartition, elapsed);
         if let Some(trace) = trace {
-            trace.record_span(Stage::Plan, plan_begin, plan_begin.elapsed());
+            trace.record_span(Stage::Plan, begin, elapsed);
         }
         let mut degraded: Vec<(usize, StorageError)> = Vec::new();
         let mut degrade = |group: &[Probe], err: StorageError| {
@@ -507,14 +509,14 @@ impl AuxTable {
     ) -> dm_storage::Result<()> {
         let partition = self.load_partition(group[0].partition as usize, trace)?;
         let begin = std::time::Instant::now();
-        self.metrics.time(Phase::AuxiliaryLookup, || {
-            for probe in group {
-                partition.read_row(probe.slot as usize, row);
-                sink(probe.qi, row);
-            }
-        });
+        for probe in group {
+            partition.read_row(probe.slot as usize, row);
+            sink(probe.qi, row);
+        }
+        let elapsed = begin.elapsed();
+        self.metrics.add_time(Phase::AuxiliaryLookup, elapsed);
         if let Some(trace) = trace {
-            trace.record_span(Stage::Probe, begin, begin.elapsed());
+            trace.record_span(Stage::Probe, begin, elapsed);
         }
         Ok(())
     }
@@ -527,22 +529,20 @@ impl AuxTable {
     fn plan_probes(&self, keys: &[u64], sink: &mut dyn FnMut(usize, &[u32])) -> Vec<Probe> {
         // The pipeline sends only corrected keys: nearly all become probes.
         let mut probes = Vec::with_capacity(keys.len());
-        self.metrics.time(Phase::LocatePartition, || {
-            for (qi, &key) in keys.iter().enumerate() {
-                if let Some(values) = self.delta.get(&key) {
-                    sink(qi, values);
-                } else if self.live_in_base(key) {
-                    let (partition, slot) = self.address(key);
-                    // Ordinals fit `u32` (the rank index counts in it).
-                    probes.push(Probe {
-                        partition: partition as u32,
-                        slot: slot as u32,
-                        qi,
-                    });
-                }
+        for (qi, &key) in keys.iter().enumerate() {
+            if let Some(values) = self.delta.get(&key) {
+                sink(qi, values);
+            } else if self.live_in_base(key) {
+                let (partition, slot) = self.address(key);
+                // Ordinals fit `u32` (the rank index counts in it).
+                probes.push(Probe {
+                    partition: partition as u32,
+                    slot: slot as u32,
+                    qi,
+                });
             }
-            probes.sort_unstable_by_key(|probe| (probe.partition, probe.slot));
-        });
+        }
+        probes.sort_unstable_by_key(|probe| (probe.partition, probe.slot));
         probes
     }
 

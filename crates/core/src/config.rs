@@ -91,8 +91,8 @@ impl Quantization {
     }
 
     /// Process-default mode: `DM_QUANTIZATION=int8|f32` (read once), falling
-    /// back to [`Quantization::F32`].  This mirrors `DM_NN_KERNEL` so CI can
-    /// run the whole suite over quantized stores without code changes.
+    /// back to [`Quantization::F32`], so CI can run the whole suite over
+    /// quantized stores without code changes.
     pub fn default_from_env() -> Self {
         static SELECTED: std::sync::OnceLock<Quantization> = std::sync::OnceLock::new();
         *SELECTED.get_or_init(|| {

@@ -187,12 +187,16 @@ impl<'a> QueryPipeline<'a> {
     /// batch's `trace` threaded through every stage (and into the pool tasks
     /// they spawn).
     fn execute_traced(&self, keys: &[u64], out: &mut LookupBuffer, trace: &Trace) -> Result<()> {
-        let stage1_begin = Instant::now();
+        // One clock read per stage: the phase total and the trace span get
+        // the same `(begin, elapsed)`.
+        let begin = Instant::now();
         let Routes {
             predicted,
             corrected,
         } = self.route(keys);
-        trace.record_span(Stage::Existence, stage1_begin, stage1_begin.elapsed());
+        let elapsed = begin.elapsed();
+        self.metrics.add_time(Phase::ExistenceCheck, elapsed);
+        trace.record_span(Stage::Existence, begin, elapsed);
         if predicted.keys.is_empty() && corrected.keys.is_empty() {
             return Ok(());
         }
@@ -209,12 +213,12 @@ impl<'a> QueryPipeline<'a> {
         // Stage 4: scatter the predictions to their keys' batch positions.
         let scattered = inferred.map(|columns| {
             let begin = Instant::now();
-            self.metrics.time(Phase::Other, || {
-                for (i, &position) in predicted.positions.iter().enumerate() {
-                    out.set_hit(position, &predictions[i * columns..(i + 1) * columns]);
-                }
-            });
-            trace.record_span(Stage::Merge, begin, begin.elapsed());
+            for (i, &position) in predicted.positions.iter().enumerate() {
+                out.set_hit(position, &predictions[i * columns..(i + 1) * columns]);
+            }
+            let elapsed = begin.elapsed();
+            self.metrics.add_time(Phase::Other, elapsed);
+            trace.record_span(Stage::Merge, begin, elapsed);
             // The answer mix is pipeline-work accounting (drift detection's
             // primary signal), not tracing — recorded regardless of `DM_OBS`.
             self.metrics.add_answer_mix(
@@ -236,20 +240,18 @@ impl<'a> QueryPipeline<'a> {
     /// Stage 1: the three-way split.  Non-existing keys are dropped here; every
     /// other key goes to the model or to the auxiliary table, never both.
     fn route(&self, keys: &[u64]) -> Routes {
-        self.metrics.time(Phase::ExistenceCheck, || {
-            let mut routes = Routes::default();
-            for (position, &key) in keys.iter().enumerate() {
-                if !self.exist.get(key) {
-                    continue;
-                }
-                if self.vaux.get(key) {
-                    routes.corrected.push(key, position);
-                } else {
-                    routes.predicted.push(key, position);
-                }
+        let mut routes = Routes::default();
+        for (position, &key) in keys.iter().enumerate() {
+            if !self.exist.get(key) {
+                continue;
             }
-            routes
-        })
+            if self.vaux.get(key) {
+                routes.corrected.push(key, position);
+            } else {
+                routes.predicted.push(key, position);
+            }
+        }
+        routes
     }
 
     /// Stage 2: one vectorized forward pass over the predicted keys (row-chunked
@@ -260,10 +262,11 @@ impl<'a> QueryPipeline<'a> {
             return Ok(0);
         }
         let begin = Instant::now();
-        let columns = self.metrics.time(Phase::NeuralNetwork, || {
-            self.model.predict_into_on(self.exec, keys, predictions)
-        })?;
-        trace.record_span(Stage::Inference, begin, begin.elapsed());
+        let columns = self.model.predict_into_on(self.exec, keys, predictions);
+        let elapsed = begin.elapsed();
+        self.metrics.add_time(Phase::NeuralNetwork, elapsed);
+        let columns = columns?;
+        trace.record_span(Stage::Inference, begin, elapsed);
         self.metrics.add_inference_batch(keys.len() as u64);
         Ok(columns)
     }

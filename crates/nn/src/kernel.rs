@@ -63,17 +63,15 @@
 //! [`Kernel::selected`] picks the vector kernel when the CPU supports AVX2+FMA
 //! (using the AVX-512 forms when the CPU additionally has AVX-512 F/BW/DQ, and
 //! for int8 the `vpdpbusd` form only when it also has AVX-512-VNNI — an
-//! AVX-512 host without it takes the AVX2 int8 form),
-//! unless `DM_NN_KERNEL=scalar` forces the fallback (CI runs the whole suite
-//! once that way).  [`with_forced`] overrides the choice for the calling thread
-//! — the hook the bit-identity guard tests use to exercise both kernels in one
-//! process.
+//! AVX-512 host without it takes the AVX2 int8 form) and the scalar fallback
+//! otherwise; nothing but the CPU decides.  [`with_forced`] overrides the
+//! choice for the calling thread — the hook the bit-identity guard tests use
+//! to exercise both kernels in one process.
 
 use crate::layer::Activation;
 use crate::tensor::Matrix;
 use crate::NnError;
 use std::cell::Cell;
-use std::sync::OnceLock;
 
 /// Vector lane width: 16 f32 lanes (one AVX-512 register; the AVX2 kernel
 /// processes each panel as two 8-lane halves).
@@ -99,19 +97,14 @@ pub enum Kernel {
 }
 
 impl Kernel {
-    /// The process-wide kernel: `DM_NN_KERNEL=scalar` forces the fallback,
-    /// `DM_NN_KERNEL=vector` asks for lanes (granted only when the CPU
-    /// supports them), anything else auto-detects.  Read once.
+    /// The process-wide kernel: vector lanes when the CPU has them, the
+    /// scalar fallback otherwise.
     pub fn selected() -> Kernel {
-        static SELECTED: OnceLock<Kernel> = OnceLock::new();
-        *SELECTED.get_or_init(|| {
-            let requested = std::env::var("DM_NN_KERNEL").unwrap_or_default();
-            match requested.trim().to_ascii_lowercase().as_str() {
-                "scalar" => Kernel::Scalar,
-                _ if vector_available() => Kernel::Vector,
-                _ => Kernel::Scalar,
-            }
-        })
+        if vector_available() {
+            Kernel::Vector
+        } else {
+            Kernel::Scalar
+        }
     }
 
     /// Human-readable kernel name (bench/report output).

@@ -11,7 +11,7 @@
 //!   operations the forward/backward passes need,
 //! * [`kernel`] — register-blocked, lane-vectorized micro-kernels over
 //!   pre-packed weight panels (16-lane AVX-512 with an AVX2/FMA form and a
-//!   bit-identical scalar fallback, selectable via `DM_NN_KERNEL`) plus an
+//!   bit-identical scalar fallback, chosen by CPU detection) plus an
 //!   int8 quantized inference path (`vpdpbusd` over k-quad panels on
 //!   AVX-512-VNNI, sign transfer + `vpmaddubsw` on AVX2, per-column symmetric
 //!   scales, bit-identical across all kernels), the engine under every dense

@@ -27,8 +27,8 @@ pub const PARALLEL_ROW_CROSSOVER: usize = 256;
 /// cache-resident however large the batch — and keeps the working memory a
 /// pool task allocates for its row window small.
 ///
-/// Retuned against the `vpdpbusd` kernels with the `lookup_throughput` bench's
-/// chunk-sweep section (trained DM-Z network, 25 k-row batch, best-of-7 serial
+/// Retuned against the `vpdpbusd` kernels with a chunk sweep over the serial
+/// walk (trained DM-Z network, 25 k-row batch, best-of-7 serial
 /// ns/row, two runs on a loud host): 24 → 533 / 546, 48 → 511 / 526,
 /// 96 → 510 / 532, 192 → 521 / 522, 256 → 597 / 541, 512 → 524 / 560,
 /// 1024 → 533 / 549, 4096 → 647 / 661 — flat up to a few hundred rows and
@@ -38,7 +38,8 @@ pub const PARALLEL_ROW_CROSSOVER: usize = 256;
 /// 38 → 141 → 141 → 5 × (35 → c) model ran at 662–667 ns/row with 256-row
 /// chunks, 464 with 192, 361–434 with 96 and 346 with 48 (scratch harness,
 /// median of ten rounds each).  96 is sixteen whole 6-row register tiles of
-/// the `vpdpbusd` form.  Rerun the sweep when the kernels change.
+/// the `vpdpbusd` form.  When the kernels change, rerun the sweep from a
+/// scratch harness and judge it on `mem_mixed`'s `nn.forward_ns_per_key`.
 pub const CACHE_CHUNK_ROWS: usize = 96;
 
 /// Specification of one private head: hidden widths plus the number of output classes
@@ -388,24 +389,6 @@ impl MultiTaskModel {
             return Err(err);
         }
         Ok(tasks)
-    }
-
-    /// Serial cache-blocked inference with an explicit chunk size: rows are
-    /// processed `chunk_rows` at a time into the caller's pre-sized flat
-    /// prediction buffer (`rows * num_tasks` entries), every chunk through the
-    /// same working memory.  This is the body of the serial branch of
-    /// [`forward_batch_flat_on`](Self::forward_batch_flat_on), exposed so the
-    /// bench can sweep chunk sizes against the packed kernels when retuning
-    /// [`CACHE_CHUNK_ROWS`].  Chunking never changes any row's prediction (rows
-    /// are independent in every kernel).
-    pub fn forward_flat_serial_chunked(
-        &self,
-        x: &Matrix,
-        chunk_rows: usize,
-        out: &mut [u32],
-    ) -> crate::Result<()> {
-        debug_assert_eq!(out.len(), x.rows() * self.heads.len());
-        self.forward_window(x, 0, chunk_rows, out)
     }
 
     /// Predictions for the `out.len() / num_tasks` rows of `x` from `start` on,
@@ -952,7 +935,7 @@ mod tests {
         // Chunk size must not change any prediction...
         for chunk in [1usize, 7, 64, 2048] {
             let mut chunked = vec![0u32; rows * 2];
-            model.forward_flat_serial_chunked(&x, chunk, &mut chunked).unwrap();
+            model.forward_window(&x, 0, chunk, &mut chunked).unwrap();
             assert_eq!(scalar, chunked, "chunk={chunk}");
         }
         // ...and neither must the thread count.

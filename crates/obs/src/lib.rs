@@ -44,12 +44,11 @@
 //! `DM_OBS_SLOW_MS` (default 25 ms) sets the slow-op capture threshold: a
 //! batch or request whose wall time reaches it keeps its full stage timeline
 //! in a bounded capture ring ([`trace::slow_batches`],
-//! `QueryServer::slow_requests` in `dm-server`).  `DM_OBS_SLOW_RING` sizes
-//! those rings (default [`trace::DEFAULT_SLOW_RING_CAPACITY`] entries);
-//! overflow past the ring is counted ([`CaptureRing::dropped`]), never
-//! silent.  The knobs are sampled from the environment on first use; the
-//! first two can be overridden at runtime ([`set_enabled`],
-//! [`set_slow_threshold`]) by benches and tests.
+//! `QueryServer::slow_requests` in `dm-server`).  Those rings hold
+//! [`trace::DEFAULT_SLOW_RING_CAPACITY`] entries; overflow past the ring is
+//! counted ([`CaptureRing::dropped`]), never silent.  The two knobs are
+//! sampled from the environment on first use and can be overridden at
+//! runtime ([`set_enabled`], [`set_slow_threshold`]) by benches and tests.
 //!
 //! # Operating the store: the workload-health layer
 //!

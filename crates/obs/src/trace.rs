@@ -143,14 +143,6 @@ pub fn stage_snapshot(stage: Stage) -> HistogramSnapshot {
     stage_histograms()[stage.index()].snapshot()
 }
 
-/// Zeroes every stage histogram (quiescent use — benchmarks isolating a
-/// measurement section).
-pub fn reset_stage_histograms() {
-    for hist in stage_histograms() {
-        hist.clear();
-    }
-}
-
 /// Spans a [`Trace`] can hold before counting overflow instead of recording.
 /// Sized for the pipeline's worst realistic batch: four serial stages plus a
 /// probe + pool event per touched partition group.
@@ -159,23 +151,14 @@ pub const TRACE_EVENT_CAPACITY: usize = 48;
 /// Per-thread ring depth of recent batch summaries.
 pub const RECENT_CAPACITY: usize = 64;
 
-/// Default capacity of a slow-op capture ring when `DM_OBS_SLOW_RING` is
-/// unset.
+/// Capacity of a slow-op capture ring, in entries.
 pub const DEFAULT_SLOW_RING_CAPACITY: usize = 32;
 
-/// Slow-op capture ring capacity: `DM_OBS_SLOW_RING` (entries, minimum 1),
-/// sampled from the environment on first call; default
-/// [`DEFAULT_SLOW_RING_CAPACITY`].  Used by the global slow-batch ring and by
-/// `dm-server`'s per-instance slow-request ring.
+/// Slow-op capture ring capacity ([`DEFAULT_SLOW_RING_CAPACITY`]).  Used by
+/// the global slow-batch ring and by `dm-server`'s per-instance slow-request
+/// ring.
 pub fn slow_ring_capacity() -> usize {
-    static CAPACITY: OnceLock<usize> = OnceLock::new();
-    *CAPACITY.get_or_init(|| {
-        std::env::var("DM_OBS_SLOW_RING")
-            .ok()
-            .and_then(|v| v.trim().parse::<usize>().ok())
-            .map(|n| n.max(1))
-            .unwrap_or(DEFAULT_SLOW_RING_CAPACITY)
-    })
+    DEFAULT_SLOW_RING_CAPACITY
 }
 
 #[derive(Default)]
@@ -469,8 +452,7 @@ impl CaptureRing {
 
     /// Captures evicted to make room since the ring was created: how many
     /// over-threshold operations overflowed past the retained window.  A
-    /// nonzero value means the ring (see `DM_OBS_SLOW_RING`) is too small for
-    /// the slow-op rate.
+    /// nonzero value means the ring is too small for the slow-op rate.
     pub fn dropped(&self) -> u64 {
         self.dropped.load(Ordering::Relaxed)
     }
@@ -521,7 +503,7 @@ pub fn clear_slow_batches() {
 
 /// Slow-batch captures evicted from the global ring since process start —
 /// nonzero means slow batches overflowed the retained window faster than
-/// anyone read them (grow `DM_OBS_SLOW_RING`).
+/// anyone read them.
 pub fn slow_batches_dropped() -> u64 {
     slow_ring().dropped()
 }
@@ -648,13 +630,7 @@ mod tests {
 
     #[test]
     fn slow_ring_capacity_has_a_sane_default() {
-        // The env var is process-global and sampled once; tests only pin the
-        // unset default (set DM_OBS_SLOW_RING to exercise the override).
-        if std::env::var("DM_OBS_SLOW_RING").is_err() {
-            assert_eq!(slow_ring_capacity(), DEFAULT_SLOW_RING_CAPACITY);
-        } else {
-            assert!(slow_ring_capacity() >= 1);
-        }
+        assert_eq!(slow_ring_capacity(), DEFAULT_SLOW_RING_CAPACITY);
     }
 
     #[test]

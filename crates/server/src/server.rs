@@ -897,7 +897,7 @@ impl QueryServer {
             work_cv: Condvar::new(),
             registry: RwLock::new(Registry::default()),
             stats: StatsCells::default(),
-            // Sized by `DM_OBS_SLOW_RING`, like the per-thread batch rings.
+            // Sized like the global slow-batch ring.
             slow: CaptureRing::new(trace::slow_ring_capacity(), 0),
         });
         let dispatcher = if inline {
@@ -1018,8 +1018,8 @@ impl QueryServer {
     /// Captured timelines of requests whose wall time reached the
     /// slow-request threshold ([`ServerConfig::slow_request`], falling back
     /// to the process-wide `DM_OBS_SLOW_MS`), oldest first. The ring is
-    /// bounded ([`dm_obs::trace::slow_ring_capacity`], i.e. `DM_OBS_SLOW_RING`):
-    /// once full, each new capture evicts the oldest.
+    /// bounded ([`dm_obs::trace::slow_ring_capacity`]): once full, each new
+    /// capture evicts the oldest.
     pub fn slow_requests(&self) -> Vec<CapturedTrace> {
         self.shared.slow.snapshot()
     }

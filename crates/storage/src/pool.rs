@@ -174,8 +174,8 @@ struct Entry<V> {
     last_used: u64,
 }
 
-/// The per-entry latch racing readers block on.  Uses `std::sync` directly because
-/// it needs a condvar, which the `parking_lot` shim does not provide.
+/// The per-entry latch racing readers block on: a `std::sync` mutex and
+/// condvar pair.
 #[derive(Debug)]
 struct LoadLatch<V> {
     state: StdMutex<LatchState<V>>,

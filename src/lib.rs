@@ -81,7 +81,7 @@
 //! │                                       an int8 quantized path (vpdpbusd on
 //! │                                       AVX-512-VNNI, sign + vpmaddubsw on
 //! │                                       AVX2), and bit-identical scalar
-//! │                                       fallbacks (DM_NN_KERNEL=scalar)
+//! │                                       fallbacks (CPU detection picks)
 //! ├── crates/compress        dm-compress  lz / lz+huffman / deflate-like / dictionary,
 //! │                                       varint, rle, bitpack, framed format
 //! ├── crates/storage         dm-storage   Row, TupleStore/MutableStore + LookupBuffer,
@@ -118,14 +118,11 @@
 //! ├── crates/data            dm-data      TPC-H / TPC-DS / synthetic / crop
 //! │                                       generators, lookup & modification workloads
 //! ├── crates/baselines       dm-baselines array/hash partitioned stores, DeepSqueeze
-//! ├── crates/bench           dm-bench     harness + fig*/table* bench binaries,
-//! │                                       BENCH_lookup.json throughput report
-//! │                                       (p50/p95/p99, per-op vs aggregate MT
-//! │                                       fields, inference-kernel ns/row,
-//! │                                       health overhead + drift episode),
-//! │                                       warn-only regression gate vs the
-//! │                                       committed baseline
-//! └── crates/shims           offline stand-ins for rand / parking_lot / criterion
+//! ├── crates/bench           dm-bench     the paper's fig*/table* runners and
+//! │                                       their shared helpers (measurement and
+//! │                                       gating live in benchmark/, a workspace
+//! │                                       of its own: see BENCHMARK.json)
+//! └── crates/shims           offline stand-ins for rand / parking_lot
 //!                            (no registry access in the build environment; each
 //!                            implements only the API subset the workspace uses)
 //! ```

@@ -14,10 +14,7 @@
 //!    and closes the moment the "disk" is repaired.  The health advisor sees
 //!    the episode.
 //! 3. An installed-but-disabled injector is functionally free: byte-identical
-//!    answers, zero injected faults, zero retries, zero degraded keys.  (The
-//!    faults-off *throughput* cost on the committed DM-Z B=25000 row is
-//!    watched by `dm-bench`'s regression gate, which compares against the
-//!    committed `BENCH_lookup.json` baseline.)
+//!    answers, zero injected faults, zero retries, zero degraded keys.
 //!
 //! Every plan is seeded: a failure here reproduces exactly, run after run.
 
