@@ -41,13 +41,14 @@
 //!   extract/add plus the AVX2 shuffle sequence computes,
 //! * the int8 path quantizes each input row **once** through one recipe,
 //!   accumulates the integer `Σ qₓ·q_w` exactly, and dequantizes through one
-//!   fixed f32 epilogue.  Its three forms reach that same integer three ways:
+//!   fixed f32 epilogue.  Its four forms reach that same integer four ways:
 //!   the scalar reference is the plain i32 dot product; AVX-512-VNNI runs
 //!   `vpdpbusd` (unsigned × signed bytes) over `qₓ + 128` with each
 //!   accumulator started at the column's `−128·Σ q_w`, so the bias cancels
 //!   exactly — the instruction does not saturate, a transient wrap mod 2³² is
-//!   harmless and the final sum is bounded by `k · 127²`; AVX2 moves the
-//!   input's sign onto the weight (`vpsignb`), multiplies `|qₓ|` by it with
+//!   harmless and the final sum is bounded by `k · 127²`; AMX runs `tdpbusd`,
+//!   which is `vpdpbusd`'s arithmetic on 16 × 16 tiles (see below); AVX2 moves
+//!   the input's sign onto the weight (`vpsignb`), multiplies `|qₓ|` by it with
 //!   `vpmaddubsw` — exact because `|q| ≤ 127` keeps every pair sum
 //!   `≤ 2 · 127² = 32 258 < 2¹⁵`, short of its i16 saturation — and widens
 //!   with `vpmaddwd` against ones,
@@ -58,15 +59,50 @@
 //! bit-identical across kernel selection (guarded by tests here and by the
 //! snapshot round-trip guard in the facade crate).
 //!
+//! ## The AMX form
+//!
+//! The tile unit multiplies a 16-row × 64-byte A tile of unsigned bytes by a
+//! 16-row × 64-byte B tile of signed bytes, four bytes per i32 lane, into a
+//! 16 × 16 tile of non-saturating i32 — 16 `vpdpbusd`s an instruction.  Both
+//! operands are already in memory in that shape: sixteen consecutive rows of a
+//! [`QuantizedRows`] buffer (stride = the row width) are an A tile of
+//! `qₓ + 128`, and consecutive k-quad blocks of one [`QuantizedPanels`] panel
+//! (stride 64) are a B tile, so there is no second copy of either.  `k` is
+//! walked in equal steps of at most 16 quads (`tile_k_steps`: 141 → 36 quads
+//! → 3 steps of 12), C is blocked 2 × 2 (32 rows × 2 panels), stored to a
+//! stack buffer, and finished by the `vpdpbusd` form's own epilogue after
+//! adding the column's `−128·Σ q_w` — integer addition wraps associatively,
+//! so `C + offset` is exactly the accumulator `vpdpbusd` ends with, and the
+//! logits are the same bits.  The form takes a window's whole tiles of rows;
+//! the rows left over run the `vpdpbusd` form, so no tile holds a row the
+//! window does not have.  What a tile reads past the data is owned and
+//! harmless: a K step past a row's last quad reads on into the next row (or,
+//! after the last, into slack the rows buffer owns — the entry point checks
+//! it) and meets zero weight blocks there (each panel's run is padded to
+//! `steps × quads`).
+//!
+//! The intrinsics are unstable, so the six instructions are `asm!`; tile state
+//! needs the OS's permission (`arch_prctl(ARCH_REQ_XCOMP_PERM, XTILEDATA)`,
+//! Linux), asked for once per process on first use — granted, it covers every
+//! thread, those already running included.  A call configures the tiles and
+//! releases them before it returns, so a context switch outside a layer call
+//! saves no tile state.
+//!
 //! ## Selection
 //!
 //! [`Kernel::selected`] picks the vector kernel when the CPU supports AVX2+FMA
 //! (using the AVX-512 forms when the CPU additionally has AVX-512 F/BW/DQ, and
 //! for int8 the `vpdpbusd` form only when it also has AVX-512-VNNI — an
 //! AVX-512 host without it takes the AVX2 int8 form) and the scalar fallback
-//! otherwise; nothing but the CPU decides.  [`with_forced`] overrides the
-//! choice for the calling thread — the hook the bit-identity guard tests use
-//! to exercise both kernels in one process.
+//! otherwise.  On top of `vpdpbusd`, the whole [`AMX_MIN_ROWS`]-row tiles of a
+//! window take the AMX form when the CPU has AMX-TILE + AMX-INT8 and the OS
+//! granted tile state; the rows left over — all of a smaller window — keep
+//! `vpdpbusd`, whose cost does not start at a whole tile.  Nothing but the
+//! CPU, the OS grant and the window's row count decides.  [`with_forced`]
+//! overrides the choice for the calling thread — the hook the bit-identity
+//! guard tests use to exercise the kernels in one process — and
+//! [`with_avx512_disabled`] / [`with_amx_disabled`] step the vector kernel
+//! down a form.
 
 use crate::layer::Activation;
 use crate::tensor::Matrix;
@@ -107,12 +143,18 @@ impl Kernel {
         }
     }
 
-    /// Human-readable kernel name (bench/report output).
+    /// Human-readable kernel name (bench/report output): the f32 form and,
+    /// after it, the int8 form the whole tiles of a window run on the calling
+    /// thread — so a run record or a CI log says which of the four int8 forms
+    /// a green run covered.  `"avx512"` alone is an AVX-512 host without VNNI,
+    /// whose int8 layers take the AVX2 form.
     pub fn name(self) -> &'static str {
         match self {
-            Kernel::Scalar => "scalar",
-            Kernel::Vector if avx512_available() => "avx512",
-            Kernel::Vector => "avx2+fma",
+            Kernel::Vector if amx_enabled() => "avx512+amx",
+            Kernel::Vector if avx512_enabled() && vnni_available() => "avx512-vnni",
+            Kernel::Vector if avx512_enabled() => "avx512",
+            Kernel::Vector if vector_available() => "avx2+fma",
+            _ => "scalar",
         }
     }
 }
@@ -159,15 +201,58 @@ fn vnni_available() -> bool {
     }
 }
 
+/// Whether the AMX form of the int8 forward can run: the CPU has AMX-TILE and
+/// AMX-INT8 with the tile geometry the kernel is written for, and the OS
+/// granted this process tile state.  The grant is asked for once, on the first
+/// call, from whichever thread makes it; it is process-wide.  Always `false`
+/// off x86-64 Linux and under Miri.
+pub fn amx_available() -> bool {
+    #[cfg(all(target_arch = "x86_64", target_os = "linux", not(miri)))]
+    {
+        static GRANTED: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
+        *GRANTED.get_or_init(x86::amx::request_tile_state)
+    }
+    #[cfg(not(all(target_arch = "x86_64", target_os = "linux", not(miri))))]
+    {
+        false
+    }
+}
+
+/// Fewest rows the AMX form takes: one tile's.  It runs a window's whole
+/// 16-row tiles and leaves the rest — all of a smaller window — to the
+/// `vpdpbusd` form, because a tile instruction costs the same for one row as
+/// for sixteen and a call pays `ldtilecfg` + `tilerelease`.  Measured on this
+/// repo's layers (ReLU, best of 25, ns/row, AMX padding a partial tile against
+/// `vpdpbusd`; loud 2-vcore Xeon): 141 × 141 at 4 rows 187 / 169, 8 rows
+/// 166 / 171, 12 rows 123 / 153, 16 rows 104 / 147, 32 rows 78 / 147;
+/// 35 × 64 at 8 rows 47 / 31, 12 rows 38 / 27, 16 rows 32 / 28, 32 rows
+/// 23 / 27.  Over a whole model walk a partial tile of 8–15 rows is a wash
+/// (the big layers gain what the 35-wide ones lose) and under 8 it loses, so
+/// partial tiles are not built: the tiles then never read a row the window
+/// does not have.  A measured constant, not an option — the frozen benchmark
+/// has workloads on both sides of it (`mem_mixed` and `write_mix` walk 96-row
+/// chunks; `serve_model` coalesces 8-key requests and `cold_mixed` predicts
+/// ≈ 34 rows a call).
+pub const AMX_MIN_ROWS: usize = TILE_ROWS;
+
 thread_local! {
     static FORCED: Cell<Option<Kernel>> = const { Cell::new(None) };
     /// See [`with_avx512_disabled`].
     static DISABLE_AVX512: Cell<bool> = const { Cell::new(false) };
+    /// See [`with_amx_disabled`].
+    static DISABLE_AMX: Cell<bool> = const { Cell::new(false) };
 }
 
 /// Whether the vector dispatch should take the AVX-512 forms right now.
 fn avx512_enabled() -> bool {
     !DISABLE_AVX512.with(|c| c.get()) && avx512_available()
+}
+
+/// Whether the int8 dispatch should take the AMX form right now (for the
+/// whole tiles of a window).  The form finishes its tiles with the
+/// `vpdpbusd` form's AVX-512 epilogue, so it goes when AVX-512 is switched off.
+fn amx_enabled() -> bool {
+    !DISABLE_AMX.with(|c| c.get()) && avx512_enabled() && vnni_available() && amx_available()
 }
 
 /// Runs `f` with the calling thread's kernel selection overridden — the test
@@ -188,6 +273,16 @@ pub fn with_avx512_disabled<T>(f: impl FnOnce() -> T) -> T {
     let previous = DISABLE_AVX512.with(|c| c.replace(true));
     let result = f();
     DISABLE_AVX512.with(|c| c.set(previous));
+    result
+}
+
+/// Runs `f` with the AMX form of the int8 forward disabled on the calling
+/// thread, so the `vpdpbusd` form stays guarded on a host that has AMX — the
+/// third test hook, with the same calling-thread scope as [`with_forced`].
+pub fn with_amx_disabled<T>(f: impl FnOnce() -> T) -> T {
+    let previous = DISABLE_AMX.with(|c| c.replace(true));
+    let result = f();
+    DISABLE_AMX.with(|c| c.set(previous));
     result
 }
 
@@ -290,21 +385,31 @@ impl PackedPanels {
 /// weights sits one i32 per column, `−128 · Σₖ q[k][c]`: what the `vpdpbusd`
 /// form starts its accumulators from, because it multiplies by `qₓ + 128`.
 ///
+/// A panel's `kquads` blocks are followed by zero blocks up to `kstride`, the
+/// k-quads the AMX form's equal K steps cover (`tile_k_steps`; none for
+/// `k = 141`, at most one block per step), so `quads` consecutive blocks from
+/// any step's start are a B tile that never runs into the next panel and
+/// meets only zero weights past the last real quad.  One layout for all four
+/// forms: the other three walk `kquads` blocks of a `kstride`-block run.
+///
 /// The layout is derived state — a snapshot stores the row-major int8 weights
 /// and the scales ([`weights_row_major`](Self::weights_row_major),
 /// [`column_scales`](Self::column_scales)) and [`from_parts`](Self::from_parts)
 /// rebuilds the panels — so it can change without touching a stored byte.
 ///
 /// Quantization is part of the store's arithmetic recipe: the same panels
-/// produce bit-identical predictions under the scalar, AVX2 and AVX-512
-/// kernels, so a quantized snapshot serves losslessly on any of them.
+/// produce bit-identical predictions under the scalar, AVX2, `vpdpbusd` and
+/// AMX forms, so a quantized snapshot serves losslessly on any of them.
 #[derive(Debug, Clone, PartialEq)]
 pub struct QuantizedPanels {
     k: usize,
     n: usize,
-    /// `k.div_ceil(4)` — number of 64-byte blocks per panel.
+    /// `k.div_ceil(4)` — number of 64-byte weight blocks per panel.
     kquads: usize,
-    /// `panel_count() * kquads * 64` bytes (see the struct docs for layout).
+    /// Blocks from one panel's start to the next: `kquads` rounded up to
+    /// whole AMX K steps, the extra blocks zero.
+    kstride: usize,
+    /// `panel_count() * kstride * 64` bytes (see the struct docs for layout).
     data: Vec<i8>,
     /// Per-column `−128 · Σₖ q[k][c]`, padded (with zeros) to the panel edge.
     offsets: Vec<i32>,
@@ -317,6 +422,21 @@ pub struct QuantizedPanels {
 
 /// Bytes of one (panel, k-quad) weight block.
 const QBLOCK: usize = 4 * QLANES;
+
+/// Rows of an AMX tile — and k-quads (i32 columns) of one, 16 × 64 bytes.
+const TILE_ROWS: usize = 16;
+
+/// How the AMX form walks `kquads` k-quads: `(steps, quads)`, `steps` K steps
+/// of `quads ≤ 16` quads each.  Equal steps, so one tile shape serves the whole
+/// walk and the padding they need is under one quad per step (36 quads are
+/// 3 × 12, not 16 + 16 + 4 or 3 × 16 with a third of the blocks zero).  Both
+/// operand layouts are sized from this: [`QuantizedPanels`] pads a panel's run
+/// to `steps × quads` blocks, [`QuantizedRows`] owns as many bytes past its
+/// last row's end.
+fn tile_k_steps(kquads: usize) -> (usize, usize) {
+    let steps = kquads.div_ceil(TILE_ROWS).max(1);
+    (steps, kquads.div_ceil(steps))
+}
 
 impl QuantizedPanels {
     /// Quantizes a weight matrix (and its optional `1 × n` bias row) with one
@@ -387,11 +507,13 @@ impl QuantizedPanels {
         }
         let panels = n.div_ceil(QLANES);
         let kquads = k.div_ceil(4);
-        let mut data = vec![0i8; panels * kquads * QBLOCK];
+        let (steps, quads) = tile_k_steps(kquads);
+        let kstride = steps * quads;
+        let mut data = vec![0i8; panels * kstride * QBLOCK];
         let mut offsets = vec![0i32; panels * QLANES];
         for (i, &v) in q.iter().enumerate() {
             let (kk, c) = (i / n, i % n);
-            data[((c / QLANES) * kquads + kk / 4) * QBLOCK + 4 * (c % QLANES) + kk % 4] = v;
+            data[((c / QLANES) * kstride + kk / 4) * QBLOCK + 4 * (c % QLANES) + kk % 4] = v;
             offsets[c] -= 128 * v as i32;
         }
         let mut padded_scales = vec![1.0f32; panels * QLANES];
@@ -404,6 +526,7 @@ impl QuantizedPanels {
             k,
             n,
             kquads,
+            kstride,
             data,
             offsets,
             scales: padded_scales,
@@ -495,7 +618,7 @@ impl QuantizedPanels {
 
     #[inline]
     fn block(&self, p: usize, g: usize) -> &[i8] {
-        &self.data[(p * self.kquads + g) * QBLOCK..][..QBLOCK]
+        &self.data[(p * self.kstride + g) * QBLOCK..][..QBLOCK]
     }
 }
 
@@ -596,11 +719,19 @@ const QROWS_SLACK: usize = 16;
 /// type is a reusable buffer: [`fill`](Self::fill) overwrites it with a new
 /// window and only allocates when the window outgrows it, so a model walk
 /// sizes one for its widest layer and quantizes every layer's input into it.
+///
+/// Rows are `k.div_ceil(4) * 4` bytes apart, which makes any sixteen
+/// consecutive rows an AMX A tile.  The tile form only ever loads whole tiles
+/// of the window's own rows, but its equal K steps can end past a row's last
+/// quad (`tile_k_steps`): into the next row — stale or live bytes against
+/// zero weight blocks — and, after the last row, into bytes the buffer must
+/// own (`tile_span`).  [`fill`](Self::fill) sizes for that;
+/// the AMX entry point checks it and refuses a buffer that falls short.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct QuantizedRows {
     k: usize,
     count: usize,
-    /// At least `count * k.div_ceil(4) * 4 + QROWS_SLACK` bytes, row-major.
+    /// At least `tile_span(count, k) + QROWS_SLACK` bytes, row-major.
     bytes: Vec<u8>,
     /// At least `count` per-row dequantization scales.
     scales: Vec<f32>,
@@ -613,9 +744,18 @@ impl QuantizedRows {
         QuantizedRows {
             k: 0,
             count: 0,
-            bytes: vec![0; rows * k.div_ceil(4) * 4 + QROWS_SLACK],
+            bytes: vec![0; Self::tile_span(rows, k) + QROWS_SLACK],
             scales: vec![0.0; rows],
         }
+    }
+
+    /// Bytes the AMX form's A tiles span over `rows` rows of `k` values: each
+    /// row its padded width, the last one read to the end of the last K step
+    /// (`tile_k_steps`).
+    fn tile_span(rows: usize, k: usize) -> usize {
+        let kquads = k.div_ceil(4);
+        let (steps, quads) = tile_k_steps(kquads);
+        (rows * kquads + steps * quads - kquads) * 4
     }
 
     /// Quantizes `rows` on the calling thread's [`active`] kernel into a
@@ -633,8 +773,9 @@ impl QuantizedRows {
         self.k = rows.k;
         self.count = rows.count;
         let width = rows.k.div_ceil(4) * 4;
-        if self.bytes.len() < rows.count * width + QROWS_SLACK {
-            self.bytes.resize(rows.count * width + QROWS_SLACK, 0);
+        let owned = Self::tile_span(rows.count, rows.k) + QROWS_SLACK;
+        if self.bytes.len() < owned {
+            self.bytes.resize(owned, 0);
         }
         if self.scales.len() < rows.count {
             self.scales.resize(rows.count, 0.0);
@@ -786,8 +927,10 @@ pub fn forward_prequantized(
 
 /// [`forward_prequantized`] with an explicit kernel, into a caller-owned
 /// buffer (see [`forward_packed_into`] for `out` and `ld`).  The one place
-/// the int8 forward picks its form: `vpdpbusd` with AVX-512-VNNI, the
-/// sign-transfer form with AVX2, the scalar dot product otherwise.
+/// the int8 forward picks its form: with AVX-512-VNNI, AMX tiles for the
+/// window's whole [`AMX_MIN_ROWS`]-row tiles where the tile unit is there and
+/// granted and `vpdpbusd` for the rest; the sign-transfer form with AVX2; the
+/// scalar dot product otherwise.
 pub fn forward_prequantized_into(
     kernel: Kernel,
     qrows: &QuantizedRows,
@@ -806,15 +949,59 @@ pub fn forward_prequantized_into(
     }
     check_destination(out, ld, qrows.count, panels.n)?;
     let count = qrows.count;
-    let bytes = &qrows.bytes[..count * panels.kquads * 4];
-    let xscales = &qrows.scales[..count];
+    let (Some(bytes), Some(xscales)) = (
+        qrows.bytes.get(..count * panels.kquads * 4),
+        qrows.scales.get(..count),
+    ) else {
+        return Err(NnError::ShapeMismatch {
+            context: format!(
+                "forward_prequantized: {count} quantized rows of {} values in {} bytes, {} scales",
+                qrows.k,
+                qrows.bytes.len(),
+                qrows.scales.len()
+            ),
+        });
+    };
     match kernel {
         #[cfg(target_arch = "x86_64")]
-        Kernel::Vector if avx512_enabled() && vnni_available() => unsafe {
+        Kernel::Vector if avx512_enabled() && vnni_available() => {
+            // The tile unit takes the window's whole tiles of rows, `vpdpbusd`
+            // what is left — all of a window under `AMX_MIN_ROWS` rows.
+            let tiled = if panels.k > 0 && amx_enabled() {
+                count - count % AMX_MIN_ROWS
+            } else {
+                0
+            };
+            #[cfg(all(target_os = "linux", not(miri)))]
+            if tiled > 0 {
+                // A tile's last K step may read past a row's last quad, into
+                // the next row and, after the last row, into what the buffer
+                // must own past it.  A memory-safety check, like
+                // `check_destination`.
+                let span = QuantizedRows::tile_span(tiled, qrows.k);
+                let Some(tiles) = qrows.bytes.get(..span) else {
+                    return Err(NnError::ShapeMismatch {
+                        context: format!(
+                            "forward_prequantized: the tiles of {tiled} rows of {} values span {span} bytes, the buffer holds {}",
+                            qrows.k,
+                            qrows.bytes.len()
+                        ),
+                    });
+                };
+                let (scales, to) = (&xscales[..tiled], &mut out[..tiled * ld]);
+                // Safety: AVX-512 F/BW/DQ and AMX-TILE/INT8 availability and
+                // the OS grant checked at runtime; `tiled` is whole tiles; the
+                // destination and the tiles' span of the rows were checked
+                // above, and the panels pad every run to whole K steps by
+                // construction.
+                unsafe { x86::amx::forward_quantized(tiles, scales, panels, activation, to, ld) };
+            }
+            let (bytes, xscales) = (&bytes[tiled * panels.kquads * 4..], &xscales[tiled..]);
+            let out = &mut out[tiled * ld..];
             // Safety: AVX-512 F/BW/DQ/VNNI availability checked at runtime;
             // the destination bounds were checked above.
-            x86::forward_quantized_vnni(bytes, xscales, panels, activation, out, ld);
-        },
+            unsafe { x86::forward_quantized_vnni(bytes, xscales, panels, activation, out, ld) };
+        }
         #[cfg(target_arch = "x86_64")]
         Kernel::Vector if vector_available() => unsafe {
             // Safety: AVX2+FMA availability checked at runtime; the
@@ -822,6 +1009,44 @@ pub fn forward_prequantized_into(
             x86::forward_quantized_avx2(bytes, xscales, panels, activation, out, ld);
         },
         _ => forward_quantized_scalar_dispatch(bytes, xscales, panels, activation, out, ld),
+    }
+    Ok(())
+}
+
+/// The class each logit row predicts — [`tensor::argmax`](crate::tensor::argmax)
+/// of every row of `logits`, row `i`'s written to `out[i * stride]` (a model
+/// walk interleaves its heads' predictions, so `stride` is its task count).
+/// The AVX-512 form takes a row's maximum 16 lanes at a time and then the
+/// first lane that equals it, which is the scalar loop's answer on every
+/// input: the lowest index among ties (`0.0` and `-0.0` tie in both), NaNs
+/// never win, and a row with nothing above `-∞` predicts class 0.
+pub fn argmax_rows(
+    kernel: Kernel,
+    logits: RowsView<'_>,
+    out: &mut [u32],
+    stride: usize,
+) -> crate::Result<()> {
+    if logits.count > 0 && (stride == 0 || (logits.count - 1) * stride >= out.len()) {
+        return Err(NnError::ShapeMismatch {
+            context: format!(
+                "argmax_rows: {} predictions {stride} apart in a buffer of {}",
+                logits.count,
+                out.len()
+            ),
+        });
+    }
+    match kernel {
+        #[cfg(target_arch = "x86_64")]
+        Kernel::Vector if avx512_enabled() => unsafe {
+            // Safety: AVX-512 F availability checked at runtime; the
+            // destination was checked above.
+            x86::argmax_rows_avx512(logits, out, stride);
+        },
+        _ => {
+            for i in 0..logits.count {
+                out[i * stride] = crate::tensor::argmax(logits.row(i)) as u32;
+            }
+        }
     }
     Ok(())
 }
@@ -1324,6 +1549,46 @@ mod x86 {
         }
     }
 
+    /// [`crate::tensor::argmax`] 16 lanes at a time: the running maximum
+    /// (`vmaxps` with the loaded lanes as its *first* source returns the
+    /// second, the running one, when a loaded lane is NaN — so NaNs never
+    /// enter it), one reduction, then the first lane equal to it.  Lanes past
+    /// the row's end load as `-∞` and are masked out of the comparison.
+    #[inline(always)]
+    unsafe fn argmax_avx512(row: &[f32]) -> usize {
+        let (n, src) = (row.len(), row.as_ptr());
+        let whole = n / LANES * LANES;
+        let tail = (1u16 << (n - whole)) - 1;
+        let floor = _mm512_set1_ps(f32::NEG_INFINITY);
+        let mut best = _mm512_max_ps(_mm512_mask_loadu_ps(floor, tail, src.add(whole)), floor);
+        for i in (0..whole).step_by(LANES) {
+            best = _mm512_max_ps(_mm512_loadu_ps(src.add(i)), best);
+        }
+        let top = _mm512_reduce_max_ps(best);
+        if top == f32::NEG_INFINITY {
+            // Nothing compares above the scalar loop's starting point.
+            return 0;
+        }
+        let top = _mm512_set1_ps(top);
+        for i in (0..whole).step_by(LANES) {
+            let hit = _mm512_cmp_ps_mask::<_CMP_EQ_OQ>(_mm512_loadu_ps(src.add(i)), top);
+            if hit != 0 {
+                return i + hit.trailing_zeros() as usize;
+            }
+        }
+        let last = _mm512_maskz_loadu_ps(tail, src.add(whole));
+        let hit = _mm512_mask_cmp_ps_mask::<_CMP_EQ_OQ>(tail, last, top);
+        whole + hit.trailing_zeros() as usize
+    }
+
+    /// [`argmax_avx512`] of every row, row `i`'s to `out[i * stride]`.
+    #[target_feature(enable = "avx512f", enable = "avx512bw", enable = "avx512dq")]
+    pub(super) unsafe fn argmax_rows_avx512(rows: RowsView<'_>, out: &mut [u32], stride: usize) {
+        for i in 0..rows.count {
+            out[i * stride] = argmax_avx512(rows.row(i)) as u32;
+        }
+    }
+
     /// Rows per `vpdpbusd` register tile: with [`VNNI_NP`] panels that is
     /// 24 accumulators + 4 weight blocks + 1 broadcast of the 32 zmm
     /// registers, so one weight load serves 6 rows and one input broadcast
@@ -1350,9 +1615,9 @@ mod x86 {
         r: usize,
         p: usize,
     ) {
-        let kquads = panels.kquads;
+        let (kquads, kstride) = (panels.kquads, panels.kstride);
         let x = bytes.as_ptr().add(r * kquads * 4) as *const i32;
-        let w = panels.data.as_ptr().add(p * kquads * QBLOCK);
+        let w = panels.data.as_ptr().add(p * kstride * QBLOCK);
         let mut acc = [[_mm512_setzero_si512(); NP]; MR];
         for j in 0..NP {
             let offset = _mm512_loadu_si512(panels.offsets.as_ptr().add((p + j) * QLANES).cast());
@@ -1362,7 +1627,7 @@ mod x86 {
         }
         for g in 0..kquads {
             let wq: [__m512i; NP] = std::array::from_fn(|j| {
-                _mm512_loadu_si512(w.add((j * kquads + g) * QBLOCK).cast())
+                _mm512_loadu_si512(w.add((j * kstride + g) * QBLOCK).cast())
             });
             for (i, row) in acc.iter_mut().enumerate() {
                 let xq = _mm512_set1_epi32(x.add(i * kquads + g).read_unaligned());
@@ -1374,16 +1639,35 @@ mod x86 {
         for (i, row) in acc.iter().enumerate() {
             let xs = _mm512_set1_ps(xscales[r + i]);
             for (j, &a) in row.iter().enumerate() {
-                let at = (p + j) * QLANES;
-                let m = _mm512_mul_ps(xs, _mm512_loadu_ps(panels.scales.as_ptr().add(at)));
-                let y = _mm512_fmadd_ps(
-                    _mm512_cvtepi32_ps(a),
-                    m,
-                    _mm512_loadu_ps(panels.bias.as_ptr().add(at)),
-                );
-                store_tile512(y, activation, out, (r + i) * ld + at, ld - at);
+                finish_quantized_tile(a, xs, panels, activation, out, ld, r + i, p + j);
             }
         }
+    }
+
+    /// The int8 epilogue of the AVX-512 forms (`vpdpbusd` and AMX): one row's
+    /// 16 exact integer sums for panel `p` to
+    /// `act(fmadd(cvt(acc), x_scale · w_scale, bias))`, stored at that panel's
+    /// columns of output row `row`.
+    #[inline(always)]
+    #[allow(clippy::too_many_arguments)]
+    unsafe fn finish_quantized_tile(
+        acc: __m512i,
+        xscale: __m512,
+        panels: &QuantizedPanels,
+        activation: Activation,
+        out: &mut [f32],
+        ld: usize,
+        row: usize,
+        p: usize,
+    ) {
+        let at = p * QLANES;
+        let m = _mm512_mul_ps(xscale, _mm512_loadu_ps(panels.scales.as_ptr().add(at)));
+        let y = _mm512_fmadd_ps(
+            _mm512_cvtepi32_ps(acc),
+            m,
+            _mm512_loadu_ps(panels.bias.as_ptr().add(at)),
+        );
+        store_tile512(y, activation, out, row * ld + at, ld - at);
     }
 
     /// All panels of rows `r..r+MR`, [`VNNI_NP`] at a time.
@@ -1444,6 +1728,247 @@ mod x86 {
         }
     }
 
+    /// The AMX form of the int8 forward, and asking the OS for the tile state
+    /// it needs.  Linux only (the grant is a Linux system call) and compiled
+    /// out under Miri (`asm!`).
+    #[cfg(all(target_os = "linux", not(miri)))]
+    pub(super) mod amx {
+        use super::super::{
+            tile_k_steps, QuantizedPanels, QuantizedRows, QBLOCK, QLANES, TILE_ROWS,
+        };
+        use super::finish_quantized_tile;
+        use crate::layer::Activation;
+        use std::arch::asm;
+        use std::arch::x86_64::*;
+
+        /// Whether this CPU has AMX-TILE and AMX-INT8 with palette 1 as the
+        /// kernel assumes it (eight 16-row × 64-byte tiles) and the kernel
+        /// grants the process `XTILEDATA`.  The request is idempotent and
+        /// process-wide: threads that exist already may use tiles afterwards.
+        pub(in crate::kernel) fn request_tile_state() -> bool {
+            const AMX_TILE: u32 = 1 << 24;
+            const AMX_INT8: u32 = 1 << 25;
+            const PALETTE_LEAF: u32 = 0x1D;
+            // (`__cpuid*` are `unsafe` on older toolchains only.)
+            #[allow(unused_unsafe)]
+            let (features, palette) = unsafe {
+                if __cpuid(0).eax < PALETTE_LEAF {
+                    return false;
+                }
+                (__cpuid_count(7, 0).edx, __cpuid_count(PALETTE_LEAF, 1))
+            };
+            if features & AMX_TILE == 0 || features & AMX_INT8 == 0 {
+                return false;
+            }
+            let (tile_bytes, row_bytes) = (palette.eax >> 16, palette.ebx & 0xFFFF);
+            let (tiles, rows) = (palette.ebx >> 16, palette.ecx & 0xFFFF);
+            if (tile_bytes, row_bytes, tiles, rows) != (1024, 64, 8, TILE_ROWS as u32) {
+                return false;
+            }
+            const SYS_ARCH_PRCTL: i64 = 158;
+            const ARCH_REQ_XCOMP_PERM: u64 = 0x1023;
+            const XFEATURE_XTILEDATA: u64 = 18;
+            let status: i64;
+            // SAFETY: `arch_prctl(ARCH_REQ_XCOMP_PERM, XTILEDATA)` takes two
+            // integers and touches no memory of ours; `syscall` clobbers rcx
+            // and r11, declared.  On a kernel without the call it returns an
+            // error, which reads as "not granted".
+            unsafe {
+                asm!(
+                    "syscall",
+                    inlateout("rax") SYS_ARCH_PRCTL => status,
+                    in("rdi") ARCH_REQ_XCOMP_PERM,
+                    in("rsi") XFEATURE_XTILEDATA,
+                    lateout("rcx") _,
+                    lateout("r11") _,
+                    options(nostack),
+                );
+            }
+            status == 0
+        }
+
+        /// `asm!` that touches tile state: every block declares all eight tile
+        /// registers clobbered (they are a clobber-only register class).
+        macro_rules! tile_asm {
+            ($($body:tt)*) => {
+                asm!(
+                    $($body)*
+                    out("tmm0") _, out("tmm1") _, out("tmm2") _, out("tmm3") _,
+                    out("tmm4") _, out("tmm5") _, out("tmm6") _, out("tmm7") _,
+                )
+            };
+        }
+
+        /// The 64-byte `ldtilecfg` operand: palette 1, then each tile's bytes
+        /// per row and rows.
+        #[repr(C, align(64))]
+        struct TileConfig {
+            palette: u8,
+            start_row: u8,
+            reserved: [u8; 14],
+            colsb: [u16; 16],
+            rows: [u8; 16],
+        }
+
+        /// The four C tiles of one block as `tilestored` leaves them: tile
+        /// `2·i + j` (row tile `i`, panel `j`) is 16 rows of 16 i32.
+        #[repr(C, align(64))]
+        struct CTiles([i32; 4 * TILE_ROWS * QLANES]);
+
+        /// Tiles stay configured while this lives; `tilerelease` on the way
+        /// out — a panic included — so no thread carries live tile state (which
+        /// every context switch would have to save) out of a layer call.
+        struct Configured;
+
+        impl Configured {
+            /// # Safety
+            /// AMX-TILE must be available and tile state granted.
+            unsafe fn load(config: &TileConfig) -> Self {
+                tile_asm!(
+                    "ldtilecfg [{config}]",
+                    config = in(reg) config as *const TileConfig,
+                    options(nostack, readonly, preserves_flags),
+                );
+                Configured
+            }
+        }
+
+        impl Drop for Configured {
+            fn drop(&mut self) {
+                // SAFETY: a `Configured` exists only where `load` ran.
+                unsafe {
+                    tile_asm!("tilerelease", options(nostack, nomem, preserves_flags),);
+                }
+            }
+        }
+
+        /// Int8 forward, AMX form, over whole tiles of rows.  Row blocks of two
+        /// A tiles (32 rows) against panel pairs (two B tiles) into four C
+        /// tiles — each loaded tile feeds two `tdpbusd` — with the K walk of
+        /// one block in a single `asm!` block; a last block of one row tile
+        /// skips the second, an odd last panel the second column tile.  The C
+        /// tiles go to the stack and through [`finish_quantized_tile`].
+        ///
+        /// `tiles` is the rows buffer out to everything the A tiles span: the
+        /// `xscales.len()` rows, `panels.kquads * 4` bytes each, plus the K
+        /// steps' overhang past the last (asserted).
+        ///
+        /// # Safety
+        /// AVX-512 F/BW/DQ and AMX-TILE/INT8 must be available, tile state
+        /// granted, `xscales.len()` a multiple of 16, and `out` must hold that
+        /// many rows `ld ≥ panels.n` apart.
+        #[target_feature(enable = "avx512f", enable = "avx512bw", enable = "avx512dq")]
+        pub(in crate::kernel) unsafe fn forward_quantized(
+            tiles: &[u8],
+            xscales: &[f32],
+            panels: &QuantizedPanels,
+            activation: Activation,
+            out: &mut [f32],
+            ld: usize,
+        ) {
+            let count = xscales.len();
+            let width = panels.kquads * 4;
+            let (steps, quads) = tile_k_steps(panels.kquads);
+            assert!(quads > 0 && steps * quads == panels.kstride, "panels pad to whole K steps");
+            assert!(
+                count.is_multiple_of(TILE_ROWS)
+                    && tiles.len() >= QuantizedRows::tile_span(count, panels.k),
+                "whole tiles of rows, in a buffer that owns every byte they span"
+            );
+            // C: 16 rows × 16 i32.  A: 16 rows × `quads` quads of input bytes.
+            // B: `quads` blocks × 64 bytes of weights.
+            let mut config = TileConfig {
+                palette: 1,
+                start_row: 0,
+                reserved: [0; 14],
+                colsb: [0; 16],
+                rows: [0; 16],
+            };
+            for tile in 0..8 {
+                let (rows, colsb) = match tile {
+                    0..=3 => (TILE_ROWS, QBLOCK),
+                    4 | 5 => (TILE_ROWS, quads * 4),
+                    _ => (quads, QBLOCK),
+                };
+                (config.rows[tile], config.colsb[tile]) = (rows as u8, colsb as u16);
+            }
+            let mut c = CTiles([0; 4 * TILE_ROWS * QLANES]);
+            let np = panels.panel_count();
+            let _configured = Configured::load(&config);
+            for r in (0..count).step_by(2 * TILE_ROWS) {
+                let rows = (count - r).min(2 * TILE_ROWS);
+                let a0 = tiles.as_ptr().add(r * width);
+                for p in (0..np).step_by(2) {
+                    let pair = p + 1 < np;
+                    let b0 = panels.data.as_ptr().add(p * panels.kstride * QBLOCK);
+                    // Bit 0: a second panel; bit 1: a second row tile.
+                    let shape = pair as u32 | ((rows > TILE_ROWS) as u32) << 1;
+                    // The second tiles' addresses are only formed, never
+                    // loaded from, where `shape` leaves them out.
+                    tile_asm!(
+                        "tilezero tmm0",
+                        "tilezero tmm1",
+                        "tilezero tmm2",
+                        "tilezero tmm3",
+                        "2:",
+                        "tileloadd tmm4, [{a0} + {lda}*1]",
+                        "tileloadd tmm6, [{b0} + {ldb}*1]",
+                        "tdpbusd tmm0, tmm4, tmm6",
+                        "test {shape:e}, 1",
+                        "jz 3f",
+                        "tileloadd tmm7, [{b1} + {ldb}*1]",
+                        "tdpbusd tmm1, tmm4, tmm7",
+                        "3:",
+                        "test {shape:e}, 2",
+                        "jz 4f",
+                        "tileloadd tmm5, [{a1} + {lda}*1]",
+                        "tdpbusd tmm2, tmm5, tmm6",
+                        "test {shape:e}, 1",
+                        "jz 4f",
+                        "tdpbusd tmm3, tmm5, tmm7",
+                        "4:",
+                        "add {a0}, {astep}",
+                        "add {a1}, {astep}",
+                        "add {b0}, {bstep}",
+                        "add {b1}, {bstep}",
+                        "dec {steps}",
+                        "jnz 2b",
+                        "tilestored [{c} + {ldb}*1], tmm0",
+                        "tilestored [{c} + {ldb}*1 + 1024], tmm1",
+                        "tilestored [{c} + {ldb}*1 + 2048], tmm2",
+                        "tilestored [{c} + {ldb}*1 + 3072], tmm3",
+                        a0 = inout(reg) a0 => _,
+                        a1 = inout(reg) a0.wrapping_add(TILE_ROWS * width) => _,
+                        b0 = inout(reg) b0 => _,
+                        b1 = inout(reg) b0.wrapping_add(panels.kstride * QBLOCK) => _,
+                        lda = in(reg) width,
+                        ldb = in(reg) QBLOCK,
+                        astep = in(reg) quads * 4,
+                        bstep = in(reg) quads * QBLOCK,
+                        steps = inout(reg) steps => _,
+                        shape = in(reg) shape,
+                        c = in(reg) c.0.as_mut_ptr(),
+                        options(nostack),
+                    );
+                    for i in 0..rows {
+                        let xs = _mm512_set1_ps(xscales[r + i]);
+                        for j in 0..1 + pair as usize {
+                            let tile = 2 * (i / TILE_ROWS) + j;
+                            let sums = c.0.as_ptr().add((tile * TILE_ROWS + i % TILE_ROWS) * QLANES);
+                            let offset = panels.offsets.as_ptr().add((p + j) * QLANES);
+                            let acc = _mm512_add_epi32(
+                                _mm512_load_si512(sums.cast()),
+                                _mm512_loadu_si512(offset.cast()),
+                            );
+                            let (row, panel) = (r + i, p + j);
+                            finish_quantized_tile(acc, xs, panels, activation, out, ld, row, panel);
+                        }
+                    }
+                }
+            }
+        }
+    }
+
     /// One panel of rows `r..r+MR` in the AVX2 form, the 64-byte weight block
     /// as two 8-column halves.  Per row and quad: un-bias the four input
     /// bytes (`⊕ 0x80`), split them into `|qₓ|` (`vpabsb`) and a sign that
@@ -1464,7 +1989,7 @@ mod x86 {
     ) {
         let kquads = panels.kquads;
         let x = bytes.as_ptr().add(r * kquads * 4) as *const i32;
-        let w = panels.data.as_ptr().add(p * kquads * QBLOCK);
+        let w = panels.data.as_ptr().add(p * panels.kstride * QBLOCK);
         let unbias = _mm256_set1_epi8(-128);
         let ones = _mm256_set1_epi16(1);
         let mut lo = [_mm256_setzero_si256(); MR];
@@ -2035,12 +2560,18 @@ pub(crate) mod tests {
     }
 
     /// Runs `f` with the calling thread forced onto each kernel form this
-    /// machine has — the scalar reference, the vector kernel as selected
-    /// (`vpdpbusd` for int8 on an AVX-512-VNNI host) and the vector kernel with
-    /// AVX-512 off (the AVX2 forms) — passing the form's name.
+    /// machine has — the scalar reference, the vector kernel as selected (for
+    /// int8, AMX tiles where granted), the vector kernel with AMX off
+    /// (`vpdpbusd` on an AVX-512-VNNI host) and with AVX-512 off (the AVX2
+    /// forms) — passing the form's name.  A host without AMX says so: its
+    /// "vector" leg is the `vpdpbusd` one again, not a tile run.
     pub(crate) fn under_each_form(mut f: impl FnMut(&str)) {
         with_forced(Kernel::Scalar, || f("scalar"));
-        with_forced(Kernel::Vector, || f("vector"));
+        if !amx_available() {
+            eprintln!("AMX not granted — skipped: the int8 tile form did not run");
+        }
+        with_forced(Kernel::Vector, || f(Kernel::Vector.name()));
+        with_forced(Kernel::Vector, || with_amx_disabled(|| f("vector without AMX")));
         with_forced(Kernel::Vector, || with_avx512_disabled(|| f("vector without AVX-512")));
     }
 
@@ -2081,18 +2612,20 @@ pub(crate) mod tests {
         }
     }
 
-    /// The three int8 forms produce the same logit bits on the shapes and row
+    /// The four int8 forms produce the same logit bits on the shapes and row
     /// counts that matter: the benchmark model's dimensions (38, 141, 35 in;
-    /// 35, the fused 175 out) beside the degenerate ones, and row counts on
-    /// both sides of the row tile (6) and of a 256-row window.
+    /// 35, 141, the fused 175 out) beside the degenerate ones and both sides
+    /// of one AMX K step (16 quads = 64 values); row counts on both sides of
+    /// the `vpdpbusd` row tile (6), of one and two AMX row tiles (16, 32), of a
+    /// chunk (96) and of a 256-row window.
     #[test]
     fn quantized_forms_are_bit_identical_across_shapes_and_row_counts() {
-        for &k in &[1usize, 2, 3, 5, 35, 38, 141] {
-            for &n in &[1usize, 4, 13, 16, 35, 175] {
+        for &k in &[1usize, 2, 3, 5, 35, 38, 63, 64, 65, 141] {
+            for &n in &[1usize, 4, 13, 16, 35, 141, 175] {
                 let w = fill(k, n, 52);
                 let b = fill(1, n, 53);
                 let panels = QuantizedPanels::quantize(&w, Some(&b)).unwrap();
-                for &m in &[1usize, 5, 6, 7, 255, 256, 257] {
+                for &m in &[1usize, 5, 6, 7, 8, 15, 16, 17, 31, 32, 33, 95, 96, 97, 255, 256, 257] {
                     let x = fill_with_zero_rows(m, k, 51);
                     let mut reference = None;
                     under_each_form(|form| {
@@ -2107,20 +2640,24 @@ pub(crate) mod tests {
     }
 
     /// Row windows (chunking), a padded leading dimension and a reused
-    /// [`QuantizedRows`] buffer cannot change any row.
+    /// [`QuantizedRows`] buffer cannot change any row.  65 values are 17
+    /// k-quads — two AMX K steps of 9, so the tiles' last step overhangs every
+    /// row into the next one's bytes, live or stale — and windows of up to 35
+    /// rows are none, one or two row tiles with and without a `vpdpbusd` tail.
     #[test]
     fn quantized_forward_is_window_and_destination_invariant() {
-        let x = fill_with_zero_rows(13, 33, 51);
-        let w = fill(33, 37, 52);
+        const ROWS: usize = 35;
+        let x = fill_with_zero_rows(ROWS, 65, 51);
+        let w = fill(65, 37, 52);
         let b = fill(1, 37, 53);
         let panels = QuantizedPanels::quantize(&w, Some(&b)).unwrap();
-        let full = forward_quantized(&x, 0, 13, &panels, Activation::Relu).unwrap();
+        let full = forward_quantized(&x, 0, ROWS, &panels, Activation::Relu).unwrap();
         // One buffer for every window, largest first, so later windows run
         // over stale bytes of earlier ones.
-        let mut qrows = QuantizedRows::with_capacity(13, 33);
+        let mut qrows = QuantizedRows::with_capacity(ROWS, 65);
         under_each_form(|form| {
-            for start in 0..13 {
-                for count in (0..=(13 - start)).rev() {
+            for start in 0..ROWS {
+                for count in (0..=(ROWS - start)).rev() {
                     let rows = RowsView::of_matrix(&x, start, count).unwrap();
                     let ld = 48;
                     let mut out = vec![f32::NAN; count * ld];
@@ -2142,24 +2679,139 @@ pub(crate) mod tests {
                 }
             }
         });
-        assert!(forward_quantized(&x, 12, 3, &panels, Activation::Relu).is_err());
+        assert!(forward_quantized(&x, ROWS - 1, 3, &panels, Activation::Relu).is_err());
         let wrong_k = fill(4, 8, 1);
         assert!(forward_quantized(&wrong_k, 0, 4, &panels, Activation::Relu).is_err());
         // A destination too small for its rows, or a leading dimension short of
-        // the columns, is an error, not an out-of-bounds store.
-        let rows = RowsView::of_matrix(&x, 0, 13).unwrap();
-        for (len, ld) in [(13 * 48 - 1, 48), (13 * 36, 36)] {
-            let mut out = vec![0.0; len];
-            let result = forward_quantized_into(
-                active(),
-                rows,
-                &mut qrows,
-                &panels,
-                Activation::Relu,
-                &mut out,
-                ld,
-            );
-            assert!(result.is_err(), "len {len} ld {ld}");
+        // the columns, is an error, not an out-of-bounds store — under every
+        // form, the one that stores whole C tiles included.
+        let rows = RowsView::of_matrix(&x, 0, ROWS).unwrap();
+        under_each_form(|form| {
+            for (len, ld) in [(ROWS * 48 - 1, 48), (ROWS * 36, 36)] {
+                let mut out = vec![0.0; len];
+                let result = forward_quantized_into(
+                    active(),
+                    rows,
+                    &mut qrows,
+                    &panels,
+                    Activation::Relu,
+                    &mut out,
+                    ld,
+                );
+                assert!(result.is_err(), "{form} len {len} ld {ld}");
+            }
+        });
+    }
+
+    /// A rows buffer that does not own what a form reads is an error, not a
+    /// read past it: every form needs the window's own bytes, the AMX form
+    /// also its last K step's overhang past the last row (65 values: 17
+    /// k-quads walked as 2 × 9) when the window ends on a whole tile.
+    #[test]
+    fn a_rows_buffer_short_of_what_a_form_reads_is_an_error() {
+        let (count, k) = (2 * TILE_ROWS, 65usize);
+        let x = fill_with_zero_rows(count, k, 91);
+        let panels = QuantizedPanels::quantize(&fill(k, 20, 92), None).unwrap();
+        let whole = QuantizedRows::quantize(RowsView::of_matrix(&x, 0, count).unwrap());
+        let expected = forward_prequantized(&whole, &panels, Activation::Relu).unwrap();
+        let window = count * k.div_ceil(4) * 4;
+        assert_eq!(QuantizedRows::tile_span(count, k), window + 4);
+        let truncated = |len: usize| QuantizedRows {
+            bytes: whole.bytes[..len].to_vec(),
+            ..whole.clone()
+        };
+        under_each_form(|form| {
+            let run = |qrows: &QuantizedRows| {
+                let mut out = vec![f32::NAN; count * 32];
+                forward_prequantized_into(active(), qrows, &panels, Activation::Relu, &mut out, 32)
+                    .map(|()| out)
+            };
+            assert!(run(&truncated(window - 1)).is_err(), "{form}: short of the window");
+            // The window's own bytes and no more: enough for every form but
+            // the tiles, which must refuse it rather than read on.
+            let tiles = form == "avx512+amx";
+            assert_eq!(run(&truncated(window)).is_err(), tiles, "{form}: short of the tiles");
+            let out = run(&truncated(window + 4)).unwrap();
+            for r in 0..count {
+                assert_eq!(&out[r * 32..][..20], expected.row(r), "{form} row {r}");
+            }
+            let short_scales = QuantizedRows {
+                scales: whole.scales[..count - 1].to_vec(),
+                ..whole.clone()
+            };
+            assert!(run(&short_scales).is_err(), "{form}: short of the scales");
+        });
+    }
+
+    /// Where the panels end and what pads them: every panel's run is whole
+    /// AMX K steps, the blocks past its last real quad zero, and the steps
+    /// waste less than a quad each.
+    #[test]
+    fn panels_pad_each_run_to_whole_tile_steps_with_zero_blocks() {
+        assert_eq!(tile_k_steps(36), (3, 12)); // k = 141
+        assert_eq!(tile_k_steps(10), (1, 10)); // k = 38
+        assert_eq!(tile_k_steps(16), (1, 16));
+        assert_eq!(tile_k_steps(17), (2, 9));
+        assert_eq!(tile_k_steps(0), (1, 0));
+        for kquads in 1..200 {
+            let (steps, quads) = tile_k_steps(kquads);
+            assert!((1..=TILE_ROWS).contains(&quads), "{kquads}");
+            assert!((kquads..kquads + steps).contains(&(steps * quads)), "{kquads}");
+        }
+        let panels = QuantizedPanels::quantize(&fill(65, 37, 7), None).unwrap();
+        assert_eq!((panels.kquads, panels.kstride), (17, 18));
+        assert_eq!(panels.data.len(), 3 * 18 * QBLOCK);
+        for p in 0..3 {
+            assert!(panels.block(p, 17).iter().all(|&q| q == 0), "panel {p}");
+        }
+    }
+
+    /// The vector `argmax` is the scalar one on every input: ties go to the
+    /// lowest index (signed zeros tie), NaNs never win, and a row with nothing
+    /// above `-∞` predicts class 0 — at widths on both sides of one and of
+    /// four 16-lane loads, read from a padded leading dimension and written
+    /// with a stride.
+    #[test]
+    fn vector_argmax_is_the_scalar_argmax() {
+        // (name, value at index `i` of an `n`-wide row)
+        type Pattern = (&'static str, fn(usize, usize) -> f32);
+        let patterns: [Pattern; 8] = [
+            ("pseudo-random", |n, i| ((i * 37 + n * 11) % 23) as f32 - 11.5),
+            ("all equal", |_, _| 0.25),
+            ("ties, best last", |n, i| if i + 2 >= n { 3.0 } else { (i % 3) as f32 }),
+            ("signed zeros", |_, i| if i % 2 == 0 { -0.0 } else { 0.0 }),
+            ("zeros then negative zero", |_, i| if i == 0 { 0.0 } else { -0.0 }),
+            ("NaN first", |_, i| if i == 0 { f32::NAN } else { -(i as f32) }),
+            ("NaN and nothing above -inf", |_, i| {
+                [f32::NAN, f32::NEG_INFINITY][i % 2]
+            }),
+            ("descending from +inf", |_, i| if i == 0 { f32::INFINITY } else { -(i as f32) }),
+        ];
+        for &n in &[1usize, 4, 15, 16, 17, 64, 65, 100] {
+            let ld = n + 3;
+            let rows = patterns.len() * 2;
+            let mut data = vec![f32::INFINITY; rows * ld];
+            for (r, (_, pattern)) in patterns.iter().enumerate() {
+                for i in 0..n {
+                    data[r * ld + i] = pattern(n, i);
+                    // The same row with its best value moved to the last lane.
+                    data[(patterns.len() + r) * ld + i] = pattern(n, (i + 1) % n);
+                }
+            }
+            let logits = RowsView::new(&data, ld, rows, n).unwrap();
+            let expected: Vec<u32> =
+                (0..rows).map(|r| crate::tensor::argmax(logits.row(r)) as u32).collect();
+            under_each_form(|form| {
+                let mut out = vec![u32::MAX; rows * 3];
+                argmax_rows(active(), logits, &mut out[1..], 3).unwrap();
+                for r in 0..rows {
+                    let name = patterns[r % patterns.len()].0;
+                    assert_eq!(out[1 + r * 3], expected[r], "{form} n={n} {name} (row {r})");
+                    assert_eq!((out[r * 3], out[r * 3 + 2]), (u32::MAX, u32::MAX), "{form} stride");
+                }
+                assert!(argmax_rows(active(), logits, &mut out[..(rows - 1) * 3], 3).is_err());
+                assert!(argmax_rows(active(), logits, &mut out, 0).is_err());
+            });
         }
     }
 
@@ -2276,7 +2928,26 @@ pub(crate) mod tests {
             assert_eq!(active(), Kernel::Scalar);
         });
         assert_eq!(active(), outside);
-        assert!(!Kernel::Scalar.name().is_empty());
-        assert!(!Kernel::Vector.name().is_empty());
+    }
+
+    /// The name says which int8 form runs — and this test prints it for every
+    /// hook, so a CI log shows what the machine under it covered.
+    #[test]
+    fn kernel_name_names_the_int8_form_that_runs() {
+        assert_eq!(Kernel::Scalar.name(), "scalar");
+        let forms = [
+            ("selected", Kernel::Vector.name()),
+            ("without AMX", with_amx_disabled(|| Kernel::Vector.name())),
+            ("without AVX-512", with_avx512_disabled(|| Kernel::Vector.name())),
+        ];
+        println!("dm-nn kernel forms: {forms:?}; AMX granted: {}", amx_available());
+        let expected = match (vector_available(), avx512_available(), vnni_available()) {
+            (false, ..) => ["scalar"; 3],
+            (true, false, _) => ["avx2+fma"; 3],
+            (true, true, false) => ["avx512", "avx512", "avx2+fma"],
+            (true, true, true) if amx_available() => ["avx512+amx", "avx512-vnni", "avx2+fma"],
+            (true, true, true) => ["avx512-vnni", "avx512-vnni", "avx2+fma"],
+        };
+        assert_eq!(forms.map(|(_, name)| name), expected);
     }
 }

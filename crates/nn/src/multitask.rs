@@ -11,7 +11,7 @@ use crate::kernel::{self, QuantizedPanels, QuantizedRows, RowsView, LANES};
 use crate::layer::{Activation, Dense};
 use crate::loss::{accuracy, softmax_cross_entropy};
 use crate::optimizer::Optimizer;
-use crate::tensor::{argmax, Matrix};
+use crate::tensor::Matrix;
 use dm_exec::ThreadPool;
 use rand::Rng;
 use std::sync::Mutex;
@@ -27,7 +27,7 @@ pub const PARALLEL_ROW_CROSSOVER: usize = 256;
 /// cache-resident however large the batch — and keeps the working memory a
 /// pool task allocates for its row window small.
 ///
-/// Retuned against the `vpdpbusd` kernels with a chunk sweep over the serial
+/// Tuned against the `vpdpbusd` kernels with a chunk sweep over the serial
 /// walk (trained DM-Z network, 25 k-row batch, best-of-7 serial
 /// ns/row, two runs on a loud host): 24 → 533 / 546, 48 → 511 / 526,
 /// 96 → 510 / 532, 192 → 521 / 522, 256 → 597 / 541, 512 → 524 / 560,
@@ -38,8 +38,18 @@ pub const PARALLEL_ROW_CROSSOVER: usize = 256;
 /// 38 → 141 → 141 → 5 × (35 → c) model ran at 662–667 ns/row with 256-row
 /// chunks, 464 with 192, 361–434 with 96 and 346 with 48 (scratch harness,
 /// median of ten rounds each).  96 is sixteen whole 6-row register tiles of
-/// the `vpdpbusd` form.  When the kernels change, rerun the sweep from a
-/// scratch harness and judge it on `mem_mixed`'s `nn.forward_ns_per_key`.
+/// the `vpdpbusd` form and three whole 32-row blocks of the AMX one.
+///
+/// Re-checked with the AMX form in place (PR 18; quantized benchmark-shape
+/// model, serial walk, best of 6 × 20, ns/row at 2 445 / 25 000 rows, two
+/// rounds, same loud host; the `vpdpbusd` walk beside it moved 590–820 across
+/// the same cells, so read ± 60): 32 → 496 / 543 and 649 / 688, 48 → 615 / 702
+/// and 621 / 664, 64 → 532 / 556 and 616 / 501, 96 → 518 / 538 and 455 / 492,
+/// 128 → 514 / 470 and 507 / 456, 192 → 461 / 450 and 576 / 482, 256 →
+/// 531 / 437 and 550 / 453, 512 → 512 / 453 and 506 / 465 — worse under 64,
+/// flat from 96 to 512, so the parallel path's preference for small chunks
+/// still decides and 96 stays.  When the kernels change, rerun the sweep from
+/// a scratch harness and judge it on `mem_mixed`'s `nn.forward_ns_per_key`.
 pub const CACHE_CHUNK_ROWS: usize = 96;
 
 /// Specification of one private head: hidden widths plus the number of output classes
@@ -371,18 +381,26 @@ impl MultiTaskModel {
             .div_ceil(exec.threads() * 2)
             .max(PARALLEL_ROW_CROSSOVER / 2);
         let first_error: Mutex<Option<crate::NnError>> = Mutex::new(None);
+        let walk = |wi: usize, window: &mut [u32]| {
+            let start = wi * window_rows;
+            if let Err(err) = self.forward_window(x, start, CACHE_CHUNK_ROWS, window) {
+                let mut slot = first_error.lock().unwrap_or_else(|e| e.into_inner());
+                if slot.is_none() {
+                    *slot = Some(err);
+                }
+            }
+        };
+        // The caller runs: it hands the pool every window but the first and
+        // walks that one itself, instead of parking until the workers are done.
         exec.scope(|s| {
-            for (wi, window) in out.chunks_mut(window_rows * tasks).enumerate() {
-                let first_error = &first_error;
-                s.spawn(move || {
-                    let start = wi * window_rows;
-                    if let Err(err) = self.forward_window(x, start, CACHE_CHUNK_ROWS, window) {
-                        let mut slot = first_error.lock().unwrap_or_else(|e| e.into_inner());
-                        if slot.is_none() {
-                            *slot = Some(err);
-                        }
-                    }
-                });
+            let mut windows = out.chunks_mut(window_rows * tasks).enumerate();
+            let own = windows.next();
+            for (wi, window) in windows {
+                let walk = &walk;
+                s.spawn(move || walk(wi, window));
+            }
+            if let Some((wi, window)) = own {
+                walk(wi, window);
             }
         });
         if let Some(err) = first_error.into_inner().unwrap_or_else(|e| e.into_inner()) {
@@ -491,9 +509,7 @@ impl MultiTaskModel {
             }
             let at = at.expect("heads have an output layer");
             let logits = WalkScratch::view(&scratch.regions, at, count)?;
-            for row in 0..count {
-                out[row * tasks + task] = argmax(logits.row(row)) as u32;
-            }
+            kernel::argmax_rows(kernel::active(), logits, &mut out[task..], tasks)?;
         }
         Ok(())
     }
@@ -839,7 +855,8 @@ mod tests {
     }
 
     /// The chunked parallel inference path must agree bit-for-bit with the serial
-    /// single-pass path, both above and below the crossover threshold.
+    /// single-pass path, both above and below the crossover threshold — and the
+    /// caller walks one window of every parallel batch itself.
     #[test]
     fn parallel_flat_inference_matches_serial() {
         let mut rng = StdRng::seed_from_u64(9);
@@ -865,8 +882,9 @@ mod tests {
             assert_eq!(expected, got, "rows={rows}");
             assert_eq!(got.len(), rows * 2);
         }
-        // The big batch really did fan out.
-        assert!(parallel.stats().tasks_executed >= 2);
+        // The two batches at or past the crossover fanned out — 2 and 8 windows
+        // of 128 rows — and the pool ran all but the one the caller took.
+        assert_eq!(parallel.stats().tasks_executed, (2 - 1) + (8 - 1));
     }
 
     /// The scalar and vector kernels must produce bit-identical predictions at
