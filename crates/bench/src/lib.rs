@@ -303,32 +303,6 @@ pub mod report {
     pub fn ratio_cell(ratio: f64) -> String {
         format!("{:.3}", ratio)
     }
-
-    /// One-line wall-vs-phase-sum report, keeping the two time meanings apart:
-    /// `wall_nanos` is measured on the caller thread around the whole batch,
-    /// while the phase sum adds CPU time across all pool tasks and can exceed
-    /// wall under parallelism.
-    pub fn wall_vs_phases_line(snapshot: &dm_storage::LatencyBreakdown) -> String {
-        format!(
-            "time: {:.2} ms wall / {:.2} ms phase-sum (CPU across tasks; > wall means parallel overlap)",
-            snapshot.wall_nanos as f64 / 1e6,
-            snapshot.total().as_secs_f64() * 1e3,
-        )
-    }
-
-    /// One-line buffer-pool / runtime observability summary for a measured system,
-    /// from its metrics snapshot.
-    pub fn pool_counters_line(snapshot: &dm_storage::LatencyBreakdown) -> String {
-        format!(
-            "pool: {} hits / {} misses / {} evictions / {} single-flight waits; exec: {} tasks / {} steals",
-            snapshot.pool_hits,
-            snapshot.pool_misses,
-            snapshot.pool_evictions,
-            snapshot.pool_single_flight_waits,
-            snapshot.exec_tasks,
-            snapshot.exec_steals,
-        )
-    }
 }
 
 #[cfg(test)]
@@ -374,31 +348,6 @@ mod tests {
         for system in systems.iter().filter(|s| s.name != "DS") {
             assert_eq!(system.store.lookup_batch(&keys).unwrap(), reference, "{}", system.name);
         }
-    }
-
-    #[test]
-    fn wall_vs_phases_line_keeps_both_time_meanings() {
-        let metrics = Metrics::new();
-        metrics.add_time(dm_storage::Phase::NeuralNetwork, Duration::from_millis(8));
-        metrics.add_wall(Duration::from_millis(5));
-        let line = report::wall_vs_phases_line(&metrics.snapshot());
-        assert!(line.contains("5.00 ms wall"), "{line}");
-        assert!(line.contains("8.00 ms phase-sum"), "{line}");
-    }
-
-    #[test]
-    fn pool_counters_line_reads_the_snapshot() {
-        let metrics = Metrics::new();
-        metrics.add_pool_hit();
-        metrics.add_pool_miss();
-        metrics.add_pool_single_flight_wait();
-        metrics.add_exec(5, 2, 100);
-        let line = report::pool_counters_line(&metrics.snapshot());
-        assert!(line.contains("1 hits"));
-        assert!(line.contains("1 misses"));
-        assert!(line.contains("1 single-flight waits"));
-        assert!(line.contains("5 tasks"));
-        assert!(line.contains("2 steals"));
     }
 
     #[test]

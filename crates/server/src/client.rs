@@ -9,9 +9,16 @@
 //! client.
 //!
 //! The pipelined shape (`submit` returning a [`Ticket`], `wait_into`
-//! harvesting it later) exists for open-loop load generation: a client can
-//! keep several requests in flight so the dispatcher finds work already
-//! queued instead of parking between every request.
+//! harvesting it later) lets one caller keep several requests in flight, so
+//! the dispatcher finds work already queued instead of parking between every
+//! request.
+//!
+//! A client is also what the server's coalescer counts: alive from
+//! construction to drop, *parked* while it blocks in `wait_into`. A batch
+//! stops waiting for joiners once every live client is parked (the methods
+//! that submit take `&mut self`, so a parked client cannot), which makes an
+//! idle handle kept alive the way to hold a window open, and dropping a
+//! handle that is done the way to let the others' batches go.
 
 use std::sync::{Arc, Condvar};
 use std::time::{Duration, Instant};
@@ -51,9 +58,11 @@ pub(crate) struct SlotInner {
     pub done_at: Instant,
     /// Enqueue-to-batch-formation delay, recorded by the dispatcher.
     pub queue_delay: Duration,
-    /// True while a waiter is blocked on `cv`; the dispatcher only issues a
-    /// wakeup when set, so pipelined clients that harvest already-`Done`
-    /// tickets cost zero syscalls on the completion path.
+    /// True while a waiter is blocked on `cv` and counted in the server's
+    /// parked census. Set by the waiter, cleared by whoever moves the slot to
+    /// a final state (`Shared::release`, which counts the waiter out and only
+    /// then issues the wakeup), so pipelined clients that harvest
+    /// already-`Done` tickets cost zero syscalls on the completion path.
     pub waiting: bool,
 }
 
@@ -110,7 +119,10 @@ pub struct RequestReport {
 /// A caller-thread handle onto a [`QueryServer`](crate::QueryServer).
 ///
 /// Clients are cheap (a handful of slots) but not `Sync`: create one per
-/// thread via [`QueryServer::client`](crate::QueryServer::client). The
+/// thread via [`QueryServer::client`](crate::QueryServer::client), and drop
+/// it when that thread is done submitting — while it lives and is not parked
+/// in `wait_into`, forming batches wait up to
+/// [`max_delay`](crate::ServerConfig::max_delay) for it. The
 /// blocking conveniences ([`lookup_batch_into`](Self::lookup_batch_into),
 /// [`get`](Self::get)) submit and immediately wait; the pipelined pair
 /// ([`submit`](Self::submit) / [`wait_into`](Self::wait_into)) keeps up to
@@ -127,6 +139,7 @@ pub struct ServerClient {
 impl ServerClient {
     pub(crate) fn new(shared: Arc<Shared>, depth: usize) -> Self {
         let depth = depth.max(1);
+        shared.client_created();
         ServerClient {
             shared,
             slots: (0..depth).map(|_| Arc::new(RequestSlot::new())).collect(),
@@ -185,9 +198,22 @@ impl ServerClient {
                     return Err(err);
                 }
                 SlotState::Queued => {
-                    inner.waiting = true;
+                    // Park once per wait: a spurious wakeup finds `waiting`
+                    // still set (only the release clears it) and goes
+                    // straight back to sleep without being counted twice.
+                    if !inner.waiting {
+                        inner.waiting = true;
+                        if self.shared.client_parked() {
+                            // Nobody is left to join the forming batch. The
+                            // queue lock is taken off the slot lock, so the
+                            // release may already have happened on re-lock.
+                            drop(inner);
+                            self.shared.wake_dispatcher();
+                            inner = slot.inner.lock();
+                            continue;
+                        }
+                    }
                     inner = slot.cv.wait(inner).unwrap_or_else(|e| e.into_inner());
-                    inner.waiting = false;
                 }
                 SlotState::Idle => unreachable!("live ticket for an idle slot"),
             }
@@ -243,5 +269,13 @@ impl ServerClient {
         let result = outcome.map(|_| spare.get(0).map(|vals| vals.to_vec()));
         self.spare = spare;
         result
+    }
+}
+
+impl Drop for ServerClient {
+    /// Leaves the census. Requests still in flight are served (or failed)
+    /// and their slots freed with the last reference; nobody harvests them.
+    fn drop(&mut self) {
+        self.shared.client_dropped();
     }
 }

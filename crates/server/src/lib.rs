@@ -8,10 +8,18 @@
 //! with a [`QueryServer`] that:
 //!
 //! * **coalesces** concurrent small `get` / `lookup_batch` requests into
-//!   inference-sized merged batches under a deadline — flush at
-//!   [`max_batch_keys`](ServerConfig::max_batch_keys) pending keys or when the
-//!   oldest request has waited [`max_delay`](ServerConfig::max_delay),
-//!   whichever comes first;
+//!   inference-sized merged batches. A forming batch leaves by the first of
+//!   three exits: [`max_batch_keys`](ServerConfig::max_batch_keys) are
+//!   pending (*full*), *nobody can join* — every live [`ServerClient`] of
+//!   the server is parked in `wait_into`, and a parked client cannot submit
+//!   — or its oldest request has waited
+//!   [`max_delay`](ServerConfig::max_delay) (*window*). `max_delay` is
+//!   therefore the most a request donates while someone still could join: a
+//!   client that is alive and not parked (idle, busy elsewhere, polling
+//!   [`is_done`](ServerClient::is_done)) holds the window open, synchronous
+//!   and pipelined callers that are all blocked on the server never sit it
+//!   out, and a handle that will not submit again should be dropped.
+//!   [`ServerStats`] counts the batches that left by each exit;
 //! * **demuxes** the merged result back to each waiter by copying spans out of
 //!   one flat [`LookupBuffer`](dm_storage::LookupBuffer) arena — no
 //!   per-request allocation on the steady-state path, the same discipline the
@@ -24,8 +32,8 @@
 //!   [`Arc<dyn TupleStore>`](dm_storage::TupleStore) registered up front or a
 //!   snapshot path opened lazily (and exactly once) on first request;
 //! * exposes **observability** via [`QueryServer::stats`]: queue delay,
-//!   coalesce width, batches formed, shed count, per-request wall time — the
-//!   counters an open-loop load generator needs to find the throughput knee.
+//!   coalesce width, batches formed and why each left, shed count,
+//!   per-request wall time, the census of live and parked clients.
 //!
 //! # Example
 //!
@@ -323,7 +331,9 @@ mod tests {
 
     #[test]
     fn shutdown_fails_queued_waiters_with_a_typed_error() {
-        // Long deadline so queued requests are still pending at shutdown.
+        // Long deadline so queued requests are still pending at shutdown —
+        // and an idle client kept alive, or the lone parked waiter would
+        // leave nobody to wait for and be served at once.
         let config = ServerConfig {
             max_batch_keys: 1024,
             max_delay: Duration::from_secs(30),
@@ -331,6 +341,7 @@ mod tests {
         };
         let server = Arc::new(QueryServer::new(config));
         let tenant = server.register_store("t", seeded_store(0..8)).unwrap();
+        let _idle = server.client();
 
         let (tx, rx) = std::sync::mpsc::channel();
         let for_thread = Arc::clone(&server);
@@ -342,8 +353,10 @@ mod tests {
             tx.send(outcome).unwrap();
         });
 
-        // Give the waiter time to park, then shut down.
-        std::thread::sleep(Duration::from_millis(20));
+        // Shut down once the waiter has parked.
+        while server.stats().parked_clients == 0 {
+            std::thread::yield_now();
+        }
         server.shutdown();
         let outcome = rx
             .recv_timeout(Duration::from_secs(5))
@@ -395,16 +408,23 @@ mod tests {
     fn tenant_tail_and_slow_requests_observe_served_traffic() {
         // Threshold zero: every request's wall time crosses it, so the slow
         // ring deterministically captures each one.
+        // A window nobody waits out: the only client is parked, so each
+        // batch leaves because nobody could join, and says so.
         let config = ServerConfig {
             slow_request: Some(Duration::ZERO),
-            ..ServerConfig::coalescing(Duration::from_micros(100), 64)
+            ..ServerConfig::coalescing(Duration::from_secs(30), 64)
         };
+        let exported = dm_obs::registry::global()
+            .register_counter("dm_server_batches_nobody_could_join_total");
+        let exported_before = exported.value();
         let server = QueryServer::new(config);
         let tenant = server.register_store("t", seeded_store(0..100)).unwrap();
         let mut client = server.client();
         for k in 0..10 {
             assert!(client.get(tenant, k).unwrap().is_some());
         }
+        // Other servers of this process feed the same registry: at least ours.
+        assert!(exported.value() >= exported_before + 10);
 
         let tail = server.tenant_tail("t").unwrap();
         assert_eq!(tail.request_wall.count(), 10);
@@ -418,6 +438,12 @@ mod tests {
         assert_eq!(slow.len(), 10);
         assert!(slow.iter().all(|c| c.label == "server_request"));
         assert!(slow.iter().all(|c| c.detail.contains("tenant=t")));
+        assert!(
+            slow.iter()
+                .all(|c| c.detail.ends_with("batch_keys=1 left=nobody_could_join")),
+            "{:?}",
+            slow[0].detail
+        );
         assert!(slow.iter().all(|c| !c.events.is_empty()));
 
         let stats = server.stats();
@@ -686,6 +712,156 @@ mod tests {
         assert_eq!(server.stats().requests_timed_out, 2);
         // The server still serves promptly once the queue is healthy again.
         assert_eq!(client.get(tenant, 6).unwrap(), Some(vec![6, 12]));
+    }
+
+    /// The third exit. K synchronous callers released together each park in
+    /// `wait_into`; the one that makes `parked == live` wakes the dispatcher
+    /// and the batch leaves K wide — with a window (2 s) that 50 rounds
+    /// together must not add up to, where the parent sat out one per round.
+    #[test]
+    fn a_batch_leaves_as_soon_as_every_live_client_is_parked() {
+        let window = Duration::from_secs(2);
+        for callers in [1usize, 2, 4] {
+            let server = QueryServer::new(ServerConfig::coalescing(window, 1024));
+            let tenant = server.register_store("t", seeded_store(0..64)).unwrap();
+            let mut clients: Vec<ServerClient> = (0..callers).map(|_| server.client()).collect();
+            let round_start = std::sync::Barrier::new(callers);
+            let started = std::time::Instant::now();
+            std::thread::scope(|scope| {
+                for (c, client) in clients.iter_mut().enumerate() {
+                    let round_start = &round_start;
+                    scope.spawn(move || {
+                        for round in 0..50u64 {
+                            // Nobody submits round r + 1 before all of round
+                            // r was answered, so every batch is one round.
+                            round_start.wait();
+                            let key = (round + c as u64) % 64;
+                            assert_eq!(
+                                client.get(tenant, key).unwrap(),
+                                Some(vec![key as u32, (key * 2) as u32])
+                            );
+                        }
+                    });
+                }
+            });
+            let elapsed = started.elapsed();
+            assert!(
+                elapsed < window,
+                "{callers} callers: 50 rounds took {elapsed:?}, a {window:?} window was sat out"
+            );
+            let stats = server.stats();
+            assert_eq!(stats.batches_formed, 50, "{callers} callers");
+            assert_eq!(stats.batches_nobody_could_join, 50, "{callers} callers");
+            assert_eq!((stats.batches_full, stats.batches_at_window), (0, 0));
+            assert_eq!(stats.batched_requests, 50 * callers as u64);
+            assert_eq!(stats.max_coalesce_width, callers as u64);
+            assert_eq!((stats.live_clients, stats.parked_clients), (callers as u64, 0));
+            drop(clients);
+            assert_eq!(server.stats().live_clients, 0);
+        }
+    }
+
+    /// What holds a window open: a client that is alive and not parked. The
+    /// same lone request, with an idle handle beside it, waits out
+    /// `max_delay` exactly as it did before the third exit existed.
+    #[test]
+    fn an_idle_client_holds_the_window_open_for_a_lone_request() {
+        let window = Duration::from_millis(40);
+        let server = QueryServer::new(ServerConfig::coalescing(window, 1024));
+        let tenant = server.register_store("t", seeded_store(0..8)).unwrap();
+        let mut client = server.client();
+        let _idle = server.client();
+        let mut out = LookupBuffer::new();
+        let report = client.lookup_batch_into(tenant, &[3], &mut out).unwrap();
+        assert_eq!(out.get(0), Some(&[3u32, 6][..]));
+        assert!(report.queue_delay >= window, "{report:?}");
+        let stats = server.stats();
+        assert_eq!(
+            (stats.batches_full, stats.batches_at_window, stats.batches_nobody_could_join),
+            (0, 1, 0)
+        );
+        assert_eq!((stats.live_clients, stats.parked_clients), (2, 0));
+
+        // Dropping the idle handle is the other way a batch learns nobody is
+        // coming: a waiter parked beside it is served at the drop, not at
+        // the window.
+        let long = Duration::from_secs(30);
+        let server = Arc::new(QueryServer::new(ServerConfig::coalescing(long, 1024)));
+        let tenant = server.register_store("t", seeded_store(0..8)).unwrap();
+        let idle = server.client();
+        let for_thread = Arc::clone(&server);
+        let waiter = std::thread::spawn(move || for_thread.client().get(tenant, 5));
+        while server.stats().parked_clients == 0 {
+            std::thread::yield_now();
+        }
+        assert_eq!(server.stats().batches_formed, 0, "the idle handle holds the batch");
+        drop(idle);
+        assert_eq!(waiter.join().unwrap().unwrap(), Some(vec![5, 10]));
+        let stats = server.stats();
+        assert_eq!((stats.batches_formed, stats.batches_nobody_could_join), (1, 1));
+        assert!(stats.queue_delay_max < long);
+    }
+
+    /// Lost wake-ups. Four pipelined callers at random depths under a 1 s
+    /// window: every batch has to leave by a wake-up — from the caller that
+    /// parks last, or from one that drops its handle when it is done — and
+    /// one that goes missing holds a batch until the timer fires.
+    #[test]
+    fn no_wake_up_is_lost_between_the_last_parker_and_the_dispatcher() {
+        const CALLERS: u64 = 4;
+        const REQUESTS: u64 = 10_000;
+        let window = Duration::from_secs(1);
+        let server = QueryServer::new(ServerConfig::coalescing(window, 64));
+        let tenant = server.register_store("t", seeded_store(0..256)).unwrap();
+        let started = std::time::Instant::now();
+        std::thread::scope(|scope| {
+            for c in 0..CALLERS {
+                let server = &server;
+                scope.spawn(move || {
+                    let mut client = server.client_with_depth(8);
+                    let mut out = LookupBuffer::new();
+                    let mut in_flight = std::collections::VecDeque::new();
+                    // xorshift: a depth in 1..=8 per burst, a key per request.
+                    let mut state = 0x9E37_79B9_7F4A_7C15u64 ^ (c + 1);
+                    let mut next = move || {
+                        state ^= state << 13;
+                        state ^= state >> 7;
+                        state ^= state << 17;
+                        state
+                    };
+                    let mut sent = 0u64;
+                    while sent < REQUESTS || !in_flight.is_empty() {
+                        let depth = 1 + (next() % 8) as usize;
+                        while sent < REQUESTS && in_flight.len() < depth {
+                            let key = next() % 300;
+                            let ticket = client.submit(tenant, &[key, key + 1]).unwrap();
+                            in_flight.push_back((key, ticket));
+                            sent += 1;
+                        }
+                        let (key, ticket) = in_flight.pop_front().expect("a request in flight");
+                        client.wait_into(ticket, &mut out).unwrap();
+                        let want = (key < 256).then(|| [key as u32, (key * 2) as u32]);
+                        assert_eq!(out.get(0), want.as_ref().map(|v| &v[..]));
+                    }
+                });
+            }
+        });
+        let elapsed = started.elapsed();
+        let stats = server.stats();
+        assert_eq!(stats.requests_completed, CALLERS * REQUESTS);
+        // A batch whose wake-up went missing leaves when the timer fires,
+        // with everyone parked by then: it shows in the longest queue delay.
+        assert!(
+            stats.queue_delay_max < window,
+            "a batch sat out the window with every caller parked ({elapsed:?}, {stats:?})"
+        );
+        assert_eq!(stats.batches_at_window, 0, "{stats:?}");
+        assert_eq!(
+            stats.batches_full + stats.batches_nobody_could_join,
+            stats.batches_formed
+        );
+        assert!(elapsed < 30 * window, "{elapsed:?}");
+        assert_eq!((stats.live_clients, stats.parked_clients), (0, 0));
     }
 
     #[test]

@@ -6,12 +6,25 @@
 //! ```text
 //! caller threads                dispatcher thread            TupleStore
 //! ─────────────                 ─────────────────            ──────────
-//! submit ──┐  bounded queue      form batch (deadline         one merged
-//! submit ──┼─▶ of QueuedReq ───▶ or max_batch_keys) ───────▶ lookup_batch_into
+//! submit ──┐  bounded queue      form batch (full, nobody     one merged
+//! submit ──┼─▶ of QueuedReq ───▶ can join, or window) ─────▶ lookup_batch_into
 //! submit ──┘  (admission ctl)    demux via copy_range_from ◀─ flat LookupBuffer
-//!    ▲                                │
+//!    ▲                             ▲  │
+//!    │   parked == live: wake ─────┘  │
 //!    └── wait_into ◀── slot condvar ──┘ (notified only if a waiter is parked)
 //! ```
+//!
+//! A forming batch leaves the queue by the first of three exits that holds:
+//! `max_batch_keys` are pending for its tenant (*full*), every live
+//! [`ServerClient`] is blocked in `wait_into` (*nobody can join* — a client
+//! is `&mut self`, so a parked one cannot submit, and holding the batch open
+//! any longer would buy no width), or its oldest request has waited
+//! `max_delay` while someone still could (*window*). The server keeps the
+//! census itself: clients count themselves live from construction to drop
+//! and parked from the moment they block, and whoever moves a parked
+//! client's slot to a final state counts it out *at release*, not when its
+//! thread wakes up — a client that has just been answered is about to
+//! resubmit, and keeps the next window open for itself.
 //!
 //! The dispatcher is one plain OS thread, deliberately *outside* the dm-exec
 //! pool: the merged batch runs through whatever parallelism the tenant store
@@ -22,20 +35,21 @@
 
 use std::collections::{HashMap, VecDeque};
 use std::path::PathBuf;
-use std::sync::{Arc, Condvar};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Condvar, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use dm_core::DeepMapping;
 use dm_obs::trace::{self, CapturedTrace, TraceEvent};
-use dm_obs::{CaptureRing, Stage};
+use dm_obs::{CaptureRing, Counter, Stage};
 use dm_persist::SnapshotExt;
 use dm_storage::{LookupBuffer, TupleStore};
 use parking_lot::{Mutex, RwLock};
 
-use crate::client::{RequestSlot, ServerClient, SlotState};
+use crate::client::{RequestSlot, ServerClient, SlotInner, SlotState};
 use crate::error::{Result, ServerError};
-use crate::stats::{RequestSample, ServerStats, StatsCells, TenantObs, TenantTail};
+use crate::stats::{FlushReason, RequestSample, ServerStats, StatsCells, TenantObs, TenantTail};
 
 /// Default pipeline depth for [`QueryServer::client`].
 pub const DEFAULT_PIPELINE_DEPTH: usize = 4;
@@ -48,8 +62,12 @@ pub struct ServerConfig {
     /// Flush a forming batch once this many keys are pending for its tenant.
     pub max_batch_keys: usize,
     /// Flush a forming batch once its oldest request has waited this long.
-    /// This is the coalescing window: the latency the fastest request donates
-    /// to let stragglers join the batch.
+    /// This is the coalescing window: the most latency the fastest request
+    /// donates to let stragglers join the batch, *while someone still can*.
+    /// Once every live [`ServerClient`] of the server is parked in
+    /// `wait_into` nobody is left to join and the batch leaves at once; a
+    /// client that is alive and not parked — idle, computing, or polling
+    /// [`is_done`](ServerClient::is_done) — holds the window open to here.
     pub max_delay: Duration,
     /// Hard capacity of the pending-key queue; submissions beyond it are
     /// rejected with [`ServerError::Overloaded`].
@@ -258,11 +276,22 @@ struct QueueState {
 pub(crate) struct Shared {
     config: ServerConfig,
     queue: Mutex<QueueState>,
-    /// Signalled when the queue goes non-empty or a batch-size trigger fires;
-    /// the dispatcher otherwise sleeps on the oldest request's deadline.
+    /// Signalled when the queue goes non-empty, a batch-size trigger fires, or
+    /// the last client that could still have joined parks or is dropped (see
+    /// [`wake_dispatcher`](Shared::wake_dispatcher)); the dispatcher otherwise
+    /// sleeps on the oldest request's deadline.
     work_cv: Condvar,
+    /// [`ServerClient`] handles alive, and how many of them are blocked in
+    /// `wait_into`. `SeqCst` on both: a client that parks while another is
+    /// dropped must not each read the other's stale count and both skip the
+    /// wake-up.
+    live_clients: AtomicUsize,
+    parked_clients: AtomicUsize,
     registry: RwLock<Registry>,
     stats: StatsCells,
+    /// The `dm-obs` registry's flush-reason counters, in [`FlushReason::ALL`]
+    /// order — resolved once, they are bumped on every batch.
+    flush_counters: [Arc<Counter>; 3],
     /// Retained timelines of requests whose wall time crossed the slow
     /// threshold. Threshold 0 on the ring itself: admission is decided in the
     /// demux loop against [`slow_threshold_nanos`](Shared::slow_threshold_nanos),
@@ -285,9 +314,64 @@ impl Shared {
         }
     }
 
-    /// Resolves the tenant's store, opening its snapshot on first use.
-    fn tenant_store(&self, index: usize) -> Result<Arc<dyn TupleStore>> {
-        let tenant = Arc::clone(&self.registry.read().tenants[index]);
+    fn tenant(&self, index: usize) -> Arc<Tenant> {
+        Arc::clone(&self.registry.read().tenants[index])
+    }
+
+    /// True when no live client is free to submit: each one is parked in
+    /// `wait_into` (or none is left alive), so a forming batch has nobody to
+    /// wait for.
+    fn nobody_can_join(&self) -> bool {
+        self.parked_clients.load(Ordering::SeqCst) >= self.live_clients.load(Ordering::SeqCst)
+    }
+
+    /// Makes the dispatcher look at its exits again. The caller has already
+    /// published the count it changed; passing through the queue lock before
+    /// the notify closes the lost wake-up: the dispatcher reads the counts
+    /// and starts waiting under that lock, so it either saw the change or is
+    /// already waiting when the notify lands.
+    pub(crate) fn wake_dispatcher(&self) {
+        drop(self.queue.lock());
+        self.work_cv.notify_one();
+    }
+
+    pub(crate) fn client_created(&self) {
+        self.live_clients.fetch_add(1, Ordering::SeqCst);
+    }
+
+    /// A client handle is gone. If the rest are all parked it was the last
+    /// one a forming batch could be waiting for.
+    pub(crate) fn client_dropped(&self) {
+        self.live_clients.fetch_sub(1, Ordering::SeqCst);
+        if self.nobody_can_join() {
+            self.wake_dispatcher();
+        }
+    }
+
+    /// Counts a client in as parked; the caller has just set its slot's
+    /// `waiting` flag and still holds the slot lock. Returns true when that
+    /// left nobody able to join — the caller then owes the dispatcher a
+    /// [`wake_dispatcher`](Self::wake_dispatcher), off the slot lock.
+    pub(crate) fn client_parked(&self) -> bool {
+        self.parked_clients.fetch_add(1, Ordering::SeqCst);
+        self.nobody_can_join()
+    }
+
+    /// Hands a slot that has just reached its final state back to its client.
+    /// A parked waiter is counted out here, at release, rather than when its
+    /// thread gets to run: from this point the client can submit again, so
+    /// the next batch must not leave without it.
+    fn release(&self, slot: &RequestSlot, mut inner: MutexGuard<'_, SlotInner>) {
+        let parked = std::mem::take(&mut inner.waiting);
+        drop(inner);
+        if parked {
+            self.parked_clients.fetch_sub(1, Ordering::SeqCst);
+            slot.cv.notify_all();
+        }
+    }
+
+    /// Resolves `tenant`'s store, opening its snapshot on first use.
+    fn tenant_store(&self, tenant: &Tenant) -> Result<Arc<dyn TupleStore>> {
         let mut guard = tenant.store.lock();
         if let Some(store) = guard.as_ref() {
             return Ok(Arc::clone(store));
@@ -311,7 +395,7 @@ impl Shared {
         if self.config.breaker_failure_threshold == 0 {
             return Ok(());
         }
-        let tenant = Arc::clone(&self.registry.read().tenants[index]);
+        let tenant = self.tenant(index);
         let verdict = tenant
             .breaker
             .lock()
@@ -367,11 +451,7 @@ impl Shared {
             let waited = now.saturating_duration_since(req.enqueued_at);
             let mut inner = req.slot.inner.lock();
             inner.state = SlotState::Failed(ServerError::Timeout { waited, deadline });
-            let notify = inner.waiting;
-            drop(inner);
-            if notify {
-                req.slot.cv.notify_all();
-            }
+            self.release(&req.slot, inner);
         }
     }
 
@@ -381,11 +461,7 @@ impl Shared {
         for req in batch.drain(..) {
             let mut inner = req.slot.inner.lock();
             inner.state = SlotState::Failed(err.clone());
-            let notify = inner.waiting;
-            drop(inner);
-            if notify {
-                req.slot.cv.notify_all();
-            }
+            self.release(&req.slot, inner);
         }
     }
 
@@ -394,6 +470,7 @@ impl Shared {
     /// held; takes slot locks only.
     fn execute_batch(
         &self,
+        reason: FlushReason,
         batch: &mut Vec<QueuedReq>,
         merged: &mut Vec<u64>,
         results: &mut LookupBuffer,
@@ -410,8 +487,8 @@ impl Shared {
             }
         }
 
-        let tenant = Arc::clone(&self.registry.read().tenants[batch[0].tenant]);
-        let store = match self.tenant_store(batch[0].tenant) {
+        let tenant = self.tenant(batch[0].tenant);
+        let store = match self.tenant_store(&tenant) {
             Ok(store) => store,
             Err(err) => {
                 self.breaker_record(&tenant, false);
@@ -484,11 +561,13 @@ impl Shared {
                 // must see its own request counted. Per-request histograms
                 // follow the same rule inside the demux loop below.
                 self.stats.record_batch(
+                    reason,
                     batch.len() as u64,
                     completed,
                     completed_keys,
                     exec_nanos,
                 );
+                self.flush_counters[reason as usize].incr();
                 trace::record_stage(Stage::Exec, exec_nanos);
                 trace::record_stage(Stage::CoalesceWait, coalesce_nanos);
                 let slow_threshold = self.slow_threshold_nanos();
@@ -505,11 +584,7 @@ impl Shared {
                         let mut inner = req.slot.inner.lock();
                         offset += inner.keys.len();
                         inner.state = SlotState::Failed(err);
-                        let notify = inner.waiting;
-                        drop(inner);
-                        if notify {
-                            req.slot.cv.notify_all();
-                        }
+                        self.release(&req.slot, inner);
                         continue;
                     }
                     let mut inner = req.slot.inner.lock();
@@ -519,10 +594,7 @@ impl Shared {
                     let copy_nanos = copy_started.elapsed().as_nanos() as u64;
                     offset += len;
                     inner.done_at = done;
-                    inner.state = SlotState::Done;
                     let queue_delay_nanos = inner.queue_delay.as_nanos() as u64;
-                    let notify = inner.waiting;
-                    drop(inner);
 
                     let wall_nanos =
                         done.saturating_duration_since(req.enqueued_at).as_nanos() as u64;
@@ -580,17 +652,19 @@ impl Shared {
                         self.slow.push(CapturedTrace {
                             label: "server_request",
                             detail: format!(
-                                "tenant={} keys={len} batch_keys={}",
+                                "tenant={} keys={len} batch_keys={} left={}",
                                 tenant.name,
-                                merged.len()
+                                merged.len(),
+                                reason.as_str()
                             ),
                             total_nanos: wall_nanos,
                             events,
                         });
                     }
-                    if notify {
-                        req.slot.cv.notify_all();
-                    }
+                    // The slot lock is held to here, so the request's own
+                    // samples are recorded before its client can see `Done`.
+                    inner.state = SlotState::Done;
+                    self.release(&req.slot, inner);
                 }
                 trace::record_stage(Stage::Demux, demux_started.elapsed().as_nanos() as u64);
             }
@@ -604,9 +678,8 @@ impl Shared {
 
     /// Serves one request synchronously on the caller thread (inline mode).
     fn execute_inline(&self, slot: &Arc<RequestSlot>) -> Result<()> {
-        let tenant_index = slot.inner.lock().tenant;
-        let tenant = Arc::clone(&self.registry.read().tenants[tenant_index]);
-        let store = match self.tenant_store(tenant_index) {
+        let tenant = self.tenant(slot.inner.lock().tenant);
+        let store = match self.tenant_store(&tenant) {
             Ok(store) => store,
             Err(err) => {
                 self.breaker_record(&tenant, false);
@@ -777,8 +850,9 @@ pub(crate) fn submit_slot(
     Ok(())
 }
 
-/// The dispatcher: forms batches under the deadline/size policy and executes
-/// them. Runs until shutdown is observed.
+/// The dispatcher: forms batches under the three-exit policy (full, nobody
+/// can join, window — see the module docs) and executes them. Runs until
+/// shutdown is observed.
 fn dispatcher_loop(shared: Arc<Shared>) {
     let mut batch: Vec<QueuedReq> = Vec::new();
     let mut kept: VecDeque<QueuedReq> = VecDeque::new();
@@ -787,7 +861,7 @@ fn dispatcher_loop(shared: Arc<Shared>) {
     let mut timed_out: Vec<QueuedReq> = Vec::new();
 
     loop {
-        {
+        let reason = {
             let mut q = shared.queue.lock();
             loop {
                 if q.shutdown {
@@ -817,7 +891,18 @@ fn dispatcher_loop(shared: Arc<Shared>) {
                     }
                 }
                 let now = Instant::now();
-                if pending >= shared.config.max_batch_keys || now >= deadline {
+                // The census is read under the queue lock this thread then
+                // waits on, which is what `wake_dispatcher` relies on.
+                let reason = if pending >= shared.config.max_batch_keys {
+                    Some(FlushReason::Full)
+                } else if shared.nobody_can_join() {
+                    Some(FlushReason::NobodyCouldJoin)
+                } else if now >= deadline {
+                    Some(FlushReason::Window)
+                } else {
+                    None
+                };
+                if let Some(reason) = reason {
                     let cap = shared.config.max_batch_keys;
                     let mut taken = 0usize;
                     let mut expired = 0usize;
@@ -851,7 +936,7 @@ fn dispatcher_loop(shared: Arc<Shared>) {
                     if q.shedding && q.queued_keys <= shared.config.shed_low_watermark_keys {
                         q.shedding = false;
                     }
-                    break;
+                    break reason;
                 }
                 let (guard, _) = shared
                     .work_cv
@@ -859,7 +944,7 @@ fn dispatcher_loop(shared: Arc<Shared>) {
                     .unwrap_or_else(|e| e.into_inner());
                 q = guard;
             }
-        }
+        };
         if !timed_out.is_empty() {
             shared.fail_timeouts(&mut timed_out);
         }
@@ -867,7 +952,7 @@ fn dispatcher_loop(shared: Arc<Shared>) {
         if batch.is_empty() {
             continue;
         }
-        shared.execute_batch(&mut batch, &mut merged, &mut results);
+        shared.execute_batch(reason, &mut batch, &mut merged, &mut results);
         batch.clear();
     }
 }
@@ -895,8 +980,12 @@ impl QueryServer {
             config,
             queue: Mutex::new(QueueState::default()),
             work_cv: Condvar::new(),
+            live_clients: AtomicUsize::new(0),
+            parked_clients: AtomicUsize::new(0),
             registry: RwLock::new(Registry::default()),
             stats: StatsCells::default(),
+            flush_counters: FlushReason::ALL
+                .map(|reason| dm_obs::registry::global().register_counter(reason.counter_name())),
             // Sized like the global slow-batch ring.
             slow: CaptureRing::new(trace::slow_ring_capacity(), 0),
         });
@@ -999,7 +1088,11 @@ impl QueryServer {
 
     /// A point-in-time snapshot of the server's counters.
     pub fn stats(&self) -> ServerStats {
-        self.shared.stats.snapshot()
+        ServerStats {
+            live_clients: self.shared.live_clients.load(Ordering::SeqCst) as u64,
+            parked_clients: self.shared.parked_clients.load(Ordering::SeqCst) as u64,
+            ..self.shared.stats.snapshot()
+        }
     }
 
     /// Per-tenant tail-attribution histograms for the tenant registered as
@@ -1043,15 +1136,8 @@ impl QueryServer {
     /// SLO burn (see [`ServerConfig::tenant_p99_target`]). Opens a
     /// snapshot-backed tenant lazily, exactly like a first request would.
     pub fn tenant_health(&self, name: &str) -> Result<dm_obs::HealthReport> {
-        let (index, tenant) = {
-            let registry = self.shared.registry.read();
-            let index = *registry
-                .names
-                .get(name)
-                .ok_or_else(|| ServerError::UnknownTenant(name.to_string()))?;
-            (index, Arc::clone(&registry.tenants[index]))
-        };
-        let store = self.shared.tenant_store(index)?;
+        let tenant = self.shared.tenant(self.tenant(name)?.0);
+        let store = self.shared.tenant_store(&tenant)?;
         let signals = store.health_signals().unwrap_or_default();
         Ok(signals.advise_with_faults(self.tenant_slo(&tenant), store.fault_signals()))
     }

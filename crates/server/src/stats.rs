@@ -13,6 +13,47 @@ use dm_obs::{Histogram, HistogramSnapshot, WindowedHistogram};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
+/// Which of the dispatcher's three exits a batch left the queue by. When
+/// several hold at once the first in this order is the one recorded, so
+/// `Window` counts the batches the timer cut short of a joiner, not those
+/// that were also old by the time everyone had parked.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum FlushReason {
+    /// [`max_batch_keys`](crate::ServerConfig::max_batch_keys) were pending.
+    Full,
+    /// Every live client was parked in `wait_into`: nobody could have joined.
+    NobodyCouldJoin,
+    /// The oldest request had waited [`max_delay`](crate::ServerConfig::max_delay)
+    /// while some live client could still have joined.
+    Window,
+}
+
+impl FlushReason {
+    pub const ALL: [FlushReason; 3] = [
+        FlushReason::Full,
+        FlushReason::NobodyCouldJoin,
+        FlushReason::Window,
+    ];
+
+    /// The word the slow-request capture's `detail` line carries (`left=…`).
+    pub fn as_str(self) -> &'static str {
+        match self {
+            FlushReason::Full => "full",
+            FlushReason::Window => "window",
+            FlushReason::NobodyCouldJoin => "nobody_could_join",
+        }
+    }
+
+    /// Name of this exit's counter in the global `dm-obs` registry.
+    pub fn counter_name(self) -> &'static str {
+        match self {
+            FlushReason::Full => "dm_server_batches_full_total",
+            FlushReason::Window => "dm_server_batches_at_window_total",
+            FlushReason::NobodyCouldJoin => "dm_server_batches_nobody_could_join_total",
+        }
+    }
+}
+
 /// Internal mutable counter cells. One instance lives in the server's shared
 /// state; [`snapshot`](StatsCells::snapshot) turns it into a [`ServerStats`].
 #[derive(Default)]
@@ -29,6 +70,8 @@ pub(crate) struct StatsCells {
     pub keys_enqueued: AtomicU64,
     pub keys_served: AtomicU64,
     pub batches_formed: AtomicU64,
+    /// `batches_formed` split by [`FlushReason`], indexed in `ALL` order.
+    pub batches_by_reason: [AtomicU64; 3],
     pub batched_requests: AtomicU64,
     pub max_coalesce_width: AtomicU64,
     pub exec_nanos: AtomicU64,
@@ -57,16 +100,24 @@ impl StatsCells {
         cell.fetch_add(n, Ordering::Relaxed);
     }
 
-    /// Records one merged batch the store executed: `width` requests
-    /// coalesced, of which `completed` were fully answered (`width -
+    /// Records one merged batch the store executed: why it left the queue,
+    /// `width` requests coalesced, of which `completed` were fully answered (`width -
     /// completed` hit failed spans and fail with
     /// [`PartialFailure`](crate::ServerError::PartialFailure)), `keys` keys
     /// across the completed requests, and the store-execution time.  Called
     /// once per batch, *before* the per-request
     /// [`record_request`](Self::record_request) calls, so a waiter woken by
     /// the demux loop always sees its own batch counted.
-    pub fn record_batch(&self, width: u64, completed: u64, keys: u64, exec_nanos: u64) {
+    pub fn record_batch(
+        &self,
+        reason: FlushReason,
+        width: u64,
+        completed: u64,
+        keys: u64,
+        exec_nanos: u64,
+    ) {
         Self::add(&self.batches_formed, 1);
+        Self::add(&self.batches_by_reason[reason as usize], 1);
         Self::add(&self.batched_requests, width);
         Self::add(&self.requests_completed, completed);
         Self::add(&self.keys_served, keys);
@@ -105,6 +156,8 @@ impl StatsCells {
         Self::add(&self.tenant_open_nanos, elapsed.as_nanos() as u64);
     }
 
+    /// Everything but the client census (`live_clients` / `parked_clients`),
+    /// which the server's shared state owns and fills in.
     pub fn snapshot(&self) -> ServerStats {
         let load = |cell: &AtomicU64| cell.load(Ordering::Relaxed);
         let queue_delay = self.queue_delay.snapshot();
@@ -125,6 +178,13 @@ impl StatsCells {
             keys_enqueued: load(&self.keys_enqueued),
             keys_served: load(&self.keys_served),
             batches_formed: load(&self.batches_formed),
+            batches_full: load(&self.batches_by_reason[FlushReason::Full as usize]),
+            batches_at_window: load(&self.batches_by_reason[FlushReason::Window as usize]),
+            batches_nobody_could_join: load(
+                &self.batches_by_reason[FlushReason::NobodyCouldJoin as usize],
+            ),
+            live_clients: 0,
+            parked_clients: 0,
             batched_requests: load(&self.batched_requests),
             max_coalesce_width: load(&self.max_coalesce_width),
             queue_delay_nanos: queue_delay.sum(),
@@ -297,8 +357,25 @@ pub struct ServerStats {
     pub keys_enqueued: u64,
     /// Keys across all successfully answered requests.
     pub keys_served: u64,
-    /// Merged batches executed by the dispatcher.
+    /// Merged batches executed by the dispatcher. The next three counters say
+    /// why each one left the queue and sum to this one.
     pub batches_formed: u64,
+    /// Batches that left because [`max_batch_keys`](crate::ServerConfig::max_batch_keys)
+    /// were pending.
+    pub batches_full: u64,
+    /// Batches that left because their oldest request had waited
+    /// [`max_delay`](crate::ServerConfig::max_delay) while some live client
+    /// could still have joined.
+    pub batches_at_window: u64,
+    /// Batches that left early because nobody could join: every live
+    /// [`ServerClient`](crate::ServerClient) was parked in `wait_into`.
+    pub batches_nobody_could_join: u64,
+    /// [`ServerClient`](crate::ServerClient) handles of this server alive
+    /// right now.
+    pub live_clients: u64,
+    /// Of those, how many are blocked in `wait_into` on a request the server
+    /// has not finished yet. A batch leaves early when the two are equal.
+    pub parked_clients: u64,
     /// Requests that travelled inside a merged batch (excludes inline).
     pub batched_requests: u64,
     /// Largest number of requests coalesced into a single batch.
@@ -393,17 +470,21 @@ mod tests {
     #[test]
     fn snapshot_reflects_recorded_batches_and_derived_means() {
         let cells = StatsCells::default();
-        cells.record_batch(4, 4, 400, 1_000);
+        cells.record_batch(FlushReason::NobodyCouldJoin, 4, 4, 400, 1_000);
         for _ in 0..4 {
             cells.record_request(1_000, 200, 2_000);
         }
-        cells.record_batch(2, 2, 200, 500);
+        cells.record_batch(FlushReason::Window, 2, 2, 200, 500);
         cells.record_request(500, 100, 800);
         cells.record_request(500, 100, 800);
         cells.record_inline(7, 900, 300);
 
         let s = cells.snapshot();
         assert_eq!(s.batches_formed, 2);
+        assert_eq!(
+            (s.batches_full, s.batches_at_window, s.batches_nobody_could_join),
+            (0, 1, 1)
+        );
         assert_eq!(s.batched_requests, 6);
         assert_eq!(s.requests_completed, 7);
         assert_eq!(s.keys_served, 607);

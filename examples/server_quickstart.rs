@@ -51,7 +51,11 @@ fn main() {
     println!("registered tenants (none opened yet): {:?}", server.tenants());
 
     // 3. Concurrent clients issue small interleaved requests; the server
-    //    coalesces them into inference-sized batches per tenant.
+    //    coalesces them into inference-sized batches per tenant. The callers
+    //    are synchronous, so a batch leaves as soon as all four are parked in
+    //    `get` — the 100 µs window is only sat out while one of them is busy
+    //    elsewhere — and each client is dropped with its thread, so the last
+    //    callers standing are not held up by handles that will never submit.
     let server = Arc::new(server);
     let started = Instant::now();
     std::thread::scope(|scope| {
@@ -90,6 +94,10 @@ fn main() {
         stats.mean_coalesce_width(),
         stats.max_coalesce_width,
         stats.mean_queue_delay()
+    );
+    println!(
+        "batches left: {} full, {} at the window, {} because nobody could join",
+        stats.batches_full, stats.batches_at_window, stats.batches_nobody_could_join
     );
     println!(
         "latency: mean request wall {:.1?}; admission: {} shed, {} failed",

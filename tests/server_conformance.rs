@@ -10,11 +10,17 @@
 //! * multi-tenant routing never leaks a key across stores,
 //! * snapshot tenants open lazily — registration touches nothing, the first
 //!   request pays the open, the second tenant stays unopened until used,
-//! * shutdown fails queued waiters with a typed error, never a hang.
+//! * shutdown fails queued waiters with a typed error, never a hang,
+//! * the server's census of live and parked clients — what lets a batch leave
+//!   once nobody can join it — balances after every way a request can end.
 
+use deepmapping::faults::{FaultPlan, Faults};
 use deepmapping::prelude::*;
+use deepmapping::storage::StorageError;
+use std::collections::VecDeque;
 use std::path::PathBuf;
-use std::sync::Arc;
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
 fn temp_dir(tag: &str) -> PathBuf {
@@ -59,24 +65,51 @@ fn interleaved_concurrent_requests_match_direct_lookups_byte_for_byte() {
 
     // 4 client threads interleave small requests of varying shapes; each
     // compares the server's answer against a direct lookup on the same store.
+    // Two of them call synchronously, two keep three requests in flight and
+    // compare the demuxed buffer with the store's own `lookup_batch_into` —
+    // whichever exit a batch leaves by, the bytes are the store's.
+    let shape = |t: u64, round: u64| -> Vec<u64> {
+        let base = (t * 811 + round * 13) % 3_400;
+        match round % 3 {
+            0 => vec![base],
+            1 => vec![base, base + 1_700, base + 500_000],
+            _ => (base..base + 7).collect(),
+        }
+    };
     std::thread::scope(|scope| {
         for t in 0..4u64 {
             let server = &server;
             let dm = &dm;
             scope.spawn(move || {
                 let mut client = server.client();
-                for round in 0..150u64 {
-                    let base = (t * 811 + round * 13) % 3_400;
-                    let keys: Vec<u64> = match round % 3 {
-                        0 => vec![base],
-                        1 => vec![base, base + 1_700, base + 500_000],
-                        _ => (base..base + 7).collect(),
-                    };
-                    let via_server = client.lookup_batch(tenant, &keys).unwrap();
-                    let direct = dm.lookup_batch(&keys).unwrap();
-                    assert_eq!(
-                        via_server, direct,
-                        "thread {t} round {round}: server answer diverged for {keys:?}"
+                if t % 2 == 0 {
+                    for round in 0..150u64 {
+                        let keys = shape(t, round);
+                        let via_server = client.lookup_batch(tenant, &keys).unwrap();
+                        let direct = dm.lookup_batch(&keys).unwrap();
+                        assert_eq!(
+                            via_server, direct,
+                            "thread {t} round {round}: server answer diverged for {keys:?}"
+                        );
+                    }
+                    return;
+                }
+                let (mut via_server, mut direct) = (LookupBuffer::new(), LookupBuffer::new());
+                let mut in_flight = VecDeque::new();
+                let mut sent = 0u64;
+                while sent < 150 || !in_flight.is_empty() {
+                    while sent < 150 && in_flight.len() < 3 {
+                        let keys = shape(t, sent);
+                        in_flight.push_back((client.submit(tenant, &keys).unwrap(), keys));
+                        sent += 1;
+                    }
+                    let (ticket, keys) = in_flight.pop_front().expect("a request in flight");
+                    client.wait_into(ticket, &mut via_server).unwrap();
+                    dm.lookup_batch_into(&keys, &mut direct).unwrap();
+                    assert_eq!(via_server.len(), keys.len());
+                    assert!(
+                        via_server.iter().eq(direct.iter()),
+                        "thread {t}: pipelined answer diverged for {keys:?}"
                     );
                 }
             });
@@ -87,6 +120,12 @@ fn interleaved_concurrent_requests_match_direct_lookups_byte_for_byte() {
     assert_eq!(stats.requests_completed, 4 * 150);
     assert_eq!(stats.requests_failed, 0);
     assert!(stats.batches_formed > 0);
+    assert_eq!(
+        stats.batches_full + stats.batches_at_window + stats.batches_nobody_could_join,
+        stats.batches_formed,
+        "every batch left by exactly one exit: {stats:?}"
+    );
+    assert_eq!((stats.live_clients, stats.parked_clients), (0, 0));
     assert!(
         stats.batches_formed < stats.requests_completed,
         "coalescing never merged anything: {} batches for {} requests",
@@ -204,12 +243,14 @@ fn shutdown_releases_queued_waiters_with_a_typed_error() {
     let rows = noisy_rows(600, 1);
     let store: Arc<dyn TupleStore> = Arc::new(quick_build(&rows));
     // A deadline far in the future keeps queued requests pending until
-    // shutdown reaches them.
+    // shutdown reaches them — as long as someone could still join them: the
+    // idle handle is what holds the window open once all three waiters park.
     let server = Arc::new(QueryServer::new(ServerConfig::coalescing(
         Duration::from_secs(60),
         1_000_000,
     )));
     let tenant = server.register_store("t", store).unwrap();
+    let _idle = server.client();
 
     let (tx, rx) = std::sync::mpsc::channel();
     let mut waiters = Vec::new();
@@ -225,7 +266,9 @@ fn shutdown_releases_queued_waiters_with_a_typed_error() {
     }
     drop(tx);
 
-    std::thread::sleep(Duration::from_millis(30));
+    while server.stats().parked_clients < 3 {
+        std::thread::yield_now();
+    }
     server.shutdown();
 
     for _ in 0..3 {
@@ -241,4 +284,229 @@ fn shutdown_releases_queued_waiters_with_a_typed_error() {
         waiter.join().unwrap();
     }
     assert_eq!(server.stats().requests_failed, 3);
+}
+
+/// A tenant that can be told to stall inside the store (so requests queue up
+/// behind the batch in flight) or to fail a whole batch.
+struct Moody {
+    inner: DeepMapping,
+    closed: Mutex<bool>,
+    opened: Condvar,
+    entered: AtomicUsize,
+    failing: AtomicBool,
+}
+
+impl Moody {
+    fn set_closed(&self, closed: bool) {
+        *self.closed.lock().unwrap() = closed;
+        self.opened.notify_all();
+    }
+}
+
+impl TupleStore for Moody {
+    fn name(&self) -> &str {
+        "MOODY"
+    }
+
+    fn lookup_batch_into(
+        &self,
+        keys: &[u64],
+        out: &mut LookupBuffer,
+    ) -> std::result::Result<(), StorageError> {
+        self.entered.fetch_add(1, Ordering::SeqCst);
+        let mut closed = self.closed.lock().unwrap();
+        while *closed {
+            closed = self.opened.wait(closed).unwrap();
+        }
+        drop(closed);
+        if self.failing.load(Ordering::SeqCst) {
+            return Err(StorageError::Io("injected batch failure".into()));
+        }
+        TupleStore::lookup_batch_into(&self.inner, keys, out)
+    }
+
+    fn stats(&self) -> StoreStats {
+        TupleStore::stats(&self.inner)
+    }
+}
+
+/// Every way a request can end hands its waiter back exactly once: after
+/// pipelined traffic at depths 1–8 over a partition that keeps failing
+/// (typed `PartialFailure`s), a store error, queued requests outwaiting
+/// `request_deadline`, a client dropped with tickets it never harvested, and
+/// `shutdown()` with waiters parked, nobody is still counted as parked and
+/// the live count is the handles that exist.  A count that drifted up would
+/// let batches leave too early ever after; one that drifted down would give
+/// the window back to the timer.
+#[test]
+fn the_client_census_balances_however_requests_end() {
+    // Half of the rows are corrected, so most requests over the faulted
+    // partition hold a key that depends on it and fail for real.
+    let mut dm = quick_build(&noisy_rows(3_000, 11));
+    let probe: Vec<u64> = (0..3_100u64).collect();
+    let healthy = dm.lookup_batch(&probe).unwrap();
+    let directory = dm.aux_table().partition_directory();
+    assert!(directory.len() >= 2, "need a partition to fault and one to spare");
+    let (faulted_from, faulted_to) = (directory[0].min_key, directory[0].max_key);
+    dm.inject_faults(Faults::new(
+        FaultPlan::seeded(11)
+            .with_read_transient(1.0)
+            .with_read_partitions(vec![0]),
+    ));
+    let store = Arc::new(Moody {
+        inner: dm,
+        closed: Mutex::new(false),
+        opened: Condvar::new(),
+        entered: AtomicUsize::new(0),
+        failing: AtomicBool::new(false),
+    });
+
+    let deadline = Duration::from_millis(100);
+    let server = Arc::new(QueryServer::new(ServerConfig {
+        request_deadline: Some(deadline),
+        breaker_failure_threshold: 0,
+        ..ServerConfig::coalescing(Duration::from_micros(200), 64)
+    }));
+    let tenant = server
+        .register_store("moody", Arc::clone(&store) as Arc<dyn TupleStore>)
+        .unwrap();
+    let census = |server: &QueryServer| {
+        let stats = server.stats();
+        (stats.live_clients, stats.parked_clients)
+    };
+    // Held to the end: the census is checked with a handle alive, too.
+    let mut main_client = server.client_with_depth(8);
+    let mut out = LookupBuffer::new();
+
+    // 1. Pipelined traffic, depths 1, 2, 4 and 8, half of it over the faulted
+    //    partition.  Answers are the store's or a typed error.
+    std::thread::scope(|scope| {
+        for (t, depth) in [1usize, 2, 4, 8].into_iter().enumerate() {
+            let (server, healthy) = (&server, &healthy);
+            scope.spawn(move || {
+                let mut client = server.client_with_depth(depth);
+                let mut out = LookupBuffer::new();
+                let mut in_flight = VecDeque::new();
+                let mut sent = 0u64;
+                while sent < 120 || !in_flight.is_empty() {
+                    while sent < 120 && in_flight.len() < depth {
+                        let base = if sent.is_multiple_of(2) {
+                            faulted_from + (sent * 7 + t as u64) % (faulted_to - faulted_from)
+                        } else {
+                            (t as u64 * 701 + sent * 29) % 3_090
+                        };
+                        let keys: Vec<u64> = (base..base + 1 + sent % 5).collect();
+                        in_flight.push_back((client.submit(tenant, &keys).unwrap(), keys));
+                        sent += 1;
+                    }
+                    let (ticket, keys) = in_flight.pop_front().expect("a request in flight");
+                    match client.wait_into(ticket, &mut out) {
+                        Ok(_) => {
+                            for (i, &key) in keys.iter().enumerate() {
+                                assert_eq!(
+                                    out.get(i),
+                                    healthy[key as usize].as_deref(),
+                                    "key {key} answered wrongly"
+                                );
+                            }
+                        }
+                        // A loud host can push a request past the deadline;
+                        // that is a typed end as well.
+                        Err(ServerError::PartialFailure { .. } | ServerError::Timeout { .. }) => {}
+                        Err(other) => panic!("untyped end of a request: {other:?}"),
+                    }
+                }
+            });
+        }
+    });
+    assert!(server.stats().partial_failures > 0, "the faulted partition never failed");
+    assert_eq!(census(&server), (1, 0));
+
+    // 2. A batch the store fails outright.
+    store.failing.store(true, Ordering::SeqCst);
+    let healthy_key = faulted_to + 1;
+    assert!(matches!(
+        main_client.get(tenant, healthy_key),
+        Err(ServerError::Store(_))
+    ));
+    store.failing.store(false, Ordering::SeqCst);
+    assert_eq!(census(&server), (1, 0));
+
+    // 3. Requests that outwait their deadline behind a stalled batch.
+    store.set_closed(true);
+    let entered = store.entered.load(Ordering::SeqCst);
+    let stuck = main_client.submit(tenant, &[healthy_key]).unwrap();
+    while store.entered.load(Ordering::SeqCst) == entered {
+        std::thread::yield_now();
+    }
+    let stale: Vec<Ticket> = (0..3)
+        .map(|i| main_client.submit(tenant, &[healthy_key + i]).unwrap())
+        .collect();
+    std::thread::sleep(deadline + Duration::from_millis(10));
+    store.set_closed(false);
+    // The stuck request may itself be past the deadline by now; it was
+    // already in the store, so it is answered.
+    main_client.wait_into(stuck, &mut out).unwrap();
+    for ticket in stale {
+        assert!(matches!(
+            main_client.wait_into(ticket, &mut out),
+            Err(ServerError::Timeout { .. })
+        ));
+    }
+    assert_eq!(census(&server), (1, 0));
+
+    // 4. A client dropped with tickets nobody will harvest; its requests are
+    //    still served, into slots only the server holds by then.
+    store.set_closed(true);
+    let entered = store.entered.load(Ordering::SeqCst);
+    let mut leaver = server.client_with_depth(4);
+    let _unharvested: Vec<Ticket> = (0..3)
+        .map(|i| leaver.submit(tenant, &[healthy_key + i]).unwrap())
+        .collect();
+    assert_eq!(census(&server), (2, 0));
+    drop(leaver);
+    assert_eq!(census(&server), (1, 0));
+    while store.entered.load(Ordering::SeqCst) == entered {
+        std::thread::yield_now();
+    }
+
+    // 5. Shutdown with two waiters parked on requests queued behind that
+    //    stalled batch.
+    let waiters: Vec<_> = (0..2u64)
+        .map(|w| {
+            let server = Arc::clone(&server);
+            std::thread::spawn(move || server.client().get(tenant, healthy_key + w))
+        })
+        .collect();
+    while census(&server) != (3, 2) {
+        std::thread::yield_now();
+    }
+    let stopper = {
+        let server = Arc::clone(&server);
+        std::thread::spawn(move || server.shutdown())
+    };
+    // Shutdown fails what is queued first, then waits for the batch in flight.
+    while census(&server).1 != 0 {
+        std::thread::yield_now();
+    }
+    store.set_closed(false);
+    stopper.join().unwrap();
+    for waiter in waiters {
+        assert!(matches!(
+            waiter.join().unwrap(),
+            Err(ServerError::ShuttingDown)
+        ));
+    }
+    assert_eq!(census(&server), (1, 0));
+    assert!(matches!(
+        main_client.get(tenant, healthy_key),
+        Err(ServerError::ShuttingDown)
+    ));
+    drop(main_client);
+    assert_eq!(census(&server), (0, 0));
+    let stats = server.stats();
+    assert_eq!(
+        stats.batches_full + stats.batches_at_window + stats.batches_nobody_could_join,
+        stats.batches_formed
+    );
 }
