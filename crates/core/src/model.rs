@@ -219,18 +219,21 @@ impl MappingModel {
     /// independent pool tasks (serial below `dm_nn::PARALLEL_ROW_CROSSOVER` rows).
     /// This is the entry point the query pipeline drives, so a store's
     /// `exec_threads` knob governs its inference parallelism.
+    ///
+    /// The keys go to the network as keys
+    /// ([`MultiTaskModel::forward_keys_flat_on`]): no batch-wide feature matrix
+    /// is built, each cache-sized row chunk of the walk encodes its own — for
+    /// an int8 model straight into the first layer's input bytes.  The
+    /// predictions are those of `forward_batch_flat_on` over
+    /// `key_encoder.encode_batch(keys)`, bit for bit.
     pub fn predict_into_on(
         &self,
         exec: &dm_exec::ThreadPool,
         keys: &[u64],
         out: &mut Vec<u32>,
     ) -> Result<usize> {
-        if keys.is_empty() {
-            out.clear();
-            return Ok(self.schema.num_columns());
-        }
-        let x = self.schema.key_encoder.encode_batch(keys);
-        Ok(self.network.forward_batch_flat_on(exec, &x, out)?)
+        let encoder = &self.schema.key_encoder;
+        Ok(self.network.forward_keys_flat_on(exec, encoder, keys, out)?)
     }
 
     /// Runs the model over `rows` and splits them into (memorized, misclassified):

@@ -13,12 +13,14 @@
 //!    (`vaux[k] ⇔ exist[k] ∧ aux.get(k).is_some()`, kept in step by every write),
 //!    so the two sets are disjoint and no answer ever overrides another.
 //! 2. **Vectorized inference of the predicted keys** ([`Phase::NeuralNetwork`]) —
-//!    keys whose `Vaux` bit is clear are encoded into one feature matrix and run
-//!    through a single
-//!    [`forward_batch_flat_on`](dm_nn::MultiTaskModel::forward_batch_flat_on)
+//!    keys whose `Vaux` bit is clear go to the network as keys, in a single
+//!    [`forward_keys_flat_on`](dm_nn::MultiTaskModel::forward_keys_flat_on)
 //!    pass: one trunk matrix-multiply sequence for the batch, then the heads,
-//!    never a per-key pass, recorded via [`Metrics::add_inference_batch`].  They
-//!    cause no probe plan, no partition load and no decompression.
+//!    never a per-key pass, recorded via [`Metrics::add_inference_batch`].  No
+//!    batch-wide feature matrix is built: each cache-sized row chunk of the
+//!    pass encodes its own keys, for an int8 model straight into the first
+//!    layer's input bytes.  They cause no probe plan, no partition load and no
+//!    decompression.
 //! 3. **Grouped probes of the corrected keys** ([`Phase::LocatePartition`],
 //!    [`Phase::LoadAndDecompress`], [`Phase::AuxiliaryLookup`]) — keys whose bit
 //!    is set are never inferred.  The delta overlay answers what it can in memory;
@@ -83,21 +85,28 @@ use std::time::Instant;
 
 /// One side of the stage-1 split: the keys routed there, in batch order, and
 /// each key's position in the original batch.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 struct Routed {
     keys: Vec<u64>,
     positions: Vec<usize>,
 }
 
 impl Routed {
-    fn push(&mut self, key: u64, position: usize) {
-        self.keys.push(key);
-        self.positions.push(position);
+    fn zeroed(keys: usize) -> Self {
+        Routed {
+            keys: vec![0; keys],
+            positions: vec![0; keys],
+        }
+    }
+
+    fn truncate(&mut self, kept: usize) {
+        self.keys.truncate(kept);
+        self.positions.truncate(kept);
     }
 }
 
 /// Stage-1 output: every existing key of the batch, on exactly one side.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 struct Routes {
     /// `Vaux` bit clear: the model's prediction is the answer.
     predicted: Routed,
@@ -240,18 +249,29 @@ impl<'a> QueryPipeline<'a> {
     /// Stage 1: the three-way split.  Non-existing keys are dropped here; every
     /// other key goes to the model or to the auxiliary table, never both.
     fn route(&self, keys: &[u64]) -> Routes {
-        let mut routes = Routes::default();
+        // Branch-free: on mixed data a key's side is a coin the predictor
+        // loses, so every key is written to the next slot of both sides and
+        // only the side that keeps it moves on.  Either side may take the
+        // whole batch, hence the full-length vectors.
+        let mut predicted = Routed::zeroed(keys.len());
+        let mut corrected = Routed::zeroed(keys.len());
+        let (mut kept_predicted, mut kept_corrected) = (0, 0);
         for (position, &key) in keys.iter().enumerate() {
-            if !self.exist.get(key) {
-                continue;
-            }
-            if self.vaux.get(key) {
-                routes.corrected.push(key, position);
-            } else {
-                routes.predicted.push(key, position);
-            }
+            let exists = self.exist.get(key);
+            let held = self.vaux.get(key);
+            predicted.keys[kept_predicted] = key;
+            predicted.positions[kept_predicted] = position;
+            kept_predicted += usize::from(exists & !held);
+            corrected.keys[kept_corrected] = key;
+            corrected.positions[kept_corrected] = position;
+            kept_corrected += usize::from(exists & held);
         }
-        routes
+        predicted.truncate(kept_predicted);
+        corrected.truncate(kept_corrected);
+        Routes {
+            predicted,
+            corrected,
+        }
     }
 
     /// Stage 2: one vectorized forward pass over the predicted keys (row-chunked

@@ -8,11 +8,28 @@
 //!   encoded as their binary digits (one feature per bit, in `{0, 1}`), which keeps the
 //!   input width logarithmic in the key domain and lets the network pick up periodic
 //!   key→value patterns (the high-correlation datasets of Section V-A1 are periodic
-//!   along the key dimension).
+//!   along the key dimension).  For a model whose first layer is int8 it also writes
+//!   that layer's input bytes itself ([`KeyEncoder::quantize_keys`]), see below.
 //! * [`LabelCodec`] assigns a dense class index to every distinct value of a column and
 //!   converts predictions back — this is the `fdecode` decoding map of Section IV-B1,
 //!   whose serialized size participates in the Eq.-1 objective.
+//!
+//! ## The quantized form of a key
+//!
+//! An int8 layer reads each input row as one byte per value, `q + 128` with
+//! `q = round_ties_even(v · 127 / max|v|)`, and one f32 scale `max|v| / 127` (the row
+//! quantizer of [`crate::kernel`]).  For an encoded key both are known without the f32
+//! features: there is always at least one bit feature and bit features are ±1, one-hot
+//! lanes are 0 or 1 and a ramp `(key % p) / p` never exceeds 1 — so `max|v|` is exactly
+//! 1.0 for every key, the scale is the constant [`QUANTIZED_KEY_SCALE`] = `1 / 127`, and
+//! the bytes are `0xFF` / `0x01` for a set / clear bit, `0xFF` / `0x80` for a hot / cold
+//! one-hot lane, `round_ties_even(ramp · 127) ^ 0x80` for a ramp and `0x80` for the
+//! padding up to a whole k-quad.  [`KeyEncoder::quantize_into`] writes exactly those, so
+//! the lookup path of an int8 model never materializes a feature matrix; a property
+//! test holds it equal to quantizing [`KeyEncoder::encode_into`]'s output, byte for
+//! byte and scale for scale.
 
+use crate::kernel::QuantizedRows;
 use crate::tensor::Matrix;
 use std::collections::HashMap;
 use std::hash::Hash;
@@ -30,9 +47,30 @@ use std::hash::Hash;
 pub struct KeyEncoder {
     bits: usize,
     moduli: Vec<u64>,
+    /// `⌈2⁶⁴ / m⌉` per modulus, derived from `moduli` (see [`residue`]).
+    reciprocals: Vec<u64>,
     /// Scalar ramp periods: each `p` contributes one feature `(key % p) / p`.
     ramps: Vec<u64>,
 }
+
+/// `key % m` by multiplication where both fit 32 bits, which is every key of a
+/// table under 2³² rows against the small one-hot moduli (Lemire, Kaser & Kurz,
+/// *Faster remainder by direct computation*): `reciprocal = ⌈2⁶⁴ / m⌉`, so the
+/// low 64 bits of `reciprocal · key` are the remainder as a fraction of `m`
+/// and their product with `m` carries it into the high word — exact for all
+/// 32-bit operands.  A lookup takes one remainder per modulus per key, and four
+/// hardware divisions were a third of what quantizing a key cost.
+#[inline]
+fn residue(key: u64, m: u64, reciprocal: u64) -> u64 {
+    if m != 0 && (key | m) >> 32 == 0 {
+        ((reciprocal.wrapping_mul(key) as u128 * m as u128) >> 64) as u64
+    } else {
+        key % m
+    }
+}
+
+/// The dequantization scale of every quantized key row (see the module docs).
+pub const QUANTIZED_KEY_SCALE: f32 = 1.0 / 127.0;
 
 /// The small prime periods used by [`KeyEncoder::with_periodic_features`].
 pub const PERIODIC_MODULI: [u64; 4] = [2, 3, 5, 7];
@@ -40,30 +78,18 @@ pub const PERIODIC_MODULI: [u64; 4] = [2, 3, 5, 7];
 impl KeyEncoder {
     /// Creates an encoder with an explicit number of bit features (no residues).
     pub fn with_bits(bits: usize) -> Self {
-        KeyEncoder {
-            bits: bits.max(1),
-            moduli: Vec::new(),
-            ramps: Vec::new(),
-        }
+        Self::from_parts(bits, Vec::new(), &[])
     }
 
     /// Creates a binary-only encoder wide enough for every key in `0..=max_key`.
     pub fn for_max_key(max_key: u64) -> Self {
-        KeyEncoder {
-            bits: Self::bits_for(max_key),
-            moduli: Vec::new(),
-            ramps: Vec::new(),
-        }
+        Self::from_parts(Self::bits_for(max_key), Vec::new(), &[])
     }
 
     /// Creates an encoder with binary digits plus one-hot residues modulo
     /// [`PERIODIC_MODULI`] — the encoding DeepMapping's mapping models use.
     pub fn with_periodic_features(max_key: u64) -> Self {
-        KeyEncoder {
-            bits: Self::bits_for(max_key),
-            moduli: PERIODIC_MODULI.to_vec(),
-            ramps: Vec::new(),
-        }
+        Self::from_parts(Self::bits_for(max_key), PERIODIC_MODULI.to_vec(), &[])
     }
 
     /// Returns the encoder extended with scalar ramp features `(key % p) / p`, one
@@ -99,6 +125,12 @@ impl KeyEncoder {
     pub fn from_parts(bits: usize, moduli: Vec<u64>, ramp_periods: &[u64]) -> Self {
         KeyEncoder {
             bits: bits.max(1),
+            // (A zero modulus is refused where encoders are read back and
+            // panics on first use otherwise; it gets no reciprocal.)
+            reciprocals: moduli
+                .iter()
+                .map(|&m| u64::MAX.checked_div(m).map_or(0, |q| q.wrapping_add(1)))
+                .collect(),
             moduli,
             ramps: Vec::new(),
         }
@@ -150,6 +182,41 @@ impl KeyEncoder {
             self.encode_into(k, m.row_mut(i));
         }
         m
+    }
+
+    /// Quantizes a single key into the bytes an int8 first layer reads
+    /// (`out` is `input_dim` rounded up to a multiple of four): what
+    /// [`QuantizedRows::fill`] makes of [`encode_into`](Self::encode_into)'s
+    /// features, without the features — see the module docs for the form.
+    pub fn quantize_into(&self, key: u64, out: &mut [u8]) {
+        debug_assert_eq!(out.len(), self.input_dim().div_ceil(4) * 4);
+        let (bits, rest) = out.split_at_mut(self.bits);
+        for (b, slot) in bits.iter_mut().enumerate() {
+            *slot = if (key >> b) & 1 == 1 { 0xFF } else { 0x01 };
+        }
+        // Cold one-hot lanes and the padding are `q = 0`; hot lanes and ramps
+        // are written over that.
+        rest.fill(0x80);
+        let mut offset = 0;
+        for (&m, &reciprocal) in self.moduli.iter().zip(&self.reciprocals) {
+            rest[offset + residue(key, m, reciprocal) as usize] = 0xFF;
+            offset += m as usize;
+        }
+        for (&p, slot) in self.ramps.iter().zip(&mut rest[offset..]) {
+            let ramp = (key % p) as f32 / p as f32;
+            let q = (ramp * 127.0).round_ties_even().clamp(-127.0, 127.0) as i8;
+            *slot = q as u8 ^ 0x80;
+        }
+    }
+
+    /// Quantizes a batch of keys into `out`, replacing what it held: byte for
+    /// byte and scale for scale what `out.fill(..)` over
+    /// [`encode_batch`](Self::encode_batch)`(keys)` produces, under any kernel.
+    pub fn quantize_keys(&self, keys: &[u64], out: &mut QuantizedRows) {
+        out.fill_with(keys.len(), self.input_dim(), |i, bytes| {
+            self.quantize_into(keys[i], bytes);
+            QUANTIZED_KEY_SCALE
+        });
     }
 
     /// Serialized size of the encoder metadata in bytes.

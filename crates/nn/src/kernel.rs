@@ -39,9 +39,10 @@
 //!   16 lanes in half (`s_i = l_i + l_{i+8}`), then
 //!   `((s0+s4)+(s2+s6)) + ((s1+s5)+(s3+s7))` — exactly what the AVX-512
 //!   extract/add plus the AVX2 shuffle sequence computes,
-//! * the int8 path quantizes each input row **once** through one recipe,
-//!   accumulates the integer `Σ qₓ·q_w` exactly, and dequantizes through one
-//!   fixed f32 epilogue.  Its four forms reach that same integer four ways:
+//! * the int8 path quantizes each input row **once** through one recipe
+//!   (below), accumulates the integer `Σ qₓ·q_w` exactly, and dequantizes
+//!   through one fixed f32 epilogue.  Its four forms reach that same integer
+//!   four ways:
 //!   the scalar reference is the plain i32 dot product; AVX-512-VNNI runs
 //!   `vpdpbusd` (unsigned × signed bytes) over `qₓ + 128` with each
 //!   accumulator started at the column's `−128·Σ q_w`, so the bias cancels
@@ -58,6 +59,25 @@
 //! The scalar fallback emulates exactly this layout, which makes predictions
 //! bit-identical across kernel selection (guarded by tests here and by the
 //! snapshot round-trip guard in the facade crate).
+//!
+//! ## The row quantizer
+//!
+//! A row becomes one byte per value, `q + 128` with
+//! `q = round_ties_even(v · min(127 / amax, f32::MAX))`, and the scale
+//! `amax / 127` (`quantize_input_row`, the scalar statement of it).  The clamp
+//! of the reciprocal is the **tiny-amax rule**: under `127 / f32::MAX`
+//! (≈ 3.7e-37) the quotient is `+∞`, `0 · ∞` is a NaN, and scalar and vector
+//! conversions make different integers of a NaN — clamped, every product is
+//! finite and every form writes the same bytes.  The AVX-512 form works in
+//! **two phases** over a window: first every row's `amax` (a `vmaxps` scan and
+//! one reduction), then, sixteen rows at a time, their reciprocals and scales
+//! in one `vdivps` each (an all-zero row's lane blended to `(0, 1.0)`, so it
+//! converts to `q = 0` like any other row, without a branch) and the
+//! conversion — a row no longer waits on its own reduce → divide → broadcast
+//! chain before its first byte.  One producer knows a row's quantized form
+//! without seeing it as f32: an encoded key's `amax` is exactly 1.0, so
+//! [`KeyEncoder::quantize_keys`](crate::encoding::KeyEncoder::quantize_keys)
+//! writes a first layer's bytes itself, through [`QuantizedRows::fill_with`].
 //!
 //! ## The AMX form
 //!
@@ -677,17 +697,21 @@ impl<'a> RowsView<'a> {
 }
 
 /// Quantizes one f32 input row to one byte per `k`: `q + 128` with
-/// `q = round_ties_even(v · 127 / max_abs)` clamped to `[-127, 127]`, so a
-/// byte is never 0.  The bias is what `vpdpbusd` wants for its unsigned
-/// operand; the other forms subtract it again (a flip of the top bit).  `out`
-/// is the row padded to whole k-quads, and the padding is written too (as
-/// `q = 0`), so the buffer can be reused without clearing.  Returns the row's
-/// dequantization scale `max_abs / 127` (an all-zero row quantizes to zeros
-/// with scale 1.0).
+/// `q = round_ties_even(v · min(127 / max_abs, f32::MAX))` clamped to
+/// `[-127, 127]`, so a byte is never 0.  The bias is what `vpdpbusd` wants for
+/// its unsigned operand; the other forms subtract it again (a flip of the top
+/// bit).  `out` is the row padded to whole k-quads, and the padding is written
+/// too (as `q = 0`), so the buffer can be reused without clearing.  Returns
+/// the row's dequantization scale `max_abs / 127` (an all-zero row quantizes
+/// to zeros with scale 1.0).
+///
+/// The clamp of the reciprocal is the tiny-amax rule of the module docs: it
+/// keeps every product finite where `127 / max_abs` overflows, so both copies
+/// of the recipe — this one and `x86::quantize_rows_avx512` — agree there too.
 ///
 /// Rounding is ties-to-even — the hardware `vcvtps2dq` mode — so the
-/// AVX-512 form (`x86::quantize_rows_avx512`) is bit-identical to this scalar
-/// recipe; the guard tests compare them directly.
+/// AVX-512 form is bit-identical to this scalar recipe; the guard tests
+/// compare them directly.
 fn quantize_input_row(row: &[f32], out: &mut [u8]) -> f32 {
     let mut amax = 0.0f32;
     for &v in row {
@@ -700,7 +724,7 @@ fn quantize_input_row(row: &[f32], out: &mut [u8]) -> f32 {
         out.fill(128);
         return 1.0;
     }
-    let inv = 127.0 / amax;
+    let inv = (127.0 / amax).min(f32::MAX);
     let (real, padding) = out.split_at_mut(row.len());
     for (byte, &v) in real.iter_mut().zip(row) {
         let q = (v * inv).round_ties_even().clamp(-127.0, 127.0) as i8;
@@ -766,20 +790,27 @@ impl QuantizedRows {
         quantized
     }
 
+    /// Makes the buffer one of `count` rows of `k` values — growing it if the
+    /// window outgrew it, leaving the bytes stale — and returns the distance
+    /// between rows, `k` rounded up to whole k-quads.
+    fn resize(&mut self, count: usize, k: usize) -> usize {
+        self.k = k;
+        self.count = count;
+        let owned = Self::tile_span(count, k) + QROWS_SLACK;
+        if self.bytes.len() < owned {
+            self.bytes.resize(owned, 0);
+        }
+        if self.scales.len() < count {
+            self.scales.resize(count, 0.0);
+        }
+        k.div_ceil(4) * 4
+    }
+
     /// Overwrites the buffer with `rows`, quantized by `kernel`'s form of the
     /// row quantizer — scalar and AVX-512 produce identical bytes; the
     /// bit-identity guards pin that by selecting each explicitly.
     pub fn fill(&mut self, kernel: Kernel, rows: RowsView<'_>) {
-        self.k = rows.k;
-        self.count = rows.count;
-        let width = rows.k.div_ceil(4) * 4;
-        let owned = Self::tile_span(rows.count, rows.k) + QROWS_SLACK;
-        if self.bytes.len() < owned {
-            self.bytes.resize(owned, 0);
-        }
-        if self.scales.len() < rows.count {
-            self.scales.resize(rows.count, 0.0);
-        }
+        let width = self.resize(rows.count, rows.k);
         #[cfg(target_arch = "x86_64")]
         if matches!(kernel, Kernel::Vector) && avx512_enabled() {
             // Safety: AVX-512 F/BW availability checked at runtime; the
@@ -794,9 +825,36 @@ impl QuantizedRows {
         }
     }
 
+    /// Overwrites the buffer with `count` rows of `k` values whose quantized
+    /// form the caller knows without seeing them as f32: `row(i, bytes)`
+    /// writes row `i`'s bytes — all of them, `k` rounded up to whole k-quads,
+    /// the padding as `0x80` — exactly as [`fill`](Self::fill) would have, and
+    /// returns its scale.  [`KeyEncoder::quantize_keys`] is the one such
+    /// caller.
+    ///
+    /// [`KeyEncoder::quantize_keys`]: crate::encoding::KeyEncoder::quantize_keys
+    pub fn fill_with(&mut self, count: usize, k: usize, mut row: impl FnMut(usize, &mut [u8]) -> f32) {
+        let width = self.resize(count, k);
+        for i in 0..count {
+            self.scales[i] = row(i, &mut self.bytes[i * width..][..width]);
+        }
+    }
+
     /// Number of quantized rows.
     pub fn count(&self) -> usize {
         self.count
+    }
+
+    /// Row `i`'s bytes, padding included (panics past [`count`](Self::count)).
+    pub fn row(&self, i: usize) -> &[u8] {
+        assert!(i < self.count, "row {i} of {} quantized rows", self.count);
+        let width = self.k.div_ceil(4) * 4;
+        &self.bytes[i * width..][..width]
+    }
+
+    /// The rows' dequantization scales.
+    pub fn scales(&self) -> &[f32] {
+        &self.scales[..self.count]
     }
 }
 
@@ -1491,12 +1549,51 @@ mod x86 {
         }
     }
 
-    /// AVX-512 form of the input-row quantizer, over a whole window: per row a
-    /// `vmaxps` amax scan, then `q = clamp(vcvtps2dq(v · 127/amax), -127, 127)`,
-    /// biased by 128 and narrowed to bytes with `vpmovdb`.  Bit-identical to
-    /// the scalar recipe: the max reduction is order-independent, the multiply
-    /// rounds identically, and `vcvtps2dq` is exactly `round_ties_even` (inputs
-    /// are finite — they are activations).  Lanes past a row's end load as 0.0
+    /// `max |v|` over one row, 16 lanes at a time — two running maxima, so
+    /// consecutive loads do not wait on each other.  The reduction is
+    /// order-independent, so this is the scalar scan's value.
+    #[inline(always)]
+    unsafe fn row_amax_avx512(row: &[f32]) -> f32 {
+        let (k, src) = (row.len(), row.as_ptr());
+        let whole = k / 16 * 16;
+        let tail = (1u16 << (k - whole)) - 1;
+        let mut vmax = [
+            _mm512_abs_ps(_mm512_maskz_loadu_ps(tail, src.add(whole))),
+            _mm512_setzero_ps(),
+        ];
+        for i in (0..whole).step_by(16) {
+            let v = _mm512_abs_ps(_mm512_loadu_ps(src.add(i)));
+            vmax[i / 16 % 2] = _mm512_max_ps(vmax[i / 16 % 2], v);
+        }
+        _mm512_reduce_max_ps(_mm512_max_ps(vmax[0], vmax[1]))
+    }
+
+    /// Sixteen rows' `(min(127 / amax, f32::MAX), amax / 127)` in one `vdivps`
+    /// each, an all-zero row's blended to `(0, 1.0)`: times a reciprocal of 0
+    /// its values convert to `q = 0` like any other row's, so no `∞` or NaN
+    /// reaches the conversion and the zero row needs no branch.
+    #[inline(always)]
+    unsafe fn row_scales_avx512(amax: __m512) -> (__m512, __m512) {
+        let c127 = _mm512_set1_ps(127.0);
+        let zero = _mm512_cmp_ps_mask::<_CMP_EQ_OQ>(amax, _mm512_setzero_ps());
+        let inv = _mm512_min_ps(_mm512_div_ps(c127, amax), _mm512_set1_ps(f32::MAX));
+        let scale = _mm512_div_ps(amax, c127);
+        (
+            _mm512_maskz_mov_ps(!zero, inv),
+            _mm512_mask_mov_ps(scale, zero, _mm512_set1_ps(1.0)),
+        )
+    }
+
+    /// AVX-512 form of the input-row quantizer, over a whole window, in two
+    /// phases: every row's amax (`vmaxps` scan and one reduction), parked in
+    /// `scales`; then, sixteen rows at a time, their reciprocals and scales
+    /// ([`row_scales_avx512`] — two divisions a group, not two a row behind a
+    /// reduce → divide → broadcast chain) and the conversion
+    /// `q = clamp(vcvtps2dq(v · inv), -127, 127)`, biased by 128 and narrowed
+    /// to bytes with `vpmovdb`.  Bit-identical to the scalar recipe: the max
+    /// reduction is order-independent, division and multiplication round
+    /// identically, and `vcvtps2dq` is exactly `round_ties_even` (inputs are
+    /// finite — they are activations).  Lanes past a row's end load as 0.0
     /// and so write its padding as `q = 0`; every store is a whole 16 bytes,
     /// running into the next row (quantized after it) or, for the last row,
     /// into the slack `bytes` must have past `rows.count * width`.
@@ -1515,37 +1612,34 @@ mod x86 {
         let lo = _mm512_set1_epi32(-127);
         let hi = _mm512_set1_epi32(127);
         let bias = _mm512_set1_epi32(128);
-        for (r, scale) in scales.iter_mut().enumerate().take(rows.count) {
-            let src = rows.row(r).as_ptr();
-            let dst = bytes.as_mut_ptr().add(r * width);
-            // Two running maxima, so consecutive loads do not wait on each other.
-            let mut vmax = [
-                _mm512_abs_ps(_mm512_maskz_loadu_ps(tail, src.add(whole))),
-                _mm512_setzero_ps(),
-            ];
-            for i in (0..whole).step_by(16) {
-                let v = _mm512_abs_ps(_mm512_loadu_ps(src.add(i)));
-                vmax[i / 16 % 2] = _mm512_max_ps(vmax[i / 16 % 2], v);
+        for (r, amax) in scales.iter_mut().enumerate().take(rows.count) {
+            *amax = row_amax_avx512(rows.row(r));
+        }
+        for group in (0..rows.count).step_by(16) {
+            let held = (rows.count - group).min(16);
+            let live = ((1u32 << held) - 1) as u16;
+            let at = scales.as_mut_ptr().add(group);
+            // Rows past the window read as all-zero ones and are not stored.
+            let (inv, scale) = row_scales_avx512(_mm512_maskz_loadu_ps(live, at));
+            _mm512_mask_storeu_ps(at, live, scale);
+            let mut invs = [0.0f32; 16];
+            _mm512_storeu_ps(invs.as_mut_ptr(), inv);
+            for (j, &inv) in invs.iter().enumerate().take(held) {
+                let src = rows.row(group + j).as_ptr();
+                let dst = bytes.as_mut_ptr().add((group + j) * width);
+                let vinv = _mm512_set1_ps(inv);
+                for i in (0..width).step_by(16) {
+                    // `width` is `k` rounded up to 4, so `i < k` here.
+                    let mask = if i < whole { 0xFFFF } else { tail };
+                    let v = _mm512_maskz_loadu_ps(mask, src.add(i));
+                    let q = _mm512_min_epi32(
+                        _mm512_max_epi32(_mm512_cvtps_epi32(_mm512_mul_ps(v, vinv)), lo),
+                        hi,
+                    );
+                    let narrow = _mm512_cvtepi32_epi8(_mm512_add_epi32(q, bias));
+                    _mm_storeu_si128(dst.add(i) as *mut __m128i, narrow);
+                }
             }
-            let amax = _mm512_reduce_max_ps(_mm512_max_ps(vmax[0], vmax[1]));
-            if amax == 0.0 {
-                std::ptr::write_bytes(dst, 128, width);
-                *scale = 1.0;
-                continue;
-            }
-            let vinv = _mm512_set1_ps(127.0 / amax);
-            for i in (0..width).step_by(16) {
-                // `width` is `k` rounded up to 4, so `i < k` here.
-                let mask = if i < whole { 0xFFFF } else { tail };
-                let v = _mm512_maskz_loadu_ps(mask, src.add(i));
-                let q = _mm512_min_epi32(
-                    _mm512_max_epi32(_mm512_cvtps_epi32(_mm512_mul_ps(v, vinv)), lo),
-                    hi,
-                );
-                let narrow = _mm512_cvtepi32_epi8(_mm512_add_epi32(q, bias));
-                _mm_storeu_si128(dst.add(i) as *mut __m128i, narrow);
-            }
-            *scale = amax / 127.0;
         }
     }
 
@@ -2537,7 +2631,7 @@ pub(crate) mod tests {
             let (xq, xscale): (Vec<i32>, f32) = if amax == 0.0 {
                 (vec![0; k], 1.0)
             } else {
-                let inv = 127.0 / amax;
+                let inv = (127.0 / amax).min(f32::MAX);
                 (
                     row.iter()
                         // Input rows round ties-to-even (the `vcvtps2dq` mode).
@@ -2634,6 +2728,95 @@ pub(crate) mod tests {
                         let expected = reference.get_or_insert_with(|| got.clone());
                         assert_eq!(&got, expected, "{form} {m}x{k}x{n}");
                     });
+                }
+            }
+        }
+    }
+
+    /// A row of zeros and values of magnitude `amax`, alternating in sign.
+    fn tiny_row(k: usize, amax: f32) -> Vec<f32> {
+        (0..k)
+            .map(|c| match c % 4 {
+                0 | 1 => 0.0,
+                2 => amax,
+                _ => -amax,
+            })
+            .collect()
+    }
+
+    /// Below `127 / f32::MAX` a row's `127 / amax` overflows; the recipe clamps
+    /// it, so every form quantizes such a row to the same finite bytes — the
+    /// scalar and AVX-512 quantizers used to part ways there (`0 · ∞` and what
+    /// a conversion makes of it) — and every form's layer answers the same.
+    #[test]
+    fn quantized_forms_are_bit_identical_on_rows_with_a_tiny_amax() {
+        let amaxes = [1e-39f32, 3e-37, 1e-36, 127.0 / f32::MAX];
+        for &k in &[3usize, 35, 38, 141] {
+            let mut x = fill_with_zero_rows(40, k, 57);
+            for (i, &amax) in amaxes.iter().enumerate() {
+                // Both sides of a sixteen-row group and of an AMX row tile.
+                for r in [i, 12 + i, 30 + i] {
+                    x.row_mut(r).copy_from_slice(&tiny_row(k, amax));
+                }
+            }
+            let rows = RowsView::of_matrix(&x, 0, 40).unwrap();
+            let mut scalar = QuantizedRows::default();
+            scalar.fill(Kernel::Scalar, rows);
+            for (i, amax) in amaxes.iter().enumerate() {
+                // Zeros stay zeros and nothing saturates on an overflowed product.
+                let zeros = scalar.row(i).iter().filter(|&&b| b == 0x80).count();
+                assert!(zeros >= k / 2, "k={k} amax={amax}: bytes {:?}", scalar.row(i));
+                assert!(scalar.scales()[i].is_finite() && scalar.scales()[i] > 0.0);
+            }
+            let panels = QuantizedPanels::quantize(&fill(k, 21, 58), Some(&fill(1, 21, 59))).unwrap();
+            let mut reference = None;
+            under_each_form(|form| {
+                let mut q = QuantizedRows::default();
+                q.fill(active(), rows);
+                for r in 0..40 {
+                    assert_eq!(q.row(r), scalar.row(r), "{form} k={k} row {r} bytes");
+                }
+                assert_eq!(bits_of(q.scales()), bits_of(scalar.scales()), "{form} k={k} scales");
+                let got = bits(&forward_quantized(&x, 0, 40, &panels, Activation::Relu).unwrap());
+                assert_eq!(&got, reference.get_or_insert_with(|| got.clone()), "{form} k={k}");
+            });
+        }
+    }
+
+    fn bits_of(values: &[f32]) -> Vec<u32> {
+        values.iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// The two-phase AVX-512 quantizer is the scalar one, byte for byte and
+    /// scale for scale: at row counts on both sides of its sixteen-row groups,
+    /// with all-zero rows at the start, in the middle and at the end of a
+    /// group (their lanes of the vector division are `127 / 0` and `0 / 127`,
+    /// and neither an `∞` nor a NaN may leak into a byte or a scale), beside
+    /// rows with negatives and scattered zeros, at widths on both sides of one
+    /// and of several 16-lane loads.
+    #[test]
+    fn row_quantizer_forms_agree_byte_for_byte() {
+        for &k in &[1usize, 4, 15, 16, 17, 35, 38, 64, 141] {
+            for &count in &[0usize, 1, 15, 16, 17, 33, 96] {
+                for zeroed in [vec![], vec![0], vec![7], vec![15], vec![0, 15, 16], vec![16, 24, 31, 32]] {
+                    let mut x = fill(count, k, 95);
+                    for &r in zeroed.iter().filter(|&&r| r < count) {
+                        x.row_mut(r).fill(0.0);
+                    }
+                    let rows = RowsView::of_matrix(&x, 0, count).unwrap();
+                    // A reused buffer: stale bytes of a wider, longer window.
+                    let mut scalar = QuantizedRows::quantize(RowsView::of_matrix(&fill(97, 150, 1), 0, 97).unwrap());
+                    let mut vector = scalar.clone();
+                    scalar.fill(Kernel::Scalar, rows);
+                    with_forced(Kernel::Vector, || vector.fill(Kernel::Vector, rows));
+                    for r in 0..count {
+                        assert_eq!(vector.row(r), scalar.row(r), "k={k} count={count} row {r}");
+                        if zeroed.contains(&r) {
+                            assert!(vector.row(r).iter().all(|&b| b == 0x80), "zero row {r}");
+                            assert_eq!(vector.scales()[r], 1.0);
+                        }
+                    }
+                    assert_eq!(bits_of(vector.scales()), bits_of(scalar.scales()), "k={k} count={count}");
                 }
             }
         }

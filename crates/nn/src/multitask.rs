@@ -7,6 +7,7 @@
 //! MHAS (in `dm-core`) searches the number and width of both trunk and head layers;
 //! this module only cares about instantiating and training a concrete choice.
 
+use crate::encoding::KeyEncoder;
 use crate::kernel::{self, QuantizedPanels, QuantizedRows, RowsView, LANES};
 use crate::layer::{Activation, Dense};
 use crate::loss::{accuracy, softmax_cross_entropy};
@@ -48,8 +49,21 @@ pub const PARALLEL_ROW_CROSSOVER: usize = 256;
 /// 128 → 514 / 470 and 507 / 456, 192 → 461 / 450 and 576 / 482, 256 →
 /// 531 / 437 and 550 / 453, 512 → 512 / 453 and 506 / 465 — worse under 64,
 /// flat from 96 to 512, so the parallel path's preference for small chunks
-/// still decides and 96 stays.  When the kernels change, rerun the sweep from
-/// a scratch harness and judge it on `mem_mixed`'s `nn.forward_ns_per_key`.
+/// still decides and 96 stays.
+///
+/// Re-checked with the keys-in source and the two-phase row quantizer (PR 20;
+/// same model, `forward_keys_flat_on` on a serial pool, best of 6 × 20, ns/row
+/// at 2 445 / 25 000 rows, two rounds, same loud host, read ± 30): 32 →
+/// 503 / 539 and 465 / 490, 48 → 483 / 508 and 488 / 508, 64 → 451 / 482 and
+/// 456 / 481, 96 → 457 / 461 and 467 / 469, 128 → 455 / 463 and 468 / 468,
+/// 192 → 485 / 444 and 497 / 466, 256 → 498 / 445 and 488 / 471, 512 →
+/// 547 / 466 and 537 / 466 — a lookup-sized batch is best from 64 to 128 and
+/// loses 30–90 ns/row from 192 up (fewer, larger chunks leave a longer ragged
+/// tail and the key chunk, the quantized rows and three regions no longer sit
+/// in L1 together), a 25 000-row one is flat from 96 up.  96 stays.  When the
+/// kernels change, rerun the sweep from a scratch harness (one copy of the tree
+/// per chunk size, the constant edited) and judge it on `mem_mixed`'s
+/// `keys_per_s`.
 pub const CACHE_CHUNK_ROWS: usize = 96;
 
 /// Specification of one private head: hidden widths plus the number of output classes
@@ -348,6 +362,10 @@ impl MultiTaskModel {
     /// per row).  Keeping it a dense pass per batch is what amortizes inference
     /// across a lookup batch (Section IV-B2 of the paper).
     ///
+    /// This is the features-in entry of the walk (training-time evaluation,
+    /// MHAS, anything that already holds a feature matrix); a lookup enters
+    /// with its keys through [`forward_keys_flat_on`](Self::forward_keys_flat_on).
+    ///
     /// Runs on the shared [`dm_exec::global`] pool; use
     /// [`forward_batch_flat_on`](Self::forward_batch_flat_on) to pin a pool.
     pub fn forward_batch_flat(&self, x: &Matrix, out: &mut Vec<u32>) -> crate::Result<usize> {
@@ -365,12 +383,53 @@ impl MultiTaskModel {
         x: &Matrix,
         out: &mut Vec<u32>,
     ) -> crate::Result<usize> {
+        self.walk_on(exec, WalkSource::Features(x), x.rows(), out)
+    }
+
+    /// [`forward_batch_flat_on`](Self::forward_batch_flat_on) over keys instead
+    /// of their features: the predictions of `encoder.encode_batch(keys)`,
+    /// without the matrix.  Each row chunk of the walk encodes its own keys —
+    /// into the first layer's quantized input rows directly when that layer is
+    /// an int8 trunk layer ([`KeyEncoder::quantize_keys`]: no f32 features and
+    /// no quantizer pass over them), into one chunk of f32 features otherwise —
+    /// and from there on it is the same walk, so the same predictions bit for
+    /// bit.  This is the entry the lookup path uses.
+    pub fn forward_keys_flat_on(
+        &self,
+        exec: &ThreadPool,
+        encoder: &KeyEncoder,
+        keys: &[u64],
+        out: &mut Vec<u32>,
+    ) -> crate::Result<usize> {
+        if encoder.input_dim() != self.spec.input_dim {
+            return Err(crate::NnError::ShapeMismatch {
+                context: format!(
+                    "forward_keys_flat: the encoder emits {} features, the model reads {}",
+                    encoder.input_dim(),
+                    self.spec.input_dim
+                ),
+            });
+        }
+        self.walk_on(exec, WalkSource::Keys(encoder, keys), keys.len(), out)
+    }
+
+    /// The walk behind both entries: `rows` rows of `source`, serially or as
+    /// one pool task per row window.
+    fn walk_on(
+        &self,
+        exec: &ThreadPool,
+        source: WalkSource<'_>,
+        rows: usize,
+        out: &mut Vec<u32>,
+    ) -> crate::Result<usize> {
         let tasks = self.heads.len();
-        let rows = x.rows();
         out.clear();
         out.resize(rows * tasks, 0);
+        if rows == 0 {
+            return Ok(tasks);
+        }
         if rows < PARALLEL_ROW_CROSSOVER || exec.threads() <= 1 {
-            self.forward_window(x, 0, CACHE_CHUNK_ROWS, out)?;
+            self.forward_window(source, 0, CACHE_CHUNK_ROWS, out)?;
             return Ok(tasks);
         }
         // Two row windows per thread, so the work steals evenly, but never
@@ -383,7 +442,7 @@ impl MultiTaskModel {
         let first_error: Mutex<Option<crate::NnError>> = Mutex::new(None);
         let walk = |wi: usize, window: &mut [u32]| {
             let start = wi * window_rows;
-            if let Err(err) = self.forward_window(x, start, CACHE_CHUNK_ROWS, window) {
+            if let Err(err) = self.forward_window(source, start, CACHE_CHUNK_ROWS, window) {
                 let mut slot = first_error.lock().unwrap_or_else(|e| e.into_inner());
                 if slot.is_none() {
                     *slot = Some(err);
@@ -409,12 +468,13 @@ impl MultiTaskModel {
         Ok(tasks)
     }
 
-    /// Predictions for the `out.len() / num_tasks` rows of `x` from `start` on,
-    /// `chunk_rows` at a time through one working memory sized for a chunk —
-    /// never more than a chunk of activations is live, whatever the window.
+    /// Predictions for the `out.len() / num_tasks` rows of `source` from
+    /// `start` on, `chunk_rows` at a time through one working memory sized for
+    /// a chunk — never more than a chunk of activations (or of encoded keys)
+    /// is live, whatever the window.
     fn forward_window(
         &self,
-        x: &Matrix,
+        source: WalkSource<'_>,
         start: usize,
         chunk_rows: usize,
         out: &mut [u32],
@@ -422,9 +482,30 @@ impl MultiTaskModel {
         let tasks = self.heads.len();
         let chunk_rows = chunk_rows.clamp(1, (out.len() / tasks).max(1));
         let mut scratch = WalkScratch::new(self, chunk_rows);
+        // Keys go straight to bytes when the layer that reads them first is an
+        // int8 trunk layer; with no trunk every head reads the input, and the
+        // one quantized-rows buffer cannot stay theirs between heads.
+        let bytes_first = self.trunk.first().is_some_and(Dense::is_quantized);
+        let dim = self.spec.input_dim;
+        let mut features = Vec::new();
         for (ci, out_chunk) in out.chunks_mut(chunk_rows * tasks).enumerate() {
             let count = out_chunk.len() / tasks;
-            self.forward_rows_flat(x, start + ci * chunk_rows, count, &mut scratch, out_chunk)?;
+            let at = start + ci * chunk_rows;
+            let input = match source {
+                WalkSource::Features(x) => Some(RowsView::of_matrix(x, at, count)?),
+                WalkSource::Keys(encoder, keys) if bytes_first => {
+                    encoder.quantize_keys(&keys[at..at + count], &mut scratch.qrows);
+                    None
+                }
+                WalkSource::Keys(encoder, keys) => {
+                    features.resize(count * dim, 0.0);
+                    for (&key, row) in keys[at..at + count].iter().zip(features.chunks_exact_mut(dim)) {
+                        encoder.encode_into(key, row);
+                    }
+                    Some(RowsView::new(&features, dim, count, dim)?)
+                }
+            };
+            self.forward_rows_flat(input, count, &mut scratch, out_chunk)?;
         }
         Ok(())
     }
@@ -452,26 +533,42 @@ impl MultiTaskModel {
             || self.heads.iter().flatten().any(Dense::is_quantized)
     }
 
-    /// One serial trunk + heads pass over rows `[start, start + count)` of `x`,
-    /// writing row-major argmax predictions into `out` (`count * num_tasks` wide).
-    /// Every layer runs through its `*_into` entry point between the regions of
-    /// `scratch`, so the walk itself allocates nothing, and the predictions are
-    /// read straight off the last layer's region.  It is the per-layer
-    /// [`Dense::forward`] chain with the buffers hoisted out: same kernels, same
-    /// operands, so the same logits bit for bit.
+    /// One serial trunk + heads pass over the `count` rows of `input`, writing
+    /// row-major argmax predictions into `out` (`count * num_tasks` wide).
+    /// `None` for `input` says the first trunk layer's rows already sit
+    /// quantized in `scratch.qrows` (the keys-in source over an int8 trunk):
+    /// that layer runs over them as they are and the walk goes on from its
+    /// output.  Every layer runs through its `*_into` entry point between the
+    /// regions of `scratch`, so the walk itself allocates nothing, and the
+    /// predictions are read straight off the last layer's region.  It is the
+    /// per-layer [`Dense::forward`] chain with the buffers hoisted out: same
+    /// kernels, same operands, so the same logits bit for bit.
     fn forward_rows_flat(
         &self,
-        x: &Matrix,
-        start: usize,
+        input: Option<RowsView<'_>>,
         count: usize,
         scratch: &mut WalkScratch,
         out: &mut [u32],
     ) -> crate::Result<()> {
         let tasks = self.heads.len();
         debug_assert_eq!(out.len(), count * tasks);
-        let input = RowsView::of_matrix(x, start, count)?;
+        let mut trunk = self.trunk.iter();
         let mut trunk_out = None;
-        for layer in &self.trunk {
+        let input = match input {
+            Some(rows) => rows,
+            None => {
+                let first = trunk.next().expect("rows quantized for a first trunk layer");
+                let panels = first.quantized().expect("rows quantized for an int8 layer");
+                // Nothing reads the input window after this layer.
+                let nothing = RowsView::new(&[], 0, count, 0)?;
+                trunk_out = Some(scratch.step(nothing, None, None, panels.n(), |_, q, to, ld| {
+                    let kernel = kernel::active();
+                    kernel::forward_prequantized_into(kernel, q, panels, first.activation(), to, ld)
+                })?);
+                nothing
+            }
+        };
+        for layer in trunk {
             trunk_out = Some(scratch.layer(input, trunk_out, None, layer)?);
         }
         let fused = match &self.fused_entry {
@@ -636,6 +733,16 @@ impl MultiTaskModel {
     }
 }
 
+/// Where a walk's first rows come from.  Everything past the first layer's
+/// input is the same walk.
+#[derive(Clone, Copy)]
+enum WalkSource<'a> {
+    /// Rows of a feature matrix the caller already holds.
+    Features(&'a Matrix),
+    /// Keys, which each row chunk encodes for itself.
+    Keys(&'a KeyEncoder, &'a [u64]),
+}
+
 /// Where a layer's output sits in a [`WalkScratch`]: `k` values per row,
 /// `offset` columns into rows `ld` apart in region `region`.
 #[derive(Debug, Clone, Copy)]
@@ -649,10 +756,14 @@ struct Activations {
 /// The working memory of one [`MultiTaskModel::forward_rows_flat`] walk, owned
 /// by the call that runs it (a pool task, or the serial loop over chunks) and
 /// sized by that call's row window: the quantized input rows of the layer
-/// running now, and three activation regions with a panel-padded leading
+/// running now — which the keys-in source fills itself for an int8 first
+/// trunk layer ([`KeyEncoder::quantize_keys`]), every later layer from its f32
+/// input — and three activation regions with a panel-padded leading
 /// dimension, so the kernels store whole lanes.  Three, because a layer writes
 /// a region other than the one it reads, and other than the one every head
-/// reads.
+/// reads.  (The chunk of f32 features the keys-in source encodes for an f32
+/// first layer lives beside it in [`MultiTaskModel::forward_window`]: it is
+/// the walk's input window, which every step borrows next to this.)
 struct WalkScratch {
     qrows: QuantizedRows,
     regions: [Vec<f32>; 3],
@@ -856,11 +967,14 @@ mod tests {
 
     /// The chunked parallel inference path must agree bit-for-bit with the serial
     /// single-pass path, both above and below the crossover threshold — and the
-    /// caller walks one window of every parallel batch itself.
+    /// caller walks one window of every parallel batch itself.  Both entries of
+    /// the walk fan out the same way: the keys entry hands each window its own
+    /// keys to encode.
     #[test]
     fn parallel_flat_inference_matches_serial() {
         let mut rng = StdRng::seed_from_u64(9);
         let model = MultiTaskModel::new(&mut rng, &toy_spec()).unwrap();
+        let encoder = six_feature_encoder();
         let parallel = dm_exec::ThreadPool::new(4);
         let serial = dm_exec::ThreadPool::new(1);
         for rows in [3usize, PARALLEL_ROW_CROSSOVER - 1, PARALLEL_ROW_CROSSOVER, 1_000] {
@@ -885,6 +999,34 @@ mod tests {
         // The two batches at or past the crossover fanned out — 2 and 8 windows
         // of 128 rows — and the pool ran all but the one the caller took.
         assert_eq!(parallel.stats().tasks_executed, (2 - 1) + (8 - 1));
+        for rows in [3usize, PARALLEL_ROW_CROSSOVER - 1, PARALLEL_ROW_CROSSOVER, 1_000] {
+            let keys = scattered_keys(rows);
+            let mut expected = Vec::new();
+            let x = encoder.encode_batch(&keys);
+            model.forward_batch_flat_on(&serial, &x, &mut expected).unwrap();
+            let mut got = Vec::new();
+            let tasks = model
+                .forward_keys_flat_on(&parallel, &encoder, &keys, &mut got)
+                .unwrap();
+            assert_eq!((tasks, &got), (2, &expected), "keys in, rows={rows}");
+        }
+        assert_eq!(parallel.stats().tasks_executed, 2 * ((2 - 1) + (8 - 1)));
+    }
+
+    /// Three bits and a one-hot residue mod 3: the six features `toy_spec` reads.
+    fn six_feature_encoder() -> KeyEncoder {
+        KeyEncoder::from_parts(3, vec![3], &[])
+    }
+
+    /// `rows` keys all over `u64`, the extremes included.
+    fn scattered_keys(rows: usize) -> Vec<u64> {
+        (0..rows as u64)
+            .map(|i| match i % 7 {
+                0 => i,
+                1 => u64::MAX - i,
+                _ => i.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> (i % 60),
+            })
+            .collect()
     }
 
     /// The scalar and vector kernels must produce bit-identical predictions at
@@ -953,7 +1095,9 @@ mod tests {
         // Chunk size must not change any prediction...
         for chunk in [1usize, 7, 64, 2048] {
             let mut chunked = vec![0u32; rows * 2];
-            model.forward_window(&x, 0, chunk, &mut chunked).unwrap();
+            model
+                .forward_window(WalkSource::Features(&x), 0, chunk, &mut chunked)
+                .unwrap();
             assert_eq!(scalar, chunked, "chunk={chunk}");
         }
         // ...and neither must the thread count.
@@ -1028,6 +1172,12 @@ mod tests {
             assert!(f32_model.fused_entry.is_none());
             // More rows than one chunk, and not a multiple of the row tile.
             let x = signed_input(2 * CACHE_CHUNK_ROWS + 7, 6);
+            // The same walk entered with keys: layer 0's bytes straight from
+            // them (int8 trunk), or a chunk of f32 features (f32, or no trunk).
+            let encoder = six_feature_encoder();
+            let keys = scattered_keys(2 * CACHE_CHUNK_ROWS + 7);
+            let encoded = encoder.encode_batch(&keys);
+            let serial = dm_exec::ThreadPool::new(1);
             for (precision, model) in [("f32", &f32_model), ("int8", &int8_model)] {
                 kernel::tests::under_each_form(|form| {
                     assert_eq!(
@@ -1035,9 +1185,33 @@ mod tests {
                         chain_predictions(model, &x),
                         "{name}, {precision}, {form}"
                     );
+                    let mut from_keys = Vec::new();
+                    model
+                        .forward_keys_flat_on(&serial, &encoder, &keys, &mut from_keys)
+                        .unwrap();
+                    assert_eq!(
+                        from_keys,
+                        chain_predictions(model, &encoded),
+                        "{name}, {precision}, {form}, keys in"
+                    );
                 });
             }
         }
+    }
+
+    /// An encoder of another width than the model reads is an error, not a
+    /// walk over rows of the wrong length.
+    #[test]
+    fn keys_entry_rejects_an_encoder_of_the_wrong_width() {
+        let model = MultiTaskModel::new(&mut StdRng::seed_from_u64(5), &toy_spec()).unwrap();
+        let serial = dm_exec::ThreadPool::new(1);
+        let mut out = vec![7];
+        let wrong = KeyEncoder::with_bits(5);
+        assert!(model.forward_keys_flat_on(&serial, &wrong, &[1, 2], &mut out).is_err());
+        let tasks = model
+            .forward_keys_flat_on(&serial, &six_feature_encoder(), &[], &mut out)
+            .unwrap();
+        assert_eq!((tasks, out.len()), (2, 0));
     }
 
     /// A training step moves every layer back onto f32 weights, so it must

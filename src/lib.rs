@@ -74,13 +74,18 @@
 //! │                                       + parking), scope/join/parallel_chunks,
 //! │                                       panic propagation, ExecStats
 //! ├── crates/nn              dm-nn        matrices, dense layers, multi-task model,
-//! │                                       forward_batch_flat (vectorized,
-//! │                                       row-windowed on the pool);
+//! │                                       one vectorized walk, row-windowed on
+//! │                                       the pool, entered with keys
+//! │                                       (forward_keys_flat_on: each 96-row
+//! │                                       chunk encodes its own, an int8 model's
+//! │                                       straight to first-layer bytes) or
+//! │                                       with features (forward_batch_flat);
 //! │                                       kernel: packed-panel micro-kernels —
 //! │                                       16-lane AVX-512 / AVX2+FMA f32 forms,
-//! │                                       an int8 quantized path (vpdpbusd on
-//! │                                       AVX-512-VNNI, sign + vpmaddubsw on
-//! │                                       AVX2), and bit-identical scalar
+//! │                                       an int8 quantized path (AMX tiles,
+//! │                                       vpdpbusd on AVX-512-VNNI, sign +
+//! │                                       vpmaddubsw on AVX2; a two-phase row
+//! │                                       quantizer), and bit-identical scalar
 //! │                                       fallbacks (CPU detection picks)
 //! ├── crates/compress        dm-compress  lz / lz+huffman / deflate-like / dictionary,
 //! │                                       varint, rle, bitpack, framed format
@@ -130,7 +135,8 @@
 //! Lookups flow facade → `TupleStore::lookup_batch_into` →
 //! `dm_core::pipeline::QueryPipeline::execute_into` (three-way split on the existence
 //! and corrected-key bit vectors → one vectorized flat forward pass over the
-//! *predicted* keys, beside rank-addressed auxiliary probes of the *corrected*
+//! *predicted* keys — handed to the network as keys, never as a batch-wide
+//! feature matrix — beside rank-addressed auxiliary probes of the *corrected*
 //! keys (`rank(base, key)` → partition and slot; packed partitions come through the
 //! shared buffer pool, each loaded at most once per batch) →
 //! order-preserving scatter into the caller's `LookupBuffer` arena — every key pays
@@ -147,7 +153,7 @@
 //!   thread (probes of the corrected keys, then inference of the predicted
 //!   keys); each fans out by itself, so a small batch never pays for a task.
 //! * **Inference** splits large batches into row chunks executed as pool
-//!   tasks (`MultiTaskModel::forward_batch_flat`, serial below
+//!   tasks (`MultiTaskModel::forward_keys_flat_on`, serial below
 //!   `dm_nn::PARALLEL_ROW_CROSSOVER` rows), each chunk running the packed-panel
 //!   SIMD kernels of [`dm_nn::kernel`].
 //! * **Probing** visits independent auxiliary partition groups as parallel pool

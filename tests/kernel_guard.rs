@@ -311,6 +311,69 @@ fn under_every_kernel(check: impl Fn(&str)) {
     });
 }
 
+/// Digest of the benchmark-shape model's predictions for [`pinned_keys`] as
+/// commit 86d3841 computed them — `encode_batch` into a feature matrix, the row
+/// quantizer over it, the walk — the last commit before a lookup's keys went
+/// to the first layer's bytes without passing through f32.  [`signed_input`]
+/// is not the encoding of any key, so the three digests above can only enter
+/// the walk as features; this one pins the keys entry to the same arithmetic.
+const PINNED_KEY_CLASSES: u64 = 0x1dff_4f1f_e398_fa05;
+
+/// Keys of the frozen benchmark's domain (21 bits) beside keys past it, past
+/// 2³² and at the top of `u64`.
+fn pinned_keys() -> Vec<u64> {
+    (0..PINNED_ROWS as u64)
+        .map(|i| {
+            let h = i.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+            match i % 10 {
+                0 => h,
+                1 => u64::MAX - i,
+                2 => (1 << 32) + i,
+                _ => h >> 43,
+            }
+        })
+        .collect()
+}
+
+/// The benchmark-shape network behind the frozen benchmark's key encoding
+/// (21 bits + one-hots mod 2, 3, 5, 7 = 38 features).
+fn benchmark_shape_mapping_model() -> deepmapping::core::MappingModel {
+    let schema = deepmapping::core::MappingSchema {
+        key_encoder: deepmapping::nn::KeyEncoder::with_periodic_features((1 << 21) - 1),
+        cardinalities: vec![4, 8, 16, 32, 64],
+    };
+    deepmapping::core::MappingModel::from_parts(schema, benchmark_shape_model()).expect("model")
+}
+
+fn key_classes_digest(model: &deepmapping::core::MappingModel) -> u64 {
+    let mut flat = Vec::new();
+    let serial = deepmapping::exec::ThreadPool::new(1);
+    let columns = model
+        .predict_into_on(&serial, &pinned_keys(), &mut flat)
+        .expect("predict_into_on");
+    assert_eq!((columns, flat.len()), (5, 5 * PINNED_ROWS));
+    fnv1a(flat)
+}
+
+/// The lookup path's entry — keys in, `MappingModel::predict_into_on` — lands on
+/// the pinned arithmetic under every int8 form, and agrees with the features-in
+/// entry over the same keys.
+#[test]
+fn int8_predictions_from_keys_match_the_digest_pinned_at_the_parent_commit() {
+    let model = benchmark_shape_mapping_model();
+    let features = model.schema().key_encoder.encode_batch(&pinned_keys());
+    let serial = deepmapping::exec::ThreadPool::new(1);
+    under_every_kernel(|form| {
+        assert_eq!(key_classes_digest(&model), PINNED_KEY_CLASSES, "keys in, {form}");
+        let mut flat = Vec::new();
+        model
+            .network()
+            .forward_batch_flat_on(&serial, &features, &mut flat)
+            .expect("forward_batch_flat_on");
+        assert_eq!(fnv1a(flat), PINNED_KEY_CLASSES, "features in, {form}");
+    });
+}
+
 #[test]
 fn int8_logits_match_the_digests_pinned_at_the_parent_commit() {
     let model = benchmark_shape_model();

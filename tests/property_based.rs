@@ -503,3 +503,116 @@ fn bitvec_round_trips_arbitrary_key_sets() {
         );
     });
 }
+
+/// A random key encoder — 1 to 64 bit features, up to five one-hot moduli from
+/// `1..=64`, up to three ramp periods of any size — and keys that stress it: inside
+/// and past `2^bits`, past `2^32` (where the residues fall back to division), and
+/// `u64::MAX`.
+fn arb_encoder_and_keys(rng: &mut StdRng, count: usize) -> (dm_nn::KeyEncoder, Vec<u64>) {
+    let bits = rng.gen_range(1..=64usize);
+    let moduli = (0..rng.gen_range(0..=5usize))
+        .map(|_| rng.gen_range(1..=64u64))
+        .collect();
+    let ramps: Vec<u64> = (0..rng.gen_range(0..=3usize))
+        .map(|_| match rng.gen_range(0..3u32) {
+            0 => rng.gen_range(2..100u64),
+            1 => rng.gen_range(100..10_000_000u64),
+            _ => rng.gen::<u64>() | 2,
+        })
+        .collect();
+    let encoder = dm_nn::KeyEncoder::from_parts(bits, moduli, &ramps);
+    let keys = (0..count)
+        .map(|i| match (i, rng.gen_range(0..4u32)) {
+            (0, _) => u64::MAX,
+            (1, _) => 0,
+            (_, 0) => rng.gen::<u64>() >> (64 - bits),
+            (_, 1) => rng.gen::<u64>(),
+            (_, 2) => rng.gen_range(0..1u64 << 21),
+            _ => (1u64 << 32).wrapping_add(rng.gen_range(0..64u64)) - 32,
+        })
+        .collect();
+    (encoder, keys)
+}
+
+/// A key's quantized form is the row quantizer's image of its f32 features: for any
+/// encoder and any key, `quantize_keys` writes the bytes and the scale that
+/// quantizing `encode_batch`'s rows produces — under the scalar quantizer and under
+/// the vector one — so an int8 first layer cannot tell which of the two fed it.
+#[test]
+fn quantized_keys_are_the_quantized_features_byte_for_byte() {
+    use dm_nn::kernel::{Kernel, QuantizedRows, RowsView};
+    cases(200, |rng| {
+        let (encoder, keys) = arb_encoder_and_keys(rng, 40);
+        let features = encoder.encode_batch(&keys);
+        let rows = RowsView::of_matrix(&features, 0, keys.len()).unwrap();
+        let mut from_keys = QuantizedRows::default();
+        encoder.quantize_keys(&keys, &mut from_keys);
+        assert_eq!(from_keys.count(), keys.len());
+        for kernel in [Kernel::Scalar, Kernel::Vector] {
+            let mut from_features = QuantizedRows::default();
+            from_features.fill(kernel, rows);
+            for (i, key) in keys.iter().enumerate() {
+                assert_eq!(
+                    from_keys.row(i),
+                    from_features.row(i),
+                    "{kernel:?} key {key:#x} of {encoder:?}"
+                );
+                assert_eq!(
+                    from_keys.scales()[i].to_bits(),
+                    from_features.scales()[i].to_bits(),
+                    "{kernel:?} scale of key {key:#x} of {encoder:?}"
+                );
+            }
+        }
+    });
+}
+
+/// Entering the model walk with keys predicts what entering it with their encoded
+/// features predicts: int8 and f32 models, with a trunk (int8: the keys become the
+/// first layer's bytes directly) and without one (every head reads the input), at
+/// row counts around the walk's 16-row tiles and 96-row chunks, on a serial pool
+/// and on one that fans windows out.
+#[test]
+fn keys_in_predicts_what_features_in_predicts() {
+    let pools = [dm_exec::ThreadPool::new(1), dm_exec::ThreadPool::new(4)];
+    cases(12, |rng| {
+        let (encoder, _) = arb_encoder_and_keys(rng, 0);
+        if encoder.input_dim() > 256 {
+            return; // keep the random models small
+        }
+        for shared_hidden in [vec![24, 19], vec![]] {
+            let spec = MultiTaskSpec {
+                input_dim: encoder.input_dim(),
+                shared_hidden,
+                heads: vec![
+                    TaskHeadSpec::with_hidden(vec![35], 5),
+                    TaskHeadSpec::with_hidden(vec![35], 17),
+                ],
+            };
+            let f32_model = dm_nn::MultiTaskModel::new(rng, &spec).unwrap();
+            let mut int8_model = f32_model.clone();
+            int8_model.quantize_int8().unwrap();
+            for rows in [0usize, 1, 15, 16, 17, 95, 96, 97, 300] {
+                let (_, keys) = arb_encoder_and_keys(rng, rows);
+                let features = encoder.encode_batch(&keys);
+                for model in [&f32_model, &int8_model] {
+                    let mut expected = Vec::new();
+                    model.forward_batch_flat_on(&pools[0], &features, &mut expected).unwrap();
+                    for pool in &pools {
+                        let mut got = vec![9; 3];
+                        let tasks = model.forward_keys_flat_on(pool, &encoder, &keys, &mut got).unwrap();
+                        assert_eq!(tasks, 2);
+                        assert_eq!(
+                            got,
+                            expected,
+                            "{rows} rows, {} threads, quantized: {}, trunk: {:?}, {encoder:?}",
+                            pool.threads(),
+                            model.is_quantized(),
+                            spec.shared_hidden
+                        );
+                    }
+                }
+            }
+        }
+    });
+}
