@@ -1,32 +1,26 @@
-//! # dm-bench — the benchmark harness behind every table and figure of the paper
+//! # dm-bench — the paper's evaluation as one runner and one file of rows
 //!
-//! Each bench target under `benches/` regenerates one table or figure of the
-//! DeepMapping evaluation (Section V).  They are custom harnesses (`harness = false`)
-//! that print the same rows/series the paper reports.  Throughput, latency and stored
-//! bytes are *measured and gated* by the frozen benchmark (`BENCHMARK.json`,
-//! `benchmark/`), not here.
-//!
-//! The utilities here are shared by all of them:
-//!
-//! * [`BenchScale`] — one knob (`DM_BENCH_SCALE`, default `0.005`) that scales every
-//!   dataset so the full suite runs in minutes on one core while preserving the
-//!   *shape* of the results (who wins, by roughly what factor),
-//! * [`build_baselines`] / [`build_deepmapping`] — construct the paper's system matrix
-//!   (AB, ABC-D/G/Z/L, HB, HBC-Z/L, DS, DM-Z, DM-L) over a dataset,
-//! * [`measure_lookup`] — wall-clock plus simulated-I/O latency of a query batch,
-//! * [`report`] — fixed-width table printing so `cargo bench` output reads like the
-//!   paper's tables.
+//! [`paper`] generates each dataset once per generator scale, builds every system of
+//! the paper's matrix (AB, ABC-D/G/Z/L, HB, HBC-Z/L, DS, DM-Z, DM-L) once per
+//! [`Regime`], measures it once with [`measure_lookup`] and emits flat rows — ratio and
+//! keys/s in the same row, because the paper's claim is the trade-off between them.
+//! Figures 4–10 and Tables I–V of Section V are projections of those rows
+//! (`cargo bench -p dm-bench --bench paper [-- fig6]`) and `PAPER_RESULTS.json` at the
+//! repository root is their committed form.  The frozen benchmark (`BENCHMARK.json`,
+//! `benchmark/`) is what *gates* a change; this crate records where DeepMapping stands
+//! on the paper's own data, with one definition of every system: int8 DeepMapping
+//! stores, one `TrainingConfig`, first call apart from the warm median.
 
-pub mod sweeps;
+pub mod paper;
 
 use dm_baselines::{DeepSqueezeConfig, DeepSqueezeStore, PartitionedStore, PartitionedStoreConfig};
 use dm_compress::Codec;
-use dm_core::{DeepMappingBuilder, Quantization, TrainingConfig};
+use dm_core::{DeepMapping, DeepMappingBuilder, Quantization, StorageBreakdown, TrainingConfig};
 use dm_data::Dataset;
-use dm_storage::{DiskProfile, LookupBuffer, Metrics, MutableStore, Row};
-use std::time::{Duration, Instant};
+use dm_storage::{DiskProfile, LatencyBreakdown, LookupBuffer, Metrics, MutableStore, Row};
+use std::time::Instant;
 
-/// Global scale knob for the benchmark suite.
+/// The generator scale of a run (`--scale`, default `0.005`).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BenchScale {
     /// Multiplier applied to the paper's SF-1 row counts (e.g. `0.005` ≈ 7.5 k orders).
@@ -34,15 +28,9 @@ pub struct BenchScale {
 }
 
 impl BenchScale {
-    /// Reads the scale from the `DM_BENCH_SCALE` environment variable
-    /// (default `0.005`).
-    pub fn from_env() -> Self {
-        let factor = std::env::var("DM_BENCH_SCALE")
-            .ok()
-            .and_then(|v| v.parse::<f64>().ok())
-            .unwrap_or(0.005)
-            .clamp(1e-5, 10.0);
-        BenchScale { factor }
+    /// A scale clamped to what the generators can serve.
+    pub fn new(factor: f64) -> Self {
+        BenchScale { factor: factor.clamp(1e-5, 10.0) }
     }
 
     /// Scales an SF-1 row count.
@@ -57,45 +45,44 @@ impl BenchScale {
     }
 }
 
-/// Machine profiles of Section V-A2, expressed as (memory budget, disk model).
+/// A memory regime of Section V — what is left of the paper's three machines: the pool
+/// holds everything (Table II) or a share of the uncompressed data (Table I).  Both read
+/// through `edge_ssd`: modelled I/O is `partition_loads × latency + bytes_read / bandwidth`.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct MachineProfile {
-    /// Human-readable name ("small", "medium", "large").
+pub struct Regime {
+    /// The `regime` field of a row.
     pub name: &'static str,
-    /// Memory available to buffer pools, in bytes.  `usize::MAX` means "fits easily".
-    pub memory_budget_bytes: usize,
-    /// I/O model.
-    pub disk: DiskProfile,
+    /// Pool budget as a share of the uncompressed data; `None` fits everything.
+    pub pool_share: Option<f64>,
 }
 
-impl MachineProfile {
-    /// The small-size machine (t2-medium class): constrained memory, slow disk.
-    /// `memory_fraction` expresses the budget as a fraction of `dataset_bytes` so the
-    /// "dataset exceeds memory" scenario scales with the benchmark scale.
-    pub fn small(dataset_bytes: usize, memory_fraction: f64) -> Self {
-        MachineProfile {
-            name: "small",
-            memory_budget_bytes: ((dataset_bytes as f64) * memory_fraction) as usize,
-            disk: DiskProfile::edge_ssd(),
-        }
-    }
+impl Regime {
+    /// Everything a batch touches stays resident once loaded.
+    pub const MEMORY: Regime = Regime { name: "mem", pool_share: None };
+    /// The pool is 20 % of the data, so the partitioned baselines keep evicting.
+    pub const POOL: Regime = Regime { name: "pool", pool_share: Some(0.2) };
 
-    /// The medium-size machine (g4dn class): ample memory, faster disk.
-    pub fn medium() -> Self {
-        MachineProfile {
-            name: "medium",
-            memory_budget_bytes: usize::MAX,
-            disk: DiskProfile::nvme(),
-        }
+    /// Buffer-pool budget for a dataset of `raw_bytes`.
+    pub fn budget(&self, raw_bytes: usize) -> usize {
+        self.pool_share.map_or(usize::MAX, |share| (raw_bytes as f64 * share) as usize)
     }
+}
 
-    /// The large-size machine (A10 server): everything in memory, free I/O.
-    pub fn large() -> Self {
-        MachineProfile {
-            name: "large",
-            memory_budget_bytes: usize::MAX,
-            disk: DiskProfile::free(),
-        }
+/// What the runner needs of a store beyond the shared read/write traits: DeepMapping
+/// reports its Fig. 6 split, so a row's split is read from the very store its ratio
+/// and latency came from.
+pub trait BenchStore: MutableStore {
+    /// The Fig. 6 split (`None` for the baselines).
+    fn breakdown(&self) -> Option<StorageBreakdown> {
+        None
+    }
+}
+
+impl BenchStore for PartitionedStore {}
+impl BenchStore for DeepSqueezeStore {}
+impl BenchStore for DeepMapping {
+    fn breakdown(&self) -> Option<StorageBreakdown> {
+        Some(self.storage_breakdown())
     }
 }
 
@@ -103,260 +90,153 @@ impl MachineProfile {
 pub struct SystemUnderTest {
     /// Paper-style system name (`AB`, `ABC-Z`, `DM-L`, ...).
     pub name: String,
-    /// The store, swept through the shared read/write traits.
-    pub store: Box<dyn MutableStore>,
+    /// The store.
+    pub store: Box<dyn BenchStore>,
     /// Metrics handle shared with the store.
     pub metrics: Metrics,
-    /// Reusable lookup arena, so repeated measurements over one system stay free of
-    /// per-key allocations.
+    /// Reusable lookup arena, so repeated measurements stay free of per-key allocations.
     pub buffer: LookupBuffer,
+    /// Wall time of the build (training included), in seconds.
+    pub build_s: f64,
 }
 
 impl SystemUnderTest {
-    /// Wraps a store for the harness.
-    pub fn new(name: impl Into<String>, store: Box<dyn MutableStore>, metrics: Metrics) -> Self {
-        SystemUnderTest {
-            name: name.into(),
-            store,
-            metrics,
-            buffer: LookupBuffer::new(),
-        }
+    fn new(name: String, store: Box<dyn BenchStore>, metrics: Metrics, started: Instant) -> Self {
+        let build_s = started.elapsed().as_secs_f64();
+        SystemUnderTest { name, store, metrics, buffer: LookupBuffer::new(), build_s }
     }
 }
 
 /// Builds the array- and hash-based baseline matrix of Section V-A3 over a dataset.
-pub fn build_baselines(dataset: &Dataset, machine: &MachineProfile) -> Vec<SystemUnderTest> {
+pub fn build_baselines(dataset: &Dataset, regime: Regime) -> Vec<SystemUnderTest> {
     let rows = dataset.rows();
     let value_columns = dataset.num_value_columns();
-    let record_width = Row::fixed_width(value_columns);
-    let mut systems = Vec::new();
-    let configs: Vec<PartitionedStoreConfig> = vec![
-        PartitionedStoreConfig::array(Codec::None),
-        PartitionedStoreConfig::array(Codec::Dictionary { record_width }),
-        PartitionedStoreConfig::array(Codec::Deflate),
-        PartitionedStoreConfig::array(Codec::Lz),
-        PartitionedStoreConfig::array(Codec::LzHuff),
-        PartitionedStoreConfig::hash(Codec::None),
-        PartitionedStoreConfig::hash(Codec::Lz),
-        PartitionedStoreConfig::hash(Codec::LzHuff),
-    ];
-    for config in configs {
-        let metrics = Metrics::new();
-        let config = config
-            .with_memory_budget(machine.memory_budget_bytes)
-            .with_disk_profile(machine.disk)
-            .with_partition_bytes(64 * 1024);
-        let name = config.paper_name();
-        let store = PartitionedStore::build(&rows, value_columns, config, metrics.clone())
-            .expect("baseline build");
-        systems.push(SystemUnderTest::new(name, Box::new(store), metrics));
-    }
-    systems
+    let dictionary = Codec::Dictionary { record_width: Row::fixed_width(value_columns) };
+    let array = [Codec::None, dictionary, Codec::Deflate, Codec::Lz, Codec::LzHuff];
+    let hash = [Codec::None, Codec::Lz, Codec::LzHuff].map(PartitionedStoreConfig::hash);
+    let configs = array.map(PartitionedStoreConfig::array).into_iter().chain(hash);
+    configs
+        .map(|config| {
+            let started = Instant::now();
+            let metrics = Metrics::new();
+            let config = config
+                .with_memory_budget(regime.budget(dataset.uncompressed_bytes()))
+                .with_disk_profile(DiskProfile::edge_ssd())
+                .with_partition_bytes(64 * 1024);
+            let name = config.paper_name();
+            let store = PartitionedStore::build(&rows, value_columns, config, metrics.clone())
+                .expect("baseline build");
+            SystemUnderTest::new(name, Box::new(store), metrics, started)
+        })
+        .collect()
 }
 
-/// Builds the DeepSqueeze-like DS baseline; returns `None` when the build fails with
-/// an OOM-style error (the paper reports those cells as "failed").
-pub fn build_deepsqueeze(dataset: &Dataset, machine: &MachineProfile) -> Option<SystemUnderTest> {
-    let metrics = Metrics::new();
-    let config = DeepSqueezeConfig {
-        epochs: 10,
-        ..DeepSqueezeConfig::default()
-    }
-    .with_memory_budget(machine.memory_budget_bytes);
-    match DeepSqueezeStore::build(&dataset.rows(), dataset.num_value_columns(), config, metrics.clone()) {
-        Ok(store) => Some(SystemUnderTest::new("DS", Box::new(store), metrics)),
-        Err(_) => None,
-    }
-}
-
-/// Builds a DeepMapping store (DM-Z or DM-L) over a dataset.
+/// Builds two DeepMapping stores (DM-Z for `Codec::Lz`, DM-L for `Codec::LzHuff`) side
+/// by side, a thread each: training is single-threaded and most of a run's wall time.
 ///
-/// The benchmarked stores run int8-quantized inference: it is the shipped fast
-/// path (lossless by construction — the aux table memorizes under quantized
-/// arithmetic), so the tables measure what a production store does.
-pub fn build_deepmapping(
+/// Every benchmarked store runs int8-quantized inference: it is the shipped fast path
+/// (lossless by construction — the aux table memorizes under quantized arithmetic),
+/// so the rows measure what a production store does.
+pub fn build_deepmapping_pair(
     dataset: &Dataset,
-    codec: Codec,
-    machine: &MachineProfile,
-    training: TrainingConfig,
-) -> SystemUnderTest {
-    let builder = match codec {
-        Codec::LzHuff => DeepMappingBuilder::dm_l(),
-        _ => DeepMappingBuilder::dm_z().codec(codec),
-    }
-    .memory_budget(machine.memory_budget_bytes)
-    .disk_profile(machine.disk)
-    .partition_bytes(32 * 1024)
-    .quantization(Quantization::Int8)
-    .training(training);
-    let dm = builder.build(&dataset.rows()).expect("DeepMapping build");
-    let name = dm.config().paper_name();
-    let metrics = dm.metrics().clone();
-    SystemUnderTest::new(name, Box::new(dm), metrics)
-}
-
-/// Builds DM-Z and DM-L with a default quick training budget.
-pub fn build_deepmapping_pair(dataset: &Dataset, machine: &MachineProfile) -> Vec<SystemUnderTest> {
-    let training = TrainingConfig {
-        epochs: 30,
-        batch_size: 512,
-        ..TrainingConfig::default()
+    codecs: [Codec; 2],
+    regime: Regime,
+    epochs: usize,
+) -> [SystemUnderTest; 2] {
+    let build = |codec: Codec| {
+        let started = Instant::now();
+        let builder = DeepMappingBuilder::new()
+            .codec(codec)
+            .memory_budget(regime.budget(dataset.uncompressed_bytes()))
+            .disk_profile(DiskProfile::edge_ssd())
+            .partition_bytes(32 * 1024)
+            .quantization(Quantization::Int8)
+            .training(TrainingConfig { epochs, batch_size: 512, ..TrainingConfig::default() });
+        let dm = builder.build(&dataset.rows()).expect("DeepMapping build");
+        let name = dm.config().paper_name();
+        let metrics = dm.metrics().clone();
+        SystemUnderTest::new(name, Box::new(dm), metrics, started)
     };
-    vec![
-        build_deepmapping(dataset, Codec::Lz, machine, training),
-        build_deepmapping(dataset, Codec::LzHuff, machine, training),
-    ]
+    std::thread::scope(|scope| {
+        let second = scope.spawn(|| build(codecs[1]));
+        [build(codecs[0]), second.join().expect("DeepMapping build")]
+    })
 }
 
-/// Latency measured for one query batch.
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct MeasuredLatency {
-    /// Wall-clock time of the batch.
-    pub wall: Duration,
-    /// Simulated disk-I/O time accumulated during the batch.
-    pub simulated_io: Duration,
-}
-
-impl MeasuredLatency {
-    /// Wall-clock plus simulated I/O — the figure comparable to the paper's
-    /// memory-constrained latencies.
-    pub fn total(&self) -> Duration {
-        self.wall + self.simulated_io
-    }
-
-    /// Total latency in milliseconds.
-    pub fn total_ms(&self) -> f64 {
-        self.total().as_secs_f64() * 1e3
-    }
-}
-
-/// Runs one lookup batch through a system and measures it.  The batch goes through
-/// the allocation-aware `lookup_batch_into` path with the system's reusable buffer,
-/// so the measurement covers the query work, not result materialization.
-pub fn measure_lookup(system: &mut SystemUnderTest, keys: &[u64]) -> MeasuredLatency {
-    system.metrics.reset();
-    let start = Instant::now();
-    let result = system.store.lookup_batch_into(keys, &mut system.buffer);
-    let wall = start.elapsed();
-    let snapshot = system.metrics.snapshot();
-    // A failed lookup (e.g. DS running out of memory) is reported as an effectively
-    // infinite latency so tables can show it as "failed".
-    if result.is_err() {
-        return MeasuredLatency {
-            wall: Duration::from_secs(u64::MAX / 4),
-            simulated_io: Duration::ZERO,
-        };
-    }
-    MeasuredLatency {
-        wall,
-        simulated_io: Duration::from_nanos(snapshot.simulated_io_nanos),
-    }
-}
-
-/// Storage size of a system in megabytes (compressed/on-disk footprint).
-pub fn storage_mb(system: &SystemUnderTest) -> f64 {
-    system.store.stats().disk_bytes as f64 / (1024.0 * 1024.0)
-}
-
-/// Table/figure printing helpers shared by the bench targets.
-pub mod report {
-    /// Prints a header banner naming the experiment being reproduced.
-    pub fn banner(experiment: &str, description: &str) {
-        println!();
-        println!("================================================================================");
-        println!("{experiment}: {description}");
-        println!("================================================================================");
-    }
-
-    /// Prints one table row of `(label, cells)` with fixed-width columns.
-    pub fn row(label: &str, cells: &[String]) {
-        let mut line = format!("{label:<28}");
-        for cell in cells {
-            line.push_str(&format!("{cell:>14}"));
+/// Builds the whole system matrix over a dataset, each system once.  DeepSqueeze
+/// refuses to build when its working set exceeds the pool (the paper reports those
+/// cells as "failed"); its error text comes back beside the systems that did build.
+pub fn build_matrix(
+    dataset: &Dataset,
+    regime: Regime,
+    epochs: usize,
+) -> (Vec<SystemUnderTest>, Option<String>) {
+    let mut systems = build_baselines(dataset, regime);
+    let (started, metrics) = (Instant::now(), Metrics::new());
+    let config = DeepSqueezeConfig { epochs: 10, ..DeepSqueezeConfig::default() }
+        .with_memory_budget(regime.budget(dataset.uncompressed_bytes()));
+    let (rows, columns) = (dataset.rows(), dataset.num_value_columns());
+    let ds_error = match DeepSqueezeStore::build(&rows, columns, config, metrics.clone()) {
+        Ok(ds) => {
+            systems.push(SystemUnderTest::new("DS".into(), Box::new(ds), metrics, started));
+            None
         }
-        println!("{line}");
-    }
+        Err(err) => Some(err.to_string()),
+    };
+    systems.extend(build_deepmapping_pair(dataset, [Codec::Lz, Codec::LzHuff], regime, epochs));
+    (systems, ds_error)
+}
 
-    /// Formats a latency in milliseconds, marking absurd values as "failed".
-    pub fn latency_cell(ms: f64) -> String {
-        if ms > 1e12 {
-            "failed".to_string()
-        } else if ms >= 100.0 {
-            format!("{ms:.0}")
-        } else {
-            format!("{ms:.2}")
+/// Timed repeats of a batch behind [`measure_lookup`]'s median.
+pub const REPEATS: usize = 9;
+
+/// One batch measured on one system.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct MeasuredLookup {
+    /// Wall time of the first call of this batch — cold pool, cold caches.
+    pub first_ms: f64,
+    /// Median wall time of [`REPEATS`] warm repeats of the same batch.
+    pub wall_ms: f64,
+    /// The store's own counters for the median repeat alone (the metrics are reset
+    /// before every repeat): Figure 7's phases, modelled I/O, bytes read, loads.
+    pub counters: LatencyBreakdown,
+    /// Keys answered.
+    pub hits: usize,
+    /// Position-weighted sum of every value returned: exact systems agree on it.
+    pub answer_sum: u64,
+}
+
+/// Measures one lookup batch: the first call on its own, one unmeasured warm-up, then
+/// [`REPEATS`] timed repeats whose median is reported.  Wall time and the disk model's
+/// time stay apart — the second is `counters.simulated_io_nanos`.  The batch goes through
+/// `lookup_batch_into` with the system's reusable buffer, so it covers the query work, not
+/// result materialization.  A failed lookup (DS out of memory) comes back as its error text.
+pub fn measure_lookup(
+    system: &mut SystemUnderTest,
+    keys: &[u64],
+) -> Result<MeasuredLookup, String> {
+    let (store, metrics, buffer) = (&system.store, &system.metrics, &mut system.buffer);
+    let mut timed = || {
+        metrics.reset();
+        let start = Instant::now();
+        store.lookup_batch_into(keys, buffer).map_err(|err| err.to_string())?;
+        let wall_ms = start.elapsed().as_secs_f64() * 1e3;
+        match buffer.first_error() {
+            Some(err) => Err(err.to_string()),
+            None => Ok((wall_ms, metrics.snapshot())),
         }
-    }
-
-    /// Formats a size in MB.
-    pub fn size_cell(mb: f64) -> String {
-        if mb >= 100.0 {
-            format!("{mb:.0}")
-        } else if mb >= 1.0 {
-            format!("{mb:.1}")
-        } else {
-            format!("{mb:.3}")
-        }
-    }
-
-    /// Formats a ratio/percentage cell.
-    pub fn ratio_cell(ratio: f64) -> String {
-        format!("{:.3}", ratio)
-    }
+    };
+    let (first_ms, _) = timed()?;
+    timed()?;
+    let mut repeats = (0..REPEATS).map(|_| timed()).collect::<Result<Vec<_>, String>>()?;
+    repeats.sort_by(|a, b| a.0.total_cmp(&b.0));
+    let (wall_ms, counters) = repeats.swap_remove(REPEATS / 2);
+    let weighted = |(&value, at): (&u32, u64)| at * u64::from(value);
+    let answers = system.buffer.tuples().flat_map(|tuple| tuple.values.iter().zip(1u64..));
+    let answer_sum = answers.map(weighted).sum();
+    let hits = system.buffer.hit_count();
+    Ok(MeasuredLookup { first_ms, wall_ms, counters, hits, answer_sum })
 }
 
 #[cfg(test)]
-mod tests {
-    use super::*;
-    use dm_data::SyntheticConfig;
-
-    #[test]
-    fn scale_reads_env_and_clamps() {
-        let scale = BenchScale { factor: 0.002 };
-        assert_eq!(scale.rows(1_500_000), 3_000);
-        assert!(scale.rows(10) >= 1024);
-        assert!(scale.batch(100_000) >= 100);
-        assert!(scale.batch(100_000) <= 100_000);
-    }
-
-    #[test]
-    fn machine_profiles_cover_the_three_paper_machines() {
-        let small = MachineProfile::small(1_000_000, 0.3);
-        assert_eq!(small.memory_budget_bytes, 300_000);
-        assert_eq!(MachineProfile::medium().name, "medium");
-        assert_eq!(MachineProfile::large().memory_budget_bytes, usize::MAX);
-    }
-
-    #[test]
-    fn system_matrix_builds_and_answers_queries() {
-        let dataset = SyntheticConfig::multi_high(2_000).generate();
-        let machine = MachineProfile::large();
-        let mut systems = build_baselines(&dataset, &machine);
-        systems.extend(build_deepmapping_pair(&dataset, &machine));
-        if let Some(ds) = build_deepsqueeze(&dataset, &machine) {
-            systems.push(ds);
-        }
-        assert!(systems.len() >= 10);
-        let keys: Vec<u64> = (0..500u64).collect();
-        for system in &mut systems {
-            let latency = measure_lookup(system, &keys);
-            assert!(latency.total_ms() >= 0.0);
-            assert!(storage_mb(system) > 0.0, "system {}", system.name);
-        }
-        // The exact stores must agree with each other (DS is lossy and excluded).
-        let reference = systems[0].store.lookup_batch(&keys).unwrap();
-        for system in systems.iter().filter(|s| s.name != "DS") {
-            assert_eq!(system.store.lookup_batch(&keys).unwrap(), reference, "{}", system.name);
-        }
-    }
-
-    #[test]
-    fn report_cells_format_reasonably() {
-        assert_eq!(report::latency_cell(5.0), "5.00");
-        assert_eq!(report::latency_cell(1234.0), "1234");
-        assert_eq!(report::latency_cell(1e13), "failed");
-        assert_eq!(report::size_cell(0.5), "0.500");
-        assert_eq!(report::size_cell(12.34), "12.3");
-        assert_eq!(report::ratio_cell(0.25), "0.250");
-    }
-}
+mod tests;

@@ -1,0 +1,148 @@
+use crate::paper::{cell, main, run, write_rows, PaperConfig, ResultRow, Value, VIEWS};
+use crate::{BenchScale, REPEATS};
+use std::collections::BTreeSet;
+
+/// The system matrix, sorted.
+const SYSTEMS: [&str; 11] =
+    ["AB", "ABC-D", "ABC-G", "ABC-L", "ABC-Z", "DM-L", "DM-Z", "DS", "HB", "HBC-L", "HBC-Z"];
+
+/// The reader the artifact promises: one flat object per line, numbers and
+/// `[A-Za-z0-9_.-]` strings, so no escapes and no `,` or `:` inside a value.
+fn parse_rows(text: &str) -> Vec<ResultRow> {
+    let mut rows = Vec::new();
+    for line in text.lines().filter(|line| line.starts_with('{')) {
+        let body = line.trim_end_matches(',').strip_prefix('{').and_then(|l| l.strip_suffix('}'));
+        let mut row = ResultRow::default();
+        for field in body.expect("one object per line").split(',') {
+            let (key, value) = field.split_once(':').expect("key:value");
+            let key = key.trim_matches('"');
+            match value.strip_prefix('"').map(|text| text.strip_suffix('"').expect("a quote")) {
+                Some(text) => {
+                    let plain = |c: char| c.is_ascii_alphanumeric() || "_.-".contains(c);
+                    assert!(text.chars().all(plain), "{line}");
+                    row.text(key, text)
+                }
+                None => row.num(key, value.parse().expect("a number")),
+            };
+        }
+        rows.push(row);
+    }
+    rows
+}
+
+/// What must hold of any set of rows, a fresh quick run's or the committed file's.
+fn check_rows(rows: &[ResultRow]) {
+    for row in rows {
+        assert!(row.0.iter().all(|(key, _)| row.n(key).is_none_or(f64::is_finite)), "{row:?}");
+        // The Fig. 6 split is the store the ratio came from.
+        if let Some(model) = row.n("model_bytes") {
+            let rest = ["aux_bytes", "existence_bytes", "corrected_bytes", "decode_map_bytes"];
+            let split = model + rest.iter().map(|part| row.n(part).expect(part)).sum::<f64>();
+            assert_eq!(Some(split), row.n("stored_bytes"), "{row:?}");
+        }
+        assert!(row.n("wall_ms").is_none() || row.n("samples") >= Some(9.0), "{row:?}");
+    }
+    // Every lookup group holds each of the eleven systems exactly once, and the exact
+    // systems answered exactly what AB did (DS is lossy, or failed outright).
+    let lookups: Vec<&ResultRow> = rows.iter().filter(|row| row.s("kind") == "lookup").collect();
+    let group = |row: &ResultRow| {
+        format!("{} {:?} {} {}", row.s("dataset"), row.n("scale"), row.s("regime"), row.s("batch"))
+    };
+    for place in lookups.iter().map(|row| group(row)).collect::<BTreeSet<_>>() {
+        let members: Vec<&ResultRow> =
+            lookups.iter().copied().filter(|row| group(row) == place).collect();
+        let mut names: Vec<&str> = members.iter().map(|row| row.s("system")).collect();
+        names.sort_unstable();
+        assert_eq!(names, SYSTEMS, "{place}");
+        let ab = members.iter().find(|row| row.s("system") == "AB").expect("AB");
+        assert_eq!(ab.n("hits"), ab.n("batch_keys"), "{place}");
+        for row in members.iter().filter(|row| row.s("system") != "DS") {
+            let answered = |row: &ResultRow| (row.n("hits"), row.n("answer_sum"));
+            assert_eq!(answered(row), answered(ab), "{row:?}");
+        }
+    }
+    // fig6 reads the very rows fig4 does.
+    let view = |name: &str| VIEWS.iter().find(|view| view.name == name).expect("a view");
+    assert!(rows.iter().any(|row| view("fig6").shows(row)));
+    assert!(rows.iter().all(|row| !view("fig6").shows(row) || view("fig4").shows(row)));
+}
+
+#[test]
+fn scale_parses_and_clamps() {
+    let scale = BenchScale::new(0.002);
+    assert_eq!(scale.rows(1_500_000), 3_000);
+    assert!(scale.rows(10) >= 1024);
+    assert!((100..=100_000).contains(&scale.batch(100_000)));
+    assert_eq!((BenchScale::new(1e9).factor, BenchScale::new(0.0).factor), (10.0, 1e-5));
+    let args = |list: &[&str]| list.iter().map(|arg| arg.to_string()).collect::<Vec<_>>();
+    assert!(main(args(&["--bench", "--scale"]).into_iter()).unwrap_err().contains("--scale"));
+    assert!(main(args(&["fig11"]).into_iter()).unwrap_err().contains("fig4 fig5"));
+}
+
+#[test]
+fn report_cells_format_reasonably() {
+    let cells = [25_000.0, 1234.56, 5.0625, 0.25].map(|n| cell(&Value::Num(n)));
+    assert_eq!(cells, ["25000", "1234.6", "5.062", "0.2500"]);
+    let mut row = ResultRow::default();
+    row.text("system", "ABC-Z").text("failed", "out of memory: need 9, have 4").num("ratio", 0.5);
+    assert_eq!(row.s("failed"), "out_of_memory__need_9__have_4");
+    assert_eq!((row.s("system"), row.n("ratio"), row.n("system")), ("ABC-Z", Some(0.5), None));
+}
+
+#[test]
+fn system_matrix_builds_and_answers_queries() {
+    let outcome = run(&PaperConfig { scale: BenchScale::new(0.001), quick: true, views: &VIEWS });
+    check_rows(&outcome.rows);
+    // One store per dataset x regime x codec: `orders` is trained four times, not twelve;
+    // the three sweeps train DM-Z and DM-Z1 on two synthetic families each.
+    let builds = &outcome.deepmapping_builds;
+    let trained = |prefix: &str| builds.iter().filter(|line| line.starts_with(prefix)).count();
+    assert_eq!((trained("lookup orders "), trained("lookup "), builds.len()), (4, 8, 20));
+    // Two datasets x 11 systems x (B100K in memory + three batch sizes under the pool).
+    let lookups = outcome.rows.iter().filter(|row| row.s("kind") == "lookup");
+    assert_eq!(lookups.count(), 2 * SYSTEMS.len() * 4);
+    let samples = outcome.rows.iter().filter_map(|row| row.n("samples"));
+    assert!(samples.min_by(f64::total_cmp) == Some(REPEATS as f64));
+
+    let path = std::env::temp_dir().join(format!("dm_bench_rows_{}.json", std::process::id()));
+    write_rows(&path, &outcome.rows).expect("write");
+    let text = std::fs::read_to_string(&path).expect("read back");
+    std::fs::remove_file(&path).expect("clean up");
+    assert_eq!(parse_rows(&text), outcome.rows);
+}
+
+/// The ratchet over the committed artifact: `(scale, dataset)` of every table on which
+/// DM-Z stores more than the raw data.  A change that fixes one shrinks this list; none
+/// may grow it.
+const DM_Z_ABOVE_RAW: [(f64, &str); 4] =
+    [(0.005, "part"), (0.005, "supplier"), (0.005, "catalog_returns"), (0.02, "supplier")];
+
+#[test]
+fn committed_results_cover_the_evaluation_and_pin_where_dm_z_exceeds_the_raw_data() {
+    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../PAPER_RESULTS.json");
+    let rows = parse_rows(&std::fs::read_to_string(path).expect("PAPER_RESULTS.json is committed"));
+    check_rows(&rows);
+    for view in &VIEWS {
+        assert!(rows.iter().any(|row| view.shows(row)), "{} shows nothing", view.name);
+    }
+    let of = |scale: f64, kind: &'static str| {
+        rows.iter().filter(move |row| row.n("scale") == Some(scale) && row.s("kind") == kind)
+    };
+    // 13 datasets at the first scale and the 8 TPC tables at the second, each
+    // x 11 systems x (B100K in memory + three batch sizes under the pool).
+    assert_eq!(of(0.005, "lookup").count(), 13 * SYSTEMS.len() * 4);
+    assert_eq!(of(0.02, "lookup").count(), 8 * SYSTEMS.len() * 4);
+    assert_eq!(of(0.005, "insert").count(), 5 * 5);
+    for sweep in ["sweep_in", "sweep_off", "sweep_delete"] {
+        assert_eq!(of(0.005, sweep).count(), 2 * 6 * 7, "{sweep}");
+    }
+    assert_eq!(of(0.005, "mhas").count(), 4 * 48);
+
+    let above: Vec<(f64, &str)> = rows
+        .iter()
+        .filter(|row| row.s("kind") == "lookup" && row.s("regime") == "mem")
+        .filter(|row| row.s("system") == "DM-Z" && row.n("ratio") > Some(1.0))
+        .map(|row| (row.n("scale").expect("scale"), row.s("dataset")))
+        .collect();
+    assert_eq!(above, DM_Z_ABOVE_RAW);
+}

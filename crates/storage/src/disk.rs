@@ -36,14 +36,6 @@ impl DiskProfile {
         }
     }
 
-    /// A faster NVMe-class device (the medium/large machines of the paper).
-    pub fn nvme() -> Self {
-        DiskProfile {
-            read_bandwidth: 1.5 * 1024.0 * 1024.0 * 1024.0,
-            read_latency: Duration::from_micros(80),
-        }
-    }
-
     /// No I/O cost at all (pure in-memory runs).
     pub fn free() -> Self {
         DiskProfile {
@@ -233,7 +225,7 @@ mod tests {
         assert!(one_mib >= Duration::from_millis(1000));
         assert!(one_mib <= Duration::from_millis(1002));
         assert_eq!(DiskProfile::free().read_time(1 << 30), Duration::ZERO);
-        assert!(DiskProfile::edge_ssd().read_time(1 << 20) > DiskProfile::nvme().read_time(1 << 20));
+        assert!(DiskProfile::edge_ssd().read_time(1 << 20) > Duration::from_millis(8));
     }
 
     #[test]

@@ -162,12 +162,6 @@ impl LatencyBreakdown {
     pub fn wall(&self) -> Duration {
         Duration::from_nanos(self.wall_nanos)
     }
-
-    /// Total including the simulated I/O component — what the paper's
-    /// memory-constrained latency numbers correspond to.
-    pub fn total_with_simulated_io(&self) -> Duration {
-        Duration::from_nanos(self.phase_nanos.iter().sum::<u64>() + self.simulated_io_nanos)
-    }
 }
 
 /// The lock-free counter cells behind a [`Metrics`] handle, mirroring
@@ -429,7 +423,6 @@ mod tests {
         assert_eq!(snap.degraded_keys, 2);
         assert_eq!(snap.simulated_io_nanos, 1_000_000);
         assert_eq!(snap.total(), Duration::from_millis(8));
-        assert_eq!(snap.total_with_simulated_io(), Duration::from_millis(9));
 
         metrics.reset();
         assert_eq!(metrics.snapshot(), LatencyBreakdown::default());

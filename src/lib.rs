@@ -123,10 +123,11 @@
 //! ├── crates/data            dm-data      TPC-H / TPC-DS / synthetic / crop
 //! │                                       generators, lookup & modification workloads
 //! ├── crates/baselines       dm-baselines array/hash partitioned stores, DeepSqueeze
-//! ├── crates/bench           dm-bench     the paper's fig*/table* runners and
-//! │                                       their shared helpers (measurement and
-//! │                                       gating live in benchmark/, a workspace
-//! │                                       of its own: see BENCHMARK.json)
+//! ├── crates/bench           dm-bench     the one `paper` runner: every table and
+//! │                                       figure of Section V as rows of
+//! │                                       PAPER_RESULTS.json, each store built
+//! │                                       once (gating lives in benchmark/, a
+//! │                                       workspace of its own: BENCHMARK.json)
 //! └── crates/shims           offline stand-ins for rand / parking_lot
 //!                            (no registry access in the build environment; each
 //!                            implements only the API subset the workspace uses)

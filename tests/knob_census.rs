@@ -7,9 +7,8 @@
 use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
 
-/// Five product knobs and the paper runners' scale.
-const KNOBS: [&str; 6] = [
-    "DM_BENCH_SCALE",
+/// The five product knobs (the paper runner takes `--scale`, not a variable).
+const KNOBS: [&str; 5] = [
     "DM_EXEC_THREADS",
     "DM_FAULTS",
     "DM_OBS",
