@@ -202,6 +202,11 @@ impl PartitionedStore {
         &self.config
     }
 
+    /// `(bytes, partitions)` the buffer pool holds right now.
+    pub fn pool_usage(&self) -> (usize, usize) {
+        (self.pool.used_bytes(), self.pool.len())
+    }
+
     fn serialize_partition(&self, rows: &[Row]) -> dm_storage::Result<Vec<u8>> {
         match self.config.layout {
             PartitionLayout::Array => {
@@ -271,7 +276,7 @@ impl PartitionedStore {
         let value_columns = self.value_columns;
         let disk = &self.disk;
         let metrics = &self.metrics;
-        self.pool.get_or_load(meta.disk_id, || {
+        self.pool.get_or_load(meta.disk_id, None, || {
             let payload = metrics.time(Phase::LoadAndDecompress, || {
                 disk.read_partition(meta.disk_id, metrics)
             })?;
@@ -668,6 +673,28 @@ mod tests {
         assert!(snap.simulated_io_nanos > 0);
     }
 
+    /// A "20 %" pool holds 20 %: with a fifth of the decoded rows as budget the pool
+    /// never holds more, and a pass over every partition reloads each one, every time.
+    #[test]
+    fn a_fifth_of_the_data_as_budget_is_never_exceeded_and_every_pass_reloads() {
+        let rows = sample_rows(4_000);
+        let budget = rows.len() * Row::fixed_width(2) / 5;
+        let metrics = Metrics::new();
+        let config = PartitionedStoreConfig::array(Codec::Lz)
+            .with_partition_bytes(4 * 1024)
+            .with_memory_budget(budget);
+        let store = PartitionedStore::build(&rows, 2, config, metrics.clone()).unwrap();
+        assert!(store.directory.len() >= 5);
+        for _pass in 0..3 {
+            metrics.reset();
+            for meta in &store.directory {
+                store.get(meta.min_key).unwrap();
+                assert!(store.pool_usage().0 <= budget, "{:?}", store.pool_usage());
+            }
+            assert_eq!(metrics.snapshot().partition_loads, store.directory.len() as u64);
+        }
+    }
+
     #[test]
     fn ample_memory_avoids_repeated_decompression() {
         let rows = sample_rows(5_000);
@@ -701,7 +728,7 @@ mod tests {
         assert_eq!(store.get(5).unwrap(), Some(vec![1, 2]));
     }
 
-    /// The baselines share the sharded single-flight buffer pool: many threads
+    /// The baselines share the single-flight buffer pool: many threads
     /// hammering a cold store must decompress each partition exactly once.
     #[test]
     fn concurrent_cold_lookups_load_each_partition_once() {

@@ -1,9 +1,10 @@
 //! # dm-bench — the paper's evaluation as one runner and one file of rows
 //!
-//! [`paper`] generates each dataset once per generator scale, builds every system of
-//! the paper's matrix (AB, ABC-D/G/Z/L, HB, HBC-Z/L, DS, DM-Z, DM-L) once per
-//! [`Regime`], measures it once with [`measure_lookup`] and emits flat rows — ratio and
-//! keys/s in the same row, because the paper's claim is the trade-off between them.
+//! [`paper`] generates each dataset once per generator scale, trains one DeepMapping
+//! model on it ([`TrainedDeepMapping`]), builds every system of the paper's matrix (AB,
+//! ABC-D/G/Z/L, HB, HBC-Z/L, DS, DM-Z, DM-L) once per [`Regime`], measures it once with
+//! [`measure_lookup`] and emits flat rows — ratio, keys/s and what stays in memory in the
+//! same row, because the paper's claim is the trade-off between them.
 //! Figures 4–10 and Tables I–V of Section V are projections of those rows
 //! (`cargo bench -p dm-bench --bench paper [-- fig6]`) and `PAPER_RESULTS.json` at the
 //! repository root is their committed form.  The frozen benchmark (`BENCHMARK.json`,
@@ -15,7 +16,8 @@ pub mod paper;
 
 use dm_baselines::{DeepSqueezeConfig, DeepSqueezeStore, PartitionedStore, PartitionedStoreConfig};
 use dm_compress::Codec;
-use dm_core::{DeepMapping, DeepMappingBuilder, Quantization, StorageBreakdown, TrainingConfig};
+use dm_core::{AuxTable, DecodeMap, DeepMapping, DeepMappingBuilder, DeepMappingParts};
+use dm_core::{Quantization, StorageBreakdown, TrainingConfig};
 use dm_data::Dataset;
 use dm_storage::{DiskProfile, LatencyBreakdown, LookupBuffer, Metrics, MutableStore, Row};
 use std::time::Instant;
@@ -70,19 +72,32 @@ impl Regime {
 
 /// What the runner needs of a store beyond the shared read/write traits: DeepMapping
 /// reports its Fig. 6 split, so a row's split is read from the very store its ratio
-/// and latency came from.
+/// and latency came from, and the pooled stores say what their pool holds.
 pub trait BenchStore: MutableStore {
     /// The Fig. 6 split (`None` for the baselines).
     fn breakdown(&self) -> Option<StorageBreakdown> {
         None
     }
+
+    /// `(bytes, partitions)` in the buffer pool right now (DS has no pool).
+    fn pool_usage(&self) -> (usize, usize) {
+        (0, 0)
+    }
 }
 
-impl BenchStore for PartitionedStore {}
 impl BenchStore for DeepSqueezeStore {}
+impl BenchStore for PartitionedStore {
+    fn pool_usage(&self) -> (usize, usize) {
+        PartitionedStore::pool_usage(self)
+    }
+}
 impl BenchStore for DeepMapping {
     fn breakdown(&self) -> Option<StorageBreakdown> {
         Some(self.storage_breakdown())
+    }
+
+    fn pool_usage(&self) -> (usize, usize) {
+        self.aux_table().pool_usage()
     }
 }
 
@@ -96,7 +111,8 @@ pub struct SystemUnderTest {
     pub metrics: Metrics,
     /// Reusable lookup arena, so repeated measurements stay free of per-key allocations.
     pub buffer: LookupBuffer,
-    /// Wall time of the build (training included), in seconds.
+    /// Wall time of the build, in seconds; on a DeepMapping store the shared training
+    /// time plus its own auxiliary-table build.
     pub build_s: f64,
 }
 
@@ -131,36 +147,68 @@ pub fn build_baselines(dataset: &Dataset, regime: Regime) -> Vec<SystemUnderTest
         .collect()
 }
 
-/// Builds two DeepMapping stores (DM-Z for `Codec::Lz`, DM-L for `Codec::LzHuff`) side
-/// by side, a thread each: training is single-threaded and most of a run's wall time.
+/// The one model a dataset × scale trains, and what every store derived from it shares.
+/// Neither the codec nor the pool budget reaches training, so DM-Z / DM-L × `mem` /
+/// `pool` are one model over four auxiliary tables of the same misclassified rows.
 ///
 /// Every benchmarked store runs int8-quantized inference: it is the shipped fast path
 /// (lossless by construction — the aux table memorizes under quantized arithmetic),
 /// so the rows measure what a production store does.
-pub fn build_deepmapping_pair(
-    dataset: &Dataset,
-    codecs: [Codec; 2],
-    regime: Regime,
-    epochs: usize,
-) -> [SystemUnderTest; 2] {
-    let build = |codec: Codec| {
+pub struct TrainedDeepMapping {
+    /// The store the training build produced; its model, existence vector and
+    /// configuration are what the derived stores share.
+    trained: DeepMapping,
+    misclassified: Vec<Row>,
+    /// Wall time of the training build, in seconds — part of every derived `build_s`.
+    pub train_s: f64,
+}
+
+impl TrainedDeepMapping {
+    /// Trains on `dataset` (single-threaded, most of a run's wall time).
+    pub fn train(dataset: &Dataset, epochs: usize) -> Self {
         let started = Instant::now();
+        let rows = dataset.rows();
         let builder = DeepMappingBuilder::new()
-            .codec(codec)
-            .memory_budget(regime.budget(dataset.uncompressed_bytes()))
             .disk_profile(DiskProfile::edge_ssd())
             .partition_bytes(32 * 1024)
             .quantization(Quantization::Int8)
             .training(TrainingConfig { epochs, batch_size: 512, ..TrainingConfig::default() });
-        let dm = builder.build(&dataset.rows()).expect("DeepMapping build");
-        let name = dm.config().paper_name();
-        let metrics = dm.metrics().clone();
-        SystemUnderTest::new(name, Box::new(dm), metrics, started)
-    };
-    std::thread::scope(|scope| {
-        let second = scope.spawn(|| build(codecs[1]));
-        [build(codecs[0]), second.join().expect("DeepMapping build")]
-    })
+        let trained = builder.build(&rows).expect("DeepMapping build");
+        let split = trained.model().split_by_memorization(trained.exec(), &rows);
+        let (_, misclassified) = split.expect("inference over the training rows");
+        TrainedDeepMapping { trained, misclassified, train_s: started.elapsed().as_secs_f64() }
+    }
+
+    /// The store of `codec` (DM-Z for `Codec::Lz`, DM-L for `Codec::LzHuff`) under
+    /// `regime`: the shared model over an auxiliary table of its own.
+    pub fn store(&self, dataset: &Dataset, codec: Codec, regime: Regime) -> SystemUnderTest {
+        let started = Instant::now();
+        let budget = regime.budget(dataset.uncompressed_bytes());
+        let config = self.trained.config().clone().with_codec(codec).with_memory_budget(budget);
+        let metrics = Metrics::new();
+        let aux = AuxTable::build(
+            &self.misclassified,
+            dataset.num_value_columns(),
+            codec,
+            config.partition_bytes,
+            budget,
+            config.disk_profile,
+            metrics.clone(),
+        );
+        let name = config.paper_name();
+        let dm = DeepMapping::from_parts(DeepMappingParts {
+            config,
+            model: self.trained.model().clone(),
+            aux: aux.expect("auxiliary table build"),
+            exist: self.trained.existence().clone(),
+            decode_map: DecodeMap::default(),
+            tuple_count: dataset.num_rows(),
+            retrain_count: 0,
+        });
+        let mut system = SystemUnderTest::new(name, Box::new(dm), metrics, started);
+        system.build_s += self.train_s;
+        system
+    }
 }
 
 /// Builds the whole system matrix over a dataset, each system once.  DeepSqueeze
@@ -169,7 +217,7 @@ pub fn build_deepmapping_pair(
 pub fn build_matrix(
     dataset: &Dataset,
     regime: Regime,
-    epochs: usize,
+    trained: &TrainedDeepMapping,
 ) -> (Vec<SystemUnderTest>, Option<String>) {
     let mut systems = build_baselines(dataset, regime);
     let (started, metrics) = (Instant::now(), Metrics::new());
@@ -183,7 +231,7 @@ pub fn build_matrix(
         }
         Err(err) => Some(err.to_string()),
     };
-    systems.extend(build_deepmapping_pair(dataset, [Codec::Lz, Codec::LzHuff], regime, epochs));
+    systems.extend([Codec::Lz, Codec::LzHuff].map(|codec| trained.store(dataset, codec, regime)));
     (systems, ds_error)
 }
 

@@ -8,7 +8,7 @@
 //! which fields, pivoted on which field, showing which cells — and [`print_view`] is
 //! the one printer.  [`write_rows`] writes the rows one flat JSON object per line.
 
-use crate::{build_baselines, build_deepmapping_pair, build_matrix, measure_lookup};
+use crate::{build_baselines, build_matrix, measure_lookup, TrainedDeepMapping};
 use crate::{BenchScale, MeasuredLookup, Regime, SystemUnderTest, REPEATS};
 use dm_compress::Codec;
 use dm_core::{DeepMappingConfig, MappingSchema, MhasConfig, MhasSearch};
@@ -109,7 +109,7 @@ impl PaperConfig {
 pub struct PaperRun {
     /// Every row, in emission order.
     pub rows: Vec<ResultRow>,
-    /// One `kind dataset scale regime system` line per DeepMapping store trained.
+    /// One `kind dataset scale` line per DeepMapping model trained.
     pub deepmapping_builds: Vec<String>,
 }
 
@@ -194,21 +194,29 @@ impl PaperRun {
         self.rows.last_mut().expect("just pushed")
     }
 
-    fn trained(&mut self, kind: &str, place: Place, regime: Regime, system: &SystemUnderTest) {
-        let line = format!("{kind} {} {} {} {}", place.1, place.2.factor, regime.name, system.name);
-        eprintln!("[paper] trained {line} in {:.1} s", system.build_s);
+    /// Trains the one model of a dataset × scale (or of a sweep) and logs it.
+    fn train(
+        &mut self,
+        kind: &str,
+        place: Place,
+        dataset: &Dataset,
+        epochs: usize,
+    ) -> TrainedDeepMapping {
+        let trained = TrainedDeepMapping::train(dataset, epochs);
+        let line = format!("{kind} {} {}", place.1, place.2.factor);
+        eprintln!("[paper] trained {line} in {:.1} s", trained.train_s);
         self.deepmapping_builds.push(line);
+        trained
     }
 
-    /// One dataset at one scale: each regime builds the matrix once and measures it.
+    /// One dataset at one scale: one training, then each regime builds the matrix
+    /// once and measures it.
     fn matrix(&mut self, config: &PaperConfig, place: Place) {
         let dataset = generate(place);
         let (rows, raw_bytes) = (dataset.num_rows(), dataset.uncompressed_bytes());
+        let trained = self.train("lookup", place, &dataset, config.epochs());
         for regime in [Regime::MEMORY, Regime::POOL] {
-            let (mut systems, ds_error) = build_matrix(&dataset, regime, config.epochs());
-            for system in systems.iter().filter(|s| s.store.breakdown().is_some()) {
-                self.trained("lookup", place, regime, system);
-            }
+            let (mut systems, ds_error) = build_matrix(&dataset, regime, &trained);
             // Table I's batch sweep belongs to the memory-constrained regime.
             let batches: &[usize] = match regime.pool_share {
                 Some(_) => &[1_000, 10_000, 100_000],
@@ -223,6 +231,12 @@ impl PaperRun {
                     row.text("regime", regime.name).text("batch", &batch);
                     size_fields(row, system, raw_bytes);
                     timing_fields(row, measured, keys.len());
+                    // The third axis: what is always in memory, and what the pool
+                    // holds once the timed repeats are over.
+                    let (pool_bytes, pool_entries) = system.store.pool_usage();
+                    row.num("resident_bytes", system.store.stats().resident_bytes as f64);
+                    row.num("pool_bytes", pool_bytes as f64);
+                    row.num("pool_entries", pool_entries as f64);
                 }
                 if let Some(error) = &ds_error {
                     let row = self.row("lookup", place, rows, "DS");
@@ -285,11 +299,10 @@ impl PaperRun {
         let deletes: Vec<&[u64]> = deletes.chunks(increment).collect();
         let mut systems = build_baselines(&dataset, Regime::POOL);
         systems.retain(|s| WRITE_SYSTEMS.contains(&s.name.as_str()));
-        let codecs = [Codec::Lz, Codec::Lz];
-        let pair = build_deepmapping_pair(&dataset, codecs, Regime::POOL, config.epochs());
-        for (mut dm, name) in pair.into_iter().zip(["DM-Z", "DM-Z1"]) {
+        let trained = self.train(kind, place, &dataset, config.epochs());
+        for name in ["DM-Z", "DM-Z1"] {
+            let mut dm = trained.store(&dataset, Codec::Lz, Regime::POOL);
             dm.name = name.to_string();
-            self.trained(kind, place, Regime::POOL, &dm);
             systems.push(dm);
         }
         for system in &mut systems {
@@ -595,6 +608,6 @@ pub fn main(mut args: impl Iterator<Item = String>) -> Result<(), String> {
     write_rows(&path, &run.rows).map_err(|err| format!("{}: {err}", path.display()))?;
     let (rows, trained) = (run.rows.len(), run.deepmapping_builds.len());
     let seconds = started.elapsed().as_secs_f64();
-    println!("\n{rows} rows, {trained} stores trained, {seconds:.0} s -> {}", path.display());
+    println!("\n{rows} rows, {trained} models trained, {seconds:.0} s -> {}", path.display());
     Ok(())
 }

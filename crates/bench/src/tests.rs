@@ -1,6 +1,6 @@
 use crate::paper::{cell, main, run, write_rows, PaperConfig, ResultRow, Value, VIEWS};
 use crate::{BenchScale, REPEATS};
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 
 /// The system matrix, sorted.
 const SYSTEMS: [&str; 11] =
@@ -61,6 +61,25 @@ fn check_rows(rows: &[ResultRow]) {
             assert_eq!(answered(row), answered(ab), "{row:?}");
         }
     }
+    // The memory column means what it says: a "20 %" pool holds at most 20 % of the raw
+    // data unless one partition alone is more, and under it every partitioned baseline
+    // of more than one 64 KiB partition reloads on every B100K batch.
+    for row in lookups.iter().filter(|row| row.s("regime") == "pool") {
+        let (raw, held) = (row.n("raw_bytes").expect("raw_bytes"), row.n("pool_bytes"));
+        assert!(held <= Some(0.2 * raw) || row.n("pool_entries") == Some(1.0), "{row:?}");
+        let partitioned = row.s("system").starts_with(['A', 'H']);
+        if partitioned && row.s("batch") == "B100K" && raw > 65_536.0 {
+            assert!(row.n("partition_loads") >= Some(1.0), "{row:?}");
+        }
+    }
+    // One model per dataset x scale: codec and budget never reach training.
+    let mut models: BTreeMap<String, BTreeSet<String>> = BTreeMap::new();
+    for row in lookups.iter().filter(|row| row.n("model_bytes").is_some()) {
+        let model = ["model_bytes", "memorized", "existence_bytes"].map(|field| row.n(field));
+        let place = format!("{} {:?}", row.s("dataset"), row.n("scale"));
+        models.entry(place).or_default().insert(format!("{model:?}"));
+    }
+    assert!(models.values().all(|distinct| distinct.len() == 1), "{models:?}");
     // fig6 reads the very rows fig4 does.
     let view = |name: &str| VIEWS.iter().find(|view| view.name == name).expect("a view");
     assert!(rows.iter().any(|row| view("fig6").shows(row)));
@@ -93,11 +112,11 @@ fn report_cells_format_reasonably() {
 fn system_matrix_builds_and_answers_queries() {
     let outcome = run(&PaperConfig { scale: BenchScale::new(0.001), quick: true, views: &VIEWS });
     check_rows(&outcome.rows);
-    // One store per dataset x regime x codec: `orders` is trained four times, not twelve;
-    // the three sweeps train DM-Z and DM-Z1 on two synthetic families each.
+    // One model per dataset x scale: `orders` is trained once, not four times; each of
+    // the three sweeps trains once per synthetic family and derives DM-Z and DM-Z1.
     let builds = &outcome.deepmapping_builds;
     let trained = |prefix: &str| builds.iter().filter(|line| line.starts_with(prefix)).count();
-    assert_eq!((trained("lookup orders "), trained("lookup "), builds.len()), (4, 8, 20));
+    assert_eq!((trained("lookup orders "), trained("lookup "), builds.len()), (1, 2, 8));
     // Two datasets x 11 systems x (B100K in memory + three batch sizes under the pool).
     let lookups = outcome.rows.iter().filter(|row| row.s("kind") == "lookup");
     assert_eq!(lookups.count(), 2 * SYSTEMS.len() * 4);

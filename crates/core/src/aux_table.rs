@@ -383,7 +383,7 @@ impl AuxTable {
         idx: usize,
         trace: Option<&Trace>,
     ) -> dm_storage::Result<Arc<PackedPartition>> {
-        self.pool.get_or_load_observed(idx as u64, trace, || {
+        self.pool.get_or_load(idx as u64, trace, || {
             let partition = self.read_partition(idx)?;
             self.heat.touch(idx as u64, dm_obs::Touch::Decompress);
             let bytes = partition.resident_bytes();
@@ -423,7 +423,7 @@ impl AuxTable {
     ///
     /// With a parallel pool and at least two partition groups, the groups are
     /// probed as independent pool tasks — safe because the read path is
-    /// `&self + Sync` and the buffer pool's single-flight sharding keeps racing
+    /// `&self + Sync` and the buffer pool's single-flight latches keep racing
     /// cold loads deduplicated.  `sink` is always invoked serially on the calling
     /// thread (overlay hits while planning, partition hits after the parallel
     /// section), so it needs no synchronization.
@@ -666,6 +666,11 @@ impl AuxTable {
         self.tombstones.len()
     }
 
+    /// `(bytes, partitions)` the buffer pool holds right now.
+    pub fn pool_usage(&self) -> (usize, usize) {
+        (self.pool.used_bytes(), self.pool.len())
+    }
+
     /// Partition-heat report over this table's buffer pool: top-`top_k`
     /// hot/cold partitions by decayed score plus resident-vs-budget pressure
     /// (resident bytes are the packed payloads the pool holds, to the byte).
@@ -758,16 +763,11 @@ mod tests {
     use super::*;
 
     fn build_table(rows: &[Row]) -> AuxTable {
-        AuxTable::build(
-            rows,
-            2,
-            Codec::Lz,
-            4 * 1024,
-            usize::MAX,
-            DiskProfile::free(),
-            Metrics::new(),
-        )
-        .unwrap()
+        build_with(rows, usize::MAX, Metrics::new())
+    }
+
+    fn build_with(rows: &[Row], budget: usize, metrics: Metrics) -> AuxTable {
+        AuxTable::build(rows, 2, Codec::Lz, 4 * 1024, budget, DiskProfile::free(), metrics).unwrap()
     }
 
     fn frames_of(table: &AuxTable) -> Vec<PartitionFrame> {
@@ -880,16 +880,7 @@ mod tests {
     fn iter_rows_bypasses_the_pool_and_keeps_the_hot_set_resident() {
         let rows = sample_rows(4_000);
         let metrics = Metrics::new();
-        let table = AuxTable::build(
-            &rows,
-            2,
-            Codec::Lz,
-            4 * 1024,
-            usize::MAX,
-            DiskProfile::free(),
-            metrics.clone(),
-        )
-        .unwrap();
+        let table = build_with(&rows, usize::MAX, metrics.clone());
         let partitions = table.partition_count();
         assert!(partitions >= 3);
         // Make the first partition hot.
@@ -911,6 +902,46 @@ mod tests {
         let snap = metrics.snapshot();
         assert_eq!(snap.pool_hits, 1);
         assert_eq!(snap.partition_loads, 0);
+    }
+
+    /// A scan peeks every partition in index order, and the recency the lookups built
+    /// must survive it: room for two partitions, B then A looked up, a scan, then C —
+    /// B is the victim (a `peek` that stamps makes it A).
+    #[test]
+    fn a_full_scan_leaves_the_lookup_recency_alone() {
+        let rows = sample_rows(4_000);
+        let one = build_table(&rows);
+        one.get(0).unwrap();
+        let table = build_with(&rows, one.pool_usage().0 * 5 / 2, Metrics::new());
+        let directory = table.partition_directory();
+        for partition in [1, 0] {
+            table.get(directory[partition].min_key).unwrap();
+        }
+        assert_eq!(table.iter_rows().unwrap().len(), rows.len());
+        table.get(directory[2].min_key).unwrap();
+        let resident: Vec<bool> = (0..3).map(|id| table.pool.peek(id).is_some()).collect();
+        assert_eq!(resident, [true, false, true]);
+    }
+
+    /// A "20 %" pool holds 20 %: with a fifth of the decoded table as budget the pool
+    /// never holds more, and a pass over every partition reloads each one, every time.
+    #[test]
+    fn a_fifth_of_the_table_as_budget_is_never_exceeded_and_every_pass_reloads() {
+        let rows = sample_rows(4_000);
+        let warm = build_table(&rows);
+        warm.get_batch(&rows.iter().map(|r| r.key).collect::<Vec<_>>()).unwrap();
+        let (decoded, partitions) = warm.pool_usage();
+        assert!(partitions >= 5);
+        let metrics = Metrics::new();
+        let table = build_with(&rows, decoded / 5, metrics.clone());
+        for _pass in 0..3 {
+            metrics.reset();
+            for info in table.partition_directory() {
+                table.get(info.min_key).unwrap();
+                assert!(table.pool_usage().0 <= decoded / 5, "{:?}", table.pool_usage());
+            }
+            assert_eq!(metrics.snapshot().partition_loads, partitions as u64);
+        }
     }
 
     /// The overlay merge-join in `iter_rows` must agree with ground truth when
@@ -940,16 +971,7 @@ mod tests {
     fn parallel_batch_probes_match_serial() {
         let rows = sample_rows(5_000);
         let metrics = Metrics::new();
-        let table = AuxTable::build(
-            &rows,
-            2,
-            Codec::Lz,
-            4 * 1024,
-            usize::MAX,
-            DiskProfile::free(),
-            metrics.clone(),
-        )
-        .unwrap();
+        let table = build_with(&rows, usize::MAX, metrics.clone());
         assert!(table.partition_count() >= 2);
         let pool = ThreadPool::new(4);
         let serial = ThreadPool::new(1);
@@ -1181,16 +1203,7 @@ mod tests {
     fn constrained_pool_still_answers_correctly() {
         let rows = sample_rows(20_000);
         let metrics = Metrics::new();
-        let table = AuxTable::build(
-            &rows,
-            2,
-            Codec::Lz,
-            4 * 1024,
-            8 * 1024, // much smaller than the data
-            DiskProfile::free(),
-            metrics.clone(),
-        )
-        .unwrap();
+        let table = build_with(&rows, 8 * 1024, metrics.clone()); // much smaller than the data
         let keys: Vec<u64> = (0..60_000u64).step_by(7).collect();
         let results = table.get_batch(&keys).unwrap();
         for (i, &k) in keys.iter().enumerate() {

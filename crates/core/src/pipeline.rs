@@ -57,7 +57,7 @@
 //!   ([`MappingModel::predict_into_on`], serial below
 //!   `dm_nn::PARALLEL_ROW_CROSSOVER` rows),
 //! * probing shards independent partition groups across the pool
-//!   (`AuxTable::probe_batch`), leaning on the sharded single-flight
+//!   (`AuxTable::probe_batch`), leaning on the single-flight
 //!   [`dm_storage::BufferPool`] so racing cold loads are never duplicated; hits
 //!   are folded into the buffer serially, in batch order.
 //!

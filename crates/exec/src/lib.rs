@@ -16,7 +16,7 @@
 //! * `dm_nn::MultiTaskModel::forward_batch_flat` splits large inference batches
 //!   into row chunks (with a serial fallback below a crossover threshold),
 //! * the stress/bench harnesses drive stores from many OS threads and rely on
-//!   the pool plus the sharded single-flight `dm_storage::BufferPool` staying
+//!   the pool plus the single-flight `dm_storage::BufferPool` staying
 //!   correct under that load.
 //!
 //! ## Sizing

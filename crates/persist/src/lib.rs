@@ -10,7 +10,7 @@
 //!   the auxiliary table's `base` bitmap + its partition frames copied verbatim.
 //!   [`Snapshot::open`] (or `DeepMapping::open` via [`SnapshotExt`]) loads only
 //!   the manifest/model/bitmaps eagerly; partitions are served lazily through
-//!   a [`dm_storage::FilePartitionSource`] plugged into the store's sharded
+//!   a [`dm_storage::FilePartitionSource`] plugged into the store's
 //!   single-flight buffer pool — a cold partition costs exactly one positional
 //!   read + one unframing, fully parallel under `dm-exec`.
 //! * [`DeltaWal`] — an append-only log (`<snapshot>.wal`) of

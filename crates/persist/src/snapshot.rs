@@ -32,9 +32,10 @@
 //!
 //! [`Snapshot::open`] reads everything *except* the partition frames eagerly.
 //! Partitions are served on demand by a [`FilePartitionSource`] plugged into the
-//! store's sharded single-flight buffer pool: a cold partition costs one
-//! positional read plus one unframing, misses on different partitions proceed
-//! in parallel, and racing readers of one partition deduplicate into one load.
+//! store's single-flight buffer pool: a cold partition costs one positional
+//! read plus one unframing, misses on different partitions proceed in parallel
+//! (the pool's lock is never held across a load), and racing readers of one
+//! partition deduplicate into one load.
 //!
 //! ## Open-time checks
 //!

@@ -25,7 +25,7 @@
 //!   simulated disk is one implementation, the snapshot-file-backed
 //!   [`FilePartitionSource`] (real positional reads + CRC checks, the lazy half of
 //!   `dm-persist`) is the other,
-//! * [`pool`] — a mutex-sharded LRU buffer pool with a byte budget that
+//! * [`pool`] — one mutex-guarded LRU buffer pool under one byte budget that
 //!   loads/decompresses/evicts partitions, with single-flight cold loads so racing
 //!   readers never duplicate a load,
 //! * [`metrics`] — the latency-breakdown accounting behind Figure 7.
@@ -44,7 +44,7 @@ pub use disk::{DiskProfile, SimulatedDisk};
 pub use source::{FileExtent, FilePartitionSource, PartitionSource};
 pub use layout::{ArrayPartition, HashPartition, PackedPartition, PartitionLayout};
 pub use metrics::{LatencyBreakdown, Metrics, Phase};
-pub use pool::{BufferPool, PoolShardStats, RetryPolicy, DEFAULT_POOL_SHARDS};
+pub use pool::{BufferPool, RetryPolicy};
 pub use row::{ReferenceStore, Row, StoreStats};
 pub use store::{LookupBuffer, MutableStore, TupleRef, TupleStore};
 

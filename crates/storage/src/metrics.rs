@@ -9,7 +9,7 @@
 //!
 //! Recording is **lock-free**: every counter is a [`dm_obs::RelaxedCell`]
 //! (one relaxed atomic add per bump), so concurrent pipeline stages, pool
-//! shards and exec workers never serialize on a metrics mutex.  Relaxed adds
+//! readers and exec workers never serialize on a metrics mutex.  Relaxed adds
 //! never lose increments; a [`snapshot`](Metrics::snapshot) taken while
 //! writers are active may mix cells from slightly different instants (see the
 //! `dm_obs` accuracy contract), which the quiescent read points used by tests

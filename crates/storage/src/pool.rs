@@ -1,4 +1,4 @@
-//! The sharded, single-flight LRU buffer pool.
+//! The single-flight LRU buffer pool.
 //!
 //! "In memory-constrained devices, we free up the space of the least recently used
 //! (LRU) partition before loading the subsequent partition of the auxiliary table when
@@ -7,19 +7,15 @@
 //! the pool's byte budget the baselines pay repeated load + decompress cycles while
 //! DeepMapping's small hybrid structure stays resident — the mechanism behind Table I.
 //!
-//! Since the PR-2 store API made reads `&self + Send + Sync`, many threads probe one
-//! pool concurrently, so the pool is built for that:
-//!
-//! * **Sharding** — entries are hash-distributed over N independently locked LRU
-//!   shards (each owning `capacity / N` of the byte budget), so concurrent readers
-//!   touching different partitions never contend on one global mutex.  Eviction is
-//!   therefore per-shard LRU: approximate global LRU, exact within a shard.
-//! * **Single-flight loads** — a cold partition is loaded and decompressed exactly
-//!   once no matter how many readers race for it.  The first reader installs an
-//!   in-flight latch and runs the loader *outside* the shard lock; the others find
-//!   the latch and block on it (counted as [`single-flight waits`]
-//!   [`crate::LatencyBreakdown::pool_single_flight_waits`]) until the winner
-//!   publishes the value or the error.
+//! It is what that sentence describes: one LRU map under **one** byte budget behind one
+//! mutex, held for a map probe and a recency stamp and never across a load.  Since the
+//! PR-2 store API made reads `&self + Send + Sync`, many threads probe one pool
+//! concurrently, so cold loads are **single-flight**: a cold partition is loaded and
+//! decompressed exactly once no matter how many readers race for it.  The first reader
+//! installs an in-flight latch and runs the loader *outside* the lock; the others find
+//! the latch and block on it (counted as [`single-flight waits`]
+//! [`crate::LatencyBreakdown::pool_single_flight_waits`]) until the winner publishes
+//! the value or the error.
 //!
 //! The pool is generic over the decoded partition type: the caller supplies a loader
 //! closure that turns the partition id into a decoded value plus its in-memory size.
@@ -28,13 +24,7 @@ use crate::metrics::Metrics;
 use crate::{Result, StorageError};
 use parking_lot::Mutex;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex as StdMutex};
-
-/// Default shard count (rounded up to a power of two in [`BufferPool::with_shards`]).
-/// Eight shards keep per-shard contention negligible for the thread counts the
-/// workspace uses while staying cheap for tiny pools.
-pub const DEFAULT_POOL_SHARDS: usize = 8;
 
 /// Process-wide cold-load retry counter in the `dm-obs` global registry
 /// (`dm_pool_load_retries_total` in the Prometheus render).  Registered
@@ -109,13 +99,11 @@ impl RetryPolicy {
     }
 }
 
-/// A sharded LRU cache of decoded partitions with a byte budget and single-flight
+/// An LRU cache of decoded partitions under one byte budget, with single-flight
 /// cold loads.
 #[derive(Debug)]
 pub struct BufferPool<V> {
-    shards: Vec<Shard<V>>,
-    /// log2(shards), used to take the top hash bits as the shard index.
-    shard_bits: u32,
+    inner: Mutex<Inner<V>>,
     capacity_bytes: usize,
     metrics: Metrics,
     retry: RetryPolicy,
@@ -126,35 +114,8 @@ pub struct BufferPool<V> {
     heat: Option<Arc<dm_obs::HeatMap>>,
 }
 
-/// Per-shard counters, readable via [`BufferPool::shard_stats`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct PoolShardStats {
-    /// Lookups served from this shard's resident entries.
-    pub hits: u64,
-    /// Lookups that ran the loader (exactly one per cold partition).
-    pub misses: u64,
-    /// Entries evicted from this shard to make room.
-    pub evictions: u64,
-    /// Lookups that blocked on another reader's in-flight load.
-    pub single_flight_waits: u64,
-    /// Resident (fully loaded) entries currently cached.
-    pub resident_entries: usize,
-    /// Bytes pinned by this shard's resident entries.
-    pub used_bytes: usize,
-}
-
 #[derive(Debug)]
-struct Shard<V> {
-    inner: Mutex<ShardInner<V>>,
-    capacity_bytes: usize,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    evictions: AtomicU64,
-    single_flight_waits: AtomicU64,
-}
-
-#[derive(Debug)]
-struct ShardInner<V> {
+struct Inner<V> {
     entries: HashMap<u64, Slot<V>>,
     clock: u64,
     used_bytes: usize,
@@ -222,35 +183,11 @@ impl<V> LoadLatch<V> {
 }
 
 impl<V> BufferPool<V> {
-    /// Creates a pool with the given byte budget and the default shard count.  A
-    /// budget of `usize::MAX` models a machine whose memory comfortably holds the
-    /// whole dataset.
+    /// Creates a pool with the given byte budget.  A budget of `usize::MAX` models a
+    /// machine whose memory comfortably holds the whole dataset.
     pub fn new(capacity_bytes: usize, metrics: Metrics) -> Self {
-        Self::with_shards(capacity_bytes, DEFAULT_POOL_SHARDS, metrics)
-    }
-
-    /// Creates a pool with an explicit shard count (rounded up to a power of two;
-    /// use 1 for exact global LRU, e.g. in deterministic eviction tests).  Each
-    /// shard owns `capacity_bytes / shards` of the budget.
-    pub fn with_shards(capacity_bytes: usize, shards: usize, metrics: Metrics) -> Self {
-        let shards = shards.clamp(1, 1 << 10).next_power_of_two();
-        let per_shard = (capacity_bytes / shards).max(1);
         BufferPool {
-            shards: (0..shards)
-                .map(|_| Shard {
-                    inner: Mutex::new(ShardInner {
-                        entries: HashMap::new(),
-                        clock: 0,
-                        used_bytes: 0,
-                    }),
-                    capacity_bytes: per_shard,
-                    hits: AtomicU64::new(0),
-                    misses: AtomicU64::new(0),
-                    evictions: AtomicU64::new(0),
-                    single_flight_waits: AtomicU64::new(0),
-                })
-                .collect(),
-            shard_bits: shards.trailing_zeros(),
+            inner: Mutex::new(Inner { entries: HashMap::new(), clock: 0, used_bytes: 0 }),
             capacity_bytes,
             metrics,
             retry: RetryPolicy::default(),
@@ -281,46 +218,20 @@ impl<V> BufferPool<V> {
         self.heat.as_ref()
     }
 
-    /// The configured byte budget (split evenly across shards).
+    /// The configured byte budget.
     pub fn capacity_bytes(&self) -> usize {
         self.capacity_bytes
     }
 
-    /// Number of LRU shards.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
-    fn shard_for(&self, id: u64) -> &Shard<V> {
-        // Fibonacci hashing spreads sequential partition ids across shards; the
-        // top bits select the shard.
-        let mixed = id.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        let idx = if self.shard_bits == 0 {
-            0
-        } else {
-            (mixed >> (64 - self.shard_bits)) as usize
-        };
-        &self.shards[idx]
-    }
-
     /// Bytes currently pinned by cached partitions.
     pub fn used_bytes(&self) -> usize {
-        self.shards.iter().map(|s| s.inner.lock().used_bytes).sum()
+        self.inner.lock().used_bytes
     }
 
     /// Number of fully loaded cached partitions (in-flight loads excluded).
     pub fn len(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| {
-                s.inner
-                    .lock()
-                    .entries
-                    .values()
-                    .filter(|slot| matches!(slot, Slot::Resident(_)))
-                    .count()
-            })
-            .sum()
+        let inner = self.inner.lock();
+        inner.entries.values().filter(|slot| matches!(slot, Slot::Resident(_))).count()
     }
 
     /// Whether the pool holds no fully loaded partitions.
@@ -328,52 +239,23 @@ impl<V> BufferPool<V> {
         self.len() == 0
     }
 
-    /// Per-shard counters (hits / misses / evictions / single-flight waits plus
-    /// residency), index-aligned with the shard layout.
-    pub fn shard_stats(&self) -> Vec<PoolShardStats> {
-        self.shards
-            .iter()
-            .map(|shard| {
-                let inner = shard.inner.lock();
-                PoolShardStats {
-                    hits: shard.hits.load(Ordering::Relaxed),
-                    misses: shard.misses.load(Ordering::Relaxed),
-                    evictions: shard.evictions.load(Ordering::Relaxed),
-                    single_flight_waits: shard.single_flight_waits.load(Ordering::Relaxed),
-                    resident_entries: inner
-                        .entries
-                        .values()
-                        .filter(|slot| matches!(slot, Slot::Resident(_)))
-                        .count(),
-                    used_bytes: inner.used_bytes,
-                }
-            })
-            .collect()
-    }
-
-    /// Returns the cached partition if fully loaded (marking it recently used)
-    /// without invoking the loader.  An in-flight load counts as absent: `peek`
-    /// never blocks.
+    /// Returns the cached partition if fully loaded, without invoking the loader
+    /// and without marking it recently used: a scan that peeks every partition
+    /// leaves the recency the lookups built as it was.  An in-flight load counts
+    /// as absent: `peek` never blocks.
     pub fn peek(&self, id: u64) -> Option<Arc<V>> {
-        let shard = self.shard_for(id);
-        let mut inner = shard.inner.lock();
-        inner.clock += 1;
-        let clock = inner.clock;
-        match inner.entries.get_mut(&id) {
-            Some(Slot::Resident(entry)) => {
-                entry.last_used = clock;
-                Some(Arc::clone(&entry.value))
-            }
+        match self.inner.lock().entries.get(&id) {
+            Some(Slot::Resident(entry)) => Some(Arc::clone(&entry.value)),
             _ => None,
         }
     }
 
     /// Gets a partition, loading it with `loader` on a miss.  The loader returns the
-    /// decoded value and its in-memory size in bytes; the shard evicts its
+    /// decoded value and its in-memory size in bytes; the pool evicts its
     /// least-recently used entries until the new value fits.
     ///
     /// Cold loads are **single-flight**: when several readers race for the same
-    /// absent id, exactly one runs `loader` (outside any lock) while the rest block
+    /// absent id, exactly one runs `loader` (outside the lock) while the rest block
     /// until the value — or the loader's error — is published.
     ///
     /// Transient loader failures ([`StorageError::is_transient`]) are retried
@@ -383,22 +265,13 @@ impl<V> BufferPool<V> {
     /// arrival re-attempts the load, and a parked waiter handed a transient
     /// failure re-enters the protocol once itself instead of surfacing the
     /// winner's stale error.
-    pub fn get_or_load(
-        &self,
-        id: u64,
-        loader: impl FnMut() -> Result<(V, usize)>,
-    ) -> Result<Arc<V>> {
-        self.get_or_load_observed(id, None, loader)
-    }
-
-    /// [`get_or_load`](Self::get_or_load) with per-batch stage tracing: a
-    /// single-flight wait records a [`Stage::PoolWait`](dm_obs::Stage) span
+    ///
+    /// A single-flight wait records a [`Stage::PoolWait`](dm_obs::Stage) span
     /// and a cold load a [`Stage::PoolLoad`](dm_obs::Stage) span — into
     /// `trace` when the caller is carrying one, and into the process-wide
     /// stage histograms either way (both no-ops under `DM_OBS=off`).  The
-    /// [`Metrics`] counters are recorded unconditionally, exactly as in
-    /// `get_or_load`.
-    pub fn get_or_load_observed(
+    /// [`Metrics`] counters are recorded unconditionally.
+    pub fn get_or_load(
         &self,
         id: u64,
         trace: Option<&dm_obs::Trace>,
@@ -415,26 +288,23 @@ impl<V> BufferPool<V> {
         if let Some(heat) = &self.heat {
             heat.touch(id, dm_obs::Touch::Access);
         }
-        let shard = self.shard_for(id);
         // One bounded re-entry: a waiter handed a transient failure takes a
         // second pass (the failed entry was removed, so it becomes the new
         // winner and runs the loader itself with a fresh retry budget).
         let mut reentered = false;
         let our_latch = loop {
-            let mut inner = shard.inner.lock();
+            let mut inner = self.inner.lock();
             inner.clock += 1;
             let clock = inner.clock;
             match inner.entries.get_mut(&id) {
                 Some(Slot::Resident(entry)) => {
                     entry.last_used = clock;
-                    shard.hits.fetch_add(1, Ordering::Relaxed);
                     self.metrics.add_pool_hit();
                     return Ok(Arc::clone(&entry.value));
                 }
                 Some(Slot::InFlight(latch)) => {
                     let latch = Arc::clone(latch);
                     drop(inner);
-                    shard.single_flight_waits.fetch_add(1, Ordering::Relaxed);
                     self.metrics.add_pool_single_flight_wait();
                     let begin = std::time::Instant::now();
                     let waited = latch.wait();
@@ -456,7 +326,6 @@ impl<V> BufferPool<V> {
         };
         // We won the race: run the loader with no lock held, retrying
         // transient failures per the policy.
-        shard.misses.fetch_add(1, Ordering::Relaxed);
         self.metrics.add_pool_miss();
         if let Some(heat) = &self.heat {
             heat.touch(id, dm_obs::Touch::Miss);
@@ -479,7 +348,7 @@ impl<V> BufferPool<V> {
         match loaded {
             Ok((value, bytes)) => {
                 let value = Arc::new(value);
-                self.publish(shard, id, &our_latch, Arc::clone(&value), bytes);
+                self.publish(id, &our_latch, Arc::clone(&value), bytes);
                 our_latch.fulfill(Ok(Arc::clone(&value)));
                 Ok(value)
             }
@@ -487,7 +356,7 @@ impl<V> BufferPool<V> {
                 // Remove the in-flight entry *before* publishing the error:
                 // any reader arriving after this point starts a fresh load
                 // rather than inheriting a stale failure.
-                let mut inner = shard.inner.lock();
+                let mut inner = self.inner.lock();
                 if matches!(inner.entries.get(&id), Some(Slot::InFlight(l)) if Arc::ptr_eq(l, &our_latch))
                 {
                     inner.entries.remove(&id);
@@ -500,15 +369,15 @@ impl<V> BufferPool<V> {
     }
 
     /// Replaces our in-flight latch with a resident entry, evicting LRU residents
-    /// of the shard until the new entry fits (an entry larger than the whole shard
-    /// budget is admitted alone — the query still has to run).  Skips caching when
-    /// the latch was invalidated/cleared while the load ran.
-    fn publish(&self, shard: &Shard<V>, id: u64, our_latch: &Arc<LoadLatch<V>>, value: Arc<V>, bytes: usize) {
-        let mut inner = shard.inner.lock();
+    /// until the new entry fits (an entry larger than the whole budget is admitted
+    /// alone — the query still has to run).  Skips caching when the latch was
+    /// invalidated/cleared while the load ran.
+    fn publish(&self, id: u64, our_latch: &Arc<LoadLatch<V>>, value: Arc<V>, bytes: usize) {
+        let mut inner = self.inner.lock();
         if !matches!(inner.entries.get(&id), Some(Slot::InFlight(l)) if Arc::ptr_eq(l, our_latch)) {
             return;
         }
-        while inner.used_bytes + bytes > shard.capacity_bytes {
+        while inner.used_bytes + bytes > self.capacity_bytes {
             let victim = inner
                 .entries
                 .iter()
@@ -521,7 +390,6 @@ impl<V> BufferPool<V> {
             let Some(victim) = victim else { break };
             if let Some(Slot::Resident(evicted)) = inner.entries.remove(&victim) {
                 inner.used_bytes -= evicted.bytes;
-                shard.evictions.fetch_add(1, Ordering::Relaxed);
                 self.metrics.add_pool_eviction();
             }
         }
@@ -542,8 +410,7 @@ impl<V> BufferPool<V> {
     /// load in flight for the id is detached: its waiters still receive the loaded
     /// value, but it is not cached.
     pub fn invalidate(&self, id: u64) {
-        let shard = self.shard_for(id);
-        let mut inner = shard.inner.lock();
+        let mut inner = self.inner.lock();
         if let Some(Slot::Resident(entry)) = inner.entries.remove(&id) {
             inner.used_bytes -= entry.bytes;
         }
@@ -551,18 +418,16 @@ impl<V> BufferPool<V> {
 
     /// Drops every cached partition (in-flight loads are detached, not interrupted).
     pub fn clear(&self) {
-        for shard in &self.shards {
-            let mut inner = shard.inner.lock();
-            inner.entries.clear();
-            inner.used_bytes = 0;
-        }
+        let mut inner = self.inner.lock();
+        inner.entries.clear();
+        inner.used_bytes = 0;
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicUsize;
+    use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::Barrier;
     use std::time::Duration;
 
@@ -570,18 +435,13 @@ mod tests {
         move || Ok((value, bytes))
     }
 
-    /// Single-shard pool: exact global LRU, deterministic eviction order.
-    fn lru_pool(capacity: usize, metrics: Metrics) -> BufferPool<u32> {
-        BufferPool::with_shards(capacity, 1, metrics)
-    }
-
     #[test]
     fn hit_and_miss_accounting() {
         let metrics = Metrics::new();
-        let pool = lru_pool(1024, metrics.clone());
-        let a = pool.get_or_load(1, loader(10, 100)).unwrap();
+        let pool = BufferPool::new(1024, metrics.clone());
+        let a = pool.get_or_load(1, None, loader(10, 100)).unwrap();
         assert_eq!(*a, 10);
-        let b = pool.get_or_load(1, loader(99, 100)).unwrap();
+        let b = pool.get_or_load(1, None, loader(99, 100)).unwrap();
         assert_eq!(*b, 10, "second access must be served from cache");
         let snap = metrics.snapshot();
         assert_eq!(snap.pool_misses, 1);
@@ -595,12 +455,12 @@ mod tests {
     fn attached_heat_tracker_sees_accesses_and_misses() {
         dm_obs::set_enabled(true);
         let heat = Arc::new(dm_obs::HeatMap::default());
-        let mut pool = lru_pool(1024, Metrics::new());
+        let mut pool = BufferPool::new(1024, Metrics::new());
         pool.attach_heat(Arc::clone(&heat));
         assert!(pool.heat().is_some());
-        pool.get_or_load(3, loader(1, 10)).unwrap();
-        pool.get_or_load(3, loader(1, 10)).unwrap();
-        pool.get_or_load(4, loader(2, 10)).unwrap();
+        pool.get_or_load(3, None, loader(1, 10)).unwrap();
+        pool.get_or_load(3, None, loader(1, 10)).unwrap();
+        pool.get_or_load(4, None, loader(2, 10)).unwrap();
         let report = heat.report(10);
         assert_eq!(report.tracked, 2);
         assert_eq!(report.total_accesses, 3);
@@ -611,12 +471,12 @@ mod tests {
     #[test]
     fn lru_eviction_under_pressure() {
         let metrics = Metrics::new();
-        let pool = lru_pool(250, metrics.clone());
-        pool.get_or_load(1, loader(1, 100)).unwrap();
-        pool.get_or_load(2, loader(2, 100)).unwrap();
+        let pool = BufferPool::new(250, metrics.clone());
+        pool.get_or_load(1, None, loader(1, 100)).unwrap();
+        pool.get_or_load(2, None, loader(2, 100)).unwrap();
         // Touch 1 so 2 becomes the LRU victim.
-        pool.peek(1).unwrap();
-        pool.get_or_load(3, loader(3, 100)).unwrap();
+        pool.get_or_load(1, None, loader(1, 100)).unwrap();
+        pool.get_or_load(3, None, loader(3, 100)).unwrap();
         assert!(pool.peek(2).is_none(), "2 should have been evicted");
         assert!(pool.peek(1).is_some());
         assert!(pool.peek(3).is_some());
@@ -627,9 +487,9 @@ mod tests {
     #[test]
     fn oversized_entry_is_admitted_alone() {
         let metrics = Metrics::new();
-        let pool = lru_pool(50, metrics);
-        pool.get_or_load(1, loader(1, 40)).unwrap();
-        pool.get_or_load(2, loader(2, 400)).unwrap();
+        let pool = BufferPool::new(50, metrics);
+        pool.get_or_load(1, None, loader(1, 40)).unwrap();
+        pool.get_or_load(2, None, loader(2, 400)).unwrap();
         // Everything else evicted, the big entry resident.
         assert!(pool.peek(1).is_none());
         assert!(pool.peek(2).is_some());
@@ -638,13 +498,13 @@ mod tests {
     #[test]
     fn invalidate_and_clear() {
         let metrics = Metrics::new();
-        let pool = lru_pool(1000, metrics);
-        pool.get_or_load(7, loader(7, 10)).unwrap();
+        let pool = BufferPool::new(1000, metrics);
+        pool.get_or_load(7, None, loader(7, 10)).unwrap();
         pool.invalidate(7);
         assert!(pool.peek(7).is_none());
         assert_eq!(pool.used_bytes(), 0);
-        pool.get_or_load(8, loader(8, 10)).unwrap();
-        pool.get_or_load(9, loader(9, 10)).unwrap();
+        pool.get_or_load(8, None, loader(8, 10)).unwrap();
+        pool.get_or_load(9, None, loader(9, 10)).unwrap();
         pool.clear();
         assert!(pool.is_empty());
         assert_eq!(pool.used_bytes(), 0);
@@ -655,40 +515,64 @@ mod tests {
     #[test]
     fn loader_errors_propagate_and_do_not_poison_the_pool() {
         let metrics = Metrics::new();
-        let pool = lru_pool(100, metrics);
-        let err = pool.get_or_load(1, || {
+        let pool = BufferPool::new(100, metrics);
+        let err = pool.get_or_load(1, None, || {
             Err(crate::StorageError::Corrupt("boom".into()))
         });
         assert!(err.is_err());
         assert!(pool.is_empty());
         // A later successful load works.
-        assert_eq!(*pool.get_or_load(1, loader(5, 10)).unwrap(), 5);
+        assert_eq!(*pool.get_or_load(1, None, loader(5, 10)).unwrap(), 5);
     }
 
+    /// Seeded random traffic against a reference LRU (a `Vec`, most recent last): the
+    /// same hits, misses, evictions and residency after every step, and never more
+    /// resident than the budget unless one entry alone exceeds it.
     #[test]
-    fn sharded_pool_spreads_entries_and_isolates_eviction() {
-        let metrics = Metrics::new();
-        let pool: BufferPool<u32> = BufferPool::with_shards(8_000, 4, metrics);
-        assert_eq!(pool.shard_count(), 4);
-        for id in 0..64u64 {
-            pool.get_or_load(id, loader(id as u32, 100)).unwrap();
+    fn random_traffic_matches_a_reference_lru_and_stays_inside_the_budget() {
+        for seed in 0..32u64 {
+            let (metrics, capacity) = (Metrics::new(), 800);
+            let pool: BufferPool<u32> = BufferPool::new(capacity, metrics.clone());
+            let mut model: Vec<(u64, usize)> = Vec::new();
+            let (mut counts, mut largest, mut state) = ([0u64; 3], 0, seed);
+            let mut next = |below: u64| {
+                state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                (state >> 33) % below
+            };
+            for step in 0..400 {
+                let id = next(12);
+                match next(16) {
+                    0 => (pool.clear(), model.clear()).0,
+                    1 => (pool.invalidate(id), model.retain(|&(k, _)| k != id)).0,
+                    2..=4 => {
+                        assert_eq!(pool.peek(id).is_some(), model.iter().any(|&(k, _)| k == id))
+                    }
+                    _ => {
+                        let bytes = 1 + next(if seed % 2 == 0 { 500 } else { 1_200 }) as usize;
+                        pool.get_or_load(id, None, loader(0, bytes)).unwrap();
+                        if let Some(at) = model.iter().position(|&(k, _)| k == id) {
+                            let entry = model.remove(at);
+                            model.push(entry);
+                            counts[0] += 1;
+                        } else {
+                            counts[1] += 1;
+                            let mut resident: usize = model.iter().map(|e| e.1).sum();
+                            while !model.is_empty() && resident + bytes > capacity {
+                                resident -= model.remove(0).1;
+                                counts[2] += 1;
+                            }
+                            model.push((id, bytes));
+                            largest = largest.max(bytes);
+                        }
+                    }
+                }
+                let (snap, at) = (metrics.snapshot(), format!("seed {seed} step {step}"));
+                let resident: usize = model.iter().map(|e| e.1).sum();
+                assert_eq!([snap.pool_hits, snap.pool_misses, snap.pool_evictions], counts, "{at}");
+                assert_eq!((pool.len(), pool.used_bytes()), (model.len(), resident), "{at}");
+                assert!(resident <= capacity.max(largest), "{at}: {resident} bytes resident");
+            }
         }
-        let stats = pool.shard_stats();
-        assert_eq!(stats.len(), 4);
-        assert_eq!(stats.iter().map(|s| s.misses).sum::<u64>(), 64);
-        let populated = stats.iter().filter(|s| s.resident_entries > 0).count();
-        assert!(populated >= 2, "fibonacci hashing must spread sequential ids");
-        // Per-shard budget is 2 000 bytes → at most 20 resident per shard.
-        assert!(stats.iter().all(|s| s.used_bytes <= 2_000));
-        assert!(pool.used_bytes() <= 8_000);
-    }
-
-    #[test]
-    fn shard_count_is_rounded_to_a_power_of_two() {
-        let pool: BufferPool<u32> = BufferPool::with_shards(1024, 3, Metrics::new());
-        assert_eq!(pool.shard_count(), 4);
-        let pool: BufferPool<u32> = BufferPool::with_shards(1024, 0, Metrics::new());
-        assert_eq!(pool.shard_count(), 1);
     }
 
     #[test]
@@ -706,7 +590,7 @@ mod tests {
                 std::thread::spawn(move || {
                     barrier.wait();
                     let value = pool
-                        .get_or_load(42, || {
+                        .get_or_load(42, None, || {
                             loads.fetch_add(1, Ordering::SeqCst);
                             // Hold the race open long enough for the others to
                             // arrive at the latch.
@@ -740,7 +624,7 @@ mod tests {
             let pool = Arc::clone(&pool);
             let barrier = Arc::clone(&barrier);
             std::thread::spawn(move || {
-                pool.get_or_load(5, || {
+                pool.get_or_load(5, None, || {
                     barrier.wait();
                     std::thread::sleep(Duration::from_millis(30));
                     Err(StorageError::Corrupt("cold load failed".into()))
@@ -749,20 +633,20 @@ mod tests {
         };
         barrier.wait();
         // By now the winner holds the latch; this call must wait and then fail.
-        let waited = pool.get_or_load(5, loader(1, 10));
+        let waited = pool.get_or_load(5, None, loader(1, 10));
         assert!(winner.join().unwrap().is_err());
         assert!(waited.is_err(), "waiters share the loader's failure");
         // The failed entry is gone, so a retry loads fresh.
-        assert_eq!(*pool.get_or_load(5, loader(9, 10)).unwrap(), 9);
+        assert_eq!(*pool.get_or_load(5, None, loader(9, 10)).unwrap(), 9);
     }
 
     #[test]
     fn transient_failures_are_retried_within_one_load() {
         let metrics = Metrics::new();
-        let pool = lru_pool(1024, metrics.clone());
+        let pool = BufferPool::new(1024, metrics.clone());
         let mut calls = 0u32;
         let value = pool
-            .get_or_load(1, || {
+            .get_or_load(1, None, || {
                 calls += 1;
                 if calls == 1 {
                     Err(StorageError::Io("injected transient".into()))
@@ -781,10 +665,10 @@ mod tests {
     #[test]
     fn corruption_is_never_retried() {
         let metrics = Metrics::new();
-        let pool = lru_pool(1024, metrics.clone());
+        let pool: BufferPool<u32> = BufferPool::new(1024, metrics.clone());
         let mut calls = 0u32;
         let err = pool
-            .get_or_load(1, || {
+            .get_or_load(1, None, || {
                 calls += 1;
                 Err(StorageError::Corrupt("bad crc".into()))
             })
@@ -797,7 +681,7 @@ mod tests {
     #[test]
     fn retries_are_bounded_by_the_policy() {
         let metrics = Metrics::new();
-        let mut pool = lru_pool(1024, metrics.clone());
+        let mut pool = BufferPool::new(1024, metrics.clone());
         pool.set_retry_policy(RetryPolicy {
             max_attempts: 4,
             base_delay: Duration::from_micros(10),
@@ -806,7 +690,7 @@ mod tests {
         });
         let mut calls = 0u32;
         let err = pool
-            .get_or_load(1, || {
+            .get_or_load(1, None, || {
                 calls += 1;
                 Err(StorageError::Io("still down".into()))
             })
@@ -815,23 +699,23 @@ mod tests {
         assert_eq!(calls, 4, "exactly max_attempts loader invocations");
         assert_eq!(metrics.snapshot().load_retries, 3);
         // The failed entry is gone; a later reader loads fresh.
-        assert_eq!(*pool.get_or_load(1, loader(3, 10)).unwrap(), 3);
+        assert_eq!(*pool.get_or_load(1, None, loader(3, 10)).unwrap(), 3);
     }
 
     #[test]
     fn reader_after_failed_load_reattempts_instead_of_inheriting_the_failure() {
-        let mut pool = lru_pool(1024, Metrics::new());
+        let mut pool = BufferPool::new(1024, Metrics::new());
         pool.set_retry_policy(RetryPolicy::none());
-        let err = pool.get_or_load(5, || Err(StorageError::Io("flaky".into())));
+        let err = pool.get_or_load(5, None, || Err(StorageError::Io("flaky".into())));
         assert!(err.is_err());
         // Once-then-ok: the next arrival must run the loader again, not see
         // a cached failure.
-        assert_eq!(*pool.get_or_load(5, loader(9, 10)).unwrap(), 9);
+        assert_eq!(*pool.get_or_load(5, None, loader(9, 10)).unwrap(), 9);
     }
 
     #[test]
     fn waiter_handed_a_transient_failure_reenters_and_loads() {
-        let mut pool = BufferPool::with_shards(usize::MAX, 1, Metrics::new());
+        let mut pool = BufferPool::new(usize::MAX, Metrics::new());
         pool.set_retry_policy(RetryPolicy::none());
         let pool = Arc::new(pool);
         let barrier = Arc::new(Barrier::new(2));
@@ -839,7 +723,7 @@ mod tests {
             let pool = Arc::clone(&pool);
             let barrier = Arc::clone(&barrier);
             std::thread::spawn(move || {
-                pool.get_or_load(5, || {
+                pool.get_or_load(5, None, || {
                     barrier.wait();
                     std::thread::sleep(Duration::from_millis(30));
                     Err(StorageError::Io("transient cold-load failure".into()))
@@ -849,7 +733,7 @@ mod tests {
         barrier.wait();
         // Parked on the winner's latch by now; handed the transient failure it
         // must re-enter, become the new winner and succeed with its own loader.
-        let waited = pool.get_or_load(5, loader(11, 10)).unwrap();
+        let waited = pool.get_or_load(5, None, loader(11, 10)).unwrap();
         assert_eq!(*waited, 11, "waiter must recover from the winner's transient error");
         assert!(winner.join().unwrap().is_err(), "the winner still sees its own failure");
         // Corruption, by contrast, is inherited as-is (covered by
@@ -885,7 +769,7 @@ mod tests {
             let pool = Arc::clone(&pool);
             let barrier = Arc::clone(&barrier);
             std::thread::spawn(move || {
-                pool.get_or_load(11, || {
+                pool.get_or_load(11, None, || {
                     barrier.wait();
                     std::thread::sleep(Duration::from_millis(30));
                     Ok((3u32, 10))

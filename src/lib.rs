@@ -93,7 +93,7 @@
 //! │                                       BitVec (Vexist) + RankedBits (rank index),
 //! │                                       partition layouts (array/hash baselines,
 //! │                                       keyless PackedPartition),
-//! │                                       simulated disk, sharded single-flight
+//! │                                       simulated disk, one-budget single-flight
 //! │                                       LRU BufferPool with bounded retry +
 //! │                                       backoff on transient cold-load
 //! │                                       failures, Figure-7 Metrics
@@ -159,7 +159,7 @@
 //!   SIMD kernels of [`dm_nn::kernel`].
 //! * **Probing** visits independent auxiliary partition groups as parallel pool
 //!   tasks; hits are folded into the result serially, in batch order.
-//! * **`dm_storage::BufferPool`** is mutex-sharded with *single-flight* cold
+//! * **`dm_storage::BufferPool`** is one LRU under one budget with *single-flight* cold
 //!   loads: racing readers (pipeline tasks or external threads) trigger exactly
 //!   one read + unframe per partition, the losers wait on a per-entry latch
 //!   (observable via `LatencyBreakdown::pool_single_flight_waits`).
@@ -202,7 +202,7 @@
 //!
 //! Opening reads only header + manifest + model + existence + base; the partition
 //! frames stay on disk and are served on demand by a
-//! `dm_storage::FilePartitionSource` behind the sharded single-flight buffer
+//! `dm_storage::FilePartitionSource` behind the single-flight buffer
 //! pool (one `pread` + one unframing per cold partition, parallel under
 //! `dm-exec`).  Versioning is strict: an unknown header version or any failed
 //! CRC is a typed [`dm_persist::PersistError`], never a guess, and so is a

@@ -1,4 +1,4 @@
-//! Concurrency stress guarantees of the `dm-exec` + sharded single-flight
+//! Concurrency stress guarantees of the `dm-exec` + single-flight
 //! buffer-pool read path:
 //!
 //! * many OS threads hammering one `Arc<DeepMapping>` against a *cold* pool must
