@@ -159,15 +159,15 @@ impl DeepSqueezeStore {
                 let count = config.batch_size.min(rows.len() - start);
                 let batch = features.rows_slice(start, count).map_err(nn_err)?;
                 let latent = encoder.forward_train(&batch).map_err(nn_err)?;
-                let recon = decoder.forward_train(&latent).map_err(nn_err)?;
+                let recon = decoder.forward_train(latent).map_err(nn_err)?;
                 // MSE loss gradient.
                 let n = (recon.rows() * recon.cols()).max(1) as f32;
                 let mut grad = recon.clone();
                 grad.add_scaled(&batch, -1.0).map_err(nn_err)?;
                 grad.scale(2.0 / n);
-                let grad_latent = decoder.backward(&grad).map_err(nn_err)?;
+                let grad_latent = decoder.backward(latent, grad).map_err(nn_err)?;
                 decoder.apply_gradients(&mut dec_opt);
-                encoder.backward(&grad_latent).map_err(nn_err)?;
+                encoder.backward(&batch, grad_latent).map_err(nn_err)?;
                 encoder.apply_gradients(&mut enc_opt);
                 start += count;
             }

@@ -179,6 +179,20 @@ impl TrainedDeepMapping {
         TrainedDeepMapping { trained, misclassified, train_s: started.elapsed().as_secs_f64() }
     }
 
+    /// Epochs the training ran: the budget, or fewer when the loss fell under its
+    /// tolerance or the learning-rate schedule ran out.
+    pub fn epochs(&self) -> usize {
+        self.trained.model().trained_epochs()
+    }
+
+    /// Multiply-accumulates of one row's forward pass through the trained network; a
+    /// training step does this three times per row (forward, `xᵀ·dy`, `dy·Wᵀ`).
+    pub fn forward_macs(&self) -> usize {
+        let network = self.trained.model().network();
+        let layers = network.trunk().iter().chain(network.heads().iter().flatten());
+        layers.map(|layer| layer.in_dim() * layer.out_dim()).sum()
+    }
+
     /// The store of `codec` (DM-Z for `Codec::Lz`, DM-L for `Codec::LzHuff`) under
     /// `regime`: the shared model over an auxiliary table of its own.
     pub fn store(&self, dataset: &Dataset, codec: Codec, regime: Regime) -> SystemUnderTest {

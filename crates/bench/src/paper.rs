@@ -215,6 +215,15 @@ impl PaperRun {
         let dataset = generate(place);
         let (rows, raw_bytes) = (dataset.num_rows(), dataset.uncompressed_bytes());
         let trained = self.train("lookup", place, &dataset, config.epochs());
+        // What the build cost, as work over time: `train_s` is the whole training build
+        // (schema, training, quantization, one auxiliary table), so the rate is what a
+        // build delivers, a little under what the kernels run at.
+        let row_passes = rows * trained.epochs();
+        let train_macs = 3 * trained.forward_macs() * row_passes;
+        let row = self.row("train", place, rows, "DM");
+        row.num("epochs", trained.epochs() as f64).num("row_passes", row_passes as f64);
+        row.num("train_s", round(trained.train_s, 3)).num("train_macs", train_macs as f64);
+        row.num("train_mac_per_ns", round(train_macs as f64 / trained.train_s / 1e9, 3));
         for regime in [Regime::MEMORY, Regime::POOL] {
             let (mut systems, ds_error) = build_matrix(&dataset, regime, &trained);
             // Table I's batch sweep belongs to the memory-constrained regime.

@@ -80,6 +80,26 @@ fn check_rows(rows: &[ResultRow]) {
         models.entry(place).or_default().insert(format!("{model:?}"));
     }
     assert!(models.values().all(|distinct| distinct.len() == 1), "{models:?}");
+    // Each of those models has its one `train` row, and the row adds up: whole epochs
+    // over every row, three products per layer per row pass, the rate their quotient.
+    let trains: Vec<&ResultRow> = rows.iter().filter(|row| row.s("kind") == "train").collect();
+    let place = |row: &ResultRow| format!("{} {:?}", row.s("dataset"), row.n("scale"));
+    let trained: Vec<String> = trains.iter().map(|row| place(row)).collect();
+    assert_eq!(trained.iter().collect::<BTreeSet<_>>(), models.keys().collect(), "{trained:?}");
+    assert_eq!(trained.len(), models.len(), "{trained:?}");
+    for row in trains {
+        let field = |name: &str| row.n(name).unwrap_or_else(|| panic!("{name} of {row:?}"));
+        assert!(field("epochs") >= 1.0, "{row:?}");
+        assert_eq!(field("row_passes"), field("rows") * field("epochs"), "{row:?}");
+        let per_row_pass = field("train_macs") / field("row_passes");
+        assert!(per_row_pass >= 3.0 && per_row_pass % 3.0 == 0.0, "{row:?}");
+        // `train_s` is printed to the millisecond, the rate is of the unrounded time.
+        let rate = |seconds: f64| field("train_macs") / seconds / 1e9;
+        let slowest = rate(field("train_s") + 0.0005);
+        let fastest = rate((field("train_s") - 0.0005).max(1e-9));
+        let printed = field("train_mac_per_ns");
+        assert!(slowest - 0.001 <= printed && printed <= fastest + 0.001, "{row:?}");
+    }
     // fig6 reads the very rows fig4 does.
     let view = |name: &str| VIEWS.iter().find(|view| view.name == name).expect("a view");
     assert!(rows.iter().any(|row| view("fig6").shows(row)));
@@ -151,6 +171,7 @@ fn committed_results_cover_the_evaluation_and_pin_where_dm_z_exceeds_the_raw_dat
     // x 11 systems x (B100K in memory + three batch sizes under the pool).
     assert_eq!(of(0.005, "lookup").count(), 13 * SYSTEMS.len() * 4);
     assert_eq!(of(0.02, "lookup").count(), 8 * SYSTEMS.len() * 4);
+    assert_eq!((of(0.005, "train").count(), of(0.02, "train").count()), (13, 8));
     assert_eq!(of(0.005, "insert").count(), 5 * 5);
     for sweep in ["sweep_in", "sweep_off", "sweep_delete"] {
         assert_eq!(of(0.005, sweep).count(), 2 * 6 * 7, "{sweep}");

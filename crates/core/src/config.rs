@@ -17,11 +17,16 @@ pub struct TrainingConfig {
     pub epochs: usize,
     /// Mini-batch size.
     pub batch_size: usize,
-    /// Initial learning rate (decayed multiplicatively per step).
+    /// Adam's learning rate at the first step; halved whenever the epoch loss
+    /// stops improving (see [`MappingModel::train`](crate::MappingModel::train)).
     pub learning_rate: f32,
-    /// Multiplicative learning-rate decay per optimizer step.
+    /// Read by nothing.  The paper decays an SGD learning rate by this factor
+    /// per step; training here runs Adam with plateau halving and has no
+    /// per-step decay.  The field stays because every store manifest records
+    /// it and callers (the frozen benchmark among them) name it in struct
+    /// literals.
     pub lr_decay: f32,
-    /// Stop training early once the epoch-over-epoch loss change drops below this.
+    /// Stop training early once an epoch's mean loss drops below this.
     pub loss_tolerance: f32,
 }
 

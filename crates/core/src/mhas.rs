@@ -19,7 +19,7 @@
 
 use crate::config::DeepMappingConfig;
 use crate::encoder::MappingSchema;
-use crate::model::MappingModel;
+use crate::model::{MappingModel, TrainingBatch};
 use crate::{CoreError, Result};
 use dm_nn::layer::{Activation, Dense};
 use dm_nn::{Adam, MultiTaskModel, MultiTaskSpec, SequenceController, TaskHeadSpec};
@@ -510,20 +510,12 @@ impl ModelHandle<'_> {
     ) -> Result<()> {
         let mut optimizer = Adam::new(0.01);
         let mut order: Vec<usize> = (0..rows.len()).collect();
+        let mut batch = TrainingBatch::new(self.schema);
         for _ in 0..epochs {
             order.shuffle(rng);
             for chunk in order.chunks(batch_size.max(1)) {
-                let keys: Vec<u64> = chunk.iter().map(|&i| rows[i].key).collect();
-                let x = self.schema.key_encoder.encode_batch(&keys);
-                let mut targets =
-                    vec![Vec::with_capacity(chunk.len()); self.schema.num_columns()];
-                for &i in chunk {
-                    for (c, &v) in rows[i].values.iter().enumerate() {
-                        let clamped = v.min(self.schema.cardinalities[c].saturating_sub(1));
-                        targets[c].push(clamped as usize);
-                    }
-                }
-                self.network.train_batch(&x, &targets, &mut optimizer)?;
+                batch.fill(self.schema, rows, chunk);
+                self.network.train_batch(&batch.x, &batch.targets, &mut optimizer)?;
             }
         }
         self.network.clear_cache();

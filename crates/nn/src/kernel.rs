@@ -37,8 +37,9 @@
 //!   for bit),
 //! * lane reductions (for the `· Wᵀ` kernel) use one **fixed tree**: fold the
 //!   16 lanes in half (`s_i = l_i + l_{i+8}`), then
-//!   `((s0+s4)+(s2+s6)) + ((s1+s5)+(s3+s7))` — exactly what the AVX-512
-//!   extract/add plus the AVX2 shuffle sequence computes,
+//!   `((s0+s4)+(s2+s6)) + ((s1+s5)+(s3+s7))` — [`reduce_lanes`]; the vector
+//!   forms hold each lane sum in a register of its own and add registers in
+//!   that order (see "The gradient kernels" below),
 //! * the int8 path quantizes each input row **once** through one recipe
 //!   (below), accumulates the integer `Σ qₓ·q_w` exactly, and dequantizes
 //!   through one fixed f32 epilogue.  Its four forms reach that same integer
@@ -108,6 +109,44 @@
 //! releases them before it returns, so a context switch outside a layer call
 //! saves no tile state.
 //!
+//! ## The gradient kernels
+//!
+//! A training step runs three products of the same size per layer; the two of
+//! the backward pass are blocked like the forward one, and — because a retrain
+//! must reproduce a build's weights on any host — each keeps, per output
+//! element, the exact sequence of fused multiply-adds it has always been.
+//! Tiling decides which register a chain lives in and when it runs, never what
+//! it adds to what.
+//!
+//! **`xᵀ · dy`** ([`transpose_matmul`]): output `(i, j)` is one chain over the
+//! batch rows `kk`, from `+0.0`, of `x[kk][i] · dy[kk][j]`, skipping every `kk`
+//! where `x[kk][i]` is zero.  The scalar body is that sentence, as a rank-1
+//! update per row.  The vector forms keep a tile of up to 3 vectors of `i` ×
+//! 8 columns `j` (AVX-512: 24 zmm accumulators; AVX2: 3 × 2 ymm) in registers
+//! across a block of 512 rows: per row, up to three loads of `x`, one compare
+//! of each against zero, and per column one broadcast of `dy[kk][j]` feeding
+//! up to three **masked** FMAs — a lane whose `x` is zero keeps its sum
+//! untouched, which is the skip, exactly (it leaves a `-0.0` sum `-0.0` and
+//! keeps an infinite `dy` out of outputs it does not belong to).  Between row
+//! blocks the tile rests in the transposed output, so a chain carries on where
+//! it stopped; the blocks exist so both operands stay in L2.
+//!
+//! **`dy · Wᵀ`** ([`matmul_transpose_packed`]): output `(r, kk)` is sixteen lane
+//! sums — lane `l` the chain over panels `p`, from `+0.0`, of
+//! `dy[r][16p + l] · w[kk][16p + l]`, a lane past `n` multiplying `0 · 0` —
+//! folded by the fixed tree.  The scalar body is that, literally.  The vector
+//! forms turn the lanes: [`PackedPanels`] holds the weights a second time on
+//! their side, so that one lane of one panel for sixteen adjacent outputs `kk`
+//! is one vector; a lane sum is then a *register* of sixteen outputs
+//! (`dy[r][c]` broadcast × that vector), and the tree is fifteen vertical adds
+//! per sixteen outputs with no shuffle anywhere.  A tile is 4 rows × 4 lanes
+//! (16 zmm accumulators; AVX2: 2 rows × 4 lanes over each 8-output half) and
+//! takes four passes over the panels, one per aligned run of four lanes in
+//! the tree's order (`LANE_ORDER`) — a run is a whole subtree, so each pass
+//! ends in one partial sum and the four fold the same way.  32 rows of `dy`
+//! run against one block of sixteen outputs before the next, so both stay in
+//! L1.
+//!
 //! ## Selection
 //!
 //! [`Kernel::selected`] picks the vector kernel when the CPU supports AVX2+FMA
@@ -128,6 +167,7 @@ use crate::layer::Activation;
 use crate::tensor::Matrix;
 use crate::NnError;
 use std::cell::Cell;
+use std::sync::OnceLock;
 
 /// Vector lane width: 16 f32 lanes (one AVX-512 register; the AVX2 kernel
 /// processes each panel as two 8-lane halves).
@@ -315,7 +355,7 @@ pub fn active() -> Kernel {
 /// columns, plus the layer's bias zero-padded to the panel edge.  Packed once
 /// per weight mutation (build, deserialize, optimizer step); every packed
 /// kernel call then streams panels with unit stride.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 pub struct PackedPanels {
     k: usize,
     n: usize,
@@ -325,6 +365,17 @@ pub struct PackedPanels {
     data: Vec<f32>,
     /// Bias padded to `panel_count() * LANES` (zeros when the layer has none).
     bias: Vec<f32>,
+    /// The panels turned on their side for `dy · Wᵀ`, laid out by the first
+    /// [`matmul_transpose_packed`] over them — once per weight mutation, like
+    /// the panels themselves, and only where something trains: panels that
+    /// only serve never hold it.  `k.div_ceil(16) * panel_count() * 256`
+    /// floats.  Block `b` covers the sixteen outputs `kk ∈ [16b, 16b + 16)`;
+    /// inside it panel `p`, position `q` is one vector of sixteen floats at
+    /// `((b * panel_count() + p) * 16 + q) * 16`, holding
+    /// `weight[16b + t][16p + LANE_ORDER[q]]` for `t ∈ 0..16` — the weights
+    /// one lane of one panel multiplies, for sixteen adjacent outputs, zero
+    /// past either edge.
+    transposed: OnceLock<Vec<f32>>,
 }
 
 impl PackedPanels {
@@ -362,6 +413,7 @@ impl PackedPanels {
             n,
             data,
             bias: padded_bias,
+            transposed: OnceLock::new(),
         })
     }
 
@@ -394,7 +446,35 @@ impl PackedPanels {
     fn bias_panel(&self, p: usize) -> &[f32] {
         &self.bias[p * LANES..(p + 1) * LANES]
     }
+
+    /// The `panel_count() * 16` vectors of output block `b` of the transposed
+    /// layout (see the field), laying it out on first use.
+    fn transposed_block(&self, b: usize) -> &[f32] {
+        let panels = self.panel_count();
+        let transposed = self.transposed.get_or_init(|| {
+            let mut data = vec![0.0f32; self.k.div_ceil(LANES) * panels * LANES * LANES];
+            for (slot, vector) in data.chunks_exact_mut(LANES).enumerate() {
+                let (b, p, q) = (slot / LANES / panels, slot / LANES % panels, slot % LANES);
+                let rows = self.panel(p)[b * LANES * LANES..].chunks_exact(LANES);
+                for (w, row) in vector.iter_mut().zip(rows) {
+                    *w = row[LANE_ORDER[q]];
+                }
+            }
+            data
+        });
+        let len = panels * LANES * LANES;
+        &transposed[b * len..(b + 1) * len]
+    }
 }
+
+/// The order the `dy · Wᵀ` kernels hold an output's sixteen lane sums in: the
+/// fixed reduction tree of [`reduce_lanes`] adds lane `j` to lane `j + 8`,
+/// then `s0 + s4`, `s2 + s6`, `s1 + s5`, `s3 + s7`, then `(s04 + s26)` and
+/// `(s15 + s37)`, then those two — which is "add neighbours, four times" over
+/// the lanes written in this order.  Any aligned run of 2, 4 or 8 positions is
+/// a whole subtree, so a kernel may sum a run by itself and combine the runs'
+/// sums the same way.
+const LANE_ORDER: [usize; LANES] = [0, 8, 4, 12, 2, 10, 6, 14, 1, 9, 5, 13, 3, 11, 7, 15];
 
 /// A weight matrix (`k × n`) quantized to int8 with one symmetric scale per
 /// output column, packed into [`QLANES`]-column panels interleaved by `k`
@@ -1109,10 +1189,17 @@ pub fn argmax_rows(
     Ok(())
 }
 
-/// `lhs (m × n) · Wᵀ (n × k) -> m × k` over packed panels — the backward-pass
-/// shape (`dy · Wᵀ`), reusing the forward panels ("gradients get the panels
-/// for free").  Each output element is a lane-parallel dot product finished by
-/// the fixed reduction tree.
+/// `lhs (m × n) · Wᵀ (n × k) -> m × k` — the backward-pass shape (`dy · Wᵀ`),
+/// over the forward panels turned on their side (laid out on the first call
+/// after a weight mutation; see [`PackedPanels`]).  An output
+/// element is what it always was: sixteen lane sums, lane `l` one chain of
+/// fused multiply-adds from `+0.0` over `lhs[i][16p + l] · w[kk][16p + l]` in
+/// ascending `p` (a lane past `n` multiplying zero by zero), folded by the
+/// fixed tree of [`reduce_lanes`].  What changed is where the lanes live: a
+/// lane sum is one *register* holding sixteen adjacent outputs (`lhs[i][c]`
+/// broadcast against one vector of the transposed panel), so the tree is
+/// fifteen vertical adds per sixteen outputs and no lane ever crosses a
+/// register — see the module docs.
 pub fn matmul_transpose_packed(lhs: &Matrix, panels: &PackedPanels) -> crate::Result<Matrix> {
     if lhs.cols() != panels.n {
         return Err(NnError::ShapeMismatch {
@@ -1142,9 +1229,14 @@ pub fn matmul_transpose_packed(lhs: &Matrix, panels: &PackedPanels) -> crate::Re
 }
 
 /// `lhsᵀ (k × m) · rhs (k × n) -> m × n` without materializing the transpose —
-/// the weight-gradient shape (`xᵀ · dy`), lane-vectorized over the contiguous
-/// `rhs` rows.  Operations are element-wise fused multiply-adds, so the scalar
-/// and vector kernels agree bit for bit.
+/// the weight-gradient shape (`xᵀ · dy`).  Output element `(i, j)` is one chain
+/// of fused multiply-adds from `+0.0` over `lhs[kk][i] · rhs[kk][j]` in
+/// ascending `kk`, **skipping** every `kk` whose `lhs[kk][i]` is zero (ReLU
+/// activations and one-hot key features are zero-heavy; the skip is part of
+/// the recipe, not a shortcut — it is what leaves a `−0.0` sum alone and keeps
+/// a non-finite `rhs` out of rows it does not belong to).  The scalar body is
+/// that sentence; the vector forms hold a tile of chains in registers across
+/// the whole `kk` loop and skip with a per-lane mask — see the module docs.
 pub fn transpose_matmul(lhs: &Matrix, rhs: &Matrix) -> crate::Result<Matrix> {
     if lhs.rows() != rhs.rows() {
         return Err(NnError::ShapeMismatch {
@@ -1160,10 +1252,13 @@ pub fn transpose_matmul(lhs: &Matrix, rhs: &Matrix) -> crate::Result<Matrix> {
     let mut out = Matrix::zeros(lhs.cols(), rhs.cols());
     match active() {
         #[cfg(target_arch = "x86_64")]
+        Kernel::Vector if avx512_enabled() => unsafe {
+            // Safety: AVX-512 F/BW/DQ availability checked at runtime.
+            x86::transpose_matmul_avx512(lhs, rhs, out.as_mut_slice());
+        },
+        #[cfg(target_arch = "x86_64")]
         Kernel::Vector if vector_available() => unsafe {
-            // Safety: AVX2+FMA availability checked at runtime.  (Element-wise
-            // fused multiply-adds — lane width cannot change the result, so
-            // there is no separate AVX-512 form.)
+            // Safety: AVX2+FMA availability checked at runtime.
             x86::transpose_matmul_avx2(lhs, rhs, out.as_mut_slice());
         },
         _ => transpose_matmul_scalar_dispatch(lhs, rhs, out.as_mut_slice()),
@@ -1171,10 +1266,11 @@ pub fn transpose_matmul(lhs: &Matrix, rhs: &Matrix) -> crate::Result<Matrix> {
     Ok(out)
 }
 
-/// The fixed lane-reduction tree both kernels finish dot products with: fold
-/// the halves (`s_i = l_i + l_{i+8}`) — the AVX-512 256-bit extract/add —
-/// then `((s0+s4)+(s2+s6)) + ((s1+s5)+(s3+s7))`, the exact sum order of the
-/// AVX2 extract/add shuffle sequence.
+/// The fixed lane-reduction tree every form of `dy · Wᵀ` finishes an output
+/// with: fold the halves (`s_i = l_i + l_{i+8}`), then
+/// `((s0+s4)+(s2+s6)) + ((s1+s5)+(s3+s7))` — the order a halving reduction of
+/// one 16-lane register takes, which is what the kernels ran when the first
+/// snapshots were written; the vector forms now add whole registers in it.
 #[inline(always)]
 pub fn reduce_lanes(v: [f32; LANES]) -> f32 {
     let mut s = [0.0f32; 8];
@@ -1288,38 +1384,29 @@ fn forward_quantized_scalar_body(
     }
 }
 
+/// The reference form of `dy · Wᵀ`: the lane sums of one block of sixteen
+/// outputs as a 16 × 16 array, each lane's chain in ascending panel order, then
+/// [`reduce_lanes`] per output.
 #[inline(always)]
 fn matmul_wt_scalar_body(lhs: &Matrix, panels: &PackedPanels, out: &mut [f32]) {
     let k = panels.k;
-    let n = panels.n;
-    let np = panels.panel_count();
-    // Zero-padded copy of each lhs row's edge panel, built once per row.
     for i in 0..lhs.rows() {
         let lhs_row = lhs.row(i);
-        let out_row = &mut out[i * k..(i + 1) * k];
-        // Process output columns in blocks of 8 accumulator groups so the
-        // panel stream is read once per block while staying register-resident.
-        const KC: usize = 8;
-        let mut kk0 = 0;
-        while kk0 < k {
-            let kb = KC.min(k - kk0);
-            let mut acc = [[0.0f32; LANES]; KC];
-            for p in 0..np {
-                let mut x = [0.0f32; LANES];
-                let cols = LANES.min(n - p * LANES);
-                x[..cols].copy_from_slice(&lhs_row[p * LANES..p * LANES + cols]);
-                let panel = panels.panel(p);
-                for (j, acc_j) in acc.iter_mut().enumerate().take(kb) {
-                    let w = &panel[(kk0 + j) * LANES..(kk0 + j + 1) * LANES];
-                    for ((lane, &xl), &wl) in acc_j.iter_mut().zip(&x).zip(w) {
-                        *lane = xl.mul_add(wl, *lane);
-                    }
+        for (b, out_block) in out[i * k..(i + 1) * k].chunks_mut(LANES).enumerate() {
+            // acc[l][t]: lane l's running sum for output 16b + t.
+            let mut acc = [[0.0f32; LANES]; LANES];
+            for (slot, w) in panels.transposed_block(b).chunks_exact(LANES).enumerate() {
+                let (p, lane) = (slot / LANES, LANE_ORDER[slot % LANES]);
+                // A lane past the row's end multiplies zero by the panel's
+                // zero padding — `acc + 0.0`, which is not a no-op on `-0.0`.
+                let x = lhs_row.get(p * LANES + lane).copied().unwrap_or(0.0);
+                for (a, &wl) in acc[lane].iter_mut().zip(w) {
+                    *a = x.mul_add(wl, *a);
                 }
             }
-            for (j, &acc_j) in acc.iter().enumerate().take(kb) {
-                out_row[kk0 + j] = reduce_lanes(acc_j);
+            for (t, o) in out_block.iter_mut().enumerate() {
+                *o = reduce_lanes(std::array::from_fn(|l| acc[l][t]));
             }
-            kk0 += kb;
         }
     }
 }
@@ -1331,7 +1418,7 @@ fn transpose_matmul_scalar_body(lhs: &Matrix, rhs: &Matrix, out: &mut [f32]) {
         let lhs_row = lhs.row(kk);
         let rhs_row = rhs.row(kk);
         for (i, &a) in lhs_row.iter().enumerate() {
-            // ReLU activations are zero-heavy; both kernels skip identically.
+            // The skip every form makes (see `transpose_matmul`).
             if a == 0.0 {
                 continue;
             }
@@ -1415,7 +1502,8 @@ scalar_dispatch!(
 #[cfg(target_arch = "x86_64")]
 mod x86 {
     use super::{
-        apply_activation_slice, PackedPanels, QuantizedPanels, RowsView, LANES, QBLOCK, QLANES,
+        apply_activation_slice, PackedPanels, QuantizedPanels, RowsView, LANES, LANE_ORDER,
+        QBLOCK, QLANES,
     };
     use crate::layer::Activation;
     use crate::tensor::Matrix;
@@ -2233,136 +2321,387 @@ mod x86 {
         }
     }
 
-    #[target_feature(enable = "avx2", enable = "fma")]
-    pub(super) unsafe fn matmul_wt_avx2(lhs: &Matrix, panels: &PackedPanels, out: &mut [f32]) {
-        let k = panels.k;
-        let n = panels.n;
-        let np = panels.panel_count();
-        const KC: usize = 4;
-        for i in 0..lhs.rows() {
-            let lhs_row = lhs.row(i);
-            let mut kk0 = 0;
-            while kk0 < k {
-                let kb = KC.min(k - kk0);
-                let mut acc_lo = [_mm256_setzero_ps(); KC];
-                let mut acc_hi = [_mm256_setzero_ps(); KC];
-                for p in 0..np {
-                    let cols = LANES.min(n - p * LANES);
-                    let (x_lo, x_hi) = if cols == LANES {
-                        (
-                            _mm256_loadu_ps(lhs_row.as_ptr().add(p * LANES)),
-                            _mm256_loadu_ps(lhs_row.as_ptr().add(p * LANES + HALF)),
-                        )
-                    } else {
-                        let mut tmp = [0.0f32; LANES];
-                        tmp[..cols].copy_from_slice(&lhs_row[p * LANES..p * LANES + cols]);
-                        (
-                            _mm256_loadu_ps(tmp.as_ptr()),
-                            _mm256_loadu_ps(tmp.as_ptr().add(HALF)),
-                        )
-                    };
-                    let panel = panels.panel(p);
-                    for j in 0..kb {
-                        let w_lo = _mm256_loadu_ps(panel.as_ptr().add((kk0 + j) * LANES));
-                        let w_hi = _mm256_loadu_ps(panel.as_ptr().add((kk0 + j) * LANES + HALF));
-                        acc_lo[j] = _mm256_fmadd_ps(x_lo, w_lo, acc_lo[j]);
-                        acc_hi[j] = _mm256_fmadd_ps(x_hi, w_hi, acc_hi[j]);
+    // -----------------------------------------------------------------------
+    // The gradient kernels: `dy · Wᵀ` and `xᵀ · dy`.
+    //
+    // Both are written once over [`Lanes`] — a vector of 16 (AVX-512) or 8
+    // (AVX2) f32 with the handful of operations the tiles need — so an ISA has
+    // one blocked form of each and the two ISAs cannot drift apart.  The tile
+    // functions are `#[inline(always)]` into their `#[target_feature]` entry
+    // points, which is where the intrinsics become instructions.
+    // -----------------------------------------------------------------------
+
+    /// One vector register of f32 lanes, and a per-lane predicate over it.
+    ///
+    /// # Safety
+    ///
+    /// Every method needs the CPU features of the implementing type (checked
+    /// by the public entry points before they dispatch); the ones that take a
+    /// pointer need the lanes they touch — all of them, or those of the mask —
+    /// to be readable (`load*`) or writable (`store*`) f32s.
+    trait Lanes: Copy {
+        /// Lanes per register.
+        const WIDTH: usize;
+        /// A per-lane predicate (a mask register, or an all-ones / all-zeros
+        /// lane pattern where the ISA has no mask registers).
+        type Mask: Copy;
+        unsafe fn zero() -> Self;
+        unsafe fn splat(v: f32) -> Self;
+        unsafe fn load(src: *const f32) -> Self;
+        unsafe fn store(self, dst: *mut f32);
+        unsafe fn add(self, other: Self) -> Self;
+        /// `self · b + c`, fused.
+        unsafe fn fmadd(self, b: Self, c: Self) -> Self;
+        /// The first `count` lanes.
+        unsafe fn prefix(count: usize) -> Self::Mask;
+        /// The lanes of `mask` from `src`, `+0.0` elsewhere (no access there).
+        unsafe fn load_where(mask: Self::Mask, src: *const f32) -> Self;
+        /// The lanes of `mask` to `dst` (no access elsewhere).
+        unsafe fn store_where(self, mask: Self::Mask, dst: *mut f32);
+        /// The lanes that are not `±0.0` (a NaN is not zero).
+        unsafe fn nonzero(self) -> Self::Mask;
+        /// `self · b + c` in the lanes of `mask`, `c` untouched elsewhere.
+        unsafe fn fmadd_where(self, mask: Self::Mask, b: Self, c: Self) -> Self;
+    }
+
+    impl Lanes for __m512 {
+        const WIDTH: usize = 16;
+        type Mask = __mmask16;
+        #[inline(always)]
+        unsafe fn zero() -> Self {
+            _mm512_setzero_ps()
+        }
+        #[inline(always)]
+        unsafe fn splat(v: f32) -> Self {
+            _mm512_set1_ps(v)
+        }
+        #[inline(always)]
+        unsafe fn load(src: *const f32) -> Self {
+            _mm512_loadu_ps(src)
+        }
+        #[inline(always)]
+        unsafe fn store(self, dst: *mut f32) {
+            _mm512_storeu_ps(dst, self)
+        }
+        #[inline(always)]
+        unsafe fn add(self, other: Self) -> Self {
+            _mm512_add_ps(self, other)
+        }
+        #[inline(always)]
+        unsafe fn fmadd(self, b: Self, c: Self) -> Self {
+            _mm512_fmadd_ps(self, b, c)
+        }
+        #[inline(always)]
+        unsafe fn prefix(count: usize) -> Self::Mask {
+            ((1u32 << count) - 1) as __mmask16
+        }
+        #[inline(always)]
+        unsafe fn load_where(mask: Self::Mask, src: *const f32) -> Self {
+            _mm512_maskz_loadu_ps(mask, src)
+        }
+        #[inline(always)]
+        unsafe fn store_where(self, mask: Self::Mask, dst: *mut f32) {
+            _mm512_mask_storeu_ps(dst, mask, self)
+        }
+        #[inline(always)]
+        unsafe fn nonzero(self) -> Self::Mask {
+            _mm512_cmp_ps_mask::<_CMP_NEQ_UQ>(self, _mm512_setzero_ps())
+        }
+        #[inline(always)]
+        unsafe fn fmadd_where(self, mask: Self::Mask, b: Self, c: Self) -> Self {
+            _mm512_mask3_fmadd_ps(self, b, c, mask)
+        }
+    }
+
+    impl Lanes for __m256 {
+        const WIDTH: usize = 8;
+        type Mask = __m256;
+        #[inline(always)]
+        unsafe fn zero() -> Self {
+            _mm256_setzero_ps()
+        }
+        #[inline(always)]
+        unsafe fn splat(v: f32) -> Self {
+            _mm256_set1_ps(v)
+        }
+        #[inline(always)]
+        unsafe fn load(src: *const f32) -> Self {
+            _mm256_loadu_ps(src)
+        }
+        #[inline(always)]
+        unsafe fn store(self, dst: *mut f32) {
+            _mm256_storeu_ps(dst, self)
+        }
+        #[inline(always)]
+        unsafe fn add(self, other: Self) -> Self {
+            _mm256_add_ps(self, other)
+        }
+        #[inline(always)]
+        unsafe fn fmadd(self, b: Self, c: Self) -> Self {
+            _mm256_fmadd_ps(self, b, c)
+        }
+        #[inline(always)]
+        unsafe fn prefix(count: usize) -> Self::Mask {
+            let lane = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
+            _mm256_castsi256_ps(_mm256_cmpgt_epi32(_mm256_set1_epi32(count as i32), lane))
+        }
+        #[inline(always)]
+        unsafe fn load_where(mask: Self::Mask, src: *const f32) -> Self {
+            _mm256_maskload_ps(src, _mm256_castps_si256(mask))
+        }
+        #[inline(always)]
+        unsafe fn store_where(self, mask: Self::Mask, dst: *mut f32) {
+            _mm256_maskstore_ps(dst, _mm256_castps_si256(mask), self)
+        }
+        #[inline(always)]
+        unsafe fn nonzero(self) -> Self::Mask {
+            _mm256_cmp_ps::<_CMP_NEQ_UQ>(self, _mm256_setzero_ps())
+        }
+        #[inline(always)]
+        unsafe fn fmadd_where(self, mask: Self::Mask, b: Self, c: Self) -> Self {
+            _mm256_blendv_ps(c, _mm256_fmadd_ps(self, b, c), mask)
+        }
+    }
+
+    /// Adds neighbours until one is left: over lane sums in [`LANE_ORDER`]
+    /// (or the sums of aligned runs of them) this is the fixed tree of
+    /// [`super::reduce_lanes`].
+    #[inline(always)]
+    unsafe fn fold_neighbours<V: Lanes, const N: usize>(mut v: [V; N]) -> V {
+        let mut len = N;
+        while len > 1 {
+            len /= 2;
+            for i in 0..len {
+                v[i] = v[2 * i].add(v[2 * i + 1]);
+            }
+        }
+        v[0]
+    }
+
+    /// `R` rows × `V::WIDTH` adjacent outputs of `dy · Wᵀ`: the sixteen lane
+    /// sums of each row in `RUNS` passes of `L` lanes (`RUNS · L = 16`,
+    /// `R · L` accumulator registers), every vector of the transposed panel
+    /// loaded once for the `R` rows.  `rows` are the `dy` rows, `n` wide; `w`
+    /// is the block's first vector (offset by the half, for 8-lane
+    /// registers).
+    ///
+    /// In the last panel the reference multiplies `0 · 0` into every lane past
+    /// `n`: `sum + 0.0`, which is `sum` unless that is `-0.0`.  A sum of two
+    /// terms is `-0.0` only when both are, so `(a + 0.0) + b` and
+    /// `(a + 0.0) + (b + 0.0)` are both `(a + b) + 0.0`, and by induction up
+    /// the tree the `+ 0.0` of any number of padded lanes is one `+ 0.0` at
+    /// the root — which is where it is added, once.
+    ///
+    /// # Safety
+    ///
+    /// `V`'s CPU features; each of `rows` readable for `n` floats; `w`
+    /// readable for `n.div_ceil(16) * 256 - (offset into the first vector)`
+    /// floats, i.e. one block of [`PackedPanels::transposed_block`].
+    #[inline(always)]
+    #[allow(clippy::needless_range_loop)] // run and q index the tile and name a lane of the tree
+    unsafe fn wt_tile<V: Lanes, const R: usize, const L: usize, const RUNS: usize>(
+        rows: [*const f32; R],
+        n: usize,
+        w: *const f32,
+    ) -> [V; R] {
+        debug_assert_eq!(L * RUNS, LANES);
+        let (whole, edge) = (n / LANES, n % LANES);
+        let mut runs = [[V::zero(); RUNS]; R];
+        for run in 0..RUNS {
+            let mut acc = [[V::zero(); L]; R];
+            for p in 0..whole + usize::from(edge > 0) {
+                for q in 0..L {
+                    let at = run * L + q;
+                    if p == whole && LANE_ORDER[at] >= edge {
+                        continue;
+                    }
+                    let wv = V::load(w.add((p * LANES + at) * LANES));
+                    for r in 0..R {
+                        let x = *rows[r].add(p * LANES + LANE_ORDER[at]);
+                        acc[r][q] = V::splat(x).fmadd(wv, acc[r][q]);
                     }
                 }
-                for j in 0..kb {
-                    // Fold the halves (`s_i = l_i + l_{i+8}`), then the 8-lane
-                    // tree — the fixed 16-lane reduction order.
-                    out[i * k + kk0 + j] =
-                        reduce_lanes_avx(_mm256_add_ps(acc_lo[j], acc_hi[j]));
+            }
+            for r in 0..R {
+                runs[r][run] = fold_neighbours(acc[r]);
+            }
+        }
+        std::array::from_fn(|r| {
+            let sum = fold_neighbours(runs[r]);
+            if edge > 0 {
+                sum.add(V::zero())
+            } else {
+                sum
+            }
+        })
+    }
+
+    /// Rows of `dy` that [`matmul_wt`] runs against every output block before
+    /// it takes the next rows: they (`32 × n` floats) and a block's vectors
+    /// (`panels × 1 KiB`) sit in L1 together, so `dy` comes from L2 once and
+    /// the transposed weights once per chunk.  Worth little — over five
+    /// alternating runs of the frozen benchmark's shapes `dy · Wᵀ` took 1.10 –
+    /// 1.25 × the forward pass's time with it (mean 1.16) and 1.20 – 1.26 ×
+    /// (mean 1.23) with all rows against one block at a time; 8 … 128 rows
+    /// measured alike.
+    const WT_CHUNK_ROWS: usize = 32;
+
+    /// `dy · Wᵀ` in `R`-row tiles (see [`wt_tile`]) over chunks of
+    /// [`WT_CHUNK_ROWS`] rows.
+    ///
+    /// # Safety
+    ///
+    /// `V`'s CPU features; `lhs` is `wt.n` wide and `out` holds
+    /// `lhs.rows() * wt.k` floats ([`super::matmul_transpose_packed`] checks
+    /// the first and allocates the second).
+    #[inline(always)]
+    unsafe fn matmul_wt<V: Lanes, const R: usize, const L: usize, const RUNS: usize>(
+        lhs: &Matrix,
+        wt: &PackedPanels,
+        out: &mut [f32],
+    ) {
+        let (k, n) = (wt.k, wt.n);
+        let dy = lhs.as_slice().as_ptr();
+        for first in (0..lhs.rows()).step_by(WT_CHUNK_ROWS) {
+            let end = (first + WT_CHUNK_ROWS).min(lhs.rows());
+            for at in (0..k).step_by(V::WIDTH) {
+                let w = wt.transposed_block(at / LANES).as_ptr().add(at % LANES);
+                let live = V::prefix(V::WIDTH.min(k - at));
+                for r in (first..end).step_by(R) {
+                    // A tile hanging over the chunk's end reads its last row
+                    // again and drops the sums.
+                    let rows = std::array::from_fn(|j| dy.add((r + j).min(end - 1) * n));
+                    let sums = wt_tile::<V, R, L, RUNS>(rows, n, w);
+                    for (j, sum) in sums.into_iter().enumerate().take(end - r) {
+                        sum.store_where(live, out.as_mut_ptr().add((r + j) * k + at));
+                    }
                 }
-                kk0 += kb;
             }
         }
     }
 
+    /// 4 rows × 4 lanes: sixteen zmm accumulators, four passes.
     #[target_feature(enable = "avx512f", enable = "avx512bw", enable = "avx512dq")]
-    pub(super) unsafe fn matmul_wt_avx512(lhs: &Matrix, panels: &PackedPanels, out: &mut [f32]) {
-        let k = panels.k;
-        let n = panels.n;
-        let np = panels.panel_count();
-        const KC: usize = 8;
-        for i in 0..lhs.rows() {
-            let lhs_row = lhs.row(i);
-            let mut kk0 = 0;
-            while kk0 < k {
-                let kb = KC.min(k - kk0);
-                let mut acc = [_mm512_setzero_ps(); KC];
-                for p in 0..np {
-                    let cols = LANES.min(n - p * LANES);
-                    let x = if cols == LANES {
-                        _mm512_loadu_ps(lhs_row.as_ptr().add(p * LANES))
-                    } else {
-                        let mut tmp = [0.0f32; LANES];
-                        tmp[..cols].copy_from_slice(&lhs_row[p * LANES..p * LANES + cols]);
-                        _mm512_loadu_ps(tmp.as_ptr())
-                    };
-                    let panel = panels.panel(p);
-                    for (j, acc_j) in acc.iter_mut().enumerate().take(kb) {
-                        let w = _mm512_loadu_ps(panel.as_ptr().add((kk0 + j) * LANES));
-                        *acc_j = _mm512_fmadd_ps(x, w, *acc_j);
-                    }
+    pub(super) unsafe fn matmul_wt_avx512(lhs: &Matrix, wt: &PackedPanels, out: &mut [f32]) {
+        matmul_wt::<__m512, 4, 4, 4>(lhs, wt, out);
+    }
+
+    /// 2 rows × 4 lanes over each 8-output half: eight ymm accumulators.
+    #[target_feature(enable = "avx2", enable = "fma")]
+    pub(super) unsafe fn matmul_wt_avx2(lhs: &Matrix, wt: &PackedPanels, out: &mut [f32]) {
+        matmul_wt::<__m256, 2, 4, 4>(lhs, wt, out);
+    }
+
+    /// Rows of `lhs` and `rhs` that [`transpose_matmul`] runs every tile over
+    /// before it moves on: a block of both (`2 × 512 × 141` floats for the
+    /// widest layer of the frozen benchmark's model) stays in L2 while the
+    /// tiles sweep it, where a 2 048-row batch of both does not.  Over the
+    /// benchmark's shapes `xᵀ · dy` took 0.76 – 0.83 × the forward pass's time
+    /// with blocks of 128, 256, 512 or 1 024 rows (three runs each, alike) and
+    /// 0.89 – 0.93 × with the whole batch as one.
+    const XT_BLOCK_ROWS: usize = 512;
+
+    /// `MI` vectors of `lhs` columns × `NJ` columns of `rhs` over the rows
+    /// `[first, first + count)`: `MI · NJ` accumulator registers held across
+    /// the row loop, lane `l` of `acc[v][t]` the chain of output
+    /// `(i0 + v·WIDTH + l, j0 + t)`.  The vectors run along `lhs`'s columns so
+    /// that the recipe's skip is one compare per `lhs` vector and a masked FMA
+    /// — a lane whose `lhs` value is zero keeps its sum, bit for bit.  The
+    /// chains start from, and end in, `sums` (the output transposed: row `j`,
+    /// `ld` floats, holds column `j`), so a block of rows carries on exactly
+    /// where the block before stopped.  Columns of `rhs` past the last one
+    /// repeat it, into rows of `sums` nobody reads.
+    ///
+    /// # Safety
+    ///
+    /// `V`'s CPU features; `lhs` and `rhs` have at least `first + count` rows;
+    /// `i0 < lhs.cols()` with at least `MI` vectors' worth of columns from it
+    /// on (the last may be partial); `j0 < rhs.cols()`; `sums` holds
+    /// `(j0 + NJ) * ld` floats with `ld ≥ i0 + MI * V::WIDTH`.
+    #[inline(always)]
+    #[allow(clippy::needless_range_loop)] // v and t index the tile, its operands and its place in `sums`
+    unsafe fn xt_dy_tile<V: Lanes, const MI: usize, const NJ: usize>(
+        lhs: &Matrix,
+        rhs: &Matrix,
+        (first, count): (usize, usize),
+        (sums, ld): (*mut f32, usize),
+        (i0, j0): (usize, usize),
+    ) {
+        let (m, n) = (lhs.cols(), rhs.cols());
+        let within: [V::Mask; MI] =
+            std::array::from_fn(|v| V::prefix(V::WIDTH.min(m - i0 - v * V::WIDTH)));
+        let column: [usize; NJ] = std::array::from_fn(|t| (j0 + t).min(n - 1));
+        let at = |v: usize, t: usize| sums.add((j0 + t) * ld + i0 + v * V::WIDTH);
+        let mut acc: [[V; NJ]; MI] =
+            std::array::from_fn(|v| std::array::from_fn(|t| V::load(at(v, t))));
+        let mut x = lhs.as_slice().as_ptr().add(first * m + i0);
+        let mut dy = rhs.as_slice().as_ptr().add(first * n);
+        for _ in 0..count {
+            let xv: [V; MI] = std::array::from_fn(|v| V::load_where(within[v], x.add(v * V::WIDTH)));
+            let live: [V::Mask; MI] = std::array::from_fn(|v| xv[v].nonzero());
+            for t in 0..NJ {
+                let b = V::splat(*dy.add(column[t]));
+                for v in 0..MI {
+                    acc[v][t] = xv[v].fmadd_where(live[v], b, acc[v][t]);
                 }
-                for (j, &acc_j) in acc.iter().enumerate().take(kb) {
-                    out[i * k + kk0 + j] = reduce_lanes_512(acc_j);
-                }
-                kk0 += kb;
+            }
+            x = x.add(m);
+            dy = dy.add(n);
+        }
+        for v in 0..MI {
+            for t in 0..NJ {
+                acc[v][t].store(at(v, t));
             }
         }
     }
 
-    /// The vector form of [`super::reduce_lanes`]'s 8-lane tail: extract/add
-    /// the 128-bit halves, then the movehl/shuffle pair — summing in exactly
-    /// the fixed tree's order.
-    #[target_feature(enable = "avx2", enable = "fma")]
-    unsafe fn reduce_lanes_avx(v: __m256) -> f32 {
-        let lo = _mm256_castps256_ps128(v);
-        let hi = _mm256_extractf128_ps::<1>(v);
-        // [l0+l4, l1+l5, l2+l6, l3+l7]
-        let quad = _mm_add_ps(lo, hi);
-        // [s04+s26, s15+s37, ..]
-        let pair = _mm_add_ps(quad, _mm_movehl_ps(quad, quad));
-        let one = _mm_add_ss(pair, _mm_shuffle_ps::<0b01>(pair, pair));
-        _mm_cvtss_f32(one)
+    /// `xᵀ · dy` in tiles of up to 3 vectors × `NJ` columns (see
+    /// [`xt_dy_tile`]) over blocks of [`XT_BLOCK_ROWS`] rows.
+    ///
+    /// # Safety
+    ///
+    /// `V`'s CPU features; `lhs` and `rhs` have the same row count and `out`
+    /// holds `lhs.cols() * rhs.cols()` floats ([`super::transpose_matmul`]
+    /// checks the first and allocates the second).
+    #[inline(always)]
+    unsafe fn transpose_matmul<V: Lanes, const NJ: usize>(lhs: &Matrix, rhs: &Matrix, out: &mut [f32]) {
+        let (m, n) = (lhs.cols(), rhs.cols());
+        let ld = m.next_multiple_of(V::WIDTH);
+        let mut sums = vec![0.0f32; n.next_multiple_of(NJ) * ld];
+        let sums_at = (sums.as_mut_ptr(), ld);
+        for first in (0..lhs.rows()).step_by(XT_BLOCK_ROWS) {
+            let block = (first, XT_BLOCK_ROWS.min(lhs.rows() - first));
+            let mut i0 = 0;
+            while i0 < m {
+                let vectors = (m - i0).div_ceil(V::WIDTH).min(3);
+                for j0 in (0..n).step_by(NJ) {
+                    match vectors {
+                        3 => xt_dy_tile::<V, 3, NJ>(lhs, rhs, block, sums_at, (i0, j0)),
+                        2 => xt_dy_tile::<V, 2, NJ>(lhs, rhs, block, sums_at, (i0, j0)),
+                        _ => xt_dy_tile::<V, 1, NJ>(lhs, rhs, block, sums_at, (i0, j0)),
+                    }
+                }
+                i0 += vectors * V::WIDTH;
+            }
+        }
+        for (i, out_row) in out.chunks_exact_mut(n.max(1)).enumerate() {
+            for (j, o) in out_row.iter_mut().enumerate() {
+                *o = sums[j * ld + i];
+            }
+        }
     }
 
-    /// The 16-lane reduction: fold the 256-bit halves (`s_i = l_i + l_{i+8}`),
-    /// then [`reduce_lanes_avx`] — the exact order of [`super::reduce_lanes`].
+    /// Up to 3 vectors × 8 columns: twenty-four zmm accumulators.
     #[target_feature(enable = "avx512f", enable = "avx512bw", enable = "avx512dq")]
-    unsafe fn reduce_lanes_512(v: __m512) -> f32 {
-        let lo = _mm512_castps512_ps256(v);
-        let hi = _mm512_extractf32x8_ps::<1>(v);
-        reduce_lanes_avx(_mm256_add_ps(lo, hi))
+    pub(super) unsafe fn transpose_matmul_avx512(lhs: &Matrix, rhs: &Matrix, out: &mut [f32]) {
+        transpose_matmul::<__m512, 8>(lhs, rhs, out);
     }
 
+    /// Up to 3 vectors × 2 columns: six ymm accumulators beside the three
+    /// vectors of `lhs` and their three masks.
     #[target_feature(enable = "avx2", enable = "fma")]
     pub(super) unsafe fn transpose_matmul_avx2(lhs: &Matrix, rhs: &Matrix, out: &mut [f32]) {
-        let n = rhs.cols();
-        for kk in 0..lhs.rows() {
-            let lhs_row = lhs.row(kk);
-            let rhs_row = rhs.row(kk);
-            for (i, &a) in lhs_row.iter().enumerate() {
-                if a == 0.0 {
-                    continue;
-                }
-                let out_row = &mut out[i * n..(i + 1) * n];
-                let av = _mm256_set1_ps(a);
-                let mut j = 0;
-                while j + HALF <= n {
-                    let o = _mm256_loadu_ps(out_row.as_ptr().add(j));
-                    let b = _mm256_loadu_ps(rhs_row.as_ptr().add(j));
-                    _mm256_storeu_ps(out_row.as_mut_ptr().add(j), _mm256_fmadd_ps(av, b, o));
-                    j += HALF;
-                }
-                for (o, &b) in out_row[j..].iter_mut().zip(&rhs_row[j..]) {
-                    *o = a.mul_add(b, *o);
-                }
-            }
-        }
+        transpose_matmul::<__m256, 2>(lhs, rhs, out);
     }
 }
 
@@ -2538,6 +2877,145 @@ pub(crate) mod tests {
             let s = with_forced(Kernel::Scalar, || transpose_matmul(&xt, &rhs)).unwrap();
             let v = with_forced(Kernel::Vector, || transpose_matmul(&xt, &rhs)).unwrap();
             assert_eq!(bits(&s), bits(&v), "transpose_matmul {k}x{m}x{n}");
+            #[cfg(target_arch = "x86_64")]
+            if avx512_available() {
+                let v2 = with_avx512_disabled(|| {
+                    with_forced(Kernel::Vector, || transpose_matmul(&xt, &rhs)).unwrap()
+                });
+                assert_eq!(bits(&s), bits(&v2), "transpose_matmul avx2 {k}x{m}x{n}");
+            }
+        }
+    }
+
+    /// Both gradient kernels under the scalar, the selected vector and (on an
+    /// AVX-512 host) the AVX2 form: `xᵀ · dy` of `x` with `dy`, and `dy · Wᵀ`
+    /// of `dy` with `w`.
+    fn assert_gradient_forms_agree(x: &Matrix, dy: &Matrix, w: &Matrix, what: &str) {
+        let panels = PackedPanels::pack(w, None).unwrap();
+        let forms = |f: &dyn Fn() -> Matrix| {
+            let mut forms = vec![("scalar", with_forced(Kernel::Scalar, f))];
+            forms.push(("vector", with_forced(Kernel::Vector, f)));
+            if avx512_available() {
+                forms.push(("avx2", with_avx512_disabled(|| with_forced(Kernel::Vector, f))));
+            }
+            forms
+        };
+        for (kernel, run) in [
+            ("xᵀ·dy", &(|| transpose_matmul(x, dy).unwrap()) as &dyn Fn() -> Matrix),
+            ("dy·Wᵀ", &|| matmul_transpose_packed(dy, &panels).unwrap()),
+        ] {
+            let forms = forms(run);
+            let reference = bits(&forms[0].1);
+            for (form, got) in &forms[1..] {
+                let differs = reference.iter().zip(bits(got)).position(|(&a, b)| a != b);
+                assert_eq!(
+                    differs,
+                    None,
+                    "{kernel} {form} vs scalar, {what}: x {}x{}, dy {}x{}",
+                    x.rows(),
+                    x.cols(),
+                    dy.rows(),
+                    dy.cols()
+                );
+            }
+        }
+    }
+
+    fn relu(mut m: Matrix) -> Matrix {
+        Activation::Relu.apply_in_place(&mut m);
+        m
+    }
+
+    /// The shapes training runs, which the guard above stops short of: the
+    /// frozen benchmark's network (38 → 141 → 141 → 5 × (35 → 4 … 64)) and the
+    /// paper runner's widest (346) at the benchmark's batch sizes, a ragged
+    /// last batch, and row counts and widths that are whole multiples of no
+    /// tile of either ISA — over a dense, a ReLU-sparse and an all-zero `x`.
+    #[test]
+    fn gradient_kernels_are_bit_identical_on_the_shapes_training_runs() {
+        if !vector_available() {
+            return;
+        }
+        for &(rows, m, n) in &[
+            (2048usize, 38usize, 141usize),
+            (2048, 141, 141),
+            (2048, 141, 35),
+            (512, 35, 4),
+            (512, 35, 8),
+            (512, 35, 16),
+            (2048, 35, 32),
+            (512, 35, 64),
+            (512, 346, 346),
+            (512, 346, 35),
+            (907, 141, 141),
+            (33, 141, 35),
+            (31, 49, 23),
+            (5, 17, 9),
+            (3, 7, 1),
+            (1, 1, 5),
+        ] {
+            let w = fill(m, n, 41);
+            let dy = fill(rows, n, 42);
+            assert_gradient_forms_agree(&fill(rows, m, 43), &dy, &w, "dense x");
+            assert_gradient_forms_agree(&relu(fill(rows, m, 44)), &dy, &w, "ReLU-sparse x");
+        }
+        let (w, dy) = (fill(141, 35, 45), fill(512, 35, 46));
+        assert_gradient_forms_agree(&Matrix::zeros(512, 141), &dy, &w, "all-zero x");
+        assert_gradient_forms_agree(&fill(512, 141, 47), &Matrix::zeros(512, 35), &w, "all-zero dy");
+    }
+
+    /// What makes the zero skip of `xᵀ · dy` and the padded lanes of `dy · Wᵀ`
+    /// part of the recipe rather than shortcuts: products that underflow to
+    /// `-0.0` leave sums a skipped term must not touch (`-0.0 + 0.0` is
+    /// `+0.0`) and a padded lane must (the reference adds `0 · 0` there), and
+    /// an infinite `dy` belongs only to the outputs whose `x` is not zero.
+    #[test]
+    fn gradient_kernels_agree_on_signed_zeros_underflow_and_infinities() {
+        if !vector_available() {
+            return;
+        }
+        let pick = |rows: usize, cols: usize, salt: u64, values: &[f32]| {
+            let mut m = Matrix::zeros(rows, cols);
+            for r in 0..rows {
+                for c in 0..cols {
+                    let h = (r as u64 * 37 + c as u64 * 11 + salt).wrapping_mul(0x9E3779B97F4A7C15);
+                    m.set(r, c, values[(h >> 33) as usize % values.len()]);
+                }
+            }
+            m
+        };
+        let tiny = [0.0f32, -0.0, 1e-30, -1e-30, 1e-30, -1e-30, 0.0];
+        for &(rows, m, n) in &[(64usize, 35usize, 19usize), (40, 49, 35), (9, 141, 4)] {
+            let x = pick(rows, m, 1, &tiny);
+            let dy = pick(rows, n, 2, &[1e-30, -1e-30, -0.0, 0.0, -1e-25]);
+            let w = pick(m, n, 3, &tiny);
+            assert_gradient_forms_agree(&x, &dy, &w, "underflowing products");
+            let s = with_forced(Kernel::Scalar, || transpose_matmul(&x, &dy)).unwrap();
+            assert!(
+                s.as_slice().iter().any(|v| v.to_bits() == (-0.0f32).to_bits()),
+                "the inputs are meant to leave some sum at -0.0"
+            );
+        }
+        // Every product `-0.0`: a whole panel's lanes stay there, and a padded
+        // lane's `+ 0 · 0` is what turns the output to `+0.0`.
+        for (n, expected) in [(16usize, -0.0f32), (32, -0.0), (19, 0.0), (35, 0.0)] {
+            let (dy, w) = (Matrix::filled(20, n, 1e-30), Matrix::filled(23, n, -1e-30));
+            assert_gradient_forms_agree(&Matrix::filled(20, 23, 1e-30), &dy, &w, "all products -0.0");
+            let panels = PackedPanels::pack(&w, None).unwrap();
+            let s = with_forced(Kernel::Scalar, || matmul_transpose_packed(&dy, &panels)).unwrap();
+            assert!(s.as_slice().iter().all(|v| v.to_bits() == expected.to_bits()), "n = {n}");
+        }
+        // One +∞ in `dy`: the outputs whose `x` is zero in that row skip it.
+        let x = pick(24, 35, 4, &[0.0, 1.0, 0.0, 2.0, 0.5]);
+        let mut dy = fill(24, 19, 5);
+        dy.set(7, 3, f32::INFINITY);
+        let s = with_forced(Kernel::Scalar, || transpose_matmul(&x, &dy)).unwrap();
+        let v = with_forced(Kernel::Vector, || transpose_matmul(&x, &dy)).unwrap();
+        assert_eq!(bits(&s), bits(&v), "xᵀ·dy with an infinite dy");
+        let v2 = with_avx512_disabled(|| with_forced(Kernel::Vector, || transpose_matmul(&x, &dy)).unwrap());
+        assert_eq!(bits(&s), bits(&v2), "xᵀ·dy avx2 with an infinite dy");
+        for i in 0..35 {
+            assert_eq!(s.get(i, 3).is_infinite(), x.get(7, i) != 0.0, "output ({i}, 3)");
         }
     }
 

@@ -8,7 +8,7 @@
 //! parameters.
 
 use crate::init;
-use crate::kernel::{self, PackedPanels, QuantizedPanels};
+use crate::kernel::{self, PackedPanels, QuantizedPanels, QuantizedRows, RowsView};
 use crate::tensor::Matrix;
 use rand::Rng;
 use std::sync::OnceLock;
@@ -63,31 +63,32 @@ impl Activation {
         }
     }
 
-    /// Given the activation *output* `y` and the gradient w.r.t. that output, returns
-    /// the gradient w.r.t. the pre-activation input.
-    pub fn backward(&self, y: &Matrix, grad_out: &Matrix) -> Matrix {
-        let mut grad = grad_out.clone();
+    /// Turns the gradient w.r.t. the activation's *output* `y` into the gradient
+    /// w.r.t. its pre-activation input, in place.  ReLU is a select with no
+    /// branch on the data (half of a ReLU layer's outputs are zero, in no
+    /// order a predictor can learn): `g` where `y > 0` or `y` is a NaN, `+0.0`
+    /// elsewhere.
+    pub fn mask_gradient(&self, y: &Matrix, grad: &mut Matrix) {
+        debug_assert_eq!((y.rows(), y.cols()), (grad.rows(), grad.cols()));
+        let pairs = grad.as_mut_slice().iter_mut().zip(y.as_slice());
         match self {
             Activation::Linear => {}
             Activation::Relu => {
-                for (g, &o) in grad.as_mut_slice().iter_mut().zip(y.as_slice()) {
-                    if o <= 0.0 {
-                        *g = 0.0;
-                    }
+                for (g, &o) in pairs {
+                    *g = if o <= 0.0 { 0.0 } else { *g };
                 }
             }
             Activation::Sigmoid => {
-                for (g, &o) in grad.as_mut_slice().iter_mut().zip(y.as_slice()) {
+                for (g, &o) in pairs {
                     *g *= o * (1.0 - o);
                 }
             }
             Activation::Tanh => {
-                for (g, &o) in grad.as_mut_slice().iter_mut().zip(y.as_slice()) {
+                for (g, &o) in pairs {
                     *g *= 1.0 - o * o;
                 }
             }
         }
-        grad
     }
 
     /// Stable byte tag used by model serialization.
@@ -132,8 +133,10 @@ pub struct Dense {
     /// state after [`Dense::quantize_int8`] equals its state after a snapshot
     /// reload.  Cleared by any weight mutation.
     quant: Option<QuantizedPanels>,
-    // Cached forward state required by backward().
-    last_input: Option<Matrix>,
+    /// The output of the latest [`forward_train`](Self::forward_train), which
+    /// [`backward`](Self::backward) reads the activation's derivative from.
+    /// The layer's *input* is not kept: it is the caller's batch or the layer
+    /// below's output, and the caller hands it to `backward` again.
     last_output: Option<Matrix>,
     // Gradients from the latest backward pass.
     grad_weight: Matrix,
@@ -155,7 +158,6 @@ impl Dense {
             activation,
             panels: OnceLock::new(),
             quant: None,
-            last_input: None,
             last_output: None,
             grad_weight: Matrix::zeros(in_dim, out_dim),
             grad_bias: Matrix::zeros(1, out_dim),
@@ -186,7 +188,6 @@ impl Dense {
             activation,
             panels,
             quant: None,
-            last_input: None,
             last_output: None,
             grad_weight: Matrix::zeros(in_dim, out_dim),
             grad_bias: Matrix::zeros(1, out_dim),
@@ -224,7 +225,6 @@ impl Dense {
             activation,
             panels,
             quant: Some(quant),
-            last_input: None,
             last_output: None,
             grad_weight: Matrix::zeros(in_dim, out_dim),
             grad_bias: Matrix::zeros(1, out_dim),
@@ -302,22 +302,20 @@ impl Dense {
         self.weight.len() + self.bias.len()
     }
 
-    /// Forward pass that caches activations for a subsequent [`Dense::backward`].
+    /// Forward pass that keeps its output for a subsequent [`Dense::backward`]
+    /// and returns it.
     ///
-    /// The cached input/output live in per-layer scratch matrices reused across
-    /// steps (`Matrix::copy_from`), so steady-state training makes no activation
-    /// allocations here — background retrains stop churning the allocator.
-    pub fn forward_train(&mut self, x: &Matrix) -> crate::Result<Matrix> {
-        let out = self.forward(x)?;
-        match &mut self.last_input {
-            Some(cache) => cache.copy_from(x),
-            slot => *slot = Some(x.clone()),
-        }
-        match &mut self.last_output {
-            Some(cache) => cache.copy_from(&out),
-            slot => *slot = Some(out.clone()),
-        }
-        Ok(out)
+    /// The output is computed straight into a per-layer matrix reused across
+    /// steps, so steady-state training neither allocates nor copies an
+    /// activation here — and a stack of layers holds each activation once, as
+    /// the output of the layer that made it.
+    pub fn forward_train(&mut self, x: &Matrix) -> crate::Result<&Matrix> {
+        let mut out = self.last_output.take().unwrap_or_else(|| Matrix::zeros(0, 0));
+        let width = self.out_dim();
+        out.reshape(x.rows(), width);
+        let rows = RowsView::of_matrix(x, 0, x.rows())?;
+        self.forward_into(rows, &mut QuantizedRows::default(), out.as_mut_slice(), width)?;
+        Ok(self.last_output.insert(out))
     }
 
     /// Inference-only forward pass (no caching).
@@ -362,23 +360,56 @@ impl Dense {
         }
     }
 
-    /// Backward pass.  `grad_out` is the loss gradient w.r.t. this layer's output;
-    /// the return value is the gradient w.r.t. the layer's input.  Weight/bias
-    /// gradients are accumulated internally (overwriting the previous ones).
-    pub fn backward(&mut self, grad_out: &Matrix) -> crate::Result<Matrix> {
-        let input = self.last_input.as_ref().ok_or_else(|| crate::NnError::InvalidConfig(
-            "backward called before forward_train".to_string(),
-        ))?;
-        let output = self
-            .last_output
-            .as_ref()
-            .expect("last_output always set together with last_input");
-        let grad_pre = self.activation.backward(output, grad_out);
+    /// Backward pass.  `input` is what the latest
+    /// [`forward_train`](Self::forward_train) read, `grad_out` the loss gradient
+    /// w.r.t. what it returned; the return value is the gradient w.r.t. `input`.
+    /// Weight/bias gradients are kept internally (overwriting the previous
+    /// ones).  `grad_out` is consumed: the activation's derivative is applied
+    /// to it in place.
+    ///
+    /// Both products run on the register-blocked gradient kernels
+    /// ([`kernel::transpose_matmul`] for `xᵀ · dy`,
+    /// [`kernel::matmul_transpose_packed`] for `dy · Wᵀ`), whose every output
+    /// element is a fixed sequence of fused multiply-adds — tile shapes move
+    /// work between registers, never a sum's order, so a retrain reproduces
+    /// the same weights on any kernel.
+    pub fn backward(&mut self, input: &Matrix, grad_out: Matrix) -> crate::Result<Matrix> {
+        let grad_pre = self.backward_parameters(input, grad_out)?;
+        // `dy · Wᵀ` reuses the forward panels (the optimizer has not touched W
+        // yet), turned on their side once per step.
+        kernel::matmul_transpose_packed(&grad_pre, self.packed())
+    }
+
+    /// The half of [`backward`](Self::backward) a layer with nothing trainable
+    /// below it needs: the weight/bias gradients, without the gradient w.r.t.
+    /// `input` (nobody reads the one of a network's first layer).  Returns
+    /// the gradient w.r.t. the layer's pre-activation output.
+    pub fn backward_parameters(&mut self, input: &Matrix, grad_out: Matrix) -> crate::Result<Matrix> {
+        let output = self.cached_output()?;
+        if (grad_out.rows(), grad_out.cols()) != (output.rows(), output.cols()) {
+            return Err(crate::NnError::ShapeMismatch {
+                context: format!(
+                    "dense backward: gradient is {}x{}, the cached output {}x{}",
+                    grad_out.rows(),
+                    grad_out.cols(),
+                    output.rows(),
+                    output.cols()
+                ),
+            });
+        }
+        let mut grad_pre = grad_out;
+        self.activation.mask_gradient(output, &mut grad_pre);
         self.grad_weight = input.transpose_matmul(&grad_pre)?;
         self.grad_bias = grad_pre.sum_rows();
-        // `dy · Wᵀ` reuses the forward panels — the gradient pass gets the
-        // packed layout for free (the optimizer has not touched W yet).
-        kernel::matmul_transpose_packed(&grad_pre, self.packed())
+        Ok(grad_pre)
+    }
+
+    /// What the latest [`forward_train`](Self::forward_train) returned — the
+    /// input of the layer above, when its turn to go backward comes.
+    pub fn cached_output(&self) -> crate::Result<&Matrix> {
+        self.last_output.as_ref().ok_or_else(|| {
+            crate::NnError::InvalidConfig("backward called before forward_train".to_string())
+        })
     }
 
     /// Mutable (parameters, gradients) pairs for optimizers.  Handing out the
@@ -395,9 +426,46 @@ impl Dense {
 
     /// Drops cached activations (e.g. between epochs) to release memory.
     pub fn clear_cache(&mut self) {
-        self.last_input = None;
         self.last_output = None;
     }
+}
+
+/// [`Dense::forward_train`] through a chain of layers, each reading the output
+/// of the one before and the first reading `input`; returns the last output
+/// (`input` itself for an empty chain).  No activation is copied: each stays
+/// where the layer that made it keeps it.
+pub(crate) fn forward_train_chain<'a>(
+    layers: &'a mut [Dense],
+    input: &'a Matrix,
+) -> crate::Result<&'a Matrix> {
+    let mut at = input;
+    for layer in layers {
+        at = layer.forward_train(at)?;
+    }
+    Ok(at)
+}
+
+/// [`Dense::backward`] down the chain [`forward_train_chain`] went up, from the
+/// gradient w.r.t. its last output.  With `to_input` the result is the
+/// gradient w.r.t. `input`; without, the first layer stops at its parameters
+/// ([`Dense::backward_parameters`]) and the result is of no use to the caller.
+pub(crate) fn backward_chain(
+    layers: &mut [Dense],
+    input: &Matrix,
+    grad_out: Matrix,
+    to_input: bool,
+) -> crate::Result<Matrix> {
+    let mut grad = grad_out;
+    for i in (0..layers.len()).rev() {
+        let (below, rest) = layers.split_at_mut(i);
+        let layer = &mut rest[0];
+        grad = match below.last() {
+            Some(previous) => layer.backward(previous.cached_output()?, grad)?,
+            None if to_input => layer.backward(input, grad)?,
+            None => layer.backward_parameters(input, grad)?,
+        };
+    }
+    Ok(grad)
 }
 
 #[cfg(test)]
@@ -445,36 +513,74 @@ mod tests {
         assert_eq!(y.cols(), 3);
     }
 
-    /// The activation caches behind `forward_train` are per-layer scratch: after
-    /// the first step of a given shape, further steps must reuse the same
-    /// allocations instead of cloning fresh matrices (ROADMAP carried-over slow
-    /// path: background retrains were churning the allocator).
+    /// The output `forward_train` keeps is per-layer scratch: after the first
+    /// step of a given shape, further steps must compute into the same
+    /// allocation instead of a fresh matrix (ROADMAP carried-over slow path:
+    /// background retrains were churning the allocator) — and what the call
+    /// returns is that matrix, not a copy of it.
     #[test]
     fn forward_train_reuses_activation_caches_across_steps() {
         let mut rng = StdRng::seed_from_u64(3);
         let mut layer = Dense::new(&mut rng, 4, 3, Activation::Relu);
         let x = Matrix::filled(16, 4, 0.5);
-        layer.forward_train(&x).unwrap();
-        let input_ptr = layer.last_input.as_ref().unwrap().as_slice().as_ptr();
-        let output_ptr = layer.last_output.as_ref().unwrap().as_slice().as_ptr();
+        let expected = layer.forward(&x).unwrap();
+        let output_ptr = layer.forward_train(&x).unwrap().as_slice().as_ptr();
         for _ in 0..3 {
-            layer.forward_train(&x).unwrap();
-            assert_eq!(layer.last_input.as_ref().unwrap().as_slice().as_ptr(), input_ptr);
-            assert_eq!(layer.last_output.as_ref().unwrap().as_slice().as_ptr(), output_ptr);
+            let out = layer.forward_train(&x).unwrap();
+            assert_eq!(out, &expected);
+            assert_eq!(out.as_slice().as_ptr(), output_ptr);
+            assert_eq!(layer.cached_output().unwrap().as_slice().as_ptr(), output_ptr);
         }
         // A smaller batch (e.g. the tail batch of an epoch) reuses capacity too.
         let tail = Matrix::filled(5, 4, 0.25);
-        layer.forward_train(&tail).unwrap();
-        assert_eq!(layer.last_input.as_ref().unwrap().as_slice().as_ptr(), input_ptr);
-        assert_eq!(layer.last_input.as_ref().unwrap().rows(), 5);
+        let expected = layer.forward(&tail).unwrap();
+        let out = layer.forward_train(&tail).unwrap();
+        assert_eq!(out.as_slice().as_ptr(), output_ptr);
+        assert_eq!((out.rows(), out.cols()), (5, 3));
+        assert_eq!(out, &expected);
     }
 
     #[test]
     fn dense_backward_requires_forward_train() {
         let mut rng = StdRng::seed_from_u64(1);
         let mut layer = Dense::new(&mut rng, 2, 2, Activation::Linear);
-        let grad = Matrix::zeros(1, 2);
-        assert!(layer.backward(&grad).is_err());
+        let x = Matrix::zeros(1, 2);
+        assert!(layer.backward(&x, Matrix::zeros(1, 2)).is_err());
+        // A gradient of another shape than the output it is the gradient of.
+        layer.forward_train(&x).unwrap();
+        assert!(layer.backward(&x, Matrix::zeros(2, 2)).is_err());
+        assert!(layer.backward(&x, Matrix::zeros(1, 2)).is_ok());
+    }
+
+    /// The ReLU select keeps a gradient where the output is positive (or a
+    /// NaN) and writes `+0.0` elsewhere — whatever the gradient held there.
+    #[test]
+    fn relu_mask_is_a_select_on_the_output() {
+        let y = Matrix::row_vector(&[1.5, 0.0, -0.0, f32::NAN, 3.0, 0.0]);
+        let mut grad = Matrix::row_vector(&[-2.0, 7.0, -7.0, 4.0, -0.0, f32::NAN]);
+        Activation::Relu.mask_gradient(&y, &mut grad);
+        let bits: Vec<u32> = grad.as_slice().iter().map(|g| g.to_bits()).collect();
+        let expected = [-2.0f32, 0.0, 0.0, 4.0, -0.0, 0.0].map(f32::to_bits);
+        assert_eq!(bits, expected);
+    }
+
+    /// A layer with nothing trainable below it stops at its parameters: the
+    /// same weight and bias gradients, no `dy · Wᵀ`.
+    #[test]
+    fn backward_parameters_matches_backward_without_the_input_gradient() {
+        let mut rng = StdRng::seed_from_u64(6);
+        let mut full = Dense::new(&mut rng, 5, 7, Activation::Relu);
+        let mut short = full.clone();
+        let x = Matrix::from_vec(3, 5, (0..15).map(|i| (i as f32 - 7.0) * 0.3).collect()).unwrap();
+        let grad = Matrix::from_vec(3, 7, (0..21).map(|i| (i as f32 - 10.0) * 0.1).collect()).unwrap();
+        full.forward_train(&x).unwrap();
+        short.forward_train(&x).unwrap();
+        let dx = full.backward(&x, grad.clone()).unwrap();
+        assert_eq!((dx.rows(), dx.cols()), (3, 5));
+        let grad_pre = short.backward_parameters(&x, grad).unwrap();
+        assert_eq!((grad_pre.rows(), grad_pre.cols()), (3, 7));
+        assert_eq!(full.grad_weight, short.grad_weight);
+        assert_eq!(full.grad_bias, short.grad_bias);
     }
 
     /// Numerical gradient check of a single dense layer against the analytic backward
@@ -488,7 +594,7 @@ mod tests {
         // Analytic gradients.
         let y = layer.forward_train(&x).unwrap();
         let grad_out = Matrix::filled(y.rows(), y.cols(), 1.0);
-        let _ = layer.backward(&grad_out).unwrap();
+        let _ = layer.backward(&x, grad_out).unwrap();
         let analytic = layer.grad_weight.clone();
 
         // Numerical gradients via central differences.

@@ -50,15 +50,15 @@ pub fn softmax_cross_entropy(logits: &Matrix, targets: &[usize]) -> crate::Resul
             )));
         }
     }
-    let probs = softmax(logits);
+    // The gradient is the probabilities with one subtracted at each row's
+    // target, so it is written over them: one matrix, not two.
+    let mut grad = softmax(logits);
     let batch = logits.rows().max(1) as f32;
     let mut loss = 0.0f32;
-    let mut grad = probs.clone();
     for (i, &t) in targets.iter().enumerate() {
-        let p = probs.get(i, t).max(1e-12);
-        loss -= p.ln();
-        let g = grad.get(i, t);
-        grad.set(i, t, g - 1.0);
+        let p = grad.get(i, t);
+        loss -= p.max(1e-12).ln();
+        grad.set(i, t, p - 1.0);
     }
     grad.scale(1.0 / batch);
     Ok((loss / batch, grad))

@@ -4,7 +4,7 @@
 //! (e.g. the DeepSqueeze-like baseline's autoencoder); the DeepMapping model itself is
 //! the shared-trunk/private-head [`crate::multitask::MultiTaskModel`].
 
-use crate::layer::{Activation, Dense};
+use crate::layer::{backward_chain, forward_train_chain, Activation, Dense};
 use crate::optimizer::Optimizer;
 use crate::tensor::Matrix;
 use rand::Rng;
@@ -122,23 +122,17 @@ impl Mlp {
         Ok(h)
     }
 
-    /// Training forward pass (caches intermediate activations).
-    pub fn forward_train(&mut self, x: &Matrix) -> crate::Result<Matrix> {
-        let mut h = x.clone();
-        for layer in &mut self.layers {
-            h = layer.forward_train(&h)?;
-        }
-        Ok(h)
+    /// Training forward pass: every layer keeps its output for
+    /// [`backward`](Self::backward); returns the last one.
+    pub fn forward_train<'a>(&'a mut self, x: &'a Matrix) -> crate::Result<&'a Matrix> {
+        forward_train_chain(&mut self.layers, x)
     }
 
-    /// Backward pass from the gradient of the loss w.r.t. the output; returns the
-    /// gradient w.r.t. the input.
-    pub fn backward(&mut self, grad_out: &Matrix) -> crate::Result<Matrix> {
-        let mut grad = grad_out.clone();
-        for layer in self.layers.iter_mut().rev() {
-            grad = layer.backward(&grad)?;
-        }
-        Ok(grad)
+    /// Backward pass from the gradient of the loss w.r.t. the output of the
+    /// latest [`forward_train`](Self::forward_train) over `x`; returns the
+    /// gradient w.r.t. `x`.  `grad_out` is consumed (see [`Dense::backward`]).
+    pub fn backward(&mut self, x: &Matrix, grad_out: Matrix) -> crate::Result<Matrix> {
+        backward_chain(&mut self.layers, x, grad_out, true)
     }
 
     /// Applies one optimizer step to every layer's parameters.
@@ -159,8 +153,8 @@ impl Mlp {
         optimizer: &mut O,
     ) -> crate::Result<f32> {
         let logits = self.forward_train(x)?;
-        let (loss, grad) = crate::loss::softmax_cross_entropy(&logits, targets)?;
-        self.backward(&grad)?;
+        let (loss, grad) = crate::loss::softmax_cross_entropy(logits, targets)?;
+        backward_chain(&mut self.layers, x, grad, false)?;
         self.apply_gradients(optimizer);
         Ok(loss)
     }
@@ -190,7 +184,7 @@ impl Mlp {
         grad.add_scaled(target, -1.0)?;
         let loss = grad.norm_sq() / n;
         grad.scale(2.0 / n);
-        self.backward(&grad)?;
+        backward_chain(&mut self.layers, x, grad, false)?;
         self.apply_gradients(optimizer);
         Ok(loss)
     }

@@ -9,7 +9,7 @@
 
 use crate::encoding::KeyEncoder;
 use crate::kernel::{self, QuantizedPanels, QuantizedRows, RowsView, LANES};
-use crate::layer::{Activation, Dense};
+use crate::layer::{backward_chain, forward_train_chain, Activation, Dense};
 use crate::loss::{accuracy, softmax_cross_entropy};
 use crate::optimizer::Optimizer;
 use crate::tensor::Matrix;
@@ -632,40 +632,27 @@ impl MultiTaskModel {
         // The optimizer step below moves every layer back onto its f32 weights;
         // the fused panel was built from the quantized ones and goes with them.
         self.fused_entry = None;
-        // Trunk forward (cached).  The first layer reads `x` directly — the
-        // entry activation is never cloned per step (layers keep their own
-        // reusable caches via `forward_train`).
-        let mut trunk_iter = self.trunk.iter_mut();
-        let mut h = match trunk_iter.next() {
-            Some(first) => first.forward_train(x)?,
-            None => x.clone(),
-        };
-        for layer in trunk_iter {
-            h = layer.forward_train(&h)?;
-        }
-        // Heads forward + backward; accumulate gradient at the trunk output.
+        // Trunk forward.  Every activation is held once, by the layer that made
+        // it (`forward_train`), and read from there by the layer above — now,
+        // and again when that layer goes backward.
+        let has_trunk = !self.trunk.is_empty();
+        let trunk_out = forward_train_chain(&mut self.trunk, x)?;
+        // Heads forward + backward, their gradients summed at the trunk output
+        // — unless there is no trunk: nobody reads a gradient w.r.t. the batch.
         let mut total_loss = 0.0f32;
-        let mut trunk_grad = Matrix::zeros(h.rows(), h.cols());
+        let mut trunk_grad = has_trunk.then(|| Matrix::zeros(trunk_out.rows(), trunk_out.cols()));
         for (head, head_targets) in self.heads.iter_mut().zip(targets.iter()) {
-            let mut head_iter = head.iter_mut();
-            let mut t = match head_iter.next() {
-                Some(first) => first.forward_train(&h)?,
-                None => h.clone(),
-            };
-            for layer in head_iter {
-                t = layer.forward_train(&t)?;
-            }
-            let (loss, mut grad) = softmax_cross_entropy(&t, head_targets)?;
+            let logits = forward_train_chain(head, trunk_out)?;
+            let (loss, grad) = softmax_cross_entropy(logits, head_targets)?;
             total_loss += loss;
-            for layer in head.iter_mut().rev() {
-                grad = layer.backward(&grad)?;
+            let grad = backward_chain(head, trunk_out, grad, trunk_grad.is_some())?;
+            if let Some(sum) = &mut trunk_grad {
+                sum.add_scaled(&grad, 1.0)?;
             }
-            trunk_grad.add_scaled(&grad, 1.0)?;
         }
-        // Trunk backward.
-        let mut grad = trunk_grad;
-        for layer in self.trunk.iter_mut().rev() {
-            grad = layer.backward(&grad)?;
+        // Trunk backward; its first layer stops at its own parameters.
+        if let Some(grad) = trunk_grad {
+            backward_chain(&mut self.trunk, x, grad, false)?;
         }
         // Optimizer update over all parameters (stable order: trunk then heads).
         let mut pairs = Vec::new();

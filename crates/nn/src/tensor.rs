@@ -67,16 +67,16 @@ impl Matrix {
         }
     }
 
-    /// Overwrites this matrix with the contents (and shape) of `src`, reusing the
-    /// existing allocation whenever its capacity suffices.  Training caches one
-    /// activation matrix per layer per step; assigning through `copy_from` instead
-    /// of `clone` keeps those caches allocation-free once shapes stabilize — the
-    /// buffer only ever grows to the largest batch seen.
-    pub fn copy_from(&mut self, src: &Matrix) {
-        self.rows = src.rows;
-        self.cols = src.cols;
-        self.data.clear();
-        self.data.extend_from_slice(&src.data);
+    /// Makes this a `rows × cols` matrix, reusing the allocation whenever its
+    /// capacity suffices.  The contents are whatever the buffer held (zeros
+    /// where it grew): for a caller about to overwrite every element.  Training
+    /// keeps one activation matrix per layer and one feature matrix per run;
+    /// reshaping them per step instead of allocating keeps a steady-state step
+    /// allocation-free — a buffer only ever grows to the largest batch seen.
+    pub fn reshape(&mut self, rows: usize, cols: usize) {
+        self.rows = rows;
+        self.cols = cols;
+        self.data.resize(rows * cols, 0.0);
     }
 
     /// Number of rows.
@@ -618,24 +618,26 @@ mod tests {
     }
 
     #[test]
-    fn copy_from_reuses_the_allocation_and_tracks_shape() {
-        let mut dst = Matrix::zeros(4, 8);
-        let src = Matrix::filled(2, 3, 7.0);
-        let ptr = dst.as_slice().as_ptr();
-        dst.copy_from(&src);
-        assert_eq!((dst.rows(), dst.cols()), (2, 3));
-        assert!(dst.as_slice().iter().all(|&v| approx_eq(v, 7.0)));
-        // Shrinking (or same-size) assignment must not reallocate: the scratch
+    fn reshape_reuses_the_allocation_and_tracks_shape() {
+        let mut m = Matrix::filled(4, 8, 7.0);
+        let ptr = m.as_slice().as_ptr();
+        m.reshape(2, 3);
+        assert_eq!((m.rows(), m.cols(), m.len()), (2, 3, 6));
+        // Shrinking (or same-size) reshapes must not reallocate: the scratch
         // discipline training relies on.
-        assert_eq!(dst.as_slice().as_ptr(), ptr);
+        assert_eq!(m.as_slice().as_ptr(), ptr);
+        m.reshape(4, 8);
+        assert_eq!(m.as_slice().as_ptr(), ptr);
+        // What the buffer grows by is zeros, what it held stays.
+        assert_eq!(m.as_slice()[..6], [7.0; 6]);
+        assert!(m.as_slice()[6..].iter().all(|&v| v == 0.0));
         // Growing past capacity reallocates once, then stays stable.
-        let big = Matrix::filled(8, 8, 1.0);
-        dst.copy_from(&big);
-        let grown_ptr = dst.as_slice().as_ptr();
-        dst.copy_from(&src);
-        dst.copy_from(&big);
-        assert_eq!(dst.as_slice().as_ptr(), grown_ptr);
-        assert_eq!((dst.rows(), dst.cols()), (8, 8));
+        m.reshape(8, 8);
+        let grown_ptr = m.as_slice().as_ptr();
+        m.reshape(2, 3);
+        m.reshape(8, 8);
+        assert_eq!(m.as_slice().as_ptr(), grown_ptr);
+        assert_eq!((m.rows(), m.cols()), (8, 8));
     }
 
     #[test]

@@ -210,15 +210,18 @@ fn modifications_are_kernel_independent() {
 // silently stop being lossless for files already on disk.
 // ---------------------------------------------------------------------------
 
-/// FNV-1a over the little-endian bytes of each word.
-fn fnv1a(words: impl IntoIterator<Item = u32>) -> u64 {
+/// FNV-1a over bytes.
+fn fnv1a_bytes(bytes: impl IntoIterator<Item = u8>) -> u64 {
     let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for w in words {
-        for b in w.to_le_bytes() {
-            h = (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3);
-        }
+    for b in bytes {
+        h = (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3);
     }
     h
+}
+
+/// FNV-1a over the little-endian bytes of each word.
+fn fnv1a(words: impl IntoIterator<Item = u32>) -> u64 {
+    fnv1a_bytes(words.into_iter().flat_map(u32::to_le_bytes))
 }
 
 /// A fixed signed input: values in `[-2, 2)` with scattered exact zeros and
@@ -238,17 +241,21 @@ fn signed_input(rows: usize, cols: usize, salt: u64) -> Matrix {
     m
 }
 
-/// The frozen benchmark's network shape, He-initialized from a fixed seed and
-/// quantized: 38 → 141 → 141 → 5 × (35 → c).
-fn benchmark_shape_model() -> MultiTaskModel {
-    let spec = MultiTaskSpec {
+/// The frozen benchmark's network shape: 38 → 141 → 141 → 5 × (35 → c).
+fn benchmark_shape_spec() -> MultiTaskSpec {
+    MultiTaskSpec {
         input_dim: 38,
         shared_hidden: vec![141, 141],
         heads: [4usize, 8, 16, 32, 64]
             .iter()
             .map(|&c| TaskHeadSpec::with_hidden(vec![35], c))
             .collect(),
-    };
+    }
+}
+
+/// That network, He-initialized from a fixed seed and quantized.
+fn benchmark_shape_model() -> MultiTaskModel {
+    let spec = benchmark_shape_spec();
     let mut model = MultiTaskModel::new(&mut StdRng::seed_from_u64(14), &spec).expect("model");
     model.quantize_int8().expect("quantize");
     model
@@ -335,14 +342,19 @@ fn pinned_keys() -> Vec<u64> {
         .collect()
 }
 
-/// The benchmark-shape network behind the frozen benchmark's key encoding
-/// (21 bits + one-hots mod 2, 3, 5, 7 = 38 features).
-fn benchmark_shape_mapping_model() -> deepmapping::core::MappingModel {
-    let schema = deepmapping::core::MappingSchema {
+/// The frozen benchmark's key encoding (21 bits + one-hots mod 2, 3, 5, 7 = 38
+/// features) and column cardinalities.
+fn benchmark_shape_schema() -> deepmapping::core::MappingSchema {
+    deepmapping::core::MappingSchema {
         key_encoder: deepmapping::nn::KeyEncoder::with_periodic_features((1 << 21) - 1),
         cardinalities: vec![4, 8, 16, 32, 64],
-    };
-    deepmapping::core::MappingModel::from_parts(schema, benchmark_shape_model()).expect("model")
+    }
+}
+
+/// The benchmark-shape network behind the frozen benchmark's key encoding.
+fn benchmark_shape_mapping_model() -> deepmapping::core::MappingModel {
+    deepmapping::core::MappingModel::from_parts(benchmark_shape_schema(), benchmark_shape_model())
+        .expect("model")
 }
 
 fn key_classes_digest(model: &deepmapping::core::MappingModel) -> u64 {
@@ -381,5 +393,64 @@ fn int8_logits_match_the_digests_pinned_at_the_parent_commit() {
         assert_eq!(model_logits_digest(&model), PINNED_MODEL_LOGITS, "logits, {form}");
         assert_eq!(model_classes_digest(&model), PINNED_MODEL_CLASSES, "classes, {form}");
         assert_eq!(odd_dense_digest(), PINNED_ODD_DENSE, "5x13 layer, {form}");
+    });
+}
+
+// ---------------------------------------------------------------------------
+// Parent-pinned trained weights.
+//
+// Training is part of the store's arithmetic too: `bytes_per_user_byte` of the
+// frozen benchmark stands still only while a seeded build trains the same
+// weights, and a retrain on another host must memorize the same rows.  The
+// constant below was computed at commit f817825 — before the gradient kernels
+// (`xᵀ·dy`, `dy·Wᵀ`) were register-blocked — under the scalar, AVX-512 and
+// AVX2 forms of that commit, which agreed.  A kernel that reorders one
+// gradient sum, skips differently on a zero activation or folds the sixteen
+// lane sums through another tree moves it.
+// ---------------------------------------------------------------------------
+
+/// Rows of the frozen benchmark's `mixed` shape: five columns of cardinality
+/// 4 … 64, each a bit field of the key, 40 % of the rows noise in every column.
+fn benchmark_mixed_rows(n: u64) -> Vec<Row> {
+    const CARDINALITIES: [u32; 5] = [4, 8, 16, 32, 64];
+    (0..n)
+        .map(|k| {
+            let h = k.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 11;
+            let values = (0..5)
+                .map(|c| {
+                    let field = if h % 5 < 2 { h >> (7 * c) } else { k >> (4 + 2 * (c % 4)) };
+                    field as u32 & (CARDINALITIES[c] - 1)
+                })
+                .collect();
+            Row::new(k, values)
+        })
+        .collect()
+}
+
+/// Digest of the serialized f32 weights after a seeded [`MappingModel::train`]
+/// of the benchmark-shape network: three epochs over 5 003 rows in batches of
+/// 2 048, so every epoch ends on a ragged batch of 907 rows — no multiple of
+/// any tile's row count.
+///
+/// [`MappingModel::train`]: deepmapping::core::MappingModel::train
+fn trained_weights_digest() -> u64 {
+    let (schema, spec) = (benchmark_shape_schema(), benchmark_shape_spec());
+    let mut model = deepmapping::core::MappingModel::new(schema, &spec, 14).expect("model");
+    let config = TrainingConfig {
+        epochs: 3,
+        batch_size: 2048,
+        ..TrainingConfig::default()
+    };
+    let loss = model.train(&benchmark_mixed_rows(5_003), &config, 23).expect("train");
+    assert!(loss.is_finite());
+    fnv1a_bytes(model.to_bytes())
+}
+
+const PINNED_TRAINED_WEIGHTS: u64 = 0x4ecd_69bc_f225_a3ea;
+
+#[test]
+fn trained_weights_match_the_digest_pinned_at_the_parent_commit() {
+    under_every_kernel(|form| {
+        assert_eq!(trained_weights_digest(), PINNED_TRAINED_WEIGHTS, "trained weights, {form}");
     });
 }
