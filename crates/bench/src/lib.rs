@@ -147,6 +147,16 @@ pub fn build_baselines(dataset: &Dataset, regime: Regime) -> Vec<SystemUnderTest
         .collect()
 }
 
+/// The runner's one store definition — int8, 32 KiB partitions, `edge_ssd`, one
+/// `TrainingConfig` — behind every DeepMapping row, the searched ones included.
+pub fn store_definition(epochs: usize) -> DeepMappingBuilder {
+    DeepMappingBuilder::new()
+        .disk_profile(DiskProfile::edge_ssd())
+        .partition_bytes(32 * 1024)
+        .quantization(Quantization::Int8)
+        .training(TrainingConfig { epochs, batch_size: 512, ..TrainingConfig::default() })
+}
+
 /// The one model a dataset × scale trains, and what every store derived from it shares.
 /// Neither the codec nor the pool budget reaches training, so DM-Z / DM-L × `mem` /
 /// `pool` are one model over four auxiliary tables of the same misclassified rows.
@@ -168,12 +178,7 @@ impl TrainedDeepMapping {
     pub fn train(dataset: &Dataset, epochs: usize) -> Self {
         let started = Instant::now();
         let rows = dataset.rows();
-        let builder = DeepMappingBuilder::new()
-            .disk_profile(DiskProfile::edge_ssd())
-            .partition_bytes(32 * 1024)
-            .quantization(Quantization::Int8)
-            .training(TrainingConfig { epochs, batch_size: 512, ..TrainingConfig::default() });
-        let trained = builder.build(&rows).expect("DeepMapping build");
+        let trained = store_definition(epochs).build(&rows).expect("DeepMapping build");
         let split = trained.model().split_by_memorization(trained.exec(), &rows);
         let (_, misclassified) = split.expect("inference over the training rows");
         TrainedDeepMapping { trained, misclassified, train_s: started.elapsed().as_secs_f64() }
@@ -188,9 +193,7 @@ impl TrainedDeepMapping {
     /// Multiply-accumulates of one row's forward pass through the trained network; a
     /// training step does this three times per row (forward, `xᵀ·dy`, `dy·Wᵀ`).
     pub fn forward_macs(&self) -> usize {
-        let network = self.trained.model().network();
-        let layers = network.trunk().iter().chain(network.heads().iter().flatten());
-        layers.map(|layer| layer.in_dim() * layer.out_dim()).sum()
+        self.trained.model().network().spec().macs_per_key()
     }
 
     /// The store of `codec` (DM-Z for `Codec::Lz`, DM-L for `Codec::LzHuff`) under

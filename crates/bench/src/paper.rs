@@ -3,15 +3,16 @@
 //! [`run`] walks the datasets the evaluation uses (5 TPC-H and 3 TPC-DS tables, the
 //! four synthetic families, the crop raster), builds each system once per regime and
 //! emits one flat [`ResultRow`] per dataset × scale × system × regime × batch; the
-//! write sweeps (Fig. 8, Tables III–V) and the MHAS runs (Figs. 9–10) emit rows of the
-//! same shape.  A [`View`] is a projection of those rows — which ones, labelled by
-//! which fields, pivoted on which field, showing which cells — and [`print_view`] is
-//! the one printer.  [`write_rows`] writes the rows one flat JSON object per line.
+//! write sweeps (Fig. 8, Tables III–V) and the MHAS runs (Figs. 9–10, plus the store
+//! each search's winner builds) emit rows of the same shape.  A [`View`] is a
+//! projection of those rows — which ones, labelled by which fields, pivoted on which
+//! field, showing which cells — and [`print_view`] is the one printer.
+//! [`write_rows`] writes the rows one flat JSON object per line.
 
-use crate::{build_baselines, build_matrix, measure_lookup, TrainedDeepMapping};
+use crate::{build_baselines, build_matrix, measure_lookup, store_definition, TrainedDeepMapping};
 use crate::{BenchScale, MeasuredLookup, Regime, SystemUnderTest, REPEATS};
 use dm_compress::Codec;
-use dm_core::{DeepMappingConfig, MappingSchema, MhasConfig, MhasSearch};
+use dm_core::{MappingSchema, MhasConfig, MhasSearch, SearchStrategy, KEY_HEADROOM};
 use dm_data::tpcds::{TpcdsConfig, TpcdsTable};
 use dm_data::tpch::{TpchConfig, TpchTable};
 use dm_data::{CropConfig, Dataset, LookupWorkload, ModificationWorkload, SyntheticConfig};
@@ -203,10 +204,14 @@ impl PaperRun {
         epochs: usize,
     ) -> TrainedDeepMapping {
         let trained = TrainedDeepMapping::train(dataset, epochs);
-        let line = format!("{kind} {} {}", place.1, place.2.factor);
-        eprintln!("[paper] trained {line} in {:.1} s", trained.train_s);
-        self.deepmapping_builds.push(line);
+        self.log_build(kind, place, trained.train_s);
         trained
+    }
+
+    fn log_build(&mut self, kind: &str, place: Place, seconds: f64) {
+        let line = format!("{kind} {} {}", place.1, place.2.factor);
+        eprintln!("[paper] trained {line} in {seconds:.1} s");
+        self.deepmapping_builds.push(line);
     }
 
     /// One dataset at one scale: one training, then each regime builds the matrix
@@ -340,7 +345,10 @@ impl PaperRun {
         }
     }
 
-    /// Figures 9–10: every architecture the MHAS controller samples, per TPC-H table.
+    /// Figures 9–10: every architecture the MHAS controller samples, per TPC-H table and
+    /// scale, under the runner's store definition — so a sample's `ratio` is that of an
+    /// int8 store like the `lookup` rows' — and one `mhas_built` row for the store the
+    /// winner builds at the runner's epochs, `search_ratio` beside its own `ratio`.
     fn mhas(&mut self, config: &PaperConfig) {
         let mhas = MhasConfig {
             iterations: if config.quick { 8 } else { 48 },
@@ -349,20 +357,36 @@ impl PaperRun {
             sample_rows: 2048,
             ..MhasConfig::default()
         };
-        for table in ["orders", "part", "supplier", "customer"] {
-            let place = ("tpch", table, config.scale);
-            let rows = generate(place).rows();
-            let schema = MappingSchema::infer(&rows, 0).expect("schema");
-            let mut search = MhasSearch::new(&schema, mhas.clone(), 0xf19).expect("search");
-            let outcome = search.run(&rows, &DeepMappingConfig::default()).expect("search run");
-            for sample in &outcome.history {
-                let row = self.row("mhas", place, rows.len(), "MHAS");
-                row.num("iteration", sample.iteration as f64);
-                row.num("stage", (sample.iteration * 4 / mhas.iterations).min(3) as f64);
-                row.num("ratio", round(sample.compression_ratio, 5));
-                row.num("memorized", round(sample.memorization_rate, 5));
-                row.num("est_latency_ms", round(sample.estimated_latency_ms, 4));
-                row.num("parameters", sample.parameters as f64);
+        let scales = [config.scale, BenchScale::new(config.scale.factor * 4.0)];
+        for scale in &scales[..if config.quick { 1 } else { 2 }] {
+            for table in ["orders", "part", "supplier", "customer"] {
+                let place = ("tpch", table, *scale);
+                let dataset = generate(place);
+                let rows = dataset.rows();
+                let definition = store_definition(config.epochs());
+                let schema = MappingSchema::infer(&rows, KEY_HEADROOM).expect("schema");
+                let mut search = MhasSearch::new(&schema, mhas.clone(), 0xf19).expect("search");
+                let outcome = search.run(&rows, definition.config()).expect("search run");
+                for sample in &outcome.history {
+                    let row = self.row("mhas", place, rows.len(), "MHAS");
+                    row.num("iteration", sample.iteration as f64);
+                    row.num("stage", (sample.iteration * 4 / mhas.iterations).min(3) as f64);
+                    row.num("ratio", round(sample.compression_ratio, 5));
+                    row.num("memorized", round(sample.memorization_rate, 5));
+                    row.num("macs_per_key", sample.macs_per_key as f64);
+                    row.num("parameters", sample.parameters as f64);
+                }
+                let started = Instant::now();
+                let parameters = outcome.best_spec.parameter_count();
+                let built = definition.search(SearchStrategy::Fixed(outcome.best_spec));
+                let built = built.build(&rows).expect("build of the searched architecture");
+                let (name, metrics) = (built.config().paper_name(), built.metrics().clone());
+                let system = SystemUnderTest::new(name, Box::new(built), metrics, started);
+                self.log_build("mhas_built", place, system.build_s);
+                let row = self.row("mhas_built", place, rows.len(), &system.name);
+                size_fields(row, &system, dataset.uncompressed_bytes());
+                row.num("parameters", parameters as f64);
+                row.num("search_ratio", round(outcome.best_ratio, 5));
             }
         }
     }
@@ -469,15 +493,15 @@ pub static VIEWS: [View; 12] = [
     ),
     view(
         "fig9",
-        "MHAS: compression ratio of the sampled architectures per search iteration",
-        "kind=mhas",
-        ["dataset iteration", "", "ratio memorized parameters"],
+        "MHAS: ratio of each sampled architecture's int8 store; iteration '-' is the winner built",
+        "kind=mhas|mhas_built",
+        ["scale dataset iteration", "", "ratio search_ratio memorized parameters"],
     ),
     view(
         "fig10",
-        "MHAS on part: ratio against estimated latency by search stage",
+        "MHAS on part: ratio against multiply-accumulates per key by search stage",
         "kind=mhas dataset=part",
-        ["iteration", "", "stage ratio est_latency_ms parameters"],
+        ["scale iteration", "", "stage ratio macs_per_key parameters"],
     ),
     view(
         "table1",

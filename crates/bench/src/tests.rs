@@ -100,6 +100,17 @@ fn check_rows(rows: &[ResultRow]) {
         let printed = field("train_mac_per_ns");
         assert!(slowest - 0.001 <= printed && printed <= fastest + 0.001, "{row:?}");
     }
+    // Every search has the one store its winner built, scored by the search beside it.
+    let of_kind = |kind: &'static str| rows.iter().filter(move |row| row.s("kind") == kind);
+    let searches: BTreeSet<String> = of_kind("mhas").map(place).collect();
+    let built: Vec<&ResultRow> = of_kind("mhas_built").collect();
+    assert_eq!(built.iter().map(|row| place(row)).collect::<BTreeSet<_>>(), searches);
+    assert_eq!(built.len(), searches.len());
+    for row in built {
+        assert!(row.n("model_bytes").is_some() && row.n("parameters") >= Some(1.0), "{row:?}");
+        assert!(row.n("search_ratio") > Some(0.0) && row.n("ratio") > Some(0.0), "{row:?}");
+    }
+    assert!(of_kind("mhas").all(|row| row.n("macs_per_key") >= Some(1.0)));
     // fig6 reads the very rows fig4 does.
     let view = |name: &str| VIEWS.iter().find(|view| view.name == name).expect("a view");
     assert!(rows.iter().any(|row| view("fig6").shows(row)));
@@ -136,7 +147,9 @@ fn system_matrix_builds_and_answers_queries() {
     // the three sweeps trains once per synthetic family and derives DM-Z and DM-Z1.
     let builds = &outcome.deepmapping_builds;
     let trained = |prefix: &str| builds.iter().filter(|line| line.starts_with(prefix)).count();
-    assert_eq!((trained("lookup orders "), trained("lookup "), builds.len()), (1, 2, 8));
+    // And each of the four searches builds its winner once.
+    assert_eq!((trained("lookup orders "), trained("lookup "), builds.len()), (1, 2, 12));
+    assert_eq!(trained("mhas_built "), 4);
     // Two datasets x 11 systems x (B100K in memory + three batch sizes under the pool).
     let lookups = outcome.rows.iter().filter(|row| row.s("kind") == "lookup");
     assert_eq!(lookups.count(), 2 * SYSTEMS.len() * 4);
@@ -176,7 +189,17 @@ fn committed_results_cover_the_evaluation_and_pin_where_dm_z_exceeds_the_raw_dat
     for sweep in ["sweep_in", "sweep_off", "sweep_delete"] {
         assert_eq!(of(0.005, sweep).count(), 2 * 6 * 7, "{sweep}");
     }
-    assert_eq!(of(0.005, "mhas").count(), 4 * 48);
+    // Four searches at either scale: 48 samples each, and the winner's store within a
+    // tenth of what the search scored it at (1.13–3.4 × before the search priced a
+    // candidate by building it).
+    for scale in [0.005, 0.02] {
+        assert_eq!(of(scale, "mhas").count(), 4 * 48);
+        assert_eq!(of(scale, "mhas_built").count(), 4);
+        for row in of(scale, "mhas_built") {
+            let field = |name: &str| row.n(name).expect(name);
+            assert!((field("search_ratio") / field("ratio") - 1.0).abs() <= 0.10, "{row:?}");
+        }
+    }
 
     let above: Vec<(f64, &str)> = rows
         .iter()

@@ -84,20 +84,28 @@ pub struct DeepMapping {
 
 /// What a build or retrain derives from the trained model and the rows: the
 /// auxiliary table over the misclassified rows, and the two bit vectors.
-struct Assurance {
-    aux: AuxTable,
-    exist: BitVec,
-    vaux: BitVec,
+pub(crate) struct Assurance {
+    pub(crate) aux: AuxTable,
+    pub(crate) exist: BitVec,
+    pub(crate) vaux: BitVec,
 }
 
 impl Assurance {
-    fn build(
-        model: &MappingModel,
+    /// Puts `model` into the arithmetic `config` serves with, then memorizes
+    /// what that arithmetic gets wrong.  Quantization must happen *between*
+    /// training and memorization — the aux table records exactly what the
+    /// serve-time (quantized) arithmetic mispredicts, which is what keeps int8
+    /// stores lossless — so it happens here, where nothing can come between.
+    pub(crate) fn build(
+        model: &mut MappingModel,
         rows: &[Row],
         config: &DeepMappingConfig,
         metrics: &Metrics,
         exec: &dm_exec::ThreadPool,
     ) -> Result<Self> {
+        if config.quantization == Quantization::Int8 {
+            model.quantize_int8()?;
+        }
         let (_, misclassified) = model.split_by_memorization(exec, rows)?;
         let aux = AuxTable::build(
             &misclassified,
@@ -113,6 +121,63 @@ impl Assurance {
             aux,
             exist: rows.iter().map(|row| row.key).collect(),
         })
+    }
+}
+
+/// The one chain behind every store: the architecture `config.search` names
+/// (searched under `search_seed` when it says MHAS) → a model initialized and
+/// trained under `seed` → quantized iff the configuration says so → the
+/// [`Assurance`] over `rows`.
+fn fit(
+    rows: &[Row],
+    config: &DeepMappingConfig,
+    (seed, search_seed): (u64, u64),
+    metrics: &Metrics,
+    exec: &dm_exec::ThreadPool,
+) -> Result<(MappingModel, Assurance)> {
+    let schema = MappingSchema::infer(rows, KEY_HEADROOM)?;
+    let spec = match &config.search {
+        SearchStrategy::Fixed(spec) => spec.clone(),
+        SearchStrategy::DefaultArchitecture => MappingModel::default_spec(&schema, rows.len()),
+        SearchStrategy::Mhas(mhas_config) => {
+            let mut search = MhasSearch::new(&schema, mhas_config.clone(), search_seed)?;
+            search.run(rows, config)?.best_spec
+        }
+    };
+    let mut model = MappingModel::new(schema, &spec, seed)?;
+    model.train(rows, &config.training, seed)?;
+    let assurance = Assurance::build(&mut model, rows, config, metrics, exec)?;
+    Ok((model, assurance))
+}
+
+/// The Figure 6 split — and the Eq. 1 sum — of a structure made of these
+/// parts: what a store reports of itself and what MHAS scores a candidate by.
+pub(crate) fn storage_breakdown(
+    model: &MappingModel,
+    aux: &AuxTable,
+    exist: &BitVec,
+    vaux: &BitVec,
+    decode_map: &DecodeMap,
+    tuple_count: usize,
+) -> StorageBreakdown {
+    let memorized = exist.count_ones().saturating_sub(vaux.count_ones()) as usize;
+    StorageBreakdown {
+        model_bytes: model.size_bytes(),
+        aux_table_bytes: aux.size_bytes(),
+        existence_bytes: exist.serialized_bytes(),
+        corrected_bytes: vaux.serialized_bytes(),
+        decode_map_bytes: decode_map.size_bytes().max(8),
+        uncompressed_bytes: tuple_count * Row::fixed_width(aux.value_columns()),
+        tuple_count,
+        memorized_tuples: memorized,
+    }
+}
+
+/// The pool a store of `config` runs its parallel read paths on.
+pub(crate) fn exec_of(config: &DeepMappingConfig) -> ExecHandle {
+    match config.exec_threads {
+        Some(threads) => ExecHandle::with_threads(threads),
+        None => ExecHandle::Global,
     }
 }
 
@@ -152,29 +217,9 @@ impl DeepMapping {
             ));
         }
         let metrics = Metrics::new();
-        let schema = MappingSchema::infer(rows, KEY_HEADROOM)?;
-        let spec = match &config.search {
-            SearchStrategy::Fixed(spec) => spec.clone(),
-            SearchStrategy::DefaultArchitecture => MappingModel::default_spec(&schema, rows.len()),
-            SearchStrategy::Mhas(mhas_config) => {
-                let mut search = MhasSearch::new(&schema, mhas_config.clone(), config.seed)?;
-                let outcome = search.run(rows, config)?;
-                outcome.best_spec
-            }
-        };
-        let mut model = MappingModel::new(schema, &spec, config.seed)?;
-        model.train(rows, &config.training, config.seed)?;
-        // Quantization must happen *between* training and memorization: the aux
-        // table records exactly what the serve-time (quantized) arithmetic gets
-        // wrong, which is what keeps int8 stores lossless.
-        if config.quantization == Quantization::Int8 {
-            model.quantize_int8()?;
-        }
-        let exec = match config.exec_threads {
-            Some(threads) => ExecHandle::with_threads(threads),
-            None => ExecHandle::Global,
-        };
-        let assurance = Assurance::build(&model, rows, config, &metrics, exec.get())?;
+        let exec = exec_of(config);
+        let seeds = (config.seed, config.seed);
+        let (model, assurance) = fit(rows, config, seeds, &metrics, exec.get())?;
         Ok(DeepMapping {
             config: config.clone(),
             name: config.paper_name(),
@@ -272,10 +317,7 @@ impl DeepMapping {
     /// the same counters the lookup path reads.
     pub fn from_parts(parts: DeepMappingParts) -> Self {
         let metrics = parts.aux.metrics().clone();
-        let exec = match parts.config.exec_threads {
-            Some(threads) => ExecHandle::with_threads(threads),
-            None => ExecHandle::Global,
-        };
+        let exec = exec_of(&parts.config);
         DeepMapping {
             name: parts.config.paper_name(),
             config: parts.config,
@@ -485,23 +527,8 @@ impl DeepMapping {
         if rows.is_empty() {
             return Ok(());
         }
-        let schema = MappingSchema::infer(&rows, KEY_HEADROOM)?;
-        let spec = match &self.config.search {
-            SearchStrategy::Fixed(spec) => spec.clone(),
-            SearchStrategy::DefaultArchitecture => MappingModel::default_spec(&schema, rows.len()),
-            SearchStrategy::Mhas(mhas_config) => {
-                let mut search =
-                    MhasSearch::new(&schema, mhas_config.clone(), self.config.seed ^ 0xa5)?;
-                search.run(&rows, &self.config)?.best_spec
-            }
-        };
-        let mut model = MappingModel::new(schema, &spec, self.config.seed ^ 0x5a)?;
-        model.train(&rows, &self.config.training, self.config.seed ^ 0x5a)?;
-        if self.config.quantization == Quantization::Int8 {
-            model.quantize_int8()?;
-        }
-        let assurance =
-            Assurance::build(&model, &rows, &self.config, &self.metrics, self.exec.get())?;
+        let seeds = (self.config.seed ^ 0x5a, self.config.seed ^ 0xa5);
+        let (model, assurance) = fit(&rows, &self.config, seeds, &self.metrics, self.exec.get())?;
         self.model = model;
         self.aux = assurance.aux;
         self.exist = assurance.exist;
@@ -621,17 +648,14 @@ impl DeepMapping {
 
     /// Storage breakdown for Figure 6.
     pub fn storage_breakdown(&self) -> StorageBreakdown {
-        let value_columns = self.aux.value_columns();
-        StorageBreakdown {
-            model_bytes: self.model.size_bytes(),
-            aux_table_bytes: self.aux.size_bytes(),
-            existence_bytes: self.exist.serialized_bytes(),
-            corrected_bytes: self.vaux.serialized_bytes(),
-            decode_map_bytes: self.decode_map.size_bytes().max(8),
-            uncompressed_bytes: self.tuple_count * Row::fixed_width(value_columns),
-            tuple_count: self.tuple_count,
-            memorized_tuples: self.memorized_tuples(),
-        }
+        storage_breakdown(
+            &self.model,
+            &self.aux,
+            &self.exist,
+            &self.vaux,
+            &self.decode_map,
+            self.tuple_count,
+        )
     }
 }
 

@@ -14,20 +14,31 @@
 //!   REINFORCE on the Eq.-1 reward (Algorithm 2 alternates model-training iterations
 //!   and controller-training iterations).
 //!
-//! The search records every sampled architecture's compression ratio and estimated
-//! lookup latency, which is exactly the data Figures 9 and 10 plot.
+//! A candidate is scored by building it: its layers come out of the weight bank, are
+//! trained by [`MappingModel::train`] for `model_epochs` over the sample, go back to
+//! the bank, and then take the very steps a store's build takes — quantized iff the
+//! store's configuration says so, every row split by what the serve-time arithmetic
+//! predicts, the auxiliary table and both bit vectors built from that split.  So a
+//! [`SearchSample`]'s `compression_ratio` *is* `storage_breakdown().compression_ratio()`
+//! of the store that candidate assembles — Eq. 1 exactly, in f32 and in int8, of the
+//! weights `model_epochs` of shared-weight training leave, not of a full build's
+//! epochs — its `memorization_rate` that store's `memorized_fraction()`, and
+//! `macs_per_key` the exact multiply-accumulates a predicted key costs.  Those are the
+//! dots of Figures 9 and 10.  The reward is the ratio alone; the MAC count is
+//! recorded, not yet constrained.
 
-use crate::config::DeepMappingConfig;
-use crate::encoder::MappingSchema;
-use crate::model::{MappingModel, TrainingBatch};
+use crate::config::{DeepMappingConfig, TrainingConfig};
+use crate::encoder::{DecodeMap, MappingSchema};
+use crate::hybrid::{exec_of, storage_breakdown, Assurance};
+use crate::model::MappingModel;
+use crate::stats::StorageBreakdown;
 use crate::{CoreError, Result};
 use dm_nn::layer::{Activation, Dense};
 use dm_nn::{Adam, MultiTaskModel, MultiTaskSpec, SequenceController, TaskHeadSpec};
-use dm_storage::layout::PackedPartition;
-use dm_storage::Row;
+use dm_storage::{Metrics, Row};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
-use rand::SeedableRng;
+use rand::{RngCore, SeedableRng};
 use std::collections::HashMap;
 
 /// The MHAS search space: how many shared/private layers and which widths are allowed.
@@ -142,8 +153,8 @@ pub struct MhasConfig {
     pub controller_every: usize,
     /// Mini-batch size for model training during the search.
     pub batch_size: usize,
-    /// At most this many rows are used for search-time training/evaluation
-    /// (a uniform sample of the dataset).
+    /// At most this many rows train a candidate (a uniform sample of the
+    /// dataset); every candidate is scored over all rows.
     pub sample_rows: usize,
     /// Candidate layer widths (overrides the default [`SearchSpace`] widths).
     pub layer_sizes: Vec<usize>,
@@ -187,23 +198,23 @@ impl MhasConfig {
 pub struct SearchSample {
     /// Search iteration at which this architecture was sampled.
     pub iteration: usize,
-    /// Eq.-1 compression ratio estimated for the sampled architecture.
+    /// Eq. 1 of the store this candidate assembles: its
+    /// `storage_breakdown().compression_ratio()`.
     pub compression_ratio: f64,
-    /// Estimated per-batch lookup latency in milliseconds (relative measure combining
-    /// inference cost and auxiliary-table traffic).
-    pub estimated_latency_ms: f64,
+    /// Multiply-accumulates one predicted key costs in the sampled architecture.
+    pub macs_per_key: usize,
     /// Number of trainable parameters of the sampled architecture.
     pub parameters: usize,
-    /// Fraction of the evaluation sample the architecture memorized.
+    /// Fraction of all rows the candidate's model answers.
     pub memorization_rate: f64,
 }
 
 /// Outcome of a search run.
 #[derive(Debug, Clone)]
 pub struct SearchOutcome {
-    /// The architecture with the best (lowest) estimated compression ratio.
+    /// The architecture with the best (lowest) compression ratio.
     pub best_spec: MultiTaskSpec,
-    /// Its estimated compression ratio.
+    /// Its compression ratio when it was sampled.
     pub best_ratio: f64,
     /// Every sampled architecture, in sampling order.
     pub history: Vec<SearchSample>,
@@ -294,13 +305,11 @@ impl MhasSearch {
         if rows.is_empty() {
             return Err(CoreError::InvalidConfig("cannot search on an empty dataset".into()));
         }
-        // Uniform sample used for search-time training and evaluation.
+        // Only training needs the sample; inference over every row is cheap.
         let mut sample: Vec<Row> = rows.to_vec();
         sample.shuffle(&mut self.rng);
         sample.truncate(self.config.sample_rows.max(64));
-        let total_rows = rows.len();
-        let row_width = Row::fixed_width(self.schema.num_columns());
-        let uncompressed_bytes = total_rows * row_width;
+        let exec = exec_of(dm_config);
 
         let mut history = Vec::with_capacity(self.config.iterations);
         let mut best_spec: Option<MultiTaskSpec> = None;
@@ -313,39 +322,18 @@ impl MhasSearch {
             let choices: Vec<usize> = decisions.iter().map(|d| d.choice).collect();
             let spec = self.space.decode(&choices, &self.schema)?;
 
-            // Instantiate from the weight bank, train briefly, store back.
-            let mut network = self.instantiate(&spec)?;
-            let mut model = ModelHandle {
-                schema: &self.schema,
-                network: &mut network,
-            };
-            model.train(
-                &sample,
-                self.config.model_epochs,
-                self.config.batch_size,
-                &mut self.rng,
-            )?;
-            self.store_weights(&spec, &network);
-
-            // Evaluate the hybrid-structure size this architecture would produce.
-            let (ratio, memorization_rate, est_latency) = self.evaluate(
-                &spec,
-                &network,
-                &sample,
-                total_rows,
-                uncompressed_bytes,
-                dm_config,
-            )?;
+            let breakdown = self.candidate(&spec, &sample, rows, dm_config, exec.get())?;
+            let ratio = breakdown.compression_ratio();
             history.push(SearchSample {
                 iteration,
                 compression_ratio: ratio,
-                estimated_latency_ms: est_latency,
+                macs_per_key: spec.macs_per_key(),
                 parameters: spec.parameter_count(),
-                memorization_rate,
+                memorization_rate: breakdown.memorized_fraction(),
             });
             if ratio < best_ratio {
                 best_ratio = ratio;
-                best_spec = Some(spec.clone());
+                best_spec = Some(spec);
             }
 
             // Controller training iteration (every `controller_every` iterations).
@@ -356,18 +344,44 @@ impl MhasSearch {
                 self.controller
                     .reinforce_backward(advantage, self.config.entropy_bonus)?;
                 self.controller.apply_gradients(&mut self.controller_optimizer);
-            } else {
-                // Discard the sampled episode without a gradient step.
-                let _ = &self.controller;
             }
         }
 
-        let best_spec = best_spec.unwrap_or_else(|| MappingModel::default_spec(&self.schema, total_rows));
+        let best_spec = best_spec.unwrap_or_else(|| MappingModel::default_spec(&self.schema, rows.len()));
         Ok(SearchOutcome {
             best_spec,
             best_ratio,
             history,
         })
+    }
+
+    /// What a store of `spec` would hold: the architecture instantiated from the weight
+    /// bank, trained on `sample` by the product's own loop and stored back — *before*
+    /// quantization, the bank keeps training f32 weights — then put through the build's
+    /// own [`Assurance`] over all `rows` under `dm_config` and summed as a store sums
+    /// itself (with the empty decode map of `DeepMapping::build`; `fdecode` is the same
+    /// for every candidate).
+    fn candidate(
+        &mut self,
+        spec: &MultiTaskSpec,
+        sample: &[Row],
+        rows: &[Row],
+        dm_config: &DeepMappingConfig,
+        exec: &dm_exec::ThreadPool,
+    ) -> Result<StorageBreakdown> {
+        let network = self.instantiate(spec)?;
+        let mut model = MappingModel::from_parts(self.schema.clone(), network)?;
+        let training = TrainingConfig {
+            epochs: self.config.model_epochs,
+            batch_size: self.config.batch_size,
+            ..TrainingConfig::default()
+        };
+        model.train(sample, &training, self.rng.next_u64())?;
+        self.store_weights(spec, model.network());
+        let Assurance { aux, exist, vaux } =
+            Assurance::build(&mut model, rows, dm_config, &Metrics::new(), exec)?;
+        let fdecode = DecodeMap::default();
+        Ok(storage_breakdown(&model, &aux, &exist, &vaux, &fdecode, rows.len()))
     }
 
     /// Builds a network for `spec`, pulling any previously trained layer of the same
@@ -427,106 +441,14 @@ impl MhasSearch {
             }
         }
     }
-
-    /// Estimates the Eq.-1 ratio, memorization rate and a relative latency figure for
-    /// a trained candidate.
-    fn evaluate(
-        &self,
-        spec: &MultiTaskSpec,
-        network: &MultiTaskModel,
-        sample: &[Row],
-        total_rows: usize,
-        uncompressed_bytes: usize,
-        dm_config: &DeepMappingConfig,
-    ) -> Result<(f64, f64, f64)> {
-        let value_columns = self.schema.num_columns();
-        // Memorization rate on the evaluation sample.
-        let keys: Vec<u64> = sample.iter().map(|r| r.key).collect();
-        let x = self.schema.key_encoder.encode_batch(&keys);
-        let preds = network.predict_classes(&x)?;
-        let mut misclassified = Vec::new();
-        for (i, row) in sample.iter().enumerate() {
-            let ok = row
-                .values
-                .iter()
-                .enumerate()
-                .all(|(c, &v)| preds[c][i] as u32 == v);
-            if !ok {
-                misclassified.push(row);
-            }
-        }
-        let memorization_rate = 1.0 - misclassified.len() as f64 / sample.len().max(1) as f64;
-
-        // size(M): serialized model bytes.
-        let model_bytes = spec.size_bytes();
-        // size(Taux): extrapolate the sample's misclassified rows to the full dataset,
-        // stored the way the auxiliary table stores them — keyless bit-packed
-        // columns in a frame of the configured codec.
-        let aux_bytes = if misclassified.is_empty() {
-            0
-        } else {
-            let partition = PackedPartition::from_rows(&misclassified, value_columns)
-                .map_err(CoreError::from)?;
-            let framed = dm_compress::compress_frame(&dm_config.codec, partition.to_bytes()).len();
-            let scale = total_rows as f64 / sample.len().max(1) as f64;
-            (framed as f64 * scale) as usize
-        };
-        // size(Vexist): dense key domains RLE-compress to almost nothing; charge the
-        // worst case of 1 bit per key plus header.
-        let exist_bytes = total_rows / 8 + 16;
-        // size(fdecode): label tables, approximated by 8 bytes per distinct value.
-        let decode_bytes: usize = self
-            .schema
-            .cardinalities
-            .iter()
-            .map(|&c| 8 + c as usize * 8)
-            .sum();
-        let total = model_bytes + aux_bytes + exist_bytes + decode_bytes;
-        let ratio = total as f64 / uncompressed_bytes.max(1) as f64;
-
-        // Relative latency: inference cost grows with parameter count, auxiliary
-        // traffic with the misclassified fraction (each auxiliary visit pays a
-        // partition load + a rank-addressed read).
-        let inference_ms = spec.parameter_count() as f64 * 1e-5;
-        let aux_ms = (1.0 - memorization_rate) * 20.0;
-        Ok((ratio, memorization_rate, inference_ms + aux_ms))
-    }
-}
-
-/// Internal borrow-friendly training helper (avoids cloning the schema into a full
-/// [`MappingModel`] for every sampled architecture).
-struct ModelHandle<'a> {
-    schema: &'a MappingSchema,
-    network: &'a mut MultiTaskModel,
-}
-
-impl ModelHandle<'_> {
-    fn train(
-        &mut self,
-        rows: &[Row],
-        epochs: usize,
-        batch_size: usize,
-        rng: &mut StdRng,
-    ) -> Result<()> {
-        let mut optimizer = Adam::new(0.01);
-        let mut order: Vec<usize> = (0..rows.len()).collect();
-        let mut batch = TrainingBatch::new(self.schema);
-        for _ in 0..epochs {
-            order.shuffle(rng);
-            for chunk in order.chunks(batch_size.max(1)) {
-                batch.fill(self.schema, rows, chunk);
-                self.network.train_batch(&batch.x, &batch.targets, &mut optimizer)?;
-            }
-        }
-        self.network.clear_cache();
-        Ok(())
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::DeepMappingConfig;
+    use crate::aux_table::AuxTable;
+    use crate::config::Quantization;
+    use crate::hybrid::{DeepMapping, DeepMappingParts};
 
     fn correlated_rows(n: u64) -> Vec<Row> {
         (0..n)
@@ -590,15 +512,88 @@ mod tests {
         assert!(outcome.best_ratio < f64::INFINITY);
         // The best ratio is no worse than the first sampled architecture's ratio.
         assert!(outcome.best_ratio <= outcome.history[0].compression_ratio + 1e-9);
-        // Every sample carries a positive latency estimate and parameter count.
+        // Every sample carries a parameter count and a memorization rate.
         for s in &outcome.history {
-            assert!(s.estimated_latency_ms > 0.0);
             assert!(s.parameters > 0);
             assert!((0.0..=1.0).contains(&s.memorization_rate));
         }
         // The returned spec matches the schema.
         assert_eq!(outcome.best_spec.heads.len(), 2);
         assert_eq!(outcome.best_spec.input_dim, schema.input_dim());
+    }
+
+    /// One fixed architecture scored as a candidate under `quantization`, beside the
+    /// model the score was taken of (the bank's weights, in the store's arithmetic).
+    fn scored_candidate(
+        rows: &[Row],
+        quantization: Quantization,
+    ) -> (StorageBreakdown, MappingModel, DeepMappingConfig) {
+        let schema = schema(rows);
+        let config = DeepMappingConfig::default()
+            .with_quantization(quantization)
+            .with_partition_bytes(4 * 1024);
+        let spec = MultiTaskSpec {
+            input_dim: schema.input_dim(),
+            shared_hidden: vec![64],
+            heads: vec![TaskHeadSpec::direct(3), TaskHeadSpec::with_hidden(vec![32], 4)],
+        };
+        let mut search = MhasSearch::new(&schema, MhasConfig::quick(), 7).unwrap();
+        let score = search
+            .candidate(&spec, &rows[..1_024], rows, &config, dm_exec::global())
+            .unwrap();
+        let mut model = MappingModel::from_parts(schema, search.instantiate(&spec).unwrap()).unwrap();
+        if quantization == Quantization::Int8 {
+            model.quantize_int8().unwrap();
+        }
+        (score, model, config)
+    }
+
+    #[test]
+    fn a_candidates_score_is_the_ratio_of_the_store_it_builds() {
+        let rows = correlated_rows(2_048);
+        for quantization in [Quantization::F32, Quantization::Int8] {
+            let (score, model, config) = scored_candidate(&rows, quantization);
+            // The store of that model, assembled from the public parts.
+            let (_, misclassified) = model.split_by_memorization(dm_exec::global(), &rows).unwrap();
+            let aux = AuxTable::build(
+                &misclassified,
+                2,
+                config.codec,
+                config.partition_bytes,
+                config.memory_budget_bytes,
+                config.disk_profile,
+                Metrics::new(),
+            )
+            .unwrap();
+            let store = DeepMapping::from_parts(DeepMappingParts {
+                config,
+                model,
+                aux,
+                exist: rows.iter().map(|row| row.key).collect(),
+                decode_map: DecodeMap::default(),
+                tuple_count: rows.len(),
+                retrain_count: 0,
+            });
+            let built = store.storage_breakdown();
+            assert_eq!(score.total_bytes(), built.total_bytes(), "{quantization:?}");
+            assert_eq!(score, built, "{quantization:?}");
+        }
+    }
+
+    #[test]
+    fn an_int8_search_prices_int8_bytes() {
+        let rows = correlated_rows(2_048);
+        let (f32_score, f32_model, _) = scored_candidate(&rows, Quantization::F32);
+        let (score, model, _) = scored_candidate(&rows, Quantization::Int8);
+        assert!(model.is_quantized() && !f32_model.is_quantized());
+        // The model term is the quantized model's serialized size, not 4 B a parameter.
+        assert_eq!(score.model_bytes, model.size_bytes());
+        assert_eq!(f32_score.model_bytes, f32_model.size_bytes());
+        assert!(score.model_bytes * 3 < f32_score.model_bytes, "{score:?} vs {f32_score:?}");
+        assert!(f32_score.model_bytes > 4 * model.network().parameter_count());
+        // And the memorized rows are the ones the int8 walk answers.
+        let (memorized, _) = model.split_by_memorization(dm_exec::global(), &rows).unwrap();
+        assert_eq!(score.memorized_tuples, memorized.len());
     }
 
     #[test]

@@ -286,20 +286,20 @@ impl MappingModel {
 
 /// The features and targets of one mini-batch, in buffers a training run
 /// fills again for every batch instead of allocating them per step.
-pub(crate) struct TrainingBatch {
+struct TrainingBatch {
     /// The batch's keys, gathered before they are encoded: the rows come in
     /// shuffled order, and a pass of nothing but loads overlaps its cache
     /// misses where a load per encoded key waits for each (20 ms of a 1.1 s
     /// build on the frozen benchmark's table).
     keys: Vec<u64>,
     /// One row of key features per batch row.
-    pub(crate) x: Matrix,
+    x: Matrix,
     /// `targets[column][row]`: the class to learn.
-    pub(crate) targets: Vec<Vec<usize>>,
+    targets: Vec<Vec<usize>>,
 }
 
 impl TrainingBatch {
-    pub(crate) fn new(schema: &MappingSchema) -> Self {
+    fn new(schema: &MappingSchema) -> Self {
         TrainingBatch {
             keys: Vec::new(),
             x: Matrix::zeros(0, schema.input_dim()),
@@ -308,7 +308,7 @@ impl TrainingBatch {
     }
 
     /// Replaces the batch with `rows[indices]`, in that order.
-    pub(crate) fn fill(&mut self, schema: &MappingSchema, rows: &[Row], indices: &[usize]) {
+    fn fill(&mut self, schema: &MappingSchema, rows: &[Row], indices: &[usize]) {
         self.x.reshape(indices.len(), schema.input_dim());
         self.targets.iter_mut().for_each(Vec::clear);
         self.keys.clear();

@@ -178,12 +178,6 @@ impl SyntheticConfig {
         Dataset::new(self.name(), keys, columns)
     }
 
-    /// Generates a lookup key that does not exist in the dataset (beyond the key
-    /// range), useful for negative-lookup tests.
-    pub fn non_existing_key(&self) -> u64 {
-        self.rows as u64 + 1_000_000
-    }
-
     /// Draws `count` random rows whose values are sampled uniformly at random — the
     /// "does NOT follow the original distribution" insertion workload of Table IV.
     pub fn generate_range_off_distribution(&self, start_key: u64, count: usize, seed: u64) -> Vec<Row> {

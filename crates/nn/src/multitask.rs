@@ -10,7 +10,7 @@
 use crate::encoding::KeyEncoder;
 use crate::kernel::{self, QuantizedPanels, QuantizedRows, RowsView, LANES};
 use crate::layer::{backward_chain, forward_train_chain, Activation, Dense};
-use crate::loss::{accuracy, softmax_cross_entropy};
+use crate::loss::softmax_cross_entropy;
 use crate::optimizer::Optimizer;
 use crate::tensor::Matrix;
 use dm_exec::ThreadPool;
@@ -123,18 +123,13 @@ impl MultiTaskSpec {
         count
     }
 
-    /// Serialized size in bytes if stored as f32 parameters plus shape metadata.
-    /// This is the `size(M)` term of the paper's Eq. 1.
-    pub fn size_bytes(&self) -> usize {
-        // 4 bytes per parameter + a small per-layer header estimate (16 bytes).
-        let layers = self.shared_hidden.len()
-            + 1
-            + self
-                .heads
-                .iter()
-                .map(|h| h.hidden.len() + 1)
-                .sum::<usize>();
-        self.parameter_count() * 4 + layers * 16
+    /// Multiply-accumulates of one row's forward pass — what a predicted key costs:
+    /// every parameter but the biases, and a layer has one bias per output.
+    pub fn macs_per_key(&self) -> usize {
+        let outputs = |head: &TaskHeadSpec| head.hidden.iter().sum::<usize>() + head.classes;
+        let biases = self.shared_hidden.iter().sum::<usize>()
+            + self.heads.iter().map(outputs).sum::<usize>();
+        self.parameter_count() - biases
     }
 
     fn validate(&self) -> crate::Result<()> {
@@ -668,45 +663,6 @@ impl MultiTaskModel {
         Ok(total_loss / self.heads.len() as f32)
     }
 
-    /// Per-task accuracy on a labelled batch.
-    pub fn evaluate(&self, x: &Matrix, targets: &[Vec<usize>]) -> crate::Result<Vec<f32>> {
-        if targets.len() != self.heads.len() {
-            return Err(crate::NnError::InvalidConfig(format!(
-                "expected targets for {} tasks, got {}",
-                self.heads.len(),
-                targets.len()
-            )));
-        }
-        let logits = self.forward(x)?;
-        Ok(logits
-            .iter()
-            .zip(targets.iter())
-            .map(|(l, t)| accuracy(l, t))
-            .collect())
-    }
-
-    /// Fraction of rows for which *every* task is predicted correctly — the paper's
-    /// notion of a tuple being "memorized by the model" (a tuple goes to the auxiliary
-    /// table unless all of its attributes are inferred correctly).
-    pub fn tuple_accuracy(&self, x: &Matrix, targets: &[Vec<usize>]) -> crate::Result<f32> {
-        let preds = self.predict_classes(x)?;
-        let rows = x.rows();
-        if rows == 0 {
-            return Ok(1.0);
-        }
-        let mut correct = 0usize;
-        for r in 0..rows {
-            let all_ok = preds
-                .iter()
-                .zip(targets.iter())
-                .all(|(p, t)| p[r] == t[r]);
-            if all_ok {
-                correct += 1;
-            }
-        }
-        Ok(correct as f32 / rows as f32)
-    }
-
     /// Drops cached activations on all layers.
     pub fn clear_cache(&mut self) {
         for layer in &mut self.trunk {
@@ -845,6 +801,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(1);
         let model = MultiTaskModel::new(&mut rng, &spec).unwrap();
         assert_eq!(spec.parameter_count(), model.parameter_count());
+        assert_eq!(spec.macs_per_key(), 6 * 32 + 32 * 16 + 16 * 4 + 32 * 3);
         assert_eq!(model.num_tasks(), 2);
         assert!(model.size_bytes() > model.parameter_count() * 4);
     }
@@ -946,10 +903,14 @@ mod tests {
         for _ in 0..400 {
             model.train_batch(&x, &targets, &mut opt).unwrap();
         }
-        let accs = model.evaluate(&x, &targets).unwrap();
-        assert!(accs.iter().all(|&a| a > 0.9), "accuracies {accs:?}");
-        let tuple_acc = model.tuple_accuracy(&x, &targets).unwrap();
-        assert!(tuple_acc > 0.85, "tuple accuracy {tuple_acc}");
+        let preds = model.predict_classes(&x).unwrap();
+        for (task, (p, t)) in preds.iter().zip(&targets).enumerate() {
+            let right = p.iter().zip(t).filter(|(p, t)| p == t).count();
+            assert!(right * 10 > n * 9, "task {task}: {right} of {n}");
+        }
+        // A tuple is memorized only when every column is right.
+        let tuples = (0..n).filter(|&r| preds.iter().zip(&targets).all(|(p, t)| p[r] == t[r])).count();
+        assert!(tuples * 100 > n * 85, "{tuples} of {n} tuples");
     }
 
     /// The chunked parallel inference path must agree bit-for-bit with the serial
@@ -1237,14 +1198,5 @@ mod tests {
         .unwrap();
         assert_eq!(walk_predictions(&model, &x), walk_predictions(&fresh, &x));
         assert_eq!(walk_predictions(&model, &x), chain_predictions(&model, &x));
-    }
-
-    #[test]
-    fn tuple_accuracy_on_empty_batch_is_one() {
-        let mut rng = StdRng::seed_from_u64(1);
-        let model = MultiTaskModel::new(&mut rng, &toy_spec()).unwrap();
-        let x = Matrix::zeros(0, 6);
-        let acc = model.tuple_accuracy(&x, &[vec![], vec![]]).unwrap();
-        assert_eq!(acc, 1.0);
     }
 }

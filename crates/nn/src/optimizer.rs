@@ -43,11 +43,6 @@ impl Sgd {
             velocity: Vec::new(),
         }
     }
-
-    /// The paper's model-training configuration: lr 0.001, decay 0.999, no momentum.
-    pub fn paper_default() -> Self {
-        Sgd::new(0.001, 0.0, 0.999)
-    }
 }
 
 impl Optimizer for Sgd {

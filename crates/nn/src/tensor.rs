@@ -310,22 +310,6 @@ impl Matrix {
         Ok(())
     }
 
-    /// Element-wise product in place.
-    pub fn mul_elementwise(&mut self, other: &Matrix) -> crate::Result<()> {
-        if self.rows != other.rows || self.cols != other.cols {
-            return Err(NnError::ShapeMismatch {
-                context: format!(
-                    "mul_elementwise: lhs is {}x{}, rhs is {}x{}",
-                    self.rows, self.cols, other.rows, other.cols
-                ),
-            });
-        }
-        for (a, &b) in self.data.iter_mut().zip(other.data.iter()) {
-            *a *= b;
-        }
-        Ok(())
-    }
-
     /// Multiplies every element by a scalar in place.
     pub fn scale(&mut self, factor: f32) {
         for a in self.data.iter_mut() {
@@ -380,15 +364,6 @@ impl Matrix {
             cols: self.cols,
             data,
         })
-    }
-
-    /// Stacks the given rows (by index) from `self` into a new matrix.
-    pub fn gather_rows(&self, indices: &[usize]) -> Matrix {
-        let mut out = Matrix::zeros(indices.len(), self.cols);
-        for (dst, &src) in indices.iter().enumerate() {
-            out.row_mut(dst).copy_from_slice(self.row(src));
-        }
-        out
     }
 
     /// Concatenates two matrices with the same number of rows column-wise.
@@ -606,11 +581,8 @@ mod tests {
     }
 
     #[test]
-    fn gather_rows_and_rows_slice() {
+    fn rows_slice_copies_a_window_of_rows() {
         let m = Matrix::from_vec(3, 2, vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0]).unwrap();
-        let g = m.gather_rows(&[2, 0]);
-        assert_eq!(g.row(0), &[5.0, 6.0]);
-        assert_eq!(g.row(1), &[1.0, 2.0]);
         let s = m.rows_slice(1, 2).unwrap();
         assert_eq!(s.row(0), &[3.0, 4.0]);
         assert_eq!(s.row(1), &[5.0, 6.0]);

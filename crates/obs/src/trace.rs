@@ -496,18 +496,6 @@ pub fn slowest_batch() -> Option<CapturedTrace> {
     slow_ring().slowest()
 }
 
-/// Clears the global slow-batch ring (benchmarks isolating a section).
-pub fn clear_slow_batches() {
-    slow_ring().clear();
-}
-
-/// Slow-batch captures evicted from the global ring since process start —
-/// nonzero means slow batches overflowed the retained window faster than
-/// anyone read them.
-pub fn slow_batches_dropped() -> u64 {
-    slow_ring().dropped()
-}
-
 thread_local! {
     static LAST_BATCH: Cell<Option<TraceSummary>> = const { Cell::new(None) };
     static RECENT: RefCell<VecDeque<TraceSummary>> =

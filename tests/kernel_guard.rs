@@ -454,3 +454,49 @@ fn trained_weights_match_the_digest_pinned_at_the_parent_commit() {
         assert_eq!(trained_weights_digest(), PINNED_TRAINED_WEIGHTS, "trained weights, {form}");
     });
 }
+
+// ---------------------------------------------------------------------------
+// Parent-pinned build → retrain chain.
+//
+// `DeepMapping::build` and `retrain` run one select → train → quantize →
+// assure chain, each under its own seed salt.  The constants below were
+// computed at commit a78cc8f — when each spelled that chain out itself — so
+// the fold moved no trained byte of a default-architecture store, the only
+// kind the frozen benchmark builds: its `bytes_per_user_byte` and
+// `write_mix`'s maintenance stand still with these.
+// ---------------------------------------------------------------------------
+
+/// Digests of `model().to_bytes()` after a seeded default-architecture build
+/// of the benchmark-shape rows and again after `retrain()`.
+fn built_and_retrained_digests(quantization: Quantization) -> (u64, u64) {
+    let mut dm = DeepMappingBuilder::dm_z()
+        .training(TrainingConfig {
+            epochs: 3,
+            batch_size: 2048,
+            ..TrainingConfig::default()
+        })
+        .partition_bytes(4 * 1024)
+        .exec_threads(1)
+        .quantization(quantization)
+        .build(&benchmark_mixed_rows(5_003))
+        .expect("build");
+    let built = fnv1a_bytes(dm.model().to_bytes());
+    dm.retrain().expect("retrain");
+    assert_eq!(dm.retrain_count(), 1);
+    (built, fnv1a_bytes(dm.model().to_bytes()))
+}
+
+const PINNED_BUILT_AND_RETRAINED: [(Quantization, (u64, u64)); 2] = [
+    (Quantization::F32, (0x0a6a_861e_b2e3_4948, 0x12a4_24a1_8aa6_ce5e)),
+    (Quantization::Int8, (0x2a98_0fe1_e618_43dd, 0x3531_3ed2_4733_d7bf)),
+];
+
+#[test]
+fn build_and_retrain_train_the_weights_pinned_at_the_parent_commit() {
+    under_every_kernel(|form| {
+        for (quantization, pinned) in PINNED_BUILT_AND_RETRAINED {
+            let digests = built_and_retrained_digests(quantization);
+            assert_eq!(digests, pinned, "{quantization:?}, {form}: {digests:#x?}");
+        }
+    });
+}
