@@ -17,7 +17,7 @@ pub mod paper;
 use dm_baselines::{DeepSqueezeConfig, DeepSqueezeStore, PartitionedStore, PartitionedStoreConfig};
 use dm_compress::Codec;
 use dm_core::{AuxTable, DecodeMap, DeepMapping, DeepMappingBuilder, DeepMappingParts};
-use dm_core::{Quantization, StorageBreakdown, TrainingConfig};
+use dm_core::{Quantization, StorageBreakdown, TrainingConfig, TrainingStop};
 use dm_data::Dataset;
 use dm_storage::{DiskProfile, LatencyBreakdown, LookupBuffer, Metrics, MutableStore, Row};
 use std::time::Instant;
@@ -184,10 +184,20 @@ impl TrainedDeepMapping {
         TrainedDeepMapping { trained, misclassified, train_s: started.elapsed().as_secs_f64() }
     }
 
-    /// Epochs the training ran: the budget, or fewer when the loss fell under its
-    /// tolerance or the learning-rate schedule ran out.
+    /// Epochs the training ran: the budget, or fewer when it stopped early —
+    /// [`stop`](Self::stop) says why.
     pub fn epochs(&self) -> usize {
         self.trained.model().trained_epochs()
+    }
+
+    /// Why the training ended.
+    pub fn stop(&self) -> TrainingStop {
+        self.trained.model().training_stop().expect("a trained model")
+    }
+
+    /// Rows the last epoch got right in every column, by its own forward passes.
+    pub fn right_rows(&self) -> usize {
+        self.trained.model().trained_right_rows()
     }
 
     /// Multiply-accumulates of one row's forward pass through the trained network; a

@@ -226,7 +226,9 @@ impl PaperRun {
         let row_passes = rows * trained.epochs();
         let train_macs = 3 * trained.forward_macs() * row_passes;
         let row = self.row("train", place, rows, "DM");
-        row.num("epochs", trained.epochs() as f64).num("row_passes", row_passes as f64);
+        row.num("epoch_budget", config.epochs() as f64).num("epochs", trained.epochs() as f64);
+        row.text("stop", trained.stop().name()).num("right_rows", trained.right_rows() as f64);
+        row.num("row_passes", row_passes as f64);
         row.num("train_s", round(trained.train_s, 3)).num("train_macs", train_macs as f64);
         row.num("train_mac_per_ns", round(train_macs as f64 / trained.train_s / 1e9, 3));
         for regime in [Regime::MEMORY, Regime::POOL] {

@@ -6,6 +6,9 @@ use std::collections::{BTreeMap, BTreeSet};
 const SYSTEMS: [&str; 11] =
     ["AB", "ABC-D", "ABC-G", "ABC-L", "ABC-Z", "DM-L", "DM-Z", "DS", "HB", "HBC-L", "HBC-Z"];
 
+/// `TrainingStop::name` of every way a training ends.
+const STOPS: [&str; 5] = ["budget", "loss_floor", "schedule", "every_row_right", "memorization_plateau"];
+
 /// The reader the artifact promises: one flat object per line, numbers and
 /// `[A-Za-z0-9_.-]` strings, so no escapes and no `,` or `:` inside a value.
 fn parse_rows(text: &str) -> Vec<ResultRow> {
@@ -90,6 +93,13 @@ fn check_rows(rows: &[ResultRow]) {
     for row in trains {
         let field = |name: &str| row.n(name).unwrap_or_else(|| panic!("{name} of {row:?}"));
         assert!(field("epochs") >= 1.0, "{row:?}");
+        // Training ends before its budget exactly when a rule stopped it, and the last
+        // epoch got at most every row right.
+        let early = field("epochs") < field("epoch_budget");
+        assert!(field("epochs") <= field("epoch_budget"), "{row:?}");
+        assert!(STOPS.contains(&row.s("stop")), "{row:?}");
+        assert_eq!(early, row.s("stop") != "budget", "{row:?}");
+        assert!(field("right_rows") <= field("rows"), "{row:?}");
         assert_eq!(field("row_passes"), field("rows") * field("epochs"), "{row:?}");
         let per_row_pass = field("train_macs") / field("row_passes");
         assert!(per_row_pass >= 3.0 && per_row_pass % 3.0 == 0.0, "{row:?}");

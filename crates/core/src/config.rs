@@ -13,7 +13,11 @@ use dm_storage::DiskProfile;
 /// Model-training hyperparameters (Section V-A6 defaults, scaled to the workload).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TrainingConfig {
-    /// Number of passes over the data when training the final model.
+    /// Most passes over the data when training the final model — a cap:
+    /// training ends sooner on the loss floor, when every row is right, on a
+    /// memorization plateau or when the learning-rate schedule runs out (see
+    /// [`MappingModel::train`](crate::MappingModel::train) and
+    /// [`TrainingStop`](crate::TrainingStop)).
     pub epochs: usize,
     /// Mini-batch size.
     pub batch_size: usize,
@@ -26,7 +30,9 @@ pub struct TrainingConfig {
     /// it and callers (the frozen benchmark among them) name it in struct
     /// literals.
     pub lr_decay: f32,
-    /// Stop training early once an epoch's mean loss drops below this.
+    /// Stop training early once an epoch's mean loss drops below this — one of
+    /// the early stops, beside every row right and the memorization plateau,
+    /// which read how many rows the model gets right, not its loss.
     pub loss_tolerance: f32,
 }
 

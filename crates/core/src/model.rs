@@ -21,8 +21,11 @@ use rand::SeedableRng;
 pub struct MappingModel {
     schema: MappingSchema,
     network: MultiTaskModel,
-    /// Epochs the latest [`train`](Self::train) ran (not stored with the model).
+    /// Epochs the latest [`train`](Self::train) ran, why it ended and the rows
+    /// its last epoch got right (none of it stored with the model).
     trained_epochs: usize,
+    training_stop: Option<TrainingStop>,
+    trained_right_rows: usize,
 }
 
 impl MappingModel {
@@ -72,7 +75,7 @@ impl MappingModel {
         }
         let mut rng = StdRng::seed_from_u64(seed);
         let network = MultiTaskModel::new(&mut rng, spec)?;
-        Ok(MappingModel { schema, network, trained_epochs: 0 })
+        Ok(Self::untrained(schema, network))
     }
 
     /// Wraps an already-trained network (e.g. deserialized from a snapshot) with
@@ -93,7 +96,11 @@ impl MappingModel {
                 schema.num_columns()
             )));
         }
-        Ok(MappingModel { schema, network, trained_epochs: 0 })
+        Ok(Self::untrained(schema, network))
+    }
+
+    fn untrained(schema: MappingSchema, network: MultiTaskModel) -> Self {
+        MappingModel { schema, network, trained_epochs: 0, training_stop: None, trained_right_rows: 0 }
     }
 
     /// The schema this model was built for.
@@ -107,10 +114,25 @@ impl MappingModel {
     }
 
     /// Epochs the latest [`train`](Self::train) on this value ran — the
-    /// configured budget, or fewer when it stopped early; 0 for a model that
-    /// was opened, not trained.  With the row count it is the work a build did.
+    /// configured cap, or fewer when it stopped early ([`training_stop`](Self::training_stop)
+    /// says why); 0 for a model that was opened, not trained.  With the row
+    /// count it is the work a build did.
     pub fn trained_epochs(&self) -> usize {
         self.trained_epochs
+    }
+
+    /// Why the latest [`train`](Self::train) on this value ended; `None` for a
+    /// model that was opened, not trained.
+    pub fn training_stop(&self) -> Option<TrainingStop> {
+        self.training_stop
+    }
+
+    /// Rows every head got right in the last epoch the latest
+    /// [`train`](Self::train) ran, counted by that epoch's own forward passes
+    /// (each batch before its update) — the count the
+    /// [`MemorizationPlateau`](TrainingStop::MemorizationPlateau) rule reads.
+    pub fn trained_right_rows(&self) -> usize {
+        self.trained_right_rows
     }
 
     /// Serialized model size in bytes — the `size(M)` term of Eq. 1.
@@ -134,15 +156,22 @@ impl MappingModel {
 
     /// Trains the model on `rows`: shuffled mini-batches under Adam at
     /// `config.learning_rate`, halved (at most five times) whenever the epoch
-    /// loss has not improved by 1 % for three epochs, stopping early once it
-    /// falls under `config.loss_tolerance` or the halvings are used up.
+    /// loss has not improved by 1 % for three epochs.  `config.epochs` is a
+    /// cap; training ends before it (see [`TrainingStop`]) once the epoch loss
+    /// falls under `config.loss_tolerance`, every row is right, memorization
+    /// has plateaued, or the halvings are used up.  Every rule reads values the
+    /// epochs already computed, so a run that ends after `E` epochs holds the
+    /// weights of the same seeded run capped at `E`.
     /// [`TrainingConfig::lr_decay`] is not read: there is no per-step decay.
     /// Returns the final epoch's mean loss.
     pub fn train(&mut self, rows: &[Row], config: &TrainingConfig, seed: u64) -> Result<f32> {
         self.trained_epochs = 0;
+        self.trained_right_rows = 0;
         if rows.is_empty() {
+            self.training_stop = Some(TrainingStop::EveryRowRight);
             return Ok(0.0);
         }
+        self.training_stop = Some(TrainingStop::Budget);
         let mut rng = StdRng::seed_from_u64(seed ^ TRAIN_RNG_SALT);
         let mut order: Vec<usize> = (0..rows.len()).collect();
         // Adam converges in far fewer steps than plain SGD on these memorization
@@ -154,43 +183,59 @@ impl MappingModel {
         // curves stall on plateaus (and oscillate under a too-hot learning rate)
         // long before convergence.  Track the best loss seen; after a few epochs
         // without substantial relative improvement, anneal the learning rate
-        // instead of giving up, and stop early only once the loss itself is below
-        // the convergence floor (`loss_tolerance`) or annealing is exhausted.
+        // instead of giving up.  Stop early once the loss itself is below the
+        // convergence floor (`loss_tolerance`), once the rows the epoch got
+        // right — what Eq. 1 charges for, not the loss — are all of them or
+        // have plateaued, or once annealing is exhausted.
         let mut best_loss = f32::INFINITY;
         let mut stalled_epochs = 0usize;
         let mut reductions = 0usize;
         const PLATEAU_PATIENCE: usize = 3;
         const MAX_LR_REDUCTIONS: usize = 5;
         const MIN_RELATIVE_IMPROVEMENT: f32 = 0.01;
+        let mut memorization = MemorizationCurve::new(rows.len());
         let mut batch = TrainingBatch::new(&self.schema);
         for epoch in 0..config.epochs {
             self.trained_epochs = epoch + 1;
             order.shuffle(&mut rng);
             let mut epoch_loss = 0.0f32;
             let mut batches = 0usize;
+            let mut right = 0usize;
             for chunk in order.chunks(config.batch_size.max(1)) {
                 batch.fill(&self.schema, rows, chunk);
-                let loss = self.network.train_batch(&batch.x, &batch.targets, &mut optimizer)?;
-                epoch_loss += loss;
+                let step = self.network.train_batch(&batch.x, &batch.targets, &mut optimizer)?;
+                epoch_loss += step.loss;
+                right += step.right_rows;
                 batches += 1;
             }
             final_loss = epoch_loss / batches.max(1) as f32;
-            if final_loss < config.loss_tolerance {
-                break;
-            }
-            if final_loss < best_loss * (1.0 - MIN_RELATIVE_IMPROVEMENT) {
+            self.trained_right_rows = right;
+            let stop = if final_loss < config.loss_tolerance {
+                Some(TrainingStop::LossFloor)
+            } else if right == rows.len() {
+                Some(TrainingStop::EveryRowRight)
+            } else if memorization.plateaued(right, final_loss) {
+                Some(TrainingStop::MemorizationPlateau)
+            } else if final_loss < best_loss * (1.0 - MIN_RELATIVE_IMPROVEMENT) {
                 best_loss = final_loss;
                 stalled_epochs = 0;
+                None
             } else {
                 stalled_epochs += 1;
-                if stalled_epochs >= PLATEAU_PATIENCE {
-                    if reductions >= MAX_LR_REDUCTIONS {
-                        break;
-                    }
+                if stalled_epochs < PLATEAU_PATIENCE {
+                    None
+                } else if reductions >= MAX_LR_REDUCTIONS {
+                    Some(TrainingStop::Schedule)
+                } else {
                     optimizer.set_learning_rate(optimizer.learning_rate() * 0.5);
                     reductions += 1;
                     stalled_epochs = 0;
+                    None
                 }
+            };
+            if let Some(stop) = stop.filter(|_| epoch + 1 < config.epochs) {
+                self.training_stop = Some(stop);
+                break;
             }
         }
         self.network.clear_cache();
@@ -330,6 +375,75 @@ impl TrainingBatch {
     }
 }
 
+/// Why a [`MappingModel::train`] ended.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum TrainingStop {
+    /// It ran every epoch [`TrainingConfig::epochs`] allows.
+    Budget,
+    /// An epoch's mean loss fell under [`TrainingConfig::loss_tolerance`].
+    LossFloor,
+    /// The learning rate had been halved five times and the loss stalled again.
+    Schedule,
+    /// Every row was right in every head through a whole epoch.
+    EveryRowRight,
+    /// Eq. 1 charges the rows a model gets wrong, not its loss: for two epochs
+    /// no epoch got `max(1, rows / 1000)` more rows right than the best before
+    /// them, this one sits within that margin of the best (it is not a dip the
+    /// next epochs may climb out of), and the loss fell by less than 2.5 % an
+    /// epoch — the model is fitting rows it does not flip.
+    MemorizationPlateau,
+}
+
+impl TrainingStop {
+    /// The name a result row carries.
+    pub fn name(&self) -> &'static str {
+        match self {
+            TrainingStop::Budget => "budget",
+            TrainingStop::LossFloor => "loss_floor",
+            TrainingStop::Schedule => "schedule",
+            TrainingStop::EveryRowRight => "every_row_right",
+            TrainingStop::MemorizationPlateau => "memorization_plateau",
+        }
+    }
+}
+
+/// The epochs of one training run as the memorization plateau reads them.
+struct MemorizationCurve {
+    /// Fewer newly right rows than this are no new memorization.
+    margin: usize,
+    /// Per epoch so far: the most rows any epoch up to it got right.
+    best: Vec<usize>,
+    /// Per epoch so far: its mean loss.
+    losses: Vec<f32>,
+}
+
+impl MemorizationCurve {
+    /// Epochs the plateau looks back over.
+    const WINDOW: usize = 2;
+    /// A loss falling at least this share an epoch is still learning something.
+    const LOSS_FALL_PER_EPOCH: f32 = 0.025;
+
+    fn new(rows: usize) -> Self {
+        MemorizationCurve { margin: (rows / 1000).max(1), best: Vec::new(), losses: Vec::new() }
+    }
+
+    /// Records an epoch that got `right` rows right at mean `loss`; whether
+    /// memorization has plateaued with it (see
+    /// [`TrainingStop::MemorizationPlateau`]).
+    fn plateaued(&mut self, right: usize, loss: f32) -> bool {
+        let best = self.best.last().map_or(right, |&before| before.max(right));
+        self.best.push(best);
+        self.losses.push(loss);
+        let Some(then) = self.best.len().checked_sub(Self::WINDOW + 1) else {
+            return false;
+        };
+        let flat_loss = 1.0 - Self::LOSS_FALL_PER_EPOCH * Self::WINDOW as f32;
+        best < self.best[then] + self.margin
+            && right + self.margin >= best
+            && loss > self.losses[then] * flat_loss
+    }
+}
+
 /// Salt mixed into the training RNG seed so training and initialization use
 /// independent streams even when the caller passes the same seed.
 const TRAIN_RNG_SALT: u64 = 0x7121a1;
@@ -395,6 +509,45 @@ mod tests {
             .split_by_memorization(dm_exec::global(), &rows)
             .unwrap();
         assert_eq!(memorized.len() + misclassified.len(), rows.len());
+    }
+
+    /// On rows it can learn whole, training ends the epoch every row is right,
+    /// under its budget, with a model that predicts every one of them.
+    #[test]
+    fn clean_data_stops_once_every_row_is_right() {
+        let rows = correlated_rows(2048);
+        let schema = MappingSchema::infer(&rows, 0).unwrap();
+        let spec = MappingModel::default_spec(&schema, rows.len());
+        let mut model = MappingModel::new(schema, &spec, 3).unwrap();
+        let config = TrainingConfig { epochs: 40, batch_size: 512, ..Default::default() };
+        model.train(&rows, &config, 3).unwrap();
+        assert_eq!(model.training_stop(), Some(TrainingStop::EveryRowRight));
+        assert!(model.trained_epochs() < config.epochs, "{} epochs", model.trained_epochs());
+        assert_eq!(model.trained_right_rows(), rows.len());
+        assert_eq!(model.memorization_rate(&rows).unwrap(), 1.0);
+    }
+
+    /// The plateau of `mixed`, `crop`'s loss that still falls through flat
+    /// memorization, and `customer_demographics`' dip: only the first stops.
+    #[test]
+    fn memorization_plateaus_only_on_flat_rows_and_a_flattened_loss() {
+        let first_stop = |curve: &[(usize, f32)]| {
+            let mut memorization = MemorizationCurve::new(20_000);
+            curve.iter().position(|&(right, loss)| memorization.plateaued(right, loss)).map(|e| e + 1)
+        };
+        // Two epochs gaining fewer than 20 rows while the loss falls 2 % an epoch.
+        let mixed =
+            [(366, 2.0), (7_927, 1.2), (11_728, 1.0), (11_944, 0.98), (11_956, 0.96), (11_957, 0.94)];
+        assert_eq!(first_stop(&mixed), Some(6));
+        // The same rows with the loss falling 5 % an epoch: still learning.
+        let falling: Vec<(usize, f32)> =
+            mixed.iter().zip(0..).map(|(&(right, _), e)| (right, 0.95f32.powi(e))).collect();
+        assert_eq!(first_stop(&falling), None);
+        // A dip far under the best is no plateau, and the recovery is.
+        let dip = [(9_000, 0.5), (9_446, 0.4), (9_450, 0.4), (8_047, 0.4), (9_440, 0.4)];
+        assert_eq!(first_stop(&dip), Some(5));
+        // Nothing is judged before the window has filled.
+        assert_eq!(first_stop(&[(5, 1.0), (5, 1.0)]), None);
     }
 
     #[test]

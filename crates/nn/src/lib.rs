@@ -49,7 +49,8 @@ pub use loss::softmax_cross_entropy;
 pub use lstm::{LstmCell, SequenceController};
 pub use mlp::{Mlp, MlpSpec};
 pub use multitask::{
-    MultiTaskModel, MultiTaskSpec, TaskHeadSpec, CACHE_CHUNK_ROWS, PARALLEL_ROW_CROSSOVER,
+    MultiTaskModel, MultiTaskSpec, TaskHeadSpec, TrainStep, CACHE_CHUNK_ROWS,
+    PARALLEL_ROW_CROSSOVER,
 };
 pub use optimizer::{Adam, Optimizer, Sgd};
 pub use tensor::Matrix;

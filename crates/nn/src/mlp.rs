@@ -153,7 +153,8 @@ impl Mlp {
         optimizer: &mut O,
     ) -> crate::Result<f32> {
         let logits = self.forward_train(x)?;
-        let (loss, grad) = crate::loss::softmax_cross_entropy(logits, targets)?;
+        let mut right = vec![true; targets.len()];
+        let (loss, grad) = crate::loss::softmax_cross_entropy(logits, targets, &mut right)?;
         backward_chain(&mut self.layers, x, grad, false)?;
         self.apply_gradients(optimizer);
         Ok(loss)

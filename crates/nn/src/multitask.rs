@@ -164,6 +164,15 @@ impl MultiTaskSpec {
     }
 }
 
+/// What one [`MultiTaskModel::train_batch`] step saw.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct TrainStep {
+    /// Mean cross-entropy across tasks.
+    pub loss: f32,
+    /// Rows whose every head's argmax was its target in the step's forward pass.
+    pub right_rows: usize,
+}
+
 /// The instantiated multi-task model.
 #[derive(Debug, Clone)]
 pub struct MultiTaskModel {
@@ -610,13 +619,14 @@ impl MultiTaskModel {
     ///
     /// `targets[task][row]` is the class index of `row` for `task`.  The per-task
     /// cross-entropy losses are summed (all tasks share the trunk gradient).  Returns
-    /// the mean loss across tasks.
+    /// the mean loss across tasks and how many rows every head already got right
+    /// in this step's forward pass, before its update.
     pub fn train_batch<O: Optimizer>(
         &mut self,
         x: &Matrix,
         targets: &[Vec<usize>],
         optimizer: &mut O,
-    ) -> crate::Result<f32> {
+    ) -> crate::Result<TrainStep> {
         if targets.len() != self.heads.len() {
             return Err(crate::NnError::InvalidConfig(format!(
                 "expected targets for {} tasks, got {}",
@@ -635,10 +645,11 @@ impl MultiTaskModel {
         // Heads forward + backward, their gradients summed at the trunk output
         // — unless there is no trunk: nobody reads a gradient w.r.t. the batch.
         let mut total_loss = 0.0f32;
+        let mut right = vec![true; x.rows()];
         let mut trunk_grad = has_trunk.then(|| Matrix::zeros(trunk_out.rows(), trunk_out.cols()));
         for (head, head_targets) in self.heads.iter_mut().zip(targets.iter()) {
             let logits = forward_train_chain(head, trunk_out)?;
-            let (loss, grad) = softmax_cross_entropy(logits, head_targets)?;
+            let (loss, grad) = softmax_cross_entropy(logits, head_targets, &mut right)?;
             total_loss += loss;
             let grad = backward_chain(head, trunk_out, grad, trunk_grad.is_some())?;
             if let Some(sum) = &mut trunk_grad {
@@ -660,7 +671,10 @@ impl MultiTaskModel {
             }
         }
         optimizer.step(&mut pairs);
-        Ok(total_loss / self.heads.len() as f32)
+        Ok(TrainStep {
+            loss: total_loss / self.heads.len() as f32,
+            right_rows: right.iter().filter(|&&r| r).count(),
+        })
     }
 
     /// Drops cached activations on all layers.
@@ -874,6 +888,27 @@ mod tests {
         let x = Matrix::zeros(2, 6);
         let mut opt = Adam::new(0.01);
         assert!(model.train_batch(&x, &[vec![0, 0]], &mut opt).is_err());
+    }
+
+    /// A step counts the rows its own forward pass gets right in every head —
+    /// the tuples the weights it started from predict, before its update.
+    #[test]
+    fn train_batch_counts_the_rows_every_head_gets_right() {
+        let mut model = MultiTaskModel::new(&mut StdRng::seed_from_u64(8), &toy_spec()).unwrap();
+        let x = signed_input(40, 6);
+        // Head 0 (4 classes) is told another class than it predicts on every
+        // fifth row, head 1 (3 classes) on every third: those rows are wrong,
+        // the rest right.
+        let mut targets = model.predict_classes(&x).unwrap();
+        for (head, (every, classes)) in targets.iter_mut().zip([(5, 4), (3, 3)]) {
+            for (_, class) in head.iter_mut().enumerate().filter(|(row, _)| row % every == 0) {
+                *class = (*class + 1) % classes;
+            }
+        }
+        let right = (0..40).filter(|row| row % 3 != 0 && row % 5 != 0).count();
+        let step = model.train_batch(&x, &targets, &mut Adam::new(0.01)).unwrap();
+        assert_eq!(step.right_rows, right);
+        assert!(step.loss.is_finite() && step.loss > 0.0);
     }
 
     /// The multi-task model must memorize a small correlated mapping for both tasks —

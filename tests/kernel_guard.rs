@@ -455,6 +455,31 @@ fn trained_weights_match_the_digest_pinned_at_the_parent_commit() {
     });
 }
 
+/// Training that stops early only truncates: the frozen benchmark's shape and
+/// batch over 20 000 `mixed` rows ends before its 10-epoch budget, with the
+/// very weights of the same seeded run capped at the epochs it ran, and an
+/// int8 model that still memorizes the 60 % of clean rows.
+#[test]
+fn an_early_stop_keeps_the_weights_of_the_run_capped_there() {
+    let rows = benchmark_mixed_rows(20_000);
+    let train = |epochs: usize| {
+        let (schema, spec) = (benchmark_shape_schema(), benchmark_shape_spec());
+        let mut model = deepmapping::core::MappingModel::new(schema, &spec, 14).expect("model");
+        let config = TrainingConfig { epochs, batch_size: 2048, ..TrainingConfig::default() };
+        model.train(&rows, &config, 23).expect("train");
+        model
+    };
+    let mut stopped = train(10);
+    let epochs = stopped.trained_epochs();
+    assert!(epochs < 10, "{epochs} epochs, stop {:?}", stopped.training_stop());
+    let capped = train(epochs);
+    assert_eq!(capped.training_stop(), Some(deepmapping::core::TrainingStop::Budget));
+    assert_eq!(fnv1a_bytes(stopped.to_bytes()), fnv1a_bytes(capped.to_bytes()));
+    stopped.quantize_int8().expect("quantize");
+    let memorized = stopped.memorization_rate(&rows).expect("memorization");
+    assert!(memorized >= 0.595, "int8 memorizes {memorized}");
+}
+
 // ---------------------------------------------------------------------------
 // Parent-pinned build → retrain chain.
 //
