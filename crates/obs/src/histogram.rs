@@ -6,6 +6,21 @@
 //! (12.5%) of its lower bound.  Recording is two relaxed atomic adds and one
 //! `fetch_max` — no locks, no allocation, safe from any thread.
 //!
+//! ## Stripes
+//!
+//! Two threads that record into one set of cells bounce its `sum` and `max`
+//! lines between their cores: on a 2-vcore x86-64 host one record costs
+//! ≈ 20 ns from one thread and ≈ 150 ns from each of two threads sharing the
+//! cells.  So a histogram keeps [`stripe_count`] copies of its cells — the
+//! next power of two at or above twice `available_parallelism`, at most 8 —
+//! and a thread always writes the copy its round-robin
+//! thread index picks (the same index [`Counter`](crate::Counter) stripes
+//! by).  A [`snapshot`](Histogram::snapshot) sums the stripes, so it reads
+//! exactly what one set of cells would have.  The price is memory: one stripe
+//! is [`STRIPE_BYTES`] (4 KiB, padded to whole 128-byte line pairs so no two
+//! stripes share a prefetch pair), so a histogram is 16 KiB on a 2-core host
+//! and 32 KiB from 4 cores up, against 3.9 KiB for a single set of cells.
+//!
 //! ## Accuracy contract
 //!
 //! * `count` and `sum` are exact: every recorded value contributes exactly once
@@ -18,7 +33,8 @@
 //!   *consistent-enough* view: each bucket is exact, but buckets may be offset
 //!   by in-flight recordings (the usual relaxed-counter caveat).
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::OnceLock;
 use std::time::Duration;
 
 /// Bits of linear mantissa per power-of-two range.  8 sub-buckets per octave
@@ -53,14 +69,59 @@ pub fn bucket_bounds(index: usize) -> (u64, u64) {
     (low, high)
 }
 
-/// A mergeable, lock-free, fixed-size latency histogram (see the module docs
-/// for the accuracy contract).  Values are conventionally nanoseconds but any
-/// `u64` works.
+/// Most stripes a histogram keeps, whatever the core count.
+const MAX_STRIPES: usize = 8;
+
+/// Bytes of one stripe: [`NUM_BUCKETS`] counts plus sum and max, padded to a
+/// multiple of 128.
+pub const STRIPE_BYTES: usize = std::mem::size_of::<Stripe>();
+
+/// Stripes per histogram on this host: the next power of two at or above
+/// twice `available_parallelism`, at most 8.  Read once.
+pub fn stripe_count() -> usize {
+    static STRIPES: OnceLock<usize> = OnceLock::new();
+    *STRIPES.get_or_init(|| {
+        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+        (2 * cores).next_power_of_two().min(MAX_STRIPES)
+    })
+}
+
+/// This thread's index, handed out round-robin on its first call and fixed
+/// for the thread's life.  Striped cells reduce it modulo their stripe
+/// count, so threads that start one after another write different stripes.
+pub(crate) fn thread_index() -> usize {
+    static NEXT: AtomicUsize = AtomicUsize::new(0);
+    thread_local! {
+        static INDEX: usize = NEXT.fetch_add(1, Ordering::Relaxed);
+    }
+    INDEX.with(|index| *index)
+}
+
+/// One thread's copy of a histogram's cells.
 #[derive(Debug)]
-pub struct Histogram {
-    buckets: Box<[AtomicU64]>,
+#[repr(align(128))]
+struct Stripe {
+    buckets: [AtomicU64; NUM_BUCKETS],
     sum: AtomicU64,
     max: AtomicU64,
+}
+
+impl Stripe {
+    fn new() -> Self {
+        Stripe {
+            buckets: std::array::from_fn(|_| AtomicU64::new(0)),
+            sum: AtomicU64::new(0),
+            max: AtomicU64::new(0),
+        }
+    }
+}
+
+/// A mergeable, lock-free, fixed-size latency histogram, striped per thread
+/// (see the module docs for the stripes and the accuracy contract).  Values
+/// are conventionally nanoseconds but any `u64` works.
+#[derive(Debug)]
+pub struct Histogram {
+    stripes: Box<[Stripe]>,
 }
 
 impl Default for Histogram {
@@ -70,22 +131,22 @@ impl Default for Histogram {
 }
 
 impl Histogram {
-    /// Creates an empty histogram.
+    /// Creates an empty histogram of [`stripe_count`] stripes.
     pub fn new() -> Self {
         Histogram {
-            buckets: (0..NUM_BUCKETS).map(|_| AtomicU64::new(0)).collect(),
-            sum: AtomicU64::new(0),
-            max: AtomicU64::new(0),
+            stripes: (0..stripe_count()).map(|_| Stripe::new()).collect(),
         }
     }
 
-    /// Records one observation, in nanoseconds.  Three relaxed atomic ops, no
-    /// locks.
+    /// Records one observation, in nanoseconds, into the calling thread's
+    /// stripe.  Three relaxed atomic ops, no locks.
     #[inline]
     pub fn record_nanos(&self, nanos: u64) {
-        self.buckets[bucket_index(nanos)].fetch_add(1, Ordering::Relaxed);
-        self.sum.fetch_add(nanos, Ordering::Relaxed);
-        self.max.fetch_max(nanos, Ordering::Relaxed);
+        // `stripe_count` is a power of two.
+        let stripe = &self.stripes[thread_index() & (self.stripes.len() - 1)];
+        stripe.buckets[bucket_index(nanos)].fetch_add(1, Ordering::Relaxed);
+        stripe.sum.fetch_add(nanos, Ordering::Relaxed);
+        stripe.max.fetch_max(nanos, Ordering::Relaxed);
     }
 
     /// Records one observation given as a [`Duration`].
@@ -96,28 +157,38 @@ impl Histogram {
 
     /// Total number of recorded observations.
     pub fn count(&self) -> u64 {
-        self.buckets.iter().map(|b| b.load(Ordering::Relaxed)).sum()
+        self.stripes
+            .iter()
+            .flat_map(|stripe| &stripe.buckets)
+            .map(|b| b.load(Ordering::Relaxed))
+            .sum()
     }
 
-    /// Point-in-time copy of the bucket counts (see the module-level
-    /// consistency caveat for concurrent writers).
+    /// Point-in-time sum of the stripes (see the module-level consistency
+    /// caveat for concurrent writers).
     pub fn snapshot(&self) -> HistogramSnapshot {
-        HistogramSnapshot {
-            counts: self.buckets.iter().map(|b| b.load(Ordering::Relaxed)).collect(),
-            sum: self.sum.load(Ordering::Relaxed),
-            max: self.max.load(Ordering::Relaxed),
+        let mut snapshot = HistogramSnapshot::default();
+        for stripe in self.stripes.iter() {
+            for (count, bucket) in snapshot.counts.iter_mut().zip(&stripe.buckets) {
+                *count += bucket.load(Ordering::Relaxed);
+            }
+            snapshot.sum += stripe.sum.load(Ordering::Relaxed);
+            snapshot.max = snapshot.max.max(stripe.max.load(Ordering::Relaxed));
         }
+        snapshot
     }
 
     /// Zeroes every bucket.  Intended for quiescent use (e.g. a benchmark
     /// resetting between measurement sections); concurrent recordings during a
     /// clear may survive it or be lost, but never corrupt the histogram.
     pub fn clear(&self) {
-        for bucket in self.buckets.iter() {
-            bucket.store(0, Ordering::Relaxed);
+        for stripe in self.stripes.iter() {
+            for bucket in &stripe.buckets {
+                bucket.store(0, Ordering::Relaxed);
+            }
+            stripe.sum.store(0, Ordering::Relaxed);
+            stripe.max.store(0, Ordering::Relaxed);
         }
-        self.sum.store(0, Ordering::Relaxed);
-        self.max.store(0, Ordering::Relaxed);
     }
 }
 
@@ -379,6 +450,54 @@ mod tests {
         let snap = hist.snapshot();
         assert_eq!(snap.count(), threads * per_thread, "lost bucket increments");
         assert_eq!(snap.sum(), expected_sum, "lost sum increments");
+    }
+
+    /// Twice as many writer threads as stripes, so every stripe takes writes
+    /// from at least two threads: the summed snapshot equals one recorded on
+    /// a single thread (one stripe) from the same values — count, sum, max
+    /// and every bucket, hence every percentile.
+    #[test]
+    fn striped_recording_equals_a_single_stripe_reference() {
+        let threads = 2 * stripe_count() as u64;
+        let per_thread = 5_000u64;
+        let value = |t: u64, i: u64| {
+            let mut state = t * per_thread + i;
+            splitmix(&mut state) % (1 << (i % 36))
+        };
+        let striped = Histogram::new();
+        std::thread::scope(|s| {
+            for t in 0..threads {
+                let striped = &striped;
+                s.spawn(move || {
+                    for i in 0..per_thread {
+                        striped.record_nanos(value(t, i));
+                    }
+                });
+            }
+        });
+        let reference = Histogram::new();
+        let mut max = 0;
+        for t in 0..threads {
+            for i in 0..per_thread {
+                reference.record_nanos(value(t, i));
+                max = max.max(value(t, i));
+            }
+        }
+        let (striped, reference) = (striped.snapshot(), reference.snapshot());
+        assert_eq!(striped.count(), threads * per_thread);
+        assert_eq!(striped.max(), max);
+        assert_eq!(striped, reference, "stripes must sum to the single-stripe cells");
+        for q in [0.5, 0.9, 0.99, 0.999, 1.0] {
+            assert_eq!(striped.percentile(q), reference.percentile(q));
+        }
+    }
+
+    #[test]
+    fn stripe_count_is_a_bounded_power_of_two() {
+        let stripes = stripe_count();
+        assert!(stripes.is_power_of_two() && stripes <= MAX_STRIPES, "{stripes}");
+        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+        assert!(stripes >= (2 * cores).min(MAX_STRIPES));
     }
 
     #[test]

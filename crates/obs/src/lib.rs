@@ -6,7 +6,9 @@
 //!
 //! * [`Counter`] / [`Gauge`] / [`Histogram`] — relaxed-atomic metrics with a
 //!   named [`Registry`] (see [`registry::global`]), rendered by
-//!   [`render_prometheus`] and [`render_json`].
+//!   [`render_prometheus`] and [`render_json`].  Counters and histograms are
+//!   striped per thread, so writers on different cores never share a line
+//!   (see [`histogram`] for what that costs in bytes).
 //! * [`Trace`] / [`Stage`] — per-batch stage timelines recorded into
 //!   per-thread ring buffers, with a slow-op capture policy that retains full
 //!   timelines of over-threshold batches ([`trace::slow_batches`]).

@@ -11,8 +11,8 @@
 //! [`render_json`](crate::render_json) expose; library code can also carry a
 //! private [`Registry`] where process-global naming would couple instances.
 
-use crate::histogram::{Histogram, HistogramSnapshot};
-use std::sync::atomic::{AtomicI64, AtomicU64, AtomicUsize, Ordering};
+use crate::histogram::{thread_index, Histogram, HistogramSnapshot};
+use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
 /// Number of stripes per [`Counter`].  Eight covers the pool sizes this
@@ -33,14 +33,10 @@ pub struct Counter {
 }
 
 /// Stripe picked per thread: threads get a round-robin home stripe on first
-/// use, so steady-state recording from `<= COUNTER_SHARDS` threads never
-/// shares a cache line.
+/// use (the index [`Histogram`] stripes by), so steady-state recording from
+/// `<= COUNTER_SHARDS` threads never shares a cache line.
 fn thread_stripe() -> usize {
-    static NEXT: AtomicUsize = AtomicUsize::new(0);
-    thread_local! {
-        static STRIPE: usize = NEXT.fetch_add(1, Ordering::Relaxed) % COUNTER_SHARDS;
-    }
-    STRIPE.with(|s| *s)
+    thread_index() % COUNTER_SHARDS
 }
 
 impl Counter {

@@ -3,7 +3,9 @@
 //! A [`Trace`] is a per-batch handle the query pipeline creates at the top of
 //! `execute_into` and threads through its stages: each stage (and each pool
 //! task spawned on its behalf — inference, sharded probes, single-flight
-//! pool waits) records a span into the trace's fixed-size event array.  Span
+//! pool waits) records a span into the trace's fixed-size event array — one
+//! per thread, handed from each finished trace to the thread's next, so a
+//! batch allocates none.  Span
 //! recording is an index reservation via one relaxed `fetch_add` plus three
 //! relaxed stores — no locks, safe from any thread inside the batch's
 //! `dm-exec` scope (the scope barrier is what makes the events visible to
@@ -21,8 +23,8 @@
 //! (`DM_OBS_SLOW_MS`, overridable via
 //! [`set_slow_threshold`](crate::set_slow_threshold)), retains the batch's
 //! *full* stage timeline in a bounded global ring ([`slow_batches`]).  Fast
-//! batches cost a summary write; slow batches — the ones worth debugging —
-//! keep every span.
+//! batches cost a summary write, summed straight from the event array; slow
+//! batches — the ones worth debugging — copy every span out.
 //!
 //! With the `DM_OBS=off` kill switch, [`Trace::start`] returns an inert handle:
 //! no allocation, and every recording call is a no-op behind one branch.
@@ -176,12 +178,17 @@ pub struct Trace {
     start: Instant,
     cursor: AtomicUsize,
     overflow: AtomicUsize,
+    /// Borrowed from the starting thread's spare buffer (see
+    /// [`SPARE_EVENTS`]) and handed back on drop; only the first `cursor`
+    /// slots belong to this trace.
     events: Box<[EventSlot]>,
 }
 
 impl Trace {
     /// Starts a trace for one batch.  When observability is disabled this
-    /// allocates nothing and every later call on the handle is a no-op.
+    /// allocates nothing and every later call on the handle is a no-op.  An
+    /// active trace reuses the event buffer the thread's last trace gave
+    /// back, so steady-state tracing allocates nothing either.
     pub fn start(label: &'static str) -> Trace {
         let active = crate::enabled();
         Trace {
@@ -191,7 +198,9 @@ impl Trace {
             cursor: AtomicUsize::new(0),
             overflow: AtomicUsize::new(0),
             events: if active {
-                (0..TRACE_EVENT_CAPACITY).map(|_| EventSlot::default()).collect()
+                SPARE_EVENTS.with(Cell::take).unwrap_or_else(|| {
+                    (0..TRACE_EVENT_CAPACITY).map(|_| EventSlot::default()).collect()
+                })
             } else {
                 Box::new([])
             },
@@ -240,26 +249,24 @@ impl Trace {
         event.dur_nanos.store(dur_nanos, Ordering::Relaxed);
     }
 
-    fn collect_events(&self) -> Vec<TraceEvent> {
+    /// The spans recorded so far, in recording order.
+    fn events(&self) -> impl Iterator<Item = TraceEvent> + '_ {
         let recorded = self.cursor.load(Ordering::Relaxed).min(self.events.len());
-        self.events[..recorded]
-            .iter()
-            .filter_map(|slot| {
-                Some(TraceEvent {
-                    stage: Stage::from_index(slot.stage.load(Ordering::Relaxed) as usize)?,
-                    start_nanos: slot.start_nanos.load(Ordering::Relaxed),
-                    dur_nanos: slot.dur_nanos.load(Ordering::Relaxed),
-                })
+        self.events[..recorded].iter().filter_map(|slot| {
+            Some(TraceEvent {
+                stage: Stage::from_index(slot.stage.load(Ordering::Relaxed) as usize)?,
+                start_nanos: slot.start_nanos.load(Ordering::Relaxed),
+                dur_nanos: slot.dur_nanos.load(Ordering::Relaxed),
             })
-            .collect()
+        })
     }
 
     /// Ends the batch: aggregates the spans into a [`TraceSummary`], publishes
     /// it to this thread's recent ring and last-batch slot, and — when total
     /// wall time reaches the slow threshold — retains the full timeline in the
-    /// global slow-batch ring.  All recording (including from pool tasks) must
-    /// have completed before `finish` (the pipeline's scope barrier guarantees
-    /// this).
+    /// global slow-batch ring (the only case that copies the spans out).  All
+    /// recording (including from pool tasks) must have completed before
+    /// `finish` (the pipeline's scope barrier guarantees this).
     pub fn finish(self) -> TraceSummary {
         let total_nanos = self.start.elapsed().as_nanos().min(u64::MAX as u128) as u64;
         let mut summary = TraceSummary {
@@ -272,9 +279,8 @@ impl Trace {
         if !self.active {
             return summary;
         }
-        let events = self.collect_events();
-        summary.events = events.len();
-        for event in &events {
+        for event in self.events() {
+            summary.events += 1;
             summary.stage_nanos[event.stage.index()] += event.dur_nanos;
         }
         LAST_BATCH.with(|cell| cell.set(Some(summary)));
@@ -290,10 +296,21 @@ impl Trace {
                 label: self.label,
                 detail: String::new(),
                 total_nanos,
-                events,
+                events: self.events().collect(),
             });
         }
         summary
+    }
+}
+
+impl Drop for Trace {
+    /// Gives the event buffer back to this thread for its next trace.
+    fn drop(&mut self) {
+        if !self.events.is_empty() {
+            let events = std::mem::take(&mut self.events);
+            // Gone only while the thread itself is being torn down.
+            let _ = SPARE_EVENTS.try_with(|spare| spare.set(Some(events)));
+        }
     }
 }
 
@@ -497,6 +514,9 @@ pub fn slowest_batch() -> Option<CapturedTrace> {
 }
 
 thread_local! {
+    /// The event buffer of this thread's last finished trace, for the next
+    /// [`Trace::start`] to reuse.
+    static SPARE_EVENTS: Cell<Option<Box<[EventSlot]>>> = const { Cell::new(None) };
     static LAST_BATCH: Cell<Option<TraceSummary>> = const { Cell::new(None) };
     static RECENT: RefCell<VecDeque<TraceSummary>> =
         RefCell::new(VecDeque::with_capacity(RECENT_CAPACITY));
@@ -543,6 +563,36 @@ mod tests {
         assert_eq!(take_last_batch(), Some(summary));
         assert_eq!(take_last_batch(), None, "take must clear the slot");
         assert!(recent_batches().contains(&summary));
+    }
+
+    /// The second trace on a thread runs on the first one's event buffer:
+    /// its summary and its slow capture hold only its own spans.
+    #[test]
+    fn a_reused_event_buffer_carries_no_stale_spans() {
+        let _guard = crate::test_guard();
+        crate::set_enabled(true);
+        let first = Trace::start("first");
+        for _ in 0..5 {
+            first.record_span(Stage::Probe, Instant::now(), Duration::from_nanos(70));
+        }
+        let buffer = first.events.as_ptr();
+        assert_eq!(first.finish().stage(Stage::Probe), 350);
+
+        crate::set_slow_threshold(Duration::ZERO);
+        let second = Trace::start("second");
+        assert_eq!(second.events.as_ptr(), buffer, "the buffer was not reused");
+        second.record_span(Stage::Merge, Instant::now(), Duration::from_nanos(9));
+        let summary = second.finish();
+        crate::set_slow_threshold(Duration::from_millis(crate::DEFAULT_SLOW_MS as u64));
+        assert_eq!((summary.events, summary.stage(Stage::Merge)), (1, 9));
+        assert_eq!(summary.stage(Stage::Probe), 0);
+        let captured = slow_batches()
+            .into_iter()
+            .rev()
+            .find(|c| c.label == "second")
+            .expect("threshold zero captures the trace");
+        assert_eq!(captured.events.len(), 1);
+        assert_eq!(captured.events[0].stage, Stage::Merge);
     }
 
     #[test]

@@ -33,7 +33,11 @@
 //! ## Accuracy contract (extends the crate-level one)
 //!
 //! * Within one period, every recorded sample is counted exactly once (the
-//!   underlying [`Histogram`] adds are atomic).
+//!   underlying [`Histogram`] adds are atomic).  Each slice is a striped
+//!   [`Histogram`], so a window costs [`DEFAULT_SLICES`] × the histogram's
+//!   stripes × 4 KiB — 192 KiB on a 2-core host, 384 KiB from 4 cores up —
+//!   and a rotation clears every stripe of its slice before any writer may
+//!   touch it.
 //! * Rotation discards slices older than the window — that is the point, not
 //!   a loss.
 //! * One benign race: a recorder that read the tag as current, then stalled
@@ -435,6 +439,34 @@ mod tests {
             }
         });
         assert_eq!(c.sum_at(7 * SLICE), threads * adds * 3);
+    }
+
+    /// The histogram ring's slices are striped: writers on every stripe race
+    /// one slot's rotation (period 3 → period 7), and the clear that rotation
+    /// runs over all stripes loses none of the new period's samples.
+    #[test]
+    fn concurrent_rotation_of_a_striped_slice_loses_no_count() {
+        let threads = 2 * crate::histogram::stripe_count() as u64;
+        let records = 2_000u64;
+        let w = window(4);
+        // Warm the slot with an expired period so every thread races to rotate.
+        w.record_at(3 * SLICE, 1_000_000);
+        std::thread::scope(|s| {
+            for t in 0..threads {
+                let w = &w;
+                s.spawn(move || {
+                    for i in 0..records {
+                        w.record_at(7 * SLICE, t + i);
+                    }
+                });
+            }
+        });
+        let snap = w.snapshot_at(7 * SLICE);
+        assert_eq!(snap.count(), threads * records, "samples lost in the rotation");
+        let per_thread_sum = |t: u64| t * records + records * (records - 1) / 2;
+        let expected_sum: u64 = (0..threads).map(per_thread_sum).sum();
+        assert_eq!(snap.sum(), expected_sum);
+        assert_eq!(snap.max(), threads - 1 + records - 1, "the expired period leaked");
     }
 
     #[test]

@@ -24,8 +24,11 @@
 //!   someone still could join: a client that is alive and not parked (idle,
 //!   busy elsewhere, polling [`is_done`](ServerClient::is_done)) holds the
 //!   window open, callers that wait never sit it out, and a handle that will
-//!   not submit again should be dropped. [`ServerStats`] counts the batches
-//!   that ran on a caller and those that left by each dispatcher exit;
+//!   not submit again should be dropped. Right after a batch of its own, the
+//!   dispatcher also takes the next one at once when a client is parked
+//!   (*for parked*). [`ServerStats`] counts the batches that ran on a caller
+//!   and those that left by each dispatcher exit, and the dispatcher's
+//!   wake-ups — a submission wakes it only when it is idle;
 //! * **demuxes** the merged result back to each waiter by copying spans out of
 //!   one flat [`LookupBuffer`](dm_storage::LookupBuffer) arena — no
 //!   per-request allocation on the steady-state path, the same discipline the
@@ -245,10 +248,13 @@ mod tests {
     }
 
     /// A store whose lookups block until the gate opens — lets tests hold the
-    /// dispatcher mid-batch so queue buildup is deterministic.
+    /// dispatcher mid-batch so queue buildup is deterministic. The gate can
+    /// also open only for batches whose keys all lie at or above a bound.
     struct GateStore {
         inner: ReferenceStore,
-        open: std::sync::Mutex<bool>,
+        /// Lookups whose smallest key is at least this pass; `u64::MAX` is
+        /// shut.
+        open_from: std::sync::Mutex<u64>,
         cv: std::sync::Condvar,
         entered: std::sync::atomic::AtomicUsize,
     }
@@ -260,7 +266,7 @@ mod tests {
                 .collect();
             GateStore {
                 inner: ReferenceStore::from_rows(&rows),
-                open: std::sync::Mutex::new(false),
+                open_from: std::sync::Mutex::new(u64::MAX),
                 cv: std::sync::Condvar::new(),
                 entered: std::sync::atomic::AtomicUsize::new(0),
             }
@@ -271,7 +277,12 @@ mod tests {
         }
 
         fn open_gate(&self) {
-            *self.open.lock().unwrap() = true;
+            self.open_from(0);
+        }
+
+        /// Lets through the batches whose keys are all `key` or above.
+        fn open_from(&self, key: u64) {
+            *self.open_from.lock().unwrap() = key;
             self.cv.notify_all();
         }
     }
@@ -288,11 +299,12 @@ mod tests {
         ) -> dm_storage::Result<()> {
             self.entered
                 .fetch_add(1, std::sync::atomic::Ordering::AcqRel);
-            let mut open = self.open.lock().unwrap();
-            while !*open {
-                open = self.cv.wait(open).unwrap();
+            let smallest = keys.iter().copied().min().unwrap_or(0);
+            let mut open_from = self.open_from.lock().unwrap();
+            while smallest < *open_from {
+                open_from = self.cv.wait(open_from).unwrap();
             }
-            drop(open);
+            drop(open_from);
             self.inner.lookup_batch_into(keys, out)
         }
 
@@ -301,20 +313,25 @@ mod tests {
         }
     }
 
-    /// Puts one caller-run batch on every core, each blocked in `gate` until
-    /// it opens, so that from here on a waiter finds no core free and parks:
-    /// its requests stay queued on purpose. The runners start one at a time,
-    /// so none takes another's request along.
+    /// Puts one caller-run batch (of key `core`) on every core not already
+    /// `busy` in `gate`, each blocked there until it opens, so that from here
+    /// on a waiter finds no core free and parks: its requests stay queued on
+    /// purpose. The runners start one at a time, so none takes another's
+    /// request along.
     fn occupy_every_core(
         server: &Arc<QueryServer>,
         tenant: TenantId,
         gate: &GateStore,
+        busy: usize,
     ) -> Vec<Bounded<Result<Option<Vec<u32>>>>> {
-        (0..cores())
+        let entered = gate.entered();
+        (busy..cores())
             .map(|core| {
                 let server = Arc::clone(server);
                 let runner = bounded(move || server.client().get(tenant, core as u64));
-                wait_until("a runner enters the gated store", || gate.entered() == core + 1);
+                wait_until("a runner enters the gated store", || {
+                    gate.entered() == entered + core + 1 - busy
+                });
                 runner
             })
             .collect()
@@ -423,7 +440,7 @@ mod tests {
         let tenant = server
             .register_store("t", Arc::clone(&gate) as Arc<dyn TupleStore>)
             .unwrap();
-        let runners = occupy_every_core(&server, tenant, &gate);
+        let runners = occupy_every_core(&server, tenant, &gate, 0);
 
         let for_thread = Arc::clone(&server);
         let waiter = bounded(move || {
@@ -838,6 +855,7 @@ mod tests {
             assert_eq!(
                 stats.batches_full
                     + stats.batches_nobody_could_join
+                    + stats.batches_for_parked
                     + stats.batches_on_caller,
                 stats.batches_formed
             );
@@ -856,7 +874,7 @@ mod tests {
             let tenant = server
                 .register_store("t", Arc::clone(&gate) as Arc<dyn TupleStore>)
                 .unwrap();
-            let runners = occupy_every_core(&server, tenant, &gate);
+            let runners = occupy_every_core(&server, tenant, &gate, 0);
             let parked: Vec<_> = (0..waiters)
                 .map(|w| {
                     let server = Arc::clone(&server);
@@ -1019,7 +1037,10 @@ mod tests {
         );
         assert_eq!(stats.batches_at_window, 0, "{stats:?}");
         assert_eq!(
-            stats.batches_full + stats.batches_nobody_could_join + stats.batches_on_caller,
+            stats.batches_full
+                + stats.batches_nobody_could_join
+                + stats.batches_for_parked
+                + stats.batches_on_caller,
             stats.batches_formed
         );
         assert!(elapsed < 30 * window, "{elapsed:?}");
@@ -1119,6 +1140,7 @@ mod tests {
             stats.batches_full
                 + stats.batches_at_window
                 + stats.batches_nobody_could_join
+                + stats.batches_for_parked
                 + stats.batches_on_caller,
             stats.batches_formed
         );
@@ -1225,6 +1247,170 @@ mod tests {
             }
         }
         assert_eq!(server.stats().batches_at_window, 1);
+    }
+
+    /// A submission wakes only an idle dispatcher. One client's synchronous
+    /// rounds run on the client itself; the first one wakes the idle
+    /// dispatcher, which then sleeps on a 1 s deadline through the other 49.
+    #[test]
+    fn synchronous_rounds_leave_the_dispatcher_asleep() {
+        let server = QueryServer::new(ServerConfig::coalescing(Duration::from_secs(1), 1024));
+        let tenant = server.register_store("t", seeded_store(0..64)).unwrap();
+        let exported =
+            dm_obs::registry::global().register_counter("dm_server_dispatcher_wakeups_total");
+        let exported_before = exported.value();
+        let mut client = server.client();
+        let mut out = LookupBuffer::new();
+        for key in 0..50u64 {
+            let ticket = client.submit(tenant, &[key]).unwrap();
+            client.wait_into(ticket, &mut out).unwrap();
+            assert_eq!(out.get(0), Some(&[key as u32, (key * 2) as u32][..]));
+        }
+        let stats = server.stats();
+        assert_eq!(stats.batches_on_caller, 50, "{stats:?}");
+        assert!(stats.dispatcher_wakeups <= 3, "{stats:?}");
+        // Other servers of this process feed the same registry: at least ours.
+        assert!(exported.value() >= exported_before + stats.dispatcher_wakeups);
+    }
+
+    /// A waiter parked behind the *dispatcher's* batch does not sit out the
+    /// window: the dispatcher, done with its batch, runs the queued requests
+    /// at once because a client is parked. Every other core stays blocked in
+    /// the gated store, so no caller can take them instead.
+    #[test]
+    fn the_dispatcher_runs_the_batch_of_a_waiter_parked_behind_it() {
+        let window = Duration::from_secs(30);
+        let server = Arc::new(QueryServer::new(ServerConfig::coalescing(window, 4)));
+        let gate = Arc::new(GateStore::new(0..4096));
+        let tenant = server
+            .register_store("t", Arc::clone(&gate) as Arc<dyn TupleStore>)
+            .unwrap();
+        // A full batch nobody waits on: the dispatcher takes it and stalls in
+        // the store. Its submitter stays alive and unparked, so the window —
+        // not "nobody can join" — is what would release anything it queues.
+        let mut leaver = server.client();
+        let leaving = leaver.submit(tenant, &[1000, 1001, 1002, 1003]).unwrap();
+        wait_until("the dispatcher enters the store", || gate.entered() == 1);
+        let runners = occupy_every_core(&server, tenant, &gate, 1);
+        let for_thread = Arc::clone(&server);
+        let waiter = bounded(move || for_thread.client().get(tenant, 2000));
+        wait_until("the waiter parks", || server.stats().parked_clients == 1);
+
+        let started = Instant::now();
+        gate.open_from(1000);
+        assert_eq!(
+            waiter.join("the waiter parked behind the dispatcher's batch").unwrap(),
+            Some(vec![2000, 4000])
+        );
+        assert!(started.elapsed() < window);
+        let stats = server.stats();
+        assert_eq!((stats.batches_full, stats.batches_for_parked), (1, 1), "{stats:?}");
+
+        gate.open_gate();
+        for runner in runners {
+            assert!(runner.join("a runner's own batch").is_ok());
+        }
+        let mut out = LookupBuffer::new();
+        leaver.wait_into(leaving, &mut out).unwrap();
+        assert_eq!(out.get(3), Some(&[1003u32, 2006][..]));
+    }
+
+    /// The server-wide histograms are the tenants' merged: after coalesced
+    /// traffic to two tenants — one of whose requests fail on a degraded
+    /// span — and after inline traffic, every latency field of `stats()`
+    /// equals the merge of the two `tenant_tail()`s.
+    #[test]
+    fn server_wide_latencies_are_the_merge_of_the_tenant_tails() {
+        fn assert_stats_merge_tails(server: &QueryServer) {
+            let stats = server.stats();
+            let mut merged = server.tenant_tail("a").unwrap();
+            let b = server.tenant_tail("b").unwrap();
+            merged.queue_delay.merge(&b.queue_delay);
+            merged.coalesce_wait.merge(&b.coalesce_wait);
+            merged.request_wall.merge(&b.request_wall);
+            merged.recent_request_wall.merge(&b.recent_request_wall);
+            merged.recent_queue_delay.merge(&b.recent_queue_delay);
+            let quartet = |h: &dm_obs::HistogramSnapshot| {
+                [h.p50(), h.p95(), h.p99(), h.max()].map(Duration::from_nanos)
+            };
+            assert_eq!(stats.requests_completed, merged.request_wall.count());
+            assert_eq!(stats.queue_delay_nanos, merged.queue_delay.sum());
+            assert_eq!(stats.coalesce_wait_nanos, merged.coalesce_wait.sum());
+            assert_eq!(stats.request_wall_nanos, merged.request_wall.sum());
+            assert_eq!(
+                [
+                    stats.queue_delay_p50,
+                    stats.queue_delay_p95,
+                    stats.queue_delay_p99,
+                    stats.queue_delay_max
+                ],
+                quartet(&merged.queue_delay)
+            );
+            assert_eq!(
+                [
+                    stats.request_wall_p50,
+                    stats.request_wall_p95,
+                    stats.request_wall_p99,
+                    stats.request_wall_max
+                ],
+                quartet(&merged.request_wall)
+            );
+            let recent = quartet(&merged.recent_request_wall);
+            assert_eq!(stats.recent_requests, merged.recent_request_wall.count());
+            assert_eq!(
+                [
+                    stats.recent_request_wall_p50,
+                    stats.recent_request_wall_p95,
+                    stats.recent_request_wall_p99
+                ],
+                [recent[0], recent[1], recent[2]]
+            );
+            assert_eq!(
+                stats.recent_queue_delay_p99,
+                Duration::from_nanos(merged.recent_queue_delay.p99())
+            );
+        }
+
+        for config in [
+            ServerConfig::coalescing(Duration::from_micros(300), 64),
+            ServerConfig::inline(),
+        ] {
+            let inline = config.inline;
+            let server = QueryServer::new(ServerConfig {
+                breaker_failure_threshold: 0,
+                ..config
+            });
+            let a = server.register_store("a", seeded_store(0..100)).unwrap();
+            // Keys >= 50 of "b" fail with a per-span mark.
+            let flaky = Arc::new(FlakyStore::new(0..100, 50));
+            flaky.set_mode(2);
+            let b = server
+                .register_store("b", Arc::clone(&flaky) as Arc<dyn TupleStore>)
+                .unwrap();
+            let mut client = server.client_with_depth(4);
+            let mut out = LookupBuffer::new();
+            let mut failed = 0;
+            for round in 0..20u64 {
+                let requests = [(a, round), (b, round), (b, 50 + round), (a, 2 * round)];
+                if inline {
+                    for (tenant, key) in requests {
+                        let outcome = client.lookup_batch_into(tenant, &[key], &mut out);
+                        failed += outcome.is_err() as u64;
+                    }
+                    continue;
+                }
+                let tickets: Vec<Ticket> = requests
+                    .iter()
+                    .map(|&(tenant, key)| client.submit(tenant, &[key]).unwrap())
+                    .collect();
+                for ticket in tickets {
+                    failed += client.wait_into(ticket, &mut out).is_err() as u64;
+                }
+            }
+            assert_eq!(failed, 20, "inline: {inline}");
+            assert_eq!(server.stats().requests_completed, 60);
+            assert_stats_merge_tails(&server);
+        }
     }
 
     #[test]

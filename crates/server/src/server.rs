@@ -11,7 +11,8 @@
 //! submit ──┘  (admission ctl) │   no core: park on the slot        per batch,
 //!                             │                                    ≤ cores at once
 //!                             └─▶ dispatcher thread: take_batch ──▶
-//!                                 (full, nobody can join, window)
+//!                                 (full, nobody can join, window,
+//!                                  for parked)
 //!    ▲                                 demux via copy_range_from ◀─ flat LookupBuffer
 //!    └── wait_into ◀── slot condvar ──┘ (notified only if a waiter is parked)
 //! ```
@@ -40,13 +41,27 @@
 //! `&mut self`, so a parked one cannot submit, and holding the batch open any
 //! longer would buy no width), or its oldest request has waited `max_delay`
 //! while someone still could (*window*). It too waits for a free core, and a
-//! batch that finishes while it does wakes it. The server keeps the
+//! batch that finishes while it does wakes it. Like a finishing caller, the
+//! dispatcher takes the next batch at once after its own when requests are
+//! queued while a client is parked (*for parked*): the core it freed is the
+//! one that client was waiting for. The server keeps the
 //! census itself: clients count themselves live from construction to drop and
 //! parked from the moment they sleep (a client running a batch is not
 //! parked), and whoever moves a parked client's slot to a final state counts
 //! it out *at release*, not when its thread wakes up — a client that has just
 //! been answered is about to resubmit, and keeps the next window open for
 //! itself.
+//!
+//! Almost every batch runs on a caller, so the dispatcher is woken only when
+//! one of its exits may have moved earlier than the deadline it sleeps on: a
+//! size trigger, the last client able to join parking or dropping, a freed
+//! core it waits for, shutdown — and a submission only when the dispatcher is
+//! *idle*. An empty queue that saw requests since the dispatcher last looked
+//! keeps one `max_delay` window armed on the timer before it goes idle, and a
+//! request enqueued inside that window closes its own window later than the
+//! armed wake-up, so no exit moves. Under steady traffic the dispatcher wakes
+//! about once per `max_delay`, not once per batch, and submitters make no
+//! syscall ([`ServerStats::dispatcher_wakeups`] counts the wake-ups).
 //!
 //! The dispatcher is one plain OS thread, and callers run on their own
 //! threads, all deliberately *outside* the dm-exec pool: a merged batch runs
@@ -308,6 +323,12 @@ struct QueueState {
     /// The dispatcher has a batch whose exit holds and is waiting for a
     /// running batch to finish and free a core.
     dispatcher_needs_core: bool,
+    /// The dispatcher waits on an empty queue with no deadline: the next
+    /// submission must wake it. Cleared by the submitter that does.
+    dispatcher_idle: bool,
+    /// A request was enqueued since the dispatcher last found the queue
+    /// empty; it then keeps one window armed instead of going idle.
+    traffic: bool,
 }
 
 /// The buffers one thread forms and runs batches with: the dispatcher owns
@@ -361,11 +382,18 @@ pub(crate) struct Shared {
     /// `available_parallelism`, read once when the server is built.
     cores: usize,
     queue: Mutex<QueueState>,
-    /// Signalled when the queue goes non-empty, a batch-size trigger fires,
-    /// the last client that could still have joined parks or is dropped (see
-    /// [`wake_dispatcher`](Shared::wake_dispatcher)), or a batch finishes while
-    /// the dispatcher waits for a core; the dispatcher otherwise sleeps on the
-    /// oldest request's deadline.
+    /// What the dispatcher sleeps on. Signalled when a request enters the
+    /// queue of an idle dispatcher (one waiting on an empty queue with no
+    /// deadline), a batch-size trigger fires, the last client that could
+    /// still have joined parks or is dropped (see
+    /// [`wake_dispatcher`](Shared::wake_dispatcher)), a batch finishes while
+    /// the dispatcher waits for a core, or the server shuts down. Otherwise
+    /// the dispatcher sleeps on a deadline: the oldest request's window, or —
+    /// on an empty queue that saw requests since it last looked — one armed
+    /// `max_delay` window before it goes idle. A request enqueued inside that
+    /// armed window closes its own window after the armed wake-up, so not
+    /// waking for it moves no exit; a zero `max_delay` arms nothing and every
+    /// submission finds the dispatcher idle.
     work_cv: Condvar,
     /// [`ServerClient`] handles alive, and how many of them are asleep in
     /// `wait_into`. `SeqCst` on both: a client that parks while another is
@@ -377,7 +405,9 @@ pub(crate) struct Shared {
     stats: StatsCells,
     /// The `dm-obs` registry's flush-reason counters, in [`FlushReason::ALL`]
     /// order — resolved once, they are bumped on every batch.
-    flush_counters: [Arc<Counter>; 4],
+    flush_counters: [Arc<Counter>; 5],
+    /// `dm_server_dispatcher_wakeups_total` in the `dm-obs` registry.
+    wakeup_counter: Arc<Counter>,
     /// Retained timelines of requests whose wall time crossed the slow
     /// threshold. Threshold 0 on the ring itself: admission is decided in the
     /// demux loop against [`slow_threshold_nanos`](Shared::slow_threshold_nanos),
@@ -455,6 +485,12 @@ impl Shared {
     /// core under that lock and finding none.
     pub(crate) fn any_parked(&self) -> bool {
         self.parked_clients.load(Ordering::SeqCst) > 0
+    }
+
+    /// Counts one return of the dispatcher from a `work_cv` wait.
+    fn count_wakeup(&self) {
+        StatsCells::add(&self.stats.dispatcher_wakeups, 1);
+        self.wakeup_counter.incr();
     }
 
     /// True when requests are queued and a core is free to run them.
@@ -820,10 +856,9 @@ impl Shared {
                     let wall_nanos =
                         done.saturating_duration_since(req.enqueued_at).as_nanos() as u64;
                     // Batch-share attribution: this request's key-weighted
-                    // slice of the merged batch's stage time.
+                    // slice of the merged batch's stage time. Written once,
+                    // into the tenant's histograms; `stats()` merges them.
                     let share = |total: u64| total * len as u64 / batch_keys;
-                    self.stats
-                        .record_request(queue_delay_nanos, coalesce_nanos, wall_nanos);
                     tenant.obs.record(&RequestSample {
                         queue_delay_nanos,
                         coalesce_wait_nanos: coalesce_nanos,
@@ -947,8 +982,7 @@ impl Shared {
                 inner.done_at = done;
                 inner.queue_delay = Duration::ZERO;
                 inner.state = SlotState::Done;
-                self.stats
-                    .record_inline(inner.keys.len() as u64, wall_nanos, exec_nanos);
+                self.stats.record_inline(inner.keys.len() as u64, exec_nanos);
                 let batch_trace = trace::take_last_batch();
                 tenant.obs.record_inline(
                     wall_nanos,
@@ -1046,7 +1080,6 @@ pub(crate) fn submit_slot(
             // Drained to the low watermark: stop shedding and admit.
             q.shedding = false;
         }
-        let was_empty = q.entries.is_empty();
         q.entries.push_back(QueuedReq {
             slot: Arc::clone(slot),
             tenant: tenant.0,
@@ -1054,14 +1087,16 @@ pub(crate) fn submit_slot(
             enqueued_at,
         });
         q.queued_keys = after;
+        q.traffic = true;
         if after >= config.shed_high_watermark_keys {
             q.shedding = true;
         }
-        // Wake the dispatcher only on the transitions it cannot infer from
-        // the deadline it is already sleeping on: queue went non-empty, or
-        // pending keys just crossed the batch-size trigger. Everything else
-        // resolves at the deadline, keeping submissions syscall-free.
-        was_empty
+        // Wake the dispatcher only when no deadline it sleeps on comes before
+        // this request's window closes: it is idle, or pending keys just
+        // crossed the batch-size trigger. A dispatcher with a window armed
+        // wakes first by itself (see `work_cv`), which keeps submissions
+        // syscall-free under steady traffic.
+        std::mem::take(&mut q.dispatcher_idle)
             || (after >= config.max_batch_keys && after - keys.len() < config.max_batch_keys)
     };
     StatsCells::add(&shared.stats.requests_enqueued, 1);
@@ -1072,11 +1107,15 @@ pub(crate) fn submit_slot(
     Ok(())
 }
 
-/// The dispatcher: forms batches under the three-exit policy (full, nobody
-/// can join, window — see the module docs) and executes them, one at a time
-/// and only while a core is free. Runs until shutdown is observed.
+/// The dispatcher: forms batches under the exit policy (full, nobody can
+/// join, window — see the module docs — and, right after its own batch, a
+/// parked client) and executes them, one at a time and only while a core is
+/// free. Runs until shutdown is observed.
 fn dispatcher_loop(shared: Arc<Shared>) {
     let mut scratch = BatchScratch::default();
+    let max_delay = shared.config.max_delay;
+    // Set when the dispatcher's own batch has just given its core back.
+    let mut freed_core = false;
     loop {
         let reason = {
             let mut q = shared.queue.lock();
@@ -1089,11 +1128,36 @@ fn dispatcher_loop(shared: Arc<Shared>) {
                     return;
                 }
                 if q.entries.is_empty() {
-                    q = shared.work_cv.wait(q).unwrap_or_else(|e| e.into_inner());
+                    q = if std::mem::take(&mut q.traffic) && !max_delay.is_zero() {
+                        // Requests came (and callers took them) since the
+                        // last look: more are likely, so wake by the timer
+                        // rather than have each submission wake us.
+                        shared
+                            .work_cv
+                            .wait_timeout(q, max_delay)
+                            .unwrap_or_else(|e| e.into_inner())
+                            .0
+                    } else {
+                        q.dispatcher_idle = true;
+                        let mut q = shared.work_cv.wait(q).unwrap_or_else(|e| e.into_inner());
+                        q.dispatcher_idle = false;
+                        q
+                    };
+                    shared.count_wakeup();
+                    freed_core = false;
                     continue;
                 }
                 let now = Instant::now();
-                match shared.exit(&q, now) {
+                let exit = match shared.exit(&q, now) {
+                    // The core just freed is the one a parked waiter waits
+                    // for; its requests may be the ones queued.
+                    Err(_) if freed_core && q.running < shared.cores && shared.any_parked() => {
+                        Ok(FlushReason::ForParked)
+                    }
+                    exit => exit,
+                };
+                freed_core = false;
+                match exit {
                     Ok(reason) if q.running < shared.cores => {
                         shared.take_batch(&mut q, now, &mut scratch);
                         break reason;
@@ -1113,6 +1177,7 @@ fn dispatcher_loop(shared: Arc<Shared>) {
                         q = guard;
                     }
                 }
+                shared.count_wakeup();
             }
         };
         // A panicking store has already failed its batch's requests and given
@@ -1120,6 +1185,7 @@ fn dispatcher_loop(shared: Arc<Shared>) {
         let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             shared.run_batch(reason, &mut scratch)
         }));
+        freed_core = true;
     }
 }
 
@@ -1154,6 +1220,8 @@ impl QueryServer {
             stats: StatsCells::default(),
             flush_counters: FlushReason::ALL
                 .map(|reason| dm_obs::registry::global().register_counter(reason.counter_name())),
+            wakeup_counter: dm_obs::registry::global()
+                .register_counter("dm_server_dispatcher_wakeups_total"),
             // Sized like the global slow-batch ring.
             slow: CaptureRing::new(trace::slow_ring_capacity(), 0),
         });
@@ -1254,12 +1322,18 @@ impl QueryServer {
         ServerClient::new(Arc::clone(&self.shared), depth)
     }
 
-    /// A point-in-time snapshot of the server's counters.
+    /// A point-in-time snapshot of the server's counters. Its latency
+    /// fields read the merge of every tenant's [`tenant_tail`](Self::tenant_tail)
+    /// histograms, taken here.
     pub fn stats(&self) -> ServerStats {
+        let registry = self.shared.registry.read();
         ServerStats {
             live_clients: self.shared.live_clients.load(Ordering::SeqCst) as u64,
             parked_clients: self.shared.parked_clients.load(Ordering::SeqCst) as u64,
-            ..self.shared.stats.snapshot()
+            ..self
+                .shared
+                .stats
+                .snapshot(registry.tenants.iter().map(|tenant| &tenant.obs))
         }
     }
 

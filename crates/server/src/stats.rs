@@ -8,13 +8,20 @@
 //! live in log2-bucketed histograms, so the snapshot carries percentiles —
 //! the summed-nanos fields are kept only as derived means for callers that
 //! predate the histograms.
+//!
+//! A request's latencies are written once, into its tenant's histograms
+//! (striped per thread, see [`dm_obs::histogram`]); the server-wide
+//! histograms behind [`ServerStats`] are the merge of every tenant's, taken
+//! when [`QueryServer::stats`](crate::QueryServer::stats) is called. The
+//! server's own cells hold only counters.
 
+use dm_obs::window::{DEFAULT_SLICE, DEFAULT_SLICES};
 use dm_obs::{Histogram, HistogramSnapshot, WindowedHistogram};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
 /// Which thread ran a batch, and why it left the queue when it was not its
-/// own caller's. The first three are the dispatcher's exits: when several hold
+/// own caller's. The first four are the dispatcher's exits: when several hold
 /// at once the first in this order is the one recorded, so `Window` counts the
 /// batches the timer cut short of a joiner, not those that were also old by
 /// the time everyone had parked. `Caller` is a batch a client took while it
@@ -28,16 +35,21 @@ pub(crate) enum FlushReason {
     /// The oldest request had waited [`max_delay`](crate::ServerConfig::max_delay)
     /// while some live client could still have joined.
     Window,
+    /// The dispatcher had just finished a batch, requests were queued and a
+    /// client was parked: the core it freed is the one that client waited
+    /// for, so the next batch went at once.
+    ForParked,
     /// A client blocked in `wait_into` found a core free and ran the queued
     /// requests itself.
     Caller,
 }
 
 impl FlushReason {
-    pub const ALL: [FlushReason; 4] = [
+    pub const ALL: [FlushReason; 5] = [
         FlushReason::Full,
         FlushReason::NobodyCouldJoin,
         FlushReason::Window,
+        FlushReason::ForParked,
         FlushReason::Caller,
     ];
 
@@ -47,6 +59,7 @@ impl FlushReason {
             FlushReason::Full => "full",
             FlushReason::Window => "window",
             FlushReason::NobodyCouldJoin => "nobody_could_join",
+            FlushReason::ForParked => "for_parked",
             FlushReason::Caller => "caller",
         }
     }
@@ -57,13 +70,15 @@ impl FlushReason {
             FlushReason::Full => "dm_server_batches_full_total",
             FlushReason::Window => "dm_server_batches_at_window_total",
             FlushReason::NobodyCouldJoin => "dm_server_batches_nobody_could_join_total",
+            FlushReason::ForParked => "dm_server_batches_for_parked_total",
             FlushReason::Caller => "dm_server_batches_on_caller_total",
         }
     }
 }
 
 /// Internal mutable counter cells. One instance lives in the server's shared
-/// state; [`snapshot`](StatsCells::snapshot) turns it into a [`ServerStats`].
+/// state; [`snapshot`](StatsCells::snapshot) turns it and the tenants'
+/// histograms into a [`ServerStats`].
 #[derive(Default)]
 pub(crate) struct StatsCells {
     pub requests_enqueued: AtomicU64,
@@ -79,28 +94,15 @@ pub(crate) struct StatsCells {
     pub keys_served: AtomicU64,
     pub batches_formed: AtomicU64,
     /// `batches_formed` split by [`FlushReason`], indexed in `ALL` order.
-    pub batches_by_reason: [AtomicU64; 4],
+    pub batches_by_reason: [AtomicU64; 5],
     pub batched_requests: AtomicU64,
     pub max_coalesce_width: AtomicU64,
     pub exec_nanos: AtomicU64,
     pub inline_requests: AtomicU64,
     pub tenants_opened: AtomicU64,
     pub tenant_open_nanos: AtomicU64,
-    /// Enqueue → batch-formation delay, per batched request.
-    pub queue_delay: Histogram,
-    /// Newest-batch-member arrival → execution start, per batched request
-    /// (every member of a batch records the same value).
-    pub coalesce_wait: Histogram,
-    /// Enqueue → response-ready wall time, per completed request (batched and
-    /// inline).
-    pub request_wall: Histogram,
-    /// Windowed (last ~60 s) view of `request_wall` — the `recent_*`
-    /// percentile fields of [`ServerStats`] and the advisor's SLO input.
-    /// Recording is `DM_OBS`-gated: with observability off the recent fields
-    /// read zero and the since-boot histograms remain authoritative.
-    pub recent_request_wall: WindowedHistogram,
-    /// Windowed view of `queue_delay`.
-    pub recent_queue_delay: WindowedHistogram,
+    /// Returns of the dispatcher from a wait on the server's work condvar.
+    pub dispatcher_wakeups: AtomicU64,
 }
 
 impl StatsCells {
@@ -113,9 +115,8 @@ impl StatsCells {
     /// completed` hit failed spans and fail with
     /// [`PartialFailure`](crate::ServerError::PartialFailure)), `keys` keys
     /// across the completed requests, and the store-execution time.  Called
-    /// once per batch, *before* the per-request
-    /// [`record_request`](Self::record_request) calls, so a waiter woken by
-    /// the demux loop always sees its own batch counted.
+    /// once per batch, *before* the demux wakes any waiter, so a waiter
+    /// always sees its own batch counted.
     pub fn record_batch(
         &self,
         reason: FlushReason,
@@ -133,30 +134,13 @@ impl StatsCells {
         self.max_coalesce_width.fetch_max(width, Ordering::Relaxed);
     }
 
-    /// Records one batched request's latency decomposition into the tail
-    /// histograms.  Called during demux, before the request's waiter is woken.
-    pub fn record_request(
-        &self,
-        queue_delay_nanos: u64,
-        coalesce_wait_nanos: u64,
-        wall_nanos: u64,
-    ) {
-        self.queue_delay.record_nanos(queue_delay_nanos);
-        self.coalesce_wait.record_nanos(coalesce_wait_nanos);
-        self.request_wall.record_nanos(wall_nanos);
-        self.recent_queue_delay.record_nanos(queue_delay_nanos);
-        self.recent_request_wall.record_nanos(wall_nanos);
-    }
-
-    /// Records one request served inline on the caller thread (no dispatcher,
-    /// no queue — only the wall histogram is fed).
-    pub fn record_inline(&self, keys: u64, wall_nanos: u64, exec_nanos: u64) {
+    /// Counts one request served inline on the caller thread (its latencies
+    /// go to the tenant: [`TenantObs::record_inline`]).
+    pub fn record_inline(&self, keys: u64, exec_nanos: u64) {
         Self::add(&self.inline_requests, 1);
         Self::add(&self.requests_completed, 1);
         Self::add(&self.keys_served, keys);
         Self::add(&self.exec_nanos, exec_nanos);
-        self.request_wall.record_nanos(wall_nanos);
-        self.recent_request_wall.record_nanos(wall_nanos);
     }
 
     pub fn record_tenant_open(&self, elapsed: Duration) {
@@ -165,14 +149,22 @@ impl StatsCells {
     }
 
     /// Everything but the client census (`live_clients` / `parked_clients`),
-    /// which the server's shared state owns and fills in.
-    pub fn snapshot(&self) -> ServerStats {
+    /// which the server's shared state owns and fills in. The latency fields
+    /// read the merge of `tenants`' histograms.
+    pub fn snapshot<'a>(&self, tenants: impl IntoIterator<Item = &'a TenantObs>) -> ServerStats {
         let load = |cell: &AtomicU64| cell.load(Ordering::Relaxed);
-        let queue_delay = self.queue_delay.snapshot();
-        let coalesce_wait = self.coalesce_wait.snapshot();
-        let request_wall = self.request_wall.snapshot();
-        let recent_wall = self.recent_request_wall.snapshot();
-        let recent_queue = self.recent_queue_delay.snapshot();
+        let mut queue_delay = HistogramSnapshot::default();
+        let mut coalesce_wait = HistogramSnapshot::default();
+        let mut request_wall = HistogramSnapshot::default();
+        let mut recent_wall = HistogramSnapshot::default();
+        let mut recent_queue = HistogramSnapshot::default();
+        for tenant in tenants {
+            queue_delay.merge(&tenant.queue_delay.snapshot());
+            coalesce_wait.merge(&tenant.coalesce_wait.snapshot());
+            request_wall.merge(&tenant.request_wall.snapshot());
+            recent_wall.merge(&tenant.recent_request_wall.snapshot());
+            recent_queue.merge(&tenant.recent_queue_delay.snapshot());
+        }
         ServerStats {
             requests_enqueued: load(&self.requests_enqueued),
             requests_completed: load(&self.requests_completed),
@@ -191,7 +183,9 @@ impl StatsCells {
             batches_nobody_could_join: load(
                 &self.batches_by_reason[FlushReason::NobodyCouldJoin as usize],
             ),
+            batches_for_parked: load(&self.batches_by_reason[FlushReason::ForParked as usize]),
             batches_on_caller: load(&self.batches_by_reason[FlushReason::Caller as usize]),
+            dispatcher_wakeups: load(&self.dispatcher_wakeups),
             live_clients: 0,
             parked_clients: 0,
             batched_requests: load(&self.batched_requests),
@@ -211,7 +205,8 @@ impl StatsCells {
             request_wall_p95: Duration::from_nanos(request_wall.p95()),
             request_wall_p99: Duration::from_nanos(request_wall.p99()),
             request_wall_max: Duration::from_nanos(request_wall.max()),
-            recent_window: self.recent_request_wall.span(),
+            // Every tenant's window is the default one.
+            recent_window: DEFAULT_SLICE * DEFAULT_SLICES as u32,
             recent_requests: recent_wall.count(),
             recent_request_wall_p50: Duration::from_nanos(recent_wall.p50()),
             recent_request_wall_p95: Duration::from_nanos(recent_wall.p95()),
@@ -243,6 +238,8 @@ pub(crate) struct TenantObs {
     /// Windowed (last ~60 s) view of `request_wall`, `DM_OBS`-gated — feeds
     /// [`TenantTail::recent_request_wall`] and the per-tenant SLO input.
     pub recent_request_wall: WindowedHistogram,
+    /// Windowed view of `queue_delay`, `DM_OBS`-gated.
+    pub recent_queue_delay: WindowedHistogram,
 }
 
 /// One request's latency decomposition, handed to [`TenantObs::record`] by
@@ -265,6 +262,7 @@ impl TenantObs {
         self.coalesce_wait.record_nanos(sample.coalesce_wait_nanos);
         self.request_wall.record_nanos(sample.wall_nanos);
         self.recent_request_wall.record_nanos(sample.wall_nanos);
+        self.recent_queue_delay.record_nanos(sample.queue_delay_nanos);
         self.exec_share.record_nanos(sample.exec_share_nanos);
         self.inference_share.record_nanos(sample.inference_share_nanos);
         self.probe_share.record_nanos(sample.probe_share_nanos);
@@ -297,6 +295,7 @@ impl TenantObs {
             probe_share: self.probe_share.snapshot(),
             result_copy: self.result_copy.snapshot(),
             recent_request_wall: self.recent_request_wall.snapshot(),
+            recent_queue_delay: self.recent_queue_delay.snapshot(),
         }
     }
 }
@@ -324,6 +323,9 @@ pub struct TenantTail {
     /// Windowed (last ~60 s) request wall time — empty when the tenant has
     /// been idle for a full window or `DM_OBS=off`.
     pub recent_request_wall: HistogramSnapshot,
+    /// Windowed (last ~60 s) queue delay, per batched request — empty when
+    /// the tenant has been idle for a full window or `DM_OBS=off`.
+    pub recent_queue_delay: HistogramSnapshot,
 }
 
 /// Point-in-time counter snapshot returned by
@@ -332,7 +334,9 @@ pub struct TenantTail {
 /// Counts are exact relaxed-counter reads.  Latency fields come in two
 /// flavors: percentile fields (`*_p50` … `*_max`) read from log2-bucketed
 /// histograms (≤ 12.5% relative error, see `dm_obs`), and summed-nanos fields
-/// kept for mean computation.  This mirrors the `LatencyBreakdown` discipline
+/// kept for mean computation.  Both read the merge of every tenant's
+/// [`TenantTail`] histograms: server-wide, a request counts exactly as it
+/// counts for its tenant.  This mirrors the `LatencyBreakdown` discipline
 /// in `dm_core`: cheap relaxed recording on the hot path, derived rates at
 /// read time.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -367,7 +371,7 @@ pub struct ServerStats {
     /// Keys across all successfully answered requests.
     pub keys_served: u64,
     /// Merged batches executed, by the dispatcher or on a waiting client's
-    /// thread. The next four counters say which exit each one took and sum to
+    /// thread. The next five counters say which exit each one took and sum to
     /// this one.
     pub batches_formed: u64,
     /// Batches that left because [`max_batch_keys`](crate::ServerConfig::max_batch_keys)
@@ -380,10 +384,20 @@ pub struct ServerStats {
     /// Batches that left early because nobody could join: every live
     /// [`ServerClient`](crate::ServerClient) was parked in `wait_into`.
     pub batches_nobody_could_join: u64,
+    /// Batches the dispatcher took straight after its own batch, because
+    /// requests were queued while some client was parked in `wait_into`: the
+    /// core it had just freed is the one that client was waiting for.
+    pub batches_for_parked: u64,
     /// Batches a client blocked in `wait_into` took from the queue and ran on
     /// its own thread, while fewer batches were running than the machine has
     /// cores.
     pub batches_on_caller: u64,
+    /// Times the dispatcher returned from a wait on its work condvar — woken
+    /// by a submission into the queue of an idle dispatcher, a batch-size
+    /// trigger, the last client able to join parking or dropping, a freed
+    /// core, shutdown, or its own timer. Also
+    /// `dm_server_dispatcher_wakeups_total` in the `dm-obs` registry.
+    pub dispatcher_wakeups: u64,
     /// [`ServerClient`](crate::ServerClient) handles of this server alive
     /// right now.
     pub live_clients: u64,
@@ -482,30 +496,47 @@ impl ServerStats {
 mod tests {
     use super::*;
 
+    /// Records one batched request with the given latencies into `tenant`.
+    fn request(tenant: &TenantObs, queue_delay_nanos: u64, coalesce_wait_nanos: u64, wall: u64) {
+        tenant.record(&RequestSample {
+            queue_delay_nanos,
+            coalesce_wait_nanos,
+            wall_nanos: wall,
+            exec_share_nanos: 0,
+            inference_share_nanos: 0,
+            probe_share_nanos: 0,
+            result_copy_nanos: 0,
+        });
+    }
+
     #[test]
     fn snapshot_reflects_recorded_batches_and_derived_means() {
         let cells = StatsCells::default();
+        let (a, b) = (TenantObs::default(), TenantObs::default());
         cells.record_batch(FlushReason::NobodyCouldJoin, 4, 4, 400, 1_000);
         for _ in 0..4 {
-            cells.record_request(1_000, 200, 2_000);
+            request(&a, 1_000, 200, 2_000);
         }
         cells.record_batch(FlushReason::Window, 2, 2, 200, 500);
-        cells.record_request(500, 100, 800);
-        cells.record_request(500, 100, 800);
+        request(&b, 500, 100, 800);
+        request(&b, 500, 100, 800);
         cells.record_batch(FlushReason::Caller, 1, 1, 10, 100);
-        cells.record_request(0, 0, 200);
-        cells.record_inline(7, 900, 300);
+        request(&a, 0, 0, 200);
+        cells.record_inline(7, 300);
+        b.record_inline(900, 300, 0, 0);
 
-        let s = cells.snapshot();
+        // The server-wide histograms are the merge of the tenants'.
+        let s = cells.snapshot([&a, &b]);
         assert_eq!(s.batches_formed, 3);
         assert_eq!(
             (
                 s.batches_full,
                 s.batches_at_window,
                 s.batches_nobody_could_join,
+                s.batches_for_parked,
                 s.batches_on_caller
             ),
-            (0, 1, 1, 1)
+            (0, 1, 1, 0, 1)
         );
         assert_eq!(s.batched_requests, 7);
         assert_eq!(s.requests_completed, 8);
@@ -523,14 +554,16 @@ mod tests {
     #[test]
     fn percentile_fields_come_from_the_histograms() {
         let cells = StatsCells::default();
+        let tenant = TenantObs::default();
         // 50 fast requests and one slow straggler (~2% of the population, so
         // nearest-rank p99 lands on it): the mean averages the straggler
         // away, the p99/max must not.
         for _ in 0..50 {
-            cells.record_request(1_000, 0, 10_000);
+            request(&tenant, 1_000, 0, 10_000);
         }
-        cells.record_request(1_000, 0, 40_000_000);
-        let s = cells.snapshot();
+        request(&tenant, 1_000, 0, 40_000_000);
+        cells.record_batch(FlushReason::Caller, 51, 51, 51, 0);
+        let s = cells.snapshot([&tenant]);
         assert!(s.request_wall_p50 < Duration::from_micros(12));
         assert!(s.request_wall_p99 >= Duration::from_millis(40));
         assert_eq!(s.request_wall_max, Duration::from_millis(40));
@@ -569,11 +602,13 @@ mod tests {
     fn recent_fields_cover_the_sliding_window() {
         let windowed = |n: u64| if dm_obs::enabled() { n } else { 0 };
         let cells = StatsCells::default();
+        let tenant = TenantObs::default();
         for _ in 0..20 {
-            cells.record_request(1_000, 100, 50_000);
+            request(&tenant, 1_000, 100, 50_000);
         }
-        cells.record_inline(5, 80_000, 10);
-        let s = cells.snapshot();
+        cells.record_inline(5, 10);
+        tenant.record_inline(80_000, 10, 0, 0);
+        let s = cells.snapshot([&tenant]);
         assert_eq!(s.recent_requests, windowed(21));
         assert!(s.recent_window >= Duration::from_secs(30));
         assert!(s.recent_request_wall_p99 >= Duration::from_nanos(windowed(50_000)));
@@ -587,8 +622,9 @@ mod tests {
         } else {
             assert_eq!(s.recent_request_wall_p50, Duration::ZERO);
         }
-        assert_eq!(cells.recent_request_wall.snapshot().count(), windowed(21));
-        assert_eq!(cells.request_wall.snapshot().count(), 21);
+        assert_eq!(tenant.recent_request_wall.snapshot().count(), windowed(21));
+        assert_eq!(tenant.recent_queue_delay.snapshot().count(), windowed(20));
+        assert_eq!(tenant.request_wall.snapshot().count(), 21);
 
         let obs = TenantObs::default();
         obs.record_inline(7_000, 1, 1, 1);

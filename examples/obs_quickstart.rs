@@ -80,4 +80,45 @@ fn main() {
     }
     let json = obs::render_json();
     println!("\njson exposition: {} bytes (render_json())", json.len());
+
+    // 7. What recording costs: one histogram record, from one thread alone
+    //    and from two threads writing the same histogram at once (each thread
+    //    writes its own stripe, so the two should cost about the same).
+    println!("\n== instrumentation cost ==");
+    println!(
+        "histogram record: {:.1} ns from 1 thread, {:.1} ns from 2 threads ({} stripes x {} B per histogram)",
+        record_nanos(1),
+        record_nanos(2),
+        obs::histogram::stripe_count(),
+        obs::histogram::STRIPE_BYTES,
+    );
+}
+
+/// Mean cost of one `Histogram::record_nanos` while `threads` threads record
+/// into one shared histogram. The threads warm up for 20 ms (time for the OS
+/// to spread them over the cores) and then start timing together.
+fn record_nanos(threads: usize) -> f64 {
+    const RECORDS: u64 = 2_000_000;
+    let hist = obs::Histogram::new();
+    let start_line = std::sync::Barrier::new(threads);
+    let per_thread: Vec<f64> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..threads)
+            .map(|_| {
+                scope.spawn(|| {
+                    let warm = std::time::Instant::now();
+                    while warm.elapsed() < Duration::from_millis(20) {
+                        hist.record_nanos(std::hint::black_box(1));
+                    }
+                    start_line.wait();
+                    let started = std::time::Instant::now();
+                    for i in 0..RECORDS {
+                        hist.record_nanos(std::hint::black_box(i & 0xffff));
+                    }
+                    started.elapsed().as_nanos() as f64 / RECORDS as f64
+                })
+            })
+            .collect();
+        handles.into_iter().map(|h| h.join().expect("recorder")).collect()
+    });
+    per_thread.iter().sum::<f64>() / threads as f64
 }

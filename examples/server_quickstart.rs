@@ -96,11 +96,13 @@ fn main() {
         stats.mean_queue_delay()
     );
     println!(
-        "batches: {} run by a waiting caller; dispatcher: {} full, {} at the window, {} because nobody could join",
+        "batches: {} run by a waiting caller; dispatcher: {} full, {} at the window, {} because nobody could join, {} for a parked client ({} wake-ups)",
         stats.batches_on_caller,
         stats.batches_full,
         stats.batches_at_window,
-        stats.batches_nobody_could_join
+        stats.batches_nobody_could_join,
+        stats.batches_for_parked,
+        stats.dispatcher_wakeups
     );
     println!(
         "latency: mean request wall {:.1?}; admission: {} shed, {} failed",

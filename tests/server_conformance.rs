@@ -171,6 +171,7 @@ fn interleaved_concurrent_requests_match_direct_lookups_byte_for_byte() {
         stats.batches_full
             + stats.batches_at_window
             + stats.batches_nobody_could_join
+            + stats.batches_for_parked
             + stats.batches_on_caller,
         stats.batches_formed,
         "every batch left by exactly one exit: {stats:?}"
@@ -589,6 +590,7 @@ fn the_client_census_balances_however_requests_end() {
         stats.batches_full
             + stats.batches_at_window
             + stats.batches_nobody_could_join
+            + stats.batches_for_parked
             + stats.batches_on_caller,
         stats.batches_formed
     );
