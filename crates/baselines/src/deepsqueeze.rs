@@ -21,7 +21,7 @@
 
 use dm_nn::{Adam, Matrix, Mlp, MlpSpec};
 use dm_storage::{
-    LookupBuffer, Metrics, MutableStore, Phase, Row, StorageError, StoreStats, TupleStore,
+    LookupBuffer, MutableStore, Row, Stage, StorageError, StoreStats, Trace, TupleStore,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -78,7 +78,6 @@ pub struct DeepSqueezeStore {
     column_ranges: Vec<(f32, f32, u32)>,
     /// Exact values kept only to measure reconstruction error in tests/benchmarks.
     value_columns: usize,
-    metrics: Metrics,
 }
 
 impl std::fmt::Debug for DeepSqueezeStore {
@@ -96,7 +95,6 @@ impl DeepSqueezeStore {
         rows: &[Row],
         value_columns: usize,
         config: DeepSqueezeConfig,
-        metrics: Metrics,
     ) -> dm_storage::Result<Self> {
         if rows.is_empty() {
             return Err(StorageError::InvalidConfig(
@@ -192,7 +190,6 @@ impl DeepSqueezeStore {
             key_index,
             column_ranges,
             value_columns,
-            metrics,
         })
     }
 
@@ -256,7 +253,9 @@ impl TupleStore for DeepSqueezeStore {
                 "DeepSqueeze lookup working set of {working_set} bytes exceeds the memory budget (OOM)"
             )));
         }
-        self.metrics.time(Phase::NeuralNetwork, || {
+        let trace = Trace::start("lookup_batch");
+        {
+            let _inference = trace.span(Stage::Inference);
             for (qi, key) in keys.iter().enumerate() {
                 if let Some(&pos) = self.key_index.get(key) {
                     // The decoder pass is inherently per-tuple; the reconstruction is
@@ -265,7 +264,8 @@ impl TupleStore for DeepSqueezeStore {
                     out.set_hit(qi, &self.reconstruct(pos));
                 }
             }
-        });
+        }
+        trace.finish();
         Ok(())
     }
 
@@ -343,13 +343,7 @@ mod tests {
     #[test]
     fn build_and_lookup_return_plausible_values() {
         let rows = correlated_rows(2_000);
-        let store = DeepSqueezeStore::build(
-            &rows,
-            2,
-            DeepSqueezeConfig::default(),
-            Metrics::new(),
-        )
-        .unwrap();
+        let store = DeepSqueezeStore::build(&rows, 2, DeepSqueezeConfig::default()).unwrap();
         let keys: Vec<u64> = (0..100).collect();
         let results = store.lookup_batch(&keys).unwrap();
         assert_eq!(results.len(), 100);
@@ -371,13 +365,7 @@ mod tests {
     #[test]
     fn reconstruction_is_lossy_but_not_random() {
         let rows = correlated_rows(2_000);
-        let store = DeepSqueezeStore::build(
-            &rows,
-            2,
-            DeepSqueezeConfig::default(),
-            Metrics::new(),
-        )
-        .unwrap();
+        let store = DeepSqueezeStore::build(&rows, 2, DeepSqueezeConfig::default()).unwrap();
         let error = store.reconstruction_error(&rows);
         // It is a lossy method: some error is expected, but the autoencoder must do
         // much better than guessing (random guessing over 16x8 combos ≈ 0.99 error).
@@ -388,32 +376,21 @@ mod tests {
     fn memory_budget_causes_oom_failures() {
         let rows = correlated_rows(10_000);
         let tiny_budget = DeepSqueezeConfig::default().with_memory_budget(1024);
-        let err = DeepSqueezeStore::build(&rows, 2, tiny_budget, Metrics::new());
+        let err = DeepSqueezeStore::build(&rows, 2, tiny_budget);
         assert!(err.is_err(), "build must fail under a tiny memory budget");
 
         // A store built with an ample budget can still fail lookups if the budget is
         // later modelled as smaller than the latent matrix (not exercised here), but
         // normal lookups succeed.
-        let ok_store = DeepSqueezeStore::build(
-            &correlated_rows(500),
-            2,
-            DeepSqueezeConfig::default(),
-            Metrics::new(),
-        )
-        .unwrap();
+        let ok_store =
+            DeepSqueezeStore::build(&correlated_rows(500), 2, DeepSqueezeConfig::default()).unwrap();
         assert!(ok_store.lookup_batch(&[1, 2, 3]).is_ok());
     }
 
     #[test]
     fn stats_reflect_model_and_latents() {
         let rows = correlated_rows(1_000);
-        let store = DeepSqueezeStore::build(
-            &rows,
-            2,
-            DeepSqueezeConfig::default(),
-            Metrics::new(),
-        )
-        .unwrap();
+        let store = DeepSqueezeStore::build(&rows, 2, DeepSqueezeConfig::default()).unwrap();
         let stats = store.stats();
         assert_eq!(stats.tuple_count, 1_000);
         assert!(stats.disk_bytes >= 1_000 * 2, "latents alone are 2 bytes/row");
@@ -422,10 +399,9 @@ mod tests {
 
     #[test]
     fn empty_build_is_rejected_and_width_checked() {
-        assert!(DeepSqueezeStore::build(&[], 2, DeepSqueezeConfig::default(), Metrics::new()).is_err());
+        assert!(DeepSqueezeStore::build(&[], 2, DeepSqueezeConfig::default()).is_err());
         let rows = correlated_rows(100);
-        let mut store =
-            DeepSqueezeStore::build(&rows, 2, DeepSqueezeConfig::default(), Metrics::new()).unwrap();
+        let mut store = DeepSqueezeStore::build(&rows, 2, DeepSqueezeConfig::default()).unwrap();
         assert!(store.insert(&[Row::new(500, vec![1])]).is_err());
         store.insert(&[Row::new(500, vec![1, 1])]).unwrap();
         store.delete(&[500]).unwrap();

@@ -11,15 +11,18 @@
 //!    decompression + deserialization on a miss — and then searches inside the
 //!    partition (binary search for arrays, hash probe for hash tables).  Query keys
 //!    are grouped by partition so each partition is decompressed at most once per
-//!    batch, matching the paper's batching optimization.
+//!    batch, matching the paper's batching optimization.  A batch is traced like
+//!    the DeepMapping pipeline's: one [`Stage::Plan`] span around the whole
+//!    locate loop, the pool's [`Stage::PoolLoad`] / [`Stage::PoolWait`] span per
+//!    cold partition, one [`Stage::Probe`] span per partition group.
 //! 3. **Modification**: the affected partitions are loaded, rewritten and flushed
 //!    back; inserts beyond the key range extend the last partition or open new ones.
 
 use dm_compress::Codec;
 use dm_storage::layout::{partition_rows, ArrayPartition, HashPartition, PartitionLayout};
 use dm_storage::{
-    BufferPool, DiskProfile, LookupBuffer, Metrics, MutableStore, Phase, Row, SimulatedDisk,
-    StorageError, StoreStats, TupleStore,
+    BufferPool, DiskProfile, LookupBuffer, Metrics, MutableStore, Row, SimulatedDisk, Stage,
+    StorageError, StoreStats, Trace, TupleStore,
 };
 use std::sync::Arc;
 
@@ -223,9 +226,7 @@ impl PartitionedStore {
             return Ok(());
         }
         let payload = self.serialize_partition(rows)?;
-        let disk_id = self
-            .disk
-            .write_partition(&self.config.codec, &payload, &self.metrics);
+        let disk_id = self.disk.write_partition(&self.config.codec, &payload);
         let min_key = rows.iter().map(|r| r.key).min().expect("non-empty");
         let max_key = rows.iter().map(|r| r.key).max().expect("non-empty");
         self.directory.push(PartitionMeta {
@@ -270,25 +271,25 @@ impl PartitionedStore {
         }
     }
 
-    fn load_partition(&self, idx: usize) -> dm_storage::Result<Arc<DecodedPartition>> {
+    /// Partition `idx` through the buffer pool, which records its load or wait
+    /// span on `trace` when the caller carries one.
+    fn load_partition(
+        &self,
+        idx: usize,
+        trace: Option<&Trace>,
+    ) -> dm_storage::Result<Arc<DecodedPartition>> {
         let meta = self.directory[idx];
-        let layout = self.config.layout;
-        let value_columns = self.value_columns;
-        let disk = &self.disk;
-        let metrics = &self.metrics;
-        self.pool.get_or_load(meta.disk_id, None, || {
-            let payload = metrics.time(Phase::LoadAndDecompress, || {
-                disk.read_partition(meta.disk_id, metrics)
-            })?;
-            let decoded = metrics.time(Phase::LoadAndDecompress, || match layout {
+        self.pool.get_or_load(meta.disk_id, trace, || {
+            let payload = self.disk.read_partition(meta.disk_id, &self.metrics)?;
+            let decoded = match self.config.layout {
                 PartitionLayout::Array => {
                     ArrayPartition::from_bytes(&payload).map(DecodedPartition::Array)
                 }
                 PartitionLayout::Hash => {
                     HashPartition::from_bytes(&payload).map(DecodedPartition::Hash)
                 }
-            })?;
-            let bytes = decoded.resident_bytes(value_columns);
+            }?;
+            let bytes = decoded.resident_bytes(self.value_columns);
             Ok((decoded, bytes))
         })
     }
@@ -304,11 +305,35 @@ impl PartitionedStore {
         }
         let payload = self.serialize_partition(rows)?;
         self.disk
-            .rewrite_partition(meta.disk_id, &self.config.codec, &payload, &self.metrics)?;
+            .rewrite_partition(meta.disk_id, &self.config.codec, &payload)?;
         let entry = &mut self.directory[idx];
         entry.min_key = rows.iter().map(|r| r.key).min().expect("non-empty");
         entry.max_key = rows.iter().map(|r| r.key).max().expect("non-empty");
         entry.rows = rows.len();
+        Ok(())
+    }
+
+    /// The traced body of a lookup batch: plan the partition groups, then load
+    /// and probe each group once.
+    fn probe_groups(
+        &self,
+        keys: &[u64],
+        out: &mut LookupBuffer,
+        trace: &Trace,
+    ) -> dm_storage::Result<()> {
+        let (groups, _unlocated) = {
+            let _plan = trace.span(Stage::Plan);
+            self.group_by_partition(keys)
+        };
+        for (partition_idx, query_indices) in groups {
+            let partition = self.load_partition(partition_idx, Some(trace))?;
+            let _probe = trace.span(Stage::Probe);
+            for qi in query_indices {
+                if let Some(values) = partition.get(keys[qi]) {
+                    out.set_hit(qi, values);
+                }
+            }
+        }
         Ok(())
     }
 
@@ -318,7 +343,7 @@ impl PartitionedStore {
             std::collections::BTreeMap::new();
         let mut unlocated = Vec::new();
         for (qi, &key) in keys.iter().enumerate() {
-            match self.metrics.time(Phase::LocatePartition, || self.locate(key)) {
+            match self.locate(key) {
                 Some(p) => groups.entry(p).or_default().push(qi),
                 None => unlocated.push(qi),
             }
@@ -334,18 +359,10 @@ impl TupleStore for PartitionedStore {
 
     fn lookup_batch_into(&self, keys: &[u64], out: &mut LookupBuffer) -> dm_storage::Result<()> {
         out.reset(keys);
-        let (groups, _unlocated) = self.group_by_partition(keys);
-        for (partition_idx, query_indices) in groups {
-            let partition = self.load_partition(partition_idx)?;
-            self.metrics.time(Phase::AuxiliaryLookup, || {
-                for qi in query_indices {
-                    if let Some(values) = partition.get(keys[qi]) {
-                        out.set_hit(qi, values);
-                    }
-                }
-            });
-        }
-        Ok(())
+        let trace = Trace::start("lookup_batch");
+        let result = self.probe_groups(keys, out, &trace);
+        trace.finish();
+        result
     }
 
     fn stats(&self) -> StoreStats {
@@ -373,15 +390,13 @@ impl TupleStore for PartitionedStore {
             if meta.min_key > hi {
                 break;
             }
-            let partition = self.load_partition(idx)?;
-            self.metrics.time(Phase::AuxiliaryLookup, || {
-                out.extend(
-                    partition
-                        .rows()
-                        .into_iter()
-                        .filter(|row| (lo..=hi).contains(&row.key)),
-                );
-            });
+            let partition = self.load_partition(idx, None)?;
+            out.extend(
+                partition
+                    .rows()
+                    .into_iter()
+                    .filter(|row| (lo..=hi).contains(&row.key)),
+            );
         }
         Ok(out)
     }
@@ -415,7 +430,7 @@ impl MutableStore for PartitionedStore {
         // Process from the highest partition index down so directory indices stay
         // valid while we rewrite.
         for (idx, new_rows) in by_partition.into_iter().rev() {
-            let partition = self.load_partition(idx)?;
+            let partition = self.load_partition(idx, None)?;
             let mut merged: Vec<Row> = partition.rows();
             for row in new_rows {
                 match merged.binary_search_by_key(&row.key, |r| r.key) {
@@ -468,7 +483,7 @@ impl MutableStore for PartitionedStore {
             }
         }
         for (idx, victim_keys) in by_partition.into_iter().rev() {
-            let partition = self.load_partition(idx)?;
+            let partition = self.load_partition(idx, None)?;
             let victims: std::collections::HashSet<u64> = victim_keys.into_iter().collect();
             let before = partition.rows();
             let after: Vec<Row> = before
@@ -491,7 +506,7 @@ impl MutableStore for PartitionedStore {
             }
         }
         for (idx, updates) in by_partition.into_iter().rev() {
-            let partition = self.load_partition(idx)?;
+            let partition = self.load_partition(idx, None)?;
             let mut merged = partition.rows();
             let mut changed = false;
             for row in updates {
@@ -765,6 +780,28 @@ mod tests {
             snap.pool_hits + snap.pool_single_flight_waits >= 7 * partitions,
             "the other seven threads were served by cache or latch: {snap:?}"
         );
+    }
+
+    /// A batch is traced like the pipeline's: one span per stage and partition
+    /// group, never one per key.
+    #[test]
+    fn a_batch_in_one_partition_traces_one_plan_and_one_probe_span() {
+        dm_obs::set_enabled(true);
+        let rows = sample_rows(25_000);
+        let config = PartitionedStoreConfig::array(Codec::Lz);
+        let store = PartitionedStore::build(&rows, 2, config, Metrics::new()).unwrap();
+        assert_eq!(store.stats().partition_count, 1);
+        let keys: Vec<u64> = rows.iter().map(|row| row.key).collect();
+        let mut buffer = LookupBuffer::new();
+        // Cold, then warm: the first batch loads the partition once.
+        for pool_spans in [1, 0] {
+            store.lookup_batch_into(&keys, &mut buffer).unwrap();
+            assert_eq!(buffer.hit_count(), keys.len());
+            let summary = dm_obs::trace::take_last_batch().expect("the batch published a summary");
+            assert_eq!(summary.events, 2 + pool_spans, "{summary:?}");
+            assert!(summary.stage(Stage::Plan) > 0 && summary.stage(Stage::Probe) > 0, "{summary:?}");
+            assert_eq!(summary.stage(Stage::PoolLoad) > 0, pool_spans == 1, "{summary:?}");
+        }
     }
 
     #[test]

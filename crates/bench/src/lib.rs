@@ -19,6 +19,7 @@ use dm_compress::Codec;
 use dm_core::{AuxTable, DecodeMap, DeepMapping, DeepMappingBuilder, DeepMappingParts};
 use dm_core::{Quantization, StorageBreakdown, TrainingConfig, TrainingStop};
 use dm_data::Dataset;
+use dm_obs::TraceSummary;
 use dm_storage::{DiskProfile, LatencyBreakdown, LookupBuffer, Metrics, MutableStore, Row};
 use std::time::Instant;
 
@@ -251,7 +252,7 @@ pub fn build_matrix(
     let config = DeepSqueezeConfig { epochs: 10, ..DeepSqueezeConfig::default() }
         .with_memory_budget(regime.budget(dataset.uncompressed_bytes()));
     let (rows, columns) = (dataset.rows(), dataset.num_value_columns());
-    let ds_error = match DeepSqueezeStore::build(&rows, columns, config, metrics.clone()) {
+    let ds_error = match DeepSqueezeStore::build(&rows, columns, config) {
         Ok(ds) => {
             systems.push(SystemUnderTest::new("DS".into(), Box::new(ds), metrics, started));
             None
@@ -273,8 +274,11 @@ pub struct MeasuredLookup {
     /// Median wall time of [`REPEATS`] warm repeats of the same batch.
     pub wall_ms: f64,
     /// The store's own counters for the median repeat alone (the metrics are reset
-    /// before every repeat): Figure 7's phases, modelled I/O, bytes read, loads.
+    /// before every repeat): modelled I/O, bytes read, loads.
     pub counters: LatencyBreakdown,
+    /// The median repeat's trace: Figure 7's split, summed per stage.  `None` when
+    /// the store published none — under `DM_OBS=off`.
+    pub trace: Option<TraceSummary>,
     /// Keys answered.
     pub hits: usize,
     /// Position-weighted sum of every value returned: exact systems agree on it.
@@ -283,7 +287,9 @@ pub struct MeasuredLookup {
 
 /// Measures one lookup batch: the first call on its own, one unmeasured warm-up, then
 /// [`REPEATS`] timed repeats whose median is reported.  Wall time and the disk model's
-/// time stay apart — the second is `counters.simulated_io_nanos`.  The batch goes through
+/// time stay apart — the second is `counters.simulated_io_nanos`.  Every call's stage
+/// times are the trace it published on this thread
+/// ([`dm_obs::trace::take_last_batch`], taken after each call).  The batch goes through
 /// `lookup_batch_into` with the system's reusable buffer, so it covers the query work, not
 /// result materialization.  A failed lookup (DS out of memory) comes back as its error text.
 pub fn measure_lookup(
@@ -294,23 +300,25 @@ pub fn measure_lookup(
     let mut timed = || {
         metrics.reset();
         let start = Instant::now();
-        store.lookup_batch_into(keys, buffer).map_err(|err| err.to_string())?;
+        let outcome = store.lookup_batch_into(keys, buffer);
         let wall_ms = start.elapsed().as_secs_f64() * 1e3;
+        let trace = dm_obs::trace::take_last_batch();
+        outcome.map_err(|err| err.to_string())?;
         match buffer.first_error() {
             Some(err) => Err(err.to_string()),
-            None => Ok((wall_ms, metrics.snapshot())),
+            None => Ok((wall_ms, metrics.snapshot(), trace)),
         }
     };
-    let (first_ms, _) = timed()?;
+    let (first_ms, ..) = timed()?;
     timed()?;
     let mut repeats = (0..REPEATS).map(|_| timed()).collect::<Result<Vec<_>, String>>()?;
     repeats.sort_by(|a, b| a.0.total_cmp(&b.0));
-    let (wall_ms, counters) = repeats.swap_remove(REPEATS / 2);
+    let (wall_ms, counters, trace) = repeats.swap_remove(REPEATS / 2);
     let weighted = |(&value, at): (&u32, u64)| at * u64::from(value);
     let answers = system.buffer.tuples().flat_map(|tuple| tuple.values.iter().zip(1u64..));
     let answer_sum = answers.map(weighted).sum();
     let hits = system.buffer.hit_count();
-    Ok(MeasuredLookup { first_ms, wall_ms, counters, hits, answer_sum })
+    Ok(MeasuredLookup { first_ms, wall_ms, counters, trace, hits, answer_sum })
 }
 
 #[cfg(test)]

@@ -17,7 +17,7 @@ use dm_data::tpcds::{TpcdsConfig, TpcdsTable};
 use dm_data::tpch::{TpchConfig, TpchTable};
 use dm_data::{CropConfig, Dataset, LookupWorkload, ModificationWorkload, SyntheticConfig};
 use dm_data::{TpcdsGenerator, TpchGenerator};
-use dm_storage::{Phase, Row};
+use dm_storage::{Row, Stage};
 use std::collections::HashSet;
 use std::path::{Path, PathBuf};
 use std::time::Instant;
@@ -120,8 +120,6 @@ const SYNTHETIC: [&str; 4] = ["single_low", "single_high", "multi_low", "multi_h
 const WRITE_SYSTEMS: [&str; 5] = ["AB", "HB", "ABC-Z", "HBC-Z", "DM-Z"];
 /// The step after which DM-Z1 retrains (the paper retrains at 200 MB ≈ 2 increments).
 const RETRAIN_STEP: usize = 2;
-/// Row fields of Figure 7's phases, in `Phase::all()` order.
-const PHASE_FIELDS: [&str; 6] = ["ms_exist", "ms_nn", "ms_aux", "ms_load", "ms_locate", "ms_other"];
 
 /// Where a row was measured: dataset family, dataset, generator scale.
 type Place<'a> = (&'a str, &'a str, BenchScale);
@@ -412,8 +410,8 @@ fn size_fields(row: &mut ResultRow, system: &SystemUnderTest, raw_bytes: usize) 
 }
 
 /// keys/s and the warm median beside the first call, the disk model's time with the
-/// reads behind it, Figure 7's phases and what was answered — or the error that
-/// stopped the lookup.
+/// reads behind it, Figure 7's split (the median repeat's trace, absent under
+/// `DM_OBS=off`) and what was answered — or the error that stopped the lookup.
 fn timing_fields(row: &mut ResultRow, measured: Result<MeasuredLookup, String>, keys: usize) {
     let m = match measured {
         Ok(m) => m,
@@ -428,8 +426,10 @@ fn timing_fields(row: &mut ResultRow, measured: Result<MeasuredLookup, String>, 
     row.num("io_ms", round(m.counters.simulated_io_nanos as f64 / 1e6, 4));
     row.num("bytes_read", m.counters.bytes_read as f64);
     row.num("partition_loads", m.counters.partition_loads as f64);
-    for (field, phase) in PHASE_FIELDS.iter().zip(Phase::all()) {
-        row.num(field, round(m.counters.phase(phase).as_secs_f64() * 1e3, 4));
+    if let Some(trace) = m.trace {
+        for stage in Stage::lookup() {
+            row.num(&format!("ms_{}", stage.slug()), round(trace.stage(stage) as f64 / 1e6, 4));
+        }
     }
     row.num("hits", m.hits as f64).num("answer_sum", m.answer_sum as f64);
 }
@@ -457,8 +457,11 @@ const fn view(name: Str, title: Str, select: Str, [label, by, cells]: [Str; 3]) 
 
 const TRADEOFF: [Str; 3] =
     ["scale dataset system", "", "stored_bytes ratio keys_per_s wall_ms first_ms io_ms"];
-const PHASES: [Str; 3] =
-    ["scale dataset system", "", "ms_exist ms_nn ms_aux ms_load ms_locate ms_other io_ms wall_ms"];
+const STAGES: [Str; 3] = [
+    "scale dataset system",
+    "",
+    "ms_existence ms_plan ms_inference ms_probe ms_merge ms_pool_wait ms_pool_load io_ms wall_ms",
+];
 const SWEEP: [Str; 3] = ["dataset system", "step_pct", "stored_bytes wall_ms"];
 
 /// The twelve views, in the paper's order.
@@ -483,9 +486,9 @@ pub static VIEWS: [View; 12] = [
     ),
     view(
         "fig7",
-        "TPC-H: lookup latency per phase (ms of the median repeat), modelled I/O apart",
+        "TPC-H: lookup latency per stage (ms of the median repeat), modelled I/O apart",
         "kind=lookup family=tpch regime=pool batch=B100K system=AB|HB|ABC-Z|HBC-Z|DM-Z",
-        PHASES,
+        STAGES,
     ),
     view(
         "fig8",

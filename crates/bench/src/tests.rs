@@ -1,5 +1,6 @@
 use crate::paper::{cell, main, run, write_rows, PaperConfig, ResultRow, Value, VIEWS};
 use crate::{BenchScale, REPEATS};
+use dm_obs::Stage;
 use std::collections::{BTreeMap, BTreeSet};
 
 /// The system matrix, sorted.
@@ -34,7 +35,9 @@ fn parse_rows(text: &str) -> Vec<ResultRow> {
 }
 
 /// What must hold of any set of rows, a fresh quick run's or the committed file's.
-fn check_rows(rows: &[ResultRow]) {
+/// `traced`: the rows were measured with observability on, so every lookup that
+/// answered carries its stage split.
+fn check_rows(rows: &[ResultRow], traced: bool) {
     for row in rows {
         assert!(row.0.iter().all(|(key, _)| row.n(key).is_none_or(f64::is_finite)), "{row:?}");
         // The Fig. 6 split is the store the ratio came from.
@@ -48,6 +51,11 @@ fn check_rows(rows: &[ResultRow]) {
     // Every lookup group holds each of the eleven systems exactly once, and the exact
     // systems answered exactly what AB did (DS is lossy, or failed outright).
     let lookups: Vec<&ResultRow> = rows.iter().filter(|row| row.s("kind") == "lookup").collect();
+    for row in lookups.iter().filter(|row| traced && row.get("failed").is_none()) {
+        for stage in Stage::lookup() {
+            assert!(row.n(&format!("ms_{}", stage.slug())).is_some(), "{stage:?} of {row:?}");
+        }
+    }
     let group = |row: &ResultRow| {
         format!("{} {:?} {} {}", row.s("dataset"), row.n("scale"), row.s("regime"), row.s("batch"))
     };
@@ -152,7 +160,7 @@ fn report_cells_format_reasonably() {
 #[test]
 fn system_matrix_builds_and_answers_queries() {
     let outcome = run(&PaperConfig { scale: BenchScale::new(0.001), quick: true, views: &VIEWS });
-    check_rows(&outcome.rows);
+    check_rows(&outcome.rows, dm_obs::enabled());
     // One model per dataset x scale: `orders` is trained once, not four times; each of
     // the three sweeps trains once per synthetic family and derives DM-Z and DM-Z1.
     let builds = &outcome.deepmapping_builds;
@@ -183,7 +191,7 @@ const DM_Z_ABOVE_RAW: [(f64, &str); 4] =
 fn committed_results_cover_the_evaluation_and_pin_where_dm_z_exceeds_the_raw_data() {
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../PAPER_RESULTS.json");
     let rows = parse_rows(&std::fs::read_to_string(path).expect("PAPER_RESULTS.json is committed"));
-    check_rows(&rows);
+    check_rows(&rows, true);
     for view in &VIEWS {
         assert!(rows.iter().any(|row| view.shows(row)), "{} shows nothing", view.name);
     }

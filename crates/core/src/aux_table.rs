@@ -26,11 +26,11 @@
 use crate::Result;
 use dm_compress::Codec;
 use dm_exec::ThreadPool;
-use dm_obs::{Stage, Trace};
+use dm_obs::{trace::span, Stage, Trace};
 use dm_storage::layout::{rows_per_partition, PackedPartition};
 use dm_storage::{
-    BitVec, BufferPool, DiskProfile, Metrics, PartitionSource, Phase, RankedBits, Row,
-    SimulatedDisk, StorageError,
+    BitVec, BufferPool, DiskProfile, Metrics, PartitionSource, RankedBits, Row, SimulatedDisk,
+    StorageError,
 };
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
@@ -272,7 +272,7 @@ impl AuxTable {
         sorted.dedup_by_key(|row| row.key);
         for (idx, chunk) in sorted.chunks(self.rows_per_partition).enumerate() {
             let partition = PackedPartition::from_rows(chunk, self.value_columns)?;
-            let id = disk.write_partition(&self.codec, partition.to_bytes(), &self.metrics);
+            let id = disk.write_partition(&self.codec, partition.to_bytes());
             assert_eq!(id, idx as u64, "a fresh disk numbers partitions in write order");
         }
         self.base = RankedBits::new(sorted.iter().map(|row| row.key).collect());
@@ -354,12 +354,8 @@ impl AuxTable {
     /// (wrong row count or arity) would shift every answer read from it, so it
     /// is corruption like any other.
     fn read_partition(&self, idx: usize) -> dm_storage::Result<PackedPartition> {
-        let payload = self.metrics.time(Phase::LoadAndDecompress, || {
-            self.backing.source().read_partition(idx as u64, &self.metrics)
-        })?;
-        let partition = self
-            .metrics
-            .time(Phase::LoadAndDecompress, || PackedPartition::from_bytes(payload))?;
+        let payload = self.backing.source().read_partition(idx as u64, &self.metrics)?;
+        let partition = PackedPartition::from_bytes(payload)?;
         if partition.len() != self.partition_len(idx) || partition.columns() != self.value_columns {
             return Err(StorageError::Corrupt(format!(
                 "partition {idx} holds {} rows x {} columns, the table's ranks address {} x {}",
@@ -443,13 +439,10 @@ impl AuxTable {
         trace: Option<&Trace>,
         sink: &mut dyn FnMut(usize, &[u32]),
     ) -> Vec<(usize, StorageError)> {
-        let begin = std::time::Instant::now();
-        let probes = self.plan_probes(keys, sink);
-        let elapsed = begin.elapsed();
-        self.metrics.add_time(Phase::LocatePartition, elapsed);
-        if let Some(trace) = trace {
-            trace.record_span(Stage::Plan, begin, elapsed);
-        }
+        let probes = {
+            let _plan = span(trace, Stage::Plan);
+            self.plan_probes(keys, sink)
+        };
         let mut degraded: Vec<(usize, StorageError)> = Vec::new();
         let mut degrade = |group: &[Probe], err: StorageError| {
             self.metrics.add_degraded_keys(group.len() as u64);
@@ -497,7 +490,8 @@ impl AuxTable {
     /// Probes one partition group: loads the partition through the
     /// single-flight pool and hands `sink` each probe's row, read at its slot
     /// into the scratch `row`.  The reads record a [`Stage::Probe`] span on
-    /// `trace` (the load records its own pool spans), which is safe from a pool
+    /// `trace`, or into the stage histogram alone when there is none (the load
+    /// records its own pool spans the same way), which is safe from a pool
     /// worker — trace recording is lock-free and the scope barrier orders it
     /// before `finish`.
     fn probe_group(
@@ -508,15 +502,10 @@ impl AuxTable {
         sink: &mut dyn FnMut(usize, &[u32]),
     ) -> dm_storage::Result<()> {
         let partition = self.load_partition(group[0].partition as usize, trace)?;
-        let begin = std::time::Instant::now();
+        let _probe = span(trace, Stage::Probe);
         for probe in group {
             partition.read_row(probe.slot as usize, row);
             sink(probe.qi, row);
-        }
-        let elapsed = begin.elapsed();
-        self.metrics.add_time(Phase::AuxiliaryLookup, elapsed);
-        if let Some(trace) = trace {
-            trace.record_span(Stage::Probe, begin, elapsed);
         }
         Ok(())
     }

@@ -10,7 +10,7 @@ use crate::pipeline::QueryPipeline;
 use crate::stats::StorageBreakdown;
 use crate::{CoreError, Result};
 use dm_exec::ExecHandle;
-use dm_storage::{BitVec, LookupBuffer, Metrics, MutableStore, Phase, Row, StoreStats, TupleStore};
+use dm_storage::{BitVec, LookupBuffer, Metrics, MutableStore, Row, StoreStats, TupleStore};
 
 /// Key-range headroom added to the key encoder so insertions beyond the current
 /// maximum key (Section IV-D) stay encodable without rebuilding the model.
@@ -244,7 +244,8 @@ impl DeepMapping {
         &self.config
     }
 
-    /// The metrics handle lookups charge their phases to.
+    /// The metrics handle lookups charge their counts to (stage times are the
+    /// batch's `dm_obs` trace).
     pub fn metrics(&self) -> &Metrics {
         &self.metrics
     }
@@ -375,8 +376,17 @@ impl DeepMapping {
     ///    compressed partition is loaded at most once per batch), and never
     ///    inferred,
     /// 4. both halves land in the result in input order.
+    ///
+    /// The owned shape has no per-key error channel: a batch with any failed
+    /// key fails the call ([`TupleStore::lookup_batch`]).  For the degraded
+    /// answers of the other keys use [`lookup_batch_into`](Self::lookup_batch_into).
     pub fn lookup_batch(&self, keys: &[u64]) -> Result<Vec<Option<Vec<u32>>>> {
-        self.pipeline().execute(keys)
+        let mut buffer = LookupBuffer::with_capacity(keys.len(), 4);
+        self.lookup_batch_into(keys, &mut buffer)?;
+        if let Some(err) = buffer.first_error() {
+            return Err(err.clone().into());
+        }
+        Ok(buffer.to_options())
     }
 
     /// Algorithm 1 into a caller-owned [`LookupBuffer`]: identical staging to
@@ -438,10 +448,9 @@ impl DeepMapping {
         self.validate_insert(rows)?;
         let keys: Vec<u64> = rows.iter().map(|r| r.key).collect();
         let mut predictions = Vec::new();
-        let columns = self.metrics.time(Phase::NeuralNetwork, || {
-            self.model
-                .predict_into_on(self.exec.get(), &keys, &mut predictions)
-        })?;
+        let columns = self
+            .model
+            .predict_into_on(self.exec.get(), &keys, &mut predictions)?;
         let mut mispredicts = 0u64;
         for (row, prediction) in rows.iter().zip(predictions.chunks_exact(columns)) {
             let predicted = prediction == row.values.as_slice();
@@ -504,10 +513,9 @@ impl DeepMapping {
             .collect();
         let keys: Vec<u64> = live.iter().map(|r| r.key).collect();
         let mut predictions = Vec::new();
-        let columns = self.metrics.time(Phase::NeuralNetwork, || {
-            self.model
-                .predict_into_on(self.exec.get(), &keys, &mut predictions)
-        })?;
+        let columns = self
+            .model
+            .predict_into_on(self.exec.get(), &keys, &mut predictions)?;
         let mut mispredicts = 0u64;
         for (row, prediction) in live.iter().zip(predictions.chunks_exact(columns)) {
             let predicted = prediction == row.values.as_slice();
@@ -622,10 +630,9 @@ impl DeepMapping {
         const CHUNK: usize = 65_536;
         let mut predictions: Vec<u32> = Vec::new();
         for chunk in keys.chunks(CHUNK) {
-            let columns = self.metrics.time(Phase::NeuralNetwork, || {
-                self.model
-                    .predict_into_on(self.exec.get(), chunk, &mut predictions)
-            })?;
+            let columns = self
+                .model
+                .predict_into_on(self.exec.get(), chunk, &mut predictions)?;
             self.metrics.add_inference_batch(chunk.len() as u64);
             for (i, &key) in chunk.iter().enumerate() {
                 // Both streams are ascending in key; skip any auxiliary strays
@@ -721,6 +728,7 @@ impl MutableStore for DeepMapping {
 mod tests {
     use super::*;
     use crate::config::TrainingConfig;
+    use dm_obs::Stage;
     use dm_storage::row::ReferenceStore;
 
     fn correlated_rows(n: u64) -> Vec<Row> {
@@ -977,14 +985,14 @@ mod tests {
     }
 
     #[test]
-    fn metrics_record_the_lookup_phases() {
+    fn a_lookup_publishes_its_stage_times() {
+        dm_obs::set_enabled(true);
         let rows = random_rows(1_024);
         let dm = DeepMapping::build(&rows, &quick_config()).unwrap();
-        dm.metrics().reset();
         let keys: Vec<u64> = (0..2_048u64).collect();
         dm.lookup_batch(&keys).unwrap();
-        let snap = dm.metrics().snapshot();
-        assert!(snap.phase(Phase::NeuralNetwork).as_nanos() > 0);
-        assert!(snap.phase(Phase::ExistenceCheck).as_nanos() > 0);
+        let summary = dm_obs::trace::take_last_batch().expect("the batch published its trace");
+        assert!(summary.stage(Stage::Existence) > 0);
+        assert!(summary.stage(Stage::Inference) > 0);
     }
 }

@@ -6,13 +6,13 @@
 //! this pipeline knows in advance which of the two will answer, from one more bit
 //! per key, and pays for that one only:
 //!
-//! 1. **Three-way split** ([`Phase::ExistenceCheck`]) — the existence bit vector
+//! 1. **Three-way split** ([`Stage::Existence`]) — the existence bit vector
 //!    `Vexist` drops non-existing keys immediately, so the model can never
 //!    hallucinate a value for them; the corrected-key bit vector `Vaux` sends every
 //!    surviving key to exactly one of the next two stages.  `Vaux` is exact
 //!    (`vaux[k] ⇔ exist[k] ∧ aux.get(k).is_some()`, kept in step by every write),
 //!    so the two sets are disjoint and no answer ever overrides another.
-//! 2. **Vectorized inference of the predicted keys** ([`Phase::NeuralNetwork`]) —
+//! 2. **Vectorized inference of the predicted keys** ([`Stage::Inference`]) —
 //!    keys whose `Vaux` bit is clear go to the network as keys, in a single
 //!    [`forward_keys_flat_on`](dm_nn::MultiTaskModel::forward_keys_flat_on)
 //!    pass: one trunk matrix-multiply sequence for the batch, then the heads,
@@ -21,8 +21,9 @@
 //!    pass encodes its own keys, for an int8 model straight into the first
 //!    layer's input bytes.  They cause no probe plan, no partition load and no
 //!    decompression.
-//! 3. **Grouped probes of the corrected keys** ([`Phase::LocatePartition`],
-//!    [`Phase::LoadAndDecompress`], [`Phase::AuxiliaryLookup`]) — keys whose bit
+//! 3. **Grouped probes of the corrected keys** ([`Stage::Plan`], then per
+//!    partition group [`Stage::PoolLoad`] or [`Stage::PoolWait`] and
+//!    [`Stage::Probe`]) — keys whose bit
 //!    is set are never inferred.  The delta overlay answers what it can in memory;
 //!    every remaining key's address is a rank over the table's key bitmap
 //!    (partition `ordinal / R`, slot `ordinal % R` — no key is stored or
@@ -30,7 +31,7 @@
 //!    loaded **at most once per batch** through the LRU
 //!    [`dm_storage::BufferPool`], no matter how the query keys interleave
 //!    (Section IV-B2's batch-sorting optimization).
-//! 4. **Order-preserving scatter** ([`Phase::Other`]) — predictions are copied to
+//! 4. **Order-preserving scatter** ([`Stage::Merge`]) — predictions are copied to
 //!    their keys' positions in the original batch order; probe hits were written
 //!    there directly.
 //!
@@ -44,7 +45,6 @@
 //! scratch arena via one row-major [`MappingModel::predict_into_on`] pass and probe
 //! hits are read straight out of the pooled bit-packed partitions, so a reused
 //! buffer makes the steady-state batch free of per-key heap allocations.
-//! [`QueryPipeline::execute`] materializes the legacy owned shape on top.
 //!
 //! ## Parallelism
 //!
@@ -65,23 +65,28 @@
 //! per batch costs more than a small batch's whole lookup, and a large batch
 //! already fills the pool from inside each half.
 //!
-//! Runtime activity observed during a batch (tasks, steals, park time) is
-//! recorded on the store's [`Metrics`] as an [`dm_exec::ExecStats`] delta; with a
-//! serial pool everything runs on the calling thread.
+//! Runtime activity (tasks, steals, park time) is the pool's own
+//! [`ThreadPool::stats`]; with a serial pool everything runs on the calling
+//! thread.
 //!
-//! Phase attribution under parallelism: concurrent tasks each charge their own
-//! [`Phase::NeuralNetwork`] / [`Phase::AuxiliaryLookup`] /
-//! [`Phase::LoadAndDecompress`] time, so those figures are CPU time summed across
-//! tasks (an upper bound on the batch's wall-clock); on a serial pool they are
-//! exact wall-clock.  See the [`dm_storage::LatencyBreakdown`] docs.
+//! ## Timing
+//!
+//! Each stage is timed once, by a span guard on the batch's [`Trace`], and
+//! nowhere else: [`execute_into`](QueryPipeline::execute_into) publishes the
+//! batch's [`dm_obs::TraceSummary`] on the calling thread
+//! (`dm_obs::trace::take_last_batch`) and every span feeds its stage's
+//! process-wide histogram (`dm_obs::trace::stage_snapshot`).  Under
+//! parallelism concurrent probe tasks each record their own spans, so a
+//! stage's sum is CPU time summed across tasks (an upper bound on the batch's
+//! wall-clock); on a serial pool it is exact wall-clock.  Under `DM_OBS=off`
+//! no span reads the clock.  The store's [`Metrics`] hold counts only.
 
 use crate::aux_table::AuxTable;
 use crate::model::MappingModel;
 use crate::Result;
 use dm_exec::ThreadPool;
 use dm_obs::{Stage, Trace};
-use dm_storage::{BitVec, LookupBuffer, Metrics, Phase, StorageError};
-use std::time::Instant;
+use dm_storage::{BitVec, LookupBuffer, Metrics, StorageError};
 
 /// One side of the stage-1 split: the keys routed there, in batch order, and
 /// each key's position in the original batch.
@@ -151,24 +156,6 @@ impl<'a> QueryPipeline<'a> {
         }
     }
 
-    /// Runs the full pipeline over a key batch, returning one result per input key
-    /// in input order (`None` for keys that do not exist).
-    ///
-    /// This owned shape has no per-key error channel, so it keeps the strict
-    /// contract: if any key failed (a degraded span in the underlying buffer),
-    /// the whole call returns that error.  Callers that want the degraded
-    /// answers for the unaffected keys use
-    /// [`execute_into`](Self::execute_into) and inspect the buffer's failed
-    /// spans.
-    pub fn execute(&self, keys: &[u64]) -> Result<Vec<Option<Vec<u32>>>> {
-        let mut buffer = LookupBuffer::with_capacity(keys.len(), 4);
-        self.execute_into(keys, &mut buffer)?;
-        if let Some(err) = buffer.first_error() {
-            return Err(err.clone().into());
-        }
-        Ok(buffer.to_options())
-    }
-
     /// Runs the full pipeline over a key batch, writing one span per input key (in
     /// input order, misses for keys that do not exist) into a caller-owned
     /// [`LookupBuffer`].  A reused buffer keeps its arena capacity between batches,
@@ -178,16 +165,11 @@ impl<'a> QueryPipeline<'a> {
         if keys.is_empty() {
             return Ok(());
         }
-        // Wall time is measured here, on the calling thread, around the whole
-        // batch: unlike the per-phase sums it never double-counts parallel
-        // work (`LatencyBreakdown::wall_nanos` vs `total()`).  The trace
-        // records the batch's stage timeline; `finish` publishes it to the
-        // per-thread ring and — past the `DM_OBS_SLOW_MS` threshold — to the
-        // slow-batch capture ring.  Both are inert under `DM_OBS=off`.
-        let batch_start = Instant::now();
+        // The trace records the batch's stage timeline; `finish` publishes it
+        // to the per-thread ring and — past the `DM_OBS_SLOW_MS` threshold — to
+        // the slow-batch capture ring.  Both are inert under `DM_OBS=off`.
         let trace = Trace::start("lookup_batch");
         let result = self.execute_traced(keys, out, &trace);
-        self.metrics.add_wall(batch_start.elapsed());
         trace.finish();
         result
     }
@@ -196,20 +178,16 @@ impl<'a> QueryPipeline<'a> {
     /// batch's `trace` threaded through every stage (and into the pool tasks
     /// they spawn).
     fn execute_traced(&self, keys: &[u64], out: &mut LookupBuffer, trace: &Trace) -> Result<()> {
-        // One clock read per stage: the phase total and the trace span get
-        // the same `(begin, elapsed)`.
-        let begin = Instant::now();
         let Routes {
             predicted,
             corrected,
-        } = self.route(keys);
-        let elapsed = begin.elapsed();
-        self.metrics.add_time(Phase::ExistenceCheck, elapsed);
-        trace.record_span(Stage::Existence, begin, elapsed);
+        } = {
+            let _existence = trace.span(Stage::Existence);
+            self.route(keys)
+        };
         if predicted.keys.is_empty() && corrected.keys.is_empty() {
             return Ok(());
         }
-        let exec_before = self.exec.stats();
 
         // Stages 2 and 3 share no key and no output (predictions are staged in
         // the buffer's detachable scratch arena, probe hits go to the spans).
@@ -221,13 +199,12 @@ impl<'a> QueryPipeline<'a> {
 
         // Stage 4: scatter the predictions to their keys' batch positions.
         let scattered = inferred.map(|columns| {
-            let begin = Instant::now();
-            for (i, &position) in predicted.positions.iter().enumerate() {
-                out.set_hit(position, &predictions[i * columns..(i + 1) * columns]);
+            {
+                let _merge = trace.span(Stage::Merge);
+                for (i, &position) in predicted.positions.iter().enumerate() {
+                    out.set_hit(position, &predictions[i * columns..(i + 1) * columns]);
+                }
             }
-            let elapsed = begin.elapsed();
-            self.metrics.add_time(Phase::Other, elapsed);
-            trace.record_span(Stage::Merge, begin, elapsed);
             // The answer mix is pipeline-work accounting (drift detection's
             // primary signal), not tracing — recorded regardless of `DM_OBS`.
             self.metrics.add_answer_mix(
@@ -236,13 +213,6 @@ impl<'a> QueryPipeline<'a> {
             );
         });
         out.restore_scratch(predictions);
-        // Charge the runtime activity this batch drove (approximate when several
-        // batches share one pool concurrently) to the store's metrics.
-        let delta = self.exec.stats().delta_since(&exec_before);
-        if delta.tasks_executed > 0 {
-            self.metrics
-                .add_exec(delta.tasks_executed, delta.steals, delta.park_nanos);
-        }
         scattered
     }
 
@@ -281,12 +251,10 @@ impl<'a> QueryPipeline<'a> {
         if keys.is_empty() {
             return Ok(0);
         }
-        let begin = Instant::now();
-        let columns = self.model.predict_into_on(self.exec, keys, predictions);
-        let elapsed = begin.elapsed();
-        self.metrics.add_time(Phase::NeuralNetwork, elapsed);
-        let columns = columns?;
-        trace.record_span(Stage::Inference, begin, elapsed);
+        let columns = {
+            let _inference = trace.span(Stage::Inference);
+            self.model.predict_into_on(self.exec, keys, predictions)?
+        };
         self.metrics.add_inference_batch(keys.len() as u64);
         Ok(columns)
     }
@@ -406,8 +374,6 @@ mod tests {
         assert_eq!(snap.inference_rows, predicted.len() as u64 + duplicated(&predicted));
         assert_eq!(snap.model_answered, snap.inference_rows);
         assert_eq!(snap.aux_answered, corrected.len() as u64 + duplicated(&corrected));
-        assert!(snap.phase(Phase::NeuralNetwork).as_nanos() > 0);
-        assert!(snap.phase(Phase::ExistenceCheck).as_nanos() > 0);
     }
 
     /// The two routes never pay for each other: predicted keys touch neither the
@@ -482,11 +448,6 @@ mod tests {
         let snap = dm.metrics().snapshot();
         assert_eq!(snap.inference_rows, snap.model_answered);
         assert_eq!(snap.model_answered + snap.aux_answered + 1, rows.len() as u64);
-        // The strict owned shape fails the call instead.
-        assert!(matches!(
-            pipeline.execute(&probe),
-            Err(crate::CoreError::Storage(_))
-        ));
     }
 
     #[test]
@@ -567,11 +528,11 @@ mod tests {
     }
 
     #[test]
-    fn execute_into_matches_execute_and_reuses_the_buffer() {
+    fn execute_into_matches_the_reference_and_reuses_the_buffer() {
         let rows = adversarial_rows(1_200);
         let dm = DeepMapping::build(&rows, &quick_config()).unwrap();
         let probe: Vec<u64> = (0..2_400u64).map(|i| (i * 7) % 1_800).collect();
-        let expected = dm.pipeline().execute(&probe).unwrap();
+        let expected = ReferenceStore::from_rows(&rows).lookup_batch(&probe).unwrap();
         let mut buffer = LookupBuffer::new();
         for _ in 0..3 {
             dm.pipeline().execute_into(&probe, &mut buffer).unwrap();
@@ -614,14 +575,15 @@ mod tests {
         let rows = adversarial_rows(800);
         let dm = DeepMapping::build(&rows, &quick_config()).unwrap();
         let keys: Vec<u64> = (0..1_000u64).rev().collect();
-        let via_pipeline = dm.pipeline().execute(&keys).unwrap();
-        assert_eq!(via_pipeline, dm.lookup_batch(&keys).unwrap());
+        let mut buffer = LookupBuffer::new();
+        dm.pipeline().execute_into(&keys, &mut buffer).unwrap();
+        assert_eq!(buffer.to_options(), dm.lookup_batch(&keys).unwrap());
     }
 
     /// On a 4-thread pool the probe groups and the inference row chunks fan
     /// out; the answers must agree exactly with the fully serial pipeline and
-    /// the reference store, and the parallel run must record its runtime
-    /// activity on the store's metrics.
+    /// the reference store, and the parallel run must show up in its pool's
+    /// own counters.
     #[test]
     fn parallel_halves_match_serial_and_record_exec_stats() {
         let (serial, rows, _, _) = mixed_store(quick_config().with_exec_threads(1));
@@ -638,12 +600,14 @@ mod tests {
             .collect();
         let expected = reference.lookup_batch(&probe).unwrap();
         parallel.metrics().reset();
+        let before = parallel.exec().stats();
         assert_eq!(parallel.lookup_batch(&probe).unwrap(), expected);
+        let delta = parallel.exec().stats().delta_since(&before);
         assert_eq!(serial.lookup_batch(&probe).unwrap(), expected);
         let snap = parallel.metrics().snapshot();
         assert!(
-            snap.exec_tasks > 0,
-            "the parallel halves must execute pool tasks, snapshot {snap:?}"
+            delta.tasks_executed > 0,
+            "the parallel halves must execute pool tasks, {delta:?}"
         );
         assert!(
             snap.partition_loads <= parallel.aux_table().partition_count() as u64,
@@ -654,11 +618,11 @@ mod tests {
             snap.model_answered + snap.aux_answered,
             expected.iter().flatten().count() as u64
         );
-        // The serial store shares the metrics contract but records no pool tasks
-        // of its own (its pool is the 1-thread inline executor).
-        serial.metrics().reset();
+        // The serial store's pool is the 1-thread inline executor: it runs no
+        // pool tasks of its own.
+        let before = serial.exec().stats();
         serial.lookup_batch(&probe).unwrap();
-        assert_eq!(serial.metrics().snapshot().exec_tasks, 0);
+        assert_eq!(serial.exec().stats().delta_since(&before).tasks_executed, 0);
     }
 
     /// Graceful degradation: a partition whose reads keep failing must degrade

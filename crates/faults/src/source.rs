@@ -121,9 +121,8 @@ mod tests {
 
     fn disk_with_partitions(n: u64) -> Arc<SimulatedDisk> {
         let disk = SimulatedDisk::new(DiskProfile::free());
-        let metrics = Metrics::new();
         for i in 0..n {
-            disk.write_partition(&Codec::Lz, &vec![i as u8; 4096], &metrics);
+            disk.write_partition(&Codec::Lz, &vec![i as u8; 4096]);
         }
         Arc::new(disk)
     }

@@ -13,8 +13,8 @@
 //!   per-thread ring buffers, with a slow-op capture policy that retains full
 //!   timelines of over-threshold batches ([`trace::slow_batches`]).
 //! * [`RelaxedCell`] — the single-writer-friendly counter cell
-//!   `dm_storage::Metrics` is built on, so recording a latency phase is one
-//!   relaxed atomic add instead of a mutex acquisition.
+//!   `dm_storage::Metrics` is built on, so bumping a store's I/O or pool
+//!   counter is one relaxed atomic add instead of a mutex acquisition.
 //!
 //! ## The relaxed-atomics accuracy contract
 //!
@@ -188,8 +188,9 @@ pub fn set_slow_threshold(threshold: Duration) {
 
 /// A single relaxed `AtomicU64` counter cell — the building block
 /// `dm_storage::Metrics` replaced its mutex with.  Unlike [`Counter`] it is
-/// not striped: `LatencyBreakdown` has ~25 cells bumped together, where
-/// striping each one would cost more cache traffic than it saves.
+/// not striped: `LatencyBreakdown` has 14 counts, several bumped together
+/// per pool access or batch, where striping each one would cost more cache
+/// traffic than it saves.
 #[derive(Debug, Default)]
 pub struct RelaxedCell(AtomicU64);
 

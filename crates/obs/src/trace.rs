@@ -26,8 +26,11 @@
 //! batches cost a summary write, summed straight from the event array; slow
 //! batches — the ones worth debugging — copy every span out.
 //!
-//! With the `DM_OBS=off` kill switch, [`Trace::start`] returns an inert handle:
-//! no allocation, and every recording call is a no-op behind one branch.
+//! A span guard ([`Trace::span`], or [`span`] for a caller that may carry no
+//! trace) is the workspace's one lookup timer: each stage reads the clock once
+//! at open and once at drop.  With the `DM_OBS=off` kill switch,
+//! [`Trace::start`] returns an inert handle: no allocation, no clock read, and
+//! every recording call is a no-op behind one branch.
 
 use crate::histogram::{Histogram, HistogramSnapshot};
 use crate::registry;
@@ -89,6 +92,12 @@ impl Stage {
         ]
     }
 
+    /// The stages of one store lookup batch (Figure 7's split): every stage
+    /// up to the server's, in [`Stage::all`] order.
+    pub fn lookup() -> impl Iterator<Item = Stage> {
+        Stage::all().into_iter().take(Stage::PoolLoad.index() + 1)
+    }
+
     /// Dense index, the position in [`Stage::all`].
     pub fn index(&self) -> usize {
         *self as usize
@@ -145,9 +154,9 @@ pub fn stage_snapshot(stage: Stage) -> HistogramSnapshot {
     stage_histograms()[stage.index()].snapshot()
 }
 
-/// Spans a [`Trace`] can hold before counting overflow instead of recording.
-/// Sized for the pipeline's worst realistic batch: four serial stages plus a
-/// probe + pool event per touched partition group.
+/// Spans a [`Trace`] can hold in its timeline.  A span past them is counted
+/// in [`TraceSummary::dropped`] and still summed into its stage, so a
+/// summary's per-stage times are whole when its timeline is not.
 pub const TRACE_EVENT_CAPACITY: usize = 48;
 
 /// Per-thread ring depth of recent batch summaries.
@@ -173,11 +182,13 @@ struct EventSlot {
 /// One batch's trace handle.  See the module docs for the recording and
 /// visibility contract.
 pub struct Trace {
-    active: bool,
     label: &'static str,
-    start: Instant,
+    /// When the trace started; `None` for an inert trace, which reads no clock.
+    start: Option<Instant>,
     cursor: AtomicUsize,
     overflow: AtomicUsize,
+    /// Summed time of the spans past the event array, per stage.
+    overflow_nanos: [AtomicU64; Stage::COUNT],
     /// Borrowed from the starting thread's spare buffer (see
     /// [`SPARE_EVENTS`]) and handed back on drop; only the first `cursor`
     /// slots belong to this trace.
@@ -186,17 +197,17 @@ pub struct Trace {
 
 impl Trace {
     /// Starts a trace for one batch.  When observability is disabled this
-    /// allocates nothing and every later call on the handle is a no-op.  An
-    /// active trace reuses the event buffer the thread's last trace gave
-    /// back, so steady-state tracing allocates nothing either.
+    /// allocates nothing, reads no clock, and every later call on the handle
+    /// is a no-op.  An active trace reuses the event buffer the thread's last
+    /// trace gave back, so steady-state tracing allocates nothing either.
     pub fn start(label: &'static str) -> Trace {
         let active = crate::enabled();
         Trace {
-            active,
             label,
-            start: Instant::now(),
+            start: active.then(Instant::now),
             cursor: AtomicUsize::new(0),
             overflow: AtomicUsize::new(0),
+            overflow_nanos: Default::default(),
             events: if active {
                 SPARE_EVENTS.with(Cell::take).unwrap_or_else(|| {
                     (0..TRACE_EVENT_CAPACITY).map(|_| EventSlot::default()).collect()
@@ -210,7 +221,7 @@ impl Trace {
     /// Whether this trace records anything (the kill switch, sampled once at
     /// [`start`](Trace::start)).
     pub fn is_active(&self) -> bool {
-        self.active
+        self.start.is_some()
     }
 
     /// Opens a span charged to `stage`; the span records itself when the
@@ -218,9 +229,9 @@ impl Trace {
     #[inline]
     pub fn span(&self, stage: Stage) -> SpanGuard<'_> {
         SpanGuard {
-            trace: self,
+            trace: Some(self),
             stage,
-            begin: self.active.then(Instant::now),
+            begin: self.start.map(|_| Instant::now()),
         }
     }
 
@@ -228,21 +239,16 @@ impl Trace {
     /// precede the trace's start), `dur` how long it ran.  Also feeds the
     /// stage's process-wide histogram.
     pub fn record_span(&self, stage: Stage, begin: Instant, dur: Duration) {
-        if !self.active {
-            return;
-        }
-        let dur_nanos = dur.as_nanos().min(u64::MAX as u128) as u64;
+        let Some(start) = self.start else { return };
+        let dur_nanos = nanos(dur);
         record_stage(stage, dur_nanos);
         let slot = self.cursor.fetch_add(1, Ordering::Relaxed);
         if slot >= self.events.len() {
             self.overflow.fetch_add(1, Ordering::Relaxed);
+            self.overflow_nanos[stage.index()].fetch_add(dur_nanos, Ordering::Relaxed);
             return;
         }
-        let start_nanos = begin
-            .checked_duration_since(self.start)
-            .unwrap_or_default()
-            .as_nanos()
-            .min(u64::MAX as u128) as u64;
+        let start_nanos = nanos(begin.checked_duration_since(start).unwrap_or_default());
         let event = &self.events[slot];
         event.stage.store(stage.index() as u32, Ordering::Relaxed);
         event.start_nanos.store(start_nanos, Ordering::Relaxed);
@@ -268,16 +274,18 @@ impl Trace {
     /// recording (including from pool tasks) must have completed before
     /// `finish` (the pipeline's scope barrier guarantees this).
     pub fn finish(self) -> TraceSummary {
-        let total_nanos = self.start.elapsed().as_nanos().min(u64::MAX as u128) as u64;
         let mut summary = TraceSummary {
             label: self.label,
-            total_nanos,
+            total_nanos: 0,
             stage_nanos: [0; Stage::COUNT],
             events: 0,
             dropped: self.overflow.load(Ordering::Relaxed),
         };
-        if !self.active {
-            return summary;
+        let Some(start) = self.start else { return summary };
+        let total_nanos = nanos(start.elapsed());
+        summary.total_nanos = total_nanos;
+        for (sum, dropped) in summary.stage_nanos.iter_mut().zip(&self.overflow_nanos) {
+            *sum = dropped.load(Ordering::Relaxed);
         }
         for event in self.events() {
             summary.events += 1;
@@ -318,26 +326,47 @@ impl std::fmt::Debug for Trace {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Trace")
             .field("label", &self.label)
-            .field("active", &self.active)
+            .field("active", &self.is_active())
             .field("events", &self.cursor.load(Ordering::Relaxed))
             .finish()
+    }
+}
+
+/// Opens a span charged to `stage`: into `trace` when the caller carries
+/// one, else into the stage's process-wide histogram alone.  Reads no clock
+/// when observability is [disabled](crate::enabled).
+#[inline]
+pub fn span(trace: Option<&Trace>, stage: Stage) -> SpanGuard<'_> {
+    match trace {
+        Some(trace) => trace.span(stage),
+        None => SpanGuard {
+            trace: None,
+            stage,
+            begin: crate::enabled().then(Instant::now),
+        },
     }
 }
 
 /// RAII span: records `stage` from construction to drop.
 #[must_use = "a span records when dropped — bind it, don't discard it"]
 pub struct SpanGuard<'a> {
-    trace: &'a Trace,
+    trace: Option<&'a Trace>,
     stage: Stage,
     begin: Option<Instant>,
 }
 
 impl Drop for SpanGuard<'_> {
     fn drop(&mut self) {
-        if let Some(begin) = self.begin {
-            self.trace.record_span(self.stage, begin, begin.elapsed());
+        let Some(begin) = self.begin else { return };
+        match self.trace {
+            Some(trace) => trace.record_span(self.stage, begin, begin.elapsed()),
+            None => record_stage(self.stage, nanos(begin.elapsed())),
         }
     }
+}
+
+fn nanos(duration: Duration) -> u64 {
+    duration.as_nanos().min(u64::MAX as u128) as u64
 }
 
 /// Aggregated view of one finished batch: total wall time plus per-stage sums.
@@ -345,15 +374,17 @@ impl Drop for SpanGuard<'_> {
 pub struct TraceSummary {
     /// The label the trace was started with.
     pub label: &'static str,
-    /// Wall time from `Trace::start` to `finish`, in nanoseconds.
+    /// Wall time from `Trace::start` to `finish`, in nanoseconds (0 for an
+    /// inert trace).
     pub total_nanos: u64,
-    /// Summed span time per stage, indexed by [`Stage::index`].  Concurrent
-    /// spans (parallel probes) each contribute fully, so a stage's sum can
-    /// exceed `total_nanos` — it is CPU time, not wall time.
+    /// Summed span time per stage, indexed by [`Stage::index`], dropped spans
+    /// included.  Concurrent spans (parallel probes) each contribute fully, so
+    /// a stage's sum can exceed `total_nanos` — it is CPU time, not wall time.
     pub stage_nanos: [u64; Stage::COUNT],
     /// Spans recorded.
     pub events: usize,
-    /// Spans dropped after the event array filled.
+    /// Spans left out of the timeline after the event array filled (their
+    /// time is still in `stage_nanos`).
     pub dropped: usize,
 }
 
@@ -622,6 +653,7 @@ mod tests {
         let summary = trace.finish();
         assert_eq!(summary.events, TRACE_EVENT_CAPACITY);
         assert_eq!(summary.dropped, 7);
+        assert_eq!(summary.stage(Stage::Probe), 10 * (TRACE_EVENT_CAPACITY as u64 + 7));
     }
 
     #[test]

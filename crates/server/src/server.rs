@@ -749,11 +749,12 @@ impl Shared {
         let exec_started = Instant::now();
         let outcome = store.lookup_batch_into(merged, results);
         let exec_nanos = exec_started.elapsed().as_nanos() as u64;
-        // The pipeline finishes its batch trace on the calling thread — this
-        // one — so the thread-local last-batch summary, when the store
-        // publishes one, is exactly the merged batch just executed. Baseline
-        // stores (and `DM_OBS=off`) leave it `None`; their requests simply
-        // get zero inference/probe shares.
+        // Stores finish their batch trace on the calling thread — this one —
+        // so the thread-local last-batch summary, when the store publishes
+        // one, is exactly the merged batch just executed. The DeepMapping
+        // pipeline and the baselines publish one; the reference store (and
+        // `DM_OBS=off`) leave it `None`, and their requests simply get zero
+        // inference/probe shares.
         let batch_trace = trace::take_last_batch();
         let inference_nanos = batch_trace.map_or(0, |s| s.stage(Stage::Inference));
         let probe_nanos = batch_trace.map_or(0, |s| s.stage(Stage::Probe));

@@ -95,9 +95,8 @@ impl SimulatedDisk {
 
     /// Compresses `payload` with `codec` and writes it as a new partition, returning
     /// its id.
-    pub fn write_partition(&self, codec: &Codec, payload: &[u8], metrics: &Metrics) -> u64 {
+    pub fn write_partition(&self, codec: &Codec, payload: &[u8]) -> u64 {
         let frame = dm_compress::compress_frame(codec, payload);
-        metrics.add_write(frame.len() as u64);
         let mut next = self.next_id.write();
         let id = *next;
         *next += 1;
@@ -111,15 +110,8 @@ impl SimulatedDisk {
     }
 
     /// Replaces the contents of an existing partition.
-    pub fn rewrite_partition(
-        &self,
-        id: u64,
-        codec: &Codec,
-        payload: &[u8],
-        metrics: &Metrics,
-    ) -> Result<()> {
+    pub fn rewrite_partition(&self, id: u64, codec: &Codec, payload: &[u8]) -> Result<()> {
         let frame = dm_compress::compress_frame(codec, payload);
-        metrics.add_write(frame.len() as u64);
         let mut partitions = self.partitions.write();
         match partitions.get_mut(&id) {
             Some(slot) => {
@@ -233,7 +225,7 @@ mod tests {
         let disk = SimulatedDisk::new(DiskProfile::edge_ssd());
         let metrics = Metrics::new();
         let payload: Vec<u8> = (0..10_000u32).flat_map(|i| [(i % 3) as u8, (i % 7) as u8]).collect();
-        let id = disk.write_partition(&Codec::Lz, &payload, &metrics);
+        let id = disk.write_partition(&Codec::Lz, &payload);
         assert_eq!(disk.partition_count(), 1);
         assert!(disk.total_bytes() > 0);
         assert!(disk.total_bytes() < payload.len());
@@ -243,7 +235,6 @@ mod tests {
         assert_eq!(snap.partition_loads, 1);
         assert_eq!(snap.decompressions, 1);
         assert!(snap.bytes_read > 0);
-        assert!(snap.bytes_written > 0);
         assert!(snap.simulated_io_nanos > 0);
     }
 
@@ -251,16 +242,15 @@ mod tests {
     fn rewrite_and_delete() {
         let disk = SimulatedDisk::new(DiskProfile::free());
         let metrics = Metrics::new();
-        let id = disk.write_partition(&Codec::None, b"version-1", &metrics);
-        disk.rewrite_partition(id, &Codec::None, b"version-2", &metrics)
-            .unwrap();
+        let id = disk.write_partition(&Codec::None, b"version-1");
+        disk.rewrite_partition(id, &Codec::None, b"version-2").unwrap();
         assert_eq!(disk.read_partition(id, &metrics).unwrap(), b"version-2");
         disk.delete_partition(id).unwrap();
         assert!(matches!(
             disk.read_partition(id, &metrics),
             Err(StorageError::MissingPartition(_))
         ));
-        assert!(disk.rewrite_partition(id, &Codec::None, b"x", &metrics).is_err());
+        assert!(disk.rewrite_partition(id, &Codec::None, b"x").is_err());
         assert!(disk.delete_partition(id).is_err());
         assert!(disk.partition_bytes(id).is_err());
     }
@@ -268,9 +258,8 @@ mod tests {
     #[test]
     fn partition_ids_are_unique() {
         let disk = SimulatedDisk::new(DiskProfile::free());
-        let metrics = Metrics::new();
         let ids: Vec<u64> = (0..10)
-            .map(|i| disk.write_partition(&Codec::None, &[i as u8], &metrics))
+            .map(|i| disk.write_partition(&Codec::None, &[i as u8]))
             .collect();
         let mut sorted = ids.clone();
         sorted.sort_unstable();

@@ -28,7 +28,9 @@
 //! * [`pool`] — one mutex-guarded LRU buffer pool under one byte budget that
 //!   loads/decompresses/evicts partitions, with single-flight cold loads so racing
 //!   readers never duplicate a load,
-//! * [`metrics`] — the latency-breakdown accounting behind Figure 7.
+//! * [`metrics`] — the I/O, pool and answer-mix counters every store charges; the
+//!   time of each lookup stage is a `dm_obs` span on the batch's [`Trace`], the
+//!   one timer, re-exported here as [`Trace`] / [`Stage`] for the stores.
 
 pub mod bitvec;
 pub mod disk;
@@ -43,7 +45,8 @@ pub use bitvec::{BitVec, RankedBits};
 pub use disk::{DiskProfile, SimulatedDisk};
 pub use source::{FileExtent, FilePartitionSource, PartitionSource};
 pub use layout::{ArrayPartition, HashPartition, PackedPartition, PartitionLayout};
-pub use metrics::{LatencyBreakdown, Metrics, Phase};
+pub use dm_obs::{Stage, Trace};
+pub use metrics::{LatencyBreakdown, Metrics};
 pub use pool::{BufferPool, RetryPolicy};
 pub use row::{ReferenceStore, Row, StoreStats};
 pub use store::{LookupBuffer, MutableStore, TupleRef, TupleStore};

@@ -267,24 +267,19 @@ impl<V> BufferPool<V> {
     /// winner's stale error.
     ///
     /// A single-flight wait records a [`Stage::PoolWait`](dm_obs::Stage) span
-    /// and a cold load a [`Stage::PoolLoad`](dm_obs::Stage) span — into
-    /// `trace` when the caller is carrying one, and into the process-wide
-    /// stage histograms either way (both no-ops under `DM_OBS=off`).  The
-    /// [`Metrics`] counters are recorded unconditionally.
+    /// and a cold load — read, unframe, decode: all of the loader — a
+    /// [`Stage::PoolLoad`](dm_obs::Stage) span, into `trace` when the caller is
+    /// carrying one and into the process-wide stage histograms either way
+    /// (both no-ops, with no clock read, under `DM_OBS=off`).  These spans are
+    /// the only timer of a load.  The [`Metrics`] counters are recorded
+    /// unconditionally.
     pub fn get_or_load(
         &self,
         id: u64,
         trace: Option<&dm_obs::Trace>,
         mut loader: impl FnMut() -> Result<(V, usize)>,
     ) -> Result<Arc<V>> {
-        use dm_obs::Stage;
-        let record = |stage: Stage, begin: std::time::Instant| {
-            let dur = begin.elapsed();
-            match trace {
-                Some(trace) => trace.record_span(stage, begin, dur),
-                None => dm_obs::trace::record_stage(stage, dur.as_nanos() as u64),
-            }
-        };
+        use dm_obs::{trace::span, Stage};
         if let Some(heat) = &self.heat {
             heat.touch(id, dm_obs::Touch::Access);
         }
@@ -306,9 +301,10 @@ impl<V> BufferPool<V> {
                     let latch = Arc::clone(latch);
                     drop(inner);
                     self.metrics.add_pool_single_flight_wait();
-                    let begin = std::time::Instant::now();
-                    let waited = latch.wait();
-                    record(Stage::PoolWait, begin);
+                    let waited = {
+                        let _wait = span(trace, Stage::PoolWait);
+                        latch.wait()
+                    };
                     match waited {
                         Err(err) if err.is_transient() && !reentered => {
                             reentered = true;
@@ -332,9 +328,10 @@ impl<V> BufferPool<V> {
         }
         let mut attempt = 1u32;
         let loaded = loop {
-            let begin = std::time::Instant::now();
-            let loaded = loader();
-            record(Stage::PoolLoad, begin);
+            let loaded = {
+                let _load = span(trace, Stage::PoolLoad);
+                loader()
+            };
             match loaded {
                 Err(err) if err.is_transient() && attempt < self.retry.max_attempts => {
                     self.metrics.add_load_retry();

@@ -140,7 +140,7 @@ impl PartitionSource for FilePartitionSource {
         })?;
         self.bytes_read.fetch_add(extent.len, Ordering::Relaxed);
         // A real read's time is already inside the caller's wall clock and
-        // its `Phase::LoadAndDecompress`; only modelled I/O is "simulated".
+        // the pool's `Stage::PoolLoad` span; only modelled I/O is "simulated".
         metrics.add_read(extent.len, Duration::ZERO);
         if dm_compress::crc32(&frame) != extent.crc32 {
             return Err(StorageError::Corrupt(format!(
@@ -277,7 +277,7 @@ mod tests {
     fn simulated_disk_is_a_partition_source() {
         let disk = crate::disk::SimulatedDisk::new(crate::disk::DiskProfile::free());
         let metrics = Metrics::new();
-        let id = disk.write_partition(&Codec::Lz, &vec![5u8; 1000], &metrics);
+        let id = disk.write_partition(&Codec::Lz, &vec![5u8; 1000]);
         let source: &dyn PartitionSource = &disk;
         assert_eq!(source.read_partition(id, &metrics).unwrap(), vec![5u8; 1000]);
         assert_eq!(source.partition_count(), 1);

@@ -141,9 +141,10 @@
 //! keys (`rank(base, key)` → partition and slot; packed partitions come through the
 //! shared buffer pool, each loaded at most once per batch) →
 //! order-preserving scatter into the caller's `LookupBuffer` arena — every key pays
-//! for the model or the auxiliary table, never both), with every stage charged to a
-//! `dm_storage::Metrics` phase.  Because the pipeline only reads, batches from
-//! different threads interleave freely over one store instance.
+//! for the model or the auxiliary table, never both), with every stage timed once, by
+//! a `dm_obs::Stage` span on the batch's trace (`dm_obs::trace::take_last_batch`);
+//! `dm_storage::Metrics` holds the counts.  Because the pipeline only reads, batches
+//! from different threads interleave freely over one store instance.
 //!
 //! ## The parallel read path
 //!
@@ -168,8 +169,8 @@
 //! `DM_EXEC_THREADS` environment variable (default: available parallelism;
 //! `1` = fully serial for debugging).  Per-store override:
 //! `DeepMappingBuilder::exec_threads(n)` pins that store to a dedicated
-//! n-thread pool.  Runtime activity per batch (tasks, steals, park time) lands
-//! in `LatencyBreakdown::exec_*` alongside the buffer-pool counters.
+//! n-thread pool.  Runtime activity (tasks, steals, park time) is the pool's own
+//! `ThreadPool::stats` (`dm.exec().stats()`).
 //!
 //! ## Persistence: the snapshot file + delta WAL
 //!
@@ -347,7 +348,7 @@ pub mod prelude {
         TenantId, Ticket,
     };
     pub use dm_storage::{
-        BitVec, DiskProfile, LatencyBreakdown, LookupBuffer, Metrics, MutableStore, Phase,
+        BitVec, DiskProfile, LatencyBreakdown, LookupBuffer, Metrics, MutableStore,
         ReferenceStore, Row, StoreStats, TupleRef, TupleStore,
     };
 }

@@ -250,13 +250,9 @@ fn lossy_deepsqueeze_baseline_reports_its_error() {
     use deepmapping::baselines::{DeepSqueezeConfig, DeepSqueezeStore};
     let dataset = SyntheticConfig::multi_high(2_000).generate();
     let rows = dataset.rows();
-    let store = DeepSqueezeStore::build(
-        &rows,
-        dataset.num_value_columns(),
-        DeepSqueezeConfig::default(),
-        Metrics::new(),
-    )
-    .unwrap();
+    let store =
+        DeepSqueezeStore::build(&rows, dataset.num_value_columns(), DeepSqueezeConfig::default())
+            .unwrap();
     let error = store.reconstruction_error(&rows);
     assert!((0.0..=1.0).contains(&error));
     // DeepMapping on the same data is exact by construction.

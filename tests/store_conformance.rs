@@ -119,7 +119,7 @@ fn all_five_backends_conform_to_the_store_traits() {
                 &rows,
                 2,
                 PartitionedStoreConfig::hash(Codec::Lz).with_partition_bytes(2 * 1024),
-                metrics.clone(),
+                metrics,
             )
             .unwrap(),
         ),
@@ -133,7 +133,7 @@ fn all_five_backends_conform_to_the_store_traits() {
     // its conformance obligations are the trait surface itself: query-order results,
     // exact key membership (hits for stored keys, misses otherwise) and the
     // `Unsupported` range contract.
-    let ds = DeepSqueezeStore::build(&rows, 2, DeepSqueezeConfig::default(), metrics).unwrap();
+    let ds = DeepSqueezeStore::build(&rows, 2, DeepSqueezeConfig::default()).unwrap();
     let probe: Vec<u64> = (0..1_300u64).collect();
     let mut buffer = LookupBuffer::new();
     ds.lookup_batch_into(&probe, &mut buffer).unwrap();
