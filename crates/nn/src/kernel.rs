@@ -145,7 +145,11 @@
 //! the tree's order (`LANE_ORDER`) — a run is a whole subtree, so each pass
 //! ends in one partial sum and the four fold the same way.  32 rows of `dy`
 //! run against one block of sixteen outputs before the next, so both stay in
-//! L1.
+//! L1.  The segmented form ([`matmul_transpose_segmented`]) is the same tile
+//! run once per part — several layers that read one input, each over its own
+//! columns of `dy` and its own panels — with the parts' folded sums added in
+//! order from `+0.0` before the tile is stored: a multi-task model's heads
+//! write their trunk-output gradient once, and no lane sum crosses a head.
 //!
 //! ## Selection
 //!
@@ -304,7 +308,7 @@ thread_local! {
 }
 
 /// Whether the vector dispatch should take the AVX-512 forms right now.
-fn avx512_enabled() -> bool {
+pub(crate) fn avx512_enabled() -> bool {
     !DISABLE_AVX512.with(|c| c.get()) && avx512_available()
 }
 
@@ -417,6 +421,40 @@ impl PackedPanels {
         })
     }
 
+    /// The panels of several layers that read the same input, side by side —
+    /// the f32 twin of [`QuantizedPanels::concat_columns`]: columns `[0, n₀)`
+    /// are `parts[0]`'s, the next `n₁` are `parts[1]`'s, and so on, each
+    /// computing in a forward pass exactly what it computes in its own layer.
+    pub fn concat_columns(parts: &[&PackedPanels]) -> crate::Result<Self> {
+        let k = parts.first().map_or(0, |p| p.k);
+        if parts.iter().any(|p| p.k != k) {
+            return Err(NnError::ShapeMismatch {
+                context: "concat_columns: panels disagree on the input dimension".into(),
+            });
+        }
+        let n: usize = parts.iter().map(|p| p.n).sum();
+        let mut data = vec![0.0f32; n.div_ceil(LANES) * k * LANES];
+        let mut bias = vec![0.0f32; n.div_ceil(LANES) * LANES];
+        let mut at = 0;
+        for part in parts {
+            for c in 0..part.n {
+                let (from, to) = (part.panel(c / LANES), (at + c) / LANES * k * LANES);
+                for kk in 0..k {
+                    data[to + kk * LANES + (at + c) % LANES] = from[kk * LANES + c % LANES];
+                }
+                bias[at + c] = part.bias[c];
+            }
+            at += part.n;
+        }
+        Ok(PackedPanels {
+            k,
+            n,
+            data,
+            bias,
+            transposed: OnceLock::new(),
+        })
+    }
+
     /// Input dimension (rows of the original weight).
     pub fn k(&self) -> usize {
         self.k
@@ -447,11 +485,12 @@ impl PackedPanels {
         &self.bias[p * LANES..(p + 1) * LANES]
     }
 
-    /// The `panel_count() * 16` vectors of output block `b` of the transposed
-    /// layout (see the field), laying it out on first use.
-    fn transposed_block(&self, b: usize) -> &[f32] {
+    /// The transposed layout (see the field), laid out on first use: output
+    /// block `b` is the `panel_count() * 16` vectors from
+    /// `b * panel_count() * 256` on.
+    fn transposed(&self) -> &[f32] {
         let panels = self.panel_count();
-        let transposed = self.transposed.get_or_init(|| {
+        self.transposed.get_or_init(|| {
             let mut data = vec![0.0f32; self.k.div_ceil(LANES) * panels * LANES * LANES];
             for (slot, vector) in data.chunks_exact_mut(LANES).enumerate() {
                 let (b, p, q) = (slot / LANES / panels, slot / LANES % panels, slot % LANES);
@@ -461,9 +500,7 @@ impl PackedPanels {
                 }
             }
             data
-        });
-        let len = panels * LANES * LANES;
-        &transposed[b * len..(b + 1) * len]
+        })
     }
 }
 
@@ -1201,29 +1238,57 @@ pub fn argmax_rows(
 /// fifteen vertical adds per sixteen outputs and no lane ever crosses a
 /// register — see the module docs.
 pub fn matmul_transpose_packed(lhs: &Matrix, panels: &PackedPanels) -> crate::Result<Matrix> {
-    if lhs.cols() != panels.n {
+    matmul_wt(lhs, &[panels], false)
+}
+
+/// `Σₕ dyₕ · Wₕᵀ` over several layers that read the same input — a
+/// multi-task model's heads' first layers, whose gradients meet at the trunk
+/// output — in one pass that writes each output once.  `dy` holds the parts'
+/// gradients side by side, as [`PackedPanels::concat_columns`] lays out their
+/// outputs: part `h` reads columns `[Σ_{i<h} nᵢ, … + n_h)`.  Each part is
+/// what [`matmul_transpose_packed`] computes of its columns alone — its own
+/// sixteen lane sums over its own panels, folded by [`reduce_lanes`] — and an
+/// output element is those values added in `parts` order, from `+0.0`.  No
+/// lane sum crosses from one part into the next.
+pub fn matmul_transpose_segmented(dy: &Matrix, parts: &[&PackedPanels]) -> crate::Result<Matrix> {
+    let k = parts.first().map(|p| p.k);
+    if k.is_none() || parts.iter().any(|p| Some(p.k) != k) {
+        return Err(NnError::ShapeMismatch {
+            context: "matmul_transpose_segmented: no parts, or parts of another k".into(),
+        });
+    }
+    matmul_wt(dy, parts, true)
+}
+
+/// Both `dy · Wᵀ` entries: the parts' values added in order, from `+0.0`
+/// with `from_zero`, from the first part's otherwise.  `parts` is not empty
+/// and agrees on `k`.
+fn matmul_wt(dy: &Matrix, parts: &[&PackedPanels], from_zero: bool) -> crate::Result<Matrix> {
+    let n: usize = parts.iter().map(|p| p.n).sum();
+    if dy.cols() != n {
         return Err(NnError::ShapeMismatch {
             context: format!(
-                "matmul_transpose_packed: lhs is {}x{}, panels expect n={}",
-                lhs.rows(),
-                lhs.cols(),
-                panels.n
+                "matmul_transpose_packed: lhs is {}x{}, panels expect n={n}",
+                dy.rows(),
+                dy.cols()
             ),
         });
     }
-    let mut out = Matrix::zeros(lhs.rows(), panels.k);
+    let mut out = Matrix::zeros(dy.rows(), parts[0].k);
     match active() {
         #[cfg(target_arch = "x86_64")]
         Kernel::Vector if avx512_enabled() => unsafe {
-            // Safety: AVX-512 F/BW/DQ availability checked at runtime.
-            x86::matmul_wt_avx512(lhs, panels, out.as_mut_slice());
+            // Safety: AVX-512 F/BW/DQ availability checked at runtime; the
+            // shapes were checked above.
+            x86::matmul_wt_avx512(dy, parts, from_zero, out.as_mut_slice());
         },
         #[cfg(target_arch = "x86_64")]
         Kernel::Vector if vector_available() => unsafe {
-            // Safety: AVX2+FMA availability checked at runtime.
-            x86::matmul_wt_avx2(lhs, panels, out.as_mut_slice());
+            // Safety: AVX2+FMA availability checked at runtime; the shapes
+            // were checked above.
+            x86::matmul_wt_avx2(dy, parts, from_zero, out.as_mut_slice());
         },
-        _ => matmul_wt_scalar_dispatch(lhs, panels, out.as_mut_slice()),
+        _ => matmul_wt_scalar_dispatch(dy, parts, from_zero, out.as_mut_slice()),
     }
     Ok(out)
 }
@@ -1284,33 +1349,6 @@ pub fn reduce_lanes(v: [f32; LANES]) -> f32 {
     (s04 + s26) + (s15 + s37)
 }
 
-/// Activation applied lane-wise to a freshly computed tile.  ReLU is defined as
-/// `if v < 0.0 { 0.0 } else { v }` (keeps `-0.0` and NaN), which all kernels
-/// implement identically; sigmoid/tanh run scalar over the stored tile in all.
-#[inline(always)]
-fn apply_activation_slice(activation: Activation, out: &mut [f32]) {
-    match activation {
-        Activation::Linear => {}
-        Activation::Relu => {
-            for v in out {
-                if *v < 0.0 {
-                    *v = 0.0;
-                }
-            }
-        }
-        Activation::Sigmoid => {
-            for v in out {
-                *v = 1.0 / (1.0 + (-*v).exp());
-            }
-        }
-        Activation::Tanh => {
-            for v in out {
-                *v = v.tanh();
-            }
-        }
-    }
-}
-
 // ---------------------------------------------------------------------------
 // Scalar kernel bodies.
 //
@@ -1343,7 +1381,7 @@ fn forward_scalar_body(
             let cols = LANES.min(ld - p * LANES);
             let tile = &mut out_row[p * LANES..p * LANES + cols];
             tile.copy_from_slice(&acc[..cols]);
-            apply_activation_slice(activation, tile);
+            activation.apply_to(tile);
         }
     }
 }
@@ -1379,33 +1417,42 @@ fn forward_quantized_scalar_body(
                 let m = x_scale * panels.scales[p * QLANES + c];
                 *t = (acc[c] as f32).mul_add(m, panels.bias[p * QLANES + c]);
             }
-            apply_activation_slice(activation, tile);
+            activation.apply_to(tile);
         }
     }
 }
 
-/// The reference form of `dy · Wᵀ`: the lane sums of one block of sixteen
-/// outputs as a 16 × 16 array, each lane's chain in ascending panel order, then
-/// [`reduce_lanes`] per output.
+/// The reference form of `dy · Wᵀ`: per part, the lane sums of one block of
+/// sixteen outputs as a 16 × 16 array, each lane's chain in ascending panel
+/// order, then [`reduce_lanes`] per output, added to the parts before it.
 #[inline(always)]
-fn matmul_wt_scalar_body(lhs: &Matrix, panels: &PackedPanels, out: &mut [f32]) {
-    let k = panels.k;
-    for i in 0..lhs.rows() {
-        let lhs_row = lhs.row(i);
+fn matmul_wt_scalar_body(dy: &Matrix, parts: &[&PackedPanels], from_zero: bool, out: &mut [f32]) {
+    let k = parts[0].k;
+    for i in 0..dy.rows() {
         for (b, out_block) in out[i * k..(i + 1) * k].chunks_mut(LANES).enumerate() {
-            // acc[l][t]: lane l's running sum for output 16b + t.
-            let mut acc = [[0.0f32; LANES]; LANES];
-            for (slot, w) in panels.transposed_block(b).chunks_exact(LANES).enumerate() {
-                let (p, lane) = (slot / LANES, LANE_ORDER[slot % LANES]);
-                // A lane past the row's end multiplies zero by the panel's
-                // zero padding — `acc + 0.0`, which is not a no-op on `-0.0`.
-                let x = lhs_row.get(p * LANES + lane).copied().unwrap_or(0.0);
-                for (a, &wl) in acc[lane].iter_mut().zip(w) {
-                    *a = x.mul_add(wl, *a);
+            let mut at = 0;
+            for (h, panels) in parts.iter().enumerate() {
+                let dy_row = &dy.row(i)[at..at + panels.n];
+                at += panels.n;
+                let block = panels.panel_count() * LANES * LANES;
+                // acc[l][t]: lane l's running sum for output 16b + t.
+                let mut acc = [[0.0f32; LANES]; LANES];
+                let vectors = panels.transposed()[b * block..][..block].chunks_exact(LANES);
+                for (slot, w) in vectors.enumerate() {
+                    let (p, lane) = (slot / LANES, LANE_ORDER[slot % LANES]);
+                    // A lane past the part's end multiplies zero by the
+                    // panel's zero padding — `acc + 0.0`, which is not a no-op
+                    // on `-0.0`.
+                    let x = dy_row.get(p * LANES + lane).copied().unwrap_or(0.0);
+                    for (a, &wl) in acc[lane].iter_mut().zip(w) {
+                        *a = x.mul_add(wl, *a);
+                    }
                 }
-            }
-            for (t, o) in out_block.iter_mut().enumerate() {
-                *o = reduce_lanes(std::array::from_fn(|l| acc[l][t]));
+                for (t, o) in out_block.iter_mut().enumerate() {
+                    let sum = reduce_lanes(std::array::from_fn(|l| acc[l][t]));
+                    // `out` starts at `+0.0`.
+                    *o = if h == 0 && !from_zero { sum } else { *o + sum };
+                }
             }
         }
     }
@@ -1453,6 +1500,7 @@ macro_rules! scalar_dispatch {
         }
     };
 }
+pub(crate) use scalar_dispatch;
 
 scalar_dispatch!(
     forward_scalar_dispatch,
@@ -1485,7 +1533,7 @@ scalar_dispatch!(
     matmul_wt_scalar_dispatch,
     matmul_wt_scalar_body,
     matmul_wt_scalar_fma,
-    (lhs: &Matrix, panels: &PackedPanels, out: &mut [f32])
+    (dy: &Matrix, parts: &[&PackedPanels], from_zero: bool, out: &mut [f32])
 );
 
 scalar_dispatch!(
@@ -1502,8 +1550,7 @@ scalar_dispatch!(
 #[cfg(target_arch = "x86_64")]
 mod x86 {
     use super::{
-        apply_activation_slice, PackedPanels, QuantizedPanels, RowsView, LANES, LANE_ORDER,
-        QBLOCK, QLANES,
+        PackedPanels, QuantizedPanels, RowsView, LANES, LANE_ORDER, QBLOCK, QLANES,
     };
     use crate::layer::Activation;
     use crate::tensor::Matrix;
@@ -1516,6 +1563,20 @@ mod x86 {
 
     /// Half-panel width of the AVX2 forms (one `__m256`).
     const HALF: usize = 8;
+
+    /// Rows the f32 forward forms run one panel (AVX-512: one pair of
+    /// panels) across before they take the next: the panels stay in L1 while
+    /// the block's rows (`256 × 141` floats, for the frozen benchmark's trunk)
+    /// stream from L2.  Walking every panel for each 4-row tile instead reads
+    /// a layer wider than L1 — the 141 × 141 trunk layer's 9 panels are
+    /// 81 KiB, the heads' 141 × 175 entry's 11 are 99 KiB — from L2 for every
+    /// tile.  Scratch micro-benchmark, 2 048 rows, AVX-512, µs (best of 30,
+    /// two rounds): 141 → 175 took 1 216–1 497 with the old order and
+    /// 766–803 with blocks of 256 (512: 822–848, 1 024: 823–850, one block
+    /// of every row: 863–1 273); 141 → 141 998–1 385 and 656–669; 141 → 141
+    /// over 96-row windows (the walk's chunks) 985–1 159 and 650–672.  The
+    /// order moves no output: every column is its own chain.
+    const FORWARD_BLOCK_ROWS: usize = 256;
 
     /// One panel of rows `r..r+MR` in the AVX2 f32 form: `2 × MR` ymm
     /// accumulators sharing each panel-row load.
@@ -1550,6 +1611,8 @@ mod x86 {
         }
     }
 
+    /// The AVX2 f32 forward: each panel across a block of
+    /// [`FORWARD_BLOCK_ROWS`] rows, `MR` at a time, before the next panel.
     #[target_feature(enable = "avx2", enable = "fma")]
     pub(super) unsafe fn forward_avx2(
         x: RowsView<'_>,
@@ -1558,17 +1621,20 @@ mod x86 {
         out: &mut [f32],
         ld: usize,
     ) {
-        let mut r = 0;
-        while r < x.count {
-            let whole = r + MR <= x.count;
+        for first in (0..x.count).step_by(FORWARD_BLOCK_ROWS) {
+            let end = x.count.min(first + FORWARD_BLOCK_ROWS);
             for p in 0..panels.panel_count() {
-                if whole {
-                    avx2_tile::<MR>(x, panels, activation, out, ld, r, p);
-                } else {
-                    avx2_tile::<1>(x, panels, activation, out, ld, r, p);
+                let mut r = first;
+                while r < end {
+                    if r + MR <= end {
+                        avx2_tile::<MR>(x, panels, activation, out, ld, r, p);
+                        r += MR;
+                    } else {
+                        avx2_tile::<1>(x, panels, activation, out, ld, r, p);
+                        r += 1;
+                    }
                 }
             }
-            r += if whole { MR } else { 1 };
         }
     }
 
@@ -1610,7 +1676,8 @@ mod x86 {
     }
 
     /// 2-panel × 4-row register-blocked AVX-512 forward (8 zmm accumulators),
-    /// single rows and a single panel at the edges.
+    /// single rows and a single panel at the edges — each pair of panels
+    /// across a block of [`FORWARD_BLOCK_ROWS`] rows before the next pair.
     #[target_feature(enable = "avx512f", enable = "avx512bw", enable = "avx512dq")]
     pub(super) unsafe fn forward_avx512(
         x: RowsView<'_>,
@@ -1620,20 +1687,21 @@ mod x86 {
         ld: usize,
     ) {
         let np = panels.panel_count();
-        let mut r = 0;
-        while r < x.count {
-            let whole = r + MR <= x.count;
-            let mut p = 0;
-            while p < np {
-                match (whole, p + 2 <= np) {
-                    (true, true) => avx512_tile::<MR, 2>(x, panels, activation, out, ld, r, p),
-                    (true, false) => avx512_tile::<MR, 1>(x, panels, activation, out, ld, r, p),
-                    (false, true) => avx512_tile::<1, 2>(x, panels, activation, out, ld, r, p),
-                    (false, false) => avx512_tile::<1, 1>(x, panels, activation, out, ld, r, p),
+        for first in (0..x.count).step_by(FORWARD_BLOCK_ROWS) {
+            let end = x.count.min(first + FORWARD_BLOCK_ROWS);
+            for p in (0..np).step_by(2) {
+                let mut r = first;
+                while r < end {
+                    let whole = r + MR <= end;
+                    match (whole, p + 2 <= np) {
+                        (true, true) => avx512_tile::<MR, 2>(x, panels, activation, out, ld, r, p),
+                        (true, false) => avx512_tile::<MR, 1>(x, panels, activation, out, ld, r, p),
+                        (false, true) => avx512_tile::<1, 2>(x, panels, activation, out, ld, r, p),
+                        (false, false) => avx512_tile::<1, 1>(x, panels, activation, out, ld, r, p),
+                    }
+                    r += if whole { MR } else { 1 };
                 }
-                p += 2;
             }
-            r += if whole { MR } else { 1 };
         }
     }
 
@@ -2285,7 +2353,7 @@ mod x86 {
             out[offset..offset + cols].copy_from_slice(&tmp[..cols]);
         }
         if matches!(activation, Activation::Sigmoid | Activation::Tanh) {
-            apply_activation_slice(activation, &mut out[offset..offset + cols]);
+            activation.apply_to(&mut out[offset..offset + cols]);
         }
     }
 
@@ -2317,7 +2385,7 @@ mod x86 {
             out[offset..offset + cols].copy_from_slice(&tmp[..cols]);
         }
         if matches!(activation, Activation::Sigmoid | Activation::Tanh) {
-            apply_activation_slice(activation, &mut out[offset..offset + cols]);
+            activation.apply_to(&mut out[offset..offset + cols]);
         }
     }
 
@@ -2481,9 +2549,9 @@ mod x86 {
     /// `R` rows × `V::WIDTH` adjacent outputs of `dy · Wᵀ`: the sixteen lane
     /// sums of each row in `RUNS` passes of `L` lanes (`RUNS · L = 16`,
     /// `R · L` accumulator registers), every vector of the transposed panel
-    /// loaded once for the `R` rows.  `rows` are the `dy` rows, `n` wide; `w`
-    /// is the block's first vector (offset by the half, for 8-lane
-    /// registers).
+    /// loaded once for the `R` rows.  `rows` point at the `n` values of `dy`
+    /// rows this part reads; `w` is the block's first vector (offset by the
+    /// half, for 8-lane registers).
     ///
     /// In the last panel the reference multiplies `0 · 0` into every lane past
     /// `n`: `sum + 0.0`, which is `sum` unless that is `-0.0`.  A sum of two
@@ -2496,7 +2564,7 @@ mod x86 {
     ///
     /// `V`'s CPU features; each of `rows` readable for `n` floats; `w`
     /// readable for `n.div_ceil(16) * 256 - (offset into the first vector)`
-    /// floats, i.e. one block of [`PackedPanels::transposed_block`].
+    /// floats, i.e. one output block of [`PackedPanels::transposed`].
     #[inline(always)]
     #[allow(clippy::needless_range_loop)] // run and q index the tile and name a lane of the tree
     unsafe fn wt_tile<V: Lanes, const R: usize, const L: usize, const RUNS: usize>(
@@ -2546,33 +2614,62 @@ mod x86 {
     /// measured alike.
     const WT_CHUNK_ROWS: usize = 32;
 
-    /// `dy · Wᵀ` in `R`-row tiles (see [`wt_tile`]) over chunks of
-    /// [`WT_CHUNK_ROWS`] rows.
+    /// `Σₕ dyₕ · Wₕᵀ` in `R`-row tiles (see [`wt_tile`]) over chunks of
+    /// [`WT_CHUNK_ROWS`] rows: per tile, each part's sums in turn, added to
+    /// the parts' before it (to `+0.0` first, with `from_zero`) and stored
+    /// once.
     ///
     /// # Safety
     ///
-    /// `V`'s CPU features; `lhs` is `wt.n` wide and `out` holds
-    /// `lhs.rows() * wt.k` floats ([`super::matmul_transpose_packed`] checks
-    /// the first and allocates the second).
+    /// `V`'s CPU features; `parts` is not empty and agrees on `k`, `dy` is
+    /// their `n`s wide, and `out` holds `dy.rows() * k` floats
+    /// ([`super::matmul_wt`] checks the shapes and allocates `out`).
     #[inline(always)]
     unsafe fn matmul_wt<V: Lanes, const R: usize, const L: usize, const RUNS: usize>(
-        lhs: &Matrix,
-        wt: &PackedPanels,
+        dy: &Matrix,
+        parts: &[&PackedPanels],
+        from_zero: bool,
         out: &mut [f32],
     ) {
-        let (k, n) = (wt.k, wt.n);
-        let dy = lhs.as_slice().as_ptr();
-        for first in (0..lhs.rows()).step_by(WT_CHUNK_ROWS) {
-            let end = (first + WT_CHUNK_ROWS).min(lhs.rows());
+        let (rows, k, ld) = (dy.rows(), parts[0].k, dy.cols());
+        // Per part: its first `dy` column, its width, the transposed layout
+        // and one output block's length in it.
+        let mut at = 0;
+        let parts: Vec<(usize, usize, *const f32, usize)> = parts
+            .iter()
+            .map(|wt| {
+                at += wt.n;
+                (
+                    at - wt.n,
+                    wt.n,
+                    wt.transposed().as_ptr(),
+                    wt.panel_count() * LANES * LANES,
+                )
+            })
+            .collect();
+        let dy = dy.as_slice().as_ptr();
+        for first in (0..rows).step_by(WT_CHUNK_ROWS) {
+            let end = (first + WT_CHUNK_ROWS).min(rows);
             for at in (0..k).step_by(V::WIDTH) {
-                let w = wt.transposed_block(at / LANES).as_ptr().add(at % LANES);
                 let live = V::prefix(V::WIDTH.min(k - at));
                 for r in (first..end).step_by(R) {
-                    // A tile hanging over the chunk's end reads its last row
-                    // again and drops the sums.
-                    let rows = std::array::from_fn(|j| dy.add((r + j).min(end - 1) * n));
-                    let sums = wt_tile::<V, R, L, RUNS>(rows, n, w);
-                    for (j, sum) in sums.into_iter().enumerate().take(end - r) {
+                    let mut total = [V::zero(); R];
+                    for (h, &(column, n, wt, block)) in parts.iter().enumerate() {
+                        let w = wt.add(at / LANES * block + at % LANES);
+                        // A tile hanging over the chunk's end reads its last
+                        // row again and drops the sums.
+                        let rows =
+                            std::array::from_fn(|j| dy.add((r + j).min(end - 1) * ld + column));
+                        let sums = wt_tile::<V, R, L, RUNS>(rows, n, w);
+                        for (sum, part) in total.iter_mut().zip(sums) {
+                            *sum = if h == 0 && !from_zero {
+                                part
+                            } else {
+                                sum.add(part)
+                            };
+                        }
+                    }
+                    for (j, sum) in total.into_iter().enumerate().take(end - r) {
                         sum.store_where(live, out.as_mut_ptr().add((r + j) * k + at));
                     }
                 }
@@ -2582,14 +2679,24 @@ mod x86 {
 
     /// 4 rows × 4 lanes: sixteen zmm accumulators, four passes.
     #[target_feature(enable = "avx512f", enable = "avx512bw", enable = "avx512dq")]
-    pub(super) unsafe fn matmul_wt_avx512(lhs: &Matrix, wt: &PackedPanels, out: &mut [f32]) {
-        matmul_wt::<__m512, 4, 4, 4>(lhs, wt, out);
+    pub(super) unsafe fn matmul_wt_avx512(
+        dy: &Matrix,
+        parts: &[&PackedPanels],
+        from_zero: bool,
+        out: &mut [f32],
+    ) {
+        matmul_wt::<__m512, 4, 4, 4>(dy, parts, from_zero, out);
     }
 
     /// 2 rows × 4 lanes over each 8-output half: eight ymm accumulators.
     #[target_feature(enable = "avx2", enable = "fma")]
-    pub(super) unsafe fn matmul_wt_avx2(lhs: &Matrix, wt: &PackedPanels, out: &mut [f32]) {
-        matmul_wt::<__m256, 2, 4, 4>(lhs, wt, out);
+    pub(super) unsafe fn matmul_wt_avx2(
+        dy: &Matrix,
+        parts: &[&PackedPanels],
+        from_zero: bool,
+        out: &mut [f32],
+    ) {
+        matmul_wt::<__m256, 2, 4, 4>(dy, parts, from_zero, out);
     }
 
     /// Rows of `lhs` and `rhs` that [`transpose_matmul`] runs every tile over
@@ -2892,19 +2999,11 @@ pub(crate) mod tests {
     /// of `dy` with `w`.
     fn assert_gradient_forms_agree(x: &Matrix, dy: &Matrix, w: &Matrix, what: &str) {
         let panels = PackedPanels::pack(w, None).unwrap();
-        let forms = |f: &dyn Fn() -> Matrix| {
-            let mut forms = vec![("scalar", with_forced(Kernel::Scalar, f))];
-            forms.push(("vector", with_forced(Kernel::Vector, f)));
-            if avx512_available() {
-                forms.push(("avx2", with_avx512_disabled(|| with_forced(Kernel::Vector, f))));
-            }
-            forms
-        };
         for (kernel, run) in [
             ("xᵀ·dy", &(|| transpose_matmul(x, dy).unwrap()) as &dyn Fn() -> Matrix),
             ("dy·Wᵀ", &|| matmul_transpose_packed(dy, &panels).unwrap()),
         ] {
-            let forms = forms(run);
+            let forms = gradient_forms(run);
             let reference = bits(&forms[0].1);
             for (form, got) in &forms[1..] {
                 let differs = reference.iter().zip(bits(got)).position(|(&a, b)| a != b);
@@ -2918,6 +3017,58 @@ pub(crate) mod tests {
                     dy.cols()
                 );
             }
+        }
+    }
+
+    /// What `f` returns under the scalar, the selected vector and (on an
+    /// AVX-512 host) the AVX2 form.
+    fn gradient_forms(f: &dyn Fn() -> Matrix) -> Vec<(&'static str, Matrix)> {
+        let mut forms = vec![("scalar", with_forced(Kernel::Scalar, f))];
+        forms.push(("vector", with_forced(Kernel::Vector, f)));
+        if avx512_available() {
+            forms.push((
+                "avx2",
+                with_avx512_disabled(|| with_forced(Kernel::Vector, f)),
+            ));
+        }
+        forms
+    }
+
+    /// What [`matmul_transpose_segmented`] is defined as: each part's
+    /// [`matmul_transpose_packed`] of its own columns of `dy`, scalar form,
+    /// added in order into a matrix of `+0.0` — a per-head backward's trunk
+    /// gradient.
+    fn segmented_reference(dy: &Matrix, parts: &[&PackedPanels]) -> Matrix {
+        let mut sum = Matrix::zeros(dy.rows(), parts[0].k());
+        let mut at = 0;
+        for part in parts {
+            let mut columns = Matrix::zeros(dy.rows(), part.n());
+            for r in 0..dy.rows() {
+                columns
+                    .row_mut(r)
+                    .copy_from_slice(&dy.row(r)[at..at + part.n()]);
+            }
+            at += part.n();
+            let own =
+                with_forced(Kernel::Scalar, || matmul_transpose_packed(&columns, part)).unwrap();
+            sum.add_scaled(&own, 1.0).unwrap();
+        }
+        sum
+    }
+
+    /// The segmented `dy · Wᵀ` under every form equals [`segmented_reference`]
+    /// bit for bit.
+    fn assert_segmented_forms_agree(dy: &Matrix, parts: &[&PackedPanels], what: &str) {
+        let reference = bits(&segmented_reference(dy, parts));
+        for (form, got) in gradient_forms(&|| matmul_transpose_segmented(dy, parts).unwrap()) {
+            let differs = reference.iter().zip(bits(&got)).position(|(&a, b)| a != b);
+            assert_eq!(
+                differs,
+                None,
+                "segmented dy·Wᵀ {form}, {what}: dy {}x{}",
+                dy.rows(),
+                dy.cols()
+            );
         }
     }
 
@@ -2962,6 +3113,26 @@ pub(crate) mod tests {
         let (w, dy) = (fill(141, 35, 45), fill(512, 35, 46));
         assert_gradient_forms_agree(&Matrix::zeros(512, 141), &dy, &w, "all-zero x");
         assert_gradient_forms_agree(&fill(512, 141, 47), &Matrix::zeros(512, 35), &w, "all-zero dy");
+        // The heads' entry: the trunk-output gradient of heads of every width
+        // a build trains, ragged against both ISAs' panels, as one pass — and
+        // one head, and heads of one width.
+        for widths in [&[1usize, 3, 17, 35, 48, 64][..], &[35; 5], &[17]] {
+            let panels: Vec<PackedPanels> = (0u64..)
+                .zip(widths)
+                .map(|(salt, &n)| PackedPanels::pack(&fill(141, n, 48 + salt), None).unwrap())
+                .collect();
+            let parts: Vec<&PackedPanels> = panels.iter().collect();
+            let n: usize = widths.iter().sum();
+            for rows in [2048usize, 907, 33, 5, 1] {
+                let what = format!("head widths {widths:?}");
+                assert_segmented_forms_agree(&fill(rows, n, 55), &parts, &what);
+                assert_segmented_forms_agree(
+                    &relu(fill(rows, n, 56)),
+                    &parts,
+                    &format!("{what}, ReLU-sparse"),
+                );
+            }
+        }
     }
 
     /// What makes the zero skip of `xᵀ · dy` and the padded lanes of `dy · Wᵀ`
@@ -3503,6 +3674,39 @@ pub(crate) mod tests {
         });
         let other_k = QuantizedPanels::quantize(&fill(20, 4, 1), None).unwrap();
         assert!(QuantizedPanels::concat_columns(&[&parts[0], &other_k]).is_err());
+    }
+
+    /// The f32 twin, which a training step's heads' entry runs: each part's
+    /// columns of the wide pass are its own layer's output, bit for bit —
+    /// over more rows than one block of the forward forms.
+    #[test]
+    fn concatenated_f32_panels_compute_each_part_in_its_own_columns() {
+        let x = fill_with_zero_rows(263, 141, 85);
+        let parts: Vec<PackedPanels> = [(5usize, 86u64), (16, 87), (35, 88), (1, 89)]
+            .iter()
+            .map(|&(n, salt)| {
+                PackedPanels::pack(&fill(141, n, salt), Some(&fill(1, n, salt + 10))).unwrap()
+            })
+            .collect();
+        let fused = PackedPanels::concat_columns(&parts.iter().collect::<Vec<_>>()).unwrap();
+        assert_eq!((fused.k(), fused.n()), (141, 57));
+        under_each_form(|form| {
+            let wide = forward_packed(&x, 0, 263, &fused, Activation::Linear).unwrap();
+            let mut at = 0;
+            for part in &parts {
+                let own = forward_packed(&x, 0, 263, part, Activation::Linear).unwrap();
+                for r in 0..263 {
+                    assert_eq!(
+                        bits_of(&wide.row(r)[at..at + part.n()]),
+                        bits_of(own.row(r)),
+                        "{form} row {r}"
+                    );
+                }
+                at += part.n();
+            }
+        });
+        let other_k = PackedPanels::pack(&fill(20, 4, 1), None).unwrap();
+        assert!(PackedPanels::concat_columns(&[&parts[0], &other_k]).is_err());
     }
 
     /// Quantization must be a deterministic fixed point: raw parts reproduce

@@ -39,24 +39,32 @@ impl Activation {
     }
 
     /// Applies the activation element-wise in place (the allocation-free form the
-    /// inference hot path uses on matrices it already owns).
+    /// inference hot path uses on matrices it already owns).  ReLU is the
+    /// kernels' `if v < 0.0 { 0.0 } else { v }` (`-0.0` and NaN pass), as a
+    /// select with no branch on the data.
     pub fn apply_in_place(&self, out: &mut Matrix) {
+        self.apply_to(out.as_mut_slice());
+    }
+
+    /// [`apply_in_place`](Self::apply_in_place) over a slice of values — also
+    /// what every kernel applies to a finished output tile (the vector forms
+    /// take ReLU in registers, by the same select).
+    #[inline]
+    pub fn apply_to(&self, values: &mut [f32]) {
         match self {
             Activation::Linear => {}
             Activation::Relu => {
-                for v in out.as_mut_slice() {
-                    if *v < 0.0 {
-                        *v = 0.0;
-                    }
+                for v in values {
+                    *v = if *v < 0.0 { 0.0 } else { *v };
                 }
             }
             Activation::Sigmoid => {
-                for v in out.as_mut_slice() {
+                for v in values {
                     *v = sigmoid(*v);
                 }
             }
             Activation::Tanh => {
-                for v in out.as_mut_slice() {
+                for v in values {
                     *v = v.tanh();
                 }
             }
@@ -318,6 +326,35 @@ impl Dense {
         Ok(self.last_output.insert(out))
     }
 
+    /// Takes columns `[from, from + out_dim)` of `wide` — the pre-activations
+    /// of this layer, which a wider pass computed beside other layers' (a
+    /// multi-task model's heads' entry) — as what the latest
+    /// [`forward_train`](Self::forward_train) returned: copied into the
+    /// layer's own output matrix, the activation applied there.  Every
+    /// activation acts on each stored value alone, as the kernels' epilogue
+    /// does, so this keeps what `forward_train` would have, bit for bit.
+    pub(crate) fn keep_output_columns(&mut self, wide: &Matrix, from: usize) -> crate::Result<()> {
+        let width = self.out_dim();
+        if from + width > wide.cols() {
+            return Err(crate::NnError::ShapeMismatch {
+                context: format!(
+                    "keep_output_columns: columns [{from}, {}) of a {}-column pass",
+                    from + width,
+                    wide.cols()
+                ),
+            });
+        }
+        let mut out = self.last_output.take().unwrap_or_else(|| Matrix::zeros(0, 0));
+        out.reshape(wide.rows(), width);
+        for r in 0..wide.rows() {
+            let row = out.row_mut(r);
+            row.copy_from_slice(&wide.row(r)[from..from + width]);
+            self.activation.apply_to(row);
+        }
+        self.last_output = Some(out);
+        Ok(())
+    }
+
     /// Inference-only forward pass (no caching).
     pub fn forward(&self, x: &Matrix) -> crate::Result<Matrix> {
         self.forward_rows(x, 0, x.rows())
@@ -373,6 +410,12 @@ impl Dense {
     /// element is a fixed sequence of fused multiply-adds — tile shapes move
     /// work between registers, never a sum's order, so a retrain reproduces
     /// the same weights on any kernel.
+    ///
+    /// A multi-task model's heads' first layers do not come through here:
+    /// each stops at [`backward_parameters`](Self::backward_parameters), and
+    /// one [`kernel::matmul_transpose_segmented`] over all of them writes the
+    /// gradient w.r.t. the input they share — each head's `dy · Wᵀ` exactly
+    /// as this computes it, added in head order from `+0.0`.
     pub fn backward(&mut self, input: &Matrix, grad_out: Matrix) -> crate::Result<Matrix> {
         let grad_pre = self.backward_parameters(input, grad_out)?;
         // `dy · Wᵀ` reuses the forward panels (the optimizer has not touched W

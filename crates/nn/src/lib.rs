@@ -17,7 +17,8 @@
 //!   scales, bit-identical across all kernels), the engine under every dense
 //!   matmul,
 //! * [`layer`] — dense layers and activations with explicit backward passes,
-//! * [`loss`] — softmax cross-entropy (the paper's training loss),
+//! * [`loss`] — softmax cross-entropy (the paper's training loss), its `exp`
+//!   one fixed recipe (`exp.rs`) rather than the host's libm,
 //! * [`optimizer`] — SGD (with momentum and decay) and Adam,
 //! * [`mlp`] — a plain sequential multi-layer perceptron,
 //! * [`multitask`] — the shared-trunk / private-head model of Section IV-A,
@@ -31,6 +32,7 @@
 //! runtime would execute for the same graph.
 
 pub mod encoding;
+mod exp;
 pub mod init;
 pub mod kernel;
 pub mod layer;

@@ -4,39 +4,72 @@
 //! entropy"; each private head of the multi-task network classifies the key into one
 //! of the distinct values of its target column.
 
+use crate::exp::exp_shifted_rows;
+use crate::kernel::{self, RowsView};
 use crate::tensor::Matrix;
 use crate::NnError;
 
-/// Numerically-stable row-wise softmax.
+/// Rows a softmax pass takes together, so that their sums — each one chain in
+/// column order — run side by side.
+const BLOCK_ROWS: usize = 16;
+
+/// Numerically-stable row-wise softmax (the training loss's, and the MHAS
+/// controller's over its decisions).
 pub fn softmax(logits: &Matrix) -> Matrix {
     let mut out = logits.clone();
-    for r in 0..out.rows() {
-        softmax_row(out.row_mut(r));
-    }
+    let mut tops = vec![0; out.rows()];
+    softmax_rows(out.as_mut_slice(), logits.cols(), &mut tops);
     out
 }
 
-/// Softmax of one row in place.  Returns the index of the row's largest logit,
-/// the lowest on a tie — the class [`argmax`](crate::tensor::argmax) predicts,
-/// found by the scan the softmax needs for its shift anyway.
-fn softmax_row(row: &mut [f32]) -> usize {
-    let (mut top, mut max) = (0, f32::NEG_INFINITY);
-    for (i, &v) in row.iter().enumerate() {
-        if v > max {
-            (top, max) = (i, v);
+/// Softmax of every `classes`-wide row of `data` in place.  `tops[i]` is set
+/// to the index of row `i`'s largest logit, the lowest on a tie — the class
+/// [`argmax`](crate::tensor::argmax) predicts, found by the scan the softmax
+/// needs for its shift anyway ([`kernel::argmax_rows`]).
+///
+/// Row by row: the largest logit `m` (`−∞` when nothing is above it), every
+/// `v = exp(v − m)`, their sum from `+0.0` in column order, and every value
+/// divided by the sum when it is positive.  The `exp` is the crate's own
+/// recipe ([`exp_shifted_rows`]) — libm's FMA form, computed here, so a
+/// host's libm cannot move a trained weight — vectorized along the rows;
+/// every form of it gives the same bits.  A sum stays one chain per row: the
+/// rows of a block of [`BLOCK_ROWS`] add side by side instead.
+fn softmax_rows(data: &mut [f32], classes: usize, tops: &mut [u32]) {
+    if classes == 0 {
+        tops.fill(0);
+        return;
+    }
+    let kernel = kernel::active();
+    for (block, tops) in data
+        .chunks_mut(BLOCK_ROWS * classes)
+        .zip(tops.chunks_mut(BLOCK_ROWS))
+    {
+        let rows =
+            RowsView::new(block, classes, tops.len(), classes).expect("a block is whole rows");
+        kernel::argmax_rows(kernel, rows, tops, 1).expect("one top per row");
+        let mut maxes = [f32::NEG_INFINITY; BLOCK_ROWS];
+        for ((max, row), &top) in maxes
+            .iter_mut()
+            .zip(block.chunks_exact(classes))
+            .zip(&*tops)
+        {
+            *max = row[top as usize].max(f32::NEG_INFINITY);
+        }
+        exp_shifted_rows(kernel, block, classes, &maxes);
+        let mut sums = [0.0f32; BLOCK_ROWS];
+        for c in 0..classes {
+            for (sum, row) in sums.iter_mut().zip(block.chunks_exact(classes)) {
+                *sum += row[c];
+            }
+        }
+        for (row, &sum) in block.chunks_exact_mut(classes).zip(&sums) {
+            if sum > 0.0 {
+                for v in row {
+                    *v /= sum;
+                }
+            }
         }
     }
-    let mut sum = 0.0f32;
-    for v in row.iter_mut() {
-        *v = (*v - max).exp();
-        sum += *v;
-    }
-    if sum > 0.0 {
-        for v in row.iter_mut() {
-            *v /= sum;
-        }
-    }
-    top
 }
 
 /// Computes mean softmax cross-entropy loss and its gradient w.r.t. the logits.
@@ -72,17 +105,23 @@ pub fn softmax_cross_entropy(
     // The gradient is the probabilities with one subtracted at each row's
     // target, so it is written over them: one matrix, not two.
     let mut grad = logits.clone();
+    let mut tops = vec![0; logits.rows()];
+    softmax_rows(grad.as_mut_slice(), classes, &mut tops);
     let batch = logits.rows().max(1) as f32;
+    let scale = 1.0 / batch;
     let mut loss = 0.0f32;
-    for (i, &t) in targets.iter().enumerate() {
-        if softmax_row(grad.row_mut(i)) != t {
+    for (i, (&t, &top)) in targets.iter().zip(&tops).enumerate() {
+        if top as usize != t {
             right[i] = false;
         }
-        let p = grad.get(i, t);
+        let row = grad.row_mut(i);
+        let p = row[t];
         loss -= p.max(1e-12).ln();
-        grad.set(i, t, p - 1.0);
+        row[t] = p - 1.0;
+        for v in row {
+            *v *= scale;
+        }
     }
-    grad.scale(1.0 / batch);
     Ok((loss / batch, grad))
 }
 
@@ -110,6 +149,57 @@ mod tests {
         for r in 0..2 {
             let s: f32 = p.row(r).iter().sum();
             assert!((s - 1.0).abs() < 1e-5);
+        }
+    }
+
+    /// The softmax of every row is the one-row recipe — the largest logit
+    /// (`−∞` when nothing is above it), the `exp` of each value less it, their
+    /// sum in column order from `+0.0`, each value divided by it — bit for
+    /// bit, wherever the row falls in a block and under every kernel form:
+    /// over logits spread far enough that values underflow, with ties, `±0.0`
+    /// and rows of nothing but `−∞`.
+    #[test]
+    fn softmax_rows_are_the_one_row_recipe_in_every_form() {
+        use crate::exp::exp_shifted_rows;
+        use crate::kernel::Kernel;
+        let rows = 2 * BLOCK_ROWS + 5;
+        for classes in [1usize, 3, 4, 16, 17, 35, 64] {
+            let mut logits = Matrix::zeros(rows, classes);
+            for r in 0..rows {
+                for c in 0..classes {
+                    let h = (r * 31 + c * 17) % 23;
+                    let v = match (r % 7, h) {
+                        (6, _) => f32::NEG_INFINITY,
+                        (_, 0) => -0.0,
+                        (_, 1) => 0.0,
+                        _ => (h as f32 - 11.0) * (1.0 + (r % 5) as f32 * 9.0),
+                    };
+                    logits.set(r, c, v);
+                }
+            }
+            let mut expected = logits.clone();
+            for r in 0..rows {
+                let row = expected.row_mut(r);
+                let top = crate::tensor::argmax(row);
+                let max = if row[top] > f32::NEG_INFINITY {
+                    row[top]
+                } else {
+                    f32::NEG_INFINITY
+                };
+                exp_shifted_rows(Kernel::Scalar, row, classes, &[max]);
+                let sum = row.iter().fold(0.0f32, |sum, &v| sum + v);
+                if sum > 0.0 {
+                    row.iter_mut().for_each(|v| *v /= sum);
+                }
+            }
+            let bits = |m: &Matrix| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            kernel::tests::under_each_form(|form| {
+                assert_eq!(
+                    bits(&softmax(&logits)),
+                    bits(&expected),
+                    "{classes} classes, {form}"
+                );
+            });
         }
     }
 

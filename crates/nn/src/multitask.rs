@@ -8,7 +8,7 @@
 //! this module only cares about instantiating and training a concrete choice.
 
 use crate::encoding::KeyEncoder;
-use crate::kernel::{self, QuantizedPanels, QuantizedRows, RowsView, LANES};
+use crate::kernel::{self, PackedPanels, QuantizedPanels, QuantizedRows, RowsView, LANES};
 use crate::layer::{backward_chain, forward_train_chain, Activation, Dense};
 use crate::loss::softmax_cross_entropy;
 use crate::optimizer::Optimizer;
@@ -182,6 +182,11 @@ pub struct MultiTaskModel {
     /// Every head's first layer as one panel (see [`FusedEntry`]); `None`
     /// whenever the layers it would be built from are not all quantized.
     fused_entry: Option<FusedEntry>,
+    /// The heads' entry's side-by-side matrix in a training step: every
+    /// head's first-layer pre-activations on the way up, their gradients on
+    /// the way down — reused from step to step, as each layer reuses its own
+    /// output.
+    entry_wide: Matrix,
 }
 
 /// The heads' first layers concatenated column-wise into one int8 panel: they
@@ -190,6 +195,11 @@ pub struct MultiTaskModel {
 /// 11 together).  Output columns are independent in every kernel, so head
 /// `h` finds in columns `[Σ_{i<h} nᵢ, … + n_h)` exactly what its own layer
 /// computes.  Derived from the layers' quantized panels, never stored.
+///
+/// Training runs the same entry over the f32 weights
+/// ([`MultiTaskModel::train_batch`]): its forward over
+/// [`PackedPanels::concat_columns`] of the heads' first layers, and its
+/// backward as one segmented `dy · Wᵀ`.
 #[derive(Debug, Clone)]
 struct FusedEntry {
     panels: QuantizedPanels,
@@ -245,6 +255,7 @@ impl MultiTaskModel {
             trunk,
             heads,
             fused_entry: None,
+            entry_wide: Matrix::zeros(0, 0),
         })
     }
 
@@ -273,6 +284,7 @@ impl MultiTaskModel {
             trunk,
             heads,
             fused_entry,
+            entry_wide: Matrix::zeros(0, 0),
         })
     }
 
@@ -621,6 +633,22 @@ impl MultiTaskModel {
     /// cross-entropy losses are summed (all tasks share the trunk gradient).  Returns
     /// the mean loss across tasks and how many rows every head already got right
     /// in this step's forward pass, before its update.
+    ///
+    /// The heads' first layers all read the trunk output (the input, with no
+    /// trunk), and run as one layer — the heads' entry, as an int8 model's
+    /// inference walk runs them: forward, one pass over their panels side by
+    /// side ([`PackedPanels::concat_columns`]), linear, each head's activation
+    /// then applied to its own columns; backward, each head's weight gradients
+    /// of its own, and one [`kernel::matmul_transpose_segmented`] that writes
+    /// the trunk-output gradient once — each head's `dy · Wᵀ` its own sixteen
+    /// lane sums, the heads added in order from `+0.0`.  That is the
+    /// arithmetic of a per-head step whose heads' gradients are summed into a
+    /// zeroed matrix, so the weights are the same, bit for bit.  Any spec
+    /// runs this way: one head, direct heads (whose first layer is the
+    /// output), heads of mixed depth, no trunk (nothing then reads the
+    /// gradient w.r.t. the input, and no `dy · Wᵀ` runs).  The entry runs on
+    /// the layers' f32 weights — for an int8 layer, the dequantized image of
+    /// its int8 ones — as every layer does once a step has updated it.
     pub fn train_batch<O: Optimizer>(
         &mut self,
         x: &Matrix,
@@ -642,22 +670,52 @@ impl MultiTaskModel {
         // and again when that layer goes backward.
         let has_trunk = !self.trunk.is_empty();
         let trunk_out = forward_train_chain(&mut self.trunk, x)?;
-        // Heads forward + backward, their gradients summed at the trunk output
-        // — unless there is no trunk: nobody reads a gradient w.r.t. the batch.
+        // The heads' entry forward: each head's first layer keeps its columns.
+        let parts: Vec<&PackedPanels> = self.heads.iter().map(|head| head[0].packed()).collect();
+        let entry = PackedPanels::concat_columns(&parts)?;
+        let wide = &mut self.entry_wide;
+        wide.reshape(trunk_out.rows(), entry.n());
+        let rows = RowsView::of_matrix(trunk_out, 0, trunk_out.rows())?;
+        kernel::forward_packed_into(
+            kernel::active(),
+            rows,
+            &entry,
+            Activation::Linear,
+            wide.as_mut_slice(),
+            entry.n(),
+        )?;
+        let mut at = 0;
+        for head in &mut self.heads {
+            head[0].keep_output_columns(wide, at)?;
+            at += head[0].out_dim();
+        }
+        // Each head from its first layer's output up, and back down to it;
+        // the gradients w.r.t. the entry's outputs go side by side where the
+        // outputs were.  With no trunk, nobody reads them.
         let mut total_loss = 0.0f32;
         let mut right = vec![true; x.rows()];
-        let mut trunk_grad = has_trunk.then(|| Matrix::zeros(trunk_out.rows(), trunk_out.cols()));
+        let mut at = 0;
         for (head, head_targets) in self.heads.iter_mut().zip(targets.iter()) {
-            let logits = forward_train_chain(head, trunk_out)?;
+            let (first, rest) = head.split_at_mut(1);
+            let first = &mut first[0];
+            let logits = forward_train_chain(rest, first.cached_output()?)?;
             let (loss, grad) = softmax_cross_entropy(logits, head_targets, &mut right)?;
             total_loss += loss;
-            let grad = backward_chain(head, trunk_out, grad, trunk_grad.is_some())?;
-            if let Some(sum) = &mut trunk_grad {
-                sum.add_scaled(&grad, 1.0)?;
+            let grad = backward_chain(rest, first.cached_output()?, grad, true)?;
+            let grad = first.backward_parameters(trunk_out, grad)?;
+            if has_trunk {
+                for r in 0..grad.rows() {
+                    wide.row_mut(r)[at..at + grad.cols()].copy_from_slice(grad.row(r));
+                }
             }
+            at += grad.cols();
         }
-        // Trunk backward; its first layer stops at its own parameters.
-        if let Some(grad) = trunk_grad {
+        // The trunk-output gradient, once, then the trunk backward (its first
+        // layer stops at its own parameters).
+        if has_trunk {
+            let parts: Vec<&PackedPanels> =
+                self.heads.iter().map(|head| head[0].packed()).collect();
+            let grad = kernel::matmul_transpose_segmented(wide, &parts)?;
             backward_chain(&mut self.trunk, x, grad, false)?;
         }
         // Optimizer update over all parameters (stable order: trunk then heads).
@@ -679,6 +737,7 @@ impl MultiTaskModel {
 
     /// Drops cached activations on all layers.
     pub fn clear_cache(&mut self) {
+        self.entry_wide = Matrix::zeros(0, 0);
         for layer in &mut self.trunk {
             layer.clear_cache();
         }
@@ -1195,6 +1254,130 @@ mod tests {
             .forward_keys_flat_on(&serial, &six_feature_encoder(), &[], &mut out)
             .unwrap();
         assert_eq!((tasks, out.len()), (2, 0));
+    }
+
+    /// The training step before the heads' entry, kept as its oracle: each
+    /// head forward from the trunk output and back down to it through its own
+    /// layers — its first layer's `dy · Wᵀ` included — and the heads'
+    /// trunk-output gradients summed into a zeroed matrix in head order.
+    fn per_head_step(
+        model: &mut MultiTaskModel,
+        x: &Matrix,
+        targets: &[Vec<usize>],
+        optimizer: &mut Adam,
+    ) -> TrainStep {
+        let has_trunk = !model.trunk.is_empty();
+        let trunk_out = forward_train_chain(&mut model.trunk, x).unwrap();
+        let mut total_loss = 0.0f32;
+        let mut right = vec![true; x.rows()];
+        let mut trunk_grad = has_trunk.then(|| Matrix::zeros(trunk_out.rows(), trunk_out.cols()));
+        for (head, head_targets) in model.heads.iter_mut().zip(targets) {
+            let logits = forward_train_chain(head, trunk_out).unwrap();
+            let (loss, grad) = softmax_cross_entropy(logits, head_targets, &mut right).unwrap();
+            total_loss += loss;
+            let grad = backward_chain(head, trunk_out, grad, trunk_grad.is_some()).unwrap();
+            if let Some(sum) = &mut trunk_grad {
+                sum.add_scaled(&grad, 1.0).unwrap();
+            }
+        }
+        if let Some(grad) = trunk_grad {
+            backward_chain(&mut model.trunk, x, grad, false).unwrap();
+        }
+        let mut pairs = Vec::new();
+        for layer in model
+            .trunk
+            .iter_mut()
+            .chain(model.heads.iter_mut().flatten())
+        {
+            pairs.extend(layer.parameters_and_grads());
+        }
+        optimizer.step(&mut pairs);
+        TrainStep {
+            loss: total_loss / model.heads.len() as f32,
+            right_rows: right.iter().filter(|&&r| r).count(),
+        }
+    }
+
+    fn weight_bits(model: &MultiTaskModel) -> Vec<u32> {
+        let layers = model.trunk.iter().chain(model.heads.iter().flatten());
+        layers
+            .flat_map(|layer| {
+                layer
+                    .weight()
+                    .as_slice()
+                    .iter()
+                    .chain(layer.bias().as_slice())
+            })
+            .map(|v| v.to_bits())
+            .collect()
+    }
+
+    /// Training through the heads' entry — one forward over every head's
+    /// first layer, one segmented `dy · Wᵀ` — ends every step on the weights,
+    /// loss and right rows of the per-head step, bit for bit, under every
+    /// kernel form: heads of unequal widths (ragged against the panels), a
+    /// direct head and a two-layer one, a single head, no trunk, and direct
+    /// heads only.
+    #[test]
+    fn training_through_the_heads_entry_matches_the_per_head_step() {
+        let hidden = TaskHeadSpec::with_hidden;
+        let specs = [
+            (
+                "unequal widths, a direct head, a deep head",
+                vec![24],
+                vec![
+                    hidden(vec![19], 4),
+                    hidden(vec![35], 9),
+                    TaskHeadSpec::direct(5),
+                    hidden(vec![7, 6], 3),
+                ],
+            ),
+            ("one head", vec![20], vec![hidden(vec![12], 6)]),
+            (
+                "no trunk",
+                vec![],
+                vec![hidden(vec![10], 3), TaskHeadSpec::direct(4)],
+            ),
+            (
+                "direct heads only",
+                vec![17, 9],
+                vec![TaskHeadSpec::direct(3), TaskHeadSpec::direct(18)],
+            ),
+        ];
+        let rows = 300;
+        let x = signed_input(rows, 6);
+        for (name, shared_hidden, heads) in specs {
+            let spec = MultiTaskSpec {
+                input_dim: 6,
+                shared_hidden,
+                heads,
+            };
+            let targets: Vec<Vec<usize>> = (0..spec.heads.len())
+                .map(|h| {
+                    (0..rows)
+                        .map(|r| (r * 7 + h * 3) % spec.heads[h].classes)
+                        .collect()
+                })
+                .collect();
+            kernel::tests::under_each_form(|form| {
+                let mut entry = MultiTaskModel::new(&mut StdRng::seed_from_u64(41), &spec).unwrap();
+                let mut per_head = entry.clone();
+                let (mut entry_adam, mut per_head_adam) = (Adam::new(0.02), Adam::new(0.02));
+                for step in 0..4 {
+                    let got = entry.train_batch(&x, &targets, &mut entry_adam).unwrap();
+                    let want = per_head_step(&mut per_head, &x, &targets, &mut per_head_adam);
+                    assert_eq!(
+                        (got.loss.to_bits(), got.right_rows),
+                        (want.loss.to_bits(), want.right_rows),
+                        "{name}, {form}, step {step}"
+                    );
+                    assert!(
+                        weight_bits(&entry) == weight_bits(&per_head),
+                        "{name}, {form}, step {step}"
+                    );
+                }
+            });
+        }
     }
 
     /// A training step moves every layer back onto f32 weights, so it must
