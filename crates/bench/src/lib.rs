@@ -9,15 +9,15 @@
 //! (`cargo bench -p dm-bench --bench paper [-- fig6]`) and `PAPER_RESULTS.json` at the
 //! repository root is their committed form.  The frozen benchmark (`BENCHMARK.json`,
 //! `benchmark/`) is what *gates* a change; this crate records where DeepMapping stands
-//! on the paper's own data, with one definition of every system: int8 DeepMapping
-//! stores, one `TrainingConfig`, first call apart from the warm median.
+//! on the paper's own data, with one definition of every system: one DeepMapping
+//! [`store_definition`], one `TrainingConfig`, first call apart from the warm median.
 
 pub mod paper;
 
 use dm_baselines::{DeepSqueezeConfig, DeepSqueezeStore, PartitionedStore, PartitionedStoreConfig};
 use dm_compress::Codec;
 use dm_core::{AuxTable, DecodeMap, DeepMapping, DeepMappingBuilder, DeepMappingParts};
-use dm_core::{Quantization, StorageBreakdown, TrainingConfig, TrainingStop};
+use dm_core::{StorageBreakdown, TrainingConfig, TrainingStop};
 use dm_data::Dataset;
 use dm_obs::TraceSummary;
 use dm_storage::{DiskProfile, LatencyBreakdown, LookupBuffer, Metrics, MutableStore, Row};
@@ -148,23 +148,18 @@ pub fn build_baselines(dataset: &Dataset, regime: Regime) -> Vec<SystemUnderTest
         .collect()
 }
 
-/// The runner's one store definition — int8, 32 KiB partitions, `edge_ssd`, one
+/// The runner's one store definition — 32 KiB partitions, `edge_ssd`, one
 /// `TrainingConfig` — behind every DeepMapping row, the searched ones included.
 pub fn store_definition(epochs: usize) -> DeepMappingBuilder {
     DeepMappingBuilder::new()
         .disk_profile(DiskProfile::edge_ssd())
         .partition_bytes(32 * 1024)
-        .quantization(Quantization::Int8)
         .training(TrainingConfig { epochs, batch_size: 512, ..TrainingConfig::default() })
 }
 
 /// The one model a dataset × scale trains, and what every store derived from it shares.
 /// Neither the codec nor the pool budget reaches training, so DM-Z / DM-L × `mem` /
 /// `pool` are one model over four auxiliary tables of the same misclassified rows.
-///
-/// Every benchmarked store runs int8-quantized inference: it is the shipped fast path
-/// (lossless by construction — the aux table memorizes under quantized arithmetic),
-/// so the rows measure what a production store does.
 pub struct TrainedDeepMapping {
     /// The store the training build produced; its model, existence vector and
     /// configuration are what the derived stores share.

@@ -23,7 +23,7 @@
 //! assert_eq!(dm.len(), 512);
 //! ```
 
-use crate::config::{DeepMappingConfig, Quantization, SearchStrategy, TrainingConfig};
+use crate::config::{DeepMappingConfig, SearchStrategy, TrainingConfig};
 use crate::encoder::DecodeMap;
 use crate::hybrid::DeepMapping;
 use crate::Result;
@@ -112,15 +112,6 @@ impl DeepMappingBuilder {
         self
     }
 
-    /// Sets the arithmetic mode of the inference path
-    /// ([`Quantization::Int8`] serves through the exact-integer int8 kernels
-    /// with the auxiliary table memorized under quantized arithmetic, so
-    /// lookups stay exact).  Recorded in the snapshot manifest.
-    pub fn quantization(mut self, quantization: Quantization) -> Self {
-        self.config = self.config.with_quantization(quantization);
-        self
-    }
-
     /// Sets the RNG seed for weight initialization and search sampling.
     pub fn seed(mut self, seed: u64) -> Self {
         self.config = self.config.with_seed(seed);
@@ -169,7 +160,6 @@ mod tests {
             .disk_profile(DiskProfile::free())
             .training(TrainingConfig::quick())
             .retrain_threshold(123_456)
-            .quantization(Quantization::Int8)
             .seed(42);
         let manual = DeepMappingConfig::dm_l()
             .with_codec(Codec::Lz)
@@ -178,7 +168,6 @@ mod tests {
             .with_disk_profile(DiskProfile::free())
             .with_training(TrainingConfig::quick())
             .with_retrain_threshold(123_456)
-            .with_quantization(Quantization::Int8)
             .with_seed(42);
         assert_eq!(builder.config(), &manual);
     }
@@ -194,6 +183,8 @@ mod tests {
             .unwrap();
         assert_eq!(dm.len(), 256);
         assert_eq!(dm.name(), "DM-Z");
+        // A builder that never names an arithmetic serves int8.
+        assert!(dm.model().is_quantized());
         let decoded = dm.lookup_batch_decoded(&[0]).unwrap();
         assert!(["a", "b", "c"].contains(&decoded[0].as_ref().unwrap()[0].as_str()));
     }

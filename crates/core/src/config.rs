@@ -59,65 +59,23 @@ impl TrainingConfig {
     }
 }
 
-/// Arithmetic mode of the store's inference path, chosen per store at
-/// build/retrain time and recorded in the snapshot manifest.
+/// Arithmetic of the store's inference path.  Read by nothing: every store
+/// serves int8, so there is nothing to choose.  The type and
+/// [`DeepMappingConfig::quantization`] stay because callers (the frozen
+/// benchmark among them) name both in struct literals.
 ///
-/// Quantization is part of the store's arithmetic contract: the auxiliary
-/// table memorizes build-time mispredictions, so the serve-time arithmetic
-/// must reproduce the build-time arithmetic bit for bit.  Both modes do —
-/// `dm_nn::kernel` guarantees bit-identical predictions across kernel
-/// selection for each — but they differ from *each other*, which is why the
-/// mode is a build-time property (changing it goes through
-/// `DeepMapping::set_quantization` + `maintenance()`, which re-memorizes).
+/// A build trains f32 weights, quantizes them, and only then memorizes what
+/// the quantized arithmetic gets wrong, so lookups stay exact.  The weights
+/// are per-output-column symmetric int8, served through the int8 kernels of
+/// `dm_nn::kernel`: AMX tiles where the OS grants them, `vpdpbusd` on
+/// AVX-512-VNNI, a sign-transfer `vpmaddubsw` form on AVX2 and a scalar dot
+/// product elsewhere — one exact integer result in all four.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Quantization {
-    /// f32 weights served through the packed-panel FMA kernels.
+    /// Per-output-column symmetric int8 weights: about a quarter of the f32
+    /// model's bytes.
     #[default]
-    F32,
-    /// Per-output-column symmetric int8 weights served through the int8
-    /// kernels of `dm_nn::kernel` (`vpdpbusd` on AVX-512-VNNI hosts, a
-    /// sign-transfer `vpmaddubsw` form on AVX2, a scalar dot product
-    /// elsewhere — one exact integer result in all three) — ~4× smaller model
-    /// bytes in every snapshot and faster inference; predictions remain exact (lossless) because the aux table is
-    /// built under the same quantized arithmetic.
     Int8,
-}
-
-impl Quantization {
-    /// Stable byte tag used by the snapshot manifest.
-    pub fn tag(&self) -> u8 {
-        match self {
-            Quantization::F32 => 0,
-            Quantization::Int8 => 1,
-        }
-    }
-
-    /// Inverse of [`Quantization::tag`].
-    pub fn from_tag(tag: u8) -> Option<Self> {
-        match tag {
-            0 => Some(Quantization::F32),
-            1 => Some(Quantization::Int8),
-            _ => None,
-        }
-    }
-
-    /// Process-default mode: `DM_QUANTIZATION=int8|f32` (read once), falling
-    /// back to [`Quantization::F32`], so CI can run the whole suite over
-    /// quantized stores without code changes.
-    pub fn default_from_env() -> Self {
-        static SELECTED: std::sync::OnceLock<Quantization> = std::sync::OnceLock::new();
-        *SELECTED.get_or_init(|| {
-            match std::env::var("DM_QUANTIZATION")
-                .unwrap_or_default()
-                .trim()
-                .to_ascii_lowercase()
-                .as_str()
-            {
-                "int8" => Quantization::Int8,
-                _ => Quantization::F32,
-            }
-        })
-    }
 }
 
 /// How the model architecture is selected.
@@ -158,8 +116,8 @@ pub struct DeepMappingConfig {
     pub exec_threads: Option<usize>,
     /// RNG seed for weight initialization and search sampling.
     pub seed: u64,
-    /// Arithmetic mode of the inference path (f32 or int8); recorded in the
-    /// snapshot manifest, applied at build/retrain time before memorization.
+    /// Read by nothing: every store serves int8 (see [`Quantization`]).  The
+    /// field stays because callers name it in struct literals.
     pub quantization: Quantization,
 }
 
@@ -175,7 +133,7 @@ impl Default for DeepMappingConfig {
             retrain_aux_bytes: None,
             exec_threads: None,
             seed: 0xd33b,
-            quantization: Quantization::default_from_env(),
+            quantization: Quantization::Int8,
         }
     }
 }
@@ -256,14 +214,6 @@ impl DeepMappingConfig {
         self
     }
 
-    /// Sets the arithmetic mode of the inference path.  Applied when the
-    /// store is (re)built — the aux table memorizes under the chosen
-    /// arithmetic, so the mode is lossless either way.
-    pub fn with_quantization(mut self, quantization: Quantization) -> Self {
-        self.quantization = quantization;
-        self
-    }
-
     /// The paper's name for this configuration: `DM-<codec>` with a `1` suffix when
     /// retraining is enabled (DM-Z1).
     pub fn paper_name(&self) -> String {
@@ -304,19 +254,5 @@ mod tests {
         assert_eq!(cfg.seed, 7);
         // Partition sizes are floored at 1 KiB.
         assert_eq!(DeepMappingConfig::default().with_partition_bytes(1).partition_bytes, 1024);
-    }
-
-    #[test]
-    fn quantization_tags_round_trip() {
-        for q in [Quantization::F32, Quantization::Int8] {
-            assert_eq!(Quantization::from_tag(q.tag()), Some(q));
-        }
-        assert_eq!(Quantization::from_tag(200), None);
-        assert_eq!(
-            DeepMappingConfig::default()
-                .with_quantization(Quantization::Int8)
-                .quantization,
-            Quantization::Int8
-        );
     }
 }

@@ -2,7 +2,7 @@
 //! decode map, with Algorithm 1 lookups and the Algorithm 3–5 modification workflows.
 
 use crate::aux_table::AuxTable;
-use crate::config::{DeepMappingConfig, Quantization, SearchStrategy};
+use crate::config::{DeepMappingConfig, SearchStrategy};
 use crate::encoder::{DecodeMap, MappingSchema};
 use crate::mhas::MhasSearch;
 use crate::model::MappingModel;
@@ -91,11 +91,11 @@ pub(crate) struct Assurance {
 }
 
 impl Assurance {
-    /// Puts `model` into the arithmetic `config` serves with, then memorizes
-    /// what that arithmetic gets wrong.  Quantization must happen *between*
-    /// training and memorization — the aux table records exactly what the
-    /// serve-time (quantized) arithmetic mispredicts, which is what keeps int8
-    /// stores lossless — so it happens here, where nothing can come between.
+    /// Quantizes `model` to the int8 arithmetic every store serves with, then
+    /// memorizes what that arithmetic gets wrong.  Quantization must happen
+    /// *between* training and memorization — the aux table records exactly
+    /// what the serve-time arithmetic mispredicts, which is what keeps a store
+    /// lossless — so it happens here, where nothing can come between.
     pub(crate) fn build(
         model: &mut MappingModel,
         rows: &[Row],
@@ -103,9 +103,7 @@ impl Assurance {
         metrics: &Metrics,
         exec: &dm_exec::ThreadPool,
     ) -> Result<Self> {
-        if config.quantization == Quantization::Int8 {
-            model.quantize_int8()?;
-        }
+        model.quantize_int8()?;
         let (_, misclassified) = model.split_by_memorization(exec, rows)?;
         let aux = AuxTable::build(
             &misclassified,
@@ -126,8 +124,7 @@ impl Assurance {
 
 /// The one chain behind every store: the architecture `config.search` names
 /// (searched under `search_seed` when it says MHAS) → a model initialized and
-/// trained under `seed` → quantized iff the configuration says so → the
-/// [`Assurance`] over `rows`.
+/// trained under `seed` → quantized → the [`Assurance`] over `rows`.
 fn fit(
     rows: &[Row],
     config: &DeepMappingConfig,
@@ -294,15 +291,6 @@ impl DeepMapping {
     /// How many times the structure has been retrained since it was built.
     pub fn retrain_count(&self) -> usize {
         self.retrain_count
-    }
-
-    /// Switches the store's arithmetic mode (f32 ↔ int8).  The new mode takes
-    /// effect at the next [`retrain`](Self::retrain) — which `maintenance()`
-    /// triggers — because losslessness requires the auxiliary table to be
-    /// re-memorized under the new arithmetic; the currently served predictions
-    /// are untouched until then.
-    pub fn set_quantization(&mut self, quantization: Quantization) {
-        self.config.quantization = quantization;
     }
 
     /// Number of tuples the model answers: the existing keys the auxiliary
@@ -868,33 +856,14 @@ mod tests {
     }
 
     #[test]
-    fn int8_stores_are_lossless_and_switch_modes_through_maintenance() {
+    fn int8_stores_are_lossless() {
         // Random data guarantees mispredictions, so this exercises the aux
         // table being memorized under the *quantized* arithmetic.
         let rows = random_rows(2_000);
         let reference = ReferenceStore::from_rows(&rows);
-        let config = quick_config().with_quantization(Quantization::Int8);
-        let mut dm = DeepMapping::build(&rows, &config).unwrap();
+        let dm = DeepMapping::build(&rows, &quick_config()).unwrap();
         assert!(dm.model().is_quantized());
         let keys: Vec<u64> = (0..4_000u64).collect();
-        assert_eq!(
-            dm.lookup_batch(&keys).unwrap(),
-            reference.lookup_batch(&keys).unwrap()
-        );
-        // Switching the mode takes effect at the next maintenance pass, which
-        // re-memorizes the aux table under the new arithmetic.
-        dm.set_quantization(Quantization::F32);
-        assert!(dm.model().is_quantized(), "mode switch is deferred");
-        MutableStore::maintenance(&mut dm).unwrap();
-        assert!(!dm.model().is_quantized());
-        assert_eq!(
-            dm.lookup_batch(&keys).unwrap(),
-            reference.lookup_batch(&keys).unwrap()
-        );
-        // And back again: maintenance re-quantizes.
-        dm.set_quantization(Quantization::Int8);
-        MutableStore::maintenance(&mut dm).unwrap();
-        assert!(dm.model().is_quantized());
         assert_eq!(
             dm.lookup_batch(&keys).unwrap(),
             reference.lookup_batch(&keys).unwrap()

@@ -16,12 +16,11 @@
 //!
 //! A candidate is scored by building it: its layers come out of the weight bank, are
 //! trained by [`MappingModel::train`] for `model_epochs` over the sample, go back to
-//! the bank, and then take the very steps a store's build takes — quantized iff the
-//! store's configuration says so, every row split by what the serve-time arithmetic
-//! predicts, the auxiliary table and both bit vectors built from that split.  So a
-//! [`SearchSample`]'s `compression_ratio` *is* `storage_breakdown().compression_ratio()`
-//! of the store that candidate assembles — Eq. 1 exactly, in f32 and in int8, of the
-//! weights `model_epochs` of shared-weight training leave, not of a full build's
+//! the bank, and then take the very steps a store's build takes — quantized to int8,
+//! every row split by what the serve-time arithmetic predicts, the auxiliary table and
+//! both bit vectors built from that split.  So a [`SearchSample`]'s
+//! `compression_ratio` *is* `storage_breakdown().compression_ratio()` of the store
+//! that candidate assembles — Eq. 1 exactly, of the weights `model_epochs` of shared-weight training leave, not of a full build's
 //! epochs — its `memorization_rate` that store's `memorized_fraction()`, and
 //! `macs_per_key` the exact multiply-accumulates a predicted key costs.  Those are the
 //! dots of Figures 9 and 10.  The reward is the ratio alone; the MAC count is
@@ -447,7 +446,6 @@ impl MhasSearch {
 mod tests {
     use super::*;
     use crate::aux_table::AuxTable;
-    use crate::config::Quantization;
     use crate::hybrid::{DeepMapping, DeepMappingParts};
 
     fn correlated_rows(n: u64) -> Vec<Row> {
@@ -522,16 +520,11 @@ mod tests {
         assert_eq!(outcome.best_spec.input_dim, schema.input_dim());
     }
 
-    /// One fixed architecture scored as a candidate under `quantization`, beside the
-    /// model the score was taken of (the bank's weights, in the store's arithmetic).
-    fn scored_candidate(
-        rows: &[Row],
-        quantization: Quantization,
-    ) -> (StorageBreakdown, MappingModel, DeepMappingConfig) {
+    /// One fixed architecture scored as a candidate, beside the model the score was
+    /// taken of (the bank's weights, in the store's arithmetic).
+    fn scored_candidate(rows: &[Row]) -> (StorageBreakdown, MappingModel, DeepMappingConfig) {
         let schema = schema(rows);
-        let config = DeepMappingConfig::default()
-            .with_quantization(quantization)
-            .with_partition_bytes(4 * 1024);
+        let config = DeepMappingConfig::default().with_partition_bytes(4 * 1024);
         let spec = MultiTaskSpec {
             input_dim: schema.input_dim(),
             shared_hidden: vec![64],
@@ -542,55 +535,49 @@ mod tests {
             .candidate(&spec, &rows[..1_024], rows, &config, dm_exec::global())
             .unwrap();
         let mut model = MappingModel::from_parts(schema, search.instantiate(&spec).unwrap()).unwrap();
-        if quantization == Quantization::Int8 {
-            model.quantize_int8().unwrap();
-        }
+        model.quantize_int8().unwrap();
         (score, model, config)
     }
 
     #[test]
     fn a_candidates_score_is_the_ratio_of_the_store_it_builds() {
         let rows = correlated_rows(2_048);
-        for quantization in [Quantization::F32, Quantization::Int8] {
-            let (score, model, config) = scored_candidate(&rows, quantization);
-            // The store of that model, assembled from the public parts.
-            let (_, misclassified) = model.split_by_memorization(dm_exec::global(), &rows).unwrap();
-            let aux = AuxTable::build(
-                &misclassified,
-                2,
-                config.codec,
-                config.partition_bytes,
-                config.memory_budget_bytes,
-                config.disk_profile,
-                Metrics::new(),
-            )
-            .unwrap();
-            let store = DeepMapping::from_parts(DeepMappingParts {
-                config,
-                model,
-                aux,
-                exist: rows.iter().map(|row| row.key).collect(),
-                decode_map: DecodeMap::default(),
-                tuple_count: rows.len(),
-                retrain_count: 0,
-            });
-            let built = store.storage_breakdown();
-            assert_eq!(score.total_bytes(), built.total_bytes(), "{quantization:?}");
-            assert_eq!(score, built, "{quantization:?}");
-        }
+        let (score, model, config) = scored_candidate(&rows);
+        // The store of that model, assembled from the public parts.
+        let (_, misclassified) = model.split_by_memorization(dm_exec::global(), &rows).unwrap();
+        let aux = AuxTable::build(
+            &misclassified,
+            2,
+            config.codec,
+            config.partition_bytes,
+            config.memory_budget_bytes,
+            config.disk_profile,
+            Metrics::new(),
+        )
+        .unwrap();
+        let store = DeepMapping::from_parts(DeepMappingParts {
+            config,
+            model,
+            aux,
+            exist: rows.iter().map(|row| row.key).collect(),
+            decode_map: DecodeMap::default(),
+            tuple_count: rows.len(),
+            retrain_count: 0,
+        });
+        let built = store.storage_breakdown();
+        assert_eq!(score.total_bytes(), built.total_bytes());
+        assert_eq!(score, built);
     }
 
     #[test]
     fn an_int8_search_prices_int8_bytes() {
         let rows = correlated_rows(2_048);
-        let (f32_score, f32_model, _) = scored_candidate(&rows, Quantization::F32);
-        let (score, model, _) = scored_candidate(&rows, Quantization::Int8);
-        assert!(model.is_quantized() && !f32_model.is_quantized());
+        let (score, model, _) = scored_candidate(&rows);
+        assert!(model.is_quantized());
         // The model term is the quantized model's serialized size, not 4 B a parameter.
         assert_eq!(score.model_bytes, model.size_bytes());
-        assert_eq!(f32_score.model_bytes, f32_model.size_bytes());
-        assert!(score.model_bytes * 3 < f32_score.model_bytes, "{score:?} vs {f32_score:?}");
-        assert!(f32_score.model_bytes > 4 * model.network().parameter_count());
+        let f32_bytes = 4 * model.network().parameter_count();
+        assert!(score.model_bytes * 3 < f32_bytes, "{score:?} vs {f32_bytes} f32 bytes");
         // And the memorized rows are the ones the int8 walk answers.
         let (memorized, _) = model.split_by_memorization(dm_exec::global(), &rows).unwrap();
         assert_eq!(score.memorized_tuples, memorized.len());

@@ -25,6 +25,11 @@ const SEARCH_DEFAULT: u8 = 0;
 const SEARCH_FIXED: u8 = 1;
 const SEARCH_MHAS: u8 = 2;
 
+/// Arithmetic tags, the config's last byte.  Every store serves int8; `0` is
+/// what an f32 store of an earlier release wrote, and it does not open.
+const ARITHMETIC_F32: u8 = 0;
+const ARITHMETIC_INT8: u8 = 1;
+
 /// `usize::MAX` budgets are serialized as this sentinel so 32-/64-bit builds
 /// agree on "unbounded".
 const UNBOUNDED: u64 = u64::MAX;
@@ -225,7 +230,7 @@ fn put_config(w: &mut ByteWriter, config: &DeepMappingConfig) {
         }
     }
     w.put_u64(config.seed);
-    w.put_u8(config.quantization.tag());
+    w.put_u8(ARITHMETIC_INT8);
 }
 
 fn get_config(r: &mut ByteReader<'_>) -> Result<DeepMappingConfig> {
@@ -281,9 +286,15 @@ fn get_config(r: &mut ByteReader<'_>) -> Result<DeepMappingConfig> {
     let exec_flag = rd(r.get_u8())?;
     let exec_threads = rd(r.get_u64())? as usize;
     let seed = rd(r.get_u64())?;
-    let tag = rd(r.get_u8())?;
-    let quantization = Quantization::from_tag(tag)
-        .ok_or_else(|| corrupt(format!("unknown quantization tag {tag}")))?;
+    match rd(r.get_u8())? {
+        ARITHMETIC_INT8 => {}
+        ARITHMETIC_F32 => {
+            return Err(corrupt(
+                "the store serves f32 arithmetic; only int8 stores open",
+            ))
+        }
+        tag => return Err(corrupt(format!("unknown arithmetic tag {tag}"))),
+    }
     Ok(DeepMappingConfig {
         codec,
         partition_bytes,
@@ -297,7 +308,7 @@ fn get_config(r: &mut ByteReader<'_>) -> Result<DeepMappingConfig> {
         retrain_aux_bytes: (retrain_flag == 1).then_some(retrain_bytes),
         exec_threads: (exec_flag == 1).then_some(exec_threads),
         seed,
-        quantization,
+        quantization: Quantization::Int8,
     })
 }
 
@@ -578,38 +589,27 @@ mod tests {
 
     #[test]
     fn quantized_configs_round_trip_and_unknown_tags_are_rejected() {
-        let mut manifest = sample_manifest(SearchStrategy::DefaultArchitecture);
-        manifest.config.quantization = Quantization::Int8;
+        let manifest = sample_manifest(SearchStrategy::DefaultArchitecture);
         assert_round_trip(&manifest);
 
-        // Locate the tag without hard-coding the config layout: encode the
-        // same manifest under both modes and diff — the single differing byte
-        // *is* the tag.  Pin f32 explicitly — `sample_manifest` inherits the
-        // `DM_QUANTIZATION` env default, and the diff scan needs the two
-        // manifests to actually differ.
-        let mut f32_manifest = sample_manifest(SearchStrategy::DefaultArchitecture);
-        f32_manifest.config.quantization = Quantization::F32;
-        let f32_bytes = f32_manifest.encode();
-        let int8_bytes = manifest.encode();
-        assert_eq!(f32_bytes.len(), int8_bytes.len());
-        let diffs: Vec<usize> = f32_bytes
-            .iter()
-            .zip(&int8_bytes)
-            .enumerate()
-            .filter(|(_, (a, b))| a != b)
-            .map(|(i, _)| i)
-            .collect();
-        assert_eq!(diffs.len(), 1, "modes must differ in exactly the tag byte");
-        let tag_at = diffs[0];
-        assert_eq!(f32_bytes[tag_at], Quantization::F32.tag());
+        // The manifest opens with the config, and the config ends with the tag.
+        let mut config = ByteWriter::new();
+        put_config(&mut config, &manifest.config);
+        let tag_at = config.into_bytes().len() - 1;
+        let bytes = manifest.encode();
+        assert_eq!(bytes[tag_at], ARITHMETIC_INT8);
 
-        // An unknown tag value is rejected, not defaulted.
-        let mut bad = f32_bytes.clone();
-        bad[tag_at] = 0x7F;
-        assert!(matches!(
-            Manifest::decode(&bad),
-            Err(PersistError::Corrupt { .. })
-        ));
+        // An f32 store is refused by name; an unknown tag is refused, not defaulted.
+        for (tag, names) in [(ARITHMETIC_F32, "f32"), (0x7F, "unknown arithmetic tag 127")] {
+            let mut bad = bytes.clone();
+            bad[tag_at] = tag;
+            match Manifest::decode(&bad) {
+                Err(PersistError::Corrupt { section: "manifest", detail }) => {
+                    assert!(detail.contains(names), "{detail}")
+                }
+                other => panic!("tag {tag} must be Corrupt, got {other:?}"),
+            }
+        }
     }
 
     #[test]

@@ -47,7 +47,9 @@
 //! bits — or open fails with [`PersistError::Corrupt`]; and a frame that later
 //! loads with another shape than its directory slot (say, another partition's
 //! valid frame) is a `StorageError::Corrupt` for exactly the keys addressed
-//! into it.
+//! into it.  Every store serves int8: a manifest tagged with the f32
+//! arithmetic, or a model section with any f32 layer, is refused with
+//! [`PersistError::Corrupt`] too.
 //!
 //! ## Compatibility policy
 //!
@@ -346,6 +348,13 @@ impl Snapshot {
             return Err(PersistError::ChecksumMismatch { section: "base" });
         }
         let network = dm_nn::serialize::deserialize_multitask(&model_bytes)?;
+        let mut layers = network.trunk().iter().chain(network.heads().iter().flatten());
+        if let Some(at) = layers.position(|layer| !layer.is_quantized()) {
+            return Err(PersistError::Corrupt {
+                section: "model",
+                detail: format!("layer {at} serves f32 arithmetic; only int8 stores open"),
+            });
+        }
         let model = MappingModel::from_parts(manifest.schema.clone(), network)?;
         let exist = BitVec::from_bytes(&exist_bytes)?;
         let base = BitVec::from_bytes(&base_bytes)?;

@@ -81,12 +81,13 @@
 //! │                                       straight to first-layer bytes) or
 //! │                                       with features (forward_batch_flat);
 //! │                                       kernel: packed-panel micro-kernels —
-//! │                                       16-lane AVX-512 / AVX2+FMA f32 forms,
-//! │                                       an int8 quantized path (AMX tiles,
-//! │                                       vpdpbusd on AVX-512-VNNI, sign +
-//! │                                       vpmaddubsw on AVX2; a two-phase row
-//! │                                       quantizer), and bit-identical scalar
-//! │                                       fallbacks (CPU detection picks)
+//! │                                       16-lane AVX-512 / AVX2+FMA f32 forms
+//! │                                       (training), the int8 path every store
+//! │                                       serves (AMX tiles, vpdpbusd on
+//! │                                       AVX-512-VNNI, sign + vpmaddubsw on
+//! │                                       AVX2; a two-phase row quantizer), and
+//! │                                       bit-identical scalar fallbacks (CPU
+//! │                                       detection picks)
 //! ├── crates/compress        dm-compress  lz / lz+huffman / deflate-like / dictionary,
 //! │                                       varint, rle, bitpack, framed format
 //! ├── crates/storage         dm-storage   Row, TupleStore/MutableStore + LookupBuffer,
@@ -104,7 +105,9 @@
 //! │                                       or programmatic), FaultyPartitionSource
 //! │                                       wrapper, crash-site observer for
 //! │                                       kill-point torture tests
-//! ├── crates/core            dm-core      DeepMapping hybrid + DeepMappingBuilder,
+//! ├── crates/core            dm-core      DeepMapping hybrid + DeepMappingBuilder
+//! │                                       (train f32 → quantize to int8 →
+//! │                                       memorize what int8 gets wrong),
 //! │                                       QueryPipeline (Vexist/Vaux routing),
 //! │                                       rank-addressed keyless AuxTable,
 //! │                                       schema/encoders, MHAS
@@ -207,8 +210,9 @@
 //! pool (one `pread` + one unframing per cold partition, parallel under
 //! `dm-exec`).  Versioning is strict: an unknown header version or any failed
 //! CRC is a typed [`dm_persist::PersistError`], never a guess, and so is a
-//! directory whose row counts do not partition `base` or a frame that loads
-//! with another partition's shape.  The compatibility policy is
+//! directory whose row counts do not partition `base`, a frame that loads
+//! with another partition's shape, or a store that serves f32 arithmetic (an
+//! f32-tagged manifest, an f32 layer in the model section).  The compatibility policy is
 //! bump-on-any-layout-change; the manifest decoder rejects trailing bytes so
 //! mixed-version files cannot half-parse.  Exactly one version opens: v5, the
 //! keyless auxiliary table.  v1 (a different f32 arithmetic recipe), v2 (no
@@ -326,13 +330,14 @@ pub use dm_persist as persist;
 pub use dm_server as server;
 pub use dm_storage as storage;
 
-/// The most commonly used types, importable in one line.
+/// The most commonly used types, importable in one line.  No arithmetic is
+/// among them: every store serves int8, so there is none to pick.
 pub mod prelude {
     pub use dm_baselines::{DeepSqueezeConfig, DeepSqueezeStore, PartitionedStore, PartitionedStoreConfig};
     pub use dm_compress::Codec;
     pub use dm_core::{
         DeepMapping, DeepMappingBuilder, DeepMappingConfig, MhasConfig, MhasSearch,
-        Quantization, SearchStrategy, StorageBreakdown, TrainingConfig,
+        SearchStrategy, StorageBreakdown, TrainingConfig,
     };
     pub use dm_data::{
         Column, Correlation, CropConfig, Dataset, LookupWorkload, ModificationWorkload,

@@ -44,7 +44,7 @@ fn mixed_rows(n: u64) -> Vec<Row> {
         .collect()
 }
 
-fn build_store_with(rows: &[Row], quantization: Quantization) -> DeepMapping {
+fn build_store(rows: &[Row]) -> DeepMapping {
     DeepMappingBuilder::dm_z()
         .training(TrainingConfig {
             epochs: 12,
@@ -53,13 +53,8 @@ fn build_store_with(rows: &[Row], quantization: Quantization) -> DeepMapping {
         })
         .partition_bytes(4 * 1024)
         .exec_threads(1)
-        .quantization(quantization)
         .build(rows)
         .expect("build")
-}
-
-fn build_store(rows: &[Row]) -> DeepMapping {
-    build_store_with(rows, Quantization::F32)
 }
 
 /// A live store must answer identically — byte for byte — under both kernels.
@@ -79,47 +74,9 @@ fn live_store_reads_are_byte_identical_across_kernels() {
     assert_eq!(scalar, reference.lookup_batch(&probe).unwrap());
 }
 
-/// Snapshot under one kernel, reopen and serve under the other: every tuple
-/// read must be byte-identical in both directions.
-#[test]
-fn snapshot_round_trips_across_kernel_selection() {
-    let dir = scratch_dir("roundtrip");
-    let rows = mixed_rows(2_500);
-    let probe: Vec<u64> = (0..5_000u64).collect();
-
-    // Build + snapshot under the scalar kernel; reopen + read under vector.
-    let path_s = dir.join("built-under-scalar.dmss");
-    let expected = kernel::with_forced(Kernel::Scalar, || {
-        let dm = build_store(&rows);
-        Snapshot::write(&dm, &path_s).expect("write snapshot");
-        dm.lookup_batch(&probe).unwrap()
-    });
-    let under_vector = kernel::with_forced(Kernel::Vector, || {
-        let reopened = DeepMapping::open(&path_s).expect("open snapshot");
-        reopened.lookup_batch(&probe).unwrap()
-    });
-    assert_eq!(expected, under_vector, "scalar-written, vector-served");
-
-    // And the reverse direction.
-    let path_v = dir.join("built-under-vector.dmss");
-    let expected = kernel::with_forced(Kernel::Vector, || {
-        let dm = build_store(&rows);
-        Snapshot::write(&dm, &path_v).expect("write snapshot");
-        dm.lookup_batch(&probe).unwrap()
-    });
-    let under_scalar = kernel::with_forced(Kernel::Scalar, || {
-        let reopened = DeepMapping::open(&path_v).expect("open snapshot");
-        reopened.lookup_batch(&probe).unwrap()
-    });
-    assert_eq!(expected, under_scalar, "vector-written, scalar-served");
-
-    std::fs::remove_dir_all(&dir).ok();
-}
-
-/// The quantized form of the same invariant: an int8 store snapshotted
-/// under one kernel must serve byte-identically under the other, in both
-/// directions.  The int8 path has its own arithmetic (an exact integer dot
-/// product + fixed f32 epilogue), so it needs its own guard.
+/// Snapshot an int8 store under one kernel, reopen and serve it under the
+/// others: every tuple read must be byte-identical, in both directions and
+/// under every int8 form.
 #[test]
 fn quantized_snapshot_round_trips_across_kernel_selection() {
     let dir = scratch_dir("quant-roundtrip");
@@ -129,7 +86,7 @@ fn quantized_snapshot_round_trips_across_kernel_selection() {
 
     let path_s = dir.join("int8-built-under-scalar.dmss");
     let expected = kernel::with_forced(Kernel::Scalar, || {
-        let dm = build_store_with(&rows, Quantization::Int8);
+        let dm = build_store(&rows);
         assert!(dm.model().is_quantized());
         Snapshot::write(&dm, &path_s).expect("write snapshot");
         dm.lookup_batch(&probe).unwrap()
@@ -161,7 +118,7 @@ fn quantized_snapshot_round_trips_across_kernel_selection() {
 
     let path_v = dir.join("int8-built-under-vector.dmss");
     let expected = kernel::with_forced(Kernel::Vector, || {
-        let dm = build_store_with(&rows, Quantization::Int8);
+        let dm = build_store(&rows);
         Snapshot::write(&dm, &path_v).expect("write snapshot");
         dm.lookup_batch(&probe).unwrap()
     });
@@ -493,7 +450,7 @@ fn an_early_stop_keeps_the_weights_of_the_run_capped_there() {
 
 /// Digests of `model().to_bytes()` after a seeded default-architecture build
 /// of the benchmark-shape rows and again after `retrain()`.
-fn built_and_retrained_digests(quantization: Quantization) -> (u64, u64) {
+fn built_and_retrained_digests() -> (u64, u64) {
     let mut dm = DeepMappingBuilder::dm_z()
         .training(TrainingConfig {
             epochs: 3,
@@ -502,7 +459,6 @@ fn built_and_retrained_digests(quantization: Quantization) -> (u64, u64) {
         })
         .partition_bytes(4 * 1024)
         .exec_threads(1)
-        .quantization(quantization)
         .build(&benchmark_mixed_rows(5_003))
         .expect("build");
     let built = fnv1a_bytes(dm.model().to_bytes());
@@ -511,17 +467,12 @@ fn built_and_retrained_digests(quantization: Quantization) -> (u64, u64) {
     (built, fnv1a_bytes(dm.model().to_bytes()))
 }
 
-const PINNED_BUILT_AND_RETRAINED: [(Quantization, (u64, u64)); 2] = [
-    (Quantization::F32, (0x0a6a_861e_b2e3_4948, 0x12a4_24a1_8aa6_ce5e)),
-    (Quantization::Int8, (0x2a98_0fe1_e618_43dd, 0x3531_3ed2_4733_d7bf)),
-];
+const PINNED_BUILT_AND_RETRAINED: (u64, u64) = (0x2a98_0fe1_e618_43dd, 0x3531_3ed2_4733_d7bf);
 
 #[test]
 fn build_and_retrain_train_the_weights_pinned_at_the_parent_commit() {
     under_every_kernel(|form| {
-        for (quantization, pinned) in PINNED_BUILT_AND_RETRAINED {
-            let digests = built_and_retrained_digests(quantization);
-            assert_eq!(digests, pinned, "{quantization:?}, {form}: {digests:#x?}");
-        }
+        let digests = built_and_retrained_digests();
+        assert_eq!(digests, PINNED_BUILT_AND_RETRAINED, "{form}: {digests:#x?}");
     });
 }

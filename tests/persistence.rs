@@ -11,6 +11,7 @@
 //! * the snapshot file is strictly read-only to the read path: write once, open
 //!   twice, byte-compare the file afterwards.
 
+use deepmapping::core::{AuxTable, DecodeMap, DeepMappingParts, MappingModel, MappingSchema, KEY_HEADROOM};
 use deepmapping::persist::{PersistError, PersistentStore, Snapshot, SnapshotExt, SnapshotStats};
 use deepmapping::prelude::*;
 use std::path::{Path, PathBuf};
@@ -151,9 +152,55 @@ fn corruption_returns_typed_errors_not_garbage() {
     let dm = quick_build(&rows);
     let stats: SnapshotStats = dm.write_snapshot(&path).expect("write snapshot");
     assert!(stats.partition_count >= 2, "need multiple partitions to corrupt");
+    let seed = dm.config().seed;
     drop(dm);
     let pristine = std::fs::read(&path).unwrap();
     assert_eq!(pristine.len() as u64, stats.file_bytes);
+
+    // The manifest's arithmetic tag is the byte after the seed; `0` is the f32
+    // arithmetic an earlier release could write, and int8 cannot serve it.
+    let tagged_int8: Vec<u8> = seed.to_le_bytes().into_iter().chain([1]).collect();
+    let manifest = 28..28 + u64::from_le_bytes(pristine[16..24].try_into().unwrap()) as usize;
+    let tags: Vec<usize> = (manifest.start..manifest.end - tagged_int8.len())
+        .filter(|&at| pristine[at..].starts_with(&tagged_int8))
+        .map(|at| at + tagged_int8.len() - 1)
+        .collect();
+    assert_eq!(tags.len(), 1, "one seed followed by the int8 tag");
+    let err = open_after(&path, &pristine, |bytes| {
+        bytes[tags[0]] = 0;
+        reseal_manifest(bytes);
+    });
+    assert_f32_refused(&err, "manifest");
+
+    // A model section holding f32 layers: the public parts of a store whose
+    // model was never quantized, written as a snapshot.
+    let schema = MappingSchema::infer(&rows, KEY_HEADROOM).unwrap();
+    let spec = MappingModel::default_spec(&schema, rows.len());
+    let model = MappingModel::new(schema, &spec, 7).unwrap();
+    let (_, misclassified) = model.split_by_memorization(deepmapping::exec::global(), &rows).unwrap();
+    let config = DeepMappingConfig::default().with_partition_bytes(4 * 1024);
+    let aux = AuxTable::build(
+        &misclassified,
+        2,
+        config.codec,
+        config.partition_bytes,
+        config.memory_budget_bytes,
+        config.disk_profile,
+        Metrics::new(),
+    );
+    let unquantized = DeepMapping::from_parts(DeepMappingParts {
+        config,
+        model,
+        aux: aux.unwrap(),
+        exist: rows.iter().map(|row| row.key).collect(),
+        decode_map: DecodeMap::default(),
+        tuple_count: rows.len(),
+        retrain_count: 0,
+    });
+    let f32_path = dir.join("f32-layers.dmss");
+    unquantized.write_snapshot(&f32_path).expect("write snapshot");
+    let err = Snapshot::open(&f32_path).expect_err("an f32 layer must not open");
+    assert_f32_refused(&err, "model");
 
     // Truncation mid-partition: the header's declared length catches it at open.
     let err = open_after(&path, &pristine, |bytes| {
@@ -225,6 +272,24 @@ fn corruption_returns_typed_errors_not_garbage() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// `open`'s refusal of a store that serves f32 arithmetic: typed, in `section`,
+/// and saying why.
+fn assert_f32_refused(err: &PersistError, section: &str) {
+    match err {
+        PersistError::Corrupt { section: at, detail } if *at == section => {
+            assert!(detail.contains("f32"), "{detail}")
+        }
+        other => panic!("an f32 {section} must be Corrupt, got {other}"),
+    }
+}
+
+/// Re-seals the manifest's CRC in the header of a snapshot image.
+fn reseal_manifest(image: &mut [u8]) {
+    let manifest_len = u64::from_le_bytes(image[16..24].try_into().unwrap()) as usize;
+    let crc = dm_compress::crc32(&image[28..28 + manifest_len]);
+    image[24..28].copy_from_slice(&crc.to_le_bytes());
+}
+
 /// Rewrites the manifest of a snapshot image in place (same encoded length)
 /// and re-seals its CRC in the header, so only the edit itself is "wrong".
 fn edit_manifest(image: &mut [u8], edit: impl FnOnce(&mut deepmapping::persist::Manifest)) {
@@ -234,7 +299,7 @@ fn edit_manifest(image: &mut [u8], edit: impl FnOnce(&mut deepmapping::persist::
     let encoded = manifest.encode();
     assert_eq!(encoded.len(), manifest_len, "edits must keep the manifest's length");
     image[28..28 + manifest_len].copy_from_slice(&encoded);
-    image[24..28].copy_from_slice(&dm_compress::crc32(&encoded).to_le_bytes());
+    reseal_manifest(image);
 }
 
 /// Partitions hold no keys, so nothing inside a frame says which keys it
@@ -518,36 +583,23 @@ fn only_the_current_snapshot_version_opens() {
 fn int8_snapshots_round_trip_quantized_and_shrink_the_model_section() {
     let dir = temp_dir("int8-round-trip");
     let rows = noisy_rows(1_500);
-    let f32_path = dir.join("f32.dmss");
     let int8_path = dir.join("int8.dmss");
-    let build = |quantization| {
-        DeepMappingBuilder::dm_z()
-            .training(TrainingConfig { epochs: 8, batch_size: 1024, ..TrainingConfig::default() })
-            .partition_bytes(4 * 1024)
-            .disk_profile(DiskProfile::free())
-            .quantization(quantization)
-            .build(&rows)
-            .expect("build DeepMapping")
-    };
-    let f32_dm = build(Quantization::F32);
-    let int8_dm = build(Quantization::Int8);
+    let int8_dm = quick_build(&rows);
     assert!(int8_dm.model().is_quantized());
-    f32_dm.write_snapshot(&f32_path).unwrap();
     int8_dm.write_snapshot(&int8_path).unwrap();
     // Per-output-column int8 + f32 scales/bias: the model section must come
-    // out well under half its f32 size.
+    // out well under half the model's f32 bytes.
+    let f32_bytes = 4 * int8_dm.model().network().parameter_count();
     assert!(
-        int8_dm.model().size_bytes() * 2 < f32_dm.model().size_bytes(),
-        "int8 model {} bytes vs f32 {} bytes",
+        int8_dm.model().size_bytes() * 2 < f32_bytes,
+        "int8 model {} bytes vs f32 {f32_bytes} bytes",
         int8_dm.model().size_bytes(),
-        f32_dm.model().size_bytes()
     );
     let probe = probe_keys(&rows);
     let expected = int8_dm.lookup_batch(&probe).unwrap();
     drop(int8_dm);
     let reopened = Snapshot::open(&int8_path).expect("open int8 snapshot");
     assert!(reopened.model().is_quantized(), "quantization survives reopen");
-    assert_eq!(reopened.config().quantization, Quantization::Int8);
     assert_eq!(reopened.lookup_batch(&probe).unwrap(), expected);
     // Lossless against ground truth, not just self-consistent.
     let reference = ReferenceStore::from_rows(&rows);
