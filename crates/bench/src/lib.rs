@@ -17,7 +17,7 @@ pub mod paper;
 use dm_baselines::{DeepSqueezeConfig, DeepSqueezeStore, PartitionedStore, PartitionedStoreConfig};
 use dm_compress::Codec;
 use dm_core::{AuxTable, DecodeMap, DeepMapping, DeepMappingBuilder, DeepMappingParts};
-use dm_core::{StorageBreakdown, TrainingConfig, TrainingStop};
+use dm_core::{Rung, StorageBreakdown, TrainingConfig, TrainingStop};
 use dm_data::Dataset;
 use dm_obs::TraceSummary;
 use dm_storage::{DiskProfile, LatencyBreakdown, LookupBuffer, Metrics, MutableStore, Row};
@@ -196,10 +196,15 @@ impl TrainedDeepMapping {
         self.trained.model().trained_right_rows()
     }
 
-    /// Multiply-accumulates of one row's forward pass through the trained network; a
-    /// training step does this three times per row (forward, `xᵀ·dy`, `dy·Wᵀ`).
-    pub fn forward_macs(&self) -> usize {
-        self.trained.model().network().spec().macs_per_key()
+    /// The rungs of the width ladder the build priced, narrowest first; the model is
+    /// the last that shrank the store.
+    pub fn ladder(&self) -> &[Rung] {
+        self.trained.model().ladder()
+    }
+
+    /// The kept rung's shared hidden widths.
+    pub fn shared_hidden(&self) -> &[usize] {
+        &self.trained.model().network().spec().shared_hidden
     }
 
     /// The store of `codec` (DM-Z for `Codec::Lz`, DM-L for `Codec::LzHuff`) under

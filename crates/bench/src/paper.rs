@@ -219,14 +219,21 @@ impl PaperRun {
         let (rows, raw_bytes) = (dataset.num_rows(), dataset.uncompressed_bytes());
         let trained = self.train("lookup", place, &dataset, config.epochs());
         // What the build cost, as work over time: `train_s` is the whole training build
-        // (schema, training, quantization, one auxiliary table), so the rate is what a
-        // build delivers, a little under what the kernels run at.
-        let row_passes = rows * trained.epochs();
-        let train_macs = 3 * trained.forward_macs() * row_passes;
+        // (schema, then training, quantization and one auxiliary table for every rung
+        // of the width ladder it priced), so the rate is what a build delivers, a
+        // little under what the kernels run at.  `epochs` and `stop` are the kept
+        // rung's; `ladder_epochs`, the row passes and the MACs count every rung.
+        let ladder = trained.ladder();
+        let ladder_epochs: usize = ladder.iter().map(|rung| rung.epochs).sum();
+        let row_passes = rows * ladder_epochs;
+        let rung_macs: usize = ladder.iter().map(|rung| rung.epochs * rung.macs_per_key).sum();
+        let train_macs = 3 * rows * rung_macs;
+        let widths: Vec<String> = trained.shared_hidden().iter().map(usize::to_string).collect();
         let row = self.row("train", place, rows, "DM");
         row.num("epoch_budget", config.epochs() as f64).num("epochs", trained.epochs() as f64);
         row.text("stop", trained.stop().name()).num("right_rows", trained.right_rows() as f64);
-        row.num("row_passes", row_passes as f64);
+        row.text("rung", &widths.join("-")).num("rungs_tried", ladder.len() as f64);
+        row.num("ladder_epochs", ladder_epochs as f64).num("row_passes", row_passes as f64);
         row.num("train_s", round(trained.train_s, 3)).num("train_macs", train_macs as f64);
         row.num("train_mac_per_ns", round(train_macs as f64 / trained.train_s / 1e9, 3));
         for regime in [Regime::MEMORY, Regime::POOL] {

@@ -83,8 +83,14 @@ pub enum Quantization {
 pub enum SearchStrategy {
     /// Use a caller-provided architecture as-is.
     Fixed(MultiTaskSpec),
-    /// A sensible default: two shared hidden layers sized to the data, one private
-    /// layer per task.  No search overhead.
+    /// The smallest store of a ladder of widths
+    /// ([`MappingModel::ladder_specs`](crate::MappingModel::ladder_specs)):
+    /// one shared layer of 16, 32, 64, … neurons with the heads straight off
+    /// it, then two shared hidden layers sized to the data with one private
+    /// layer per task.  Each rung is trained, quantized and memorized, and
+    /// priced by Eq. 1; the climb stops at the first rung that does not
+    /// shrink the store, or after one that leaves no row to correct.  No
+    /// search beyond that.
     DefaultArchitecture,
     /// Run the MHAS search (Section IV-C) with the given budget.
     Mhas(MhasConfig),

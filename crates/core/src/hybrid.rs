@@ -5,11 +5,12 @@ use crate::aux_table::AuxTable;
 use crate::config::{DeepMappingConfig, SearchStrategy};
 use crate::encoder::{DecodeMap, MappingSchema};
 use crate::mhas::MhasSearch;
-use crate::model::MappingModel;
+use crate::model::{MappingModel, Rung};
 use crate::pipeline::QueryPipeline;
 use crate::stats::StorageBreakdown;
 use crate::{CoreError, Result};
 use dm_exec::ExecHandle;
+use dm_nn::MultiTaskSpec;
 use dm_storage::{BitVec, LookupBuffer, Metrics, MutableStore, Row, StoreStats, TupleStore};
 
 /// Key-range headroom added to the key encoder so insertions beyond the current
@@ -123,27 +124,89 @@ impl Assurance {
 }
 
 /// The one chain behind every store: the architecture `config.search` names
-/// (searched under `search_seed` when it says MHAS) → a model initialized and
-/// trained under `seed` → quantized → the [`Assurance`] over `rows`.
+/// (searched under `search_seed` when it says MHAS, climbed when it says
+/// default) → a model initialized and trained under `seed` → quantized → the
+/// [`Assurance`] over `rows`.
 fn fit(
     rows: &[Row],
     config: &DeepMappingConfig,
     (seed, search_seed): (u64, u64),
+    decode_map: &DecodeMap,
     metrics: &Metrics,
     exec: &dm_exec::ThreadPool,
 ) -> Result<(MappingModel, Assurance)> {
     let schema = MappingSchema::infer(rows, KEY_HEADROOM)?;
     let spec = match &config.search {
         SearchStrategy::Fixed(spec) => spec.clone(),
-        SearchStrategy::DefaultArchitecture => MappingModel::default_spec(&schema, rows.len()),
+        SearchStrategy::DefaultArchitecture => {
+            return climb(schema, rows, config, seed, decode_map, metrics, exec)
+        }
         SearchStrategy::Mhas(mhas_config) => {
             let mut search = MhasSearch::new(&schema, mhas_config.clone(), search_seed)?;
             search.run(rows, config)?.best_spec
         }
     };
-    let mut model = MappingModel::new(schema, &spec, seed)?;
+    train_and_assure(schema, &spec, rows, config, seed, metrics, exec)
+}
+
+/// A model of `spec` initialized and trained under `seed`, quantized, and the
+/// [`Assurance`] over `rows`.
+fn train_and_assure(
+    schema: MappingSchema,
+    spec: &MultiTaskSpec,
+    rows: &[Row],
+    config: &DeepMappingConfig,
+    seed: u64,
+    metrics: &Metrics,
+    exec: &dm_exec::ThreadPool,
+) -> Result<(MappingModel, Assurance)> {
+    let mut model = MappingModel::new(schema, spec, seed)?;
     model.train(rows, &config.training, seed)?;
     let assurance = Assurance::build(&mut model, rows, config, metrics, exec)?;
+    Ok((model, assurance))
+}
+
+/// The default architecture: each rung of [`MappingModel::ladder_specs`] in
+/// turn becomes a store, priced by its Eq.-1 sum.  The climb keeps a rung
+/// only if its store is smaller than the best so far, and stops at the first
+/// that is not, or after one that leaves no corrected rows (a wider rung can
+/// then only add model bytes).  Building a store charges nothing to
+/// `metrics`, so a discarded rung leaves no counts behind.
+fn climb(
+    schema: MappingSchema,
+    rows: &[Row],
+    config: &DeepMappingConfig,
+    seed: u64,
+    decode_map: &DecodeMap,
+    metrics: &Metrics,
+    exec: &dm_exec::ThreadPool,
+) -> Result<(MappingModel, Assurance)> {
+    let mut ladder = Vec::new();
+    let mut best: Option<(MappingModel, Assurance, usize)> = None;
+    for spec in MappingModel::ladder_specs(&schema, rows.len()) {
+        let (model, assurance) =
+            train_and_assure(schema.clone(), &spec, rows, config, seed, metrics, exec)?;
+        let Assurance { aux, exist, vaux } = &assurance;
+        let breakdown = storage_breakdown(&model, aux, exist, vaux, decode_map, rows.len());
+        let bytes = breakdown.total_bytes();
+        let corrected_rows = vaux.count_ones() as usize;
+        ladder.push(Rung {
+            shared_hidden: spec.shared_hidden.clone(),
+            epochs: model.trained_epochs(),
+            macs_per_key: spec.macs_per_key(),
+            bytes,
+            corrected_rows,
+        });
+        if best.as_ref().is_some_and(|&(_, _, smallest)| bytes >= smallest) {
+            break;
+        }
+        best = Some((model, assurance, bytes));
+        if corrected_rows == 0 {
+            break;
+        }
+    }
+    let (mut model, assurance, _) = best.expect("the ladder has a rung");
+    model.set_ladder(ladder);
     Ok((model, assurance))
 }
 
@@ -195,8 +258,9 @@ impl std::fmt::Debug for DeepMapping {
 
 impl DeepMapping {
     /// Builds a DeepMapping structure from rows: selects an architecture (fixed,
-    /// default, or via MHAS), trains the model, materializes the auxiliary table from
-    /// the misclassified rows, and fills the existence bit vector.
+    /// the smallest store of the default width ladder, or via MHAS), trains the
+    /// model, materializes the auxiliary table from the misclassified rows, and
+    /// fills the existence bit vector.
     pub fn build(rows: &[Row], config: &DeepMappingConfig) -> Result<Self> {
         Self::build_with_decode_map(rows, config, DecodeMap::default())
     }
@@ -216,7 +280,7 @@ impl DeepMapping {
         let metrics = Metrics::new();
         let exec = exec_of(config);
         let seeds = (config.seed, config.seed);
-        let (model, assurance) = fit(rows, config, seeds, &metrics, exec.get())?;
+        let (model, assurance) = fit(rows, config, seeds, &decode_map, &metrics, exec.get())?;
         Ok(DeepMapping {
             config: config.clone(),
             name: config.paper_name(),
@@ -524,7 +588,8 @@ impl DeepMapping {
             return Ok(());
         }
         let seeds = (self.config.seed ^ 0x5a, self.config.seed ^ 0xa5);
-        let (model, assurance) = fit(&rows, &self.config, seeds, &self.metrics, self.exec.get())?;
+        let (model, assurance) =
+            fit(&rows, &self.config, seeds, &self.decode_map, &self.metrics, self.exec.get())?;
         self.model = model;
         self.aux = assurance.aux;
         self.exist = assurance.exist;
@@ -951,6 +1016,91 @@ mod tests {
         assert!(report.is_healthy(), "fresh store must be healthy: {report:?}");
         let via_trait = TupleStore::health_signals(&dm).expect("DeepMapping reports health");
         assert_eq!(via_trait.drift, dm.drift_signals());
+    }
+
+    /// `n` rows of the frozen benchmark's shape: a tenth of the key slots
+    /// empty, five columns of cardinality 4 … 64, each a bit field of the key,
+    /// and `noisy_fifths` fifths of the rows uniform noise in every column
+    /// (`mixed` is two fifths).
+    fn benchmark_shape_rows(n: usize, noisy_fifths: u64) -> Vec<Row> {
+        const CARDINALITIES: [u32; 5] = [4, 8, 16, 32, 64];
+        let hash = |k: u64| k.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 11;
+        let kept = (0..).filter(|&k| (hash(k) >> 40) % 10 != 0);
+        kept.take(n)
+            .map(|k| {
+                let h = hash(k);
+                let values = (0..5)
+                    .map(|c| {
+                        let field = if h % 5 < noisy_fifths { h >> (7 * c) } else { k >> (4 + 2 * (c % 4)) };
+                        field as u32 & (CARDINALITIES[c] - 1)
+                    })
+                    .collect();
+                Row::new(k, values)
+            })
+            .collect()
+    }
+
+    /// The frozen benchmark's store definition, at its 20 000 rows.
+    fn ladder_config() -> DeepMappingConfig {
+        DeepMappingConfig::default()
+            .with_training(TrainingConfig { epochs: 10, batch_size: 2048, ..Default::default() })
+            .with_partition_bytes(8 * 1024)
+            .with_disk_profile(dm_storage::DiskProfile::free())
+            .with_exec_threads(1)
+    }
+
+    fn climbed(rows: &[Row]) -> DeepMapping {
+        let dm = DeepMapping::build(rows, &ladder_config()).unwrap();
+        let ladder = dm.model().ladder();
+        let kept = ladder.iter().position(|rung| rung.bytes == dm.storage_breakdown().total_bytes());
+        assert!(kept.is_some(), "the store is one of the rungs priced: {ladder:?}");
+        assert_eq!(dm.model().network().spec().shared_hidden, ladder[kept.unwrap()].shared_hidden);
+        dm
+    }
+
+    #[test]
+    fn the_ladder_stops_at_the_first_rung_that_leaves_nothing_to_correct() {
+        let dm = climbed(&benchmark_shape_rows(20_000, 0));
+        let ladder = dm.model().ladder();
+        assert_eq!(ladder.len(), 1, "{ladder:?}");
+        assert_eq!((ladder[0].shared_hidden.as_slice(), ladder[0].corrected_rows), (&[16][..], 0));
+        assert_eq!(dm.memorized_tuples(), 20_000);
+    }
+
+    #[test]
+    fn on_noise_the_ladder_keeps_the_narrowest_rung() {
+        let dm = climbed(&benchmark_shape_rows(20_000, 5));
+        let ladder = dm.model().ladder();
+        let widths: Vec<&[usize]> = ladder.iter().map(|rung| rung.shared_hidden.as_slice()).collect();
+        assert_eq!(widths, [&[16][..], &[32][..]], "{ladder:?}");
+        assert!(ladder[1].bytes >= ladder[0].bytes, "{ladder:?}");
+        assert_eq!(dm.model().network().spec().shared_hidden, [16]);
+    }
+
+    #[test]
+    fn on_mixed_rows_the_ladder_builds_a_narrower_smaller_store_than_the_top_rung() {
+        let rows = benchmark_shape_rows(20_000, 2);
+        let dm = climbed(&rows);
+        let chosen = dm.model().network().spec().clone();
+        let schema = MappingSchema::infer(&rows, KEY_HEADROOM).unwrap();
+        let top = MappingModel::default_spec(&schema, rows.len());
+        assert!(chosen.shared_hidden[0] < top.shared_hidden[0], "{:?}", dm.model().ladder());
+        assert_eq!(MappingModel::ladder_specs(&schema, rows.len()).last(), Some(&top));
+
+        let fixed = |spec: MultiTaskSpec| {
+            let config = ladder_config().with_search(SearchStrategy::Fixed(spec));
+            DeepMapping::build(&rows, &config).unwrap()
+        };
+        let guessed = fixed(top);
+        assert!(guessed.model().ladder().is_empty());
+        let eq1 = |dm: &DeepMapping| dm.storage_breakdown().total_bytes();
+        assert!(eq1(&dm) <= eq1(&guessed), "{} > {}", eq1(&dm), eq1(&guessed));
+        // The kept rung is the store a fixed build of its spec makes, byte for
+        // byte, and the rungs the climb discarded left no counts behind.
+        let same = fixed(chosen);
+        assert_eq!(dm.model().to_bytes(), same.model().to_bytes());
+        assert_eq!(eq1(&dm), eq1(&same));
+        assert_eq!(dm.metrics().snapshot(), same.metrics().snapshot());
     }
 
     #[test]

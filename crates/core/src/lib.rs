@@ -39,7 +39,7 @@ pub use config::{DeepMappingConfig, Quantization, SearchStrategy, TrainingConfig
 pub use encoder::{DecodeMap, MappingSchema};
 pub use hybrid::{DeepMapping, DeepMappingParts, KEY_HEADROOM};
 pub use mhas::{MhasConfig, MhasSearch, SearchSample, SearchSpace};
-pub use model::{MappingModel, TrainingStop};
+pub use model::{MappingModel, Rung, TrainingStop};
 pub use pipeline::QueryPipeline;
 pub use stats::StorageBreakdown;
 

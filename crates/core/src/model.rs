@@ -26,11 +26,36 @@ pub struct MappingModel {
     trained_epochs: usize,
     training_stop: Option<TrainingStop>,
     trained_right_rows: usize,
+    /// The rungs the default-architecture build that made this model priced
+    /// (not stored with the model either).
+    ladder: Vec<Rung>,
 }
 
+/// One rung a default-architecture build priced on its climb up
+/// [`MappingModel::ladder_specs`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Rung {
+    /// The rung's shared hidden widths.
+    pub shared_hidden: Vec<usize>,
+    /// Epochs its training ran.
+    pub epochs: usize,
+    /// Multiply-accumulates of one key's forward pass through it.
+    pub macs_per_key: usize,
+    /// The Eq.-1 sum of the store it made
+    /// ([`StorageBreakdown::total_bytes`](crate::StorageBreakdown::total_bytes)).
+    pub bytes: usize,
+    /// Rows it left to the auxiliary table.
+    pub corrected_rows: usize,
+}
+
+/// The narrowest rung's shared width: one whole 16-column panel of the kernels.
+const LADDER_BASE_WIDTH: usize = 16;
+
 impl MappingModel {
-    /// A reasonable default architecture when MHAS is not run: two shared hidden
+    /// The top rung of [`ladder_specs`](Self::ladder_specs): two shared hidden
     /// layers sized to the data volume and one private hidden layer per task.
+    /// A build trains it only when every narrower rung kept shrinking the
+    /// store; `SearchStrategy::Fixed(default_spec(..))` trains it alone.
     pub fn default_spec(schema: &MappingSchema, num_rows: usize) -> MultiTaskSpec {
         // Scale width with data volume, clamped to a range that keeps the model a
         // small fraction of the data even for the scaled-down datasets used here
@@ -46,6 +71,27 @@ impl MappingModel {
                 .map(|&card| TaskHeadSpec::with_hidden(vec![private], card as usize))
                 .collect(),
         }
+    }
+
+    /// The widths a default-architecture build climbs, narrowest first: one
+    /// shared layer of `16·2ⁱ` for every such width below
+    /// [`default_spec`](Self::default_spec)'s, each with its heads straight off
+    /// it, then `default_spec` itself.  The build keeps a rung only while each
+    /// makes a smaller store than the one before (Eq. 1).
+    pub fn ladder_specs(schema: &MappingSchema, num_rows: usize) -> Vec<MultiTaskSpec> {
+        let top = Self::default_spec(schema, num_rows);
+        let top_width = top.shared_hidden[0];
+        let widths = (0..).map(|i| LADDER_BASE_WIDTH << i).take_while(|&width| width < top_width);
+        let rung = |width| MultiTaskSpec {
+            input_dim: schema.input_dim(),
+            shared_hidden: vec![width],
+            heads: schema
+                .cardinalities
+                .iter()
+                .map(|&card| TaskHeadSpec::direct(card as usize))
+                .collect(),
+        };
+        widths.map(rung).chain(std::iter::once(top)).collect()
     }
 
     /// Instantiates a model with the given architecture.  The spec's input width and
@@ -100,7 +146,14 @@ impl MappingModel {
     }
 
     fn untrained(schema: MappingSchema, network: MultiTaskModel) -> Self {
-        MappingModel { schema, network, trained_epochs: 0, training_stop: None, trained_right_rows: 0 }
+        MappingModel {
+            schema,
+            network,
+            trained_epochs: 0,
+            training_stop: None,
+            trained_right_rows: 0,
+            ladder: Vec::new(),
+        }
     }
 
     /// The schema this model was built for.
@@ -133,6 +186,18 @@ impl MappingModel {
     /// [`MemorizationPlateau`](TrainingStop::MemorizationPlateau) rule reads.
     pub fn trained_right_rows(&self) -> usize {
         self.trained_right_rows
+    }
+
+    /// The rungs the default-architecture build that made this model priced,
+    /// in the order it trained them; this model is the last rung that shrank
+    /// the store.  Empty for a model that was opened, or built under a fixed
+    /// or searched architecture.
+    pub fn ladder(&self) -> &[Rung] {
+        &self.ladder
+    }
+
+    pub(crate) fn set_ladder(&mut self, ladder: Vec<Rung>) {
+        self.ladder = ladder;
     }
 
     /// Serialized model size in bytes — the `size(M)` term of Eq. 1.

@@ -60,10 +60,18 @@ pub const PARALLEL_ROW_CROSSOVER: usize = 256;
 /// 547 / 466 and 537 / 466 — a lookup-sized batch is best from 64 to 128 and
 /// loses 30–90 ns/row from 192 up (fewer, larger chunks leave a longer ragged
 /// tail and the key chunk, the quantized rows and three regions no longer sit
-/// in L1 together), a 25 000-row one is flat from 96 up.  96 stays.  When the
-/// kernels change, rerun the sweep from a scratch harness (one copy of the tree
-/// per chunk size, the constant edited) and judge it on `mem_mixed`'s
-/// `keys_per_s`.
+/// in L1 together), a 25 000-row one is flat from 96 up.  96 stays.
+///
+/// Every sweep above ran the 141-wide model, which no longer serves the
+/// frozen benchmark: its build now keeps the width ladder's 38 → 16 → 5 × c
+/// rung.  Re-checked on that shape (frozen benchmark `mem_mixed`, seed 1,
+/// 10 s windows, four interleaved rounds of one tree copy per chunk size,
+/// 2-vcore Xeon, AMX form; M keys/s): 48 → 12.5–14.0 (median 13.2), 96 →
+/// 14.1–14.6 (14.4), 192 → 14.0–15.6 (14.8, two rounds at 14.0), 384 →
+/// 14.1–14.3 (14.2).  Only 48 loses; 96 to 384 sit within one round's
+/// spread, so 96 stays.  When the kernels or the rung change, rerun the
+/// sweep from a scratch harness (one copy of the tree per chunk size, the
+/// constant edited) and judge it on `mem_mixed`'s `keys_per_s`.
 pub const CACHE_CHUNK_ROWS: usize = 96;
 
 /// Specification of one private head: hidden widths plus the number of output classes

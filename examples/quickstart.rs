@@ -33,6 +33,18 @@ fn main() {
         .build(&rows)
         .expect("build DeepMapping");
 
+    // The default architecture climbs a ladder of widths and keeps the rung
+    // whose whole store (Eq. 1) is smallest; it stops at the first rung that
+    // does not shrink the store, or after one that leaves nothing to correct.
+    println!("architecture ladder:");
+    for rung in dm.model().ladder() {
+        println!(
+            "  shared {:?}: {} bytes, {} rows corrected, {} MACs a key",
+            rung.shared_hidden, rung.bytes, rung.corrected_rows, rung.macs_per_key
+        );
+    }
+    println!("  kept: shared {:?}\n", dm.model().network().spec().shared_hidden);
+
     // 3. Batched lookups (Algorithm 1): exact answers, including "not found" for keys
     //    that never existed — the existence index prevents hallucinated tuples.
     let queries = [5u64, 1_234, 19_999, 500_000];

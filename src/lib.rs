@@ -31,6 +31,18 @@
 //!   retrains under).  Writes keep `&mut self`: exclusive access is the point at
 //!   which the read structures may be rebuilt.
 //!
+//! What a build ships is priced by the paper's Eq. 1, the size of the whole
+//! hybrid structure.  Unless a caller fixes the architecture or asks for the
+//! MHAS search, the build climbs a ladder of widths: one shared layer of
+//! 16, 32, 64, … neurons with the heads straight off it, then the two-layer
+//! [`default_spec`](dm_core::MappingModel::default_spec) on top.  Each rung
+//! is trained, quantized and memorized as a whole store; the climb keeps a
+//! rung only while it shrinks that store, and stops at the first that does
+//! not, or after one that leaves nothing to correct.
+//! [`MappingModel::ladder`](dm_core::MappingModel::ladder) lists the rungs a
+//! build priced.  The model's size is also the lookup's cost, so the
+//! smallest store is usually the fastest one too.
+//!
 //! This crate is a facade over the workspace:
 //!
 //! * [`dm_core`] (re-exported as [`core`]) — the hybrid structure, the
@@ -107,7 +119,11 @@
 //! │                                       kill-point torture tests
 //! ├── crates/core            dm-core      DeepMapping hybrid + DeepMappingBuilder
 //! │                                       (train f32 → quantize to int8 →
-//! │                                       memorize what int8 gets wrong),
+//! │                                       memorize what int8 gets wrong; the
+//! │                                       default architecture climbs a ladder
+//! │                                       of widths from 16 and keeps the
+//! │                                       rung whose whole store, Eq. 1, is
+//! │                                       smallest),
 //! │                                       QueryPipeline (Vexist/Vaux routing),
 //! │                                       rank-addressed keyless AuxTable,
 //! │                                       schema/encoders, MHAS
@@ -309,6 +325,11 @@
 //! dm.delete(&[0]).unwrap();
 //! assert_eq!(dm.get(2_000).unwrap(), Some(vec![2, 4]));
 //! assert_eq!(dm.get(0).unwrap(), None);
+//!
+//! // The architecture ladder the build climbed, narrowest rung first; the
+//! // model is the last rung that shrank the store.
+//! let ladder = dm.model().ladder();
+//! assert_eq!(ladder[0].shared_hidden, [16]);
 //!
 //! // Storage breakdown (Figure 6 of the paper).  On real table sizes the hybrid
 //! // structure compresses well below 1.0; this toy example just demonstrates the API

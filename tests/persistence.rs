@@ -68,6 +68,7 @@ fn tpcds_round_trip_is_byte_identical_and_lazy() {
     let path = dir.join("cd.dmss");
     let rows = tpcds_rows();
     let dm = quick_build(&rows);
+    assert!(!dm.model().ladder().is_empty(), "a default-architecture build climbs the ladder");
     let probe = probe_keys(&rows);
     let expected = dm.lookup_batch(&probe).unwrap();
     let expected_range = dm.scan_range(3, 220).unwrap();
@@ -84,6 +85,8 @@ fn tpcds_round_trip_is_byte_identical_and_lazy() {
     assert_eq!(open_stats.file_bytes, stats.file_bytes);
     assert_eq!(open_stats.eager_bytes, stats.eager_bytes);
     assert_eq!(reopened.len(), rows.len());
+    // The ladder is what a build priced; an opened model priced nothing.
+    assert!(reopened.model().ladder().is_empty());
     // Lazy: nothing but the eager sections has been read yet.
     assert_eq!(reopened.metrics().snapshot().bytes_read, 0);
 
