@@ -19,7 +19,11 @@
 //!    never a per-key pass, recorded via [`Metrics::add_inference_batch`].  No
 //!    batch-wide feature matrix is built: each cache-sized row chunk of the
 //!    pass encodes its own keys, for an int8 model straight into the first
-//!    layer's input bytes.  They cause no probe plan, no partition load and no
+//!    layer's input bytes (one masked store a key under AVX-512), and no logit
+//!    matrix either: every head's output layer runs with the keys in vector
+//!    lanes and keeps each head's best class in its epilogue
+//!    ([`dm_nn::kernel::argmax_prequantized`]), so the pass writes the classes
+//!    and nothing else.  They cause no probe plan, no partition load and no
 //!    decompression.
 //! 3. **Grouped probes of the corrected keys** ([`Stage::Plan`], then per
 //!    partition group [`Stage::PoolLoad`] or [`Stage::PoolWait`] and

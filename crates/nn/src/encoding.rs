@@ -28,8 +28,18 @@
 //! the lookup path of an int8 model never materializes a feature matrix; a property
 //! test holds it equal to quantizing [`KeyEncoder::encode_into`]'s output, byte for
 //! byte and scale for scale.
+//!
+//! A batch ([`KeyEncoder::quantize_keys`], what each chunk of a lookup's walk calls)
+//! takes an AVX-512 form where the calling thread's kernel is the vector one with
+//! AVX-512: a row of up to 64 bytes is one register — `0x80` everywhere, `0x01` over
+//! the bit lanes, `0xFF` wherever one of two masks is set: the key itself, read as a
+//! byte mask over the bit lanes, and one bit per modulus at its hot lane, built from
+//! the residues — and one masked store; a wider row takes one register per 64 bytes.
+//! Ramps, when there are any, are written over it afterwards.  `quantize_into` stays
+//! the scalar body and the reference: a unit test holds the batch form to it under
+//! every kernel form, byte for byte and scale for scale.
 
-use crate::kernel::QuantizedRows;
+use crate::kernel::{self, QuantizedRows};
 use crate::tensor::Matrix;
 use std::collections::HashMap;
 use std::hash::Hash;
@@ -188,6 +198,8 @@ impl KeyEncoder {
     /// (`out` is `input_dim` rounded up to a multiple of four): what
     /// [`QuantizedRows::fill`] makes of [`encode_into`](Self::encode_into)'s
     /// features, without the features — see the module docs for the form.
+    /// The scalar statement of it, and the reference of
+    /// [`quantize_keys`](Self::quantize_keys)' vector form.
     pub fn quantize_into(&self, key: u64, out: &mut [u8]) {
         debug_assert_eq!(out.len(), self.input_dim().div_ceil(4) * 4);
         let (bits, rest) = out.split_at_mut(self.bits);
@@ -202,7 +214,12 @@ impl KeyEncoder {
             rest[offset + residue(key, m, reciprocal) as usize] = 0xFF;
             offset += m as usize;
         }
-        for (&p, slot) in self.ramps.iter().zip(&mut rest[offset..]) {
+        self.quantize_ramps(key, &mut rest[offset..]);
+    }
+
+    /// The ramp bytes of `key`, from the first ramp lane on.
+    fn quantize_ramps(&self, key: u64, out: &mut [u8]) {
+        for (&p, slot) in self.ramps.iter().zip(out) {
             let ramp = (key % p) as f32 / p as f32;
             let q = (ramp * 127.0).round_ties_even().clamp(-127.0, 127.0) as i8;
             *slot = q as u8 ^ 0x80;
@@ -212,16 +229,104 @@ impl KeyEncoder {
     /// Quantizes a batch of keys into `out`, replacing what it held: byte for
     /// byte and scale for scale what `out.fill(..)` over
     /// [`encode_batch`](Self::encode_batch)`(keys)` produces, under any kernel.
+    ///
+    /// Its form follows [`kernel::active`]: where that is the vector kernel
+    /// with AVX-512, a row is one masked store of one 64-byte register per 64
+    /// bytes of row — `0x80` in every lane, `0x01` in the bit lanes, and
+    /// `0xFF` wherever a mask of the key's own bits (the bit lanes) or of its
+    /// residues (one hot lane per modulus) is set — and the ramps, if any,
+    /// are written after it; elsewhere every row is
+    /// [`quantize_into`](Self::quantize_into).
     pub fn quantize_keys(&self, keys: &[u64], out: &mut QuantizedRows) {
-        out.fill_with(keys.len(), self.input_dim(), |i, bytes| {
-            self.quantize_into(keys[i], bytes);
-            QUANTIZED_KEY_SCALE
+        let width = self.input_dim().div_ceil(4) * 4;
+        out.fill_with(keys.len(), self.input_dim(), |bytes, scales| {
+            scales.fill(QUANTIZED_KEY_SCALE);
+            #[cfg(target_arch = "x86_64")]
+            if kernel::active() == kernel::Kernel::Vector
+                && kernel::avx512_enabled()
+                && x86::fits(self.bits, width)
+            {
+                // Safety: AVX-512 F/BW availability checked at runtime; the
+                // row shape was checked by `fits` (and is again by the callee).
+                unsafe { x86::quantize_keys_avx512(self, keys, bytes, width) };
+                if !self.ramps.is_empty() {
+                    let ramps = self.input_dim() - self.ramps.len();
+                    for (&key, row) in keys.iter().zip(bytes.chunks_exact_mut(width)) {
+                        self.quantize_ramps(key, &mut row[ramps..]);
+                    }
+                }
+                return;
+            }
+            for (&key, row) in keys.iter().zip(bytes.chunks_exact_mut(width)) {
+                self.quantize_into(key, row);
+            }
         });
     }
 
     /// Serialized size of the encoder metadata in bytes.
     pub fn size_bytes(&self) -> usize {
         8 + self.moduli.len() * 8 + self.ramps.len() * 8
+    }
+}
+
+/// The AVX-512 form of [`KeyEncoder::quantize_keys`].
+#[cfg(target_arch = "x86_64")]
+mod x86 {
+    use super::{residue, KeyEncoder};
+    use std::arch::x86_64::*;
+
+    /// 64-byte registers a row may take: hot lanes are gathered into one
+    /// 64-bit mask per register, on the stack.
+    const REGISTERS: usize = 4;
+
+    /// Whether the vector form takes rows of `width` bytes whose first `bits`
+    /// lanes are the key's bits: every bit lane inside the first register
+    /// (a key has 64 bits), the row inside [`REGISTERS`] registers.
+    pub(super) fn fits(bits: usize, width: usize) -> bool {
+        bits <= 64 && width <= 64 * REGISTERS
+    }
+
+    /// Every row of `keys` but its ramps: per 64 bytes of row, one masked
+    /// store of `0x80` (cold one-hot lanes and padding) blended with `0x01`
+    /// over the bit lanes and with `0xFF` over the lanes a mask marks hot —
+    /// the key's own bits for the bit lanes, one residue per modulus for the
+    /// one-hot runs.  Ramp lanes are left as `0x80` for the caller.
+    ///
+    /// # Safety
+    /// AVX-512 F/BW must be available.  `bytes` holds `keys.len()` rows of
+    /// `width` bytes (asserted), and each store is masked to its row.
+    #[target_feature(enable = "avx512f", enable = "avx512bw")]
+    pub(super) unsafe fn quantize_keys_avx512(
+        encoder: &KeyEncoder,
+        keys: &[u64],
+        bytes: &mut [u8],
+        width: usize,
+    ) {
+        let bits = encoder.bits;
+        assert!(fits(bits, width) && width > 0 && bytes.len() >= keys.len() * width);
+        let bit_lanes = u64::MAX >> (64 - bits);
+        let cold = _mm512_set1_epi8(0x80u8 as i8);
+        let first = _mm512_mask_blend_epi8(bit_lanes, cold, _mm512_set1_epi8(0x01));
+        let hot = _mm512_set1_epi8(-1);
+        let registers = width.div_ceil(64);
+        let last = u64::MAX >> (64 * registers - width);
+        for (i, &key) in keys.iter().enumerate() {
+            let mut hot_lanes = [0u64; REGISTERS];
+            hot_lanes[0] = key & bit_lanes;
+            let mut lane = bits;
+            for (&m, &reciprocal) in encoder.moduli.iter().zip(&encoder.reciprocals) {
+                let at = lane + residue(key, m, reciprocal) as usize;
+                hot_lanes[at / 64] |= 1 << (at % 64);
+                lane += m as usize;
+            }
+            let row = bytes.as_mut_ptr().add(i * width);
+            for (r, &lanes) in hot_lanes.iter().enumerate().take(registers) {
+                let base = if r == 0 { first } else { cold };
+                let live = if r + 1 == registers { last } else { u64::MAX };
+                let v = _mm512_mask_mov_epi8(base, lanes, hot);
+                _mm512_mask_storeu_epi8(row.add(64 * r).cast(), live, v);
+            }
+        }
     }
 }
 
@@ -386,6 +491,55 @@ mod tests {
         // Every row has exactly bits-set + 4 one-hot ones.
         let ones = row.iter().filter(|&&v| v == 1.0).count();
         assert_eq!(ones, 2 + 4); // key 9 has two set bits plus one per modulus
+    }
+
+    /// The batch quantizer — one masked store a row under AVX-512 — is
+    /// [`KeyEncoder::quantize_into`], byte for byte and scale for scale, in
+    /// every kernel form: at every bit width, with and without one-hot
+    /// moduli and ramps, for keys past 2³² (`residue`'s `%` path) and
+    /// `u64::MAX`, for rows of one, two, three and four 64-byte registers and
+    /// one past them (the scalar path), into a buffer holding a wider window.
+    #[test]
+    fn batch_quantizer_is_quantize_into_in_every_form() {
+        let keys: Vec<u64> = (0..40u64)
+            .map(|i| match i % 5 {
+                0 => i,
+                1 => u64::MAX - i,
+                2 => (1 << 32) + i * 977,
+                3 => i.wrapping_mul(0x9E37_79B9_7F4A_7C15),
+                _ => i * 1_000_003,
+            })
+            .collect();
+        let shapes: [(&[u64], &[u64]); 6] = [
+            (&[], &[]),
+            (&PERIODIC_MODULI, &[]),
+            (&PERIODIC_MODULI, &[10, 70, 1_000_003]),
+            (&[], &[6, 91]),
+            (&[61, 67, 3], &[]),
+            (&[251, 2], &[9]),
+        ];
+        for bits in 1..=64 {
+            for (moduli, ramps) in shapes {
+                let encoder = KeyEncoder::from_parts(bits, moduli.to_vec(), ramps);
+                let width = encoder.input_dim().div_ceil(4) * 4;
+                let mut expected = vec![0u8; keys.len() * width];
+                for (&key, row) in keys.iter().zip(expected.chunks_exact_mut(width)) {
+                    encoder.quantize_into(key, row);
+                }
+                crate::kernel::tests::under_each_form(|form| {
+                    let mut wider = KeyEncoder::from_parts(64, vec![61, 67, 5], &[3]);
+                    let mut rows = QuantizedRows::default();
+                    wider.quantize_keys(&[u64::MAX; 50], &mut rows);
+                    wider = encoder.clone();
+                    wider.quantize_keys(&keys, &mut rows);
+                    for (i, want) in expected.chunks_exact(width).enumerate() {
+                        assert_eq!(rows.row(i), want, "{form} bits {bits} {moduli:?} {ramps:?} key {}", keys[i]);
+                    }
+                    assert!(rows.scales().iter().all(|s| s.to_bits() == QUANTIZED_KEY_SCALE.to_bits()));
+                    assert_eq!(rows.scales().len(), keys.len(), "{form}");
+                });
+            }
+        }
     }
 
     #[test]

@@ -19,7 +19,7 @@
 //! store.  Both layouts are **derived** state, rebuilt from the row-major
 //! int8 weights a snapshot stores; no stored byte depends on them.
 //!
-//! Every entry point comes in two shapes: `*_into` writes into a caller-owned
+//! Every forward entry point comes in two shapes: `*_into` writes into a caller-owned
 //! buffer with a leading dimension (what the model walk uses, so a batch
 //! allocates its working memory once), and the allocating form returns a fresh
 //! [`Matrix`] by calling it.
@@ -78,7 +78,8 @@
 //! chain before its first byte.  One producer knows a row's quantized form
 //! without seeing it as f32: an encoded key's `amax` is exactly 1.0, so
 //! [`KeyEncoder::quantize_keys`](crate::encoding::KeyEncoder::quantize_keys)
-//! writes a first layer's bytes itself, through [`QuantizedRows::fill_with`].
+//! writes a first layer's bytes itself — one masked store a row under
+//! AVX-512 — through [`QuantizedRows::fill_with`].
 //!
 //! ## The AMX form
 //!
@@ -108,6 +109,37 @@
 //! thread, those already running included.  A call configures the tiles and
 //! releases them before it returns, so a context switch outside a layer call
 //! saves no tile state.
+//!
+//! ## Keys in lanes
+//!
+//! A model's output layers are not stored: a lookup wants each head's class,
+//! the argmax of its logits, and [`argmax_prequantized`] takes it in the
+//! layer's epilogue.  Its vector forms turn the product over — Cᵀ, columns
+//! by keys — so that one register holds one output column for sixteen keys
+//! (AVX2: eight).  The epilogue is then the row-major one lane for lane
+//! (`fma(cvt(acc), x_scale · w_scale, bias)` with the column's constants
+//! broadcast, the key's scale in its lane — the same operations on the same
+//! operands, so the same bits), and a head's argmax is, per lane, an ordered
+//! `>` against its best value so far and a masked select of the class:
+//! `tensor::argmax`'s own loop, sixteen keys at a time, with no logit row
+//! written and no reduction across lanes.
+//!
+//! The keys' quantized rows are laid out sixteen to a group first
+//! (`QuantizedRows::lay_out_lanes`, one gather a k-quad): per quad, one
+//! 64-byte block of the sixteen rows' four bytes.  That block is what
+//! `vpdpbusd` multiplies by one broadcast weight quad, and a group's blocks,
+//! 64 bytes apart, are an AMX B tile.  The AMX form runs `tdpbsud` (signed ×
+//! unsigned, the operands' roles swapped) with the layer's weights on their
+//! side as the A tile — sixteen output columns' runs of `k`, derived from
+//! the panels by the first AMX call over them and never stored — into a C tile of 16
+//! columns × 16 keys; per group it computes a panel pair, stores the two C
+//! tiles to one of two stack buffers and runs the epilogue of the pair before
+//! from the other, so the vector units work while the tile unit does.  C
+//! plus the column's `−128·Σ q_w` is the `vpdpbusd` form's accumulator,
+//! exactly.  The AVX2 form moves each key's sign onto the broadcast weight
+//! (`vpsignb`) as its row-major twin does.  Whole groups take the AMX form
+//! where it runs, the rest of a window `vpdpbusd` (masked lanes); the scalar
+//! reference reads the rows as they are.
 //!
 //! ## The gradient kernels
 //!
@@ -161,7 +193,13 @@
 //! window take the AMX form when the CPU has AMX-TILE + AMX-INT8 and the OS
 //! granted tile state; the rows left over — all of a smaller window — keep
 //! `vpdpbusd`, whose cost does not start at a whole tile.  Nothing but the
-//! CPU, the OS grant and the window's row count decides.  [`with_forced`]
+//! CPU, the OS grant and the window's row count decides.  An output layer's
+//! classes ([`argmax_prequantized`]) follow the same choice with the keys in
+//! lanes: AMX for a window's whole groups of sixteen keys and `vpdpbusd` for
+//! the rest, the AVX2 form where AVX-512-VNNI is missing, the scalar
+//! reference otherwise — one path per form, whatever the layer's shape; the
+//! key quantizer ([`KeyEncoder::quantize_keys`](crate::encoding::KeyEncoder::quantize_keys))
+//! takes its AVX-512 form under the same switch.  [`with_forced`]
 //! overrides the choice for the calling thread — the hook the bit-identity
 //! guard tests use to exercise the kernels in one process — and
 //! [`with_avx512_disabled`] / [`with_amx_disabled`] step the vector kernel
@@ -537,7 +575,7 @@ const LANE_ORDER: [usize; LANES] = [0, 8, 4, 12, 2, 10, 6, 14, 1, 9, 5, 13, 3, 1
 /// Quantization is part of the store's arithmetic recipe: the same panels
 /// produce bit-identical predictions under the scalar, AVX2, `vpdpbusd` and
 /// AMX forms, so a quantized snapshot serves losslessly on any of them.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 pub struct QuantizedPanels {
     k: usize,
     n: usize,
@@ -555,10 +593,34 @@ pub struct QuantizedPanels {
     scales: Vec<f32>,
     /// f32 bias padded to the panel edge (zeros when the layer has none).
     bias: Vec<f32>,
+    /// The weights on their side for the keys-in-lanes AMX form
+    /// ([`argmax_prequantized`]), laid out by its first call over them: only
+    /// output layers that run on AMX ever hold it.  Output column `c` (of
+    /// `panel_count() * 16`, the padding columns zero) is one run of
+    /// `kstride * 4` bytes from `c * kstride * 4` on, `q[kk][c]` at `kk`,
+    /// zero past `k` — so sixteen columns' runs, `kstride * 4` apart, are an
+    /// A tile of any K step.
+    transposed: OnceLock<Vec<i8>>,
+}
+
+/// Equal panels are equal weights, scales and biases; the transposed copy is
+/// derived from them, whether or not it has been laid out yet.
+impl PartialEq for QuantizedPanels {
+    fn eq(&self, other: &Self) -> bool {
+        (self.k, self.n, self.kquads, self.kstride) == (other.k, other.n, other.kquads, other.kstride)
+            && self.data == other.data
+            && self.offsets == other.offsets
+            && self.scales == other.scales
+            && self.bias == other.bias
+    }
 }
 
 /// Bytes of one (panel, k-quad) weight block.
 const QBLOCK: usize = 4 * QLANES;
+
+/// Rows ("keys") per group of the keys-in-lanes layout: one i32 lane each of
+/// a 64-byte block.
+const LANE_KEYS: usize = 16;
 
 /// Rows of an AMX tile — and k-quads (i32 columns) of one, 16 × 64 bytes.
 const TILE_ROWS: usize = 16;
@@ -668,6 +730,7 @@ impl QuantizedPanels {
             offsets,
             scales: padded_scales,
             bias: padded_bias,
+            transposed: OnceLock::new(),
         })
     }
 
@@ -756,6 +819,19 @@ impl QuantizedPanels {
     #[inline]
     fn block(&self, p: usize, g: usize) -> &[i8] {
         &self.data[(p * self.kstride + g) * QBLOCK..][..QBLOCK]
+    }
+
+    /// The transposed layout (see the field), laid out on first use.
+    fn transposed(&self) -> &[i8] {
+        self.transposed.get_or_init(|| {
+            let stride = self.kstride * 4;
+            let mut transposed = vec![0i8; self.panel_count() * QLANES * stride];
+            for (i, &v) in self.weights_row_major().iter().enumerate() {
+                let (kk, c) = (i / self.n, i % self.n);
+                transposed[c * stride + kk] = v;
+            }
+            transposed
+        })
     }
 }
 
@@ -876,6 +952,12 @@ pub struct QuantizedRows {
     bytes: Vec<u8>,
     /// At least `count` per-row dequantization scales.
     scales: Vec<f32>,
+    /// The rows with the keys in lanes, as [`argmax_prequantized`]'s vector
+    /// forms read them (`lay_out_lanes`): per group of sixteen rows, per
+    /// k-quad, one 64-byte block whose bytes `4j..4j + 4` are the quad of
+    /// the group's row `j` — a B tile of the AMX form, one `vpdpbusd`
+    /// operand of the others.
+    lanes: Vec<u8>,
 }
 
 impl QuantizedRows {
@@ -887,6 +969,7 @@ impl QuantizedRows {
             count: 0,
             bytes: vec![0; Self::tile_span(rows, k) + QROWS_SLACK],
             scales: vec![0.0; rows],
+            lanes: Vec::new(),
         }
     }
 
@@ -943,17 +1026,50 @@ impl QuantizedRows {
     }
 
     /// Overwrites the buffer with `count` rows of `k` values whose quantized
-    /// form the caller knows without seeing them as f32: `row(i, bytes)`
-    /// writes row `i`'s bytes — all of them, `k` rounded up to whole k-quads,
-    /// the padding as `0x80` — exactly as [`fill`](Self::fill) would have, and
-    /// returns its scale.  [`KeyEncoder::quantize_keys`] is the one such
-    /// caller.
+    /// form the caller knows without seeing them as f32: `write(bytes,
+    /// scales)` gets the window's `count` rows back to back — `k` rounded up
+    /// to whole k-quads each — and its `count` scales, and writes all of them,
+    /// the padding as `0x80`, exactly as [`fill`](Self::fill) would have.
+    /// [`KeyEncoder::quantize_keys`] is the one such caller.
     ///
     /// [`KeyEncoder::quantize_keys`]: crate::encoding::KeyEncoder::quantize_keys
-    pub fn fill_with(&mut self, count: usize, k: usize, mut row: impl FnMut(usize, &mut [u8]) -> f32) {
+    pub fn fill_with(&mut self, count: usize, k: usize, write: impl FnOnce(&mut [u8], &mut [f32])) {
         let width = self.resize(count, k);
-        for i in 0..count {
-            self.scales[i] = row(i, &mut self.bytes[i * width..][..width]);
+        write(&mut self.bytes[..count * width], &mut self.scales[..count]);
+    }
+
+    /// Lays the rows out with the keys in lanes (see the field), `kstride`
+    /// blocks a group — the panels' run, whole AMX K steps: the blocks of
+    /// the row's quads, then blocks that only ever meet zero weights, left
+    /// as the buffer held them.  The lanes past the last row are `0x80`
+    /// (`q = 0`).  With AVX-512 a block is one gather of sixteen rows' quad,
+    /// and the scalar loop is the same copy.
+    fn lay_out_lanes(&mut self, kernel: Kernel, kstride: usize) {
+        let (kquads, count) = (self.k.div_ceil(4), self.count);
+        let owned = count.div_ceil(LANE_KEYS) * kstride * QBLOCK;
+        if self.lanes.len() < owned {
+            self.lanes.resize(owned, 0x80);
+        }
+        let rows = &self.bytes[..count * kquads * 4];
+        #[cfg(target_arch = "x86_64")]
+        if matches!(kernel, Kernel::Vector) && avx512_enabled() {
+            // Safety: AVX-512 F availability checked at runtime; both buffers
+            // were sized above (the callee checks them again).
+            unsafe { x86::lay_out_lanes_avx512(rows, kquads, kstride, &mut self.lanes) };
+            return;
+        }
+        #[cfg(not(target_arch = "x86_64"))]
+        let _ = kernel;
+        for (group, rows) in self.lanes.chunks_exact_mut(kstride * QBLOCK).zip(rows.chunks(LANE_KEYS * kquads * 4)) {
+            for (g, block) in group.chunks_exact_mut(QBLOCK).take(kquads).enumerate() {
+                for (key, lane) in block.chunks_exact_mut(4).enumerate() {
+                    let at = (key * kquads + g) * 4;
+                    match rows.get(at..at + 4) {
+                        Some(quad) => lane.copy_from_slice(quad),
+                        None => lane.fill(0x80),
+                    }
+                }
+            }
         }
     }
 
@@ -1226,6 +1342,105 @@ pub fn argmax_rows(
     Ok(())
 }
 
+/// The class each row's output layer predicts, straight from its quantized
+/// input: for every row `i` of `qrows` and every head `h` of `heads` — the
+/// layer's columns side by side, head `h` the next `heads[h]` of them —
+/// `out[i * stride + h]` is the [`argmax`](crate::tensor::argmax) of what
+/// [`forward_prequantized_into`] writes in the head's columns: the same exact
+/// integer sums, the same epilogue `act(fma(cvt(acc), x_scale · w_scale,
+/// bias))`, then the ordered `>` from `-∞` over the columns in order — the
+/// lowest class wins a tie (`0.0` and `-0.0` tie), a NaN never wins, and a
+/// row with nothing above `-∞` predicts 0.  No logit is stored.
+///
+/// The vector forms run with the keys in lanes (see the module docs): the
+/// rows are first laid out sixteen to a group (`qrows` keeps that copy
+/// beside its rows), then each column is one register of sixteen keys' sums,
+/// its epilogue is lane for lane, and a head's argmax is a running
+/// compare-and-select per lane.  With AVX-512-VNNI the window's whole
+/// [`AMX_MIN_ROWS`]-row groups take the AMX form where the tile unit is there
+/// and granted (`tdpbsud`: the transposed weights as A tiles, the keys as B
+/// tiles, C is 16 columns × 16 keys) and `vpdpbusd` the rest; with AVX2 the
+/// sign-transfer arithmetic over half groups of eight keys; the scalar
+/// reference otherwise reads the rows as they are.
+pub fn argmax_prequantized(
+    kernel: Kernel,
+    qrows: &mut QuantizedRows,
+    panels: &QuantizedPanels,
+    activation: Activation,
+    heads: &[usize],
+    out: &mut [u32],
+    stride: usize,
+) -> crate::Result<()> {
+    let count = qrows.count;
+    if qrows.k != panels.k || heads.is_empty() || heads.iter().sum::<usize>() != panels.n {
+        return Err(NnError::ShapeMismatch {
+            context: format!(
+                "argmax_prequantized: rows of {} values, heads {heads:?}, panels of {}x{}",
+                qrows.k, panels.k, panels.n
+            ),
+        });
+    }
+    if count > 0 && (stride < heads.len() || (count - 1) * stride + heads.len() > out.len()) {
+        return Err(NnError::ShapeMismatch {
+            context: format!(
+                "argmax_prequantized: {count} rows of {} predictions {stride} apart in a buffer of {}",
+                heads.len(),
+                out.len()
+            ),
+        });
+    }
+    let width = panels.kquads * 4;
+    if qrows.bytes.len() < count * width || qrows.scales.len() < count {
+        return Err(NnError::ShapeMismatch {
+            context: format!(
+                "argmax_prequantized: {count} quantized rows of {} values in {} bytes, {} scales",
+                qrows.k,
+                qrows.bytes.len(),
+                qrows.scales.len()
+            ),
+        });
+    }
+    match kernel {
+        #[cfg(target_arch = "x86_64")]
+        Kernel::Vector if avx512_enabled() && vnni_available() => {
+            let tiled = if panels.k > 0 && amx_enabled() {
+                count - count % AMX_MIN_ROWS
+            } else {
+                0
+            };
+            qrows.lay_out_lanes(kernel, panels.kstride);
+            let (lanes, xscales) = (&qrows.lanes[..], &qrows.scales[..count]);
+            #[cfg(all(target_os = "linux", not(miri)))]
+            if tiled > 0 {
+                // Safety: AVX-512 F/BW/DQ and AMX-TILE/INT8 availability and
+                // the OS grant checked at runtime; `tiled` is whole groups,
+                // laid out above; the destination was checked above.
+                unsafe {
+                    x86::amx::argmax_quantized(lanes, &xscales[..tiled], panels, activation, heads, out, stride)
+                };
+            }
+            let lanes = &lanes[tiled / LANE_KEYS * panels.kstride * QBLOCK..];
+            let (xscales, out) = (&xscales[tiled..], out.get_mut(tiled * stride..).unwrap_or_default());
+            // Safety: AVX-512 F/BW/DQ/VNNI availability checked at runtime;
+            // the lanes were laid out and the destination checked above.
+            unsafe { x86::argmax_quantized_vnni(lanes, xscales, panels, activation, heads, out, stride) };
+        }
+        #[cfg(target_arch = "x86_64")]
+        Kernel::Vector if vector_available() => {
+            qrows.lay_out_lanes(kernel, panels.kstride);
+            let (lanes, xscales) = (&qrows.lanes[..], &qrows.scales[..count]);
+            // Safety: AVX2+FMA availability checked at runtime; the lanes
+            // were laid out and the destination checked above.
+            unsafe { x86::argmax_quantized_avx2(lanes, xscales, panels, activation, heads, out, stride) };
+        }
+        _ => {
+            let (bytes, xscales) = (&qrows.bytes[..count * width], &qrows.scales[..count]);
+            argmax_quantized_scalar_dispatch(bytes, xscales, panels, activation, heads, out, stride);
+        }
+    }
+    Ok(())
+}
+
 /// `lhs (m × n) · Wᵀ (n × k) -> m × k` — the backward-pass shape (`dy · Wᵀ`),
 /// over the forward panels turned on their side (laid out on the first call
 /// after a weight mutation; see [`PackedPanels`]).  An output
@@ -1422,6 +1637,47 @@ fn forward_quantized_scalar_body(
     }
 }
 
+/// The reference form of [`argmax_prequantized`]: per row and head, each
+/// column's exact i32 dot product and fixed epilogue, in column order, into
+/// [`argmax`](crate::tensor::argmax)'s running `>`.
+#[inline(always)]
+fn argmax_quantized_scalar_body(
+    bytes: &[u8],
+    xscales: &[f32],
+    panels: &QuantizedPanels,
+    activation: Activation,
+    heads: &[usize],
+    out: &mut [u32],
+    stride: usize,
+) {
+    let width = panels.kquads * 4;
+    for (i, &x_scale) in xscales.iter().enumerate() {
+        let xrow = &bytes[i * width..(i + 1) * width];
+        let mut c = 0;
+        for (h, &classes) in heads.iter().enumerate() {
+            let (mut best, mut best_v) = (0, f32::NEG_INFINITY);
+            for class in 0..classes {
+                let (p, lane) = (c / QLANES, c % QLANES);
+                let mut acc = 0i32;
+                for (g, quad) in xrow.chunks_exact(4).enumerate() {
+                    let w = &panels.block(p, g)[4 * lane..][..4];
+                    for (&byte, &w) in quad.iter().zip(w) {
+                        acc += (byte as i32 - 128) * w as i32;
+                    }
+                }
+                let m = x_scale * panels.scales[c];
+                let mut y = [(acc as f32).mul_add(m, panels.bias[c])];
+                activation.apply_to(&mut y);
+                if y[0] > best_v {
+                    (best, best_v) = (class, y[0]);
+                }
+                c += 1;
+            }
+            out[i * stride + h] = best as u32;
+        }
+    }
+}
+
 /// The reference form of `dy · Wᵀ`: per part, the lane sums of one block of
 /// sixteen outputs as a 16 × 16 array, each lane's chain in ascending panel
 /// order, then [`reduce_lanes`] per output, added to the parts before it.
@@ -1530,6 +1786,21 @@ scalar_dispatch!(
 );
 
 scalar_dispatch!(
+    argmax_quantized_scalar_dispatch,
+    argmax_quantized_scalar_body,
+    argmax_quantized_scalar_fma,
+    (
+        bytes: &[u8],
+        xscales: &[f32],
+        panels: &QuantizedPanels,
+        activation: Activation,
+        heads: &[usize],
+        out: &mut [u32],
+        stride: usize
+    )
+);
+
+scalar_dispatch!(
     matmul_wt_scalar_dispatch,
     matmul_wt_scalar_body,
     matmul_wt_scalar_fma,
@@ -1550,7 +1821,7 @@ scalar_dispatch!(
 #[cfg(target_arch = "x86_64")]
 mod x86 {
     use super::{
-        PackedPanels, QuantizedPanels, RowsView, LANES, LANE_ORDER, QBLOCK, QLANES,
+        PackedPanels, QuantizedPanels, RowsView, LANES, LANE_KEYS, LANE_ORDER, QBLOCK, QLANES,
     };
     use crate::layer::Activation;
     use crate::tensor::Matrix;
@@ -1978,15 +2249,394 @@ mod x86 {
         }
     }
 
+    // -----------------------------------------------------------------------
+    // Keys in lanes: an output layer's argmax in its epilogue.
+    //
+    // A column of the layer is one register of sixteen keys' (AVX2: eight
+    // keys') exact sums; its epilogue is the row-major one lane for lane —
+    // the same product `x_scale · w_scale`, the same `fma` — and each head
+    // keeps, per lane, its best value so far and that value's class.  The
+    // forms are compiled once per activation (`ACT`, [`act_code`]), so the
+    // column loop holds no branch on it and no call.
+    // -----------------------------------------------------------------------
+
+    /// `ACT` of a linear layer.
+    const ACT_LINEAR: u8 = 0;
+    /// `ACT` of a ReLU layer.
+    const ACT_RELU: u8 = 1;
+    /// `ACT` of any other activation: applied to each column's lanes by the
+    /// scalar recipe, through memory.
+    const ACT_SCALAR: u8 = 2;
+
+    /// Calls `$form::<ACT, $generics>($args)` with `ACT` the code of
+    /// `$activation`.
+    macro_rules! by_activation {
+        ($form:ident [$($generic:expr),*], $activation:expr, ($($arg:expr),*)) => {
+            match $activation {
+                Activation::Linear => $form::<ACT_LINEAR $(, $generic)*>($($arg),*),
+                Activation::Relu => $form::<ACT_RELU $(, $generic)*>($($arg),*),
+                Activation::Sigmoid | Activation::Tanh => {
+                    $form::<ACT_SCALAR $(, $generic)*>($($arg),*)
+                }
+            }
+        };
+    }
+
+    /// The scalar recipe of `activation` over one register's lanes, out of
+    /// line: only `ACT_SCALAR` forms call it.
+    #[inline(never)]
+    #[cold]
+    fn apply_scalar(activation: Activation, values: &mut [f32]) {
+        activation.apply_to(values);
+    }
+
+    /// [`QuantizedRows::lay_out_lanes`](super::QuantizedRows) over AVX-512:
+    /// per group and quad, one gather of the sixteen rows' quads (`kquads`
+    /// i32 apart), the lanes past the last row masked to `0x80`.
+    ///
+    /// # Safety
+    /// AVX-512 F must be available.  `rows` is whole rows of `kquads` quads
+    /// and `lanes` holds a group's `kstride ≥ kquads` blocks for each (both
+    /// asserted), so every gathered lane and every store is inside them.
+    #[target_feature(enable = "avx512f")]
+    pub(super) unsafe fn lay_out_lanes_avx512(rows: &[u8], kquads: usize, kstride: usize, lanes: &mut [u8]) {
+        let count = rows.len() / (kquads * 4).max(1);
+        assert!(rows.len() == count * kquads * 4 && lanes.len() >= count.div_ceil(LANE_KEYS) * kstride * QBLOCK);
+        let index = _mm512_mullo_epi32(
+            _mm512_set_epi32(15, 14, 13, 12, 11, 10, 9, 8, 7, 6, 5, 4, 3, 2, 1, 0),
+            _mm512_set1_epi32(kquads as i32),
+        );
+        let cold = _mm512_set1_epi8(0x80u8 as i8);
+        for r in (0..count).step_by(LANE_KEYS) {
+            let live = ((1u32 << (count - r).min(LANE_KEYS)) - 1) as u16;
+            let src = rows.as_ptr().add(r * kquads * 4) as *const i32;
+            let dst = lanes.as_mut_ptr().add(r / LANE_KEYS * kstride * QBLOCK);
+            for g in 0..kquads {
+                let quads = _mm512_mask_i32gather_epi32::<4>(cold, live, index, src.add(g).cast());
+                _mm512_storeu_si512(dst.add(g * QBLOCK).cast(), quads);
+            }
+        }
+    }
+
+    /// Column `c`'s logits for sixteen keys in lanes: `acc` is their exact
+    /// `Σ qₓ·q_w`, `xscales` their scales.
+    ///
+    /// # Safety
+    /// AVX-512 F must be available (inlined into a form that enables it).
+    #[inline(always)]
+    unsafe fn lanes_logits512<const ACT: u8>(
+        acc: __m512i,
+        xscales: __m512,
+        panels: &QuantizedPanels,
+        c: usize,
+        activation: Activation,
+    ) -> __m512 {
+        let m = _mm512_mul_ps(xscales, _mm512_set1_ps(panels.scales[c]));
+        let bias = _mm512_set1_ps(panels.bias[c]);
+        let y = _mm512_fmadd_ps(_mm512_cvtepi32_ps(acc), m, bias);
+        match ACT {
+            ACT_LINEAR => y,
+            ACT_RELU => {
+                // The row-major store's ReLU (`store_tile512`).
+                let lt = _mm512_cmp_ps_mask::<_CMP_LT_OQ>(y, _mm512_setzero_ps());
+                _mm512_maskz_mov_ps(!lt, y)
+            }
+            _ => {
+                let mut values = [0.0f32; LANES];
+                _mm512_storeu_ps(values.as_mut_ptr(), y);
+                apply_scalar(activation, &mut values);
+                _mm512_loadu_ps(values.as_ptr())
+            }
+        }
+    }
+
+    /// The heads' running argmax over one group of sixteen keys in lanes,
+    /// fed every column of the layer once, in column order.  Per lane: the
+    /// best value so far and its class; a column replaces them where it
+    /// compares ordered-greater (`>`: a tie keeps the lower class, a NaN
+    /// never wins, `-∞` never beats the `-∞` a head starts from, whose class
+    /// is 0).  A head's classes go out when the columns leave it.
+    struct Tops512<'a> {
+        heads: &'a [usize],
+        head: usize,
+        /// The current head's first column and one past its last.
+        start: usize,
+        end: usize,
+        best: __m512,
+        class: __m512i,
+        /// The output row of the group's first key, and how many of its
+        /// sixteen keys are rows.
+        first: usize,
+        live: usize,
+    }
+
+    /// # Safety
+    /// Every method needs AVX-512 F (they are inlined into the forms that
+    /// enable it); the classes are written through checked indexing.
+    impl<'a> Tops512<'a> {
+        #[inline(always)]
+        unsafe fn new(heads: &'a [usize], first: usize, live: usize) -> Self {
+            Tops512 {
+                heads,
+                head: 0,
+                start: 0,
+                end: heads[0],
+                best: _mm512_set1_ps(f32::NEG_INFINITY),
+                class: _mm512_setzero_si512(),
+                first,
+                live,
+            }
+        }
+
+        /// Column `c`'s logits.
+        #[inline(always)]
+        unsafe fn column(&mut self, c: usize, y: __m512, out: &mut [u32], stride: usize) {
+            while c >= self.end {
+                self.next_head(out, stride);
+            }
+            let gt = _mm512_cmp_ps_mask::<_CMP_GT_OQ>(y, self.best);
+            self.best = _mm512_mask_mov_ps(self.best, gt, y);
+            self.class = _mm512_mask_mov_epi32(self.class, gt, _mm512_set1_epi32((c - self.start) as i32));
+        }
+
+        /// Writes the current head's classes and starts the next head.
+        #[inline(always)]
+        unsafe fn next_head(&mut self, out: &mut [u32], stride: usize) {
+            let mut classes = [0u32; LANES];
+            _mm512_storeu_si512(classes.as_mut_ptr().cast(), self.class);
+            for (key, &class) in classes.iter().enumerate().take(self.live) {
+                out[(self.first + key) * stride + self.head] = class;
+            }
+            self.best = _mm512_set1_ps(f32::NEG_INFINITY);
+            self.class = _mm512_setzero_si512();
+            self.head += 1;
+            self.start = self.end;
+            self.end += self.heads.get(self.head).copied().unwrap_or(0);
+        }
+
+        /// Writes the classes of the heads the columns did not leave.
+        #[inline(always)]
+        unsafe fn finish(mut self, out: &mut [u32], stride: usize) {
+            while self.head < self.heads.len() {
+                self.next_head(out, stride);
+            }
+        }
+    }
+
+    /// [`super::argmax_prequantized`], `vpdpbusd` form with the keys in
+    /// lanes: per group of sixteen keys (the last one masked) and per panel,
+    /// sixteen accumulators — one per column, each started at the column's
+    /// `−128·Σ q_w` — and per k-quad one load of the keys' quads against one
+    /// broadcast of each column's; then the columns in order through the
+    /// epilogue into the heads' argmax.
+    ///
+    /// # Safety
+    /// AVX-512 F/BW/DQ/VNNI must be available; `lanes` holds every group of
+    /// `xscales.len()` rows laid out (asserted), the heads cover the panels'
+    /// columns and `out` has room for every row's heads `stride` apart (the
+    /// entry point checks both; the writes are checked indexing).
+    #[target_feature(
+        enable = "avx512f",
+        enable = "avx512bw",
+        enable = "avx512dq",
+        enable = "avx512vnni"
+    )]
+    pub(super) unsafe fn argmax_quantized_vnni(
+        lanes: &[u8],
+        xscales: &[f32],
+        panels: &QuantizedPanels,
+        activation: Activation,
+        heads: &[usize],
+        out: &mut [u32],
+        stride: usize,
+    ) {
+        let count = xscales.len();
+        assert!(lanes.len() >= count.div_ceil(LANE_KEYS) * panels.kstride * QBLOCK);
+        by_activation!(vnni_lanes[], activation, (lanes, xscales, panels, activation, heads, out, stride));
+    }
+
+    /// The body of [`argmax_quantized_vnni`], for one activation.
+    ///
+    /// # Safety
+    /// As [`argmax_quantized_vnni`], which it is inlined into.
+    #[inline(always)]
+    unsafe fn vnni_lanes<const ACT: u8>(
+        lanes: &[u8],
+        xscales: &[f32],
+        panels: &QuantizedPanels,
+        activation: Activation,
+        heads: &[usize],
+        out: &mut [u32],
+        stride: usize,
+    ) {
+        let count = xscales.len();
+        let (kquads, kstride, n) = (panels.kquads, panels.kstride, panels.n);
+        for r in (0..count).step_by(LANE_KEYS) {
+            let live = (count - r).min(LANE_KEYS);
+            let x = lanes.as_ptr().add(r / LANE_KEYS * kstride * QBLOCK);
+            let xs = _mm512_maskz_loadu_ps((u32::MAX >> (32 - live)) as u16, xscales.as_ptr().add(r));
+            let mut tops = Tops512::new(heads, r, live);
+            for p in 0..panels.panel_count() {
+                let w = panels.data.as_ptr().add(p * kstride * QBLOCK);
+                let offsets = panels.offsets.as_ptr().add(p * QLANES);
+                let mut acc = [_mm512_setzero_si512(); QLANES];
+                for (c, a) in acc.iter_mut().enumerate() {
+                    *a = _mm512_set1_epi32(*offsets.add(c));
+                }
+                for g in 0..kquads {
+                    let xg = _mm512_loadu_si512(x.add(g * QBLOCK).cast());
+                    let wg = w.add(g * QBLOCK) as *const i32;
+                    for (c, a) in acc.iter_mut().enumerate() {
+                        *a = _mm512_dpbusd_epi32(*a, xg, _mm512_set1_epi32(wg.add(c).read_unaligned()));
+                    }
+                }
+                for (c, &a) in acc.iter().enumerate().take(n - p * QLANES) {
+                    let col = p * QLANES + c;
+                    let y = lanes_logits512::<ACT>(a, xs, panels, col, activation);
+                    tops.column(col, y, out, stride);
+                }
+            }
+            tops.finish(out, stride);
+        }
+    }
+
+    /// [`super::argmax_prequantized`], AVX2 form with the keys in lanes: half
+    /// groups of eight keys (one `__m256i` of quads), eight columns at a
+    /// time, the sign-transfer arithmetic of [`avx2_quantized_tile`] with the
+    /// broadcast on the weight's side, then the epilogue and the heads'
+    /// argmax lane for lane.
+    ///
+    /// # Safety
+    /// AVX2 and FMA must be available; otherwise as
+    /// [`argmax_quantized_vnni`].
+    #[target_feature(enable = "avx2", enable = "fma")]
+    pub(super) unsafe fn argmax_quantized_avx2(
+        lanes: &[u8],
+        xscales: &[f32],
+        panels: &QuantizedPanels,
+        activation: Activation,
+        heads: &[usize],
+        out: &mut [u32],
+        stride: usize,
+    ) {
+        let count = xscales.len();
+        assert!(lanes.len() >= count.div_ceil(LANE_KEYS) * panels.kstride * QBLOCK);
+        by_activation!(avx2_lanes[], activation, (lanes, xscales, panels, activation, heads, out, stride));
+    }
+
+    /// Writes eight keys' classes of head `head`, the first `live` of them.
+    ///
+    /// # Safety
+    /// AVX2 must be available; the writes are checked indexing.
+    #[inline(never)]
+    #[cold]
+    #[target_feature(enable = "avx2")]
+    unsafe fn emit_classes256(
+        class: &__m256i,
+        out: &mut [u32],
+        first: usize,
+        live: usize,
+        stride: usize,
+        head: usize,
+    ) {
+        let mut classes = [0u32; HALF];
+        _mm256_storeu_si256(classes.as_mut_ptr().cast(), *class);
+        for (key, &class) in classes.iter().enumerate().take(live) {
+            out[(first + key) * stride + head] = class;
+        }
+    }
+
+    /// The body of [`argmax_quantized_avx2`], for one activation.
+    ///
+    /// # Safety
+    /// As [`argmax_quantized_avx2`], which it is inlined into.
+    #[inline(always)]
+    unsafe fn avx2_lanes<const ACT: u8>(
+        lanes: &[u8],
+        xscales: &[f32],
+        panels: &QuantizedPanels,
+        activation: Activation,
+        heads: &[usize],
+        out: &mut [u32],
+        stride: usize,
+    ) {
+        let count = xscales.len();
+        let (kquads, kstride, n) = (panels.kquads, panels.kstride, panels.n);
+        let unbias = _mm256_set1_epi8(-128);
+        let ones = _mm256_set1_epi16(1);
+        for r in (0..count).step_by(HALF) {
+            let live = (count - r).min(HALF);
+            let x = lanes.as_ptr().add(r / LANE_KEYS * kstride * QBLOCK + r % LANE_KEYS * 4);
+            let mut scales = [0.0f32; HALF];
+            scales[..live].copy_from_slice(&xscales[r..r + live]);
+            let xs = _mm256_loadu_ps(scales.as_ptr());
+            let (mut head, mut start, mut end) = (0, 0, heads[0]);
+            let mut best = _mm256_set1_ps(f32::NEG_INFINITY);
+            let mut class = _mm256_setzero_si256();
+            for c0 in (0..n).step_by(HALF) {
+                let (p, lane) = (c0 / QLANES, c0 % QLANES);
+                let w = panels.data.as_ptr().add(p * kstride * QBLOCK + 4 * lane);
+                let mut acc = [_mm256_setzero_si256(); HALF];
+                for g in 0..kquads {
+                    let xq = _mm256_xor_si256(_mm256_loadu_si256(x.add(g * QBLOCK).cast()), unbias);
+                    let magnitude = _mm256_abs_epi8(xq);
+                    let wg = w.add(g * QBLOCK) as *const i32;
+                    for (c, a) in acc.iter_mut().enumerate() {
+                        let signed = _mm256_sign_epi8(_mm256_set1_epi32(wg.add(c).read_unaligned()), xq);
+                        let pairs = _mm256_maddubs_epi16(magnitude, signed);
+                        *a = _mm256_add_epi32(*a, _mm256_madd_epi16(pairs, ones));
+                    }
+                }
+                for (c, &a) in acc.iter().enumerate().take(n - c0) {
+                    let col = c0 + c;
+                    let m = _mm256_mul_ps(xs, _mm256_set1_ps(panels.scales[col]));
+                    let bias = _mm256_set1_ps(panels.bias[col]);
+                    let mut y = _mm256_fmadd_ps(_mm256_cvtepi32_ps(a), m, bias);
+                    y = match ACT {
+                        ACT_LINEAR => y,
+                        ACT_RELU => {
+                            let lt = _mm256_cmp_ps::<_CMP_LT_OQ>(y, _mm256_setzero_ps());
+                            _mm256_andnot_ps(lt, y)
+                        }
+                        _ => {
+                            let mut values = [0.0f32; HALF];
+                            _mm256_storeu_ps(values.as_mut_ptr(), y);
+                            apply_scalar(activation, &mut values);
+                            _mm256_loadu_ps(values.as_ptr())
+                        }
+                    };
+                    while col >= end {
+                        emit_classes256(&class, out, r, live, stride, head);
+                        (best, class) = (_mm256_set1_ps(f32::NEG_INFINITY), _mm256_setzero_si256());
+                        head += 1;
+                        (start, end) = (end, end + heads[head]);
+                    }
+                    let gt = _mm256_cmp_ps::<_CMP_GT_OQ>(y, best);
+                    best = _mm256_blendv_ps(best, y, gt);
+                    let this = _mm256_set1_epi32((col - start) as i32);
+                    class = _mm256_blendv_epi8(class, this, _mm256_castps_si256(gt));
+                }
+            }
+            loop {
+                emit_classes256(&class, out, r, live, stride, head);
+                head += 1;
+                if head == heads.len() {
+                    break;
+                }
+                class = _mm256_setzero_si256();
+            }
+        }
+    }
+
     /// The AMX form of the int8 forward, and asking the OS for the tile state
     /// it needs.  Linux only (the grant is a Linux system call) and compiled
     /// out under Miri (`asm!`).
     #[cfg(all(target_os = "linux", not(miri)))]
     pub(super) mod amx {
         use super::super::{
-            tile_k_steps, QuantizedPanels, QuantizedRows, QBLOCK, QLANES, TILE_ROWS,
+            tile_k_steps, QuantizedPanels, QuantizedRows, LANE_KEYS, QBLOCK, QLANES, TILE_ROWS,
         };
-        use super::finish_quantized_tile;
+        use super::{finish_quantized_tile, lanes_logits512, Tops512, ACT_LINEAR, ACT_RELU, ACT_SCALAR};
         use crate::layer::Activation;
         use std::arch::asm;
         use std::arch::x86_64::*;
@@ -2214,6 +2864,166 @@ mod x86 {
                             finish_quantized_tile(acc, xs, panels, activation, out, ld, row, panel);
                         }
                     }
+                }
+            }
+        }
+        /// [`super::super::argmax_prequantized`], AMX form, over whole groups
+        /// of sixteen keys in lanes: C is the transposed product, 16 columns
+        /// × 16 keys, `tdpbsud` of the transposed weights (signed, the A
+        /// tile: sixteen columns' runs, `kstride * 4` apart) by the keys'
+        /// quads (unsigned `qₓ + 128`, the B tile: the group's blocks, 64
+        /// apart).  Per group, panel pairs, each one `asm!` block — the K
+        /// walk into two C tiles, stored to one of two stack buffers — and
+        /// the epilogue of the pair before it, from the other buffer: it runs
+        /// while the tile unit works on the next pair, and never waits on the
+        /// stores it reads.  Each C row, plus its column's `−128·Σ q_w`, is
+        /// the column's exact sums for sixteen keys, and goes through the
+        /// epilogue into the heads' argmax in column order.
+        ///
+        /// # Safety
+        /// As [`forward_quantized`]; `lanes` holds `xscales.len() / 16`
+        /// groups of `panels.kstride` blocks (asserted), and `out` has room
+        /// for every row's heads `stride` apart.
+        #[target_feature(enable = "avx512f", enable = "avx512bw", enable = "avx512dq")]
+        pub(in crate::kernel) unsafe fn argmax_quantized(
+            lanes: &[u8],
+            xscales: &[f32],
+            panels: &QuantizedPanels,
+            activation: Activation,
+            heads: &[usize],
+            out: &mut [u32],
+            stride: usize,
+        ) {
+            let count = xscales.len();
+            let kstride = panels.kstride;
+            let (steps, quads) = tile_k_steps(panels.kquads);
+            assert!(quads > 0 && steps * quads == kstride, "panels pad to whole K steps");
+            assert!(
+                count.is_multiple_of(LANE_KEYS) && lanes.len() >= count / LANE_KEYS * kstride * QBLOCK,
+                "whole groups of keys, laid out in lanes"
+            );
+            assert_eq!(panels.transposed().len(), panels.panel_count() * QLANES * kstride * 4);
+            // C: 16 columns × 16 keys of i32 (two per pair).  A: 16 columns ×
+            // `quads` quads of weights.  B: `quads` blocks × 64 bytes of keys.
+            let mut config = TileConfig {
+                palette: 1,
+                start_row: 0,
+                reserved: [0; 14],
+                colsb: [0; 16],
+                rows: [0; 16],
+            };
+            for (tile, (rows, colsb)) in
+                [(TILE_ROWS, QBLOCK), (TILE_ROWS, QBLOCK), (TILE_ROWS, quads * 4), (TILE_ROWS, quads * 4), (quads, QBLOCK)]
+                    .into_iter()
+                    .enumerate()
+            {
+                (config.rows[tile], config.colsb[tile]) = (rows as u8, colsb as u16);
+            }
+            let mut c = CTiles([0; 4 * TILE_ROWS * QLANES]);
+            let _configured = Configured::load(&config);
+            let group = (lanes, xscales, panels, activation, heads, &mut c);
+            by_activation!(key_group[], activation, (group, out, stride));
+        }
+
+        /// What every group of [`argmax_quantized`] reads.
+        type Group<'a> = (&'a [u8], &'a [f32], &'a QuantizedPanels, Activation, &'a [usize], &'a mut CTiles);
+
+        /// Every group of sixteen keys against every panel pair (see
+        /// [`argmax_quantized`]), with the tiles configured.
+        ///
+        /// # Safety
+        /// As [`argmax_quantized`], which it is inlined into after it
+        /// checked the lanes and the panels' layout and loaded the tile
+        /// configuration; the tiles it loads stay inside the transposed
+        /// weights (sixteen runs of `kstride * 4` bytes a panel) and the
+        /// group's `kstride` blocks, and it stores them to `c`.
+        #[inline(always)]
+        unsafe fn key_group<const ACT: u8>(
+            (lanes, xscales, panels, activation, heads, c): Group<'_>,
+            out: &mut [u32],
+            stride: usize,
+        ) {
+            let (kstride, np) = (panels.kstride, panels.panel_count());
+            let (steps, quads) = tile_k_steps(panels.kquads);
+            let transposed = panels.transposed();
+            for r in (0..xscales.len()).step_by(LANE_KEYS) {
+                let b = lanes.as_ptr().add(r / LANE_KEYS * kstride * QBLOCK);
+                let xs = _mm512_loadu_ps(xscales.as_ptr().add(r));
+                let mut tops = Tops512::new(heads, r, LANE_KEYS);
+                for (i, p) in (0..np).step_by(2).enumerate() {
+                    let a0 = transposed.as_ptr().add(p * QLANES * kstride * 4);
+                    let pair = (p + 1 < np) as u32;
+                    // The second panel's address is only formed, never loaded
+                    // from, without one.
+                    tile_asm!(
+                        "tilezero tmm0",
+                        "tilezero tmm1",
+                        "2:",
+                        "tileloadd tmm2, [{a0} + {lda}*1]",
+                        "tileloadd tmm4, [{b} + {ldb}*1]",
+                        "tdpbsud tmm0, tmm2, tmm4",
+                        "test {pair:e}, 1",
+                        "jz 3f",
+                        "tileloadd tmm3, [{a1} + {lda}*1]",
+                        "tdpbsud tmm1, tmm3, tmm4",
+                        "3:",
+                        "add {a0}, {astep}",
+                        "add {a1}, {astep}",
+                        "add {b}, {bstep}",
+                        "dec {steps}",
+                        "jnz 2b",
+                        "tilestored [{c} + {ldb}*1], tmm0",
+                        "tilestored [{c} + {ldb}*1 + 1024], tmm1",
+                        a0 = inout(reg) a0 => _,
+                        a1 = inout(reg) a0.wrapping_add(QLANES * kstride * 4) => _,
+                        b = inout(reg) b => _,
+                        lda = in(reg) kstride * 4,
+                        ldb = in(reg) QBLOCK,
+                        astep = in(reg) quads * 4,
+                        bstep = in(reg) quads * QBLOCK,
+                        steps = inout(reg) steps => _,
+                        pair = in(reg) pair,
+                        c = in(reg) c.0.as_mut_ptr().add(i % 2 * 2 * TILE_ROWS * QLANES),
+                        options(nostack),
+                    );
+                    if i > 0 {
+                        let sums = &c.0[(i - 1) % 2 * 2 * TILE_ROWS * QLANES..];
+                        pair_epilogue::<ACT>(&mut tops, sums, xs, panels, activation, p - 2, out, stride);
+                    }
+                }
+                let last = (np - 1) / 2;
+                let sums = &c.0[last % 2 * 2 * TILE_ROWS * QLANES..];
+                pair_epilogue::<ACT>(&mut tops, sums, xs, panels, activation, 2 * last, out, stride);
+                tops.finish(out, stride);
+            }
+        }
+
+        /// The epilogue of panel pair `p` (`p + 1` if there is one) for one
+        /// group of keys, whose C tiles are `sums`, one after the other.
+        ///
+        /// # Safety
+        /// AVX-512 F must be available; `sums` holds two C tiles (asserted).
+        #[inline(always)]
+        #[allow(clippy::too_many_arguments)]
+        unsafe fn pair_epilogue<const ACT: u8>(
+            tops: &mut Tops512<'_>,
+            sums: &[i32],
+            xs: __m512,
+            panels: &QuantizedPanels,
+            activation: Activation,
+            p: usize,
+            out: &mut [u32],
+            stride: usize,
+        ) {
+            assert!(sums.len() >= 2 * TILE_ROWS * QLANES);
+            for j in 0..2.min(panels.panel_count() - p) {
+                for lane in 0..QLANES.min(panels.n - (p + j) * QLANES) {
+                    let col = (p + j) * QLANES + lane;
+                    let offset = _mm512_set1_epi32(panels.offsets[col]);
+                    let row = sums.as_ptr().add((j * TILE_ROWS + lane) * QLANES);
+                    let acc = _mm512_add_epi32(_mm512_load_si512(row.cast()), offset);
+                    let y = lanes_logits512::<ACT>(acc, xs, panels, col, activation);
+                    tops.column(col, y, out, stride);
                 }
             }
         }
@@ -3647,6 +4457,127 @@ pub(crate) mod tests {
         }
     }
 
+    /// What [`argmax_prequantized`] must write: each head's
+    /// [`argmax_rows`] over [`forward_prequantized`]'s logits — the
+    /// row-major layer and argmax of `Dense::forward`, under the scalar form.
+    fn reference_classes(
+        qrows: &QuantizedRows,
+        panels: &QuantizedPanels,
+        activation: Activation,
+        heads: &[usize],
+        stride: usize,
+    ) -> Vec<u32> {
+        let count = qrows.count();
+        let mut out = vec![u32::MAX; count * stride];
+        with_forced(Kernel::Scalar, || {
+            let logits = forward_prequantized(qrows, panels, activation).unwrap();
+            let mut at = 0;
+            for (h, &width) in heads.iter().enumerate() {
+                let view = RowsView::new(&logits.as_slice()[at..], panels.n(), count, width).unwrap();
+                argmax_rows(Kernel::Scalar, view, &mut out[h..], stride).unwrap();
+                at += width;
+            }
+        });
+        out
+    }
+
+    /// The output layer's classes, keys in lanes, are what the row-major
+    /// layer and [`argmax_rows`] make of it, under every form: row counts on
+    /// both sides of one key group (16) and of a walk's chunk (96); `k` of
+    /// 3, 38 (not whole quads), 64 (one full K step) and 141 (three K steps
+    /// of 12 quads); heads side by side crossing panel edges (4 / 8 / 16 /
+    /// 32 / 64, and 5 / 17 / 3), one head, one single-class head; each
+    /// activation.  Beside the rows' own heads sit heads of zero weights
+    /// whose biases are their logits, the same on every row: ties, `+0.0`
+    /// against `-0.0`, a NaN first and among numbers, nothing above `-∞`, and
+    /// `+∞`.  The destination's other slots stay untouched.
+    #[test]
+    fn argmax_prequantized_is_the_layer_and_its_argmax_in_every_form() {
+        let nan = f32::NAN;
+        let (inf, ninf) = (f32::INFINITY, f32::NEG_INFINITY);
+        let made: [&[f32]; 6] = [
+            &[1.0, 3.0, 3.0, 2.0],
+            &[-0.0, 0.0, -0.0],
+            &[nan, -5.0, nan, -4.0],
+            &[ninf, ninf, nan],
+            &[-1.0, inf, 7.0, inf],
+            &[0.5; 17],
+        ];
+        let layouts: [&[usize]; 4] = [&[4, 8, 16, 32, 64], &[5, 17, 3], &[40], &[1]];
+        for &k in &[3usize, 38, 64, 141] {
+            for (li, &own) in layouts.iter().enumerate() {
+                let heads: Vec<usize> = own.iter().copied().chain(made.iter().map(|m| m.len())).collect();
+                let n: usize = heads.iter().sum();
+                let own_n: usize = own.iter().sum();
+                let mut w = fill(k, n, 101 + li as u64);
+                let mut b = fill(1, n, 102 + li as u64);
+                let mut at = own_n;
+                for logits in made {
+                    for (c, &v) in logits.iter().enumerate() {
+                        for kk in 0..k {
+                            w.set(kk, at + c, 0.0);
+                        }
+                        b.set(0, at + c, v);
+                    }
+                    at += logits.len();
+                }
+                let panels = QuantizedPanels::quantize(&w, Some(&b)).unwrap();
+                for act in [Activation::Linear, Activation::Relu, Activation::Sigmoid] {
+                    for &m in &[1usize, 15, 16, 17, 95, 96, 97] {
+                        let x = fill_with_zero_rows(m, k, 103);
+                        let mut qrows = QuantizedRows::quantize(RowsView::of_matrix(&x, 0, m).unwrap());
+                        let stride = heads.len() + 2;
+                        let expected = reference_classes(&qrows, &panels, act, &heads, stride);
+                        under_each_form(|form| {
+                            let mut out = vec![u32::MAX; m * stride];
+                            argmax_prequantized(active(), &mut qrows, &panels, act, &heads, &mut out, stride)
+                                .unwrap();
+                            assert_eq!(out, expected, "{form} k={k} heads {heads:?} {act:?} rows {m}");
+                        });
+                    }
+                }
+            }
+        }
+        // The made-up heads predict what `tensor::argmax` says of their logits.
+        let x = fill(16, 3, 1);
+        let (w, mut b) = (Matrix::zeros(3, 4), Matrix::zeros(1, 4));
+        for (c, v) in [nan, 2.0, nan, 2.0].into_iter().enumerate() {
+            b.set(0, c, v);
+        }
+        let panels = QuantizedPanels::quantize(&w, Some(&b)).unwrap();
+        let mut qrows = QuantizedRows::quantize(RowsView::of_matrix(&x, 0, 16).unwrap());
+        under_each_form(|form| {
+            let mut out = vec![9; 16];
+            argmax_prequantized(active(), &mut qrows, &panels, Activation::Linear, &[4], &mut out, 1).unwrap();
+            assert_eq!(out, vec![1; 16], "{form}");
+        });
+    }
+
+    /// Shapes the entry refuses rather than read or write past: heads that
+    /// do not cover the panel's columns, rows of another `k`, a destination
+    /// or stride short of the rows' heads.
+    #[test]
+    fn argmax_prequantized_checks_its_shapes() {
+        let panels = QuantizedPanels::quantize(&fill(9, 20, 5), None).unwrap();
+        let x = fill(17, 9, 6);
+        let mut qrows = QuantizedRows::quantize(RowsView::of_matrix(&x, 0, 17).unwrap());
+        under_each_form(|form| {
+            let mut run = |heads: &[usize], len: usize, stride: usize| {
+                let mut out = vec![0; len];
+                argmax_prequantized(active(), &mut qrows, &panels, Activation::Relu, heads, &mut out, stride)
+            };
+            assert!(run(&[20], 17, 1).is_ok(), "{form}");
+            assert!(run(&[4, 16], 16 * 2 + 2, 2).is_ok(), "{form}");
+            assert!(run(&[4, 16], 16 * 2 + 1, 2).is_err(), "{form}: short destination");
+            assert!(run(&[4, 16], 64, 1).is_err(), "{form}: stride under the heads");
+            assert!(run(&[4, 15], 64, 2).is_err(), "{form}: heads short of the columns");
+            assert!(run(&[], 64, 2).is_err(), "{form}: no heads");
+        });
+        let mut other_k = QuantizedRows::quantize(RowsView::of_matrix(&fill(4, 8, 7), 0, 4).unwrap());
+        let mut out = vec![0; 4];
+        assert!(argmax_prequantized(active(), &mut other_k, &panels, Activation::Relu, &[20], &mut out, 1).is_err());
+    }
+
     /// Panels concatenated column-wise compute, in each column range, exactly
     /// what the part computes alone — the property the fused head panel of the
     /// multi-task model rests on.
@@ -3796,7 +4727,9 @@ pub(crate) mod tests {
     }
 
     /// The name says which int8 form runs — and this test prints it for every
-    /// hook, so a CI log shows what the machine under it covered.
+    /// hook, so a CI log shows what the machine under it covered, together
+    /// with the form each leg's output layers take their classes in
+    /// ([`argmax_prequantized`], which the int8 form decides).
     #[test]
     fn kernel_name_names_the_int8_form_that_runs() {
         assert_eq!(Kernel::Scalar.name(), "scalar");
@@ -3805,7 +4738,17 @@ pub(crate) mod tests {
             ("without AMX", with_amx_disabled(|| Kernel::Vector.name())),
             ("without AVX-512", with_avx512_disabled(|| Kernel::Vector.name())),
         ];
+        let output_layers = forms.map(|(leg, form)| {
+            let classes = match form {
+                "avx512+amx" => "keys in lanes: AMX tdpbsud, vpdpbusd past whole groups",
+                "avx512-vnni" => "keys in lanes: vpdpbusd",
+                "avx512" | "avx2+fma" => "keys in lanes: AVX2",
+                _ => "scalar rows",
+            };
+            (leg, classes)
+        });
         println!("dm-nn kernel forms: {forms:?}; AMX granted: {}", amx_available());
+        println!("dm-nn output-layer forms: {output_layers:?}");
         let expected = match (vector_available(), avx512_available(), vnni_available()) {
             (false, ..) => ["scalar"; 3],
             (true, false, _) => ["avx2+fma"; 3],

@@ -69,8 +69,16 @@ pub const PARALLEL_ROW_CROSSOVER: usize = 256;
 /// 2-vcore Xeon, AMX form; M keys/s): 48 → 12.5–14.0 (median 13.2), 96 →
 /// 14.1–14.6 (14.4), 192 → 14.0–15.6 (14.8, two rounds at 14.0), 384 →
 /// 14.1–14.3 (14.2).  Only 48 loses; 96 to 384 sit within one round's
-/// spread, so 96 stays.  When the kernels or the rung change, rerun the
-/// sweep from a scratch harness (one copy of the tree per chunk size, the
+/// spread, so 96 stays.
+///
+/// Re-checked on the keys-in-lanes walk (output layers take each head's
+/// class in their epilogue, keys quantized by one masked store; same
+/// benchmark, seed, windows and host, six interleaved rounds; M keys/s):
+/// 96 → 21.2–29.4 (median 22.9), 192 → 23.1–30.2 (24.0), 384 → 22.8–31.5
+/// (27.1), 768 → 23.1–30.0 (24.5).  The host ran in two modes, ≈ 23 and
+/// ≈ 30, and every size landed in both; 384 won three rounds of six, 96 one,
+/// so no size wins and 96 stays.  When the kernels or the rung change, rerun
+/// the sweep from a scratch harness (one copy of the tree per chunk size, the
 /// constant edited) and judge it on `mem_mixed`'s `keys_per_s`.
 pub const CACHE_CHUNK_ROWS: usize = 96;
 
@@ -202,7 +210,13 @@ pub struct MultiTaskModel {
 /// one call per head (five 35-column layers are 5 × 3 = 15 panels apart and
 /// 11 together).  Output columns are independent in every kernel, so head
 /// `h` finds in columns `[Σ_{i<h} nᵢ, … + n_h)` exactly what its own layer
-/// computes.  Derived from the layers' quantized panels, never stored.
+/// computes.  Derived from the layers' quantized panels, never stored.  When
+/// every head is direct the panel is every head's output layer, and the walk
+/// takes the heads' classes straight off it
+/// ([`kernel::argmax_prequantized`] over `widths`); otherwise it writes the
+/// panel's output, each deep head runs its layers above its columns, and a
+/// direct head among them reads its class off its columns
+/// ([`kernel::argmax_rows`]).
 ///
 /// Training runs the same entry over the f32 weights
 /// ([`MultiTaskModel::train_batch`]): its forward over
@@ -212,6 +226,10 @@ pub struct MultiTaskModel {
 struct FusedEntry {
     panels: QuantizedPanels,
     activation: Activation,
+    /// Whether every head is its first layer alone.
+    direct: bool,
+    /// The heads' first layers' widths, in head order.
+    widths: Vec<usize>,
 }
 
 impl FusedEntry {
@@ -230,6 +248,8 @@ impl FusedEntry {
             Some(parts) if parts.len() > 1 => Ok(Some(FusedEntry {
                 panels: QuantizedPanels::concat_columns(&parts)?,
                 activation,
+                direct: heads.iter().all(|head| head.len() == 1),
+                widths: parts.iter().map(|part| part.n()).collect(),
             })),
             _ => Ok(None),
         }
@@ -417,7 +437,8 @@ impl MultiTaskModel {
     /// an int8 trunk layer ([`KeyEncoder::quantize_keys`]: no f32 features and
     /// no quantizer pass over them), into one chunk of f32 features otherwise —
     /// and from there on it is the same walk, so the same predictions bit for
-    /// bit.  This is the entry the lookup path uses.
+    /// bit.  This is the entry the lookup path uses: keys in, and for an int8
+    /// model classes out, with no logit written on the way.
     pub fn forward_keys_flat_on(
         &self,
         exec: &ThreadPool,
@@ -562,11 +583,18 @@ impl MultiTaskModel {
     /// `None` for `input` says the first trunk layer's rows already sit
     /// quantized in `scratch.qrows` (the keys-in source over an int8 trunk):
     /// that layer runs over them as they are and the walk goes on from its
-    /// output.  Every layer runs through its `*_into` entry point between the
-    /// regions of `scratch`, so the walk itself allocates nothing, and the
-    /// predictions are read straight off the last layer's region.  It is the
-    /// per-layer [`Dense::forward`] chain with the buffers hoisted out: same
-    /// kernels, same operands, so the same logits bit for bit.
+    /// output.  Every hidden layer runs through its `*_into` entry point
+    /// between the regions of `scratch`, so the walk itself allocates nothing.
+    /// An int8 output layer writes no logits: its rows are quantized and
+    /// [`kernel::argmax_prequantized`] takes each head's class in the layer's
+    /// epilogue, keys in lanes — one pass over the fused panel when every
+    /// head is direct (it is then every head's output layer), one per deep
+    /// head's last layer otherwise.  An f32 output layer writes its logits to
+    /// a region and [`kernel::argmax_rows`] reads them, as does a direct head
+    /// whose columns a fused entry shared with deep heads wrote.  It is the per-layer
+    /// [`Dense::forward`] chain and [`Matrix::argmax_row`] with the buffers
+    /// hoisted out: same kernels, same operands, the same integer sums and
+    /// epilogue, so the same classes bit for bit.
     fn forward_rows_flat(
         &self,
         input: Option<RowsView<'_>>,
@@ -596,6 +624,12 @@ impl MultiTaskModel {
             trunk_out = Some(scratch.layer(input, trunk_out, None, layer)?);
         }
         let fused = match &self.fused_entry {
+            // Every head is direct: the fused panel is their output layer,
+            // and one pass over it is every head's classes.
+            Some(fused) if fused.direct => {
+                let (panels, activation) = (&fused.panels, fused.activation);
+                return scratch.classify(input, trunk_out, panels, activation, &fused.widths, out, tasks);
+            }
             Some(fused) => {
                 let (panels, activation) = (&fused.panels, fused.activation);
                 Some(scratch.step(input, trunk_out, None, panels.n(), |rows, q, to, ld| {
@@ -625,12 +659,29 @@ impl MultiTaskModel {
                 None => (trunk_out, &head[..]),
             };
             let pinned = at.map(|a| a.region);
-            for layer in layers {
+            let out = &mut out[task..];
+            let Some((last, hidden)) = layers.split_last() else {
+                // A direct head beside deep ones: its columns of the fused
+                // output are its logits.
+                let logits = at.expect("a fused entry wrote the head's columns");
+                let logits = WalkScratch::view(&scratch.regions, logits, count)?;
+                kernel::argmax_rows(kernel::active(), logits, out, tasks)?;
+                continue;
+            };
+            for layer in hidden {
                 at = Some(scratch.layer(input, at, pinned, layer)?);
             }
-            let at = at.expect("heads have an output layer");
-            let logits = WalkScratch::view(&scratch.regions, at, count)?;
-            kernel::argmax_rows(kernel::active(), logits, &mut out[task..], tasks)?;
+            match last.quantized() {
+                Some(panels) => {
+                    let width = [panels.n()];
+                    scratch.classify(input, at, panels, last.activation(), &width, out, tasks)?;
+                }
+                None => {
+                    let logits = scratch.layer(input, at, pinned, last)?;
+                    let logits = WalkScratch::view(&scratch.regions, logits, count)?;
+                    kernel::argmax_rows(kernel::active(), logits, out, tasks)?;
+                }
+            }
         }
         Ok(())
     }
@@ -782,12 +833,15 @@ struct Activations {
 /// sized by that call's row window: the quantized input rows of the layer
 /// running now — which the keys-in source fills itself for an int8 first
 /// trunk layer ([`KeyEncoder::quantize_keys`]), every later layer from its f32
-/// input — and three activation regions with a panel-padded leading
-/// dimension, so the kernels store whole lanes.  Three, because a layer writes
-/// a region other than the one it reads, and other than the one every head
-/// reads.  (The chunk of f32 features the keys-in source encodes for an f32
-/// first layer lives beside it in [`MultiTaskModel::forward_window`]: it is
-/// the walk's input window, which every step borrows next to this.)
+/// input, and which keep beside them the keys-in-lanes copy an output layer
+/// reads ([`kernel::argmax_prequantized`]) — and three activation regions
+/// with a panel-padded leading dimension, so the kernels store whole lanes.
+/// Three, because a layer writes a region other than the one it reads, and
+/// other than the one every head reads.  An int8 model's output layers write
+/// no region: their classes go straight to the walk's predictions.  (The
+/// chunk of f32 features the keys-in source encodes for an f32 first layer
+/// lives beside it in [`MultiTaskModel::forward_window`]: it is the walk's
+/// input window, which every step borrows next to this.)
 struct WalkScratch {
     qrows: QuantizedRows,
     regions: [Vec<f32>; 3],
@@ -797,9 +851,19 @@ impl WalkScratch {
     fn new(model: &MultiTaskModel, rows: usize) -> Self {
         let layers = || model.trunk.iter().chain(model.heads.iter().flatten());
         let widest_in = layers().map(Dense::in_dim).max().unwrap_or(0);
-        let fused_out = model.fused_entry.as_ref().map_or(0, |fused| fused.panels.n());
-        let widest_out = layers().map(Dense::out_dim).max().unwrap_or(0).max(fused_out);
-        let region = rows * widest_out.next_multiple_of(LANES);
+        // Regions hold what a layer writes: every layer's output but an int8
+        // output layer's (its classes go straight out), and the fused
+        // entry's unless it is the heads' output layer.
+        let written = model.heads.iter().flat_map(|head| {
+            let (last, hidden) = head.split_last().expect("heads have an output layer");
+            hidden.iter().chain((!last.is_quantized()).then_some(last))
+        });
+        let fused_out = match &model.fused_entry {
+            Some(fused) if !fused.direct => fused.panels.n(),
+            _ => 0,
+        };
+        let widest_out = model.trunk.iter().chain(written).map(Dense::out_dim).max().unwrap_or(0);
+        let region = rows * widest_out.max(fused_out).next_multiple_of(LANES);
         WalkScratch {
             qrows: QuantizedRows::with_capacity(rows, widest_in),
             regions: std::array::from_fn(|_| vec![0.0; region]),
@@ -810,6 +874,30 @@ impl WalkScratch {
     /// that [`step`](Self::step) can hold them beside `qrows`.)
     fn view(regions: &[Vec<f32>; 3], at: Activations, count: usize) -> crate::Result<RowsView<'_>> {
         RowsView::new(&regions[at.region][at.offset..], at.ld, count, at.k)
+    }
+
+    /// The classes an int8 output layer predicts for the rows `from` holds
+    /// (the `input` window when `None`): the rows quantized into `qrows`,
+    /// then [`kernel::argmax_prequantized`] — head `h` of `heads` to
+    /// `out[i * stride + h]`, no logit stored.
+    #[allow(clippy::too_many_arguments)]
+    fn classify(
+        &mut self,
+        input: RowsView<'_>,
+        from: Option<Activations>,
+        panels: &QuantizedPanels,
+        activation: Activation,
+        heads: &[usize],
+        out: &mut [u32],
+        stride: usize,
+    ) -> crate::Result<()> {
+        let rows = match from {
+            Some(at) => Self::view(&self.regions, at, input.count())?,
+            None => input,
+        };
+        let kernel = kernel::active();
+        self.qrows.fill(kernel, rows);
+        kernel::argmax_prequantized(kernel, &mut self.qrows, panels, activation, heads, out, stride)
     }
 
     /// [`step`](Self::step) for a dense layer.
@@ -1244,6 +1332,86 @@ mod tests {
                         chain_predictions(model, &encoded),
                         "{name}, {precision}, {form}, keys in"
                     );
+                });
+            }
+        }
+    }
+
+    /// An int8 walk takes its classes straight off the output layers (keys
+    /// in lanes, the argmax in the epilogue) and predicts what the per-layer
+    /// chain — `Dense::forward`, then the argmax of each logit row — does,
+    /// under every kernel form and at row counts on both sides of one key
+    /// group (16) and of a chunk (96): direct heads of 4 / 8 / 16 / 32 / 64
+    /// classes (one fused output layer, heads across panel edges), the same
+    /// heads behind a 35-wide private layer (the fused entry, then each
+    /// head's own output layer), one direct head and one deep head (no fused
+    /// entry), a trunk of two layers, and direct heads beside deep ones whose
+    /// first layers share their activation (one fused entry: the direct head
+    /// reads its class off its columns, the deep heads go on above theirs).
+    #[test]
+    fn int8_walk_classes_are_the_per_layer_chain() {
+        let classes = [4usize, 8, 16, 32, 64];
+        let direct: Vec<TaskHeadSpec> = classes.iter().map(|&c| TaskHeadSpec::direct(c)).collect();
+        let deep: Vec<TaskHeadSpec> =
+            classes.iter().map(|&c| TaskHeadSpec::with_hidden(vec![35], c)).collect();
+        let specs = [
+            ("direct heads", vec![16], direct.clone()),
+            ("deep heads", vec![16], deep),
+            ("one direct head", vec![16], vec![TaskHeadSpec::direct(21)]),
+            ("one deep head", vec![16], vec![TaskHeadSpec::with_hidden(vec![35], 9)]),
+            ("two trunk layers", vec![20, 16], direct),
+        ];
+        let mut models: Vec<(&str, MultiTaskModel)> = specs
+            .into_iter()
+            .map(|(name, shared_hidden, heads)| {
+                let spec = MultiTaskSpec {
+                    input_dim: 6,
+                    shared_hidden,
+                    heads,
+                };
+                (name, MultiTaskModel::new(&mut StdRng::seed_from_u64(51), &spec).unwrap())
+            })
+            .collect();
+        let rng = &mut StdRng::seed_from_u64(52);
+        let linear = |rng: &mut StdRng, k, n| Dense::new(rng, k, n, Activation::Linear);
+        let mixed = MultiTaskModel::from_layers(
+            MultiTaskSpec {
+                input_dim: 6,
+                shared_hidden: vec![16],
+                heads: vec![
+                    TaskHeadSpec::with_hidden(vec![35], 8),
+                    TaskHeadSpec::direct(5),
+                    TaskHeadSpec::with_hidden(vec![35], 17),
+                ],
+            },
+            vec![Dense::new(rng, 6, 16, Activation::Relu)],
+            vec![
+                vec![linear(rng, 16, 35), linear(rng, 35, 8)],
+                vec![linear(rng, 16, 5)],
+                vec![linear(rng, 16, 35), linear(rng, 35, 17)],
+            ],
+        )
+        .unwrap();
+        models.push(("mixed depth, one activation", mixed));
+        let encoder = six_feature_encoder();
+        let serial = dm_exec::ThreadPool::new(1);
+        for (name, mut model) in models {
+            model.quantize_int8().unwrap();
+            let fused = model.fused_entry.as_ref();
+            assert_eq!(fused.is_some(), model.heads.len() > 1, "{name}: fused entry");
+            let direct = model.heads.iter().all(|head| head.len() == 1);
+            assert!(fused.is_none_or(|fused| fused.direct == direct), "{name}: direct");
+            for rows in [1usize, 15, 16, 17, 95, 96, 97] {
+                let keys = scattered_keys(rows);
+                let x = encoder.encode_batch(&keys);
+                let expected = chain_predictions(&model, &x);
+                kernel::tests::under_each_form(|form| {
+                    assert_eq!(walk_predictions(&model, &x), expected, "{name}, {form}, {rows} rows");
+                    let mut from_keys = Vec::new();
+                    model
+                        .forward_keys_flat_on(&serial, &encoder, &keys, &mut from_keys)
+                        .unwrap();
+                    assert_eq!(from_keys, expected, "{name}, {form}, {rows} rows, keys in");
                 });
             }
         }
