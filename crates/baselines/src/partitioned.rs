@@ -12,17 +12,18 @@
 //!    partition (binary search for arrays, hash probe for hash tables).  Query keys
 //!    are grouped by partition so each partition is decompressed at most once per
 //!    batch, matching the paper's batching optimization.  A batch is traced like
-//!    the DeepMapping pipeline's: one [`Stage::Plan`] span around the whole
-//!    locate loop, the pool's [`Stage::PoolLoad`] / [`Stage::PoolWait`] span per
-//!    cold partition, one [`Stage::Probe`] span per partition group.
+//!    the DeepMapping pipeline's on a serial pool: one [`Stage::Plan`] span
+//!    around the whole locate loop, the pool's [`Stage::PoolLoad`] /
+//!    [`Stage::PoolWait`] span per cold partition, and one [`Stage::Probe`]
+//!    span around the whole group loop, net of those pool spans.
 //! 3. **Modification**: the affected partitions are loaded, rewritten and flushed
 //!    back; inserts beyond the key range extend the last partition or open new ones.
 
 use dm_compress::Codec;
 use dm_storage::layout::{partition_rows, ArrayPartition, HashPartition, PartitionLayout};
 use dm_storage::{
-    BufferPool, DiskProfile, LookupBuffer, Metrics, MutableStore, Row, SimulatedDisk, Stage,
-    StorageError, StoreStats, Trace, TupleStore,
+    span_net_of, BufferPool, DiskProfile, LookupBuffer, Metrics, MutableStore, Row,
+    SimulatedDisk, Stage, StorageError, StoreStats, Trace, TupleStore,
 };
 use std::sync::Arc;
 
@@ -325,9 +326,9 @@ impl PartitionedStore {
             let _plan = trace.span(Stage::Plan);
             self.group_by_partition(keys)
         };
+        let _probe = span_net_of(Some(trace), Stage::Probe, &[Stage::PoolLoad, Stage::PoolWait]);
         for (partition_idx, query_indices) in groups {
             let partition = self.load_partition(partition_idx, Some(trace))?;
-            let _probe = trace.span(Stage::Probe);
             for qi in query_indices {
                 if let Some(values) = partition.get(keys[qi]) {
                     out.set_hit(qi, values);
@@ -801,6 +802,30 @@ mod tests {
             assert_eq!(summary.events, 2 + pool_spans, "{summary:?}");
             assert!(summary.stage(Stage::Plan) > 0 && summary.stage(Stage::Probe) > 0, "{summary:?}");
             assert_eq!(summary.stage(Stage::PoolLoad) > 0, pool_spans == 1, "{summary:?}");
+        }
+    }
+
+    /// Many partitions, one `Probe` span: the group loop is timed once, net
+    /// of the cold loads inside it, as the DeepMapping pipeline times it.
+    #[test]
+    fn a_batch_over_many_partitions_traces_one_probe_span() {
+        dm_obs::set_enabled(true);
+        let rows = sample_rows(2_000);
+        let config = PartitionedStoreConfig::array(Codec::Lz).with_partition_bytes(2 * 1024);
+        let store = PartitionedStore::build(&rows, 2, config, Metrics::new()).unwrap();
+        let partitions = store.stats().partition_count;
+        assert!((4..=40).contains(&partitions), "{partitions} partitions");
+        let keys: Vec<u64> = rows.iter().rev().map(|row| row.key).collect();
+        let mut buffer = LookupBuffer::new();
+        for loads in [partitions, 0] {
+            store.lookup_batch_into(&keys, &mut buffer).unwrap();
+            assert_eq!(buffer.hit_count(), keys.len());
+            let summary = dm_obs::trace::take_last_batch().expect("the batch published a summary");
+            assert_eq!(summary.events, 2 + loads, "Plan, the loads, one Probe: {summary:?}");
+            let probe_and_pool = summary.stage(Stage::Probe)
+                + summary.stage(Stage::PoolLoad)
+                + summary.stage(Stage::PoolWait);
+            assert!(probe_and_pool <= summary.total_nanos, "{summary:?}");
         }
     }
 

@@ -26,7 +26,8 @@
 use crate::Result;
 use dm_compress::Codec;
 use dm_exec::ThreadPool;
-use dm_obs::{trace::span, Stage, Trace};
+use dm_obs::trace::{span, span_net_of};
+use dm_obs::{Stage, Trace};
 use dm_storage::layout::{rows_per_partition, PackedPartition};
 use dm_storage::{
     BitVec, BufferPool, DiskProfile, Metrics, PartitionSource, RankedBits, Row, SimulatedDisk,
@@ -119,15 +120,45 @@ impl Backing {
     }
 }
 
-/// One corrected key's address: where its row is, and which query asked.  A
-/// batch's probe plan is a `Vec` of these sorted by `(partition, slot)` (see
-/// [`AuxTable::plan_probes`]).
-#[derive(Debug, Clone, Copy)]
+/// One planned probe: the slot of its key's row in the partition whose group
+/// holds it, and the index of the key in the probed batch.
+#[derive(Debug, Clone, Copy, Default)]
 struct Probe {
-    partition: u32,
     slot: u32,
-    /// Index of the key in the probed batch.
-    qi: usize,
+    qi: u32,
+}
+
+/// The stages a partition group's load may record inside the probe loop's
+/// span, which [`span_net_of`] leaves out of it.
+const POOL_STAGES: [Stage; 2] = [Stage::PoolLoad, Stage::PoolWait];
+
+/// A batch's probe plan ([`AuxTable::plan_probes`]): the probes bucketed by
+/// partition, each partition's group contiguous and in batch order.  Its
+/// vectors scale with the batch and are reused between batches — the query
+/// pipeline keeps a plan in the caller's `LookupBuffer` — so a steady-state
+/// plan allocates nothing.
+#[derive(Debug, Default)]
+pub(crate) struct ProbePlan {
+    /// Each probe with its partition, in batch order: the counting pass's
+    /// input.
+    staged: Vec<(u32, Probe)>,
+    /// `starts[p]..starts[p + 1]` is partition `p`'s group in `probes`.
+    starts: Vec<u32>,
+    /// The probes, bucketed by partition.
+    probes: Vec<Probe>,
+    /// One row of values, read out of a partition for the sink.
+    row: Vec<u32>,
+}
+
+impl ProbePlan {
+    /// The non-empty partition groups, in partition order.
+    fn groups(&self) -> impl Iterator<Item = (usize, &[Probe])> + '_ {
+        self.starts
+            .windows(2)
+            .enumerate()
+            .filter(|(_, bounds)| bounds[0] < bounds[1])
+            .map(|(partition, bounds)| (partition, &self.probes[bounds[0] as usize..bounds[1] as usize]))
+    }
 }
 
 /// The auxiliary accuracy-assurance table.
@@ -381,7 +412,7 @@ impl AuxTable {
     ) -> dm_storage::Result<Arc<PackedPartition>> {
         self.pool.get_or_load(idx as u64, trace, || {
             let partition = self.read_partition(idx)?;
-            self.heat.touch(idx as u64, dm_obs::Touch::Decompress);
+            self.heat.touch_in(trace, idx as u64, dm_obs::Touch::Decompress);
             let bytes = partition.resident_bytes();
             Ok((partition, bytes))
         })
@@ -403,7 +434,8 @@ impl AuxTable {
     /// partition fails the whole call.
     pub fn get_batch(&self, keys: &[u64]) -> Result<Vec<Option<Vec<u32>>>> {
         let mut results: Vec<Option<Vec<u32>>> = vec![None; keys.len()];
-        let degraded = self.probe_batch(keys, dm_exec::global(), None, &mut |qi, values| {
+        let mut plan = ProbePlan::default();
+        let degraded = self.probe_batch(keys, &mut plan, dm_exec::global(), None, &mut |qi, values| {
             results[qi] = Some(values.to_vec())
         });
         match degraded.into_iter().next() {
@@ -416,6 +448,8 @@ impl AuxTable {
     /// every key the table answers, handing out borrowed slices (from the delta
     /// overlay or a scratch row filled from the pooled packed partition) instead
     /// of allocating per hit.  Each partition is loaded at most once per batch.
+    /// `plan` is the batch's working memory; reused, it makes the serial path
+    /// allocate nothing.
     ///
     /// With a parallel pool and at least two partition groups, the groups are
     /// probed as independent pool tasks — safe because the read path is
@@ -423,6 +457,11 @@ impl AuxTable {
     /// cold loads deduplicated.  `sink` is always invoked serially on the calling
     /// thread (overlay hits while planning, partition hits after the parallel
     /// section), so it needs no synchronization.
+    ///
+    /// **Timing:** one [`Stage::Plan`] span, then one [`Stage::Probe`] span
+    /// per loop over partition groups — the whole batch on a serial pool, one
+    /// group per task on a parallel one — net of the pool load and wait spans
+    /// recorded inside it, so Probe, PoolLoad and PoolWait stay disjoint.
     ///
     /// **Graceful degradation:** a partition whose load fails (after the
     /// buffer pool's bounded transient retries) does *not* fail the batch.
@@ -435,104 +474,139 @@ impl AuxTable {
     pub(crate) fn probe_batch(
         &self,
         keys: &[u64],
+        plan: &mut ProbePlan,
         exec: &ThreadPool,
         trace: Option<&Trace>,
         sink: &mut dyn FnMut(usize, &[u32]),
     ) -> Vec<(usize, StorageError)> {
-        let probes = {
+        {
             let _plan = span(trace, Stage::Plan);
-            self.plan_probes(keys, sink)
-        };
+            self.plan_probes(keys, plan, sink);
+        }
         let mut degraded: Vec<(usize, StorageError)> = Vec::new();
         let mut degrade = |group: &[Probe], err: StorageError| {
             self.metrics.add_degraded_keys(group.len() as u64);
-            degraded.extend(group.iter().map(|probe| (probe.qi, err.clone())));
+            degraded.extend(group.iter().map(|probe| (probe.qi as usize, err.clone())));
         };
         let columns = self.value_columns;
-        let groups: Vec<&[Probe]> =
-            probes.chunk_by(|a, b| a.partition == b.partition).collect();
-        if groups.len() >= 2 && exec.threads() > 1 {
+        if exec.threads() > 1 && plan.groups().nth(1).is_some() {
+            let groups: Vec<(usize, &[Probe])> = plan.groups().collect();
             let mut results: Vec<Option<dm_storage::Result<Vec<u32>>>> =
                 std::iter::repeat_with(|| None).take(groups.len()).collect();
             exec.scope(|s| {
                 for (slot, &group) in results.iter_mut().zip(&groups) {
                     s.spawn(move || {
                         // One flat arena per group, in probe order.
-                        let mut values = Vec::with_capacity(group.len() * columns);
-                        let probed = self.probe_group(group, trace, &mut vec![0; columns], &mut |_, row| {
-                            values.extend_from_slice(row)
-                        });
-                        *slot = Some(probed.map(|()| values));
+                        let mut values = Vec::with_capacity(group.1.len() * columns);
+                        let mut failed = None;
+                        self.probe_groups(
+                            [group],
+                            trace,
+                            &mut vec![0; columns],
+                            &mut |_, row| values.extend_from_slice(row),
+                            &mut |_, err| failed = Some(err),
+                        );
+                        *slot = Some(failed.map_or(Ok(values), Err));
                     });
                 }
             });
-            for (result, group) in results.into_iter().zip(groups) {
+            for (result, (_, group)) in results.into_iter().zip(groups) {
                 match result.expect("scope waits for every probe task") {
                     Ok(values) => {
                         for (i, probe) in group.iter().enumerate() {
-                            sink(probe.qi, &values[i * columns..(i + 1) * columns]);
+                            sink(probe.qi as usize, &values[i * columns..(i + 1) * columns]);
                         }
                     }
                     Err(err) => degrade(group, err),
                 }
             }
         } else {
-            let mut row = vec![0; columns];
-            for group in groups {
-                if let Err(err) = self.probe_group(group, trace, &mut row, sink) {
-                    degrade(group, err);
-                }
-            }
+            let mut row = std::mem::take(&mut plan.row);
+            row.resize(columns, 0);
+            self.probe_groups(plan.groups(), trace, &mut row, sink, &mut degrade);
+            plan.row = row;
         }
         degraded
     }
 
-    /// Probes one partition group: loads the partition through the
-    /// single-flight pool and hands `sink` each probe's row, read at its slot
-    /// into the scratch `row`.  The reads record a [`Stage::Probe`] span on
-    /// `trace`, or into the stage histogram alone when there is none (the load
-    /// records its own pool spans the same way), which is safe from a pool
-    /// worker — trace recording is lock-free and the scope barrier orders it
-    /// before `finish`.
-    fn probe_group(
+    /// Probes partition groups one after the other: loads each partition
+    /// through the single-flight pool and hands `sink` each probe's row, read
+    /// at its slot into the scratch `row`; a group whose partition fails to
+    /// load goes to `failed` instead.  The loop records one [`Stage::Probe`]
+    /// span on `trace` — or into the stage histogram alone when there is
+    /// none — net of the pool spans its loads record, which is safe from a
+    /// pool worker: trace recording is lock-free and the scope barrier orders
+    /// it before `finish`.
+    fn probe_groups<'p>(
         &self,
-        group: &[Probe],
+        groups: impl IntoIterator<Item = (usize, &'p [Probe])>,
         trace: Option<&Trace>,
         row: &mut [u32],
         sink: &mut dyn FnMut(usize, &[u32]),
-    ) -> dm_storage::Result<()> {
-        let partition = self.load_partition(group[0].partition as usize, trace)?;
-        let _probe = span(trace, Stage::Probe);
-        for probe in group {
-            partition.read_row(probe.slot as usize, row);
-            sink(probe.qi, row);
+        failed: &mut dyn FnMut(&[Probe], StorageError),
+    ) {
+        let _probe = span_net_of(trace, Stage::Probe, &POOL_STAGES);
+        for (partition, group) in groups {
+            match self.load_partition(partition, trace) {
+                Ok(partition) => {
+                    for probe in group {
+                        partition.read_row(probe.slot as usize, row);
+                        sink(probe.qi as usize, row);
+                    }
+                }
+                Err(err) => failed(group, err),
+            }
         }
-        Ok(())
     }
 
     /// Planning for a probe batch: hands `sink` whatever the in-memory delta
     /// overlay answers on the spot and turns every other held key into its
-    /// `(partition, slot)` address by rank.  Sorting the addresses groups them
-    /// by partition, so each is loaded at most once per batch no matter how the
-    /// keys interleave.
-    fn plan_probes(&self, keys: &[u64], sink: &mut dyn FnMut(usize, &[u32])) -> Vec<Probe> {
-        // The pipeline sends only corrected keys: nearly all become probes.
-        let mut probes = Vec::with_capacity(keys.len());
+    /// `(partition, slot)` address by rank.  One counting pass over the
+    /// partitions then buckets the addresses — each partition one contiguous
+    /// group, its keys in batch order — so each is loaded at most once per
+    /// batch no matter how the keys interleave, with no comparison sort.
+    fn plan_probes(&self, keys: &[u64], plan: &mut ProbePlan, sink: &mut dyn FnMut(usize, &[u32])) {
+        let ProbePlan {
+            staged,
+            starts,
+            probes,
+            ..
+        } = plan;
+        staged.clear();
+        starts.clear();
+        starts.resize(self.partition_count() + 1, 0);
         for (qi, &key) in keys.iter().enumerate() {
             if let Some(values) = self.delta.get(&key) {
                 sink(qi, values);
             } else if self.live_in_base(key) {
                 let (partition, slot) = self.address(key);
-                // Ordinals fit `u32` (the rank index counts in it).
-                probes.push(Probe {
-                    partition: partition as u32,
+                // Ordinals fit `u32` (the rank index counts in it), and so do
+                // batch positions (the lookup buffer's spans count in it).
+                let probe = Probe {
                     slot: slot as u32,
-                    qi,
-                });
+                    qi: qi as u32,
+                };
+                staged.push((partition as u32, probe));
+                starts[partition + 1] += 1;
             }
         }
-        probes.sort_unstable_by_key(|probe| (probe.partition, probe.slot));
-        probes
+        // `starts[p + 1]` counts partition `p`'s probes; summed, `starts[p]`
+        // is where group `p` begins.  Placing the probes in batch order moves
+        // each `starts[p]` to its group's end, the next group's start, so one
+        // shift puts every bound back.
+        for p in 1..starts.len() {
+            starts[p] += starts[p - 1];
+        }
+        probes.clear();
+        probes.resize(staged.len(), Probe::default());
+        for &(partition, probe) in staged.iter() {
+            let at = &mut starts[partition as usize];
+            probes[*at as usize] = probe;
+            *at += 1;
+        }
+        let groups = starts.len() - 1;
+        starts.copy_within(..groups, 1);
+        starts[0] = 0;
     }
 
     /// Adds (or replaces) a misclassified row — used by `Insert` (Algorithm 3) and
@@ -967,7 +1041,7 @@ mod tests {
         let keys: Vec<u64> = (0..20_000u64).step_by(5).collect();
         let collect = |exec: &ThreadPool| {
             let mut results: Vec<Option<Vec<u32>>> = vec![None; keys.len()];
-            let degraded = table.probe_batch(&keys, exec, None, &mut |qi, values| {
+            let degraded = table.probe_batch(&keys, &mut ProbePlan::default(), exec, None, &mut |qi, values| {
                 results[qi] = Some(values.to_vec());
             });
             assert!(degraded.is_empty());
@@ -984,6 +1058,92 @@ mod tests {
             snap.partition_loads
         );
         assert!(pool.stats().tasks_executed >= 2, "groups must fan out");
+    }
+
+    /// The bucketed plan puts each partition in exactly one contiguous group,
+    /// its keys in batch order at the slots their ranks address; the overlay
+    /// answers its keys while planning, tombstoned keys and misses are
+    /// dropped — and a reused plan carries nothing over from a longer batch.
+    #[test]
+    fn the_plan_gives_each_partition_one_contiguous_group_in_batch_order() {
+        let rows = sample_rows(4_000); // keys 0, 3, ..., 11_997
+        let mut table = build_table(&rows);
+        let partitions = table.partition_count();
+        assert!(partitions >= 8);
+        table.upsert(Row::new(3, vec![9, 9]), true); // shadows a partition row
+        table.upsert(Row::new(1, vec![7, 7]), false); // a key no partition holds
+        table.upsert(Row::new(50_000, vec![5, 5]), false); // past every partition
+        table.remove(6); // tombstones a partition row
+        table.remove(3_000);
+        // Every partition's keys, interleaved from both ends, with duplicates,
+        // overlay keys, tombstoned keys and misses.
+        let spread: Vec<u64> = (0..12_000u64)
+            .step_by(5)
+            .flat_map(|k| [k, 11_999 - k])
+            .chain([3, 1, 50_000, 6, 3_000, 0, 0, 11_997, 11_997, 4, 999_999])
+            .collect();
+        let mut plan = ProbePlan::default();
+        for keys in [spread.clone(), spread[..40].iter().rev().copied().collect()] {
+            let mut overlay = Vec::new();
+            table.plan_probes(&keys, &mut plan, &mut |qi, values| overlay.push((qi, values.to_vec())));
+            let groups: Vec<(usize, &[Probe])> = plan.groups().collect();
+            assert!(groups.windows(2).all(|w| w[0].0 < w[1].0), "one group a partition");
+            let mut planned = Vec::new();
+            for &(partition, group) in &groups {
+                assert!(!group.is_empty());
+                assert!(group.windows(2).all(|w| w[0].qi < w[1].qi), "batch order in a group");
+                for probe in group {
+                    let key = keys[probe.qi as usize];
+                    assert_eq!(table.address(key), (partition, probe.slot as usize), "key {key}");
+                    planned.push(probe.qi as usize);
+                }
+            }
+            assert_eq!(plan.probes.len(), planned.len(), "no probe outside a group");
+            let expected: Vec<usize> = (0..keys.len())
+                .filter(|&qi| table.live_in_base(keys[qi]) && !table.delta.contains_key(&keys[qi]))
+                .collect();
+            planned.sort_unstable();
+            assert_eq!(planned, expected);
+            for (qi, values) in overlay {
+                assert_eq!(table.delta.get(&keys[qi]), Some(&values), "key {}", keys[qi]);
+            }
+        }
+        // The whole batch: every partition was touched, each exactly once.
+        let mut overlay = 0;
+        table.plan_probes(&spread, &mut plan, &mut |_, _| overlay += 1);
+        assert_eq!(plan.groups().count(), partitions);
+        assert_eq!(overlay, 3);
+    }
+
+    /// On a serial pool the whole batch is one `Probe` span, net of the cold
+    /// loads inside it: the stage sums stay disjoint and fit the batch.
+    #[test]
+    fn a_serial_batch_records_one_probe_span_beside_its_cold_loads() {
+        dm_obs::set_enabled(true);
+        let rows = sample_rows(4_000);
+        let table = build_table(&rows);
+        let partitions = table.partition_count();
+        assert!(partitions >= 8 && partitions + 2 <= dm_obs::trace::TRACE_EVENT_CAPACITY);
+        let keys: Vec<u64> = rows.iter().rev().map(|r| r.key).collect();
+        let mut plan = ProbePlan::default();
+        for cold in [true, false] {
+            let trace = Trace::start("probe_batch");
+            let mut answered = 0;
+            let degraded = table.probe_batch(&keys, &mut plan, &ThreadPool::new(1), Some(&trace), &mut |_, _| {
+                answered += 1
+            });
+            let summary = trace.finish();
+            assert!(degraded.is_empty());
+            assert_eq!(answered, keys.len());
+            let loads = if cold { partitions } else { 0 };
+            assert_eq!(summary.events, 2 + loads, "Plan, the loads, one Probe: {summary:?}");
+            assert_eq!(summary.stage(Stage::PoolLoad) > 0, cold, "{summary:?}");
+            assert!(summary.stage(Stage::Probe) > 0, "{summary:?}");
+            let probe_and_pool = summary.stage(Stage::Probe)
+                + summary.stage(Stage::PoolLoad)
+                + summary.stage(Stage::PoolWait);
+            assert!(probe_and_pool <= summary.total_nanos, "{summary:?}");
+        }
     }
 
     /// A read-only frame map standing in for a snapshot file: serves the exact
@@ -1158,7 +1318,7 @@ mod tests {
         }
         let keys: Vec<u64> = rows.iter().map(|r| r.key).collect();
         let mut answered = 0;
-        let degraded = swapped.probe_batch(&keys, &ThreadPool::new(1), None, &mut |qi, values| {
+        let degraded = swapped.probe_batch(&keys, &mut ProbePlan::default(), &ThreadPool::new(1), None, &mut |qi, values| {
             assert_eq!(values, rows[qi].values.as_slice(), "key {}", keys[qi]);
             answered += 1;
         });

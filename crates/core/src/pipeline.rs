@@ -25,14 +25,15 @@
 //!    ([`dm_nn::kernel::argmax_prequantized`]), so the pass writes the classes
 //!    and nothing else.  They cause no probe plan, no partition load and no
 //!    decompression.
-//! 3. **Grouped probes of the corrected keys** ([`Stage::Plan`], then per
-//!    partition group [`Stage::PoolLoad`] or [`Stage::PoolWait`] and
-//!    [`Stage::Probe`]) — keys whose bit
-//!    is set are never inferred.  The delta overlay answers what it can in memory;
-//!    every remaining key's address is a rank over the table's key bitmap
-//!    (partition `ordinal / R`, slot `ordinal % R` — no key is stored or
-//!    searched), and sorting the addresses groups them so each partition is
-//!    loaded **at most once per batch** through the LRU
+//! 3. **Grouped probes of the corrected keys** ([`Stage::Plan`], then
+//!    [`Stage::Probe`] around the partition groups, with [`Stage::PoolLoad`]
+//!    or [`Stage::PoolWait`] for a group whose partition is not resident) —
+//!    keys whose bit is set are never inferred.  The delta overlay answers
+//!    what it can in memory; every remaining key's address is a rank over the
+//!    table's key bitmap (partition `ordinal / R`, slot `ordinal % R` — no key
+//!    is stored or searched), and one counting pass buckets the addresses by
+//!    partition — no comparison sort; a bucket keeps its keys in batch order —
+//!    so each partition is loaded **at most once per batch** through the LRU
 //!    [`dm_storage::BufferPool`], no matter how the query keys interleave
 //!    (Section IV-B2's batch-sorting optimization).
 //! 4. **Order-preserving scatter** ([`Stage::Merge`]) — predictions are copied to
@@ -45,10 +46,14 @@
 //! is known to be wrong for that key.
 //!
 //! The whole pipeline writes into a caller-owned [`LookupBuffer`]
-//! ([`QueryPipeline::execute_into`]): predictions land in the buffer's detachable
-//! scratch arena via one row-major [`MappingModel::predict_into_on`] pass and probe
-//! hits are read straight out of the pooled bit-packed partitions, so a reused
-//! buffer makes the steady-state batch free of per-key heap allocations.
+//! ([`QueryPipeline::execute_into`]) and borrows its batch-sized working memory
+//! from it ([`LookupBuffer::take_scratch`]): the two sides of the split, the
+//! probe plan and the predictions of one row-major
+//! [`MappingModel::predict_into_on`] pass.  The walk's working memory, bounded
+//! by a chunk of rows rather than the batch, is kept per thread, as is the
+//! trace's event array; probe hits are read straight out of the pooled
+//! bit-packed partitions.  So on a serial pool a reused buffer makes the
+//! steady-state batch allocate nothing at all (`tests/alloc_guard.rs`).
 //!
 //! ## Parallelism
 //!
@@ -61,7 +66,8 @@
 //!   ([`MappingModel::predict_into_on`], serial below
 //!   `dm_nn::PARALLEL_ROW_CROSSOVER` rows),
 //! * probing shards independent partition groups across the pool
-//!   (`AuxTable::probe_batch`), leaning on the single-flight
+//!   (`AuxTable::probe_batch`; one task a group, each with its own arena of
+//!   hits), leaning on the single-flight
 //!   [`dm_storage::BufferPool`] so racing cold loads are never duplicated; hits
 //!   are folded into the buffer serially, in batch order.
 //!
@@ -79,13 +85,18 @@
 //! nowhere else: [`execute_into`](QueryPipeline::execute_into) publishes the
 //! batch's [`dm_obs::TraceSummary`] on the calling thread
 //! (`dm_obs::trace::take_last_batch`) and every span feeds its stage's
-//! process-wide histogram (`dm_obs::trace::stage_snapshot`).  Under
-//! parallelism concurrent probe tasks each record their own spans, so a
-//! stage's sum is CPU time summed across tasks (an upper bound on the batch's
-//! wall-clock); on a serial pool it is exact wall-clock.  Under `DM_OBS=off`
-//! no span reads the clock.  The store's [`Metrics`] hold counts only.
+//! process-wide histogram (`dm_obs::trace::stage_snapshot`).  A stage is one
+//! span per batch: on a serial pool Probe too is one span around every
+//! partition group, net of the pool load and wait spans inside it
+//! (`dm_obs::trace::span_net_of`), so the stage sums stay disjoint and their
+//! total is at most the batch's wall-clock.  Under parallelism each probe
+//! task records its own Probe span, so a stage's sum is CPU time summed
+//! across tasks (an upper bound on the batch's wall-clock).  Partition heat
+//! is stamped with the trace's start, so a warm group reads no clock.  Under
+//! `DM_OBS=off` no span reads the clock.  The store's [`Metrics`] hold counts
+//! only.
 
-use crate::aux_table::AuxTable;
+use crate::aux_table::{AuxTable, ProbePlan};
 use crate::model::MappingModel;
 use crate::Result;
 use dm_exec::ThreadPool;
@@ -93,34 +104,47 @@ use dm_obs::{Stage, Trace};
 use dm_storage::{BitVec, LookupBuffer, Metrics, StorageError};
 
 /// One side of the stage-1 split: the keys routed there, in batch order, and
-/// each key's position in the original batch.
-#[derive(Debug)]
+/// each key's position in the original batch.  The vectors only grow (they
+/// are reused between batches); the side is their first `len` entries.
+#[derive(Debug, Default)]
 struct Routed {
     keys: Vec<u64>,
-    positions: Vec<usize>,
+    positions: Vec<u32>,
+    len: usize,
 }
 
 impl Routed {
-    fn zeroed(keys: usize) -> Self {
-        Routed {
-            keys: vec![0; keys],
-            positions: vec![0; keys],
+    /// Makes room for a side that may take every one of `keys` keys.
+    fn clear_for(&mut self, keys: usize) {
+        if self.keys.len() < keys {
+            self.keys.resize(keys, 0);
+            self.positions.resize(keys, 0);
         }
+        self.len = 0;
     }
 
-    fn truncate(&mut self, kept: usize) {
-        self.keys.truncate(kept);
-        self.positions.truncate(kept);
+    fn keys(&self) -> &[u64] {
+        &self.keys[..self.len]
+    }
+
+    fn positions(&self) -> &[u32] {
+        &self.positions[..self.len]
     }
 }
 
-/// Stage-1 output: every existing key of the batch, on exactly one side.
-#[derive(Debug)]
-struct Routes {
-    /// `Vaux` bit clear: the model's prediction is the answer.
+/// The batch-sized working memory of one pipeline run, borrowed from the
+/// caller's [`LookupBuffer`] ([`LookupBuffer::take_scratch`]) and handed back
+/// after, so a reused buffer makes the steady-state batch allocate nothing.
+#[derive(Debug, Default)]
+struct BatchScratch {
+    /// Stage 1's output, `Vaux` bit clear: the model's prediction is the answer.
     predicted: Routed,
-    /// `Vaux` bit set: the auxiliary table holds the answer.
+    /// Stage 1's output, `Vaux` bit set: the auxiliary table holds the answer.
     corrected: Routed,
+    /// Stage 3's probe plan.
+    plan: ProbePlan,
+    /// Stage 2's row-major predictions.
+    predictions: Vec<u32>,
 }
 
 /// The staged batch-lookup pipeline over one hybrid structure's components.
@@ -162,8 +186,8 @@ impl<'a> QueryPipeline<'a> {
 
     /// Runs the full pipeline over a key batch, writing one span per input key (in
     /// input order, misses for keys that do not exist) into a caller-owned
-    /// [`LookupBuffer`].  A reused buffer keeps its arena capacity between batches,
-    /// so the steady state performs zero per-key heap allocations.
+    /// [`LookupBuffer`].  A reused buffer keeps its arena and its working
+    /// memory between batches, so the steady state allocates nothing.
     pub fn execute_into(&self, keys: &[u64], out: &mut LookupBuffer) -> Result<()> {
         out.reset(keys);
         if keys.is_empty() {
@@ -173,7 +197,9 @@ impl<'a> QueryPipeline<'a> {
         // to the per-thread ring and — past the `DM_OBS_SLOW_MS` threshold — to
         // the slow-batch capture ring.  Both are inert under `DM_OBS=off`.
         let trace = Trace::start("lookup_batch");
-        let result = self.execute_traced(keys, out, &trace);
+        let mut scratch = out.take_scratch::<BatchScratch>();
+        let result = self.execute_traced(keys, out, &mut scratch, &trace);
+        out.restore_scratch(scratch);
         trace.finish();
         result
     }
@@ -181,71 +207,77 @@ impl<'a> QueryPipeline<'a> {
     /// The staged dataflow behind [`execute_into`](Self::execute_into), with the
     /// batch's `trace` threaded through every stage (and into the pool tasks
     /// they spawn).
-    fn execute_traced(&self, keys: &[u64], out: &mut LookupBuffer, trace: &Trace) -> Result<()> {
-        let Routes {
+    fn execute_traced(
+        &self,
+        keys: &[u64],
+        out: &mut LookupBuffer,
+        scratch: &mut BatchScratch,
+        trace: &Trace,
+    ) -> Result<()> {
+        {
+            let _existence = trace.span(Stage::Existence);
+            self.route(keys, scratch);
+        }
+        let BatchScratch {
             predicted,
             corrected,
-        } = {
-            let _existence = trace.span(Stage::Existence);
-            self.route(keys)
-        };
-        if predicted.keys.is_empty() && corrected.keys.is_empty() {
+            plan,
+            predictions,
+        } = scratch;
+        if predicted.len == 0 && corrected.len == 0 {
             return Ok(());
         }
 
         // Stages 2 and 3 share no key and no output (predictions are staged in
-        // the buffer's detachable scratch arena, probe hits go to the spans).
-        // They run one after the other; each fans out on the pool by itself
-        // once it has enough work to pay for a task.
-        let mut predictions = out.take_scratch();
-        let failed = self.probe(&corrected, out, trace);
-        let inferred = self.infer(&predicted.keys, &mut predictions, trace);
+        // the batch's scratch, probe hits go to the spans).  They run one
+        // after the other; each fans out on the pool by itself once it has
+        // enough work to pay for a task.
+        let failed = self.probe(corrected, plan, out, trace);
+        let columns = self.infer(predicted.keys(), predictions, trace)?;
 
         // Stage 4: scatter the predictions to their keys' batch positions.
-        let scattered = inferred.map(|columns| {
-            {
-                let _merge = trace.span(Stage::Merge);
-                for (i, &position) in predicted.positions.iter().enumerate() {
-                    out.set_hit(position, &predictions[i * columns..(i + 1) * columns]);
-                }
+        {
+            let _merge = trace.span(Stage::Merge);
+            for (i, &position) in predicted.positions().iter().enumerate() {
+                out.set_hit(position as usize, &predictions[i * columns..(i + 1) * columns]);
             }
-            // The answer mix is pipeline-work accounting (drift detection's
-            // primary signal), not tracing — recorded regardless of `DM_OBS`.
-            self.metrics.add_answer_mix(
-                predicted.keys.len() as u64,
-                corrected.keys.len() as u64 - failed,
-            );
-        });
-        out.restore_scratch(predictions);
-        scattered
+        }
+        // The answer mix is pipeline-work accounting (drift detection's
+        // primary signal), not tracing — recorded regardless of `DM_OBS`.
+        self.metrics
+            .add_answer_mix(predicted.len as u64, corrected.len as u64 - failed);
+        Ok(())
     }
 
-    /// Stage 1: the three-way split.  Non-existing keys are dropped here; every
-    /// other key goes to the model or to the auxiliary table, never both.
-    fn route(&self, keys: &[u64]) -> Routes {
+    /// Stage 1: the three-way split into `scratch`'s two sides.  Non-existing
+    /// keys are dropped here; every other key goes to the model or to the
+    /// auxiliary table, never both.
+    fn route(&self, keys: &[u64], scratch: &mut BatchScratch) {
         // Branch-free: on mixed data a key's side is a coin the predictor
         // loses, so every key is written to the next slot of both sides and
         // only the side that keeps it moves on.  Either side may take the
         // whole batch, hence the full-length vectors.
-        let mut predicted = Routed::zeroed(keys.len());
-        let mut corrected = Routed::zeroed(keys.len());
+        let BatchScratch {
+            predicted,
+            corrected,
+            ..
+        } = scratch;
+        predicted.clear_for(keys.len());
+        corrected.clear_for(keys.len());
         let (mut kept_predicted, mut kept_corrected) = (0, 0);
         for (position, &key) in keys.iter().enumerate() {
             let exists = self.exist.get(key);
             let held = self.vaux.get(key);
+            // Batch positions fit `u32`: the lookup buffer's spans count in it.
             predicted.keys[kept_predicted] = key;
-            predicted.positions[kept_predicted] = position;
+            predicted.positions[kept_predicted] = position as u32;
             kept_predicted += usize::from(exists & !held);
             corrected.keys[kept_corrected] = key;
-            corrected.positions[kept_corrected] = position;
+            corrected.positions[kept_corrected] = position as u32;
             kept_corrected += usize::from(exists & held);
         }
-        predicted.truncate(kept_predicted);
-        corrected.truncate(kept_corrected);
-        Routes {
-            predicted,
-            corrected,
-        }
+        predicted.len = kept_predicted;
+        corrected.len = kept_corrected;
     }
 
     /// Stage 2: one vectorized forward pass over the predicted keys (row-chunked
@@ -271,24 +303,29 @@ impl<'a> QueryPipeline<'a> {
     /// fault-free batch — and a key the table turns out not to hold, against its
     /// `Vaux` bit, is reported as corruption rather than answered by a model
     /// known to mispredict it.
-    fn probe(&self, corrected: &Routed, out: &mut LookupBuffer, trace: &Trace) -> u64 {
-        let positions = &corrected.positions;
+    fn probe(&self, corrected: &Routed, plan: &mut ProbePlan, out: &mut LookupBuffer, trace: &Trace) -> u64 {
+        let positions = corrected.positions();
         if positions.is_empty() {
             return 0;
         }
         let mut answered = 0;
-        let degraded =
-            self.aux
-                .probe_batch(&corrected.keys, self.exec, Some(trace), &mut |ci, values| {
-                    out.set_hit(positions[ci], values);
-                    answered += 1;
-                });
+        let degraded = self.aux.probe_batch(
+            corrected.keys(),
+            plan,
+            self.exec,
+            Some(trace),
+            &mut |ci, values| {
+                out.set_hit(positions[ci] as usize, values);
+                answered += 1;
+            },
+        );
         let mut failed = degraded.len();
         for (ci, err) in degraded {
-            out.set_failed(positions[ci], err);
+            out.set_failed(positions[ci] as usize, err);
         }
         if answered + failed < positions.len() {
-            for (&key, &position) in corrected.keys.iter().zip(positions) {
+            for (&key, &position) in corrected.keys().iter().zip(positions) {
+                let position = position as usize;
                 if !out.is_hit(position) && !out.is_failed(position) {
                     out.set_failed(
                         position,
@@ -712,10 +749,13 @@ mod tests {
     fn route_drops_absent_keys_and_sends_each_other_key_one_way() {
         let (dm, _, _, _) = mixed_store(quick_config());
         let keys = [0, 5, 40, 9_000, 41, 10_000];
-        let routes = dm.pipeline().route(&keys);
-        let mut routed: Vec<(usize, u64)> = Vec::new();
-        for (side, corrected) in [(&routes.predicted, false), (&routes.corrected, true)] {
-            for (&key, &position) in side.keys.iter().zip(&side.positions) {
+        let mut scratch = BatchScratch::default();
+        // A reused scratch holds a longer batch's leftovers: they must not leak.
+        dm.pipeline().route(&(0..64).collect::<Vec<u64>>(), &mut scratch);
+        dm.pipeline().route(&keys, &mut scratch);
+        let mut routed: Vec<(u32, u64)> = Vec::new();
+        for (side, corrected) in [(&scratch.predicted, false), (&scratch.corrected, true)] {
+            for (&key, &position) in side.keys().iter().zip(side.positions()) {
                 assert_eq!(dm.corrected().get(key), corrected, "key {key}");
                 routed.push((position, key));
             }

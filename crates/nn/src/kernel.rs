@@ -961,15 +961,15 @@ pub struct QuantizedRows {
 }
 
 impl QuantizedRows {
-    /// An empty buffer that holds `rows` rows of up to `k` values without
-    /// allocating again.
-    pub fn with_capacity(rows: usize, k: usize) -> Self {
-        QuantizedRows {
-            k: 0,
-            count: 0,
-            bytes: vec![0; Self::tile_span(rows, k) + QROWS_SLACK],
-            scales: vec![0.0; rows],
-            lanes: Vec::new(),
+    /// Grows the buffer, if it must, to hold `rows` rows of up to `k` values
+    /// without allocating again.
+    pub fn reserve(&mut self, rows: usize, k: usize) {
+        let owned = Self::tile_span(rows, k) + QROWS_SLACK;
+        if self.bytes.len() < owned {
+            self.bytes.resize(owned, 0);
+        }
+        if self.scales.len() < rows {
+            self.scales.resize(rows, 0.0);
         }
     }
 
@@ -996,13 +996,7 @@ impl QuantizedRows {
     fn resize(&mut self, count: usize, k: usize) -> usize {
         self.k = k;
         self.count = count;
-        let owned = Self::tile_span(count, k) + QROWS_SLACK;
-        if self.bytes.len() < owned {
-            self.bytes.resize(owned, 0);
-        }
-        if self.scales.len() < count {
-            self.scales.resize(count, 0.0);
-        }
+        self.reserve(count, k);
         k.div_ceil(4) * 4
     }
 
@@ -4296,7 +4290,8 @@ pub(crate) mod tests {
         let full = forward_quantized(&x, 0, ROWS, &panels, Activation::Relu).unwrap();
         // One buffer for every window, largest first, so later windows run
         // over stale bytes of earlier ones.
-        let mut qrows = QuantizedRows::with_capacity(ROWS, 65);
+        let mut qrows = QuantizedRows::default();
+        qrows.reserve(ROWS, 65);
         under_each_form(|form| {
             for start in 0..ROWS {
                 for count in (0..=(ROWS - start)).rev() {

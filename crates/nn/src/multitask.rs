@@ -15,6 +15,7 @@ use crate::optimizer::Optimizer;
 use crate::tensor::Matrix;
 use dm_exec::ThreadPool;
 use rand::Rng;
+use std::cell::Cell;
 use std::sync::Mutex;
 
 /// Batches below this many rows run [`MultiTaskModel::forward_batch_flat`]
@@ -526,7 +527,25 @@ impl MultiTaskModel {
     ) -> crate::Result<()> {
         let tasks = self.heads.len();
         let chunk_rows = chunk_rows.clamp(1, (out.len() / tasks).max(1));
-        let mut scratch = WalkScratch::new(self, chunk_rows);
+        let mut scratch = SPARE_WALK.with(Cell::take).unwrap_or_default();
+        scratch.fit(self, chunk_rows);
+        let walked = self.walk_chunks(source, start, chunk_rows, out, &mut scratch);
+        // Gone only while the thread itself is being torn down.
+        let _ = SPARE_WALK.try_with(|spare| spare.set(Some(scratch)));
+        walked
+    }
+
+    /// The chunk loop of [`forward_window`](Self::forward_window), through
+    /// `scratch` sized for `chunk_rows` rows.
+    fn walk_chunks(
+        &self,
+        source: WalkSource<'_>,
+        start: usize,
+        chunk_rows: usize,
+        out: &mut [u32],
+        scratch: &mut WalkScratch,
+    ) -> crate::Result<()> {
+        let tasks = self.heads.len();
         // Keys go straight to bytes when the layer that reads them first is an
         // int8 trunk layer; with no trunk every head reads the input, and the
         // one quantized-rows buffer cannot stay theirs between heads.
@@ -550,7 +569,7 @@ impl MultiTaskModel {
                     Some(RowsView::new(&features, dim, count, dim)?)
                 }
             };
-            self.forward_rows_flat(input, count, &mut scratch, out_chunk)?;
+            self.forward_rows_flat(input, count, scratch, out_chunk)?;
         }
         Ok(())
     }
@@ -828,9 +847,11 @@ struct Activations {
     ld: usize,
 }
 
-/// The working memory of one [`MultiTaskModel::forward_rows_flat`] walk, owned
+/// The working memory of one [`MultiTaskModel::forward_rows_flat`] walk, held
 /// by the call that runs it (a pool task, or the serial loop over chunks) and
-/// sized by that call's row window: the quantized input rows of the layer
+/// sized for a chunk of at most [`CACHE_CHUNK_ROWS`] rows — never for the
+/// batch — so each thread keeps one between walks ([`SPARE_WALK`]) and a
+/// steady-state walk allocates nothing: the quantized input rows of the layer
 /// running now — which the keys-in source fills itself for an int8 first
 /// trunk layer ([`KeyEncoder::quantize_keys`]), every later layer from its f32
 /// input, and which keep beside them the keys-in-lanes copy an output layer
@@ -842,13 +863,22 @@ struct Activations {
 /// chunk of f32 features the keys-in source encodes for an f32 first layer
 /// lives beside it in [`MultiTaskModel::forward_window`]: it is the walk's
 /// input window, which every step borrows next to this.)
+#[derive(Default)]
 struct WalkScratch {
     qrows: QuantizedRows,
     regions: [Vec<f32>; 3],
 }
 
+thread_local! {
+    /// The working memory of this thread's last walk, for its next one to
+    /// reuse (grown, never shrunk, to the widest model it walked).
+    static SPARE_WALK: Cell<Option<WalkScratch>> = const { Cell::new(None) };
+}
+
 impl WalkScratch {
-    fn new(model: &MultiTaskModel, rows: usize) -> Self {
+    /// Grows the buffers to hold a walk of `model` over `rows` rows (the
+    /// quantized rows grow themselves as each layer fills them).
+    fn fit(&mut self, model: &MultiTaskModel, rows: usize) {
         let layers = || model.trunk.iter().chain(model.heads.iter().flatten());
         let widest_in = layers().map(Dense::in_dim).max().unwrap_or(0);
         // Regions hold what a layer writes: every layer's output but an int8
@@ -864,10 +894,12 @@ impl WalkScratch {
         };
         let widest_out = model.trunk.iter().chain(written).map(Dense::out_dim).max().unwrap_or(0);
         let region = rows * widest_out.max(fused_out).next_multiple_of(LANES);
-        WalkScratch {
-            qrows: QuantizedRows::with_capacity(rows, widest_in),
-            regions: std::array::from_fn(|_| vec![0.0; region]),
+        for buffer in &mut self.regions {
+            if buffer.len() < region {
+                buffer.resize(region, 0.0);
+            }
         }
+        self.qrows.reserve(rows, widest_in);
     }
 
     /// The `count` rows `at` describes.  (Takes the regions, not `self`, so

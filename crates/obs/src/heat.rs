@@ -173,8 +173,25 @@ impl HeatMap {
         self.touch_at(crate::window::now_nanos(), id, kind);
     }
 
-    /// Records a touch at an explicit clock value (test entry point, not
-    /// gated).
+    /// Records one touch of partition `id` on the batch's clock: stamped with
+    /// the start of `trace` ([`Trace::start_nanos`](crate::Trace::start_nanos),
+    /// no clock read) when the caller carries an active one, else
+    /// [`touch`](Self::touch) — the current time, gated on `DM_OBS`.  A
+    /// batch's touches are microseconds apart against a half-life of
+    /// seconds, so one timestamp a batch ranks partitions the same.
+    #[inline]
+    pub fn touch_in(&self, trace: Option<&crate::Trace>, id: u64, kind: Touch) {
+        match trace.and_then(crate::Trace::start_nanos) {
+            Some(at) => self.touch_at(at, id, kind),
+            None => self.touch(id, kind),
+        }
+    }
+
+    /// Records a touch at an explicit clock value, not gated: [`touch_in`]
+    /// reaches it only with an active trace (the switch was on when the batch
+    /// began), and tests drive time through it.
+    ///
+    /// [`touch_in`]: Self::touch_in
     pub fn touch_at(&self, now_nanos: u64, id: u64, kind: Touch) {
         match self.cell(id) {
             Some(cell) => cell.touch(kind, now_nanos, self.half_life_nanos),
@@ -311,6 +328,27 @@ impl HeatReport {
 mod tests {
     use super::*;
     use std::sync::Arc;
+
+    /// A traced touch is stamped with the trace's start — every touch of a
+    /// batch the same, read from no clock — and an untraced one with now.
+    #[test]
+    fn a_traced_touch_is_stamped_with_the_start_of_its_trace() {
+        let _guard = crate::test_guard();
+        crate::set_enabled(true);
+        let heat = HeatMap::default();
+        let trace = crate::Trace::start("heat");
+        let start = trace.start_nanos().expect("an active trace has a start");
+        std::thread::sleep(Duration::from_millis(2));
+        for kind in [Touch::Access, Touch::Miss, Touch::Decompress] {
+            heat.touch_in(Some(&trace), 7, kind);
+        }
+        let cell = heat.cell(7).expect("tracked");
+        assert_eq!(cell.epoch.load(Ordering::Relaxed), start);
+        assert_eq!(heat.report(1).total_accesses, 1);
+        heat.touch_in(None, 7, Touch::Access);
+        assert!(cell.epoch.load(Ordering::Relaxed) >= start + 2_000_000);
+        trace.finish();
+    }
 
     const HL: u64 = 1_000_000; // 1 ms half-life in test clocks
 

@@ -28,7 +28,11 @@
 //!
 //! A span guard ([`Trace::span`], or [`span`] for a caller that may carry no
 //! trace) is the workspace's one lookup timer: each stage reads the clock once
-//! at open and once at drop.  With the `DM_OBS=off` kill switch,
+//! at open and once at drop.  A span that wraps a loop whose iterations may
+//! record spans of their own ([`span_net_of`]: the probe loop, around
+//! buffer-pool loads) is charged its wall time minus theirs, so one span can
+//! time a whole loop and the stage sums stay disjoint.  With the `DM_OBS=off`
+//! kill switch,
 //! [`Trace::start`] returns an inert handle: no allocation, no clock read, and
 //! every recording call is a no-op behind one branch.
 
@@ -140,13 +144,32 @@ fn stage_histograms() -> &'static [Arc<Histogram>] {
     })
 }
 
-/// Records one span duration into `stage`'s process-wide histogram.  A no-op
+/// Records one span duration into `stage`'s process-wide histogram (and into
+/// the calling thread's running sum that [`span_net_of`] reads).  A no-op
 /// when observability is [disabled](crate::enabled).
 #[inline]
 pub fn record_stage(stage: Stage, nanos: u64) {
     if crate::enabled() {
         stage_histograms()[stage.index()].record_nanos(nanos);
+        THREAD_STAGE_NANOS.with(|sums| {
+            let sum = &sums[stage.index()];
+            sum.set(sum.get().wrapping_add(nanos));
+        });
     }
+}
+
+/// The calling thread's running sum of the spans recorded so far for the
+/// stages in `mask` (bit `i` is stage index `i`).
+fn thread_nanos_of(mask: u16) -> u64 {
+    if mask == 0 {
+        return 0;
+    }
+    THREAD_STAGE_NANOS.with(|sums| {
+        sums.iter()
+            .enumerate()
+            .filter(|&(i, _)| mask >> i & 1 == 1)
+            .fold(0u64, |total, (_, sum)| total.wrapping_add(sum.get()))
+    })
 }
 
 /// Snapshot of `stage`'s process-wide span histogram.
@@ -232,7 +255,17 @@ impl Trace {
             trace: Some(self),
             stage,
             begin: self.start.map(|_| Instant::now()),
+            nested: 0,
+            nested_at_open: 0,
         }
+    }
+
+    /// When the trace started, on the [`window::now_nanos`](crate::window::now_nanos)
+    /// clock — read once at [`start`](Trace::start), so this reads no clock.
+    /// `None` for an inert trace.  Per-batch recorders that need a timestamp
+    /// (partition heat) stamp every event of the batch with it.
+    pub fn start_nanos(&self) -> Option<u64> {
+        self.start.map(crate::window::nanos_at)
     }
 
     /// Records an already-measured span: `begin` is when it started (must not
@@ -343,8 +376,27 @@ pub fn span(trace: Option<&Trace>, stage: Stage) -> SpanGuard<'_> {
             trace: None,
             stage,
             begin: crate::enabled().then(Instant::now),
+            nested: 0,
+            nested_at_open: 0,
         },
     }
+}
+
+/// [`span`], charged its wall time minus the spans of the `nested` stages
+/// this thread records while it is open: one span around a loop whose
+/// iterations may open their own (the probe loop around buffer-pool loads
+/// and waits) keeps every stage's sum disjoint, for two clock reads per loop
+/// instead of two per iteration.  Only spans recorded on the calling thread
+/// are left out, so the guard must open and drop on the thread that runs the
+/// loop.
+#[inline]
+pub fn span_net_of<'a>(trace: Option<&'a Trace>, stage: Stage, nested: &[Stage]) -> SpanGuard<'a> {
+    let mut guard = span(trace, stage);
+    if guard.begin.is_some() {
+        guard.nested = nested.iter().fold(0, |mask, stage| mask | 1 << stage.index());
+        guard.nested_at_open = thread_nanos_of(guard.nested);
+    }
+    guard
 }
 
 /// RAII span: records `stage` from construction to drop.
@@ -353,14 +405,21 @@ pub struct SpanGuard<'a> {
     trace: Option<&'a Trace>,
     stage: Stage,
     begin: Option<Instant>,
+    /// Stages whose spans on this thread the guard leaves out ([`span_net_of`]),
+    /// one bit per [`Stage::index`].
+    nested: u16,
+    /// Their running sum when the guard opened.
+    nested_at_open: u64,
 }
 
 impl Drop for SpanGuard<'_> {
     fn drop(&mut self) {
         let Some(begin) = self.begin else { return };
+        let nested = thread_nanos_of(self.nested).wrapping_sub(self.nested_at_open);
+        let dur = begin.elapsed().saturating_sub(Duration::from_nanos(nested));
         match self.trace {
-            Some(trace) => trace.record_span(self.stage, begin, begin.elapsed()),
-            None => record_stage(self.stage, nanos(begin.elapsed())),
+            Some(trace) => trace.record_span(self.stage, begin, dur),
+            None => record_stage(self.stage, nanos(dur)),
         }
     }
 }
@@ -548,6 +607,10 @@ thread_local! {
     /// The event buffer of this thread's last finished trace, for the next
     /// [`Trace::start`] to reuse.
     static SPARE_EVENTS: Cell<Option<Box<[EventSlot]>>> = const { Cell::new(None) };
+    /// Summed span time this thread recorded per stage, ever (wrapping):
+    /// what [`span_net_of`] subtracts.
+    static THREAD_STAGE_NANOS: [Cell<u64>; Stage::COUNT] =
+        const { [const { Cell::new(0) }; Stage::COUNT] };
     static LAST_BATCH: Cell<Option<TraceSummary>> = const { Cell::new(None) };
     static RECENT: RefCell<VecDeque<TraceSummary>> =
         RefCell::new(VecDeque::with_capacity(RECENT_CAPACITY));
@@ -624,6 +687,32 @@ mod tests {
             .expect("threshold zero captures the trace");
         assert_eq!(captured.events.len(), 1);
         assert_eq!(captured.events[0].stage, Stage::Merge);
+    }
+
+    /// A net span is charged its wall time minus the spans of the stages it
+    /// names, recorded on its thread while it was open — and only those.
+    #[test]
+    fn a_net_span_leaves_out_the_nested_spans_it_names() {
+        let _guard = crate::test_guard();
+        crate::set_enabled(true);
+        let trace = Trace::start("net");
+        let begin = Instant::now();
+        {
+            let _probe = span_net_of(Some(&trace), Stage::Probe, &[Stage::PoolLoad, Stage::PoolWait]);
+            std::thread::sleep(Duration::from_millis(3));
+            trace.record_span(Stage::PoolLoad, Instant::now(), Duration::from_millis(1));
+            trace.record_span(Stage::Merge, Instant::now(), Duration::from_millis(1));
+        }
+        let wall = nanos(begin.elapsed());
+        let summary = trace.finish();
+        let probe = summary.stage(Stage::Probe);
+        assert_eq!(summary.events, 3);
+        assert!(probe >= 2_000_000, "3 ms open, 1 ms of it a named span: {probe} ns");
+        assert!(probe + 1_000_000 <= wall, "{probe} ns charged of {wall} ns");
+        // Without the trace the same guard feeds the stage histogram alone.
+        let before = stage_snapshot(Stage::Probe).count();
+        drop(span_net_of(None, Stage::Probe, &[Stage::PoolLoad]));
+        assert!(stage_snapshot(Stage::Probe).count() > before);
     }
 
     #[test]

@@ -62,12 +62,25 @@ pub const DEFAULT_SLICE: Duration = Duration::from_secs(5);
 /// at 1 ns slices the process would need ~584 years of uptime.
 pub const ROTATING: u64 = u64::MAX;
 
+/// The instant the shared clock counts from: the first read of it in this
+/// process.
+fn epoch() -> Instant {
+    static START: OnceLock<Instant> = OnceLock::new();
+    *START.get_or_init(Instant::now)
+}
+
 /// Nanoseconds since the first windowed recording in this process, from the
 /// shared monotonic clock all windows in the process rotate against.
 #[inline]
 pub fn now_nanos() -> u64 {
-    static START: OnceLock<Instant> = OnceLock::new();
-    START.get_or_init(Instant::now).elapsed().as_nanos() as u64
+    epoch().elapsed().as_nanos() as u64
+}
+
+/// `instant` on the [`now_nanos`] clock (0 for an instant before the clock's
+/// epoch), for a caller that already read the clock.
+#[inline]
+pub fn nanos_at(instant: Instant) -> u64 {
+    instant.saturating_duration_since(epoch()).as_nanos() as u64
 }
 
 /// One slice: the period it currently holds plus its histogram.

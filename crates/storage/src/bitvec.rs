@@ -81,32 +81,37 @@ impl BitVec {
 
     /// Iterates over the indices of set bits in increasing order.
     pub fn iter_ones(&self) -> impl Iterator<Item = u64> + '_ {
-        self.words.iter().enumerate().flat_map(|(w, &word)| {
-            let base = w as u64 * 64;
-            (0..64u64).filter_map(move |b| {
-                if (word >> b) & 1 == 1 {
-                    Some(base + b)
-                } else {
-                    None
-                }
-            })
-        })
+        self.words
+            .iter()
+            .enumerate()
+            .flat_map(|(w, &word)| set_bits(word, w as u64 * 64))
     }
 
     /// Collects all keys in `[lo, hi]` whose bit is set — the range-filter step of the
     /// batch-inference range-query extension (Section IV-E).
     pub fn ones_in_range(&self, lo: u64, hi: u64) -> Vec<u64> {
-        let mut out = Vec::new();
         let upper = hi.min(self.len_bits.saturating_sub(1));
         if self.len_bits == 0 || lo > upper {
-            return out;
+            return Vec::new();
         }
-        for idx in lo..=upper {
-            if self.get(idx) {
-                out.push(idx);
-            }
-        }
-        out
+        let (first, last) = ((lo / 64) as usize, (upper / 64) as usize);
+        self.words[first..=last]
+            .iter()
+            .enumerate()
+            .flat_map(|(i, &word)| {
+                let w = first + i;
+                // Mask off the bits below `lo` in the first word and above
+                // `upper` in the last.
+                let mut word = word;
+                if w == first {
+                    word &= u64::MAX << (lo % 64);
+                }
+                if w == last {
+                    word &= u64::MAX >> (63 - upper % 64);
+                }
+                set_bits(word, w as u64 * 64)
+            })
+            .collect()
     }
 
     /// In-memory footprint in bytes.
@@ -161,6 +166,18 @@ impl BitVec {
             ones,
         })
     }
+}
+
+/// The set bits of `word` as indices from `base`, lowest first: one
+/// `trailing_zeros` per set bit, none per clear one.
+fn set_bits(mut word: u64, base: u64) -> impl Iterator<Item = u64> {
+    std::iter::from_fn(move || {
+        (word != 0).then(|| {
+            let bit = word.trailing_zeros() as u64;
+            word &= word - 1;
+            base + bit
+        })
+    })
 }
 
 impl FromIterator<u64> for BitVec {

@@ -45,7 +45,7 @@ pub use bitvec::{BitVec, RankedBits};
 pub use disk::{DiskProfile, SimulatedDisk};
 pub use source::{FileExtent, FilePartitionSource, PartitionSource};
 pub use layout::{ArrayPartition, HashPartition, PackedPartition, PartitionLayout};
-pub use dm_obs::{Stage, Trace};
+pub use dm_obs::{trace::span_net_of, Stage, Trace};
 pub use metrics::{LatencyBreakdown, Metrics};
 pub use pool::{BufferPool, RetryPolicy};
 pub use row::{ReferenceStore, Row, StoreStats};

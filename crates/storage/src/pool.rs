@@ -109,8 +109,8 @@ pub struct BufferPool<V> {
     retry: RetryPolicy,
     /// Optional partition-heat tracker: every `get_or_load` touches it
     /// (access always, miss on cold loads), feeding the top-K hot/cold
-    /// ranking the maintenance advisor reads.  `HeatMap::touch` is itself
-    /// gated on the `DM_OBS` kill switch.
+    /// ranking the maintenance advisor reads.  Recording is gated on the
+    /// `DM_OBS` kill switch inside `HeatMap`.
     heat: Option<Arc<dm_obs::HeatMap>>,
 }
 
@@ -273,6 +273,12 @@ impl<V> BufferPool<V> {
     /// (both no-ops, with no clock read, under `DM_OBS=off`).  These spans are
     /// the only timer of a load.  The [`Metrics`] counters are recorded
     /// unconditionally.
+    ///
+    /// The attached heat tracker is touched on the batch's clock: a caller
+    /// carrying an active trace has its touches stamped with the trace's
+    /// start ([`HeatMap::touch_in`](dm_obs::HeatMap::touch_in)), so a warm
+    /// hit reads no clock at all; an untraced caller's touches read the
+    /// clock ([`HeatMap::touch`](dm_obs::HeatMap::touch)).
     pub fn get_or_load(
         &self,
         id: u64,
@@ -281,7 +287,7 @@ impl<V> BufferPool<V> {
     ) -> Result<Arc<V>> {
         use dm_obs::{trace::span, Stage};
         if let Some(heat) = &self.heat {
-            heat.touch(id, dm_obs::Touch::Access);
+            heat.touch_in(trace, id, dm_obs::Touch::Access);
         }
         // One bounded re-entry: a waiter handed a transient failure takes a
         // second pass (the failed entry was removed, so it becomes the new
@@ -324,7 +330,7 @@ impl<V> BufferPool<V> {
         // transient failures per the policy.
         self.metrics.add_pool_miss();
         if let Some(heat) = &self.heat {
-            heat.touch(id, dm_obs::Touch::Miss);
+            heat.touch_in(trace, id, dm_obs::Touch::Miss);
         }
         let mut attempt = 1u32;
         let loaded = loop {

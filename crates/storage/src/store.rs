@@ -14,8 +14,11 @@
 //! every hit's values to one flat arena inside a caller-owned [`LookupBuffer`] and
 //! records a per-key span, so a steady-state workload that reuses its buffer performs
 //! zero per-key allocations — the arena and span table are cleared, not freed, between
-//! batches.  [`TupleStore::lookup_batch`] keeps the old materialized shape as a
-//! convenience built on top.
+//! batches.  A store may also borrow the buffer's typed working memory
+//! ([`LookupBuffer::take_scratch`]) for its batch-sized intermediates: DeepMapping's
+//! pipeline keeps its route, probe-plan and prediction vectors there, so its
+//! steady-state call allocates nothing at all.  [`TupleStore::lookup_batch`] keeps
+//! the old materialized shape as a convenience built on top.
 
 use crate::row::{Row, StoreStats};
 use crate::{Result, StorageError};
@@ -79,9 +82,28 @@ pub struct LookupBuffer {
     /// linear side table beats widening every span.  Cleared, not freed, by
     /// [`reset`](Self::reset).
     errors: Vec<(u32, StorageError)>,
-    /// Detachable scratch arena stores may borrow to stage flat intermediate results
-    /// (e.g. a model's row-major predictions) without allocating per batch.
-    scratch: Vec<u32>,
+    /// Detachable working memory a store borrows for the batch-sized
+    /// intermediates of a lookup (a model's row-major predictions, the route
+    /// and probe-plan vectors), so none is allocated per batch.
+    scratch: Scratch,
+}
+
+/// The store-typed working memory a [`LookupBuffer`] lends out: whatever the
+/// last batch left in it, of the type its store uses.  A clone starts empty —
+/// the contents mean nothing between batches.
+#[derive(Default)]
+struct Scratch(Option<Box<dyn std::any::Any + Send + Sync>>);
+
+impl Clone for Scratch {
+    fn clone(&self) -> Self {
+        Scratch(None)
+    }
+}
+
+impl std::fmt::Debug for Scratch {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(if self.0.is_some() { "Scratch(held)" } else { "Scratch(empty)" })
+    }
 }
 
 impl LookupBuffer {
@@ -99,7 +121,7 @@ impl LookupBuffer {
             values: Vec::with_capacity(keys * values_per_key),
             hits: 0,
             errors: Vec::new(),
-            scratch: Vec::new(),
+            scratch: Scratch::default(),
         }
     }
 
@@ -294,18 +316,23 @@ impl LookupBuffer {
         (0..self.len()).map(|i| self.get(i).map(<[u32]>::to_vec)).collect()
     }
 
-    /// Detaches the buffer's scratch arena for a store to fill with flat
-    /// intermediate results during one batch.  Contents are unspecified; hand it
-    /// back with [`restore_scratch`](Self::restore_scratch) so the allocation is
-    /// reused by later batches.
-    pub fn take_scratch(&mut self) -> Vec<u32> {
-        std::mem::take(&mut self.scratch)
+    /// Detaches the buffer's working memory of type `T` for a store to use
+    /// during one batch: what the last batch handed back, if it was a `T`
+    /// (contents unspecified, allocations kept), else a fresh `T::default()`.
+    /// Hand it back with [`restore_scratch`](Self::restore_scratch) so later
+    /// batches reuse it.
+    pub fn take_scratch<T: Default + Send + Sync + 'static>(&mut self) -> Box<T> {
+        self.scratch
+            .0
+            .take()
+            .and_then(|scratch| scratch.downcast::<T>().ok())
+            .unwrap_or_default()
     }
 
-    /// Returns a scratch arena previously obtained from
-    /// [`take_scratch`](Self::take_scratch), keeping its allocation for reuse.
-    pub fn restore_scratch(&mut self, scratch: Vec<u32>) {
-        self.scratch = scratch;
+    /// Returns working memory previously obtained from
+    /// [`take_scratch`](Self::take_scratch), keeping its allocations for reuse.
+    pub fn restore_scratch<T: Send + Sync + 'static>(&mut self, scratch: Box<T>) {
+        self.scratch.0 = Some(scratch);
     }
 
     /// Current capacity of the key/span tables (stable across same-shape batches).

@@ -162,7 +162,9 @@
 //! order-preserving scatter into the caller's `LookupBuffer` arena — every key pays
 //! for the model or the auxiliary table, never both), with every stage timed once, by
 //! a `dm_obs::Stage` span on the batch's trace (`dm_obs::trace::take_last_batch`);
-//! `dm_storage::Metrics` holds the counts.  Because the pipeline only reads, batches
+//! `dm_storage::Metrics` holds the counts.  The pipeline borrows its batch-sized
+//! working memory from the `LookupBuffer`, so a serial store's steady-state call
+//! on a reused buffer allocates nothing (`tests/alloc_guard.rs`).  Because the pipeline only reads, batches
 //! from different threads interleave freely over one store instance.
 //!
 //! ## The parallel read path

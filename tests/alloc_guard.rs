@@ -1,0 +1,174 @@
+//! Guard: a steady-state lookup allocates nothing.
+//!
+//! Every per-call cost of the query pipeline is paid once per buffer, not once
+//! per batch: the route and probe-plan vectors and the predictions live in
+//! the caller's reused [`LookupBuffer`], the walk's working memory and the
+//! trace's event array are kept per thread, and warm partitions are served
+//! from the buffer pool.  This binary installs a counting global allocator —
+//! it counts per thread, so the test harness's other threads do not leak into
+//! a reading — and holds `lookup_batch_into` on a reused buffer to zero
+//! allocations for batches of 1, 64 and 4 096 keys, on an in-memory store and
+//! on the same store reopened from its snapshot file, with observability on
+//! and off.
+//!
+//! The stores run serial (`exec_threads(1)`): a parallel pool boxes the tasks
+//! it spawns, a cost of fanning out, not of the pipeline.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+use std::path::PathBuf;
+use std::sync::{Mutex, MutexGuard};
+use std::time::Duration;
+
+use deepmapping::obs;
+use deepmapping::prelude::*;
+
+/// The system allocator, counting the allocations of each thread.
+struct Counting;
+
+thread_local! {
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count_one() {
+    // Gone only while the thread is being torn down.
+    let _ = ALLOCATIONS.try_with(|count| count.set(count.get() + 1));
+}
+
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        count_one();
+        System.alloc(layout)
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        count_one();
+        System.alloc_zeroed(layout)
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        count_one();
+        System.realloc(ptr, layout, new_size)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+/// Allocations the calling thread has made so far.
+fn allocations() -> u64 {
+    ALLOCATIONS.with(Cell::get)
+}
+
+/// Serializes the tests: they flip the process-global `DM_OBS` switch.
+fn obs_lock() -> MutexGuard<'static, ()> {
+    static LOCK: Mutex<()> = Mutex::new(());
+    LOCK.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+}
+
+fn temp_dir(tag: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("dm-alloc-guard-{tag}-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    dir
+}
+
+/// A serial store with keys on both routes: a learnable column beside one
+/// that is noise on every seventh row, so the auxiliary table holds several
+/// partitions.  Keys are even; odd keys are misses.
+fn build_store() -> DeepMapping {
+    let rows: Vec<Row> = (0..6_000u64)
+        .map(|k| {
+            let noisy = (k % 7 == 3) as u32 * (k as u32 % 97);
+            Row::new(k * 2, vec![((k / 16) % 5) as u32, noisy])
+        })
+        .collect();
+    let dm = DeepMappingBuilder::dm_z()
+        .training(TrainingConfig::quick())
+        .partition_bytes(8 * 1024)
+        .exec_threads(1)
+        .build(&rows)
+        .expect("build store");
+    assert!(dm.aux_table().partition_count() >= 2, "{dm:?}");
+    dm
+}
+
+/// Batches of 1, 64 and 4 096 keys: hits on both routes, misses, duplicates
+/// and keys past the end.
+fn batches(dm: &DeepMapping) -> Vec<Vec<u64>> {
+    let batches: Vec<Vec<u64>> = vec![
+        vec![6],
+        (0..64u64).map(|i| i * 37 % 12_100).collect(),
+        (0..4_096u64).map(|i| i.wrapping_mul(0x9E37_79B9_7F4A_7C15) % 12_500).collect(),
+    ];
+    for keys in &batches[1..] {
+        let corrected = keys.iter().filter(|&&k| dm.corrected().get(k)).count();
+        let existing = keys.iter().filter(|&&k| dm.existence().get(k)).count();
+        assert!(corrected > 0 && existing > corrected, "both routes: {corrected} of {existing}");
+    }
+    batches
+}
+
+/// Warms `dm` up on every batch, then reads the allocations of further calls
+/// on the same buffer, with observability on and off.
+fn assert_steady_state_allocates_nothing(dm: &DeepMapping) {
+    let batches = batches(dm);
+    let (was_enabled, was_slow) = (obs::enabled(), obs::slow_threshold_nanos());
+    // A batch over the slow threshold copies its timeline out, by design;
+    // that is a capture, not the steady state this guard reads.
+    obs::set_slow_threshold(Duration::from_secs(3_600));
+    for enabled in [true, false] {
+        obs::set_enabled(enabled);
+        let mut buffer = LookupBuffer::new();
+        for _ in 0..3 {
+            for keys in &batches {
+                dm.lookup_batch_into(keys, &mut buffer).expect("warm-up lookup");
+            }
+        }
+        for keys in &batches {
+            let before = allocations();
+            for _ in 0..5 {
+                dm.lookup_batch_into(keys, &mut buffer).expect("lookup");
+            }
+            let made = allocations() - before;
+            assert_eq!(
+                made,
+                0,
+                "{} allocations in 5 calls of {} keys (DM_OBS {})",
+                made,
+                keys.len(),
+                if enabled { "on" } else { "off" }
+            );
+            assert_eq!(buffer.len(), keys.len());
+            assert_eq!(buffer.failed_count(), 0);
+        }
+    }
+    obs::set_enabled(was_enabled);
+    obs::set_slow_threshold(Duration::from_nanos(was_slow));
+}
+
+#[test]
+fn an_in_memory_store_allocates_nothing_per_steady_state_call() {
+    let _guard = obs_lock();
+    assert_steady_state_allocates_nothing(&build_store());
+}
+
+#[test]
+fn a_reopened_snapshot_store_allocates_nothing_per_steady_state_call() {
+    let _guard = obs_lock();
+    let dir = temp_dir("snapshot");
+    let path = dir.join("store.dmss");
+    let built = build_store();
+    built.write_snapshot(&path).expect("write snapshot");
+    let reopened = Snapshot::open(&path).expect("open snapshot");
+    assert_eq!(reopened.exec().threads(), 1, "the snapshot keeps the serial pool");
+    assert_eq!(
+        reopened.lookup_batch(&batches(&built)[2]).unwrap(),
+        built.lookup_batch(&batches(&built)[2]).unwrap()
+    );
+    assert_steady_state_allocates_nothing(&reopened);
+    let _ = std::fs::remove_dir_all(dir);
+}
