@@ -16,12 +16,26 @@
 //!   per column at the slot.  A partition whose shape disagrees with what the
 //!   ranks address is a typed corruption error, never a shifted answer.
 //!
-//! Modifications (Section IV-D) land in an in-memory *delta* overlay and a
-//! tombstone set, so they never rewrite partitions on the hot path — and never
-//! touch `base`, whose ranks address the rows on disk.  Between compactions the
-//! table answers `(base − tombstones) ∪ delta.keys` ([`AuxTable::held_keys`]),
-//! which is what the owning structure's mutable `Vaux` equals at all times;
-//! `compact()` folds the overlay into freshly packed partitions under a new `base`.
+//! Modifications (Section IV-D) land in an in-memory overlay, so they never
+//! rewrite partitions on the hot path — and never touch `base`, whose ranks
+//! address the rows on disk:
+//!
+//! * the **delta** is a hashed map from key to values — one multiply to hash a
+//!   key (`KeyHasher`) — sorted on demand by the two consumers that need key
+//!   order, [`AuxTable::iter_rows`] and [`AuxTable::to_snapshot`];
+//! * the **dead-key bitmap** marks the keys of `base` whose partition row is
+//!   shadowed, so a key is live in a partition when `base[k] ∧ ¬dead[k]`.
+//!
+//! Between compactions the table answers `(base − dead) ∪ delta.keys`
+//! ([`AuxTable::held_keys`]), which is what the owning structure's mutable
+//! `Vaux` equals at all times; `compact()` folds the overlay into freshly
+//! packed partitions under a new `base`.
+//!
+//! The overlay keeps `delta ∩ base ⊆ dead`: a key entering the delta while live
+//! in a partition has its partition copy marked dead on the spot.  So a key
+//! live in a partition is never shadowed by the delta, and a probe tests
+//! liveness first — two bit reads — and looks in the delta only for the keys
+//! no partition answers.
 
 use crate::Result;
 use dm_compress::Codec;
@@ -33,7 +47,8 @@ use dm_storage::{
     BitVec, BufferPool, DiskProfile, Metrics, PartitionSource, RankedBits, Row, SimulatedDisk,
     StorageError,
 };
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::Arc;
 
 /// A derived, diagnostic view of one partition: the key range its ordinals
@@ -75,10 +90,45 @@ pub struct AuxTableSnapshot {
     /// The keys held in the source's partitions; partition `i` of the source
     /// holds the rows of ordinals `[i·R, (i+1)·R)`.
     pub base: BitVec,
-    /// The delta overlay rows (key order not required).
+    /// The delta overlay rows.  [`AuxTable::to_snapshot`] writes them in
+    /// ascending key order; [`check_overlay`](Self::check_overlay) accepts
+    /// any order, but no key twice, and a key of `base` only if it is also
+    /// tombstoned.
     pub delta: Vec<Row>,
-    /// The tombstoned keys.
+    /// The keys of `base` whose partition row is dead.
+    /// [`AuxTable::to_snapshot`] writes them ascending;
+    /// [`check_overlay`](Self::check_overlay) accepts any order, but only keys
+    /// of `base` and none twice.
     pub tombstones: Vec<u64>,
+}
+
+impl AuxTableSnapshot {
+    /// Checks the overlay invariants a table opened from this snapshot relies
+    /// on: every tombstone names a key of `base`, once; no delta key repeats;
+    /// and a delta key of `base` is tombstoned, so a key live in a partition
+    /// is never also in the delta.  Returns what is wrong, for the caller to
+    /// report as corruption.
+    pub fn check_overlay(&self) -> std::result::Result<(), String> {
+        let mut dead = BitVec::new();
+        for &key in &self.tombstones {
+            if !self.base.get(key) {
+                return Err(format!("tombstone {key} names no key of base"));
+            }
+            if dead.get(key) {
+                return Err(format!("tombstone {key} repeats"));
+            }
+            dead.set(key, true);
+        }
+        let mut keys: Vec<u64> = self.delta.iter().map(|row| row.key).collect();
+        keys.sort_unstable();
+        if let Some(pair) = keys.windows(2).find(|pair| pair[0] == pair[1]) {
+            return Err(format!("delta key {} repeats", pair[0]));
+        }
+        match keys.iter().find(|&&key| self.base.get(key) && !dead.get(key)) {
+            Some(key) => Err(format!("delta key {key} is live in base without a tombstone")),
+            None => Ok(()),
+        }
+    }
 }
 
 /// Which backing serves (and, for the simulated variant, absorbs) partitions.
@@ -119,6 +169,34 @@ impl Backing {
         }
     }
 }
+
+/// The delta's hasher.  A key is one `u64`, so hashing it is one 128-bit
+/// product with an odd constant, folded high half xor low half: the map reads
+/// both the high bits (its control bytes) and the low bits (its bucket index)
+/// of the hash, and the fold makes both depend on every bit of the key.
+#[derive(Debug, Default, Clone, Copy)]
+struct KeyHasher(u64);
+
+impl Hasher for KeyHasher {
+    /// Unused by the delta, whose keys hash through `write_u64`.
+    fn write(&mut self, bytes: &[u8]) {
+        for &byte in bytes {
+            self.write_u64(self.0 ^ u64::from(byte));
+        }
+    }
+
+    fn write_u64(&mut self, key: u64) {
+        let product = u128::from(key) * 0x9E37_79B9_7F4A_7C15;
+        self.0 = (product >> 64) as u64 ^ product as u64;
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// The delta overlay: key → values, hashed by [`KeyHasher`].
+type Delta = HashMap<u64, Vec<u32>, BuildHasherDefault<KeyHasher>>;
 
 /// One planned probe: the slot of its key's row in the partition whose group
 /// holds it, and the index of the key in the probed batch.
@@ -175,9 +253,10 @@ pub struct AuxTable {
     /// `R`: rows in every partition but the last.
     rows_per_partition: usize,
     /// Rows added/updated since the last compaction (key → values).
-    delta: BTreeMap<u64, Vec<u32>>,
-    /// Keys of `base` whose partition row is dead since the last compaction.
-    tombstones: BTreeSet<u64>,
+    delta: Delta,
+    /// Keys of `base` whose partition row is dead since the last compaction
+    /// (the tombstones): a superset of the delta's keys in `base`.
+    dead: BitVec,
     metrics: Metrics,
     /// Decayed per-partition heat, fed by the buffer pool (accesses/misses)
     /// and the loader (decompressions).  Recording is `DM_OBS`-gated inside
@@ -190,7 +269,7 @@ impl std::fmt::Debug for AuxTable {
         f.debug_struct("AuxTable")
             .field("partitions", &self.partition_count())
             .field("delta_rows", &self.delta.len())
-            .field("tombstones", &self.tombstones.len())
+            .field("tombstones", &self.dead.count_ones())
             .finish()
     }
 }
@@ -260,7 +339,7 @@ impl AuxTable {
                 .into_iter()
                 .map(|row| (row.key, row.values))
                 .collect(),
-            tombstones: snapshot.tombstones.into_iter().collect(),
+            dead: snapshot.tombstones.into_iter().collect(),
             metrics,
             heat,
         }
@@ -315,11 +394,11 @@ impl AuxTable {
         self.value_columns
     }
 
-    /// Number of rows currently represented (partitions + delta − tombstoned rows).
+    /// Number of rows currently represented (partitions + delta − dead rows).
     ///
-    /// Tombstones only ever name keys of `base`, so the value is exact.
+    /// Only keys of `base` are ever marked dead, so the value is exact.
     pub fn len(&self) -> usize {
-        self.base.count_ones() as usize + self.delta.len() - self.tombstones.len()
+        self.base.count_ones() as usize + self.delta.len() - self.dead.count_ones() as usize
     }
 
     /// Whether the table holds no rows.
@@ -344,12 +423,12 @@ impl AuxTable {
         &self.base
     }
 
-    /// The keys the table answers right now: `(base − tombstones) ∪ delta.keys`.
+    /// The keys the table answers right now: `(base − dead) ∪ delta.keys`.
     /// Equal to `base` right after a build or compaction; the owning
     /// structure's `Vaux` equals this set at all times.
     pub fn held_keys(&self) -> BitVec {
         let mut held = self.base.bits().clone();
-        for &key in &self.tombstones {
+        for key in self.dead.iter_ones() {
             held.set(key, false);
         }
         for &key in self.delta.keys() {
@@ -371,7 +450,7 @@ impl AuxTable {
 
     /// Whether a partition holds a live row for `key`.
     fn live_in_base(&self, key: u64) -> bool {
-        self.base.get(key) && !self.tombstones.contains(&key)
+        self.base.get(key) && !self.dead.get(key)
     }
 
     /// The `(partition, slot)` address of a key of `base`.
@@ -559,12 +638,15 @@ impl AuxTable {
         }
     }
 
-    /// Planning for a probe batch: hands `sink` whatever the in-memory delta
-    /// overlay answers on the spot and turns every other held key into its
-    /// `(partition, slot)` address by rank.  One counting pass over the
-    /// partitions then buckets the addresses — each partition one contiguous
-    /// group, its keys in batch order — so each is loaded at most once per
-    /// batch no matter how the keys interleave, with no comparison sort.
+    /// Planning for a probe batch: turns every key live in a partition into
+    /// its `(partition, slot)` address by rank and hands `sink` whatever the
+    /// in-memory delta overlay answers of the rest on the spot.  Liveness goes
+    /// first — two bit reads — because the delta never shadows a live key
+    /// (`delta ∩ base ⊆ dead`), so only a key no partition answers pays a
+    /// delta lookup.  One counting pass over the partitions then buckets the
+    /// addresses — each partition one contiguous group, its keys in batch
+    /// order — so each is loaded at most once per batch no matter how the keys
+    /// interleave, with no comparison sort.
     fn plan_probes(&self, keys: &[u64], plan: &mut ProbePlan, sink: &mut dyn FnMut(usize, &[u32])) {
         let ProbePlan {
             staged,
@@ -576,9 +658,7 @@ impl AuxTable {
         starts.clear();
         starts.resize(self.partition_count() + 1, 0);
         for (qi, &key) in keys.iter().enumerate() {
-            if let Some(values) = self.delta.get(&key) {
-                sink(qi, values);
-            } else if self.live_in_base(key) {
+            if self.live_in_base(key) {
                 let (partition, slot) = self.address(key);
                 // Ordinals fit `u32` (the rank index counts in it), and so do
                 // batch positions (the lookup buffer's spans count in it).
@@ -588,6 +668,8 @@ impl AuxTable {
                 };
                 staged.push((partition as u32, probe));
                 starts[partition + 1] += 1;
+            } else if let Some(values) = self.delta.get(&key) {
+                sink(qi, values);
             }
         }
         // `starts[p + 1]` counts partition `p`'s probes; summed, `starts[p]`
@@ -610,20 +692,13 @@ impl AuxTable {
     }
 
     /// Adds (or replaces) a misclassified row — used by `Insert` (Algorithm 3) and
-    /// `Update` (Algorithm 5).  `held` is the caller's `Vaux` bit for the key:
-    /// whether the table answers it right now.  That bit is what spares the
-    /// write path a partition load: a held key outside the overlay is live in a
-    /// partition, and that copy must be shadowed until the next compaction (a
-    /// key already in the overlay had its partition copy tombstoned on entry).
-    /// `base` is never touched: its ranks address the rows on disk.
-    pub(crate) fn upsert(&mut self, row: Row, held: bool) {
-        debug_assert!(
-            !held || self.delta.contains_key(&row.key) || self.live_in_base(row.key),
-            "key {} is marked held but neither the overlay nor a partition holds it",
-            row.key
-        );
-        if held && !self.delta.contains_key(&row.key) {
-            self.tombstones.insert(row.key);
+    /// `Update` (Algorithm 5).  A key live in a partition has that copy marked
+    /// dead until the next compaction, which keeps `delta ∩ base ⊆ dead` and
+    /// spares the write path a partition load.  `base` is never touched: its
+    /// ranks address the rows on disk.
+    pub(crate) fn upsert(&mut self, row: Row) {
+        if self.live_in_base(row.key) {
+            self.dead.set(row.key, true);
         }
         self.delta.insert(row.key, row.values);
     }
@@ -631,15 +706,15 @@ impl AuxTable {
     /// Removes a key the table currently answers (the caller's `Vaux` bit is
     /// set) — used by `Delete` (Algorithm 4) and by `Update` when the model
     /// turns out to predict the new value correctly (Algorithm 5, line 4).  A
-    /// key outside the overlay is live in a partition and gets a tombstone; an
-    /// overlay key's partition copy, if any, already has one.
+    /// key outside the overlay is live in a partition and is marked dead; an
+    /// overlay key's partition copy, if any, already is.
     pub(crate) fn remove(&mut self, key: u64) {
         debug_assert!(
             self.delta.contains_key(&key) || self.live_in_base(key),
             "key {key} is removed but neither the overlay nor a partition holds it"
         );
         if self.delta.remove(&key).is_none() {
-            self.tombstones.insert(key);
+            self.dead.set(key, true);
         }
     }
 
@@ -661,11 +736,11 @@ impl AuxTable {
     /// The keys of the partition rows are `base`'s set bits, in order: slot `s`
     /// of partition `i` belongs to the `(i·R + s)`-th of them.  Partitions are
     /// streamed one at a time through a pool-*bypass* read and merge-joined
-    /// with the sorted delta overlay, so a full-table scan neither evicts the
-    /// hot working set nor holds more than one partition at a time.
+    /// with the delta overlay, sorted here, so a full-table scan neither evicts
+    /// the hot working set nor holds more than one partition at a time.
     pub fn iter_rows(&self) -> Result<Vec<Row>> {
         let mut out = Vec::with_capacity(self.len());
-        let mut delta = self.delta.iter().peekable();
+        let mut delta = self.sorted_delta().into_iter().peekable();
         let mut keys = self.base.iter_ones();
         let mut values = vec![0; self.value_columns];
         for idx in 0..self.partition_count() {
@@ -681,7 +756,7 @@ impl AuxTable {
                     // The overlay shadows the partition copy.
                     let (&key, values) = delta.next().expect("peeked");
                     out.push(Row::new(key, values.clone()));
-                } else if !self.tombstones.contains(&key) {
+                } else if !self.dead.get(key) {
                     partition.read_row(slot, &mut values);
                     out.push(Row::new(key, values.clone()));
                 }
@@ -705,7 +780,7 @@ impl AuxTable {
         // before the addressing switches over.
         self.pool.clear();
         self.delta.clear();
-        self.tombstones.clear();
+        self.dead = BitVec::new();
         // Note: a compaction re-derives the read wrapper from the environment
         // plan; a programmatically injected [`inject_faults`](Self::inject_faults)
         // wrapper must be re-installed by the test after compacting.
@@ -716,7 +791,7 @@ impl AuxTable {
 
     /// The delta-overlay size in bytes (used by the retraining trigger).
     pub fn overlay_bytes(&self) -> usize {
-        self.delta.len() * Row::fixed_width(self.value_columns) + self.tombstones.len() * 8
+        self.delta.len() * Row::fixed_width(self.value_columns) + self.tombstone_count() * 8
     }
 
     /// Rows currently staged in the delta overlay.
@@ -726,7 +801,14 @@ impl AuxTable {
 
     /// Live tombstones shadowing partition rows.
     pub fn tombstone_count(&self) -> usize {
-        self.tombstones.len()
+        self.dead.count_ones() as usize
+    }
+
+    /// The delta overlay in ascending key order.
+    fn sorted_delta(&self) -> Vec<(&u64, &Vec<u32>)> {
+        let mut rows: Vec<(&u64, &Vec<u32>)> = self.delta.iter().collect();
+        rows.sort_unstable_by_key(|&(&key, _)| key);
+        rows
     }
 
     /// `(bytes, partitions)` the buffer pool holds right now.
@@ -803,8 +885,8 @@ impl AuxTable {
         })
     }
 
-    /// The snapshot description of this table (`base` + overlay in key order +
-    /// rebuild knobs); pair it with every [`partition_frame`](Self::partition_frame)
+    /// The snapshot description of this table (`base` + overlay in ascending
+    /// key order, whatever order the writes came in + rebuild knobs); pair it with every [`partition_frame`](Self::partition_frame)
     /// to persist, and with [`open_from_source`](Self::open_from_source) to
     /// reconstitute.
     pub fn to_snapshot(&self) -> AuxTableSnapshot {
@@ -815,8 +897,12 @@ impl AuxTable {
             disk_profile: self.disk_profile,
             value_columns: self.value_columns,
             base: self.base.bits().clone(),
-            delta: self.delta.iter().map(|(&k, v)| Row::new(k, v.clone())).collect(),
-            tombstones: self.tombstones.iter().copied().collect(),
+            delta: self
+                .sorted_delta()
+                .into_iter()
+                .map(|(&key, values)| Row::new(key, values.clone()))
+                .collect(),
+            tombstones: self.dead.iter_ones().collect(),
         }
     }
 }
@@ -871,18 +957,17 @@ mod tests {
         assert!(table.size_bytes() < raw / 2, "{} vs raw {raw}", table.size_bytes());
     }
 
-    /// `upsert`/`remove` take the caller's word (its `Vaux` bit) for whether the
-    /// table holds the key, and must keep reads and the exact row count right
-    /// without loading a partition to check.
+    /// `upsert`/`remove` read the overlay and `base`, never a partition, and
+    /// must keep reads and the exact row count right.
     #[test]
     fn upsert_and_remove_shadow_partitions_without_loading_them() {
         let rows = sample_rows(500);
         let mut table = build_table(&rows);
         table.metrics().reset();
         // Update an existing partition row.
-        table.upsert(Row::new(3, vec![9, 9]), true);
+        table.upsert(Row::new(3, vec![9, 9]));
         // Insert a brand-new row.
-        table.upsert(Row::new(1_000_000, vec![5, 5]), false);
+        table.upsert(Row::new(1_000_000, vec![5, 5]));
         assert_eq!(table.len(), 501);
         // Remove a partition row.
         table.remove(6);
@@ -893,9 +978,9 @@ mod tests {
         // Remove a delta row that shadows a partition row, then resurrect it.
         table.remove(3);
         assert_eq!(table.len(), 498);
-        table.upsert(Row::new(3, vec![1, 2]), false);
+        table.upsert(Row::new(3, vec![1, 2]));
         // Replace an overlay row in place.
-        table.upsert(Row::new(3, vec![4, 4]), true);
+        table.upsert(Row::new(3, vec![4, 4]));
         assert_eq!(table.len(), 499);
         let snap = table.metrics().snapshot();
         assert_eq!(snap.partition_loads, 0, "writes must not load partitions");
@@ -912,8 +997,8 @@ mod tests {
     fn compaction_preserves_contents_and_clears_overlay() {
         let rows = sample_rows(1_000);
         let mut table = build_table(&rows);
-        table.upsert(Row::new(3, vec![9, 9]), true);
-        table.upsert(Row::new(999_999, vec![1, 1]), false);
+        table.upsert(Row::new(3, vec![9, 9]));
+        table.upsert(Row::new(999_999, vec![1, 1]));
         table.remove(0);
         let before = table.iter_rows().unwrap();
         assert!(table.overlay_bytes() > 0);
@@ -1013,9 +1098,9 @@ mod tests {
     fn iter_rows_merges_interleaved_overlay_rows_in_key_order() {
         let rows = sample_rows(1_000); // keys 0, 3, 6, ..., 2997
         let mut table = build_table(&rows);
-        table.upsert(Row::new(1, vec![7, 7]), false); // between partition keys
-        table.upsert(Row::new(3, vec![8, 8]), true); // shadows a partition row
-        table.upsert(Row::new(10_000, vec![9, 9]), false); // beyond every partition
+        table.upsert(Row::new(1, vec![7, 7])); // between partition keys
+        table.upsert(Row::new(3, vec![8, 8])); // shadows a partition row
+        table.upsert(Row::new(10_000, vec![9, 9])); // beyond every partition
         table.remove(6); // tombstone a partition row
         let merged = table.iter_rows().unwrap();
         assert!(merged.windows(2).all(|w| w[0].key < w[1].key), "key order");
@@ -1070,9 +1155,9 @@ mod tests {
         let mut table = build_table(&rows);
         let partitions = table.partition_count();
         assert!(partitions >= 8);
-        table.upsert(Row::new(3, vec![9, 9]), true); // shadows a partition row
-        table.upsert(Row::new(1, vec![7, 7]), false); // a key no partition holds
-        table.upsert(Row::new(50_000, vec![5, 5]), false); // past every partition
+        table.upsert(Row::new(3, vec![9, 9])); // shadows a partition row
+        table.upsert(Row::new(1, vec![7, 7])); // a key no partition holds
+        table.upsert(Row::new(50_000, vec![5, 5])); // past every partition
         table.remove(6); // tombstones a partition row
         table.remove(3_000);
         // Every partition's keys, interleaved from both ends, with duplicates,
@@ -1100,7 +1185,7 @@ mod tests {
             }
             assert_eq!(plan.probes.len(), planned.len(), "no probe outside a group");
             let expected: Vec<usize> = (0..keys.len())
-                .filter(|&qi| table.live_in_base(keys[qi]) && !table.delta.contains_key(&keys[qi]))
+                .filter(|&qi| table.live_in_base(keys[qi]))
                 .collect();
             planned.sort_unstable();
             assert_eq!(planned, expected);
@@ -1146,6 +1231,36 @@ mod tests {
         }
     }
 
+    /// The same writes in ascending and in descending key order leave the same
+    /// overlay, and the snapshot lists it in ascending key order: the hashed
+    /// delta's iteration order never reaches the format.
+    #[test]
+    fn a_snapshot_lists_the_overlay_ascending_whatever_the_write_order() {
+        let rows = sample_rows(1_000); // keys 0, 3, ..., 2_997
+        let writes: Vec<u64> = (0..3_000u64).filter(|k| k % 3 != 2).collect();
+        let apply = |order: &mut dyn Iterator<Item = &u64>| {
+            let mut table = build_table(&rows);
+            for &key in order {
+                match (key % 3, key % 2) {
+                    (0, 0) => table.upsert(Row::new(key, vec![1, (key % 4) as u32])), // shadows
+                    (0, _) => table.remove(key),                                      // tombstones
+                    _ => table.upsert(Row::new(key, vec![(key % 7) as u32, 2])),      // a new key
+                }
+            }
+            table.to_snapshot()
+        };
+        let ascending = apply(&mut writes.iter());
+        let descending = apply(&mut writes.iter().rev());
+        assert_eq!(ascending.delta, descending.delta);
+        assert_eq!(ascending.tombstones, descending.tombstones);
+        assert_eq!(ascending.base, descending.base);
+        assert_eq!(ascending.delta.len(), 500 + 1_000);
+        assert_eq!(ascending.tombstones.len(), 1_000);
+        assert!(ascending.delta.windows(2).all(|w| w[0].key < w[1].key), "delta ascending");
+        assert!(ascending.tombstones.windows(2).all(|w| w[0] < w[1]), "tombstones ascending");
+        assert_eq!(ascending.check_overlay(), Ok(()));
+    }
+
     /// A read-only frame map standing in for a snapshot file: serves the exact
     /// frames a built table exported, so `open_from_source` can be tested without
     /// the persistence crate.
@@ -1187,7 +1302,7 @@ mod tests {
     fn snapshot_round_trip_over_an_external_source() {
         let rows = sample_rows(2_000);
         let mut table = build_table(&rows);
-        table.upsert(Row::new(1, vec![8, 8]), false); // overlay row between partition keys
+        table.upsert(Row::new(1, vec![8, 8])); // overlay row between partition keys
         table.remove(6); // tombstone
         let frames = frames_of(&table);
         assert_eq!(frames.len(), table.partition_count());
@@ -1216,7 +1331,7 @@ mod tests {
         reopened.compact().unwrap();
         assert_eq!(reopened.iter_rows().unwrap(), before);
         assert_eq!(reopened.overlay_bytes(), 0);
-        reopened.upsert(Row::new(9_999_999, vec![1, 2]), false);
+        reopened.upsert(Row::new(9_999_999, vec![1, 2]));
         assert_eq!(reopened.get(9_999_999).unwrap(), Some(vec![1, 2]));
     }
 

@@ -526,7 +526,7 @@ impl DeepMapping {
     fn place(&mut self, row: &Row, predicted: bool) {
         let held = self.vaux.get(row.key);
         if !predicted {
-            self.aux.upsert(row.clone(), held);
+            self.aux.upsert(row.clone());
             self.vaux.set(row.key, true);
         } else if held {
             self.aux.remove(row.key);

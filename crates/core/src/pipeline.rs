@@ -28,12 +28,15 @@
 //! 3. **Grouped probes of the corrected keys** ([`Stage::Plan`], then
 //!    [`Stage::Probe`] around the partition groups, with [`Stage::PoolLoad`]
 //!    or [`Stage::PoolWait`] for a group whose partition is not resident) —
-//!    keys whose bit is set are never inferred.  The delta overlay answers
-//!    what it can in memory; every remaining key's address is a rank over the
-//!    table's key bitmap (partition `ordinal / R`, slot `ordinal % R` — no key
-//!    is stored or searched), and one counting pass buckets the addresses by
-//!    partition — no comparison sort; a bucket keeps its keys in batch order —
-//!    so each partition is loaded **at most once per batch** through the LRU
+//!    keys whose bit is set are never inferred.  A key live in a partition
+//!    (its bit in the table's key bitmap set, its bit in the dead-key bitmap
+//!    clear) never consults the overlay — the delta never shadows a live key —
+//!    and its address is a rank over the key bitmap (partition `ordinal / R`,
+//!    slot `ordinal % R` — no key is stored or searched); the delta overlay
+//!    answers every other key in memory, one hashed lookup each.  One counting
+//!    pass buckets the addresses by partition — no comparison sort; a bucket
+//!    keeps its keys in batch order — so each partition is loaded **at most
+//!    once per batch** through the LRU
 //!    [`dm_storage::BufferPool`], no matter how the query keys interleave
 //!    (Section IV-B2's batch-sorting optimization).
 //! 4. **Order-preserving scatter** ([`Stage::Merge`]) — predictions are copied to

@@ -44,7 +44,11 @@
 //! verified before it is parsed (the rank index is only ever built over
 //! verified `base` bytes); the directory's row counts must be exactly the
 //! partitions `base` implies — `R` rows in all but the last, summing to its set
-//! bits — or open fails with [`PersistError::Corrupt`]; and a frame that later
+//! bits — or open fails with [`PersistError::Corrupt`]; the overlay must name
+//! each tombstone once and only keys of `base`, each delta key once, and a
+//! delta key of `base` only if it is tombstoned
+//! ([`AuxTableSnapshot::check_overlay`]) — or open fails with
+//! [`PersistError::Corrupt`] for the section `"overlay"`; and a frame that later
 //! loads with another shape than its directory slot (say, another partition's
 //! valid frame) is a `StorageError::Corrupt` for exactly the keys addressed
 //! into it.  Every store serves int8: a manifest tagged with the f32
@@ -384,21 +388,26 @@ impl Snapshot {
         file.seek(SeekFrom::Start(0))?;
         let source = Arc::new(FilePartitionSource::new(file, extents));
 
-        let metrics = Metrics::new();
-        let aux = AuxTable::open_from_source(
-            source,
-            AuxTableSnapshot {
-                codec: manifest.config.codec,
-                partition_bytes: manifest.config.partition_bytes,
-                memory_budget_bytes: manifest.config.memory_budget_bytes,
-                disk_profile: manifest.config.disk_profile,
-                value_columns: manifest.value_columns as usize,
-                base,
-                delta: manifest.delta,
-                tombstones: manifest.tombstones,
-            },
-            metrics,
-        );
+        let aux_snapshot = AuxTableSnapshot {
+            codec: manifest.config.codec,
+            partition_bytes: manifest.config.partition_bytes,
+            memory_budget_bytes: manifest.config.memory_budget_bytes,
+            disk_profile: manifest.config.disk_profile,
+            value_columns: manifest.value_columns as usize,
+            base,
+            delta: manifest.delta,
+            tombstones: manifest.tombstones,
+        };
+        // The table answers a key live in a partition without looking in the
+        // delta, and counts its rows as base + delta − tombstones: an overlay
+        // that breaks either would answer or count wrong, silently.
+        aux_snapshot
+            .check_overlay()
+            .map_err(|detail| PersistError::Corrupt {
+                section: "overlay",
+                detail,
+            })?;
+        let aux = AuxTable::open_from_source(source, aux_snapshot, Metrics::new());
         // The directory must describe exactly the partitions `base`'s ranks
         // address: nothing inside a keyless frame could tell later.
         let implied = (0..aux.partition_count()).map(|idx| aux.partition_len(idx) as u64);

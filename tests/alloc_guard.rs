@@ -9,7 +9,8 @@
 //! a reading — and holds `lookup_batch_into` on a reused buffer to zero
 //! allocations for batches of 1, 64 and 4 096 keys, on an in-memory store and
 //! on the same store reopened from its snapshot file, with observability on
-//! and off.
+//! and off — and again beside a live overlay of inserts, updates and deletes,
+//! whose batches hit delta keys, tombstoned keys and partition keys.
 //!
 //! The stores run serial (`exec_threads(1)`): a parallel pool boxes the tasks
 //! it spawns, a cost of fanning out, not of the pipeline.
@@ -112,6 +113,40 @@ fn batches(dm: &DeepMapping) -> Vec<Vec<u64>> {
     batches
 }
 
+/// Writes a live overlay into `dm` and returns the keys the writes touched:
+/// inserts of odd keys the model does not guess, noise updates of live keys
+/// and deletes, none of them enough to trigger a retrain.
+fn write_overlay(dm: &mut DeepMapping) -> Vec<u64> {
+    let inserts: Vec<Row> = (0..300u64).map(|i| Row::new(40 * i + 1, vec![(i % 3) as u32 + 1, 50])).collect();
+    let updates: Vec<Row> = (0..300u64).map(|i| Row::new(40 * i + 14, vec![4, (i % 89) as u32])).collect();
+    let deletes: Vec<u64> = (0..300u64).map(|i| 40 * i + 28).collect();
+    dm.insert_rows(&inserts).expect("insert");
+    dm.update_rows(&updates).expect("update");
+    dm.delete_keys(&deletes).expect("delete");
+    let aux = dm.aux_table();
+    assert!(aux.delta_len() > 0 && aux.tombstone_count() > 0, "{aux:?}");
+    assert_eq!(dm.retrain_count(), 0);
+    let touched = inserts.iter().chain(&updates).map(|row| row.key);
+    touched.chain(deletes).collect()
+}
+
+/// Asserts that the larger `batches` hit every kind of key the overlay
+/// splits the corrected ones into.
+fn assert_batches_cross_the_overlay(dm: &DeepMapping, touched: &[u64]) {
+    let base = dm.aux_table().base();
+    for keys in &batches(dm)[1..] {
+        let corrected = |&&k: &&u64| dm.corrected().get(k);
+        let delta = keys.iter().filter(corrected).filter(|&&k| !base.get(k) || touched.contains(&k)).count();
+        let tombstoned = keys.iter().filter(|&&k| base.get(k) && touched.contains(&k)).count();
+        let partition = keys.iter().filter(corrected).filter(|&&k| base.get(k) && !touched.contains(&k)).count();
+        assert!(
+            delta > 0 && tombstoned > 0 && partition > 0,
+            "{} keys: {delta} delta, {tombstoned} tombstoned, {partition} partition",
+            keys.len()
+        );
+    }
+}
+
 /// Warms `dm` up on every batch, then reads the allocations of further calls
 /// on the same buffer, with observability on and off.
 fn assert_steady_state_allocates_nothing(dm: &DeepMapping) {
@@ -168,6 +203,29 @@ fn a_reopened_snapshot_store_allocates_nothing_per_steady_state_call() {
     assert_eq!(
         reopened.lookup_batch(&batches(&built)[2]).unwrap(),
         built.lookup_batch(&batches(&built)[2]).unwrap()
+    );
+    assert_steady_state_allocates_nothing(&reopened);
+    let _ = std::fs::remove_dir_all(dir);
+}
+
+#[test]
+fn a_store_beside_a_live_overlay_allocates_nothing_per_steady_state_call() {
+    let _guard = obs_lock();
+    let mut dm = build_store();
+    let touched = write_overlay(&mut dm);
+    assert_batches_cross_the_overlay(&dm, &touched);
+    assert_steady_state_allocates_nothing(&dm);
+
+    let dir = temp_dir("overlay");
+    let path = dir.join("store.dmss");
+    dm.write_snapshot(&path).expect("write snapshot");
+    let reopened = Snapshot::open(&path).expect("open snapshot");
+    assert_eq!(reopened.aux_table().delta_len(), dm.aux_table().delta_len());
+    assert_eq!(reopened.aux_table().tombstone_count(), dm.aux_table().tombstone_count());
+    assert_batches_cross_the_overlay(&reopened, &touched);
+    assert_eq!(
+        reopened.lookup_batch(&batches(&dm)[2]).unwrap(),
+        dm.lookup_batch(&batches(&dm)[2]).unwrap()
     );
     assert_steady_state_allocates_nothing(&reopened);
     let _ = std::fs::remove_dir_all(dir);

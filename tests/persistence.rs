@@ -12,7 +12,7 @@
 //!   twice, byte-compare the file afterwards.
 
 use deepmapping::core::{AuxTable, DecodeMap, DeepMappingParts, MappingModel, MappingSchema, KEY_HEADROOM};
-use deepmapping::persist::{PersistError, PersistentStore, Snapshot, SnapshotExt, SnapshotStats};
+use deepmapping::persist::{Manifest, PersistError, PersistentStore, Snapshot, SnapshotExt, SnapshotStats};
 use deepmapping::prelude::*;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -136,6 +136,47 @@ fn snapshots_capture_the_live_overlay_and_tombstones() {
         reference.lookup_batch(&probe).unwrap()
     );
     assert_eq!(reopened.len(), reference.len());
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// The snapshot lists the overlay in key order, not in the order the writes
+/// came in: two stores that reach the same state through the same writes in
+/// different orders checkpoint to byte-identical files.
+#[test]
+fn snapshots_do_not_depend_on_write_order() {
+    let dir = temp_dir("write-order");
+    let rows = noisy_rows(1_500);
+    let inserts: Vec<Row> = (0..120u64).map(|i| Row::new(5_000 + 3 * i, vec![(i % 3) as u32, 4])).collect();
+    let updates: Vec<Row> = (0..150u64).map(|i| Row::new(10 * i + 1, vec![3, (i % 5) as u32])).collect();
+    let deletes: Vec<u64> = (0..150u64).map(|i| 10 * i + 7).collect();
+    let checkpointed = |name: &str, ascending: bool| {
+        let path = dir.join(name);
+        let mut store = PersistentStore::create(quick_build(&rows), &path).expect("create");
+        if ascending {
+            store.insert(&inserts).unwrap();
+            store.update(&updates).unwrap();
+            store.delete(&deletes).unwrap();
+        } else {
+            // Another order: deletes first, each kind in descending keys and
+            // in several calls.
+            for keys in deletes.rchunks(40) {
+                store.delete(&keys.iter().rev().copied().collect::<Vec<_>>()).unwrap();
+            }
+            for chunk in updates.rchunks(35) {
+                store.update(&chunk.iter().rev().cloned().collect::<Vec<_>>()).unwrap();
+            }
+            for chunk in inserts.rchunks(35) {
+                store.insert(&chunk.iter().rev().cloned().collect::<Vec<_>>()).unwrap();
+            }
+        }
+        let aux = store.store().aux_table();
+        assert!(aux.delta_len() > 0 && aux.tombstone_count() > 0, "{aux:?}");
+        store.checkpoint().expect("checkpoint");
+        std::fs::read(&path).unwrap()
+    };
+    let ascending = checkpointed("ascending.dmss", true);
+    let descending = checkpointed("descending.dmss", false);
+    assert!(ascending == descending, "the snapshot files differ");
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -379,6 +420,72 @@ fn misdescribed_and_misplaced_partitions_are_typed_corruption() {
         }
     }
     assert_eq!(failed, directory[0].rows + directory[last].rows);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// The table answers a key live in a partition without looking in the delta
+/// and counts its rows as base + delta − tombstones, so open refuses an
+/// overlay that breaks either: a tombstone outside `base`, a tombstone or a
+/// delta key twice, a delta key live in `base`.
+#[test]
+fn an_overlay_that_breaks_its_invariants_is_refused_at_open() {
+    let dir = temp_dir("overlay-invariants");
+    let path = dir.join("overlay.dmss");
+    let rows = noisy_rows(2_000);
+    let mut dm = quick_build(&rows);
+    let inserts: Vec<Row> = (0..20u64).map(|i| Row::new(5_000 + i, vec![3, (i % 5) as u32])).collect();
+    dm.insert_rows(&inserts).unwrap();
+    let base: Vec<u64> = dm.aux_table().base().iter_ones().collect();
+    let (removed, shadowed) = (base[0], base[1]);
+    dm.delete_keys(&[removed]).unwrap();
+    let old = dm.get(shadowed).unwrap().expect("a key of base exists");
+    dm.update_rows(&[Row::new(shadowed, vec![(old[0] + 1) % 4, old[1]])]).unwrap();
+    let live = base[2];
+    let outside = (0..).find(|&k| !dm.aux_table().base().get(k)).unwrap();
+    dm.write_snapshot(&path).expect("write snapshot");
+    drop(dm);
+    Snapshot::open(&path).expect("the healthy snapshot opens");
+    let pristine = std::fs::read(&path).unwrap();
+
+    type Edit<'a> = Box<dyn Fn(&mut Manifest) + 'a>;
+    let tombstone_of = |m: &Manifest, key: u64| m.tombstones.iter().position(|&k| k == key).expect("a tombstone");
+    let off_base = |m: &Manifest| m.delta.iter().position(|row| !base.contains(&row.key)).expect("a delta key off base");
+    let edits: [(&str, Edit); 4] = [
+        ("no key of base", Box::new(|m| {
+            let at = tombstone_of(m, removed);
+            m.tombstones[at] = outside;
+        })),
+        ("repeats", Box::new(|m| {
+            let at = tombstone_of(m, removed);
+            m.tombstones[at] = shadowed;
+        })),
+        ("repeats", Box::new(|m| {
+            let last = m.delta.len() - 1;
+            m.delta[last].key = m.delta[0].key;
+        })),
+        ("without a tombstone", Box::new(|m| {
+            let at = off_base(m);
+            m.delta[at].key = live;
+        })),
+    ];
+    for (why, edit) in edits {
+        let err = open_after(&path, &pristine, |bytes| edit_manifest(bytes, edit));
+        assert!(
+            matches!(&err, PersistError::Corrupt { section: "overlay", detail } if detail.contains(why)),
+            "{err}"
+        );
+    }
+    // A store reopened with its WAL runs the same check.
+    let mut broken = pristine.clone();
+    edit_manifest(&mut broken, |m| {
+        let at = off_base(m);
+        m.delta[at].key = live;
+    });
+    std::fs::write(&path, &broken).unwrap();
+    assert!(matches!(
+        PersistentStore::open(&path),
+        Err(PersistError::Corrupt { section: "overlay", .. })
+    ));
     std::fs::remove_dir_all(&dir).ok();
 }
 
