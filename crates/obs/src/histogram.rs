@@ -89,7 +89,7 @@ pub fn stripe_count() -> usize {
 /// This thread's index, handed out round-robin on its first call and fixed
 /// for the thread's life.  Striped cells reduce it modulo their stripe
 /// count, so threads that start one after another write different stripes.
-pub(crate) fn thread_index() -> usize {
+pub fn thread_index() -> usize {
     static NEXT: AtomicUsize = AtomicUsize::new(0);
     thread_local! {
         static INDEX: usize = NEXT.fetch_add(1, Ordering::Relaxed);
@@ -297,6 +297,40 @@ impl HistogramSnapshot {
         self.sum += other.sum;
         self.max = self.max.max(other.max);
     }
+
+    /// Records one observation into this snapshot's own cells: the
+    /// single-owner form of [`Histogram::record_nanos`], for a caller that
+    /// folds samples under a lock of its own.  The result is exactly what a
+    /// [`Histogram`] that recorded the same values would snapshot to.
+    #[inline]
+    pub fn record_nanos(&mut self, nanos: u64) {
+        self.counts[bucket_index(nanos)] += 1;
+        self.sum = self.sum.wrapping_add(nanos);
+        self.max = self.max.max(nanos);
+    }
+
+    /// Overwrites `self` with `other` without allocating.
+    pub(crate) fn copy_from(&mut self, other: &HistogramSnapshot) {
+        self.counts.copy_from_slice(&other.counts);
+        self.sum = other.sum;
+        self.max = other.max;
+    }
+
+    /// Counts and sum of `self` less those of `earlier`, a snapshot of the
+    /// same cumulative stream taken before it, with `max` as its maximum (a
+    /// maximum does not subtract: the caller keeps it).
+    pub(crate) fn since(&self, earlier: &HistogramSnapshot, max: u64) -> HistogramSnapshot {
+        HistogramSnapshot {
+            counts: self
+                .counts
+                .iter()
+                .zip(&earlier.counts)
+                .map(|(now, then)| now - then)
+                .collect(),
+            sum: self.sum.wrapping_sub(earlier.sum),
+            max,
+        }
+    }
 }
 
 #[cfg(test)]
@@ -423,6 +457,25 @@ mod tests {
         let mut merged = left.snapshot();
         merged.merge(&right.snapshot());
         assert_eq!(merged, union.snapshot());
+    }
+
+    #[test]
+    fn a_plainly_recorded_snapshot_equals_the_atomic_histogram() {
+        let mut state = 3u64;
+        let hist = Histogram::new();
+        let mut plain = HistogramSnapshot::default();
+        for i in 0..2_000u64 {
+            let v = splitmix(&mut state) % (1 << (i % 44));
+            hist.record_nanos(v);
+            plain.record_nanos(v);
+        }
+        assert_eq!(plain, hist.snapshot());
+        let mut copy = HistogramSnapshot::default();
+        copy.copy_from(&plain);
+        assert_eq!(copy, plain);
+        plain.record_nanos(77);
+        let since = plain.since(&copy, 77);
+        assert_eq!((since.count(), since.sum(), since.p50()), (1, 77, 77));
     }
 
     #[test]

@@ -59,11 +59,13 @@
 //! the data* (every misprediction is absorbed by the aux table).  Four
 //! building blocks turn the raw counters into decisions:
 //!
-//! * **Windowed tails** ([`WindowedHistogram`] / [`WindowedCounter`]): a ring
-//!   of time-bucketed slices (default 12 × 5 s) whose merged snapshot is
-//!   "the last 60 seconds".  `dm-server`'s `ServerStats` exposes these as
-//!   `recent_*` percentiles next to the since-boot ones; a since-boot p99
-//!   cannot tell you the store got slow *this minute*.
+//! * **Windowed tails** ([`SnapshotWindow`], [`WindowedHistogram`] /
+//!   [`WindowedCounter`]): "the last 60 seconds" (default 12 × 5 s periods),
+//!   either as the difference of two snapshots of one cumulative histogram
+//!   or as a ring of concurrently recorded slices.  `dm-server`'s
+//!   `ServerStats` exposes the former as `recent_*` percentiles next to the
+//!   since-boot ones; a since-boot p99 cannot tell you the store got slow
+//!   *this minute*.
 //! * **Partition heat** ([`HeatMap`] → [`HeatReport`]): decayed per-partition
 //!   access/miss/decompress counters fed by the buffer pool.  The report
 //!   ranks top-K hot and cold partitions and carries resident-vs-budget
@@ -111,7 +113,7 @@ pub use histogram::{Histogram, HistogramSnapshot};
 pub use registry::{Counter, Gauge, Registry, RegistrySnapshot};
 pub use render::{render_json, render_json_for, render_prometheus, render_prometheus_for};
 pub use trace::{CaptureRing, CapturedTrace, SpanGuard, Stage, Trace, TraceEvent, TraceSummary};
-pub use window::{WindowedCounter, WindowedHistogram};
+pub use window::{SnapshotWindow, WindowedCounter, WindowedHistogram};
 
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 use std::time::Duration;

@@ -61,16 +61,20 @@ pub enum Stage {
     PoolWait,
     /// Buffer-pool cold load + decompress (the loader run by the race winner).
     PoolLoad,
-    /// Server: enqueue → batch execution start, per request.
+    /// Server: enqueue → batch execution start of a batch's oldest request,
+    /// once per batch.
     QueueDelay,
     /// Server: batch's newest member arriving → execution start (the
     /// coalescing hold shared by every request in the batch).
     CoalesceWait,
     /// Server: store execution (`lookup_batch_into`) on the merged batch.
     Exec,
-    /// Server: demultiplexing the merged batch back into per-request responses.
+    /// Server: demultiplexing the merged batch back into per-request
+    /// responses (copying every answered request's rows out of the batch
+    /// buffer), once per batch.
     Demux,
-    /// Server: copying one request's result rows out of the batch buffer.
+    /// Server: one answered request's share of its batch's demux (the
+    /// batch's span over its answered requests), once per batch.
     ResultCopy,
 }
 

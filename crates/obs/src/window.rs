@@ -1,18 +1,54 @@
 //! Time-windowed metric slices: "last 60 seconds", not "since boot".
 //!
-//! A [`WindowedHistogram`] (and its scalar sibling [`WindowedCounter`]) is a
-//! ring of `N` slices, each covering one fixed period of wall time (default
-//! [`DEFAULT_SLICES`] × [`DEFAULT_SLICE`] = 60 s).  Recording lands in the
-//! slice owning the current period; a [`snapshot`](WindowedHistogram::snapshot)
-//! merges every slice still inside the window, so percentiles computed from it
-//! describe *recent* behaviour.  This is what `ServerStats` windowed tails and
-//! the SLO burn-rate signal in the maintenance advisor are built on.
+//! Wall time is divided into consecutive periods (`clock / slice`, default
+//! [`DEFAULT_SLICE`] = 5 s) and a window is the last `N` of them (default
+//! [`DEFAULT_SLICES`], 60 s); period `p` owns ring slot `p % N`.  Two forms
+//! of that window answer the same question:
 //!
-//! ## Lock-free rotation protocol
+//! * [`SnapshotWindow`] — **windows as snapshot differences**, for an owner
+//!   that folds samples under a lock of its own.  It keeps the cumulative
+//!   histogram and a ring of `N` marks: a period's mark is the cumulative
+//!   histogram as it stood when the period's first sample arrived, plus the
+//!   period's own maximum.  A sample is recorded once, into the cumulative
+//!   cells.  The window ending in period `P` is the cumulative histogram
+//!   minus the mark of the oldest period still inside it, and its maximum is
+//!   the largest of the maxima of the marks inside it (a maximum does not
+//!   subtract).  `dm-server` folds each tenant's request samples into two of
+//!   these: `ServerStats`' `recent_*` tails and the per-tenant SLO input read
+//!   their windows, and the since-boot request-wall and queue-delay
+//!   histograms are their cumulative halves.
+//! * [`WindowedHistogram`] (and its scalar sibling [`WindowedCounter`]) — a
+//!   ring of `N` slices recorded concurrently, each its own striped
+//!   [`Histogram`]; a snapshot merges the slices inside the window.
 //!
-//! Each slice carries a period tag (`AtomicU64`).  Wall time is divided into
-//! consecutive periods (`now / slice_nanos`); period `p` owns slot
-//! `p % N`.  A recorder looks at the slot's tag:
+//! For the same samples at the same clocks the two give bucket-for-bucket
+//! equal windows at every clock at or past the newest sample, stale samples
+//! included (the tests replay streams across rotations).
+//!
+//! ## Snapshot differences
+//!
+//! * A sample of the newest period, or of a period that already has a mark,
+//!   goes into the cumulative cells and its period's maximum.
+//! * The first sample of a period opens the period's mark in its slot
+//!   (evicting the mark a full window older) at the cumulative histogram —
+//!   or, for a late sample whose newer periods are marked already, at the
+//!   start of the next newer mark — and every newer mark's start takes the
+//!   sample too, so the windows that begin there leave it out.
+//! * A sample whose slot holds a *newer* period is stale by at least a full
+//!   window; it is attributed to that newer period, as [`WindowedHistogram`]
+//!   does.
+//! * An *unwindowed* sample ([`record_unwindowed`](SnapshotWindow::record_unwindowed))
+//!   enters the cumulative cells and every mark's start: it counts since
+//!   boot and in no window.
+//!
+//! A `SnapshotWindow` is `N + 1` bucket arrays (≈ 52 KiB by default),
+//! allocated once when it is built: recording never allocates, and costs a
+//! bucket increment in the common case.
+//!
+//! ## Lock-free rotation protocol ([`WindowedHistogram`])
+//!
+//! Each slice carries a period tag (`AtomicU64`).  A recorder looks at its
+//! period's slot's tag:
 //!
 //! * `tag == p` — the slice is current: record and return.
 //! * `tag < p` — the slice holds an expired period: CAS the tag to the
@@ -203,6 +239,148 @@ impl WindowedHistogram {
             slice.hist.clear();
             slice.tag.store(slot as u64, Ordering::Release);
         }
+    }
+}
+
+/// One period's mark in a [`SnapshotWindow`].
+#[derive(Debug, Clone)]
+struct Mark {
+    /// The period this mark opened for; `None` before its slot's first.
+    period: Option<u64>,
+    /// The cumulative counts and sum of every sample of an earlier period:
+    /// where a window that begins with this period starts.
+    start: HistogramSnapshot,
+    /// The largest sample of the period.
+    max: u64,
+}
+
+/// A sliding window kept as the difference of two snapshots of one
+/// cumulative histogram (see the module docs).  Single-owner: recording
+/// takes `&mut self`, so the owner folds into it under a lock of its own.
+#[derive(Debug, Clone)]
+pub struct SnapshotWindow {
+    total: HistogramSnapshot,
+    marks: Box<[Mark]>,
+    slice_nanos: u64,
+    /// The newest period any mark holds: samples of it or later touch no
+    /// other mark.
+    newest: Option<u64>,
+}
+
+impl Default for SnapshotWindow {
+    fn default() -> Self {
+        Self::new(DEFAULT_SLICES, DEFAULT_SLICE)
+    }
+}
+
+impl SnapshotWindow {
+    /// Creates a window of `slices` periods, each spanning `slice_span`.
+    pub fn new(slices: usize, slice_span: Duration) -> Self {
+        let slices = slices.max(2);
+        let slice_nanos = (slice_span.as_nanos().max(1)).min(u64::MAX as u128 / 2) as u64;
+        let mark = Mark {
+            period: None,
+            start: HistogramSnapshot::default(),
+            max: 0,
+        };
+        SnapshotWindow {
+            total: HistogramSnapshot::default(),
+            marks: vec![mark; slices].into_boxed_slice(),
+            slice_nanos,
+            newest: None,
+        }
+    }
+
+    /// Every sample recorded, windowed or not, since the window was built.
+    pub fn total(&self) -> &HistogramSnapshot {
+        &self.total
+    }
+
+    /// Records `value` as a sample taken at `clock_nanos` (on the
+    /// [`now_nanos`] clock).
+    pub fn record_at(&mut self, clock_nanos: u64, value: u64) {
+        let mut period = clock_nanos / self.slice_nanos;
+        let slot = (period % self.marks.len() as u64) as usize;
+        match self.marks[slot].period {
+            // Stale by a full window or more: the newer period takes it.
+            Some(held) if held > period => period = held,
+            Some(held) if held == period => {}
+            _ => self.open(slot, period),
+        }
+        self.total.record_nanos(value);
+        if self.newest > Some(period) {
+            for mark in self.marks.iter_mut() {
+                if mark.period > Some(period) {
+                    mark.start.record_nanos(value);
+                }
+            }
+        }
+        let mark = &mut self.marks[slot];
+        mark.max = mark.max.max(value);
+    }
+
+    /// Records `value` since boot only: it enters the cumulative histogram
+    /// and no window.
+    pub fn record_unwindowed(&mut self, value: u64) {
+        self.total.record_nanos(value);
+        for mark in self.marks.iter_mut().filter(|mark| mark.period.is_some()) {
+            mark.start.record_nanos(value);
+        }
+    }
+
+    /// Opens `period`'s mark in `slot`: it starts where the next newer mark
+    /// starts, or at the cumulative histogram when no mark is newer.
+    fn open(&mut self, slot: usize, period: u64) {
+        let next = (0..self.marks.len())
+            .filter(|&i| self.marks[i].period > Some(period))
+            .min_by_key(|&i| self.marks[i].period);
+        let (mark, start) = match next {
+            None => (&mut self.marks[slot], &self.total),
+            Some(next) if next < slot => {
+                let (head, tail) = self.marks.split_at_mut(slot);
+                (&mut tail[0], &head[next].start)
+            }
+            Some(next) => {
+                let (head, tail) = self.marks.split_at_mut(next);
+                (&mut head[slot], &tail[0].start)
+            }
+        };
+        mark.start.copy_from(start);
+        mark.period = Some(period);
+        mark.max = 0;
+        self.newest = self.newest.max(Some(period));
+    }
+
+    /// The window ending in `clock_nanos`'s period: the samples of the last
+    /// `N` periods up to it.
+    pub fn snapshot_at(&self, clock_nanos: u64) -> HistogramSnapshot {
+        let period = clock_nanos / self.slice_nanos;
+        let oldest = period.saturating_sub(self.marks.len() as u64 - 1);
+        let inside = |mark: &&Mark| mark.period.is_some_and(|p| p >= oldest && p <= period);
+        let Some(first) = self
+            .marks
+            .iter()
+            .filter(inside)
+            .min_by_key(|mark| mark.period)
+        else {
+            return HistogramSnapshot::default();
+        };
+        // A window that ends before the newest sample ends where the next
+        // newer mark starts.
+        let end = self
+            .marks
+            .iter()
+            .filter(|mark| mark.period > Some(period))
+            .min_by_key(|mark| mark.period)
+            .map_or(&self.total, |mark| &mark.start);
+        let max = self
+            .marks
+            .iter()
+            .filter(inside)
+            .map(|mark| mark.max)
+            .max()
+            .unwrap_or(0);
+        end.since(&first.start, max)
     }
 }
 
@@ -480,6 +658,79 @@ mod tests {
         let expected_sum: u64 = (0..threads).map(per_thread_sum).sum();
         assert_eq!(snap.sum(), expected_sum);
         assert_eq!(snap.max(), threads - 1 + records - 1, "the expired period leaked");
+    }
+
+    /// Deterministic pseudo-random stream for the replay tests.
+    fn splitmix(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    /// A `SnapshotWindow` and a `WindowedHistogram` fed the same samples at
+    /// the same clocks — mostly in order across many rotations, some late
+    /// inside the window, some stale by more than a window — give windows
+    /// equal bucket for bucket (hence every percentile) at every clock at or
+    /// past the newest sample.
+    #[test]
+    fn snapshot_differences_replay_the_slice_ring() {
+        let slices = 4u64;
+        let sliced = window(slices as usize);
+        let mut diffed = SnapshotWindow::new(slices as usize, Duration::from_nanos(SLICE));
+        let mut state = 17u64;
+        let mut newest = 0u64;
+        for step in 0..4_000u64 {
+            let r = splitmix(&mut state);
+            let at = match r % 10 {
+                0 => newest.saturating_sub(r % (3 * SLICE)),
+                1 => newest.saturating_sub(slices * SLICE + r % (4 * SLICE)),
+                _ => {
+                    newest += r % (SLICE / 3);
+                    newest
+                }
+            };
+            let value = splitmix(&mut state) % (1 << (step % 30));
+            sliced.record_at(at, value);
+            diffed.record_at(at, value);
+            if step % 5 == 0 {
+                for ahead in [0, SLICE / 2, SLICE, 2 * SLICE, 3 * SLICE, 5 * SLICE] {
+                    let clock = newest + ahead;
+                    let (want, got) = (sliced.snapshot_at(clock), diffed.snapshot_at(clock));
+                    assert_eq!(got, want, "step {step}, clock {clock}");
+                    for q in [0.5, 0.95, 0.99] {
+                        assert_eq!(got.percentile(q), want.percentile(q));
+                    }
+                }
+            }
+        }
+        assert_eq!(diffed.total().count(), 4_000);
+        assert!(newest > 100 * SLICE, "the replay crossed many rotations");
+    }
+
+    /// An unwindowed sample counts since boot and in no window, whether it
+    /// comes before any mark or between them.
+    #[test]
+    fn unwindowed_samples_stay_out_of_every_window() {
+        let sliced = window(4);
+        let mut diffed = SnapshotWindow::new(4, Duration::from_nanos(SLICE));
+        diffed.record_unwindowed(5);
+        for (clock, value) in [(0, 10), (SLICE, 20), (5 * SLICE, 40)] {
+            sliced.record_at(clock, value);
+            diffed.record_at(clock, value);
+            diffed.record_unwindowed(1_000);
+        }
+        assert_eq!(diffed.total().count(), 7);
+        assert_eq!(diffed.total().max(), 1_000);
+        for clock in [5 * SLICE, 6 * SLICE, 9 * SLICE] {
+            assert_eq!(
+                diffed.snapshot_at(clock),
+                sliced.snapshot_at(clock),
+                "clock {clock}"
+            );
+        }
+        assert_eq!(diffed.snapshot_at(5 * SLICE).sum(), 40);
     }
 
     #[test]

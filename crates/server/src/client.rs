@@ -66,7 +66,8 @@ pub(crate) struct SlotInner {
     /// When the response became ready (one timestamp per batch, shared by
     /// every request in it).
     pub done_at: Instant,
-    /// Enqueue-to-batch-formation delay, recorded by whoever ran the batch.
+    /// Enqueue to the start of its batch's store call, recorded by whoever
+    /// ran the batch.
     pub queue_delay: Duration,
     /// True while a waiter is asleep on `cv` and counted in the server's
     /// parked census. Set by the waiter, cleared by whoever moves the slot to
@@ -209,7 +210,7 @@ impl ServerClient {
     /// thread, as a direct call would, after every other request of that
     /// batch has been failed with [`ServerError::Store`].
     pub fn wait_into(&mut self, ticket: Ticket, out: &mut LookupBuffer) -> Result<RequestReport> {
-        let slot = Arc::clone(&self.slots[ticket.slot]);
+        let slot = &self.slots[ticket.slot];
         let mut ran = false;
         let mut inner = slot.inner.lock();
         let outcome = loop {

@@ -43,7 +43,35 @@
 //! * exposes **observability** via [`QueryServer::stats`]: queue delay,
 //!   coalesce width, batches formed and which thread ran each (a caller, or
 //!   the dispatcher by which exit), shed count,
-//!   per-request wall time, the census of live and parked clients.
+//!   per-request wall time, the census of live and parked clients — and per
+//!   tenant via [`QueryServer::tenant_tail`].
+//!
+//! # What a request pays for, and records
+//!
+//! Between `submit` and the answer a request takes no lock any other request
+//! shares but the queue's. Admission resolves the tenant from an append-only
+//! table (no registry lock, no reference count), asks its circuit breaker
+//! with one atomic load while the breaker is not open, and reads the clock
+//! once, for the enqueue time. The batch that answers it reads the clock
+//! three times whatever its width — when the store call starts and ends,
+//! and when the demux has copied every answer — resolves an opened store
+//! with one load, and reports a success to a clean breaker without its lock.
+//!
+//! Each answered request then records one fixed-size sample: its queue delay,
+//! the batch's coalescing hold, its wall time, and its key-weighted shares of
+//! the batch's store, inference, probe and demux-copy time — all derived
+//! from the batch's clock reads and the store's own trace of the batch
+//! (`dm_obs::trace::take_last_batch`). A batch writes its requests' samples
+//! into its thread's stripe of the tenant's sample log, under one
+//! uncontended lock, before it wakes any of them. That is the tail
+//! attribution: [`QueryServer::tenant_tail`] folds the tenant's samples into
+//! its histograms, exactly — a fold is bucket-for-bucket what histograms fed
+//! each sample would hold — and [`QueryServer::stats`] reads the merge of
+//! every tenant's. The `recent_*` (last ~60 s) views are windows over the
+//! same samples, kept as differences of snapshots of the cumulative
+//! histograms ([`dm_obs::SnapshotWindow`]); with `DM_OBS=off` a sample stays
+//! out of them and counts since boot only. The batch records its stage spans
+//! into `dm_obs::trace`'s process-wide stage histograms once per batch.
 //!
 //! # Example
 //!
@@ -1411,6 +1439,173 @@ mod tests {
             assert_eq!(server.stats().requests_completed, 60);
             assert_stats_merge_tails(&server);
         }
+    }
+
+    /// Every request counted as answered or failed was counted as admitted,
+    /// on a coalescing server and on an inline one alike: at rest,
+    /// `completed + failed = enqueued` and `keys_served ≤ keys_enqueued`.
+    #[test]
+    fn admission_counts_cover_every_answer_coalesced_and_inline() {
+        for config in [
+            ServerConfig::coalescing(Duration::from_micros(200), 64),
+            ServerConfig::inline(),
+        ] {
+            let inline = config.inline;
+            let server = QueryServer::new(ServerConfig {
+                breaker_failure_threshold: 0,
+                ..config
+            });
+            let healthy = server.register_store("a", seeded_store(0..100)).unwrap();
+            // Keys >= 50 fail with a per-span mark.
+            let flaky = Arc::new(FlakyStore::new(0..100, 50));
+            flaky.set_mode(2);
+            let degraded = server
+                .register_store("b", Arc::clone(&flaky) as Arc<dyn TupleStore>)
+                .unwrap();
+            let mut client = server.client();
+            let mut out = LookupBuffer::new();
+            for round in 0..30u64 {
+                let keys = [round, round + 1, round + 40];
+                client.lookup_batch_into(healthy, &keys, &mut out).unwrap();
+                let _ = client.lookup_batch_into(degraded, &keys, &mut out);
+                let stats = server.stats();
+                assert!(
+                    stats.requests_completed + stats.requests_failed <= stats.requests_enqueued,
+                    "inline {inline}: {stats:?}"
+                );
+                assert!(
+                    stats.keys_served <= stats.keys_enqueued,
+                    "inline {inline}: {stats:?}"
+                );
+            }
+            // Every degraded request from round 10 on touches key 50 or more.
+            flaky.set_mode(1);
+            assert!(client.lookup_batch_into(degraded, &[1], &mut out).is_err());
+            let stats = server.stats();
+            assert_eq!(stats.requests_enqueued, 61, "inline {inline}");
+            assert_eq!(stats.keys_enqueued, 61 * 3 - 2, "inline {inline}");
+            assert_eq!(stats.requests_completed, 30 + 10, "inline {inline}");
+            assert_eq!(stats.requests_failed, 20 + 1, "inline {inline}");
+            assert_eq!(stats.keys_served, 40 * 3, "inline {inline}");
+            assert_eq!(stats.inline_requests, if inline { 40 } else { 0 });
+        }
+    }
+
+    /// Client threads × pipelined requests on two tenants: every field of
+    /// `tenant_tail()` equals, bucket for bucket, a `dm_obs::Histogram` fed
+    /// the samples the server's requests recorded, one per answered
+    /// request; `stats()` reads their merge, and its `recent_*` fields a
+    /// `WindowedHistogram` fed the windowed ones.
+    #[test]
+    fn stats_and_tails_fold_every_request_sample_exactly() {
+        const THREADS: u64 = 3;
+        const ROUNDS: u64 = 150;
+        let server = Arc::new(QueryServer::new(ServerConfig::coalescing(
+            Duration::from_micros(100),
+            64,
+        )));
+        let tenants = [
+            server.register_store("a", seeded_store(0..1_000)).unwrap(),
+            server.register_store("b", seeded_store(0..1_000)).unwrap(),
+        ];
+        let clients: Vec<_> = (0..THREADS)
+            .map(|thread| {
+                let server = Arc::clone(&server);
+                bounded(move || {
+                    let mut client = server.client();
+                    let mut out = LookupBuffer::new();
+                    for round in 0..ROUNDS {
+                        let tickets: Vec<Ticket> = (0..4u64)
+                            .map(|i| {
+                                let key = (thread * 331 + round * 7 + i) % 1_200;
+                                let keys: Vec<u64> = (key..key + 1 + i).collect();
+                                client
+                                    .submit(tenants[(round + i) as usize % 2], &keys)
+                                    .unwrap()
+                            })
+                            .collect();
+                        for ticket in tickets {
+                            client.wait_into(ticket, &mut out).unwrap();
+                        }
+                    }
+                })
+            })
+            .collect();
+        for (thread, client) in clients.into_iter().enumerate() {
+            client.join(&format!("client {thread}"));
+        }
+
+        let stats = server.stats();
+        assert_eq!(stats.requests_completed, THREADS * ROUNDS * 4);
+        let mut merged: [dm_obs::HistogramSnapshot; 7] = Default::default();
+        let (recent_wall, recent_queue) = (
+            dm_obs::WindowedHistogram::default(),
+            dm_obs::WindowedHistogram::default(),
+        );
+        let mut recorded = 0;
+        for name in ["a", "b"] {
+            let samples = server.recorded_samples(name);
+            recorded += samples.len() as u64;
+            let tail = server.tenant_tail(name).unwrap();
+            let want = stats::reference_tail(&samples);
+            assert_eq!(tail.since_boot(), want, "tenant {name}");
+            for sample in &samples {
+                if let Some(at) = sample.windowed_at {
+                    recent_wall.record_at(at, sample.wall_nanos);
+                    recent_queue.record_at(at, sample.queue_delay_nanos);
+                }
+            }
+            for (merged, want) in merged.iter_mut().zip(&want) {
+                merged.merge(want);
+            }
+        }
+        assert_eq!(recorded, stats.requests_completed);
+        let [queue, coalesce, wall, ..] = &merged;
+        let quartet = |h: &dm_obs::HistogramSnapshot| [h.p50(), h.p95(), h.p99(), h.max()];
+        assert_eq!(wall.count(), stats.requests_completed);
+        assert_eq!(
+            (
+                stats.queue_delay_nanos,
+                stats.coalesce_wait_nanos,
+                stats.request_wall_nanos
+            ),
+            (queue.sum(), coalesce.sum(), wall.sum())
+        );
+        assert_eq!(
+            [
+                stats.request_wall_p50,
+                stats.request_wall_p95,
+                stats.request_wall_p99,
+                stats.request_wall_max
+            ],
+            quartet(wall).map(Duration::from_nanos)
+        );
+        assert_eq!(
+            [
+                stats.queue_delay_p50,
+                stats.queue_delay_p95,
+                stats.queue_delay_p99,
+                stats.queue_delay_max
+            ],
+            quartet(queue).map(Duration::from_nanos)
+        );
+        let (recent_wall, recent_queue) = (recent_wall.snapshot(), recent_queue.snapshot());
+        assert_eq!(stats.recent_requests, recent_wall.count());
+        assert_eq!(
+            [
+                stats.recent_request_wall_p50,
+                stats.recent_request_wall_p95,
+                stats.recent_request_wall_p99,
+                stats.recent_queue_delay_p99
+            ],
+            [
+                recent_wall.p50(),
+                recent_wall.p95(),
+                recent_wall.p99(),
+                recent_queue.p99()
+            ]
+            .map(Duration::from_nanos)
+        );
     }
 
     #[test]

@@ -68,16 +68,17 @@
 //! through whatever parallelism the tenant store already uses
 //! (`DM_EXEC_THREADS=1` degrades the whole path to serial execution inside
 //! each batch with no cross-pool deadlock possible). Batch formation holds the
-//! queue lock only; batch execution and demux hold slot locks only — the two
-//! lock domains never nest in conflicting order. A store that panics fails
+//! queue lock only; batch execution and demux hold slot locks, and the
+//! tenant's sample log once per batch, one at a time — the lock domains never
+//! nest in conflicting order. A store that panics fails
 //! the requests of its batch with [`ServerError::Store`] and gives its core
 //! back (see `RunningBatch`); the dispatcher survives it, and a caller gets
 //! the panic on its own thread, as it would calling the store directly.
 
 use std::collections::{HashMap, VecDeque};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, MutexGuard};
+use std::sync::atomic::{AtomicU8, AtomicUsize, Ordering};
+use std::sync::{Arc, Condvar, MutexGuard, OnceLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -86,7 +87,7 @@ use dm_obs::trace::{self, CapturedTrace, TraceEvent};
 use dm_obs::{CaptureRing, Counter, Stage};
 use dm_persist::SnapshotExt;
 use dm_storage::{LookupBuffer, TupleStore};
-use parking_lot::{Mutex, RwLock};
+use parking_lot::Mutex;
 
 use crate::client::{RequestSlot, ServerClient, SlotInner, SlotState};
 use crate::error::{Result, ServerError};
@@ -239,6 +240,13 @@ struct BreakerState {
     probing: bool,
 }
 
+/// [`Breaker::mode`]: closed, nothing failed since the last success.
+const CLEAN: u8 = 0;
+/// Closed, with failures since the last success.
+const FAILING: u8 = 1;
+/// Open or probing.
+const OPEN: u8 = 2;
+
 impl BreakerState {
     /// Admission check. `None` admits; `Some(retry_after)` fast-fails.
     fn check(&mut self, now: Instant, cooldown: Duration) -> Option<Duration> {
@@ -278,25 +286,109 @@ impl BreakerState {
         *self = BreakerState::default();
         recovered
     }
+
+    fn mode(&self) -> u8 {
+        if self.opened_at.is_some() {
+            OPEN
+        } else if self.consecutive_failures > 0 {
+            FAILING
+        } else {
+            CLEAN
+        }
+    }
 }
 
-/// One registered tenant. `store` starts `None` for snapshot-backed tenants
-/// and is populated single-flight on first request (the mutex makes
-/// concurrent first requests open the file exactly once).
+/// A tenant's [`BreakerState`] behind its mutex, with the state's shape
+/// mirrored in one atomic so a healthy tenant's requests never take the
+/// lock: a breaker that is not open admits on one load, and a success
+/// reported to a clean one is that same load. The lock is taken to record a
+/// failure, to recover from one, and to check an open breaker (which may
+/// admit the half-open probe).
+#[derive(Default)]
+struct Breaker {
+    state: Mutex<BreakerState>,
+    /// [`CLEAN`], [`FAILING`] or [`OPEN`]; written under `state`'s lock
+    /// after every transition.
+    mode: AtomicU8,
+}
+
+/// One registered tenant. `store` starts empty for snapshot-backed tenants
+/// and is filled single-flight on first request (`opening` makes concurrent
+/// first requests open the file exactly once); once filled, a batch reads it
+/// with one load.
 struct Tenant {
     name: String,
     path: Option<PathBuf>,
-    store: Mutex<Option<Arc<dyn TupleStore>>>,
-    /// Per-tenant tail-attribution histograms (see [`TenantTail`]).
+    store: OnceLock<Arc<dyn TupleStore>>,
+    opening: Mutex<()>,
+    /// Per-tenant tail attribution (see [`TenantObs`]).
     obs: TenantObs,
-    /// Circuit breaker guarding admission (see [`BreakerState`]).
-    breaker: Mutex<BreakerState>,
+    /// Circuit breaker guarding admission.
+    breaker: Breaker,
 }
 
-#[derive(Default)]
-struct Registry {
-    tenants: Vec<Arc<Tenant>>,
-    names: HashMap<String, usize>,
+/// Slots in the tenant table's first segment; each later one doubles.
+const FIRST_SEGMENT: usize = 8;
+/// Segments of the tenant table: room for 8 · (2³² − 1) tenants.
+const SEGMENTS: usize = 32;
+
+/// The registered tenants, append-only: a tenant keeps its index (its
+/// [`TenantId`]) and its address for the server's life, so the serving path
+/// resolves one with two loads — no lock, no reference count. Segments double
+/// in size and are allocated as registration reaches them; only
+/// registration, under [`Shared::names`], writes.
+struct TenantTable {
+    segments: [OnceLock<Box<[OnceLock<Tenant>]>>; SEGMENTS],
+    len: AtomicUsize,
+}
+
+impl TenantTable {
+    fn new() -> Self {
+        TenantTable {
+            segments: std::array::from_fn(|_| OnceLock::new()),
+            len: AtomicUsize::new(0),
+        }
+    }
+
+    /// The segment holding `index`, and its slot there.
+    fn locate(index: usize) -> (usize, usize) {
+        let segment = (index / FIRST_SEGMENT + 1).ilog2() as usize;
+        (segment, index - FIRST_SEGMENT * ((1 << segment) - 1))
+    }
+
+    fn len(&self) -> usize {
+        self.len.load(Ordering::Acquire)
+    }
+
+    fn get(&self, index: usize) -> Option<&Tenant> {
+        if index >= self.len() {
+            return None;
+        }
+        let (segment, slot) = Self::locate(index);
+        self.segments[segment].get()?[slot].get()
+    }
+
+    fn iter(&self) -> impl Iterator<Item = &Tenant> {
+        (0..self.len()).filter_map(|index| self.get(index))
+    }
+
+    /// Appends `tenant` and returns its index. The caller holds the
+    /// registration lock, so there is one writer.
+    fn push(&self, tenant: Tenant) -> usize {
+        let index = self.len.load(Ordering::Relaxed);
+        let (segment, slot) = Self::locate(index);
+        let slots = self.segments[segment].get_or_init(|| {
+            (0..FIRST_SEGMENT << segment)
+                .map(|_| OnceLock::new())
+                .collect()
+        });
+        assert!(
+            slots[slot].set(tenant).is_ok(),
+            "tenant slot {index} filled twice"
+        );
+        self.len.store(index + 1, Ordering::Release);
+        index
+    }
 }
 
 /// Queue-side view of one admitted request. Key count and timestamps are
@@ -341,6 +433,7 @@ pub(crate) struct BatchScratch {
     merged: Vec<u64>,
     results: LookupBuffer,
     timed_out: Vec<QueuedReq>,
+    samples: Vec<RequestSample>,
 }
 
 /// One of the server's [`cores`](Shared::cores) running slots, held by a batch
@@ -362,7 +455,7 @@ impl Drop for RunningBatch<'_> {
             // each one it handles and removes it only then.
             let err = ServerError::Store("store panicked while serving the batch".into());
             let tenant = self.shared.tenant(self.batch[0].tenant);
-            self.shared.breaker_record(&tenant, false);
+            self.shared.breaker_record(tenant, false);
             self.shared.fail_requests(self.batch, &err);
         }
         let mut q = self.shared.queue.lock();
@@ -401,7 +494,9 @@ pub(crate) struct Shared {
     /// wake-up.
     live_clients: AtomicUsize,
     parked_clients: AtomicUsize,
-    registry: RwLock<Registry>,
+    /// Tenant names to indexes; also the registration lock.
+    names: Mutex<HashMap<String, usize>>,
+    tenants: TenantTable,
     stats: StatsCells,
     /// The `dm-obs` registry's flush-reason counters, in [`FlushReason::ALL`]
     /// order — resolved once, they are bumped on every batch.
@@ -416,10 +511,6 @@ pub(crate) struct Shared {
 }
 
 impl Shared {
-    fn tenant_count(&self) -> usize {
-        self.registry.read().tenants.len()
-    }
-
     /// The wall-time threshold past which a request's timeline is retained:
     /// the server's own [`ServerConfig::slow_request`] when set, otherwise
     /// the live process-wide `DM_OBS_SLOW_MS` value.
@@ -430,8 +521,11 @@ impl Shared {
         }
     }
 
-    fn tenant(&self, index: usize) -> Arc<Tenant> {
-        Arc::clone(&self.registry.read().tenants[index])
+    /// The tenant of an admitted request.
+    fn tenant(&self, index: usize) -> &Tenant {
+        self.tenants
+            .get(index)
+            .expect("admitted requests name registered tenants")
     }
 
     /// True when no live client is free to submit: each one is parked in
@@ -489,7 +583,7 @@ impl Shared {
 
     /// Counts one return of the dispatcher from a `work_cv` wait.
     fn count_wakeup(&self) {
-        StatsCells::add(&self.stats.dispatcher_wakeups, 1);
+        self.stats.dispatcher_wakeups.incr();
         self.wakeup_counter.incr();
     }
 
@@ -601,7 +695,13 @@ impl Shared {
             shared: self,
             batch: &mut scratch.batch,
         };
-        self.execute_batch(reason, &mut *running.batch, &mut scratch.merged, &mut scratch.results);
+        self.execute_batch(
+            reason,
+            &mut *running.batch,
+            &mut scratch.merged,
+            &mut scratch.results,
+            &mut scratch.samples,
+        );
     }
 
     /// A client in `wait_into` runs the queued requests on its own thread, if
@@ -621,10 +721,13 @@ impl Shared {
     }
 
     /// Resolves `tenant`'s store, opening its snapshot on first use.
-    fn tenant_store(&self, tenant: &Tenant) -> Result<Arc<dyn TupleStore>> {
-        let mut guard = tenant.store.lock();
-        if let Some(store) = guard.as_ref() {
-            return Ok(Arc::clone(store));
+    fn tenant_store<'t>(&self, tenant: &'t Tenant) -> Result<&'t Arc<dyn TupleStore>> {
+        if let Some(store) = tenant.store.get() {
+            return Ok(store);
+        }
+        let _opening = tenant.opening.lock();
+        if let Some(store) = tenant.store.get() {
+            return Ok(store);
         }
         let path = tenant
             .path
@@ -634,26 +737,28 @@ impl Shared {
         let dm = DeepMapping::open(path)
             .map_err(|err| ServerError::TenantOpen(format!("{}: {err}", tenant.name)))?;
         self.stats.record_tenant_open(started.elapsed());
-        let store: Arc<dyn TupleStore> = Arc::new(dm);
-        *guard = Some(Arc::clone(&store));
-        Ok(store)
+        Ok(tenant.store.get_or_init(|| Arc::new(dm)))
     }
 
-    /// Breaker admission check for `index`. `Ok(())` admits (possibly as the
-    /// half-open probe); `Err` carries the typed fast-fail.
-    fn breaker_admit(&self, index: usize) -> Result<()> {
-        if self.config.breaker_failure_threshold == 0 {
+    /// Breaker admission check for `tenant`. `Ok(())` admits (possibly as
+    /// the half-open probe); `Err` carries the typed fast-fail. A breaker
+    /// that is not open admits on one atomic load.
+    fn breaker_admit(&self, tenant: &Tenant) -> Result<()> {
+        if self.config.breaker_failure_threshold == 0
+            || tenant.breaker.mode.load(Ordering::Acquire) != OPEN
+        {
             return Ok(());
         }
-        let tenant = self.tenant(index);
-        let verdict = tenant
-            .breaker
-            .lock()
-            .check(Instant::now(), self.config.breaker_cooldown);
+        let verdict = {
+            let mut state = tenant.breaker.state.lock();
+            let verdict = state.check(Instant::now(), self.config.breaker_cooldown);
+            tenant.breaker.mode.store(state.mode(), Ordering::Release);
+            verdict
+        };
         match verdict {
             None => Ok(()),
             Some(retry_after) => {
-                StatsCells::add(&self.stats.breaker_rejections, 1);
+                self.stats.breaker_rejections.incr();
                 Err(ServerError::TenantUnavailable {
                     tenant: tenant.name.clone(),
                     retry_after,
@@ -662,28 +767,30 @@ impl Shared {
         }
     }
 
-    /// Reports one serving outcome to `tenant`'s breaker. Trips and
+    /// Reports one serving outcome to `tenant`'s breaker. A success on a
+    /// clean breaker changes nothing and takes no lock. Trips and
     /// recoveries feed both the server stats and the global `dm-obs`
     /// registry, so a scrape shows breaker churn next to the fault counters.
     fn breaker_record(&self, tenant: &Tenant, ok: bool) {
         let threshold = self.config.breaker_failure_threshold;
-        if threshold == 0 {
+        if threshold == 0 || (ok && tenant.breaker.mode.load(Ordering::Acquire) == CLEAN) {
             return;
         }
-        let mut breaker = tenant.breaker.lock();
+        let mut state = tenant.breaker.state.lock();
         if ok {
-            if breaker.record_success() {
-                StatsCells::add(&self.stats.breaker_recoveries, 1);
+            if state.record_success() {
+                self.stats.breaker_recoveries.incr();
                 dm_obs::registry::global()
                     .register_counter("dm_server_breaker_recoveries_total")
                     .incr();
             }
-        } else if breaker.record_failure(Instant::now(), threshold) {
-            StatsCells::add(&self.stats.breaker_trips, 1);
+        } else if state.record_failure(Instant::now(), threshold) {
+            self.stats.breaker_trips.incr();
             dm_obs::registry::global()
                 .register_counter("dm_server_breaker_trips_total")
                 .incr();
         }
+        tenant.breaker.mode.store(state.mode(), Ordering::Release);
     }
 
     /// Fails every entry in `expired` with a typed [`ServerError::Timeout`]
@@ -692,8 +799,8 @@ impl Shared {
     fn fail_timeouts(&self, expired: &mut Vec<QueuedReq>) {
         let deadline = self.config.request_deadline.unwrap_or_default();
         let now = Instant::now();
-        StatsCells::add(&self.stats.requests_failed, expired.len() as u64);
-        StatsCells::add(&self.stats.requests_timed_out, expired.len() as u64);
+        self.stats.requests_failed.add(expired.len() as u64);
+        self.stats.requests_timed_out.add(expired.len() as u64);
         dm_obs::registry::global()
             .register_counter("dm_server_timeouts_total")
             .add(expired.len() as u64);
@@ -707,7 +814,7 @@ impl Shared {
 
     /// Fails every request in `batch` with `err`, waking parked waiters.
     fn fail_requests(&self, batch: &mut Vec<QueuedReq>, err: &ServerError) {
-        StatsCells::add(&self.stats.requests_failed, batch.len() as u64);
+        self.stats.requests_failed.add(batch.len() as u64);
         for req in batch.drain(..) {
             let mut inner = req.slot.inner.lock();
             inner.state = SlotState::Failed(err.clone());
@@ -716,39 +823,42 @@ impl Shared {
     }
 
     /// Runs one merged batch: merge keys, execute on the tenant store, demux
-    /// spans back into each slot, wake parked waiters. Called with no locks
-    /// held, under a [`RunningBatch`]; takes slot locks only.
+    /// spans back into each slot, record one sample per answered request,
+    /// wake parked waiters. Called with no locks held, under a
+    /// [`RunningBatch`]; takes slot locks and the tenant's sample log only.
+    ///
+    /// The batch reads the clock three times, however many requests it
+    /// holds: when the store call starts and ends, and when the demux has
+    /// copied every answer. Each request's latencies and stage shares are
+    /// derived from those reads and written as one [`RequestSample`].
     fn execute_batch(
         &self,
         reason: FlushReason,
         batch: &mut Vec<QueuedReq>,
         merged: &mut Vec<u64>,
         results: &mut LookupBuffer,
+        samples: &mut Vec<RequestSample>,
     ) {
-        let formed_at = Instant::now();
         merged.clear();
-        let mut newest_enqueue = batch[0].enqueued_at;
+        let (mut oldest, mut newest) = (batch[0].enqueued_at, batch[0].enqueued_at);
         for req in batch.iter() {
-            let mut inner = req.slot.inner.lock();
-            merged.extend_from_slice(&inner.keys);
-            inner.queue_delay = formed_at.saturating_duration_since(req.enqueued_at);
-            if req.enqueued_at > newest_enqueue {
-                newest_enqueue = req.enqueued_at;
-            }
+            merged.extend_from_slice(&req.slot.inner.lock().keys);
+            oldest = oldest.min(req.enqueued_at);
+            newest = newest.max(req.enqueued_at);
         }
 
         let tenant = self.tenant(batch[0].tenant);
-        let store = match self.tenant_store(&tenant) {
+        let store = match self.tenant_store(tenant) {
             Ok(store) => store,
             Err(err) => {
-                self.breaker_record(&tenant, false);
+                self.breaker_record(tenant, false);
                 self.fail_requests(batch, &err);
                 return;
             }
         };
-        let exec_started = Instant::now();
+        let started = Instant::now();
         let outcome = store.lookup_batch_into(merged, results);
-        let exec_nanos = exec_started.elapsed().as_nanos() as u64;
+        let done = Instant::now();
         // Stores finish their batch trace on the calling thread — this one —
         // so the thread-local last-batch summary, when the store publishes
         // one, is exactly the merged batch just executed. The DeepMapping
@@ -756,273 +866,293 @@ impl Shared {
         // `DM_OBS=off`) leave it `None`, and their requests simply get zero
         // inference/probe shares.
         let batch_trace = trace::take_last_batch();
+        if let Err(err) = outcome {
+            self.breaker_record(tenant, false);
+            self.fail_requests(batch, &ServerError::Store(err.to_string()));
+            return;
+        }
+        let exec_nanos = nanos_between(started, done);
         let inference_nanos = batch_trace.map_or(0, |s| s.stage(Stage::Inference));
         let probe_nanos = batch_trace.map_or(0, |s| s.stage(Stage::Probe));
         // The coalescing hold: how long the batch stayed open after its
         // newest member arrived. One value, shared by every request in the
         // batch — it is the price the batch collectively paid for width.
-        let coalesce_nanos = exec_started
-            .saturating_duration_since(newest_enqueue)
-            .as_nanos() as u64;
+        let coalesce_nanos = nanos_between(newest, started);
 
-        match outcome {
-            Ok(()) => {
-                let done = Instant::now();
-                // Graceful degradation: a store with per-span failure marks
-                // (see `LookupBuffer::set_failed`) answered the batch overall
-                // but could not serve some keys. Only the requests whose own
-                // spans touch a failed key fail — with a typed
-                // `PartialFailure` — and everyone else demuxes byte-identical
-                // to the healthy path. The rare-path pre-scan below is only
-                // taken when the buffer actually carries failures.
-                let mut span_failures: Vec<Option<ServerError>> = Vec::new();
-                let mut completed = batch.len() as u64;
-                let mut completed_keys = merged.len() as u64;
-                if results.failed_count() > 0 {
-                    let mut offset = 0usize;
-                    for req in batch.iter() {
-                        let mut failed_keys = 0usize;
-                        let mut cause = None;
-                        for i in offset..offset + req.keys {
-                            if results.is_failed(i) {
-                                failed_keys += 1;
-                                if cause.is_none() {
-                                    cause = results.error(i).map(|e| e.to_string());
-                                }
-                            }
-                        }
-                        offset += req.keys;
-                        span_failures.push((failed_keys > 0).then(|| {
-                            completed -= 1;
-                            completed_keys -= req.keys as u64;
-                            ServerError::PartialFailure {
-                                failed_keys,
-                                total_keys: req.keys,
-                                cause: cause.unwrap_or_default(),
-                            }
-                        }));
-                    }
-                }
-                // Partition probes failed inside an otherwise-served batch:
-                // that is a tenant-level serving failure for the breaker,
-                // even though most requests got answers.
-                self.breaker_record(&tenant, completed == batch.len() as u64);
-                // Record batch counters before any waiter is woken: a caller
-                // that returns from wait_into and immediately reads stats()
-                // must see its own request counted. Per-request histograms
-                // follow the same rule inside the demux loop below.
-                self.stats.record_batch(
-                    reason,
-                    batch.len() as u64,
-                    completed,
-                    completed_keys,
-                    exec_nanos,
-                );
-                self.flush_counters[reason as usize].incr();
-                trace::record_stage(Stage::Exec, exec_nanos);
-                trace::record_stage(Stage::CoalesceWait, coalesce_nanos);
-                let slow_threshold = self.slow_threshold_nanos();
-                let batch_keys = (merged.len() as u64).max(1);
-                let demux_started = Instant::now();
-                let mut offset = 0usize;
-                // A request leaves `batch` only once it is released, so an
-                // unwind strands none of the rest (see `RunningBatch`).
-                batch.reverse();
-                for index in 0.. {
-                    let Some(req) = batch.last() else {
-                        break;
-                    };
-                    if let Some(Some(err)) = span_failures.get_mut(index).map(Option::take) {
-                        StatsCells::add(&self.stats.requests_failed, 1);
-                        StatsCells::add(&self.stats.partial_failures, 1);
-                        dm_obs::registry::global()
-                            .register_counter("dm_server_partial_failures_total")
-                            .incr();
-                        let mut inner = req.slot.inner.lock();
-                        offset += inner.keys.len();
-                        inner.state = SlotState::Failed(err);
-                        self.release(&req.slot, inner);
-                        batch.pop();
-                        continue;
-                    }
-                    let mut inner = req.slot.inner.lock();
-                    let len = inner.keys.len();
-                    let copy_started = Instant::now();
-                    inner.response.copy_range_from(results, offset, len);
-                    let copy_nanos = copy_started.elapsed().as_nanos() as u64;
-                    offset += len;
-                    inner.done_at = done;
-                    let queue_delay_nanos = inner.queue_delay.as_nanos() as u64;
+        // Graceful degradation: a store with per-span failure marks (see
+        // `LookupBuffer::set_failed`) answered the batch overall but could
+        // not serve some keys. Only the requests whose own spans touch a
+        // failed key fail — with a typed `PartialFailure` — and everyone
+        // else demuxes byte-identical to the healthy path.
+        let mut span_failures = if results.failed_count() > 0 {
+            failed_spans(batch, results)
+        } else {
+            Vec::new()
+        };
+        let failed_span = |index: usize, failures: &[Option<ServerError>]| {
+            failures.get(index).is_some_and(Option::is_some)
+        };
+        let failed = span_failures.iter().flatten().count() as u64;
+        // Partition probes failed inside an otherwise-served batch: that is
+        // a tenant-level serving failure for the breaker, even though most
+        // requests got answers.
+        self.breaker_record(tenant, failed == 0);
 
-                    let wall_nanos =
-                        done.saturating_duration_since(req.enqueued_at).as_nanos() as u64;
-                    // Batch-share attribution: this request's key-weighted
-                    // slice of the merged batch's stage time. Written once,
-                    // into the tenant's histograms; `stats()` merges them.
-                    let share = |total: u64| total * len as u64 / batch_keys;
-                    tenant.obs.record(&RequestSample {
-                        queue_delay_nanos,
-                        coalesce_wait_nanos: coalesce_nanos,
-                        wall_nanos,
-                        exec_share_nanos: share(exec_nanos),
-                        inference_share_nanos: share(inference_nanos),
-                        probe_share_nanos: share(probe_nanos),
-                        result_copy_nanos: copy_nanos,
-                    });
-                    trace::record_stage(Stage::QueueDelay, queue_delay_nanos);
-                    trace::record_stage(Stage::ResultCopy, copy_nanos);
-                    if wall_nanos >= slow_threshold {
-                        // Timeline offsets are relative to this request's
-                        // enqueue. Inference/probe spans carry the *batch*
-                        // totals (the detail line names the batch size).
-                        let exec_offset = exec_started
-                            .saturating_duration_since(req.enqueued_at)
-                            .as_nanos() as u64;
-                        let events: Vec<TraceEvent> = [
-                            (Stage::QueueDelay, 0, queue_delay_nanos),
-                            (
-                                Stage::CoalesceWait,
-                                newest_enqueue
-                                    .saturating_duration_since(req.enqueued_at)
-                                    .as_nanos() as u64,
-                                coalesce_nanos,
-                            ),
-                            (Stage::Exec, exec_offset, exec_nanos),
-                            (Stage::Inference, exec_offset, inference_nanos),
-                            (Stage::Probe, exec_offset, probe_nanos),
-                            (
-                                Stage::ResultCopy,
-                                copy_started
-                                    .saturating_duration_since(req.enqueued_at)
-                                    .as_nanos() as u64,
-                                copy_nanos,
-                            ),
-                        ]
-                        .into_iter()
-                        .filter(|&(_, _, dur)| dur > 0)
-                        .map(|(stage, start_nanos, dur_nanos)| TraceEvent {
-                            stage,
-                            start_nanos,
-                            dur_nanos,
-                        })
-                        .collect();
+        // The copy pass: each answered request's rows into its slot. The
+        // slots stay `Queued`, so no client sees an answer before its sample
+        // is recorded below.
+        let mut offset = 0usize;
+        let mut completed_keys = 0usize;
+        for (index, req) in batch.iter().enumerate() {
+            if !failed_span(index, &span_failures) {
+                let mut inner = req.slot.inner.lock();
+                inner.response.copy_range_from(results, offset, req.keys);
+                inner.queue_delay = started.saturating_duration_since(req.enqueued_at);
+                inner.done_at = done;
+                completed_keys += req.keys;
+            }
+            offset += req.keys;
+        }
+        let copy_nanos = nanos_between(done, Instant::now());
+
+        // Record the batch before any waiter is woken: a caller that returns
+        // from wait_into and immediately reads stats() must see its own
+        // request counted, latencies included.
+        let completed = batch.len() as u64 - failed;
+        if failed > 0 {
+            self.stats.requests_failed.add(failed);
+            self.stats.partial_failures.add(failed);
+            dm_obs::registry::global()
+                .register_counter("dm_server_partial_failures_total")
+                .add(failed);
+        }
+        self.stats.record_batch(
+            reason,
+            batch.len() as u64,
+            completed,
+            completed_keys as u64,
+            exec_nanos,
+        );
+        self.flush_counters[reason as usize].incr();
+        trace::record_stage(Stage::QueueDelay, nanos_between(oldest, started));
+        trace::record_stage(Stage::CoalesceWait, coalesce_nanos);
+        trace::record_stage(Stage::Exec, exec_nanos);
+        trace::record_stage(Stage::Demux, copy_nanos);
+        trace::record_stage(Stage::ResultCopy, copy_nanos / completed.max(1));
+        // Batch-share attribution: each request's key-weighted slice of the
+        // batch's stage time.
+        let batch_keys = (merged.len() as u64).max(1);
+        let windowed_at = dm_obs::enabled().then(|| dm_obs::window::nanos_at(done));
+        samples.clear();
+        for (index, req) in batch.iter().enumerate() {
+            if failed_span(index, &span_failures) {
+                continue;
+            }
+            let share = |total: u64| total * req.keys as u64 / batch_keys;
+            samples.push(RequestSample {
+                windowed_at,
+                inline: false,
+                queue_delay_nanos: nanos_between(req.enqueued_at, started),
+                coalesce_wait_nanos: coalesce_nanos,
+                wall_nanos: nanos_between(req.enqueued_at, done),
+                exec_share_nanos: share(exec_nanos),
+                inference_share_nanos: share(inference_nanos),
+                probe_share_nanos: share(probe_nanos),
+                result_copy_nanos: share(copy_nanos),
+            });
+        }
+        tenant.obs.record(samples);
+
+        // The release pass, newest request first. A request leaves `batch`
+        // only once it is released, so an unwind strands none of the rest
+        // (see `RunningBatch`).
+        let slow_threshold = self.slow_threshold_nanos();
+        let mut sample = samples.len();
+        while let Some(req) = batch.last() {
+            let failure = span_failures
+                .get_mut(batch.len() - 1)
+                .and_then(Option::take);
+            let mut inner = req.slot.inner.lock();
+            inner.state = match failure {
+                Some(err) => SlotState::Failed(err),
+                None => {
+                    sample -= 1;
+                    if samples[sample].wall_nanos >= slow_threshold {
                         self.slow.push(CapturedTrace {
                             label: "server_request",
                             detail: format!(
-                                "tenant={} keys={len} batch_keys={} left={}",
+                                "tenant={} keys={} batch_keys={} left={}",
                                 tenant.name,
+                                req.keys,
                                 merged.len(),
                                 reason.as_str()
                             ),
-                            total_nanos: wall_nanos,
-                            events,
+                            total_nanos: samples[sample].wall_nanos,
+                            events: batched_timeline(
+                                &samples[sample],
+                                [started, newest, done]
+                                    .map(|at| nanos_between(req.enqueued_at, at)),
+                                [exec_nanos, inference_nanos, probe_nanos],
+                            ),
                         });
                     }
-                    // The slot lock is held to here, so the request's own
-                    // samples are recorded before its client can see `Done`.
-                    inner.state = SlotState::Done;
-                    self.release(&req.slot, inner);
-                    batch.pop();
+                    SlotState::Done
                 }
-                trace::record_stage(Stage::Demux, demux_started.elapsed().as_nanos() as u64);
-            }
-            Err(err) => {
-                self.breaker_record(&tenant, false);
-                let err = ServerError::Store(err.to_string());
-                self.fail_requests(batch, &err);
-            }
+            };
+            self.release(&req.slot, inner);
+            batch.pop();
         }
     }
 
     /// Serves one request synchronously on the caller thread (inline mode).
-    fn execute_inline(&self, slot: &Arc<RequestSlot>) -> Result<()> {
-        let tenant = self.tenant(slot.inner.lock().tenant);
-        let store = match self.tenant_store(&tenant) {
+    /// `enqueued_at` is the submission's clock read, which starts the store
+    /// call's span too: an inline request's wall time is its store time.
+    fn execute_inline(
+        &self,
+        tenant: &Tenant,
+        slot: &RequestSlot,
+        enqueued_at: Instant,
+    ) -> Result<()> {
+        let store = match self.tenant_store(tenant) {
             Ok(store) => store,
             Err(err) => {
-                self.breaker_record(&tenant, false);
+                self.breaker_record(tenant, false);
+                self.stats.requests_failed.incr();
                 slot.inner.lock().state = SlotState::Idle;
                 return Err(err);
             }
         };
-        let mut inner = slot.inner.lock();
-        let started = Instant::now();
-        let inner_ref = &mut *inner;
-        let outcome = store.lookup_batch_into(&inner_ref.keys, &mut inner_ref.response);
-        match outcome {
+        let mut guard = slot.inner.lock();
+        let inner = &mut *guard;
+        let outcome = store.lookup_batch_into(&inner.keys, &mut inner.response);
+        let done = Instant::now();
+        let failure = match outcome {
             Ok(()) if inner.response.failed_count() > 0 => {
                 // Per-span degradation: this single request *is* the batch,
                 // so any failed span fails it with the typed partial error.
-                let failed_keys = inner.response.failed_count();
-                let total_keys = inner.keys.len();
-                let cause = inner
-                    .response
-                    .first_error()
-                    .map(|e| e.to_string())
-                    .unwrap_or_default();
-                inner.state = SlotState::Idle;
-                drop(inner);
-                self.breaker_record(&tenant, false);
-                StatsCells::add(&self.stats.requests_failed, 1);
-                StatsCells::add(&self.stats.partial_failures, 1);
+                self.stats.partial_failures.incr();
                 dm_obs::registry::global()
                     .register_counter("dm_server_partial_failures_total")
                     .incr();
-                Err(ServerError::PartialFailure {
-                    failed_keys,
-                    total_keys,
-                    cause,
-                })
+                ServerError::PartialFailure {
+                    failed_keys: inner.response.failed_count(),
+                    total_keys: inner.keys.len(),
+                    cause: inner
+                        .response
+                        .first_error()
+                        .map(|e| e.to_string())
+                        .unwrap_or_default(),
+                }
             }
             Ok(()) => {
-                self.breaker_record(&tenant, true);
-                let done = Instant::now();
-                let exec_nanos = done.saturating_duration_since(started).as_nanos() as u64;
-                let wall = done.saturating_duration_since(inner.enqueued_at);
-                let wall_nanos = wall.as_nanos() as u64;
+                self.breaker_record(tenant, true);
+                let wall_nanos = nanos_between(enqueued_at, done);
                 inner.done_at = done;
                 inner.queue_delay = Duration::ZERO;
                 inner.state = SlotState::Done;
-                self.stats.record_inline(inner.keys.len() as u64, exec_nanos);
+                let keys = inner.keys.len();
+                self.stats.record_inline(keys as u64, wall_nanos);
                 let batch_trace = trace::take_last_batch();
-                tenant.obs.record_inline(
+                tenant.obs.record(&[RequestSample {
+                    windowed_at: dm_obs::enabled().then(|| dm_obs::window::nanos_at(done)),
+                    inline: true,
                     wall_nanos,
-                    exec_nanos,
-                    batch_trace.map_or(0, |s| s.stage(Stage::Inference)),
-                    batch_trace.map_or(0, |s| s.stage(Stage::Probe)),
-                );
-                trace::record_stage(Stage::Exec, exec_nanos);
+                    exec_share_nanos: wall_nanos,
+                    inference_share_nanos: batch_trace.map_or(0, |s| s.stage(Stage::Inference)),
+                    probe_share_nanos: batch_trace.map_or(0, |s| s.stage(Stage::Probe)),
+                    ..RequestSample::default()
+                }]);
+                trace::record_stage(Stage::Exec, wall_nanos);
                 if wall_nanos >= self.slow_threshold_nanos() {
                     self.slow.push(CapturedTrace {
                         label: "server_request_inline",
-                        detail: format!("tenant={} keys={}", tenant.name, inner.keys.len()),
+                        detail: format!("tenant={} keys={keys}", tenant.name),
                         total_nanos: wall_nanos,
                         events: vec![TraceEvent {
                             stage: Stage::Exec,
-                            start_nanos: started
-                                .saturating_duration_since(inner.enqueued_at)
-                                .as_nanos() as u64,
-                            dur_nanos: exec_nanos,
+                            start_nanos: 0,
+                            dur_nanos: wall_nanos,
                         }],
                     });
                 }
-                Ok(())
+                return Ok(());
             }
-            Err(err) => {
-                inner.state = SlotState::Idle;
-                drop(inner);
-                self.breaker_record(&tenant, false);
-                Err(ServerError::Store(err.to_string()))
-            }
-        }
+            Err(err) => ServerError::Store(err.to_string()),
+        };
+        inner.state = SlotState::Idle;
+        drop(guard);
+        self.breaker_record(tenant, false);
+        self.stats.requests_failed.incr();
+        Err(failure)
     }
+}
+
+/// Nanoseconds from `earlier` to `later`, 0 if `later` is not later.
+fn nanos_between(earlier: Instant, later: Instant) -> u64 {
+    later.saturating_duration_since(earlier).as_nanos() as u64
+}
+
+/// The failed-span verdict of each request of `batch`, on a buffer that
+/// carries failures: `Some` for a request one of whose keys failed.
+fn failed_spans(batch: &[QueuedReq], results: &LookupBuffer) -> Vec<Option<ServerError>> {
+    let mut offset = 0usize;
+    batch
+        .iter()
+        .map(|req| {
+            let span = offset..offset + req.keys;
+            offset = span.end;
+            let failed_keys = span.clone().filter(|&i| results.is_failed(i)).count();
+            (failed_keys > 0).then(|| ServerError::PartialFailure {
+                failed_keys,
+                total_keys: req.keys,
+                cause: span
+                    .filter_map(|i| results.error(i))
+                    .map(|e| e.to_string())
+                    .next()
+                    .unwrap_or_default(),
+            })
+        })
+        .collect()
+}
+
+/// A slow batched request's timeline, relative to its enqueue: `at` holds
+/// the offsets of its batch's execution start, newest member's arrival and
+/// execution end, `batch` the batch's exec / inference / probe totals (the
+/// detail line names the batch size).
+fn batched_timeline(sample: &RequestSample, at: [u64; 3], batch: [u64; 3]) -> Vec<TraceEvent> {
+    let [exec_offset, newest_offset, done_offset] = at;
+    let [exec, inference, probe] = batch;
+    [
+        (Stage::QueueDelay, 0, sample.queue_delay_nanos),
+        (
+            Stage::CoalesceWait,
+            newest_offset,
+            sample.coalesce_wait_nanos,
+        ),
+        (Stage::Exec, exec_offset, exec),
+        (Stage::Inference, exec_offset, inference),
+        (Stage::Probe, exec_offset, probe),
+        (Stage::ResultCopy, done_offset, sample.result_copy_nanos),
+    ]
+    .into_iter()
+    .filter(|&(_, _, dur)| dur > 0)
+    .map(|(stage, start_nanos, dur_nanos)| TraceEvent {
+        stage,
+        start_nanos,
+        dur_nanos,
+    })
+    .collect()
 }
 
 /// Submits one prepared slot. Called by [`ServerClient::submit`]; the slot
 /// must be `Idle` and owned by the calling client. On any error the slot is
 /// returned to `Idle` so the client's pipeline slot is not consumed.
+///
+/// Admission reads the clock once and takes no lock but the queue's: the
+/// tenant resolves from the append-only table, and a breaker that is not
+/// open admits on one atomic load.
 pub(crate) fn submit_slot(
-    shared: &Arc<Shared>,
+    shared: &Shared,
     slot: &Arc<RequestSlot>,
     tenant: TenantId,
     keys: &[u64],
@@ -1034,13 +1164,13 @@ pub(crate) fn submit_slot(
             max_request_keys: config.max_request_keys,
         });
     }
-    if tenant.0 >= shared.tenant_count() {
+    let Some(entry) = shared.tenants.get(tenant.0) else {
         return Err(ServerError::UnknownTenant(format!("#{}", tenant.0)));
-    }
+    };
     // Circuit breaker: a tenant that keeps failing is fast-failed here, at
     // admission, so a sick tenant cannot fill the queue with requests that
     // are doomed to fail after burning a coalescing slot.
-    shared.breaker_admit(tenant.0)?;
+    shared.breaker_admit(entry)?;
 
     let enqueued_at = Instant::now();
     {
@@ -1054,7 +1184,8 @@ pub(crate) fn submit_slot(
     }
 
     if config.inline {
-        return shared.execute_inline(slot);
+        shared.stats.record_admission(keys.len() as u64);
+        return shared.execute_inline(entry, slot, enqueued_at);
     }
 
     let wake = {
@@ -1070,7 +1201,7 @@ pub(crate) fn submit_slot(
             let queued_keys = q.queued_keys;
             q.shedding = q.shedding || over_capacity;
             drop(q);
-            StatsCells::add(&shared.stats.requests_shed, 1);
+            shared.stats.requests_shed.incr();
             slot.inner.lock().state = SlotState::Idle;
             return Err(ServerError::Overloaded {
                 queued_keys,
@@ -1081,6 +1212,9 @@ pub(crate) fn submit_slot(
             // Drained to the low watermark: stop shedding and admit.
             q.shedding = false;
         }
+        // Counted before the request can be served: a batch that answers it
+        // may run on another thread as soon as the queue lock drops.
+        shared.stats.record_admission(keys.len() as u64);
         q.entries.push_back(QueuedReq {
             slot: Arc::clone(slot),
             tenant: tenant.0,
@@ -1100,8 +1234,6 @@ pub(crate) fn submit_slot(
         std::mem::take(&mut q.dispatcher_idle)
             || (after >= config.max_batch_keys && after - keys.len() < config.max_batch_keys)
     };
-    StatsCells::add(&shared.stats.requests_enqueued, 1);
-    StatsCells::add(&shared.stats.keys_enqueued, keys.len() as u64);
     if wake {
         shared.work_cv.notify_one();
     }
@@ -1217,7 +1349,8 @@ impl QueryServer {
             work_cv: Condvar::new(),
             live_clients: AtomicUsize::new(0),
             parked_clients: AtomicUsize::new(0),
-            registry: RwLock::new(Registry::default()),
+            names: Mutex::new(HashMap::new()),
+            tenants: TenantTable::new(),
             stats: StatsCells::default(),
             flush_counters: FlushReason::ALL
                 .map(|reason| dm_obs::registry::global().register_counter(reason.counter_name())),
@@ -1271,28 +1404,27 @@ impl QueryServer {
         store: Option<Arc<dyn TupleStore>>,
         path: Option<PathBuf>,
     ) -> Result<TenantId> {
-        let mut registry = self.shared.registry.write();
-        if registry.names.contains_key(name) {
+        let mut names = self.shared.names.lock();
+        if names.contains_key(name) {
             return Err(ServerError::DuplicateTenant(name.to_string()));
         }
-        let index = registry.tenants.len();
-        registry.tenants.push(Arc::new(Tenant {
+        let index = self.shared.tenants.push(Tenant {
             name: name.to_string(),
             path,
-            store: Mutex::new(store),
+            store: store.map_or_else(OnceLock::new, OnceLock::from),
+            opening: Mutex::new(()),
             obs: TenantObs::default(),
-            breaker: Mutex::new(BreakerState::default()),
-        }));
-        registry.names.insert(name.to_string(), index);
+            breaker: Breaker::default(),
+        });
+        names.insert(name.to_string(), index);
         Ok(TenantId(index))
     }
 
     /// Resolves a tenant id by registration name.
     pub fn tenant(&self, name: &str) -> Result<TenantId> {
         self.shared
-            .registry
-            .read()
             .names
+            .lock()
             .get(name)
             .copied()
             .map(TenantId)
@@ -1304,11 +1436,9 @@ impl QueryServer {
     /// request.
     pub fn tenants(&self) -> Vec<(String, bool)> {
         self.shared
-            .registry
-            .read()
             .tenants
             .iter()
-            .map(|t| (t.name.clone(), t.store.lock().is_some()))
+            .map(|t| (t.name.clone(), t.store.get().is_some()))
             .collect()
     }
 
@@ -1325,30 +1455,24 @@ impl QueryServer {
 
     /// A point-in-time snapshot of the server's counters. Its latency
     /// fields read the merge of every tenant's [`tenant_tail`](Self::tenant_tail)
-    /// histograms, taken here.
+    /// histograms, folded from the tenants' request samples here.
     pub fn stats(&self) -> ServerStats {
-        let registry = self.shared.registry.read();
         ServerStats {
             live_clients: self.shared.live_clients.load(Ordering::SeqCst) as u64,
             parked_clients: self.shared.parked_clients.load(Ordering::SeqCst) as u64,
             ..self
                 .shared
                 .stats
-                .snapshot(registry.tenants.iter().map(|tenant| &tenant.obs))
+                .snapshot(self.shared.tenants.iter().map(|tenant| &tenant.obs))
         }
     }
 
     /// Per-tenant tail-attribution histograms for the tenant registered as
     /// `name`: queue delay, coalescing hold, request wall time, the tenant's
-    /// key-weighted share of batch execution / inference / probe time, and
-    /// per-request result-copy time.
+    /// key-weighted share of batch execution / inference / probe / demux-copy
+    /// time, folded from the requests' samples here.
     pub fn tenant_tail(&self, name: &str) -> Result<TenantTail> {
-        let registry = self.shared.registry.read();
-        let index = *registry
-            .names
-            .get(name)
-            .ok_or_else(|| ServerError::UnknownTenant(name.to_string()))?;
-        Ok(registry.tenants[index].obs.tail())
+        Ok(self.shared.tenant(self.tenant(name)?.0).obs.tail())
     }
 
     /// Captured timelines of requests whose wall time reached the
@@ -1364,7 +1488,7 @@ impl QueryServer {
     /// [`ServerConfig::tenant_p99_target`], when a target is configured.
     fn tenant_slo(&self, tenant: &Tenant) -> Option<dm_obs::SloSignals> {
         let target = self.shared.config.tenant_p99_target?;
-        let recent = tenant.obs.recent_request_wall.snapshot();
+        let recent = tenant.obs.tail().recent_request_wall;
         Some(dm_obs::SloSignals {
             target_p99_nanos: target.as_nanos().min(u64::MAX as u128) as u64,
             windowed_p99_nanos: recent.p99(),
@@ -1380,9 +1504,9 @@ impl QueryServer {
     /// snapshot-backed tenant lazily, exactly like a first request would.
     pub fn tenant_health(&self, name: &str) -> Result<dm_obs::HealthReport> {
         let tenant = self.shared.tenant(self.tenant(name)?.0);
-        let store = self.shared.tenant_store(&tenant)?;
+        let store = self.shared.tenant_store(tenant)?;
         let signals = store.health_signals().unwrap_or_default();
-        Ok(signals.advise_with_faults(self.tenant_slo(&tenant), store.fault_signals()))
+        Ok(signals.advise_with_faults(self.tenant_slo(tenant), store.fault_signals()))
     }
 
     /// Health reports for every tenant that is already open, as
@@ -1391,18 +1515,11 @@ impl QueryServer {
     /// fault every registered snapshot into memory); use
     /// [`tenant_health`](Self::tenant_health) to force one open.
     pub fn health(&self) -> Vec<(String, dm_obs::HealthReport)> {
-        let tenants: Vec<Arc<Tenant>> = self
-            .shared
-            .registry
-            .read()
+        self.shared
             .tenants
             .iter()
-            .map(Arc::clone)
-            .collect();
-        tenants
-            .iter()
             .filter_map(|tenant| {
-                let store = tenant.store.lock().as_ref().map(Arc::clone)?;
+                let store = tenant.store.get()?;
                 let signals = store.health_signals().unwrap_or_default();
                 let report =
                     signals.advise_with_faults(self.tenant_slo(tenant), store.fault_signals());
@@ -1446,6 +1563,15 @@ impl QueryServer {
         if let Some(handle) = self.dispatcher.lock().take() {
             let _ = handle.join();
         }
+    }
+}
+
+#[cfg(test)]
+impl QueryServer {
+    /// Every sample the tenant registered as `name` has recorded, in order.
+    pub(crate) fn recorded_samples(&self, name: &str) -> Vec<RequestSample> {
+        let tenant = self.tenant(name).expect("a registered tenant");
+        self.shared.tenant(tenant.0).obs.tap.lock().clone()
     }
 }
 

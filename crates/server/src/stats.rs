@@ -1,7 +1,7 @@
 //! Lock-free observability counters and tail histograms for the query server.
 //!
-//! The server records everything in relaxed [`AtomicU64`] cells and
-//! [`Histogram`]s so the hot path never takes a lock to bump a counter;
+//! The server's counters are striped relaxed [`Counter`]s, so two threads
+//! that submit and answer at once never bounce a counter's cache line;
 //! [`ServerStats`] is a consistent *enough* snapshot for dashboards and
 //! benches (individual cells are exact, cross-cell ratios can be one request
 //! stale).  Latency distributions (queue delay, coalesce wait, request wall)
@@ -9,14 +9,16 @@
 //! the summed-nanos fields are kept only as derived means for callers that
 //! predate the histograms.
 //!
-//! A request's latencies are written once, into its tenant's histograms
-//! (striped per thread, see [`dm_obs::histogram`]); the server-wide
-//! histograms behind [`ServerStats`] are the merge of every tenant's, taken
-//! when [`QueryServer::stats`](crate::QueryServer::stats) is called. The
+//! A request's latencies are one `RequestSample`, written once into its
+//! tenant's sample log (`TenantObs`); the tenant's histograms are folded
+//! from the samples, and the server-wide histograms behind [`ServerStats`]
+//! are the merge of every tenant's, taken when
+//! [`QueryServer::stats`](crate::QueryServer::stats) is called.  The
 //! server's own cells hold only counters.
 
 use dm_obs::window::{DEFAULT_SLICE, DEFAULT_SLICES};
-use dm_obs::{Histogram, HistogramSnapshot, WindowedHistogram};
+use dm_obs::{Counter, HistogramSnapshot, SnapshotWindow};
+use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
@@ -81,33 +83,35 @@ impl FlushReason {
 /// histograms into a [`ServerStats`].
 #[derive(Default)]
 pub(crate) struct StatsCells {
-    pub requests_enqueued: AtomicU64,
-    pub requests_completed: AtomicU64,
-    pub requests_failed: AtomicU64,
-    pub requests_shed: AtomicU64,
-    pub requests_timed_out: AtomicU64,
-    pub partial_failures: AtomicU64,
-    pub breaker_trips: AtomicU64,
-    pub breaker_rejections: AtomicU64,
-    pub breaker_recoveries: AtomicU64,
-    pub keys_enqueued: AtomicU64,
-    pub keys_served: AtomicU64,
-    pub batches_formed: AtomicU64,
+    pub requests_enqueued: Counter,
+    pub requests_completed: Counter,
+    pub requests_failed: Counter,
+    pub requests_shed: Counter,
+    pub requests_timed_out: Counter,
+    pub partial_failures: Counter,
+    pub breaker_trips: Counter,
+    pub breaker_rejections: Counter,
+    pub breaker_recoveries: Counter,
+    pub keys_enqueued: Counter,
+    pub keys_served: Counter,
+    pub batches_formed: Counter,
     /// `batches_formed` split by [`FlushReason`], indexed in `ALL` order.
-    pub batches_by_reason: [AtomicU64; 5],
-    pub batched_requests: AtomicU64,
+    pub batches_by_reason: [Counter; 5],
+    pub batched_requests: Counter,
     pub max_coalesce_width: AtomicU64,
-    pub exec_nanos: AtomicU64,
-    pub inline_requests: AtomicU64,
-    pub tenants_opened: AtomicU64,
-    pub tenant_open_nanos: AtomicU64,
+    pub exec_nanos: Counter,
+    pub inline_requests: Counter,
+    pub tenants_opened: Counter,
+    pub tenant_open_nanos: Counter,
     /// Returns of the dispatcher from a wait on the server's work condvar.
-    pub dispatcher_wakeups: AtomicU64,
+    pub dispatcher_wakeups: Counter,
 }
 
 impl StatsCells {
-    pub fn add(cell: &AtomicU64, n: u64) {
-        cell.fetch_add(n, Ordering::Relaxed);
+    /// Counts one request past admission control, batched or inline.
+    pub fn record_admission(&self, keys: u64) {
+        self.requests_enqueued.incr();
+        self.keys_enqueued.add(keys);
     }
 
     /// Records one merged batch the store executed: why it left the queue,
@@ -125,45 +129,50 @@ impl StatsCells {
         keys: u64,
         exec_nanos: u64,
     ) {
-        Self::add(&self.batches_formed, 1);
-        Self::add(&self.batches_by_reason[reason as usize], 1);
-        Self::add(&self.batched_requests, width);
-        Self::add(&self.requests_completed, completed);
-        Self::add(&self.keys_served, keys);
-        Self::add(&self.exec_nanos, exec_nanos);
-        self.max_coalesce_width.fetch_max(width, Ordering::Relaxed);
+        self.batches_formed.incr();
+        self.batches_by_reason[reason as usize].incr();
+        self.batched_requests.add(width);
+        self.requests_completed.add(completed);
+        self.keys_served.add(keys);
+        self.exec_nanos.add(exec_nanos);
+        // Read first: the shared line is written only by a new maximum.
+        if width > self.max_coalesce_width.load(Ordering::Relaxed) {
+            self.max_coalesce_width.fetch_max(width, Ordering::Relaxed);
+        }
     }
 
     /// Counts one request served inline on the caller thread (its latencies
-    /// go to the tenant: [`TenantObs::record_inline`]).
+    /// go to the tenant as an inline [`RequestSample`]).
     pub fn record_inline(&self, keys: u64, exec_nanos: u64) {
-        Self::add(&self.inline_requests, 1);
-        Self::add(&self.requests_completed, 1);
-        Self::add(&self.keys_served, keys);
-        Self::add(&self.exec_nanos, exec_nanos);
+        self.inline_requests.incr();
+        self.requests_completed.incr();
+        self.keys_served.add(keys);
+        self.exec_nanos.add(exec_nanos);
     }
 
     pub fn record_tenant_open(&self, elapsed: Duration) {
-        Self::add(&self.tenants_opened, 1);
-        Self::add(&self.tenant_open_nanos, elapsed.as_nanos() as u64);
+        self.tenants_opened.incr();
+        self.tenant_open_nanos.add(elapsed.as_nanos() as u64);
     }
 
     /// Everything but the client census (`live_clients` / `parked_clients`),
     /// which the server's shared state owns and fills in. The latency fields
-    /// read the merge of `tenants`' histograms.
+    /// read the merge of `tenants`' tails.
     pub fn snapshot<'a>(&self, tenants: impl IntoIterator<Item = &'a TenantObs>) -> ServerStats {
-        let load = |cell: &AtomicU64| cell.load(Ordering::Relaxed);
+        let load = |cell: &Counter| cell.value();
         let mut queue_delay = HistogramSnapshot::default();
         let mut coalesce_wait = HistogramSnapshot::default();
         let mut request_wall = HistogramSnapshot::default();
         let mut recent_wall = HistogramSnapshot::default();
         let mut recent_queue = HistogramSnapshot::default();
+        let now = dm_obs::window::now_nanos();
         for tenant in tenants {
-            queue_delay.merge(&tenant.queue_delay.snapshot());
-            coalesce_wait.merge(&tenant.coalesce_wait.snapshot());
-            request_wall.merge(&tenant.request_wall.snapshot());
-            recent_wall.merge(&tenant.recent_request_wall.snapshot());
-            recent_queue.merge(&tenant.recent_queue_delay.snapshot());
+            let tail = tenant.tail_at(now);
+            queue_delay.merge(&tail.queue_delay);
+            coalesce_wait.merge(&tail.coalesce_wait);
+            request_wall.merge(&tail.request_wall);
+            recent_wall.merge(&tail.recent_request_wall);
+            recent_queue.merge(&tail.recent_queue_delay);
         }
         ServerStats {
             requests_enqueued: load(&self.requests_enqueued),
@@ -189,7 +198,7 @@ impl StatsCells {
             live_clients: 0,
             parked_clients: 0,
             batched_requests: load(&self.batched_requests),
-            max_coalesce_width: load(&self.max_coalesce_width),
+            max_coalesce_width: self.max_coalesce_width.load(Ordering::Relaxed),
             queue_delay_nanos: queue_delay.sum(),
             coalesce_wait_nanos: coalesce_wait.sum(),
             request_wall_nanos: request_wall.sum(),
@@ -216,36 +225,19 @@ impl StatsCells {
     }
 }
 
-/// Per-tenant tail-attribution histograms.  One instance lives inside each
-/// registered tenant; the batch-share columns split a merged batch's stage
-/// time across its requests proportionally to key count, so a tenant can see
-/// where *its* requests' latency goes even when batches interleave work.
-#[derive(Default)]
-pub(crate) struct TenantObs {
-    pub queue_delay: Histogram,
-    pub coalesce_wait: Histogram,
-    pub request_wall: Histogram,
-    /// This request's key-weighted share of the batch's store-execution time.
-    pub exec_share: Histogram,
-    /// Key-weighted share of the batch's model-inference time (0 for stores
-    /// that publish no batch trace).
-    pub inference_share: Histogram,
-    /// Key-weighted share of the batch's auxiliary-probe time (0 for stores
-    /// that publish no batch trace).
-    pub probe_share: Histogram,
-    /// Time copying this request's rows out of the merged result buffer.
-    pub result_copy: Histogram,
-    /// Windowed (last ~60 s) view of `request_wall`, `DM_OBS`-gated — feeds
-    /// [`TenantTail::recent_request_wall`] and the per-tenant SLO input.
-    pub recent_request_wall: WindowedHistogram,
-    /// Windowed view of `queue_delay`, `DM_OBS`-gated.
-    pub recent_queue_delay: WindowedHistogram,
-}
-
-/// One request's latency decomposition, handed to [`TenantObs::record`] by
-/// the demux loop.  All values are nanoseconds; the `*_share` fields are the
-/// request's key-weighted slice of its merged batch's stage time.
+/// One served request's latency decomposition: the one record the server
+/// writes per request (see [`TenantObs`]).  All values are nanoseconds; the
+/// `*_share` fields are the request's key-weighted slice of its merged
+/// batch's stage time.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub(crate) struct RequestSample {
+    /// When the response became ready, on the windows' clock
+    /// ([`dm_obs::window::nanos_at`]); `None` while observability is off,
+    /// which keeps the sample out of the `recent_*` windows.
+    pub windowed_at: Option<u64>,
+    /// Served inline: no queue, no coalescing, no demux copy, so only the
+    /// wall, exec and stage-share histograms take it.
+    pub inline: bool,
     pub queue_delay_nanos: u64,
     pub coalesce_wait_nanos: u64,
     pub wall_nanos: u64,
@@ -255,70 +247,171 @@ pub(crate) struct RequestSample {
     pub result_copy_nanos: u64,
 }
 
-impl TenantObs {
-    /// Records one batched request's sample into every histogram.
-    pub fn record(&self, sample: &RequestSample) {
-        self.queue_delay.record_nanos(sample.queue_delay_nanos);
-        self.coalesce_wait.record_nanos(sample.coalesce_wait_nanos);
-        self.request_wall.record_nanos(sample.wall_nanos);
-        self.recent_request_wall.record_nanos(sample.wall_nanos);
-        self.recent_queue_delay.record_nanos(sample.queue_delay_nanos);
-        self.exec_share.record_nanos(sample.exec_share_nanos);
-        self.inference_share.record_nanos(sample.inference_share_nanos);
-        self.probe_share.record_nanos(sample.probe_share_nanos);
-        self.result_copy.record_nanos(sample.result_copy_nanos);
-    }
+/// Samples one stripe's log holds before the writer that fills it folds
+/// them into the tenant's histograms.
+const LOG_SAMPLES: usize = 64;
 
-    /// Records one inline request: no queue, no coalescing, no demux copy —
-    /// only the wall/exec/stage-share histograms are fed.
-    pub fn record_inline(
-        &self,
-        wall_nanos: u64,
-        exec_nanos: u64,
-        inference_nanos: u64,
-        probe_nanos: u64,
-    ) {
-        self.request_wall.record_nanos(wall_nanos);
-        self.recent_request_wall.record_nanos(wall_nanos);
-        self.exec_share.record_nanos(exec_nanos);
-        self.inference_share.record_nanos(inference_nanos);
-        self.probe_share.record_nanos(probe_nanos);
-    }
+/// One stripe's unfolded samples, on cache lines of its own.
+#[repr(align(128))]
+struct SampleLog(Mutex<Vec<RequestSample>>);
 
-    pub fn tail(&self) -> TenantTail {
-        TenantTail {
-            queue_delay: self.queue_delay.snapshot(),
-            coalesce_wait: self.coalesce_wait.snapshot(),
-            request_wall: self.request_wall.snapshot(),
-            exec_share: self.exec_share.snapshot(),
-            inference_share: self.inference_share.snapshot(),
-            probe_share: self.probe_share.snapshot(),
-            result_copy: self.result_copy.snapshot(),
-            recent_request_wall: self.recent_request_wall.snapshot(),
-            recent_queue_delay: self.recent_queue_delay.snapshot(),
+/// The tenant's histograms, folded from its samples.  Request wall time and
+/// queue delay are windows as snapshot differences
+/// ([`SnapshotWindow`]): their cumulative halves are the since-boot
+/// histograms, so each sample is recorded once.
+struct Folded {
+    queue_delay: SnapshotWindow,
+    request_wall: SnapshotWindow,
+    coalesce_wait: HistogramSnapshot,
+    exec_share: HistogramSnapshot,
+    inference_share: HistogramSnapshot,
+    probe_share: HistogramSnapshot,
+    result_copy: HistogramSnapshot,
+}
+
+impl Folded {
+    fn fold(&mut self, samples: &[RequestSample]) {
+        for sample in samples {
+            let windowed = |window: &mut SnapshotWindow, value: u64| match sample.windowed_at {
+                Some(at) => window.record_at(at, value),
+                None => window.record_unwindowed(value),
+            };
+            windowed(&mut self.request_wall, sample.wall_nanos);
+            if !sample.inline {
+                windowed(&mut self.queue_delay, sample.queue_delay_nanos);
+                self.coalesce_wait.record_nanos(sample.coalesce_wait_nanos);
+                self.result_copy.record_nanos(sample.result_copy_nanos);
+            }
+            self.exec_share.record_nanos(sample.exec_share_nanos);
+            self.inference_share
+                .record_nanos(sample.inference_share_nanos);
+            self.probe_share.record_nanos(sample.probe_share_nanos);
         }
+    }
+}
+
+/// Per-tenant tail attribution.  One instance lives inside each registered
+/// tenant; the batch-share columns split a merged batch's stage time across
+/// its requests proportionally to key count, so a tenant can see where *its*
+/// requests' latency goes even when batches interleave work.
+///
+/// A request writes one fixed-size [`RequestSample`] into its thread's
+/// stripe of sample logs — one uncontended lock per batch, however many
+/// requests the batch answers — and nothing else.  The histograms are folded
+/// from the samples: by [`tail`](Self::tail) (and so by
+/// [`QueryServer::stats`](crate::QueryServer::stats)), which folds every log
+/// first, and by the writer whose log fills.  A fold is exact: every sample
+/// lands in every histogram it belongs to exactly once.
+pub(crate) struct TenantObs {
+    logs: Box<[SampleLog]>,
+    folded: Mutex<Folded>,
+    /// Every sample recorded, in order, for the fold tests' reference.
+    #[cfg(test)]
+    pub tap: Mutex<Vec<RequestSample>>,
+}
+
+impl Default for TenantObs {
+    fn default() -> Self {
+        TenantObs {
+            logs: (0..dm_obs::histogram::stripe_count())
+                .map(|_| SampleLog(Mutex::new(Vec::with_capacity(LOG_SAMPLES))))
+                .collect(),
+            folded: Mutex::new(Folded {
+                queue_delay: SnapshotWindow::default(),
+                request_wall: SnapshotWindow::default(),
+                coalesce_wait: HistogramSnapshot::default(),
+                exec_share: HistogramSnapshot::default(),
+                inference_share: HistogramSnapshot::default(),
+                probe_share: HistogramSnapshot::default(),
+                result_copy: HistogramSnapshot::default(),
+            }),
+            #[cfg(test)]
+            tap: Mutex::new(Vec::new()),
+        }
+    }
+}
+
+impl TenantObs {
+    /// Records the samples of one batch (or of one inline request) into the
+    /// calling thread's log, folding the log first when they do not fit.
+    /// Allocates nothing.
+    pub fn record(&self, samples: &[RequestSample]) {
+        #[cfg(test)]
+        self.tap.lock().extend_from_slice(samples);
+        // `stripe_count` is a power of two.
+        let stripe = dm_obs::histogram::thread_index() & (self.logs.len() - 1);
+        let mut log = self.logs[stripe].0.lock();
+        if log.len() + samples.len() > LOG_SAMPLES {
+            let mut folded = self.folded.lock();
+            folded.fold(&log);
+            log.clear();
+            if samples.len() > LOG_SAMPLES {
+                folded.fold(samples);
+                return;
+            }
+        }
+        log.extend_from_slice(samples);
+    }
+
+    /// Folds every log, then reads the histograms, the windows ending at
+    /// `clock_nanos` on the windows' clock.
+    pub fn tail_at(&self, clock_nanos: u64) -> TenantTail {
+        for log in self.logs.iter() {
+            let mut log = log.0.lock();
+            self.folded.lock().fold(&log);
+            log.clear();
+        }
+        let folded = self.folded.lock();
+        TenantTail {
+            queue_delay: folded.queue_delay.total().clone(),
+            coalesce_wait: folded.coalesce_wait.clone(),
+            request_wall: folded.request_wall.total().clone(),
+            exec_share: folded.exec_share.clone(),
+            inference_share: folded.inference_share.clone(),
+            probe_share: folded.probe_share.clone(),
+            result_copy: folded.result_copy.clone(),
+            recent_request_wall: folded.request_wall.snapshot_at(clock_nanos),
+            recent_queue_delay: folded.queue_delay.snapshot_at(clock_nanos),
+        }
+    }
+
+    /// [`tail_at`](Self::tail_at) now.
+    pub fn tail(&self) -> TenantTail {
+        self.tail_at(dm_obs::window::now_nanos())
     }
 }
 
 /// Per-tenant latency-attribution snapshot returned by
 /// [`QueryServer::tenant_tail`](crate::QueryServer::tenant_tail).  Each field
 /// is a full histogram snapshot (count / sum / percentiles / max) in
-/// nanoseconds, one sample per request routed to the tenant.
+/// nanoseconds, one sample per request routed to the tenant and answered.
+///
+/// Every field is folded, when the tail is taken, from the one
+/// fixed-size sample each answered request wrote: the batch that answered
+/// it measured its queue delay, coalescing hold and wall time from the
+/// batch's own clock reads (execution start, execution end), and split the
+/// batch's store, inference, probe and demux-copy spans across its requests
+/// by key count.  The `recent_*` fields are windows over the same samples:
+/// the since-boot histogram less its snapshot at the start of the window
+/// (see [`dm_obs::SnapshotWindow`]).
 #[derive(Debug, Clone, Default)]
 pub struct TenantTail {
-    /// Enqueue → batch formation, per batched request.
+    /// Enqueue → its batch's execution start, per batched request.
     pub queue_delay: HistogramSnapshot,
     /// Newest batch member's arrival → execution start (the coalescing hold).
     pub coalesce_wait: HistogramSnapshot,
     /// Enqueue → response ready, per completed request.
     pub request_wall: HistogramSnapshot,
-    /// Key-weighted share of the merged batch's store execution time.
+    /// Key-weighted share of the merged batch's store execution time (an
+    /// inline request's whole store call).
     pub exec_share: HistogramSnapshot,
     /// Key-weighted share of the batch's model inference time.
     pub inference_share: HistogramSnapshot,
     /// Key-weighted share of the batch's auxiliary probe time.
     pub probe_share: HistogramSnapshot,
-    /// Per-request result-copy (demux) time.
+    /// Key-weighted share of the batch's demux copy, which copies every
+    /// answered request's rows out of the merged result buffer and is timed
+    /// once per batch; per batched request.
     pub result_copy: HistogramSnapshot,
     /// Windowed (last ~60 s) request wall time — empty when the tenant has
     /// been idle for a full window or `DM_OBS=off`.
@@ -492,21 +585,84 @@ impl ServerStats {
     }
 }
 
+/// What each since-boot field of a [`TenantTail`] must hold: `samples`
+/// recorded one by one into plain [`dm_obs::Histogram`]s, inline ones only
+/// where the server records them. In [`TenantTail::since_boot`] order.
+#[cfg(test)]
+pub(crate) fn reference_tail(samples: &[RequestSample]) -> [HistogramSnapshot; 7] {
+    let histograms: [dm_obs::Histogram; 7] = Default::default();
+    for sample in samples {
+        let [queue, coalesce, wall, exec, inference, probe, copy] = &histograms;
+        wall.record_nanos(sample.wall_nanos);
+        exec.record_nanos(sample.exec_share_nanos);
+        inference.record_nanos(sample.inference_share_nanos);
+        probe.record_nanos(sample.probe_share_nanos);
+        if !sample.inline {
+            queue.record_nanos(sample.queue_delay_nanos);
+            coalesce.record_nanos(sample.coalesce_wait_nanos);
+            copy.record_nanos(sample.result_copy_nanos);
+        }
+    }
+    histograms.map(|histogram| histogram.snapshot())
+}
+
+#[cfg(test)]
+impl TenantTail {
+    /// The since-boot fields, in field order.
+    pub(crate) fn since_boot(&self) -> [HistogramSnapshot; 7] {
+        [
+            &self.queue_delay,
+            &self.coalesce_wait,
+            &self.request_wall,
+            &self.exec_share,
+            &self.inference_share,
+            &self.probe_share,
+            &self.result_copy,
+        ]
+        .map(Clone::clone)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// Windowed now while observability is on, as the server stamps them.
+    fn now() -> Option<u64> {
+        dm_obs::enabled().then(dm_obs::window::now_nanos)
+    }
+
     /// Records one batched request with the given latencies into `tenant`.
     fn request(tenant: &TenantObs, queue_delay_nanos: u64, coalesce_wait_nanos: u64, wall: u64) {
-        tenant.record(&RequestSample {
+        tenant.record(&[RequestSample {
+            windowed_at: now(),
             queue_delay_nanos,
             coalesce_wait_nanos,
             wall_nanos: wall,
-            exec_share_nanos: 0,
-            inference_share_nanos: 0,
-            probe_share_nanos: 0,
-            result_copy_nanos: 0,
-        });
+            ..RequestSample::default()
+        }]);
+    }
+
+    /// Records one inline request into `tenant`.
+    fn inline(tenant: &TenantObs, wall_nanos: u64, exec: u64, inference: u64, probe: u64) {
+        tenant.record(&[RequestSample {
+            windowed_at: now(),
+            inline: true,
+            wall_nanos,
+            exec_share_nanos: exec,
+            inference_share_nanos: inference,
+            probe_share_nanos: probe,
+            ..RequestSample::default()
+        }]);
+    }
+
+    /// Deterministic pseudo-random stream for the fold tests.
+    fn splitmix(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
     }
 
     #[test]
@@ -523,7 +679,7 @@ mod tests {
         cells.record_batch(FlushReason::Caller, 1, 1, 10, 100);
         request(&a, 0, 0, 200);
         cells.record_inline(7, 300);
-        b.record_inline(900, 300, 0, 0);
+        inline(&b, 900, 300, 0, 0);
 
         // The server-wide histograms are the merge of the tenants'.
         let s = cells.snapshot([&a, &b]);
@@ -578,13 +734,17 @@ mod tests {
     #[test]
     fn tenant_obs_tail_snapshots_every_histogram() {
         let obs = TenantObs::default();
-        obs.queue_delay.record_nanos(5);
-        obs.coalesce_wait.record_nanos(6);
-        obs.request_wall.record_nanos(7);
-        obs.exec_share.record_nanos(8);
-        obs.inference_share.record_nanos(9);
-        obs.probe_share.record_nanos(10);
-        obs.result_copy.record_nanos(11);
+        obs.record(&[RequestSample {
+            windowed_at: None,
+            inline: false,
+            queue_delay_nanos: 5,
+            coalesce_wait_nanos: 6,
+            wall_nanos: 7,
+            exec_share_nanos: 8,
+            inference_share_nanos: 9,
+            probe_share_nanos: 10,
+            result_copy_nanos: 11,
+        }]);
         let tail = obs.tail();
         assert_eq!(tail.queue_delay.count(), 1);
         assert_eq!(tail.coalesce_wait.sum(), 6);
@@ -607,7 +767,7 @@ mod tests {
             request(&tenant, 1_000, 100, 50_000);
         }
         cells.record_inline(5, 10);
-        tenant.record_inline(80_000, 10, 0, 0);
+        inline(&tenant, 80_000, 10, 0, 0);
         let s = cells.snapshot([&tenant]);
         assert_eq!(s.recent_requests, windowed(21));
         assert!(s.recent_window >= Duration::from_secs(30));
@@ -622,16 +782,134 @@ mod tests {
         } else {
             assert_eq!(s.recent_request_wall_p50, Duration::ZERO);
         }
-        assert_eq!(tenant.recent_request_wall.snapshot().count(), windowed(21));
-        assert_eq!(tenant.recent_queue_delay.snapshot().count(), windowed(20));
-        assert_eq!(tenant.request_wall.snapshot().count(), 21);
+        let tail = tenant.tail();
+        assert_eq!(tail.recent_request_wall.count(), windowed(21));
+        assert_eq!(tail.recent_queue_delay.count(), windowed(20));
+        assert_eq!(tail.request_wall.count(), 21);
 
         let obs = TenantObs::default();
-        obs.record_inline(7_000, 1, 1, 1);
+        inline(&obs, 7_000, 1, 1, 1);
         let tail = obs.tail();
         assert_eq!(tail.recent_request_wall.count(), windowed(1));
         assert_eq!(tail.recent_request_wall.sum(), windowed(tail.request_wall.sum()));
         assert_eq!(tail.request_wall.sum(), 7_000);
+    }
+
+    /// A random sample of either kind, windowed or not.
+    fn random_sample(state: &mut u64) -> RequestSample {
+        let mut next = |bits: u64| splitmix(state) % (1 << bits);
+        RequestSample {
+            windowed_at: (next(2) != 0).then(|| next(40)),
+            inline: next(3) == 0,
+            queue_delay_nanos: next(24),
+            coalesce_wait_nanos: next(16),
+            wall_nanos: next(30),
+            exec_share_nanos: next(22),
+            inference_share_nanos: next(20),
+            probe_share_nanos: next(18),
+            result_copy_nanos: next(12),
+        }
+    }
+
+    /// Threads on every stripe write batches of every size — single
+    /// samples, batches that overflow a log, one batch larger than a log —
+    /// and a reader takes tails meanwhile: the final tail equals, bucket
+    /// for bucket, histograms that recorded the same samples one by one.
+    #[test]
+    fn the_fold_equals_histograms_fed_the_same_samples() {
+        let obs = TenantObs::default();
+        let threads = 2 * dm_obs::histogram::stripe_count() as u64;
+        std::thread::scope(|scope| {
+            for thread in 0..threads {
+                let obs = &obs;
+                scope.spawn(move || {
+                    let mut state = thread;
+                    for round in 0..200usize {
+                        let size = [1, 3, 7, LOG_SAMPLES - 1, 2][round % 5];
+                        let size = if thread == 0 && round == 99 {
+                            3 * LOG_SAMPLES
+                        } else {
+                            size
+                        };
+                        let batch: Vec<RequestSample> =
+                            (0..size).map(|_| random_sample(&mut state)).collect();
+                        obs.record(&batch);
+                    }
+                });
+            }
+            scope.spawn(|| {
+                for _ in 0..20 {
+                    let _ = obs.tail();
+                }
+            });
+        });
+        let samples = obs.tap.lock().clone();
+        assert!(
+            samples.len() > 20 * LOG_SAMPLES,
+            "{} samples",
+            samples.len()
+        );
+        let tail = obs.tail();
+        assert_eq!(tail.since_boot(), reference_tail(&samples));
+        // A second read folds nothing new and reads the same.
+        assert_eq!(obs.tail().since_boot(), tail.since_boot());
+    }
+
+    /// The `recent_*` windows, read at explicit clocks as the samples'
+    /// clocks move across many slice rotations (with late, stale and
+    /// unwindowed samples among them), equal today's `WindowedHistogram`
+    /// fed the windowed samples — bucket for bucket, so every percentile.
+    #[test]
+    fn recent_windows_replay_the_windowed_histogram() {
+        let slice = DEFAULT_SLICE.as_nanos() as u64;
+        let obs = TenantObs::default();
+        let wall = dm_obs::WindowedHistogram::default();
+        let queue = dm_obs::WindowedHistogram::default();
+        let mut state = 5u64;
+        let mut newest = 3 * slice;
+        for step in 0..3_000u64 {
+            let mut sample = random_sample(&mut state);
+            let r = splitmix(&mut state);
+            sample.windowed_at = match r % 12 {
+                0 => None,
+                1 => Some(newest.saturating_sub(r % (4 * slice))),
+                2 => Some(newest.saturating_sub(DEFAULT_SLICES as u64 * slice + r % (3 * slice))),
+                _ => {
+                    newest += r % (slice / 2);
+                    Some(newest)
+                }
+            };
+            if let Some(at) = sample.windowed_at {
+                wall.record_at(at, sample.wall_nanos);
+                if !sample.inline {
+                    queue.record_at(at, sample.queue_delay_nanos);
+                }
+            }
+            obs.record(&[sample]);
+            if step % 50 == 0 {
+                for ahead in [0, slice / 3, 4 * slice, 11 * slice, 13 * slice] {
+                    let clock = newest + ahead;
+                    let tail = obs.tail_at(clock);
+                    let (want_wall, want_queue) =
+                        (wall.snapshot_at(clock), queue.snapshot_at(clock));
+                    assert_eq!(
+                        tail.recent_request_wall, want_wall,
+                        "step {step}, clock {clock}"
+                    );
+                    assert_eq!(
+                        tail.recent_queue_delay, want_queue,
+                        "step {step}, clock {clock}"
+                    );
+                    for q in [0.5, 0.95, 0.99] {
+                        assert_eq!(
+                            tail.recent_request_wall.percentile(q),
+                            want_wall.percentile(q)
+                        );
+                    }
+                }
+            }
+        }
+        assert!(newest > 40 * slice, "the replay crossed many rotations");
     }
 
     #[test]

@@ -14,11 +14,17 @@
 //!
 //! The stores run serial (`exec_threads(1)`): a parallel pool boxes the tasks
 //! it spawns, a cost of fanning out, not of the pipeline.
+//!
+//! One layer up, a served request allocates nothing either: steady-state
+//! rounds of four pipelined `submit`s and their `wait_into`s, on a coalescing
+//! `QueryServer` (the client runs each batch on its own thread) and on an
+//! inline one, with observability on and off — the request's slot, its
+//! batch's buffers and its latency sample are all reused.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::path::PathBuf;
-use std::sync::{Mutex, MutexGuard};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Duration;
 
 use deepmapping::obs;
@@ -229,4 +235,59 @@ fn a_store_beside_a_live_overlay_allocates_nothing_per_steady_state_call() {
     );
     assert_steady_state_allocates_nothing(&reopened);
     let _ = std::fs::remove_dir_all(dir);
+}
+
+#[test]
+fn a_served_request_allocates_nothing_per_steady_state_round() {
+    let _guard = obs_lock();
+    let dm = Arc::new(build_store());
+    let requests: [Vec<u64>; 4] = std::array::from_fn(|r| {
+        (0..8u64)
+            .map(|i| (r as u64 * 3_001 + i * 37) % 12_500)
+            .collect()
+    });
+    let (was_enabled, was_slow) = (obs::enabled(), obs::slow_threshold_nanos());
+    obs::set_slow_threshold(Duration::from_secs(3_600));
+    // A window longer than any round: the dispatcher never takes a batch, so
+    // every batch is the client's own and runs on this thread.
+    for config in [
+        ServerConfig::coalescing(Duration::from_secs(5), 256),
+        ServerConfig::inline(),
+    ] {
+        let inline = config.inline;
+        let server = QueryServer::new(config);
+        let tenant = server.register_store("t", dm.clone()).expect("register");
+        let mut client = server.client_with_depth(4);
+        let mut out = LookupBuffer::new();
+        let round = |client: &mut ServerClient, out: &mut LookupBuffer| {
+            let tickets =
+                [0, 1, 2, 3].map(|r| client.submit(tenant, &requests[r]).expect("submit"));
+            for ticket in tickets {
+                client.wait_into(ticket, out).expect("served");
+                assert_eq!(out.len(), 8);
+            }
+        };
+        for enabled in [true, false] {
+            obs::set_enabled(enabled);
+            for _ in 0..20 {
+                round(&mut client, &mut out);
+            }
+            let before = allocations();
+            for _ in 0..50 {
+                round(&mut client, &mut out);
+            }
+            let made = allocations() - before;
+            assert_eq!(
+                made,
+                0,
+                "{made} allocations in 50 served rounds (inline {inline}, DM_OBS {})",
+                if enabled { "on" } else { "off" }
+            );
+        }
+        let stats = server.stats();
+        assert_eq!(stats.requests_completed, 2 * 70 * 4);
+        assert_eq!(stats.inline_requests, if inline { 2 * 70 * 4 } else { 0 });
+    }
+    obs::set_enabled(was_enabled);
+    obs::set_slow_threshold(Duration::from_nanos(was_slow));
 }

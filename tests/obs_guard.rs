@@ -9,6 +9,10 @@
 //! path.  The snapshot holds counts only (stage times live in the trace), so
 //! the two compare whole.
 //!
+//! The same holds one layer up: the same requests served through a
+//! `QueryServer`, coalesced and inline, return byte-identical responses and
+//! the same request counts whichever way the switch is set.
+//!
 //! The remaining tests drive the workload-health layer end to end: windowed
 //! tail percentiles through `QueryServer`, the partition-heat report, and the
 //! full drift episode (update storm → `Retrain` advice → `maintenance()` →
@@ -116,6 +120,106 @@ fn kill_switch_never_changes_results_or_pipeline_behavior() {
         "every hit is answered by exactly one of model or aux"
     );
     assert!(counters_on.aux_answered > 0, "noisy rows must probe the aux");
+}
+
+/// Each request's response, materialized, in request order.
+type Responses = Vec<Vec<Option<Vec<u32>>>>;
+
+/// Serves `requests` through a fresh server over `store` — pipelined four
+/// at a time by two client threads, each taking half — and returns the
+/// responses with the server's request counts.
+fn serve_requests(
+    store: &std::sync::Arc<DeepMapping>,
+    config: ServerConfig,
+    requests: &[Vec<u64>],
+) -> (Responses, [u64; 5]) {
+    let server = QueryServer::new(config);
+    let tenant = server.register_store("t", store.clone()).unwrap();
+    let responses: Responses = std::thread::scope(|scope| {
+        let halves: Vec<_> = requests
+            .chunks(requests.len().div_ceil(2))
+            .map(|half| {
+                let mut client = server.client_with_depth(4);
+                scope.spawn(move || {
+                    let mut out = LookupBuffer::new();
+                    let mut answers = Responses::new();
+                    for group in half.chunks(4) {
+                        let tickets: Vec<Ticket> = group
+                            .iter()
+                            .map(|keys| client.submit(tenant, keys).unwrap())
+                            .collect();
+                        for (ticket, keys) in tickets.into_iter().zip(group) {
+                            client.wait_into(ticket, &mut out).unwrap();
+                            answers.push(
+                                (0..keys.len())
+                                    .map(|i| out.get(i).map(<[u32]>::to_vec))
+                                    .collect(),
+                            );
+                        }
+                    }
+                    answers
+                })
+            })
+            .collect();
+        halves
+            .into_iter()
+            .flat_map(|half| half.join().unwrap())
+            .collect()
+    });
+    let stats = server.stats();
+    let counts = [
+        stats.requests_enqueued,
+        stats.keys_enqueued,
+        stats.requests_completed,
+        stats.keys_served,
+        stats.requests_failed,
+    ];
+    (responses, counts)
+}
+
+#[test]
+fn kill_switch_never_changes_what_the_server_answers() {
+    let _guard = obs_lock();
+    let store = std::sync::Arc::new(build_store());
+    // Hits on both routes, misses and keys past the end, 1 to 64 keys a
+    // request.
+    let requests: Vec<Vec<u64>> = (0..200u64)
+        .map(|r| {
+            (0..1 + r % 64)
+                .map(|i| (r * 97 + i * 13) % 12_400)
+                .collect()
+        })
+        .collect();
+    let direct: Responses = requests
+        .iter()
+        .map(|keys| store.lookup_batch(keys).unwrap())
+        .collect();
+    let keys: u64 = requests.iter().map(|keys| keys.len() as u64).sum();
+    let was_enabled = obs::enabled();
+    for config in [
+        ServerConfig::coalescing(Duration::from_micros(100), 256),
+        ServerConfig::inline(),
+    ] {
+        let inline = config.inline;
+        obs::set_enabled(false);
+        let off = serve_requests(&store, config.clone(), &requests);
+        obs::set_enabled(true);
+        let on = serve_requests(&store, config, &requests);
+        assert_eq!(
+            off.0, on.0,
+            "inline {inline}: responses must not depend on DM_OBS"
+        );
+        assert_eq!(
+            on.0, direct,
+            "inline {inline}: the server answers like the store"
+        );
+        assert_eq!(
+            off.1, on.1,
+            "inline {inline}: request counts must not depend on DM_OBS"
+        );
+        assert_eq!(on.1, [200, keys, 200, keys, 0], "inline {inline}");
+    }
+    obs::set_enabled(was_enabled);
 }
 
 #[test]
