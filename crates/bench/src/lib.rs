@@ -175,7 +175,7 @@ impl TrainedDeepMapping {
         let started = Instant::now();
         let rows = dataset.rows();
         let trained = store_definition(epochs).build(&rows).expect("DeepMapping build");
-        let split = trained.model().split_by_memorization(trained.exec(), &rows);
+        let split = trained.model().split_by_memorization(&rows);
         let (_, misclassified) = split.expect("inference over the training rows");
         TrainedDeepMapping { trained, misclassified, train_s: started.elapsed().as_secs_f64() }
     }

@@ -226,6 +226,18 @@ fn committed_results_cover_the_evaluation_and_pin_where_dm_z_exceeds_the_raw_dat
         }
     }
 
+    // A DM lookup runs on the thread that asks for it, so its stage spans explain
+    // its wall time: the `ms_*` split sums to at least 0.9 x `wall_ms` at B10K and
+    // B100K, and 0.8 x at B1K, where the clock reads around the spans weigh more.
+    // (Checked on this file only: a debug-mode quick run is too noisy for it.)
+    let answered = |row: &&ResultRow| row.s("kind") == "lookup" && row.get("failed").is_none();
+    for row in rows.iter().filter(answered).filter(|row| row.s("system").starts_with("DM-")) {
+        let stage_ms = |stage: Stage| row.n(&format!("ms_{}", stage.slug())).expect("a stage");
+        let stages: f64 = Stage::lookup().map(stage_ms).sum();
+        let floor = if row.s("batch") == "B1K" { 0.8 } else { 0.9 };
+        assert!(stages >= floor * row.n("wall_ms").expect("wall_ms"), "{stages} ms, {row:?}");
+    }
+
     let above: Vec<(f64, &str)> = rows
         .iter()
         .filter(|row| row.s("kind") == "lookup" && row.s("regime") == "mem")

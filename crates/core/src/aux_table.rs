@@ -39,7 +39,6 @@
 
 use crate::Result;
 use dm_compress::Codec;
-use dm_exec::ThreadPool;
 use dm_obs::trace::{span, span_net_of};
 use dm_obs::{Stage, Trace};
 use dm_storage::layout::{rows_per_partition, PackedPartition};
@@ -508,13 +507,12 @@ impl AuxTable {
     /// Section IV-B2).  Answers any key list (`None` for keys the table does
     /// not hold); the query pipeline asks only for the keys `Vaux` routes here.
     ///
-    /// Runs on the shared [`dm_exec::global`] pool.  The owned shape has no
-    /// per-key error channel, so it keeps the strict contract: any failed
-    /// partition fails the whole call.
+    /// The owned shape has no per-key error channel, so it keeps the strict
+    /// contract: any failed partition fails the whole call.
     pub fn get_batch(&self, keys: &[u64]) -> Result<Vec<Option<Vec<u32>>>> {
         let mut results: Vec<Option<Vec<u32>>> = vec![None; keys.len()];
         let mut plan = ProbePlan::default();
-        let degraded = self.probe_batch(keys, &mut plan, dm_exec::global(), None, &mut |qi, values| {
+        let degraded = self.probe_batch(keys, &mut plan, None, &mut |qi, values| {
             results[qi] = Some(values.to_vec())
         });
         match degraded.into_iter().next() {
@@ -527,20 +525,13 @@ impl AuxTable {
     /// every key the table answers, handing out borrowed slices (from the delta
     /// overlay or a scratch row filled from the pooled packed partition) instead
     /// of allocating per hit.  Each partition is loaded at most once per batch.
-    /// `plan` is the batch's working memory; reused, it makes the serial path
-    /// allocate nothing.
-    ///
-    /// With a parallel pool and at least two partition groups, the groups are
-    /// probed as independent pool tasks — safe because the read path is
-    /// `&self + Sync` and the buffer pool's single-flight latches keep racing
-    /// cold loads deduplicated.  `sink` is always invoked serially on the calling
-    /// thread (overlay hits while planning, partition hits after the parallel
-    /// section), so it needs no synchronization.
+    /// `plan` is the batch's working memory; reused, it makes a probe
+    /// allocate nothing.  Everything runs on the calling thread.
     ///
     /// **Timing:** one [`Stage::Plan`] span, then one [`Stage::Probe`] span
-    /// per loop over partition groups — the whole batch on a serial pool, one
-    /// group per task on a parallel one — net of the pool load and wait spans
-    /// recorded inside it, so Probe, PoolLoad and PoolWait stay disjoint.
+    /// over the loop through the partition groups, net of the pool load and
+    /// wait spans recorded inside it, so Probe, PoolLoad and PoolWait stay
+    /// disjoint.
     ///
     /// **Graceful degradation:** a partition whose load fails (after the
     /// buffer pool's bounded transient retries) does *not* fail the batch.
@@ -554,7 +545,6 @@ impl AuxTable {
         &self,
         keys: &[u64],
         plan: &mut ProbePlan,
-        exec: &ThreadPool,
         trace: Option<&Trace>,
         sink: &mut dyn FnMut(usize, &[u32]),
     ) -> Vec<(usize, StorageError)> {
@@ -567,44 +557,10 @@ impl AuxTable {
             self.metrics.add_degraded_keys(group.len() as u64);
             degraded.extend(group.iter().map(|probe| (probe.qi as usize, err.clone())));
         };
-        let columns = self.value_columns;
-        if exec.threads() > 1 && plan.groups().nth(1).is_some() {
-            let groups: Vec<(usize, &[Probe])> = plan.groups().collect();
-            let mut results: Vec<Option<dm_storage::Result<Vec<u32>>>> =
-                std::iter::repeat_with(|| None).take(groups.len()).collect();
-            exec.scope(|s| {
-                for (slot, &group) in results.iter_mut().zip(&groups) {
-                    s.spawn(move || {
-                        // One flat arena per group, in probe order.
-                        let mut values = Vec::with_capacity(group.1.len() * columns);
-                        let mut failed = None;
-                        self.probe_groups(
-                            [group],
-                            trace,
-                            &mut vec![0; columns],
-                            &mut |_, row| values.extend_from_slice(row),
-                            &mut |_, err| failed = Some(err),
-                        );
-                        *slot = Some(failed.map_or(Ok(values), Err));
-                    });
-                }
-            });
-            for (result, (_, group)) in results.into_iter().zip(groups) {
-                match result.expect("scope waits for every probe task") {
-                    Ok(values) => {
-                        for (i, probe) in group.iter().enumerate() {
-                            sink(probe.qi as usize, &values[i * columns..(i + 1) * columns]);
-                        }
-                    }
-                    Err(err) => degrade(group, err),
-                }
-            }
-        } else {
-            let mut row = std::mem::take(&mut plan.row);
-            row.resize(columns, 0);
-            self.probe_groups(plan.groups(), trace, &mut row, sink, &mut degrade);
-            plan.row = row;
-        }
+        let mut row = std::mem::take(&mut plan.row);
+        row.resize(self.value_columns, 0);
+        self.probe_groups(plan.groups(), trace, &mut row, sink, &mut degrade);
+        plan.row = row;
         degraded
     }
 
@@ -613,9 +569,7 @@ impl AuxTable {
     /// at its slot into the scratch `row`; a group whose partition fails to
     /// load goes to `failed` instead.  The loop records one [`Stage::Probe`]
     /// span on `trace` — or into the stage histogram alone when there is
-    /// none — net of the pool spans its loads record, which is safe from a
-    /// pool worker: trace recording is lock-free and the scope barrier orders
-    /// it before `finish`.
+    /// none — net of the pool spans its loads record.
     fn probe_groups<'p>(
         &self,
         groups: impl IntoIterator<Item = (usize, &'p [Probe])>,
@@ -1113,38 +1067,6 @@ mod tests {
         assert_eq!(get(9), Some(vec![3, 3]));
     }
 
-    /// Parallel grouped probing over a 4-thread pool must agree with the serial
-    /// path for every key, and still load each partition at most once per batch.
-    #[test]
-    fn parallel_batch_probes_match_serial() {
-        let rows = sample_rows(5_000);
-        let metrics = Metrics::new();
-        let table = build_with(&rows, usize::MAX, metrics.clone());
-        assert!(table.partition_count() >= 2);
-        let pool = ThreadPool::new(4);
-        let serial = ThreadPool::new(1);
-        let keys: Vec<u64> = (0..20_000u64).step_by(5).collect();
-        let collect = |exec: &ThreadPool| {
-            let mut results: Vec<Option<Vec<u32>>> = vec![None; keys.len()];
-            let degraded = table.probe_batch(&keys, &mut ProbePlan::default(), exec, None, &mut |qi, values| {
-                results[qi] = Some(values.to_vec());
-            });
-            assert!(degraded.is_empty());
-            results
-        };
-        let expected = collect(&serial);
-        metrics.reset();
-        let got = collect(&pool);
-        assert_eq!(got, expected);
-        let snap = metrics.snapshot();
-        assert!(
-            snap.partition_loads == 0,
-            "partitions were already pooled by the serial pass; got {} loads",
-            snap.partition_loads
-        );
-        assert!(pool.stats().tasks_executed >= 2, "groups must fan out");
-    }
-
     /// The bucketed plan puts each partition in exactly one contiguous group,
     /// its keys in batch order at the slots their ranks address; the overlay
     /// answers its keys while planning, tombstoned keys and misses are
@@ -1214,7 +1136,7 @@ mod tests {
         for cold in [true, false] {
             let trace = Trace::start("probe_batch");
             let mut answered = 0;
-            let degraded = table.probe_batch(&keys, &mut plan, &ThreadPool::new(1), Some(&trace), &mut |_, _| {
+            let degraded = table.probe_batch(&keys, &mut plan, Some(&trace), &mut |_, _| {
                 answered += 1
             });
             let summary = trace.finish();
@@ -1433,7 +1355,7 @@ mod tests {
         }
         let keys: Vec<u64> = rows.iter().map(|r| r.key).collect();
         let mut answered = 0;
-        let degraded = swapped.probe_batch(&keys, &mut ProbePlan::default(), &ThreadPool::new(1), None, &mut |qi, values| {
+        let degraded = swapped.probe_batch(&keys, &mut ProbePlan::default(), None, &mut |qi, values| {
             assert_eq!(values, rows[qi].values.as_slice(), "key {}", keys[qi]);
             answered += 1;
         });

@@ -103,15 +103,6 @@ impl DeepMappingBuilder {
         self
     }
 
-    /// Gives the store a dedicated `dm-exec` pool of `threads` contexts for its
-    /// parallel lookup paths (stage-3 partition probes, chunked batch inference;
-    /// 1 = fully serial).  The default shares the process-wide pool sized by
-    /// `DM_EXEC_THREADS`.
-    pub fn exec_threads(mut self, threads: usize) -> Self {
-        self.config = self.config.with_exec_threads(threads);
-        self
-    }
-
     /// Sets the RNG seed for weight initialization and search sampling.
     pub fn seed(mut self, seed: u64) -> Self {
         self.config = self.config.with_seed(seed);

@@ -114,11 +114,9 @@ pub struct DeepMappingConfig {
     /// Retrain when the auxiliary table grows beyond this many bytes
     /// (None disables automatic retraining — the paper's plain DM-Z).
     pub retrain_aux_bytes: Option<usize>,
-    /// Size of the store's dedicated `dm-exec` pool for parallel lookups
-    /// (stage-3 partition probes and chunked batch inference).  `None` — the
-    /// default — shares the process-wide pool sized by `DM_EXEC_THREADS`
-    /// (default: available parallelism); `Some(1)` pins this store fully serial
-    /// for debugging; `Some(n)` gives it an isolated n-thread pool.
+    /// Read by nothing: a batch runs on the thread that asks for it.  The
+    /// field stays because the frozen benchmark (`benchmark/`) names it in a
+    /// struct literal, and the snapshot manifest still records it.
     pub exec_threads: Option<usize>,
     /// RNG seed for weight initialization and search sampling.
     pub seed: u64,
@@ -203,14 +201,6 @@ impl DeepMappingConfig {
     /// variant retrains after 200 MB of modifications).
     pub fn with_retrain_threshold(mut self, bytes: usize) -> Self {
         self.retrain_aux_bytes = Some(bytes);
-        self
-    }
-
-    /// Gives the store a dedicated `dm-exec` pool of `threads` contexts for its
-    /// parallel lookup paths (1 = fully serial).  Without this the store shares
-    /// the process-wide pool sized by `DM_EXEC_THREADS`.
-    pub fn with_exec_threads(mut self, threads: usize) -> Self {
-        self.exec_threads = Some(threads.max(1));
         self
     }
 

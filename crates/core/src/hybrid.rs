@@ -9,7 +9,6 @@ use crate::model::{MappingModel, Rung};
 use crate::pipeline::QueryPipeline;
 use crate::stats::StorageBreakdown;
 use crate::{CoreError, Result};
-use dm_exec::ExecHandle;
 use dm_nn::MultiTaskSpec;
 use dm_storage::{BitVec, LookupBuffer, Metrics, MutableStore, Row, StoreStats, TupleStore};
 
@@ -63,10 +62,6 @@ pub struct DeepMapping {
     vaux: BitVec,
     decode_map: DecodeMap,
     metrics: Metrics,
-    /// The execution pool the store's parallel read paths run on: the shared
-    /// global pool by default, or a dedicated pool when
-    /// `DeepMappingConfig::exec_threads` is set.
-    exec: ExecHandle,
     tuple_count: usize,
     retrain_count: usize,
     /// Write-time misprediction EMA since the last retrain: each
@@ -102,10 +97,9 @@ impl Assurance {
         rows: &[Row],
         config: &DeepMappingConfig,
         metrics: &Metrics,
-        exec: &dm_exec::ThreadPool,
     ) -> Result<Self> {
         model.quantize_int8()?;
-        let (_, misclassified) = model.split_by_memorization(exec, rows)?;
+        let (_, misclassified) = model.split_by_memorization(rows)?;
         let aux = AuxTable::build(
             &misclassified,
             rows[0].values.len(),
@@ -133,20 +127,19 @@ fn fit(
     (seed, search_seed): (u64, u64),
     decode_map: &DecodeMap,
     metrics: &Metrics,
-    exec: &dm_exec::ThreadPool,
 ) -> Result<(MappingModel, Assurance)> {
     let schema = MappingSchema::infer(rows, KEY_HEADROOM)?;
     let spec = match &config.search {
         SearchStrategy::Fixed(spec) => spec.clone(),
         SearchStrategy::DefaultArchitecture => {
-            return climb(schema, rows, config, seed, decode_map, metrics, exec)
+            return climb(schema, rows, config, seed, decode_map, metrics)
         }
         SearchStrategy::Mhas(mhas_config) => {
             let mut search = MhasSearch::new(&schema, mhas_config.clone(), search_seed)?;
             search.run(rows, config)?.best_spec
         }
     };
-    train_and_assure(schema, &spec, rows, config, seed, metrics, exec)
+    train_and_assure(schema, &spec, rows, config, seed, metrics)
 }
 
 /// A model of `spec` initialized and trained under `seed`, quantized, and the
@@ -158,11 +151,10 @@ fn train_and_assure(
     config: &DeepMappingConfig,
     seed: u64,
     metrics: &Metrics,
-    exec: &dm_exec::ThreadPool,
 ) -> Result<(MappingModel, Assurance)> {
     let mut model = MappingModel::new(schema, spec, seed)?;
     model.train(rows, &config.training, seed)?;
-    let assurance = Assurance::build(&mut model, rows, config, metrics, exec)?;
+    let assurance = Assurance::build(&mut model, rows, config, metrics)?;
     Ok((model, assurance))
 }
 
@@ -179,13 +171,12 @@ fn climb(
     seed: u64,
     decode_map: &DecodeMap,
     metrics: &Metrics,
-    exec: &dm_exec::ThreadPool,
 ) -> Result<(MappingModel, Assurance)> {
     let mut ladder = Vec::new();
     let mut best: Option<(MappingModel, Assurance, usize)> = None;
     for spec in MappingModel::ladder_specs(&schema, rows.len()) {
         let (model, assurance) =
-            train_and_assure(schema.clone(), &spec, rows, config, seed, metrics, exec)?;
+            train_and_assure(schema.clone(), &spec, rows, config, seed, metrics)?;
         let Assurance { aux, exist, vaux } = &assurance;
         let breakdown = storage_breakdown(&model, aux, exist, vaux, decode_map, rows.len());
         let bytes = breakdown.total_bytes();
@@ -233,14 +224,6 @@ pub(crate) fn storage_breakdown(
     }
 }
 
-/// The pool a store of `config` runs its parallel read paths on.
-pub(crate) fn exec_of(config: &DeepMappingConfig) -> ExecHandle {
-    match config.exec_threads {
-        Some(threads) => ExecHandle::with_threads(threads),
-        None => ExecHandle::Global,
-    }
-}
-
 /// Per-batch weight of the write-time misprediction EMA (see
 /// [`DeepMapping::drift_signals`]).
 const MISPREDICT_EMA_ALPHA: f64 = 0.2;
@@ -278,9 +261,8 @@ impl DeepMapping {
             ));
         }
         let metrics = Metrics::new();
-        let exec = exec_of(config);
         let seeds = (config.seed, config.seed);
-        let (model, assurance) = fit(rows, config, seeds, &decode_map, &metrics, exec.get())?;
+        let (model, assurance) = fit(rows, config, seeds, &decode_map, &metrics)?;
         Ok(DeepMapping {
             config: config.clone(),
             name: config.paper_name(),
@@ -290,7 +272,6 @@ impl DeepMapping {
             vaux: assurance.vaux,
             decode_map,
             metrics,
-            exec,
             tuple_count: rows.len(),
             retrain_count: 0,
             mispredict_ema: 0.0,
@@ -338,9 +319,11 @@ impl DeepMapping {
         &self.decode_map
     }
 
-    /// The execution pool this store's parallel read paths run on.
+    /// The shared [`dm_exec::global`] runtime, whose counters stay zero: a
+    /// batch runs on the thread that asks for it.  Kept only because the
+    /// frozen benchmark (`benchmark/`) still reads its stats.
     pub fn exec(&self) -> &dm_exec::ThreadPool {
-        self.exec.get()
+        dm_exec::global()
     }
 
     /// Programmatic fault injection: rewraps the auxiliary table's read path
@@ -370,7 +353,6 @@ impl DeepMapping {
     /// the same counters the lookup path reads.
     pub fn from_parts(parts: DeepMappingParts) -> Self {
         let metrics = parts.aux.metrics().clone();
-        let exec = exec_of(&parts.config);
         DeepMapping {
             name: parts.config.paper_name(),
             config: parts.config,
@@ -380,7 +362,6 @@ impl DeepMapping {
             exist: parts.exist,
             decode_map: parts.decode_map,
             metrics,
-            exec,
             tuple_count: parts.tuple_count,
             retrain_count: parts.retrain_count,
             // Drift state is runtime-only: a freshly opened snapshot starts a
@@ -413,7 +394,6 @@ impl DeepMapping {
             &self.exist,
             &self.vaux,
             &self.metrics,
-            self.exec.get(),
         )
     }
 
@@ -502,7 +482,7 @@ impl DeepMapping {
         let mut predictions = Vec::new();
         let columns = self
             .model
-            .predict_into_on(self.exec.get(), &keys, &mut predictions)?;
+            .predict_into(&keys, &mut predictions)?;
         let mut mispredicts = 0u64;
         for (row, prediction) in rows.iter().zip(predictions.chunks_exact(columns)) {
             let predicted = prediction == row.values.as_slice();
@@ -567,7 +547,7 @@ impl DeepMapping {
         let mut predictions = Vec::new();
         let columns = self
             .model
-            .predict_into_on(self.exec.get(), &keys, &mut predictions)?;
+            .predict_into(&keys, &mut predictions)?;
         let mut mispredicts = 0u64;
         for (row, prediction) in live.iter().zip(predictions.chunks_exact(columns)) {
             let predicted = prediction == row.values.as_slice();
@@ -589,7 +569,7 @@ impl DeepMapping {
         }
         let seeds = (self.config.seed ^ 0x5a, self.config.seed ^ 0xa5);
         let (model, assurance) =
-            fit(&rows, &self.config, seeds, &self.decode_map, &self.metrics, self.exec.get())?;
+            fit(&rows, &self.config, seeds, &self.decode_map, &self.metrics)?;
         self.model = model;
         self.aux = assurance.aux;
         self.exist = assurance.exist;
@@ -685,7 +665,7 @@ impl DeepMapping {
         for chunk in keys.chunks(CHUNK) {
             let columns = self
                 .model
-                .predict_into_on(self.exec.get(), chunk, &mut predictions)?;
+                .predict_into(chunk, &mut predictions)?;
             self.metrics.add_inference_batch(chunk.len() as u64);
             for (i, &key) in chunk.iter().enumerate() {
                 // Both streams are ascending in key; skip any auxiliary strays
@@ -1046,7 +1026,6 @@ mod tests {
             .with_training(TrainingConfig { epochs: 10, batch_size: 2048, ..Default::default() })
             .with_partition_bytes(8 * 1024)
             .with_disk_profile(dm_storage::DiskProfile::free())
-            .with_exec_threads(1)
     }
 
     fn climbed(rows: &[Row]) -> DeepMapping {

@@ -28,7 +28,7 @@
 
 use crate::config::{DeepMappingConfig, TrainingConfig};
 use crate::encoder::{DecodeMap, MappingSchema};
-use crate::hybrid::{exec_of, storage_breakdown, Assurance};
+use crate::hybrid::{storage_breakdown, Assurance};
 use crate::model::MappingModel;
 use crate::stats::StorageBreakdown;
 use crate::{CoreError, Result};
@@ -308,7 +308,6 @@ impl MhasSearch {
         let mut sample: Vec<Row> = rows.to_vec();
         sample.shuffle(&mut self.rng);
         sample.truncate(self.config.sample_rows.max(64));
-        let exec = exec_of(dm_config);
 
         let mut history = Vec::with_capacity(self.config.iterations);
         let mut best_spec: Option<MultiTaskSpec> = None;
@@ -321,7 +320,7 @@ impl MhasSearch {
             let choices: Vec<usize> = decisions.iter().map(|d| d.choice).collect();
             let spec = self.space.decode(&choices, &self.schema)?;
 
-            let breakdown = self.candidate(&spec, &sample, rows, dm_config, exec.get())?;
+            let breakdown = self.candidate(&spec, &sample, rows, dm_config)?;
             let ratio = breakdown.compression_ratio();
             history.push(SearchSample {
                 iteration,
@@ -366,7 +365,6 @@ impl MhasSearch {
         sample: &[Row],
         rows: &[Row],
         dm_config: &DeepMappingConfig,
-        exec: &dm_exec::ThreadPool,
     ) -> Result<StorageBreakdown> {
         let network = self.instantiate(spec)?;
         let mut model = MappingModel::from_parts(self.schema.clone(), network)?;
@@ -378,7 +376,7 @@ impl MhasSearch {
         model.train(sample, &training, self.rng.next_u64())?;
         self.store_weights(spec, model.network());
         let Assurance { aux, exist, vaux } =
-            Assurance::build(&mut model, rows, dm_config, &Metrics::new(), exec)?;
+            Assurance::build(&mut model, rows, dm_config, &Metrics::new())?;
         let fdecode = DecodeMap::default();
         Ok(storage_breakdown(&model, &aux, &exist, &vaux, &fdecode, rows.len()))
     }
@@ -531,9 +529,7 @@ mod tests {
             heads: vec![TaskHeadSpec::direct(3), TaskHeadSpec::with_hidden(vec![32], 4)],
         };
         let mut search = MhasSearch::new(&schema, MhasConfig::quick(), 7).unwrap();
-        let score = search
-            .candidate(&spec, &rows[..1_024], rows, &config, dm_exec::global())
-            .unwrap();
+        let score = search.candidate(&spec, &rows[..1_024], rows, &config).unwrap();
         let mut model = MappingModel::from_parts(schema, search.instantiate(&spec).unwrap()).unwrap();
         model.quantize_int8().unwrap();
         (score, model, config)
@@ -544,7 +540,7 @@ mod tests {
         let rows = correlated_rows(2_048);
         let (score, model, config) = scored_candidate(&rows);
         // The store of that model, assembled from the public parts.
-        let (_, misclassified) = model.split_by_memorization(dm_exec::global(), &rows).unwrap();
+        let (_, misclassified) = model.split_by_memorization(&rows).unwrap();
         let aux = AuxTable::build(
             &misclassified,
             2,
@@ -579,7 +575,7 @@ mod tests {
         let f32_bytes = 4 * model.network().parameter_count();
         assert!(score.model_bytes * 3 < f32_bytes, "{score:?} vs {f32_bytes} f32 bytes");
         // And the memorized rows are the ones the int8 walk answers.
-        let (memorized, _) = model.split_by_memorization(dm_exec::global(), &rows).unwrap();
+        let (memorized, _) = model.split_by_memorization(&rows).unwrap();
         assert_eq!(score.memorized_tuples, memorized.len());
     }
 

@@ -320,43 +320,25 @@ impl MappingModel {
     /// caller-owned flat arena (`out[i * columns + c]` = column `c` of query `i`) and
     /// returns the number of value columns — one vectorized forward pass per batch,
     /// never per key, with no per-key `Vec`: the layout the buffer-reusing query
-    /// pipeline consumes.  Runs on the shared [`dm_exec::global`] pool.
-    pub fn predict_into(&self, keys: &[u64], out: &mut Vec<u32>) -> Result<usize> {
-        self.predict_into_on(dm_exec::global(), keys, out)
-    }
-
-    /// [`predict_into`](Self::predict_into) on an explicit execution pool: large
-    /// batches are split into row chunks whose matrix-multiply sequences run as
-    /// independent pool tasks (serial below `dm_nn::PARALLEL_ROW_CROSSOVER` rows).
-    /// This is the entry point the query pipeline drives, so a store's
-    /// `exec_threads` knob governs its inference parallelism.
+    /// pipeline consumes.  Runs on the calling thread.
     ///
     /// The keys go to the network as keys
-    /// ([`MultiTaskModel::forward_keys_flat_on`]): no batch-wide feature matrix
+    /// ([`MultiTaskModel::forward_keys_flat`]): no batch-wide feature matrix
     /// is built, each cache-sized row chunk of the walk encodes its own — for
     /// an int8 model straight into the first layer's input bytes.  The
-    /// predictions are those of `forward_batch_flat_on` over
+    /// predictions are those of `forward_batch_flat` over
     /// `key_encoder.encode_batch(keys)`, bit for bit.
-    pub fn predict_into_on(
-        &self,
-        exec: &dm_exec::ThreadPool,
-        keys: &[u64],
-        out: &mut Vec<u32>,
-    ) -> Result<usize> {
+    pub fn predict_into(&self, keys: &[u64], out: &mut Vec<u32>) -> Result<usize> {
         let encoder = &self.schema.key_encoder;
-        Ok(self.network.forward_keys_flat_on(exec, encoder, keys, out)?)
+        Ok(self.network.forward_keys_flat(encoder, keys, out)?)
     }
 
     /// Runs the model over `rows` and splits them into (memorized, misclassified):
     /// a row is memorized only if *every* column is predicted correctly — the test
     /// that decides what goes into the auxiliary table (Section IV-B1).  The
-    /// predictions come from [`predict_into_on`](Self::predict_into_on) on `exec`:
-    /// the very code, on the very pool, that later serves the memorized keys.
-    pub fn split_by_memorization(
-        &self,
-        exec: &dm_exec::ThreadPool,
-        rows: &[Row],
-    ) -> Result<(Vec<Row>, Vec<Row>)> {
+    /// predictions come from [`predict_into`](Self::predict_into): the very code
+    /// that later serves the memorized keys.
+    pub fn split_by_memorization(&self, rows: &[Row]) -> Result<(Vec<Row>, Vec<Row>)> {
         if rows.is_empty() {
             return Ok((Vec::new(), Vec::new()));
         }
@@ -367,7 +349,7 @@ impl MappingModel {
         let mut predictions = Vec::new();
         for chunk in rows.chunks(CHUNK) {
             let keys: Vec<u64> = chunk.iter().map(|r| r.key).collect();
-            let columns = self.predict_into_on(exec, &keys, &mut predictions)?;
+            let columns = self.predict_into(&keys, &mut predictions)?;
             for (row, pred) in chunk.iter().zip(predictions.chunks_exact(columns)) {
                 if pred == row.values.as_slice() {
                     memorized.push(row.clone());
@@ -384,7 +366,7 @@ impl MappingModel {
         if rows.is_empty() {
             return Ok(1.0);
         }
-        let (memorized, _) = self.split_by_memorization(dm_exec::global(), rows)?;
+        let (memorized, _) = self.split_by_memorization(rows)?;
         Ok(memorized.len() as f64 / rows.len() as f64)
     }
 
@@ -571,7 +553,7 @@ mod tests {
         let rate = model.memorization_rate(&rows).unwrap();
         assert!(rate > 0.8, "memorization rate {rate}");
         let (memorized, misclassified) = model
-            .split_by_memorization(dm_exec::global(), &rows)
+            .split_by_memorization(&rows)
             .unwrap();
         assert_eq!(memorized.len() + misclassified.len(), rows.len());
     }

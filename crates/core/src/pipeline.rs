@@ -14,7 +14,7 @@
 //!    so the two sets are disjoint and no answer ever overrides another.
 //! 2. **Vectorized inference of the predicted keys** ([`Stage::Inference`]) —
 //!    keys whose `Vaux` bit is clear go to the network as keys, in a single
-//!    [`forward_keys_flat_on`](dm_nn::MultiTaskModel::forward_keys_flat_on)
+//!    [`forward_keys_flat`](dm_nn::MultiTaskModel::forward_keys_flat)
 //!    pass: one trunk matrix-multiply sequence for the batch, then the heads,
 //!    never a per-key pass, recorded via [`Metrics::add_inference_batch`].  No
 //!    batch-wide feature matrix is built: each cache-sized row chunk of the
@@ -52,35 +52,16 @@
 //! ([`QueryPipeline::execute_into`]) and borrows its batch-sized working memory
 //! from it ([`LookupBuffer::take_scratch`]): the two sides of the split, the
 //! probe plan and the predictions of one row-major
-//! [`MappingModel::predict_into_on`] pass.  The walk's working memory, bounded
+//! [`MappingModel::predict_into`] pass.  The walk's working memory, bounded
 //! by a chunk of rows rather than the batch, is kept per thread, as is the
 //! trace's event array; probe hits are read straight out of the pooled
-//! bit-packed partitions.  So on a serial pool a reused buffer makes the
-//! steady-state batch allocate nothing at all (`tests/alloc_guard.rs`).
+//! bit-packed partitions.  So a reused buffer makes the steady-state batch
+//! allocate nothing at all (`tests/alloc_guard.rs`).
 //!
 //! ## Parallelism
 //!
-//! The pipeline runs on a `dm_exec` work-stealing pool (the store's
-//! `exec_threads` knob, or the shared `DM_EXEC_THREADS`-sized global pool).  The
-//! two halves of a batch run one after the other on the calling thread, and each
-//! fans out by itself once it has enough work to pay for a pool task:
-//!
-//! * inference splits large batches into row chunks
-//!   ([`MappingModel::predict_into_on`], serial below
-//!   `dm_nn::PARALLEL_ROW_CROSSOVER` rows),
-//! * probing shards independent partition groups across the pool
-//!   (`AuxTable::probe_batch`; one task a group, each with its own arena of
-//!   hits), leaning on the single-flight
-//!   [`dm_storage::BufferPool`] so racing cold loads are never duplicated; hits
-//!   are folded into the buffer serially, in batch order.
-//!
-//! The halves are not forked against each other: a task spawn, wake-up and park
-//! per batch costs more than a small batch's whole lookup, and a large batch
-//! already fills the pool from inside each half.
-//!
-//! Runtime activity (tasks, steals, park time) is the pool's own
-//! [`ThreadPool::stats`]; with a serial pool everything runs on the calling
-//! thread.
+//! A batch runs on its caller; cores serve concurrent requests through
+//! dm-server's callers-run path, each client's batch on that client's thread.
 //!
 //! ## Timing
 //!
@@ -89,20 +70,16 @@
 //! batch's [`dm_obs::TraceSummary`] on the calling thread
 //! (`dm_obs::trace::take_last_batch`) and every span feeds its stage's
 //! process-wide histogram (`dm_obs::trace::stage_snapshot`).  A stage is one
-//! span per batch: on a serial pool Probe too is one span around every
-//! partition group, net of the pool load and wait spans inside it
-//! (`dm_obs::trace::span_net_of`), so the stage sums stay disjoint and their
-//! total is at most the batch's wall-clock.  Under parallelism each probe
-//! task records its own Probe span, so a stage's sum is CPU time summed
-//! across tasks (an upper bound on the batch's wall-clock).  Partition heat
-//! is stamped with the trace's start, so a warm group reads no clock.  Under
-//! `DM_OBS=off` no span reads the clock.  The store's [`Metrics`] hold counts
-//! only.
+//! span per batch: Probe too is one span around every partition group, net
+//! of the pool load and wait spans inside it (`dm_obs::trace::span_net_of`),
+//! so the stage sums stay disjoint and their total is at most the batch's
+//! wall-clock.  Partition heat is stamped with the trace's start, so a warm
+//! group reads no clock.  Under `DM_OBS=off` no span reads the clock.  The
+//! store's [`Metrics`] hold counts only.
 
 use crate::aux_table::{AuxTable, ProbePlan};
 use crate::model::MappingModel;
 use crate::Result;
-use dm_exec::ThreadPool;
 use dm_obs::{Stage, Trace};
 use dm_storage::{BitVec, LookupBuffer, Metrics, StorageError};
 
@@ -162,20 +139,16 @@ pub struct QueryPipeline<'a> {
     exist: &'a BitVec,
     vaux: &'a BitVec,
     metrics: &'a Metrics,
-    exec: &'a ThreadPool,
 }
 
 impl<'a> QueryPipeline<'a> {
-    /// Assembles a pipeline over the hybrid structure's components.  `exec` is the
-    /// work-stealing pool the two halves of a batch fan out on (a serial pool
-    /// reproduces the single-threaded dataflow exactly).
+    /// Assembles a pipeline over the hybrid structure's components.
     pub fn new(
         model: &'a MappingModel,
         aux: &'a AuxTable,
         exist: &'a BitVec,
         vaux: &'a BitVec,
         metrics: &'a Metrics,
-        exec: &'a ThreadPool,
     ) -> Self {
         QueryPipeline {
             model,
@@ -183,7 +156,6 @@ impl<'a> QueryPipeline<'a> {
             exist,
             vaux,
             metrics,
-            exec,
         }
     }
 
@@ -208,8 +180,7 @@ impl<'a> QueryPipeline<'a> {
     }
 
     /// The staged dataflow behind [`execute_into`](Self::execute_into), with the
-    /// batch's `trace` threaded through every stage (and into the pool tasks
-    /// they spawn).
+    /// batch's `trace` threaded through every stage.
     fn execute_traced(
         &self,
         keys: &[u64],
@@ -233,8 +204,7 @@ impl<'a> QueryPipeline<'a> {
 
         // Stages 2 and 3 share no key and no output (predictions are staged in
         // the batch's scratch, probe hits go to the spans).  They run one
-        // after the other; each fans out on the pool by itself once it has
-        // enough work to pay for a task.
+        // after the other.
         let failed = self.probe(corrected, plan, out, trace);
         let columns = self.infer(predicted.keys(), predictions, trace)?;
 
@@ -283,8 +253,8 @@ impl<'a> QueryPipeline<'a> {
         corrected.len = kept_corrected;
     }
 
-    /// Stage 2: one vectorized forward pass over the predicted keys (row-chunked
-    /// across the pool for large batches), flat row-major into `predictions`.
+    /// Stage 2: one vectorized forward pass over the predicted keys, flat
+    /// row-major into `predictions`.
     /// Returns the number of value columns.
     fn infer(&self, keys: &[u64], predictions: &mut Vec<u32>, trace: &Trace) -> Result<usize> {
         if keys.is_empty() {
@@ -292,20 +262,19 @@ impl<'a> QueryPipeline<'a> {
         }
         let columns = {
             let _inference = trace.span(Stage::Inference);
-            self.model.predict_into_on(self.exec, keys, predictions)?
+            self.model.predict_into(keys, predictions)?
         };
         self.metrics.add_inference_batch(keys.len() as u64);
         Ok(columns)
     }
 
     /// Stage 3: probes the corrected keys (grouped by partition, each loaded at
-    /// most once, groups probed in parallel on the pool) and writes the hits to
-    /// their batch positions.  Returns how many keys were marked failed instead:
-    /// a partition whose load failed degrades its keys — they carry the typed
-    /// storage error, every other key is answered byte-identically to a
-    /// fault-free batch — and a key the table turns out not to hold, against its
-    /// `Vaux` bit, is reported as corruption rather than answered by a model
-    /// known to mispredict it.
+    /// most once) and writes the hits to their batch positions.  Returns how
+    /// many keys were marked failed instead: a partition whose load failed
+    /// degrades its keys — they carry the typed storage error, every other key
+    /// is answered byte-identically to a fault-free batch — and a key the table
+    /// turns out not to hold, against its `Vaux` bit, is reported as corruption
+    /// rather than answered by a model known to mispredict it.
     fn probe(&self, corrected: &Routed, plan: &mut ProbePlan, out: &mut LookupBuffer, trace: &Trace) -> u64 {
         let positions = corrected.positions();
         if positions.is_empty() {
@@ -315,7 +284,6 @@ impl<'a> QueryPipeline<'a> {
         let degraded = self.aux.probe_batch(
             corrected.keys(),
             plan,
-            self.exec,
             Some(trace),
             &mut |ci, values| {
                 out.set_hit(positions[ci] as usize, values);
@@ -471,7 +439,6 @@ mod tests {
             dm.existence(),
             &broken,
             dm.metrics(),
-            dm.exec(),
         );
         let probe: Vec<u64> = (0..4_200u64).collect();
         let expected = reference.lookup_batch(&probe).unwrap();
@@ -622,51 +589,6 @@ mod tests {
         let mut buffer = LookupBuffer::new();
         dm.pipeline().execute_into(&keys, &mut buffer).unwrap();
         assert_eq!(buffer.to_options(), dm.lookup_batch(&keys).unwrap());
-    }
-
-    /// On a 4-thread pool the probe groups and the inference row chunks fan
-    /// out; the answers must agree exactly with the fully serial pipeline and
-    /// the reference store, and the parallel run must show up in its pool's
-    /// own counters.
-    #[test]
-    fn parallel_halves_match_serial_and_record_exec_stats() {
-        let (serial, rows, _, _) = mixed_store(quick_config().with_exec_threads(1));
-        let (parallel, _, _, _) = mixed_store(quick_config().with_exec_threads(4));
-        assert_eq!(parallel.exec().threads(), 4);
-        assert!(
-            parallel.aux_table().partition_count() >= 2,
-            "need multiple partitions for probe sharding to engage"
-        );
-        let reference = ReferenceStore::from_rows(&rows);
-        // Shuffled hits and misses spanning every partition, with duplicates.
-        let probe: Vec<u64> = (0..8_000u64)
-            .map(|i| i.wrapping_mul(0x9E3779B97F4A7C15) % 5_000)
-            .collect();
-        let expected = reference.lookup_batch(&probe).unwrap();
-        parallel.metrics().reset();
-        let before = parallel.exec().stats();
-        assert_eq!(parallel.lookup_batch(&probe).unwrap(), expected);
-        let delta = parallel.exec().stats().delta_since(&before);
-        assert_eq!(serial.lookup_batch(&probe).unwrap(), expected);
-        let snap = parallel.metrics().snapshot();
-        assert!(
-            delta.tasks_executed > 0,
-            "the parallel halves must execute pool tasks, {delta:?}"
-        );
-        assert!(
-            snap.partition_loads <= parallel.aux_table().partition_count() as u64,
-            "sharded probes must still load each partition at most once per batch"
-        );
-        assert_eq!(snap.inference_rows, snap.model_answered);
-        assert_eq!(
-            snap.model_answered + snap.aux_answered,
-            expected.iter().flatten().count() as u64
-        );
-        // The serial store's pool is the 1-thread inline executor: it runs no
-        // pool tasks of its own.
-        let before = serial.exec().stats();
-        serial.lookup_batch(&probe).unwrap();
-        assert_eq!(serial.exec().stats().delta_since(&before).tasks_executed, 0);
     }
 
     /// Graceful degradation: a partition whose reads keep failing must degrade

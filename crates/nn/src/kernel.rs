@@ -359,7 +359,7 @@ fn amx_enabled() -> bool {
 
 /// Runs `f` with the calling thread's kernel selection overridden — the test
 /// hook behind the scalar-vs-vector bit-identity guards.  Only affects the
-/// calling thread (drive stores through a serial pool when using this).
+/// calling thread, which is the one a batch runs on.
 pub fn with_forced<T>(kernel: Kernel, f: impl FnOnce() -> T) -> T {
     let previous = FORCED.with(|slot| slot.replace(Some(kernel)));
     let result = f();

@@ -50,10 +50,7 @@ pub use layer::{Activation, Dense};
 pub use loss::softmax_cross_entropy;
 pub use lstm::{LstmCell, SequenceController};
 pub use mlp::{Mlp, MlpSpec};
-pub use multitask::{
-    MultiTaskModel, MultiTaskSpec, TaskHeadSpec, TrainStep, CACHE_CHUNK_ROWS,
-    PARALLEL_ROW_CROSSOVER,
-};
+pub use multitask::{MultiTaskModel, MultiTaskSpec, TaskHeadSpec, TrainStep, CACHE_CHUNK_ROWS};
 pub use optimizer::{Adam, Optimizer, Sgd};
 pub use tensor::Matrix;
 

@@ -13,21 +13,13 @@ use crate::layer::{backward_chain, forward_train_chain, Activation, Dense};
 use crate::loss::softmax_cross_entropy;
 use crate::optimizer::Optimizer;
 use crate::tensor::Matrix;
-use dm_exec::ThreadPool;
 use rand::Rng;
 use std::cell::Cell;
-use std::sync::Mutex;
 
-/// Batches below this many rows run [`MultiTaskModel::forward_batch_flat`]
-/// serially even on a parallel pool: per-task scheduling overhead beats the
-/// matmul win for small batches.
-pub const PARALLEL_ROW_CROSSOVER: usize = 256;
-
-/// Rows per forward chunk, parallel *or* serial: a walk holds one chunk of
-/// activations (three regions of `chunk × widest layer` f32, plus one byte per
-/// input value of the layer running), so bounding chunks keeps them
-/// cache-resident however large the batch — and keeps the working memory a
-/// pool task allocates for its row window small.
+/// Rows per forward chunk: a walk holds one chunk of activations (three
+/// regions of `chunk × widest layer` f32, plus one byte per input value of the
+/// layer running), so bounding chunks keeps them cache-resident however large
+/// the batch.
 ///
 /// Tuned against the `vpdpbusd` kernels with a chunk sweep over the serial
 /// walk (trained DM-Z network, 25 k-row batch, best-of-7 serial
@@ -35,9 +27,9 @@ pub const PARALLEL_ROW_CROSSOVER: usize = 256;
 /// 96 → 510 / 532, 192 → 521 / 522, 256 → 597 / 541, 512 → 524 / 560,
 /// 1024 → 533 / 549, 4096 → 647 / 661 — flat up to a few hundred rows and
 /// worse at 4096, where the old kernels preferred 256 (845 against 858–935).
-/// Among the flat ones the parallel path decides: each pool task zeroes its
-/// own working memory, and on a 2-thread pool a 2 200-row batch of the
-/// 38 → 141 → 141 → 5 × (35 → c) model ran at 662–667 ns/row with 256-row
+/// Among the flat ones the (since removed) parallel path decided: each pool
+/// task zeroed its own working memory, and on a 2-thread pool a 2 200-row
+/// batch of the 38 → 141 → 141 → 5 × (35 → c) model ran at 662–667 ns/row with 256-row
 /// chunks, 464 with 192, 361–434 with 96 and 346 with 48 (scratch harness,
 /// median of ten rounds each).  96 is sixteen whole 6-row register tiles of
 /// the `vpdpbusd` form and three whole 32-row blocks of the AMX one.
@@ -50,10 +42,10 @@ pub const PARALLEL_ROW_CROSSOVER: usize = 256;
 /// 128 → 514 / 470 and 507 / 456, 192 → 461 / 450 and 576 / 482, 256 →
 /// 531 / 437 and 550 / 453, 512 → 512 / 453 and 506 / 465 — worse under 64,
 /// flat from 96 to 512, so the parallel path's preference for small chunks
-/// still decides and 96 stays.
+/// still decided and 96 stayed.
 ///
 /// Re-checked with the keys-in source and the two-phase row quantizer (PR 20;
-/// same model, `forward_keys_flat_on` on a serial pool, best of 6 × 20, ns/row
+/// same model, `forward_keys_flat` on a serial pool, best of 6 × 20, ns/row
 /// at 2 445 / 25 000 rows, two rounds, same loud host, read ± 30): 32 →
 /// 503 / 539 and 465 / 490, 48 → 483 / 508 and 488 / 508, 64 → 451 / 482 and
 /// 456 / 481, 96 → 457 / 461 and 467 / 469, 128 → 455 / 463 and 468 / 468,
@@ -409,29 +401,13 @@ impl MultiTaskModel {
     ///
     /// This is the features-in entry of the walk (training-time evaluation,
     /// MHAS, anything that already holds a feature matrix); a lookup enters
-    /// with its keys through [`forward_keys_flat_on`](Self::forward_keys_flat_on).
-    ///
-    /// Runs on the shared [`dm_exec::global`] pool; use
-    /// [`forward_batch_flat_on`](Self::forward_batch_flat_on) to pin a pool.
+    /// with its keys through [`forward_keys_flat`](Self::forward_keys_flat).
+    /// The walk runs on the calling thread, in cache-sized row chunks.
     pub fn forward_batch_flat(&self, x: &Matrix, out: &mut Vec<u32>) -> crate::Result<usize> {
-        self.forward_batch_flat_on(dm_exec::global(), x, out)
+        self.walk(WalkSource::Features(x), x.rows(), out)
     }
 
-    /// [`forward_batch_flat`](Self::forward_batch_flat) on an explicit execution
-    /// pool.  Batches of at least [`PARALLEL_ROW_CROSSOVER`] rows are split into
-    /// row chunks whose trunk + head matrix-multiply sequences run as independent
-    /// pool tasks (each chunk writes its disjoint slice of `out`); smaller batches
-    /// — and serial pools — take the single-pass path.
-    pub fn forward_batch_flat_on(
-        &self,
-        exec: &ThreadPool,
-        x: &Matrix,
-        out: &mut Vec<u32>,
-    ) -> crate::Result<usize> {
-        self.walk_on(exec, WalkSource::Features(x), x.rows(), out)
-    }
-
-    /// [`forward_batch_flat_on`](Self::forward_batch_flat_on) over keys instead
+    /// [`forward_batch_flat`](Self::forward_batch_flat) over keys instead
     /// of their features: the predictions of `encoder.encode_batch(keys)`,
     /// without the matrix.  Each row chunk of the walk encodes its own keys —
     /// into the first layer's quantized input rows directly when that layer is
@@ -440,9 +416,8 @@ impl MultiTaskModel {
     /// and from there on it is the same walk, so the same predictions bit for
     /// bit.  This is the entry the lookup path uses: keys in, and for an int8
     /// model classes out, with no logit written on the way.
-    pub fn forward_keys_flat_on(
+    pub fn forward_keys_flat(
         &self,
-        exec: &ThreadPool,
         encoder: &KeyEncoder,
         keys: &[u64],
         out: &mut Vec<u32>,
@@ -456,14 +431,12 @@ impl MultiTaskModel {
                 ),
             });
         }
-        self.walk_on(exec, WalkSource::Keys(encoder, keys), keys.len(), out)
+        self.walk(WalkSource::Keys(encoder, keys), keys.len(), out)
     }
 
-    /// The walk behind both entries: `rows` rows of `source`, serially or as
-    /// one pool task per row window.
-    fn walk_on(
+    /// The walk behind both entries: `rows` rows of `source`.
+    fn walk(
         &self,
-        exec: &ThreadPool,
         source: WalkSource<'_>,
         rows: usize,
         out: &mut Vec<u32>,
@@ -471,57 +444,19 @@ impl MultiTaskModel {
         let tasks = self.heads.len();
         out.clear();
         out.resize(rows * tasks, 0);
-        if rows == 0 {
-            return Ok(tasks);
-        }
-        if rows < PARALLEL_ROW_CROSSOVER || exec.threads() <= 1 {
-            self.forward_window(source, 0, CACHE_CHUNK_ROWS, out)?;
-            return Ok(tasks);
-        }
-        // Two row windows per thread, so the work steals evenly, but never
-        // windows so small the scheduling overhead dominates.  A window is one
-        // pool task: it owns one working memory and walks its rows through it
-        // in cache-sized chunks, exactly as the serial path walks the batch.
-        let window_rows = rows
-            .div_ceil(exec.threads() * 2)
-            .max(PARALLEL_ROW_CROSSOVER / 2);
-        let first_error: Mutex<Option<crate::NnError>> = Mutex::new(None);
-        let walk = |wi: usize, window: &mut [u32]| {
-            let start = wi * window_rows;
-            if let Err(err) = self.forward_window(source, start, CACHE_CHUNK_ROWS, window) {
-                let mut slot = first_error.lock().unwrap_or_else(|e| e.into_inner());
-                if slot.is_none() {
-                    *slot = Some(err);
-                }
-            }
-        };
-        // The caller runs: it hands the pool every window but the first and
-        // walks that one itself, instead of parking until the workers are done.
-        exec.scope(|s| {
-            let mut windows = out.chunks_mut(window_rows * tasks).enumerate();
-            let own = windows.next();
-            for (wi, window) in windows {
-                let walk = &walk;
-                s.spawn(move || walk(wi, window));
-            }
-            if let Some((wi, window)) = own {
-                walk(wi, window);
-            }
-        });
-        if let Some(err) = first_error.into_inner().unwrap_or_else(|e| e.into_inner()) {
-            return Err(err);
+        if rows > 0 {
+            self.forward_window(source, CACHE_CHUNK_ROWS, out)?;
         }
         Ok(tasks)
     }
 
-    /// Predictions for the `out.len() / num_tasks` rows of `source` from
-    /// `start` on, `chunk_rows` at a time through one working memory sized for
-    /// a chunk — never more than a chunk of activations (or of encoded keys)
-    /// is live, whatever the window.
+    /// Predictions for the `out.len() / num_tasks` rows of `source`,
+    /// `chunk_rows` at a time through one working memory sized for a chunk —
+    /// never more than a chunk of activations (or of encoded keys) is live,
+    /// whatever the batch.
     fn forward_window(
         &self,
         source: WalkSource<'_>,
-        start: usize,
         chunk_rows: usize,
         out: &mut [u32],
     ) -> crate::Result<()> {
@@ -529,7 +464,7 @@ impl MultiTaskModel {
         let chunk_rows = chunk_rows.clamp(1, (out.len() / tasks).max(1));
         let mut scratch = SPARE_WALK.with(Cell::take).unwrap_or_default();
         scratch.fit(self, chunk_rows);
-        let walked = self.walk_chunks(source, start, chunk_rows, out, &mut scratch);
+        let walked = self.walk_chunks(source, chunk_rows, out, &mut scratch);
         // Gone only while the thread itself is being torn down.
         let _ = SPARE_WALK.try_with(|spare| spare.set(Some(scratch)));
         walked
@@ -540,7 +475,6 @@ impl MultiTaskModel {
     fn walk_chunks(
         &self,
         source: WalkSource<'_>,
-        start: usize,
         chunk_rows: usize,
         out: &mut [u32],
         scratch: &mut WalkScratch,
@@ -554,7 +488,7 @@ impl MultiTaskModel {
         let mut features = Vec::new();
         for (ci, out_chunk) in out.chunks_mut(chunk_rows * tasks).enumerate() {
             let count = out_chunk.len() / tasks;
-            let at = start + ci * chunk_rows;
+            let at = ci * chunk_rows;
             let input = match source {
                 WalkSource::Features(x) => Some(RowsView::of_matrix(x, at, count)?),
                 WalkSource::Keys(encoder, keys) if bytes_first => {
@@ -848,13 +782,13 @@ struct Activations {
 }
 
 /// The working memory of one [`MultiTaskModel::forward_rows_flat`] walk, held
-/// by the call that runs it (a pool task, or the serial loop over chunks) and
-/// sized for a chunk of at most [`CACHE_CHUNK_ROWS`] rows — never for the
-/// batch — so each thread keeps one between walks ([`SPARE_WALK`]) and a
-/// steady-state walk allocates nothing: the quantized input rows of the layer
-/// running now — which the keys-in source fills itself for an int8 first
-/// trunk layer ([`KeyEncoder::quantize_keys`]), every later layer from its f32
-/// input, and which keep beside them the keys-in-lanes copy an output layer
+/// by the call that runs it and sized for a chunk of at most
+/// [`CACHE_CHUNK_ROWS`] rows — never for the batch — so each thread keeps
+/// one between walks ([`SPARE_WALK`]) and a steady-state walk allocates
+/// nothing: the quantized input rows of the layer running now — which the
+/// keys-in source fills itself for an int8 first trunk layer
+/// ([`KeyEncoder::quantize_keys`]), every later layer from its f32 input,
+/// and which keep beside them the keys-in-lanes copy an output layer
 /// reads ([`kernel::argmax_prequantized`]) — and three activation regions
 /// with a panel-padded leading dimension, so the kernels store whole lanes.
 /// Three, because a layer writes a region other than the one it reads, and
@@ -1135,54 +1069,6 @@ mod tests {
         assert!(tuples * 100 > n * 85, "{tuples} of {n} tuples");
     }
 
-    /// The chunked parallel inference path must agree bit-for-bit with the serial
-    /// single-pass path, both above and below the crossover threshold — and the
-    /// caller walks one window of every parallel batch itself.  Both entries of
-    /// the walk fan out the same way: the keys entry hands each window its own
-    /// keys to encode.
-    #[test]
-    fn parallel_flat_inference_matches_serial() {
-        let mut rng = StdRng::seed_from_u64(9);
-        let model = MultiTaskModel::new(&mut rng, &toy_spec()).unwrap();
-        let encoder = six_feature_encoder();
-        let parallel = dm_exec::ThreadPool::new(4);
-        let serial = dm_exec::ThreadPool::new(1);
-        for rows in [3usize, PARALLEL_ROW_CROSSOVER - 1, PARALLEL_ROW_CROSSOVER, 1_000] {
-            let mut x = Matrix::zeros(rows, 6);
-            for r in 0..rows {
-                for c in 0..6 {
-                    x.set(r, c, ((r * 7 + c * 3) % 5) as f32 - 2.0);
-                }
-            }
-            let mut expected = Vec::new();
-            let tasks_serial = model
-                .forward_batch_flat_on(&serial, &x, &mut expected)
-                .unwrap();
-            let mut got = Vec::new();
-            let tasks_parallel = model
-                .forward_batch_flat_on(&parallel, &x, &mut got)
-                .unwrap();
-            assert_eq!(tasks_serial, tasks_parallel);
-            assert_eq!(expected, got, "rows={rows}");
-            assert_eq!(got.len(), rows * 2);
-        }
-        // The two batches at or past the crossover fanned out — 2 and 8 windows
-        // of 128 rows — and the pool ran all but the one the caller took.
-        assert_eq!(parallel.stats().tasks_executed, (2 - 1) + (8 - 1));
-        for rows in [3usize, PARALLEL_ROW_CROSSOVER - 1, PARALLEL_ROW_CROSSOVER, 1_000] {
-            let keys = scattered_keys(rows);
-            let mut expected = Vec::new();
-            let x = encoder.encode_batch(&keys);
-            model.forward_batch_flat_on(&serial, &x, &mut expected).unwrap();
-            let mut got = Vec::new();
-            let tasks = model
-                .forward_keys_flat_on(&parallel, &encoder, &keys, &mut got)
-                .unwrap();
-            assert_eq!((tasks, &got), (2, &expected), "keys in, rows={rows}");
-        }
-        assert_eq!(parallel.stats().tasks_executed, 2 * ((2 - 1) + (8 - 1)));
-    }
-
     /// Three bits and a one-hot residue mod 3: the six features `toy_spec` reads.
     fn six_feature_encoder() -> KeyEncoder {
         KeyEncoder::from_parts(3, vec![3], &[])
@@ -1214,12 +1100,11 @@ mod tests {
                 x.set(r, c, ((r * 11 + c * 5) % 7) as f32 / 3.0 - 1.0);
             }
         }
-        let serial = dm_exec::ThreadPool::new(1);
         let run = |kernel: Kernel| {
             kernel::with_forced(kernel, || {
                 let logits = model.forward(&x).unwrap();
                 let mut flat = Vec::new();
-                model.forward_batch_flat_on(&serial, &x, &mut flat).unwrap();
+                model.forward_batch_flat(&x, &mut flat).unwrap();
                 let bits: Vec<Vec<u32>> = logits
                     .iter()
                     .map(|m| m.as_slice().iter().map(|v| v.to_bits()).collect())
@@ -1234,7 +1119,7 @@ mod tests {
     }
 
     /// A quantized model must predict bit-identically across kernel
-    /// selection, thread counts and chunk sizes — the invariant that lets a
+    /// selection and chunk sizes — the invariant that lets a
     /// quantized snapshot serve losslessly anywhere.
     #[test]
     fn quantized_model_predictions_are_bit_identical_across_kernels_and_chunks() {
@@ -1250,30 +1135,24 @@ mod tests {
                 x.set(r, c, ((r * 11 + c * 5) % 7) as f32 / 3.0 - 1.0);
             }
         }
-        let serial = dm_exec::ThreadPool::new(1);
-        let parallel = dm_exec::ThreadPool::new(4);
         let run = |kernel: Kernel| {
             kernel::with_forced(kernel, || {
                 let mut flat = Vec::new();
-                model.forward_batch_flat_on(&serial, &x, &mut flat).unwrap();
+                model.forward_batch_flat(&x, &mut flat).unwrap();
                 flat
             })
         };
         let scalar = run(Kernel::Scalar);
         let vector = run(Kernel::Vector);
         assert_eq!(scalar, vector);
-        // Chunk size must not change any prediction...
+        // Chunk size must not change any prediction.
         for chunk in [1usize, 7, 64, 2048] {
             let mut chunked = vec![0u32; rows * 2];
             model
-                .forward_window(WalkSource::Features(&x), 0, chunk, &mut chunked)
+                .forward_window(WalkSource::Features(&x), chunk, &mut chunked)
                 .unwrap();
             assert_eq!(scalar, chunked, "chunk={chunk}");
         }
-        // ...and neither must the thread count.
-        let mut threaded = Vec::new();
-        model.forward_batch_flat_on(&parallel, &x, &mut threaded).unwrap();
-        assert_eq!(scalar, threaded);
     }
 
     fn signed_input(rows: usize, cols: usize) -> Matrix {
@@ -1301,8 +1180,7 @@ mod tests {
 
     fn walk_predictions(model: &MultiTaskModel, x: &Matrix) -> Vec<u32> {
         let mut flat = Vec::new();
-        let serial = dm_exec::ThreadPool::new(1);
-        model.forward_batch_flat_on(&serial, x, &mut flat).unwrap();
+        model.forward_batch_flat(x, &mut flat).unwrap();
         flat
     }
 
@@ -1347,7 +1225,6 @@ mod tests {
             let encoder = six_feature_encoder();
             let keys = scattered_keys(2 * CACHE_CHUNK_ROWS + 7);
             let encoded = encoder.encode_batch(&keys);
-            let serial = dm_exec::ThreadPool::new(1);
             for (precision, model) in [("f32", &f32_model), ("int8", &int8_model)] {
                 kernel::tests::under_each_form(|form| {
                     assert_eq!(
@@ -1357,7 +1234,7 @@ mod tests {
                     );
                     let mut from_keys = Vec::new();
                     model
-                        .forward_keys_flat_on(&serial, &encoder, &keys, &mut from_keys)
+                        .forward_keys_flat(&encoder, &keys, &mut from_keys)
                         .unwrap();
                     assert_eq!(
                         from_keys,
@@ -1426,7 +1303,6 @@ mod tests {
         .unwrap();
         models.push(("mixed depth, one activation", mixed));
         let encoder = six_feature_encoder();
-        let serial = dm_exec::ThreadPool::new(1);
         for (name, mut model) in models {
             model.quantize_int8().unwrap();
             let fused = model.fused_entry.as_ref();
@@ -1441,7 +1317,7 @@ mod tests {
                     assert_eq!(walk_predictions(&model, &x), expected, "{name}, {form}, {rows} rows");
                     let mut from_keys = Vec::new();
                     model
-                        .forward_keys_flat_on(&serial, &encoder, &keys, &mut from_keys)
+                        .forward_keys_flat(&encoder, &keys, &mut from_keys)
                         .unwrap();
                     assert_eq!(from_keys, expected, "{name}, {form}, {rows} rows, keys in");
                 });
@@ -1454,12 +1330,11 @@ mod tests {
     #[test]
     fn keys_entry_rejects_an_encoder_of_the_wrong_width() {
         let model = MultiTaskModel::new(&mut StdRng::seed_from_u64(5), &toy_spec()).unwrap();
-        let serial = dm_exec::ThreadPool::new(1);
         let mut out = vec![7];
         let wrong = KeyEncoder::with_bits(5);
-        assert!(model.forward_keys_flat_on(&serial, &wrong, &[1, 2], &mut out).is_err());
+        assert!(model.forward_keys_flat(&wrong, &[1, 2], &mut out).is_err());
         let tasks = model
-            .forward_keys_flat_on(&serial, &six_feature_encoder(), &[], &mut out)
+            .forward_keys_flat(&six_feature_encoder(), &[], &mut out)
             .unwrap();
         assert_eq!((tasks, out.len()), (2, 0));
     }

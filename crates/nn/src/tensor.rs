@@ -154,7 +154,7 @@ impl Matrix {
 
     /// `self[start .. start + count] (count×k) · rhs (k×n) -> count×n`: the
     /// product of a row window of `self` with `rhs`, without materializing the
-    /// window.  This is what lets cache-blocked/parallel batch inference chunk
+    /// window.  This is what lets cache-blocked batch inference chunk
     /// its input for free.  Same kernel as [`matmul`](Self::matmul) (which is the
     /// full-range special case).
     pub fn matmul_rows(&self, start: usize, count: usize, rhs: &Matrix) -> crate::Result<Matrix> {

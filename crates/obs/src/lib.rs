@@ -24,7 +24,7 @@
 //! * **No increment is ever lost.** `fetch_add` is atomic regardless of
 //!   ordering, so totals, bucket counts and sums are exact once the writing
 //!   threads are quiescent (or synchronized with the reader by other means —
-//!   a pool scope barrier, a thread join).
+//!   a lock, a thread join).
 //! * **Cross-cell consistency is not guaranteed while writers run.** A
 //!   snapshot taken concurrently with recording may see cell A's update but
 //!   not cell B's.  Readers that need exact cross-cell invariants (tests,

@@ -15,9 +15,10 @@ use crate::histogram::{thread_index, Histogram, HistogramSnapshot};
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
-/// Number of stripes per [`Counter`].  Eight covers the pool sizes this
-/// workspace runs (`dm-exec` caps at the core count) without bloating the
-/// footprint: 8 × 64 B = one page-eighth per counter.
+/// Number of stripes per [`Counter`].  Eight covers the threads that record
+/// at once here — a batch runs on its caller, and dm-server runs at most one
+/// batch per core — without bloating the footprint: 8 × 64 B = one
+/// page-eighth per counter.
 const COUNTER_SHARDS: usize = 8;
 
 #[repr(align(64))]

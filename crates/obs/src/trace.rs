@@ -1,16 +1,12 @@
 //! Per-batch stage tracing with slow-op capture.
 //!
 //! A [`Trace`] is a per-batch handle the query pipeline creates at the top of
-//! `execute_into` and threads through its stages: each stage (and each pool
-//! task spawned on its behalf — inference, sharded probes, single-flight
-//! pool waits) records a span into the trace's fixed-size event array — one
-//! per thread, handed from each finished trace to the thread's next, so a
-//! batch allocates none.  Span
-//! recording is an index reservation via one relaxed `fetch_add` plus three
-//! relaxed stores — no locks, safe from any thread inside the batch's
-//! `dm-exec` scope (the scope barrier is what makes the events visible to
-//! [`finish`](Trace::finish); a `Trace` must not be finished while spans are
-//! still being recorded elsewhere).
+//! `execute_into` and threads through its stages: each stage (and each
+//! single-flight pool wait or load inside one) records a span into the
+//! trace's fixed-size event array — one per thread, handed from each finished
+//! trace to the thread's next, so a batch allocates none.  A batch runs on
+//! the thread that asks for it, and only that thread records into its trace:
+//! a span is a cursor bump and three plain stores, and `Trace` is not `Sync`.
 //!
 //! Every span is also recorded into a process-wide per-[`Stage`] histogram
 //! (see [`stage_snapshot`]), which is where benchmark percentiles come from.
@@ -40,7 +36,7 @@ use crate::histogram::{Histogram, HistogramSnapshot};
 use crate::registry;
 use std::cell::{Cell, RefCell};
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU32, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
@@ -53,7 +49,7 @@ pub enum Stage {
     Plan,
     /// Stage 2: vectorized model inference over the predicted keys.
     Inference,
-    /// Stage 3: one partition group's auxiliary probe.
+    /// Stage 3: the auxiliary probes of a batch's partition groups.
     Probe,
     /// Stage 4: order-preserving scatter of the predictions into the result.
     Merge,
@@ -201,21 +197,26 @@ pub fn slow_ring_capacity() -> usize {
 
 #[derive(Default)]
 struct EventSlot {
-    stage: AtomicU32,
-    start_nanos: AtomicU64,
-    dur_nanos: AtomicU64,
+    stage: Cell<u32>,
+    start_nanos: Cell<u64>,
+    dur_nanos: Cell<u64>,
 }
 
-/// One batch's trace handle.  See the module docs for the recording and
-/// visibility contract.
+/// One batch's trace handle.  Only the thread that runs the batch records
+/// into it: its cells are not `Sync`, so the compiler holds that rule.
+///
+/// ```compile_fail
+/// fn shared_across_threads<T: Sync>() {}
+/// shared_across_threads::<dm_obs::Trace>();
+/// ```
 pub struct Trace {
     label: &'static str,
     /// When the trace started; `None` for an inert trace, which reads no clock.
     start: Option<Instant>,
-    cursor: AtomicUsize,
-    overflow: AtomicUsize,
+    cursor: Cell<usize>,
+    overflow: Cell<usize>,
     /// Summed time of the spans past the event array, per stage.
-    overflow_nanos: [AtomicU64; Stage::COUNT],
+    overflow_nanos: [Cell<u64>; Stage::COUNT],
     /// Borrowed from the starting thread's spare buffer (see
     /// [`SPARE_EVENTS`]) and handed back on drop; only the first `cursor`
     /// slots belong to this trace.
@@ -232,8 +233,8 @@ impl Trace {
         Trace {
             label,
             start: active.then(Instant::now),
-            cursor: AtomicUsize::new(0),
-            overflow: AtomicUsize::new(0),
+            cursor: Cell::new(0),
+            overflow: Cell::new(0),
             overflow_nanos: Default::default(),
             events: if active {
                 SPARE_EVENTS.with(Cell::take).unwrap_or_else(|| {
@@ -279,27 +280,29 @@ impl Trace {
         let Some(start) = self.start else { return };
         let dur_nanos = nanos(dur);
         record_stage(stage, dur_nanos);
-        let slot = self.cursor.fetch_add(1, Ordering::Relaxed);
+        let slot = self.cursor.get();
+        self.cursor.set(slot + 1);
         if slot >= self.events.len() {
-            self.overflow.fetch_add(1, Ordering::Relaxed);
-            self.overflow_nanos[stage.index()].fetch_add(dur_nanos, Ordering::Relaxed);
+            self.overflow.set(self.overflow.get() + 1);
+            let dropped = &self.overflow_nanos[stage.index()];
+            dropped.set(dropped.get() + dur_nanos);
             return;
         }
         let start_nanos = nanos(begin.checked_duration_since(start).unwrap_or_default());
         let event = &self.events[slot];
-        event.stage.store(stage.index() as u32, Ordering::Relaxed);
-        event.start_nanos.store(start_nanos, Ordering::Relaxed);
-        event.dur_nanos.store(dur_nanos, Ordering::Relaxed);
+        event.stage.set(stage.index() as u32);
+        event.start_nanos.set(start_nanos);
+        event.dur_nanos.set(dur_nanos);
     }
 
     /// The spans recorded so far, in recording order.
     fn events(&self) -> impl Iterator<Item = TraceEvent> + '_ {
-        let recorded = self.cursor.load(Ordering::Relaxed).min(self.events.len());
+        let recorded = self.cursor.get().min(self.events.len());
         self.events[..recorded].iter().filter_map(|slot| {
             Some(TraceEvent {
-                stage: Stage::from_index(slot.stage.load(Ordering::Relaxed) as usize)?,
-                start_nanos: slot.start_nanos.load(Ordering::Relaxed),
-                dur_nanos: slot.dur_nanos.load(Ordering::Relaxed),
+                stage: Stage::from_index(slot.stage.get() as usize)?,
+                start_nanos: slot.start_nanos.get(),
+                dur_nanos: slot.dur_nanos.get(),
             })
         })
     }
@@ -307,22 +310,20 @@ impl Trace {
     /// Ends the batch: aggregates the spans into a [`TraceSummary`], publishes
     /// it to this thread's recent ring and last-batch slot, and — when total
     /// wall time reaches the slow threshold — retains the full timeline in the
-    /// global slow-batch ring (the only case that copies the spans out).  All
-    /// recording (including from pool tasks) must have completed before
-    /// `finish` (the pipeline's scope barrier guarantees this).
+    /// global slow-batch ring (the only case that copies the spans out).
     pub fn finish(self) -> TraceSummary {
         let mut summary = TraceSummary {
             label: self.label,
             total_nanos: 0,
             stage_nanos: [0; Stage::COUNT],
             events: 0,
-            dropped: self.overflow.load(Ordering::Relaxed),
+            dropped: self.overflow.get(),
         };
         let Some(start) = self.start else { return summary };
         let total_nanos = nanos(start.elapsed());
         summary.total_nanos = total_nanos;
         for (sum, dropped) in summary.stage_nanos.iter_mut().zip(&self.overflow_nanos) {
-            *sum = dropped.load(Ordering::Relaxed);
+            *sum = dropped.get();
         }
         for event in self.events() {
             summary.events += 1;
@@ -364,7 +365,7 @@ impl std::fmt::Debug for Trace {
         f.debug_struct("Trace")
             .field("label", &self.label)
             .field("active", &self.is_active())
-            .field("events", &self.cursor.load(Ordering::Relaxed))
+            .field("events", &self.cursor.get())
             .finish()
     }
 }
@@ -441,8 +442,10 @@ pub struct TraceSummary {
     /// inert trace).
     pub total_nanos: u64,
     /// Summed span time per stage, indexed by [`Stage::index`], dropped spans
-    /// included.  Concurrent spans (parallel probes) each contribute fully, so
-    /// a stage's sum can exceed `total_nanos` — it is CPU time, not wall time.
+    /// included.  One thread records a trace, so a stage's spans never run
+    /// at once; spans of different stages may nest (a server batch's `Exec`
+    /// holds the store's stages), unless recorded net of each other
+    /// ([`span_net_of`]).
     pub stage_nanos: [u64; Stage::COUNT],
     /// Spans recorded.
     pub events: usize,
@@ -747,25 +750,6 @@ mod tests {
         assert_eq!(summary.events, TRACE_EVENT_CAPACITY);
         assert_eq!(summary.dropped, 7);
         assert_eq!(summary.stage(Stage::Probe), 10 * (TRACE_EVENT_CAPACITY as u64 + 7));
-    }
-
-    #[test]
-    fn concurrent_span_recording_from_scope_like_threads() {
-        let _guard = crate::test_guard();
-        crate::set_enabled(true);
-        let trace = Trace::start("parallel");
-        std::thread::scope(|s| {
-            for _ in 0..4 {
-                s.spawn(|| {
-                    for _ in 0..3 {
-                        trace.record_span(Stage::Probe, Instant::now(), Duration::from_nanos(100));
-                    }
-                });
-            }
-        });
-        let summary = trace.finish();
-        assert_eq!(summary.events, 12);
-        assert_eq!(summary.stage(Stage::Probe), 1_200);
     }
 
     #[test]

@@ -12,7 +12,7 @@
 //!   the manifest/model/bitmaps eagerly; partitions are served lazily through
 //!   a [`dm_storage::FilePartitionSource`] plugged into the store's
 //!   single-flight buffer pool — a cold partition costs exactly one positional
-//!   read + one unframing, fully parallel under `dm-exec`.
+//!   read + one unframing, and concurrent readers never share a file cursor.
 //! * [`DeltaWal`] — an append-only log (`<snapshot>.wal`) of
 //!   insert/delete/update batches, CRC-per-record, torn-tail tolerant.
 //! * [`PersistentStore`] — the two combined behind the standard

@@ -523,11 +523,15 @@ mod tests {
             .map(|k| Row::new(k, vec![(k % 3) as u32, ((k / 5) % 4) as u32]))
             .collect();
         Manifest {
-            config: DeepMappingConfig::dm_l()
-                .with_search(search)
-                .with_retrain_threshold(12_345)
-                .with_exec_threads(3)
-                .with_seed(77),
+            // `exec_threads` is read by nothing, but the manifest still
+            // carries it, so a snapshot written with it set opens.
+            config: DeepMappingConfig {
+                exec_threads: Some(3),
+                ..DeepMappingConfig::dm_l()
+                    .with_search(search)
+                    .with_retrain_threshold(12_345)
+                    .with_seed(77)
+            },
             schema: MappingSchema::infer(&rows, 1 << 10).unwrap(),
             decode_labels: vec![vec!["a".into(), "b\"c\\".into()], Vec::new()],
             tuple_count: 64,

@@ -97,10 +97,9 @@
 //! [`QueryServer::new`]), so two waiting clients on two cores run two batches
 //! side by side — and on one plain OS dispatcher thread per server, which
 //! serves only requests nobody waits on yet and takes a core like any other
-//! batch. All of them are outside the dm-exec pool: under
-//! `DM_EXEC_THREADS=1` each merged batch simply executes serially inside the
-//! store — the server degrades to serial execution per batch instead of
-//! deadlocking. A store that panics fails every request of its batch with
+//! batch. A store runs each merged batch on the thread that takes it, so the
+//! cores the server grants are the only parallelism on the read path. A store
+//! that panics fails every request of its batch with
 //! [`ServerError::Store`] and gives its core back; the panic reaches the
 //! caller that ran the batch, as a direct store call would, and never the
 //! dispatcher. [`ServerConfig::inline`] removes the queue and the dispatcher

@@ -64,13 +64,11 @@
 //! syscall ([`ServerStats::dispatcher_wakeups`] counts the wake-ups).
 //!
 //! The dispatcher is one plain OS thread, and callers run on their own
-//! threads, all deliberately *outside* the dm-exec pool: a merged batch runs
-//! through whatever parallelism the tenant store already uses
-//! (`DM_EXEC_THREADS=1` degrades the whole path to serial execution inside
-//! each batch with no cross-pool deadlock possible). Batch formation holds the
-//! queue lock only; batch execution and demux hold slot locks, and the
-//! tenant's sample log once per batch, one at a time — the lock domains never
-//! nest in conflicting order. A store that panics fails
+//! threads; a merged batch runs on whichever of them takes it, start to
+//! finish, since a store never hands a batch to another thread. Batch
+//! formation holds the queue lock only; batch execution and demux hold slot
+//! locks, and the tenant's sample log once per batch, one at a time — the
+//! lock domains never nest in conflicting order. A store that panics fails
 //! the requests of its batch with [`ServerError::Store`] and gives its core
 //! back (see `RunningBatch`); the dispatcher survives it, and a caller gets
 //! the panic on its own thread, as it would calling the store directly.

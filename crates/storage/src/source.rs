@@ -11,8 +11,8 @@
 //! * [`SimulatedDisk`](crate::disk::SimulatedDisk) — writable, in-memory frames,
 //!   simulated read costs (the build path and all pre-persistence workloads),
 //! * [`FilePartitionSource`] — read-only extents of an open snapshot file, one
-//!   `pread` per cold partition (fully parallel under `dm-exec`; no shared file
-//!   cursor), CRC-checked so a flipped bit surfaces as a typed corruption error
+//!   `pread` per cold partition (no shared file cursor, so concurrent readers
+//!   never serialize on it), CRC-checked so a flipped bit surfaces as a typed corruption error
 //!   instead of garbage answers.
 
 use crate::metrics::Metrics;

@@ -81,14 +81,13 @@
 //! │                                       maintenance advisor (HealthReport),
 //! │                                       Prometheus/JSON exposition, DM_OBS
 //! │                                       kill switch (depends on nothing below)
-//! ├── crates/exec            dm-exec      vendored work-stealing runtime: fixed
-//! │                                       ThreadPool (per-worker deques + injector
-//! │                                       + parking), scope/join/parallel_chunks,
-//! │                                       panic propagation, ExecStats
+//! ├── crates/exec            dm-exec      what the frozen benchmark still reads:
+//! │                                       a one-thread ThreadPool whose
+//! │                                       ExecStats stay zero
 //! ├── crates/nn              dm-nn        matrices, dense layers, multi-task model,
-//! │                                       one vectorized walk, row-windowed on
-//! │                                       the pool, entered with keys
-//! │                                       (forward_keys_flat_on: each 96-row
+//! │                                       one vectorized walk on the calling
+//! │                                       thread, entered with keys
+//! │                                       (forward_keys_flat: each 96-row
 //! │                                       chunk encodes its own, an int8 model's
 //! │                                       straight to first-layer bytes) or
 //! │                                       with features (forward_batch_flat);
@@ -163,35 +162,22 @@
 //! for the model or the auxiliary table, never both), with every stage timed once, by
 //! a `dm_obs::Stage` span on the batch's trace (`dm_obs::trace::take_last_batch`);
 //! `dm_storage::Metrics` holds the counts.  The pipeline borrows its batch-sized
-//! working memory from the `LookupBuffer`, so a serial store's steady-state call
-//! on a reused buffer allocates nothing (`tests/alloc_guard.rs`).  Because the pipeline only reads, batches
+//! working memory from the `LookupBuffer`, so a steady-state call on a reused
+//! buffer allocates nothing (`tests/alloc_guard.rs`).  Because the pipeline only reads, batches
 //! from different threads interleave freely over one store instance.
 //!
-//! ## The parallel read path
+//! ## One thread a batch
 //!
-//! The read path runs on [`dm-exec`](dm_exec), the workspace's vendored
-//! work-stealing runtime:
-//!
-//! * **The two halves of a batch run one after the other** on the calling
-//!   thread (probes of the corrected keys, then inference of the predicted
-//!   keys); each fans out by itself, so a small batch never pays for a task.
-//! * **Inference** splits large batches into row chunks executed as pool
-//!   tasks (`MultiTaskModel::forward_keys_flat_on`, serial below
-//!   `dm_nn::PARALLEL_ROW_CROSSOVER` rows), each chunk running the packed-panel
-//!   SIMD kernels of [`dm_nn::kernel`].
-//! * **Probing** visits independent auxiliary partition groups as parallel pool
-//!   tasks; hits are folded into the result serially, in batch order.
-//! * **`dm_storage::BufferPool`** is one LRU under one budget with *single-flight* cold
-//!   loads: racing readers (pipeline tasks or external threads) trigger exactly
-//!   one read + unframe per partition, the losers wait on a per-entry latch
-//!   (observable via `LatencyBreakdown::pool_single_flight_waits`).
-//!
-//! **Sizing:** the shared process-wide pool is sized once from the
-//! `DM_EXEC_THREADS` environment variable (default: available parallelism;
-//! `1` = fully serial for debugging).  Per-store override:
-//! `DeepMappingBuilder::exec_threads(n)` pins that store to a dedicated
-//! n-thread pool.  Runtime activity (tasks, steals, park time) is the pool's own
-//! `ThreadPool::stats` (`dm.exec().stats()`).
+//! A batch runs on the thread that asks for it: the two halves of a batch
+//! (probes of the corrected keys, then inference of the predicted keys) run
+//! one after the other, inference as one walk of the packed-panel SIMD
+//! kernels of [`dm_nn::kernel`] in cache-sized row chunks.  Cores serve
+//! concurrent requests instead — each client's batch on that client's own
+//! thread ([`dm_server`]'s callers-run path, or any caller's own threads) —
+//! and they share one store: **`dm_storage::BufferPool`** is one LRU under
+//! one budget with *single-flight* cold loads, so racing readers trigger
+//! exactly one read + unframe per partition, the losers wait on a per-entry
+//! latch (observable via `LatencyBreakdown::pool_single_flight_waits`).
 //!
 //! ## Persistence: the snapshot file + delta WAL
 //!
@@ -225,8 +211,8 @@
 //! Opening reads only header + manifest + model + existence + base; the partition
 //! frames stay on disk and are served on demand by a
 //! `dm_storage::FilePartitionSource` behind the single-flight buffer
-//! pool (one `pread` + one unframing per cold partition, parallel under
-//! `dm-exec`).  Versioning is strict: an unknown header version or any failed
+//! pool (one `pread` + one unframing per cold partition, no shared file
+//! cursor).  Versioning is strict: an unknown header version or any failed
 //! CRC is a typed [`dm_persist::PersistError`], never a guess, and so is a
 //! directory whose row counts do not partition `base`, a frame that loads
 //! with another partition's shape, or a store that serves f32 arithmetic (an
@@ -345,7 +331,6 @@ pub use dm_baselines as baselines;
 pub use dm_compress as compress;
 pub use dm_core as core;
 pub use dm_data as data;
-pub use dm_exec as exec;
 pub use dm_faults as faults;
 pub use dm_nn as nn;
 pub use dm_obs as obs;

@@ -12,8 +12,8 @@
 //! and off — and again beside a live overlay of inserts, updates and deletes,
 //! whose batches hit delta keys, tombstoned keys and partition keys.
 //!
-//! The stores run serial (`exec_threads(1)`): a parallel pool boxes the tasks
-//! it spawns, a cost of fanning out, not of the pipeline.
+//! The stores are built with the default configuration: a batch runs on the
+//! thread that asks for it, so the guard holds for every store.
 //!
 //! One layer up, a served request allocates nothing either: steady-state
 //! rounds of four pipelined `submit`s and their `wait_into`s, on a coalescing
@@ -83,7 +83,7 @@ fn temp_dir(tag: &str) -> PathBuf {
     dir
 }
 
-/// A serial store with keys on both routes: a learnable column beside one
+/// A store with keys on both routes: a learnable column beside one
 /// that is noise on every seventh row, so the auxiliary table holds several
 /// partitions.  Keys are even; odd keys are misses.
 fn build_store() -> DeepMapping {
@@ -96,7 +96,6 @@ fn build_store() -> DeepMapping {
     let dm = DeepMappingBuilder::dm_z()
         .training(TrainingConfig::quick())
         .partition_bytes(8 * 1024)
-        .exec_threads(1)
         .build(&rows)
         .expect("build store");
     assert!(dm.aux_table().partition_count() >= 2, "{dm:?}");
@@ -205,7 +204,6 @@ fn a_reopened_snapshot_store_allocates_nothing_per_steady_state_call() {
     let built = build_store();
     built.write_snapshot(&path).expect("write snapshot");
     let reopened = Snapshot::open(&path).expect("open snapshot");
-    assert_eq!(reopened.exec().threads(), 1, "the snapshot keeps the serial pool");
     assert_eq!(
         reopened.lookup_batch(&batches(&built)[2]).unwrap(),
         built.lookup_batch(&batches(&built)[2]).unwrap()

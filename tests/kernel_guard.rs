@@ -9,8 +9,7 @@
 //! bit-identical, so a store snapshotted under one kernel reopens under the
 //! other with byte-identical tuple reads.
 //!
-//! The stores here use a serial (1-thread) exec pool so inference runs on the
-//! calling thread, where `kernel::with_forced` applies.
+//! A batch runs on the calling thread, where `kernel::with_forced` applies.
 
 use deepmapping::nn::kernel::{self, Kernel};
 use deepmapping::nn::{Activation, Dense, Matrix, MultiTaskModel, MultiTaskSpec, TaskHeadSpec};
@@ -52,7 +51,6 @@ fn build_store(rows: &[Row]) -> DeepMapping {
             ..TrainingConfig::default()
         })
         .partition_bytes(4 * 1024)
-        .exec_threads(1)
         .build(rows)
         .expect("build")
 }
@@ -233,10 +231,9 @@ fn model_logits_digest(model: &MultiTaskModel) -> u64 {
 fn model_classes_digest(model: &MultiTaskModel) -> u64 {
     let x = signed_input(PINNED_ROWS, 38, 1);
     let mut flat = Vec::new();
-    let serial = deepmapping::exec::ThreadPool::new(1);
     model
-        .forward_batch_flat_on(&serial, &x, &mut flat)
-        .expect("forward_batch_flat_on");
+        .forward_batch_flat(&x, &mut flat)
+        .expect("forward_batch_flat");
     fnv1a(flat)
 }
 
@@ -316,29 +313,27 @@ fn benchmark_shape_mapping_model() -> deepmapping::core::MappingModel {
 
 fn key_classes_digest(model: &deepmapping::core::MappingModel) -> u64 {
     let mut flat = Vec::new();
-    let serial = deepmapping::exec::ThreadPool::new(1);
     let columns = model
-        .predict_into_on(&serial, &pinned_keys(), &mut flat)
-        .expect("predict_into_on");
+        .predict_into(&pinned_keys(), &mut flat)
+        .expect("predict_into");
     assert_eq!((columns, flat.len()), (5, 5 * PINNED_ROWS));
     fnv1a(flat)
 }
 
-/// The lookup path's entry — keys in, `MappingModel::predict_into_on` — lands on
+/// The lookup path's entry — keys in, `MappingModel::predict_into` — lands on
 /// the pinned arithmetic under every int8 form, and agrees with the features-in
 /// entry over the same keys.
 #[test]
 fn int8_predictions_from_keys_match_the_digest_pinned_at_the_parent_commit() {
     let model = benchmark_shape_mapping_model();
     let features = model.schema().key_encoder.encode_batch(&pinned_keys());
-    let serial = deepmapping::exec::ThreadPool::new(1);
     under_every_kernel(|form| {
         assert_eq!(key_classes_digest(&model), PINNED_KEY_CLASSES, "keys in, {form}");
         let mut flat = Vec::new();
         model
             .network()
-            .forward_batch_flat_on(&serial, &features, &mut flat)
-            .expect("forward_batch_flat_on");
+            .forward_batch_flat(&features, &mut flat)
+            .expect("forward_batch_flat");
         assert_eq!(fnv1a(flat), PINNED_KEY_CLASSES, "features in, {form}");
     });
 }
@@ -460,7 +455,6 @@ fn built_and_retrained_digests() -> (u64, u64) {
             ..TrainingConfig::default()
         })
         .partition_bytes(4 * 1024)
-        .exec_threads(1)
         .build(&benchmark_mixed_rows(5_003))
         .expect("build");
     let built = fnv1a_bytes(dm.model().to_bytes());

@@ -40,14 +40,13 @@ fn build_store() -> DeepMapping {
             Row::new(k * 2, vec![((k / 16) % 5) as u32, noisy])
         })
         .collect();
-    // One exec thread: a serial pipeline makes the buffer-pool access order —
-    // and therefore the hit/miss/eviction counters compared below — exactly
+    // A batch runs on its caller, so the buffer-pool access order — and
+    // therefore the hit/miss/eviction counters compared below — is exactly
     // reproducible between the two runs.
     DeepMappingBuilder::dm_z()
         .training(TrainingConfig::quick())
         .partition_bytes(8 * 1024)
         .memory_budget(32 * 1024)
-        .exec_threads(1)
         .build(&rows)
         .expect("build store")
 }
@@ -73,7 +72,7 @@ fn kill_switch_never_changes_results_or_pipeline_behavior() {
     let _guard = obs_lock();
     let dm = build_store();
     // Hits, misses (odd keys are absent), and out-of-range keys, across
-    // batch sizes small enough to stay serial and large enough to fan out.
+    // batch sizes from one walk chunk to many.
     let batches: Vec<Vec<u64>> = vec![
         (0..64).collect(),
         (0..4_000).map(|k| k * 3 + 1).collect(),
@@ -325,7 +324,6 @@ fn update_storm_draws_retrain_advice_and_maintenance_shrinks_the_aux() {
     let mut dm = DeepMappingBuilder::dm_z()
         .training(TrainingConfig::quick())
         .partition_bytes(8 * 1024)
-        .exec_threads(1)
         .build(&rows)
         .expect("build store");
     assert!(dm.health_report().is_healthy());

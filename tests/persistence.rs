@@ -221,7 +221,7 @@ fn corruption_returns_typed_errors_not_garbage() {
     let schema = MappingSchema::infer(&rows, KEY_HEADROOM).unwrap();
     let spec = MappingModel::default_spec(&schema, rows.len());
     let model = MappingModel::new(schema, &spec, 7).unwrap();
-    let (_, misclassified) = model.split_by_memorization(deepmapping::exec::global(), &rows).unwrap();
+    let (_, misclassified) = model.split_by_memorization(&rows).unwrap();
     let config = DeepMappingConfig::default().with_partition_bytes(4 * 1024);
     let aux = AuxTable::build(
         &misclassified,

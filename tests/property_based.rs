@@ -570,11 +570,9 @@ fn quantized_keys_are_the_quantized_features_byte_for_byte() {
 /// Entering the model walk with keys predicts what entering it with their encoded
 /// features predicts: int8 and f32 models, with a trunk (int8: the keys become the
 /// first layer's bytes directly) and without one (every head reads the input), at
-/// row counts around the walk's 16-row tiles and 96-row chunks, on a serial pool
-/// and on one that fans windows out.
+/// row counts around the walk's 16-row tiles and 96-row chunks.
 #[test]
 fn keys_in_predicts_what_features_in_predicts() {
-    let pools = [dm_exec::ThreadPool::new(1), dm_exec::ThreadPool::new(4)];
     cases(12, |rng| {
         let (encoder, _) = arb_encoder_and_keys(rng, 0);
         if encoder.input_dim() > 256 {
@@ -597,20 +595,17 @@ fn keys_in_predicts_what_features_in_predicts() {
                 let features = encoder.encode_batch(&keys);
                 for model in [&f32_model, &int8_model] {
                     let mut expected = Vec::new();
-                    model.forward_batch_flat_on(&pools[0], &features, &mut expected).unwrap();
-                    for pool in &pools {
-                        let mut got = vec![9; 3];
-                        let tasks = model.forward_keys_flat_on(pool, &encoder, &keys, &mut got).unwrap();
-                        assert_eq!(tasks, 2);
-                        assert_eq!(
-                            got,
-                            expected,
-                            "{rows} rows, {} threads, quantized: {}, trunk: {:?}, {encoder:?}",
-                            pool.threads(),
-                            model.is_quantized(),
-                            spec.shared_hidden
-                        );
-                    }
+                    model.forward_batch_flat(&features, &mut expected).unwrap();
+                    let mut got = vec![9; 3];
+                    let tasks = model.forward_keys_flat(&encoder, &keys, &mut got).unwrap();
+                    assert_eq!(tasks, 2);
+                    assert_eq!(
+                        got,
+                        expected,
+                        "{rows} rows, quantized: {}, trunk: {:?}, {encoder:?}",
+                        model.is_quantized(),
+                        spec.shared_hidden
+                    );
                 }
             }
         }
