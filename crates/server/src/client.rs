@@ -12,22 +12,20 @@
 //! harvesting it later) lets one caller keep several requests in flight, so
 //! they leave as one batch instead of one batch per request.
 //!
-//! A client that waits on a queued request runs a batch itself: `wait_into`
-//! takes what is queued — its own requests and anyone else's — and executes
-//! it on the calling thread, as long as fewer batches are running than the
-//! machine has cores. Only when every core is busy (or its request is already
-//! in a batch on another thread) does it park, and then its requests join the
-//! next batch — which the client that frees a core runs before it returns.
-//! Each client keeps its own batch buffers for this, so running a batch
-//! allocates nothing in the steady state.
+//! Clients run every batch; the server has no thread of its own. A client
+//! that waits on a queued request runs a batch itself: `wait_into` takes what
+//! is queued — its own requests and anyone else's — and executes it on the
+//! calling thread, as long as fewer batches are running than the machine has
+//! cores. Only when every core is busy (or its request is already in a batch
+//! on another thread) does it park, and then its requests join the next
+//! batch — which the client that frees a core runs before it returns.
+//! `submit` and `is_done` run a batch too, when one is due: full, or its
+//! oldest request past the coalescing window. Each client keeps its own batch
+//! buffers for this, so running a batch allocates nothing in the steady
+//! state.
 //!
-//! A client is also what the server's coalescer counts: alive from
-//! construction to drop, *parked* while it sleeps in `wait_into`. The
-//! dispatcher stops holding a batch open for joiners once every live client is
-//! parked (the methods that submit take `&mut self`, so a parked client
-//! cannot), which makes an idle handle kept alive the way to hold a window
-//! open, and dropping a handle that is done the way to let the others'
-//! batches go.
+//! The server counts a client *parked* while it sleeps in `wait_into`. A
+//! client that is dropped cancels its requests that are still queued.
 
 use std::sync::{Arc, Condvar};
 use std::time::{Duration, Instant};
@@ -127,14 +125,17 @@ pub struct RequestReport {
     pub completed_at: Instant,
 }
 
-/// A caller-thread handle onto a [`QueryServer`](crate::QueryServer).
+/// A caller-thread handle onto a [`QueryServer`](crate::QueryServer), and
+/// the thread its batches run on.
 ///
 /// Clients are cheap (a handful of slots and one set of batch buffers) but
 /// not `Sync`: create one per thread via
-/// [`QueryServer::client`](crate::QueryServer::client), and drop it when that
-/// thread is done submitting — while it lives and is not parked in
-/// `wait_into`, the dispatcher holds forming batches open up to
-/// [`max_delay`](crate::ServerConfig::max_delay) for it. The
+/// [`QueryServer::client`](crate::QueryServer::client). Its calls run
+/// batches on the calling thread — [`wait_into`](Self::wait_into) whatever
+/// is queued, [`submit`](Self::submit) and [`is_done`](Self::is_done) a
+/// batch that is due — so a request is served once some client waits for it
+/// or finds it due; nothing serves it on a timer. Dropping a client cancels
+/// its requests still queued. The
 /// blocking conveniences ([`lookup_batch_into`](Self::lookup_batch_into),
 /// [`get`](Self::get)) submit and immediately wait; the pipelined pair
 /// ([`submit`](Self::submit) / [`wait_into`](Self::wait_into)) keeps up to
@@ -146,14 +147,13 @@ pub struct ServerClient {
     /// Spare buffer ping-ponged against slot responses by the owned-result
     /// conveniences.
     spare: LookupBuffer,
-    /// Buffers for the batches `wait_into` runs on this client's thread.
+    /// Buffers for the batches this client runs on its thread.
     scratch: BatchScratch,
 }
 
 impl ServerClient {
     pub(crate) fn new(shared: Arc<Shared>, depth: usize) -> Self {
         let depth = depth.max(1);
-        shared.client_created();
         ServerClient {
             shared,
             slots: (0..depth).map(|_| Arc::new(RequestSlot::new())).collect(),
@@ -178,22 +178,40 @@ impl ServerClient {
     /// flight, and with the admission-control errors documented on
     /// [`ServerError`] when the server rejects the request (in which case the
     /// slot is *not* consumed).
+    ///
+    /// When the admitted request leaves a batch due — pending keys reached
+    /// [`max_batch_keys`](crate::ServerConfig::max_batch_keys), or the oldest
+    /// queued request has waited [`max_delay`](crate::ServerConfig::max_delay)
+    /// — and a core is free, the submit runs that batch on this thread
+    /// before it returns.
     pub fn submit(&mut self, tenant: TenantId, keys: &[u64]) -> Result<Ticket> {
         let idx = self
             .busy
             .iter()
             .position(|b| !*b)
             .ok_or(ServerError::PipelineFull)?;
-        server::submit_slot(&self.shared, &self.slots[idx], tenant, keys)?;
+        let due = server::submit_slot(&self.shared, &self.slots[idx], tenant, keys, &mut self.scratch)?;
         self.busy[idx] = true;
+        if let Some(reason) = due {
+            self.shared.run_batches(reason, &mut self.scratch);
+        }
         Ok(Ticket { slot: idx })
     }
 
     /// Returns true once `ticket`'s request has completed (successfully or
-    /// not), i.e. [`wait_into`](Self::wait_into) will not block.
-    pub fn is_done(&self, ticket: &Ticket) -> bool {
-        let inner = self.slots[ticket.slot].inner.lock();
-        matches!(inner.state, SlotState::Done | SlotState::Failed(_))
+    /// not), i.e. [`wait_into`](Self::wait_into) will not block. While it
+    /// has not, the call runs a batch on this thread when one is due (as
+    /// [`submit`](Self::submit) does) and a core is free, then looks again —
+    /// so polling `is_done` serves the queue at the coalescing window.
+    pub fn is_done(&mut self, ticket: &Ticket) -> bool {
+        let done = |slot: &RequestSlot| {
+            matches!(slot.inner.lock().state, SlotState::Done | SlotState::Failed(_))
+        };
+        if done(&self.slots[ticket.slot]) {
+            return true;
+        }
+        self.shared.run_due(&mut self.scratch);
+        done(&self.slots[ticket.slot])
     }
 
     /// Blocks until `ticket`'s request completes, swaps the response into
@@ -203,15 +221,14 @@ impl ServerClient {
     /// While the request is still queued, the wait runs queued requests —
     /// a batch of the oldest request's tenant, which may hold other clients'
     /// requests too — on this thread whenever fewer batches are running than
-    /// there are cores, and sleeps only when none is free. A wait that ran a
-    /// batch runs one more before it returns when requests are queued while
-    /// another client is parked: the core it freed is the one that client was
-    /// waiting for. A store that panics in a batch run here panics this
+    /// there are cores, and sleeps only when none is free. After each batch it
+    /// runs, it runs one more while requests are queued and another client is
+    /// parked: the core it freed is the one that client was waiting for. A
+    /// store that panics in a batch run here panics this
     /// thread, as a direct call would, after every other request of that
     /// batch has been failed with [`ServerError::Store`].
     pub fn wait_into(&mut self, ticket: Ticket, out: &mut LookupBuffer) -> Result<RequestReport> {
         let slot = &self.slots[ticket.slot];
-        let mut ran = false;
         let mut inner = slot.inner.lock();
         let outcome = loop {
             match &inner.state {
@@ -236,7 +253,6 @@ impl ServerClient {
                     // one another thread runs already.
                     drop(inner);
                     if self.shared.run_as_caller(&mut self.scratch) {
-                        ran = true;
                         inner = slot.inner.lock();
                         continue;
                     }
@@ -245,11 +261,8 @@ impl ServerClient {
                         continue;
                     }
                     inner.waiting = true;
-                    let nobody_can_join = self.shared.client_parked();
+                    self.shared.client_parked();
                     drop(inner);
-                    if nobody_can_join {
-                        self.shared.wake_dispatcher();
-                    }
                     // Counted in, look again: a batch that finishes from here
                     // on sees this client parked and its runner runs what is
                     // queued; one that finished before left its core free.
@@ -266,11 +279,6 @@ impl ServerClient {
         inner.state = SlotState::Idle;
         drop(inner);
         self.busy[ticket.slot] = false;
-        // The core this wait freed may be the one a parked waiter is waiting
-        // for, with its request queued: run one more batch before returning.
-        if ran && self.shared.any_parked() {
-            self.shared.run_as_caller(&mut self.scratch);
-        }
         outcome
     }
 
@@ -317,9 +325,12 @@ impl ServerClient {
 }
 
 impl Drop for ServerClient {
-    /// Leaves the census. Requests still in flight are served (or failed)
-    /// and their slots freed with the last reference; nobody harvests them.
+    /// Cancels the requests still queued: they leave the queue and count as
+    /// failed. One already in a running batch is answered into its slot,
+    /// which is freed with the last reference; nobody harvests it.
     fn drop(&mut self) {
-        self.shared.client_dropped();
+        if self.in_flight() > 0 {
+            self.shared.cancel_queued(&self.slots);
+        }
     }
 }

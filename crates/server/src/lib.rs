@@ -9,26 +9,20 @@
 //!
 //! * **coalesces** concurrent small `get` / `lookup_batch` requests into
 //!   inference-sized merged batches, and **runs them on the callers' own
-//!   threads**. A client that blocks in `wait_into` on a queued request takes
-//!   what is queued (up to [`max_batch_keys`](ServerConfig::max_batch_keys)
-//!   of the oldest request's tenant, its own requests and other clients')
-//!   and runs it itself, while fewer batches are running than the machine has
-//!   cores; when every core is busy it parks, and its requests join the next
-//!   batch — so once clients outnumber cores, batches coalesce across them.
-//!   Requests whose submitter has not waited yet are the dispatcher's: such a
-//!   batch leaves by the first of three exits, `max_batch_keys` pending
-//!   (*full*), *nobody can join* — every live [`ServerClient`] of the server
-//!   is parked in `wait_into`, and a parked client cannot submit — or its
-//!   oldest request has waited [`max_delay`](ServerConfig::max_delay)
-//!   (*window*). `max_delay` is therefore the most a request donates while
-//!   someone still could join: a client that is alive and not parked (idle,
-//!   busy elsewhere, polling [`is_done`](ServerClient::is_done)) holds the
-//!   window open, callers that wait never sit it out, and a handle that will
-//!   not submit again should be dropped. Right after a batch of its own, the
-//!   dispatcher also takes the next one at once when a client is parked
-//!   (*for parked*). [`ServerStats`] counts the batches that ran on a caller
-//!   and those that left by each dispatcher exit, and the dispatcher's
-//!   wake-ups — a submission wakes it only when it is idle;
+//!   threads** — the server has no thread of its own. A client that blocks
+//!   in `wait_into` on a queued request takes what is queued (up to
+//!   [`max_batch_keys`](ServerConfig::max_batch_keys) of the oldest
+//!   request's tenant, its own requests and other clients') and runs it
+//!   itself, while fewer batches are running than the machine has cores;
+//!   when every core is busy it parks, and its requests join the next batch —
+//!   so once clients outnumber cores, batches coalesce across them. A
+//!   `submit` or [`is_done`](ServerClient::is_done) runs a batch when one is
+//!   due: `max_batch_keys` pending (*full*), or the oldest request has waited
+//!   [`max_delay`](ServerConfig::max_delay) (*window*). Nothing serves a
+//!   request on a timer: one nobody waits on is served when a later call of
+//!   some client finds it due. After any batch, the thread that ran it runs
+//!   the next one too while a client is parked (the *parked handoff*).
+//!   [`ServerStats`] counts the batches run for each reason;
 //! * **demuxes** the merged result back to each waiter by copying spans out of
 //!   one flat [`LookupBuffer`](dm_storage::LookupBuffer) arena — no
 //!   per-request allocation on the steady-state path, the same discipline the
@@ -41,10 +35,9 @@
 //!   [`Arc<dyn TupleStore>`](dm_storage::TupleStore) registered up front or a
 //!   snapshot path opened lazily (and exactly once) on first request;
 //! * exposes **observability** via [`QueryServer::stats`]: queue delay,
-//!   coalesce width, batches formed and which thread ran each (a caller, or
-//!   the dispatcher by which exit), shed count,
-//!   per-request wall time, the census of live and parked clients — and per
-//!   tenant via [`QueryServer::tenant_tail`].
+//!   coalesce width, batches formed and why each ran, shed count,
+//!   per-request wall time, the count of parked clients — and per tenant via
+//!   [`QueryServer::tenant_tail`].
 //!
 //! # What a request pays for, and records
 //!
@@ -92,20 +85,28 @@
 //!
 //! # Threading model
 //!
-//! Batches run on the threads of the clients that wait for them — at most
-//! one per core (`std::thread::available_parallelism`, read once in
-//! [`QueryServer::new`]), so two waiting clients on two cores run two batches
-//! side by side — and on one plain OS dispatcher thread per server, which
-//! serves only requests nobody waits on yet and takes a core like any other
-//! batch. A store runs each merged batch on the thread that takes it, so the
-//! cores the server grants are the only parallelism on the read path. A store
-//! that panics fails every request of its batch with
+//! Batches run on the threads of the clients that call into the server, and
+//! nowhere else — at most one per core (`std::thread::available_parallelism`,
+//! read once in [`QueryServer::new`]), so two waiting clients on two cores run
+//! two batches side by side. A store runs each merged batch on the thread that
+//! takes it, so the cores the server grants are the only parallelism on the
+//! read path. Behaviour that follows from owning no thread:
+//!
+//! * a request nobody waits on is served only when a later `submit`,
+//!   `is_done` or `wait_into` finds it due — no timer serves it;
+//! * a `submit` that finds a batch due runs that batch before it returns;
+//! * a dropped [`ServerClient`] cancels its requests still queued (counted in
+//!   `requests_failed`); one already in a running batch is answered;
+//! * [`QueryServer::shutdown`] fails what is queued and returns; batches that
+//!   are running finish on their clients' threads.
+//!
+//! A store that panics fails every request of its batch with
 //! [`ServerError::Store`] and gives its core back; the panic reaches the
-//! caller that ran the batch, as a direct store call would, and never the
-//! dispatcher. [`ServerConfig::inline`] removes the queue and the dispatcher
-//! entirely (each request runs alone, synchronously, on its own caller
-//! thread), which is both the uncoalesced baseline for benches and the
-//! simplest mode for single-threaded tests.
+//! client that ran the batch, as a direct store call would.
+//! [`ServerConfig::inline`] is a zero `max_delay`: each request is due at its
+//! own submit, which runs it on its caller's thread whenever a core is free —
+//! the uncoalesced baseline for benches, and the simplest mode for
+//! single-threaded tests.
 
 pub mod client;
 pub mod error;
@@ -205,16 +206,18 @@ mod tests {
         assert!(stats.batches_formed >= 1);
     }
 
+    /// Inline is a zero window: each request is due at its own submit, which
+    /// runs it as a batch of its own on the calling thread.
     #[test]
     fn inline_mode_runs_on_the_caller_thread() {
         let server = QueryServer::new(ServerConfig::inline());
+        assert_eq!(server.config().max_delay, Duration::ZERO);
         let tenant = server.register_store("t", seeded_store(0..10)).unwrap();
         let mut client = server.client();
         assert_eq!(client.get(tenant, 3).unwrap(), Some(vec![3, 6]));
         assert_eq!(client.get(tenant, 99).unwrap(), None);
         let stats = server.stats();
-        assert_eq!(stats.inline_requests, 2);
-        assert_eq!(stats.batches_formed, 0);
+        assert_eq!((stats.batches_at_window, stats.batches_formed), (2, 2));
         assert_eq!(stats.requests_completed, 2);
     }
 
@@ -274,8 +277,8 @@ mod tests {
         assert_eq!(out.get(0), Some(&[3u32, 6][..]));
     }
 
-    /// A store whose lookups block until the gate opens — lets tests hold the
-    /// dispatcher mid-batch so queue buildup is deterministic. The gate can
+    /// A store whose lookups block until the gate opens — lets tests hold
+    /// every core mid-batch so queue buildup is deterministic. The gate can
     /// also open only for batches whose keys all lie at or above a bound.
     struct GateStore {
         inner: ReferenceStore,
@@ -284,6 +287,9 @@ mod tests {
         open_from: std::sync::Mutex<u64>,
         cv: std::sync::Condvar,
         entered: std::sync::atomic::AtomicUsize,
+        /// Lookups whose smallest key is below this panic once through the
+        /// gate; 0 panics none.
+        panic_below: std::sync::atomic::AtomicU64,
     }
 
     impl GateStore {
@@ -296,6 +302,7 @@ mod tests {
                 open_from: std::sync::Mutex::new(u64::MAX),
                 cv: std::sync::Condvar::new(),
                 entered: std::sync::atomic::AtomicUsize::new(0),
+                panic_below: std::sync::atomic::AtomicU64::new(0),
             }
         }
 
@@ -332,6 +339,9 @@ mod tests {
                 open_from = self.cv.wait(open_from).unwrap();
             }
             drop(open_from);
+            if smallest < self.panic_below.load(Ordering::Acquire) {
+                panic!("injected store panic past the gate");
+            }
             self.inner.lookup_batch_into(keys, out)
         }
 
@@ -364,8 +374,13 @@ mod tests {
             .collect()
     }
 
+    /// Overload with every core held in the store: K clients submit until
+    /// each is shed, then the gate opens and every admitted request is
+    /// answered through its own client's waits — the server has no thread to
+    /// answer it. The latch clears once the queue drains.
     #[test]
     fn admission_control_sheds_past_capacity_and_recovers_after_drain() {
+        const CLIENTS: usize = 4;
         let config = ServerConfig {
             max_batch_keys: 4,
             max_delay: Duration::from_micros(100),
@@ -375,45 +390,66 @@ mod tests {
             max_request_keys: 8,
             ..ServerConfig::default()
         };
-        let server = QueryServer::new(config);
-        let gate = Arc::new(GateStore::new(0..64));
+        let server = Arc::new(QueryServer::new(config));
+        let gate = Arc::new(GateStore::new(0..128));
         let tenant = server
             .register_store("t", Arc::clone(&gate) as Arc<dyn TupleStore>)
             .unwrap();
-        let mut client = server.client_with_depth(16);
+        let runners = occupy_every_core(&server, tenant, &gate, 0);
 
-        // A 4-key request trips the size trigger; the dispatcher takes it and
-        // blocks inside the gated store, leaving the queue to build up.
-        let stuck = client.submit(tenant, &[0, 1, 2, 3]).unwrap();
-        while gate.entered() == 0 {
-            std::thread::sleep(Duration::from_millis(1));
-        }
-
-        // 8 single-key submissions fill the queue to capacity (the 8th
-        // crosses the high watermark and latches shedding).
-        let tickets: Vec<_> = (0..8)
-            .map(|k| client.submit(tenant, &[k]).unwrap())
+        // Each client submits single keys until it is shed; the queue holds
+        // 8 keys (the 8th latches shedding), so 8 are admitted in all.
+        let opened = Arc::new(std::sync::atomic::AtomicBool::new(false));
+        let clients: Vec<_> = (0..CLIENTS as u64)
+            .map(|c| {
+                let (server, opened) = (Arc::clone(&server), Arc::clone(&opened));
+                bounded(move || {
+                    let mut client = server.client_with_depth(16);
+                    let mut admitted = Vec::new();
+                    let overloaded = loop {
+                        let key = 10 + c * 16 + admitted.len() as u64;
+                        match client.submit(tenant, &[key]) {
+                            Ok(ticket) => admitted.push((key, ticket)),
+                            Err(err) => break err,
+                        }
+                    };
+                    assert!(
+                        matches!(overloaded, ServerError::Overloaded { capacity: 8, .. }),
+                        "{overloaded:?}"
+                    );
+                    // Nobody waits before the gate opens, so no runner hands
+                    // these requests off: the clients' own waits run them.
+                    wait_until("the gate opens", || opened.load(Ordering::Acquire));
+                    let mut out = LookupBuffer::new();
+                    let answered = admitted.len();
+                    for (key, ticket) in admitted {
+                        client.wait_into(ticket, &mut out).unwrap();
+                        assert_eq!(out.get(0), Some(&[key as u32, (key * 2) as u32][..]));
+                    }
+                    answered
+                })
+            })
             .collect();
-        let err = client.submit(tenant, &[9]).unwrap_err();
-        assert!(
-            matches!(err, ServerError::Overloaded { queued_keys: 8, capacity: 8 }),
-            "expected Overloaded at capacity, got {err:?}"
-        );
-        assert_eq!(server.stats().requests_shed, 1);
-
-        // Open the gate: the stuck batch completes, the queue drains (falling
-        // through the low watermark clears shedding), and all waiters finish.
+        wait_until("every client is shed", || {
+            server.stats().requests_shed == CLIENTS as u64
+        });
+        assert_eq!(server.stats().requests_completed, 0, "every core is held in the store");
         gate.open_gate();
-        let mut out = LookupBuffer::new();
-        client.wait_into(stuck, &mut out).unwrap();
-        assert_eq!(out.get(3), Some(&[3u32, 6][..]));
-        for (k, t) in tickets.into_iter().enumerate() {
-            client.wait_into(t, &mut out).unwrap();
-            assert_eq!(out.get(0), Some(&[k as u32, (k * 2) as u32][..]));
+        opened.store(true, Ordering::Release);
+        let answered: usize = clients
+            .into_iter()
+            .map(|client| client.join("a shed client harvests what it got admitted"))
+            .sum();
+        assert_eq!(answered, 8);
+        for runner in runners {
+            assert!(matches!(runner.join("a runner's own batch"), Ok(Some(_))));
         }
-        // After the drain the server accepts again.
+        // After the drain the latch is clear and the server accepts again.
+        let mut client = server.client();
         assert_eq!(client.get(tenant, 1).unwrap(), Some(vec![1, 2]));
-        assert_eq!(server.stats().requests_shed, 1);
+        let stats = server.stats();
+        assert_eq!(stats.requests_shed, CLIENTS as u64);
+        assert_eq!(stats.requests_completed, cores() as u64 + 8 + 1);
 
         drop(client);
         server.shutdown();
@@ -453,49 +489,51 @@ mod tests {
         assert_eq!(server.stats().requests_shed, shed);
     }
 
+    /// On a coalescing server and an inline one alike: with every core busy
+    /// in the gated store a waiter's request stays queued until shutdown
+    /// fails it, and after shutdown nothing is admitted.
     #[test]
     fn shutdown_fails_queued_waiters_with_a_typed_error() {
-        // Long deadline, and every core busy in the gated store, so the
-        // waiter's request stays queued until shutdown reaches it.
-        let config = ServerConfig {
-            max_batch_keys: 1024,
-            max_delay: Duration::from_secs(30),
-            ..ServerConfig::default()
-        };
-        let server = Arc::new(QueryServer::new(config));
-        let gate = Arc::new(GateStore::new(0..8));
-        let tenant = server
-            .register_store("t", Arc::clone(&gate) as Arc<dyn TupleStore>)
-            .unwrap();
-        let runners = occupy_every_core(&server, tenant, &gate, 0);
+        for config in [ServerConfig::default(), ServerConfig::inline()] {
+            let server = Arc::new(QueryServer::new(config));
+            let gate = Arc::new(GateStore::new(0..8));
+            let tenant = server
+                .register_store("t", Arc::clone(&gate) as Arc<dyn TupleStore>)
+                .unwrap();
+            let runners = occupy_every_core(&server, tenant, &gate, 0);
 
-        let for_thread = Arc::clone(&server);
-        let waiter = bounded(move || {
-            let mut client = for_thread.client();
-            let ticket = client.submit(tenant, &[1, 2]).unwrap();
-            let mut out = LookupBuffer::new();
-            client.wait_into(ticket, &mut out)
-        });
-        wait_until("the waiter parks", || server.stats().parked_clients == 1);
-        server.shutdown();
-        assert_eq!(
-            waiter.join("shutdown releases the parked waiter").unwrap_err(),
-            ServerError::ShuttingDown
-        );
-        // Batches already running finish on their callers' threads.
-        gate.open_gate();
-        for runner in runners {
-            assert!(runner.join("a running batch finishes after shutdown").is_ok());
+            let for_thread = Arc::clone(&server);
+            let waiter = bounded(move || {
+                let mut client = for_thread.client();
+                let ticket = client.submit(tenant, &[1, 2]).unwrap();
+                let mut out = LookupBuffer::new();
+                client.wait_into(ticket, &mut out)
+            });
+            wait_until("the waiter parks", || server.stats().parked_clients == 1);
+            server.shutdown();
+            assert_eq!(
+                waiter.join("shutdown releases the parked waiter").unwrap_err(),
+                ServerError::ShuttingDown
+            );
+            // Batches already running finish on their callers' threads.
+            gate.open_gate();
+            for runner in runners {
+                assert!(runner.join("a running batch finishes after shutdown").is_ok());
+            }
+
+            // Post-shutdown requests fail fast with the same typed error and
+            // are not admitted.
+            let enqueued = server.stats().requests_enqueued;
+            let mut client = server.client();
+            assert_eq!(client.get(tenant, 7).unwrap_err(), ServerError::ShuttingDown);
+            assert_eq!(
+                client.submit(tenant, &[1]).unwrap_err(),
+                ServerError::ShuttingDown
+            );
+            assert_eq!(server.stats().requests_enqueued, enqueued);
+            // Shutdown is idempotent.
+            server.shutdown();
         }
-
-        // Post-shutdown submissions fail fast with the same typed error.
-        let mut client = server.client();
-        assert_eq!(
-            client.submit(tenant, &[1]).unwrap_err(),
-            ServerError::ShuttingDown
-        );
-        // Shutdown is idempotent.
-        server.shutdown();
     }
 
     #[test]
@@ -803,27 +841,25 @@ mod tests {
             breaker_failure_threshold: 0,
             ..ServerConfig::default()
         };
-        let server = QueryServer::new(config);
+        let server = Arc::new(QueryServer::new(config));
         let gate = Arc::new(GateStore::new(0..64));
         let tenant = server
             .register_store("t", Arc::clone(&gate) as Arc<dyn TupleStore>)
             .unwrap();
         let mut client = server.client_with_depth(8);
 
-        // The first batch enters the store and blocks on the gate.
-        let stuck = client.submit(tenant, &[0, 1, 2, 3]).unwrap();
-        while gate.entered() == 0 {
-            std::thread::sleep(Duration::from_millis(1));
-        }
-        // These queue up behind the stuck batch and outwait their deadline.
-        let stale_a = client.submit(tenant, &[4]).unwrap();
-        let stale_b = client.submit(tenant, &[5]).unwrap();
+        // Every core's batch enters the store and blocks on the gate.
+        let runners = occupy_every_core(&server, tenant, &gate, 0);
+        // These queue up behind the stuck batches and outwait their deadline.
+        let stale_a = client.submit(tenant, &[40]).unwrap();
+        let stale_b = client.submit(tenant, &[41]).unwrap();
         std::thread::sleep(Duration::from_millis(20));
         gate.open_gate();
+        for runner in runners {
+            assert!(matches!(runner.join("a stuck batch"), Ok(Some(_))));
+        }
 
         let mut out = LookupBuffer::new();
-        client.wait_into(stuck, &mut out).unwrap();
-        assert_eq!(out.get(0), Some(&[0u32, 0][..]));
         for ticket in [stale_a, stale_b] {
             match client.wait_into(ticket, &mut out).unwrap_err() {
                 ServerError::Timeout { waited, deadline } => {
@@ -842,7 +878,7 @@ mod tests {
     /// together run their requests on their own threads, under a window (2 s)
     /// that 50 rounds together must not add up to. And a batch they have to
     /// leave queued — every core busy in a gated store, so K more waiters park
-    /// — leaves as soon as every live client is parked, not at the window.
+    /// — leaves as soon as a core frees, not at the window.
     #[test]
     fn a_batch_leaves_as_soon_as_every_live_client_is_parked() {
         let window = Duration::from_secs(2);
@@ -879,17 +915,11 @@ mod tests {
             );
             let stats = server.stats();
             assert_eq!(stats.batches_at_window, 0, "{callers} callers: {stats:?}");
-            assert_eq!(
-                stats.batches_full
-                    + stats.batches_nobody_could_join
-                    + stats.batches_for_parked
-                    + stats.batches_on_caller,
-                stats.batches_formed
-            );
+            assert_eq!(stats.batches_full + stats.batches_on_caller, stats.batches_formed);
             assert!((50..=50 * callers as u64).contains(&stats.batches_formed));
             assert_eq!(stats.batched_requests, 50 * callers as u64);
             assert!(stats.max_coalesce_width <= callers as u64);
-            assert_eq!((stats.live_clients, stats.parked_clients), (0, 0));
+            assert_eq!(stats.parked_clients, 0);
         }
 
         // Waiters that find every core busy park with their requests queued;
@@ -926,37 +956,14 @@ mod tests {
             assert_eq!(stats.batches_on_caller, cores + 1, "{stats:?}");
             assert_eq!(stats.batches_formed, cores + 1);
             assert_eq!(stats.max_coalesce_width, waiters);
-            assert_eq!((stats.live_clients, stats.parked_clients), (0, 0));
-        }
-
-        // Requests nobody waits on are the dispatcher's: held while a client
-        // could still join them, and gone the moment nobody can.
-        for leavers in [1u64, 2, 4] {
-            let server = QueryServer::new(ServerConfig::coalescing(window, 1024));
-            let tenant = server.register_store("t", seeded_store(0..64)).unwrap();
-            let mut clients: Vec<ServerClient> = (0..leavers).map(|_| server.client()).collect();
-            for (key, client) in (0..).zip(clients.iter_mut()) {
-                let _unharvested = client.submit(tenant, &[key]).unwrap();
-            }
-            let started = Instant::now();
-            while let Some(client) = clients.pop() {
-                assert_eq!(server.stats().batches_formed, 0, "a live client holds the batch");
-                drop(client);
-            }
-            wait_until("the batch nobody can join leaves", || {
-                server.stats().requests_completed == leavers
-            });
-            assert!(started.elapsed() < window);
-            let stats = server.stats();
-            assert_eq!((stats.batches_formed, stats.batches_nobody_could_join), (1, 1));
-            assert_eq!(stats.max_coalesce_width, leavers);
+            assert_eq!(stats.parked_clients, 0);
         }
     }
 
-    /// What holds a window open: a client that is alive and not parked. A
-    /// request whose submitter has not waited yet, with an idle handle beside
-    /// it, leaves at `max_delay`; one whose submitter waits runs at once, on
-    /// the submitter's thread.
+    /// A request nobody waits on leaves at the window, and not before: a
+    /// lone request beside an idle handle is run by the `is_done` poll that
+    /// finds its window closed. One whose submitter waits runs at once, on
+    /// the submitter's thread. One whose client is dropped is cancelled.
     #[test]
     fn an_idle_client_holds_the_window_open_for_a_lone_request() {
         let window = Duration::from_millis(40);
@@ -973,109 +980,123 @@ mod tests {
         assert_eq!(out.get(0), Some(&[3u32, 6][..]));
         assert!(report.queue_delay >= window, "{report:?}");
         let exits = |stats: ServerStats| {
-            (
-                stats.batches_full,
-                stats.batches_at_window,
-                stats.batches_nobody_could_join,
-                stats.batches_on_caller,
-            )
+            (stats.batches_full, stats.batches_at_window, stats.batches_on_caller)
         };
-        assert_eq!(exits(server.stats()), (0, 1, 0, 0));
-        assert_eq!((server.stats().live_clients, server.stats().parked_clients), (2, 0));
+        assert_eq!(exits(server.stats()), (0, 1, 0));
 
         let report = client.lookup_batch_into(tenant, &[4], &mut out).unwrap();
         assert_eq!(out.get(0), Some(&[4u32, 8][..]));
         assert!(report.queue_delay < window, "{report:?}");
-        assert_eq!(exits(server.stats()), (0, 1, 0, 1));
+        assert_eq!(exits(server.stats()), (0, 1, 1));
 
-        // Dropping the idle handle is the other way the dispatcher learns
-        // nobody is coming: a request left behind by a dropped client is
-        // served at the drop, not at the window.
-        let long = Duration::from_secs(30);
-        let server = QueryServer::new(ServerConfig::coalescing(long, 1024));
-        let tenant = server.register_store("t", seeded_store(0..8)).unwrap();
-        let idle = server.client();
+        // A dropped client's queued request leaves the queue unserved, and
+        // counts as failed.
         let mut leaver = server.client();
         let _unharvested = leaver.submit(tenant, &[5]).unwrap();
         drop(leaver);
-        assert_eq!(server.stats().batches_formed, 0, "the idle handle holds the batch");
-        drop(idle);
-        wait_until("the drop releases the batch", || server.stats().requests_completed == 1);
         let stats = server.stats();
-        assert_eq!(exits(stats), (0, 0, 1, 0));
-        assert!(stats.queue_delay_max < long);
+        assert_eq!(exits(stats), (0, 1, 1));
+        assert_eq!((stats.requests_completed, stats.requests_failed), (2, 1));
+        // The window has long closed on the cancelled request: had it stayed
+        // queued, the next submit would find it due and run it.
+        std::thread::sleep(window);
+        let report = client.lookup_batch_into(tenant, &[6], &mut out).unwrap();
+        assert_eq!(out.get(0), Some(&[6u32, 12][..]));
+        assert!(report.queue_delay < window, "{report:?}");
+        let stats = server.stats();
+        assert_eq!(exits(stats), (0, 1, 2));
+        assert_eq!((stats.max_coalesce_width, stats.keys_served), (1, 3));
     }
 
-    /// Lost wake-ups. Four pipelined callers at random depths under a 1 s
-    /// window: every batch has to run on a waiting caller or leave by a
-    /// wake-up — from the caller that parks last, from one that drops its
-    /// handle when it is done, or from a batch that frees a core — and one
-    /// that goes missing holds a batch until the timer fires.
+    /// Liveness. Four pipelined callers on however many cores, in rounds of
+    /// a random depth that end together: a caller that finds every core busy
+    /// parks, and only the parked handoff — the thread that frees a core runs
+    /// the next batch while a client is parked — runs its request once the
+    /// others' last batches of the round are done. A run path without it
+    /// strands the waiter and, through the round's barrier, everyone. Under a
+    /// 1 s window, and again under a zero one, where every submit may run a
+    /// batch.
     #[test]
-    fn no_wake_up_is_lost_between_the_last_parker_and_the_dispatcher() {
+    fn no_parked_waiter_is_stranded() {
         const CALLERS: u64 = 4;
         const REQUESTS: u64 = 10_000;
         let window = Duration::from_secs(1);
-        let server = Arc::new(QueryServer::new(ServerConfig::coalescing(window, 64)));
-        let tenant = server.register_store("t", seeded_store(0..256)).unwrap();
-        let started = Instant::now();
-        let callers: Vec<_> = (0..CALLERS)
-            .map(|c| {
-                let mut client = server.client_with_depth(8);
-                bounded(move || {
-                    let mut out = LookupBuffer::new();
-                    let mut in_flight = std::collections::VecDeque::new();
-                    // xorshift: a depth in 1..=8 per burst, a key per request.
-                    let mut state = 0x9E37_79B9_7F4A_7C15u64 ^ (c + 1);
-                    let mut next = move || {
-                        state ^= state << 13;
-                        state ^= state >> 7;
-                        state ^= state << 17;
-                        state
-                    };
-                    let mut sent = 0u64;
-                    while sent < REQUESTS || !in_flight.is_empty() {
-                        let depth = 1 + (next() % 8) as usize;
-                        while sent < REQUESTS && in_flight.len() < depth {
-                            let key = next() % 300;
-                            let ticket = client.submit(tenant, &[key, key + 1]).unwrap();
-                            in_flight.push_back((key, ticket));
-                            sent += 1;
+        for max_delay in [window, Duration::ZERO] {
+            let server = Arc::new(QueryServer::new(ServerConfig::coalescing(max_delay, 64)));
+            let rows: Vec<Row> = (0..256u64)
+                .map(|k| Row::new(k, vec![k as u32, (k * 2) as u32]))
+                .collect();
+            let store = Arc::new(OverlapStore {
+                inner: ReferenceStore::from_rows(&rows),
+                inside: AtomicUsize::new(0),
+                most_inside: AtomicUsize::new(0),
+            });
+            let tenant = server.register_store("t", store).unwrap();
+            let round = Arc::new(std::sync::Barrier::new(CALLERS as usize));
+            let started = Instant::now();
+            let callers: Vec<_> = (0..CALLERS)
+                .map(|c| {
+                    let mut client = server.client_with_depth(8);
+                    let round = Arc::clone(&round);
+                    bounded(move || {
+                        let mut out = LookupBuffer::new();
+                        let mut in_flight = Vec::with_capacity(8);
+                        let xorshift = |state: &mut u64| {
+                            *state ^= *state << 13;
+                            *state ^= *state >> 7;
+                            *state ^= *state << 17;
+                            *state
+                        };
+                        // One depth sequence for every caller, so all run the
+                        // same rounds; keys of their own.
+                        let mut depths = 0x9E37_79B9_7F4A_7C15u64;
+                        let mut keys = 0x2545_F491_4F6C_DD1Du64 ^ (c + 1);
+                        let mut sent = 0u64;
+                        while sent < REQUESTS {
+                            let depth = (1 + xorshift(&mut depths) % 8).min(REQUESTS - sent);
+                            for _ in 0..depth {
+                                let key = xorshift(&mut keys) % 300;
+                                let ticket = client.submit(tenant, &[key, key + 1]).unwrap();
+                                in_flight.push((key, ticket));
+                            }
+                            sent += depth;
+                            for (key, ticket) in in_flight.drain(..) {
+                                client.wait_into(ticket, &mut out).unwrap();
+                                let want = (key < 256).then(|| [key as u32, (key * 2) as u32]);
+                                assert_eq!(out.get(0), want.as_ref().map(|v| &v[..]));
+                            }
+                            round.wait();
                         }
-                        let (key, ticket) = in_flight.pop_front().expect("a request in flight");
-                        client.wait_into(ticket, &mut out).unwrap();
-                        let want = (key < 256).then(|| [key as u32, (key * 2) as u32]);
-                        assert_eq!(out.get(0), want.as_ref().map(|v| &v[..]));
-                    }
+                    })
                 })
-            })
-            .collect();
-        for caller in callers {
-            caller.join("a pipelined caller's requests");
+                .collect();
+            for caller in callers {
+                caller.join("a pipelined caller's requests");
+            }
+            let elapsed = started.elapsed();
+            let stats = server.stats();
+            assert_eq!(stats.requests_completed, CALLERS * REQUESTS);
+            // A stranded waiter's request leaves when a later call finds it
+            // past its window: it shows in the longest queue delay.
+            assert!(
+                stats.queue_delay_max < window,
+                "a request sat out the window with its caller parked ({elapsed:?}, {stats:?})"
+            );
+            if !max_delay.is_zero() {
+                assert_eq!(stats.batches_at_window, 0, "{stats:?}");
+            }
+            assert_eq!(
+                stats.batches_full + stats.batches_at_window + stats.batches_on_caller,
+                stats.batches_formed
+            );
+            assert!(elapsed < 30 * window, "{elapsed:?}");
+            assert_eq!(stats.parked_clients, 0);
         }
-        let elapsed = started.elapsed();
-        let stats = server.stats();
-        assert_eq!(stats.requests_completed, CALLERS * REQUESTS);
-        // A batch whose wake-up went missing leaves when the timer fires,
-        // with everyone parked by then: it shows in the longest queue delay.
-        assert!(
-            stats.queue_delay_max < window,
-            "a batch sat out the window with every caller parked ({elapsed:?}, {stats:?})"
-        );
-        assert_eq!(stats.batches_at_window, 0, "{stats:?}");
-        assert_eq!(
-            stats.batches_full
-                + stats.batches_nobody_could_join
-                + stats.batches_for_parked
-                + stats.batches_on_caller,
-            stats.batches_formed
-        );
-        assert!(elapsed < 30 * window, "{elapsed:?}");
-        assert_eq!((stats.live_clients, stats.parked_clients), (0, 0));
     }
 
     /// A store that records how many of its calls overlap, and holds each
-    /// call for a few microseconds so that batches on different threads meet.
+    /// call for a few microseconds asleep, so that batches on different
+    /// threads meet and waiters find every core busy.
     struct OverlapStore {
         inner: ReferenceStore,
         inside: AtomicUsize,
@@ -1094,10 +1115,9 @@ mod tests {
         ) -> dm_storage::Result<()> {
             let inside = self.inside.fetch_add(1, Ordering::SeqCst) + 1;
             self.most_inside.fetch_max(inside, Ordering::SeqCst);
-            let entered = Instant::now();
-            while entered.elapsed() < Duration::from_micros(20) {
-                std::hint::spin_loop();
-            }
+            // Off the CPU, still holding its core: a caller that looks for a
+            // free core now finds none.
+            std::thread::sleep(Duration::from_micros(20));
             let outcome = self.inner.lookup_batch_into(keys, out);
             self.inside.fetch_sub(1, Ordering::SeqCst);
             outcome
@@ -1164,14 +1184,10 @@ mod tests {
         assert!(stats.mean_coalesce_width() > 1.0, "{stats:?}");
         assert_eq!(stats.requests_completed, 4 * cores() as u64 * 300);
         assert_eq!(
-            stats.batches_full
-                + stats.batches_at_window
-                + stats.batches_nobody_could_join
-                + stats.batches_for_parked
-                + stats.batches_on_caller,
+            stats.batches_full + stats.batches_at_window + stats.batches_on_caller,
             stats.batches_formed
         );
-        assert_eq!((stats.live_clients, stats.parked_clients), (0, 0));
+        assert_eq!(stats.parked_clients, 0);
     }
 
     /// A store that panics on as many calls as it is told to, then serves.
@@ -1203,11 +1219,11 @@ mod tests {
         }
     }
 
-    /// A store that panics hangs nobody. On a caller's thread the panic is
-    /// the caller's, and every other request of the batch fails with a typed
-    /// `Store` error; its core comes back (one panic per core, and a caller
-    /// still runs a batch after them). On the dispatcher the batch fails the
-    /// same way and the dispatcher keeps serving.
+    /// A store that panics hangs nobody. The panic is the thread's that ran
+    /// the batch — a waiter's, or a poller's that found the batch due — and
+    /// every other request of the batch fails with a typed `Store` error; its
+    /// core comes back (one panic per core, and a caller still runs a batch
+    /// after them).
     #[test]
     fn a_panicking_store_fails_its_batch_and_gives_its_core_back() {
         let rows: Vec<Row> = (0..16u64).map(|k| Row::new(k, vec![k as u32])).collect();
@@ -1242,50 +1258,76 @@ mod tests {
         }
         let stats = server.stats();
         assert_eq!((stats.requests_failed, stats.batches_formed), (2 * cores() as u64, 0));
-        assert_eq!((stats.live_clients, stats.parked_clients), (1, 0));
+        assert_eq!(stats.parked_clients, 0);
         drop(bystander);
         let for_thread = Arc::clone(&server);
         let after = bounded(move || for_thread.client().get(tenant, 3));
         assert_eq!(after.join("a caller after the panics").unwrap(), Some(vec![3]));
         assert_eq!(server.stats().batches_on_caller, 1);
 
-        // The dispatcher: a request nobody waits on, with a short window.
+        // A poller: `is_done` finds the request past a short window and runs
+        // it; the first time the store panics on the polling thread.
+        let window = Duration::from_millis(1);
         let server = QueryServer::new(ServerConfig {
             breaker_failure_threshold: 0,
-            ..ServerConfig::coalescing(Duration::from_millis(1), 1024)
+            ..ServerConfig::coalescing(window, 1024)
         });
         let tenant = server
             .register_store("t", Arc::clone(&store) as Arc<dyn TupleStore>)
             .unwrap();
         store.panics_left.store(1, Ordering::SeqCst);
         let mut client = server.client();
-        for answer in [None, Some(vec![5])] {
-            let ticket = client.submit(tenant, &[5]).unwrap();
-            wait_until("the dispatcher takes the request", || client.is_done(&ticket));
-            match answer {
-                None => assert!(matches!(
-                    client.wait_into(ticket, &mut out),
-                    Err(ServerError::Store(_))
-                )),
-                Some(want) => {
-                    client.wait_into(ticket, &mut out).unwrap();
-                    assert_eq!(out.get(0), Some(&want[..]));
-                }
-            }
-        }
+        let ticket = client.submit(tenant, &[5]).unwrap();
+        std::thread::sleep(window);
+        let polled = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            client.is_done(&ticket)
+        }));
+        assert!(polled.is_err(), "the poll that ran the batch panics");
+        assert!(matches!(
+            client.wait_into(ticket, &mut out),
+            Err(ServerError::Store(_))
+        ));
+        let ticket = client.submit(tenant, &[5]).unwrap();
+        wait_until("a poll runs the request at its window", || client.is_done(&ticket));
+        client.wait_into(ticket, &mut out).unwrap();
+        assert_eq!(out.get(0), Some(&[5][..]));
         assert_eq!(server.stats().batches_at_window, 1);
+
+        // A waiter parked behind batches that all panic: no panicking thread
+        // runs the parked handoff, so each wakes the waiter instead, and it
+        // runs its own request on a freed core.
+        let server = Arc::new(QueryServer::new(ServerConfig {
+            breaker_failure_threshold: 0,
+            ..ServerConfig::coalescing(Duration::from_secs(30), 1024)
+        }));
+        let gate = Arc::new(GateStore::new(0..64));
+        gate.panic_below.store(32, Ordering::Release);
+        let tenant = server
+            .register_store("t", Arc::clone(&gate) as Arc<dyn TupleStore>)
+            .unwrap();
+        let runners = occupy_every_core(&server, tenant, &gate, 0);
+        let for_thread = Arc::clone(&server);
+        let waiter = bounded(move || for_thread.client().get(tenant, 40));
+        wait_until("the waiter parks", || server.stats().parked_clients == 1);
+        gate.open_gate();
+        for runner in runners {
+            let joined = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                runner.join("a runner whose batch panics")
+            }));
+            assert!(joined.is_err());
+        }
+        assert_eq!(
+            waiter.join("the waiter parked behind panicking batches").unwrap(),
+            Some(vec![40, 80])
+        );
     }
 
-    /// A submission wakes only an idle dispatcher. One client's synchronous
-    /// rounds run on the client itself; the first one wakes the idle
-    /// dispatcher, which then sleeps on a 1 s deadline through the other 49.
+    /// One client's synchronous rounds each run on the client itself, under a
+    /// window none of them waits out.
     #[test]
-    fn synchronous_rounds_leave_the_dispatcher_asleep() {
+    fn synchronous_rounds_run_on_their_caller() {
         let server = QueryServer::new(ServerConfig::coalescing(Duration::from_secs(1), 1024));
         let tenant = server.register_store("t", seeded_store(0..64)).unwrap();
-        let exported =
-            dm_obs::registry::global().register_counter("dm_server_dispatcher_wakeups_total");
-        let exported_before = exported.value();
         let mut client = server.client();
         let mut out = LookupBuffer::new();
         for key in 0..50u64 {
@@ -1295,29 +1337,33 @@ mod tests {
         }
         let stats = server.stats();
         assert_eq!(stats.batches_on_caller, 50, "{stats:?}");
-        assert!(stats.dispatcher_wakeups <= 3, "{stats:?}");
-        // Other servers of this process feed the same registry: at least ours.
-        assert!(exported.value() >= exported_before + stats.dispatcher_wakeups);
+        assert_eq!(stats.batches_formed, 50, "{stats:?}");
     }
 
-    /// A waiter parked behind the *dispatcher's* batch does not sit out the
-    /// window: the dispatcher, done with its batch, runs the queued requests
-    /// at once because a client is parked. Every other core stays blocked in
-    /// the gated store, so no caller can take them instead.
+    /// A waiter parked behind a batch that a *submitter* ran does not sit out
+    /// the window: the submit that found its batch full, done with it, runs
+    /// the queued requests at once because a client is parked — before the
+    /// submit returns. Every other core stays blocked in the gated store, so
+    /// no caller can take them instead.
     #[test]
-    fn the_dispatcher_runs_the_batch_of_a_waiter_parked_behind_it() {
+    fn a_submitter_runs_the_batch_of_a_waiter_parked_behind_its_full_batch() {
         let window = Duration::from_secs(30);
         let server = Arc::new(QueryServer::new(ServerConfig::coalescing(window, 4)));
         let gate = Arc::new(GateStore::new(0..4096));
         let tenant = server
             .register_store("t", Arc::clone(&gate) as Arc<dyn TupleStore>)
             .unwrap();
-        // A full batch nobody waits on: the dispatcher takes it and stalls in
-        // the store. Its submitter stays alive and unparked, so the window —
-        // not "nobody can join" — is what would release anything it queues.
-        let mut leaver = server.client();
-        let leaving = leaver.submit(tenant, &[1000, 1001, 1002, 1003]).unwrap();
-        wait_until("the dispatcher enters the store", || gate.entered() == 1);
+        // A full batch: its submit runs it, and stalls in the store.
+        let for_thread = Arc::clone(&server);
+        let submitter = bounded(move || {
+            let mut client = for_thread.client();
+            let ticket = client.submit(tenant, &[1000, 1001, 1002, 1003]).unwrap();
+            let mut out = LookupBuffer::new();
+            client
+                .wait_into(ticket, &mut out)
+                .map(|_| out.get(3).map(<[u32]>::to_vec))
+        });
+        wait_until("the submitter enters the store", || gate.entered() == 1);
         let runners = occupy_every_core(&server, tenant, &gate, 1);
         let for_thread = Arc::clone(&server);
         let waiter = bounded(move || for_thread.client().get(tenant, 2000));
@@ -1326,20 +1372,21 @@ mod tests {
         let started = Instant::now();
         gate.open_from(1000);
         assert_eq!(
-            waiter.join("the waiter parked behind the dispatcher's batch").unwrap(),
+            waiter.join("the waiter parked behind the submitter's batch").unwrap(),
             Some(vec![2000, 4000])
+        );
+        assert_eq!(
+            submitter.join("the submitter's own request").unwrap(),
+            Some(vec![1003, 2006])
         );
         assert!(started.elapsed() < window);
         let stats = server.stats();
-        assert_eq!((stats.batches_full, stats.batches_for_parked), (1, 1), "{stats:?}");
+        assert_eq!((stats.batches_full, stats.batches_on_caller), (1, 1), "{stats:?}");
 
         gate.open_gate();
         for runner in runners {
             assert!(runner.join("a runner's own batch").is_ok());
         }
-        let mut out = LookupBuffer::new();
-        leaver.wait_into(leaving, &mut out).unwrap();
-        assert_eq!(out.get(3), Some(&[1003u32, 2006][..]));
     }
 
     /// The server-wide histograms are the tenants' merged: after coalesced
@@ -1402,7 +1449,6 @@ mod tests {
             ServerConfig::coalescing(Duration::from_micros(300), 64),
             ServerConfig::inline(),
         ] {
-            let inline = config.inline;
             let server = QueryServer::new(ServerConfig {
                 breaker_failure_threshold: 0,
                 ..config
@@ -1419,13 +1465,6 @@ mod tests {
             let mut failed = 0;
             for round in 0..20u64 {
                 let requests = [(a, round), (b, round), (b, 50 + round), (a, 2 * round)];
-                if inline {
-                    for (tenant, key) in requests {
-                        let outcome = client.lookup_batch_into(tenant, &[key], &mut out);
-                        failed += outcome.is_err() as u64;
-                    }
-                    continue;
-                }
                 let tickets: Vec<Ticket> = requests
                     .iter()
                     .map(|&(tenant, key)| client.submit(tenant, &[key]).unwrap())
@@ -1434,7 +1473,7 @@ mod tests {
                     failed += client.wait_into(ticket, &mut out).is_err() as u64;
                 }
             }
-            assert_eq!(failed, 20, "inline: {inline}");
+            assert_eq!(failed, 20, "{:?}", server.config());
             assert_eq!(server.stats().requests_completed, 60);
             assert_stats_merge_tails(&server);
         }
@@ -1445,11 +1484,10 @@ mod tests {
     /// `completed + failed = enqueued` and `keys_served ≤ keys_enqueued`.
     #[test]
     fn admission_counts_cover_every_answer_coalesced_and_inline() {
-        for config in [
-            ServerConfig::coalescing(Duration::from_micros(200), 64),
-            ServerConfig::inline(),
+        for (mode, config) in [
+            ("coalescing", ServerConfig::coalescing(Duration::from_micros(200), 64)),
+            ("inline", ServerConfig::inline()),
         ] {
-            let inline = config.inline;
             let server = QueryServer::new(ServerConfig {
                 breaker_failure_threshold: 0,
                 ..config
@@ -1470,23 +1508,22 @@ mod tests {
                 let stats = server.stats();
                 assert!(
                     stats.requests_completed + stats.requests_failed <= stats.requests_enqueued,
-                    "inline {inline}: {stats:?}"
+                    "{mode}: {stats:?}"
                 );
                 assert!(
                     stats.keys_served <= stats.keys_enqueued,
-                    "inline {inline}: {stats:?}"
+                    "{mode}: {stats:?}"
                 );
             }
             // Every degraded request from round 10 on touches key 50 or more.
             flaky.set_mode(1);
             assert!(client.lookup_batch_into(degraded, &[1], &mut out).is_err());
             let stats = server.stats();
-            assert_eq!(stats.requests_enqueued, 61, "inline {inline}");
-            assert_eq!(stats.keys_enqueued, 61 * 3 - 2, "inline {inline}");
-            assert_eq!(stats.requests_completed, 30 + 10, "inline {inline}");
-            assert_eq!(stats.requests_failed, 20 + 1, "inline {inline}");
-            assert_eq!(stats.keys_served, 40 * 3, "inline {inline}");
-            assert_eq!(stats.inline_requests, if inline { 40 } else { 0 });
+            assert_eq!(stats.requests_enqueued, 61, "{mode}");
+            assert_eq!(stats.keys_enqueued, 61 * 3 - 2, "{mode}");
+            assert_eq!(stats.requests_completed, 30 + 10, "{mode}");
+            assert_eq!(stats.requests_failed, 20 + 1, "{mode}");
+            assert_eq!(stats.keys_served, 40 * 3, "{mode}");
         }
     }
 

@@ -1,83 +1,51 @@
 //! The query server: tenant registry, admission control, and the coalescing
-//! batch path shared by waiting clients and the dispatcher.
+//! batch path that its clients run.
 //!
 //! # Architecture
 //!
 //! ```text
-//! caller threads                                                  TupleStore
-//! ─────────────                                                   ──────────
-//! submit ──┐  bounded queue     wait_into: a core free? take_batch  one merged
-//! submit ──┼─▶ of QueuedReq ──┬─▶ and run it here (caller) ───────▶ lookup_batch_into
-//! submit ──┘  (admission ctl) │   no core: park on the slot        per batch,
-//!                             │                                    ≤ cores at once
-//!                             └─▶ dispatcher thread: take_batch ──▶
-//!                                 (full, nobody can join, window,
-//!                                  for parked)
-//!    ▲                                 demux via copy_range_from ◀─ flat LookupBuffer
-//!    └── wait_into ◀── slot condvar ──┘ (notified only if a waiter is parked)
+//! client threads                                                    TupleStore
+//! ──────────────                                                    ──────────
+//! submit ──┐  bounded queue     submit / is_done: a batch due and a   one merged
+//! submit ──┼─▶ of QueuedReq ──▶ core free? take_batch, run it here ─▶ lookup_batch_into
+//! submit ──┘  (admission ctl)   wait_into: a core free? the same      per batch,
+//!                               no core: park on the slot             ≤ cores at once
+//!    ▲                                                                    │
+//!    └── wait_into ◀── slot condvar ◀── demux via copy_range_from ◀── flat LookupBuffer
+//!                      (notified only if a waiter is parked)
 //! ```
 //!
-//! A client blocked in `wait_into` on a queued request runs a batch itself:
-//! it takes what is queued (the same `Shared::take_batch` the
-//! dispatcher uses — the oldest request's tenant, up to `max_batch_keys`) and
-//! executes it on its own thread, as long as fewer batches are running than
-//! the machine has cores (`available_parallelism`, read once when the server
-//! is built). A waiter that finds every core busy parks, and its requests join
-//! the next batch — so batches still coalesce once clients outnumber cores,
-//! and the store never runs more batches at once than there are cores. The
-//! count of running batches lives under the queue lock. The next batch is the
-//! first freed core's: a caller whose batch gave a core back, once it has its
-//! own answer, runs one more batch before it returns if requests are queued
-//! while some client is parked — so a parked waiter never sits out a window
-//! waiting for a core that is already free. (A parker counts itself in before
-//! it looks for a free core under the queue lock, and a finisher gives its
-//! core back under that lock before it reads the count, so one of the two
-//! always sees the other.)
+//! The server owns no thread: every batch takes one path — admission, the
+//! queue, `Shared::take_batch` (the oldest request's tenant, up to
+//! `max_batch_keys`), `Shared::run_batches` — on a client's thread, and only
+//! while fewer batches are running than the machine has cores (counted under
+//! the queue lock). `wait_into` runs what is queued; `submit` and `is_done`
+//! run a batch that is *due* — `max_batch_keys` pending (*full*) or the
+//! oldest request `max_delay` old (*window*), both O(1) checks under the lock
+//! admission takes anyway; and after any batch its thread runs the next one
+//! while a client is parked (the *parked handoff*). Nothing sleeps on a
+//! timer.
 //!
-//! The dispatcher serves the requests whose submitter has not waited yet.
-//! A batch leaves through it by the first of three exits that holds:
-//! `max_batch_keys` are pending for its tenant (*full*), every live
-//! [`ServerClient`] is parked in `wait_into` (*nobody can join* — a client is
-//! `&mut self`, so a parked one cannot submit, and holding the batch open any
-//! longer would buy no width), or its oldest request has waited `max_delay`
-//! while someone still could (*window*). It too waits for a free core, and a
-//! batch that finishes while it does wakes it. Like a finishing caller, the
-//! dispatcher takes the next batch at once after its own when requests are
-//! queued while a client is parked (*for parked*): the core it freed is the
-//! one that client was waiting for. The server keeps the
-//! census itself: clients count themselves live from construction to drop and
-//! parked from the moment they sleep (a client running a batch is not
-//! parked), and whoever moves a parked client's slot to a final state counts
-//! it out *at release*, not when its thread wakes up — a client that has just
-//! been answered is about to resubmit, and keeps the next window open for
-//! itself.
+//! A waiter that finds every core busy parks, and its requests join the next
+//! batch. A parker counts itself in before it looks for a free core under
+//! the queue lock, and a finisher gives its core back under that lock before
+//! it reads the count, so one of the two always sees the other. Whoever
+//! moves a parked client's slot to a final state counts it out *at release*,
+//! not when its thread wakes up.
 //!
-//! Almost every batch runs on a caller, so the dispatcher is woken only when
-//! one of its exits may have moved earlier than the deadline it sleeps on: a
-//! size trigger, the last client able to join parking or dropping, a freed
-//! core it waits for, shutdown — and a submission only when the dispatcher is
-//! *idle*. An empty queue that saw requests since the dispatcher last looked
-//! keeps one `max_delay` window armed on the timer before it goes idle, and a
-//! request enqueued inside that window closes its own window later than the
-//! armed wake-up, so no exit moves. Under steady traffic the dispatcher wakes
-//! about once per `max_delay`, not once per batch, and submitters make no
-//! syscall ([`ServerStats::dispatcher_wakeups`] counts the wake-ups).
-//!
-//! The dispatcher is one plain OS thread, and callers run on their own
-//! threads; a merged batch runs on whichever of them takes it, start to
-//! finish, since a store never hands a batch to another thread. Batch
-//! formation holds the queue lock only; batch execution and demux hold slot
-//! locks, and the tenant's sample log once per batch, one at a time — the
-//! lock domains never nest in conflicting order. A store that panics fails
-//! the requests of its batch with [`ServerError::Store`] and gives its core
-//! back (see `RunningBatch`); the dispatcher survives it, and a caller gets
-//! the panic on its own thread, as it would calling the store directly.
+//! Batch formation holds the queue lock only; batch execution and demux hold
+//! slot locks, and the tenant's sample log once per batch, one at a time — the
+//! lock domains never nest in conflicting order (the queue lock may be held
+//! while a slot lock is taken, never the reverse). A store that panics fails
+//! the requests of its batch with [`ServerError::Store`], gives its core back
+//! and wakes one parked waiter whose request is still queued (see
+//! `RunningBatch`); the panic reaches the client that ran the batch, as it
+//! would calling the store directly.
 
 use std::collections::{HashMap, VecDeque};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU8, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, MutexGuard, OnceLock};
-use std::thread::JoinHandle;
+use std::sync::{Arc, MutexGuard, OnceLock};
 use std::time::{Duration, Instant};
 
 use dm_core::DeepMapping;
@@ -99,18 +67,18 @@ pub const DEFAULT_PIPELINE_DEPTH: usize = 4;
 /// is made internally consistent rather than rejected.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ServerConfig {
-    /// Flush a forming batch once this many keys are pending for its tenant.
+    /// A batch is due once this many keys are pending, and also the most
+    /// keys a batch takes (a lone larger request still goes).
     pub max_batch_keys: usize,
-    /// Flush a forming batch once its oldest request has waited this long.
+    /// A batch is due once the oldest queued request has waited this long.
     /// This is the coalescing window for requests whose submitter has not
-    /// waited yet: the most latency the fastest request donates to let
-    /// stragglers join the batch, *while someone still can*. A submitter that
-    /// blocks in `wait_into` does not sit it out — it runs the queued requests
-    /// on its own thread when a core is free, and otherwise parks. Once every
-    /// live [`ServerClient`] of the server is parked nobody is left to join
-    /// and the batch leaves at once; a client that is alive and not parked —
-    /// idle, computing, running a batch, or polling
-    /// [`is_done`](ServerClient::is_done) — holds the window open to here.
+    /// waited yet: a later [`submit`](ServerClient::submit) or
+    /// [`is_done`](ServerClient::is_done) of any client that finds the window
+    /// closed runs the batch on its own thread, if a core is free. No timer
+    /// closes it: a request nobody waits on waits for the next such call. A
+    /// submitter that blocks in `wait_into` does not sit the window out — it
+    /// runs the queued requests on its own thread when a core is free, and
+    /// otherwise parks. Zero makes each request due at its own submit.
     pub max_delay: Duration,
     /// Hard capacity of the pending-key queue; submissions beyond it are
     /// rejected with [`ServerError::Overloaded`].
@@ -126,12 +94,9 @@ pub struct ServerConfig {
     /// [`ServerError::RequestTooLarge`] (they should go straight to the
     /// store's own batch API instead of monopolizing the coalescer).
     pub max_request_keys: usize,
-    /// When true no dispatcher thread is spawned and every request executes
-    /// synchronously on its own caller thread at submission — no coalescing,
-    /// no queueing, no cap on concurrent store calls. The degenerate baseline
-    /// mode, also useful in single-threaded tests. (Without it a waiting
-    /// caller still runs batches on its own thread, but batches of whatever
-    /// is queued, at most one per core.)
+    /// When true the server runs with a zero [`max_delay`](Self::max_delay):
+    /// a request runs at its own submit, on its caller's thread, whenever a
+    /// core is free. Read only when the config is normalized.
     pub inline: bool,
     /// Requests whose wall time reaches this threshold get their latency
     /// timeline retained in the server's slow-request ring (see
@@ -191,8 +156,8 @@ impl ServerConfig {
         }
     }
 
-    /// The inline (uncoalesced) config: every request runs synchronously on
-    /// its caller thread.
+    /// The inline config: a zero coalescing window, so a request runs at its
+    /// own submit, on its caller's thread, whenever a core is free.
     pub fn inline() -> Self {
         ServerConfig {
             inline: true,
@@ -202,8 +167,11 @@ impl ServerConfig {
 
     /// Clamps fields into a consistent shape: nonzero batch/request limits,
     /// capacity at least one batch, watermarks ordered `low <= high <=
-    /// capacity`.
+    /// capacity`, and a zero `max_delay` when `inline`.
     fn normalized(mut self) -> Self {
+        if self.inline {
+            self.max_delay = Duration::ZERO;
+        }
         self.max_batch_keys = self.max_batch_keys.max(1);
         self.max_request_keys = self.max_request_keys.max(1);
         self.queue_capacity_keys = self.queue_capacity_keys.max(self.max_batch_keys);
@@ -407,23 +375,13 @@ struct QueueState {
     /// cleared when they drain to the low watermark.
     shedding: bool,
     shutdown: bool,
-    /// Batches executing right now, on the dispatcher or on callers; never
-    /// more than [`Shared::cores`].
+    /// Batches executing right now, each on the client thread that took it;
+    /// never more than [`Shared::cores`].
     running: usize,
-    /// The dispatcher has a batch whose exit holds and is waiting for a
-    /// running batch to finish and free a core.
-    dispatcher_needs_core: bool,
-    /// The dispatcher waits on an empty queue with no deadline: the next
-    /// submission must wake it. Cleared by the submitter that does.
-    dispatcher_idle: bool,
-    /// A request was enqueued since the dispatcher last found the queue
-    /// empty; it then keeps one window armed instead of going idle.
-    traffic: bool,
 }
 
-/// The buffers one thread forms and runs batches with: the dispatcher owns
-/// one, and so does each [`ServerClient`], so batch formation and execution
-/// allocate nothing in the steady state.
+/// The buffers one client forms and runs batches with, so batch formation
+/// and execution allocate nothing in the steady state.
 #[derive(Default)]
 pub(crate) struct BatchScratch {
     batch: Vec<QueuedReq>,
@@ -440,7 +398,8 @@ pub(crate) struct BatchScratch {
 /// anywhere else in the batch path) after failing every request the batch has
 /// not released yet with [`ServerError::Store`], so none of their waiters is
 /// stranded. Parked waiters are counted out by that release, which keeps the
-/// census balanced.
+/// census balanced. An unwinding thread runs no parked handoff, so it wakes
+/// a parked waiter instead (see [`wake_a_parked_waiter`](Shared::wake_a_parked_waiter)).
 struct RunningBatch<'a> {
     shared: &'a Shared,
     batch: &'a mut Vec<QueuedReq>,
@@ -448,7 +407,8 @@ struct RunningBatch<'a> {
 
 impl Drop for RunningBatch<'_> {
     fn drop(&mut self) {
-        if !self.batch.is_empty() {
+        let unwound = !self.batch.is_empty();
+        if unwound {
             // Only an unwind leaves requests here: `execute_batch` releases
             // each one it handles and removes it only then.
             let err = ServerError::Store("store panicked while serving the batch".into());
@@ -456,41 +416,23 @@ impl Drop for RunningBatch<'_> {
             self.shared.breaker_record(tenant, false);
             self.shared.fail_requests(self.batch, &err);
         }
-        let mut q = self.shared.queue.lock();
-        q.running -= 1;
-        let handoff = q.dispatcher_needs_core;
-        drop(q);
-        if handoff {
-            self.shared.work_cv.notify_one();
+        self.shared.queue.lock().running -= 1;
+        if unwound {
+            self.shared.wake_a_parked_waiter();
         }
     }
 }
 
-/// State shared between the server handle, its clients, and the dispatcher.
+/// State shared between the server handle and its clients.
 pub(crate) struct Shared {
     config: ServerConfig,
     /// How many batches may run at once: the machine's
     /// `available_parallelism`, read once when the server is built.
     cores: usize,
     queue: Mutex<QueueState>,
-    /// What the dispatcher sleeps on. Signalled when a request enters the
-    /// queue of an idle dispatcher (one waiting on an empty queue with no
-    /// deadline), a batch-size trigger fires, the last client that could
-    /// still have joined parks or is dropped (see
-    /// [`wake_dispatcher`](Shared::wake_dispatcher)), a batch finishes while
-    /// the dispatcher waits for a core, or the server shuts down. Otherwise
-    /// the dispatcher sleeps on a deadline: the oldest request's window, or —
-    /// on an empty queue that saw requests since it last looked — one armed
-    /// `max_delay` window before it goes idle. A request enqueued inside that
-    /// armed window closes its own window after the armed wake-up, so not
-    /// waking for it moves no exit; a zero `max_delay` arms nothing and every
-    /// submission finds the dispatcher idle.
-    work_cv: Condvar,
-    /// [`ServerClient`] handles alive, and how many of them are asleep in
-    /// `wait_into`. `SeqCst` on both: a client that parks while another is
-    /// dropped must not each read the other's stale count and both skip the
-    /// wake-up.
-    live_clients: AtomicUsize,
+    /// How many [`ServerClient`]s are asleep in `wait_into`. `SeqCst`, like
+    /// the queue lock either side passes through: a parker that counts itself
+    /// in and a finisher that gives its core back never both miss the other.
     parked_clients: AtomicUsize,
     /// Tenant names to indexes; also the registration lock.
     names: Mutex<HashMap<String, usize>>,
@@ -498,9 +440,7 @@ pub(crate) struct Shared {
     stats: StatsCells,
     /// The `dm-obs` registry's flush-reason counters, in [`FlushReason::ALL`]
     /// order — resolved once, they are bumped on every batch.
-    flush_counters: [Arc<Counter>; 5],
-    /// `dm_server_dispatcher_wakeups_total` in the `dm-obs` registry.
-    wakeup_counter: Arc<Counter>,
+    flush_counters: [Arc<Counter>; 3],
     /// Retained timelines of requests whose wall time crossed the slow
     /// threshold. Threshold 0 on the ring itself: admission is decided in the
     /// demux loop against [`slow_threshold_nanos`](Shared::slow_threshold_nanos),
@@ -526,43 +466,10 @@ impl Shared {
             .expect("admitted requests name registered tenants")
     }
 
-    /// True when no live client is free to submit: each one is parked in
-    /// `wait_into` (or none is left alive), so a forming batch has nobody to
-    /// wait for.
-    fn nobody_can_join(&self) -> bool {
-        self.parked_clients.load(Ordering::SeqCst) >= self.live_clients.load(Ordering::SeqCst)
-    }
-
-    /// Makes the dispatcher look at its exits again. The caller has already
-    /// published the count it changed; passing through the queue lock before
-    /// the notify closes the lost wake-up: the dispatcher reads the counts
-    /// and starts waiting under that lock, so it either saw the change or is
-    /// already waiting when the notify lands.
-    pub(crate) fn wake_dispatcher(&self) {
-        drop(self.queue.lock());
-        self.work_cv.notify_one();
-    }
-
-    pub(crate) fn client_created(&self) {
-        self.live_clients.fetch_add(1, Ordering::SeqCst);
-    }
-
-    /// A client handle is gone. If the rest are all parked it was the last
-    /// one a forming batch could be waiting for.
-    pub(crate) fn client_dropped(&self) {
-        self.live_clients.fetch_sub(1, Ordering::SeqCst);
-        if self.nobody_can_join() {
-            self.wake_dispatcher();
-        }
-    }
-
     /// Counts a client in as parked; the caller has just set its slot's
-    /// `waiting` flag and still holds the slot lock. Returns true when that
-    /// left nobody able to join — the caller then owes the dispatcher a
-    /// [`wake_dispatcher`](Self::wake_dispatcher), off the slot lock.
-    pub(crate) fn client_parked(&self) -> bool {
+    /// `waiting` flag and still holds the slot lock.
+    pub(crate) fn client_parked(&self) {
         self.parked_clients.fetch_add(1, Ordering::SeqCst);
-        self.nobody_can_join()
     }
 
     /// Counts out a parked client that is about to run a batch itself; the
@@ -575,14 +482,8 @@ impl Shared {
     /// given its core back (which passes through the queue lock), it sees
     /// every waiter that counted itself parked before looking for a free
     /// core under that lock and finding none.
-    pub(crate) fn any_parked(&self) -> bool {
+    fn any_parked(&self) -> bool {
         self.parked_clients.load(Ordering::SeqCst) > 0
-    }
-
-    /// Counts one return of the dispatcher from a `work_cv` wait.
-    fn count_wakeup(&self) {
-        self.stats.dispatcher_wakeups.incr();
-        self.wakeup_counter.incr();
     }
 
     /// True when requests are queued and a core is free to run them.
@@ -593,8 +494,7 @@ impl Shared {
 
     /// Hands a slot that has just reached its final state back to its client.
     /// A parked waiter is counted out here, at release, rather than when its
-    /// thread gets to run: from this point the client can submit again, so
-    /// the next batch must not leave without it.
+    /// thread gets to run: from this point the client can submit again.
     fn release(&self, slot: &RequestSlot, mut inner: MutexGuard<'_, SlotInner>) {
         let parked = std::mem::take(&mut inner.waiting);
         drop(inner);
@@ -604,30 +504,31 @@ impl Shared {
         }
     }
 
-    /// Which dispatcher exit the queue's oldest request has reached, or the
-    /// instant its window closes if none holds yet. The queue must not be
-    /// empty. The census is read under the queue lock the dispatcher then
-    /// waits on, which is what [`wake_dispatcher`](Self::wake_dispatcher)
-    /// relies on.
-    fn exit(&self, q: &QueueState, now: Instant) -> std::result::Result<FlushReason, Instant> {
-        // The oldest request anchors the batch: its tenant, its deadline.
-        // Requests for other tenants wait their turn — FIFO across tenants
-        // keeps the policy simple and starvation-free.
-        let front = &q.entries[0];
-        let deadline = front.enqueued_at + self.config.max_delay;
-        let mut pending = 0usize;
-        for entry in q.entries.iter().filter(|entry| entry.tenant == front.tenant) {
-            pending += entry.keys;
-            if pending >= self.config.max_batch_keys {
-                return Ok(FlushReason::Full);
+    /// After a batch unwound out of the store, whose thread runs no parked
+    /// handoff: wakes the first parked waiter whose request is still queued,
+    /// counted out as at a release. It finds its request queued and the freed
+    /// core, and runs the batch itself.
+    fn wake_a_parked_waiter(&self) {
+        if !self.any_parked() {
+            return;
+        }
+        let q = self.queue.lock();
+        for entry in &q.entries {
+            let mut inner = entry.slot.inner.lock();
+            if std::mem::take(&mut inner.waiting) {
+                self.parked_clients.fetch_sub(1, Ordering::SeqCst);
+                entry.slot.cv.notify_all();
+                return;
             }
         }
-        if self.nobody_can_join() {
-            Ok(FlushReason::NobodyCouldJoin)
-        } else if now >= deadline {
-            Ok(FlushReason::Window)
-        } else {
-            Err(deadline)
+    }
+
+    /// Takes `keys` off the pending count, and lifts the shedding latch once
+    /// the queue has drained to the low watermark.
+    fn dequeued(&self, q: &mut QueueState, keys: usize) {
+        q.queued_keys -= keys;
+        if q.shedding && q.queued_keys <= self.config.shed_low_watermark_keys {
+            q.shedding = false;
         }
     }
 
@@ -640,6 +541,9 @@ impl Shared {
         let Some(front) = q.entries.front() else {
             return;
         };
+        // The oldest request anchors the batch. Requests for other tenants
+        // wait their turn — FIFO across tenants keeps the policy simple and
+        // starvation-free.
         let tenant = front.tenant;
         let cap = self.config.max_batch_keys;
         let mut taken = 0usize;
@@ -670,13 +574,42 @@ impl Shared {
             }
         }
         std::mem::swap(&mut q.entries, &mut scratch.kept);
-        q.queued_keys -= taken + expired;
-        if q.shedding && q.queued_keys <= self.config.shed_low_watermark_keys {
-            q.shedding = false;
-        }
+        self.dequeued(q, taken + expired);
         if !scratch.batch.is_empty() {
             q.running += 1;
         }
+    }
+
+    /// Forms a batch when one is due and a core is free, and says why it is
+    /// due: pending keys have reached `max_batch_keys` (*full*), or the
+    /// oldest request has waited `max_delay` by `now` (*window*).
+    fn take_due(
+        &self,
+        q: &mut QueueState,
+        now: Instant,
+        scratch: &mut BatchScratch,
+    ) -> Option<FlushReason> {
+        let front = q.entries.front().filter(|_| q.running < self.cores)?;
+        let reason = if q.queued_keys >= self.config.max_batch_keys {
+            FlushReason::Full
+        } else if now.saturating_duration_since(front.enqueued_at) >= self.config.max_delay {
+            FlushReason::Window
+        } else {
+            return None;
+        };
+        self.take_batch(q, now, scratch);
+        Some(reason)
+    }
+
+    /// Forms a batch of what is queued when a core is free; false, having
+    /// done nothing, otherwise.
+    fn take_queued(&self, scratch: &mut BatchScratch) -> bool {
+        let mut q = self.queue.lock();
+        let free = !q.entries.is_empty() && q.running < self.cores;
+        if free {
+            self.take_batch(&mut q, Instant::now(), scratch);
+        }
+        free
     }
 
     /// Fails what [`take_batch`](Self::take_batch) timed out, then executes
@@ -702,20 +635,53 @@ impl Shared {
         );
     }
 
-    /// A client in `wait_into` runs the queued requests on its own thread, if
-    /// there are any and fewer batches are running than there are cores —
-    /// while it waits, and once more after its own batch if a client is
-    /// parked. Returns false, having done nothing, otherwise.
-    pub(crate) fn run_as_caller(&self, scratch: &mut BatchScratch) -> bool {
-        {
-            let mut q = self.queue.lock();
-            if q.entries.is_empty() || q.running >= self.cores {
-                return false;
-            }
-            self.take_batch(&mut q, Instant::now(), scratch);
+    /// Runs the batch formed into `scratch`, then the parked handoff: while
+    /// a client is parked in `wait_into` and requests are queued, the core
+    /// this thread has just freed is the one that client waits for, so the
+    /// thread runs the next batch as well. Every batch runs through here.
+    pub(crate) fn run_batches(&self, reason: FlushReason, scratch: &mut BatchScratch) {
+        self.run_batch(reason, scratch);
+        while self.any_parked() && self.take_queued(scratch) {
+            self.run_batch(FlushReason::Caller, scratch);
         }
-        self.run_batch(FlushReason::Caller, scratch);
-        true
+    }
+
+    /// A client in `wait_into` runs the queued requests on its own thread, if
+    /// there are any and a core is free. Returns false, having done nothing,
+    /// otherwise.
+    pub(crate) fn run_as_caller(&self, scratch: &mut BatchScratch) -> bool {
+        let took = self.take_queued(scratch);
+        if took {
+            self.run_batches(FlushReason::Caller, scratch);
+        }
+        took
+    }
+
+    /// [`is_done`](ServerClient::is_done) runs a batch on its own thread when
+    /// one is due and a core is free.
+    pub(crate) fn run_due(&self, scratch: &mut BatchScratch) {
+        let now = Instant::now();
+        let due = self.take_due(&mut self.queue.lock(), now, scratch);
+        if let Some(reason) = due {
+            self.run_batches(reason, scratch);
+        }
+    }
+
+    /// Takes a dropped client's requests that are still queued out of the
+    /// queue and counts them failed: nobody is left to harvest them. One
+    /// already in a running batch is answered into a slot nobody reads.
+    pub(crate) fn cancel_queued(&self, slots: &[Arc<RequestSlot>]) {
+        let mut q = self.queue.lock();
+        let (before, mut keys) = (q.entries.len(), 0);
+        q.entries.retain(|entry| {
+            let ours = slots.iter().any(|slot| Arc::ptr_eq(slot, &entry.slot));
+            keys += if ours { entry.keys } else { 0 };
+            !ours
+        });
+        let cancelled = before - q.entries.len();
+        self.dequeued(&mut q, keys);
+        drop(q);
+        self.stats.requests_failed.add(cancelled as u64);
     }
 
     /// Resolves `tenant`'s store, opening its snapshot on first use.
@@ -949,7 +915,6 @@ impl Shared {
             let share = |total: u64| total * req.keys as u64 / batch_keys;
             samples.push(RequestSample {
                 windowed_at,
-                inline: false,
                 queue_delay_nanos: nanos_between(req.enqueued_at, started),
                 coalesce_wait_nanos: coalesce_nanos,
                 wall_nanos: nanos_between(req.enqueued_at, done),
@@ -1000,88 +965,6 @@ impl Shared {
             self.release(&req.slot, inner);
             batch.pop();
         }
-    }
-
-    /// Serves one request synchronously on the caller thread (inline mode).
-    /// `enqueued_at` is the submission's clock read, which starts the store
-    /// call's span too: an inline request's wall time is its store time.
-    fn execute_inline(
-        &self,
-        tenant: &Tenant,
-        slot: &RequestSlot,
-        enqueued_at: Instant,
-    ) -> Result<()> {
-        let store = match self.tenant_store(tenant) {
-            Ok(store) => store,
-            Err(err) => {
-                self.breaker_record(tenant, false);
-                self.stats.requests_failed.incr();
-                slot.inner.lock().state = SlotState::Idle;
-                return Err(err);
-            }
-        };
-        let mut guard = slot.inner.lock();
-        let inner = &mut *guard;
-        let outcome = store.lookup_batch_into(&inner.keys, &mut inner.response);
-        let done = Instant::now();
-        let failure = match outcome {
-            Ok(()) if inner.response.failed_count() > 0 => {
-                // Per-span degradation: this single request *is* the batch,
-                // so any failed span fails it with the typed partial error.
-                self.stats.partial_failures.incr();
-                dm_obs::registry::global()
-                    .register_counter("dm_server_partial_failures_total")
-                    .incr();
-                ServerError::PartialFailure {
-                    failed_keys: inner.response.failed_count(),
-                    total_keys: inner.keys.len(),
-                    cause: inner
-                        .response
-                        .first_error()
-                        .map(|e| e.to_string())
-                        .unwrap_or_default(),
-                }
-            }
-            Ok(()) => {
-                self.breaker_record(tenant, true);
-                let wall_nanos = nanos_between(enqueued_at, done);
-                inner.done_at = done;
-                inner.queue_delay = Duration::ZERO;
-                inner.state = SlotState::Done;
-                let keys = inner.keys.len();
-                self.stats.record_inline(keys as u64, wall_nanos);
-                let batch_trace = trace::take_last_batch();
-                tenant.obs.record(&[RequestSample {
-                    windowed_at: dm_obs::enabled().then(|| dm_obs::window::nanos_at(done)),
-                    inline: true,
-                    wall_nanos,
-                    exec_share_nanos: wall_nanos,
-                    inference_share_nanos: batch_trace.map_or(0, |s| s.stage(Stage::Inference)),
-                    probe_share_nanos: batch_trace.map_or(0, |s| s.stage(Stage::Probe)),
-                    ..RequestSample::default()
-                }]);
-                trace::record_stage(Stage::Exec, wall_nanos);
-                if wall_nanos >= self.slow_threshold_nanos() {
-                    self.slow.push(CapturedTrace {
-                        label: "server_request_inline",
-                        detail: format!("tenant={} keys={keys}", tenant.name),
-                        total_nanos: wall_nanos,
-                        events: vec![TraceEvent {
-                            stage: Stage::Exec,
-                            start_nanos: 0,
-                            dur_nanos: wall_nanos,
-                        }],
-                    });
-                }
-                return Ok(());
-            }
-            Err(err) => ServerError::Store(err.to_string()),
-        };
-        inner.state = SlotState::Idle;
-        drop(guard);
-        self.breaker_record(tenant, false);
-        self.stats.requests_failed.incr();
-        Err(failure)
     }
 }
 
@@ -1148,13 +1031,16 @@ fn batched_timeline(sample: &RequestSample, at: [u64; 3], batch: [u64; 3]) -> Ve
 ///
 /// Admission reads the clock once and takes no lock but the queue's: the
 /// tenant resolves from the append-only table, and a breaker that is not
-/// open admits on one atomic load.
+/// open admits on one atomic load. Under the same lock it forms a batch into
+/// `scratch` when one is due and a core is free, and returns why; the client
+/// then runs it with [`Shared::run_batches`].
 pub(crate) fn submit_slot(
     shared: &Shared,
     slot: &Arc<RequestSlot>,
     tenant: TenantId,
     keys: &[u64],
-) -> Result<()> {
+    scratch: &mut BatchScratch,
+) -> Result<Option<FlushReason>> {
     let config = &shared.config;
     if keys.len() > config.max_request_keys {
         return Err(ServerError::RequestTooLarge {
@@ -1181,143 +1067,39 @@ pub(crate) fn submit_slot(
         inner.state = SlotState::Queued;
     }
 
-    if config.inline {
-        shared.stats.record_admission(keys.len() as u64);
-        return shared.execute_inline(entry, slot, enqueued_at);
+    let mut q = shared.queue.lock();
+    if q.shutdown {
+        slot.inner.lock().state = SlotState::Idle;
+        return Err(ServerError::ShuttingDown);
     }
-
-    let wake = {
-        let mut q = shared.queue.lock();
-        if q.shutdown {
-            slot.inner.lock().state = SlotState::Idle;
-            return Err(ServerError::ShuttingDown);
-        }
-        let after = q.queued_keys + keys.len();
-        let over_capacity = after > config.queue_capacity_keys;
-        let shedding = q.shedding && q.queued_keys > config.shed_low_watermark_keys;
-        if over_capacity || shedding {
-            let queued_keys = q.queued_keys;
-            q.shedding = q.shedding || over_capacity;
-            drop(q);
-            shared.stats.requests_shed.incr();
-            slot.inner.lock().state = SlotState::Idle;
-            return Err(ServerError::Overloaded {
-                queued_keys,
-                capacity: config.queue_capacity_keys,
-            });
-        }
-        if q.shedding {
-            // Drained to the low watermark: stop shedding and admit.
-            q.shedding = false;
-        }
-        // Counted before the request can be served: a batch that answers it
-        // may run on another thread as soon as the queue lock drops.
-        shared.stats.record_admission(keys.len() as u64);
-        q.entries.push_back(QueuedReq {
-            slot: Arc::clone(slot),
-            tenant: tenant.0,
-            keys: keys.len(),
-            enqueued_at,
+    let after = q.queued_keys + keys.len();
+    let over_capacity = after > config.queue_capacity_keys;
+    let shedding = q.shedding && q.queued_keys > config.shed_low_watermark_keys;
+    if over_capacity || shedding {
+        let queued_keys = q.queued_keys;
+        q.shedding = q.shedding || over_capacity;
+        drop(q);
+        shared.stats.requests_shed.incr();
+        slot.inner.lock().state = SlotState::Idle;
+        return Err(ServerError::Overloaded {
+            queued_keys,
+            capacity: config.queue_capacity_keys,
         });
-        q.queued_keys = after;
-        q.traffic = true;
-        if after >= config.shed_high_watermark_keys {
-            q.shedding = true;
-        }
-        // Wake the dispatcher only when no deadline it sleeps on comes before
-        // this request's window closes: it is idle, or pending keys just
-        // crossed the batch-size trigger. A dispatcher with a window armed
-        // wakes first by itself (see `work_cv`), which keeps submissions
-        // syscall-free under steady traffic.
-        std::mem::take(&mut q.dispatcher_idle)
-            || (after >= config.max_batch_keys && after - keys.len() < config.max_batch_keys)
-    };
-    if wake {
-        shared.work_cv.notify_one();
     }
-    Ok(())
-}
-
-/// The dispatcher: forms batches under the exit policy (full, nobody can
-/// join, window — see the module docs — and, right after its own batch, a
-/// parked client) and executes them, one at a time and only while a core is
-/// free. Runs until shutdown is observed.
-fn dispatcher_loop(shared: Arc<Shared>) {
-    let mut scratch = BatchScratch::default();
-    let max_delay = shared.config.max_delay;
-    // Set when the dispatcher's own batch has just given its core back.
-    let mut freed_core = false;
-    loop {
-        let reason = {
-            let mut q = shared.queue.lock();
-            loop {
-                if q.shutdown {
-                    scratch.batch.extend(q.entries.drain(..));
-                    q.queued_keys = 0;
-                    drop(q);
-                    shared.fail_requests(&mut scratch.batch, &ServerError::ShuttingDown);
-                    return;
-                }
-                if q.entries.is_empty() {
-                    q = if std::mem::take(&mut q.traffic) && !max_delay.is_zero() {
-                        // Requests came (and callers took them) since the
-                        // last look: more are likely, so wake by the timer
-                        // rather than have each submission wake us.
-                        shared
-                            .work_cv
-                            .wait_timeout(q, max_delay)
-                            .unwrap_or_else(|e| e.into_inner())
-                            .0
-                    } else {
-                        q.dispatcher_idle = true;
-                        let mut q = shared.work_cv.wait(q).unwrap_or_else(|e| e.into_inner());
-                        q.dispatcher_idle = false;
-                        q
-                    };
-                    shared.count_wakeup();
-                    freed_core = false;
-                    continue;
-                }
-                let now = Instant::now();
-                let exit = match shared.exit(&q, now) {
-                    // The core just freed is the one a parked waiter waits
-                    // for; its requests may be the ones queued.
-                    Err(_) if freed_core && q.running < shared.cores && shared.any_parked() => {
-                        Ok(FlushReason::ForParked)
-                    }
-                    exit => exit,
-                };
-                freed_core = false;
-                match exit {
-                    Ok(reason) if q.running < shared.cores => {
-                        shared.take_batch(&mut q, now, &mut scratch);
-                        break reason;
-                    }
-                    Ok(_) => {
-                        // Every core runs a batch; the first to finish wakes
-                        // us (see `RunningBatch`).
-                        q.dispatcher_needs_core = true;
-                        q = shared.work_cv.wait(q).unwrap_or_else(|e| e.into_inner());
-                        q.dispatcher_needs_core = false;
-                    }
-                    Err(deadline) => {
-                        let (guard, _) = shared
-                            .work_cv
-                            .wait_timeout(q, deadline - now)
-                            .unwrap_or_else(|e| e.into_inner());
-                        q = guard;
-                    }
-                }
-                shared.count_wakeup();
-            }
-        };
-        // A panicking store has already failed its batch's requests and given
-        // its core back; the dispatcher lives on to serve everyone else.
-        let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            shared.run_batch(reason, &mut scratch)
-        }));
-        freed_core = true;
-    }
+    // Counted before the request can be served: a batch that answers it
+    // may run on another thread as soon as the queue lock drops.
+    shared.stats.record_admission(keys.len() as u64);
+    q.entries.push_back(QueuedReq {
+        slot: Arc::clone(slot),
+        tenant: tenant.0,
+        keys: keys.len(),
+        enqueued_at,
+    });
+    q.queued_keys = after;
+    // Admitted while latched means drained to the low watermark: the latch
+    // lifts, unless this request reaches the high one again.
+    q.shedding = after >= config.shed_high_watermark_keys;
+    Ok(shared.take_due(&mut q, enqueued_at, scratch))
 }
 
 /// A batched in-process query server over one or more [`TupleStore`] tenants.
@@ -1330,47 +1112,27 @@ fn dispatcher_loop(shared: Arc<Shared>) {
 /// for the full tour.
 pub struct QueryServer {
     shared: Arc<Shared>,
-    dispatcher: Mutex<Option<JoinHandle<()>>>,
 }
 
 impl QueryServer {
-    /// Builds a server with `config` (normalized — see [`ServerConfig`]) and
-    /// starts its dispatcher thread unless `config.inline`. At most
+    /// Builds a server with `config` (normalized — see [`ServerConfig`]). It
+    /// starts no thread: batches run on its clients'. At most
     /// `std::thread::available_parallelism()` batches run at once, read here.
     pub fn new(config: ServerConfig) -> Self {
-        let config = config.normalized();
-        let inline = config.inline;
-        let shared = Arc::new(Shared {
-            config,
-            cores: std::thread::available_parallelism().map_or(1, |n| n.get()),
-            queue: Mutex::new(QueueState::default()),
-            work_cv: Condvar::new(),
-            live_clients: AtomicUsize::new(0),
-            parked_clients: AtomicUsize::new(0),
-            names: Mutex::new(HashMap::new()),
-            tenants: TenantTable::new(),
-            stats: StatsCells::default(),
-            flush_counters: FlushReason::ALL
-                .map(|reason| dm_obs::registry::global().register_counter(reason.counter_name())),
-            wakeup_counter: dm_obs::registry::global()
-                .register_counter("dm_server_dispatcher_wakeups_total"),
-            // Sized like the global slow-batch ring.
-            slow: CaptureRing::new(trace::slow_ring_capacity(), 0),
-        });
-        let dispatcher = if inline {
-            None
-        } else {
-            let for_thread = Arc::clone(&shared);
-            Some(
-                std::thread::Builder::new()
-                    .name("dm-server-dispatch".into())
-                    .spawn(move || dispatcher_loop(for_thread))
-                    .expect("spawn dm-server dispatcher"),
-            )
-        };
         QueryServer {
-            shared,
-            dispatcher: Mutex::new(dispatcher),
+            shared: Arc::new(Shared {
+                config: config.normalized(),
+                cores: std::thread::available_parallelism().map_or(1, |n| n.get()),
+                queue: Mutex::new(QueueState::default()),
+                parked_clients: AtomicUsize::new(0),
+                names: Mutex::new(HashMap::new()),
+                tenants: TenantTable::new(),
+                stats: StatsCells::default(),
+                flush_counters: FlushReason::ALL
+                    .map(|reason| dm_obs::registry::global().register_counter(reason.counter_name())),
+                // Sized like the global slow-batch ring.
+                slow: CaptureRing::new(trace::slow_ring_capacity(), 0),
+            }),
         }
     }
 
@@ -1456,8 +1218,8 @@ impl QueryServer {
     /// histograms, folded from the tenants' request samples here.
     pub fn stats(&self) -> ServerStats {
         ServerStats {
-            live_clients: self.shared.live_clients.load(Ordering::SeqCst) as u64,
             parked_clients: self.shared.parked_clients.load(Ordering::SeqCst) as u64,
+            queued_keys: self.shared.queue.lock().queued_keys as u64,
             ..self
                 .shared
                 .stats
@@ -1544,10 +1306,10 @@ impl QueryServer {
     }
 
     /// Stops the server: new submissions fail with
-    /// [`ServerError::ShuttingDown`], every queued waiter is failed with the
-    /// same typed error (never left hanging), the dispatcher's batch in flight
-    /// (if any) completes, and the dispatcher thread is joined. Batches that
-    /// callers are running finish on their own threads. Idempotent.
+    /// [`ServerError::ShuttingDown`], and every queued request is failed with
+    /// the same typed error, its waiter released (never left hanging).
+    /// Batches that clients are running finish on their own threads. Returns
+    /// without waiting for anything. Idempotent.
     pub fn shutdown(&self) {
         let mut drained: Vec<QueuedReq> = {
             let mut q = self.shared.queue.lock();
@@ -1555,12 +1317,8 @@ impl QueryServer {
             q.queued_keys = 0;
             q.entries.drain(..).collect()
         };
-        self.shared.work_cv.notify_all();
         self.shared
             .fail_requests(&mut drained, &ServerError::ShuttingDown);
-        if let Some(handle) = self.dispatcher.lock().take() {
-            let _ = handle.join();
-        }
     }
 }
 

@@ -22,57 +22,39 @@ use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
-/// Which thread ran a batch, and why it left the queue when it was not its
-/// own caller's. The first four are the dispatcher's exits: when several hold
-/// at once the first in this order is the one recorded, so `Window` counts the
-/// batches the timer cut short of a joiner, not those that were also old by
-/// the time everyone had parked. `Caller` is a batch a client took while it
-/// waited in `wait_into` and ran on its own thread.
+/// Why a client ran a batch. `Full` and `Window` are the two ways a batch
+/// becomes due, which `submit` and `is_done` check: when both hold, `Full`
+/// is the one recorded. `Caller` is a batch of whatever was queued, run by a
+/// client waiting in `wait_into`, or run right after a batch because a client
+/// was parked (the parked handoff).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum FlushReason {
     /// [`max_batch_keys`](crate::ServerConfig::max_batch_keys) were pending.
     Full,
-    /// Every live client was parked in `wait_into`: nobody could have joined.
-    NobodyCouldJoin,
-    /// The oldest request had waited [`max_delay`](crate::ServerConfig::max_delay)
-    /// while some live client could still have joined.
+    /// The oldest request had waited [`max_delay`](crate::ServerConfig::max_delay).
     Window,
-    /// The dispatcher had just finished a batch, requests were queued and a
-    /// client was parked: the core it freed is the one that client waited
-    /// for, so the next batch went at once.
-    ForParked,
-    /// A client blocked in `wait_into` found a core free and ran the queued
-    /// requests itself.
+    /// A client waiting in `wait_into`, or freeing a core a parked client
+    /// waited for, ran the queued requests.
     Caller,
 }
 
 impl FlushReason {
-    pub const ALL: [FlushReason; 5] = [
-        FlushReason::Full,
-        FlushReason::NobodyCouldJoin,
-        FlushReason::Window,
-        FlushReason::ForParked,
-        FlushReason::Caller,
-    ];
+    pub const ALL: [FlushReason; 3] = [FlushReason::Full, FlushReason::Window, FlushReason::Caller];
 
     /// The word the slow-request capture's `detail` line carries (`left=…`).
     pub fn as_str(self) -> &'static str {
         match self {
             FlushReason::Full => "full",
             FlushReason::Window => "window",
-            FlushReason::NobodyCouldJoin => "nobody_could_join",
-            FlushReason::ForParked => "for_parked",
             FlushReason::Caller => "caller",
         }
     }
 
-    /// Name of this exit's counter in the global `dm-obs` registry.
+    /// Name of this reason's counter in the global `dm-obs` registry.
     pub fn counter_name(self) -> &'static str {
         match self {
             FlushReason::Full => "dm_server_batches_full_total",
             FlushReason::Window => "dm_server_batches_at_window_total",
-            FlushReason::NobodyCouldJoin => "dm_server_batches_nobody_could_join_total",
-            FlushReason::ForParked => "dm_server_batches_for_parked_total",
             FlushReason::Caller => "dm_server_batches_on_caller_total",
         }
     }
@@ -96,19 +78,16 @@ pub(crate) struct StatsCells {
     pub keys_served: Counter,
     pub batches_formed: Counter,
     /// `batches_formed` split by [`FlushReason`], indexed in `ALL` order.
-    pub batches_by_reason: [Counter; 5],
+    pub batches_by_reason: [Counter; 3],
     pub batched_requests: Counter,
     pub max_coalesce_width: AtomicU64,
     pub exec_nanos: Counter,
-    pub inline_requests: Counter,
     pub tenants_opened: Counter,
     pub tenant_open_nanos: Counter,
-    /// Returns of the dispatcher from a wait on the server's work condvar.
-    pub dispatcher_wakeups: Counter,
 }
 
 impl StatsCells {
-    /// Counts one request past admission control, batched or inline.
+    /// Counts one request past admission control.
     pub fn record_admission(&self, keys: u64) {
         self.requests_enqueued.incr();
         self.keys_enqueued.add(keys);
@@ -141,22 +120,13 @@ impl StatsCells {
         }
     }
 
-    /// Counts one request served inline on the caller thread (its latencies
-    /// go to the tenant as an inline [`RequestSample`]).
-    pub fn record_inline(&self, keys: u64, exec_nanos: u64) {
-        self.inline_requests.incr();
-        self.requests_completed.incr();
-        self.keys_served.add(keys);
-        self.exec_nanos.add(exec_nanos);
-    }
-
     pub fn record_tenant_open(&self, elapsed: Duration) {
         self.tenants_opened.incr();
         self.tenant_open_nanos.add(elapsed.as_nanos() as u64);
     }
 
-    /// Everything but the client census (`live_clients` / `parked_clients`),
-    /// which the server's shared state owns and fills in. The latency fields
+    /// Everything but the census (`parked_clients`, `queued_keys`), which
+    /// the server's shared state owns and fills in. The latency fields
     /// read the merge of `tenants`' tails.
     pub fn snapshot<'a>(&self, tenants: impl IntoIterator<Item = &'a TenantObs>) -> ServerStats {
         let load = |cell: &Counter| cell.value();
@@ -189,21 +159,15 @@ impl StatsCells {
             batches_formed: load(&self.batches_formed),
             batches_full: load(&self.batches_by_reason[FlushReason::Full as usize]),
             batches_at_window: load(&self.batches_by_reason[FlushReason::Window as usize]),
-            batches_nobody_could_join: load(
-                &self.batches_by_reason[FlushReason::NobodyCouldJoin as usize],
-            ),
-            batches_for_parked: load(&self.batches_by_reason[FlushReason::ForParked as usize]),
             batches_on_caller: load(&self.batches_by_reason[FlushReason::Caller as usize]),
-            dispatcher_wakeups: load(&self.dispatcher_wakeups),
-            live_clients: 0,
             parked_clients: 0,
+            queued_keys: 0,
             batched_requests: load(&self.batched_requests),
             max_coalesce_width: self.max_coalesce_width.load(Ordering::Relaxed),
             queue_delay_nanos: queue_delay.sum(),
             coalesce_wait_nanos: coalesce_wait.sum(),
             request_wall_nanos: request_wall.sum(),
             exec_nanos: load(&self.exec_nanos),
-            inline_requests: load(&self.inline_requests),
             tenants_opened: load(&self.tenants_opened),
             tenant_open_nanos: load(&self.tenant_open_nanos),
             queue_delay_p50: Duration::from_nanos(queue_delay.p50()),
@@ -235,9 +199,6 @@ pub(crate) struct RequestSample {
     /// ([`dm_obs::window::nanos_at`]); `None` while observability is off,
     /// which keeps the sample out of the `recent_*` windows.
     pub windowed_at: Option<u64>,
-    /// Served inline: no queue, no coalescing, no demux copy, so only the
-    /// wall, exec and stage-share histograms take it.
-    pub inline: bool,
     pub queue_delay_nanos: u64,
     pub coalesce_wait_nanos: u64,
     pub wall_nanos: u64,
@@ -277,11 +238,9 @@ impl Folded {
                 None => window.record_unwindowed(value),
             };
             windowed(&mut self.request_wall, sample.wall_nanos);
-            if !sample.inline {
-                windowed(&mut self.queue_delay, sample.queue_delay_nanos);
-                self.coalesce_wait.record_nanos(sample.coalesce_wait_nanos);
-                self.result_copy.record_nanos(sample.result_copy_nanos);
-            }
+            windowed(&mut self.queue_delay, sample.queue_delay_nanos);
+            self.coalesce_wait.record_nanos(sample.coalesce_wait_nanos);
+            self.result_copy.record_nanos(sample.result_copy_nanos);
             self.exec_share.record_nanos(sample.exec_share_nanos);
             self.inference_share
                 .record_nanos(sample.inference_share_nanos);
@@ -332,8 +291,7 @@ impl Default for TenantObs {
 }
 
 impl TenantObs {
-    /// Records the samples of one batch (or of one inline request) into the
-    /// calling thread's log, folding the log first when they do not fit.
+    /// Records the samples of one batch into the calling thread's log, folding the log first when they do not fit.
     /// Allocates nothing.
     pub fn record(&self, samples: &[RequestSample]) {
         #[cfg(test)]
@@ -396,14 +354,13 @@ impl TenantObs {
 /// (see [`dm_obs::SnapshotWindow`]).
 #[derive(Debug, Clone, Default)]
 pub struct TenantTail {
-    /// Enqueue → its batch's execution start, per batched request.
+    /// Enqueue → its batch's execution start.
     pub queue_delay: HistogramSnapshot,
     /// Newest batch member's arrival → execution start (the coalescing hold).
     pub coalesce_wait: HistogramSnapshot,
     /// Enqueue → response ready, per completed request.
     pub request_wall: HistogramSnapshot,
-    /// Key-weighted share of the merged batch's store execution time (an
-    /// inline request's whole store call).
+    /// Key-weighted share of the merged batch's store execution time.
     pub exec_share: HistogramSnapshot,
     /// Key-weighted share of the batch's model inference time.
     pub inference_share: HistogramSnapshot,
@@ -411,12 +368,12 @@ pub struct TenantTail {
     pub probe_share: HistogramSnapshot,
     /// Key-weighted share of the batch's demux copy, which copies every
     /// answered request's rows out of the merged result buffer and is timed
-    /// once per batch; per batched request.
+    /// once per batch.
     pub result_copy: HistogramSnapshot,
     /// Windowed (last ~60 s) request wall time — empty when the tenant has
     /// been idle for a full window or `DM_OBS=off`.
     pub recent_request_wall: HistogramSnapshot,
-    /// Windowed (last ~60 s) queue delay, per batched request — empty when
+    /// Windowed (last ~60 s) queue delay — empty when
     /// the tenant has been idle for a full window or `DM_OBS=off`.
     pub recent_queue_delay: HistogramSnapshot,
 }
@@ -436,9 +393,10 @@ pub struct TenantTail {
 pub struct ServerStats {
     /// Requests admitted past admission control.
     pub requests_enqueued: u64,
-    /// Requests answered successfully (batched + inline).
+    /// Requests answered successfully.
     pub requests_completed: u64,
-    /// Requests failed after admission (store error, shutdown drain).
+    /// Requests failed after admission (store error, shutdown drain, queued
+    /// requests of a dropped client).
     pub requests_failed: u64,
     /// Requests rejected by admission control with [`Overloaded`](crate::ServerError::Overloaded).
     pub requests_shed: u64,
@@ -463,52 +421,36 @@ pub struct ServerStats {
     pub keys_enqueued: u64,
     /// Keys across all successfully answered requests.
     pub keys_served: u64,
-    /// Merged batches executed, by the dispatcher or on a waiting client's
-    /// thread. The next five counters say which exit each one took and sum to
-    /// this one.
+    /// Merged batches executed, each on the client thread that took it. The
+    /// next three counters say why each one ran and sum to this one.
     pub batches_formed: u64,
-    /// Batches that left because [`max_batch_keys`](crate::ServerConfig::max_batch_keys)
-    /// were pending.
+    /// Batches a `submit` or `is_done` ran because
+    /// [`max_batch_keys`](crate::ServerConfig::max_batch_keys) were pending.
     pub batches_full: u64,
-    /// Batches that left because their oldest request had waited
-    /// [`max_delay`](crate::ServerConfig::max_delay) while some live client
-    /// could still have joined.
+    /// Batches a `submit` or `is_done` ran because their oldest request had
+    /// waited [`max_delay`](crate::ServerConfig::max_delay).
     pub batches_at_window: u64,
-    /// Batches that left early because nobody could join: every live
-    /// [`ServerClient`](crate::ServerClient) was parked in `wait_into`.
-    pub batches_nobody_could_join: u64,
-    /// Batches the dispatcher took straight after its own batch, because
-    /// requests were queued while some client was parked in `wait_into`: the
-    /// core it had just freed is the one that client was waiting for.
-    pub batches_for_parked: u64,
-    /// Batches a client blocked in `wait_into` took from the queue and ran on
-    /// its own thread, while fewer batches were running than the machine has
-    /// cores.
+    /// Batches of whatever was queued, run by a client blocked in
+    /// `wait_into`, or by a client that had just freed a core while another
+    /// was parked.
     pub batches_on_caller: u64,
-    /// Times the dispatcher returned from a wait on its work condvar — woken
-    /// by a submission into the queue of an idle dispatcher, a batch-size
-    /// trigger, the last client able to join parking or dropping, a freed
-    /// core, shutdown, or its own timer. Also
-    /// `dm_server_dispatcher_wakeups_total` in the `dm-obs` registry.
-    pub dispatcher_wakeups: u64,
-    /// [`ServerClient`](crate::ServerClient) handles of this server alive
-    /// right now.
-    pub live_clients: u64,
-    /// Of those, how many are asleep in `wait_into` on a request the server
-    /// has not finished yet (a client running a batch is not parked). The
-    /// dispatcher lets a batch leave early when the two are equal.
+    /// [`ServerClient`](crate::ServerClient)s asleep in `wait_into` right now
+    /// on a request the server has not finished yet (a client running a
+    /// batch is not parked).
     pub parked_clients: u64,
-    /// Requests that travelled inside a merged batch (excludes inline).
+    /// Keys of the requests waiting in the queue right now.
+    pub queued_keys: u64,
+    /// Requests that travelled inside a merged batch.
     pub batched_requests: u64,
     /// Largest number of requests coalesced into a single batch.
     pub max_coalesce_width: u64,
-    /// Summed time from enqueue to batch formation, over batched requests.
+    /// Summed time from enqueue to batch formation, over answered requests.
     ///
     /// Derived from the queue-delay histogram's sum; prefer the
     /// `queue_delay_p*` percentile fields — a mean hides the tail.
     pub queue_delay_nanos: u64,
     /// Summed coalescing hold (newest batch member's arrival → execution
-    /// start) over batched requests.
+    /// start) over answered requests.
     pub coalesce_wait_nanos: u64,
     /// Summed time from enqueue to response ready, over completed requests.
     ///
@@ -517,13 +459,11 @@ pub struct ServerStats {
     pub request_wall_nanos: u64,
     /// Summed time spent inside `TupleStore::lookup_batch_into`.
     pub exec_nanos: u64,
-    /// Requests served synchronously on the caller thread (inline mode).
-    pub inline_requests: u64,
     /// Tenant snapshots opened lazily on first request.
     pub tenants_opened: u64,
     /// Summed wall time of those lazy opens.
     pub tenant_open_nanos: u64,
-    /// Median enqueue-to-batch-formation delay over batched requests.
+    /// Median enqueue-to-batch-formation delay.
     pub queue_delay_p50: Duration,
     /// 95th-percentile queue delay.
     pub queue_delay_p95: Duration,
@@ -557,7 +497,7 @@ pub struct ServerStats {
 
 impl ServerStats {
     /// Mean number of requests merged per batch, or 0.0 before the
-    /// first batch. Inline requests are excluded — they never coalesce.
+    /// first batch.
     pub fn mean_coalesce_width(&self) -> f64 {
         if self.batches_formed == 0 {
             0.0
@@ -566,7 +506,7 @@ impl ServerStats {
         }
     }
 
-    /// Mean enqueue-to-batch-formation delay over batched requests.  A mean
+    /// Mean enqueue-to-batch-formation delay.  A mean
     /// hides the tail: prefer `queue_delay_p95` / `queue_delay_p99`.
     pub fn mean_queue_delay(&self) -> Duration {
         self.queue_delay_nanos
@@ -586,22 +526,20 @@ impl ServerStats {
 }
 
 /// What each since-boot field of a [`TenantTail`] must hold: `samples`
-/// recorded one by one into plain [`dm_obs::Histogram`]s, inline ones only
-/// where the server records them. In [`TenantTail::since_boot`] order.
+/// recorded one by one into plain [`dm_obs::Histogram`]s. In
+/// [`TenantTail::since_boot`] order.
 #[cfg(test)]
 pub(crate) fn reference_tail(samples: &[RequestSample]) -> [HistogramSnapshot; 7] {
     let histograms: [dm_obs::Histogram; 7] = Default::default();
     for sample in samples {
         let [queue, coalesce, wall, exec, inference, probe, copy] = &histograms;
+        queue.record_nanos(sample.queue_delay_nanos);
+        coalesce.record_nanos(sample.coalesce_wait_nanos);
         wall.record_nanos(sample.wall_nanos);
         exec.record_nanos(sample.exec_share_nanos);
         inference.record_nanos(sample.inference_share_nanos);
         probe.record_nanos(sample.probe_share_nanos);
-        if !sample.inline {
-            queue.record_nanos(sample.queue_delay_nanos);
-            coalesce.record_nanos(sample.coalesce_wait_nanos);
-            copy.record_nanos(sample.result_copy_nanos);
-        }
+        copy.record_nanos(sample.result_copy_nanos);
     }
     histograms.map(|histogram| histogram.snapshot())
 }
@@ -632,26 +570,13 @@ mod tests {
         dm_obs::enabled().then(dm_obs::window::now_nanos)
     }
 
-    /// Records one batched request with the given latencies into `tenant`.
+    /// Records one request with the given latencies into `tenant`.
     fn request(tenant: &TenantObs, queue_delay_nanos: u64, coalesce_wait_nanos: u64, wall: u64) {
         tenant.record(&[RequestSample {
             windowed_at: now(),
             queue_delay_nanos,
             coalesce_wait_nanos,
             wall_nanos: wall,
-            ..RequestSample::default()
-        }]);
-    }
-
-    /// Records one inline request into `tenant`.
-    fn inline(tenant: &TenantObs, wall_nanos: u64, exec: u64, inference: u64, probe: u64) {
-        tenant.record(&[RequestSample {
-            windowed_at: now(),
-            inline: true,
-            wall_nanos,
-            exec_share_nanos: exec,
-            inference_share_nanos: inference,
-            probe_share_nanos: probe,
             ..RequestSample::default()
         }]);
     }
@@ -669,7 +594,7 @@ mod tests {
     fn snapshot_reflects_recorded_batches_and_derived_means() {
         let cells = StatsCells::default();
         let (a, b) = (TenantObs::default(), TenantObs::default());
-        cells.record_batch(FlushReason::NobodyCouldJoin, 4, 4, 400, 1_000);
+        cells.record_batch(FlushReason::Full, 4, 4, 400, 1_000);
         for _ in 0..4 {
             request(&a, 1_000, 200, 2_000);
         }
@@ -678,33 +603,24 @@ mod tests {
         request(&b, 500, 100, 800);
         cells.record_batch(FlushReason::Caller, 1, 1, 10, 100);
         request(&a, 0, 0, 200);
-        cells.record_inline(7, 300);
-        inline(&b, 900, 300, 0, 0);
 
         // The server-wide histograms are the merge of the tenants'.
         let s = cells.snapshot([&a, &b]);
         assert_eq!(s.batches_formed, 3);
         assert_eq!(
-            (
-                s.batches_full,
-                s.batches_at_window,
-                s.batches_nobody_could_join,
-                s.batches_for_parked,
-                s.batches_on_caller
-            ),
-            (0, 1, 1, 0, 1)
+            (s.batches_full, s.batches_at_window, s.batches_on_caller),
+            (1, 1, 1)
         );
         assert_eq!(s.batched_requests, 7);
-        assert_eq!(s.requests_completed, 8);
-        assert_eq!(s.keys_served, 617);
+        assert_eq!(s.requests_completed, 7);
+        assert_eq!(s.keys_served, 610);
         assert_eq!(s.max_coalesce_width, 4);
-        assert_eq!(s.inline_requests, 1);
         assert_eq!(s.queue_delay_nanos, 5_000);
         assert_eq!(s.coalesce_wait_nanos, 1_000);
-        assert_eq!(s.request_wall_nanos, 10_700);
+        assert_eq!(s.request_wall_nanos, 9_800);
         assert!((s.mean_coalesce_width() - 7.0 / 3.0).abs() < 1e-9);
         assert_eq!(s.mean_queue_delay(), Duration::from_nanos(5_000 / 7));
-        assert_eq!(s.mean_request_wall(), Duration::from_nanos(10_700 / 8));
+        assert_eq!(s.mean_request_wall(), Duration::from_nanos(9_800 / 7));
     }
 
     #[test]
@@ -736,7 +652,6 @@ mod tests {
         let obs = TenantObs::default();
         obs.record(&[RequestSample {
             windowed_at: None,
-            inline: false,
             queue_delay_nanos: 5,
             coalesce_wait_nanos: 6,
             wall_nanos: 7,
@@ -766,15 +681,15 @@ mod tests {
         for _ in 0..20 {
             request(&tenant, 1_000, 100, 50_000);
         }
-        cells.record_inline(5, 10);
-        inline(&tenant, 80_000, 10, 0, 0);
+        request(&tenant, 2_000, 0, 80_000);
+        cells.record_batch(FlushReason::Caller, 21, 21, 105, 10);
         let s = cells.snapshot([&tenant]);
         assert_eq!(s.recent_requests, windowed(21));
         assert!(s.recent_window >= Duration::from_secs(30));
         assert!(s.recent_request_wall_p99 >= Duration::from_nanos(windowed(50_000)));
         assert!(s.recent_queue_delay_p99 >= Duration::from_nanos(windowed(1_000)));
         assert!(s.request_wall_p99 >= Duration::from_nanos(50_000));
-        assert_eq!((s.inline_requests, s.requests_completed, s.keys_served), (1, 1, 5));
+        assert_eq!((s.batches_on_caller, s.requests_completed, s.keys_served), (1, 21, 105));
         if dm_obs::enabled() {
             // Everything recorded inside one window: the recent view matches
             // the since-boot histogram exactly.
@@ -784,23 +699,22 @@ mod tests {
         }
         let tail = tenant.tail();
         assert_eq!(tail.recent_request_wall.count(), windowed(21));
-        assert_eq!(tail.recent_queue_delay.count(), windowed(20));
+        assert_eq!(tail.recent_queue_delay.count(), windowed(21));
         assert_eq!(tail.request_wall.count(), 21);
 
         let obs = TenantObs::default();
-        inline(&obs, 7_000, 1, 1, 1);
+        request(&obs, 1, 1, 7_000);
         let tail = obs.tail();
         assert_eq!(tail.recent_request_wall.count(), windowed(1));
         assert_eq!(tail.recent_request_wall.sum(), windowed(tail.request_wall.sum()));
         assert_eq!(tail.request_wall.sum(), 7_000);
     }
 
-    /// A random sample of either kind, windowed or not.
+    /// A random sample, windowed or not.
     fn random_sample(state: &mut u64) -> RequestSample {
         let mut next = |bits: u64| splitmix(state) % (1 << bits);
         RequestSample {
             windowed_at: (next(2) != 0).then(|| next(40)),
-            inline: next(3) == 0,
             queue_delay_nanos: next(24),
             coalesce_wait_nanos: next(16),
             wall_nanos: next(30),
@@ -881,9 +795,7 @@ mod tests {
             };
             if let Some(at) = sample.windowed_at {
                 wall.record_at(at, sample.wall_nanos);
-                if !sample.inline {
-                    queue.record_at(at, sample.queue_delay_nanos);
-                }
+                queue.record_at(at, sample.queue_delay_nanos);
             }
             obs.record(&[sample]);
             if step % 50 == 0 {

@@ -58,7 +58,7 @@ pub struct RetryPolicy {
 impl Default for RetryPolicy {
     /// Three attempts, 500 µs base, 8 ms cap: a flaky read gets two more
     /// chances within ~3 ms, while a dead device fails in well under a
-    /// dispatcher batch deadline.
+    /// served request's deadline.
     fn default() -> Self {
         RetryPolicy {
             max_attempts: 3,

@@ -96,13 +96,10 @@ fn main() {
         stats.mean_queue_delay()
     );
     println!(
-        "batches: {} run by a waiting caller; dispatcher: {} full, {} at the window, {} because nobody could join, {} for a parked client ({} wake-ups)",
+        "batches, each run on a client thread: {} by a waiting caller, {} found full and {} found past the window by a submit",
         stats.batches_on_caller,
         stats.batches_full,
-        stats.batches_at_window,
-        stats.batches_nobody_could_join,
-        stats.batches_for_parked,
-        stats.dispatcher_wakeups
+        stats.batches_at_window
     );
     println!(
         "latency: mean request wall {:.1?}; admission: {} shed, {} failed",

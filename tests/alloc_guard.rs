@@ -246,13 +246,12 @@ fn a_served_request_allocates_nothing_per_steady_state_round() {
     });
     let (was_enabled, was_slow) = (obs::enabled(), obs::slow_threshold_nanos());
     obs::set_slow_threshold(Duration::from_secs(3_600));
-    // A window longer than any round: the dispatcher never takes a batch, so
-    // every batch is the client's own and runs on this thread.
-    for config in [
-        ServerConfig::coalescing(Duration::from_secs(5), 256),
-        ServerConfig::inline(),
+    // Every batch runs on this thread: with a window longer than any round
+    // the waits run them, with a zero window (inline) each submit does.
+    for (mode, config) in [
+        ("coalescing", ServerConfig::coalescing(Duration::from_secs(5), 256)),
+        ("inline", ServerConfig::inline()),
     ] {
-        let inline = config.inline;
         let server = QueryServer::new(config);
         let tenant = server.register_store("t", dm.clone()).expect("register");
         let mut client = server.client_with_depth(4);
@@ -278,13 +277,14 @@ fn a_served_request_allocates_nothing_per_steady_state_round() {
             assert_eq!(
                 made,
                 0,
-                "{made} allocations in 50 served rounds (inline {inline}, DM_OBS {})",
+                "{made} allocations in 50 served rounds ({mode}, DM_OBS {})",
                 if enabled { "on" } else { "off" }
             );
         }
         let stats = server.stats();
         assert_eq!(stats.requests_completed, 2 * 70 * 4);
-        assert_eq!(stats.inline_requests, if inline { 2 * 70 * 4 } else { 0 });
+        let at_submit = if mode == "inline" { 2 * 70 * 4 } else { 0 };
+        assert_eq!(stats.batches_at_window, at_submit, "{mode}");
     }
     obs::set_enabled(was_enabled);
     obs::set_slow_threshold(Duration::from_nanos(was_slow));

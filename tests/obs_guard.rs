@@ -195,28 +195,27 @@ fn kill_switch_never_changes_what_the_server_answers() {
         .collect();
     let keys: u64 = requests.iter().map(|keys| keys.len() as u64).sum();
     let was_enabled = obs::enabled();
-    for config in [
-        ServerConfig::coalescing(Duration::from_micros(100), 256),
-        ServerConfig::inline(),
+    for (mode, config) in [
+        ("coalescing", ServerConfig::coalescing(Duration::from_micros(100), 256)),
+        ("inline", ServerConfig::inline()),
     ] {
-        let inline = config.inline;
         obs::set_enabled(false);
         let off = serve_requests(&store, config.clone(), &requests);
         obs::set_enabled(true);
         let on = serve_requests(&store, config, &requests);
         assert_eq!(
             off.0, on.0,
-            "inline {inline}: responses must not depend on DM_OBS"
+            "{mode}: responses must not depend on DM_OBS"
         );
         assert_eq!(
             on.0, direct,
-            "inline {inline}: the server answers like the store"
+            "{mode}: the server answers like the store"
         );
         assert_eq!(
             off.1, on.1,
-            "inline {inline}: request counts must not depend on DM_OBS"
+            "{mode}: request counts must not depend on DM_OBS"
         );
-        assert_eq!(on.1, [200, keys, 200, keys, 0], "inline {inline}");
+        assert_eq!(on.1, [200, keys, 200, keys, 0], "{mode}");
     }
     obs::set_enabled(was_enabled);
 }

@@ -11,8 +11,9 @@
 //! * snapshot tenants open lazily — registration touches nothing, the first
 //!   request pays the open, the second tenant stays unopened until used,
 //! * shutdown fails queued waiters with a typed error, never a hang,
-//! * the server's census of live and parked clients — what lets a batch leave
-//!   once nobody can join it — balances after every way a request can end.
+//! * the server's census — parked clients and queued keys — balances after
+//!   every way a request can end, a dropped client's queued requests among
+//!   them: those are cancelled, never served.
 //!
 //! Every threaded step is joined with a deadline: a lost wake-up fails the
 //! step that stalled instead of hanging the suite.
@@ -114,7 +115,7 @@ fn interleaved_concurrent_requests_match_direct_lookups_byte_for_byte() {
     // compares the server's answer against a direct lookup on the same store.
     // Two of them call synchronously, two keep three requests in flight and
     // compare the demuxed buffer with the store's own `lookup_batch_into` —
-    // whichever exit a batch leaves by, the bytes are the store's.
+    // whichever client runs a batch, and why, the bytes are the store's.
     let shape = |t: u64, round: u64| -> Vec<u64> {
         let base = (t * 811 + round * 13) % 3_400;
         match round % 3 {
@@ -168,15 +169,11 @@ fn interleaved_concurrent_requests_match_direct_lookups_byte_for_byte() {
     assert_eq!(stats.requests_failed, 0);
     assert!(stats.batches_formed > 0);
     assert_eq!(
-        stats.batches_full
-            + stats.batches_at_window
-            + stats.batches_nobody_could_join
-            + stats.batches_for_parked
-            + stats.batches_on_caller,
+        stats.batches_full + stats.batches_at_window + stats.batches_on_caller,
         stats.batches_formed,
-        "every batch left by exactly one exit: {stats:?}"
+        "every batch ran for exactly one reason: {stats:?}"
     );
-    assert_eq!((stats.live_clients, stats.parked_clients), (0, 0));
+    assert_eq!((stats.parked_clients, stats.queued_keys), (0, 0));
     assert!(
         stats.batches_formed < stats.requests_completed,
         "coalescing never merged anything: {} batches for {} requests",
@@ -414,9 +411,9 @@ fn occupy_every_core(
 /// (typed `PartialFailure`s), a store error, queued requests outwaiting
 /// `request_deadline`, a client dropped with tickets it never harvested, and
 /// `shutdown()` with waiters parked, nobody is still counted as parked and
-/// the live count is the handles that exist.  A count that drifted up would
-/// let batches leave too early ever after; one that drifted down would give
-/// the window back to the timer.
+/// no key is still counted as queued.  A parked count that drifted up would
+/// run handoffs for nobody ever after; one that drifted down would strand a
+/// waiter.
 #[test]
 fn the_client_census_balances_however_requests_end() {
     // Half of the rows are corrected, so most requests over the faulted
@@ -445,7 +442,7 @@ fn the_client_census_balances_however_requests_end() {
         .unwrap();
     let census = |server: &QueryServer| {
         let stats = server.stats();
-        (stats.live_clients, stats.parked_clients)
+        (stats.parked_clients, stats.queued_keys)
     };
     // Held to the end: the census is checked with a handle alive, too.
     let mut main_client = server.client_with_depth(8);
@@ -499,7 +496,7 @@ fn the_client_census_balances_however_requests_end() {
         pipeline.join("pipelined traffic over the faulted partition");
     }
     assert!(server.stats().partial_failures > 0, "the faulted partition never failed");
-    assert_eq!(census(&server), (1, 0));
+    assert_eq!(census(&server), (0, 0));
 
     // 2. A batch the store fails outright.
     store.failing.store(true, Ordering::SeqCst);
@@ -509,76 +506,93 @@ fn the_client_census_balances_however_requests_end() {
         Err(ServerError::Store(_))
     ));
     store.failing.store(false, Ordering::SeqCst);
-    assert_eq!(census(&server), (1, 0));
+    assert_eq!(census(&server), (0, 0));
 
-    // 3. Requests that outwait their deadline behind a stalled batch.
+    // 3. Requests that outwait their deadline behind stalled batches.
     store.set_closed(true);
-    let entered = store.entered.load(Ordering::SeqCst);
-    let stuck = main_client.submit(tenant, &[healthy_key]).unwrap();
-    wait_until("the window sends the stuck request into the store", || {
-        store.entered.load(Ordering::SeqCst) > entered
-    });
+    let runners = occupy_every_core(&server, tenant, &store, 0);
     let stale: Vec<Ticket> = (0..3)
         .map(|i| main_client.submit(tenant, &[healthy_key + i]).unwrap())
         .collect();
+    assert_eq!(census(&server), (0, 3));
     std::thread::sleep(deadline + Duration::from_millis(10));
     store.set_closed(false);
-    // The stuck request may itself be past the deadline by now; it was
-    // already in the store, so it is answered.
-    main_client.wait_into(stuck, &mut out).unwrap();
+    for runner in runners {
+        assert!(runner.join("a stalled batch").is_ok());
+    }
     for ticket in stale {
         assert!(matches!(
             main_client.wait_into(ticket, &mut out),
             Err(ServerError::Timeout { .. })
         ));
     }
-    assert_eq!(census(&server), (1, 0));
+    assert_eq!(census(&server), (0, 0));
 
-    // 4. A client dropped with tickets nobody will harvest; its requests are
-    //    still served, into slots only the server holds by then.
+    // 4. A client dropped with tickets nobody will harvest: its requests,
+    //    queued behind stalled batches, leave the queue with it and count as
+    //    failed.  The next waiter's batch holds its own request only.
     store.set_closed(true);
-    let entered = store.entered.load(Ordering::SeqCst);
+    let runners = occupy_every_core(&server, tenant, &store, 0);
+    let failed = server.stats().requests_failed;
     let mut leaver = server.client_with_depth(4);
     let _unharvested: Vec<Ticket> = (0..3)
         .map(|i| leaver.submit(tenant, &[healthy_key + i]).unwrap())
         .collect();
-    assert_eq!(census(&server), (2, 0));
+    assert_eq!(census(&server), (0, 3));
     drop(leaver);
-    assert_eq!(census(&server), (1, 0));
-    wait_until("the window sends the leaver's batch into the store", || {
-        store.entered.load(Ordering::SeqCst) > entered
-    });
+    assert_eq!(census(&server), (0, 0));
+    assert_eq!(server.stats().requests_failed, failed + 3);
+    store.set_closed(false);
+    for runner in runners {
+        assert!(runner.join("a stalled batch").is_ok());
+    }
+    let (entered, before) = (store.entered.load(Ordering::SeqCst), server.stats());
+    assert_eq!(
+        main_client.get(tenant, healthy_key).unwrap(),
+        healthy[healthy_key as usize]
+    );
+    let after = server.stats();
+    assert_eq!(store.entered.load(Ordering::SeqCst), entered + 1);
+    assert_eq!(
+        (
+            after.batched_requests - before.batched_requests,
+            after.keys_served - before.keys_served,
+            after.requests_failed
+        ),
+        (1, 1, failed + 3),
+        "the leaver's requests never reached the store"
+    );
+    assert_eq!(census(&server), (0, 0));
 
     // 5. Shutdown with two waiters parked on requests queued while every
-    //    core is stalled: the dispatcher in the leaver's batch, callers in
-    //    theirs.
-    let runners = occupy_every_core(&server, tenant, &store, 1);
+    //    core is stalled in a caller's batch.
+    store.set_closed(true);
+    let runners = occupy_every_core(&server, tenant, &store, 0);
     let waiters: Vec<_> = (0..2u64)
         .map(|w| {
             let server = Arc::clone(&server);
             bounded(move || server.client().get(tenant, healthy_key + w))
         })
         .collect();
-    let live = 1 + runners.len() as u64 + 2;
-    wait_until("both waiters park", || census(&server) == (live, 2));
+    wait_until("both waiters park", || census(&server) == (2, 2));
+    // Shutdown fails what is queued and returns: it waits for no batch.
     let stopper = {
         let server = Arc::clone(&server);
         bounded(move || server.shutdown())
     };
-    // Shutdown fails what is queued first, then waits for the batch in flight.
-    wait_until("shutdown releases the parked waiters", || census(&server).1 == 0);
-    store.set_closed(false);
-    stopper.join("shutdown joins the dispatcher");
+    stopper.join("shutdown returns");
+    assert_eq!(census(&server), (0, 0));
     for waiter in waiters {
         assert!(matches!(
             waiter.join("a parked waiter released by shutdown"),
             Err(ServerError::ShuttingDown)
         ));
     }
+    store.set_closed(false);
     for runner in runners {
         assert!(runner.join("a caller's stalled batch").is_ok());
     }
-    assert_eq!(census(&server), (1, 0));
+    assert_eq!(census(&server), (0, 0));
     assert!(matches!(
         main_client.get(tenant, healthy_key),
         Err(ServerError::ShuttingDown)
@@ -587,11 +601,7 @@ fn the_client_census_balances_however_requests_end() {
     assert_eq!(census(&server), (0, 0));
     let stats = server.stats();
     assert_eq!(
-        stats.batches_full
-            + stats.batches_at_window
-            + stats.batches_nobody_could_join
-            + stats.batches_for_parked
-            + stats.batches_on_caller,
+        stats.batches_full + stats.batches_at_window + stats.batches_on_caller,
         stats.batches_formed
     );
 }
