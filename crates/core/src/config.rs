@@ -67,9 +67,9 @@ impl TrainingConfig {
 /// A build trains f32 weights, quantizes them, and only then memorizes what
 /// the quantized arithmetic gets wrong, so lookups stay exact.  The weights
 /// are per-output-column symmetric int8, served through the int8 kernels of
-/// `dm_nn::kernel`: AMX tiles where the OS grants them, `vpdpbusd` on
-/// AVX-512-VNNI, a sign-transfer `vpmaddubsw` form on AVX2 and a scalar dot
-/// product elsewhere — one exact integer result in all four.
+/// `dm_nn::kernel`: `vpdpbusd` on AVX-512-VNNI, a sign-transfer
+/// `vpmaddubsw` form on AVX2 and a scalar dot product elsewhere — one exact
+/// integer result in all three.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Quantization {
     /// Per-output-column symmetric int8 weights: about a quarter of the f32

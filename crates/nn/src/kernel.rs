@@ -42,18 +42,18 @@
 //!   that order (see "The gradient kernels" below),
 //! * the int8 path quantizes each input row **once** through one recipe
 //!   (below), accumulates the integer `Σ qₓ·q_w` exactly, and dequantizes
-//!   through one fixed f32 epilogue.  Its four forms reach that same integer
-//!   four ways:
+//!   through one fixed f32 epilogue.  Its three forms reach that same integer
+//!   three ways:
 //!   the scalar reference is the plain i32 dot product; AVX-512-VNNI runs
 //!   `vpdpbusd` (unsigned × signed bytes) over `qₓ + 128` with each
 //!   accumulator started at the column's `−128·Σ q_w`, so the bias cancels
 //!   exactly — the instruction does not saturate, a transient wrap mod 2³² is
-//!   harmless and the final sum is bounded by `k · 127²`; AMX runs `tdpbusd`,
-//!   which is `vpdpbusd`'s arithmetic on 16 × 16 tiles (see below); AVX2 moves
+//!   harmless and the final sum is bounded by `k · 127²`; AVX2 moves
 //!   the input's sign onto the weight (`vpsignb`), multiplies `|qₓ|` by it with
 //!   `vpmaddubsw` — exact because `|q| ≤ 127` keeps every pair sum
 //!   `≤ 2 · 127² = 32 258 < 2¹⁵`, short of its i16 saturation — and widens
-//!   with `vpmaddwd` against ones,
+//!   with `vpmaddwd` against ones (a weight of `-128` would not survive the
+//!   sign move, so the panels refuse one),
 //! * rows are computed independently, so chunking, batch size and thread count
 //!   cannot change any row's result.
 //!
@@ -81,35 +81,6 @@
 //! writes a first layer's bytes itself — one masked store a row under
 //! AVX-512 — through [`QuantizedRows::fill_with`].
 //!
-//! ## The AMX form
-//!
-//! The tile unit multiplies a 16-row × 64-byte A tile of unsigned bytes by a
-//! 16-row × 64-byte B tile of signed bytes, four bytes per i32 lane, into a
-//! 16 × 16 tile of non-saturating i32 — 16 `vpdpbusd`s an instruction.  Both
-//! operands are already in memory in that shape: sixteen consecutive rows of a
-//! [`QuantizedRows`] buffer (stride = the row width) are an A tile of
-//! `qₓ + 128`, and consecutive k-quad blocks of one [`QuantizedPanels`] panel
-//! (stride 64) are a B tile, so there is no second copy of either.  `k` is
-//! walked in equal steps of at most 16 quads (`tile_k_steps`: 141 → 36 quads
-//! → 3 steps of 12), C is blocked 2 × 2 (32 rows × 2 panels), stored to a
-//! stack buffer, and finished by the `vpdpbusd` form's own epilogue after
-//! adding the column's `−128·Σ q_w` — integer addition wraps associatively,
-//! so `C + offset` is exactly the accumulator `vpdpbusd` ends with, and the
-//! logits are the same bits.  The form takes a window's whole tiles of rows;
-//! the rows left over run the `vpdpbusd` form, so no tile holds a row the
-//! window does not have.  What a tile reads past the data is owned and
-//! harmless: a K step past a row's last quad reads on into the next row (or,
-//! after the last, into slack the rows buffer owns — the entry point checks
-//! it) and meets zero weight blocks there (each panel's run is padded to
-//! `steps × quads`).
-//!
-//! The intrinsics are unstable, so the six instructions are `asm!`; tile state
-//! needs the OS's permission (`arch_prctl(ARCH_REQ_XCOMP_PERM, XTILEDATA)`,
-//! Linux), asked for once per process on first use — granted, it covers every
-//! thread, those already running included.  A call configures the tiles and
-//! releases them before it returns, so a context switch outside a layer call
-//! saves no tile state.
-//!
 //! ## Keys in lanes
 //!
 //! A model's output layers are not stored: a lookup wants each head's class,
@@ -127,19 +98,10 @@
 //! The keys' quantized rows are laid out sixteen to a group first
 //! (`QuantizedRows::lay_out_lanes`, one gather a k-quad): per quad, one
 //! 64-byte block of the sixteen rows' four bytes.  That block is what
-//! `vpdpbusd` multiplies by one broadcast weight quad, and a group's blocks,
-//! 64 bytes apart, are an AMX B tile.  The AMX form runs `tdpbsud` (signed ×
-//! unsigned, the operands' roles swapped) with the layer's weights on their
-//! side as the A tile — sixteen output columns' runs of `k`, derived from
-//! the panels by the first AMX call over them and never stored — into a C tile of 16
-//! columns × 16 keys; per group it computes a panel pair, stores the two C
-//! tiles to one of two stack buffers and runs the epilogue of the pair before
-//! from the other, so the vector units work while the tile unit does.  C
-//! plus the column's `−128·Σ q_w` is the `vpdpbusd` form's accumulator,
-//! exactly.  The AVX2 form moves each key's sign onto the broadcast weight
-//! (`vpsignb`) as its row-major twin does.  Whole groups take the AMX form
-//! where it runs, the rest of a window `vpdpbusd` (masked lanes); the scalar
-//! reference reads the rows as they are.
+//! `vpdpbusd` multiplies by one broadcast weight quad; the last group of a
+//! window masks the lanes past its last key.  The AVX2 form moves each key's
+//! sign onto the broadcast weight (`vpsignb`) as its row-major twin does.
+//! The scalar reference reads the rows as they are.
 //!
 //! ## The gradient kernels
 //!
@@ -189,21 +151,16 @@
 //! (using the AVX-512 forms when the CPU additionally has AVX-512 F/BW/DQ, and
 //! for int8 the `vpdpbusd` form only when it also has AVX-512-VNNI — an
 //! AVX-512 host without it takes the AVX2 int8 form) and the scalar fallback
-//! otherwise.  On top of `vpdpbusd`, the whole [`AMX_MIN_ROWS`]-row tiles of a
-//! window take the AMX form when the CPU has AMX-TILE + AMX-INT8 and the OS
-//! granted tile state; the rows left over — all of a smaller window — keep
-//! `vpdpbusd`, whose cost does not start at a whole tile.  Nothing but the
-//! CPU, the OS grant and the window's row count decides.  An output layer's
-//! classes ([`argmax_prequantized`]) follow the same choice with the keys in
-//! lanes: AMX for a window's whole groups of sixteen keys and `vpdpbusd` for
-//! the rest, the AVX2 form where AVX-512-VNNI is missing, the scalar
-//! reference otherwise — one path per form, whatever the layer's shape; the
-//! key quantizer ([`KeyEncoder::quantize_keys`](crate::encoding::KeyEncoder::quantize_keys))
+//! otherwise.  Nothing but the CPU decides.  An output layer's classes
+//! ([`argmax_prequantized`]) follow the same choice with the keys in lanes:
+//! `vpdpbusd` with AVX-512-VNNI, the AVX2 form where it is missing, the
+//! scalar reference otherwise — one path per form, whatever the layer's
+//! shape; the key quantizer
+//! ([`KeyEncoder::quantize_keys`](crate::encoding::KeyEncoder::quantize_keys))
 //! takes its AVX-512 form under the same switch.  [`with_forced`]
 //! overrides the choice for the calling thread — the hook the bit-identity
 //! guard tests use to exercise the kernels in one process — and
-//! [`with_avx512_disabled`] / [`with_amx_disabled`] step the vector kernel
-//! down a form.
+//! [`with_avx512_disabled`] steps the vector kernel down a form.
 
 use crate::layer::Activation;
 use crate::tensor::Matrix;
@@ -246,13 +203,12 @@ impl Kernel {
     }
 
     /// Human-readable kernel name (bench/report output): the f32 form and,
-    /// after it, the int8 form the whole tiles of a window run on the calling
-    /// thread — so a run record or a CI log says which of the four int8 forms
-    /// a green run covered.  `"avx512"` alone is an AVX-512 host without VNNI,
-    /// whose int8 layers take the AVX2 form.
+    /// after it, the int8 form the calling thread runs — so a run record or a
+    /// CI log says which of the three int8 forms a green run covered.
+    /// `"avx512"` alone is an AVX-512 host without VNNI, whose int8 layers
+    /// take the AVX2 form.
     pub fn name(self) -> &'static str {
         match self {
-            Kernel::Vector if amx_enabled() => "avx512+amx",
             Kernel::Vector if avx512_enabled() && vnni_available() => "avx512-vnni",
             Kernel::Vector if avx512_enabled() => "avx512",
             Kernel::Vector if vector_available() => "avx2+fma",
@@ -303,58 +259,15 @@ fn vnni_available() -> bool {
     }
 }
 
-/// Whether the AMX form of the int8 forward can run: the CPU has AMX-TILE and
-/// AMX-INT8 with the tile geometry the kernel is written for, and the OS
-/// granted this process tile state.  The grant is asked for once, on the first
-/// call, from whichever thread makes it; it is process-wide.  Always `false`
-/// off x86-64 Linux and under Miri.
-pub fn amx_available() -> bool {
-    #[cfg(all(target_arch = "x86_64", target_os = "linux", not(miri)))]
-    {
-        static GRANTED: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-        *GRANTED.get_or_init(x86::amx::request_tile_state)
-    }
-    #[cfg(not(all(target_arch = "x86_64", target_os = "linux", not(miri))))]
-    {
-        false
-    }
-}
-
-/// Fewest rows the AMX form takes: one tile's.  It runs a window's whole
-/// 16-row tiles and leaves the rest — all of a smaller window — to the
-/// `vpdpbusd` form, because a tile instruction costs the same for one row as
-/// for sixteen and a call pays `ldtilecfg` + `tilerelease`.  Measured on this
-/// repo's layers (ReLU, best of 25, ns/row, AMX padding a partial tile against
-/// `vpdpbusd`; loud 2-vcore Xeon): 141 × 141 at 4 rows 187 / 169, 8 rows
-/// 166 / 171, 12 rows 123 / 153, 16 rows 104 / 147, 32 rows 78 / 147;
-/// 35 × 64 at 8 rows 47 / 31, 12 rows 38 / 27, 16 rows 32 / 28, 32 rows
-/// 23 / 27.  Over a whole model walk a partial tile of 8–15 rows is a wash
-/// (the big layers gain what the 35-wide ones lose) and under 8 it loses, so
-/// partial tiles are not built: the tiles then never read a row the window
-/// does not have.  A measured constant, not an option — the frozen benchmark
-/// has workloads on both sides of it (`mem_mixed` and `write_mix` walk 96-row
-/// chunks; `serve_model` coalesces 8-key requests and `cold_mixed` predicts
-/// ≈ 34 rows a call).
-pub const AMX_MIN_ROWS: usize = TILE_ROWS;
-
 thread_local! {
     static FORCED: Cell<Option<Kernel>> = const { Cell::new(None) };
     /// See [`with_avx512_disabled`].
     static DISABLE_AVX512: Cell<bool> = const { Cell::new(false) };
-    /// See [`with_amx_disabled`].
-    static DISABLE_AMX: Cell<bool> = const { Cell::new(false) };
 }
 
 /// Whether the vector dispatch should take the AVX-512 forms right now.
 pub(crate) fn avx512_enabled() -> bool {
     !DISABLE_AVX512.with(|c| c.get()) && avx512_available()
-}
-
-/// Whether the int8 dispatch should take the AMX form right now (for the
-/// whole tiles of a window).  The form finishes its tiles with the
-/// `vpdpbusd` form's AVX-512 epilogue, so it goes when AVX-512 is switched off.
-fn amx_enabled() -> bool {
-    !DISABLE_AMX.with(|c| c.get()) && avx512_enabled() && vnni_available() && amx_available()
 }
 
 /// Runs `f` with the calling thread's kernel selection overridden — the test
@@ -375,16 +288,6 @@ pub fn with_avx512_disabled<T>(f: impl FnOnce() -> T) -> T {
     let previous = DISABLE_AVX512.with(|c| c.replace(true));
     let result = f();
     DISABLE_AVX512.with(|c| c.set(previous));
-    result
-}
-
-/// Runs `f` with the AMX form of the int8 forward disabled on the calling
-/// thread, so the `vpdpbusd` form stays guarded on a host that has AMX — the
-/// third test hook, with the same calling-thread scope as [`with_forced`].
-pub fn with_amx_disabled<T>(f: impl FnOnce() -> T) -> T {
-    let previous = DISABLE_AMX.with(|c| c.replace(true));
-    let result = f();
-    DISABLE_AMX.with(|c| c.set(previous));
     result
 }
 
@@ -559,13 +462,8 @@ const LANE_ORDER: [usize; LANES] = [0, 8, 4, 12, 2, 10, 6, 14, 1, 9, 5, 13, 3, 1
 /// not a multiple of four (and edge columns) are zero-padded.  Beside the
 /// weights sits one i32 per column, `−128 · Σₖ q[k][c]`: what the `vpdpbusd`
 /// form starts its accumulators from, because it multiplies by `qₓ + 128`.
-///
-/// A panel's `kquads` blocks are followed by zero blocks up to `kstride`, the
-/// k-quads the AMX form's equal K steps cover (`tile_k_steps`; none for
-/// `k = 141`, at most one block per step), so `quads` consecutive blocks from
-/// any step's start are a B tile that never runs into the next panel and
-/// meets only zero weights past the last real quad.  One layout for all four
-/// forms: the other three walk `kquads` blocks of a `kstride`-block run.
+/// A weight is in `[-127, 127]`: the AVX2 forms negate it (`vpsignb`), and
+/// `-(-128)` does not fit a byte.
 ///
 /// The layout is derived state — a snapshot stores the row-major int8 weights
 /// and the scales ([`weights_row_major`](Self::weights_row_major),
@@ -573,18 +471,15 @@ const LANE_ORDER: [usize; LANES] = [0, 8, 4, 12, 2, 10, 6, 14, 1, 9, 5, 13, 3, 1
 /// rebuilds the panels — so it can change without touching a stored byte.
 ///
 /// Quantization is part of the store's arithmetic recipe: the same panels
-/// produce bit-identical predictions under the scalar, AVX2, `vpdpbusd` and
-/// AMX forms, so a quantized snapshot serves losslessly on any of them.
-#[derive(Debug, Clone)]
+/// produce bit-identical predictions under the scalar, AVX2 and `vpdpbusd`
+/// forms, so a quantized snapshot serves losslessly on any of them.
+#[derive(Debug, Clone, PartialEq)]
 pub struct QuantizedPanels {
     k: usize,
     n: usize,
     /// `k.div_ceil(4)` — number of 64-byte weight blocks per panel.
     kquads: usize,
-    /// Blocks from one panel's start to the next: `kquads` rounded up to
-    /// whole AMX K steps, the extra blocks zero.
-    kstride: usize,
-    /// `panel_count() * kstride * 64` bytes (see the struct docs for layout).
+    /// `panel_count() * kquads * 64` bytes (see the struct docs for layout).
     data: Vec<i8>,
     /// Per-column `−128 · Σₖ q[k][c]`, padded (with zeros) to the panel edge.
     offsets: Vec<i32>,
@@ -593,26 +488,6 @@ pub struct QuantizedPanels {
     scales: Vec<f32>,
     /// f32 bias padded to the panel edge (zeros when the layer has none).
     bias: Vec<f32>,
-    /// The weights on their side for the keys-in-lanes AMX form
-    /// ([`argmax_prequantized`]), laid out by its first call over them: only
-    /// output layers that run on AMX ever hold it.  Output column `c` (of
-    /// `panel_count() * 16`, the padding columns zero) is one run of
-    /// `kstride * 4` bytes from `c * kstride * 4` on, `q[kk][c]` at `kk`,
-    /// zero past `k` — so sixteen columns' runs, `kstride * 4` apart, are an
-    /// A tile of any K step.
-    transposed: OnceLock<Vec<i8>>,
-}
-
-/// Equal panels are equal weights, scales and biases; the transposed copy is
-/// derived from them, whether or not it has been laid out yet.
-impl PartialEq for QuantizedPanels {
-    fn eq(&self, other: &Self) -> bool {
-        (self.k, self.n, self.kquads, self.kstride) == (other.k, other.n, other.kquads, other.kstride)
-            && self.data == other.data
-            && self.offsets == other.offsets
-            && self.scales == other.scales
-            && self.bias == other.bias
-    }
 }
 
 /// Bytes of one (panel, k-quad) weight block.
@@ -621,21 +496,6 @@ const QBLOCK: usize = 4 * QLANES;
 /// Rows ("keys") per group of the keys-in-lanes layout: one i32 lane each of
 /// a 64-byte block.
 const LANE_KEYS: usize = 16;
-
-/// Rows of an AMX tile — and k-quads (i32 columns) of one, 16 × 64 bytes.
-const TILE_ROWS: usize = 16;
-
-/// How the AMX form walks `kquads` k-quads: `(steps, quads)`, `steps` K steps
-/// of `quads ≤ 16` quads each.  Equal steps, so one tile shape serves the whole
-/// walk and the padding they need is under one quad per step (36 quads are
-/// 3 × 12, not 16 + 16 + 4 or 3 × 16 with a third of the blocks zero).  Both
-/// operand layouts are sized from this: [`QuantizedPanels`] pads a panel's run
-/// to `steps × quads` blocks, [`QuantizedRows`] owns as many bytes past its
-/// last row's end.
-fn tile_k_steps(kquads: usize) -> (usize, usize) {
-    let steps = kquads.div_ceil(TILE_ROWS).max(1);
-    (steps, kquads.div_ceil(steps))
-}
 
 impl QuantizedPanels {
     /// Quantizes a weight matrix (and its optional `1 × n` bias row) with one
@@ -670,7 +530,8 @@ impl QuantizedPanels {
 
     /// Reassembles panels from raw row-major quantized weights and per-column
     /// scales — the snapshot-reload path.  The panels are byte-identical to
-    /// what [`quantize`](Self::quantize) produced at build time.
+    /// what [`quantize`](Self::quantize) produced at build time.  A weight of
+    /// `-128`, which the quantizer never writes, is an error.
     pub fn from_parts(
         k: usize,
         n: usize,
@@ -687,6 +548,11 @@ impl QuantizedPanels {
                     scales.len()
                 ),
             });
+        }
+        if let Some(at) = q.iter().position(|&v| v == i8::MIN) {
+            return Err(NnError::Corrupt(format!(
+                "quantized panels: weight {at} is -128, outside the quantizer's [-127, 127]"
+            )));
         }
         if k > QUANT_MAX_K {
             return Err(NnError::InvalidConfig(format!(
@@ -706,13 +572,11 @@ impl QuantizedPanels {
         }
         let panels = n.div_ceil(QLANES);
         let kquads = k.div_ceil(4);
-        let (steps, quads) = tile_k_steps(kquads);
-        let kstride = steps * quads;
-        let mut data = vec![0i8; panels * kstride * QBLOCK];
+        let mut data = vec![0i8; panels * kquads * QBLOCK];
         let mut offsets = vec![0i32; panels * QLANES];
         for (i, &v) in q.iter().enumerate() {
             let (kk, c) = (i / n, i % n);
-            data[((c / QLANES) * kstride + kk / 4) * QBLOCK + 4 * (c % QLANES) + kk % 4] = v;
+            data[((c / QLANES) * kquads + kk / 4) * QBLOCK + 4 * (c % QLANES) + kk % 4] = v;
             offsets[c] -= 128 * v as i32;
         }
         let mut padded_scales = vec![1.0f32; panels * QLANES];
@@ -725,12 +589,10 @@ impl QuantizedPanels {
             k,
             n,
             kquads,
-            kstride,
             data,
             offsets,
             scales: padded_scales,
             bias: padded_bias,
-            transposed: OnceLock::new(),
         })
     }
 
@@ -818,20 +680,7 @@ impl QuantizedPanels {
 
     #[inline]
     fn block(&self, p: usize, g: usize) -> &[i8] {
-        &self.data[(p * self.kstride + g) * QBLOCK..][..QBLOCK]
-    }
-
-    /// The transposed layout (see the field), laid out on first use.
-    fn transposed(&self) -> &[i8] {
-        self.transposed.get_or_init(|| {
-            let stride = self.kstride * 4;
-            let mut transposed = vec![0i8; self.panel_count() * QLANES * stride];
-            for (i, &v) in self.weights_row_major().iter().enumerate() {
-                let (kk, c) = (i / self.n, i % self.n);
-                transposed[c * stride + kk] = v;
-            }
-            transposed
-        })
+        &self.data[(p * self.kquads + g) * QBLOCK..][..QBLOCK]
     }
 }
 
@@ -936,27 +785,19 @@ const QROWS_SLACK: usize = 16;
 /// type is a reusable buffer: [`fill`](Self::fill) overwrites it with a new
 /// window and only allocates when the window outgrows it, so a model walk
 /// sizes one for its widest layer and quantizes every layer's input into it.
-///
-/// Rows are `k.div_ceil(4) * 4` bytes apart, which makes any sixteen
-/// consecutive rows an AMX A tile.  The tile form only ever loads whole tiles
-/// of the window's own rows, but its equal K steps can end past a row's last
-/// quad (`tile_k_steps`): into the next row — stale or live bytes against
-/// zero weight blocks — and, after the last row, into bytes the buffer must
-/// own (`tile_span`).  [`fill`](Self::fill) sizes for that;
-/// the AMX entry point checks it and refuses a buffer that falls short.
+/// Rows are `k.div_ceil(4) * 4` bytes apart.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct QuantizedRows {
     k: usize,
     count: usize,
-    /// At least `tile_span(count, k) + QROWS_SLACK` bytes, row-major.
+    /// At least `count * k.div_ceil(4) * 4 + QROWS_SLACK` bytes, row-major.
     bytes: Vec<u8>,
     /// At least `count` per-row dequantization scales.
     scales: Vec<f32>,
     /// The rows with the keys in lanes, as [`argmax_prequantized`]'s vector
     /// forms read them (`lay_out_lanes`): per group of sixteen rows, per
     /// k-quad, one 64-byte block whose bytes `4j..4j + 4` are the quad of
-    /// the group's row `j` — a B tile of the AMX form, one `vpdpbusd`
-    /// operand of the others.
+    /// the group's row `j` — one `vpdpbusd` operand.
     lanes: Vec<u8>,
 }
 
@@ -964,22 +805,13 @@ impl QuantizedRows {
     /// Grows the buffer, if it must, to hold `rows` rows of up to `k` values
     /// without allocating again.
     pub fn reserve(&mut self, rows: usize, k: usize) {
-        let owned = Self::tile_span(rows, k) + QROWS_SLACK;
+        let owned = rows * k.div_ceil(4) * 4 + QROWS_SLACK;
         if self.bytes.len() < owned {
             self.bytes.resize(owned, 0);
         }
         if self.scales.len() < rows {
             self.scales.resize(rows, 0.0);
         }
-    }
-
-    /// Bytes the AMX form's A tiles span over `rows` rows of `k` values: each
-    /// row its padded width, the last one read to the end of the last K step
-    /// (`tile_k_steps`).
-    fn tile_span(rows: usize, k: usize) -> usize {
-        let kquads = k.div_ceil(4);
-        let (steps, quads) = tile_k_steps(kquads);
-        (rows * kquads + steps * quads - kquads) * 4
     }
 
     /// Quantizes `rows` on the calling thread's [`active`] kernel into a
@@ -1032,15 +864,13 @@ impl QuantizedRows {
         write(&mut self.bytes[..count * width], &mut self.scales[..count]);
     }
 
-    /// Lays the rows out with the keys in lanes (see the field), `kstride`
-    /// blocks a group — the panels' run, whole AMX K steps: the blocks of
-    /// the row's quads, then blocks that only ever meet zero weights, left
-    /// as the buffer held them.  The lanes past the last row are `0x80`
+    /// Lays the rows out with the keys in lanes (see the field), one block
+    /// per k-quad of a group.  The lanes past the last row are `0x80`
     /// (`q = 0`).  With AVX-512 a block is one gather of sixteen rows' quad,
     /// and the scalar loop is the same copy.
-    fn lay_out_lanes(&mut self, kernel: Kernel, kstride: usize) {
+    fn lay_out_lanes(&mut self, kernel: Kernel) {
         let (kquads, count) = (self.k.div_ceil(4), self.count);
-        let owned = count.div_ceil(LANE_KEYS) * kstride * QBLOCK;
+        let owned = count.div_ceil(LANE_KEYS) * kquads * QBLOCK;
         if self.lanes.len() < owned {
             self.lanes.resize(owned, 0x80);
         }
@@ -1049,13 +879,13 @@ impl QuantizedRows {
         if matches!(kernel, Kernel::Vector) && avx512_enabled() {
             // Safety: AVX-512 F availability checked at runtime; both buffers
             // were sized above (the callee checks them again).
-            unsafe { x86::lay_out_lanes_avx512(rows, kquads, kstride, &mut self.lanes) };
+            unsafe { x86::lay_out_lanes_avx512(rows, kquads, &mut self.lanes) };
             return;
         }
         #[cfg(not(target_arch = "x86_64"))]
         let _ = kernel;
-        for (group, rows) in self.lanes.chunks_exact_mut(kstride * QBLOCK).zip(rows.chunks(LANE_KEYS * kquads * 4)) {
-            for (g, block) in group.chunks_exact_mut(QBLOCK).take(kquads).enumerate() {
+        for (group, rows) in self.lanes.chunks_exact_mut(kquads * QBLOCK).zip(rows.chunks(LANE_KEYS * kquads * 4)) {
+            for (g, block) in group.chunks_exact_mut(QBLOCK).enumerate() {
                 for (key, lane) in block.chunks_exact_mut(4).enumerate() {
                     let at = (key * kquads + g) * 4;
                     match rows.get(at..at + 4) {
@@ -1212,10 +1042,8 @@ pub fn forward_prequantized(
 
 /// [`forward_prequantized`] with an explicit kernel, into a caller-owned
 /// buffer (see [`forward_packed_into`] for `out` and `ld`).  The one place
-/// the int8 forward picks its form: with AVX-512-VNNI, AMX tiles for the
-/// window's whole [`AMX_MIN_ROWS`]-row tiles where the tile unit is there and
-/// granted and `vpdpbusd` for the rest; the sign-transfer form with AVX2; the
-/// scalar dot product otherwise.
+/// the int8 forward picks its form: `vpdpbusd` with AVX-512-VNNI, the
+/// sign-transfer form with AVX2, the scalar dot product otherwise.
 pub fn forward_prequantized_into(
     kernel: Kernel,
     qrows: &QuantizedRows,
@@ -1249,44 +1077,11 @@ pub fn forward_prequantized_into(
     };
     match kernel {
         #[cfg(target_arch = "x86_64")]
-        Kernel::Vector if avx512_enabled() && vnni_available() => {
-            // The tile unit takes the window's whole tiles of rows, `vpdpbusd`
-            // what is left — all of a window under `AMX_MIN_ROWS` rows.
-            let tiled = if panels.k > 0 && amx_enabled() {
-                count - count % AMX_MIN_ROWS
-            } else {
-                0
-            };
-            #[cfg(all(target_os = "linux", not(miri)))]
-            if tiled > 0 {
-                // A tile's last K step may read past a row's last quad, into
-                // the next row and, after the last row, into what the buffer
-                // must own past it.  A memory-safety check, like
-                // `check_destination`.
-                let span = QuantizedRows::tile_span(tiled, qrows.k);
-                let Some(tiles) = qrows.bytes.get(..span) else {
-                    return Err(NnError::ShapeMismatch {
-                        context: format!(
-                            "forward_prequantized: the tiles of {tiled} rows of {} values span {span} bytes, the buffer holds {}",
-                            qrows.k,
-                            qrows.bytes.len()
-                        ),
-                    });
-                };
-                let (scales, to) = (&xscales[..tiled], &mut out[..tiled * ld]);
-                // Safety: AVX-512 F/BW/DQ and AMX-TILE/INT8 availability and
-                // the OS grant checked at runtime; `tiled` is whole tiles; the
-                // destination and the tiles' span of the rows were checked
-                // above, and the panels pad every run to whole K steps by
-                // construction.
-                unsafe { x86::amx::forward_quantized(tiles, scales, panels, activation, to, ld) };
-            }
-            let (bytes, xscales) = (&bytes[tiled * panels.kquads * 4..], &xscales[tiled..]);
-            let out = &mut out[tiled * ld..];
+        Kernel::Vector if avx512_enabled() && vnni_available() => unsafe {
             // Safety: AVX-512 F/BW/DQ/VNNI availability checked at runtime;
             // the destination bounds were checked above.
-            unsafe { x86::forward_quantized_vnni(bytes, xscales, panels, activation, out, ld) };
-        }
+            x86::forward_quantized_vnni(bytes, xscales, panels, activation, out, ld);
+        },
         #[cfg(target_arch = "x86_64")]
         Kernel::Vector if vector_available() => unsafe {
             // Safety: AVX2+FMA availability checked at runtime; the
@@ -1350,12 +1145,10 @@ pub fn argmax_rows(
 /// rows are first laid out sixteen to a group (`qrows` keeps that copy
 /// beside its rows), then each column is one register of sixteen keys' sums,
 /// its epilogue is lane for lane, and a head's argmax is a running
-/// compare-and-select per lane.  With AVX-512-VNNI the window's whole
-/// [`AMX_MIN_ROWS`]-row groups take the AMX form where the tile unit is there
-/// and granted (`tdpbsud`: the transposed weights as A tiles, the keys as B
-/// tiles, C is 16 columns × 16 keys) and `vpdpbusd` the rest; with AVX2 the
-/// sign-transfer arithmetic over half groups of eight keys; the scalar
-/// reference otherwise reads the rows as they are.
+/// compare-and-select per lane.  With AVX-512-VNNI the `vpdpbusd` form takes
+/// groups of sixteen keys (the last one masked); with AVX2 the sign-transfer
+/// arithmetic over half groups of eight keys; the scalar reference otherwise
+/// reads the rows as they are.
 pub fn argmax_prequantized(
     kernel: Kernel,
     qrows: &mut QuantizedRows,
@@ -1397,31 +1190,15 @@ pub fn argmax_prequantized(
     match kernel {
         #[cfg(target_arch = "x86_64")]
         Kernel::Vector if avx512_enabled() && vnni_available() => {
-            let tiled = if panels.k > 0 && amx_enabled() {
-                count - count % AMX_MIN_ROWS
-            } else {
-                0
-            };
-            qrows.lay_out_lanes(kernel, panels.kstride);
+            qrows.lay_out_lanes(kernel);
             let (lanes, xscales) = (&qrows.lanes[..], &qrows.scales[..count]);
-            #[cfg(all(target_os = "linux", not(miri)))]
-            if tiled > 0 {
-                // Safety: AVX-512 F/BW/DQ and AMX-TILE/INT8 availability and
-                // the OS grant checked at runtime; `tiled` is whole groups,
-                // laid out above; the destination was checked above.
-                unsafe {
-                    x86::amx::argmax_quantized(lanes, &xscales[..tiled], panels, activation, heads, out, stride)
-                };
-            }
-            let lanes = &lanes[tiled / LANE_KEYS * panels.kstride * QBLOCK..];
-            let (xscales, out) = (&xscales[tiled..], out.get_mut(tiled * stride..).unwrap_or_default());
             // Safety: AVX-512 F/BW/DQ/VNNI availability checked at runtime;
             // the lanes were laid out and the destination checked above.
             unsafe { x86::argmax_quantized_vnni(lanes, xscales, panels, activation, heads, out, stride) };
         }
         #[cfg(target_arch = "x86_64")]
         Kernel::Vector if vector_available() => {
-            qrows.lay_out_lanes(kernel, panels.kstride);
+            qrows.lay_out_lanes(kernel);
             let (lanes, xscales) = (&qrows.lanes[..], &qrows.scales[..count]);
             // Safety: AVX2+FMA availability checked at runtime; the lanes
             // were laid out and the destination checked above.
@@ -2130,9 +1907,9 @@ mod x86 {
         r: usize,
         p: usize,
     ) {
-        let (kquads, kstride) = (panels.kquads, panels.kstride);
+        let kquads = panels.kquads;
         let x = bytes.as_ptr().add(r * kquads * 4) as *const i32;
-        let w = panels.data.as_ptr().add(p * kstride * QBLOCK);
+        let w = panels.data.as_ptr().add(p * kquads * QBLOCK);
         let mut acc = [[_mm512_setzero_si512(); NP]; MR];
         for j in 0..NP {
             let offset = _mm512_loadu_si512(panels.offsets.as_ptr().add((p + j) * QLANES).cast());
@@ -2142,7 +1919,7 @@ mod x86 {
         }
         for g in 0..kquads {
             let wq: [__m512i; NP] = std::array::from_fn(|j| {
-                _mm512_loadu_si512(w.add((j * kstride + g) * QBLOCK).cast())
+                _mm512_loadu_si512(w.add((j * kquads + g) * QBLOCK).cast())
             });
             for (i, row) in acc.iter_mut().enumerate() {
                 let xq = _mm512_set1_epi32(x.add(i * kquads + g).read_unaligned());
@@ -2159,8 +1936,8 @@ mod x86 {
         }
     }
 
-    /// The int8 epilogue of the AVX-512 forms (`vpdpbusd` and AMX): one row's
-    /// 16 exact integer sums for panel `p` to
+    /// The int8 epilogue of the `vpdpbusd` form: one row's 16 exact integer
+    /// sums for panel `p` to
     /// `act(fmadd(cvt(acc), x_scale · w_scale, bias))`, stored at that panel's
     /// columns of output row `row`.
     #[inline(always)]
@@ -2290,12 +2067,12 @@ mod x86 {
     ///
     /// # Safety
     /// AVX-512 F must be available.  `rows` is whole rows of `kquads` quads
-    /// and `lanes` holds a group's `kstride ≥ kquads` blocks for each (both
-    /// asserted), so every gathered lane and every store is inside them.
+    /// and `lanes` holds a group's `kquads` blocks for each (both asserted),
+    /// so every gathered lane and every store is inside them.
     #[target_feature(enable = "avx512f")]
-    pub(super) unsafe fn lay_out_lanes_avx512(rows: &[u8], kquads: usize, kstride: usize, lanes: &mut [u8]) {
+    pub(super) unsafe fn lay_out_lanes_avx512(rows: &[u8], kquads: usize, lanes: &mut [u8]) {
         let count = rows.len() / (kquads * 4).max(1);
-        assert!(rows.len() == count * kquads * 4 && lanes.len() >= count.div_ceil(LANE_KEYS) * kstride * QBLOCK);
+        assert!(rows.len() == count * kquads * 4 && lanes.len() >= count.div_ceil(LANE_KEYS) * kquads * QBLOCK);
         let index = _mm512_mullo_epi32(
             _mm512_set_epi32(15, 14, 13, 12, 11, 10, 9, 8, 7, 6, 5, 4, 3, 2, 1, 0),
             _mm512_set1_epi32(kquads as i32),
@@ -2304,7 +2081,7 @@ mod x86 {
         for r in (0..count).step_by(LANE_KEYS) {
             let live = ((1u32 << (count - r).min(LANE_KEYS)) - 1) as u16;
             let src = rows.as_ptr().add(r * kquads * 4) as *const i32;
-            let dst = lanes.as_mut_ptr().add(r / LANE_KEYS * kstride * QBLOCK);
+            let dst = lanes.as_mut_ptr().add(r / LANE_KEYS * kquads * QBLOCK);
             for g in 0..kquads {
                 let quads = _mm512_mask_i32gather_epi32::<4>(cold, live, index, src.add(g).cast());
                 _mm512_storeu_si512(dst.add(g * QBLOCK).cast(), quads);
@@ -2445,7 +2222,7 @@ mod x86 {
         stride: usize,
     ) {
         let count = xscales.len();
-        assert!(lanes.len() >= count.div_ceil(LANE_KEYS) * panels.kstride * QBLOCK);
+        assert!(lanes.len() >= count.div_ceil(LANE_KEYS) * panels.kquads * QBLOCK);
         by_activation!(vnni_lanes[], activation, (lanes, xscales, panels, activation, heads, out, stride));
     }
 
@@ -2464,14 +2241,14 @@ mod x86 {
         stride: usize,
     ) {
         let count = xscales.len();
-        let (kquads, kstride, n) = (panels.kquads, panels.kstride, panels.n);
+        let (kquads, n) = (panels.kquads, panels.n);
         for r in (0..count).step_by(LANE_KEYS) {
             let live = (count - r).min(LANE_KEYS);
-            let x = lanes.as_ptr().add(r / LANE_KEYS * kstride * QBLOCK);
+            let x = lanes.as_ptr().add(r / LANE_KEYS * kquads * QBLOCK);
             let xs = _mm512_maskz_loadu_ps((u32::MAX >> (32 - live)) as u16, xscales.as_ptr().add(r));
             let mut tops = Tops512::new(heads, r, live);
             for p in 0..panels.panel_count() {
-                let w = panels.data.as_ptr().add(p * kstride * QBLOCK);
+                let w = panels.data.as_ptr().add(p * kquads * QBLOCK);
                 let offsets = panels.offsets.as_ptr().add(p * QLANES);
                 let mut acc = [_mm512_setzero_si512(); QLANES];
                 for (c, a) in acc.iter_mut().enumerate() {
@@ -2514,7 +2291,7 @@ mod x86 {
         stride: usize,
     ) {
         let count = xscales.len();
-        assert!(lanes.len() >= count.div_ceil(LANE_KEYS) * panels.kstride * QBLOCK);
+        assert!(lanes.len() >= count.div_ceil(LANE_KEYS) * panels.kquads * QBLOCK);
         by_activation!(avx2_lanes[], activation, (lanes, xscales, panels, activation, heads, out, stride));
     }
 
@@ -2555,12 +2332,12 @@ mod x86 {
         stride: usize,
     ) {
         let count = xscales.len();
-        let (kquads, kstride, n) = (panels.kquads, panels.kstride, panels.n);
+        let (kquads, n) = (panels.kquads, panels.n);
         let unbias = _mm256_set1_epi8(-128);
         let ones = _mm256_set1_epi16(1);
         for r in (0..count).step_by(HALF) {
             let live = (count - r).min(HALF);
-            let x = lanes.as_ptr().add(r / LANE_KEYS * kstride * QBLOCK + r % LANE_KEYS * 4);
+            let x = lanes.as_ptr().add(r / LANE_KEYS * kquads * QBLOCK + r % LANE_KEYS * 4);
             let mut scales = [0.0f32; HALF];
             scales[..live].copy_from_slice(&xscales[r..r + live]);
             let xs = _mm256_loadu_ps(scales.as_ptr());
@@ -2569,7 +2346,7 @@ mod x86 {
             let mut class = _mm256_setzero_si256();
             for c0 in (0..n).step_by(HALF) {
                 let (p, lane) = (c0 / QLANES, c0 % QLANES);
-                let w = panels.data.as_ptr().add(p * kstride * QBLOCK + 4 * lane);
+                let w = panels.data.as_ptr().add(p * kquads * QBLOCK + 4 * lane);
                 let mut acc = [_mm256_setzero_si256(); HALF];
                 for g in 0..kquads {
                     let xq = _mm256_xor_si256(_mm256_loadu_si256(x.add(g * QBLOCK).cast()), unbias);
@@ -2622,407 +2399,6 @@ mod x86 {
         }
     }
 
-    /// The AMX form of the int8 forward, and asking the OS for the tile state
-    /// it needs.  Linux only (the grant is a Linux system call) and compiled
-    /// out under Miri (`asm!`).
-    #[cfg(all(target_os = "linux", not(miri)))]
-    pub(super) mod amx {
-        use super::super::{
-            tile_k_steps, QuantizedPanels, QuantizedRows, LANE_KEYS, QBLOCK, QLANES, TILE_ROWS,
-        };
-        use super::{finish_quantized_tile, lanes_logits512, Tops512, ACT_LINEAR, ACT_RELU, ACT_SCALAR};
-        use crate::layer::Activation;
-        use std::arch::asm;
-        use std::arch::x86_64::*;
-
-        /// Whether this CPU has AMX-TILE and AMX-INT8 with palette 1 as the
-        /// kernel assumes it (eight 16-row × 64-byte tiles) and the kernel
-        /// grants the process `XTILEDATA`.  The request is idempotent and
-        /// process-wide: threads that exist already may use tiles afterwards.
-        pub(in crate::kernel) fn request_tile_state() -> bool {
-            const AMX_TILE: u32 = 1 << 24;
-            const AMX_INT8: u32 = 1 << 25;
-            const PALETTE_LEAF: u32 = 0x1D;
-            // (`__cpuid*` are `unsafe` on older toolchains only.)
-            #[allow(unused_unsafe)]
-            let (features, palette) = unsafe {
-                if __cpuid(0).eax < PALETTE_LEAF {
-                    return false;
-                }
-                (__cpuid_count(7, 0).edx, __cpuid_count(PALETTE_LEAF, 1))
-            };
-            if features & AMX_TILE == 0 || features & AMX_INT8 == 0 {
-                return false;
-            }
-            let (tile_bytes, row_bytes) = (palette.eax >> 16, palette.ebx & 0xFFFF);
-            let (tiles, rows) = (palette.ebx >> 16, palette.ecx & 0xFFFF);
-            if (tile_bytes, row_bytes, tiles, rows) != (1024, 64, 8, TILE_ROWS as u32) {
-                return false;
-            }
-            const SYS_ARCH_PRCTL: i64 = 158;
-            const ARCH_REQ_XCOMP_PERM: u64 = 0x1023;
-            const XFEATURE_XTILEDATA: u64 = 18;
-            let status: i64;
-            // SAFETY: `arch_prctl(ARCH_REQ_XCOMP_PERM, XTILEDATA)` takes two
-            // integers and touches no memory of ours; `syscall` clobbers rcx
-            // and r11, declared.  On a kernel without the call it returns an
-            // error, which reads as "not granted".
-            unsafe {
-                asm!(
-                    "syscall",
-                    inlateout("rax") SYS_ARCH_PRCTL => status,
-                    in("rdi") ARCH_REQ_XCOMP_PERM,
-                    in("rsi") XFEATURE_XTILEDATA,
-                    lateout("rcx") _,
-                    lateout("r11") _,
-                    options(nostack),
-                );
-            }
-            status == 0
-        }
-
-        /// `asm!` that touches tile state: every block declares all eight tile
-        /// registers clobbered (they are a clobber-only register class).
-        macro_rules! tile_asm {
-            ($($body:tt)*) => {
-                asm!(
-                    $($body)*
-                    out("tmm0") _, out("tmm1") _, out("tmm2") _, out("tmm3") _,
-                    out("tmm4") _, out("tmm5") _, out("tmm6") _, out("tmm7") _,
-                )
-            };
-        }
-
-        /// The 64-byte `ldtilecfg` operand: palette 1, then each tile's bytes
-        /// per row and rows.
-        #[repr(C, align(64))]
-        struct TileConfig {
-            palette: u8,
-            start_row: u8,
-            reserved: [u8; 14],
-            colsb: [u16; 16],
-            rows: [u8; 16],
-        }
-
-        /// The four C tiles of one block as `tilestored` leaves them: tile
-        /// `2·i + j` (row tile `i`, panel `j`) is 16 rows of 16 i32.
-        #[repr(C, align(64))]
-        struct CTiles([i32; 4 * TILE_ROWS * QLANES]);
-
-        /// Tiles stay configured while this lives; `tilerelease` on the way
-        /// out — a panic included — so no thread carries live tile state (which
-        /// every context switch would have to save) out of a layer call.
-        struct Configured;
-
-        impl Configured {
-            /// # Safety
-            /// AMX-TILE must be available and tile state granted.
-            unsafe fn load(config: &TileConfig) -> Self {
-                tile_asm!(
-                    "ldtilecfg [{config}]",
-                    config = in(reg) config as *const TileConfig,
-                    options(nostack, readonly, preserves_flags),
-                );
-                Configured
-            }
-        }
-
-        impl Drop for Configured {
-            fn drop(&mut self) {
-                // SAFETY: a `Configured` exists only where `load` ran.
-                unsafe {
-                    tile_asm!("tilerelease", options(nostack, nomem, preserves_flags),);
-                }
-            }
-        }
-
-        /// Int8 forward, AMX form, over whole tiles of rows.  Row blocks of two
-        /// A tiles (32 rows) against panel pairs (two B tiles) into four C
-        /// tiles — each loaded tile feeds two `tdpbusd` — with the K walk of
-        /// one block in a single `asm!` block; a last block of one row tile
-        /// skips the second, an odd last panel the second column tile.  The C
-        /// tiles go to the stack and through [`finish_quantized_tile`].
-        ///
-        /// `tiles` is the rows buffer out to everything the A tiles span: the
-        /// `xscales.len()` rows, `panels.kquads * 4` bytes each, plus the K
-        /// steps' overhang past the last (asserted).
-        ///
-        /// # Safety
-        /// AVX-512 F/BW/DQ and AMX-TILE/INT8 must be available, tile state
-        /// granted, `xscales.len()` a multiple of 16, and `out` must hold that
-        /// many rows `ld ≥ panels.n` apart.
-        #[target_feature(enable = "avx512f", enable = "avx512bw", enable = "avx512dq")]
-        pub(in crate::kernel) unsafe fn forward_quantized(
-            tiles: &[u8],
-            xscales: &[f32],
-            panels: &QuantizedPanels,
-            activation: Activation,
-            out: &mut [f32],
-            ld: usize,
-        ) {
-            let count = xscales.len();
-            let width = panels.kquads * 4;
-            let (steps, quads) = tile_k_steps(panels.kquads);
-            assert!(quads > 0 && steps * quads == panels.kstride, "panels pad to whole K steps");
-            assert!(
-                count.is_multiple_of(TILE_ROWS)
-                    && tiles.len() >= QuantizedRows::tile_span(count, panels.k),
-                "whole tiles of rows, in a buffer that owns every byte they span"
-            );
-            // C: 16 rows × 16 i32.  A: 16 rows × `quads` quads of input bytes.
-            // B: `quads` blocks × 64 bytes of weights.
-            let mut config = TileConfig {
-                palette: 1,
-                start_row: 0,
-                reserved: [0; 14],
-                colsb: [0; 16],
-                rows: [0; 16],
-            };
-            for tile in 0..8 {
-                let (rows, colsb) = match tile {
-                    0..=3 => (TILE_ROWS, QBLOCK),
-                    4 | 5 => (TILE_ROWS, quads * 4),
-                    _ => (quads, QBLOCK),
-                };
-                (config.rows[tile], config.colsb[tile]) = (rows as u8, colsb as u16);
-            }
-            let mut c = CTiles([0; 4 * TILE_ROWS * QLANES]);
-            let np = panels.panel_count();
-            let _configured = Configured::load(&config);
-            for r in (0..count).step_by(2 * TILE_ROWS) {
-                let rows = (count - r).min(2 * TILE_ROWS);
-                let a0 = tiles.as_ptr().add(r * width);
-                for p in (0..np).step_by(2) {
-                    let pair = p + 1 < np;
-                    let b0 = panels.data.as_ptr().add(p * panels.kstride * QBLOCK);
-                    // Bit 0: a second panel; bit 1: a second row tile.
-                    let shape = pair as u32 | ((rows > TILE_ROWS) as u32) << 1;
-                    // The second tiles' addresses are only formed, never
-                    // loaded from, where `shape` leaves them out.
-                    tile_asm!(
-                        "tilezero tmm0",
-                        "tilezero tmm1",
-                        "tilezero tmm2",
-                        "tilezero tmm3",
-                        "2:",
-                        "tileloadd tmm4, [{a0} + {lda}*1]",
-                        "tileloadd tmm6, [{b0} + {ldb}*1]",
-                        "tdpbusd tmm0, tmm4, tmm6",
-                        "test {shape:e}, 1",
-                        "jz 3f",
-                        "tileloadd tmm7, [{b1} + {ldb}*1]",
-                        "tdpbusd tmm1, tmm4, tmm7",
-                        "3:",
-                        "test {shape:e}, 2",
-                        "jz 4f",
-                        "tileloadd tmm5, [{a1} + {lda}*1]",
-                        "tdpbusd tmm2, tmm5, tmm6",
-                        "test {shape:e}, 1",
-                        "jz 4f",
-                        "tdpbusd tmm3, tmm5, tmm7",
-                        "4:",
-                        "add {a0}, {astep}",
-                        "add {a1}, {astep}",
-                        "add {b0}, {bstep}",
-                        "add {b1}, {bstep}",
-                        "dec {steps}",
-                        "jnz 2b",
-                        "tilestored [{c} + {ldb}*1], tmm0",
-                        "tilestored [{c} + {ldb}*1 + 1024], tmm1",
-                        "tilestored [{c} + {ldb}*1 + 2048], tmm2",
-                        "tilestored [{c} + {ldb}*1 + 3072], tmm3",
-                        a0 = inout(reg) a0 => _,
-                        a1 = inout(reg) a0.wrapping_add(TILE_ROWS * width) => _,
-                        b0 = inout(reg) b0 => _,
-                        b1 = inout(reg) b0.wrapping_add(panels.kstride * QBLOCK) => _,
-                        lda = in(reg) width,
-                        ldb = in(reg) QBLOCK,
-                        astep = in(reg) quads * 4,
-                        bstep = in(reg) quads * QBLOCK,
-                        steps = inout(reg) steps => _,
-                        shape = in(reg) shape,
-                        c = in(reg) c.0.as_mut_ptr(),
-                        options(nostack),
-                    );
-                    for i in 0..rows {
-                        let xs = _mm512_set1_ps(xscales[r + i]);
-                        for j in 0..1 + pair as usize {
-                            let tile = 2 * (i / TILE_ROWS) + j;
-                            let sums = c.0.as_ptr().add((tile * TILE_ROWS + i % TILE_ROWS) * QLANES);
-                            let offset = panels.offsets.as_ptr().add((p + j) * QLANES);
-                            let acc = _mm512_add_epi32(
-                                _mm512_load_si512(sums.cast()),
-                                _mm512_loadu_si512(offset.cast()),
-                            );
-                            let (row, panel) = (r + i, p + j);
-                            finish_quantized_tile(acc, xs, panels, activation, out, ld, row, panel);
-                        }
-                    }
-                }
-            }
-        }
-        /// [`super::super::argmax_prequantized`], AMX form, over whole groups
-        /// of sixteen keys in lanes: C is the transposed product, 16 columns
-        /// × 16 keys, `tdpbsud` of the transposed weights (signed, the A
-        /// tile: sixteen columns' runs, `kstride * 4` apart) by the keys'
-        /// quads (unsigned `qₓ + 128`, the B tile: the group's blocks, 64
-        /// apart).  Per group, panel pairs, each one `asm!` block — the K
-        /// walk into two C tiles, stored to one of two stack buffers — and
-        /// the epilogue of the pair before it, from the other buffer: it runs
-        /// while the tile unit works on the next pair, and never waits on the
-        /// stores it reads.  Each C row, plus its column's `−128·Σ q_w`, is
-        /// the column's exact sums for sixteen keys, and goes through the
-        /// epilogue into the heads' argmax in column order.
-        ///
-        /// # Safety
-        /// As [`forward_quantized`]; `lanes` holds `xscales.len() / 16`
-        /// groups of `panels.kstride` blocks (asserted), and `out` has room
-        /// for every row's heads `stride` apart.
-        #[target_feature(enable = "avx512f", enable = "avx512bw", enable = "avx512dq")]
-        pub(in crate::kernel) unsafe fn argmax_quantized(
-            lanes: &[u8],
-            xscales: &[f32],
-            panels: &QuantizedPanels,
-            activation: Activation,
-            heads: &[usize],
-            out: &mut [u32],
-            stride: usize,
-        ) {
-            let count = xscales.len();
-            let kstride = panels.kstride;
-            let (steps, quads) = tile_k_steps(panels.kquads);
-            assert!(quads > 0 && steps * quads == kstride, "panels pad to whole K steps");
-            assert!(
-                count.is_multiple_of(LANE_KEYS) && lanes.len() >= count / LANE_KEYS * kstride * QBLOCK,
-                "whole groups of keys, laid out in lanes"
-            );
-            assert_eq!(panels.transposed().len(), panels.panel_count() * QLANES * kstride * 4);
-            // C: 16 columns × 16 keys of i32 (two per pair).  A: 16 columns ×
-            // `quads` quads of weights.  B: `quads` blocks × 64 bytes of keys.
-            let mut config = TileConfig {
-                palette: 1,
-                start_row: 0,
-                reserved: [0; 14],
-                colsb: [0; 16],
-                rows: [0; 16],
-            };
-            for (tile, (rows, colsb)) in
-                [(TILE_ROWS, QBLOCK), (TILE_ROWS, QBLOCK), (TILE_ROWS, quads * 4), (TILE_ROWS, quads * 4), (quads, QBLOCK)]
-                    .into_iter()
-                    .enumerate()
-            {
-                (config.rows[tile], config.colsb[tile]) = (rows as u8, colsb as u16);
-            }
-            let mut c = CTiles([0; 4 * TILE_ROWS * QLANES]);
-            let _configured = Configured::load(&config);
-            let group = (lanes, xscales, panels, activation, heads, &mut c);
-            by_activation!(key_group[], activation, (group, out, stride));
-        }
-
-        /// What every group of [`argmax_quantized`] reads.
-        type Group<'a> = (&'a [u8], &'a [f32], &'a QuantizedPanels, Activation, &'a [usize], &'a mut CTiles);
-
-        /// Every group of sixteen keys against every panel pair (see
-        /// [`argmax_quantized`]), with the tiles configured.
-        ///
-        /// # Safety
-        /// As [`argmax_quantized`], which it is inlined into after it
-        /// checked the lanes and the panels' layout and loaded the tile
-        /// configuration; the tiles it loads stay inside the transposed
-        /// weights (sixteen runs of `kstride * 4` bytes a panel) and the
-        /// group's `kstride` blocks, and it stores them to `c`.
-        #[inline(always)]
-        unsafe fn key_group<const ACT: u8>(
-            (lanes, xscales, panels, activation, heads, c): Group<'_>,
-            out: &mut [u32],
-            stride: usize,
-        ) {
-            let (kstride, np) = (panels.kstride, panels.panel_count());
-            let (steps, quads) = tile_k_steps(panels.kquads);
-            let transposed = panels.transposed();
-            for r in (0..xscales.len()).step_by(LANE_KEYS) {
-                let b = lanes.as_ptr().add(r / LANE_KEYS * kstride * QBLOCK);
-                let xs = _mm512_loadu_ps(xscales.as_ptr().add(r));
-                let mut tops = Tops512::new(heads, r, LANE_KEYS);
-                for (i, p) in (0..np).step_by(2).enumerate() {
-                    let a0 = transposed.as_ptr().add(p * QLANES * kstride * 4);
-                    let pair = (p + 1 < np) as u32;
-                    // The second panel's address is only formed, never loaded
-                    // from, without one.
-                    tile_asm!(
-                        "tilezero tmm0",
-                        "tilezero tmm1",
-                        "2:",
-                        "tileloadd tmm2, [{a0} + {lda}*1]",
-                        "tileloadd tmm4, [{b} + {ldb}*1]",
-                        "tdpbsud tmm0, tmm2, tmm4",
-                        "test {pair:e}, 1",
-                        "jz 3f",
-                        "tileloadd tmm3, [{a1} + {lda}*1]",
-                        "tdpbsud tmm1, tmm3, tmm4",
-                        "3:",
-                        "add {a0}, {astep}",
-                        "add {a1}, {astep}",
-                        "add {b}, {bstep}",
-                        "dec {steps}",
-                        "jnz 2b",
-                        "tilestored [{c} + {ldb}*1], tmm0",
-                        "tilestored [{c} + {ldb}*1 + 1024], tmm1",
-                        a0 = inout(reg) a0 => _,
-                        a1 = inout(reg) a0.wrapping_add(QLANES * kstride * 4) => _,
-                        b = inout(reg) b => _,
-                        lda = in(reg) kstride * 4,
-                        ldb = in(reg) QBLOCK,
-                        astep = in(reg) quads * 4,
-                        bstep = in(reg) quads * QBLOCK,
-                        steps = inout(reg) steps => _,
-                        pair = in(reg) pair,
-                        c = in(reg) c.0.as_mut_ptr().add(i % 2 * 2 * TILE_ROWS * QLANES),
-                        options(nostack),
-                    );
-                    if i > 0 {
-                        let sums = &c.0[(i - 1) % 2 * 2 * TILE_ROWS * QLANES..];
-                        pair_epilogue::<ACT>(&mut tops, sums, xs, panels, activation, p - 2, out, stride);
-                    }
-                }
-                let last = (np - 1) / 2;
-                let sums = &c.0[last % 2 * 2 * TILE_ROWS * QLANES..];
-                pair_epilogue::<ACT>(&mut tops, sums, xs, panels, activation, 2 * last, out, stride);
-                tops.finish(out, stride);
-            }
-        }
-
-        /// The epilogue of panel pair `p` (`p + 1` if there is one) for one
-        /// group of keys, whose C tiles are `sums`, one after the other.
-        ///
-        /// # Safety
-        /// AVX-512 F must be available; `sums` holds two C tiles (asserted).
-        #[inline(always)]
-        #[allow(clippy::too_many_arguments)]
-        unsafe fn pair_epilogue<const ACT: u8>(
-            tops: &mut Tops512<'_>,
-            sums: &[i32],
-            xs: __m512,
-            panels: &QuantizedPanels,
-            activation: Activation,
-            p: usize,
-            out: &mut [u32],
-            stride: usize,
-        ) {
-            assert!(sums.len() >= 2 * TILE_ROWS * QLANES);
-            for j in 0..2.min(panels.panel_count() - p) {
-                for lane in 0..QLANES.min(panels.n - (p + j) * QLANES) {
-                    let col = (p + j) * QLANES + lane;
-                    let offset = _mm512_set1_epi32(panels.offsets[col]);
-                    let row = sums.as_ptr().add((j * TILE_ROWS + lane) * QLANES);
-                    let acc = _mm512_add_epi32(_mm512_load_si512(row.cast()), offset);
-                    let y = lanes_logits512::<ACT>(acc, xs, panels, col, activation);
-                    tops.column(col, y, out, stride);
-                }
-            }
-        }
-    }
-
     /// One panel of rows `r..r+MR` in the AVX2 form, the 64-byte weight block
     /// as two 8-column halves.  Per row and quad: un-bias the four input
     /// bytes (`⊕ 0x80`), split them into `|qₓ|` (`vpabsb`) and a sign that
@@ -3043,7 +2419,7 @@ mod x86 {
     ) {
         let kquads = panels.kquads;
         let x = bytes.as_ptr().add(r * kquads * 4) as *const i32;
-        let w = panels.data.as_ptr().add(p * panels.kstride * QBLOCK);
+        let w = panels.data.as_ptr().add(p * kquads * QBLOCK);
         let unbias = _mm256_set1_epi8(-128);
         let ones = _mm256_set1_epi16(1);
         let mut lo = [_mm256_setzero_si256(); MR];
@@ -4108,17 +3484,11 @@ pub(crate) mod tests {
 
     /// Runs `f` with the calling thread forced onto each kernel form this
     /// machine has — the scalar reference, the vector kernel as selected (for
-    /// int8, AMX tiles where granted), the vector kernel with AMX off
-    /// (`vpdpbusd` on an AVX-512-VNNI host) and with AVX-512 off (the AVX2
-    /// forms) — passing the form's name.  A host without AMX says so: its
-    /// "vector" leg is the `vpdpbusd` one again, not a tile run.
+    /// int8, `vpdpbusd` on an AVX-512-VNNI host) and with AVX-512 off (the
+    /// AVX2 forms) — passing the form's name.
     pub(crate) fn under_each_form(mut f: impl FnMut(&str)) {
         with_forced(Kernel::Scalar, || f("scalar"));
-        if !amx_available() {
-            eprintln!("AMX not granted — skipped: the int8 tile form did not run");
-        }
         with_forced(Kernel::Vector, || f(Kernel::Vector.name()));
-        with_forced(Kernel::Vector, || with_amx_disabled(|| f("vector without AMX")));
         with_forced(Kernel::Vector, || with_avx512_disabled(|| f("vector without AVX-512")));
     }
 
@@ -4159,12 +3529,12 @@ pub(crate) mod tests {
         }
     }
 
-    /// The four int8 forms produce the same logit bits on the shapes and row
+    /// The three int8 forms produce the same logit bits on the shapes and row
     /// counts that matter: the benchmark model's dimensions (38, 141, 35 in;
     /// 35, 141, the fused 175 out) beside the degenerate ones and both sides
-    /// of one AMX K step (16 quads = 64 values); row counts on both sides of
-    /// the `vpdpbusd` row tile (6), of one and two AMX row tiles (16, 32), of a
-    /// chunk (96) and of a 256-row window.
+    /// of 16 quads (64 values); row counts on both sides of the `vpdpbusd`
+    /// row tile (6), of one and two sixteen-row groups (16, 32), of a chunk
+    /// (96) and of a 256-row window.
     #[test]
     fn quantized_forms_are_bit_identical_across_shapes_and_row_counts() {
         for &k in &[1usize, 2, 3, 5, 35, 38, 63, 64, 65, 141] {
@@ -4207,7 +3577,7 @@ pub(crate) mod tests {
         for &k in &[3usize, 35, 38, 141] {
             let mut x = fill_with_zero_rows(40, k, 57);
             for (i, &amax) in amaxes.iter().enumerate() {
-                // Both sides of a sixteen-row group and of an AMX row tile.
+                // On both sides of each sixteen-row group's edge.
                 for r in [i, 12 + i, 30 + i] {
                     x.row_mut(r).copy_from_slice(&tiny_row(k, amax));
                 }
@@ -4277,9 +3647,8 @@ pub(crate) mod tests {
 
     /// Row windows (chunking), a padded leading dimension and a reused
     /// [`QuantizedRows`] buffer cannot change any row.  65 values are 17
-    /// k-quads — two AMX K steps of 9, so the tiles' last step overhangs every
-    /// row into the next one's bytes, live or stale — and windows of up to 35
-    /// rows are none, one or two row tiles with and without a `vpdpbusd` tail.
+    /// k-quads, so a row ends one quad past a 64-byte boundary, and windows
+    /// of up to 35 rows end at every remainder of the `vpdpbusd` row tile.
     #[test]
     fn quantized_forward_is_window_and_destination_invariant() {
         const ROWS: usize = 35;
@@ -4321,7 +3690,7 @@ pub(crate) mod tests {
         assert!(forward_quantized(&wrong_k, 0, 4, &panels, Activation::Relu).is_err());
         // A destination too small for its rows, or a leading dimension short of
         // the columns, is an error, not an out-of-bounds store — under every
-        // form, the one that stores whole C tiles included.
+        // form.
         let rows = RowsView::of_matrix(&x, 0, ROWS).unwrap();
         under_each_form(|form| {
             for (len, ld) in [(ROWS * 48 - 1, 48), (ROWS * 36, 36)] {
@@ -4341,18 +3710,16 @@ pub(crate) mod tests {
     }
 
     /// A rows buffer that does not own what a form reads is an error, not a
-    /// read past it: every form needs the window's own bytes, the AMX form
-    /// also its last K step's overhang past the last row (65 values: 17
-    /// k-quads walked as 2 × 9) when the window ends on a whole tile.
+    /// read past it: every form needs the window's own bytes and scales, and
+    /// no more.
     #[test]
     fn a_rows_buffer_short_of_what_a_form_reads_is_an_error() {
-        let (count, k) = (2 * TILE_ROWS, 65usize);
+        let (count, k) = (32, 65usize);
         let x = fill_with_zero_rows(count, k, 91);
         let panels = QuantizedPanels::quantize(&fill(k, 20, 92), None).unwrap();
         let whole = QuantizedRows::quantize(RowsView::of_matrix(&x, 0, count).unwrap());
         let expected = forward_prequantized(&whole, &panels, Activation::Relu).unwrap();
         let window = count * k.div_ceil(4) * 4;
-        assert_eq!(QuantizedRows::tile_span(count, k), window + 4);
         let truncated = |len: usize| QuantizedRows {
             bytes: whole.bytes[..len].to_vec(),
             ..whole.clone()
@@ -4364,11 +3731,7 @@ pub(crate) mod tests {
                     .map(|()| out)
             };
             assert!(run(&truncated(window - 1)).is_err(), "{form}: short of the window");
-            // The window's own bytes and no more: enough for every form but
-            // the tiles, which must refuse it rather than read on.
-            let tiles = form == "avx512+amx";
-            assert_eq!(run(&truncated(window)).is_err(), tiles, "{form}: short of the tiles");
-            let out = run(&truncated(window + 4)).unwrap();
+            let out = run(&truncated(window)).unwrap();
             for r in 0..count {
                 assert_eq!(&out[r * 32..][..20], expected.row(r), "{form} row {r}");
             }
@@ -4378,29 +3741,6 @@ pub(crate) mod tests {
             };
             assert!(run(&short_scales).is_err(), "{form}: short of the scales");
         });
-    }
-
-    /// Where the panels end and what pads them: every panel's run is whole
-    /// AMX K steps, the blocks past its last real quad zero, and the steps
-    /// waste less than a quad each.
-    #[test]
-    fn panels_pad_each_run_to_whole_tile_steps_with_zero_blocks() {
-        assert_eq!(tile_k_steps(36), (3, 12)); // k = 141
-        assert_eq!(tile_k_steps(10), (1, 10)); // k = 38
-        assert_eq!(tile_k_steps(16), (1, 16));
-        assert_eq!(tile_k_steps(17), (2, 9));
-        assert_eq!(tile_k_steps(0), (1, 0));
-        for kquads in 1..200 {
-            let (steps, quads) = tile_k_steps(kquads);
-            assert!((1..=TILE_ROWS).contains(&quads), "{kquads}");
-            assert!((kquads..kquads + steps).contains(&(steps * quads)), "{kquads}");
-        }
-        let panels = QuantizedPanels::quantize(&fill(65, 37, 7), None).unwrap();
-        assert_eq!((panels.kquads, panels.kstride), (17, 18));
-        assert_eq!(panels.data.len(), 3 * 18 * QBLOCK);
-        for p in 0..3 {
-            assert!(panels.block(p, 17).iter().all(|&q| q == 0), "panel {p}");
-        }
     }
 
     /// The vector `argmax` is the scalar one on every input: ties go to the
@@ -4479,8 +3819,8 @@ pub(crate) mod tests {
     /// The output layer's classes, keys in lanes, are what the row-major
     /// layer and [`argmax_rows`] make of it, under every form: row counts on
     /// both sides of one key group (16) and of a walk's chunk (96); `k` of
-    /// 3, 38 (not whole quads), 64 (one full K step) and 141 (three K steps
-    /// of 12 quads); heads side by side crossing panel edges (4 / 8 / 16 /
+    /// 3, 38 (not whole quads), 64 (16 whole quads) and 141 (36 quads, the
+    /// last one partial); heads side by side crossing panel edges (4 / 8 / 16 /
     /// 32 / 64, and 5 / 17 / 3), one head, one single-class head; each
     /// activation.  Beside the rows' own heads sit heads of zero weights
     /// whose biases are their logits, the same on every row: ties, `+0.0`
@@ -4710,6 +4050,29 @@ pub(crate) mod tests {
         assert!(panels.bytes() > 0);
     }
 
+    /// A stored weight of -128 is refused.  The quantizer never writes one,
+    /// and the AVX2 forms move the input's sign onto the weight (`vpsignb`),
+    /// where `-(-128)` wraps back to -128: against a negative input that form
+    /// would answer `-128` where the others answer `128`.  The quantizer's
+    /// bound, -127, serves the same bits in every form.
+    #[test]
+    fn a_stored_weight_of_minus_128_is_refused() {
+        let x = Matrix::from_vec(1, 4, vec![-1.0, 0.5, 0.25, 0.0]).unwrap();
+        let mut q = [-127i8, 0, 0, 0];
+        let panels = QuantizedPanels::from_parts(4, 1, &q, &[1.0], None).unwrap();
+        let mut reference = None;
+        under_each_form(|form| {
+            let got = forward_quantized(&x, 0, 1, &panels, Activation::Linear).unwrap();
+            assert!(got.get(0, 0) > 126.0, "{form}: {}", got.get(0, 0));
+            assert_eq!(&bits(&got), reference.get_or_insert_with(|| bits(&got)), "{form}");
+        });
+        q[0] = i8::MIN;
+        assert!(matches!(
+            QuantizedPanels::from_parts(4, 1, &q, &[1.0], None),
+            Err(NnError::Corrupt(_))
+        ));
+    }
+
     #[test]
     fn forced_kernel_overrides_selection_on_this_thread() {
         let outside = active();
@@ -4730,26 +4093,23 @@ pub(crate) mod tests {
         assert_eq!(Kernel::Scalar.name(), "scalar");
         let forms = [
             ("selected", Kernel::Vector.name()),
-            ("without AMX", with_amx_disabled(|| Kernel::Vector.name())),
             ("without AVX-512", with_avx512_disabled(|| Kernel::Vector.name())),
         ];
         let output_layers = forms.map(|(leg, form)| {
             let classes = match form {
-                "avx512+amx" => "keys in lanes: AMX tdpbsud, vpdpbusd past whole groups",
                 "avx512-vnni" => "keys in lanes: vpdpbusd",
                 "avx512" | "avx2+fma" => "keys in lanes: AVX2",
                 _ => "scalar rows",
             };
             (leg, classes)
         });
-        println!("dm-nn kernel forms: {forms:?}; AMX granted: {}", amx_available());
+        println!("dm-nn kernel forms: {forms:?}");
         println!("dm-nn output-layer forms: {output_layers:?}");
         let expected = match (vector_available(), avx512_available(), vnni_available()) {
-            (false, ..) => ["scalar"; 3],
-            (true, false, _) => ["avx2+fma"; 3],
-            (true, true, false) => ["avx512", "avx512", "avx2+fma"],
-            (true, true, true) if amx_available() => ["avx512+amx", "avx512-vnni", "avx2+fma"],
-            (true, true, true) => ["avx512-vnni", "avx512-vnni", "avx2+fma"],
+            (false, ..) => ["scalar"; 2],
+            (true, false, _) => ["avx2+fma"; 2],
+            (true, true, false) => ["avx512", "avx2+fma"],
+            (true, true, true) => ["avx512-vnni", "avx2+fma"],
         };
         assert_eq!(forms.map(|(_, name)| name), expected);
     }

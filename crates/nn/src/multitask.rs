@@ -32,10 +32,10 @@ use std::cell::Cell;
 /// batch of the 38 → 141 → 141 → 5 × (35 → c) model ran at 662–667 ns/row with 256-row
 /// chunks, 464 with 192, 361–434 with 96 and 346 with 48 (scratch harness,
 /// median of ten rounds each).  96 is sixteen whole 6-row register tiles of
-/// the `vpdpbusd` form and three whole 32-row blocks of the AMX one.
+/// the `vpdpbusd` form and six whole sixteen-key groups.
 ///
-/// Re-checked with the AMX form in place (PR 18; quantized benchmark-shape
-/// model, serial walk, best of 6 × 20, ns/row at 2 445 / 25 000 rows, two
+/// Re-checked with a since-removed tile-unit form in place (quantized
+/// benchmark-shape model, serial walk, best of 6 × 20, ns/row at 2 445 / 25 000 rows, two
 /// rounds, same loud host; the `vpdpbusd` walk beside it moved 590–820 across
 /// the same cells, so read ± 60): 32 → 496 / 543 and 649 / 688, 48 → 615 / 702
 /// and 621 / 664, 64 → 532 / 556 and 616 / 501, 96 → 518 / 538 and 455 / 492,
@@ -59,7 +59,7 @@ use std::cell::Cell;
 /// frozen benchmark: its build now keeps the width ladder's 38 → 16 → 5 × c
 /// rung.  Re-checked on that shape (frozen benchmark `mem_mixed`, seed 1,
 /// 10 s windows, four interleaved rounds of one tree copy per chunk size,
-/// 2-vcore Xeon, AMX form; M keys/s): 48 → 12.5–14.0 (median 13.2), 96 →
+/// 2-vcore Xeon, with the tile-unit form; M keys/s): 48 → 12.5–14.0 (median 13.2), 96 →
 /// 14.1–14.6 (14.4), 192 → 14.0–15.6 (14.8, two rounds at 14.0), 384 →
 /// 14.1–14.3 (14.2).  Only 48 loses; 96 to 384 sit within one round's
 /// spread, so 96 stays.

@@ -457,6 +457,25 @@ mod tests {
         assert!(deserialize_multitask(&tagged).is_err());
     }
 
+    /// A stored int8 weight of -128 — a byte the quantizer never writes — is
+    /// refused on reload, not served (the AVX2 forms would negate it wrongly).
+    #[test]
+    fn a_stored_int8_weight_of_minus_128_is_rejected() {
+        let mut model = sample_model(8);
+        model.quantize_int8().unwrap();
+        let mut bytes = serialize_multitask(&model);
+        assert!(deserialize_multitask(&bytes).is_ok());
+        // The first layer (10 × 16, see `unknown_versions_and_layer_kinds_are_rejected`
+        // for its tag at byte 46): tag, activation, rows, cols, 16 scales, then
+        // its row-major weights.
+        const FIRST_TAG: usize = 46;
+        let dims = |at: usize| u32::from_le_bytes(bytes[at..at + 4].try_into().unwrap());
+        assert_eq!((bytes[FIRST_TAG], dims(FIRST_TAG + 2), dims(FIRST_TAG + 6)), (LAYER_INT8, 10, 16));
+        let first_weight = FIRST_TAG + 2 + 8 + 16 * 4;
+        bytes[first_weight] = 0x80;
+        assert!(matches!(deserialize_multitask(&bytes), Err(NnError::Corrupt(_))));
+    }
+
     #[test]
     fn corrupt_buffers_are_rejected() {
         let model = sample_model(5);

@@ -94,9 +94,9 @@
 //! │                                       kernel: packed-panel micro-kernels —
 //! │                                       16-lane AVX-512 / AVX2+FMA f32 forms
 //! │                                       (training), the int8 path every store
-//! │                                       serves (AMX tiles, vpdpbusd on
-//! │                                       AVX-512-VNNI, sign + vpmaddubsw on
-//! │                                       AVX2; a two-phase row quantizer), and
+//! │                                       serves (vpdpbusd on AVX-512-VNNI,
+//! │                                       sign + vpmaddubsw on AVX2; a
+//! │                                       two-phase row quantizer), and
 //! │                                       bit-identical scalar fallbacks (CPU
 //! │                                       detection picks)
 //! ├── crates/compress        dm-compress  lz / lz+huffman / deflate-like / dictionary,

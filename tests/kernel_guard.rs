@@ -96,16 +96,9 @@ fn quantized_snapshot_round_trips_across_kernel_selection() {
         reopened.lookup_batch(&probe).unwrap()
     });
     assert_eq!(expected, under_vector, "int8 scalar-written, vector-served");
-    // The vector kernel has three int8 forms; the one above is whatever this
-    // machine selects (AMX tiles where granted), these are the `vpdpbusd` and
-    // the AVX2 one.
-    let under_vnni = kernel::with_forced(Kernel::Vector, || {
-        kernel::with_amx_disabled(|| {
-            let reopened = DeepMapping::open(&path_s).expect("open snapshot");
-            reopened.lookup_batch(&probe).unwrap()
-        })
-    });
-    assert_eq!(expected, under_vnni, "int8 scalar-written, served without AMX");
+    // The vector kernel has two int8 forms; the one above is whatever this
+    // machine selects (`vpdpbusd` on an AVX-512-VNNI host), this is the AVX2
+    // one.
     let under_avx2 = kernel::with_forced(Kernel::Vector, || {
         kernel::with_avx512_disabled(|| {
             let reopened = DeepMapping::open(&path_s).expect("open snapshot");
@@ -253,20 +246,11 @@ const PINNED_MODEL_CLASSES: u64 = 0xd82b_393e_476c_577f;
 const PINNED_ODD_DENSE: u64 = 0xd7e3_3636_0028_06e9;
 
 /// Runs `check` under every int8 form this machine has: the scalar reference,
-/// the vector kernel as selected (AMX tiles where the CPU has them and the OS
-/// grants them), the vector kernel with AMX switched off (`vpdpbusd` on an
-/// AVX-512-VNNI host) and with AVX-512 switched off (the AVX2 form).  A host
-/// without AMX says that its tile leg did not run — it is the `vpdpbusd` leg a
-/// second time — instead of passing it silently.
+/// the vector kernel as selected (`vpdpbusd` on an AVX-512-VNNI host) and with
+/// AVX-512 switched off (the AVX2 form).
 fn under_every_kernel(check: impl Fn(&str)) {
     kernel::with_forced(Kernel::Scalar, || check("scalar"));
-    if !kernel::amx_available() {
-        eprintln!("AMX not granted — skipped: the int8 tile form did not run");
-    }
     kernel::with_forced(Kernel::Vector, || check(Kernel::Vector.name()));
-    kernel::with_forced(Kernel::Vector, || {
-        kernel::with_amx_disabled(|| check("vector without AMX"))
-    });
     kernel::with_forced(Kernel::Vector, || {
         kernel::with_avx512_disabled(|| check("vector without AVX-512"))
     });

@@ -570,7 +570,7 @@ fn quantized_keys_are_the_quantized_features_byte_for_byte() {
 /// Entering the model walk with keys predicts what entering it with their encoded
 /// features predicts: int8 and f32 models, with a trunk (int8: the keys become the
 /// first layer's bytes directly) and without one (every head reads the input), at
-/// row counts around the walk's 16-row tiles and 96-row chunks.
+/// row counts around the walk's sixteen-key groups and 96-row chunks.
 #[test]
 fn keys_in_predicts_what_features_in_predicts() {
     cases(12, |rng| {
