@@ -238,6 +238,13 @@ impl ProbePlan {
     }
 }
 
+/// `(gets, misses)` the buffer pool has counted in `metrics`: every get is a
+/// hit, a miss or a single-flight wait.
+fn pool_gets_and_misses(metrics: &Metrics) -> (u64, u64) {
+    let snap = metrics.snapshot();
+    (snap.pool_hits + snap.pool_misses + snap.pool_single_flight_waits, snap.pool_misses)
+}
+
 /// The auxiliary accuracy-assurance table.
 pub struct AuxTable {
     codec: Codec,
@@ -257,10 +264,10 @@ pub struct AuxTable {
     /// (the tombstones): a superset of the delta's keys in `base`.
     dead: BitVec,
     metrics: Metrics,
-    /// Decayed per-partition heat, fed by the buffer pool (accesses/misses)
-    /// and the loader (decompressions).  Recording is `DM_OBS`-gated inside
-    /// `HeatMap`; reports come out through [`heat_report`](Self::heat_report).
-    heat: Arc<dm_obs::HeatMap>,
+    /// The pool's `(gets, misses)` in `metrics` when the table was assembled:
+    /// `metrics` is monotone and shared with the store, so
+    /// [`pool_pressure`](Self::pool_pressure) subtracts this baseline.
+    pool_base: (u64, u64),
 }
 
 impl std::fmt::Debug for AuxTable {
@@ -320,9 +327,7 @@ impl AuxTable {
     }
 
     fn assemble(snapshot: AuxTableSnapshot, backing: Backing, metrics: Metrics) -> Self {
-        let heat = Arc::new(dm_obs::HeatMap::default());
-        let mut pool = BufferPool::new(snapshot.memory_budget_bytes, metrics.clone());
-        pool.attach_heat(Arc::clone(&heat));
+        let pool_base = pool_gets_and_misses(&metrics);
         AuxTable {
             codec: snapshot.codec,
             partition_bytes: snapshot.partition_bytes,
@@ -330,7 +335,7 @@ impl AuxTable {
             disk_profile: snapshot.disk_profile,
             value_columns: snapshot.value_columns,
             backing,
-            pool,
+            pool: BufferPool::new(snapshot.memory_budget_bytes, metrics.clone()),
             base: RankedBits::new(snapshot.base),
             rows_per_partition: rows_per_partition(snapshot.value_columns, snapshot.partition_bytes),
             delta: snapshot
@@ -340,7 +345,7 @@ impl AuxTable {
                 .collect(),
             dead: snapshot.tombstones.into_iter().collect(),
             metrics,
-            heat,
+            pool_base,
         }
     }
 
@@ -490,7 +495,6 @@ impl AuxTable {
     ) -> dm_storage::Result<Arc<PackedPartition>> {
         self.pool.get_or_load(idx as u64, trace, || {
             let partition = self.read_partition(idx)?;
-            self.heat.touch_in(trace, idx as u64, dm_obs::Touch::Decompress);
             let bytes = partition.resident_bytes();
             Ok((partition, bytes))
         })
@@ -770,29 +774,24 @@ impl AuxTable {
         (self.pool.used_bytes(), self.pool.len())
     }
 
-    /// Partition-heat report over this table's buffer pool: top-`top_k`
-    /// hot/cold partitions by decayed score plus resident-vs-budget pressure
-    /// (resident bytes are the packed payloads the pool holds, to the byte).
-    /// Empty (all zeros) under `DM_OBS=off`, since nothing feeds the tracker.
-    pub fn heat_report(&self, top_k: usize) -> dm_obs::HeatReport {
-        let mut report = self.heat.report(top_k);
-        report.resident_bytes = self.pool.used_bytes() as u64;
-        // A budget of usize::MAX models "memory comfortably holds everything"
-        // — report it as unknown/unbounded rather than as a pressure ratio.
-        if self.memory_budget_bytes != usize::MAX {
-            report.budget_bytes = self.memory_budget_bytes as u64;
-        }
-        report
-    }
-
-    /// The advisor's pool-pressure input, extracted from
-    /// [`heat_report`](Self::heat_report).
+    /// The advisor's pool-pressure input: the packed payloads the pool holds,
+    /// to the byte, against its budget, and the pool's miss rate since the
+    /// table was assembled, read from the counters the pool keeps whatever
+    /// `DM_OBS` says.
     pub fn pool_pressure(&self) -> dm_obs::PoolPressure {
-        let report = self.heat_report(0);
+        let (gets, misses) = pool_gets_and_misses(&self.metrics);
+        let gets = gets.saturating_sub(self.pool_base.0);
+        let misses = misses.saturating_sub(self.pool_base.1);
         dm_obs::PoolPressure {
-            resident_bytes: report.resident_bytes,
-            budget_bytes: report.budget_bytes,
-            miss_rate: report.miss_rate(),
+            resident_bytes: self.pool.used_bytes() as u64,
+            // A budget of usize::MAX models "memory comfortably holds
+            // everything": report it as unbounded, not as a pressure ratio.
+            budget_bytes: if self.memory_budget_bytes == usize::MAX {
+                0
+            } else {
+                self.memory_budget_bytes as u64
+            },
+            miss_rate: if gets == 0 { 0.0 } else { misses as f64 / gets as f64 },
         }
     }
 
@@ -1316,7 +1315,7 @@ mod tests {
     fn pool_is_charged_the_resident_payload_lengths() {
         let rows = sample_rows(3_000);
         let table = build_table(&rows);
-        assert_eq!(table.heat_report(0).resident_bytes, 0);
+        assert_eq!(table.pool_pressure().resident_bytes, 0);
         let keys: Vec<u64> = rows.iter().map(|r| r.key).collect();
         table.get_batch(&keys).unwrap();
         let payloads: usize = frames_of(&table)
@@ -1324,7 +1323,6 @@ mod tests {
             .map(|f| dm_compress::decompress_frame(&f.frame).unwrap().len())
             .sum();
         assert_eq!(table.pool.used_bytes(), payloads);
-        assert_eq!(table.heat_report(0).resident_bytes, payloads as u64);
         assert_eq!(table.pool_pressure().resident_bytes, payloads as u64);
     }
 

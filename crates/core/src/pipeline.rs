@@ -73,9 +73,8 @@
 //! span per batch: Probe too is one span around every partition group, net
 //! of the pool load and wait spans inside it (`dm_obs::trace::span_net_of`),
 //! so the stage sums stay disjoint and their total is at most the batch's
-//! wall-clock.  Partition heat is stamped with the trace's start, so a warm
-//! group reads no clock.  Under `DM_OBS=off` no span reads the clock.  The
-//! store's [`Metrics`] hold counts only.
+//! wall-clock.  Under `DM_OBS=off` no span reads the clock.  The store's
+//! [`Metrics`] hold counts only.
 
 use crate::aux_table::{AuxTable, ProbePlan};
 use crate::model::MappingModel;

@@ -9,7 +9,7 @@
 //!
 //! The pipeline is: a store assembles [`DriftSignals`] (model-vs-aux answer
 //! mix, overlay growth, tombstones, existence-bit churn) and [`PoolPressure`]
-//! (from its heat report); a server optionally adds [`SloSignals`] (windowed
+//! (from its buffer pool's own counters); a server optionally adds [`SloSignals`] (windowed
 //! p99 vs a configured target); [`advise`] folds them through documented
 //! [`AdvisorThresholds`] into a [`HealthReport`] whose [`Advice`] variants
 //! carry the evidence that triggered them.  `advise` is a pure function of its
@@ -87,14 +87,14 @@ impl DriftSignals {
     }
 }
 
-/// Buffer-pool pressure, extracted from a heat report.
+/// Buffer-pool pressure, read from the pool's own counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct PoolPressure {
     /// Bytes resident in the pool.
     pub resident_bytes: u64,
     /// Configured pool budget (0 = unbounded).
     pub budget_bytes: u64,
-    /// Pool miss rate over the tracked window, `[0, 1]`.
+    /// Pool misses over every pool get the store counted, `[0, 1]`.
     pub miss_rate: f64,
 }
 
@@ -412,7 +412,7 @@ pub fn advise_with_faults(
 pub struct StoreHealthSignals {
     /// Drift signals assembled by the store.
     pub drift: DriftSignals,
-    /// Pool pressure assembled from the store's heat report.
+    /// Pool pressure read from the store's buffer-pool counters.
     pub pool: PoolPressure,
 }
 

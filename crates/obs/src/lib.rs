@@ -59,18 +59,16 @@
 //! the data* (every misprediction is absorbed by the aux table).  Four
 //! building blocks turn the raw counters into decisions:
 //!
-//! * **Windowed tails** ([`SnapshotWindow`], [`WindowedHistogram`] /
-//!   [`WindowedCounter`]): "the last 60 seconds" (default 12 × 5 s periods),
-//!   either as the difference of two snapshots of one cumulative histogram
-//!   or as a ring of concurrently recorded slices.  `dm-server`'s
-//!   `ServerStats` exposes the former as `recent_*` percentiles next to the
-//!   since-boot ones; a since-boot p99 cannot tell you the store got slow
-//!   *this minute*.
-//! * **Partition heat** ([`HeatMap`] → [`HeatReport`]): decayed per-partition
-//!   access/miss/decompress counters fed by the buffer pool.  The report
-//!   ranks top-K hot and cold partitions and carries resident-vs-budget
-//!   pressure — the input for pool budgeting and (ROADMAP item 5) mmap
-//!   hot-partition pinning.
+//! * **Windowed tails** ([`SnapshotWindow`]): "the last 60 seconds"
+//!   (default 12 × 5 s periods) as the difference of two snapshots of one
+//!   cumulative histogram.  `dm-server`'s `ServerStats` exposes it as
+//!   `recent_*` percentiles next to the since-boot ones; a since-boot p99
+//!   cannot tell you the store got slow *this minute*.  [`WindowedHistogram`],
+//!   a ring of concurrently recorded slices, is the reference its tests
+//!   replay it against.
+//! * **Pool pressure** ([`PoolPressure`]): resident bytes against the pool
+//!   budget and the pool's miss rate, read from the counters the buffer pool
+//!   keeps for every get — the input for pool budgeting.
 //! * **Drift signals** ([`DriftSignals`]): model-vs-aux answer mix from the
 //!   pipeline's merge stage, write-time misprediction EMA, aux overlay bytes,
 //!   tombstone ratio and existence-bit churn — all reset at retrain, so they
@@ -97,7 +95,6 @@
 //! to the bit-identity-checked query results (see `tests/obs_guard.rs`).
 
 pub mod health;
-pub mod heat;
 pub mod histogram;
 pub mod registry;
 pub mod render;
@@ -108,12 +105,11 @@ pub use health::{
     advise, advise_with_faults, Advice, AdvisorThresholds, DriftSignals, FaultSignals,
     HealthReport, PoolPressure, SloSignals, StoreHealthSignals,
 };
-pub use heat::{HeatMap, HeatReport, PartitionHeat, Touch};
 pub use histogram::{Histogram, HistogramSnapshot};
 pub use registry::{Counter, Gauge, Registry, RegistrySnapshot};
 pub use render::{render_json, render_json_for, render_prometheus, render_prometheus_for};
 pub use trace::{CaptureRing, CapturedTrace, SpanGuard, Stage, Trace, TraceEvent, TraceSummary};
-pub use window::{SnapshotWindow, WindowedCounter, WindowedHistogram};
+pub use window::{SnapshotWindow, WindowedHistogram};
 
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 use std::time::Duration;

@@ -13,10 +13,9 @@
 //!
 //! ## Slow-op capture policy
 //!
-//! [`Trace::finish`] publishes a [`TraceSummary`] into the finishing thread's
-//! ring buffer (newest [`RECENT_CAPACITY`] batches, see [`recent_batches`])
-//! and, when the batch's wall time is at or above the slow threshold
-//! (`DM_OBS_SLOW_MS`, overridable via
+//! [`Trace::finish`] leaves a [`TraceSummary`] in the finishing thread's
+//! last-batch slot ([`take_last_batch`]) and, when the batch's wall time is
+//! at or above the slow threshold (`DM_OBS_SLOW_MS`, overridable via
 //! [`set_slow_threshold`](crate::set_slow_threshold)), retains the batch's
 //! *full* stage timeline in a bounded global ring ([`slow_batches`]).  Fast
 //! batches cost a summary write, summed straight from the event array; slow
@@ -34,7 +33,7 @@
 
 use crate::histogram::{Histogram, HistogramSnapshot};
 use crate::registry;
-use std::cell::{Cell, RefCell};
+use std::cell::Cell;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
@@ -182,9 +181,6 @@ pub fn stage_snapshot(stage: Stage) -> HistogramSnapshot {
 /// summary's per-stage times are whole when its timeline is not.
 pub const TRACE_EVENT_CAPACITY: usize = 48;
 
-/// Per-thread ring depth of recent batch summaries.
-pub const RECENT_CAPACITY: usize = 64;
-
 /// Capacity of a slow-op capture ring, in entries.
 pub const DEFAULT_SLOW_RING_CAPACITY: usize = 32;
 
@@ -198,7 +194,7 @@ pub fn slow_ring_capacity() -> usize {
 #[derive(Default)]
 struct EventSlot {
     stage: Cell<u32>,
-    start_nanos: Cell<u64>,
+    offset_nanos: Cell<u64>,
     dur_nanos: Cell<u64>,
 }
 
@@ -265,14 +261,6 @@ impl Trace {
         }
     }
 
-    /// When the trace started, on the [`window::now_nanos`](crate::window::now_nanos)
-    /// clock — read once at [`start`](Trace::start), so this reads no clock.
-    /// `None` for an inert trace.  Per-batch recorders that need a timestamp
-    /// (partition heat) stamp every event of the batch with it.
-    pub fn start_nanos(&self) -> Option<u64> {
-        self.start.map(crate::window::nanos_at)
-    }
-
     /// Records an already-measured span: `begin` is when it started (must not
     /// precede the trace's start), `dur` how long it ran.  Also feeds the
     /// stage's process-wide histogram.
@@ -288,10 +276,10 @@ impl Trace {
             dropped.set(dropped.get() + dur_nanos);
             return;
         }
-        let start_nanos = nanos(begin.checked_duration_since(start).unwrap_or_default());
+        let offset_nanos = nanos(begin.checked_duration_since(start).unwrap_or_default());
         let event = &self.events[slot];
         event.stage.set(stage.index() as u32);
-        event.start_nanos.set(start_nanos);
+        event.offset_nanos.set(offset_nanos);
         event.dur_nanos.set(dur_nanos);
     }
 
@@ -301,16 +289,16 @@ impl Trace {
         self.events[..recorded].iter().filter_map(|slot| {
             Some(TraceEvent {
                 stage: Stage::from_index(slot.stage.get() as usize)?,
-                start_nanos: slot.start_nanos.get(),
+                offset_nanos: slot.offset_nanos.get(),
                 dur_nanos: slot.dur_nanos.get(),
             })
         })
     }
 
     /// Ends the batch: aggregates the spans into a [`TraceSummary`], publishes
-    /// it to this thread's recent ring and last-batch slot, and — when total
-    /// wall time reaches the slow threshold — retains the full timeline in the
-    /// global slow-batch ring (the only case that copies the spans out).
+    /// it to this thread's last-batch slot, and — when total wall time
+    /// reaches the slow threshold — retains the full timeline in the global
+    /// slow-batch ring (the only case that copies the spans out).
     pub fn finish(self) -> TraceSummary {
         let mut summary = TraceSummary {
             label: self.label,
@@ -330,13 +318,6 @@ impl Trace {
             summary.stage_nanos[event.stage.index()] += event.dur_nanos;
         }
         LAST_BATCH.with(|cell| cell.set(Some(summary)));
-        RECENT.with(|ring| {
-            let mut ring = ring.borrow_mut();
-            if ring.len() == RECENT_CAPACITY {
-                ring.pop_front();
-            }
-            ring.push_back(summary);
-        });
         if total_nanos >= crate::slow_threshold_nanos() {
             slow_ring().push(CapturedTrace {
                 label: self.label,
@@ -467,7 +448,7 @@ pub struct TraceEvent {
     /// Stage the span was charged to.
     pub stage: Stage,
     /// Span start, nanoseconds after the trace started.
-    pub start_nanos: u64,
+    pub offset_nanos: u64,
     /// Span duration in nanoseconds.
     pub dur_nanos: u64,
 }
@@ -502,7 +483,7 @@ impl CapturedTrace {
             let _ = writeln!(
                 out,
                 "  +{:>10.3} ms  {:<13} {:>10.3} ms",
-                event.start_nanos as f64 / 1e6,
+                event.offset_nanos as f64 / 1e6,
                 event.stage.slug(),
                 event.dur_nanos as f64 / 1e6,
             );
@@ -619,8 +600,6 @@ thread_local! {
     static THREAD_STAGE_NANOS: [Cell<u64>; Stage::COUNT] =
         const { [const { Cell::new(0) }; Stage::COUNT] };
     static LAST_BATCH: Cell<Option<TraceSummary>> = const { Cell::new(None) };
-    static RECENT: RefCell<VecDeque<TraceSummary>> =
-        RefCell::new(VecDeque::with_capacity(RECENT_CAPACITY));
 }
 
 /// Takes (and clears) the summary of the most recent batch finished **on this
@@ -628,11 +607,6 @@ thread_local! {
 /// the requests it coalesced, without widening the `TupleStore` trait.
 pub fn take_last_batch() -> Option<TraceSummary> {
     LAST_BATCH.with(|cell| cell.take())
-}
-
-/// This thread's ring of recent batch summaries, oldest first.
-pub fn recent_batches() -> Vec<TraceSummary> {
-    RECENT.with(|ring| ring.borrow().iter().copied().collect())
 }
 
 #[cfg(test)]
@@ -663,7 +637,6 @@ mod tests {
         assert_eq!(summary.dropped, 0);
         assert_eq!(take_last_batch(), Some(summary));
         assert_eq!(take_last_batch(), None, "take must clear the slot");
-        assert!(recent_batches().contains(&summary));
     }
 
     /// The second trace on a thread runs on the first one's event buffer:
@@ -788,7 +761,7 @@ mod tests {
             total_nanos: 2_500_000,
             events: vec![TraceEvent {
                 stage: Stage::Inference,
-                start_nanos: 1_000,
+                offset_nanos: 1_000,
                 dur_nanos: 2_000_000,
             }],
         };

@@ -17,9 +17,10 @@
 //!   these: `ServerStats`' `recent_*` tails and the per-tenant SLO input read
 //!   their windows, and the since-boot request-wall and queue-delay
 //!   histograms are their cumulative halves.
-//! * [`WindowedHistogram`] (and its scalar sibling [`WindowedCounter`]) — a
-//!   ring of `N` slices recorded concurrently, each its own striped
-//!   [`Histogram`]; a snapshot merges the slices inside the window.
+//! * [`WindowedHistogram`] — a ring of `N` slices recorded concurrently, each
+//!   its own striped [`Histogram`]; a snapshot merges the slices inside the
+//!   window.  It is kept as the reference the tests replay [`SnapshotWindow`]
+//!   against.
 //!
 //! For the same samples at the same clocks the two give bucket-for-bucket
 //! equal windows at every clock at or past the newest sample, stale samples
@@ -384,114 +385,6 @@ impl SnapshotWindow {
     }
 }
 
-/// One counter slice: period tag plus value.
-#[derive(Debug)]
-struct CounterSlice {
-    tag: AtomicU64,
-    value: AtomicU64,
-}
-
-/// The scalar sibling of [`WindowedHistogram`]: a ring of per-period counter
-/// slices whose [`sum`](WindowedCounter::sum) is "events in the last window".
-/// Same rotation protocol, same accuracy contract.
-#[derive(Debug)]
-pub struct WindowedCounter {
-    slices: Box<[CounterSlice]>,
-    slice_nanos: u64,
-}
-
-impl Default for WindowedCounter {
-    fn default() -> Self {
-        Self::new(DEFAULT_SLICES, DEFAULT_SLICE)
-    }
-}
-
-impl WindowedCounter {
-    /// Creates a window of `slices` slices, each spanning `slice_span`.
-    pub fn new(slices: usize, slice_span: Duration) -> Self {
-        let slices = slices.max(2);
-        let slice_nanos = (slice_span.as_nanos().max(1)).min(u64::MAX as u128 / 2) as u64;
-        WindowedCounter {
-            slices: (0..slices)
-                .map(|slot| CounterSlice {
-                    tag: AtomicU64::new(slot as u64),
-                    value: AtomicU64::new(0),
-                })
-                .collect(),
-            slice_nanos,
-        }
-    }
-
-    /// Total wall-time span the window covers.
-    pub fn span(&self) -> Duration {
-        Duration::from_nanos(self.slice_nanos.saturating_mul(self.slices.len() as u64))
-    }
-
-    /// Adds `n` at the current time (kill-switch gated like
-    /// [`WindowedHistogram::record_nanos`]).
-    #[inline]
-    pub fn add(&self, n: u64) {
-        if !crate::enabled() {
-            return;
-        }
-        self.add_at(now_nanos(), n);
-    }
-
-    /// Adds at an explicit clock value (test entry point, not gated).
-    pub fn add_at(&self, clock_nanos: u64, n: u64) {
-        let period = clock_nanos / self.slice_nanos;
-        let slice = &self.slices[(period % self.slices.len() as u64) as usize];
-        loop {
-            let tag = slice.tag.load(Ordering::Acquire);
-            if tag == ROTATING {
-                std::hint::spin_loop();
-                continue;
-            }
-            if tag >= period {
-                slice.value.fetch_add(n, Ordering::Relaxed);
-                return;
-            }
-            if slice
-                .tag
-                .compare_exchange(tag, ROTATING, Ordering::AcqRel, Ordering::Acquire)
-                .is_ok()
-            {
-                slice.value.store(0, Ordering::Relaxed);
-                slice.tag.store(period, Ordering::Release);
-                slice.value.fetch_add(n, Ordering::Relaxed);
-                return;
-            }
-        }
-    }
-
-    /// Sum of every slice still inside the window ending now.
-    pub fn sum(&self) -> u64 {
-        self.sum_at(now_nanos())
-    }
-
-    /// Windowed sum at an explicit clock value.
-    pub fn sum_at(&self, clock_nanos: u64) -> u64 {
-        let period = clock_nanos / self.slice_nanos;
-        let oldest = period.saturating_sub(self.slices.len() as u64 - 1);
-        let mut total = 0u64;
-        for slice in self.slices.iter() {
-            let tag = slice.tag.load(Ordering::Acquire);
-            if tag != ROTATING && tag >= oldest && tag <= period {
-                total += slice.value.load(Ordering::Relaxed);
-            }
-        }
-        total
-    }
-
-    /// Clears every slice (quiescent use).
-    pub fn clear(&self) {
-        for (slot, slice) in self.slices.iter().enumerate() {
-            slice.value.store(0, Ordering::Relaxed);
-            slice.tag.store(slot as u64, Ordering::Release);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -608,30 +501,6 @@ mod tests {
         assert_eq!(snap.sum(), expected_sum, "sample values corrupted");
     }
 
-    /// Same property for the counter ring, with rotation contention focused
-    /// on a single slot handoff (every thread races the period-N → period-N+ring
-    /// transition).
-    #[test]
-    fn concurrent_counter_rotation_is_exact() {
-        let slices = 4usize;
-        let threads = 8u64;
-        let adds = 2_000u64;
-        let c = Arc::new(WindowedCounter::new(slices, Duration::from_nanos(SLICE)));
-        // Warm the slot with an expired period so every thread races to rotate.
-        c.add_at(3 * SLICE, 0);
-        std::thread::scope(|s| {
-            for _ in 0..threads {
-                let c = Arc::clone(&c);
-                s.spawn(move || {
-                    for _ in 0..adds {
-                        c.add_at(7 * SLICE, 3); // period 7 reuses period 3's slot
-                    }
-                });
-            }
-        });
-        assert_eq!(c.sum_at(7 * SLICE), threads * adds * 3);
-    }
-
     /// The histogram ring's slices are striped: writers on every stripe race
     /// one slot's rotation (period 3 → period 7), and the clear that rotation
     /// runs over all stripes loses none of the new period's samples.
@@ -734,38 +603,19 @@ mod tests {
     }
 
     #[test]
-    fn counter_window_expires_and_clears() {
-        let c = WindowedCounter::new(3, Duration::from_nanos(SLICE));
-        c.add_at(0, 5);
-        c.add_at(SLICE, 7);
-        assert_eq!(c.sum_at(SLICE), 12);
-        assert_eq!(c.sum_at(3 * SLICE), 7); // period 0 expired
-        assert_eq!(c.sum_at(10 * SLICE), 0);
-        c.add_at(10 * SLICE, 1);
-        c.clear();
-        assert_eq!(c.sum_at(10 * SLICE), 0);
-    }
-
-    #[test]
     fn kill_switch_gates_wall_clock_recording() {
         let _guard = crate::test_guard();
         crate::set_enabled(false);
         let w = WindowedHistogram::default();
-        let c = WindowedCounter::default();
         w.record_nanos(123);
-        c.add(5);
         crate::set_enabled(true);
         assert_eq!(w.snapshot().count(), 0);
-        assert_eq!(c.sum(), 0);
         w.record_nanos(123);
-        c.add(5);
         assert_eq!(w.snapshot().count(), 1);
-        assert_eq!(c.sum(), 5);
     }
 
     #[test]
     fn defaults_cover_a_minute() {
         assert_eq!(WindowedHistogram::default().span(), Duration::from_secs(60));
-        assert_eq!(WindowedCounter::default().span(), Duration::from_secs(60));
     }
 }

@@ -1017,9 +1017,9 @@ fn batched_timeline(sample: &RequestSample, at: [u64; 3], batch: [u64; 3]) -> Ve
     ]
     .into_iter()
     .filter(|&(_, _, dur)| dur > 0)
-    .map(|(stage, start_nanos, dur_nanos)| TraceEvent {
+    .map(|(stage, offset_nanos, dur_nanos)| TraceEvent {
         stage,
-        start_nanos,
+        offset_nanos,
         dur_nanos,
     })
     .collect()

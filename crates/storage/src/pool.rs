@@ -107,11 +107,6 @@ pub struct BufferPool<V> {
     capacity_bytes: usize,
     metrics: Metrics,
     retry: RetryPolicy,
-    /// Optional partition-heat tracker: every `get_or_load` touches it
-    /// (access always, miss on cold loads), feeding the top-K hot/cold
-    /// ranking the maintenance advisor reads.  Recording is gated on the
-    /// `DM_OBS` kill switch inside `HeatMap`.
-    heat: Option<Arc<dm_obs::HeatMap>>,
 }
 
 #[derive(Debug)]
@@ -191,7 +186,6 @@ impl<V> BufferPool<V> {
             capacity_bytes,
             metrics,
             retry: RetryPolicy::default(),
-            heat: None,
         }
     }
 
@@ -205,17 +199,6 @@ impl<V> BufferPool<V> {
     /// The active cold-load retry policy.
     pub fn retry_policy(&self) -> RetryPolicy {
         self.retry
-    }
-
-    /// Attaches a partition-heat tracker the pool will feed from every
-    /// lookup.  Call at build time, before the pool is shared.
-    pub fn attach_heat(&mut self, heat: Arc<dm_obs::HeatMap>) {
-        self.heat = Some(heat);
-    }
-
-    /// The attached heat tracker, if any.
-    pub fn heat(&self) -> Option<&Arc<dm_obs::HeatMap>> {
-        self.heat.as_ref()
     }
 
     /// The configured byte budget.
@@ -273,12 +256,6 @@ impl<V> BufferPool<V> {
     /// (both no-ops, with no clock read, under `DM_OBS=off`).  These spans are
     /// the only timer of a load.  The [`Metrics`] counters are recorded
     /// unconditionally.
-    ///
-    /// The attached heat tracker is touched on the batch's clock: a caller
-    /// carrying an active trace has its touches stamped with the trace's
-    /// start ([`HeatMap::touch_in`](dm_obs::HeatMap::touch_in)), so a warm
-    /// hit reads no clock at all; an untraced caller's touches read the
-    /// clock ([`HeatMap::touch`](dm_obs::HeatMap::touch)).
     pub fn get_or_load(
         &self,
         id: u64,
@@ -286,9 +263,6 @@ impl<V> BufferPool<V> {
         mut loader: impl FnMut() -> Result<(V, usize)>,
     ) -> Result<Arc<V>> {
         use dm_obs::{trace::span, Stage};
-        if let Some(heat) = &self.heat {
-            heat.touch_in(trace, id, dm_obs::Touch::Access);
-        }
         // One bounded re-entry: a waiter handed a transient failure takes a
         // second pass (the failed entry was removed, so it becomes the new
         // winner and runs the loader itself with a fresh retry budget).
@@ -329,9 +303,6 @@ impl<V> BufferPool<V> {
         // We won the race: run the loader with no lock held, retrying
         // transient failures per the policy.
         self.metrics.add_pool_miss();
-        if let Some(heat) = &self.heat {
-            heat.touch_in(trace, id, dm_obs::Touch::Miss);
-        }
         let mut attempt = 1u32;
         let loaded = loop {
             let loaded = {
@@ -452,23 +423,6 @@ mod tests {
         assert_eq!(snap.pool_single_flight_waits, 0);
         assert_eq!(pool.used_bytes(), 100);
         assert_eq!(pool.len(), 1);
-    }
-
-    #[test]
-    fn attached_heat_tracker_sees_accesses_and_misses() {
-        dm_obs::set_enabled(true);
-        let heat = Arc::new(dm_obs::HeatMap::default());
-        let mut pool = BufferPool::new(1024, Metrics::new());
-        pool.attach_heat(Arc::clone(&heat));
-        assert!(pool.heat().is_some());
-        pool.get_or_load(3, None, loader(1, 10)).unwrap();
-        pool.get_or_load(3, None, loader(1, 10)).unwrap();
-        pool.get_or_load(4, None, loader(2, 10)).unwrap();
-        let report = heat.report(10);
-        assert_eq!(report.tracked, 2);
-        assert_eq!(report.total_accesses, 3);
-        assert_eq!(report.total_misses, 2);
-        assert_eq!(report.hot[0].partition, 3, "hotter partition ranks first");
     }
 
     #[test]

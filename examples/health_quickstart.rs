@@ -4,7 +4,7 @@
 //! auxiliary table just absorbs more and more of the answers.  This example
 //! walks the telemetry that makes the decay visible and actionable:
 //!
-//! 1. build a healthy store and inspect its partition-heat report,
+//! 1. build a healthy store, read skewed keys and inspect its pool pressure,
 //! 2. drive an off-pattern update storm and watch `health_report()` turn the
 //!    drift signals into `Retrain` advice with predicted aux shrink,
 //! 3. act on the advice (`maintenance()`) and measure the actual shrink,
@@ -55,9 +55,9 @@ fn main() {
     obs::set_enabled(true);
 
     // 1. A healthy store: mostly correlated rows (the model memorizes those),
-    //    with a noisy slice that lands in the aux table so the partition-heat
-    //    report has real partitions to rank.  The modest pool budget keeps
-    //    the pressure numbers meaningful.
+    //    with a noisy slice that lands in the aux table so the buffer pool
+    //    has real partitions to serve.  The modest pool budget keeps the
+    //    pressure numbers meaningful.
     let rows: Vec<Row> = (0..12_000u64)
         .map(|k| {
             let noisy = k % 5 == 0;
@@ -78,28 +78,22 @@ fn main() {
     println!("== fresh store ==");
     print_report(&dm.health_report());
 
-    // 2. Warm the heat tracker with skewed reads: a hot narrow range hammered
-    //    repeatedly, plus one wide pass so cold partitions register.
+    // 2. Skewed reads: a hot narrow range hammered repeatedly, plus one wide
+    //    pass that sweeps every partition through the pool.
     let hot: Vec<u64> = (0..512).collect();
     for _ in 0..16 {
         dm.lookup_batch(&hot).expect("lookup");
     }
     let wide: Vec<u64> = (0..12_000).collect();
     dm.lookup_batch(&wide).expect("lookup");
-    let heat = dm.aux_table().heat_report(3);
-    println!("\n== partition heat (top {} of {} tracked) ==", heat.hot.len(), heat.tracked);
-    for p in &heat.hot {
-        println!(
-            "  partition {:>3}: score={:>8.1} accesses={} misses={} decompressions={}",
-            p.partition, p.score, p.accesses, p.misses, p.decompressions
-        );
-    }
+    let pool = dm.aux_table().pool_pressure();
+    println!("\n== pool pressure after skewed reads ==");
     println!(
-        "  pool pressure: {:.2} (resident {}B / budget {}B), miss rate {:.3}",
-        heat.pressure(),
-        heat.resident_bytes,
-        heat.budget_bytes,
-        heat.miss_rate()
+        "  occupancy {:.2} (resident {}B / budget {}B), miss rate {:.3}",
+        pool.occupancy(),
+        pool.resident_bytes,
+        pool.budget_bytes,
+        pool.miss_rate
     );
 
     // 3. The update storm: off-pattern (but schema-valid) values.  The model

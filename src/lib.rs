@@ -62,8 +62,8 @@
 //!   paper compares against,
 //! * [`dm_obs`] (re-exported as [`obs`]) — the std-only observability substrate:
 //!   lock-free counters and log2-bucketed histograms (plus windowed "last-60s"
-//!   variants), per-batch stage traces with slow-op capture, partition-heat
-//!   tracking, drift signals with a typed maintenance advisor
+//!   variants), per-batch stage traces with slow-op capture, drift and
+//!   pool-pressure signals with a typed maintenance advisor
 //!   ([`HealthReport`](dm_obs::HealthReport)), and Prometheus/JSON exposition
 //!   (`DM_OBS=off` disables the tracing paths; see `examples/obs_quickstart.rs`
 //!   and `examples/health_quickstart.rs`).
@@ -77,7 +77,7 @@
 //! │                                       mergeable histograms + windowed
 //! │                                       last-60s slices, per-batch stage
 //! │                                       traces + slow-op capture ring,
-//! │                                       partition-heat map, drift signals +
+//! │                                       drift and pool-pressure signals +
 //! │                                       maintenance advisor (HealthReport),
 //! │                                       Prometheus/JSON exposition, DM_OBS
 //! │                                       kill switch (depends on nothing below)

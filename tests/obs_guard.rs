@@ -14,7 +14,7 @@
 //! the same request counts whichever way the switch is set.
 //!
 //! The remaining tests drive the workload-health layer end to end: windowed
-//! tail percentiles through `QueryServer`, the partition-heat report, and the
+//! tail percentiles through `QueryServer`, the advisor's pool input, and the
 //! full drift episode (update storm → `Retrain` advice → `maintenance()` →
 //! measured aux shrink).
 
@@ -264,47 +264,45 @@ fn windowed_tails_surface_through_server_stats_and_slo_evidence() {
     obs::set_enabled(was_enabled);
 }
 
+/// The advisor's pool input reads the counters the buffer pool keeps for
+/// every get, so it is the same number whichever way the kill switch is set.
 #[test]
-fn heat_report_ranks_hot_partitions_and_carries_pool_pressure() {
+fn pool_pressure_reads_the_pools_own_counters() {
     let _guard = obs_lock();
     let was_enabled = obs::enabled();
-    obs::set_enabled(true);
 
-    let dm = build_store();
-    // Skew the aux-probe traffic: hammer a narrow key range, then touch the
-    // whole table once so cold partitions register too.
-    let hot_keys: Vec<u64> = (0..256u64).map(|k| k * 2).collect();
-    for _ in 0..20 {
-        dm.lookup_batch(&hot_keys).unwrap();
+    let mut legs = Vec::new();
+    for enabled in [true, false] {
+        obs::set_enabled(enabled);
+        let dm = build_store();
+        let before = dm.metrics().snapshot();
+        assert_eq!(
+            before.pool_hits + before.pool_misses + before.pool_single_flight_waits,
+            0,
+            "a fresh store's pool has served nothing"
+        );
+        // Skewed aux-probe traffic: hammer a narrow key range, then sweep the
+        // whole table once through the 32 KiB pool.
+        let hot_keys: Vec<u64> = (0..256u64).map(|k| k * 2).collect();
+        for _ in 0..20 {
+            dm.lookup_batch(&hot_keys).unwrap();
+        }
+        let wide: Vec<u64> = (0..6_000u64).map(|k| k * 2).collect();
+        dm.lookup_batch(&wide).unwrap();
+
+        let snap = dm.metrics().snapshot();
+        let gets = snap.pool_hits + snap.pool_misses + snap.pool_single_flight_waits;
+        assert!(snap.pool_misses > 0 && snap.pool_hits > 0, "{snap:?}");
+        let pressure = dm.aux_table().pool_pressure();
+        assert_eq!(pressure.miss_rate, snap.pool_misses as f64 / gets as f64, "DM_OBS {enabled}");
+        assert_eq!(pressure.resident_bytes, dm.aux_table().pool_usage().0 as u64);
+        assert!(pressure.resident_bytes > 0);
+        // build_store caps the pool at 32 KiB, so occupancy is meaningful.
+        assert_eq!(pressure.budget_bytes, 32 * 1024);
+        assert!(pressure.occupancy() > 0.0 && pressure.occupancy() <= 1.0);
+        legs.push(pressure);
     }
-    let wide: Vec<u64> = (0..6_000u64).map(|k| k * 2).collect();
-    dm.lookup_batch(&wide).unwrap();
-
-    let report = dm.aux_table().heat_report(3);
-    assert!(report.tracked > 0, "aux probes must feed the heat tracker");
-    assert_eq!(report.dropped, 0);
-    assert!(report.total_accesses > 0);
-    assert!(report.total_misses <= report.total_accesses);
-    assert!(!report.hot.is_empty());
-    assert!(report.hot.len() <= 3);
-    assert!(
-        report.hot.windows(2).all(|w| w[0].score >= w[1].score),
-        "hot list must rank by decayed score: {:?}",
-        report.hot
-    );
-    let hottest = &report.hot[0];
-    assert!(hottest.accesses >= 20, "the hammered partition leads the list");
-    if let Some(coldest) = report.cold.first() {
-        assert!(hottest.score >= coldest.score);
-    }
-    // build_store caps the pool at 32 KiB, so pressure is meaningful.
-    assert_eq!(report.budget_bytes, 32 * 1024);
-    assert!(report.resident_bytes > 0);
-    assert!(report.pressure() > 0.0 && report.pressure() <= 1.0);
-
-    let pressure = dm.aux_table().pool_pressure();
-    assert_eq!(pressure.budget_bytes, report.budget_bytes);
-    assert!(pressure.occupancy() > 0.0);
+    assert_eq!(legs[0], legs[1], "the kill switch moved the pool input");
 
     obs::set_enabled(was_enabled);
 }
