@@ -78,11 +78,9 @@ pub fn decompress(input: &[u8]) -> crate::Result<Vec<u8>> {
     match mode {
         MODE_VERBATIM => {
             let (len, pos) = varint::read_u64(input, 1)?;
-            let len = len as usize;
-            if input.len() < pos + len {
-                return Err(CompressError::Corrupt("verbatim payload truncated".into()));
-            }
-            Ok(input[pos..pos + len].to_vec())
+            let end = crate::span_end(pos, len, input.len())
+                .ok_or_else(|| CompressError::Corrupt("verbatim payload truncated".into()))?;
+            Ok(input[pos..end].to_vec())
         }
         MODE_DICT => {
             let (total_len, pos) = varint::read_u64(input, 1)?;
@@ -97,19 +95,16 @@ pub fn decompress(input: &[u8]) -> crate::Result<Vec<u8>> {
             let dict_bytes = n_entries
                 .checked_mul(width)
                 .ok_or_else(|| CompressError::Corrupt("dictionary size overflow".into()))?;
-            if input.len() < pos + dict_bytes {
-                return Err(CompressError::Corrupt("dictionary entries truncated".into()));
-            }
-            let dict = &input[pos..pos + dict_bytes];
-            pos += dict_bytes;
+            let dict_end = crate::span_end(pos, dict_bytes as u64, input.len())
+                .ok_or_else(|| CompressError::Corrupt("dictionary entries truncated".into()))?;
+            let dict = &input[pos..dict_end];
+            pos = dict_end;
             let (packed_len, pos) = varint::read_u64(input, pos)?;
-            let packed_len = packed_len as usize;
-            if input.len() < pos + packed_len {
-                return Err(CompressError::Corrupt("code payload truncated".into()));
-            }
-            let codes = bitpack::unpack(&input[pos..pos + packed_len])?;
-            let tail = &input[pos + packed_len..];
-            let mut out = Vec::with_capacity(total_len);
+            let packed_end = crate::span_end(pos, packed_len, input.len())
+                .ok_or_else(|| CompressError::Corrupt("code payload truncated".into()))?;
+            let codes = bitpack::unpack(&input[pos..packed_end])?;
+            let tail = &input[packed_end..];
+            let mut out = crate::output_buffer(total_len);
             for &code in &codes {
                 let code = code as usize;
                 if code >= n_entries {
@@ -135,6 +130,37 @@ pub fn decompress(input: &[u8]) -> crate::Result<Vec<u8>> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Lengths that wrap `pos + len` — of a verbatim payload, of the entries
+    /// and of the codes — are `Corrupt`, not a panic; so is a declared
+    /// output of `u64::MAX` bytes.
+    #[test]
+    fn crafted_lengths_are_corrupt_not_a_panic() {
+        let mut verbatim = vec![MODE_VERBATIM];
+        varint::write_u64(&mut verbatim, u64::MAX);
+        verbatim.push(0);
+        let dict = |total: u64, width: u64, entries: u64, packed: Option<u64>| {
+            let mut out = vec![MODE_DICT];
+            for v in [total, width, entries] {
+                varint::write_u64(&mut out, v);
+            }
+            if let Some(packed) = packed {
+                out.extend_from_slice(&[1, 2]);
+                varint::write_u64(&mut out, packed);
+            }
+            out.extend_from_slice(&[0; 4]);
+            out
+        };
+        for crafted in [
+            verbatim,
+            dict(2, 1, u64::MAX, None),
+            dict(2, 2, u64::MAX / 2, None),
+            dict(2, 1, 2, Some(u64::MAX)),
+            dict(u64::MAX, 1, 2, Some(1)),
+        ] {
+            assert!(matches!(decompress(&crafted), Err(CompressError::Corrupt(_))), "{crafted:?}");
+        }
+    }
 
     fn round_trip(data: &[u8], width: usize) {
         let compressed = compress(data, width);

@@ -50,12 +50,11 @@ pub fn decompress_frame(frame: &[u8]) -> crate::Result<Vec<u8>> {
     let (record_width, pos) = varint::read_u64(frame, 5)?;
     let (original_len, pos) = varint::read_u64(frame, pos)?;
     let (payload_len, pos) = varint::read_u64(frame, pos)?;
-    let payload_len = payload_len as usize;
-    if frame.len() < pos + 8 + payload_len {
-        return Err(CompressError::Corrupt("frame payload truncated".into()));
-    }
+    let end = crate::span_end(pos, 8, frame.len())
+        .and_then(|at| crate::span_end(at, payload_len, frame.len()))
+        .ok_or_else(|| CompressError::Corrupt("frame payload truncated".into()))?;
     let checksum = u64::from_le_bytes(frame[pos..pos + 8].try_into().expect("8 bytes"));
-    let payload = &frame[pos + 8..pos + 8 + payload_len];
+    let payload = &frame[pos + 8..end];
     if fnv1a64(payload) != checksum {
         return Err(CompressError::Corrupt("frame checksum mismatch".into()));
     }
@@ -89,6 +88,19 @@ pub fn frame_info(frame: &[u8]) -> crate::Result<(Codec, usize, usize)> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A payload length that wraps `pos + 8 + payload_len` is `Corrupt`, not
+    /// a panic slicing past the frame.
+    #[test]
+    fn a_payload_length_that_wraps_is_corrupt_not_a_panic() {
+        let mut frame = MAGIC.to_vec();
+        frame.push(Codec::Lz.tag());
+        varint::write_u64(&mut frame, 0);
+        varint::write_u64(&mut frame, 0);
+        varint::write_u64(&mut frame, u64::MAX - 8);
+        frame.extend_from_slice(&[0; 8]);
+        assert!(matches!(decompress_frame(&frame), Err(CompressError::Corrupt(_))));
+    }
 
     #[test]
     fn frame_round_trips_for_every_codec() {

@@ -374,7 +374,7 @@ pub fn decompress(input: &[u8]) -> crate::Result<Vec<u8>> {
     }
     let decoder = Decoder::new(&table);
     let mut reader = BitReader::new(&input[pos + header_bytes..]);
-    let mut out = Vec::with_capacity(original_len);
+    let mut out = crate::output_buffer(original_len);
     for _ in 0..original_len {
         out.push(decoder.decode_symbol(&mut reader)?);
     }
@@ -384,6 +384,18 @@ pub fn decompress(input: &[u8]) -> crate::Result<Vec<u8>> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A declared length of `u64::MAX` bytes is `Corrupt` (the stream runs
+    /// out), not a panic reserving it.
+    #[test]
+    fn a_declared_length_of_u64_max_is_corrupt_not_a_panic() {
+        let valid = compress(b"abracadabra");
+        let (_, pos) = varint::read_u64(&valid, 0).unwrap();
+        let mut crafted = Vec::new();
+        varint::write_u64(&mut crafted, u64::MAX);
+        crafted.extend_from_slice(&valid[pos..]);
+        assert!(matches!(decompress(&crafted), Err(CompressError::Corrupt(_))));
+    }
 
     fn round_trip(data: &[u8]) {
         let compressed = compress(data);

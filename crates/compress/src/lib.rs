@@ -52,6 +52,20 @@ impl std::error::Error for CompressError {}
 /// Result alias for this crate.
 pub type Result<T> = std::result::Result<T, CompressError>;
 
+/// `start + len` when it is at most `limit`, `None` when it is past it or
+/// wraps: the end of a span whose length a buffer declares, checked before
+/// anything is read, reserved or written for it.
+pub(crate) fn span_end(start: usize, len: u64, limit: usize) -> Option<usize> {
+    start.checked_add(usize::try_from(len).ok()?).filter(|&end| end <= limit)
+}
+
+/// An empty output buffer for a declared length that nothing has checked
+/// yet: it reserves at most 1 MiB up front, as the WAL decoder does, and
+/// grows with what actually decodes.
+pub(crate) fn output_buffer(declared_len: usize) -> Vec<u8> {
+    Vec::with_capacity(declared_len.min(1 << 20))
+}
+
 /// A 64-bit FNV-1a checksum used by the frame format to detect corruption.
 pub fn fnv1a64(data: &[u8]) -> u64 {
     let mut hash: u64 = 0xcbf29ce484222325;

@@ -172,7 +172,7 @@ pub fn compress(input: &[u8], config: &LzConfig) -> Vec<u8> {
 pub fn decompress(input: &[u8]) -> crate::Result<Vec<u8>> {
     let (original_len, mut pos) = varint::read_u64(input, 0)?;
     let original_len = original_len as usize;
-    let mut out = Vec::with_capacity(original_len);
+    let mut out = crate::output_buffer(original_len);
     if original_len == 0 {
         return Ok(out);
     }
@@ -194,17 +194,17 @@ pub fn decompress(input: &[u8]) -> crate::Result<Vec<u8>> {
             let (len_extra, next) = varint::read_u64(input, pos)?;
             pos = next;
             let dist = dist as usize;
-            let len = len_extra as usize + MIN_MATCH;
             if dist == 0 || dist > out.len() {
                 return Err(CompressError::Corrupt(format!(
                     "match distance {dist} exceeds output length {}",
                     out.len()
                 )));
             }
-            if out.len() + len > original_len {
-                return Err(CompressError::Corrupt("match overflows declared length".into()));
-            }
-            let start = out.len() - dist;
+            let end = len_extra
+                .checked_add(MIN_MATCH as u64)
+                .and_then(|len| crate::span_end(out.len(), len, original_len))
+                .ok_or_else(|| CompressError::Corrupt("match overflows declared length".into()))?;
+            let (start, len) = (out.len() - dist, end - out.len());
             // Overlapping copies are the point of LZ: copy byte by byte.
             for i in 0..len {
                 let b = out[start + i];
@@ -224,6 +224,23 @@ pub fn decompress(input: &[u8]) -> crate::Result<Vec<u8>> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Lengths a crafted buffer declares are checked before they are
+    /// reserved or added: `u64::MAX` output bytes, and a match whose length
+    /// wraps, are `Corrupt`, not a panic.
+    #[test]
+    fn crafted_lengths_are_corrupt_not_a_panic() {
+        let mut huge = Vec::new();
+        varint::write_u64(&mut huge, u64::MAX);
+        assert!(matches!(decompress(&huge), Err(CompressError::Corrupt(_))));
+        // 8 bytes: a literal, then a match of distance 1 whose length wraps.
+        let mut wrap = Vec::new();
+        varint::write_u64(&mut wrap, 8);
+        wrap.extend_from_slice(&[0b10, b'a']);
+        varint::write_u64(&mut wrap, 1);
+        varint::write_u64(&mut wrap, u64::MAX);
+        assert!(matches!(decompress(&wrap), Err(CompressError::Corrupt(_))));
+    }
 
     fn round_trip_with(data: &[u8], config: &LzConfig) {
         let compressed = compress(data, config);

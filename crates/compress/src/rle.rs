@@ -56,7 +56,7 @@ pub fn compress(input: &[u8]) -> Vec<u8> {
 pub fn decompress(input: &[u8]) -> crate::Result<Vec<u8>> {
     let (expected_len, mut pos) = varint::read_u64(input, 0)?;
     let expected_len = expected_len as usize;
-    let mut out = Vec::with_capacity(expected_len);
+    let mut out = crate::output_buffer(expected_len);
     while pos < input.len() {
         let tag = input[pos];
         pos += 1;
@@ -68,25 +68,21 @@ pub fn decompress(input: &[u8]) -> crate::Result<Vec<u8>> {
                     .get(pos)
                     .ok_or_else(|| CompressError::Corrupt("run byte missing".into()))?;
                 pos += 1;
-                if out.len() + run as usize > expected_len {
-                    return Err(CompressError::Corrupt("run overflows declared length".into()));
-                }
-                out.resize(out.len() + run as usize, byte);
+                let end = crate::span_end(out.len(), run, expected_len)
+                    .ok_or_else(|| CompressError::Corrupt("run overflows declared length".into()))?;
+                out.resize(end, byte);
             }
             TAG_LITERAL => {
                 let (len, next) = varint::read_u64(input, pos)?;
-                pos = next;
-                let len = len as usize;
-                if pos + len > input.len() {
-                    return Err(CompressError::Corrupt("literal segment truncated".into()));
-                }
-                if out.len() + len > expected_len {
+                let end = crate::span_end(next, len, input.len())
+                    .ok_or_else(|| CompressError::Corrupt("literal segment truncated".into()))?;
+                if crate::span_end(out.len(), len, expected_len).is_none() {
                     return Err(CompressError::Corrupt(
                         "literal overflows declared length".into(),
                     ));
                 }
-                out.extend_from_slice(&input[pos..pos + len]);
-                pos += len;
+                out.extend_from_slice(&input[next..end]);
+                pos = end;
             }
             other => {
                 return Err(CompressError::Corrupt(format!("unknown RLE tag {other}")));
@@ -105,6 +101,25 @@ pub fn decompress(input: &[u8]) -> crate::Result<Vec<u8>> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Run and literal lengths that wrap an addition are `Corrupt`, not a
+    /// panic or a truncated output; so is a declared length of `u64::MAX`.
+    #[test]
+    fn crafted_lengths_are_corrupt_not_a_panic() {
+        for (tag, len) in [(TAG_LITERAL, u64::MAX), (TAG_RUN, u64::MAX)] {
+            let mut crafted = Vec::new();
+            varint::write_u64(&mut crafted, 4);
+            crafted.push(TAG_RUN);
+            varint::write_u64(&mut crafted, 1);
+            crafted.extend_from_slice(&[7, tag]);
+            varint::write_u64(&mut crafted, len);
+            crafted.push(7);
+            assert!(matches!(decompress(&crafted), Err(CompressError::Corrupt(_))), "tag {tag}");
+        }
+        let mut huge = Vec::new();
+        varint::write_u64(&mut huge, u64::MAX);
+        assert!(matches!(decompress(&huge), Err(CompressError::Corrupt(_))));
+    }
 
     fn round_trip(data: &[u8]) {
         let compressed = compress(data);

@@ -227,16 +227,7 @@ mod x86 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::kernel::{with_avx512_disabled, with_forced};
-
-    /// Runs `f` under each form of [`exp_shifted_rows`] this machine has.
-    fn under_each_form(mut f: impl FnMut(&str)) {
-        with_forced(Kernel::Scalar, || f("scalar"));
-        if kernel::vector_available() {
-            with_forced(Kernel::Vector, || f(Kernel::Vector.name()));
-            with_forced(Kernel::Vector, || with_avx512_disabled(|| f("avx2")));
-        }
-    }
+    use crate::kernel::tests::under_each_form;
 
     fn bits(values: &[f32]) -> Vec<u32> {
         values.iter().map(|v| v.to_bits()).collect()

@@ -99,9 +99,11 @@
 //! (`QuantizedRows::lay_out_lanes`, one gather a k-quad): per quad, one
 //! 64-byte block of the sixteen rows' four bytes.  That block is what
 //! `vpdpbusd` multiplies by one broadcast weight quad; the last group of a
-//! window masks the lanes past its last key.  The AVX2 form moves each key's
-//! sign onto the broadcast weight (`vpsignb`) as its row-major twin does.
-//! The scalar reference reads the rows as they are.
+//! window masks the lanes past its last key.  The AVX2 form takes half a
+//! group, eight keys, a step and moves each key's sign onto the broadcast
+//! weight (`vpsignb`) as the row-major form does.  Both are one body over the
+//! lane traits (see "One body per path"); the scalar reference reads the rows
+//! as they are.
 //!
 //! ## The gradient kernels
 //!
@@ -144,6 +146,19 @@
 //! columns of `dy` and its own panels — with the parts' folded sums added in
 //! order from `+0.0` before the tile is stored: a multi-task model's heads
 //! write their trunk-output gradient once, and no lane sum crosses a head.
+//!
+//! ## One body per path
+//!
+//! Every vector path — the f32 forward, the int8 forward, the keys-in-lanes
+//! argmax and both gradient kernels — is written once, generic over a lane
+//! trait: `Lanes`, a register of f32 (16 on AVX-512, 8 on AVX2) with the
+//! handful of operations the tiles need, and for int8 `Quads`, its 4-way
+//! byte dot product (`vpdpbusd` on VNNI, the sign transfer on AVX2) with the
+//! ISA's register tile.  An ISA is its impls and the `#[target_feature]`
+//! entry points that compile the bodies for it; only the row quantizer, the
+//! logit rows' argmax and the keys-in-lanes layout have an AVX-512 form and
+//! no other.  The scalar reference stays as written: it is the oracle the
+//! vector forms are tested against, bit for bit.
 //!
 //! ## Selection
 //!
@@ -1598,63 +1613,530 @@ mod x86 {
     use crate::tensor::Matrix;
     use std::arch::x86_64::*;
 
-    /// Row-block size of the forward micro-kernels: 4 rows sharing each
-    /// panel-row load (AVX-512 additionally blocks 2 panels, so its inner
-    /// loop holds 2 × 4 accumulator registers).
+    // -----------------------------------------------------------------------
+    // The lanes.
+    //
+    // Every vector path here but three AVX-512 helpers — the f32 forward, the
+    // int8 forward, the keys-in-lanes argmax and both gradient kernels — is
+    // written once, over [`Lanes`] (a vector of 16 (AVX-512) or 8 (AVX2) f32
+    // with the handful of operations the tiles need) and, for int8, [`Quads`]
+    // (its 4-way byte dot product), so an ISA is two short impls and the
+    // `#[target_feature]` entry points that pick them, and the ISAs cannot
+    // drift apart.  The bodies and the trait methods are `#[inline(always)]`
+    // into those entry points, which is where the intrinsics become
+    // instructions; no closure sits between them (one that did kept its
+    // intrinsics out of line and made a form ≈ 2× slower).
+    // -----------------------------------------------------------------------
+
+    /// One vector register of f32 lanes, and a per-lane predicate over it.
+    ///
+    /// A value of an implementing type exists only where the CPU has the
+    /// type's features: every way to make one from nothing is `unsafe`, and
+    /// its caller promises them.  So a method that only combines values it is
+    /// given is safe.
+    ///
+    /// # Safety
+    ///
+    /// Every `unsafe` method needs the CPU features of the implementing type
+    /// (checked by the public entry points before they dispatch); the ones
+    /// that take a pointer need the lanes they touch — all of them, or those
+    /// of the mask — to be readable (`load*`) or writable (`store*`) f32s.
+    trait Lanes: Copy {
+        /// Lanes per register.
+        const WIDTH: usize;
+        /// A per-lane predicate (a mask register, or an all-ones / all-zeros
+        /// lane pattern where the ISA has no mask registers).
+        type Mask: Copy;
+        /// A register of as many i32 lanes.
+        type Int: Copy;
+        unsafe fn zero() -> Self;
+        unsafe fn splat(v: f32) -> Self;
+        unsafe fn load(src: *const f32) -> Self;
+        unsafe fn store(self, dst: *mut f32);
+        /// The first `count` lanes.
+        unsafe fn prefix(count: usize) -> Self::Mask;
+        /// The lanes of `mask` from `src`, `+0.0` elsewhere (no access there).
+        unsafe fn load_where(mask: Self::Mask, src: *const f32) -> Self;
+        /// The lanes of `mask` to `dst` (no access elsewhere).
+        unsafe fn store_where(self, mask: Self::Mask, dst: *mut f32);
+        fn add(self, other: Self) -> Self;
+        fn mul(self, other: Self) -> Self;
+        /// `self · b + c`, fused.
+        fn fmadd(self, b: Self, c: Self) -> Self;
+        /// `self · b + c` in the lanes of `mask`, `c` untouched elsewhere.
+        fn fmadd_where(self, mask: Self::Mask, b: Self, c: Self) -> Self;
+        /// The lanes that are not `±0.0` (a NaN is not zero).
+        fn nonzero(self) -> Self::Mask;
+        /// The lanes where `self > other`, ordered: a NaN is never greater,
+        /// nor anything than a NaN.
+        fn greater(self, other: Self) -> Self::Mask;
+        /// `self` in the lanes of `mask`, `other` elsewhere.
+        fn select(self, mask: Self::Mask, other: Self) -> Self;
+        /// The scalar recipe's ReLU, `if v < 0.0 { 0.0 }`: a lane below zero
+        /// (ordered) becomes `+0.0`; `-0.0` and NaN pass through.
+        fn relu(self) -> Self;
+        /// `v`'s lanes converted to f32 (exact: they are below 2²⁴ in
+        /// magnitude wherever the int8 forms use it).
+        fn from_int(v: Self::Int) -> Self;
+    }
+
+    /// The int8 dot product of [`QuantizedPanels`] over one register of i32
+    /// lanes: each lane adds the four products of an input k-quad and a
+    /// weight k-quad, exactly.  The same integer two ways: `vpdpbusd` (VNNI)
+    /// multiplies the biased input bytes `qₓ + 128` by the weights, so an
+    /// accumulator starts at its column's `−128 · Σ q_w`; AVX2 moves the
+    /// input's sign onto the weights (`vpsignb`), multiplies `|qₓ|` by them
+    /// with `vpmaddubsw` (pair sums `≤ 2·127²`, inside i16) and widens the
+    /// pairs with `vpmaddwd` against ones, from zero.
+    ///
+    /// # Safety
+    ///
+    /// As [`Lanes`]: the `unsafe` methods need the features of the
+    /// implementing type's int8 form, and `load_int` its lanes readable.
+    trait Quads: Lanes {
+        /// Whether the dot product takes the biased input bytes, so that an
+        /// accumulator starts at its column's offset (see [`QuantizedPanels`]).
+        const BIASED: bool;
+        /// Rows of a row-major register tile.
+        const TILE_ROWS: usize;
+        /// Vectors (of `WIDTH` columns) of a row-major register tile.
+        const TILE_VECTORS: usize;
+        /// Input quads as [`dot`](Self::dot) takes them.
+        type Input: Copy;
+        unsafe fn splat_int(v: i32) -> Self::Int;
+        unsafe fn load_int(src: *const i32) -> Self::Int;
+        unsafe fn store_int(v: Self::Int, dst: *mut i32);
+        /// `v` in the lanes of `mask`, `other` elsewhere.
+        fn select_int(v: Self::Int, mask: Self::Mask, other: Self::Int) -> Self::Int;
+        /// Biased input quads (`qₓ + 128`) made ready for `dot`.
+        fn input(quads: Self::Int) -> Self::Input;
+        /// `acc` plus, per lane, the four products of `x`'s and `w`'s bytes.
+        fn dot(acc: Self::Int, x: Self::Input, w: Self::Int) -> Self::Int;
+    }
+
+    /// Sixteen f32 lanes; a value exists only where AVX-512 F does.
+    #[derive(Clone, Copy)]
+    struct F32x16(__m512);
+
+    /// Sixteen i32 lanes; a value exists only where AVX-512 F and VNNI do.
+    #[derive(Clone, Copy)]
+    struct I32x16(__m512i);
+
+    impl Lanes for F32x16 {
+        const WIDTH: usize = 16;
+        type Mask = __mmask16;
+        type Int = I32x16;
+        #[inline(always)]
+        unsafe fn zero() -> Self {
+            F32x16(_mm512_setzero_ps())
+        }
+        #[inline(always)]
+        unsafe fn splat(v: f32) -> Self {
+            F32x16(_mm512_set1_ps(v))
+        }
+        #[inline(always)]
+        unsafe fn load(src: *const f32) -> Self {
+            F32x16(_mm512_loadu_ps(src))
+        }
+        #[inline(always)]
+        unsafe fn store(self, dst: *mut f32) {
+            _mm512_storeu_ps(dst, self.0)
+        }
+        #[inline(always)]
+        unsafe fn prefix(count: usize) -> Self::Mask {
+            ((1u32 << count) - 1) as __mmask16
+        }
+        #[inline(always)]
+        unsafe fn load_where(mask: Self::Mask, src: *const f32) -> Self {
+            F32x16(_mm512_maskz_loadu_ps(mask, src))
+        }
+        #[inline(always)]
+        unsafe fn store_where(self, mask: Self::Mask, dst: *mut f32) {
+            _mm512_mask_storeu_ps(dst, mask, self.0)
+        }
+        #[inline(always)]
+        fn add(self, other: Self) -> Self {
+            // SAFETY: `self` exists, so AVX-512 F does.
+            unsafe { F32x16(_mm512_add_ps(self.0, other.0)) }
+        }
+        #[inline(always)]
+        fn mul(self, other: Self) -> Self {
+            // SAFETY: as `add`.
+            unsafe { F32x16(_mm512_mul_ps(self.0, other.0)) }
+        }
+        #[inline(always)]
+        fn fmadd(self, b: Self, c: Self) -> Self {
+            // SAFETY: as `add`.
+            unsafe { F32x16(_mm512_fmadd_ps(self.0, b.0, c.0)) }
+        }
+        #[inline(always)]
+        fn fmadd_where(self, mask: Self::Mask, b: Self, c: Self) -> Self {
+            // SAFETY: as `add`.
+            unsafe { F32x16(_mm512_mask3_fmadd_ps(self.0, b.0, c.0, mask)) }
+        }
+        #[inline(always)]
+        fn nonzero(self) -> Self::Mask {
+            // SAFETY: as `add`.
+            unsafe { _mm512_cmp_ps_mask::<_CMP_NEQ_UQ>(self.0, _mm512_setzero_ps()) }
+        }
+        #[inline(always)]
+        fn greater(self, other: Self) -> Self::Mask {
+            // SAFETY: as `add`.
+            unsafe { _mm512_cmp_ps_mask::<_CMP_GT_OQ>(self.0, other.0) }
+        }
+        #[inline(always)]
+        fn select(self, mask: Self::Mask, other: Self) -> Self {
+            // SAFETY: as `add`.
+            unsafe { F32x16(_mm512_mask_mov_ps(other.0, mask, self.0)) }
+        }
+        #[inline(always)]
+        fn relu(self) -> Self {
+            // SAFETY: as `add`.
+            unsafe {
+                let below = _mm512_cmp_ps_mask::<_CMP_LT_OQ>(self.0, _mm512_setzero_ps());
+                F32x16(_mm512_maskz_mov_ps(!below, self.0))
+            }
+        }
+        #[inline(always)]
+        fn from_int(v: I32x16) -> Self {
+            // SAFETY: `v` exists, so AVX-512 F does.
+            unsafe { F32x16(_mm512_cvtepi32_ps(v.0)) }
+        }
+    }
+
+    /// The `vpdpbusd` form: 6 rows × 4 panels a tile, 24 accumulators + 4
+    /// weight blocks + 1 broadcast of the 32 zmm registers, so one weight
+    /// load serves 6 rows and one input broadcast serves 4 panels.
+    impl Quads for F32x16 {
+        const BIASED: bool = true;
+        const TILE_ROWS: usize = 6;
+        const TILE_VECTORS: usize = 4;
+        type Input = I32x16;
+        #[inline(always)]
+        unsafe fn splat_int(v: i32) -> I32x16 {
+            I32x16(_mm512_set1_epi32(v))
+        }
+        #[inline(always)]
+        unsafe fn load_int(src: *const i32) -> I32x16 {
+            I32x16(_mm512_loadu_si512(src.cast()))
+        }
+        #[inline(always)]
+        unsafe fn store_int(v: I32x16, dst: *mut i32) {
+            _mm512_storeu_si512(dst.cast(), v.0)
+        }
+        #[inline(always)]
+        fn select_int(v: I32x16, mask: __mmask16, other: I32x16) -> I32x16 {
+            // SAFETY: `v` exists, so AVX-512 F does.
+            unsafe { I32x16(_mm512_mask_mov_epi32(other.0, mask, v.0)) }
+        }
+        #[inline(always)]
+        fn input(quads: I32x16) -> I32x16 {
+            quads
+        }
+        #[inline(always)]
+        fn dot(acc: I32x16, x: I32x16, w: I32x16) -> I32x16 {
+            // SAFETY: `acc` exists, so AVX-512 F and VNNI do.
+            unsafe { I32x16(_mm512_dpbusd_epi32(acc.0, x.0, w.0)) }
+        }
+    }
+
+    /// Eight f32 lanes; a value exists only where AVX2 and FMA do.
+    #[derive(Clone, Copy)]
+    struct F32x8(__m256);
+
+    /// Eight i32 lanes; a value exists only where AVX2 and FMA do.
+    #[derive(Clone, Copy)]
+    struct I32x8(__m256i);
+
+    impl Lanes for F32x8 {
+        const WIDTH: usize = 8;
+        type Mask = __m256;
+        type Int = I32x8;
+        #[inline(always)]
+        unsafe fn zero() -> Self {
+            F32x8(_mm256_setzero_ps())
+        }
+        #[inline(always)]
+        unsafe fn splat(v: f32) -> Self {
+            F32x8(_mm256_set1_ps(v))
+        }
+        #[inline(always)]
+        unsafe fn load(src: *const f32) -> Self {
+            F32x8(_mm256_loadu_ps(src))
+        }
+        #[inline(always)]
+        unsafe fn store(self, dst: *mut f32) {
+            _mm256_storeu_ps(dst, self.0)
+        }
+        #[inline(always)]
+        unsafe fn prefix(count: usize) -> Self::Mask {
+            let lane = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
+            _mm256_castsi256_ps(_mm256_cmpgt_epi32(_mm256_set1_epi32(count as i32), lane))
+        }
+        #[inline(always)]
+        unsafe fn load_where(mask: Self::Mask, src: *const f32) -> Self {
+            F32x8(_mm256_maskload_ps(src, _mm256_castps_si256(mask)))
+        }
+        #[inline(always)]
+        unsafe fn store_where(self, mask: Self::Mask, dst: *mut f32) {
+            _mm256_maskstore_ps(dst, _mm256_castps_si256(mask), self.0)
+        }
+        #[inline(always)]
+        fn add(self, other: Self) -> Self {
+            // SAFETY: `self` exists, so AVX2 and FMA do.
+            unsafe { F32x8(_mm256_add_ps(self.0, other.0)) }
+        }
+        #[inline(always)]
+        fn mul(self, other: Self) -> Self {
+            // SAFETY: as `add`.
+            unsafe { F32x8(_mm256_mul_ps(self.0, other.0)) }
+        }
+        #[inline(always)]
+        fn fmadd(self, b: Self, c: Self) -> Self {
+            // SAFETY: as `add`.
+            unsafe { F32x8(_mm256_fmadd_ps(self.0, b.0, c.0)) }
+        }
+        #[inline(always)]
+        fn fmadd_where(self, mask: Self::Mask, b: Self, c: Self) -> Self {
+            // SAFETY: as `add`.
+            unsafe { F32x8(_mm256_blendv_ps(c.0, _mm256_fmadd_ps(self.0, b.0, c.0), mask)) }
+        }
+        #[inline(always)]
+        fn nonzero(self) -> Self::Mask {
+            // SAFETY: as `add`.
+            unsafe { _mm256_cmp_ps::<_CMP_NEQ_UQ>(self.0, _mm256_setzero_ps()) }
+        }
+        #[inline(always)]
+        fn greater(self, other: Self) -> Self::Mask {
+            // SAFETY: as `add`.
+            unsafe { _mm256_cmp_ps::<_CMP_GT_OQ>(self.0, other.0) }
+        }
+        #[inline(always)]
+        fn select(self, mask: Self::Mask, other: Self) -> Self {
+            // SAFETY: as `add`.
+            unsafe { F32x8(_mm256_blendv_ps(other.0, self.0, mask)) }
+        }
+        #[inline(always)]
+        fn relu(self) -> Self {
+            // SAFETY: as `add`.
+            unsafe {
+                let below = _mm256_cmp_ps::<_CMP_LT_OQ>(self.0, _mm256_setzero_ps());
+                F32x8(_mm256_andnot_ps(below, self.0))
+            }
+        }
+        #[inline(always)]
+        fn from_int(v: I32x8) -> Self {
+            // SAFETY: `v` exists, so AVX2 does.
+            unsafe { F32x8(_mm256_cvtepi32_ps(v.0)) }
+        }
+    }
+
+    /// The AVX2 form: 4 rows × one panel's two halves a tile, so 4 rows share
+    /// each pair of weight loads (8 accumulators of the 16 ymm registers).
+    /// Also what an AVX-512 host without VNNI runs.
+    impl Quads for F32x8 {
+        const BIASED: bool = false;
+        const TILE_ROWS: usize = 4;
+        const TILE_VECTORS: usize = 2;
+        /// The signed quads (`qₓ`) and their magnitudes.
+        type Input = (__m256i, __m256i);
+        #[inline(always)]
+        unsafe fn splat_int(v: i32) -> I32x8 {
+            I32x8(_mm256_set1_epi32(v))
+        }
+        #[inline(always)]
+        unsafe fn load_int(src: *const i32) -> I32x8 {
+            I32x8(_mm256_loadu_si256(src.cast()))
+        }
+        #[inline(always)]
+        unsafe fn store_int(v: I32x8, dst: *mut i32) {
+            _mm256_storeu_si256(dst.cast(), v.0)
+        }
+        #[inline(always)]
+        fn select_int(v: I32x8, mask: __m256, other: I32x8) -> I32x8 {
+            // SAFETY: `v` exists, so AVX2 does.
+            unsafe { I32x8(_mm256_blendv_epi8(other.0, v.0, _mm256_castps_si256(mask))) }
+        }
+        #[inline(always)]
+        fn input(quads: I32x8) -> (__m256i, __m256i) {
+            // SAFETY: `quads` exists, so AVX2 does.
+            unsafe {
+                let signed = _mm256_xor_si256(quads.0, _mm256_set1_epi8(-128));
+                (signed, _mm256_abs_epi8(signed))
+            }
+        }
+        #[inline(always)]
+        fn dot(acc: I32x8, (signed, magnitude): (__m256i, __m256i), w: I32x8) -> I32x8 {
+            // SAFETY: `acc` exists, so AVX2 does.
+            unsafe {
+                let pairs = _mm256_maddubs_epi16(magnitude, _mm256_sign_epi8(w.0, signed));
+                I32x8(_mm256_add_epi32(acc.0, _mm256_madd_epi16(pairs, _mm256_set1_epi16(1))))
+            }
+        }
+    }
+
+    /// `activation` over `y`'s lanes: ReLU in the register, sigmoid and tanh
+    /// by the scalar recipe through memory.
+    ///
+    /// # Safety
+    /// `V`'s CPU features.
+    #[inline(always)]
+    unsafe fn activate<V: Lanes>(y: V, activation: Activation) -> V {
+        match activation {
+            Activation::Linear => y,
+            Activation::Relu => y.relu(),
+            Activation::Sigmoid | Activation::Tanh => {
+                let mut values = [0.0f32; LANES];
+                y.store(values.as_mut_ptr());
+                apply_scalar(activation, &mut values[..V::WIDTH]);
+                V::load(values.as_ptr())
+            }
+        }
+    }
+
+    /// The scalar recipe of `activation` over one register's lanes, out of
+    /// line, so that no form's loop holds the sigmoid.
+    #[inline(never)]
+    #[cold]
+    fn apply_scalar(activation: Activation, values: &mut [f32]) {
+        activation.apply_to(values);
+    }
+
+    /// Stores a finished register of output row `row` (the offset of its
+    /// first column in `out`) from column `c` on, after `activation`: the
+    /// columns short of `ld`, none when `c` is past it.
+    ///
+    /// # Safety
+    /// `V`'s CPU features; `out` holds `row + ld` floats.
+    #[inline(always)]
+    unsafe fn store_tile<V: Lanes>(
+        y: V,
+        activation: Activation,
+        out: &mut [f32],
+        row: usize,
+        c: usize,
+        ld: usize,
+    ) {
+        if c >= ld {
+            return;
+        }
+        let (y, dst) = (activate(y, activation), out.as_mut_ptr().add(row + c));
+        match ld - c {
+            cols if cols >= V::WIDTH => y.store(dst),
+            cols => y.store_where(V::prefix(cols), dst),
+        }
+    }
+
+    // -----------------------------------------------------------------------
+    // The f32 forward.
+    // -----------------------------------------------------------------------
+
+    /// Rows of an f32 register tile: 4 rows share each load of the weights.
     const MR: usize = 4;
 
-    /// Half-panel width of the AVX2 forms (one `__m256`).
-    const HALF: usize = 8;
-
-    /// Rows the f32 forward forms run one panel (AVX-512: one pair of
-    /// panels) across before they take the next: the panels stay in L1 while
-    /// the block's rows (`256 × 141` floats, for the frozen benchmark's trunk)
-    /// stream from L2.  Walking every panel for each 4-row tile instead reads
-    /// a layer wider than L1 — the 141 × 141 trunk layer's 9 panels are
-    /// 81 KiB, the heads' 141 × 175 entry's 11 are 99 KiB — from L2 for every
-    /// tile.  Scratch micro-benchmark, 2 048 rows, AVX-512, µs (best of 30,
-    /// two rounds): 141 → 175 took 1 216–1 497 with the old order and
-    /// 766–803 with blocks of 256 (512: 822–848, 1 024: 823–850, one block
-    /// of every row: 863–1 273); 141 → 141 998–1 385 and 656–669; 141 → 141
-    /// over 96-row windows (the walk's chunks) 985–1 159 and 650–672.  The
-    /// order moves no output: every column is its own chain.
+    /// Rows the f32 forward runs a pair of vectors' columns across before it
+    /// takes the next pair: the panels stay in L1 while the block's rows
+    /// (`256 × 141` floats, for the frozen benchmark's trunk) stream from L2.
+    /// Walking every panel for each 4-row tile instead reads a layer wider
+    /// than L1 — the 141 × 141 trunk layer's 9 panels are 81 KiB, the heads'
+    /// 141 × 175 entry's 11 are 99 KiB — from L2 for every tile.  Scratch
+    /// micro-benchmark, 2 048 rows, AVX-512, µs (best of 30, two rounds):
+    /// 141 → 175 took 1 216–1 497 with the old order and 766–803 with blocks
+    /// of 256 (512: 822–848, 1 024: 823–850, one block of every row:
+    /// 863–1 273); 141 → 141 998–1 385 and 656–669; 141 → 141 over 96-row
+    /// windows (the walk's chunks) 985–1 159 and 650–672.  The order moves no
+    /// output: every column is its own chain.
     const FORWARD_BLOCK_ROWS: usize = 256;
 
-    /// One panel of rows `r..r+MR` in the AVX2 f32 form: `2 × MR` ymm
-    /// accumulators sharing each panel-row load.
+    /// Rows `r..r+MR` against the `NV` vectors of columns from `c` on — one
+    /// panel's halves on AVX2, two panels on AVX-512 — in `MR × NV`
+    /// accumulators sharing each load of the weights.  Each output column is
+    /// one bias-initialized FMA chain over `k`, the scalar recipe's.
+    ///
+    /// # Safety
+    /// `V`'s CPU features; `c + NV · WIDTH` is at most the panels' padded
+    /// width, rows `r..r+MR` are in `x`, and `out` holds them `ld` apart.
     #[inline(always)]
-    unsafe fn avx2_tile<const MR: usize>(
+    #[allow(clippy::too_many_arguments)]
+    #[allow(clippy::needless_range_loop)] // kk indexes the rows and the panels in lockstep
+    unsafe fn forward_tile<V: Lanes, const MR: usize, const NV: usize>(
         x: RowsView<'_>,
         panels: &PackedPanels,
         activation: Activation,
         out: &mut [f32],
         ld: usize,
         r: usize,
-        p: usize,
+        c: usize,
     ) {
-        let panel = panels.panel(p).as_ptr();
-        let bias = panels.bias_panel(p).as_ptr();
-        let rows: [&[f32]; MR] = std::array::from_fn(|j| x.row(r + j));
-        let mut lo = [_mm256_loadu_ps(bias); MR];
-        let mut hi = [_mm256_loadu_ps(bias.add(HALF)); MR];
-        #[allow(clippy::needless_range_loop)] // kk indexes the rows and the panels in lockstep
-        for kk in 0..panels.k {
-            let w_lo = _mm256_loadu_ps(panel.add(kk * LANES));
-            let w_hi = _mm256_loadu_ps(panel.add(kk * LANES + HALF));
-            for j in 0..MR {
-                let a = _mm256_set1_ps(rows[j][kk]);
-                lo[j] = _mm256_fmadd_ps(a, w_lo, lo[j]);
-                hi[j] = _mm256_fmadd_ps(a, w_hi, hi[j]);
+        let mut w = [std::ptr::null(); NV];
+        let mut acc = [[V::zero(); NV]; MR];
+        for v in 0..NV {
+            let col = c + v * V::WIDTH;
+            w[v] = panels.panel(col / LANES).as_ptr().add(col % LANES);
+            let bias = V::load(panels.bias.as_ptr().add(col));
+            for row in acc.iter_mut() {
+                row[v] = bias;
             }
         }
-        for j in 0..MR {
-            let at = p * LANES;
-            store_half_tiles(lo[j], hi[j], activation, out, (r + j) * ld + at, ld - at);
+        let mut rows = [x.row(r); MR];
+        for (j, row) in rows.iter_mut().enumerate() {
+            *row = x.row(r + j);
+        }
+        for kk in 0..panels.k {
+            let mut wk = [V::zero(); NV];
+            for v in 0..NV {
+                wk[v] = V::load(w[v].add(kk * LANES));
+            }
+            for j in 0..MR {
+                let a = V::splat(rows[j][kk]);
+                for v in 0..NV {
+                    acc[j][v] = a.fmadd(wk[v], acc[j][v]);
+                }
+            }
+        }
+        for (j, tile) in acc.iter().enumerate() {
+            for (v, &y) in tile.iter().enumerate() {
+                store_tile(y, activation, out, (r + j) * ld, c + v * V::WIDTH, ld);
+            }
         }
     }
 
-    /// The AVX2 f32 forward: each panel across a block of
-    /// [`FORWARD_BLOCK_ROWS`] rows, `MR` at a time, before the next panel.
+    /// The f32 forward: two vectors' columns at a time (one at the edge)
+    /// across a block of [`FORWARD_BLOCK_ROWS`] rows, `MR` at a time (single
+    /// rows at the edge), before the next two.
+    ///
+    /// # Safety
+    /// `V`'s CPU features; `x.k == panels.k` and `out` holds `x.count` rows
+    /// `ld ≥ panels.n` apart (the entry point checks both).
+    #[inline(always)]
+    unsafe fn forward<V: Lanes>(
+        x: RowsView<'_>,
+        panels: &PackedPanels,
+        activation: Activation,
+        out: &mut [f32],
+        ld: usize,
+    ) {
+        let padded = panels.panel_count() * LANES;
+        for first in (0..x.count).step_by(FORWARD_BLOCK_ROWS) {
+            let end = x.count.min(first + FORWARD_BLOCK_ROWS);
+            for c in (0..padded).step_by(2 * V::WIDTH) {
+                let pair = c + 2 * V::WIDTH <= padded;
+                let mut r = first;
+                while r < end {
+                    let whole = r + MR <= end;
+                    match (whole, pair) {
+                        (true, true) => forward_tile::<V, MR, 2>(x, panels, activation, out, ld, r, c),
+                        (true, false) => forward_tile::<V, MR, 1>(x, panels, activation, out, ld, r, c),
+                        (false, true) => forward_tile::<V, 1, 2>(x, panels, activation, out, ld, r, c),
+                        (false, false) => forward_tile::<V, 1, 1>(x, panels, activation, out, ld, r, c),
+                    }
+                    r += if whole { MR } else { 1 };
+                }
+            }
+        }
+    }
+
+    /// [`forward`] in AVX2 + FMA: 2 × 4 ymm accumulators.
     #[target_feature(enable = "avx2", enable = "fma")]
     pub(super) unsafe fn forward_avx2(
         x: RowsView<'_>,
@@ -1663,63 +2145,10 @@ mod x86 {
         out: &mut [f32],
         ld: usize,
     ) {
-        for first in (0..x.count).step_by(FORWARD_BLOCK_ROWS) {
-            let end = x.count.min(first + FORWARD_BLOCK_ROWS);
-            for p in 0..panels.panel_count() {
-                let mut r = first;
-                while r < end {
-                    if r + MR <= end {
-                        avx2_tile::<MR>(x, panels, activation, out, ld, r, p);
-                        r += MR;
-                    } else {
-                        avx2_tile::<1>(x, panels, activation, out, ld, r, p);
-                        r += 1;
-                    }
-                }
-            }
-        }
+        forward::<F32x8>(x, panels, activation, out, ld);
     }
 
-    /// `NP` panels of rows `r..r+MR` in the AVX-512 f32 form: `NP × MR` zmm
-    /// accumulators sharing each set of panel-row loads.  Each output column is
-    /// still one independent bias-initialized FMA chain over `k` — the
-    /// identical recipe of the scalar and AVX2 forms.
-    #[inline(always)]
-    unsafe fn avx512_tile<const MR: usize, const NP: usize>(
-        x: RowsView<'_>,
-        panels: &PackedPanels,
-        activation: Activation,
-        out: &mut [f32],
-        ld: usize,
-        r: usize,
-        p: usize,
-    ) {
-        let w: [*const f32; NP] = std::array::from_fn(|q| panels.panel(p + q).as_ptr());
-        let rows: [&[f32]; MR] = std::array::from_fn(|j| x.row(r + j));
-        let mut acc: [[__m512; NP]; MR] = [std::array::from_fn(|q| {
-            _mm512_loadu_ps(panels.bias_panel(p + q).as_ptr())
-        }); MR];
-        #[allow(clippy::needless_range_loop)] // kk indexes the rows and the panels in lockstep
-        for kk in 0..panels.k {
-            let wk: [__m512; NP] = std::array::from_fn(|q| _mm512_loadu_ps(w[q].add(kk * LANES)));
-            for j in 0..MR {
-                let a = _mm512_set1_ps(rows[j][kk]);
-                for q in 0..NP {
-                    acc[j][q] = _mm512_fmadd_ps(a, wk[q], acc[j][q]);
-                }
-            }
-        }
-        for (j, row) in acc.iter().enumerate() {
-            for (q, &tile) in row.iter().enumerate() {
-                let at = (p + q) * LANES;
-                store_tile512(tile, activation, out, (r + j) * ld + at, ld - at);
-            }
-        }
-    }
-
-    /// 2-panel × 4-row register-blocked AVX-512 forward (8 zmm accumulators),
-    /// single rows and a single panel at the edges — each pair of panels
-    /// across a block of [`FORWARD_BLOCK_ROWS`] rows before the next pair.
+    /// [`forward`] in AVX-512: 2 × 4 zmm accumulators.
     #[target_feature(enable = "avx512f", enable = "avx512bw", enable = "avx512dq")]
     pub(super) unsafe fn forward_avx512(
         x: RowsView<'_>,
@@ -1728,24 +2157,13 @@ mod x86 {
         out: &mut [f32],
         ld: usize,
     ) {
-        let np = panels.panel_count();
-        for first in (0..x.count).step_by(FORWARD_BLOCK_ROWS) {
-            let end = x.count.min(first + FORWARD_BLOCK_ROWS);
-            for p in (0..np).step_by(2) {
-                let mut r = first;
-                while r < end {
-                    let whole = r + MR <= end;
-                    match (whole, p + 2 <= np) {
-                        (true, true) => avx512_tile::<MR, 2>(x, panels, activation, out, ld, r, p),
-                        (true, false) => avx512_tile::<MR, 1>(x, panels, activation, out, ld, r, p),
-                        (false, true) => avx512_tile::<1, 2>(x, panels, activation, out, ld, r, p),
-                        (false, false) => avx512_tile::<1, 1>(x, panels, activation, out, ld, r, p),
-                    }
-                    r += if whole { MR } else { 1 };
-                }
-            }
-        }
+        forward::<F32x16>(x, panels, activation, out, ld);
     }
+
+    // -----------------------------------------------------------------------
+    // The AVX-512 helpers with no AVX2 form: the row quantizer, the logit
+    // rows' argmax and the keys-in-lanes layout.
+    // -----------------------------------------------------------------------
 
     /// `max |v|` over one row, 16 lanes at a time — two running maxima, so
     /// consecutive loads do not wait on each other.  The reduction is
@@ -1881,186 +2299,6 @@ mod x86 {
         }
     }
 
-    /// Rows per `vpdpbusd` register tile: with [`VNNI_NP`] panels that is
-    /// 24 accumulators + 4 weight blocks + 1 broadcast of the 32 zmm
-    /// registers, so one weight load serves 6 rows and one input broadcast
-    /// serves 4 panels.
-    const VNNI_MR: usize = 6;
-
-    /// Panels per `vpdpbusd` register tile (see [`VNNI_MR`]).
-    const VNNI_NP: usize = 4;
-
-    /// One `MR × NP` register tile of the `vpdpbusd` form, accumulators to
-    /// stored outputs: rows `r..r+MR` of the input bytes against panels
-    /// `p..p+NP`.  `vpdpbusd` multiplies the unsigned `qₓ + 128` bytes by the
-    /// signed weights, four `k` per lane; starting each accumulator at the
-    /// column's `−128·Σ q_w` takes the bias out again, leaving `Σ qₓ·q_w`.
-    #[inline(always)]
-    #[allow(clippy::too_many_arguments)]
-    unsafe fn vnni_tile<const MR: usize, const NP: usize>(
-        bytes: &[u8],
-        xscales: &[f32],
-        panels: &QuantizedPanels,
-        activation: Activation,
-        out: &mut [f32],
-        ld: usize,
-        r: usize,
-        p: usize,
-    ) {
-        let kquads = panels.kquads;
-        let x = bytes.as_ptr().add(r * kquads * 4) as *const i32;
-        let w = panels.data.as_ptr().add(p * kquads * QBLOCK);
-        let mut acc = [[_mm512_setzero_si512(); NP]; MR];
-        for j in 0..NP {
-            let offset = _mm512_loadu_si512(panels.offsets.as_ptr().add((p + j) * QLANES).cast());
-            for row in acc.iter_mut() {
-                row[j] = offset;
-            }
-        }
-        for g in 0..kquads {
-            let wq: [__m512i; NP] = std::array::from_fn(|j| {
-                _mm512_loadu_si512(w.add((j * kquads + g) * QBLOCK).cast())
-            });
-            for (i, row) in acc.iter_mut().enumerate() {
-                let xq = _mm512_set1_epi32(x.add(i * kquads + g).read_unaligned());
-                for j in 0..NP {
-                    row[j] = _mm512_dpbusd_epi32(row[j], xq, wq[j]);
-                }
-            }
-        }
-        for (i, row) in acc.iter().enumerate() {
-            let xs = _mm512_set1_ps(xscales[r + i]);
-            for (j, &a) in row.iter().enumerate() {
-                finish_quantized_tile(a, xs, panels, activation, out, ld, r + i, p + j);
-            }
-        }
-    }
-
-    /// The int8 epilogue of the `vpdpbusd` form: one row's 16 exact integer
-    /// sums for panel `p` to
-    /// `act(fmadd(cvt(acc), x_scale · w_scale, bias))`, stored at that panel's
-    /// columns of output row `row`.
-    #[inline(always)]
-    #[allow(clippy::too_many_arguments)]
-    unsafe fn finish_quantized_tile(
-        acc: __m512i,
-        xscale: __m512,
-        panels: &QuantizedPanels,
-        activation: Activation,
-        out: &mut [f32],
-        ld: usize,
-        row: usize,
-        p: usize,
-    ) {
-        let at = p * QLANES;
-        let m = _mm512_mul_ps(xscale, _mm512_loadu_ps(panels.scales.as_ptr().add(at)));
-        let y = _mm512_fmadd_ps(
-            _mm512_cvtepi32_ps(acc),
-            m,
-            _mm512_loadu_ps(panels.bias.as_ptr().add(at)),
-        );
-        store_tile512(y, activation, out, row * ld + at, ld - at);
-    }
-
-    /// All panels of rows `r..r+MR`, [`VNNI_NP`] at a time.
-    #[inline(always)]
-    unsafe fn vnni_rows<const MR: usize>(
-        bytes: &[u8],
-        xscales: &[f32],
-        panels: &QuantizedPanels,
-        activation: Activation,
-        out: &mut [f32],
-        ld: usize,
-        r: usize,
-    ) {
-        let np = panels.panel_count();
-        let mut p = 0;
-        while p + VNNI_NP <= np {
-            vnni_tile::<MR, VNNI_NP>(bytes, xscales, panels, activation, out, ld, r, p);
-            p += VNNI_NP;
-        }
-        match np - p {
-            3 => vnni_tile::<MR, 3>(bytes, xscales, panels, activation, out, ld, r, p),
-            2 => vnni_tile::<MR, 2>(bytes, xscales, panels, activation, out, ld, r, p),
-            1 => vnni_tile::<MR, 1>(bytes, xscales, panels, activation, out, ld, r, p),
-            _ => {}
-        }
-    }
-
-    /// Int8 forward, AVX-512-VNNI form: 64 int8 products per `vpdpbusd`,
-    /// register-blocked [`VNNI_MR`] rows × [`VNNI_NP`] panels, then the fixed
-    /// f32 epilogue.
-    #[target_feature(
-        enable = "avx512f",
-        enable = "avx512bw",
-        enable = "avx512dq",
-        enable = "avx512vnni"
-    )]
-    pub(super) unsafe fn forward_quantized_vnni(
-        bytes: &[u8],
-        xscales: &[f32],
-        panels: &QuantizedPanels,
-        activation: Activation,
-        out: &mut [f32],
-        ld: usize,
-    ) {
-        let count = xscales.len();
-        let mut r = 0;
-        while r + VNNI_MR <= count {
-            vnni_rows::<VNNI_MR>(bytes, xscales, panels, activation, out, ld, r);
-            r += VNNI_MR;
-        }
-        match count - r {
-            5 => vnni_rows::<5>(bytes, xscales, panels, activation, out, ld, r),
-            4 => vnni_rows::<4>(bytes, xscales, panels, activation, out, ld, r),
-            3 => vnni_rows::<3>(bytes, xscales, panels, activation, out, ld, r),
-            2 => vnni_rows::<2>(bytes, xscales, panels, activation, out, ld, r),
-            1 => vnni_rows::<1>(bytes, xscales, panels, activation, out, ld, r),
-            _ => {}
-        }
-    }
-
-    // -----------------------------------------------------------------------
-    // Keys in lanes: an output layer's argmax in its epilogue.
-    //
-    // A column of the layer is one register of sixteen keys' (AVX2: eight
-    // keys') exact sums; its epilogue is the row-major one lane for lane —
-    // the same product `x_scale · w_scale`, the same `fma` — and each head
-    // keeps, per lane, its best value so far and that value's class.  The
-    // forms are compiled once per activation (`ACT`, [`act_code`]), so the
-    // column loop holds no branch on it and no call.
-    // -----------------------------------------------------------------------
-
-    /// `ACT` of a linear layer.
-    const ACT_LINEAR: u8 = 0;
-    /// `ACT` of a ReLU layer.
-    const ACT_RELU: u8 = 1;
-    /// `ACT` of any other activation: applied to each column's lanes by the
-    /// scalar recipe, through memory.
-    const ACT_SCALAR: u8 = 2;
-
-    /// Calls `$form::<ACT, $generics>($args)` with `ACT` the code of
-    /// `$activation`.
-    macro_rules! by_activation {
-        ($form:ident [$($generic:expr),*], $activation:expr, ($($arg:expr),*)) => {
-            match $activation {
-                Activation::Linear => $form::<ACT_LINEAR $(, $generic)*>($($arg),*),
-                Activation::Relu => $form::<ACT_RELU $(, $generic)*>($($arg),*),
-                Activation::Sigmoid | Activation::Tanh => {
-                    $form::<ACT_SCALAR $(, $generic)*>($($arg),*)
-                }
-            }
-        };
-    }
-
-    /// The scalar recipe of `activation` over one register's lanes, out of
-    /// line: only `ACT_SCALAR` forms call it.
-    #[inline(never)]
-    #[cold]
-    fn apply_scalar(activation: Activation, values: &mut [f32]) {
-        activation.apply_to(values);
-    }
-
     /// [`QuantizedRows::lay_out_lanes`](super::QuantizedRows) over AVX-512:
     /// per group and quad, one gather of the sixteen rows' quads (`kquads`
     /// i32 apart), the lanes past the last row masked to `0x80`.
@@ -2089,123 +2327,293 @@ mod x86 {
         }
     }
 
-    /// Column `c`'s logits for sixteen keys in lanes: `acc` is their exact
-    /// `Σ qₓ·q_w`, `xscales` their scales.
+    // -----------------------------------------------------------------------
+    // The int8 forward, row-major.
+    // -----------------------------------------------------------------------
+
+    /// Rows `r..r+MR` of the input bytes against the `NV` vectors of columns
+    /// from `c` on, in `MR × NV` accumulators: per k-quad, one load of each
+    /// vector's weights serves the `MR` rows and one broadcast of a row's
+    /// quad serves the `NV` vectors.  Then the fixed f32 epilogue
+    /// `act(fma(cvt(acc), x_scale · w_scale, bias))`, stored.
     ///
     /// # Safety
-    /// AVX-512 F must be available (inlined into a form that enables it).
+    /// `V`'s int8 CPU features; `c + NV · WIDTH` is at most the panels'
+    /// padded width, `bytes` and `xscales` hold rows `r..r+MR` and `out`
+    /// holds them `ld` apart.
     #[inline(always)]
-    unsafe fn lanes_logits512<const ACT: u8>(
-        acc: __m512i,
-        xscales: __m512,
+    #[allow(clippy::too_many_arguments)]
+    unsafe fn quantized_tile<V: Quads, const MR: usize, const NV: usize>(
+        bytes: &[u8],
+        xscales: &[f32],
         panels: &QuantizedPanels,
-        c: usize,
         activation: Activation,
-    ) -> __m512 {
-        let m = _mm512_mul_ps(xscales, _mm512_set1_ps(panels.scales[c]));
-        let bias = _mm512_set1_ps(panels.bias[c]);
-        let y = _mm512_fmadd_ps(_mm512_cvtepi32_ps(acc), m, bias);
-        match ACT {
-            ACT_LINEAR => y,
-            ACT_RELU => {
-                // The row-major store's ReLU (`store_tile512`).
-                let lt = _mm512_cmp_ps_mask::<_CMP_LT_OQ>(y, _mm512_setzero_ps());
-                _mm512_maskz_mov_ps(!lt, y)
+        out: &mut [f32],
+        ld: usize,
+        r: usize,
+        c: usize,
+    ) {
+        let kquads = panels.kquads;
+        let x = bytes.as_ptr().add(r * kquads * 4) as *const i32;
+        let mut w = [std::ptr::null(); NV];
+        let mut acc = [[V::splat_int(0); NV]; MR];
+        for v in 0..NV {
+            let col = c + v * V::WIDTH;
+            w[v] = panels.data.as_ptr().add(col / QLANES * kquads * QBLOCK + 4 * (col % QLANES));
+            if V::BIASED {
+                let offsets = V::load_int(panels.offsets.as_ptr().add(col));
+                for row in acc.iter_mut() {
+                    row[v] = offsets;
+                }
             }
-            _ => {
-                let mut values = [0.0f32; LANES];
-                _mm512_storeu_ps(values.as_mut_ptr(), y);
-                apply_scalar(activation, &mut values);
-                _mm512_loadu_ps(values.as_ptr())
+        }
+        for g in 0..kquads {
+            let mut wq = [V::splat_int(0); NV];
+            for v in 0..NV {
+                wq[v] = V::load_int(w[v].add(g * QBLOCK).cast());
+            }
+            for (i, row) in acc.iter_mut().enumerate() {
+                let xq = V::input(V::splat_int(x.add(i * kquads + g).read_unaligned()));
+                for v in 0..NV {
+                    row[v] = V::dot(row[v], xq, wq[v]);
+                }
+            }
+        }
+        for (i, row) in acc.iter().enumerate() {
+            let xs = V::splat(xscales[r + i]);
+            for (v, &a) in row.iter().enumerate() {
+                let col = c + v * V::WIDTH;
+                let m = xs.mul(V::load(panels.scales.as_ptr().add(col)));
+                let y = V::from_int(a).fmadd(m, V::load(panels.bias.as_ptr().add(col)));
+                store_tile(y, activation, out, (r + i) * ld, col, ld);
             }
         }
     }
 
-    /// The heads' running argmax over one group of sixteen keys in lanes,
-    /// fed every column of the layer once, in column order.  Per lane: the
-    /// best value so far and its class; a column replaces them where it
-    /// compares ordered-greater (`>`: a tie keeps the lower class, a NaN
-    /// never wins, `-∞` never beats the `-∞` a head starts from, whose class
-    /// is 0).  A head's classes go out when the columns leave it.
-    struct Tops512<'a> {
-        heads: &'a [usize],
-        head: usize,
-        /// The current head's first column and one past its last.
-        start: usize,
-        end: usize,
-        best: __m512,
-        class: __m512i,
-        /// The output row of the group's first key, and how many of its
-        /// sixteen keys are rows.
+    /// Rows `r..r+MR` against every column, `V::TILE_VECTORS` vectors at a
+    /// time (fewer at the edge).
+    ///
+    /// # Safety
+    /// As [`quantized_tile`].
+    #[inline(always)]
+    unsafe fn quantized_rows<V: Quads, const MR: usize>(
+        bytes: &[u8],
+        xscales: &[f32],
+        panels: &QuantizedPanels,
+        activation: Activation,
+        out: &mut [f32],
+        ld: usize,
+        r: usize,
+    ) {
+        let padded = panels.panel_count() * QLANES;
+        let mut c = 0;
+        while c < padded {
+            let vectors = ((padded - c) / V::WIDTH).min(V::TILE_VECTORS);
+            match vectors {
+                4 => quantized_tile::<V, MR, 4>(bytes, xscales, panels, activation, out, ld, r, c),
+                3 => quantized_tile::<V, MR, 3>(bytes, xscales, panels, activation, out, ld, r, c),
+                2 => quantized_tile::<V, MR, 2>(bytes, xscales, panels, activation, out, ld, r, c),
+                _ => quantized_tile::<V, MR, 1>(bytes, xscales, panels, activation, out, ld, r, c),
+            }
+            c += vectors * V::WIDTH;
+        }
+    }
+
+    /// The int8 forward: `V::TILE_ROWS` rows at a time (the rest at the end)
+    /// against every column.
+    ///
+    /// # Safety
+    /// `V`'s int8 CPU features; `bytes` holds `xscales.len()` rows of
+    /// `panels.kquads` quads and `out` holds them `ld ≥ panels.n` apart (the
+    /// entry point checks both).
+    #[inline(always)]
+    unsafe fn forward_quantized<V: Quads>(
+        bytes: &[u8],
+        xscales: &[f32],
+        panels: &QuantizedPanels,
+        activation: Activation,
+        out: &mut [f32],
+        ld: usize,
+    ) {
+        const { assert!(V::TILE_ROWS <= 6 && V::TILE_VECTORS <= 4) };
+        let count = xscales.len();
+        let mut r = 0;
+        while r < count {
+            let rows = (count - r).min(V::TILE_ROWS);
+            match rows {
+                6 => quantized_rows::<V, 6>(bytes, xscales, panels, activation, out, ld, r),
+                5 => quantized_rows::<V, 5>(bytes, xscales, panels, activation, out, ld, r),
+                4 => quantized_rows::<V, 4>(bytes, xscales, panels, activation, out, ld, r),
+                3 => quantized_rows::<V, 3>(bytes, xscales, panels, activation, out, ld, r),
+                2 => quantized_rows::<V, 2>(bytes, xscales, panels, activation, out, ld, r),
+                _ => quantized_rows::<V, 1>(bytes, xscales, panels, activation, out, ld, r),
+            }
+            r += rows;
+        }
+    }
+
+    /// [`forward_quantized`] with `vpdpbusd`: 64 int8 products an instruction.
+    #[target_feature(
+        enable = "avx512f",
+        enable = "avx512bw",
+        enable = "avx512dq",
+        enable = "avx512vnni"
+    )]
+    pub(super) unsafe fn forward_quantized_vnni(
+        bytes: &[u8],
+        xscales: &[f32],
+        panels: &QuantizedPanels,
+        activation: Activation,
+        out: &mut [f32],
+        ld: usize,
+    ) {
+        forward_quantized::<F32x16>(bytes, xscales, panels, activation, out, ld);
+    }
+
+    /// [`forward_quantized`] with AVX2's sign-transfer dot product.
+    #[target_feature(enable = "avx2", enable = "fma")]
+    pub(super) unsafe fn forward_quantized_avx2(
+        bytes: &[u8],
+        xscales: &[f32],
+        panels: &QuantizedPanels,
+        activation: Activation,
+        out: &mut [f32],
+        ld: usize,
+    ) {
+        forward_quantized::<F32x8>(bytes, xscales, panels, activation, out, ld);
+    }
+
+    // -----------------------------------------------------------------------
+    // Keys in lanes: an output layer's argmax in its epilogue.
+    //
+    // A column of the layer is one register of `WIDTH` keys' exact sums (a
+    // group of sixteen keys, or half of one); its epilogue is the row-major
+    // one lane for lane — the same product `x_scale · w_scale`, the same
+    // `fma` — and each head keeps, per lane, its best value so far and that
+    // value's class.
+    // -----------------------------------------------------------------------
+
+    /// [`super::argmax_prequantized`] with the keys in lanes: per `W` keys
+    /// (the last ones masked) and per `W` columns, `W` accumulators — one a
+    /// column, started at its offset where the dot product wants one — and
+    /// per k-quad one load of the keys' quads against one broadcast of each
+    /// column's; then the columns in order through the epilogue into the
+    /// heads' running argmax.  A column replaces a lane's best value and
+    /// class where it compares ordered-greater (`>`: a tie keeps the lower
+    /// class, a NaN never wins, `-∞` never beats the `-∞` a head starts from,
+    /// whose class is 0).  A head's classes go out when the columns leave it.
+    ///
+    /// Each match arm passes its activation as a constant, so each inlined
+    /// copy of the column loop holds its own epilogue and no branch on it.
+    ///
+    /// # Safety
+    /// `V`'s int8 CPU features and `W == V::WIDTH`; `lanes` holds every group
+    /// of `xscales.len()` rows laid out (asserted), the heads cover the
+    /// panels' columns and `out` has room for every row's heads `stride`
+    /// apart (the entry point checks both; the writes are checked indexing).
+    #[inline(always)]
+    unsafe fn argmax_quantized<V: Quads, const W: usize>(
+        lanes: &[u8],
+        xscales: &[f32],
+        panels: &QuantizedPanels,
+        activation: Activation,
+        heads: &[usize],
+        out: &mut [u32],
+        stride: usize,
+    ) {
+        assert!(lanes.len() >= xscales.len().div_ceil(LANE_KEYS) * panels.kquads * QBLOCK);
+        let body = argmax_lanes::<V, W>;
+        match activation {
+            Activation::Linear => body(lanes, xscales, panels, Activation::Linear, heads, out, stride),
+            Activation::Relu => body(lanes, xscales, panels, Activation::Relu, heads, out, stride),
+            other => body(lanes, xscales, panels, other, heads, out, stride),
+        }
+    }
+
+    /// The body of [`argmax_quantized`].
+    ///
+    /// # Safety
+    /// As [`argmax_quantized`], which it is inlined into.
+    #[inline(always)]
+    unsafe fn argmax_lanes<V: Quads, const W: usize>(
+        lanes: &[u8],
+        xscales: &[f32],
+        panels: &QuantizedPanels,
+        activation: Activation,
+        heads: &[usize],
+        out: &mut [u32],
+        stride: usize,
+    ) {
+        const { assert!(W == V::WIDTH) };
+        let count = xscales.len();
+        let (kquads, n) = (panels.kquads, panels.n);
+        for r in (0..count).step_by(W) {
+            let live = (count - r).min(W);
+            let x = lanes.as_ptr().add(r / LANE_KEYS * kquads * QBLOCK + r % LANE_KEYS * 4);
+            let xs = V::load_where(V::prefix(live), xscales.as_ptr().add(r));
+            let (mut head, mut start, mut end) = (0, 0, heads[0]);
+            let (mut best, mut class) = (V::splat(f32::NEG_INFINITY), V::splat_int(0));
+            for c0 in (0..n).step_by(W) {
+                let w = panels.data.as_ptr().add(c0 / QLANES * kquads * QBLOCK + 4 * (c0 % QLANES));
+                let mut acc = [V::splat_int(0); W];
+                if V::BIASED {
+                    let offsets = panels.offsets.as_ptr().add(c0);
+                    for (c, a) in acc.iter_mut().enumerate() {
+                        *a = V::splat_int(*offsets.add(c));
+                    }
+                }
+                for g in 0..kquads {
+                    let xg = V::input(V::load_int(x.add(g * QBLOCK).cast()));
+                    let wg = w.add(g * QBLOCK) as *const i32;
+                    for (c, a) in acc.iter_mut().enumerate() {
+                        *a = V::dot(*a, xg, V::splat_int(wg.add(c).read_unaligned()));
+                    }
+                }
+                for (c, &a) in acc.iter().enumerate().take(n - c0) {
+                    let col = c0 + c;
+                    let m = xs.mul(V::splat(panels.scales[col]));
+                    let y = activate(V::from_int(a).fmadd(m, V::splat(panels.bias[col])), activation);
+                    while col >= end {
+                        emit_classes::<V>(class, out, r, live, stride, head);
+                        (best, class) = (V::splat(f32::NEG_INFINITY), V::splat_int(0));
+                        head += 1;
+                        (start, end) = (end, end + heads[head]);
+                    }
+                    let gt = y.greater(best);
+                    best = y.select(gt, best);
+                    class = V::select_int(V::splat_int((col - start) as i32), gt, class);
+                }
+            }
+            // The head the columns ended in, and any empty heads after it.
+            emit_classes::<V>(class, out, r, live, stride, head);
+            for later in head + 1..heads.len() {
+                emit_classes::<V>(V::splat_int(0), out, r, live, stride, later);
+            }
+        }
+    }
+
+    /// Writes head `head`'s classes of the keys from row `first` on: the
+    /// first `live` lanes of `class`.
+    ///
+    /// # Safety
+    /// `V`'s CPU features; the writes are checked indexing.
+    #[inline(always)]
+    unsafe fn emit_classes<V: Quads>(
+        class: V::Int,
+        out: &mut [u32],
         first: usize,
         live: usize,
-    }
-
-    /// # Safety
-    /// Every method needs AVX-512 F (they are inlined into the forms that
-    /// enable it); the classes are written through checked indexing.
-    impl<'a> Tops512<'a> {
-        #[inline(always)]
-        unsafe fn new(heads: &'a [usize], first: usize, live: usize) -> Self {
-            Tops512 {
-                heads,
-                head: 0,
-                start: 0,
-                end: heads[0],
-                best: _mm512_set1_ps(f32::NEG_INFINITY),
-                class: _mm512_setzero_si512(),
-                first,
-                live,
-            }
-        }
-
-        /// Column `c`'s logits.
-        #[inline(always)]
-        unsafe fn column(&mut self, c: usize, y: __m512, out: &mut [u32], stride: usize) {
-            while c >= self.end {
-                self.next_head(out, stride);
-            }
-            let gt = _mm512_cmp_ps_mask::<_CMP_GT_OQ>(y, self.best);
-            self.best = _mm512_mask_mov_ps(self.best, gt, y);
-            self.class = _mm512_mask_mov_epi32(self.class, gt, _mm512_set1_epi32((c - self.start) as i32));
-        }
-
-        /// Writes the current head's classes and starts the next head.
-        #[inline(always)]
-        unsafe fn next_head(&mut self, out: &mut [u32], stride: usize) {
-            let mut classes = [0u32; LANES];
-            _mm512_storeu_si512(classes.as_mut_ptr().cast(), self.class);
-            for (key, &class) in classes.iter().enumerate().take(self.live) {
-                out[(self.first + key) * stride + self.head] = class;
-            }
-            self.best = _mm512_set1_ps(f32::NEG_INFINITY);
-            self.class = _mm512_setzero_si512();
-            self.head += 1;
-            self.start = self.end;
-            self.end += self.heads.get(self.head).copied().unwrap_or(0);
-        }
-
-        /// Writes the classes of the heads the columns did not leave.
-        #[inline(always)]
-        unsafe fn finish(mut self, out: &mut [u32], stride: usize) {
-            while self.head < self.heads.len() {
-                self.next_head(out, stride);
-            }
+        stride: usize,
+        head: usize,
+    ) {
+        let mut classes = [0u32; LANES];
+        V::store_int(class, classes.as_mut_ptr().cast());
+        for (key, &class) in classes.iter().enumerate().take(live) {
+            out[(first + key) * stride + head] = class;
         }
     }
 
-    /// [`super::argmax_prequantized`], `vpdpbusd` form with the keys in
-    /// lanes: per group of sixteen keys (the last one masked) and per panel,
-    /// sixteen accumulators — one per column, each started at the column's
-    /// `−128·Σ q_w` — and per k-quad one load of the keys' quads against one
-    /// broadcast of each column's; then the columns in order through the
-    /// epilogue into the heads' argmax.
-    ///
-    /// # Safety
-    /// AVX-512 F/BW/DQ/VNNI must be available; `lanes` holds every group of
-    /// `xscales.len()` rows laid out (asserted), the heads cover the panels'
-    /// columns and `out` has room for every row's heads `stride` apart (the
-    /// entry point checks both; the writes are checked indexing).
+    /// [`argmax_quantized`] with `vpdpbusd`, sixteen keys a group.
     #[target_feature(
         enable = "avx512f",
         enable = "avx512bw",
@@ -2221,65 +2629,11 @@ mod x86 {
         out: &mut [u32],
         stride: usize,
     ) {
-        let count = xscales.len();
-        assert!(lanes.len() >= count.div_ceil(LANE_KEYS) * panels.kquads * QBLOCK);
-        by_activation!(vnni_lanes[], activation, (lanes, xscales, panels, activation, heads, out, stride));
+        argmax_quantized::<F32x16, 16>(lanes, xscales, panels, activation, heads, out, stride);
     }
 
-    /// The body of [`argmax_quantized_vnni`], for one activation.
-    ///
-    /// # Safety
-    /// As [`argmax_quantized_vnni`], which it is inlined into.
-    #[inline(always)]
-    unsafe fn vnni_lanes<const ACT: u8>(
-        lanes: &[u8],
-        xscales: &[f32],
-        panels: &QuantizedPanels,
-        activation: Activation,
-        heads: &[usize],
-        out: &mut [u32],
-        stride: usize,
-    ) {
-        let count = xscales.len();
-        let (kquads, n) = (panels.kquads, panels.n);
-        for r in (0..count).step_by(LANE_KEYS) {
-            let live = (count - r).min(LANE_KEYS);
-            let x = lanes.as_ptr().add(r / LANE_KEYS * kquads * QBLOCK);
-            let xs = _mm512_maskz_loadu_ps((u32::MAX >> (32 - live)) as u16, xscales.as_ptr().add(r));
-            let mut tops = Tops512::new(heads, r, live);
-            for p in 0..panels.panel_count() {
-                let w = panels.data.as_ptr().add(p * kquads * QBLOCK);
-                let offsets = panels.offsets.as_ptr().add(p * QLANES);
-                let mut acc = [_mm512_setzero_si512(); QLANES];
-                for (c, a) in acc.iter_mut().enumerate() {
-                    *a = _mm512_set1_epi32(*offsets.add(c));
-                }
-                for g in 0..kquads {
-                    let xg = _mm512_loadu_si512(x.add(g * QBLOCK).cast());
-                    let wg = w.add(g * QBLOCK) as *const i32;
-                    for (c, a) in acc.iter_mut().enumerate() {
-                        *a = _mm512_dpbusd_epi32(*a, xg, _mm512_set1_epi32(wg.add(c).read_unaligned()));
-                    }
-                }
-                for (c, &a) in acc.iter().enumerate().take(n - p * QLANES) {
-                    let col = p * QLANES + c;
-                    let y = lanes_logits512::<ACT>(a, xs, panels, col, activation);
-                    tops.column(col, y, out, stride);
-                }
-            }
-            tops.finish(out, stride);
-        }
-    }
-
-    /// [`super::argmax_prequantized`], AVX2 form with the keys in lanes: half
-    /// groups of eight keys (one `__m256i` of quads), eight columns at a
-    /// time, the sign-transfer arithmetic of [`avx2_quantized_tile`] with the
-    /// broadcast on the weight's side, then the epilogue and the heads'
-    /// argmax lane for lane.
-    ///
-    /// # Safety
-    /// AVX2 and FMA must be available; otherwise as
-    /// [`argmax_quantized_vnni`].
+    /// [`argmax_quantized`] with AVX2's sign-transfer dot product, eight keys
+    /// (half a group) at a time.
     #[target_feature(enable = "avx2", enable = "fma")]
     pub(super) unsafe fn argmax_quantized_avx2(
         lanes: &[u8],
@@ -2290,432 +2644,18 @@ mod x86 {
         out: &mut [u32],
         stride: usize,
     ) {
-        let count = xscales.len();
-        assert!(lanes.len() >= count.div_ceil(LANE_KEYS) * panels.kquads * QBLOCK);
-        by_activation!(avx2_lanes[], activation, (lanes, xscales, panels, activation, heads, out, stride));
-    }
-
-    /// Writes eight keys' classes of head `head`, the first `live` of them.
-    ///
-    /// # Safety
-    /// AVX2 must be available; the writes are checked indexing.
-    #[inline(never)]
-    #[cold]
-    #[target_feature(enable = "avx2")]
-    unsafe fn emit_classes256(
-        class: &__m256i,
-        out: &mut [u32],
-        first: usize,
-        live: usize,
-        stride: usize,
-        head: usize,
-    ) {
-        let mut classes = [0u32; HALF];
-        _mm256_storeu_si256(classes.as_mut_ptr().cast(), *class);
-        for (key, &class) in classes.iter().enumerate().take(live) {
-            out[(first + key) * stride + head] = class;
-        }
-    }
-
-    /// The body of [`argmax_quantized_avx2`], for one activation.
-    ///
-    /// # Safety
-    /// As [`argmax_quantized_avx2`], which it is inlined into.
-    #[inline(always)]
-    unsafe fn avx2_lanes<const ACT: u8>(
-        lanes: &[u8],
-        xscales: &[f32],
-        panels: &QuantizedPanels,
-        activation: Activation,
-        heads: &[usize],
-        out: &mut [u32],
-        stride: usize,
-    ) {
-        let count = xscales.len();
-        let (kquads, n) = (panels.kquads, panels.n);
-        let unbias = _mm256_set1_epi8(-128);
-        let ones = _mm256_set1_epi16(1);
-        for r in (0..count).step_by(HALF) {
-            let live = (count - r).min(HALF);
-            let x = lanes.as_ptr().add(r / LANE_KEYS * kquads * QBLOCK + r % LANE_KEYS * 4);
-            let mut scales = [0.0f32; HALF];
-            scales[..live].copy_from_slice(&xscales[r..r + live]);
-            let xs = _mm256_loadu_ps(scales.as_ptr());
-            let (mut head, mut start, mut end) = (0, 0, heads[0]);
-            let mut best = _mm256_set1_ps(f32::NEG_INFINITY);
-            let mut class = _mm256_setzero_si256();
-            for c0 in (0..n).step_by(HALF) {
-                let (p, lane) = (c0 / QLANES, c0 % QLANES);
-                let w = panels.data.as_ptr().add(p * kquads * QBLOCK + 4 * lane);
-                let mut acc = [_mm256_setzero_si256(); HALF];
-                for g in 0..kquads {
-                    let xq = _mm256_xor_si256(_mm256_loadu_si256(x.add(g * QBLOCK).cast()), unbias);
-                    let magnitude = _mm256_abs_epi8(xq);
-                    let wg = w.add(g * QBLOCK) as *const i32;
-                    for (c, a) in acc.iter_mut().enumerate() {
-                        let signed = _mm256_sign_epi8(_mm256_set1_epi32(wg.add(c).read_unaligned()), xq);
-                        let pairs = _mm256_maddubs_epi16(magnitude, signed);
-                        *a = _mm256_add_epi32(*a, _mm256_madd_epi16(pairs, ones));
-                    }
-                }
-                for (c, &a) in acc.iter().enumerate().take(n - c0) {
-                    let col = c0 + c;
-                    let m = _mm256_mul_ps(xs, _mm256_set1_ps(panels.scales[col]));
-                    let bias = _mm256_set1_ps(panels.bias[col]);
-                    let mut y = _mm256_fmadd_ps(_mm256_cvtepi32_ps(a), m, bias);
-                    y = match ACT {
-                        ACT_LINEAR => y,
-                        ACT_RELU => {
-                            let lt = _mm256_cmp_ps::<_CMP_LT_OQ>(y, _mm256_setzero_ps());
-                            _mm256_andnot_ps(lt, y)
-                        }
-                        _ => {
-                            let mut values = [0.0f32; HALF];
-                            _mm256_storeu_ps(values.as_mut_ptr(), y);
-                            apply_scalar(activation, &mut values);
-                            _mm256_loadu_ps(values.as_ptr())
-                        }
-                    };
-                    while col >= end {
-                        emit_classes256(&class, out, r, live, stride, head);
-                        (best, class) = (_mm256_set1_ps(f32::NEG_INFINITY), _mm256_setzero_si256());
-                        head += 1;
-                        (start, end) = (end, end + heads[head]);
-                    }
-                    let gt = _mm256_cmp_ps::<_CMP_GT_OQ>(y, best);
-                    best = _mm256_blendv_ps(best, y, gt);
-                    let this = _mm256_set1_epi32((col - start) as i32);
-                    class = _mm256_blendv_epi8(class, this, _mm256_castps_si256(gt));
-                }
-            }
-            loop {
-                emit_classes256(&class, out, r, live, stride, head);
-                head += 1;
-                if head == heads.len() {
-                    break;
-                }
-                class = _mm256_setzero_si256();
-            }
-        }
-    }
-
-    /// One panel of rows `r..r+MR` in the AVX2 form, the 64-byte weight block
-    /// as two 8-column halves.  Per row and quad: un-bias the four input
-    /// bytes (`⊕ 0x80`), split them into `|qₓ|` (`vpabsb`) and a sign that
-    /// `vpsignb` moves onto the weights, multiply unsigned × signed with
-    /// `vpmaddubsw` (pair sums `≤ 2·127²`, inside i16) and widen the pairs to
-    /// the quad's i32 sum with `vpmaddwd` against ones.
-    #[inline(always)]
-    #[allow(clippy::too_many_arguments)]
-    unsafe fn avx2_quantized_tile<const MR: usize>(
-        bytes: &[u8],
-        xscales: &[f32],
-        panels: &QuantizedPanels,
-        activation: Activation,
-        out: &mut [f32],
-        ld: usize,
-        r: usize,
-        p: usize,
-    ) {
-        let kquads = panels.kquads;
-        let x = bytes.as_ptr().add(r * kquads * 4) as *const i32;
-        let w = panels.data.as_ptr().add(p * kquads * QBLOCK);
-        let unbias = _mm256_set1_epi8(-128);
-        let ones = _mm256_set1_epi16(1);
-        let mut lo = [_mm256_setzero_si256(); MR];
-        let mut hi = [_mm256_setzero_si256(); MR];
-        for g in 0..kquads {
-            let w_lo = _mm256_loadu_si256(w.add(g * QBLOCK).cast());
-            let w_hi = _mm256_loadu_si256(w.add(g * QBLOCK + QBLOCK / 2).cast());
-            for i in 0..MR {
-                let xq = _mm256_xor_si256(
-                    _mm256_set1_epi32(x.add(i * kquads + g).read_unaligned()),
-                    unbias,
-                );
-                let magnitude = _mm256_abs_epi8(xq);
-                let pairs_lo = _mm256_maddubs_epi16(magnitude, _mm256_sign_epi8(w_lo, xq));
-                let pairs_hi = _mm256_maddubs_epi16(magnitude, _mm256_sign_epi8(w_hi, xq));
-                lo[i] = _mm256_add_epi32(lo[i], _mm256_madd_epi16(pairs_lo, ones));
-                hi[i] = _mm256_add_epi32(hi[i], _mm256_madd_epi16(pairs_hi, ones));
-            }
-        }
-        let at = p * QLANES;
-        for i in 0..MR {
-            let xs = _mm256_set1_ps(xscales[r + i]);
-            let m_lo = _mm256_mul_ps(xs, _mm256_loadu_ps(panels.scales.as_ptr().add(at)));
-            let m_hi = _mm256_mul_ps(xs, _mm256_loadu_ps(panels.scales.as_ptr().add(at + HALF)));
-            let y_lo = _mm256_fmadd_ps(
-                _mm256_cvtepi32_ps(lo[i]),
-                m_lo,
-                _mm256_loadu_ps(panels.bias.as_ptr().add(at)),
-            );
-            let y_hi = _mm256_fmadd_ps(
-                _mm256_cvtepi32_ps(hi[i]),
-                m_hi,
-                _mm256_loadu_ps(panels.bias.as_ptr().add(at + HALF)),
-            );
-            store_half_tiles(y_lo, y_hi, activation, out, (r + i) * ld + at, ld - at);
-        }
-    }
-
-    /// Int8 forward, AVX2 form (see [`avx2_quantized_tile`]): 4 rows share
-    /// each pair of weight loads (8 accumulators of the 16 ymm registers).
-    /// Also what an AVX-512 host without VNNI runs.
-    #[target_feature(enable = "avx2", enable = "fma")]
-    pub(super) unsafe fn forward_quantized_avx2(
-        bytes: &[u8],
-        xscales: &[f32],
-        panels: &QuantizedPanels,
-        activation: Activation,
-        out: &mut [f32],
-        ld: usize,
-    ) {
-        let count = xscales.len();
-        let mut r = 0;
-        while r < count {
-            let left = (count - r).min(MR);
-            for p in 0..panels.panel_count() {
-                match left {
-                    MR => avx2_quantized_tile::<MR>(bytes, xscales, panels, activation, out, ld, r, p),
-                    3 => avx2_quantized_tile::<3>(bytes, xscales, panels, activation, out, ld, r, p),
-                    2 => avx2_quantized_tile::<2>(bytes, xscales, panels, activation, out, ld, r, p),
-                    _ => avx2_quantized_tile::<1>(bytes, xscales, panels, activation, out, ld, r, p),
-                }
-            }
-            r += left;
-        }
-    }
-
-    /// Stores a 16-lane tile held as two `__m256` halves, applying the
-    /// activation in the same pass (see [`store_tile256`]).
-    #[target_feature(enable = "avx2", enable = "fma")]
-    unsafe fn store_half_tiles(
-        lo: __m256,
-        hi: __m256,
-        activation: Activation,
-        out: &mut [f32],
-        offset: usize,
-        remaining_cols: usize,
-    ) {
-        store_tile256(lo, activation, out, offset, remaining_cols.min(HALF));
-        if remaining_cols > HALF {
-            store_tile256(hi, activation, out, offset + HALF, remaining_cols - HALF);
-        }
-    }
-
-    /// Stores up to 8 lanes of a finished tile and applies the activation in
-    /// the same pass (ReLU in registers; sigmoid/tanh scalar on the stored
-    /// lanes, identical to the scalar kernel's recipe).
-    #[target_feature(enable = "avx2", enable = "fma")]
-    unsafe fn store_tile256(
-        acc: __m256,
-        activation: Activation,
-        out: &mut [f32],
-        offset: usize,
-        remaining_cols: usize,
-    ) {
-        let acc = match activation {
-            Activation::Relu => {
-                // `if v < 0.0 { 0.0 }`: lanes where v < 0 are cleared; -0.0 and
-                // NaN compare not-less-than and pass through — exactly the
-                // scalar recipe.
-                let lt = _mm256_cmp_ps::<_CMP_LT_OQ>(acc, _mm256_setzero_ps());
-                _mm256_andnot_ps(lt, acc)
-            }
-            _ => acc,
-        };
-        let cols = HALF.min(remaining_cols);
-        if cols == HALF {
-            _mm256_storeu_ps(out.as_mut_ptr().add(offset), acc);
-        } else {
-            let mut tmp = [0.0f32; HALF];
-            _mm256_storeu_ps(tmp.as_mut_ptr(), acc);
-            out[offset..offset + cols].copy_from_slice(&tmp[..cols]);
-        }
-        if matches!(activation, Activation::Sigmoid | Activation::Tanh) {
-            activation.apply_to(&mut out[offset..offset + cols]);
-        }
-    }
-
-    /// Stores up to 16 lanes of a finished tile (AVX-512 form of
-    /// [`store_tile256`], same activation recipe).
-    #[target_feature(enable = "avx512f", enable = "avx512bw", enable = "avx512dq")]
-    unsafe fn store_tile512(
-        acc: __m512,
-        activation: Activation,
-        out: &mut [f32],
-        offset: usize,
-        remaining_cols: usize,
-    ) {
-        let acc = match activation {
-            Activation::Relu => {
-                // Lanes where v < 0 (ordered) are zeroed; -0.0 and NaN pass
-                // through — exactly the scalar recipe.
-                let lt = _mm512_cmp_ps_mask::<_CMP_LT_OQ>(acc, _mm512_setzero_ps());
-                _mm512_maskz_mov_ps(!lt, acc)
-            }
-            _ => acc,
-        };
-        let cols = LANES.min(remaining_cols);
-        if cols == LANES {
-            _mm512_storeu_ps(out.as_mut_ptr().add(offset), acc);
-        } else {
-            let mut tmp = [0.0f32; LANES];
-            _mm512_storeu_ps(tmp.as_mut_ptr(), acc);
-            out[offset..offset + cols].copy_from_slice(&tmp[..cols]);
-        }
-        if matches!(activation, Activation::Sigmoid | Activation::Tanh) {
-            activation.apply_to(&mut out[offset..offset + cols]);
-        }
+        argmax_quantized::<F32x8, 8>(lanes, xscales, panels, activation, heads, out, stride);
     }
 
     // -----------------------------------------------------------------------
     // The gradient kernels: `dy · Wᵀ` and `xᵀ · dy`.
-    //
-    // Both are written once over [`Lanes`] — a vector of 16 (AVX-512) or 8
-    // (AVX2) f32 with the handful of operations the tiles need — so an ISA has
-    // one blocked form of each and the two ISAs cannot drift apart.  The tile
-    // functions are `#[inline(always)]` into their `#[target_feature]` entry
-    // points, which is where the intrinsics become instructions.
     // -----------------------------------------------------------------------
-
-    /// One vector register of f32 lanes, and a per-lane predicate over it.
-    ///
-    /// # Safety
-    ///
-    /// Every method needs the CPU features of the implementing type (checked
-    /// by the public entry points before they dispatch); the ones that take a
-    /// pointer need the lanes they touch — all of them, or those of the mask —
-    /// to be readable (`load*`) or writable (`store*`) f32s.
-    trait Lanes: Copy {
-        /// Lanes per register.
-        const WIDTH: usize;
-        /// A per-lane predicate (a mask register, or an all-ones / all-zeros
-        /// lane pattern where the ISA has no mask registers).
-        type Mask: Copy;
-        unsafe fn zero() -> Self;
-        unsafe fn splat(v: f32) -> Self;
-        unsafe fn load(src: *const f32) -> Self;
-        unsafe fn store(self, dst: *mut f32);
-        unsafe fn add(self, other: Self) -> Self;
-        /// `self · b + c`, fused.
-        unsafe fn fmadd(self, b: Self, c: Self) -> Self;
-        /// The first `count` lanes.
-        unsafe fn prefix(count: usize) -> Self::Mask;
-        /// The lanes of `mask` from `src`, `+0.0` elsewhere (no access there).
-        unsafe fn load_where(mask: Self::Mask, src: *const f32) -> Self;
-        /// The lanes of `mask` to `dst` (no access elsewhere).
-        unsafe fn store_where(self, mask: Self::Mask, dst: *mut f32);
-        /// The lanes that are not `±0.0` (a NaN is not zero).
-        unsafe fn nonzero(self) -> Self::Mask;
-        /// `self · b + c` in the lanes of `mask`, `c` untouched elsewhere.
-        unsafe fn fmadd_where(self, mask: Self::Mask, b: Self, c: Self) -> Self;
-    }
-
-    impl Lanes for __m512 {
-        const WIDTH: usize = 16;
-        type Mask = __mmask16;
-        #[inline(always)]
-        unsafe fn zero() -> Self {
-            _mm512_setzero_ps()
-        }
-        #[inline(always)]
-        unsafe fn splat(v: f32) -> Self {
-            _mm512_set1_ps(v)
-        }
-        #[inline(always)]
-        unsafe fn load(src: *const f32) -> Self {
-            _mm512_loadu_ps(src)
-        }
-        #[inline(always)]
-        unsafe fn store(self, dst: *mut f32) {
-            _mm512_storeu_ps(dst, self)
-        }
-        #[inline(always)]
-        unsafe fn add(self, other: Self) -> Self {
-            _mm512_add_ps(self, other)
-        }
-        #[inline(always)]
-        unsafe fn fmadd(self, b: Self, c: Self) -> Self {
-            _mm512_fmadd_ps(self, b, c)
-        }
-        #[inline(always)]
-        unsafe fn prefix(count: usize) -> Self::Mask {
-            ((1u32 << count) - 1) as __mmask16
-        }
-        #[inline(always)]
-        unsafe fn load_where(mask: Self::Mask, src: *const f32) -> Self {
-            _mm512_maskz_loadu_ps(mask, src)
-        }
-        #[inline(always)]
-        unsafe fn store_where(self, mask: Self::Mask, dst: *mut f32) {
-            _mm512_mask_storeu_ps(dst, mask, self)
-        }
-        #[inline(always)]
-        unsafe fn nonzero(self) -> Self::Mask {
-            _mm512_cmp_ps_mask::<_CMP_NEQ_UQ>(self, _mm512_setzero_ps())
-        }
-        #[inline(always)]
-        unsafe fn fmadd_where(self, mask: Self::Mask, b: Self, c: Self) -> Self {
-            _mm512_mask3_fmadd_ps(self, b, c, mask)
-        }
-    }
-
-    impl Lanes for __m256 {
-        const WIDTH: usize = 8;
-        type Mask = __m256;
-        #[inline(always)]
-        unsafe fn zero() -> Self {
-            _mm256_setzero_ps()
-        }
-        #[inline(always)]
-        unsafe fn splat(v: f32) -> Self {
-            _mm256_set1_ps(v)
-        }
-        #[inline(always)]
-        unsafe fn load(src: *const f32) -> Self {
-            _mm256_loadu_ps(src)
-        }
-        #[inline(always)]
-        unsafe fn store(self, dst: *mut f32) {
-            _mm256_storeu_ps(dst, self)
-        }
-        #[inline(always)]
-        unsafe fn add(self, other: Self) -> Self {
-            _mm256_add_ps(self, other)
-        }
-        #[inline(always)]
-        unsafe fn fmadd(self, b: Self, c: Self) -> Self {
-            _mm256_fmadd_ps(self, b, c)
-        }
-        #[inline(always)]
-        unsafe fn prefix(count: usize) -> Self::Mask {
-            let lane = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
-            _mm256_castsi256_ps(_mm256_cmpgt_epi32(_mm256_set1_epi32(count as i32), lane))
-        }
-        #[inline(always)]
-        unsafe fn load_where(mask: Self::Mask, src: *const f32) -> Self {
-            _mm256_maskload_ps(src, _mm256_castps_si256(mask))
-        }
-        #[inline(always)]
-        unsafe fn store_where(self, mask: Self::Mask, dst: *mut f32) {
-            _mm256_maskstore_ps(dst, _mm256_castps_si256(mask), self)
-        }
-        #[inline(always)]
-        unsafe fn nonzero(self) -> Self::Mask {
-            _mm256_cmp_ps::<_CMP_NEQ_UQ>(self, _mm256_setzero_ps())
-        }
-        #[inline(always)]
-        unsafe fn fmadd_where(self, mask: Self::Mask, b: Self, c: Self) -> Self {
-            _mm256_blendv_ps(c, _mm256_fmadd_ps(self, b, c), mask)
-        }
-    }
 
     /// Adds neighbours until one is left: over lane sums in [`LANE_ORDER`]
     /// (or the sums of aligned runs of them) this is the fixed tree of
     /// [`super::reduce_lanes`].
     #[inline(always)]
-    unsafe fn fold_neighbours<V: Lanes, const N: usize>(mut v: [V; N]) -> V {
+    fn fold_neighbours<V: Lanes, const N: usize>(mut v: [V; N]) -> V {
         let mut len = N;
         while len > 1 {
             len /= 2;
@@ -2865,7 +2805,7 @@ mod x86 {
         from_zero: bool,
         out: &mut [f32],
     ) {
-        matmul_wt::<__m512, 4, 4, 4>(dy, parts, from_zero, out);
+        matmul_wt::<F32x16, 4, 4, 4>(dy, parts, from_zero, out);
     }
 
     /// 2 rows × 4 lanes over each 8-output half: eight ymm accumulators.
@@ -2876,7 +2816,7 @@ mod x86 {
         from_zero: bool,
         out: &mut [f32],
     ) {
-        matmul_wt::<__m256, 2, 4, 4>(dy, parts, from_zero, out);
+        matmul_wt::<F32x8, 2, 4, 4>(dy, parts, from_zero, out);
     }
 
     /// Rows of `lhs` and `rhs` that [`transpose_matmul`] runs every tile over
@@ -2981,14 +2921,14 @@ mod x86 {
     /// Up to 3 vectors × 8 columns: twenty-four zmm accumulators.
     #[target_feature(enable = "avx512f", enable = "avx512bw", enable = "avx512dq")]
     pub(super) unsafe fn transpose_matmul_avx512(lhs: &Matrix, rhs: &Matrix, out: &mut [f32]) {
-        transpose_matmul::<__m512, 8>(lhs, rhs, out);
+        transpose_matmul::<F32x16, 8>(lhs, rhs, out);
     }
 
     /// Up to 3 vectors × 2 columns: six ymm accumulators beside the three
     /// vectors of `lhs` and their three masks.
     #[target_feature(enable = "avx2", enable = "fma")]
     pub(super) unsafe fn transpose_matmul_avx2(lhs: &Matrix, rhs: &Matrix, out: &mut [f32]) {
-        transpose_matmul::<__m256, 2>(lhs, rhs, out);
+        transpose_matmul::<F32x8, 2>(lhs, rhs, out);
     }
 }
 
@@ -3111,14 +3051,10 @@ pub(crate) mod tests {
     }
 
     /// Scalar and vector kernels must agree bit for bit — the invariant that
-    /// keeps aux-table memorization lossless across kernel selection.  On
-    /// AVX-512 hardware the vector kernel is additionally run in its AVX2
-    /// form (via the test-only feature override) and must agree too.
+    /// keeps aux-table memorization lossless across kernel selection — under
+    /// every form [`under_each_form`] runs.
     #[test]
     fn scalar_and_vector_kernels_are_bit_identical() {
-        if !vector_available() {
-            return; // vector lanes degrade to the scalar recipe anyway
-        }
         for &(m, k, n) in &[
             (1usize, 5usize, 3usize),
             (4, 8, 8),
@@ -3137,81 +3073,38 @@ pub(crate) mod tests {
                 Activation::Sigmoid,
                 Activation::Tanh,
             ] {
-                let s = with_forced(Kernel::Scalar, || forward_packed(&x, 0, m, &panels, act)).unwrap();
-                let v = with_forced(Kernel::Vector, || forward_packed(&x, 0, m, &panels, act)).unwrap();
-                assert_eq!(bits(&s), bits(&v), "forward {m}x{k}x{n} {act:?}");
-                #[cfg(target_arch = "x86_64")]
-                if avx512_available() {
-                    let v2 = with_avx512_disabled(|| {
-                        with_forced(Kernel::Vector, || forward_packed(&x, 0, m, &panels, act)).unwrap()
-                    });
-                    assert_eq!(bits(&s), bits(&v2), "forward avx2 {m}x{k}x{n} {act:?}");
-                }
+                let what = format!("forward {m}x{k}x{n} {act:?}");
+                assert_forms_agree(&what, &|| forward_packed(&x, 0, m, &panels, act).unwrap());
             }
             let dy = fill(m, n, 14);
-            let s = with_forced(Kernel::Scalar, || matmul_transpose_packed(&dy, &panels)).unwrap();
-            let v = with_forced(Kernel::Vector, || matmul_transpose_packed(&dy, &panels)).unwrap();
-            assert_eq!(bits(&s), bits(&v), "matmul_wt {m}x{n}x{k}");
-            #[cfg(target_arch = "x86_64")]
-            if avx512_available() {
-                let v2 = with_avx512_disabled(|| {
-                    with_forced(Kernel::Vector, || matmul_transpose_packed(&dy, &panels)).unwrap()
-                });
-                assert_eq!(bits(&s), bits(&v2), "matmul_wt avx2 {m}x{n}x{k}");
-            }
+            let what = format!("matmul_wt {m}x{n}x{k}");
+            assert_forms_agree(&what, &|| matmul_transpose_packed(&dy, &panels).unwrap());
             let xt = fill(k, m, 15);
             let rhs = fill(k, n, 16);
-            let s = with_forced(Kernel::Scalar, || transpose_matmul(&xt, &rhs)).unwrap();
-            let v = with_forced(Kernel::Vector, || transpose_matmul(&xt, &rhs)).unwrap();
-            assert_eq!(bits(&s), bits(&v), "transpose_matmul {k}x{m}x{n}");
-            #[cfg(target_arch = "x86_64")]
-            if avx512_available() {
-                let v2 = with_avx512_disabled(|| {
-                    with_forced(Kernel::Vector, || transpose_matmul(&xt, &rhs)).unwrap()
-                });
-                assert_eq!(bits(&s), bits(&v2), "transpose_matmul avx2 {k}x{m}x{n}");
-            }
+            let what = format!("transpose_matmul {k}x{m}x{n}");
+            assert_forms_agree(&what, &|| transpose_matmul(&xt, &rhs).unwrap());
         }
     }
 
-    /// Both gradient kernels under the scalar, the selected vector and (on an
-    /// AVX-512 host) the AVX2 form: `xᵀ · dy` of `x` with `dy`, and `dy · Wᵀ`
-    /// of `dy` with `w`.
+    /// `f`'s result under every form [`under_each_form`] runs is the scalar
+    /// form's, bit for bit.
+    fn assert_forms_agree(what: &str, f: &dyn Fn() -> Matrix) {
+        let mut reference = None;
+        under_each_form(|form| {
+            let got = bits(&f());
+            let reference = reference.get_or_insert_with(|| got.clone());
+            let differs = reference.iter().zip(&got).position(|(a, b)| a != b);
+            assert_eq!(differs, None, "{what}: {form} vs scalar");
+        });
+    }
+
+    /// Both gradient kernels agree in every form: `xᵀ · dy` of `x` with `dy`,
+    /// and `dy · Wᵀ` of `dy` with `w`.
     fn assert_gradient_forms_agree(x: &Matrix, dy: &Matrix, w: &Matrix, what: &str) {
         let panels = PackedPanels::pack(w, None).unwrap();
-        for (kernel, run) in [
-            ("xᵀ·dy", &(|| transpose_matmul(x, dy).unwrap()) as &dyn Fn() -> Matrix),
-            ("dy·Wᵀ", &|| matmul_transpose_packed(dy, &panels).unwrap()),
-        ] {
-            let forms = gradient_forms(run);
-            let reference = bits(&forms[0].1);
-            for (form, got) in &forms[1..] {
-                let differs = reference.iter().zip(bits(got)).position(|(&a, b)| a != b);
-                assert_eq!(
-                    differs,
-                    None,
-                    "{kernel} {form} vs scalar, {what}: x {}x{}, dy {}x{}",
-                    x.rows(),
-                    x.cols(),
-                    dy.rows(),
-                    dy.cols()
-                );
-            }
-        }
-    }
-
-    /// What `f` returns under the scalar, the selected vector and (on an
-    /// AVX-512 host) the AVX2 form.
-    fn gradient_forms(f: &dyn Fn() -> Matrix) -> Vec<(&'static str, Matrix)> {
-        let mut forms = vec![("scalar", with_forced(Kernel::Scalar, f))];
-        forms.push(("vector", with_forced(Kernel::Vector, f)));
-        if avx512_available() {
-            forms.push((
-                "avx2",
-                with_avx512_disabled(|| with_forced(Kernel::Vector, f)),
-            ));
-        }
-        forms
+        let shapes = format!("{what}: x {}x{}, dy {}x{}", x.rows(), x.cols(), dy.rows(), dy.cols());
+        assert_forms_agree(&format!("xᵀ·dy {shapes}"), &|| transpose_matmul(x, dy).unwrap());
+        assert_forms_agree(&format!("dy·Wᵀ {shapes}"), &|| matmul_transpose_packed(dy, &panels).unwrap());
     }
 
     /// What [`matmul_transpose_segmented`] is defined as: each part's
@@ -3240,8 +3133,9 @@ pub(crate) mod tests {
     /// bit for bit.
     fn assert_segmented_forms_agree(dy: &Matrix, parts: &[&PackedPanels], what: &str) {
         let reference = bits(&segmented_reference(dy, parts));
-        for (form, got) in gradient_forms(&|| matmul_transpose_segmented(dy, parts).unwrap()) {
-            let differs = reference.iter().zip(bits(&got)).position(|(&a, b)| a != b);
+        under_each_form(|form| {
+            let got = bits(&matmul_transpose_segmented(dy, parts).unwrap());
+            let differs = reference.iter().zip(&got).position(|(a, b)| a != b);
             assert_eq!(
                 differs,
                 None,
@@ -3249,7 +3143,7 @@ pub(crate) mod tests {
                 dy.rows(),
                 dy.cols()
             );
-        }
+        });
     }
 
     fn relu(mut m: Matrix) -> Matrix {
@@ -3360,11 +3254,8 @@ pub(crate) mod tests {
         let x = pick(24, 35, 4, &[0.0, 1.0, 0.0, 2.0, 0.5]);
         let mut dy = fill(24, 19, 5);
         dy.set(7, 3, f32::INFINITY);
+        assert_forms_agree("xᵀ·dy with an infinite dy", &|| transpose_matmul(&x, &dy).unwrap());
         let s = with_forced(Kernel::Scalar, || transpose_matmul(&x, &dy)).unwrap();
-        let v = with_forced(Kernel::Vector, || transpose_matmul(&x, &dy)).unwrap();
-        assert_eq!(bits(&s), bits(&v), "xᵀ·dy with an infinite dy");
-        let v2 = with_avx512_disabled(|| with_forced(Kernel::Vector, || transpose_matmul(&x, &dy)).unwrap());
-        assert_eq!(bits(&s), bits(&v2), "xᵀ·dy avx2 with an infinite dy");
         for i in 0..35 {
             assert_eq!(s.get(i, 3).is_infinite(), x.get(7, i) != 0.0, "output ({i}, 3)");
         }
@@ -3551,6 +3442,50 @@ pub(crate) mod tests {
                         let expected = reference.get_or_insert_with(|| got.clone());
                         assert_eq!(&got, expected, "{form} {m}x{k}x{n}");
                     });
+                }
+            }
+        }
+    }
+
+    /// Every row-major form stores what the scalar reference stores when a
+    /// logit is a signed zero, a NaN or an infinity: zero-weight columns whose
+    /// biases are `-0.0`, `+0.0`, NaN, `+∞` and `-∞`, on both sides of an
+    /// AVX2 half (8 columns) and of a panel (16), under each activation, in
+    /// the f32 and the int8 forward.  An all-negative input row keeps the
+    /// `-0.0` bias `-0.0` through the f32 chain (`fma(x < 0, 0, -0.0)` is
+    /// `-0.0`), so a ReLU that made it `+0.0`, or a NaN `0.0`, shows.
+    #[test]
+    fn row_major_forms_store_signed_zeros_nans_and_infinities_as_the_reference() {
+        let special = [-0.0, 0.0, f32::NAN, f32::INFINITY, f32::NEG_INFINITY];
+        let acts = [Activation::Linear, Activation::Relu, Activation::Sigmoid, Activation::Tanh];
+        for &k in &[5usize, 38] {
+            let mut x = fill_with_zero_rows(7, k, 61);
+            x.row_mut(0).iter_mut().enumerate().for_each(|(i, v)| *v = -1.0 - i as f32 / 8.0);
+            for &n in &[9usize, 17, 35] {
+                for shift in 0..2 {
+                    let (mut w, mut b) = (fill(k, n, 62), fill(1, n, 63));
+                    for c in (shift..n).step_by(2) {
+                        for kk in 0..k {
+                            w.set(kk, c, 0.0);
+                        }
+                        b.set(0, c, special[(c / 2) % special.len()]);
+                    }
+                    let packed = PackedPanels::pack(&w, Some(&b)).unwrap();
+                    let quantized = QuantizedPanels::quantize(&w, Some(&b)).unwrap();
+                    for act in acts {
+                        let what = format!("k={k} n={n} shift={shift} {act:?}");
+                        let f32_form = || forward_packed(&x, 0, 7, &packed, act).unwrap();
+                        let int8_form = || forward_quantized(&x, 0, 7, &quantized, act).unwrap();
+                        assert_forms_agree(&format!("f32 {what}"), &f32_form);
+                        assert_forms_agree(&format!("int8 {what}"), &int8_form);
+                        if act == Activation::Relu {
+                            let f32_bits = bits(&with_forced(Kernel::Scalar, f32_form));
+                            let int8_bits = bits(&with_forced(Kernel::Scalar, int8_form));
+                            let nan = |v: &u32| f32::from_bits(*v).is_nan();
+                            assert!(f32_bits.contains(&(-0.0f32).to_bits()), "a -0.0 logit, {what}");
+                            assert!(f32_bits.iter().any(nan) && int8_bits.iter().any(nan), "NaN logits, {what}");
+                        }
+                    }
                 }
             }
         }
