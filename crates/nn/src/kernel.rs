@@ -1614,16 +1614,11 @@ mod x86 {
     use std::arch::x86_64::*;
 
     // -----------------------------------------------------------------------
-    // The lanes.
+    // The lanes: every path below but three AVX-512 helpers is one body over
+    // [`Lanes`] and [`Quads`] (see "One body per path" in the module docs).
     //
-    // Every vector path here but three AVX-512 helpers — the f32 forward, the
-    // int8 forward, the keys-in-lanes argmax and both gradient kernels — is
-    // written once, over [`Lanes`] (a vector of 16 (AVX-512) or 8 (AVX2) f32
-    // with the handful of operations the tiles need) and, for int8, [`Quads`]
-    // (its 4-way byte dot product), so an ISA is two short impls and the
-    // `#[target_feature]` entry points that pick them, and the ISAs cannot
-    // drift apart.  The bodies and the trait methods are `#[inline(always)]`
-    // into those entry points, which is where the intrinsics become
+    // The bodies and the trait methods are `#[inline(always)]` into the
+    // `#[target_feature]` entry points, which is where the intrinsics become
     // instructions; no closure sits between them (one that did kept its
     // intrinsics out of line and made a form ≈ 2× slower).
     // -----------------------------------------------------------------------
@@ -2078,7 +2073,7 @@ mod x86 {
                 row[v] = bias;
             }
         }
-        let mut rows = [x.row(r); MR];
+        let mut rows: [&[f32]; MR] = [&[]; MR];
         for (j, row) in rows.iter_mut().enumerate() {
             *row = x.row(r + j);
         }
