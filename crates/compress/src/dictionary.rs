@@ -139,24 +139,30 @@ mod tests {
         let mut verbatim = vec![MODE_VERBATIM];
         varint::write_u64(&mut verbatim, u64::MAX);
         verbatim.push(0);
-        let dict = |total: u64, width: u64, entries: u64, packed: Option<u64>| {
+        // Codes 0 and 1 of two one-byte entries.
+        let codes = bitpack::pack(&[0, 1], 1).unwrap();
+        let dict = |total: u64, width: u64, entries: u64, codes_len: Option<u64>| {
             let mut out = vec![MODE_DICT];
             for v in [total, width, entries] {
                 varint::write_u64(&mut out, v);
             }
-            if let Some(packed) = packed {
-                out.extend_from_slice(&[1, 2]);
-                varint::write_u64(&mut out, packed);
+            match codes_len {
+                Some(len) => {
+                    out.extend_from_slice(&[1, 2]);
+                    varint::write_u64(&mut out, len);
+                    out.extend_from_slice(&codes);
+                }
+                None => out.extend_from_slice(&[0; 4]),
             }
-            out.extend_from_slice(&[0; 4]);
             out
         };
+        assert_eq!(decompress(&dict(2, 1, 2, Some(codes.len() as u64))).unwrap(), [1, 2]);
         for crafted in [
             verbatim,
             dict(2, 1, u64::MAX, None),
             dict(2, 2, u64::MAX / 2, None),
             dict(2, 1, 2, Some(u64::MAX)),
-            dict(u64::MAX, 1, 2, Some(1)),
+            dict(u64::MAX, 1, 2, Some(codes.len() as u64)),
         ] {
             assert!(matches!(decompress(&crafted), Err(CompressError::Corrupt(_))), "{crafted:?}");
         }
