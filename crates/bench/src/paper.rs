@@ -352,15 +352,15 @@ impl PaperRun {
         }
     }
 
-    /// Figures 9–10: every architecture the MHAS controller samples, per TPC-H table and
-    /// scale, under the runner's store definition — so a sample's `ratio` is that of an
-    /// int8 store like the `lookup` rows' — and one `mhas_built` row for the store the
-    /// winner builds at the runner's epochs, `search_ratio` beside its own `ratio`.
+    /// Figures 9–10: every architecture the MHAS search samples (seeded, uniform), per
+    /// TPC-H table and scale, under the runner's store definition — so a sample's
+    /// `ratio` is that of an int8 store like the `lookup` rows' — and one `mhas_built`
+    /// row for the store the winner builds at the runner's epochs, `search_ratio`
+    /// beside its own `ratio`.
     fn mhas(&mut self, config: &PaperConfig) {
         let mhas = MhasConfig {
             iterations: if config.quick { 8 } else { 48 },
             model_epochs: 1,
-            controller_every: 4,
             sample_rows: 2048,
             ..MhasConfig::default()
         };

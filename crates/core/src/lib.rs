@@ -19,8 +19,9 @@
 //! insert/delete/update workflows of Algorithms 3–5 (with the lazy-retraining policy),
 //! the range-query extension of Section IV-E, and the storage-breakdown statistics
 //! behind Figure 6.  [`mhas`] implements the Multi-task Hybrid Architecture Search of
-//! Section IV-C: an ENAS-style search over shared/private layer counts and widths,
-//! driven by an LSTM controller trained with REINFORCE on the Eq.-1 objective.
+//! Section IV-C: an ENAS-style search over shared/private layer counts and widths with
+//! shared weights, each architecture drawn by a seeded uniform sampler and priced on
+//! the Eq.-1 objective by building it.
 
 pub mod aux_table;
 pub mod builder;

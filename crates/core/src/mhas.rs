@@ -10,9 +10,17 @@
 //!   from a candidate list ([`SearchSpace`]),
 //! * a **weight bank** shares parameters across sampled architectures, so a layer
 //!   sampled again in a later iteration continues training from where it left off,
-//! * an **LSTM controller** samples architectures autoregressively and is trained with
-//!   REINFORCE on the Eq.-1 reward (Algorithm 2 alternates model-training iterations
-//!   and controller-training iterations).
+//! * a **seeded uniform sampler** draws each architecture: one uniform choice per
+//!   decision of [`SearchSpace::choice_counts`] from the search's own seeded generator,
+//!   so a search — its history and its winner — is a function of its seed.
+//!
+//! The paper samples with an LSTM controller trained by REINFORCE on the Eq.-1 reward
+//! (Algorithm 2 alternates model-training and controller-training iterations).  At the
+//! paper runner's budget — 48 candidates on each of `orders`, `part`, `supplier` and
+//! `customer` at two scales, five seeds — that controller's winners built a smaller
+//! store than the uniform sampler's in 2 of the 8 cells by median and a larger one in
+//! 2, so it was removed: a learned part stays only where it beats the simple draw it
+//! replaces at an equal budget.
 //!
 //! A candidate is scored by building it: its layers come out of the weight bank, are
 //! trained by [`MappingModel::train`] for `model_epochs` over the sample, go back to
@@ -23,8 +31,8 @@
 //! that candidate assembles — Eq. 1 exactly, of the weights `model_epochs` of shared-weight training leave, not of a full build's
 //! epochs — its `memorization_rate` that store's `memorized_fraction()`, and
 //! `macs_per_key` the exact multiply-accumulates a predicted key costs.  Those are the
-//! dots of Figures 9 and 10.  The reward is the ratio alone; the MAC count is
-//! recorded, not yet constrained.
+//! dots of Figures 9 and 10.  The winner is the candidate of the lowest ratio; the MAC
+//! count is recorded, not yet constrained.
 
 use crate::config::{DeepMappingConfig, TrainingConfig};
 use crate::encoder::{DecodeMap, MappingSchema};
@@ -33,11 +41,11 @@ use crate::model::MappingModel;
 use crate::stats::StorageBreakdown;
 use crate::{CoreError, Result};
 use dm_nn::layer::{Activation, Dense};
-use dm_nn::{Adam, MultiTaskModel, MultiTaskSpec, SequenceController, TaskHeadSpec};
+use dm_nn::{MultiTaskModel, MultiTaskSpec, TaskHeadSpec};
 use dm_storage::{Metrics, Row};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
-use rand::{RngCore, SeedableRng};
+use rand::{Rng, RngCore, SeedableRng};
 use std::collections::HashMap;
 
 /// The MHAS search space: how many shared/private layers and which widths are allowed.
@@ -64,7 +72,7 @@ impl SearchSpace {
         }
     }
 
-    /// Number of choices at each controller decision step.
+    /// Number of choices at each decision of an architecture.
     ///
     /// Steps: shared-layer count, `max_shared` shared widths, then per task a
     /// private-layer count and `max_private` private widths.
@@ -88,12 +96,12 @@ impl SearchSpace {
         chain(self.max_shared) * chain(self.max_private).pow(self.num_tasks as u32)
     }
 
-    /// Decodes a controller decision sequence into a concrete architecture.
+    /// Decodes a decision sequence into a concrete architecture.
     pub fn decode(&self, choices: &[usize], schema: &MappingSchema) -> Result<MultiTaskSpec> {
         let expected = self.choice_counts().len();
         if choices.len() != expected {
             return Err(CoreError::InvalidConfig(format!(
-                "expected {expected} controller decisions, got {}",
+                "expected {expected} decisions, got {}",
                 choices.len()
             )));
         }
@@ -140,7 +148,7 @@ impl SearchSpace {
     }
 }
 
-/// Budget and hyperparameters of the search (Algorithm 2's `Nt`, `Nm`, `Nc` and the
+/// Budget and hyperparameters of the search (Algorithm 2's `Nt` and the
 /// training settings of Section V-A6, scaled down so the search runs in seconds).
 #[derive(Debug, Clone, PartialEq)]
 pub struct MhasConfig {
@@ -148,8 +156,6 @@ pub struct MhasConfig {
     pub iterations: usize,
     /// Epochs of model training per model-training iteration (`m_epochs`).
     pub model_epochs: usize,
-    /// Train the controller every this many iterations (`Nt / Nc`).
-    pub controller_every: usize,
     /// Mini-batch size for model training during the search.
     pub batch_size: usize,
     /// At most this many rows train a candidate (a uniform sample of the
@@ -157,10 +163,6 @@ pub struct MhasConfig {
     pub sample_rows: usize,
     /// Candidate layer widths (overrides the default [`SearchSpace`] widths).
     pub layer_sizes: Vec<usize>,
-    /// LSTM controller hidden width (the paper uses 64).
-    pub controller_hidden: usize,
-    /// Entropy bonus weight for controller exploration.
-    pub entropy_bonus: f32,
 }
 
 impl Default for MhasConfig {
@@ -168,12 +170,9 @@ impl Default for MhasConfig {
         MhasConfig {
             iterations: 60,
             model_epochs: 2,
-            controller_every: 5,
             batch_size: 2048,
             sample_rows: 4096,
             layer_sizes: vec![32, 64, 128, 256],
-            controller_hidden: 64,
-            entropy_bonus: 0.01,
         }
     }
 }
@@ -184,7 +183,6 @@ impl MhasConfig {
         MhasConfig {
             iterations: 12,
             model_epochs: 1,
-            controller_every: 3,
             sample_rows: 1024,
             layer_sizes: vec![32, 64, 128],
             ..Self::default()
@@ -253,11 +251,8 @@ pub struct MhasSearch {
     space: SearchSpace,
     config: MhasConfig,
     schema: MappingSchema,
-    controller: SequenceController,
-    controller_optimizer: Adam,
     bank: WeightBank,
     rng: StdRng,
-    baseline: f64,
 }
 
 impl std::fmt::Debug for MhasSearch {
@@ -279,18 +274,12 @@ impl MhasSearch {
         }
         let mut space = SearchSpace::new(schema.num_columns());
         space.layer_sizes = config.layer_sizes.clone();
-        let mut rng = StdRng::seed_from_u64(seed ^ 0x3a5);
-        let controller =
-            SequenceController::new(&mut rng, &space.choice_counts(), config.controller_hidden)?;
         Ok(MhasSearch {
             space,
             config,
             schema: schema.clone(),
-            controller,
-            controller_optimizer: Adam::paper_controller(),
             bank: WeightBank::default(),
-            rng,
-            baseline: 1.0,
+            rng: StdRng::seed_from_u64(seed ^ 0x3a5),
         })
     }
 
@@ -299,7 +288,8 @@ impl MhasSearch {
         &self.space
     }
 
-    /// Runs Algorithm 2 and returns the best architecture plus the sampling history.
+    /// Runs Algorithm 2 with uniform sampling: `iterations` architectures drawn, each
+    /// scored by building it; returns the best architecture plus the sampling history.
     pub fn run(&mut self, rows: &[Row], dm_config: &DeepMappingConfig) -> Result<SearchOutcome> {
         if rows.is_empty() {
             return Err(CoreError::InvalidConfig("cannot search on an empty dataset".into()));
@@ -309,15 +299,16 @@ impl MhasSearch {
         sample.shuffle(&mut self.rng);
         sample.truncate(self.config.sample_rows.max(64));
 
+        let counts = self.space.choice_counts();
         let mut history = Vec::with_capacity(self.config.iterations);
         let mut best_spec: Option<MultiTaskSpec> = None;
         let mut best_ratio = f64::INFINITY;
 
         for iteration in 0..self.config.iterations {
-            // Controller samples an architecture (controller parameters fixed while the
-            // model trains, and vice versa — the alternation of Algorithm 2).
-            let decisions = self.controller.sample_episode(&mut self.rng)?;
-            let choices: Vec<usize> = decisions.iter().map(|d| d.choice).collect();
+            let choices: Vec<usize> = counts
+                .iter()
+                .map(|&count| self.rng.gen_range(0..count))
+                .collect();
             let spec = self.space.decode(&choices, &self.schema)?;
 
             let breakdown = self.candidate(&spec, &sample, rows, dm_config)?;
@@ -332,16 +323,6 @@ impl MhasSearch {
             if ratio < best_ratio {
                 best_ratio = ratio;
                 best_spec = Some(spec);
-            }
-
-            // Controller training iteration (every `controller_every` iterations).
-            if (iteration + 1) % self.config.controller_every.max(1) == 0 {
-                let reward = -ratio;
-                let advantage = (reward - self.baseline) as f32;
-                self.baseline = 0.9 * self.baseline + 0.1 * reward;
-                self.controller
-                    .reinforce_backward(advantage, self.config.entropy_bonus)?;
-                self.controller.apply_gradients(&mut self.controller_optimizer);
             }
         }
 
@@ -497,7 +478,7 @@ mod tests {
     }
 
     #[test]
-    fn search_improves_over_iterations_and_returns_best() {
+    fn a_search_samples_its_budget_and_returns_the_lowest_ratio() {
         let rows = correlated_rows(2_048);
         let schema = schema(&rows);
         let mut search = MhasSearch::new(&schema, MhasConfig::quick(), 11).unwrap();
@@ -505,9 +486,13 @@ mod tests {
             .run(&rows, &DeepMappingConfig::default())
             .unwrap();
         assert_eq!(outcome.history.len(), MhasConfig::quick().iterations);
-        assert!(outcome.best_ratio < f64::INFINITY);
-        // The best ratio is no worse than the first sampled architecture's ratio.
-        assert!(outcome.best_ratio <= outcome.history[0].compression_ratio + 1e-9);
+        // The best ratio is the lowest any sampled architecture scored.
+        let lowest = outcome
+            .history
+            .iter()
+            .map(|s| s.compression_ratio)
+            .fold(f64::INFINITY, f64::min);
+        assert_eq!(outcome.best_ratio, lowest);
         // Every sample carries a parameter count and a memorization rate.
         for s in &outcome.history {
             assert!(s.parameters > 0);
@@ -516,6 +501,26 @@ mod tests {
         // The returned spec matches the schema.
         assert_eq!(outcome.best_spec.heads.len(), 2);
         assert_eq!(outcome.best_spec.input_dim, schema.input_dim());
+    }
+
+    /// Two searches under one seed sample and score the same architectures in the same
+    /// order and return the same winner; another seed samples others.
+    #[test]
+    fn a_search_is_a_function_of_its_seed() {
+        let rows = correlated_rows(2_048);
+        let schema = schema(&rows);
+        let config = MhasConfig {
+            iterations: 4,
+            ..MhasConfig::quick()
+        };
+        let search = |seed| {
+            let mut search = MhasSearch::new(&schema, config.clone(), seed).unwrap();
+            search.run(&rows, &DeepMappingConfig::default()).unwrap()
+        };
+        let (first, again, other) = (search(5), search(5), search(6));
+        assert_eq!(first.history, again.history);
+        assert_eq!(first.best_spec, again.best_spec);
+        assert_ne!(first.history, other.history);
     }
 
     /// One fixed architecture scored as a candidate, beside the model the score was

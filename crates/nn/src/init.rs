@@ -2,9 +2,10 @@
 //!
 //! DeepMapping trains small multi-layer perceptrons from scratch many times during the
 //! MHAS search, so initialization quality matters for how much of the table a sampled
-//! model can memorize within a fixed number of epochs.  Xavier/Glorot uniform is the
-//! default for the dense trunk/head layers; the LSTM controller uses the paper's
-//! `N(0, 0.05^2)` initialization (Section V-A6).
+//! model can memorize within a fixed number of epochs.  [`Dense::new`] draws a ReLU
+//! layer's weights He/Kaiming uniform and every other layer's Xavier/Glorot uniform.
+//!
+//! [`Dense::new`]: crate::layer::Dense::new
 
 use crate::tensor::Matrix;
 use rand::Rng;
@@ -36,25 +37,6 @@ pub fn he_uniform<R: Rng>(rng: &mut R, fan_in: usize, fan_out: usize) -> Matrix 
     m
 }
 
-/// Gaussian initialization `N(mean, std^2)` using the Box–Muller transform, so the
-/// crate only needs `rand`'s uniform sampling (no `rand_distr` dependency).
-pub fn gaussian<R: Rng>(rng: &mut R, rows: usize, cols: usize, mean: f32, std: f32) -> Matrix {
-    let mut m = Matrix::zeros(rows, cols);
-    let mut iter = m.as_mut_slice().iter_mut();
-    while let Some(a) = iter.next() {
-        // Box–Muller produces two independent normals per pair of uniforms.
-        let u1: f32 = rng.gen_range(f32::EPSILON..1.0);
-        let u2: f32 = rng.gen_range(0.0..1.0);
-        let r = (-2.0 * u1.ln()).sqrt();
-        let theta = 2.0 * std::f32::consts::PI * u2;
-        *a = mean + std * r * theta.cos();
-        if let Some(b) = iter.next() {
-            *b = mean + std * r * theta.sin();
-        }
-    }
-    m
-}
-
 /// Zero-initialized bias vector of width `cols`.
 pub fn zero_bias(cols: usize) -> Matrix {
     Matrix::zeros(1, cols)
@@ -75,28 +57,6 @@ mod tests {
         // Not all values identical (sanity that the RNG was used).
         let first = m.as_slice()[0];
         assert!(m.as_slice().iter().any(|&v| v != first));
-    }
-
-    #[test]
-    fn gaussian_matches_requested_moments_roughly() {
-        let mut rng = StdRng::seed_from_u64(11);
-        let m = gaussian(&mut rng, 100, 100, 0.5, 0.2);
-        let mean = m.mean();
-        let var = m
-            .as_slice()
-            .iter()
-            .map(|v| (v - mean) * (v - mean))
-            .sum::<f32>()
-            / m.len() as f32;
-        assert!((mean - 0.5).abs() < 0.01, "mean was {mean}");
-        assert!((var.sqrt() - 0.2).abs() < 0.01, "std was {}", var.sqrt());
-    }
-
-    #[test]
-    fn gaussian_handles_odd_element_count() {
-        let mut rng = StdRng::seed_from_u64(3);
-        let m = gaussian(&mut rng, 1, 3, 0.0, 1.0);
-        assert_eq!(m.len(), 3);
     }
 
     #[test]

@@ -2073,17 +2073,18 @@ mod x86 {
                 row[v] = bias;
             }
         }
-        let mut rows: [&[f32]; MR] = [&[]; MR];
-        for (j, row) in rows.iter_mut().enumerate() {
-            *row = x.row(r + j);
-        }
-        for kk in 0..panels.k {
+        // Each row is cut to `k` once, here (a shorter row panics), and then
+        // read through its pointer like the panels: `kk < k` keeps every read
+        // inside its row, with no bounds check inside the k loop.
+        let k = panels.k;
+        let rows: [*const f32; MR] = std::array::from_fn(|j| x.row(r + j)[..k].as_ptr());
+        for kk in 0..k {
             let mut wk = [V::zero(); NV];
             for v in 0..NV {
                 wk[v] = V::load(w[v].add(kk * LANES));
             }
             for j in 0..MR {
-                let a = V::splat(rows[j][kk]);
+                let a = V::splat(*rows[j].add(kk));
                 for v in 0..NV {
                     acc[j][v] = a.fmadd(wk[v], acc[j][v]);
                 }

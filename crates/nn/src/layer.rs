@@ -16,8 +16,9 @@ use std::sync::OnceLock;
 /// Activation functions supported by the substrate.
 ///
 /// DeepMapping's published configuration only uses ReLU on hidden layers and a linear
-/// output fed into softmax cross-entropy, but sigmoid/tanh are required by the LSTM
-/// controller and are exposed here so every non-linearity lives in one place.
+/// output fed into softmax cross-entropy; sigmoid is the DeepSqueeze baseline's
+/// autoencoder activation, and tanh sits beside it so every non-linearity lives in
+/// one place.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Activation {
     /// Identity.

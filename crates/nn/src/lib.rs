@@ -1,9 +1,8 @@
 //! # dm-nn — neural-network substrate for DeepMapping
 //!
 //! DeepMapping (ICDE 2024) memorizes key → value mappings of relational tables with a
-//! compact multi-task fully-connected network (Section IV-A of the paper) and searches
-//! its architecture with an LSTM controller (Section IV-C).  The paper runs this on
-//! PyTorch / ONNX; this crate is the from-scratch Rust substitute.
+//! compact multi-task fully-connected network (Section IV-A of the paper).  The paper
+//! runs this on PyTorch / ONNX; this crate is the from-scratch Rust substitute.
 //!
 //! The crate provides exactly what DeepMapping needs and nothing more:
 //!
@@ -22,7 +21,6 @@
 //! * [`optimizer`] — SGD (with momentum and decay) and Adam,
 //! * [`mlp`] — a plain sequential multi-layer perceptron,
 //! * [`multitask`] — the shared-trunk / private-head model of Section IV-A,
-//! * [`lstm`] — an LSTM cell + autoregressive sequence controller used by MHAS,
 //! * [`encoding`] — binary key features and one-hot label encodings,
 //! * [`serialize`] — byte-level model (de)serialization and size accounting, which
 //!   feeds the Eq.-1 objective (`size(M)` term).
@@ -37,7 +35,6 @@ pub mod init;
 pub mod kernel;
 pub mod layer;
 pub mod loss;
-pub mod lstm;
 pub mod mlp;
 pub mod multitask;
 pub mod optimizer;
@@ -48,7 +45,6 @@ pub use encoding::{KeyEncoder, LabelCodec};
 pub use kernel::{Kernel, PackedPanels, QuantizedPanels, QuantizedRows, LANES, QLANES};
 pub use layer::{Activation, Dense};
 pub use loss::softmax_cross_entropy;
-pub use lstm::{LstmCell, SequenceController};
 pub use mlp::{Mlp, MlpSpec};
 pub use multitask::{MultiTaskModel, MultiTaskSpec, TaskHeadSpec, TrainStep, CACHE_CHUNK_ROWS};
 pub use optimizer::{Adam, Optimizer, Sgd};

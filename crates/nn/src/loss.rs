@@ -13,15 +13,6 @@ use crate::NnError;
 /// column order — run side by side.
 const BLOCK_ROWS: usize = 16;
 
-/// Numerically-stable row-wise softmax (the training loss's, and the MHAS
-/// controller's over its decisions).
-pub fn softmax(logits: &Matrix) -> Matrix {
-    let mut out = logits.clone();
-    let mut tops = vec![0; out.rows()];
-    softmax_rows(out.as_mut_slice(), logits.cols(), &mut tops);
-    out
-}
-
 /// Softmax of every `classes`-wide row of `data` in place.  `tops[i]` is set
 /// to the index of row `i`'s largest logit, the lowest on a tie — the class
 /// [`argmax`](crate::tensor::argmax) predicts, found by the scan the softmax
@@ -141,6 +132,14 @@ pub fn accuracy(logits: &Matrix, targets: &[usize]) -> f32 {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Row-wise softmax of `logits` by the pass the loss runs.
+    fn softmax(logits: &Matrix) -> Matrix {
+        let mut out = logits.clone();
+        let mut tops = vec![0; out.rows()];
+        softmax_rows(out.as_mut_slice(), logits.cols(), &mut tops);
+        out
+    }
 
     #[test]
     fn softmax_rows_sum_to_one() {

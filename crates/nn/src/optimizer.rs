@@ -1,10 +1,9 @@
 //! Gradient-descent optimizers.
 //!
 //! The paper trains sampled model weights with a decaying learning rate (0.001 decayed
-//! by 0.999 per iteration) and trains the LSTM controller with Adam at 0.00035
-//! (Section V-A6).  Both optimizers are provided; they update a flat list of
-//! `(parameter, gradient)` pairs so the same code path serves dense layers, multi-task
-//! models and the LSTM controller.
+//! by 0.999 per iteration, Section V-A6).  Both optimizers are provided; they update a
+//! flat list of `(parameter, gradient)` pairs so the same code path serves dense
+//! layers, multi-layer perceptrons and multi-task models.
 
 use crate::tensor::Matrix;
 
@@ -104,11 +103,6 @@ impl Adam {
             first_moment: Vec::new(),
             second_moment: Vec::new(),
         }
-    }
-
-    /// The paper's controller-training configuration (lr = 0.00035).
-    pub fn paper_controller() -> Self {
-        Adam::new(0.00035)
     }
 }
 

@@ -3,18 +3,10 @@
 //!
 //! The matrix type is deliberately simple: a `Vec<f32>` plus dimensions.  The hot path
 //! of DeepMapping is batched inference — `batch × in_dim` times `in_dim × out_dim`
-//! matrix products — so `matmul` is written with a k-inner loop over rows of the
-//! right-hand side, which vectorizes well and is cache friendly for the row-major
-//! layout without needing an explicit transpose.
+//! matrix products — and it runs in [`crate::kernel`] over packed weight panels;
+//! [`Matrix::matmul`] here is the textbook product those kernels are tested against.
 
 use crate::NnError;
-
-/// Row count above which [`Matrix::matmul_rows`] packs the right-hand side
-/// into lane panels and runs the SIMD kernel instead of the scalar unroll.
-/// Below this, the O(k·n) pack costs more than the kernel saves (measured on
-/// the LSTM controller shapes: 1-row steps want the unroll, ≥16-row batched
-/// projections want panels).
-const PACKED_MATMUL_MIN_ROWS: usize = 16;
 
 /// A dense row-major `f32` matrix.
 #[derive(Debug, Clone, PartialEq)]
@@ -141,23 +133,11 @@ impl Matrix {
         &mut self.data[r * self.cols..(r + 1) * self.cols]
     }
 
-    /// Matrix product `self (m×k) · rhs (k×n) -> m×n`.
-    ///
-    /// The k dimension is processed four rows of `rhs` at a time, so every pass
-    /// over the output row does four fused multiply-adds per element instead of
-    /// one — output-row memory traffic, not multiplies, is what bounds the naive
-    /// k-inner loop.  Inference is matmul-bound (ROADMAP "known slow paths"), so
-    /// this directly moves batch-lookup throughput.
+    /// Matrix product `self (m×k) · rhs (k×n) -> m×n`: the textbook triple loop,
+    /// each output one sum over k in order.  No product path calls it — the
+    /// network's products run in [`crate::kernel`] — so it is the plain
+    /// reference the kernel tests hold every form against.
     pub fn matmul(&self, rhs: &Matrix) -> crate::Result<Matrix> {
-        self.matmul_rows(0, self.rows, rhs)
-    }
-
-    /// `self[start .. start + count] (count×k) · rhs (k×n) -> count×n`: the
-    /// product of a row window of `self` with `rhs`, without materializing the
-    /// window.  This is what lets cache-blocked batch inference chunk
-    /// its input for free.  Same kernel as [`matmul`](Self::matmul) (which is the
-    /// full-range special case).
-    pub fn matmul_rows(&self, start: usize, count: usize, rhs: &Matrix) -> crate::Result<Matrix> {
         if self.cols != rhs.rows {
             return Err(NnError::ShapeMismatch {
                 context: format!(
@@ -166,88 +146,14 @@ impl Matrix {
                 ),
             });
         }
-        if start + count > self.rows {
-            return Err(NnError::ShapeMismatch {
-                context: format!(
-                    "matmul_rows: rows [{start}, {}) of a matrix with {} rows",
-                    start + count,
-                    self.rows
-                ),
-            });
-        }
-        // Batched products (LSTM projections, DeepSqueeze encode, training
-        // passes over ad-hoc matrices) go through the packed-panel kernel:
-        // the one-time pack of `rhs` is O(k·n) and amortizes over the row
-        // count, after which every row runs the register-blocked FMA kernel
-        // instead of this scalar 4-wide unroll.  Small products keep the
-        // unrolled loop — packing would cost more than it saves.
-        if count >= PACKED_MATMUL_MIN_ROWS {
-            let panels = crate::kernel::PackedPanels::pack(rhs, None)?;
-            return crate::kernel::forward_packed(
-                self,
-                start,
-                count,
-                &panels,
-                crate::layer::Activation::Linear,
-            );
-        }
-        let mut out = Matrix::zeros(count, rhs.cols);
-        let n = rhs.cols;
-        let k_dim = self.cols;
-        for i in 0..count {
-            let lhs_row = self.row(start + i);
-            let out_row = &mut out.data[i * n..(i + 1) * n];
-            let mut k = 0;
-            while k + 4 <= k_dim {
-                let (a0, a1, a2, a3) =
-                    (lhs_row[k], lhs_row[k + 1], lhs_row[k + 2], lhs_row[k + 3]);
-                // ReLU activations are zero-heavy; skip fully dead k-blocks.
-                if a0 != 0.0 || a1 != 0.0 || a2 != 0.0 || a3 != 0.0 {
-                    let (r0, rest) = rhs.data[k * n..(k + 4) * n].split_at(n);
-                    let (r1, rest) = rest.split_at(n);
-                    let (r2, r3) = rest.split_at(n);
-                    for ((((o, &b0), &b1), &b2), &b3) in
-                        out_row.iter_mut().zip(r0).zip(r1).zip(r2).zip(r3)
-                    {
-                        *o += a0 * b0 + a1 * b1 + a2 * b2 + a3 * b3;
-                    }
-                }
-                k += 4;
-            }
-            for (k, &a) in lhs_row.iter().enumerate().skip(k) {
-                if a == 0.0 {
-                    continue;
-                }
-                let rhs_row = &rhs.data[k * n..(k + 1) * n];
-                for (o, &b) in out_row.iter_mut().zip(rhs_row.iter()) {
-                    *o += a * b;
-                }
-            }
-        }
-        Ok(out)
-    }
-
-    /// `self (m×k) · rhs^T (n×k) -> m×n`, i.e. multiply by the transpose of `rhs`
-    /// without materializing it.  Used in backward passes.
-    pub fn matmul_transpose_rhs(&self, rhs: &Matrix) -> crate::Result<Matrix> {
-        if self.cols != rhs.cols {
-            return Err(NnError::ShapeMismatch {
-                context: format!(
-                    "matmul_transpose_rhs: lhs is {}x{}, rhs is {}x{}",
-                    self.rows, self.cols, rhs.rows, rhs.cols
-                ),
-            });
-        }
-        let mut out = Matrix::zeros(self.rows, rhs.rows);
+        let mut out = Matrix::zeros(self.rows, rhs.cols);
         for i in 0..self.rows {
-            let lhs_row = self.row(i);
-            for j in 0..rhs.rows {
-                let rhs_row = rhs.row(j);
+            for j in 0..rhs.cols {
                 let mut acc = 0.0f32;
-                for (&a, &b) in lhs_row.iter().zip(rhs_row.iter()) {
-                    acc += a * b;
+                for k in 0..self.cols {
+                    acc += self.get(i, k) * rhs.get(k, j);
                 }
-                out.data[i * rhs.rows + j] = acc;
+                out.set(i, j, acc);
             }
         }
         Ok(out)
@@ -329,14 +235,6 @@ impl Matrix {
         out
     }
 
-    /// Mean of all elements; zero for an empty matrix.
-    pub fn mean(&self) -> f32 {
-        if self.data.is_empty() {
-            return 0.0;
-        }
-        self.data.iter().sum::<f32>() / self.data.len() as f32
-    }
-
     /// Squared Frobenius norm.
     pub fn norm_sq(&self) -> f32 {
         self.data.iter().map(|v| v * v).sum()
@@ -366,23 +264,6 @@ impl Matrix {
         })
     }
 
-    /// Concatenates two matrices with the same number of rows column-wise.
-    pub fn hstack(&self, other: &Matrix) -> crate::Result<Matrix> {
-        if self.rows != other.rows {
-            return Err(NnError::ShapeMismatch {
-                context: format!(
-                    "hstack: lhs has {} rows, rhs has {} rows",
-                    self.rows, other.rows
-                ),
-            });
-        }
-        let mut out = Matrix::zeros(self.rows, self.cols + other.cols);
-        for r in 0..self.rows {
-            out.row_mut(r)[..self.cols].copy_from_slice(self.row(r));
-            out.row_mut(r)[self.cols..].copy_from_slice(other.row(r));
-        }
-        Ok(out)
-    }
 }
 
 /// Index of the largest value (ties resolved to the lowest index; 0 for an
@@ -442,9 +323,8 @@ mod tests {
         assert!(a.matmul(&b).is_err());
     }
 
-    /// `matmul` accumulates four k-terms per pass, so it is only
-    /// ulp-equivalent — not bitwise-equal — to the transpose variants' purely
-    /// sequential sums; compare with a tolerance.
+    /// The kernels fuse their multiply-adds and `matmul` does not, so the two
+    /// are only ulp-equivalent; compare with a tolerance.
     fn assert_matrices_close(a: &Matrix, b: &Matrix) {
         assert_eq!((a.rows(), a.cols()), (b.rows(), b.cols()));
         for (&x, &y) in a.as_slice().iter().zip(b.as_slice()) {
@@ -455,12 +335,6 @@ mod tests {
     #[test]
     fn transpose_variants_agree_with_explicit_transpose() {
         let a = Matrix::from_vec(2, 3, vec![1.0, -2.0, 3.0, 0.5, 4.0, -1.0]).unwrap();
-        let b = Matrix::from_vec(4, 3, (0..12).map(|v| v as f32 * 0.3 - 1.0).collect()).unwrap();
-        // a (2x3) * b^T (3x4) == a * transpose(b)
-        let fast = a.matmul_transpose_rhs(&b).unwrap();
-        let slow = a.matmul(&b.transpose()).unwrap();
-        assert_matrices_close(&fast, &slow);
-
         let c = Matrix::from_vec(2, 4, (0..8).map(|v| v as f32).collect()).unwrap();
         // a^T (3x2) * c (2x4)
         let fast = a.transpose_matmul(&c).unwrap();
@@ -468,8 +342,8 @@ mod tests {
         assert_matrices_close(&fast, &slow);
     }
 
-    /// The unrolled k-blocks and the scalar tail must agree across every k
-    /// remainder (k % 4 ∈ {0,1,2,3}) and handle zero-heavy rows.
+    /// The packed-panel kernel agrees with `matmul` on every k remainder
+    /// (k % 4 ∈ {0,1,2,3}) and on zero-heavy rows.
     #[test]
     fn matmul_handles_all_k_remainders_and_sparse_rows() {
         for k_dim in 1..=9usize {
@@ -489,21 +363,8 @@ mod tests {
                 (0..k_dim * n).map(|v| v as f32 * 0.5 - 3.0).collect(),
             )
             .unwrap();
-            let got = a.matmul(&b).unwrap();
-            // Reference: textbook i-j-k triple loop.
-            let mut expected = Matrix::zeros(m, n);
-            for i in 0..m {
-                for j in 0..n {
-                    let mut acc = 0.0f32;
-                    for k in 0..k_dim {
-                        acc += a.get(i, k) * b.get(k, j);
-                    }
-                    expected.set(i, j, acc);
-                }
-            }
-            assert_matrices_close(&got, &expected);
-            // The packed-panel kernel must agree on the same k remainders and
-            // zero-heavy rows (zero bias + linear activation = plain matmul).
+            let expected = a.matmul(&b).unwrap();
+            // Zero bias + linear activation = plain matmul.
             let panels = crate::kernel::PackedPanels::pack(&b, None).unwrap();
             let packed = crate::kernel::forward_packed(
                 &a,
@@ -514,46 +375,6 @@ mod tests {
             )
             .unwrap();
             assert_matrices_close(&packed, &expected);
-        }
-    }
-
-    /// Above `PACKED_MATMUL_MIN_ROWS` the product routes through pack-on-the-
-    /// fly panels; it must agree with the textbook triple loop on the same
-    /// remainder classes (fused vs unfused accumulation differs only in ulps).
-    #[test]
-    fn large_matmul_routes_through_panels_and_matches_reference() {
-        let m = PACKED_MATMUL_MIN_ROWS + 7;
-        for &(k_dim, n) in &[(1usize, 1usize), (7, 5), (9, 16), (13, 21)] {
-            let a = Matrix::from_vec(
-                m,
-                k_dim,
-                (0..m * k_dim)
-                    .map(|v| if v % 4 == 0 { 0.0 } else { v as f32 * 0.17 - 2.0 })
-                    .collect(),
-            )
-            .unwrap();
-            let b = Matrix::from_vec(
-                k_dim,
-                n,
-                (0..k_dim * n).map(|v| v as f32 * 0.31 - 1.5).collect(),
-            )
-            .unwrap();
-            let got = a.matmul(&b).unwrap();
-            let mut expected = Matrix::zeros(m, n);
-            for i in 0..m {
-                for j in 0..n {
-                    let mut acc = 0.0f32;
-                    for k in 0..k_dim {
-                        acc += a.get(i, k) * b.get(k, j);
-                    }
-                    expected.set(i, j, acc);
-                }
-            }
-            // Relative tolerance: fused vs unfused sums differ in low bits and
-            // the magnitudes here reach the hundreds.
-            for (&x, &y) in got.as_slice().iter().zip(expected.as_slice()) {
-                assert!((x - y).abs() <= 1e-5 * (1.0 + y.abs()), "{x} vs {y}");
-            }
         }
     }
 
@@ -610,15 +431,6 @@ mod tests {
         m.reshape(8, 8);
         assert_eq!(m.as_slice().as_ptr(), grown_ptr);
         assert_eq!((m.rows(), m.cols()), (8, 8));
-    }
-
-    #[test]
-    fn hstack_concatenates_columns() {
-        let a = Matrix::from_vec(2, 1, vec![1.0, 2.0]).unwrap();
-        let b = Matrix::from_vec(2, 2, vec![3.0, 4.0, 5.0, 6.0]).unwrap();
-        let c = a.hstack(&b).unwrap();
-        assert_eq!(c.row(0), &[1.0, 3.0, 4.0]);
-        assert_eq!(c.row(1), &[2.0, 5.0, 6.0]);
     }
 
     #[test]

@@ -198,15 +198,12 @@ fn put_config(w: &mut ByteWriter, config: &DeepMappingConfig) {
             w.put_u8(SEARCH_MHAS);
             w.put_u64(mhas.iterations as u64);
             w.put_u64(mhas.model_epochs as u64);
-            w.put_u64(mhas.controller_every as u64);
             w.put_u64(mhas.batch_size as u64);
             w.put_u64(mhas.sample_rows as u64);
             w.put_u32(mhas.layer_sizes.len() as u32);
             for &size in &mhas.layer_sizes {
                 w.put_u32(size as u32);
             }
-            w.put_u64(mhas.controller_hidden as u64);
-            w.put_f32(mhas.entropy_bonus);
         }
     }
     match config.retrain_aux_bytes {
@@ -255,7 +252,6 @@ fn get_config(r: &mut ByteReader<'_>) -> Result<DeepMappingConfig> {
         SEARCH_MHAS => {
             let iterations = rd(r.get_u64())? as usize;
             let model_epochs = rd(r.get_u64())? as usize;
-            let controller_every = rd(r.get_u64())? as usize;
             let batch_size = rd(r.get_u64())? as usize;
             let sample_rows = rd(r.get_u64())? as usize;
             let n_sizes = rd(r.get_u32())? as usize;
@@ -266,17 +262,12 @@ fn get_config(r: &mut ByteReader<'_>) -> Result<DeepMappingConfig> {
             for _ in 0..n_sizes {
                 layer_sizes.push(rd(r.get_u32())? as usize);
             }
-            let controller_hidden = rd(r.get_u64())? as usize;
-            let entropy_bonus = rd(r.get_f32())?;
             SearchStrategy::Mhas(MhasConfig {
                 iterations,
                 model_epochs,
-                controller_every,
                 batch_size,
                 sample_rows,
                 layer_sizes,
-                controller_hidden,
-                entropy_bonus,
             })
         }
         tag => return Err(corrupt(format!("unknown search-strategy tag {tag}"))),

@@ -62,9 +62,11 @@
 //! half-parse), and `open` rejects every version but the current one with
 //! [`PersistError::UnsupportedVersion`] rather than guessing.  v1 memorized its
 //! aux table under another arithmetic recipe, v2 had no quantization
-//! descriptor, v3 no corrected-key bitmap, and v4 stored keyed row-array
+//! descriptor, v3 no corrected-key bitmap, v4 stored keyed row-array
 //! partitions (plus their key ranges and a `memorized_tuples` counter in the
-//! manifest) that rank addressing cannot read; none was ever deployed.
+//! manifest) that rank addressing cannot read, and v5 carried three MHAS
+//! controller settings in an MHAS search strategy's manifest entry (v6 samples
+//! architectures uniformly and has no controller); none was ever deployed.
 
 use crate::error::{PersistError, Result};
 use crate::manifest::{Manifest, PartitionEntry};
@@ -82,7 +84,7 @@ use std::sync::Arc;
 const MAGIC: &[u8; 4] = b"DMSS";
 /// The one version [`Snapshot::write`] writes and [`Snapshot::open`] accepts;
 /// see the module docs for the version history.
-const VERSION: u16 = 5;
+const VERSION: u16 = 6;
 /// magic(4) + version(2) + reserved(2) + file_len(8) + manifest_len(8) + manifest_crc(4)
 const HEADER_LEN: u64 = 28;
 

@@ -1,10 +1,11 @@
 //! Running the Multi-task Hybrid Architecture Search (MHAS) by hand.
 //!
 //! This example exposes what `SearchStrategy::Mhas` does inside `DeepMapping::build`:
-//! it creates the search space over shared/private layer counts and widths, lets the
-//! LSTM controller sample architectures, trains them against the Eq.-1 objective, and
-//! finally builds a DeepMapping structure from the best architecture found — printing
-//! the trajectory so the convergence behaviour of Figures 9/10 is visible.
+//! it creates the search space over shared/private layer counts and widths, draws
+//! architectures uniformly from a seeded generator, trains each on shared weights and
+//! prices it on the Eq.-1 objective by building its store, and finally builds a
+//! DeepMapping structure from the best architecture found — printing every sample, the
+//! dots of Figures 9/10.
 //!
 //! Run with `cargo run --release --example mhas_search`.
 
@@ -31,7 +32,6 @@ fn main() {
     let mhas = MhasConfig {
         iterations: 24,
         model_epochs: 1,
-        controller_every: 4,
         sample_rows: 2048,
         layer_sizes: vec![32, 64, 128, 256],
         ..MhasConfig::default()

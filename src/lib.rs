@@ -49,7 +49,8 @@
 //!   [`DeepMappingBuilder`](dm_core::DeepMappingBuilder) fluent constructor, the
 //!   batched [`QueryPipeline`](dm_core::pipeline) every lookup routes through
 //!   (Algorithm 1 as a staged dataflow), modification workflows and the MHAS
-//!   architecture search,
+//!   architecture search (seeded uniform sampling over shared weights, each
+//!   candidate priced by building its store),
 //! * [`dm_nn`] — the from-scratch neural-network substrate,
 //! * [`dm_compress`] — the compression codecs (Z-Standard / LZMA / gzip / dictionary
 //!   stand-ins),
@@ -218,10 +219,11 @@
 //! with another partition's shape, or a store that serves f32 arithmetic (an
 //! f32-tagged manifest, an f32 layer in the model section).  The compatibility policy is
 //! bump-on-any-layout-change; the manifest decoder rejects trailing bytes so
-//! mixed-version files cannot half-parse.  Exactly one version opens: v5, the
+//! mixed-version files cannot half-parse.  Exactly one version opens: v6, the
 //! keyless auxiliary table.  v1 (a different f32 arithmetic recipe), v2 (no
-//! quantization descriptor), v3 (no corrected-key bitmap) and v4 (keyed
-//! row-array partitions) are rejected as `UnsupportedVersion`.
+//! quantization descriptor), v3 (no corrected-key bitmap), v4 (keyed
+//! row-array partitions) and v5 (MHAS controller settings in the manifest) are
+//! rejected as `UnsupportedVersion`.
 //!
 //! Mutations persist through [`dm_persist::PersistentStore`]: each
 //! insert/delete/update batch is applied and then appended + fsynced to
