@@ -83,8 +83,22 @@ pub fn header(buf: &[u8]) -> crate::Result<(usize, u32, &[u8])> {
 ///
 /// # Panics
 /// When `index` is not below the stream's count.
+#[inline]
 pub fn value_at(data: &[u8], bits: u32, index: usize) -> u64 {
-    let bit_pos = index as u64 * bits as u64;
+    value_at_bit(data, index as u64 * bits as u64, bits)
+}
+
+/// The `bits`-bit value that starts `bit_pos` bits into `data` — the read
+/// behind [`value_at`], for a caller that keeps several streams in one buffer
+/// and addresses a value by its bit position in the whole buffer, so one
+/// bounds check against that buffer covers the read.  Bytes past the value's
+/// own stream may be loaded (the mask drops them); only bytes past `data`
+/// are not.
+///
+/// # Panics
+/// When the value does not start inside `data`.
+#[inline]
+pub fn value_at_bit(data: &[u8], bit_pos: u64, bits: u32) -> u64 {
     let byte_idx = (bit_pos / 8) as usize;
     let bit_off = (bit_pos % 8) as u32;
     let mask = if bits == 64 { u64::MAX } else { (1u64 << bits) - 1 };

@@ -223,8 +223,6 @@ pub(crate) struct ProbePlan {
     starts: Vec<u32>,
     /// The probes, bucketed by partition.
     probes: Vec<Probe>,
-    /// One row of values, read out of a partition for the sink.
-    row: Vec<u32>,
 }
 
 impl ProbePlan {
@@ -236,6 +234,17 @@ impl ProbePlan {
             .filter(|(_, bounds)| bounds[0] < bounds[1])
             .map(|(partition, bounds)| (partition, &self.probes[bounds[0] as usize..bounds[1] as usize]))
     }
+}
+
+/// The keys of a probe batch the table left unanswered
+/// ([`AuxTable::probe_into`]), by query index.  Both lists are empty on a
+/// healthy batch of keys the table holds, and so allocate nothing.
+#[derive(Debug, Default)]
+pub(crate) struct Unanswered {
+    /// Keys the table does not hold, in batch order.
+    pub(crate) absent: Vec<usize>,
+    /// Keys whose partition failed to load, each with the typed error.
+    pub(crate) degraded: Vec<(usize, StorageError)>,
 }
 
 /// `(gets, misses)` the buffer pool has counted in `metrics`: every get is a
@@ -486,7 +495,7 @@ impl AuxTable {
     /// pool wait/load spans on `trace` when the caller carries one.  The pool
     /// is charged the packed payload's real length.  Keeps the raw
     /// [`dm_storage::StorageError`] so degradation-aware callers
-    /// ([`probe_batch`](Self::probe_batch)) can attach the typed error to
+    /// ([`probe_into`](Self::probe_into)) can attach the typed error to
     /// exactly the keys it affects.
     fn load_partition(
         &self,
@@ -510,27 +519,34 @@ impl AuxTable {
     /// processed grouped by partition, mirroring the batch-sorting optimization of
     /// Section IV-B2).  Answers any key list (`None` for keys the table does
     /// not hold); the query pipeline asks only for the keys `Vaux` routes here.
+    /// Runs the pipeline's probe path, [`probe_into`](Self::probe_into).
     ///
     /// The owned shape has no per-key error channel, so it keeps the strict
     /// contract: any failed partition fails the whole call.
     pub fn get_batch(&self, keys: &[u64]) -> Result<Vec<Option<Vec<u32>>>> {
-        let mut results: Vec<Option<Vec<u32>>> = vec![None; keys.len()];
-        let mut plan = ProbePlan::default();
-        let degraded = self.probe_batch(keys, &mut plan, None, &mut |qi, values| {
-            results[qi] = Some(values.to_vec())
-        });
-        match degraded.into_iter().next() {
-            Some((_, err)) => Err(crate::CoreError::from(err)),
-            None => Ok(results),
+        let width = self.value_columns;
+        let mut rows = vec![0; keys.len() * width];
+        let unanswered = self.probe_into(keys, &mut ProbePlan::default(), None, &mut rows);
+        if let Some((_, err)) = unanswered.degraded.into_iter().next() {
+            return Err(crate::CoreError::from(err));
         }
+        let mut results: Vec<Option<Vec<u32>>> = (0..keys.len())
+            .map(|qi| Some(rows[qi * width..(qi + 1) * width].to_vec()))
+            .collect();
+        for qi in unanswered.absent {
+            results[qi] = None;
+        }
+        Ok(results)
     }
 
-    /// Plans and probes one batch: calls `sink(query_index, values)` once for
-    /// every key the table answers, handing out borrowed slices (from the delta
-    /// overlay or a scratch row filled from the pooled packed partition) instead
-    /// of allocating per hit.  Each partition is loaded at most once per batch.
-    /// `plan` is the batch's working memory; reused, it makes a probe
-    /// allocate nothing.  Everything runs on the calling thread.
+    /// Plans and probes one batch, writing the row of every key the table
+    /// answers straight into `rows` — key `qi`'s values at `rows[qi * width..
+    /// (qi + 1) * width]`, `width` the table's value columns — decoded out of
+    /// the pooled packed partition or copied from the delta overlay.  Returns
+    /// the keys it left unanswered; their rows are left as they were.  Each
+    /// partition is loaded at most once per batch.  `plan` is the batch's
+    /// working memory; reused, it makes a probe allocate nothing.  Everything
+    /// runs on the calling thread.
     ///
     /// **Timing:** one [`Stage::Plan`] span, then one [`Stage::Probe`] span
     /// over the loop through the partition groups, net of the pool load and
@@ -539,79 +555,76 @@ impl AuxTable {
     ///
     /// **Graceful degradation:** a partition whose load fails (after the
     /// buffer pool's bounded transient retries) does *not* fail the batch.
-    /// Its group's query indices are returned, each paired with the typed
+    /// Its group's query indices are returned in
+    /// [`Unanswered::degraded`], each paired with the typed
     /// [`dm_storage::StorageError`], and every other group is probed and
     /// answered byte-identically to a fault-free run.  Callers decide the
     /// policy: the pipeline marks the affected spans failed in the
     /// [`LookupBuffer`](dm_storage::LookupBuffer); [`get_batch`](Self::get_batch)
     /// surfaces the first error for the whole batch.
-    pub(crate) fn probe_batch(
+    ///
+    /// # Panics
+    /// When `rows` is not `keys.len() * width` long.
+    pub(crate) fn probe_into(
         &self,
         keys: &[u64],
         plan: &mut ProbePlan,
         trace: Option<&Trace>,
-        sink: &mut dyn FnMut(usize, &[u32]),
-    ) -> Vec<(usize, StorageError)> {
+        rows: &mut [u32],
+    ) -> Unanswered {
+        let width = self.value_columns;
+        assert_eq!(
+            rows.len(),
+            keys.len() * width,
+            "one row of {width} values a key"
+        );
+        let mut unanswered = Unanswered::default();
         {
             let _plan = span(trace, Stage::Plan);
-            self.plan_probes(keys, plan, sink);
+            self.plan_probes(keys, plan, rows, &mut unanswered.absent);
         }
-        let mut degraded: Vec<(usize, StorageError)> = Vec::new();
-        let mut degrade = |group: &[Probe], err: StorageError| {
-            self.metrics.add_degraded_keys(group.len() as u64);
-            degraded.extend(group.iter().map(|probe| (probe.qi as usize, err.clone())));
-        };
-        let mut row = std::mem::take(&mut plan.row);
-        row.resize(self.value_columns, 0);
-        self.probe_groups(plan.groups(), trace, &mut row, sink, &mut degrade);
-        plan.row = row;
-        degraded
-    }
-
-    /// Probes partition groups one after the other: loads each partition
-    /// through the single-flight pool and hands `sink` each probe's row, read
-    /// at its slot into the scratch `row`; a group whose partition fails to
-    /// load goes to `failed` instead.  The loop records one [`Stage::Probe`]
-    /// span on `trace` — or into the stage histogram alone when there is
-    /// none — net of the pool spans its loads record.
-    fn probe_groups<'p>(
-        &self,
-        groups: impl IntoIterator<Item = (usize, &'p [Probe])>,
-        trace: Option<&Trace>,
-        row: &mut [u32],
-        sink: &mut dyn FnMut(usize, &[u32]),
-        failed: &mut dyn FnMut(&[Probe], StorageError),
-    ) {
         let _probe = span_net_of(trace, Stage::Probe, &POOL_STAGES);
-        for (partition, group) in groups {
+        for (partition, group) in plan.groups() {
             match self.load_partition(partition, trace) {
                 Ok(partition) => {
                     for probe in group {
-                        partition.read_row(probe.slot as usize, row);
-                        sink(probe.qi as usize, row);
+                        let at = probe.qi as usize * width;
+                        partition.read_row(probe.slot as usize, &mut rows[at..at + width]);
                     }
                 }
-                Err(err) => failed(group, err),
+                Err(err) => {
+                    self.metrics.add_degraded_keys(group.len() as u64);
+                    let failed = group.iter().map(|probe| (probe.qi as usize, err.clone()));
+                    unanswered.degraded.extend(failed);
+                }
             }
         }
+        unanswered
     }
 
     /// Planning for a probe batch: turns every key live in a partition into
-    /// its `(partition, slot)` address by rank and hands `sink` whatever the
-    /// in-memory delta overlay answers of the rest on the spot.  Liveness goes
-    /// first — two bit reads — because the delta never shadows a live key
-    /// (`delta ∩ base ⊆ dead`), so only a key no partition answers pays a
-    /// delta lookup.  One counting pass over the partitions then buckets the
-    /// addresses — each partition one contiguous group, its keys in batch
-    /// order — so each is loaded at most once per batch no matter how the keys
-    /// interleave, with no comparison sort.
-    fn plan_probes(&self, keys: &[u64], plan: &mut ProbePlan, sink: &mut dyn FnMut(usize, &[u32])) {
+    /// its `(partition, slot)` address by rank, copies into `rows` whatever
+    /// the in-memory delta overlay answers of the rest on the spot, and lists
+    /// in `absent` the keys neither holds.  Liveness goes first — two bit
+    /// reads — because the delta never shadows a live key (`delta ∩ base ⊆
+    /// dead`), so only a key no partition answers pays a delta lookup.  One
+    /// counting pass over the partitions then buckets the addresses — each
+    /// partition one contiguous group, its keys in batch order — so each is
+    /// loaded at most once per batch no matter how the keys interleave, with
+    /// no comparison sort.
+    fn plan_probes(
+        &self,
+        keys: &[u64],
+        plan: &mut ProbePlan,
+        rows: &mut [u32],
+        absent: &mut Vec<usize>,
+    ) {
         let ProbePlan {
             staged,
             starts,
             probes,
-            ..
         } = plan;
+        let width = self.value_columns;
         staged.clear();
         starts.clear();
         starts.resize(self.partition_count() + 1, 0);
@@ -627,7 +640,9 @@ impl AuxTable {
                 staged.push((partition as u32, probe));
                 starts[partition + 1] += 1;
             } else if let Some(values) = self.delta.get(&key) {
-                sink(qi, values);
+                rows[qi * width..(qi + 1) * width].copy_from_slice(values);
+            } else {
+                absent.push(qi);
             }
         }
         // `starts[p + 1]` counts partition `p`'s probes; summed, `starts[p]`
@@ -1068,8 +1083,9 @@ mod tests {
 
     /// The bucketed plan puts each partition in exactly one contiguous group,
     /// its keys in batch order at the slots their ranks address; the overlay
-    /// answers its keys while planning, tombstoned keys and misses are
-    /// dropped — and a reused plan carries nothing over from a longer batch.
+    /// writes its keys' rows while planning, tombstoned keys and misses are
+    /// listed absent — and a reused plan carries nothing over from a longer
+    /// batch.
     #[test]
     fn the_plan_gives_each_partition_one_contiguous_group_in_batch_order() {
         let rows = sample_rows(4_000); // keys 0, 3, ..., 11_997
@@ -1089,9 +1105,11 @@ mod tests {
             .chain([3, 1, 50_000, 6, 3_000, 0, 0, 11_997, 11_997, 4, 999_999])
             .collect();
         let mut plan = ProbePlan::default();
+        let unwritten = u32::MAX;
         for keys in [spread.clone(), spread[..40].iter().rev().copied().collect()] {
-            let mut overlay = Vec::new();
-            table.plan_probes(&keys, &mut plan, &mut |qi, values| overlay.push((qi, values.to_vec())));
+            let mut rows = vec![unwritten; keys.len() * 2];
+            let mut absent = Vec::new();
+            table.plan_probes(&keys, &mut plan, &mut rows, &mut absent);
             let groups: Vec<(usize, &[Probe])> = plan.groups().collect();
             assert!(groups.windows(2).all(|w| w[0].0 < w[1].0), "one group a partition");
             let mut planned = Vec::new();
@@ -1110,15 +1128,28 @@ mod tests {
                 .collect();
             planned.sort_unstable();
             assert_eq!(planned, expected);
-            for (qi, values) in overlay {
-                assert_eq!(table.delta.get(&keys[qi]), Some(&values), "key {}", keys[qi]);
+            for (qi, &key) in keys.iter().enumerate() {
+                let row = &rows[qi * 2..qi * 2 + 2];
+                match table.delta.get(&key) {
+                    Some(values) => assert_eq!(row, values.as_slice(), "key {key}"),
+                    None => assert_eq!(row, [unwritten; 2], "key {key}"),
+                }
+                let held = table.live_in_base(key) || table.delta.contains_key(&key);
+                assert_eq!(absent.contains(&qi), !held, "key {key}");
             }
+            assert!(
+                absent.windows(2).all(|w| w[0] < w[1]),
+                "absent keys in batch order"
+            );
         }
         // The whole batch: every partition was touched, each exactly once.
-        let mut overlay = 0;
-        table.plan_probes(&spread, &mut plan, &mut |_, _| overlay += 1);
+        table.plan_probes(
+            &spread,
+            &mut plan,
+            &mut vec![0; spread.len() * 2],
+            &mut Vec::new(),
+        );
         assert_eq!(plan.groups().count(), partitions);
-        assert_eq!(overlay, 3);
     }
 
     /// On a serial pool the whole batch is one `Probe` span, net of the cold
@@ -1131,16 +1162,15 @@ mod tests {
         let partitions = table.partition_count();
         assert!(partitions >= 8 && partitions + 2 <= dm_obs::trace::TRACE_EVENT_CAPACITY);
         let keys: Vec<u64> = rows.iter().rev().map(|r| r.key).collect();
+        let expected: Vec<u32> = rows.iter().rev().flat_map(|r| r.values.clone()).collect();
         let mut plan = ProbePlan::default();
         for cold in [true, false] {
-            let trace = Trace::start("probe_batch");
-            let mut answered = 0;
-            let degraded = table.probe_batch(&keys, &mut plan, Some(&trace), &mut |_, _| {
-                answered += 1
-            });
+            let trace = Trace::start("probe_into");
+            let mut out = vec![0; keys.len() * 2];
+            let unanswered = table.probe_into(&keys, &mut plan, Some(&trace), &mut out);
             let summary = trace.finish();
-            assert!(degraded.is_empty());
-            assert_eq!(answered, keys.len());
+            assert!(unanswered.degraded.is_empty() && unanswered.absent.is_empty());
+            assert_eq!(out, expected);
             let loads = if cold { partitions } else { 0 };
             assert_eq!(summary.events, 2 + loads, "Plan, the loads, one Probe: {summary:?}");
             assert_eq!(summary.stage(Stage::PoolLoad) > 0, cold, "{summary:?}");
@@ -1352,12 +1382,20 @@ mod tests {
             }
         }
         let keys: Vec<u64> = rows.iter().map(|r| r.key).collect();
-        let mut answered = 0;
-        let degraded = swapped.probe_batch(&keys, &mut ProbePlan::default(), None, &mut |qi, values| {
-            assert_eq!(values, rows[qi].values.as_slice(), "key {}", keys[qi]);
-            answered += 1;
-        });
+        let mut out = vec![u32::MAX; keys.len() * 2];
+        let unanswered = swapped.probe_into(&keys, &mut ProbePlan::default(), None, &mut out);
+        assert!(unanswered.absent.is_empty());
+        let degraded = unanswered.degraded;
         assert!(degraded.iter().all(|(_, err)| matches!(err, StorageError::Corrupt(_))));
+        let mut answered = 0;
+        for (qi, row) in out.chunks_exact(2).enumerate() {
+            if degraded.iter().any(|&(failed, _)| failed == qi) {
+                assert_eq!(row, [u32::MAX; 2], "a failed key's row is left alone");
+            } else {
+                assert_eq!(row, rows[qi].values.as_slice(), "key {}", keys[qi]);
+                answered += 1;
+            }
+        }
         let affected = directory[0].rows + directory[last].rows;
         assert_eq!((answered, degraded.len()), (rows.len() - affected, affected));
         assert!(swapped.iter_rows().is_err(), "scans refuse the misplaced frame too");

@@ -316,11 +316,24 @@ impl MappingModel {
         Ok(flat.chunks_exact(columns).map(<[u32]>::to_vec).collect())
     }
 
-    /// Allocation-aware batched inference: appends row-major predictions to a
-    /// caller-owned flat arena (`out[i * columns + c]` = column `c` of query `i`) and
-    /// returns the number of value columns — one vectorized forward pass per batch,
-    /// never per key, with no per-key `Vec`: the layout the buffer-reusing query
-    /// pipeline consumes.  Runs on the calling thread.
+    /// Allocation-aware batched inference into a caller-owned flat arena:
+    /// `out` is resized to the batch's row-major predictions (`out[i * columns
+    /// + c]` = column `c` of query `i`) and the number of value columns is
+    /// returned — [`predict_into_slice`](Self::predict_into_slice) for callers
+    /// that keep a reusable `Vec` rather than the rows they will answer from.
+    pub fn predict_into(&self, keys: &[u64], out: &mut Vec<u32>) -> Result<usize> {
+        out.clear();
+        out.resize(keys.len() * self.network.num_tasks(), 0);
+        self.predict_into_slice(keys, out)
+    }
+
+    /// Batched inference into the caller's slice, exactly `keys.len() *
+    /// columns` long: row-major predictions (`out[i * columns + c]` = column
+    /// `c` of query `i`), and the number of value columns returned — one
+    /// vectorized forward pass per batch, never per key.  The query pipeline
+    /// hands it the rows its predicted keys claimed in the answer buffer, so
+    /// each class is written once, where the lookup's caller reads it.  Runs
+    /// on the calling thread.
     ///
     /// The keys go to the network as keys
     /// ([`MultiTaskModel::forward_keys_flat`]): no batch-wide feature matrix
@@ -328,7 +341,7 @@ impl MappingModel {
     /// an int8 model straight into the first layer's input bytes.  The
     /// predictions are those of `forward_batch_flat` over
     /// `key_encoder.encode_batch(keys)`, bit for bit.
-    pub fn predict_into(&self, keys: &[u64], out: &mut Vec<u32>) -> Result<usize> {
+    pub fn predict_into_slice(&self, keys: &[u64], out: &mut [u32]) -> Result<usize> {
         let encoder = &self.schema.key_encoder;
         Ok(self.network.forward_keys_flat(encoder, keys, out)?)
     }

@@ -23,8 +23,9 @@
 //!    matrix either: every head's output layer runs with the keys in vector
 //!    lanes and keeps each head's best class in its epilogue
 //!    ([`dm_nn::kernel::argmax_prequantized`]), so the pass writes the classes
-//!    and nothing else.  They cause no probe plan, no partition load and no
-//!    decompression.
+//!    and nothing else — straight into the rows its keys claimed in the
+//!    caller's [`LookupBuffer`], where the caller reads them.  They cause no
+//!    probe plan, no partition load and no decompression.
 //! 3. **Grouped probes of the corrected keys** ([`Stage::Plan`], then
 //!    [`Stage::Probe`] around the partition groups, with [`Stage::PoolLoad`]
 //!    or [`Stage::PoolWait`] for a group whose partition is not resident) —
@@ -38,25 +39,32 @@
 //!    keeps its keys in batch order — so each partition is loaded **at most
 //!    once per batch** through the LRU
 //!    [`dm_storage::BufferPool`], no matter how the query keys interleave
-//!    (Section IV-B2's batch-sorting optimization).
-//! 4. **Order-preserving scatter** ([`Stage::Merge`]) — predictions are copied to
-//!    their keys' positions in the original batch order; probe hits were written
-//!    there directly.
+//!    (Section IV-B2's batch-sorting optimization).  Each row is decoded out
+//!    of the packed partition, or copied from the overlay, straight into the
+//!    row its key claimed in the caller's buffer.
+//! 4. **The span pass** ([`Stage::Merge`]) — runs before stages 2 and 3: one
+//!    pass over both sides marks every routed key a hit at its position in the
+//!    original batch order and claims its row at the end of the buffer's arena
+//!    ([`LookupBuffer::claim_hits`]), the predicted keys' rows first.  So no
+//!    answer is staged or copied: each is written once, into its claimed row.
 //!
 //! A corrected key whose probe comes back empty is an invariant violation (the
-//! bit says the table holds the row, the table says it does not).  It surfaces as
-//! a typed per-key [`StorageError::Corrupt`] — never as the model's guess, which
-//! is known to be wrong for that key.
+//! bit says the table holds the row, the table says it does not).  The probe
+//! lists it, and it surfaces as a typed per-key [`StorageError::Corrupt`] —
+//! never as the model's guess, which is known to be wrong for that key.  It and
+//! the keys of a partition that failed to load are marked failed after the
+//! fact ([`LookupBuffer::set_failed`]), which takes back their claimed hits.
 //!
 //! The whole pipeline writes into a caller-owned [`LookupBuffer`]
 //! ([`QueryPipeline::execute_into`]) and borrows its batch-sized working memory
-//! from it ([`LookupBuffer::take_scratch`]): the two sides of the split, the
-//! probe plan and the predictions of one row-major
-//! [`MappingModel::predict_into`] pass.  The walk's working memory, bounded
-//! by a chunk of rows rather than the batch, is kept per thread, as is the
-//! trace's event array; probe hits are read straight out of the pooled
-//! bit-packed partitions.  So a reused buffer makes the steady-state batch
-//! allocate nothing at all (`tests/alloc_guard.rs`).
+//! from it ([`LookupBuffer::take_scratch`]): the two sides of the split and
+//! the probe plan — no answer, since stages 2 and 3 write theirs into the
+//! claimed rows ([`MappingModel::predict_into_slice`] for the predicted side).
+//! The walk's working memory, bounded by a chunk of rows rather than the
+//! batch, is kept per thread, as is the trace's event array; probe hits are
+//! read straight out of the pooled bit-packed partitions.  So a reused buffer
+//! makes the steady-state batch allocate nothing at all
+//! (`tests/alloc_guard.rs`).
 //!
 //! ## Parallelism
 //!
@@ -76,7 +84,7 @@
 //! wall-clock.  Under `DM_OBS=off` no span reads the clock.  The store's
 //! [`Metrics`] hold counts only.
 
-use crate::aux_table::{AuxTable, ProbePlan};
+use crate::aux_table::{AuxTable, ProbePlan, Unanswered};
 use crate::model::MappingModel;
 use crate::Result;
 use dm_obs::{Stage, Trace};
@@ -114,6 +122,8 @@ impl Routed {
 /// The batch-sized working memory of one pipeline run, borrowed from the
 /// caller's [`LookupBuffer`] ([`LookupBuffer::take_scratch`]) and handed back
 /// after, so a reused buffer makes the steady-state batch allocate nothing.
+/// The answers themselves are never staged here: both routes write them into
+/// the rows they claimed in the buffer.
 #[derive(Debug, Default)]
 struct BatchScratch {
     /// Stage 1's output, `Vaux` bit clear: the model's prediction is the answer.
@@ -122,8 +132,6 @@ struct BatchScratch {
     corrected: Routed,
     /// Stage 3's probe plan.
     plan: ProbePlan,
-    /// Stage 2's row-major predictions.
-    predictions: Vec<u32>,
 }
 
 /// The staged batch-lookup pipeline over one hybrid structure's components.
@@ -195,29 +203,35 @@ impl<'a> QueryPipeline<'a> {
             predicted,
             corrected,
             plan,
-            predictions,
         } = scratch;
         if predicted.len == 0 && corrected.len == 0 {
             return Ok(());
         }
 
-        // Stages 2 and 3 share no key and no output (predictions are staged in
-        // the batch's scratch, probe hits go to the spans).  They run one
-        // after the other.
-        let failed = self.probe(corrected, plan, out, trace);
-        let columns = self.infer(predicted.keys(), predictions, trace)?;
-
-        // Stage 4: scatter the predictions to their keys' batch positions.
-        {
+        // Stage 4 runs first: one pass marks every routed key a hit and
+        // claims its row in the buffer, the predicted keys' rows first, then
+        // the corrected keys', each side in batch order.
+        let width = self.aux.value_columns();
+        let rows = {
             let _merge = trace.span(Stage::Merge);
-            for (i, &position) in predicted.positions().iter().enumerate() {
-                out.set_hit(position as usize, &predictions[i * columns..(i + 1) * columns]);
-            }
+            let positions = predicted.positions().iter().chain(corrected.positions());
+            out.claim_hits(positions.map(|&position| position as usize), width)
+        };
+        let (predicted_rows, corrected_rows) = rows.split_at_mut(predicted.len * width);
+
+        // Stages 2 and 3 share no key and no row.  They run one after the
+        // other, each writing its answers into its own rows.
+        let unanswered = self.probe(corrected.keys(), plan, corrected_rows, trace);
+        if let Err(err) = self.infer(predicted.keys(), predicted_rows, trace) {
+            // The claimed rows hold no answer: leave no hit behind.
+            out.reset(keys);
+            return Err(err);
         }
+        let failed = self.fail_unanswered(corrected, unanswered, out);
         // The answer mix is pipeline-work accounting (drift detection's
         // primary signal), not tracing — recorded regardless of `DM_OBS`.
         self.metrics
-            .add_answer_mix(predicted.len as u64, corrected.len as u64 - failed);
+            .add_answer_mix(predicted.len as u64, (corrected.len - failed) as u64);
         Ok(())
     }
 
@@ -252,62 +266,63 @@ impl<'a> QueryPipeline<'a> {
         corrected.len = kept_corrected;
     }
 
-    /// Stage 2: one vectorized forward pass over the predicted keys, flat
-    /// row-major into `predictions`.
-    /// Returns the number of value columns.
-    fn infer(&self, keys: &[u64], predictions: &mut Vec<u32>, trace: &Trace) -> Result<usize> {
+    /// Stage 2: one vectorized forward pass over the predicted keys, its
+    /// classes written straight into their claimed `rows`, row-major.
+    fn infer(&self, keys: &[u64], rows: &mut [u32], trace: &Trace) -> Result<()> {
         if keys.is_empty() {
-            return Ok(0);
+            return Ok(());
         }
-        let columns = {
+        {
             let _inference = trace.span(Stage::Inference);
-            self.model.predict_into(keys, predictions)?
-        };
+            self.model.predict_into_slice(keys, rows)?;
+        }
         self.metrics.add_inference_batch(keys.len() as u64);
-        Ok(columns)
+        Ok(())
     }
 
     /// Stage 3: probes the corrected keys (grouped by partition, each loaded at
-    /// most once) and writes the hits to their batch positions.  Returns how
-    /// many keys were marked failed instead: a partition whose load failed
-    /// degrades its keys — they carry the typed storage error, every other key
-    /// is answered byte-identically to a fault-free batch — and a key the table
-    /// turns out not to hold, against its `Vaux` bit, is reported as corruption
-    /// rather than answered by a model known to mispredict it.
-    fn probe(&self, corrected: &Routed, plan: &mut ProbePlan, out: &mut LookupBuffer, trace: &Trace) -> u64 {
-        let positions = corrected.positions();
-        if positions.is_empty() {
-            return 0;
+    /// most once), each answer decoded straight into its claimed row.
+    /// Returns the keys it could not answer.
+    fn probe(
+        &self,
+        keys: &[u64],
+        plan: &mut ProbePlan,
+        rows: &mut [u32],
+        trace: &Trace,
+    ) -> Unanswered {
+        if keys.is_empty() {
+            return Unanswered::default();
         }
-        let mut answered = 0;
-        let degraded = self.aux.probe_batch(
-            corrected.keys(),
-            plan,
-            Some(trace),
-            &mut |ci, values| {
-                out.set_hit(positions[ci] as usize, values);
-                answered += 1;
-            },
-        );
-        let mut failed = degraded.len();
-        for (ci, err) in degraded {
+        self.aux.probe_into(keys, plan, Some(trace), rows)
+    }
+
+    /// Marks failed the corrected keys stage 3 left unanswered, and returns
+    /// how many.  A partition whose load failed degrades its keys — they
+    /// carry the typed storage error, every other key is answered
+    /// byte-identically to a fault-free batch — and a key the table turns out
+    /// not to hold, against its `Vaux` bit, is reported as corruption rather
+    /// than answered by a model known to mispredict it.
+    fn fail_unanswered(
+        &self,
+        corrected: &Routed,
+        unanswered: Unanswered,
+        out: &mut LookupBuffer,
+    ) -> usize {
+        let failed = unanswered.degraded.len() + unanswered.absent.len();
+        let positions = corrected.positions();
+        for (ci, err) in unanswered.degraded {
             out.set_failed(positions[ci] as usize, err);
         }
-        if answered + failed < positions.len() {
-            for (&key, &position) in corrected.keys().iter().zip(positions) {
-                let position = position as usize;
-                if !out.is_hit(position) && !out.is_failed(position) {
-                    out.set_failed(
-                        position,
-                        StorageError::Corrupt(format!(
-                            "key {key} is marked corrected but the auxiliary table holds no row for it"
-                        )),
-                    );
-                    failed += 1;
-                }
-            }
+        for ci in unanswered.absent {
+            let key = corrected.keys()[ci];
+            out.set_failed(
+                positions[ci] as usize,
+                StorageError::Corrupt(format!(
+                    "key {key} is marked corrected but the auxiliary table holds no row for it"
+                )),
+            );
         }
-        failed as u64
+        failed
     }
 }
 

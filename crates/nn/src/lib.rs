@@ -18,7 +18,7 @@
 //! * [`layer`] — dense layers and activations with explicit backward passes,
 //! * [`loss`] — softmax cross-entropy (the paper's training loss), its `exp`
 //!   one fixed recipe (`exp.rs`) rather than the host's libm,
-//! * [`optimizer`] — SGD (with momentum and decay) and Adam,
+//! * [`optimizer`] — Adam, the optimizer every training run steps,
 //! * [`mlp`] — a plain sequential multi-layer perceptron,
 //! * [`multitask`] — the shared-trunk / private-head model of Section IV-A,
 //! * [`encoding`] — binary key features and one-hot label encodings,
@@ -47,7 +47,7 @@ pub use layer::{Activation, Dense};
 pub use loss::softmax_cross_entropy;
 pub use mlp::{Mlp, MlpSpec};
 pub use multitask::{MultiTaskModel, MultiTaskSpec, TaskHeadSpec, TrainStep, CACHE_CHUNK_ROWS};
-pub use optimizer::{Adam, Optimizer, Sgd};
+pub use optimizer::{Adam, Optimizer};
 pub use tensor::Matrix;
 
 /// Errors produced by the neural-network substrate.

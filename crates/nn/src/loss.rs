@@ -116,19 +116,6 @@ pub fn softmax_cross_entropy(
     Ok((loss / batch, grad))
 }
 
-/// Fraction of rows whose argmax prediction equals the target class.
-pub fn accuracy(logits: &Matrix, targets: &[usize]) -> f32 {
-    if targets.is_empty() {
-        return 1.0;
-    }
-    let correct = targets
-        .iter()
-        .enumerate()
-        .filter(|(i, &t)| logits.argmax_row(*i) == t)
-        .count();
-    correct as f32 / targets.len() as f32
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -269,13 +256,5 @@ mod tests {
         for (row, &target) in targets.iter().enumerate().take(3) {
             assert_eq!(right[row], logits.argmax_row(row) == target, "row {row}");
         }
-    }
-
-    #[test]
-    fn accuracy_counts_correct_rows() {
-        let logits = Matrix::from_vec(3, 2, vec![1.0, 0.0, 0.0, 1.0, 1.0, 0.0]).unwrap();
-        let acc = accuracy(&logits, &[0, 1, 1]);
-        assert!((acc - 2.0 / 3.0).abs() < 1e-6);
-        assert_eq!(accuracy(&Matrix::zeros(0, 2), &[]), 1.0);
     }
 }

@@ -253,8 +253,10 @@ mod tests {
             mlp.train_classification_batch(&x, &targets, &mut opt).unwrap();
         }
         let logits = mlp.forward(&x).unwrap();
-        let acc = crate::loss::accuracy(&logits, &targets);
-        assert!(acc > 0.95, "memorization accuracy was {acc}");
+        let right = (0..n)
+            .filter(|&row| logits.argmax_row(row) == targets[row])
+            .count();
+        assert!(right * 100 > n * 95, "memorized {right} of {n} keys");
     }
 
     #[test]

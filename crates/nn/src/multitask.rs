@@ -404,7 +404,9 @@ impl MultiTaskModel {
     /// with its keys through [`forward_keys_flat`](Self::forward_keys_flat).
     /// The walk runs on the calling thread, in cache-sized row chunks.
     pub fn forward_batch_flat(&self, x: &Matrix, out: &mut Vec<u32>) -> crate::Result<usize> {
-        self.walk(WalkSource::Features(x), x.rows(), out)
+        out.clear();
+        out.resize(x.rows() * self.heads.len(), 0);
+        self.walk(WalkSource::Features(x), out)
     }
 
     /// [`forward_batch_flat`](Self::forward_batch_flat) over keys instead
@@ -416,38 +418,44 @@ impl MultiTaskModel {
     /// and from there on it is the same walk, so the same predictions bit for
     /// bit.  This is the entry the lookup path uses: keys in, and for an int8
     /// model classes out, with no logit written on the way.
+    ///
+    /// The classes go into the caller's slice, which must be exactly
+    /// `keys.len() * tasks` long — the lookup path hands it the rows it
+    /// claimed for its predicted keys in the answer buffer, so each class is
+    /// written once, where the caller reads it.
     pub fn forward_keys_flat(
         &self,
         encoder: &KeyEncoder,
         keys: &[u64],
-        out: &mut Vec<u32>,
+        out: &mut [u32],
     ) -> crate::Result<usize> {
+        let mismatch = |context: String| Err(crate::NnError::ShapeMismatch { context });
         if encoder.input_dim() != self.spec.input_dim {
-            return Err(crate::NnError::ShapeMismatch {
-                context: format!(
-                    "forward_keys_flat: the encoder emits {} features, the model reads {}",
-                    encoder.input_dim(),
-                    self.spec.input_dim
-                ),
-            });
+            return mismatch(format!(
+                "forward_keys_flat: the encoder emits {} features, the model reads {}",
+                encoder.input_dim(),
+                self.spec.input_dim
+            ));
         }
-        self.walk(WalkSource::Keys(encoder, keys), keys.len(), out)
+        if out.len() != keys.len() * self.heads.len() {
+            return mismatch(format!(
+                "forward_keys_flat: {} keys of {} tasks each need {} outputs, the slice holds {}",
+                keys.len(),
+                self.heads.len(),
+                keys.len() * self.heads.len(),
+                out.len()
+            ));
+        }
+        self.walk(WalkSource::Keys(encoder, keys), out)
     }
 
-    /// The walk behind both entries: `rows` rows of `source`.
-    fn walk(
-        &self,
-        source: WalkSource<'_>,
-        rows: usize,
-        out: &mut Vec<u32>,
-    ) -> crate::Result<usize> {
-        let tasks = self.heads.len();
-        out.clear();
-        out.resize(rows * tasks, 0);
-        if rows > 0 {
+    /// The walk behind both entries: the `out.len() / tasks` rows of
+    /// `source`.  Returns the number of tasks.
+    fn walk(&self, source: WalkSource<'_>, out: &mut [u32]) -> crate::Result<usize> {
+        if !out.is_empty() {
             self.forward_window(source, CACHE_CHUNK_ROWS, out)?;
         }
-        Ok(tasks)
+        Ok(self.heads.len())
     }
 
     /// Predictions for the `out.len() / num_tasks` rows of `source`,
@@ -1232,7 +1240,7 @@ mod tests {
                         chain_predictions(model, &x),
                         "{name}, {precision}, {form}"
                     );
-                    let mut from_keys = Vec::new();
+                    let mut from_keys = vec![u32::MAX; keys.len() * model.heads.len()];
                     model
                         .forward_keys_flat(&encoder, &keys, &mut from_keys)
                         .unwrap();
@@ -1315,7 +1323,7 @@ mod tests {
                 let expected = chain_predictions(&model, &x);
                 kernel::tests::under_each_form(|form| {
                     assert_eq!(walk_predictions(&model, &x), expected, "{name}, {form}, {rows} rows");
-                    let mut from_keys = Vec::new();
+                    let mut from_keys = vec![u32::MAX; expected.len()];
                     model
                         .forward_keys_flat(&encoder, &keys, &mut from_keys)
                         .unwrap();
@@ -1325,18 +1333,26 @@ mod tests {
         }
     }
 
-    /// An encoder of another width than the model reads is an error, not a
-    /// walk over rows of the wrong length.
+    /// An encoder of another width than the model reads, or an output slice
+    /// of another length than the keys' classes fill, is an error, not a walk
+    /// over rows of the wrong length.
     #[test]
     fn keys_entry_rejects_an_encoder_of_the_wrong_width() {
         let model = MultiTaskModel::new(&mut StdRng::seed_from_u64(5), &toy_spec()).unwrap();
-        let mut out = vec![7];
+        let mut out = vec![7; 4];
         let wrong = KeyEncoder::with_bits(5);
         assert!(model.forward_keys_flat(&wrong, &[1, 2], &mut out).is_err());
-        let tasks = model
-            .forward_keys_flat(&six_feature_encoder(), &[], &mut out)
-            .unwrap();
-        assert_eq!((tasks, out.len()), (2, 0));
+        let right = six_feature_encoder();
+        assert!(model.forward_keys_flat(&right, &[1], &mut out).is_err());
+        assert!(model
+            .forward_keys_flat(&right, &[1, 2, 3], &mut out)
+            .is_err());
+        assert_eq!(out, [7; 4], "a refused call writes nothing");
+        assert_eq!(model.forward_keys_flat(&right, &[], &mut []).unwrap(), 2);
+        assert_eq!(
+            model.forward_keys_flat(&right, &[1, 2], &mut out).unwrap(),
+            2
+        );
     }
 
     /// The training step before the heads' entry, kept as its oracle: each

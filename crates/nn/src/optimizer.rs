@@ -1,8 +1,9 @@
 //! Gradient-descent optimizers.
 //!
-//! The paper trains sampled model weights with a decaying learning rate (0.001 decayed
-//! by 0.999 per iteration, Section V-A6).  Both optimizers are provided; they update a
-//! flat list of `(parameter, gradient)` pairs so the same code path serves dense
+//! Training runs [`Adam`]: `MappingModel::train` and the DeepSqueeze baseline both
+//! step it, and the training schedule anneals it through
+//! [`Optimizer::set_learning_rate`] when the loss plateaus.  An optimizer updates a
+//! flat list of `(parameter, gradient)` pairs, so the same code path serves dense
 //! layers, multi-layer perceptrons and multi-task models.
 
 use crate::tensor::Matrix;
@@ -19,64 +20,6 @@ pub trait Optimizer {
 
     /// Overrides the current learning rate (used by plateau-annealing schedules).
     fn set_learning_rate(&mut self, lr: f32);
-}
-
-/// Plain stochastic gradient descent with optional momentum and multiplicative
-/// learning-rate decay per step.
-#[derive(Debug, Clone)]
-pub struct Sgd {
-    lr: f32,
-    momentum: f32,
-    decay: f32,
-    velocity: Vec<Matrix>,
-}
-
-impl Sgd {
-    /// Creates an SGD optimizer.  `decay` multiplies the learning rate after every
-    /// step (1.0 disables decay); the paper uses 0.999.
-    pub fn new(lr: f32, momentum: f32, decay: f32) -> Self {
-        Sgd {
-            lr,
-            momentum,
-            decay,
-            velocity: Vec::new(),
-        }
-    }
-}
-
-impl Optimizer for Sgd {
-    fn step(&mut self, params: &mut [(&mut Matrix, &Matrix)]) {
-        if self.velocity.len() != params.len() {
-            self.velocity = params
-                .iter()
-                .map(|(p, _)| Matrix::zeros(p.rows(), p.cols()))
-                .collect();
-        }
-        for (i, (param, grad)) in params.iter_mut().enumerate() {
-            let vel = &mut self.velocity[i];
-            if vel.rows() != param.rows() || vel.cols() != param.cols() {
-                *vel = Matrix::zeros(param.rows(), param.cols());
-            }
-            for ((v, p), &g) in vel
-                .as_mut_slice()
-                .iter_mut()
-                .zip(param.as_mut_slice().iter_mut())
-                .zip(grad.as_slice())
-            {
-                *v = self.momentum * *v - self.lr * g;
-                *p += *v;
-            }
-        }
-        self.lr *= self.decay;
-    }
-
-    fn learning_rate(&self) -> f32 {
-        self.lr
-    }
-
-    fn set_learning_rate(&mut self, lr: f32) {
-        self.lr = lr;
-    }
 }
 
 /// Adam optimizer (Kingma & Ba) with bias correction.
@@ -167,34 +110,26 @@ mod tests {
     }
 
     #[test]
-    fn sgd_converges_on_quadratic() {
-        let result = minimize(Sgd::new(0.1, 0.0, 1.0), 200);
-        assert!((result - 3.0).abs() < 1e-3, "got {result}");
-    }
-
-    #[test]
-    fn sgd_with_momentum_converges() {
-        let result = minimize(Sgd::new(0.05, 0.9, 1.0), 300);
-        assert!((result - 3.0).abs() < 1e-2, "got {result}");
-    }
-
-    #[test]
     fn adam_converges_on_quadratic() {
         let result = minimize(Adam::new(0.3), 400);
         assert!((result - 3.0).abs() < 1e-2, "got {result}");
     }
 
+    /// The schedule's knob: a step keeps the rate it was set to, and a zero
+    /// rate leaves the parameters where they are.
     #[test]
-    fn sgd_learning_rate_decays() {
-        let mut opt = Sgd::new(1.0, 0.0, 0.5);
-        let mut x = Matrix::row_vector(&[0.0]);
-        let grad = Matrix::row_vector(&[0.0]);
-        let mut pairs = vec![(&mut x, &grad)];
-        opt.step(&mut pairs);
-        assert!((opt.learning_rate() - 0.5).abs() < 1e-6);
-        let mut pairs = vec![(&mut x, &grad)];
-        opt.step(&mut pairs);
-        assert!((opt.learning_rate() - 0.25).abs() < 1e-6);
+    fn adam_keeps_the_learning_rate_the_schedule_sets() {
+        let mut opt = Adam::new(0.1);
+        opt.set_learning_rate(0.05);
+        let mut x = Matrix::row_vector(&[1.0]);
+        let grad = Matrix::row_vector(&[4.0]);
+        opt.step(&mut [(&mut x, &grad)]);
+        assert_eq!(opt.learning_rate(), 0.05);
+        assert!(x.get(0, 0) < 1.0);
+        let moved = x.get(0, 0);
+        opt.set_learning_rate(0.0);
+        opt.step(&mut [(&mut x, &grad)]);
+        assert_eq!(x.get(0, 0), moved);
     }
 
     #[test]

@@ -85,9 +85,9 @@ pub fn rows_per_partition(num_value_columns: usize, target_bytes: usize) -> usiz
 pub struct PackedPartition {
     rows: usize,
     bytes: Vec<u8>,
-    /// Per column: the stream's bit width and where its packed data lies in
-    /// `bytes`, parsed once by `from_bytes`.
-    columns: Vec<(u32, std::ops::Range<usize>)>,
+    /// Per column: the stream's bit width and the bit of `bytes` its packed
+    /// data starts at, parsed once by `from_bytes`.
+    columns: Vec<(u32, u64)>,
 }
 
 impl PackedPartition {
@@ -181,7 +181,7 @@ impl PackedPartition {
                     data.len()
                 )));
             }
-            parsed.push((bits, end - data.len()..end));
+            parsed.push((bits, (end - data.len()) as u64 * 8));
             start = end;
         }
         if start != bytes.len() {
@@ -214,15 +214,20 @@ impl PackedPartition {
         self.bytes.len()
     }
 
-    /// Reads the values at `slot` into `out` (one entry per column).
+    /// Reads the values at `slot` into `out` (one entry per column).  Each
+    /// value is addressed by its bit in the whole buffer, so a read is one
+    /// bounds check against the buffer, not a column's sub-slice and then the
+    /// value: the window of bytes it loads may run into the next column's
+    /// stream, whose bits the width's mask drops.
     ///
     /// # Panics
     /// When `slot >= len()` or `out.len() != columns()`.
     pub fn read_row(&self, slot: usize, out: &mut [u32]) {
         assert!(slot < self.rows, "slot {slot} out of range ({} rows)", self.rows);
         assert_eq!(out.len(), self.columns(), "one output per column");
-        for (value, (bits, data)) in out.iter_mut().zip(&self.columns) {
-            *value = bitpack::value_at(&self.bytes[data.clone()], *bits, slot) as u32;
+        for (value, &(bits, first_bit)) in out.iter_mut().zip(&self.columns) {
+            let bit = first_bit + slot as u64 * u64::from(bits);
+            *value = bitpack::value_at_bit(&self.bytes, bit, bits) as u32;
         }
     }
 }
@@ -623,6 +628,69 @@ mod tests {
         let empty = PackedPartition::from_columns(0, &[Vec::new(), Vec::new()]).unwrap();
         assert!(empty.is_empty());
         assert_eq!(PackedPartition::from_bytes(empty.to_bytes().to_vec()).unwrap(), empty);
+    }
+
+    /// `read_row` addresses each value by its bit in the whole buffer; at
+    /// every slot of every width it must read what `bitpack::value_at` reads
+    /// out of the column's own stream — also in the last rows of the last
+    /// column, where the 8-byte window runs past the buffer and the slow path
+    /// answers.
+    #[test]
+    fn read_row_agrees_with_value_at_at_every_width_and_slot() {
+        let rows = 67usize;
+        let column = |bits: u32| -> Vec<u32> {
+            let max = u32::MAX >> (32 - bits);
+            (0..rows as u32)
+                .map(|i| {
+                    if i == 5 {
+                        max
+                    } else {
+                        i.wrapping_mul(0x9E37_79B9).rotate_left(i) & max
+                    }
+                })
+                .collect()
+        };
+        let check = |columns: &[Vec<u32>]| {
+            let packed = PackedPartition::from_columns(rows, columns).unwrap();
+            let streams: Vec<(u32, Vec<u8>)> = columns
+                .iter()
+                .map(|c| {
+                    let widened: Vec<u64> = c.iter().map(|&v| u64::from(v)).collect();
+                    let stream = bitpack::pack(
+                        &widened,
+                        bitpack::bits_for(u64::from(*c.iter().max().unwrap())),
+                    )
+                    .unwrap();
+                    let (_, bits, data) = bitpack::header(&stream).unwrap();
+                    (bits, data.to_vec())
+                })
+                .collect();
+            let mut row = vec![0; columns.len()];
+            for slot in 0..rows {
+                packed.read_row(slot, &mut row);
+                for (c, (bits, data)) in streams.iter().enumerate() {
+                    assert_eq!(
+                        u64::from(row[c]),
+                        bitpack::value_at(data, *bits, slot),
+                        "{bits} bits, slot {slot}"
+                    );
+                }
+            }
+            packed
+        };
+        for bits in 1..=32 {
+            // The column under test last: its last rows' windows pass the end.
+            let packed = check(&[column(3), column(bits)]);
+            let (_, first_bit) = packed.columns[1];
+            let last_byte = (first_bit + (rows as u64 - 1) * u64::from(bits)) / 8;
+            assert!(
+                last_byte as usize + 8 > packed.resident_bytes(),
+                "{bits} bits"
+            );
+        }
+        // Every width in one buffer: windows run into the next column's stream.
+        check(&(1..=32).map(column).collect::<Vec<_>>());
+        check(&(1..=32).rev().map(column).collect::<Vec<_>>());
     }
 
     #[test]

@@ -16,7 +16,8 @@
 //! zero per-key allocations — the arena and span table are cleared, not freed, between
 //! batches.  A store may also borrow the buffer's typed working memory
 //! ([`LookupBuffer::take_scratch`]) for its batch-sized intermediates: DeepMapping's
-//! pipeline keeps its route, probe-plan and prediction vectors there, so its
+//! pipeline keeps its route and probe-plan vectors there, and writes its answers
+//! straight into rows it claims in the arena ([`LookupBuffer::claim_hits`]), so its
 //! steady-state call allocates nothing at all.  [`TupleStore::lookup_batch`] keeps
 //! the old materialized shape as a convenience built on top.
 
@@ -71,6 +72,12 @@ impl TupleRef<'_> {
 /// clears the contents but keeps the allocations, so repeated batches of similar shape
 /// reach a steady state with **zero** per-key heap allocations (asserted by the
 /// workspace's capacity-stability test).
+///
+/// A hit is recorded one at a time ([`set_hit`](Self::set_hit), which copies its
+/// values in) or in bulk ([`claim_hits`](Self::claim_hits), which marks many
+/// positions as hits and hands back their rows for the store to write in place).
+/// A claimed position later marked failed leaves its row in the arena as dead
+/// values until the next [`reset`](Self::reset).
 #[derive(Debug, Default, Clone)]
 pub struct LookupBuffer {
     keys: Vec<u64>,
@@ -83,8 +90,8 @@ pub struct LookupBuffer {
     /// [`reset`](Self::reset).
     errors: Vec<(u32, StorageError)>,
     /// Detachable working memory a store borrows for the batch-sized
-    /// intermediates of a lookup (a model's row-major predictions, the route
-    /// and probe-plan vectors), so none is allocated per batch.
+    /// intermediates of a lookup (the route and probe-plan vectors), so none
+    /// is allocated per batch.
     scratch: Scratch,
 }
 
@@ -157,6 +164,46 @@ impl LookupBuffer {
             _ => {}
         }
         self.spans[index] = Span { start, len };
+    }
+
+    /// Marks every position of `positions` — each a miss — as a hit of
+    /// `width` values and returns the claimed rows, one after the other in
+    /// claim order at the end of the arena, for the caller to fill in place:
+    /// a store that computes its answers in bulk (a model's classes, rows
+    /// decoded out of a partition) writes each answer once, where
+    /// [`set_hit`](Self::set_hit) copies it in.  The rows start zeroed.
+    ///
+    /// A claimed position the store then cannot answer is marked
+    /// [`set_failed`](Self::set_failed) like any hit; its row stays behind in
+    /// the arena, dead, until the next [`reset`](Self::reset).
+    ///
+    /// # Panics
+    /// Panics if a position is out of bounds or not a miss (a hit or a failure
+    /// already, or named twice), or if the arena would exceed `u32::MAX` values.
+    pub fn claim_hits(
+        &mut self,
+        positions: impl IntoIterator<Item = usize>,
+        width: usize,
+    ) -> &mut [u32] {
+        let base = self.values.len();
+        let len = u32::try_from(width).expect("tuple wider than u32 span space");
+        let mut start = u32::try_from(base).expect("lookup arena exceeds u32 span space");
+        let mut claimed = 0;
+        for index in positions {
+            let span = &mut self.spans[index];
+            assert!(
+                *span == MISS,
+                "position {index} is claimed but is not a miss"
+            );
+            *span = Span { start, len };
+            start = start
+                .checked_add(len)
+                .expect("lookup arena exceeds u32 span space");
+            claimed += 1;
+        }
+        self.hits += claimed;
+        self.values.resize(base + claimed * width, 0);
+        &mut self.values[base..]
     }
 
     /// Marks query position `index` as *failed*: the store could not answer
@@ -604,6 +651,68 @@ mod tests {
         part.copy_range_from(&merged, 0, 2);
         assert!(part.first_error().is_none());
         assert_eq!(part.hit_count(), 1);
+    }
+
+    #[test]
+    fn claimed_rows_are_hits_in_claim_order_until_a_failure_unclaims_one() {
+        let mut buffer = LookupBuffer::new();
+        buffer.reset(&[10, 20, 30, 40, 50, 60]);
+        buffer.set_hit(5, &[99, 98]);
+        let rows = buffer.claim_hits([3, 0, 4], 2);
+        assert_eq!(rows, [0; 6], "claimed rows start zeroed");
+        rows.copy_from_slice(&[31, 32, 1, 2, 41, 42]);
+        assert_eq!(buffer.claim_hits([], 2), [0u32; 0]);
+        assert_eq!(buffer.hit_count(), 4);
+        assert_eq!(buffer.get(3), Some(&[31u32, 32][..]));
+        assert_eq!(buffer.get(0), Some(&[1u32, 2][..]));
+        assert_eq!(buffer.get(4), Some(&[41u32, 42][..]));
+        assert_eq!(buffer.get(5), Some(&[99u32, 98][..]));
+        assert_eq!(buffer.get(1), None);
+
+        // A claimed position the store cannot answer after all.
+        buffer.set_failed(4, StorageError::Io("partition 2 unreadable".into()));
+        assert_eq!(buffer.hit_count(), 3);
+        assert!(buffer.is_failed(4));
+        assert_eq!(buffer.get(4), None);
+        assert!(matches!(buffer.error(4), Some(StorageError::Io(_))));
+        assert_eq!(buffer.failed_count(), 1);
+
+        // Each sub-request of the batch gets its own rows.
+        let mut part = LookupBuffer::new();
+        part.copy_range_from(&buffer, 0, 3);
+        assert_eq!(part.to_options(), vec![Some(vec![1, 2]), None, None]);
+        part.copy_range_from(&buffer, 3, 3);
+        assert_eq!(
+            part.to_options(),
+            vec![Some(vec![31, 32]), None, Some(vec![99, 98])]
+        );
+        assert!(part.is_failed(1));
+        assert!(matches!(part.error(1), Some(StorageError::Io(_))));
+        assert_eq!((part.hit_count(), part.failed_count()), (2, 1));
+    }
+
+    #[test]
+    fn claiming_a_position_that_is_not_a_miss_is_refused() {
+        let claim = |prepare: fn(&mut LookupBuffer), positions: Vec<usize>| {
+            std::panic::catch_unwind(move || {
+                let mut buffer = LookupBuffer::new();
+                buffer.reset(&[1, 2, 3]);
+                prepare(&mut buffer);
+                buffer.claim_hits(positions, 1).len()
+            })
+        };
+        assert_eq!(claim(|_| {}, vec![0, 2]).ok(), Some(2));
+        assert!(claim(|b| b.set_hit(1, &[7]), vec![0, 1]).is_err(), "a hit");
+        assert!(
+            claim(
+                |b| b.set_failed(1, StorageError::Io("down".into())),
+                vec![1]
+            )
+            .is_err(),
+            "a failure"
+        );
+        assert!(claim(|_| {}, vec![2, 2]).is_err(), "a position named twice");
+        assert!(claim(|_| {}, vec![3]).is_err(), "out of bounds");
     }
 
     #[test]

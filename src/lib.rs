@@ -90,7 +90,9 @@
 //! │                                       thread, entered with keys
 //! │                                       (forward_keys_flat: each 96-row
 //! │                                       chunk encodes its own, an int8 model's
-//! │                                       straight to first-layer bytes) or
+//! │                                       straight to first-layer bytes, and
+//! │                                       the classes land in the caller's
+//! │                                       slice — a lookup's claimed rows) or
 //! │                                       with features (forward_batch_flat);
 //! │                                       kernel: packed-panel micro-kernels —
 //! │                                       16-lane AVX-512 / AVX2+FMA f32 forms
@@ -154,12 +156,13 @@
 //!
 //! Lookups flow facade → `TupleStore::lookup_batch_into` →
 //! `dm_core::pipeline::QueryPipeline::execute_into` (three-way split on the existence
-//! and corrected-key bit vectors → one vectorized flat forward pass over the
-//! *predicted* keys — handed to the network as keys, never as a batch-wide
-//! feature matrix — beside rank-addressed auxiliary probes of the *corrected*
-//! keys (`rank(base, key)` → partition and slot; packed partitions come through the
-//! shared buffer pool, each loaded at most once per batch) →
-//! order-preserving scatter into the caller's `LookupBuffer` arena — every key pays
+//! and corrected-key bit vectors → one pass that marks every routed key a hit and
+//! claims its row in the caller's `LookupBuffer` arena → one vectorized flat
+//! forward pass over the *predicted* keys — handed to the network as keys, never
+//! as a batch-wide feature matrix — beside rank-addressed auxiliary probes of the
+//! *corrected* keys (`rank(base, key)` → partition and slot; packed partitions come
+//! through the shared buffer pool, each loaded at most once per batch), each
+//! writing its answers straight into the claimed rows — every key pays
 //! for the model or the auxiliary table, never both), with every stage timed once, by
 //! a `dm_obs::Stage` span on the batch's trace (`dm_obs::trace::take_last_batch`);
 //! `dm_storage::Metrics` holds the counts.  The pipeline borrows its batch-sized

@@ -15,11 +15,18 @@
 //!    the episode.
 //! 3. An installed-but-disabled injector is functionally free: byte-identical
 //!    answers, zero injected faults, zero retries, zero degraded keys.
+//! 4. One batch over a store with both routes, one partition that will not
+//!    load and one key whose `Vaux` bit names a row the table lacks: exactly
+//!    that partition's keys and that key fail, each with its typed error, and
+//!    the hit count is the answered keys — the failures take back the hits
+//!    the pipeline claimed for them before it probed.
 //!
 //! Every plan is seeded: a failure here reproduces exactly, run after run.
 
+use deepmapping::core::QueryPipeline;
 use deepmapping::faults::{FaultPlan, Faults};
 use deepmapping::prelude::*;
+use deepmapping::storage::StorageError;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -209,4 +216,115 @@ fn a_disabled_injector_is_functionally_free() {
     faults.set_enabled(true);
     dm.inject_faults(faults);
     assert!(dm.lookup_batch(&probe).is_err());
+}
+
+/// Rows of both routes: 32-key runs of a learnable pattern (predicted keys)
+/// alternating with hash noise (corrected keys).
+fn mixed_rows(n: u64) -> Vec<Row> {
+    (0..n)
+        .map(|k| {
+            if (k / 32) % 2 == 0 {
+                Row::new(k, vec![((k / 64) % 4) as u32, ((k / 256) % 3) as u32])
+            } else {
+                let h = k.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 17;
+                Row::new(k, vec![(h % 5) as u32, ((h >> 7) % 3) as u32])
+            }
+        })
+        .collect()
+}
+
+/// A degraded batch, as the buffer API serves it: with one partition failing
+/// every read and one key routed to the table against its contents, every
+/// other key — predicted, corrected, absent — answers as the reference does,
+/// exactly the partition's keys fail with the storage error, the orphan key
+/// fails as corruption, and `hit_count()` counts the answered keys only.
+#[test]
+fn a_degraded_batch_fails_exactly_the_failed_partitions_keys_and_counts_the_rest() {
+    let rows = mixed_rows(4_000);
+    let mut dm = DeepMappingBuilder::dm_z()
+        .training(TrainingConfig {
+            epochs: 40,
+            batch_size: 256,
+            ..TrainingConfig::default()
+        })
+        .partition_bytes(2 * 1024)
+        .disk_profile(DiskProfile::free())
+        .build(&rows)
+        .expect("build DeepMapping");
+    let reference = ReferenceStore::from_rows(&rows);
+    let directory = dm.aux_table().partition_directory();
+    assert!(
+        directory.len() >= 3,
+        "need partitions around the failed one"
+    );
+    let failed = directory[1];
+    let in_failed = |key: u64| (failed.min_key..=failed.max_key).contains(&key);
+    let predicted: Vec<u64> = rows
+        .iter()
+        .map(|r| r.key)
+        .filter(|&k| !dm.corrected().get(k))
+        .collect();
+    assert!(
+        predicted.len() > 500,
+        "only {} predicted keys",
+        predicted.len()
+    );
+    // A predicted key outside the failed partition's range, routed to the
+    // table by a doctored `Vaux`.
+    let orphan = *predicted
+        .iter()
+        .find(|&&k| !in_failed(k))
+        .expect("a predicted key");
+    let mut vaux = dm.corrected().clone();
+    vaux.set(orphan, true);
+
+    dm.inject_faults(Faults::new(
+        FaultPlan::seeded(13)
+            .with_read_transient(1.0)
+            .with_read_partitions(vec![1]),
+    ));
+    let pipeline = QueryPipeline::new(
+        dm.model(),
+        dm.aux_table(),
+        dm.existence(),
+        &vaux,
+        dm.metrics(),
+    );
+    // Every key of the table, shuffled, with misses past its end.
+    let keys: Vec<u64> = (0..4_400u64).map(|i| (i * 2_654_435_761) % 4_400).collect();
+    let expected = reference.lookup_batch(&keys).unwrap();
+    let mut buffer = LookupBuffer::new();
+    pipeline.execute_into(&keys, &mut buffer).unwrap();
+
+    let mut answered = 0;
+    let mut partition_failures = 0;
+    for (i, &key) in keys.iter().enumerate() {
+        if key == orphan {
+            assert!(buffer.is_failed(i));
+            let err = buffer.error(i).expect("a failed key carries its error");
+            assert!(matches!(err, StorageError::Corrupt(_)), "{err}");
+        } else if in_failed(key) && dm.corrected().get(key) {
+            assert!(buffer.is_failed(i), "key {key} of the failed partition");
+            let err = buffer.error(i).expect("a failed key carries its error");
+            assert!(
+                matches!(err, StorageError::Io(_)),
+                "retry-exhausted transient, got {err}"
+            );
+            partition_failures += 1;
+        } else {
+            assert!(!buffer.is_failed(i), "key {key}");
+            assert_eq!(buffer.get(i).map(<[u32]>::to_vec), expected[i], "key {key}");
+            answered += usize::from(expected[i].is_some());
+        }
+    }
+    assert!(
+        partition_failures > 0,
+        "the failed partition held no queried key"
+    );
+    assert_eq!(buffer.failed_count(), partition_failures + 1);
+    assert_eq!(buffer.hit_count(), answered);
+    assert_eq!(
+        buffer.hit_count(),
+        (0..keys.len()).filter(|&i| buffer.is_hit(i)).count()
+    );
 }

@@ -596,7 +596,7 @@ fn keys_in_predicts_what_features_in_predicts() {
                 for model in [&f32_model, &int8_model] {
                     let mut expected = Vec::new();
                     model.forward_batch_flat(&features, &mut expected).unwrap();
-                    let mut got = vec![9; 3];
+                    let mut got = vec![9; expected.len()];
                     let tasks = model.forward_keys_flat(&encoder, &keys, &mut got).unwrap();
                     assert_eq!(tasks, 2);
                     assert_eq!(
