@@ -530,12 +530,14 @@ impl AuxTable {
         if let Some((_, err)) = unanswered.degraded.into_iter().next() {
             return Err(crate::CoreError::from(err));
         }
-        let mut results: Vec<Option<Vec<u32>>> = (0..keys.len())
-            .map(|qi| Some(rows[qi * width..(qi + 1) * width].to_vec()))
+        // `absent` lists its keys in batch order; only the others own a row.
+        let mut absent = unanswered.absent.into_iter().peekable();
+        let results = (0..keys.len())
+            .map(|qi| match absent.next_if_eq(&qi) {
+                Some(_) => None,
+                None => Some(rows[qi * width..(qi + 1) * width].to_vec()),
+            })
             .collect();
-        for qi in unanswered.absent {
-            results[qi] = None;
-        }
         Ok(results)
     }
 
