@@ -238,13 +238,23 @@ impl ProbePlan {
 
 /// The keys of a probe batch the table left unanswered
 /// ([`AuxTable::probe_into`]), by query index.  Both lists are empty on a
-/// healthy batch of keys the table holds, and so allocate nothing.
+/// healthy batch of keys the table holds; reused between batches — the query
+/// pipeline keeps one in the caller's `LookupBuffer` — they allocate nothing
+/// in the steady state either way.
 #[derive(Debug, Default)]
 pub(crate) struct Unanswered {
     /// Keys the table does not hold, in batch order.
     pub(crate) absent: Vec<usize>,
     /// Keys whose partition failed to load, each with the typed error.
     pub(crate) degraded: Vec<(usize, StorageError)>,
+}
+
+impl Unanswered {
+    /// Empties both lists, keeping their allocations.
+    pub(crate) fn clear(&mut self) {
+        self.absent.clear();
+        self.degraded.clear();
+    }
 }
 
 /// `(gets, misses)` the buffer pool has counted in `metrics`: every get is a
@@ -526,7 +536,17 @@ impl AuxTable {
     pub fn get_batch(&self, keys: &[u64]) -> Result<Vec<Option<Vec<u32>>>> {
         let width = self.value_columns;
         let mut rows = vec![0; keys.len() * width];
-        let unanswered = self.probe_into(keys, &mut ProbePlan::default(), None, &mut rows);
+        let mut unanswered = Unanswered {
+            absent: Vec::with_capacity(keys.len()),
+            degraded: Vec::new(),
+        };
+        self.probe_into(
+            keys,
+            &mut ProbePlan::default(),
+            None,
+            &mut rows,
+            &mut unanswered,
+        );
         if let Some((_, err)) = unanswered.degraded.into_iter().next() {
             return Err(crate::CoreError::from(err));
         }
@@ -544,11 +564,12 @@ impl AuxTable {
     /// Plans and probes one batch, writing the row of every key the table
     /// answers straight into `rows` — key `qi`'s values at `rows[qi * width..
     /// (qi + 1) * width]`, `width` the table's value columns — decoded out of
-    /// the pooled packed partition or copied from the delta overlay.  Returns
-    /// the keys it left unanswered; their rows are left as they were.  Each
-    /// partition is loaded at most once per batch.  `plan` is the batch's
-    /// working memory; reused, it makes a probe allocate nothing.  Everything
-    /// runs on the calling thread.
+    /// the pooled packed partition or copied from the delta overlay.  Lists
+    /// the keys it leaves unanswered in `unanswered`, cleared first; their
+    /// rows are left as they were.  Each partition is loaded at most once per
+    /// batch.  `plan` and `unanswered` are the batch's working memory;
+    /// reused, they make a probe allocate nothing.  Everything runs on the
+    /// calling thread.
     ///
     /// **Timing:** one [`Stage::Plan`] span, then one [`Stage::Probe`] span
     /// over the loop through the partition groups, net of the pool load and
@@ -557,7 +578,7 @@ impl AuxTable {
     ///
     /// **Graceful degradation:** a partition whose load fails (after the
     /// buffer pool's bounded transient retries) does *not* fail the batch.
-    /// Its group's query indices are returned in
+    /// Its group's query indices are listed in
     /// [`Unanswered::degraded`], each paired with the typed
     /// [`dm_storage::StorageError`], and every other group is probed and
     /// answered byte-identically to a fault-free run.  Callers decide the
@@ -573,14 +594,15 @@ impl AuxTable {
         plan: &mut ProbePlan,
         trace: Option<&Trace>,
         rows: &mut [u32],
-    ) -> Unanswered {
+        unanswered: &mut Unanswered,
+    ) {
         let width = self.value_columns;
         assert_eq!(
             rows.len(),
             keys.len() * width,
             "one row of {width} values a key"
         );
-        let mut unanswered = Unanswered::default();
+        unanswered.clear();
         {
             let _plan = span(trace, Stage::Plan);
             self.plan_probes(keys, plan, rows, &mut unanswered.absent);
@@ -601,7 +623,6 @@ impl AuxTable {
                 }
             }
         }
-        unanswered
     }
 
     /// Planning for a probe batch: turns every key live in a partition into
@@ -1169,7 +1190,8 @@ mod tests {
         for cold in [true, false] {
             let trace = Trace::start("probe_into");
             let mut out = vec![0; keys.len() * 2];
-            let unanswered = table.probe_into(&keys, &mut plan, Some(&trace), &mut out);
+            let mut unanswered = Unanswered::default();
+            table.probe_into(&keys, &mut plan, Some(&trace), &mut out, &mut unanswered);
             let summary = trace.finish();
             assert!(unanswered.degraded.is_empty() && unanswered.absent.is_empty());
             assert_eq!(out, expected);
@@ -1385,7 +1407,14 @@ mod tests {
         }
         let keys: Vec<u64> = rows.iter().map(|r| r.key).collect();
         let mut out = vec![u32::MAX; keys.len() * 2];
-        let unanswered = swapped.probe_into(&keys, &mut ProbePlan::default(), None, &mut out);
+        let mut unanswered = Unanswered::default();
+        swapped.probe_into(
+            &keys,
+            &mut ProbePlan::default(),
+            None,
+            &mut out,
+            &mut unanswered,
+        );
         assert!(unanswered.absent.is_empty());
         let degraded = unanswered.degraded;
         assert!(degraded.iter().all(|(_, err)| matches!(err, StorageError::Corrupt(_))));

@@ -132,6 +132,8 @@ struct BatchScratch {
     corrected: Routed,
     /// Stage 3's probe plan.
     plan: ProbePlan,
+    /// Stage 3's output: the corrected keys it could not answer.
+    unanswered: Unanswered,
 }
 
 /// The staged batch-lookup pipeline over one hybrid structure's components.
@@ -203,6 +205,7 @@ impl<'a> QueryPipeline<'a> {
             predicted,
             corrected,
             plan,
+            unanswered,
         } = scratch;
         if predicted.len == 0 && corrected.len == 0 {
             return Ok(());
@@ -221,7 +224,7 @@ impl<'a> QueryPipeline<'a> {
 
         // Stages 2 and 3 share no key and no row.  They run one after the
         // other, each writing its answers into its own rows.
-        let unanswered = self.probe(corrected.keys(), plan, corrected_rows, trace);
+        self.probe(corrected.keys(), plan, corrected_rows, unanswered, trace);
         if let Err(err) = self.infer(predicted.keys(), predicted_rows, trace) {
             // The claimed rows hold no answer: leave no hit behind.
             out.reset(keys);
@@ -281,19 +284,22 @@ impl<'a> QueryPipeline<'a> {
     }
 
     /// Stage 3: probes the corrected keys (grouped by partition, each loaded at
-    /// most once), each answer decoded straight into its claimed row.
-    /// Returns the keys it could not answer.
+    /// most once), each answer decoded straight into its claimed row, and
+    /// lists in `unanswered` the keys it could not answer.
     fn probe(
         &self,
         keys: &[u64],
         plan: &mut ProbePlan,
         rows: &mut [u32],
+        unanswered: &mut Unanswered,
         trace: &Trace,
-    ) -> Unanswered {
+    ) {
         if keys.is_empty() {
-            return Unanswered::default();
+            unanswered.clear();
+        } else {
+            self.aux
+                .probe_into(keys, plan, Some(trace), rows, unanswered);
         }
-        self.aux.probe_into(keys, plan, Some(trace), rows)
     }
 
     /// Marks failed the corrected keys stage 3 left unanswered, and returns
@@ -305,15 +311,15 @@ impl<'a> QueryPipeline<'a> {
     fn fail_unanswered(
         &self,
         corrected: &Routed,
-        unanswered: Unanswered,
+        unanswered: &mut Unanswered,
         out: &mut LookupBuffer,
     ) -> usize {
         let failed = unanswered.degraded.len() + unanswered.absent.len();
         let positions = corrected.positions();
-        for (ci, err) in unanswered.degraded {
+        for (ci, err) in unanswered.degraded.drain(..) {
             out.set_failed(positions[ci] as usize, err);
         }
-        for ci in unanswered.absent {
+        for &ci in &unanswered.absent {
             let key = corrected.keys()[ci];
             out.set_failed(
                 positions[ci] as usize,
