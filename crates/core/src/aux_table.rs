@@ -529,7 +529,7 @@ impl AuxTable {
     /// processed grouped by partition, mirroring the batch-sorting optimization of
     /// Section IV-B2).  Answers any key list (`None` for keys the table does
     /// not hold); the query pipeline asks only for the keys `Vaux` routes here.
-    /// Runs the pipeline's probe path, [`probe_into`](Self::probe_into).
+    /// Runs the query pipeline's own probe path.
     ///
     /// The owned shape has no per-key error channel, so it keeps the strict
     /// contract: any failed partition fails the whole call.
