@@ -26,10 +26,10 @@
 //! * the **dead-key bitmap** marks the keys of `base` whose partition row is
 //!   shadowed, so a key is live in a partition when `base[k] ∧ ¬dead[k]`.
 //!
-//! Between compactions the table answers `(base − dead) ∪ delta.keys`
-//! ([`AuxTable::held_keys`]), which is what the owning structure's mutable
-//! `Vaux` equals at all times; `compact()` folds the overlay into freshly
-//! packed partitions under a new `base`.
+//! The table answers `(base − dead) ∪ delta.keys` ([`AuxTable::held_keys`]),
+//! which is what the owning structure's mutable `Vaux` equals at all times.
+//! Partitions are written once, by [`AuxTable::build`]; the overlay is folded
+//! back only by retraining, which builds a new table.
 //!
 //! The overlay keeps `delta ∩ base ⊆ dead`: a key entering the delta while live
 //! in a partition has its partition copy marked dead on the spot.  So a key
@@ -76,14 +76,11 @@ pub struct PartitionFrame {
 /// (e.g. snapshot-file-backed) [`PartitionSource`] without rebuilding it.
 #[derive(Debug, Clone)]
 pub struct AuxTableSnapshot {
-    /// Codec future compactions will compress with.
-    pub codec: Codec,
-    /// Target partition size (at the fixed row width) for future compactions.
+    /// Target partition size (at the fixed row width): with the value
+    /// columns it fixes `R`, the rows of every partition but the last.
     pub partition_bytes: usize,
     /// Buffer-pool byte budget.
     pub memory_budget_bytes: usize,
-    /// Disk profile future compactions rebuild their simulated disk with.
-    pub disk_profile: DiskProfile,
     /// Number of value columns per row.
     pub value_columns: usize,
     /// The keys held in the source's partitions; partition `i` of the source
@@ -126,45 +123,6 @@ impl AuxTableSnapshot {
         match keys.iter().find(|&&key| self.base.get(key) && !dead.get(key)) {
             Some(key) => Err(format!("delta key {key} is live in base without a tombstone")),
             None => Ok(()),
-        }
-    }
-}
-
-/// Which backing serves (and, for the simulated variant, absorbs) partitions.
-///
-/// Reads and writes are deliberately split: writes always reach the concrete
-/// simulated disk, while the *read* side is an `Arc<dyn PartitionSource>` that
-/// may be wrapped in a [`dm_faults::FaultyPartitionSource`] — either by the
-/// `DM_FAULTS` environment plan at construction or programmatically via
-/// [`AuxTable::inject_faults`].  This is what lets chaos tests corrupt or fail
-/// reads without ever producing an unwritable table.
-#[derive(Debug)]
-enum Backing {
-    /// The writable in-memory simulated disk — build path and compactions.
-    /// `read` serves lookups and is `disk` itself unless fault-wrapped.
-    Simulated {
-        disk: Arc<SimulatedDisk>,
-        read: Arc<dyn PartitionSource>,
-    },
-    /// A read-only external source (snapshot file extents).  Modifications are
-    /// absorbed by the overlay; a compaction migrates back to a fresh
-    /// simulated disk.
-    External(Arc<dyn PartitionSource>),
-}
-
-impl Backing {
-    /// A fresh writable backing whose read side honours the `DM_FAULTS`
-    /// environment plan (a no-op wrapper-free pass-through when unset).
-    fn simulated(disk: SimulatedDisk) -> Self {
-        let disk = Arc::new(disk);
-        let read = dm_faults::wrap_from_env(Arc::clone(&disk) as Arc<dyn PartitionSource>);
-        Backing::Simulated { disk, read }
-    }
-
-    fn source(&self) -> &dyn PartitionSource {
-        match self {
-            Backing::Simulated { read, .. } => read.as_ref(),
-            Backing::External(source) => source.as_ref(),
         }
     }
 }
@@ -266,21 +224,24 @@ fn pool_gets_and_misses(metrics: &Metrics) -> (u64, u64) {
 
 /// The auxiliary accuracy-assurance table.
 pub struct AuxTable {
-    codec: Codec,
     partition_bytes: usize,
     memory_budget_bytes: usize,
-    disk_profile: DiskProfile,
     value_columns: usize,
-    backing: Backing,
+    /// Where the partitions are read from: the simulated disk
+    /// [`build`](Self::build) wrote them to once, or a snapshot file's
+    /// extents ([`open_from_source`](Self::open_from_source)), wrapped by
+    /// [`inject_faults`](Self::inject_faults) in a chaos test.  Nothing
+    /// writes to it after the table is assembled.
+    source: Arc<dyn PartitionSource>,
     pool: BufferPool<PackedPartition>,
-    /// The keys held in partitions, frozen between compactions.
+    /// The keys held in partitions, frozen for the table's life.
     base: RankedBits,
     /// `R`: rows in every partition but the last.
     rows_per_partition: usize,
-    /// Rows added/updated since the last compaction (key → values).
+    /// Rows added/updated since the build (key → values).
     delta: Delta,
-    /// Keys of `base` whose partition row is dead since the last compaction
-    /// (the tombstones): a superset of the delta's keys in `base`.
+    /// Keys of `base` whose partition row is dead (the tombstones): a
+    /// superset of the delta's keys in `base`.
     dead: BitVec,
     metrics: Metrics,
     /// The pool's `(gets, misses)` in `metrics` when the table was assembled:
@@ -301,7 +262,9 @@ impl std::fmt::Debug for AuxTable {
 
 impl AuxTable {
     /// Builds the table from the misclassified rows of the model evaluation
-    /// pass (any order; of rows sharing a key the first is kept).
+    /// pass (any order; of rows sharing a key the first is kept): packs them
+    /// in key order into partitions of `R` rows on a fresh [`SimulatedDisk`]
+    /// and makes their keys `base`.
     pub fn build(
         misclassified: &[Row],
         value_columns: usize,
@@ -311,52 +274,51 @@ impl AuxTable {
         disk_profile: DiskProfile,
         metrics: Metrics,
     ) -> Result<Self> {
-        let mut table = Self::assemble(
-            AuxTableSnapshot {
-                codec,
-                partition_bytes,
-                memory_budget_bytes,
-                disk_profile,
-                value_columns,
-                base: BitVec::new(),
-                delta: Vec::new(),
-                tombstones: Vec::new(),
-            },
-            Backing::simulated(SimulatedDisk::new(disk_profile)),
-            metrics,
-        );
-        table.write_partitions(misclassified)?;
-        Ok(table)
+        let mut sorted: Vec<&Row> = misclassified.iter().collect();
+        sorted.sort_by_key(|row| row.key);
+        sorted.dedup_by_key(|row| row.key);
+        let disk = SimulatedDisk::new(disk_profile);
+        let rows = rows_per_partition(value_columns, partition_bytes);
+        for (idx, chunk) in sorted.chunks(rows).enumerate() {
+            let partition = PackedPartition::from_rows(chunk, value_columns)?;
+            let id = disk.write_partition(&codec, partition.to_bytes());
+            assert_eq!(
+                id, idx as u64,
+                "a fresh disk numbers partitions in write order"
+            );
+        }
+        let snapshot = AuxTableSnapshot {
+            partition_bytes,
+            memory_budget_bytes,
+            value_columns,
+            base: sorted.iter().map(|row| row.key).collect(),
+            delta: Vec::new(),
+            tombstones: Vec::new(),
+        };
+        Ok(Self::open_from_source(Arc::new(disk), snapshot, metrics))
     }
 
-    /// Reconstitutes a table over an external read-only [`PartitionSource`] —
-    /// the lazy-open path of `dm-persist`: only `base` (with its rank index,
-    /// derived here) and the overlay are materialized; partitions stay in the
-    /// source until a lookup touches them.
+    /// Reconstitutes a table over a [`PartitionSource`] that already holds
+    /// its partitions — the lazy-open path of `dm-persist`: only `base`
+    /// (with its rank index, derived here) and the overlay are materialized;
+    /// partitions stay in the source until a lookup touches them.
     pub fn open_from_source(
         source: Arc<dyn PartitionSource>,
         snapshot: AuxTableSnapshot,
         metrics: Metrics,
     ) -> Self {
-        Self::assemble(
-            snapshot,
-            Backing::External(dm_faults::wrap_from_env(source)),
-            metrics,
-        )
-    }
-
-    fn assemble(snapshot: AuxTableSnapshot, backing: Backing, metrics: Metrics) -> Self {
         let pool_base = pool_gets_and_misses(&metrics);
         AuxTable {
-            codec: snapshot.codec,
             partition_bytes: snapshot.partition_bytes,
             memory_budget_bytes: snapshot.memory_budget_bytes,
-            disk_profile: snapshot.disk_profile,
             value_columns: snapshot.value_columns,
-            backing,
+            source,
             pool: BufferPool::new(snapshot.memory_budget_bytes, metrics.clone()),
             base: RankedBits::new(snapshot.base),
-            rows_per_partition: rows_per_partition(snapshot.value_columns, snapshot.partition_bytes),
+            rows_per_partition: rows_per_partition(
+                snapshot.value_columns,
+                snapshot.partition_bytes,
+            ),
             delta: snapshot
                 .delta
                 .into_iter()
@@ -368,48 +330,17 @@ impl AuxTable {
         }
     }
 
-    /// Rewraps the read side of the backing with `faults` — the programmatic
-    /// activation path for chaos tests (the environment path is
-    /// `DM_FAULTS` + [`dm_faults::wrap_from_env`] at construction).  The
-    /// buffer pool is cleared so the plan applies to the very next probe
-    /// instead of waiting for evictions; writes keep reaching the concrete
-    /// disk untouched.
+    /// Wraps the partition source in a [`dm_faults::FaultyPartitionSource`]
+    /// that consults `faults` on every read — how a chaos test injects
+    /// faults.  Each call wraps the source as it stands, so a second plan
+    /// adds to the first.  The buffer pool is cleared so the plan applies to
+    /// the very next probe instead of waiting for evictions.
     pub fn inject_faults(&mut self, faults: Arc<dm_faults::Faults>) {
-        match &mut self.backing {
-            Backing::Simulated { disk, read } => {
-                *read = Arc::new(dm_faults::FaultyPartitionSource::new(
-                    Arc::clone(disk) as Arc<dyn PartitionSource>,
-                    faults,
-                ));
-            }
-            Backing::External(source) => {
-                *source = Arc::new(dm_faults::FaultyPartitionSource::new(
-                    Arc::clone(source),
-                    faults,
-                ));
-            }
-        }
+        self.source = Arc::new(dm_faults::FaultyPartitionSource::new(
+            Arc::clone(&self.source),
+            faults,
+        ));
         self.pool.clear();
-    }
-
-    /// Packs `rows` into partitions of `R` rows on the (fresh) simulated disk
-    /// and makes their keys the new `base`.
-    fn write_partitions(&mut self, rows: &[Row]) -> Result<()> {
-        let Backing::Simulated { disk, .. } = &self.backing else {
-            return Err(crate::CoreError::InvalidConfig(
-                "cannot write partitions into a read-only external partition source".into(),
-            ));
-        };
-        let mut sorted: Vec<&Row> = rows.iter().collect();
-        sorted.sort_by_key(|row| row.key);
-        sorted.dedup_by_key(|row| row.key);
-        for (idx, chunk) in sorted.chunks(self.rows_per_partition).enumerate() {
-            let partition = PackedPartition::from_rows(chunk, self.value_columns)?;
-            let id = disk.write_partition(&self.codec, partition.to_bytes());
-            assert_eq!(id, idx as u64, "a fresh disk numbers partitions in write order");
-        }
-        self.base = RankedBits::new(sorted.iter().map(|row| row.key).collect());
-        Ok(())
     }
 
     /// Number of value columns per row.
@@ -447,7 +378,7 @@ impl AuxTable {
     }
 
     /// The keys the table answers right now: `(base − dead) ∪ delta.keys`.
-    /// Equal to `base` right after a build or compaction; the owning
+    /// Equal to `base` right after a build; the owning
     /// structure's `Vaux` equals this set at all times.
     pub fn held_keys(&self) -> BitVec {
         let mut held = self.base.bits().clone();
@@ -463,7 +394,7 @@ impl AuxTable {
     /// On-disk footprint of the partition frames plus the in-memory overlay —
     /// the `size(Taux)` term of Eq. 1 (`base` is accounted with `Vaux`).
     pub fn size_bytes(&self) -> usize {
-        self.backing.source().total_bytes() + self.overlay_bytes()
+        self.source.total_bytes() + self.overlay_bytes()
     }
 
     /// The metrics handle this table charges loads/decompressions to.
@@ -487,7 +418,7 @@ impl AuxTable {
     /// (wrong row count or arity) would shift every answer read from it, so it
     /// is corruption like any other.
     fn read_partition(&self, idx: usize) -> dm_storage::Result<PackedPartition> {
-        let payload = self.backing.source().read_partition(idx as u64, &self.metrics)?;
+        let payload = self.source.read_partition(idx as u64, &self.metrics)?;
         let partition = PackedPartition::from_bytes(payload)?;
         if partition.len() != self.partition_len(idx) || partition.columns() != self.value_columns {
             return Err(StorageError::Corrupt(format!(
@@ -689,8 +620,8 @@ impl AuxTable {
 
     /// Adds (or replaces) a misclassified row — used by `Insert` (Algorithm 3) and
     /// `Update` (Algorithm 5).  A key live in a partition has that copy marked
-    /// dead until the next compaction, which keeps `delta ∩ base ⊆ dead` and
-    /// spares the write path a partition load.  `base` is never touched: its
+    /// dead, which keeps `delta ∩ base ⊆ dead` and spares the write path a
+    /// partition load.  `base` is never touched: its
     /// ranks address the rows on disk.
     pub(crate) fn upsert(&mut self, row: Row) {
         if self.live_in_base(row.key) {
@@ -762,27 +693,6 @@ impl AuxTable {
             out.push(Row::new(key, values.clone()));
         }
         Ok(out)
-    }
-
-    /// Folds the delta overlay and tombstones back into freshly packed
-    /// partitions under a new `base`.
-    ///
-    /// The rebuild always lands on a fresh in-memory [`SimulatedDisk`] — this is also
-    /// how a read-only snapshot-backed table migrates back to a writable backing
-    /// (`dm-persist` then re-snapshots the result atomically).
-    pub fn compact(&mut self) -> Result<()> {
-        let rows = self.iter_rows()?;
-        // The fresh disk reuses partition ids from 0, so drop every cached entry
-        // before the addressing switches over.
-        self.pool.clear();
-        self.delta.clear();
-        self.dead = BitVec::new();
-        // Note: a compaction re-derives the read wrapper from the environment
-        // plan; a programmatically injected [`inject_faults`](Self::inject_faults)
-        // wrapper must be re-installed by the test after compacting.
-        self.backing = Backing::simulated(SimulatedDisk::new(self.disk_profile));
-        self.write_partitions(&rows)?;
-        Ok(())
     }
 
     /// The delta-overlay size in bytes (used by the retraining trigger).
@@ -866,8 +776,7 @@ impl AuxTable {
             )));
         }
         let frame = self
-            .backing
-            .source()
+            .source
             .read_frame(idx as u64, &Metrics::new())
             .map_err(crate::CoreError::from)?;
         Ok(PartitionFrame {
@@ -877,15 +786,14 @@ impl AuxTable {
     }
 
     /// The snapshot description of this table (`base` + overlay in ascending
-    /// key order, whatever order the writes came in + rebuild knobs); pair it with every [`partition_frame`](Self::partition_frame)
+    /// key order, whatever order the writes came in, and the pool and
+    /// partition sizes); pair it with every [`partition_frame`](Self::partition_frame)
     /// to persist, and with [`open_from_source`](Self::open_from_source) to
     /// reconstitute.
     pub fn to_snapshot(&self) -> AuxTableSnapshot {
         AuxTableSnapshot {
-            codec: self.codec,
             partition_bytes: self.partition_bytes,
             memory_budget_bytes: self.memory_budget_bytes,
-            disk_profile: self.disk_profile,
             value_columns: self.value_columns,
             base: self.base.bits().clone(),
             delta: self
@@ -982,24 +890,6 @@ mod tests {
         assert_eq!(table.get(1_000_000).unwrap(), None);
         assert_eq!(table.get(9).unwrap(), Some(vec![3, 3]));
         assert_eq!(table.iter_rows().unwrap().len(), 499);
-    }
-
-    #[test]
-    fn compaction_preserves_contents_and_clears_overlay() {
-        let rows = sample_rows(1_000);
-        let mut table = build_table(&rows);
-        table.upsert(Row::new(3, vec![9, 9]));
-        table.upsert(Row::new(999_999, vec![1, 1]));
-        table.remove(0);
-        let before = table.iter_rows().unwrap();
-        assert!(table.overlay_bytes() > 0);
-        table.compact().unwrap();
-        assert_eq!(table.overlay_bytes(), 0);
-        let after = table.iter_rows().unwrap();
-        assert_eq!(before, after);
-        assert_eq!(table.get(3).unwrap(), Some(vec![9, 9]));
-        assert_eq!(table.get(0).unwrap(), None);
-        assert_eq!(table.get(999_999).unwrap(), Some(vec![1, 1]));
     }
 
     #[test]
@@ -1271,8 +1161,7 @@ mod tests {
     }
 
     /// Export → reconstitute over an external source must preserve every read,
-    /// keep serving lazily, and a compaction must migrate back to a writable
-    /// simulated backing.
+    /// keep serving lazily, and take writes into its overlay.
     #[test]
     fn snapshot_round_trip_over_an_external_source() {
         let rows = sample_rows(2_000);
@@ -1299,13 +1188,7 @@ mod tests {
         assert_eq!(reopened.get_batch(&keys).unwrap(), table.get_batch(&keys).unwrap());
         assert_eq!(reopened.iter_rows().unwrap(), table.iter_rows().unwrap());
 
-        // The external backing is read-only; a compaction folds everything back
-        // onto a fresh simulated disk and keeps answering identically.
         let mut reopened = reopened;
-        let before = reopened.iter_rows().unwrap();
-        reopened.compact().unwrap();
-        assert_eq!(reopened.iter_rows().unwrap(), before);
-        assert_eq!(reopened.overlay_bytes(), 0);
         reopened.upsert(Row::new(9_999_999, vec![1, 2]));
         assert_eq!(reopened.get(9_999_999).unwrap(), Some(vec![1, 2]));
     }

@@ -326,11 +326,11 @@ impl DeepMapping {
         dm_exec::global()
     }
 
-    /// Programmatic fault injection: rewraps the auxiliary table's read path
-    /// with `faults` (see [`AuxTable::inject_faults`]).  The environment
-    /// equivalent is setting `DM_FAULTS` before building/opening the store.
-    /// Chaos tests keep the `Arc<dm_faults::Faults>` handle to flip the
-    /// injector off ("repair the disk") or read its stats mid-run.
+    /// Fault injection: wraps the auxiliary table's partition source with
+    /// `faults` (see [`AuxTable::inject_faults`]) — the one way to make this
+    /// store's reads fail.  Chaos tests keep the `Arc<dm_faults::Faults>`
+    /// handle to flip the injector off ("repair the disk") or read its stats
+    /// mid-run.  A retrain builds a new table, so it drops the wrapper.
     pub fn inject_faults(&mut self, faults: std::sync::Arc<dm_faults::Faults>) {
         self.aux.inject_faults(faults);
     }
@@ -478,26 +478,33 @@ impl DeepMapping {
             return Ok(());
         }
         self.validate_insert(rows)?;
-        let keys: Vec<u64> = rows.iter().map(|r| r.key).collect();
-        let mut predictions = Vec::new();
-        let columns = self
-            .model
-            .predict_into(&keys, &mut predictions)?;
-        let mut mispredicts = 0u64;
-        for (row, prediction) in rows.iter().zip(predictions.chunks_exact(columns)) {
-            let predicted = prediction == row.values.as_slice();
+        for row in rows {
             if !self.exist.get(row.key) {
                 self.exist.set(row.key, true);
                 self.tuple_count += 1;
                 self.exist_churn += 1;
             }
-            // Re-inserting an existing key behaves like an update.
+        }
+        // Re-inserting an existing key behaves like an update.
+        self.write_checked(&rows.iter().collect::<Vec<_>>())
+    }
+
+    /// The write path shared by insert and update, over rows whose keys
+    /// exist: checks the model's prediction for every row, places each on
+    /// its side of the split, folds the batch's mispredictions into the
+    /// drift EMA and retrains when the auxiliary table has grown too large.
+    fn write_checked(&mut self, rows: &[&Row]) -> Result<()> {
+        let keys: Vec<u64> = rows.iter().map(|r| r.key).collect();
+        let mut predictions = Vec::new();
+        let columns = self.model.predict_into(&keys, &mut predictions)?;
+        let mut mispredicts = 0u64;
+        for (row, prediction) in rows.iter().zip(predictions.chunks_exact(columns)) {
+            let predicted = prediction == row.values.as_slice();
             mispredicts += u64::from(!predicted);
             self.place(row, predicted);
         }
         self.note_write_checks(rows.len() as u64, mispredicts);
-        self.maybe_retrain()?;
-        Ok(())
+        self.maybe_retrain()
     }
 
     /// Puts `row` on the side of the model/auxiliary split its checked prediction
@@ -539,24 +546,8 @@ impl DeepMapping {
             return Ok(());
         }
         self.validate_update(rows)?;
-        let live: Vec<&Row> = rows
-            .iter()
-            .filter(|r| self.exist.get(r.key))
-            .collect();
-        let keys: Vec<u64> = live.iter().map(|r| r.key).collect();
-        let mut predictions = Vec::new();
-        let columns = self
-            .model
-            .predict_into(&keys, &mut predictions)?;
-        let mut mispredicts = 0u64;
-        for (row, prediction) in live.iter().zip(predictions.chunks_exact(columns)) {
-            let predicted = prediction == row.values.as_slice();
-            mispredicts += u64::from(!predicted);
-            self.place(row, predicted);
-        }
-        self.note_write_checks(live.len() as u64, mispredicts);
-        self.maybe_retrain()?;
-        Ok(())
+        let live: Vec<&Row> = rows.iter().filter(|r| self.exist.get(r.key)).collect();
+        self.write_checked(&live)
     }
 
     /// Retrains the model and rebuilds the auxiliary structures from the current

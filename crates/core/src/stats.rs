@@ -11,8 +11,8 @@ pub struct StorageBreakdown {
     /// Serialized size of the learned model `M`, in bytes.
     pub model_bytes: usize,
     /// Size of the auxiliary table `Taux`, in bytes: the framed, bit-packed
-    /// value columns of the corrected rows (no keys) plus any un-compacted
-    /// modification overlay at its in-memory width.
+    /// value columns of the corrected rows (no keys) plus the modification
+    /// overlay at its in-memory width.
     pub aux_table_bytes: usize,
     /// Compressed size of the existence bit vector `Vexist`, in bytes.
     pub existence_bytes: usize,

@@ -11,7 +11,7 @@
 use crate::plan::FaultPlan;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 /// Site identifiers mixed into the decision hash so the same call number at
@@ -256,35 +256,6 @@ fn mix(seed: u64, a: u64, b: u64) -> u64 {
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     z ^ (z >> 31)
-}
-
-/// The `DM_FAULTS` plan, parsed once per process.  `None` when the variable
-/// is unset, empty, or does not parse (a malformed plan is reported to
-/// stderr once rather than silently dropping chaos coverage).
-pub fn env_plan() -> Option<&'static FaultPlan> {
-    static PLAN: OnceLock<Option<FaultPlan>> = OnceLock::new();
-    PLAN.get_or_init(|| {
-        let spec = std::env::var("DM_FAULTS").ok()?;
-        if spec.trim().is_empty() {
-            return None;
-        }
-        match FaultPlan::parse(&spec) {
-            Ok(plan) => plan.is_active().then_some(plan),
-            Err(err) => {
-                eprintln!("dm-faults: ignoring DM_FAULTS: {err}");
-                None
-            }
-        }
-    })
-    .as_ref()
-}
-
-/// A fresh injector for the `DM_FAULTS` plan, or `None` when the env is
-/// inert.  Each call returns an independent instance (own counters), so
-/// every store activated from the environment replays the same per-partition
-/// fault schedule — determinism per store, not per process.
-pub fn from_env() -> Option<Arc<Faults>> {
-    env_plan().map(|plan| Faults::new(plan.clone()))
 }
 
 #[cfg(test)]

@@ -11,40 +11,16 @@
 //!
 //! ### Activation
 //!
-//! * **Environment** — set `DM_FAULTS` to a plan string (grammar below) and
-//!   every store opened or built in the process wraps its partition sources
-//!   in a [`FaultyPartitionSource`] and hands its WAL a write-side injector.
-//!   The variable is read once per process; each activated component gets an
-//!   *independent* injector instance, so per-store fault schedules do not
-//!   depend on how many stores the process opens.
-//! * **Programmatic** — build a [`FaultPlan`] (builder methods or
-//!   [`FaultPlan::parse`]), wrap it in [`Faults::new`], and hand it to the
-//!   component under test ([`FaultyPartitionSource::new`], the persist
-//!   layer's `with_faults`, etc.).  [`Faults::set_enabled`] is the runtime
-//!   kill switch — "repair the disk" mid-test without rebuilding the store.
-//! * **Off** — with no plan installed nothing is wrapped and the only cost
-//!   anywhere is an `Option` check at build time; the lookup hot path is
-//!   untouched (the acceptance gate for this is the regression guard's
-//!   noise band).
-//!
-//! ### Plan grammar (`DM_FAULTS`)
-//!
-//! `;`-separated directives, e.g.
-//! `DM_FAULTS="seed=7;read.transient=0.05;read.latency_ms=2:0.01"`:
-//!
-//! | directive | effect |
-//! |---|---|
-//! | `seed=N` | seed every probabilistic decision |
-//! | `read.transient=P` | cold read fails (retryable `Io`) with probability `P` |
-//! | `read.transient_nth=N` | the `N`-th read of each partition fails once |
-//! | `read.latency_ms=M[:P]` | add `M` ms to a read with probability `P` (default 1) |
-//! | `read.bitflip=P` | flip one bit in the frame (caught by checksums) |
-//! | `read.partitions=A,B,..` | restrict read faults to these partitions |
-//! | `wal.append_fail_nth=N` | `N`-th WAL append fails before writing |
-//! | `wal.torn_nth=N` | `N`-th WAL append writes half a record, then fails |
-//! | `wal.fsync_fail_nth=N` | `N`-th WAL fsync reports failure |
-//!
-//! See [`plan`] for the full grammar reference.
+//! * **On** — build a [`FaultPlan`] with its
+//!   builder methods (the table in [`plan`]), wrap it in [`Faults::new`],
+//!   and hand it to the component under test: a store's read side through
+//!   `DeepMapping::inject_faults` (which wraps its partition source in a
+//!   [`FaultyPartitionSource`]), its WAL through the persist layer's
+//!   `inject_wal_faults`.  [`Faults::set_enabled`] is the runtime kill
+//!   switch — "repair the disk" mid-test without rebuilding the store.
+//! * **Off** — with no plan installed nothing is wrapped and nothing is
+//!   checked on the lookup hot path; a WAL pays one `Option` check per
+//!   append and sync.
 //!
 //! ### Determinism guarantees
 //!
@@ -83,6 +59,6 @@ pub mod inject;
 pub mod plan;
 pub mod source;
 
-pub use inject::{env_plan, from_env, FaultStats, Faults, ReadDecision, ReadOutcome, WalAppendFault};
-pub use plan::{FaultPlan, PlanParseError, ReadFaultPlan, WalFaultPlan, DEFAULT_SEED};
-pub use source::{wrap_from_env, FaultyPartitionSource};
+pub use inject::{FaultStats, Faults, ReadDecision, ReadOutcome, WalAppendFault};
+pub use plan::{FaultPlan, ReadFaultPlan, WalFaultPlan};
+pub use source::FaultyPartitionSource;

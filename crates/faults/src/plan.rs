@@ -1,31 +1,22 @@
-//! The declarative fault plan and its `DM_FAULTS` grammar.
+//! The declarative fault plan.
 //!
 //! A [`FaultPlan`] is pure configuration: *what* can go wrong, *where* and
 //! *how often*.  It contains no mutable state — the runtime side (call
 //! counters, seeded coin flips, injected-fault accounting) lives in
-//! [`Faults`](crate::Faults).  Plans are built programmatically with the
-//! setter methods or parsed from the compact `key=value;key=value` grammar
-//! the `DM_FAULTS` environment variable uses; both construct the same struct,
-//! so an env-activated chaos run is exactly reproducible in a unit test.
+//! [`Faults`](crate::Faults).  A plan starts from [`FaultPlan::seeded`] and
+//! each builder method adds one fault:
 //!
-//! # Grammar
-//!
-//! Directives are `;`-separated, whitespace around tokens is ignored, keys
-//! are case-sensitive:
-//!
-//! | directive | meaning |
+//! | method | meaning |
 //! |---|---|
-//! | `seed=N` | seed for every probabilistic decision (default `0xD1CE`) |
-//! | `read.transient=P` | each cold partition read fails with a transient [`StorageError::Io`](dm_storage::StorageError::Io) with probability `P` |
-//! | `read.transient_nth=N` | the `N`-th read of **each** partition fails transient (1-based; a retry is the next read, so `1` means once-then-ok) |
-//! | `read.latency_ms=M` or `M:P` | add an `M` ms latency spike to each read (with probability `P`, default 1.0) |
-//! | `read.bitflip=P` | flip one deterministic bit in the returned frame with probability `P` (surfaces as a CRC/checksum failure — proves corruption stays fail-fast) |
-//! | `read.partitions=A,B,C` | restrict all read faults to these partition ids (default: all) |
-//! | `wal.append_fail_nth=N` | the `N`-th WAL append fails with an I/O error before writing |
-//! | `wal.torn_nth=N` | the `N`-th WAL append writes only half its record, then fails (a torn write) |
-//! | `wal.fsync_fail_nth=N` | the `N`-th WAL fsync reports failure |
-//!
-//! Example: `DM_FAULTS="seed=7;read.transient=0.05;read.latency_ms=2:0.01"`.
+//! | [`seeded(N)`](FaultPlan::seeded) | seed for every probabilistic decision |
+//! | [`with_read_transient(P)`](FaultPlan::with_read_transient) | each cold partition read fails with a transient [`StorageError::Io`](dm_storage::StorageError::Io) with probability `P` |
+//! | [`with_read_transient_nth(N)`](FaultPlan::with_read_transient_nth) | the `N`-th read of **each** partition fails transient (1-based; a retry is the next read, so `1` means once-then-ok) |
+//! | [`with_read_latency(D, P)`](FaultPlan::with_read_latency) | add a latency spike of `D` to each read with probability `P` |
+//! | [`with_read_bitflip(P)`](FaultPlan::with_read_bitflip) | flip one deterministic bit in the returned frame with probability `P` (surfaces as a CRC/checksum failure — proves corruption stays fail-fast) |
+//! | [`with_read_partitions(ids)`](FaultPlan::with_read_partitions) | restrict all read faults to these partition ids (default: all) |
+//! | [`with_wal_append_fail_nth(N)`](FaultPlan::with_wal_append_fail_nth) | the `N`-th WAL append fails with an I/O error before writing |
+//! | [`with_wal_torn_nth(N)`](FaultPlan::with_wal_torn_nth) | the `N`-th WAL append writes only half its record, then fails (a torn write) |
+//! | [`with_wal_fsync_fail_nth(N)`](FaultPlan::with_wal_fsync_fail_nth) | the `N`-th WAL fsync reports failure |
 //!
 //! # Determinism
 //!
@@ -37,9 +28,6 @@
 //! different global order.
 
 use std::time::Duration;
-
-/// Default seed when a plan (or the `DM_FAULTS` string) does not name one.
-pub const DEFAULT_SEED: u64 = 0xD1CE;
 
 /// Read-side fault configuration (applies to cold partition reads routed
 /// through [`FaultyPartitionSource`](crate::FaultyPartitionSource)).
@@ -97,7 +85,7 @@ impl WalFaultPlan {
 }
 
 /// A complete, declarative fault plan.  See the [module docs](self) for the
-/// grammar and determinism guarantees.
+/// builder methods and determinism guarantees.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct FaultPlan {
     /// Seed for every probabilistic decision.
@@ -169,101 +157,6 @@ impl FaultPlan {
     pub fn is_active(&self) -> bool {
         self.read.is_active() || self.wal.is_active()
     }
-
-    /// Parses the `DM_FAULTS` grammar (see the [module docs](self)).
-    pub fn parse(spec: &str) -> Result<Self, PlanParseError> {
-        let mut plan = FaultPlan::seeded(DEFAULT_SEED);
-        for directive in spec.split(';') {
-            let directive = directive.trim();
-            if directive.is_empty() {
-                continue;
-            }
-            let (key, value) = directive
-                .split_once('=')
-                .ok_or_else(|| PlanParseError::bad(directive, "expected key=value"))?;
-            let (key, value) = (key.trim(), value.trim());
-            match key {
-                "seed" => plan.seed = parse_u64(directive, value)?,
-                "read.transient" => plan.read.transient_p = parse_prob(directive, value)?,
-                "read.transient_nth" => {
-                    plan.read.transient_nth = Some(parse_u64(directive, value)?.max(1))
-                }
-                "read.latency_ms" => {
-                    let (ms, p) = match value.split_once(':') {
-                        Some((ms, p)) => (
-                            parse_u64(directive, ms.trim())?,
-                            parse_prob(directive, p.trim())?,
-                        ),
-                        None => (parse_u64(directive, value)?, 1.0),
-                    };
-                    plan.read.latency = Some((Duration::from_millis(ms), p));
-                }
-                "read.bitflip" => plan.read.bitflip_p = parse_prob(directive, value)?,
-                "read.partitions" => {
-                    let ids = value
-                        .split(',')
-                        .map(|id| parse_u64(directive, id.trim()))
-                        .collect::<Result<Vec<_>, _>>()?;
-                    plan.read.partitions = Some(ids);
-                }
-                "wal.append_fail_nth" => {
-                    plan.wal.append_fail_nth = Some(parse_u64(directive, value)?.max(1))
-                }
-                "wal.torn_nth" => plan.wal.torn_nth = Some(parse_u64(directive, value)?.max(1)),
-                "wal.fsync_fail_nth" => {
-                    plan.wal.fsync_fail_nth = Some(parse_u64(directive, value)?.max(1))
-                }
-                _ => return Err(PlanParseError::bad(directive, "unknown directive")),
-            }
-        }
-        Ok(plan)
-    }
-}
-
-/// A directive in a `DM_FAULTS` string that would not parse.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PlanParseError {
-    /// The offending directive, verbatim.
-    pub directive: String,
-    /// What was wrong with it.
-    pub reason: String,
-}
-
-impl PlanParseError {
-    fn bad(directive: &str, reason: &str) -> Self {
-        PlanParseError {
-            directive: directive.to_string(),
-            reason: reason.to_string(),
-        }
-    }
-}
-
-impl std::fmt::Display for PlanParseError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "bad DM_FAULTS directive {:?}: {}",
-            self.directive, self.reason
-        )
-    }
-}
-
-impl std::error::Error for PlanParseError {}
-
-fn parse_u64(directive: &str, value: &str) -> Result<u64, PlanParseError> {
-    value
-        .parse::<u64>()
-        .map_err(|_| PlanParseError::bad(directive, "expected an unsigned integer"))
-}
-
-fn parse_prob(directive: &str, value: &str) -> Result<f64, PlanParseError> {
-    let p = value
-        .parse::<f64>()
-        .map_err(|_| PlanParseError::bad(directive, "expected a probability"))?;
-    if !(0.0..=1.0).contains(&p) {
-        return Err(PlanParseError::bad(directive, "probability outside [0, 1]"));
-    }
-    Ok(p)
 }
 
 #[cfg(test)]
@@ -273,19 +166,20 @@ mod tests {
     #[test]
     fn empty_and_default_plans_inject_nothing() {
         assert!(!FaultPlan::default().is_active());
-        let plan = FaultPlan::parse("").unwrap();
-        assert!(!plan.is_active());
-        assert_eq!(plan.seed, DEFAULT_SEED);
+        assert!(!FaultPlan::seeded(7).is_active());
     }
 
     #[test]
-    fn full_grammar_round_trip() {
-        let plan = FaultPlan::parse(
-            "seed=42; read.transient=0.05; read.transient_nth=3; read.latency_ms=5:0.25; \
-             read.bitflip=0.001; read.partitions=1, 2,9; wal.append_fail_nth=5; \
-             wal.torn_nth=2; wal.fsync_fail_nth=1",
-        )
-        .unwrap();
+    fn builder_round_trip_sets_every_field() {
+        let plan = FaultPlan::seeded(42)
+            .with_read_transient(0.05)
+            .with_read_transient_nth(3)
+            .with_read_latency(Duration::from_millis(5), 0.25)
+            .with_read_bitflip(0.001)
+            .with_read_partitions(vec![1, 2, 9])
+            .with_wal_append_fail_nth(5)
+            .with_wal_torn_nth(2)
+            .with_wal_fsync_fail_nth(1);
         assert_eq!(plan.seed, 42);
         assert_eq!(plan.read.transient_p, 0.05);
         assert_eq!(plan.read.transient_nth, Some(3));
@@ -297,35 +191,5 @@ mod tests {
         assert_eq!(plan.wal.fsync_fail_nth, Some(1));
         assert!(plan.is_active());
         assert!(plan.read.targets(2) && !plan.read.targets(3));
-    }
-
-    #[test]
-    fn latency_without_probability_defaults_to_always() {
-        let plan = FaultPlan::parse("read.latency_ms=7").unwrap();
-        assert_eq!(plan.read.latency, Some((Duration::from_millis(7), 1.0)));
-    }
-
-    #[test]
-    fn builder_matches_parser() {
-        let built = FaultPlan::seeded(42)
-            .with_read_transient(0.05)
-            .with_read_latency(Duration::from_millis(5), 0.25);
-        let parsed = FaultPlan::parse("seed=42;read.transient=0.05;read.latency_ms=5:0.25").unwrap();
-        assert_eq!(built, parsed);
-    }
-
-    #[test]
-    fn bad_directives_are_rejected_with_context() {
-        for spec in [
-            "read.transient",       // no value
-            "read.transient=nope",  // not a number
-            "read.transient=1.5",   // out of range
-            "lies.everywhere=1",    // unknown key
-            "read.partitions=1,x",  // bad id
-        ] {
-            let err = FaultPlan::parse(spec).unwrap_err();
-            assert!(!err.directive.is_empty(), "{spec} should name the directive");
-            assert!(!err.to_string().is_empty());
-        }
     }
 }

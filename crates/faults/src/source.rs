@@ -46,29 +46,6 @@ impl FaultyPartitionSource {
     pub fn new(inner: Arc<dyn PartitionSource>, faults: Arc<Faults>) -> Self {
         FaultyPartitionSource { inner, faults }
     }
-
-    /// The injector this wrapper consults (e.g. to disable it mid-test or
-    /// read its [`stats`](Faults::stats)).
-    pub fn faults(&self) -> &Arc<Faults> {
-        &self.faults
-    }
-
-    /// The wrapped source.
-    pub fn inner(&self) -> &Arc<dyn PartitionSource> {
-        &self.inner
-    }
-}
-
-/// Wraps `inner` with the `DM_FAULTS` environment plan when one is active;
-/// returns `inner` unchanged (and pays nothing at read time) otherwise.
-/// The build seams in `dm-core` and `dm-persist` route every partition
-/// source through this, which is what makes `DM_FAULTS=...` reach a whole
-/// process without code changes.
-pub fn wrap_from_env(inner: Arc<dyn PartitionSource>) -> Arc<dyn PartitionSource> {
-    match crate::inject::from_env() {
-        Some(faults) => Arc::new(FaultyPartitionSource::new(inner, faults)),
-        None => inner,
-    }
 }
 
 impl PartitionSource for FaultyPartitionSource {

@@ -391,10 +391,8 @@ impl Snapshot {
         let source = Arc::new(FilePartitionSource::new(file, extents));
 
         let aux_snapshot = AuxTableSnapshot {
-            codec: manifest.config.codec,
             partition_bytes: manifest.config.partition_bytes,
             memory_budget_bytes: manifest.config.memory_budget_bytes,
-            disk_profile: manifest.config.disk_profile,
             value_columns: manifest.value_columns as usize,
             base,
             delta: manifest.delta,

@@ -150,8 +150,9 @@ impl PersistentStore {
     }
 
     /// Installs a fault injector on the delta WAL, steering the write-side
-    /// failure points (`wal.append_fail_nth`, `wal.torn_nth`,
-    /// `wal.fsync_fail_nth` in the [`dm_faults`] plan grammar).  Read-side
+    /// failure points a [`dm_faults::FaultPlan`] sets with
+    /// `with_wal_append_fail_nth`, `with_wal_torn_nth` and
+    /// `with_wal_fsync_fail_nth`.  Read-side
     /// faults are installed separately via the aux table's partition source
     /// (see `DeepMapping::inject_faults`).
     pub fn inject_wal_faults(&mut self, faults: std::sync::Arc<dm_faults::Faults>) {

@@ -70,8 +70,8 @@ pub struct DeltaWal {
     /// partial record, so further appends would land *behind* garbage and be
     /// unreachable at replay.  All subsequent appends are refused.
     poisoned: bool,
-    /// Write-side fault injector (`DM_FAULTS` wal.* directives, or
-    /// [`set_faults`](Self::set_faults) programmatically).  `None` in
+    /// Write-side fault injector, installed by
+    /// [`set_faults`](Self::set_faults) in a chaos test.  `None` in
     /// production: the hot path then pays one `Option` check per append/sync.
     faults: Option<Arc<Faults>>,
 }
@@ -96,7 +96,7 @@ impl DeltaWal {
             file,
             path,
             poisoned: false,
-            faults: dm_faults::from_env(),
+            faults: None,
         };
         wal.truncate_to(0)?;
         Ok(wal)
@@ -119,7 +119,7 @@ impl DeltaWal {
             file,
             path,
             poisoned: false,
-            faults: dm_faults::from_env(),
+            faults: None,
         })
     }
 
@@ -128,10 +128,9 @@ impl DeltaWal {
         &self.path
     }
 
-    /// Installs (or replaces) the write-side fault injector — the programmatic
-    /// activation path; the environment path is `DM_FAULTS` with `wal.*`
-    /// directives, picked up at [`create`](Self::create) /
-    /// [`open_append`](Self::open_append).
+    /// Installs (or replaces) the write-side fault injector — the one way
+    /// to inject WAL faults.  A handle from [`create`](Self::create) or
+    /// [`open_append`](Self::open_append) has none.
     pub fn set_faults(&mut self, faults: Arc<Faults>) {
         self.faults = Some(faults);
     }

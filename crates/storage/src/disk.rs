@@ -88,11 +88,6 @@ impl SimulatedDisk {
         }
     }
 
-    /// The I/O profile in use.
-    pub fn profile(&self) -> DiskProfile {
-        self.profile
-    }
-
     /// Compresses `payload` with `codec` and writes it as a new partition, returning
     /// its id.
     pub fn write_partition(&self, codec: &Codec, payload: &[u8]) -> u64 {
@@ -172,11 +167,6 @@ impl SimulatedDisk {
             .get(&id)
             .map(|p| p.frame.len())
             .ok_or(StorageError::MissingPartition(id))
-    }
-
-    /// Ids of all partitions (unspecified order).
-    pub fn partition_ids(&self) -> Vec<u64> {
-        self.partitions.read().keys().copied().collect()
     }
 }
 
@@ -265,6 +255,5 @@ mod tests {
         sorted.sort_unstable();
         sorted.dedup();
         assert_eq!(sorted.len(), ids.len());
-        assert_eq!(disk.partition_ids().len(), 10);
     }
 }

@@ -18,8 +18,8 @@
 //!
 //! Run with `cargo run --release --example chaos_quickstart`.  Every fault
 //! decision is a pure function of the plan's seed, so the episode replays
-//! identically run after run; set `DM_FAULTS` instead to aim the same plans
-//! at a whole test suite without touching code.
+//! identically run after run.  A plan reaches a store one way only: the
+//! `inject_faults` call below.
 
 use deepmapping::faults::{FaultPlan, Faults};
 use deepmapping::prelude::*;

@@ -115,8 +115,8 @@
 //! ├── crates/faults          dm-faults    deterministic fault injection: seeded
 //! │                                       FaultPlan (transient read errors,
 //! │                                       latency spikes, bit-flips, torn WAL
-//! │                                       appends, failed fsyncs; DM_FAULTS env
-//! │                                       or programmatic), FaultyPartitionSource
+//! │                                       appends, failed fsyncs) handed to a
+//! │                                       store, FaultyPartitionSource
 //! │                                       wrapper, crash-site observer for
 //! │                                       kill-point torture tests
 //! ├── crates/core            dm-core      DeepMapping hybrid + DeepMappingBuilder
@@ -274,9 +274,12 @@
 //!   fail with [`ServerError::Timeout`](dm_server::ServerError) instead of
 //!   being served an answer their caller gave up on.
 //!
-//! All of it is rehearsable offline: [`dm_faults`] injects seeded,
-//! reproducible fault plans (`DM_FAULTS` env or programmatic) at the partition
-//! source and WAL layers, its crash-site observer drives kill-point torture
+//! All of it is rehearsable offline: [`dm_faults`] builds seeded,
+//! reproducible fault plans that a test hands to the partition source
+//! (`DeepMapping::inject_faults`) and the WAL
+//! (`PersistentStore::inject_wal_faults`); `tests/chaos_guard.rs` holds every
+//! answer byte-identical under transient faults on a built, a reopened and a
+//! retrained store.  Its crash-site observer drives kill-point torture
 //! tests over the checkpoint window (`tests/crash_matrix.rs`), and the fault
 //! counters feed the maintenance advisor
 //! ([`dm_obs::FaultSignals`] → `Advice::InvestigateStorage`).  See

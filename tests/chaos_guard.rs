@@ -1,6 +1,6 @@
 //! Chaos guard: the serving stack under seeded fault plans.
 //!
-//! Three escalating rehearsals of the failure taxonomy (see the facade docs in
+//! Five rehearsals of the failure taxonomy (see the facade docs in
 //! `src/lib.rs`):
 //!
 //! 1. A 5% transient-read plan against a coalescing server: the buffer pool's
@@ -20,6 +20,11 @@
 //!    that partition's keys and that key fail, each with its typed error, and
 //!    the hit count is the answered keys — the failures take back the hits
 //!    the pipeline claimed for them before it probed.
+//! 5. A 2% transient plan with 1 ms latency spikes under a pool that keeps
+//!    reloading, on each partition source a store reads from — the simulated
+//!    disk a build writes, a reopened snapshot file, and the table a
+//!    retrain rebuilds after inserts: the bounded retries absorb every
+//!    fault, and every key answers byte-identically, directly and served.
 //!
 //! Every plan is seeded: a failure here reproduces exactly, run after run.
 
@@ -27,6 +32,7 @@ use deepmapping::core::QueryPipeline;
 use deepmapping::faults::{FaultPlan, Faults};
 use deepmapping::prelude::*;
 use deepmapping::storage::StorageError;
+use std::path::Path;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -327,4 +333,104 @@ fn a_degraded_batch_fails_exactly_the_failed_partitions_keys_and_counts_the_rest
         buffer.hit_count(),
         (0..keys.len()).filter(|&i| buffer.is_hit(i)).count()
     );
+}
+
+/// The transient plan every partition source must absorb whole: one read in
+/// fifty fails transient, one in fifty waits a millisecond.
+fn transient_plan() -> Arc<Faults> {
+    Faults::new(
+        FaultPlan::seeded(7)
+            .with_read_transient(0.02)
+            .with_read_latency(Duration::from_millis(1), 0.02),
+    )
+}
+
+/// Every key of `0..universe` once, in an order where each 64-key batch takes
+/// eight runs of eight consecutive keys from eight regions of the key space,
+/// so a batch touches several partitions.
+fn interleaved_keys(universe: u64) -> Vec<u64> {
+    let region = universe / 8;
+    (0..universe)
+        .map(|i| (i / 8 % 8) * region + i / 64 * 8 + i % 8)
+        .collect()
+}
+
+/// Injects [`transient_plan`] into `dm` and reads every key of `keys` in
+/// 64-key batches, directly and through a coalescing server with the breaker
+/// off: every answer is the fault-free run's, no key fails, and the plan
+/// fired and was retried while the small pool kept reloading partitions.
+fn assert_transients_are_absorbed(source: &str, mut dm: DeepMapping, keys: &[u64]) {
+    let healthy = dm.lookup_batch(keys).unwrap();
+    let faults = transient_plan();
+    dm.inject_faults(Arc::clone(&faults));
+    dm.metrics().reset();
+    let store = Arc::new(dm);
+    let mut config = ServerConfig::coalescing(Duration::from_micros(200), 256);
+    config.breaker_failure_threshold = 0;
+    let server = QueryServer::new(config);
+    let tenant = server
+        .register_store(source, Arc::clone(&store) as _)
+        .unwrap();
+    let mut client = server.client();
+    for (chunk, expected) in keys.chunks(64).zip(healthy.chunks(64)) {
+        let direct = store
+            .lookup_batch(chunk)
+            .unwrap_or_else(|err| panic!("{source}: a direct batch failed: {err}"));
+        assert_eq!(direct, expected, "{source}: direct answers");
+        let served = client
+            .lookup_batch(tenant, chunk)
+            .unwrap_or_else(|err| panic!("{source}: a served batch failed: {err}"));
+        assert_eq!(served, expected, "{source}: served answers");
+    }
+    drop(server);
+    let snap = store.metrics().snapshot();
+    assert!(
+        snap.pool_evictions > 0,
+        "{source}: the pool must reload partitions"
+    );
+    assert!(
+        faults.stats().read_transient > 0,
+        "{source}: the plan never fired"
+    );
+    assert!(snap.load_retries > 0, "{source}: no transient was retried");
+    assert_eq!(snap.degraded_keys, 0, "{source}");
+}
+
+/// The transient plan on every partition source a store reads from: the
+/// simulated disk a build writes, a snapshot file reopened through
+/// `PersistentStore`, and the table `maintenance()` rebuilds after inserts,
+/// with the plan injected afresh on each.  Absent keys are read too.
+#[test]
+fn a_transient_plan_is_absorbed_on_every_partition_source() {
+    let rows = chaotic_rows(7_000);
+    let (base, inserted) = rows.split_at(6_000);
+    let keys = interleaved_keys(7_680);
+    let build = |rows: &[Row]| {
+        DeepMappingBuilder::dm_z()
+            .training(TrainingConfig {
+                epochs: 2,
+                batch_size: 1024,
+                ..TrainingConfig::default()
+            })
+            .partition_bytes(2 * 1024)
+            .memory_budget(512)
+            .disk_profile(DiskProfile::free())
+            .build(rows)
+            .expect("build DeepMapping")
+    };
+    assert_transients_are_absorbed("built", build(base), &keys);
+
+    let dir = std::env::temp_dir().join(format!("dm-chaos-sources-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("create temp dir");
+    let path = dir.join("store.dm");
+    drop(PersistentStore::create(build(base), &path).expect("create"));
+    let reopened = |path: &Path| PersistentStore::open(path).expect("open");
+    assert_transients_are_absorbed("reopened", reopened(&path).into_store(), &keys);
+
+    let mut store = reopened(&path);
+    store.insert(inserted).expect("insert");
+    store.maintenance().expect("maintenance");
+    assert_transients_are_absorbed("retrained", store.into_store(), &keys);
+    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -7,8 +7,8 @@
 use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
 
-/// The three product knobs (the paper runner takes `--scale`, not a variable).
-const KNOBS: [&str; 3] = ["DM_FAULTS", "DM_OBS", "DM_OBS_SLOW_MS"];
+/// The two product knobs (the paper runner takes `--scale`, not a variable).
+const KNOBS: [&str; 2] = ["DM_OBS", "DM_OBS_SLOW_MS"];
 
 fn rust_files(dir: &Path, out: &mut Vec<PathBuf>) {
     for entry in std::fs::read_dir(dir).expect("readable source directory") {
