@@ -202,9 +202,14 @@ impl TrainedDeepMapping {
         self.trained.model().ladder()
     }
 
-    /// The kept rung's shared hidden widths.
+    /// The kept rung's shared hidden widths (none for the closed form).
     pub fn shared_hidden(&self) -> &[usize] {
         &self.trained.model().network().spec().shared_hidden
+    }
+
+    /// Whether the kept rung is the closed form: column formulas, no network.
+    pub fn is_closed_form(&self) -> bool {
+        self.trained.model().closed_form().is_some()
     }
 
     /// The store of `codec` (DM-Z for `Codec::Lz`, DM-L for `Codec::LzHuff`) under

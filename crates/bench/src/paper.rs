@@ -129,13 +129,14 @@ fn synthetic(name: &str, scale: BenchScale) -> SyntheticConfig {
     SyntheticConfig::paper_suite(scale.rows(2_000_000)).swap_remove(at)
 }
 
-/// `(family, dataset)` of every dataset the evaluation covers (`quick`: two of them).
+/// `(family, dataset)` of every dataset the evaluation covers (`quick`: three of them,
+/// `multi_high` among them so a quick run serves a closed-form store).
 fn datasets(quick: bool) -> Vec<(&'static str, &'static str)> {
     let tpch = TpchTable::all().map(|t| ("tpch", t.name()));
     let tpcds = TpcdsTable::all().map(|t| ("tpcds", t.name()));
     let synthetic = SYNTHETIC.map(|name| ("synthetic", name));
     let all = tpch.into_iter().chain(tpcds).chain(synthetic).chain([("crop", "crop")]);
-    all.filter(|(_, name)| !quick || matches!(*name, "orders" | "multi_low")).collect()
+    all.filter(|(_, name)| !quick || matches!(*name, "orders" | "multi_low" | "multi_high")).collect()
 }
 
 fn generate((family, name, scale): Place) -> Dataset {
@@ -229,10 +230,11 @@ impl PaperRun {
         let rung_macs: usize = ladder.iter().map(|rung| rung.epochs * rung.macs_per_key).sum();
         let train_macs = 3 * rows * rung_macs;
         let widths: Vec<String> = trained.shared_hidden().iter().map(usize::to_string).collect();
+        let rung = if trained.is_closed_form() { "closed_form".to_string() } else { widths.join("-") };
         let row = self.row("train", place, rows, "DM");
         row.num("epoch_budget", config.epochs() as f64).num("epochs", trained.epochs() as f64);
         row.text("stop", trained.stop().name()).num("right_rows", trained.right_rows() as f64);
-        row.text("rung", &widths.join("-")).num("rungs_tried", ladder.len() as f64);
+        row.text("rung", &rung).num("rungs_tried", ladder.len() as f64);
         row.num("ladder_epochs", ladder_epochs as f64).num("row_passes", row_passes as f64);
         row.num("train_s", round(trained.train_s, 3)).num("train_macs", train_macs as f64);
         row.num("train_mac_per_ns", round(train_macs as f64 / trained.train_s / 1e9, 3));

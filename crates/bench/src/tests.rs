@@ -8,7 +8,8 @@ const SYSTEMS: [&str; 11] =
     ["AB", "ABC-D", "ABC-G", "ABC-L", "ABC-Z", "DM-L", "DM-Z", "DS", "HB", "HBC-L", "HBC-Z"];
 
 /// `TrainingStop::name` of every way a training ends.
-const STOPS: [&str; 5] = ["budget", "loss_floor", "schedule", "every_row_right", "memorization_plateau"];
+const STOPS: [&str; 6] =
+    ["budget", "loss_floor", "schedule", "every_row_right", "memorization_plateau", "closed_form"];
 
 /// The reader the artifact promises: one flat object per line, numbers and
 /// `[A-Za-z0-9_.-]` strings, so no escapes and no `,` or `:` inside a value.
@@ -101,7 +102,9 @@ fn check_rows(rows: &[ResultRow], traced: bool) {
     assert_eq!(trained.len(), models.len(), "{trained:?}");
     for row in trains {
         let field = |name: &str| row.n(name).unwrap_or_else(|| panic!("{name} of {row:?}"));
-        assert!(field("epochs") >= 1.0, "{row:?}");
+        // A kept closed form is the one model that trained no epoch.
+        let closed = row.s("stop") == "closed_form";
+        assert_eq!(field("epochs") == 0.0, closed, "{row:?}");
         // Training ends before its budget exactly when a rule stopped it, and the last
         // epoch got at most every row right.
         let early = field("epochs") < field("epoch_budget");
@@ -109,10 +112,12 @@ fn check_rows(rows: &[ResultRow], traced: bool) {
         assert!(STOPS.contains(&row.s("stop")), "{row:?}");
         assert_eq!(early, row.s("stop") != "budget", "{row:?}");
         assert!(field("right_rows") <= field("rows"), "{row:?}");
-        // The kept rung's shared widths, one of the rungs tried, whose epochs the
-        // ladder's include — all of them when it was the only one.
+        // The kept rung's shared widths (`closed_form` for the closed form), one of
+        // the rungs tried, whose epochs the ladder's include — all of them when it
+        // was the only one.
         let rung = row.s("rung");
-        assert!(!rung.is_empty() && rung.split('-').all(|w| w.parse::<usize>().is_ok()), "{row:?}");
+        let widths = !rung.is_empty() && rung.split('-').all(|w| w.parse::<usize>().is_ok());
+        assert!(if closed { rung == "closed_form" } else { widths }, "{row:?}");
         assert!(field("rungs_tried") >= 1.0, "{row:?}");
         assert!(field("ladder_epochs") >= field("epochs"), "{row:?}");
         assert!(field("rungs_tried") > 1.0 || field("ladder_epochs") == field("epochs"), "{row:?}");
@@ -174,11 +179,11 @@ fn system_matrix_builds_and_answers_queries() {
     let builds = &outcome.deepmapping_builds;
     let trained = |prefix: &str| builds.iter().filter(|line| line.starts_with(prefix)).count();
     // And each of the four searches builds its winner once.
-    assert_eq!((trained("lookup orders "), trained("lookup "), builds.len()), (1, 2, 12));
+    assert_eq!((trained("lookup orders "), trained("lookup "), builds.len()), (1, 3, 13));
     assert_eq!(trained("mhas_built "), 4);
-    // Two datasets x 11 systems x (B100K in memory + three batch sizes under the pool).
+    // Three datasets x 11 systems x (B100K in memory + three batch sizes under the pool).
     let lookups = outcome.rows.iter().filter(|row| row.s("kind") == "lookup");
-    assert_eq!(lookups.count(), 2 * SYSTEMS.len() * 4);
+    assert_eq!(lookups.count(), 3 * SYSTEMS.len() * 4);
     let samples = outcome.rows.iter().filter_map(|row| row.n("samples"));
     assert!(samples.min_by(f64::total_cmp) == Some(REPEATS as f64));
 
@@ -193,6 +198,12 @@ fn system_matrix_builds_and_answers_queries() {
 /// DM-Z stores more than the raw data.  A change that fixes one shrinks this list; none
 /// may grow it.
 const DM_Z_ABOVE_RAW: [(f64, &str); 1] = [(0.005, "supplier")];
+
+/// The ratchet beside it: `(scale, dataset)` of every table on which DM-Z stores more
+/// than the smallest system that is not DeepMapping (DS included).  It may shrink and
+/// must never grow.
+const DM_Z_ABOVE_SMALLEST_BASELINE: [(f64, &str); 4] =
+    [(0.005, "part"), (0.005, "supplier"), (0.005, "catalog_returns"), (0.02, "supplier")];
 
 #[test]
 fn committed_results_cover_the_evaluation_and_pin_where_dm_z_exceeds_the_raw_data() {
@@ -245,4 +256,21 @@ fn committed_results_cover_the_evaluation_and_pin_where_dm_z_exceeds_the_raw_dat
         .map(|row| (row.n("scale").expect("scale"), row.s("dataset")))
         .collect();
     assert_eq!(above, DM_Z_ABOVE_RAW);
+
+    let in_memory = |row: &&ResultRow| row.s("kind") == "lookup" && row.s("regime") == "mem";
+    let above_smallest: Vec<(f64, &str)> = rows
+        .iter()
+        .filter(in_memory)
+        .filter(|row| row.s("system") == "DM-Z")
+        .filter(|dm| {
+            let baselines = rows.iter().filter(in_memory).filter(|row| {
+                (row.n("scale"), row.s("dataset")) == (dm.n("scale"), dm.s("dataset"))
+                    && !row.s("system").starts_with("DM")
+            });
+            let smallest = baselines.filter_map(|row| row.n("stored_bytes")).min_by(f64::total_cmp);
+            dm.n("stored_bytes") > smallest
+        })
+        .map(|row| (row.n("scale").expect("scale"), row.s("dataset")))
+        .collect();
+    assert_eq!(above_smallest, DM_Z_ABOVE_SMALLEST_BASELINE);
 }

@@ -138,8 +138,9 @@ mod tests {
     use super::*;
     use dm_storage::TupleStore;
 
+    /// A hashed column: no closed form of the key, so the build ships a network.
     fn rows(n: u64) -> Vec<Row> {
-        (0..n).map(|k| Row::new(k, vec![((k / 8) % 3) as u32])).collect()
+        (0..n).map(|k| Row::new(k, vec![(k.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 61) as u32 % 3])).collect()
     }
 
     #[test]

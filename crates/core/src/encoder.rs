@@ -140,13 +140,6 @@ impl MappingSchema {
         }
         Ok(())
     }
-
-    /// Whether a value code is representable by the model's output head for `column`
-    /// (codes at or beyond the cardinality can never be predicted and always go to the
-    /// auxiliary table).
-    pub fn code_in_domain(&self, column: usize, code: u32) -> bool {
-        code < self.cardinalities[column]
-    }
 }
 
 /// Upper bound on how many distinct ramp periods inference will inject.
@@ -258,8 +251,6 @@ mod tests {
         assert_eq!(schema.num_columns(), 2);
         assert_eq!(schema.cardinalities, vec![3, 5]);
         assert_eq!(schema.input_dim(), 10 + 17); // 10 key bits + one-hot residues mod 2,3,5,7
-        assert!(schema.code_in_domain(0, 2));
-        assert!(!schema.code_in_domain(0, 3));
         assert!(schema.validate_row(&rows[0]).is_ok());
         assert!(schema.validate_row(&Row::new(1, vec![1])).is_err());
     }

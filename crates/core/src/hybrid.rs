@@ -158,12 +158,16 @@ fn train_and_assure(
     Ok((model, assurance))
 }
 
-/// The default architecture: each rung of [`MappingModel::ladder_specs`] in
-/// turn becomes a store, priced by its Eq.-1 sum.  The climb keeps a rung
-/// only if its store is smaller than the best so far, and stops at the first
-/// that is not, or after one that leaves no corrected rows (a wider rung can
-/// then only add model bytes).  Building a store charges nothing to
-/// `metrics`, so a discarded rung leaves no counts behind.
+/// The default architecture: a ladder of rungs, narrowest first, each in turn
+/// made a store and priced by its Eq.-1 sum.  The first rung is the closed
+/// form ([`MappingModel::detect_closed_form`]) when every column has one; the
+/// rest are the networks of [`MappingModel::ladder_specs`], each trained only
+/// when the climb reaches it.  The climb keeps a rung only if its store is
+/// smaller than the best so far, and stops at the first that is not, or after
+/// one that leaves no corrected rows (a wider rung can then only add model
+/// bytes) — so a closed form that gets every row right ends the build before
+/// anything trains.  Building a store charges nothing to `metrics`, so a
+/// discarded rung leaves no counts behind.
 fn climb(
     schema: MappingSchema,
     rows: &[Row],
@@ -172,15 +176,22 @@ fn climb(
     decode_map: &DecodeMap,
     metrics: &Metrics,
 ) -> Result<(MappingModel, Assurance)> {
+    let closed_form = MappingModel::detect_closed_form(schema.clone(), rows).map(Result::Ok);
+    let networks = MappingModel::ladder_specs(&schema, rows.len()).into_iter().map(|spec| {
+        let mut model = MappingModel::new(schema.clone(), &spec, seed)?;
+        model.train(rows, &config.training, seed)?;
+        Ok(model)
+    });
     let mut ladder = Vec::new();
     let mut best: Option<(MappingModel, Assurance, usize)> = None;
-    for spec in MappingModel::ladder_specs(&schema, rows.len()) {
-        let (model, assurance) =
-            train_and_assure(schema.clone(), &spec, rows, config, seed, metrics)?;
+    for model in closed_form.into_iter().chain(networks) {
+        let mut model = model?;
+        let assurance = Assurance::build(&mut model, rows, config, metrics)?;
         let Assurance { aux, exist, vaux } = &assurance;
         let breakdown = storage_breakdown(&model, aux, exist, vaux, decode_map, rows.len());
         let bytes = breakdown.total_bytes();
         let corrected_rows = vaux.count_ones() as usize;
+        let spec = model.network().spec();
         ladder.push(Rung {
             shared_hidden: spec.shared_hidden.clone(),
             epochs: model.trained_epochs(),
@@ -1028,12 +1039,17 @@ mod tests {
         dm
     }
 
+    /// Bit fields of the key are closed forms: the first rung gets every row
+    /// right, so the climb ends there and nothing trains.
     #[test]
     fn the_ladder_stops_at_the_first_rung_that_leaves_nothing_to_correct() {
         let dm = climbed(&benchmark_shape_rows(20_000, 0));
         let ladder = dm.model().ladder();
         assert_eq!(ladder.len(), 1, "{ladder:?}");
-        assert_eq!((ladder[0].shared_hidden.as_slice(), ladder[0].corrected_rows), (&[16][..], 0));
+        assert_eq!((ladder[0].shared_hidden.as_slice(), ladder[0].corrected_rows), (&[][..], 0));
+        assert_eq!((ladder[0].epochs, ladder[0].macs_per_key), (0, 0));
+        assert!(dm.model().closed_form().is_some());
+        assert_eq!(dm.model().training_stop(), Some(crate::model::TrainingStop::ClosedForm));
         assert_eq!(dm.memorized_tuples(), 20_000);
     }
 
@@ -1047,14 +1063,21 @@ mod tests {
         assert_eq!(dm.model().network().spec().shared_hidden, [16]);
     }
 
+    /// The frozen benchmark's `mixed` rows: the closed form corrects the noisy
+    /// rows, rung 16 corrects no fewer for more model bytes, and the climb
+    /// keeps the closed form — a smaller store than the top rung's.
     #[test]
     fn on_mixed_rows_the_ladder_builds_a_narrower_smaller_store_than_the_top_rung() {
         let rows = benchmark_shape_rows(20_000, 2);
         let dm = climbed(&rows);
-        let chosen = dm.model().network().spec().clone();
+        let ladder = dm.model().ladder();
+        let widths: Vec<&[usize]> = ladder.iter().map(|rung| rung.shared_hidden.as_slice()).collect();
+        assert_eq!(widths, [&[][..], &[16][..]], "{ladder:?}");
+        assert!(ladder[1].corrected_rows >= ladder[0].corrected_rows, "{ladder:?}");
+        assert!(ladder[1].bytes > ladder[0].bytes, "{ladder:?}");
+        assert!(dm.model().closed_form().is_some());
         let schema = MappingSchema::infer(&rows, KEY_HEADROOM).unwrap();
         let top = MappingModel::default_spec(&schema, rows.len());
-        assert!(chosen.shared_hidden[0] < top.shared_hidden[0], "{:?}", dm.model().ladder());
         assert_eq!(MappingModel::ladder_specs(&schema, rows.len()).last(), Some(&top));
 
         let fixed = |spec: MultiTaskSpec| {
@@ -1065,12 +1088,11 @@ mod tests {
         assert!(guessed.model().ladder().is_empty());
         let eq1 = |dm: &DeepMapping| dm.storage_breakdown().total_bytes();
         assert!(eq1(&dm) <= eq1(&guessed), "{} > {}", eq1(&dm), eq1(&guessed));
-        // The kept rung is the store a fixed build of its spec makes, byte for
-        // byte, and the rungs the climb discarded left no counts behind.
-        let same = fixed(chosen);
-        assert_eq!(dm.model().to_bytes(), same.model().to_bytes());
-        assert_eq!(eq1(&dm), eq1(&same));
-        assert_eq!(dm.metrics().snapshot(), same.metrics().snapshot());
+        // The rung the climb priced and dropped is the store a fixed build of
+        // its spec makes, byte for byte, and it left no counts behind.
+        let dropped = fixed(MappingModel::ladder_specs(&schema, rows.len()).remove(0));
+        assert_eq!(eq1(&dropped), ladder[1].bytes);
+        assert_eq!(dm.metrics().snapshot(), dropped.metrics().snapshot());
     }
 
     #[test]

@@ -25,6 +25,7 @@
 
 pub mod aux_table;
 pub mod builder;
+pub mod closed_form;
 pub mod config;
 pub mod encoder;
 pub mod hybrid;
@@ -36,6 +37,7 @@ pub mod stats;
 
 pub use aux_table::{AuxPartitionInfo, AuxTable, AuxTableSnapshot, PartitionFrame};
 pub use builder::DeepMappingBuilder;
+pub use closed_form::{ClosedForm, ColumnFormula};
 pub use config::{DeepMappingConfig, Quantization, SearchStrategy, TrainingConfig};
 pub use encoder::{DecodeMap, MappingSchema};
 pub use hybrid::{DeepMapping, DeepMappingParts, KEY_HEADROOM};

@@ -1,12 +1,22 @@
-//! The learned model `M`: a multi-task network wrapped with the key/label encodings of
-//! one relation.
+//! The model `M`: what answers a predicted key, wrapped with the key/label
+//! encodings of one relation.
 //!
-//! This wrapper owns everything Section IV-A describes: the shared-trunk /
+//! Most often `M` is the multi-task network of Section IV-A: the shared-trunk /
 //! private-head network, the key feature encoding, mini-batch training with the
 //! cross-entropy loss, batched inference, and the evaluation pass that decides which
 //! tuples the model "memorizes" (all columns predicted correctly) versus which must go
 //! to the auxiliary table.
+//!
+//! Below the narrowest network sits the closed-form rung
+//! ([`MappingModel::detect_closed_form`]): when every value column is
+//! `⌊(k − o) / d⌋ mod c` of the key for most rows, `M` is those formulas
+//! ([`ClosedForm`]), tens of bytes answered by integer arithmetic, and its
+//! network has no layers.  Both forms serve through the one entry every path
+//! calls, [`MappingModel::predict_into_slice`], so lookups, the write path's
+//! checks, [`split_by_memorization`](MappingModel::split_by_memorization) and a
+//! retrain's materialization all run the same arithmetic.
 
+use crate::closed_form::ClosedForm;
 use crate::config::TrainingConfig;
 use crate::encoder::MappingSchema;
 use crate::{CoreError, Result};
@@ -20,7 +30,10 @@ use rand::SeedableRng;
 #[derive(Debug, Clone)]
 pub struct MappingModel {
     schema: MappingSchema,
+    /// The network; one of no layers and no tasks when `closed_form` answers.
     network: MultiTaskModel,
+    /// The columns' formulas, when the model is the closed-form rung.
+    closed_form: Option<ClosedForm>,
     /// Epochs the latest [`train`](Self::train) ran, why it ended and the rows
     /// its last epoch got right (none of it stored with the model).
     trained_epochs: usize,
@@ -31,8 +44,9 @@ pub struct MappingModel {
     ladder: Vec<Rung>,
 }
 
-/// One rung a default-architecture build priced on its climb up
-/// [`MappingModel::ladder_specs`].
+/// One rung a default-architecture build priced on its climb: the closed-form
+/// rung ([`MappingModel::detect_closed_form`]; no shared widths, no epochs, no
+/// MACs) when the rows have one, then up [`MappingModel::ladder_specs`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Rung {
     /// The rung's shared hidden widths.
@@ -145,10 +159,59 @@ impl MappingModel {
         Ok(Self::untrained(schema, network))
     }
 
+    /// The closed-form rung over `rows`: a model whose every column is the
+    /// [`ColumnFormula`](crate::ColumnFormula) [`ClosedForm::detect`] finds for it under the
+    /// schema's cardinality, with a network of no layers; `None` when a column
+    /// has none.  Nothing trains: [`trained_epochs`](Self::trained_epochs) is 0,
+    /// [`training_stop`](Self::training_stop) is [`TrainingStop::ClosedForm`]
+    /// and [`trained_right_rows`](Self::trained_right_rows) counts the rows the
+    /// formulas get right in every column.
+    pub fn detect_closed_form(schema: MappingSchema, rows: &[Row]) -> Option<Self> {
+        let closed_form = ClosedForm::detect(rows, &schema.cardinalities)?;
+        Some(Self::closed(schema, closed_form, rows))
+    }
+
+    fn closed(schema: MappingSchema, closed_form: ClosedForm, rows: &[Row]) -> Self {
+        let network = MultiTaskModel::without_tasks(schema.input_dim());
+        let mut model = Self::untrained(schema, network);
+        let right = |row: &&Row| {
+            let columns = closed_form.columns().iter().zip(&row.values);
+            columns.into_iter().all(|(formula, &value)| formula.value(row.key) == value)
+        };
+        model.trained_right_rows = rows.iter().filter(right).count();
+        model.training_stop = Some(TrainingStop::ClosedForm);
+        model.closed_form = Some(closed_form);
+        model
+    }
+
+    /// Parses [`to_bytes`](Self::to_bytes) output under `schema` (the model
+    /// section of a snapshot), checking it against the schema as
+    /// [`from_parts`](Self::from_parts) does.
+    pub fn from_bytes(schema: MappingSchema, bytes: &[u8]) -> Result<Self> {
+        let corrupt = |detail: &str| CoreError::Model(format!("model bytes: {detail}"));
+        let (&tag, body) = bytes.split_first().ok_or_else(|| corrupt("empty"))?;
+        match tag {
+            NETWORK_TAG => Self::from_parts(schema, serialize::deserialize_multitask(body)?),
+            CLOSED_FORM_TAG => {
+                let closed_form = ClosedForm::from_bytes(body)?;
+                if closed_form.columns().len() != schema.num_columns() {
+                    return Err(corrupt(&format!(
+                        "{} formulas for {} value columns",
+                        closed_form.columns().len(),
+                        schema.num_columns()
+                    )));
+                }
+                Ok(Self::closed(schema, closed_form, &[]))
+            }
+            other => Err(corrupt(&format!("unknown model tag {other}"))),
+        }
+    }
+
     fn untrained(schema: MappingSchema, network: MultiTaskModel) -> Self {
         MappingModel {
             schema,
             network,
+            closed_form: None,
             trained_epochs: 0,
             training_stop: None,
             trained_right_rows: 0,
@@ -161,9 +224,15 @@ impl MappingModel {
         &self.schema
     }
 
-    /// The underlying multi-task network.
+    /// The underlying multi-task network: one of no layers and no tasks when
+    /// the model is the closed-form rung.
     pub fn network(&self) -> &MultiTaskModel {
         &self.network
+    }
+
+    /// The columns' formulas, when the model is the closed-form rung.
+    pub fn closed_form(&self) -> Option<&ClosedForm> {
+        self.closed_form.as_ref()
     }
 
     /// Epochs the latest [`train`](Self::train) on this value ran — the
@@ -200,13 +269,17 @@ impl MappingModel {
         self.ladder = ladder;
     }
 
-    /// Serialized model size in bytes — the `size(M)` term of Eq. 1.
+    /// Serialized model size in bytes — the `size(M)` term of Eq. 1: the
+    /// network's, or the closed form's exact serialized length.
     pub fn size_bytes(&self) -> usize {
-        self.network.size_bytes()
+        match &self.closed_form {
+            Some(_) => self.to_bytes().len(),
+            None => self.network.size_bytes(),
+        }
     }
 
     /// Quantizes every dense layer to int8 (per-output-column symmetric
-    /// scales).  Must run *before* [`split_by_memorization`](Self::split_by_memorization):
+    /// scales); a closed-form model has none.  Must run *before* [`split_by_memorization`](Self::split_by_memorization):
     /// the auxiliary table memorizes whatever the serve-time arithmetic
     /// mispredicts, so it has to be built against the quantized forward pass.
     pub fn quantize_int8(&mut self) -> Result<()> {
@@ -228,8 +301,12 @@ impl MappingModel {
     /// epochs already computed, so a run that ends after `E` epochs holds the
     /// weights of the same seeded run capped at `E`.
     /// [`TrainingConfig::lr_decay`] is not read: there is no per-step decay.
-    /// Returns the final epoch's mean loss.
+    /// Returns the final epoch's mean loss.  A closed-form model has nothing to
+    /// train and refuses.
     pub fn train(&mut self, rows: &[Row], config: &TrainingConfig, seed: u64) -> Result<f32> {
+        if self.closed_form.is_some() {
+            return Err(CoreError::InvalidConfig("a closed-form model has nothing to train".into()));
+        }
         self.trained_epochs = 0;
         self.trained_right_rows = 0;
         if rows.is_empty() {
@@ -323,7 +400,7 @@ impl MappingModel {
     /// that keep a reusable `Vec` rather than the rows they will answer from.
     pub fn predict_into(&self, keys: &[u64], out: &mut Vec<u32>) -> Result<usize> {
         out.clear();
-        out.resize(keys.len() * self.network.num_tasks(), 0);
+        out.resize(keys.len() * self.schema.num_columns(), 0);
         self.predict_into_slice(keys, out)
     }
 
@@ -335,15 +412,29 @@ impl MappingModel {
     /// each class is written once, where the lookup's caller reads it.  Runs
     /// on the calling thread.
     ///
-    /// The keys go to the network as keys
-    /// ([`MultiTaskModel::forward_keys_flat`]): no batch-wide feature matrix
-    /// is built, each cache-sized row chunk of the walk encodes its own — for
-    /// an int8 model straight into the first layer's input bytes.  The
-    /// predictions are those of `forward_batch_flat` over
-    /// `key_encoder.encode_batch(keys)`, bit for bit.
+    /// A closed-form model evaluates its formulas, a key at a time with no
+    /// division instruction ([`ClosedForm::predict_into_slice`]).  A network
+    /// gets the keys as keys ([`MultiTaskModel::forward_keys_flat`]): no
+    /// batch-wide feature matrix is built, each cache-sized row chunk of the
+    /// walk encodes its own — for an int8 model straight into the first
+    /// layer's input bytes.  Its predictions are those of `forward_batch_flat`
+    /// over `key_encoder.encode_batch(keys)`, bit for bit.
     pub fn predict_into_slice(&self, keys: &[u64], out: &mut [u32]) -> Result<usize> {
-        let encoder = &self.schema.key_encoder;
-        Ok(self.network.forward_keys_flat(encoder, keys, out)?)
+        let Some(closed_form) = &self.closed_form else {
+            let encoder = &self.schema.key_encoder;
+            return Ok(self.network.forward_keys_flat(encoder, keys, out)?);
+        };
+        let columns = self.schema.num_columns();
+        if out.len() != keys.len() * columns {
+            return Err(CoreError::Model(format!(
+                "predict_into_slice: {} keys of {columns} columns each need {} outputs, the slice holds {}",
+                keys.len(),
+                keys.len() * columns,
+                out.len()
+            )));
+        }
+        closed_form.predict_into_slice(keys, out);
+        Ok(columns)
     }
 
     /// Runs the model over `rows` and splits them into (memorized, misclassified):
@@ -383,11 +474,21 @@ impl MappingModel {
         Ok(memorized.len() as f64 / rows.len() as f64)
     }
 
-    /// Serializes the network to bytes (the on-disk form whose size Eq. 1 charges).
+    /// Serializes the model to bytes (the on-disk form whose size Eq. 1
+    /// charges): a tag byte, then the network's `dm_nn::serialize` bytes or
+    /// the closed form's formulas ([`ClosedForm::to_bytes`]).
     pub fn to_bytes(&self) -> Vec<u8> {
-        serialize::serialize_multitask(&self.network)
+        match &self.closed_form {
+            Some(closed_form) => [&[CLOSED_FORM_TAG][..], &closed_form.to_bytes()].concat(),
+            None => [&[NETWORK_TAG][..], &serialize::serialize_multitask(&self.network)].concat(),
+        }
     }
 }
+
+/// The first byte of [`MappingModel::to_bytes`] for a network.
+const NETWORK_TAG: u8 = 0;
+/// The first byte of [`MappingModel::to_bytes`] for a closed form.
+const CLOSED_FORM_TAG: u8 = 1;
 
 /// The features and targets of one mini-batch, in buffers a training run
 /// fills again for every batch instead of allocating them per step.
@@ -452,6 +553,9 @@ pub enum TrainingStop {
     /// next epochs may climb out of), and the loss fell by less than 2.5 % an
     /// epoch — the model is fitting rows it does not flip.
     MemorizationPlateau,
+    /// Nothing trained: the model is the closed-form rung
+    /// ([`MappingModel::detect_closed_form`]).
+    ClosedForm,
 }
 
 impl TrainingStop {
@@ -463,6 +567,7 @@ impl TrainingStop {
             TrainingStop::Schedule => "schedule",
             TrainingStop::EveryRowRight => "every_row_right",
             TrainingStop::MemorizationPlateau => "memorization_plateau",
+            TrainingStop::ClosedForm => "closed_form",
         }
     }
 }

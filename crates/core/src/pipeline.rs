@@ -6,26 +6,32 @@
 //! this pipeline knows in advance which of the two will answer, from one more bit
 //! per key, and pays for that one only:
 //!
-//! 1. **Three-way split** ([`Stage::Existence`]) — the existence bit vector
+//! 1. **Three-way split** ([`Stage::Existence`]) — the caller's buffer is
+//!    reset, every key a miss, and the existence bit vector
 //!    `Vexist` drops non-existing keys immediately, so the model can never
 //!    hallucinate a value for them; the corrected-key bit vector `Vaux` sends every
 //!    surviving key to exactly one of the next two stages.  `Vaux` is exact
 //!    (`vaux[k] ⇔ exist[k] ∧ aux.get(k).is_some()`, kept in step by every write),
 //!    so the two sets are disjoint and no answer ever overrides another.
 //! 2. **Vectorized inference of the predicted keys** ([`Stage::Inference`]) —
-//!    keys whose `Vaux` bit is clear go to the network as keys, in a single
+//!    keys whose `Vaux` bit is clear go to the model in one
+//!    [`MappingModel::predict_into_slice`] call per batch, recorded via
+//!    [`Metrics::add_inference_batch`].  A closed-form model
+//!    ([`MappingModel::detect_closed_form`]) evaluates `⌊(k − o) / d⌋ mod c`
+//!    a column at a time over the batch: a shift or a multiply-high per
+//!    division, no network.  A network gets the keys as keys, in a single
 //!    [`forward_keys_flat`](dm_nn::MultiTaskModel::forward_keys_flat)
 //!    pass: one trunk matrix-multiply sequence for the batch, then the heads,
-//!    never a per-key pass, recorded via [`Metrics::add_inference_batch`].  No
-//!    batch-wide feature matrix is built: each cache-sized row chunk of the
-//!    pass encodes its own keys, for an int8 model straight into the first
-//!    layer's input bytes (one masked store a key under AVX-512), and no logit
-//!    matrix either: every head's output layer runs with the keys in vector
-//!    lanes and keeps each head's best class in its epilogue
-//!    ([`dm_nn::kernel::argmax_prequantized`]), so the pass writes the classes
-//!    and nothing else — straight into the rows its keys claimed in the
-//!    caller's [`LookupBuffer`], where the caller reads them.  They cause no
-//!    probe plan, no partition load and no decompression.
+//!    never a per-key pass.  No batch-wide feature matrix is built: each
+//!    cache-sized row chunk of the pass encodes its own keys, for an int8
+//!    model straight into the first layer's input bytes (one masked store a
+//!    key under AVX-512), and no logit matrix either: every head's output
+//!    layer runs with the keys in vector lanes and keeps each head's best
+//!    class in its epilogue ([`dm_nn::kernel::argmax_prequantized`]), so the
+//!    pass writes the classes and nothing else.  Either form writes straight
+//!    into the rows its keys claimed in the caller's [`LookupBuffer`], where
+//!    the caller reads them.  They cause no probe plan, no partition load and
+//!    no decompression.
 //! 3. **Grouped probes of the corrected keys** ([`Stage::Plan`], then
 //!    [`Stage::Probe`] around the partition groups, with [`Stage::PoolLoad`]
 //!    or [`Stage::PoolWait`] for a group whose partition is not resident) —
@@ -173,8 +179,8 @@ impl<'a> QueryPipeline<'a> {
     /// [`LookupBuffer`].  A reused buffer keeps its arena and its working
     /// memory between batches, so the steady state allocates nothing.
     pub fn execute_into(&self, keys: &[u64], out: &mut LookupBuffer) -> Result<()> {
-        out.reset(keys);
         if keys.is_empty() {
+            out.reset(keys);
             return Ok(());
         }
         // The trace records the batch's stage timeline; `finish` publishes it
@@ -198,7 +204,9 @@ impl<'a> QueryPipeline<'a> {
         trace: &Trace,
     ) -> Result<()> {
         {
+            // Every key starts a miss, the answer for the keys the split drops.
             let _existence = trace.span(Stage::Existence);
+            out.reset(keys);
             self.route(keys, scratch);
         }
         let BatchScratch {
@@ -275,10 +283,8 @@ impl<'a> QueryPipeline<'a> {
         if keys.is_empty() {
             return Ok(());
         }
-        {
-            let _inference = trace.span(Stage::Inference);
-            self.model.predict_into_slice(keys, rows)?;
-        }
+        let _inference = trace.span(Stage::Inference);
+        self.model.predict_into_slice(keys, rows)?;
         self.metrics.add_inference_batch(keys.len() as u64);
         Ok(())
     }

@@ -280,6 +280,19 @@ impl MultiTaskModel {
         })
     }
 
+    /// A model of no layers and no tasks over `input_dim` features: every
+    /// walk of it predicts nothing, and a caller that lists its layers finds
+    /// none.  The network of a store whose columns are answered without one.
+    pub fn without_tasks(input_dim: usize) -> Self {
+        MultiTaskModel {
+            spec: MultiTaskSpec { input_dim, shared_hidden: Vec::new(), heads: Vec::new() },
+            trunk: Vec::new(),
+            heads: Vec::new(),
+            fused_entry: None,
+            entry_wide: Matrix::zeros(0, 0),
+        }
+    }
+
     /// Rebuilds a model from explicit layer stacks (used by deserialization).
     pub fn from_layers(
         spec: MultiTaskSpec,

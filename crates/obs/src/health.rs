@@ -162,14 +162,6 @@ pub enum Advice {
         /// The write-time misprediction EMA at decision time.
         mispredict_ema: f64,
     },
-    /// Deletes have piled up: compact the aux table to drop tombstones and
-    /// re-pack partitions (cheaper than a full retrain).
-    Compact {
-        /// Tombstones that would be reclaimed.
-        tombstones: u64,
-        /// The tombstone ratio that tripped the threshold.
-        tombstone_ratio: f64,
-    },
     /// The working set no longer fits: the pool is simultaneously full and
     /// missing often.
     GrowPoolBudget {
@@ -199,7 +191,6 @@ impl Advice {
     pub fn label(&self) -> &'static str {
         match self {
             Advice::Retrain { .. } => "retrain",
-            Advice::Compact { .. } => "compact",
             Advice::GrowPoolBudget { .. } => "grow_pool_budget",
             Advice::InvestigateStorage { .. } => "investigate_storage",
             Advice::Healthy => "healthy",
@@ -220,10 +211,10 @@ pub struct AdvisorThresholds {
     /// is failing on current data even if the overlay hasn't grown yet).
     pub mispredict_ema: f64,
     /// ... or when existence-bit churn per tuple exceeds this (membership
-    /// itself is shifting under the model).
+    /// itself is shifting under the model), or tombstones per tuple do
+    /// (deletes the aux table still holds: a retrain is what drops them,
+    /// and unlike the churn count they survive a reopen).
     pub churn_ratio: f64,
-    /// Compact when tombstones per tuple exceed this.
-    pub tombstone_ratio: f64,
     /// Grow the pool only when it is this full **and** missing this often.
     pub pool_occupancy: f64,
     /// See [`pool_occupancy`](Self::pool_occupancy).
@@ -239,7 +230,6 @@ impl Default for AdvisorThresholds {
             overlay_ratio: 0.25,
             mispredict_ema: 0.5,
             churn_ratio: 0.2,
-            tombstone_ratio: 0.10,
             pool_occupancy: 0.95,
             pool_miss_rate: 0.30,
             slo_burn: 1.0,
@@ -310,7 +300,6 @@ impl HealthReport {
         }
         for label in [
             "retrain",
-            "compact",
             "grow_pool_budget",
             "investigate_storage",
             "healthy",
@@ -325,9 +314,8 @@ impl HealthReport {
 /// [`HealthReport`].  Pure: no clocks, no globals, deterministic for given
 /// inputs.
 ///
-/// Ordering: `Retrain` outranks `Compact` outranks `GrowPoolBudget` when
-/// several trip at once — retraining also compacts, and a drifting model
-/// inflates pool traffic, so the upstream fix comes first.  An SLO burn above
+/// Ordering: `Retrain` outranks `GrowPoolBudget` when both trip at once — a
+/// drifting model inflates pool traffic, so the upstream fix comes first.  An SLO burn above
 /// threshold does not add advice by itself (latency without a diagnosable
 /// cause here is the server's problem, not the store's) but it promotes the
 /// report out of `Healthy` only when a cause *is* diagnosed — the burn rate
@@ -367,19 +355,13 @@ pub fn advise_with_faults(
     if drift.overlay_ratio() > thresholds.overlay_ratio
         || drift.mispredict_ema > thresholds.mispredict_ema
         || drift.churn_ratio() > thresholds.churn_ratio
+        || drift.tombstone_ratio() > thresholds.churn_ratio
     {
         advice.push(Advice::Retrain {
             expected_aux_shrink_bytes: (drift.overlay_bytes as f64 * drift.memorized_fraction)
                 as u64,
             overlay_ratio: drift.overlay_ratio(),
             mispredict_ema: drift.mispredict_ema,
-        });
-    }
-
-    if drift.tombstone_ratio() > thresholds.tombstone_ratio {
-        advice.push(Advice::Compact {
-            tombstones: drift.tombstones,
-            tombstone_ratio: drift.tombstone_ratio(),
         });
     }
 
@@ -539,20 +521,12 @@ mod tests {
     }
 
     #[test]
-    fn tombstones_trigger_compact() {
+    fn tombstones_alone_trigger_retrain() {
         let mut drift = healthy_drift();
-        drift.tombstones = 2_000; // 0.2 per tuple > 0.1 threshold
+        drift.tombstones = 3_000; // 0.3 per tuple > 0.2 threshold, churn reset by a reopen
         let report = advise(drift, idle_pool(), None, &AdvisorThresholds::default());
-        match report.primary() {
-            Advice::Compact {
-                tombstones,
-                tombstone_ratio,
-            } => {
-                assert_eq!(*tombstones, 2_000);
-                assert!((tombstone_ratio - 0.2).abs() < 1e-9);
-            }
-            other => panic!("expected Compact, got {other:?}"),
-        }
+        assert!(matches!(report.primary(), Advice::Retrain { .. }));
+        assert_eq!(report.advice.len(), 1);
     }
 
     #[test]
@@ -601,10 +575,9 @@ mod tests {
             miss_rate: 0.9,
         };
         let report = advise(drift, pool, None, &AdvisorThresholds::default());
-        assert_eq!(report.advice.len(), 3);
+        assert_eq!(report.advice.len(), 2);
         assert!(matches!(report.advice[0], Advice::Retrain { .. }));
-        assert!(matches!(report.advice[1], Advice::Compact { .. }));
-        assert!(matches!(report.advice[2], Advice::GrowPoolBudget { .. }));
+        assert!(matches!(report.advice[1], Advice::GrowPoolBudget { .. }));
         assert!(!report.is_healthy());
     }
 

@@ -77,7 +77,7 @@
 //!   drift + pool pressure + optional SLO burn ([`SloSignals`], windowed p99
 //!   vs a configured target) through documented [`AdvisorThresholds`] into
 //!   typed, evidence-carrying [`Advice`] (`Retrain` with the expected aux
-//!   shrink, `Compact`, `GrowPoolBudget`, or `Healthy`).
+//!   shrink, `GrowPoolBudget`, `InvestigateStorage`, or `Healthy`).
 //!
 //! Reading it in practice: call `health_report()` on a `DeepMapping` store
 //! (or `QueryServer::tenant_health` for the served, SLO-aware view), act on

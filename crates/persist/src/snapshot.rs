@@ -8,7 +8,9 @@
 //!              | file_len u64 | manifest_len u64 | manifest_crc u32
 //! then       manifest        (see crate::manifest — config, schema, decode
 //!                             labels, counters, overlay, section table)
-//! then       model section   (dm_nn::serialize bytes, CRC in manifest)
+//! then       model section   (MappingModel::to_bytes: a tag byte, then the
+//!                             network's dm_nn::serialize bytes or the closed
+//!                             form's formulas; CRC in manifest)
 //! then       existence section (BitVec::to_bytes, CRC in manifest)
 //! then       base section    (BitVec::to_bytes, CRC in manifest): the keys
 //!                             whose rows the partition frames hold
@@ -66,7 +68,9 @@
 //! partitions (plus their key ranges and a `memorized_tuples` counter in the
 //! manifest) that rank addressing cannot read, and v5 carried three MHAS
 //! controller settings in an MHAS search strategy's manifest entry (v6 samples
-//! architectures uniformly and has no controller); none was ever deployed.
+//! architectures uniformly and has no controller), and v6's model section was
+//! a network's bytes alone, with no tag to say a closed-form model (v7's
+//! column formulas) instead; none was ever deployed.
 
 use crate::error::{PersistError, Result};
 use crate::manifest::{Manifest, PartitionEntry};
@@ -84,7 +88,7 @@ use std::sync::Arc;
 const MAGIC: &[u8; 4] = b"DMSS";
 /// The one version [`Snapshot::write`] writes and [`Snapshot::open`] accepts;
 /// see the module docs for the version history.
-const VERSION: u16 = 6;
+const VERSION: u16 = 7;
 /// magic(4) + version(2) + reserved(2) + file_len(8) + manifest_len(8) + manifest_crc(4)
 const HEADER_LEN: u64 = 28;
 
@@ -353,7 +357,8 @@ impl Snapshot {
         if dm_compress::crc32(&base_bytes) != manifest.base_crc {
             return Err(PersistError::ChecksumMismatch { section: "base" });
         }
-        let network = dm_nn::serialize::deserialize_multitask(&model_bytes)?;
+        let model = MappingModel::from_bytes(manifest.schema.clone(), &model_bytes)?;
+        let network = model.network();
         let mut layers = network.trunk().iter().chain(network.heads().iter().flatten());
         if let Some(at) = layers.position(|layer| !layer.is_quantized()) {
             return Err(PersistError::Corrupt {
@@ -361,7 +366,6 @@ impl Snapshot {
                 detail: format!("layer {at} serves f32 arithmetic; only int8 stores open"),
             });
         }
-        let model = MappingModel::from_parts(manifest.schema.clone(), network)?;
         let exist = BitVec::from_bytes(&exist_bytes)?;
         let base = BitVec::from_bytes(&base_bytes)?;
         if base.count_ones() > u32::MAX as u64 {

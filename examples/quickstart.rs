@@ -33,17 +33,30 @@ fn main() {
         .build(&rows)
         .expect("build DeepMapping");
 
-    // The default architecture climbs a ladder of widths and keeps the rung
-    // whose whole store (Eq. 1) is smallest; it stops at the first rung that
-    // does not shrink the store, or after one that leaves nothing to correct.
+    // The default architecture first tries each column as a closed form of the
+    // key, `⌊(k − o) / d⌋ mod c`, then climbs a ladder of network widths, and
+    // keeps the rung whose whole store (Eq. 1) is smallest; it stops at the
+    // first rung that does not shrink the store, or after one that leaves
+    // nothing to correct.  Both columns here are closed forms, so nothing trains.
     println!("architecture ladder:");
     for rung in dm.model().ladder() {
+        let name = match rung.shared_hidden.as_slice() {
+            [] => "closed form".to_string(),
+            widths => format!("shared {widths:?}"),
+        };
         println!(
-            "  shared {:?}: {} bytes, {} rows corrected, {} MACs a key",
-            rung.shared_hidden, rung.bytes, rung.corrected_rows, rung.macs_per_key
+            "  {name}: {} bytes, {} rows corrected, {} MACs a key",
+            rung.bytes, rung.corrected_rows, rung.macs_per_key
         );
     }
-    println!("  kept: shared {:?}\n", dm.model().network().spec().shared_hidden);
+    match dm.model().closed_form() {
+        Some(form) => {
+            let formulas: Vec<(u64, u64, u64)> =
+                form.columns().iter().map(|f| (f.offset(), f.divisor(), f.modulus())).collect();
+            println!("  kept: the closed form, (o, d, c) per column {formulas:?}\n");
+        }
+        None => println!("  kept: shared {:?}\n", dm.model().network().spec().shared_hidden),
+    }
 
     // 3. Batched lookups (Algorithm 1): exact answers, including "not found" for keys
     //    that never existed — the existence index prevents hallucinated tuples.

@@ -323,13 +323,15 @@
 //! assert_eq!(dm.get(0).unwrap(), None);
 //!
 //! // The architecture ladder the build climbed, narrowest rung first; the
-//! // model is the last rung that shrank the store.
+//! // model is the last rung that shrank the store.  Both columns here are
+//! // `⌊k / d⌋ mod c` of the key, so the first rung is their closed form (no
+//! // network, no shared widths): it got every row right and nothing trained.
 //! let ladder = dm.model().ladder();
-//! assert_eq!(ladder[0].shared_hidden, [16]);
+//! assert!(ladder[0].shared_hidden.is_empty() && dm.model().closed_form().is_some());
 //!
 //! // Storage breakdown (Figure 6 of the paper).  On real table sizes the hybrid
 //! // structure compresses well below 1.0; this toy example just demonstrates the API
-//! // (the model is intentionally under-trained to keep the doctest fast).
+//! // (here nothing even trains).
 //! let breakdown = dm.storage_breakdown();
 //! assert_eq!(breakdown.tuple_count, 2_000);
 //! assert!(breakdown.total_bytes() > 0);

@@ -379,7 +379,7 @@ fn trained_weights_digest() -> u64 {
     };
     let loss = model.train(&benchmark_mixed_rows(5_003), &config, 23).expect("train");
     assert!(loss.is_finite());
-    fnv1a_bytes(model.to_bytes())
+    fnv1a_bytes(deepmapping::nn::serialize::serialize_multitask(model.network()))
 }
 
 const PINNED_TRAINED_WEIGHTS: u64 = 0x4ecd_69bc_f225_a3ea;
@@ -424,9 +424,12 @@ fn an_early_stop_keeps_the_weights_of_the_run_capped_there() {
 // architecture the select step climbs the width ladder
 // (`MappingModel::ladder_specs`) and keeps the smallest store: the pair below
 // was re-derived when the ladder replaced the single 141-wide guess, under
-// every kernel form, and is the rung it keeps.  A change that moves it moves
-// what the frozen benchmark builds: its `bytes_per_user_byte` and
-// `write_mix`'s maintenance.
+// every kernel form, and again when the closed-form rung went below the
+// ladder's first network.  It is the rung the climb keeps: on these rows the
+// closed form, the same before and after the retrain, so it also pins that
+// the retrain's climb, which trains rung 16 again, still drops it.  A change
+// that moves it moves what the frozen benchmark builds: its
+// `bytes_per_user_byte` and `write_mix`'s maintenance.
 // ---------------------------------------------------------------------------
 
 /// Digests of `model().to_bytes()` after a seeded default-architecture build
@@ -447,7 +450,7 @@ fn built_and_retrained_digests() -> (u64, u64) {
     (built, fnv1a_bytes(dm.model().to_bytes()))
 }
 
-const PINNED_BUILT_AND_RETRAINED: (u64, u64) = (0x1e13_568d_0dc8_cc06, 0xdf2c_c4a2_8b61_4569);
+const PINNED_BUILT_AND_RETRAINED: (u64, u64) = (0x1171_079f_0407_b1b7, 0x1171_079f_0407_b1b7);
 
 #[test]
 fn build_and_retrain_train_the_weights_pinned_at_the_parent_commit() {

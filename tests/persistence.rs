@@ -668,17 +668,17 @@ fn only_the_current_snapshot_version_opens() {
     let current = std::fs::read(&path).unwrap();
     assert_eq!(
         u16::from_le_bytes([current[4], current[5]]),
-        6,
-        "snapshots are written as v6"
+        7,
+        "snapshots are written as v7"
     );
     Snapshot::open(&path).expect("the current version opens");
 
     // v1 memorized its aux table under a different arithmetic recipe; v2 and v3
     // carry no corrected-key bitmap; v4 partitions are keyed row arrays that
     // rank addressing cannot read; v5 manifests carry the MHAS controller's
-    // settings.  Unknown future versions are rejected the same way, never
-    // guessed at.
-    for version in [1u16, 2, 3, 4, 5, 9] {
+    // settings; a v6 model section has no tag for a closed-form model.
+    // Unknown future versions are rejected the same way, never guessed at.
+    for version in [1u16, 2, 3, 4, 5, 6, 9] {
         let mut other = current.clone();
         other[4..6].copy_from_slice(&version.to_le_bytes());
         std::fs::write(&path, &other).unwrap();
