@@ -44,7 +44,12 @@ impl Divisor {
         let l = u64::BITS - (d - 1).leading_zeros();
         let d_wide = u128::from(d);
         let magic = ((1u128 << 64) * ((1u128 << l) - d_wide) / d_wide + 1) as u64;
-        Divisor { d, magic, shift1: l.min(1), shift2: l.saturating_sub(1) }
+        Divisor {
+            d,
+            magic,
+            shift1: l.min(1),
+            shift2: l.saturating_sub(1),
+        }
     }
 
     #[inline(always)]
@@ -116,8 +121,12 @@ impl ColumnFormula {
         let (o, step, modulus) = (self.offset, &self.step, &self.modulus);
         let pairs = values.zip(keys);
         match (self.step_shift, self.modulus_mask) {
-            (Some(shift), Some(mask)) => pairs.for_each(|(v, &k)| *v = ((k - o) >> shift & mask) as u32),
-            (Some(shift), None) => pairs.for_each(|(v, &k)| *v = modulus.rem((k - o) >> shift) as u32),
+            (Some(shift), Some(mask)) => {
+                pairs.for_each(|(v, &k)| *v = ((k - o) >> shift & mask) as u32)
+            }
+            (Some(shift), None) => {
+                pairs.for_each(|(v, &k)| *v = modulus.rem((k - o) >> shift) as u32)
+            }
             (None, Some(mask)) => pairs.for_each(|(v, &k)| *v = (step.div(k - o) & mask) as u32),
             (None, None) => pairs.for_each(|(v, &k)| *v = modulus.rem(step.div(k - o)) as u32),
         }
@@ -160,11 +169,6 @@ const CLIMB_ROWS: usize = 8192;
 const MAX_CLIMB: usize = 64;
 
 impl ClosedForm {
-    /// The closed form of these columns, in column order.
-    pub fn new(columns: Vec<ColumnFormula>) -> Self {
-        ClosedForm { columns }
-    }
-
     /// The columns' formulas.
     pub fn columns(&self) -> &[ColumnFormula] {
         &self.columns
@@ -186,25 +190,31 @@ impl ClosedForm {
             if lowest >= column.offset {
                 column.fill_right_of_offset(keys, values);
             } else {
-                values.zip(keys).for_each(|(value, &key)| *value = column.value(key));
+                values
+                    .zip(keys)
+                    .for_each(|(value, &key)| *value = column.value(key));
             }
         }
     }
 
-    /// The closed form of `rows`, when every column has one: for column `j` the
-    /// `(o, d)` with `c = cardinalities[j]` that gets the most rows right, found
-    /// only if it gets more than halfway from chance (`1 / c` of the rows) to
-    /// all of them right.  `None` as soon as one column has none.
+    /// The closed form of `rows` (each with `cardinalities.len()` values),
+    /// when every column has one: for column `j` the `(o, d)` with `c =
+    /// cardinalities[j]` that gets the most rows right, found only if it gets
+    /// more than halfway from chance (`1 / c` of the rows) to all of them
+    /// right.  `None` as soon as one column has none, or holds a value of `c`
+    /// or more.
     ///
     /// With `c` fixed, the right `(o, d)` puts the phase `(k − v·d) mod c·d` of
     /// every row it gets right into one window `[o, o + d)`.  Candidate
-    /// divisors come from the rows' block boundaries (neighbours one key step
-    /// apart whose values step by one mod `c`): the key distance between two of them over their
-    /// value step, voted over pairs of boundaries and of boundaries with a
-    /// majority of their neighbours on either side (which survive noisy rows),
-    /// and the first boundary's distance from either end of the key range.
-    /// Each candidate is scored by its fullest window over a sample of rows,
-    /// and the best is fit to every row.  Keys may have gaps and rows may
+    /// divisors come from block boundaries, rows whose value is one more (mod
+    /// `c`) than the row before: two boundaries `Δ` keys and `t` values apart
+    /// vote for `Δ / t`.  The boundaries voting are those one key step after
+    /// their neighbour, and, to see through noisy rows, those between rows
+    /// that share their value with enough of the rows around them; the first
+    /// boundary's distance from either end of the key range is a candidate
+    /// too.  Each candidate is scored by its fullest window over a sample of
+    /// rows; the best moves one at a time while a denser sample gets more rows
+    /// right, and is then fit to every row.  Keys may have gaps and rows may
     /// disagree; the rows any column gets wrong are the auxiliary table's.
     pub fn detect(rows: &[Row], cardinalities: &[u32]) -> Option<Self> {
         let mut order: Vec<usize> = (0..rows.len()).collect();
@@ -218,7 +228,9 @@ impl ClosedForm {
             values.extend(order.iter().map(|&i| u64::from(rows[i].values[j])));
             detect_column(&keys, &values, u64::from(cardinality))
         });
-        Some(ClosedForm { columns: columns.collect::<Option<_>>()? })
+        Some(ClosedForm {
+            columns: columns.collect::<Option<_>>()?,
+        })
     }
 
     /// Serialized form: the column count, then each column's offset, divisor
@@ -261,8 +273,11 @@ impl ClosedForm {
 /// more than halfway from chance to every row right with modulus `c`.
 fn detect_column(keys: &[u64], values: &[u64], c: u64) -> Option<ColumnFormula> {
     let (&first, &last) = (keys.first()?, keys.last()?);
-    if c <= 1 {
-        return ColumnFormula::new(0, 1, c.max(1)).ok();
+    if values.iter().any(|&v| v >= c) {
+        return None;
+    }
+    if c == 1 {
+        return ColumnFormula::new(0, 1, 1).ok();
     }
     let stepped = step_boundaries(keys, values, c);
     let mut candidates = proposals(&stepped, c);
@@ -286,8 +301,14 @@ fn detect_column(keys: &[u64], values: &[u64], c: u64) -> Option<ColumnFormula> 
     let mut best = hits(divisor, CLIMB_ROWS);
     for up in [false, true] {
         for _ in 0..MAX_CLIMB {
-            let next = if up { divisor.checked_add(1) } else { divisor.checked_sub(1) };
-            let Some(next) = next.filter(|&d| d > 0) else { break };
+            let next = if up {
+                divisor.checked_add(1)
+            } else {
+                divisor.checked_sub(1)
+            };
+            let Some(next) = next.filter(|&d| d > 0) else {
+                break;
+            };
             let next_hits = hits(next, CLIMB_ROWS);
             if next_hits <= best {
                 break;
@@ -310,7 +331,11 @@ fn detect_column(keys: &[u64], values: &[u64], c: u64) -> Option<ColumnFormula> 
 /// missing key, and a boundary off by the gap would vote for a divisor off
 /// by it.
 fn step_boundaries(keys: &[u64], values: &[u64], c: u64) -> Vec<(u64, u64)> {
-    let step = keys.windows(2).map(|pair| pair[1] - pair[0]).min().unwrap_or(1);
+    let step = keys
+        .windows(2)
+        .map(|pair| pair[1] - pair[0])
+        .min()
+        .unwrap_or(1);
     (1..keys.len())
         .filter(|&i| keys[i] - keys[i - 1] == step && values[i] == (values[i - 1] + 1) % c)
         .map(|i| (keys[i], values[i]))
@@ -356,8 +381,10 @@ fn proposals(boundaries: &[(u64, u64)], c: u64) -> Vec<u64> {
         }
     }
     votes.sort_unstable();
-    let mut tally: Vec<(usize, u64)> =
-        votes.chunk_by(|a, b| a == b).map(|run| (run.len(), run[0])).collect();
+    let mut tally: Vec<(usize, u64)> = votes
+        .chunk_by(|a, b| a == b)
+        .map(|run| (run.len(), run[0]))
+        .collect();
     tally.sort_unstable_by_key(|&(count, d)| (std::cmp::Reverse(count), d));
     tally.into_iter().take(PROPOSALS).map(|(_, d)| d).collect()
 }
@@ -419,7 +446,11 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(0xd17);
         let mut divisors = vec![1, 2, 3, 7, 10, 70, 1_400, 1 << 32, (1 << 63) - 1, 1 << 63];
         divisors.extend([(1 << 63) + 1, u64::MAX - 1, u64::MAX]);
-        divisors.extend((0..200).map(|_| rng.gen::<u64>() >> rng.gen_range(0..64u32)).filter(|&d| d > 0));
+        divisors.extend(
+            (0..200)
+                .map(|_| rng.gen::<u64>() >> rng.gen_range(0..64u32))
+                .filter(|&d| d > 0),
+        );
         for d in divisors {
             let divisor = Divisor::new(d);
             let mut dividends = vec![0, 1, d - 1, d, d.wrapping_add(1), u64::MAX - 1, u64::MAX];
@@ -454,17 +485,32 @@ mod tests {
         }
         for (o, d, c) in formulas {
             let formula = ColumnFormula::new(o, d, c).unwrap();
-            let mut keys = vec![0, 1, o.saturating_sub(1), o, o.saturating_add(1), u64::MAX - 1, u64::MAX];
+            let mut keys = vec![
+                0,
+                1,
+                o.saturating_sub(1),
+                o,
+                o.saturating_add(1),
+                u64::MAX - 1,
+                u64::MAX,
+            ];
             // The edges of the first blocks on either side of `o`, and of one far off.
             for block in [1u64, 2, 3, c, c + 1, 1 << 20] {
                 if let Some(edge) = block.checked_mul(d) {
                     keys.extend([o.wrapping_add(edge), o.wrapping_sub(edge)]);
-                    keys.extend([o.wrapping_add(edge).wrapping_sub(1), o.wrapping_sub(edge).wrapping_add(1)]);
+                    keys.extend([
+                        o.wrapping_add(edge).wrapping_sub(1),
+                        o.wrapping_sub(edge).wrapping_add(1),
+                    ]);
                 }
             }
             keys.extend((0..64).map(|_| rng.gen::<u64>() >> rng.gen_range(0..64u32)));
             for key in keys {
-                assert_eq!(formula.value(key), reference(key, o, d, c), "k = {key}, (o, d, c) = ({o}, {d}, {c})");
+                assert_eq!(
+                    formula.value(key),
+                    reference(key, o, d, c),
+                    "k = {key}, (o, d, c) = ({o}, {d}, {c})"
+                );
             }
         }
     }
@@ -480,20 +526,41 @@ mod tests {
             let any = |rng: &mut StdRng| (rng.gen::<u64>() >> rng.gen_range(0..64u32)).max(1);
             let columns: Vec<(u64, u64, u64)> = (0..rng.gen_range(1..6usize))
                 .map(|_| {
-                    let o = if rng.gen_bool(0.5) { 0 } else { rng.gen_range(0..5_000u64) };
-                    let d = if rng.gen_bool(0.5) { power(&mut rng, 64) } else { any(&mut rng) };
-                    let c = if rng.gen_bool(0.5) { power(&mut rng, 33) } else { any(&mut rng).min(MAX_MODULUS) };
+                    let o = if rng.gen_bool(0.5) {
+                        0
+                    } else {
+                        rng.gen_range(0..5_000u64)
+                    };
+                    let d = if rng.gen_bool(0.5) {
+                        power(&mut rng, 64)
+                    } else {
+                        any(&mut rng)
+                    };
+                    let c = if rng.gen_bool(0.5) {
+                        power(&mut rng, 33)
+                    } else {
+                        any(&mut rng).min(MAX_MODULUS)
+                    };
                     (o, d, c)
                 })
                 .collect();
-            let form = ClosedForm::new(columns.iter().map(|&(o, d, c)| ColumnFormula::new(o, d, c).unwrap()).collect());
+            let formulas = columns
+                .iter()
+                .map(|&(o, d, c)| ColumnFormula::new(o, d, c).unwrap());
+            let form = ClosedForm {
+                columns: formulas.collect(),
+            };
             let low = if rng.gen_bool(0.5) { 0 } else { 5_000 };
-            let mut keys: Vec<u64> = (0..rng.gen_range(0..300)).map(|_| rng.gen_range(low..20_000u64)).collect();
+            let mut keys: Vec<u64> = (0..rng.gen_range(0..300))
+                .map(|_| rng.gen_range(low..20_000u64))
+                .collect();
             keys.extend([u64::MAX, u64::MAX - 1].iter().take(rng.gen_range(0..3)));
             let mut out = vec![0; keys.len() * columns.len()];
             form.predict_into_slice(&keys, &mut out);
-            let expected: Vec<u32> =
-                keys.iter().flat_map(|&k| columns.iter().map(move |&(o, d, c)| reference(k, o, d, c))).collect();
+            let expected: Vec<u32> = keys
+                .iter()
+                .flat_map(|&k| columns.iter().map(move |&(o, d, c)| reference(k, o, d, c)))
+                .collect();
             assert_eq!(out, expected, "{columns:?}");
         }
     }
@@ -516,10 +583,12 @@ mod tests {
         assert!(ColumnFormula::new(0, 0, 4).is_err());
         assert!(ColumnFormula::new(0, 4, 0).is_err());
         assert!(ColumnFormula::new(0, 4, MAX_MODULUS + 1).is_err());
-        let form = ClosedForm::new(vec![
-            ColumnFormula::new(1, 1, 2).unwrap(),
-            ColumnFormula::new(u64::MAX, u64::MAX, MAX_MODULUS).unwrap(),
-        ]);
+        let form = ClosedForm {
+            columns: vec![
+                ColumnFormula::new(1, 1, 2).unwrap(),
+                ColumnFormula::new(u64::MAX, u64::MAX, MAX_MODULUS).unwrap(),
+            ],
+        };
         let bytes = form.to_bytes();
         assert_eq!(ClosedForm::from_bytes(&bytes).unwrap(), form);
         assert!(ClosedForm::from_bytes(&bytes[..bytes.len() - 1]).is_err());
@@ -529,19 +598,29 @@ mod tests {
     }
 
     fn formulas(form: &ClosedForm) -> Vec<(u64, u64, u64)> {
-        form.columns().iter().map(|f| (f.offset(), f.divisor(), f.modulus())).collect()
+        form.columns()
+            .iter()
+            .map(|f| (f.offset(), f.divisor(), f.modulus()))
+            .collect()
     }
 
     /// Rows `noisy_tenths` tenths of which are uniform noise, over keys with a
     /// tenth of the slots empty, of the columns `(o, d, c)`.
     fn generated(n: usize, columns: &[(u64, u64, u64)], noisy_tenths: u64, seed: u64) -> Vec<Row> {
         let mut rng = StdRng::seed_from_u64(seed);
-        let kept = (0u64..).filter(|_| rng.gen_range(0..10) != 0).take(n).collect::<Vec<_>>();
+        let kept = (0u64..)
+            .filter(|_| rng.gen_range(0..10) != 0)
+            .take(n)
+            .collect::<Vec<_>>();
         kept.into_iter()
             .map(|k| {
                 let noisy = rng.gen_range(0..10) < noisy_tenths;
                 let values = columns.iter().map(|&(o, d, c)| {
-                    if noisy { rng.gen_range(0..c) as u32 } else { reference(k, o, d, c) }
+                    if noisy {
+                        rng.gen_range(0..c) as u32
+                    } else {
+                        reference(k, o, d, c)
+                    }
                 });
                 Row::new(k, values.collect())
             })
@@ -550,34 +629,61 @@ mod tests {
 
     fn cardinalities(rows: &[Row]) -> Vec<u32> {
         let columns = rows[0].values.len();
-        (0..columns).map(|j| rows.iter().map(|r| r.values[j] + 1).max().unwrap()).collect()
+        (0..columns)
+            .map(|j| rows.iter().map(|r| r.values[j] + 1).max().unwrap())
+            .collect()
     }
 
     #[test]
     fn detection_recovers_bit_fields_through_gaps_and_noise() {
         // The frozen benchmark's `mixed` shape: five bit fields, 40 % noise rows.
-        let columns = [(0, 16, 4), (0, 64, 8), (0, 256, 16), (0, 1_024, 32), (0, 16, 64)];
+        let columns = [
+            (0, 16, 4),
+            (0, 64, 8),
+            (0, 256, 16),
+            (0, 1_024, 32),
+            (0, 16, 64),
+        ];
         for (noisy_tenths, seed) in [(0, 1), (4, 1), (4, 2), (4, 3)] {
             let rows = generated(20_000, &columns, noisy_tenths, seed);
             let cardinalities = cardinalities(&rows);
             let form = ClosedForm::detect(&rows, &cardinalities).expect("a closed form");
             // The modulus is the column's cardinality: 20 000 rows span 22 of the
             // fourth column's 32 blocks, so it takes 22 values.
-            let expected: Vec<_> = columns.iter().zip(&cardinalities).map(|(&(o, d, _), &c)| (o, d, u64::from(c))).collect();
-            assert_eq!(formulas(&form), expected, "{noisy_tenths} tenths noisy, seed {seed}");
+            let expected: Vec<_> = columns
+                .iter()
+                .zip(&cardinalities)
+                .map(|(&(o, d, _), &c)| (o, d, u64::from(c)))
+                .collect();
+            assert_eq!(
+                formulas(&form),
+                expected,
+                "{noisy_tenths} tenths noisy, seed {seed}"
+            );
         }
     }
 
     #[test]
     fn detection_recovers_offsets_and_divisors_that_are_no_powers_of_two() {
-        let columns = [(3, 1, 2), (3, 2, 5), (3, 10, 7), (1_003, 70, 20), (3, 1_400, 4), (3, 5_600, 7)];
+        let columns = [
+            (3, 1, 2),
+            (3, 2, 5),
+            (3, 10, 7),
+            (1_003, 70, 20),
+            (3, 1_400, 4),
+            (3, 5_600, 7),
+        ];
         let rows = generated(30_000, &columns, 0, 9);
         let form = ClosedForm::detect(&rows, &cardinalities(&rows)).expect("a closed form");
         let keys: Vec<u64> = rows.iter().map(|r| r.key).collect();
         let mut predictions = vec![0; keys.len() * columns.len()];
         form.predict_into_slice(&keys, &mut predictions);
         let right = rows.iter().zip(predictions.chunks_exact(columns.len()));
-        assert!(right.clone().all(|(row, p)| p == row.values.as_slice()), "{:?}", formulas(&form));
+        assert!(
+            right.clone().all(|(row, p)| p == row.values.as_slice()),
+            "{:?}",
+            formulas(&form)
+        );
         // The offsets are the generator's up to a whole period.
         for (&(o, d, c), found) in columns.iter().zip(form.columns()) {
             assert_eq!((found.divisor(), found.modulus()), (d, c));
@@ -592,7 +698,11 @@ mod tests {
         for cards in [[3, 7, 25, 50, 150], [2, 2, 2, 2, 2]] {
             let noise: Vec<(u64, u64, u64)> = cards.iter().map(|&c| (0, 1, c)).collect();
             let rows = generated(20_000, &noise, 10, 4);
-            assert_eq!(ClosedForm::detect(&rows, &cardinalities(&rows)), None, "{cards:?}");
+            assert_eq!(
+                ClosedForm::detect(&rows, &cardinalities(&rows)),
+                None,
+                "{cards:?}"
+            );
         }
         assert_eq!(ClosedForm::detect(&[], &[4]), None);
     }

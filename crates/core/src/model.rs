@@ -168,18 +168,20 @@ impl MappingModel {
     /// formulas get right in every column.
     pub fn detect_closed_form(schema: MappingSchema, rows: &[Row]) -> Option<Self> {
         let closed_form = ClosedForm::detect(rows, &schema.cardinalities)?;
-        Some(Self::closed(schema, closed_form, rows))
+        let right = |row: &&Row| {
+            let mut columns = closed_form.columns().iter().zip(&row.values);
+            columns.all(|(formula, &value)| formula.value(row.key) == value)
+        };
+        let right_rows = rows.iter().filter(right).count();
+        let mut model = Self::closed(schema, closed_form);
+        model.trained_right_rows = right_rows;
+        model.training_stop = Some(TrainingStop::ClosedForm);
+        Some(model)
     }
 
-    fn closed(schema: MappingSchema, closed_form: ClosedForm, rows: &[Row]) -> Self {
+    fn closed(schema: MappingSchema, closed_form: ClosedForm) -> Self {
         let network = MultiTaskModel::without_tasks(schema.input_dim());
         let mut model = Self::untrained(schema, network);
-        let right = |row: &&Row| {
-            let columns = closed_form.columns().iter().zip(&row.values);
-            columns.into_iter().all(|(formula, &value)| formula.value(row.key) == value)
-        };
-        model.trained_right_rows = rows.iter().filter(right).count();
-        model.training_stop = Some(TrainingStop::ClosedForm);
         model.closed_form = Some(closed_form);
         model
     }
@@ -201,7 +203,7 @@ impl MappingModel {
                         schema.num_columns()
                     )));
                 }
-                Ok(Self::closed(schema, closed_form, &[]))
+                Ok(Self::closed(schema, closed_form))
             }
             other => Err(corrupt(&format!("unknown model tag {other}"))),
         }
