@@ -430,14 +430,17 @@ fn timing_fields(row: &mut ResultRow, measured: Result<MeasuredLookup, String>, 
         }
     };
     row.num("batch_keys", keys as f64).num("keys_per_s", (keys as f64 / m.wall_ms * 1e3).round());
-    row.num("wall_ms", round(m.wall_ms, 4)).num("samples", REPEATS as f64);
-    row.num("first_ms", round(m.first_ms, 4));
-    row.num("io_ms", round(m.counters.simulated_io_nanos as f64 / 1e6, 4));
+    // Times to the nanosecond: a closed-form B1K lookup takes about 2 µs, and the
+    // stage spans must explain 0.8 of it (`tests.rs`), so 0.1 µs steps would decide
+    // that check.
+    row.num("wall_ms", round(m.wall_ms, 6)).num("samples", REPEATS as f64);
+    row.num("first_ms", round(m.first_ms, 6));
+    row.num("io_ms", round(m.counters.simulated_io_nanos as f64 / 1e6, 6));
     row.num("bytes_read", m.counters.bytes_read as f64);
     row.num("partition_loads", m.counters.partition_loads as f64);
     if let Some(trace) = m.trace {
         for stage in Stage::lookup() {
-            row.num(&format!("ms_{}", stage.slug()), round(trace.stage(stage) as f64 / 1e6, 4));
+            row.num(&format!("ms_{}", stage.slug()), round(trace.stage(stage) as f64 / 1e6, 6));
         }
     }
     row.num("hits", m.hits as f64).num("answer_sum", m.answer_sum as f64);

@@ -4,9 +4,8 @@
 //! high-correlation synthetics) hold columns that are exact periodic functions of
 //! the key: column `j` is `⌊(k − oⱼ) / dⱼ⌋ mod cⱼ`.  A network memorizes such a
 //! column at the price of a forward pass per key; a [`ColumnFormula`] stores its
-//! three integers and answers with two divisions by invariant integers: a shift
-//! or a mask by a power of two, a multiply-high and two shifts by anything else
-//! (`Divisor`).  [`ClosedForm::detect`] finds, for
+//! three integers and answers with two divisions by invariant integers, each a
+//! multiply-high and two shifts (`Divisor`).  [`ClosedForm::detect`] finds, for
 //! every column, the formula that gets the most rows right; the build prices the
 //! store it makes by Eq. 1 like any rung of the width ladder, so it ships only
 //! where it is the smaller store, and the rows it gets wrong go to the auxiliary
@@ -71,10 +70,6 @@ pub struct ColumnFormula {
     offset: u64,
     step: Divisor,
     modulus: Divisor,
-    /// `log₂ d` when `d` is a power of two: the division is a shift.
-    step_shift: Option<u32>,
-    /// `c − 1` when `c` is a power of two: the modulo is a mask.
-    modulus_mask: Option<u64>,
 }
 
 /// The largest modulus a formula takes: its values are `u32` class codes.
@@ -94,8 +89,6 @@ impl ColumnFormula {
             offset,
             step: Divisor::new(divisor),
             modulus: Divisor::new(modulus),
-            step_shift: divisor.is_power_of_two().then(|| divisor.trailing_zeros()),
-            modulus_mask: modulus.is_power_of_two().then(|| modulus - 1),
         })
     }
 
@@ -112,24 +105,6 @@ impl ColumnFormula {
     /// `c`.
     pub fn modulus(&self) -> u64 {
         self.modulus.d
-    }
-
-    /// The column's value at each of `keys`, into `values` — the keys all at or
-    /// right of the offset.  One loop per shape of formula, so a power-of-two
-    /// divisor is a shift and a power-of-two modulus a mask on every key.
-    fn fill_right_of_offset<'a>(&self, keys: &[u64], values: impl Iterator<Item = &'a mut u32>) {
-        let (o, step, modulus) = (self.offset, &self.step, &self.modulus);
-        let pairs = values.zip(keys);
-        match (self.step_shift, self.modulus_mask) {
-            (Some(shift), Some(mask)) => {
-                pairs.for_each(|(v, &k)| *v = ((k - o) >> shift & mask) as u32)
-            }
-            (Some(shift), None) => {
-                pairs.for_each(|(v, &k)| *v = modulus.rem((k - o) >> shift) as u32)
-            }
-            (None, Some(mask)) => pairs.for_each(|(v, &k)| *v = (step.div(k - o) & mask) as u32),
-            (None, None) => pairs.for_each(|(v, &k)| *v = modulus.rem(step.div(k - o)) as u32),
-        }
     }
 
     /// The column's value at `key`.
@@ -179,8 +154,8 @@ impl ClosedForm {
     ///
     /// It runs a column at a time over the batch.  When no key lies left of a
     /// column's offset (the keys' minimum says so once per batch) the column
-    /// takes one loop of its formula's shape; otherwise each key goes through
-    /// [`ColumnFormula::value`].
+    /// takes one branch-free loop of `⌊(k − o) / d⌋ mod c`; otherwise each key
+    /// goes through [`ColumnFormula::value`].
     pub fn predict_into_slice(&self, keys: &[u64], out: &mut [u32]) {
         let width = self.columns.len();
         debug_assert_eq!(out.len(), keys.len() * width);
@@ -188,7 +163,10 @@ impl ClosedForm {
         for (j, column) in self.columns.iter().enumerate() {
             let values = out.iter_mut().skip(j).step_by(width);
             if lowest >= column.offset {
-                column.fill_right_of_offset(keys, values);
+                let (o, step, modulus) = (column.offset, &column.step, &column.modulus);
+                values
+                    .zip(keys)
+                    .for_each(|(value, &key)| *value = modulus.rem(step.div(key - o)) as u32);
             } else {
                 values
                     .zip(keys)
@@ -515,9 +493,9 @@ mod tests {
         }
     }
 
-    /// A batch takes each column's loop of its shape — shift or division, mask
-    /// or modulo — or, with a key left of the offset, the per-key path; every
-    /// one answers as the integers do.
+    /// A batch takes each column's loop — divisors and moduli powers of two or
+    /// not — or, with a key left of the offset, the per-key path; every one
+    /// answers as the integers do.
     #[test]
     fn a_batch_is_bit_exact_through_every_shape_of_formula() {
         let mut rng = StdRng::seed_from_u64(0xba7c);

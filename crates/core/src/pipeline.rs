@@ -18,7 +18,7 @@
 //!    [`MappingModel::predict_into_slice`] call per batch, recorded via
 //!    [`Metrics::add_inference_batch`].  A closed-form model
 //!    ([`MappingModel::detect_closed_form`]) evaluates `⌊(k − o) / d⌋ mod c`
-//!    a column at a time over the batch: a shift or a multiply-high per
+//!    a column at a time over the batch: a multiply-high and two shifts per
 //!    division, no network.  A network gets the keys as keys, in a single
 //!    [`forward_keys_flat`](dm_nn::MultiTaskModel::forward_keys_flat)
 //!    pass: one trunk matrix-multiply sequence for the batch, then the heads,

@@ -146,11 +146,7 @@ impl Histogram {
         let stripe = &self.stripes[thread_index() & (self.stripes.len() - 1)];
         stripe.buckets[bucket_index(nanos)].fetch_add(1, Ordering::Relaxed);
         stripe.sum.fetch_add(nanos, Ordering::Relaxed);
-        // A maximum only grows: most samples are below it, and a load costs
-        // no locked read-modify-write.
-        if nanos > stripe.max.load(Ordering::Relaxed) {
-            stripe.max.fetch_max(nanos, Ordering::Relaxed);
-        }
+        stripe.max.fetch_max(nanos, Ordering::Relaxed);
     }
 
     /// Records one observation given as a [`Duration`].

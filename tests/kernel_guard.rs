@@ -420,42 +420,70 @@ fn an_early_stop_keeps_the_weights_of_the_run_capped_there() {
 // Pinned build → retrain chain.
 //
 // `DeepMapping::build` and `retrain` run one select → train → quantize →
-// assure chain, each under its own seed salt.  Under the default
-// architecture the select step climbs the width ladder
-// (`MappingModel::ladder_specs`) and keeps the smallest store: the pair below
-// was re-derived when the ladder replaced the single 141-wide guess, under
-// every kernel form, and again when the closed-form rung went below the
-// ladder's first network.  It is the rung the climb keeps: on these rows the
-// closed form, the same before and after the retrain, so it also pins that
-// the retrain's climb, which trains rung 16 again, still drops it.  A change
-// that moves it moves what the frozen benchmark builds: its
+// assure chain, each under its own seed salt.  Two pins cover it.
+//
+// The network pin builds the ladder's first network rung, width 16
+// (`MappingModel::ladder_specs`), as a fixed architecture, so the chain's
+// seeds, its training, its int8 quantization and its trained weights stay
+// pinned under every kernel form.  It was derived when the ladder replaced
+// the single 141-wide guess, on the rung the climb kept then.
+//
+// The default-architecture pin is what the climb keeps now: on these rows
+// the closed form, the same before and after the retrain, so it also pins
+// that the retrain's climb, which trains rung 16 again, still drops it.  A
+// change that moves either moves what the frozen benchmark builds: its
 // `bytes_per_user_byte` and `write_mix`'s maintenance.
 // ---------------------------------------------------------------------------
 
-/// Digests of `model().to_bytes()` after a seeded default-architecture build
-/// of the benchmark-shape rows and again after `retrain()`.
-fn built_and_retrained_digests() -> (u64, u64) {
+/// Digests of `digest(model)` after a seeded build of the benchmark-shape
+/// rows under `search` and again after `retrain()`.
+fn built_and_retrained_digests(
+    search: SearchStrategy,
+    digest: impl Fn(&deepmapping::core::MappingModel) -> Vec<u8>,
+) -> (u64, u64) {
     let mut dm = DeepMappingBuilder::dm_z()
         .training(TrainingConfig {
             epochs: 3,
             batch_size: 2048,
             ..TrainingConfig::default()
         })
+        .search(search)
         .partition_bytes(4 * 1024)
         .build(&benchmark_mixed_rows(5_003))
         .expect("build");
-    let built = fnv1a_bytes(dm.model().to_bytes());
+    let built = fnv1a_bytes(digest(dm.model()));
     dm.retrain().expect("retrain");
     assert_eq!(dm.retrain_count(), 1);
-    (built, fnv1a_bytes(dm.model().to_bytes()))
+    (built, fnv1a_bytes(digest(dm.model())))
 }
 
-const PINNED_BUILT_AND_RETRAINED: (u64, u64) = (0x1171_079f_0407_b1b7, 0x1171_079f_0407_b1b7);
+/// The weights of rung 16 after the build and after the retrain.
+const PINNED_BUILT_AND_RETRAINED_NETWORK: (u64, u64) = (0x1e13_568d_0dc8_cc06, 0xdf2c_c4a2_8b61_4569);
 
 #[test]
 fn build_and_retrain_train_the_weights_pinned_at_the_parent_commit() {
+    let rows = benchmark_mixed_rows(5_003);
+    let schema = deepmapping::core::MappingSchema::infer(&rows, deepmapping::core::KEY_HEADROOM)
+        .expect("schema");
+    let rung_16 = deepmapping::core::MappingModel::ladder_specs(&schema, rows.len()).remove(0);
+    assert_eq!(rung_16.shared_hidden, [16]);
     under_every_kernel(|form| {
-        let digests = built_and_retrained_digests();
+        let digests = built_and_retrained_digests(SearchStrategy::Fixed(rung_16.clone()), |model| {
+            assert!(model.closed_form().is_none());
+            deepmapping::nn::serialize::serialize_multitask(model.network())
+        });
+        assert_eq!(digests, PINNED_BUILT_AND_RETRAINED_NETWORK, "{form}: {digests:#x?}");
+    });
+}
+
+/// `model().to_bytes()` of the default-architecture build and its retrain.
+const PINNED_BUILT_AND_RETRAINED: (u64, u64) = (0x1171_079f_0407_b1b7, 0x1171_079f_0407_b1b7);
+
+#[test]
+fn the_default_architecture_keeps_the_closed_form_pinned_here_through_a_retrain() {
+    under_every_kernel(|form| {
+        let digests =
+            built_and_retrained_digests(SearchStrategy::DefaultArchitecture, |model| model.to_bytes());
         assert_eq!(digests, PINNED_BUILT_AND_RETRAINED, "{form}: {digests:#x?}");
     });
 }
