@@ -5,7 +5,8 @@
 //! the key: column `j` is `⌊(k − oⱼ) / dⱼ⌋ mod cⱼ`.  A network memorizes such a
 //! column at the price of a forward pass per key; a [`ColumnFormula`] stores its
 //! three integers and answers with two divisions by invariant integers, each a
-//! multiply-high and two shifts (`Divisor`).  [`ClosedForm::detect`] finds, for
+//! multiply-high and two shifts (`Divisor`), or a shift and a mask when `d` and
+//! `c` are both powers of two.  [`ClosedForm::detect`] finds, for
 //! every column, the formula that gets the most rows right; the build prices the
 //! store it makes by Eq. 1 like any rung of the width ladder, so it ships only
 //! where it is the smaller store, and the rows it gets wrong go to the auxiliary
@@ -70,6 +71,9 @@ pub struct ColumnFormula {
     offset: u64,
     step: Divisor,
     modulus: Divisor,
+    /// `(log₂ d, c − 1)` when `d` and `c` are both powers of two: the formula
+    /// is then a shift and a mask.
+    bit_field: Option<(u32, u64)>,
 }
 
 /// The largest modulus a formula takes: its values are `u32` class codes.
@@ -89,6 +93,8 @@ impl ColumnFormula {
             offset,
             step: Divisor::new(divisor),
             modulus: Divisor::new(modulus),
+            bit_field: (divisor.is_power_of_two() && modulus.is_power_of_two())
+                .then(|| (divisor.trailing_zeros(), modulus - 1)),
         })
     }
 
@@ -154,23 +160,23 @@ impl ClosedForm {
     ///
     /// It runs a column at a time over the batch.  When no key lies left of a
     /// column's offset (the keys' minimum says so once per batch) the column
-    /// takes one branch-free loop of `⌊(k − o) / d⌋ mod c`; otherwise each key
-    /// goes through [`ColumnFormula::value`].
+    /// takes one branch-free loop, of a shift and a mask for a bit field and of
+    /// two `Divisor`s otherwise; else each key goes through
+    /// [`ColumnFormula::value`].
     pub fn predict_into_slice(&self, keys: &[u64], out: &mut [u32]) {
         let width = self.columns.len();
         debug_assert_eq!(out.len(), keys.len() * width);
         let lowest = keys.iter().copied().min().unwrap_or(u64::MAX);
         for (j, column) in self.columns.iter().enumerate() {
             let values = out.iter_mut().skip(j).step_by(width);
-            if lowest >= column.offset {
-                let (o, step, modulus) = (column.offset, &column.step, &column.modulus);
-                values
-                    .zip(keys)
-                    .for_each(|(value, &key)| *value = modulus.rem(step.div(key - o)) as u32);
+            let (o, step, modulus) = (column.offset, &column.step, &column.modulus);
+            let pairs = values.zip(keys);
+            if lowest < o {
+                pairs.for_each(|(value, &key)| *value = column.value(key));
+            } else if let Some((shift, mask)) = column.bit_field {
+                pairs.for_each(|(value, &key)| *value = ((key - o) >> shift & mask) as u32);
             } else {
-                values
-                    .zip(keys)
-                    .for_each(|(value, &key)| *value = column.value(key));
+                pairs.for_each(|(value, &key)| *value = modulus.rem(step.div(key - o)) as u32);
             }
         }
     }
