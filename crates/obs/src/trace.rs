@@ -398,14 +398,42 @@ pub struct SpanGuard<'a> {
     nested_at_open: u64,
 }
 
-impl Drop for SpanGuard<'_> {
-    fn drop(&mut self) {
-        let Some(begin) = self.begin else { return };
+impl<'a> SpanGuard<'a> {
+    /// Closes this span and opens one charged to `next` at the same clock
+    /// reading: two stages that follow each other cost one read between them,
+    /// and the recording of the first counts in the second.
+    #[inline]
+    pub fn then(mut self, next: Stage) -> SpanGuard<'a> {
+        let end = self.begin.take().map(|begin| {
+            let end = Instant::now();
+            self.record(begin, end);
+            end
+        });
+        SpanGuard {
+            trace: self.trace,
+            stage: next,
+            begin: end,
+            nested: 0,
+            nested_at_open: 0,
+        }
+    }
+
+    fn record(&self, begin: Instant, end: Instant) {
         let nested = thread_nanos_of(self.nested).wrapping_sub(self.nested_at_open);
-        let dur = begin.elapsed().saturating_sub(Duration::from_nanos(nested));
+        let dur = end
+            .saturating_duration_since(begin)
+            .saturating_sub(Duration::from_nanos(nested));
         match self.trace {
             Some(trace) => trace.record_span(self.stage, begin, dur),
             None => record_stage(self.stage, nanos(dur)),
+        }
+    }
+}
+
+impl Drop for SpanGuard<'_> {
+    fn drop(&mut self) {
+        if let Some(begin) = self.begin {
+            self.record(begin, Instant::now());
         }
     }
 }
@@ -693,6 +721,35 @@ mod tests {
         let before = stage_snapshot(Stage::Probe).count();
         drop(span_net_of(None, Stage::Probe, &[Stage::PoolLoad]));
         assert!(stage_snapshot(Stage::Probe).count() > before);
+    }
+
+    /// A chained span starts where the one before it ended: the two are
+    /// disjoint, adjacent events of the trace.
+    #[test]
+    fn a_chained_span_opens_where_the_one_before_it_closed() {
+        let _guard = crate::test_guard();
+        crate::set_enabled(true);
+        let trace = Trace::start("chain");
+        {
+            let existence = trace.span(Stage::Existence);
+            std::thread::sleep(Duration::from_millis(1));
+            let _merge = existence.then(Stage::Merge);
+            std::thread::sleep(Duration::from_millis(2));
+        }
+        let events: Vec<TraceEvent> = trace.events().collect();
+        let summary = trace.finish();
+        assert_eq!(summary.events, 2);
+        assert_eq!(
+            (events[0].stage, events[1].stage),
+            (Stage::Existence, Stage::Merge)
+        );
+        assert_eq!(
+            events[0].offset_nanos + events[0].dur_nanos,
+            events[1].offset_nanos
+        );
+        let (existence, merge) = (summary.stage(Stage::Existence), summary.stage(Stage::Merge));
+        assert!(existence >= 1_000_000 && merge >= 2_000_000, "{existence} ns, {merge} ns");
+        assert!(existence + merge <= summary.total_nanos);
     }
 
     #[test]
