@@ -748,7 +748,10 @@ mod tests {
             events[1].offset_nanos
         );
         let (existence, merge) = (summary.stage(Stage::Existence), summary.stage(Stage::Merge));
-        assert!(existence >= 1_000_000 && merge >= 2_000_000, "{existence} ns, {merge} ns");
+        assert!(
+            existence >= 1_000_000 && merge >= 2_000_000,
+            "{existence} ns, {merge} ns"
+        );
         assert!(existence + merge <= summary.total_nanos);
     }
 
